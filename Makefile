@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-smoke chaos fuzz ci
+.PHONY: all build test race vet fmt-check bench bench-smoke bench-streams chaos fuzz ci
 
 all: build
 
@@ -28,10 +28,17 @@ fmt-check:
 
 # Relational-engine benchmarks, including the statement-cache comparison
 # (BenchmarkPointQueryUncached vs Cached/Prepared), the zero-allocation
-# tokenizer/fingerprint sweeps, and the shape-vs-exact keyed cache pair.
+# tokenizer/fingerprint sweeps, and the shape-vs-exact keyed cache pair; then
+# the streams and session benchmarks (Append beside many sessions' worth of
+# subscriptions, replay, the display wait deep into a conversation).
 bench:
-	$(GO) test ./internal/relational/ -run XXX -bench . -benchmem
+	$(GO) test ./internal/relational/ ./internal/streams ./internal/session -run XXX -bench . -benchmem
 	$(GO) run ./cmd/benchharness -fig A9
+
+# Twenty iterations of each streams and session benchmark: CI runs them so
+# that they keep building and finishing, not to read their numbers.
+bench-streams:
+	$(GO) test ./internal/streams ./internal/session -run XXX -bench . -benchtime 20x
 
 # Fuzz the tokenizer against the old slice-building lexer for a short burst
 # (seeds under internal/relational/testdata/fuzz are always replayed by
@@ -85,4 +92,4 @@ bench-smoke:
 chaos:
 	$(GO) test -race -run Chaos ./...
 
-ci: fmt-check vet build race chaos bench-smoke
+ci: fmt-check vet build race chaos bench-smoke bench-streams

@@ -2,6 +2,7 @@ package blueprint
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -307,5 +308,68 @@ func TestDataWriteInvalidatesMemo(t *testing.T) {
 	}
 	if !strings.Contains(after, "applied") {
 		t.Fatalf("summary missing the new applied application: %q", after)
+	}
+}
+
+// An ask must cost what it delivers, not what the session has said before:
+// on a session with 2000 display messages behind it, Ask neither replays them
+// through its wait subscription (bounded Deliveries) nor reads them to count
+// them (bytes allocated as on a new session). Asserted on counts, not time.
+func TestAskCostIndependentOfDisplayHistory(t *testing.T) {
+	sys := newSystem(t)
+	const asks = 8
+	// measure returns deliveries and bytes allocated per ask on a session.
+	measure := func(s *Session) (deliveries, bytes float64) {
+		t.Helper()
+		ask := func() {
+			if out, err := s.Ask("How many jobs are in Austin?", 10*time.Second); err != nil || !strings.Contains(out, "Summary:") {
+				t.Fatalf("ask = %q, %v", out, err)
+			}
+		}
+		ask() // warm the statement and plan caches
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		d0 := sys.Store.StatsSnapshot().Deliveries
+		for i := 0; i < asks; i++ {
+			ask()
+		}
+		d1 := sys.Store.StatsSnapshot().Deliveries
+		runtime.ReadMemStats(&m1)
+		return float64(d1-d0) / asks, float64(m1.TotalAlloc-m0.TotalAlloc) / asks
+	}
+
+	fresh, err := sys.StartSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	freshDeliveries, freshBytes := measure(fresh)
+
+	deep, err := sys.StartSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer deep.Close()
+	for i := 0; i < 2000; i++ {
+		if _, err := sys.Store.Append(streams.Message{
+			Stream: deep.ID + ":display", Kind: streams.Data, Sender: hragents.QuerySummarizer,
+			Tags: []string{"display"}, Payload: "Summary: The query returned 1 rows. n: 257.",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if deep.DisplayLen() != 2000 {
+		t.Fatalf("DisplayLen = %d, want 2000", deep.DisplayLen())
+	}
+	deepDeliveries, deepBytes := measure(deep)
+	t.Logf("per ask: fresh %.0f deliveries, %.0f B; 2000 deep %.0f deliveries, %.0f B", freshDeliveries, freshBytes, deepDeliveries, deepBytes)
+	// Some 65 deliveries make an ask (the count trails the answer, so it
+	// wobbles); a replayed history would add 2000.
+	if deepDeliveries > 200 {
+		t.Errorf("an ask on a 2000-message display stream took %.0f deliveries, %.0f on a new session", deepDeliveries, freshDeliveries)
+	}
+	// Reading 2000 messages (Display/ReadAll) copies over 300 KB per ask.
+	if deepBytes > 1.5*freshBytes+64<<10 {
+		t.Errorf("an ask on a 2000-message display stream allocated %.0f B, %.0f B on a new session", deepBytes, freshBytes)
 	}
 }

@@ -256,31 +256,40 @@ func (s *Session) Display() []string {
 	return out
 }
 
+// DisplayLen is the number of display messages so far: the offset an ask
+// passes to AwaitDisplay so that only what it causes is waited for. It reads
+// the stream's length, not its messages.
+func (s *Session) DisplayLen() int {
+	info, err := s.store.Info(agent.DisplayStream(s.ID))
+	if err != nil {
+		return 0
+	}
+	return int(info.Len)
+}
+
 // AwaitDisplay blocks until the display stream carries a message at index
 // >= from whose payload contains substr (empty matches anything), returning
-// its payload. The wait is event-driven: a streams subscription (with
-// replay, so outputs that raced ahead are not missed) delivers display
-// messages as they are appended — no polling, no sleeps — which is what
-// keeps multi-session request/response throughput bound by the hardware
-// rather than a poll interval. ErrNoDisplay is returned on timeout.
+// its payload. The wait is event-driven: a streams subscription resumed at
+// offset from delivers the display messages already at or past it (so
+// outputs that raced ahead of the call are not missed) and then new ones as
+// they are appended — no polling, no sleeps, and no replay of the history
+// before from, so a wait costs the same on a long conversation as on a new
+// one. ErrNoDisplay is returned on timeout.
 func (s *Session) AwaitDisplay(from int, substr string, timeout time.Duration) (string, error) {
-	sub := s.store.Subscribe(streams.Filter{
+	sub := s.store.SubscribeFrom(streams.Filter{
 		Streams: []string{agent.DisplayStream(s.ID)},
-	}, true)
+	}, int64(from))
 	defer sub.Cancel()
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	idx := 0
 	for {
 		select {
 		case msg, ok := <-sub.C():
 			if !ok {
 				return "", fmt.Errorf("%w: %s (stream closed)", ErrNoDisplay, s.ID)
 			}
-			i := idx
-			idx++
-			if i < from {
-				continue
+			if msg.Seq < int64(from) {
+				continue // live, but from lies further beyond the stream's end
 			}
 			if text := msg.PayloadString(); substr == "" || strings.Contains(text, substr) {
 				return text, nil

@@ -244,7 +244,74 @@ func TestAwaitDisplayEventDriven(t *testing.T) {
 	}
 
 	// Timeout yields ErrNoDisplay.
-	if _, err := s.AwaitDisplay(len(s.Display()), "", 30*time.Millisecond); !errors.Is(err, ErrNoDisplay) {
+	if _, err := s.AwaitDisplay(s.DisplayLen(), "", 30*time.Millisecond); !errors.Is(err, ErrNoDisplay) {
 		t.Fatalf("timeout err = %v", err)
+	}
+}
+
+// AwaitDisplay resumes at an offset rather than replaying and counting: the
+// offset, not the arrival order, decides what is waited for.
+func TestAwaitDisplayFromOffset(t *testing.T) {
+	store, m := newEnv(t)
+	s, _ := m.Create("")
+	defer s.Close()
+	post := func(text string) {
+		t.Helper()
+		if _, err := store.Append(streams.Message{
+			Stream: agent.DisplayStream(s.ID), Kind: streams.Data, Sender: "tester", Payload: text,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, text := range []string{"zero", "one", "two"} {
+		post(text)
+	}
+	if got := s.DisplayLen(); got != 3 || got != len(s.Display()) {
+		t.Fatalf("DisplayLen = %d, Display has %d", got, len(s.Display()))
+	}
+
+	// An answer that lands after the length was read but before the wait
+	// subscribes (what a fast agent does to Ask) is not missed.
+	before := s.DisplayLen()
+	post("raced ahead")
+	if out, err := s.AwaitDisplay(before, "", time.Second); err != nil || out != "raced ahead" {
+		t.Fatalf("await after a racing append = %q, %v", out, err)
+	}
+
+	// substr still skips non-matching messages at or past from, and never
+	// reaches back before it ("one" is at index 1).
+	post("one more")
+	post("the one wanted")
+	if out, err := s.AwaitDisplay(before, "one", time.Second); err != nil || out != "one more" {
+		t.Fatalf("await substr = %q, %v", out, err)
+	}
+	if out, err := s.AwaitDisplay(before, "wanted", time.Second); err != nil || out != "the one wanted" {
+		t.Fatalf("await substr past a mismatch = %q, %v", out, err)
+	}
+
+	// from beyond the end waits for the message that will sit at that index,
+	// not for the next one appended.
+	from := s.DisplayLen() + 2
+	got := make(chan string, 1)
+	go func() {
+		out, err := s.AwaitDisplay(from, "", 5*time.Second)
+		if err != nil {
+			t.Errorf("await beyond the end: %v", err)
+		}
+		got <- out
+	}()
+	for store.StatsSnapshot().Subscriptions == 0 { // until the waiter subscribed
+		time.Sleep(100 * time.Microsecond)
+	}
+	post("too early")
+	post("still too early")
+	select {
+	case out := <-got:
+		t.Fatalf("await beyond the end returned %q at an index before from", out)
+	case <-time.After(20 * time.Millisecond):
+	}
+	post("at from")
+	if out := <-got; out != "at from" {
+		t.Fatalf("await beyond the end = %q", out)
 	}
 }

@@ -1,6 +1,7 @@
 package streams
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -76,6 +77,37 @@ func BenchmarkHistory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if h := s.History("s:1"); len(h) != 1000 {
 			b.Fatal("bad history")
+		}
+	}
+}
+
+// BenchmarkAppendManySessions is the shape of many live conversations: 512
+// session scopes, each with the 18 subscriptions a session's agents and
+// coordinator hold (12 on control messages, 6 on tagged data), and an
+// utterance appended to one session's user stream. Only that session's
+// subscriptions can receive it, and the append should cost as if the other
+// 511 sessions were not there.
+func BenchmarkAppendManySessions(b *testing.B) {
+	s := NewStore()
+	b.Cleanup(func() { s.Close() })
+	for i := 0; i < 512; i++ {
+		scope := fmt.Sprintf("session:%d", i)
+		for j := 0; j < 12; j++ {
+			drain(s.Subscribe(Filter{Session: scope, Kinds: []Kind{Control}}, false))
+		}
+		for j := 0; j < 6; j++ {
+			drain(s.Subscribe(Filter{Session: scope, Kinds: []Kind{Data, Event}, IncludeTags: []string{fmt.Sprintf("tag%d", j)}}, false))
+		}
+	}
+	if _, err := s.CreateStream("session:7:user", StreamInfo{Session: "session:7"}); err != nil {
+		b.Fatal(err)
+	}
+	msg := Message{Stream: "session:7:user", Kind: Data, Sender: "user", Tags: []string{"user", "tag0"}, Payload: "How many jobs are in Austin?"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Append(msg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func (s *Store) applyRecordLocked(rec walRecord) {
 		st.info.Closed = false
 		s.streams[info.ID] = st
 		s.order = append(s.order, info.ID)
-		s.stats.StreamsCreated++
+		s.stats.streamsCreated.Add(1)
 		if info.CreatedTS > s.clock.Load() {
 			s.clock.Store(info.CreatedTS)
 		}
@@ -81,15 +81,7 @@ func (s *Store) applyRecordLocked(rec walRecord) {
 		if m.IsEOS() {
 			st.info.Closed = true
 		}
-		s.stats.MessagesAppended++
-		switch m.Kind {
-		case Control:
-			s.stats.ControlMessages++
-		case Event:
-			s.stats.EventMessages++
-		default:
-			s.stats.DataMessages++
-		}
+		s.stats.countMessage(m.Kind)
 		if m.TS > s.clock.Load() {
 			s.clock.Store(m.TS)
 		}

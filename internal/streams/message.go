@@ -10,6 +10,27 @@
 // can be listed, read from any offset, closed, persisted to a write-ahead log
 // and recovered, giving the observability and controllability the paper
 // calls for.
+//
+// Every ask crosses this package a dozen times, so its costs follow what is
+// delivered, not what exists:
+//
+//   - Routing. The store files each subscription under one of three classes —
+//     the streams its filter names, else its session scope, else unscoped —
+//     and Append gathers candidates only from the message's stream, from its
+//     session scope and that scope's ":"-ancestors, and from the unscoped
+//     set. Filter.Matches still decides every candidate; the index only
+//     narrows (route.go). An append costs the same beside one session's
+//     subscriptions as beside ten thousand sessions'.
+//   - Replay. Subscribe(filter, true) replays history before live messages;
+//     SubscribeFrom(filter, from) resumes at an offset and replays only each
+//     stream's suffix from it. A filter that names streams reads those
+//     suffixes and nothing else; only a filter that names none sweeps the
+//     store (and sorts by timestamp). A consumer that knows how far it has
+//     read — Info(id).Len is O(1) — never pays for the history before it.
+//   - Subscriptions. The unbounded queue is a slice; the channel behind C is
+//     a few messages deep and the counters are atomics, so an idle
+//     subscription holds about a kilobyte and a transient one costs little
+//     more than its two goroutines.
 package streams
 
 import (

@@ -1,0 +1,370 @@
+package streams
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+)
+
+// The routing index must be invisible: whatever it narrows Append's search
+// to, the subscriptions that receive a message are exactly those whose
+// Filter.Matches it. These tests compare the index with that brute force
+// over seeded random filters and messages.
+
+var (
+	routeStreams  = []string{"a", "b", "session:1:user", "session:1:profile:form", "session:2:user", "ghost"}
+	routeSessions = []string{"", "session", "session:1", "session:1:profile", "session:2", "session:10"}
+	routeTags     = []string{"utterance", "plan", "display", "draft"}
+	routeSenders  = []string{"user", "planner", "coordinator"}
+	routeKinds    = []Kind{Data, Control, Event}
+)
+
+func pick[T any](r *rand.Rand, xs []T) T { return xs[r.Intn(len(xs))] }
+
+// some returns a random, possibly empty, possibly repeating selection.
+func some[T any](r *rand.Rand, xs []T, max int) []T {
+	var out []T
+	for n := r.Intn(max + 1); n > 0; n-- {
+		out = append(out, pick(r, xs))
+	}
+	return out
+}
+
+// randomFilter draws a filter of any of the three routing classes — named
+// streams (with repeats, and "ghost", which is created only later), a session
+// scope, or neither — with the other rules on top.
+func randomFilter(r *rand.Rand) Filter {
+	var f Filter
+	switch r.Intn(4) {
+	case 0:
+		f.Streams = append(some(r, routeStreams, 3), pick(r, routeStreams))
+		if r.Intn(2) == 0 {
+			f.Session = pick(r, routeSessions) // the stream class wins
+		}
+	case 1, 2:
+		f.Session = pick(r, routeSessions[1:])
+	}
+	if r.Intn(2) == 0 {
+		f.Kinds = some(r, routeKinds, 2)
+	}
+	switch r.Intn(4) {
+	case 0:
+		f.IncludeTags = some(r, routeTags, 2)
+	case 1:
+		f.ExcludeTags = some(r, routeTags, 2)
+	}
+	switch r.Intn(6) {
+	case 0:
+		f.Senders = some(r, routeSenders, 2)
+	case 1:
+		f.ExcludeSenders = some(r, routeSenders, 2)
+	}
+	return f
+}
+
+func randomMessage(r *rand.Rand, streams []string) Message {
+	m := Message{
+		Stream: pick(r, streams), Kind: pick(r, routeKinds), Sender: pick(r, routeSenders),
+		Tags: some(r, routeTags, 2), Payload: r.Int(),
+	}
+	if r.Intn(3) == 0 {
+		m.Session = pick(r, routeSessions) // else inherited from the stream
+	}
+	if m.Kind == Control {
+		m.Directive = &Directive{Op: "X"}
+	}
+	return m
+}
+
+// collector drains one subscription until its channel closes.
+type collector struct {
+	sub   *Subscription
+	mu    sync.Mutex
+	got   []string
+	moved chan struct{} // signalled (capacity 1) after every message
+	done  chan struct{}
+}
+
+func collect(sub *Subscription) *collector {
+	c := &collector{sub: sub, moved: make(chan struct{}, 1), done: make(chan struct{})}
+	go func() {
+		defer close(c.done)
+		for m := range sub.C() {
+			c.mu.Lock()
+			c.got = append(c.got, m.ID)
+			c.mu.Unlock()
+			select {
+			case c.moved <- struct{}{}:
+			default:
+			}
+		}
+	}()
+	return c
+}
+
+// await waits until n messages arrived and returns everything received.
+func (c *collector) await(t *testing.T, n int) []string {
+	t.Helper()
+	timeout := time.After(10 * time.Second)
+	for {
+		c.mu.Lock()
+		got := slices.Clone(c.got)
+		c.mu.Unlock()
+		if len(got) >= n {
+			return got
+		}
+		select {
+		case <-c.moved:
+		case <-timeout:
+			t.Fatalf("received %d of %d messages", len(got), n)
+		}
+	}
+}
+
+// checkIndex verifies the index holds exactly the live subscriptions, each
+// class disjoint from the others, with no empty bucket left behind.
+func checkIndex(t *testing.T, s *Store, live map[*Subscription]bool) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	seen := map[*Subscription]string{}
+	visit := func(class, key string, bucket []*Subscription) {
+		if len(bucket) == 0 {
+			t.Fatalf("empty bucket %s[%q] left in the index", class, key)
+		}
+		for i, sub := range bucket {
+			if !live[sub] || !sub.filed {
+				t.Fatalf("%s[%q] holds a subscription that is not live", class, key)
+			}
+			if slices.Contains(bucket[:i], sub) {
+				t.Fatalf("%s[%q] holds a subscription twice", class, key)
+			}
+			if c, ok := seen[sub]; ok && c != class {
+				t.Fatalf("subscription filed under %s and %s", c, class)
+			}
+			seen[sub] = class
+		}
+	}
+	for k, b := range s.byStream {
+		visit("byStream", k, b)
+	}
+	for k, b := range s.bySession {
+		visit("bySession", k, b)
+	}
+	if len(s.unscoped) > 0 {
+		visit("unscoped", "", s.unscoped)
+	}
+	if len(seen) != len(live) {
+		t.Fatalf("index holds %d subscriptions, %d are live", len(seen), len(live))
+	}
+	if n := s.stats.subscriptions.Load(); n != int64(len(live)) {
+		t.Fatalf("Subscriptions = %d, %d are live", n, len(live))
+	}
+}
+
+func TestRoutingMatchesBruteForce(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			s := NewStore()
+			defer s.Close()
+			open := routeStreams[:len(routeStreams)-1] // "ghost" comes later
+			for _, id := range open {
+				mustCreate(t, s, id, StreamInfo{Session: pick(r, routeSessions)})
+			}
+
+			live := map[*Subscription]bool{}
+			cols := map[*Subscription]*collector{}
+			want := map[*Subscription][]string{}
+			cancel := func(sub *Subscription) {
+				// Everything routed to it must arrive, and nothing else by the
+				// time its channel closes.
+				cols[sub].await(t, len(want[sub]))
+				sub.Cancel()
+				<-cols[sub].done
+				if got := cols[sub].got; !slices.Equal(got, want[sub]) {
+					t.Fatalf("filter %+v received %v, want %v", sub.filter, got, want[sub])
+				}
+				delete(live, sub)
+				checkIndex(t, s, live)
+			}
+
+			for step := 0; step < 1500; step++ {
+				switch op := r.Intn(10); {
+				case op < 2 || len(live) < 8:
+					sub := s.Subscribe(randomFilter(r), false)
+					live[sub], cols[sub] = true, collect(sub)
+					checkIndex(t, s, live)
+				case op < 3:
+					for sub := range live { // map order: any one
+						cancel(sub)
+						break
+					}
+				default:
+					if step == 700 {
+						mustCreate(t, s, "ghost", StreamInfo{Session: "session:1"})
+						open = routeStreams
+					}
+					msg := mustAppend(t, s, randomMessage(r, open))
+					s.mu.Lock()
+					routed := s.routeLocked(&msg, nil)
+					s.mu.Unlock()
+					matched := 0
+					for sub := range live {
+						if sub.filter.Matches(&msg) {
+							matched++
+							want[sub] = append(want[sub], msg.ID)
+							if !slices.Contains(routed, sub) {
+								t.Fatalf("message %+v not routed to matching filter %+v", msg, sub.filter)
+							}
+						}
+					}
+					if len(routed) != matched {
+						t.Fatalf("message %+v routed to %d subscriptions, %d match", msg, len(routed), matched)
+					}
+				}
+			}
+			if len(want) < 20 {
+				t.Fatalf("only %d subscriptions ever matched: the generator is off", len(want))
+			}
+			for sub := range live {
+				cancel(sub)
+			}
+			if len(s.byStream)+len(s.bySession)+len(s.unscoped) != 0 {
+				t.Fatalf("index not empty after the last Cancel: %d stream, %d session buckets, %d unscoped",
+					len(s.byStream), len(s.bySession), len(s.unscoped))
+			}
+			if n := s.StatsSnapshot().Subscriptions; n != 0 {
+				t.Fatalf("Subscriptions = %d after the last Cancel", n)
+			}
+		})
+	}
+}
+
+// Close must leave the index as empty as cancelling everything does, and a
+// Cancel after Close must not disturb the count.
+func TestCloseEmptiesIndex(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	s := NewStore()
+	var subs []*Subscription
+	for i := 0; i < 64; i++ {
+		subs = append(subs, s.Subscribe(randomFilter(r), false))
+	}
+	if n := s.StatsSnapshot().Subscriptions; n != 64 {
+		t.Fatalf("Subscriptions = %d, want 64", n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkIndex(t, s, nil)
+	for _, sub := range subs {
+		if _, ok := <-sub.C(); ok {
+			t.Fatal("channel still open after Close")
+		}
+		sub.Cancel()
+	}
+	checkIndex(t, s, nil)
+}
+
+// A replay from an offset must equal the brute force over the stored
+// messages: those at Seq >= from that match, in timestamp order — whether
+// the filter names streams (suffix scan) or sweeps the store (sorted merge).
+func TestSubscribeFromMatchesBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	s := NewStore()
+	defer s.Close()
+	open := routeStreams[:len(routeStreams)-1]
+	for _, id := range open {
+		mustCreate(t, s, id, StreamInfo{Session: pick(r, routeSessions)})
+	}
+	for i := 0; i < 400; i++ {
+		mustAppend(t, s, randomMessage(r, open))
+	}
+	for i := 0; i < 200; i++ {
+		f := randomFilter(r)
+		from := int64(r.Intn(120) - 10)
+		var want []string
+		for _, m := range s.History("") {
+			if m.Seq >= from && f.Matches(&m) {
+				want = append(want, m.ID)
+			}
+		}
+		sub := s.SubscribeFrom(f, from)
+		var got []string
+		for range want {
+			got = append(got, recvTimeout(t, sub.C()).ID)
+		}
+		live := mustAppend(t, s, Message{Stream: "a", Payload: "live"})
+		if f.Matches(&live) {
+			if m := recvTimeout(t, sub.C()); m.ID != live.ID {
+				t.Fatalf("filter %+v from %d: %s delivered where the live message belongs", f, from, m.ID)
+			}
+		}
+		sub.Cancel()
+		if !slices.Equal(got, want) {
+			t.Fatalf("filter %+v from %d replayed %v, want %v", f, from, got, want)
+		}
+	}
+}
+
+// Subscribe, Cancel and Append from many goroutines at once (run under
+// -race by `make race`): nothing may be lost for a subscription that stays,
+// and the index must come out empty.
+func TestRoutingConcurrent(t *testing.T) {
+	s := NewStore()
+	const sessions, appends = 8, 300
+	var stay []*collector
+	for i := 0; i < sessions; i++ {
+		id := fmt.Sprintf("session:%d", i)
+		mustCreate(t, s, id+":user", StreamInfo{Session: id})
+		stay = append(stay,
+			collect(s.Subscribe(Filter{Session: id, Kinds: []Kind{Data}}, false)),
+			collect(s.Subscribe(Filter{Streams: []string{id + ":user"}}, false)))
+	}
+	everything := collect(s.Subscribe(Filter{}, false))
+
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		wg.Add(2)
+		go func(i int) { // appender
+			defer wg.Done()
+			for n := 0; n < appends; n++ {
+				if _, err := s.Append(Message{Stream: fmt.Sprintf("session:%d:user", i), Payload: n}); err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+			}
+		}(i)
+		go func(i int) { // subscription churn in every class
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(i)))
+			for n := 0; n < appends; n++ {
+				sub := s.Subscribe(randomFilter(r), n%4 == 0)
+				drain(sub)
+				sub.Cancel()
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	for _, c := range stay {
+		if got := c.await(t, appends); len(got) != appends {
+			t.Fatalf("filter %+v received %d messages, want %d", c.sub.filter, len(got), appends)
+		}
+	}
+	if got := everything.await(t, sessions*appends); len(got) != sessions*appends {
+		t.Fatalf("unscoped subscription received %d messages, want %d", len(got), sessions*appends)
+	}
+	live := map[*Subscription]bool{everything.sub: true}
+	for _, c := range stay {
+		live[c.sub] = true
+	}
+	checkIndex(t, s, live)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkIndex(t, s, nil)
+}

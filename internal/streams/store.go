@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -46,11 +47,16 @@ type Store struct {
 	mu      sync.RWMutex
 	streams map[string]*stream
 	order   []string // creation order, for deterministic listing
-	subs    map[int64]*Subscription
-	nextSub int64
 	clock   atomic.Int64
 	nextMsg atomic.Int64
 	closed  bool
+
+	// The routing index (route.go): every live subscription is filed under
+	// exactly one class, so Append consults only the buckets its message
+	// can reach.
+	byStream  map[string][]*Subscription // filed under each Filter.Streams id
+	bySession map[string][]*Subscription // else under the Filter.Session scope
+	unscoped  []*Subscription            // else here
 
 	// wal is the legacy stand-alone JSON WAL (Options.WALPath); sink is
 	// the shared durability engine's append (SetDurable). At most one is
@@ -58,22 +64,21 @@ type Store struct {
 	wal  *walWriter
 	sink func(payload []byte) error
 
-	stats Stats
+	stats counters
 }
 
 // Options configure a Store.
 type Options struct {
 	// WALPath enables write-ahead-log persistence to the given file.
 	WALPath string
-	// SubscriberBuffer is the per-subscription channel buffer (default 256).
-	SubscriberBuffer int
 }
 
 // NewStore creates an empty streams database.
 func NewStore() *Store {
 	return &Store{
-		streams: make(map[string]*stream),
-		subs:    make(map[int64]*Subscription),
+		streams:   make(map[string]*stream),
+		byStream:  make(map[string][]*Subscription),
+		bySession: make(map[string][]*Subscription),
 	}
 }
 
@@ -104,11 +109,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	subs := make([]*Subscription, 0, len(s.subs))
-	for _, sub := range s.subs {
-		subs = append(subs, sub)
-	}
-	s.subs = make(map[int64]*Subscription)
+	subs := s.unfileAllLocked()
 	wal := s.wal
 	s.wal = nil
 	s.mu.Unlock()
@@ -140,7 +141,7 @@ func (s *Store) CreateStream(id string, info StreamInfo) (StreamInfo, error) {
 	st := &stream{info: info}
 	s.streams[id] = st
 	s.order = append(s.order, id)
-	s.stats.StreamsCreated++
+	s.stats.streamsCreated.Add(1)
 	if s.wal != nil {
 		if err := s.wal.writeCreate(info); err != nil {
 			return StreamInfo{}, err
@@ -211,27 +212,16 @@ func (s *Store) Append(msg Message) (Message, error) {
 	}
 	msg.Seq = st.info.Len
 	msg.TS = s.clock.Add(1)
-	msg.ID = fmt.Sprintf("m%d", s.nextMsg.Add(1))
+	var idBuf [20]byte // 'm' + the 19 digits of the largest int64
+	msg.ID = string(strconv.AppendInt(append(idBuf[:0], 'm'), s.nextMsg.Add(1), 10))
 	st.msgs = append(st.msgs, msg)
 	st.info.Len++
 	if msg.IsEOS() {
 		st.info.Closed = true
 	}
-	s.stats.MessagesAppended++
-	switch msg.Kind {
-	case Control:
-		s.stats.ControlMessages++
-	case Event:
-		s.stats.EventMessages++
-	default:
-		s.stats.DataMessages++
-	}
-	var targets []*Subscription
-	for _, sub := range s.subs {
-		if sub.filter.Matches(&msg) {
-			targets = append(targets, sub)
-		}
-	}
+	s.stats.countMessage(msg.Kind)
+	var targetBuf [8]*Subscription // the usual fan-out fits; more spills to the heap
+	targets := s.routeLocked(&msg, targetBuf[:0])
 	var walErr error
 	if s.wal != nil {
 		walErr = s.wal.writeAppend(msg)
@@ -330,16 +320,45 @@ type Stats struct {
 	DataMessages     int64
 	ControlMessages  int64
 	EventMessages    int64
-	Subscriptions    int64
-	Deliveries       int64
-	Dropped          int64
+	// Subscriptions is the number of live subscriptions.
+	Subscriptions int64
+	// Deliveries counts messages handed to a subscriber's channel.
+	Deliveries int64
+}
+
+// counters are the live values behind Stats. They are atomics so that the
+// per-delivery count and StatsSnapshot never take the store lock.
+type counters struct {
+	streamsCreated   atomic.Int64
+	messagesAppended atomic.Int64
+	dataMessages     atomic.Int64
+	controlMessages  atomic.Int64
+	eventMessages    atomic.Int64
+	subscriptions    atomic.Int64
+	deliveries       atomic.Int64
+}
+
+func (c *counters) countMessage(k Kind) {
+	c.messagesAppended.Add(1)
+	switch k {
+	case Control:
+		c.controlMessages.Add(1)
+	case Event:
+		c.eventMessages.Add(1)
+	default:
+		c.dataMessages.Add(1)
+	}
 }
 
 // StatsSnapshot returns current counters.
 func (s *Store) StatsSnapshot() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st := s.stats
-	st.Subscriptions = int64(len(s.subs))
-	return st
+	return Stats{
+		StreamsCreated:   s.stats.streamsCreated.Load(),
+		MessagesAppended: s.stats.messagesAppended.Load(),
+		DataMessages:     s.stats.dataMessages.Load(),
+		ControlMessages:  s.stats.controlMessages.Load(),
+		EventMessages:    s.stats.eventMessages.Load(),
+		Subscriptions:    s.stats.subscriptions.Load(),
+		Deliveries:       s.stats.deliveries.Load(),
+	}
 }

@@ -1,26 +1,37 @@
 package streams
 
-import "sync"
+import (
+	"cmp"
+	"slices"
+	"sync"
+)
+
+// subBuffer is the capacity of a subscription's channel. The channel is not
+// the queue — pending is, without bound — it only lets the pump hand over a
+// short burst without a goroutine switch per message. It is allocated for
+// every subscription, the many idle ones and the transient ones of each ask
+// alike, so it is kept to a few messages (152 bytes each).
+const subBuffer = 4
 
 // Subscription delivers matching messages to a consumer. Messages are queued
-// without bound internally and drained into C by a dedicated goroutine, so
-// producers never block on slow consumers (the store remains responsive, at
-// the cost of memory for laggards — the trade the paper's streaming database
-// makes by design).
+// without bound internally (pending) and drained into C by a dedicated
+// goroutine, so producers never block on slow consumers (the store remains
+// responsive, at the cost of memory for laggards — the trade the paper's
+// streaming database makes by design). C's own buffer holds no backlog: it is
+// subBuffer messages of slack between the pump and the consumer.
 type Subscription struct {
-	id     int64
 	store  *Store
 	filter Filter
+	filed  bool // in the store's routing index; guarded by store.mu
 
 	mu      sync.Mutex
 	pending []Message
 	cond    *sync.Cond
 	stopped bool
 
-	quitOnce sync.Once
-	quit     chan struct{}
-	ch       chan Message
-	done     chan struct{}
+	quit chan struct{} // closed by stop: releases a pump blocked on ch
+	ch   chan Message
+	done chan struct{}
 }
 
 // Subscribe registers a subscription matching filter. If replay is true, all
@@ -28,10 +39,27 @@ type Subscription struct {
 // before live ones; otherwise only messages appended after the call are
 // delivered.
 func (s *Store) Subscribe(filter Filter, replay bool) *Subscription {
+	if replay {
+		return s.subscribe(filter, 0)
+	}
+	return s.subscribe(filter, -1)
+}
+
+// SubscribeFrom is Subscribe with a replay that starts at offset from of
+// each stream: existing matching messages with Seq >= from are delivered
+// first, then live ones. A consumer that knows how far it has read resumes
+// there and pays for the suffix, not the history; from <= 0 replays
+// everything, from at or beyond a stream's end replays nothing of it.
+func (s *Store) SubscribeFrom(filter Filter, from int64) *Subscription {
+	return s.subscribe(filter, max(from, 0))
+}
+
+// subscribe registers a subscription; from < 0 means no replay.
+func (s *Store) subscribe(filter Filter, from int64) *Subscription {
 	sub := &Subscription{
 		store:  s,
 		filter: filter,
-		ch:     make(chan Message, 256),
+		ch:     make(chan Message, subBuffer),
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -46,55 +74,46 @@ func (s *Store) Subscribe(filter Filter, replay bool) *Subscription {
 		close(sub.quit)
 		return sub
 	}
-	s.nextSub++
-	sub.id = s.nextSub
-	if replay {
-		// A stream-scoped filter only needs those streams' histories; the
-		// full-store sweep (still used for unscoped filters) would make
-		// every replay subscription O(total store messages) under the store
-		// lock — a per-request cost that grows with global history.
-		scan := s.order
-		if len(filter.Streams) > 0 {
-			scan = make([]string, 0, len(filter.Streams))
-			seen := make(map[string]bool, len(filter.Streams))
-			for _, id := range filter.Streams {
-				if !seen[id] {
-					seen[id] = true
-					scan = append(scan, id)
-				}
-			}
-		}
-		var backlog []Message
-		for _, id := range scan {
-			st, ok := s.streams[id]
-			if !ok {
-				continue
-			}
-			for i := range st.msgs {
-				if filter.Matches(&st.msgs[i]) {
-					backlog = append(backlog, st.msgs[i].Clone())
-				}
-			}
-		}
+	if from >= 0 {
 		// Seed the backlog before the subscription becomes visible to
-		// appenders: once s.subs holds it, a concurrent Append may enqueue
+		// appenders: once the index holds it, a concurrent Append may enqueue
 		// a live message, and replayed history must still sort first.
-		sortByTS(backlog)
-		sub.pending = backlog
+		sub.pending = s.backlogLocked(&filter, from)
 	}
-	s.subs[sub.id] = sub
+	s.fileLocked(sub)
 	s.mu.Unlock()
 
 	go sub.pump()
 	return sub
 }
 
-func sortByTS(msgs []Message) {
-	for i := 1; i < len(msgs); i++ {
-		for j := i; j > 0 && msgs[j].TS < msgs[j-1].TS; j-- {
-			msgs[j], msgs[j-1] = msgs[j-1], msgs[j]
+// backlogLocked returns copies of the existing messages at offset >= from of
+// their stream that match filter, in global timestamp order; caller holds
+// s.mu. A stream-scoped filter reads only the suffixes of the streams it
+// names; only a filter that names none sweeps the store.
+func (s *Store) backlogLocked(filter *Filter, from int64) []Message {
+	scan, named := filter.Streams, true
+	if len(scan) == 0 {
+		scan, named = s.order, false
+	}
+	var backlog []Message
+	scanned := 0
+	for i, id := range scan {
+		st, ok := s.streams[id]
+		if !ok || from >= int64(len(st.msgs)) || (named && containsString(scan[:i], id)) {
+			continue // absent, nothing at or past from, or a repeated name
+		}
+		scanned++
+		for j := from; j < int64(len(st.msgs)); j++ {
+			if filter.Matches(&st.msgs[j]) {
+				backlog = append(backlog, st.msgs[j].Clone())
+			}
 		}
 	}
+	if scanned > 1 { // one stream's messages are already in timestamp order
+		slices.SortStableFunc(backlog, func(a, b Message) int { return cmp.Compare(a.TS, b.TS) })
+	}
+	return backlog
 }
 
 // C is the channel on which matching messages arrive. It is closed when the
@@ -105,7 +124,7 @@ func (sub *Subscription) C() <-chan Message { return sub.ch }
 // still queued are discarded.
 func (sub *Subscription) Cancel() {
 	sub.store.mu.Lock()
-	delete(sub.store.subs, sub.id)
+	sub.store.unfileLocked(sub)
 	sub.store.mu.Unlock()
 	sub.stop()
 }
@@ -123,15 +142,12 @@ func (sub *Subscription) enqueue(msg Message) {
 
 func (sub *Subscription) stop() {
 	sub.mu.Lock()
-	if sub.stopped {
-		sub.mu.Unlock()
-		<-sub.done
-		return
+	if !sub.stopped {
+		sub.stopped = true
+		sub.cond.Signal()
+		close(sub.quit)
 	}
-	sub.stopped = true
-	sub.cond.Signal()
 	sub.mu.Unlock()
-	sub.quitOnce.Do(func() { close(sub.quit) })
 	<-sub.done
 }
 
@@ -144,31 +160,21 @@ func (sub *Subscription) pump() {
 		for len(sub.pending) == 0 && !sub.stopped {
 			sub.cond.Wait()
 		}
-		if sub.stopped && len(sub.pending) == 0 {
+		if sub.stopped {
 			sub.mu.Unlock()
 			return
 		}
 		batch := sub.pending
 		sub.pending = nil
-		stopped := sub.stopped
 		sub.mu.Unlock()
 
 		for i := range batch {
 			select {
 			case sub.ch <- batch[i]:
-				sub.store.countDelivery()
+				sub.store.stats.deliveries.Add(1)
 			case <-sub.quit:
 				return
 			}
 		}
-		if stopped {
-			return
-		}
 	}
-}
-
-func (s *Store) countDelivery() {
-	s.mu.Lock()
-	s.stats.Deliveries++
-	s.mu.Unlock()
 }

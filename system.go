@@ -436,7 +436,7 @@ func (sess *Session) askCore(tid, text string, timeout time.Duration) (string, *
 	}
 	defer mAskLatency.ObserveSince(started)
 
-	before := len(sess.Display())
+	before := sess.DisplayLen()
 	if _, err := sess.PostUserText(text); err != nil {
 		return "", sp, err
 	}
@@ -706,7 +706,7 @@ func (sess *Session) staleAnswer(text string) (Answer, bool) {
 func (sess *Session) Click(event map[string]any, timeout time.Duration) (string, error) {
 	sp := obs.Spans.StartRoot(sess.ID, "session", "click")
 	defer sp.End()
-	before := len(sess.Display())
+	before := sess.DisplayLen()
 	if _, err := sess.PostUserEvent(event); err != nil {
 		return "", err
 	}
