@@ -40,11 +40,13 @@ bench:
 bench-streams:
 	$(GO) test ./internal/streams ./internal/session -run XXX -bench . -benchtime 20x
 
-# Fuzz the tokenizer against the old slice-building lexer for a short burst
-# (seeds under internal/relational/testdata/fuzz are always replayed by
-# plain `go test`).
+# Fuzz for a short burst each: the tokenizer against the old slice-building
+# lexer, then NL2Q (any utterance compiles to SQL the engine executes). Seeds
+# under internal/{relational,dataplan}/testdata/fuzz are always replayed by
+# plain `go test`.
 fuzz:
 	$(GO) test ./internal/relational/ -run FuzzTokenize -fuzz FuzzTokenize -fuzztime 30s
+	$(GO) test ./internal/dataplan/ -run FuzzNL2Q -fuzz FuzzNL2Q -fuzztime 30s
 
 # Smoke run for the concurrency/reuse/durability layers: regenerates the A5
 # table (concurrent DAG scheduler fan-out speedup + multi-session

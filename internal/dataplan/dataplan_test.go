@@ -105,7 +105,12 @@ func TestBuildTarget(t *testing.T) {
 	if len(f.bind.Target.NumericColumns) != 2 {
 		t.Fatalf("numeric = %v", f.bind.Target.NumericColumns)
 	}
-	cities := f.bind.Target.ValueHints["city"]
+	var cities []string
+	for _, h := range f.bind.Target.Hints {
+		if h.Column == "city" {
+			cities = append(cities, h.Value)
+		}
+	}
 	if len(cities) != 7 { // 8 rows, San Francisco twice
 		t.Fatalf("city hints = %v", cities)
 	}

@@ -34,38 +34,42 @@ type TableBinding struct {
 	Target nlq.Target
 }
 
-// BuildTarget derives an NL2Q target from a live relational table: columns
-// and types from the catalog, value hints from the distinct values of text
-// columns (capped so huge tables stay cheap).
+// BuildTarget derives an NL2Q target from a live relational table. It is a
+// pure mapping over the table's cached profile (relational.DB.Profile), which
+// the engine rebuilds only after a write to the table: an ask that follows no
+// write scans nothing.
 func BuildTarget(db *relational.DB, table string) (nlq.Target, error) {
-	info, err := db.Table(table)
+	p, _, err := db.Profile(table)
 	if err != nil {
 		return nlq.Target{}, err
 	}
-	tgt := nlq.Target{Table: info.Name, ValueHints: map[string][]string{}}
-	for _, c := range info.Schema.Columns {
+	return TargetOf(p), nil
+}
+
+// TargetOf maps a table profile to an NL2Q target: columns and types from
+// the catalog, value hints in the profile's grounding order.
+func TargetOf(p *relational.TableProfile) nlq.Target {
+	tgt := nlq.Target{
+		Table:   p.Table,
+		Columns: make([]string, 0, len(p.Columns)),
+		Hints:   make([]nlq.Hint, len(p.Hints)),
+	}
+	for _, c := range p.Columns {
 		tgt.Columns = append(tgt.Columns, c.Name)
 		switch c.Type {
 		case relational.TInt, relational.TFloat:
 			tgt.NumericColumns = append(tgt.NumericColumns, c.Name)
 		case relational.TString:
 			tgt.TextColumns = append(tgt.TextColumns, c.Name)
-			// BuildTarget runs on every NL2Q turn with the same per-table
-			// texts; the statement cache amortizes their parse.
-			res, err := db.Query(fmt.Sprintf("SELECT DISTINCT %s FROM %s LIMIT 64", c.Name, info.Name))
-			if err == nil {
-				for _, row := range res.Rows {
-					if !row[0].IsNull() {
-						tgt.ValueHints[c.Name] = append(tgt.ValueHints[c.Name], row[0].S)
-					}
-				}
-			}
 		}
 	}
-	if tgt.DefaultTextColumn == "" && len(tgt.TextColumns) > 0 {
+	for i, h := range p.Hints {
+		tgt.Hints[i] = nlq.Hint(h)
+	}
+	if len(tgt.TextColumns) > 0 {
 		tgt.DefaultTextColumn = tgt.TextColumns[0]
 	}
-	return tgt, nil
+	return tgt
 }
 
 // PlanDirect produces the single-source strategy: NL2Q over the bound table,
@@ -115,11 +119,9 @@ func (p *Planner) Analyze(query string, bind TableBinding) DecompositionNeeds {
 	q := strings.ToLower(query)
 	if loc := p.kb.Extract("location", q); loc != "" {
 		isLiteralCity := false
-		for _, vals := range bind.Target.ValueHints {
-			for _, v := range vals {
-				if strings.EqualFold(v, loc) {
-					isLiteralCity = true
-				}
+		for _, h := range bind.Target.Hints {
+			if strings.EqualFold(h.Value, loc) {
+				isLiteralCity = true
 			}
 		}
 		if !isLiteralCity {

@@ -207,12 +207,18 @@ func (s *Suite) nl2qProc() agent.Processor {
 		_, sp := obs.StartSpan(ctx, "planner", "nl2q")
 		table := s.discoverTable(q)
 		sp.SetAttr("table", table)
-		tgt, err := dataplan.BuildTarget(s.Ent.DB, table)
+		prof, built, err := s.Ent.DB.Profile(table)
 		if err != nil {
 			sp.End()
 			return agent.Outputs{}, err
 		}
-		c, err := nlq.Compile(q, tgt)
+		// An ask that follows a write to the table pays the profile rebuild.
+		profile := "hit"
+		if built {
+			profile = "built"
+		}
+		sp.SetAttr("profile", profile)
+		c, err := nlq.Compile(q, dataplan.TargetOf(prof))
 		sp.End()
 		if err != nil {
 			return agent.Outputs{}, err

@@ -153,6 +153,8 @@ func TestMetricsExpositionOverHTTP(t *testing.T) {
 		"blueprint_memo_hits_total",
 		"blueprint_memo_misses_total",
 		"blueprint_stmt_cache_shape_hits_total",
+		"blueprint_table_profile_builds_total",
+		"blueprint_table_profile_hits_total",
 		"blueprint_scheduler_busy_workers",
 		"blueprint_durability_fsyncs_total",
 		"# TYPE blueprint_slo_burn_rate gauge",

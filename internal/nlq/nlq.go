@@ -12,7 +12,7 @@ package nlq
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -34,11 +34,19 @@ type Target struct {
 	NumericColumns []string
 	// TextColumns flags which columns hold text (LIKE-able).
 	TextColumns []string
-	// ValueHints maps a column to known values (a gazetteer), letting the
-	// parser ground multiword values like "San Francisco".
-	ValueHints map[string][]string
+	// Hints is the gazetteer of known column values, letting the parser
+	// ground multiword values like "San Francisco". Compile tries them in
+	// slice order and keeps the first match per column, so the order must
+	// put longer values first ("San Francisco" before "Francisco") and be
+	// the same on every call: it fixes the order of the WHERE conjuncts.
+	Hints []Hint
 	// DefaultTextColumn receives unattached quoted phrases.
 	DefaultTextColumn string
+}
+
+// Hint is one known (column, value) pair of a Target's gazetteer.
+type Hint struct {
+	Column, Value string
 }
 
 // Compiled is the result of NL2Q.
@@ -173,24 +181,15 @@ func Compile(query string, tgt Target) (Compiled, error) {
 	}
 
 	// --- Grounded values from hints (multiword capable) ---
-	type hint struct{ col, val string }
-	var hintList []hint
-	for col, vals := range tgt.ValueHints {
-		for _, v := range vals {
-			hintList = append(hintList, hint{col, v})
-		}
-	}
-	// Longest values first so "San Francisco" beats "Francisco".
-	sort.Slice(hintList, func(i, j int) bool { return len(hintList[i].val) > len(hintList[j].val) })
 	used := map[string]bool{}
-	for _, h := range hintList {
-		if used[h.col] {
+	for _, h := range tgt.Hints {
+		if used[h.Column] {
 			continue
 		}
-		if strings.Contains(q, strings.ToLower(h.val)) {
-			where = append(where, fmt.Sprintf("%s = '%s'", h.col, escape(h.val)))
-			explain = append(explain, fmt.Sprintf("filter: %s = %s (grounded)", h.col, h.val))
-			used[h.col] = true
+		if strings.Contains(q, strings.ToLower(h.Value)) {
+			where = append(where, fmt.Sprintf("%s = '%s'", h.Column, escape(h.Value)))
+			explain = append(explain, fmt.Sprintf("filter: %s = %s (grounded)", h.Column, h.Value))
+			used[h.Column] = true
 			grounded++
 		}
 	}
@@ -315,22 +314,30 @@ func lastNumericColumnBefore(text string, tgt Target) string {
 	return best
 }
 
+// firstNumberAfter returns the first number among the next four words as a
+// literal the SQL lexer accepts: unsigned decimal digits with at most one
+// '.', integers within int64. Plain integers pass verbatim; anything else
+// strconv reads as a finite non-negative number ("1e5", "+5", ".5", "180k")
+// is rewritten in that form, and the rest ("inf", "nan", "-5") is skipped.
 func firstNumberAfter(text string) (string, bool) {
 	fields := strings.Fields(text)
 	for _, f := range fields[:min(len(fields), 4)] {
-		f = strings.Trim(f, ",.;:$")
+		f = strings.TrimRight(strings.Trim(f, ",;:$"), ".")
 		f = strings.ReplaceAll(f, ",", "")
-		if f == "" {
-			continue
-		}
-		if _, err := strconv.ParseFloat(f, 64); err == nil {
+		if _, err := strconv.ParseUint(f, 10, 63); err == nil {
 			return f, true
 		}
-		// "180k" -> 180000
-		if strings.HasSuffix(f, "k") {
-			if n, err := strconv.ParseFloat(strings.TrimSuffix(f, "k"), 64); err == nil {
-				return strconv.FormatFloat(n*1000, 'f', -1, 64), true
-			}
+		n, err := strconv.ParseFloat(f, 64)
+		if err != nil && strings.HasSuffix(f, "k") { // "180k" -> 180000
+			n, err = strconv.ParseFloat(strings.TrimSuffix(f, "k"), 64)
+			n *= 1000
+		}
+		if err != nil || math.IsNaN(n) || math.IsInf(n, 0) || math.Signbit(n) {
+			continue
+		}
+		lit := strconv.FormatFloat(n, 'f', -1, 64)
+		if _, err := strconv.ParseInt(lit, 10, 64); err == nil || strings.Contains(lit, ".") {
+			return lit, true
 		}
 	}
 	return "", false

@@ -14,9 +14,11 @@ func jobsTarget() Target {
 		Columns:        []string{"id", "title", "city", "company_id", "salary", "remote"},
 		NumericColumns: []string{"id", "salary", "company_id"},
 		TextColumns:    []string{"title", "city"},
-		ValueHints: map[string][]string{
-			"city":  {"San Francisco", "Oakland", "San Jose", "Berkeley", "Palo Alto", "New York", "Seattle"},
-			"title": {"Data Scientist", "Senior Data Scientist", "ML Engineer", "Data Analyst", "Software Engineer"},
+		// Grounding order: longest value first, then schema column, then value.
+		Hints: []Hint{
+			{"title", "Senior Data Scientist"}, {"title", "Software Engineer"}, {"title", "Data Scientist"},
+			{"city", "San Francisco"}, {"title", "Data Analyst"}, {"title", "ML Engineer"}, {"city", "Palo Alto"},
+			{"city", "Berkeley"}, {"city", "New York"}, {"city", "San Jose"}, {"city", "Oakland"}, {"city", "Seattle"},
 		},
 		DefaultTextColumn: "title",
 	}
@@ -94,6 +96,44 @@ func TestNumericComparisonKSuffix(t *testing.T) {
 	}
 }
 
+// Number grounding emits only literals the SQL lexer accepts (unsigned
+// decimal, integers within int64): the rest is rewritten or skipped, and
+// every compiled statement executes.
+func TestNumberGroundingEmitsLexableLiterals(t *testing.T) {
+	for _, tc := range []struct{ word, want string }{ // want "" = no salary filter
+		{"185000", "salary > 185000"},
+		{"$180,000", "salary > 180000"},
+		{"180k", "salary > 180000"},
+		{"1e5", "salary > 100000"},
+		{"+5", "salary > 5"},
+		{".5", "salary > 0.5"},
+		{"5.", "salary > 5"},
+		{"007", "salary > 007"},
+		{"inf", ""},
+		{"infinity", ""},
+		{"nan", ""},
+		{"infk", ""},
+		{"1_000", "salary > 1000"},
+		{"-5", ""},
+		{"-0", ""},
+		{"1e400", ""},
+		{"1e300", ""},
+		{"99999999999999999999", ""},
+	} {
+		_, c := compileAndRun(t, "jobs with salary over "+tc.word)
+		switch {
+		case tc.want == "" && strings.Contains(c.SQL, "salary >"):
+			t.Errorf("over %s: sql = %q, want no salary filter", tc.word, c.SQL)
+		case tc.want != "" && !strings.HasSuffix(c.SQL, "WHERE "+tc.want):
+			t.Errorf("over %s: sql = %q, want ... WHERE %s", tc.word, c.SQL, tc.want)
+		}
+	}
+	// A skipped word does not hide a number behind it.
+	if _, c := compileAndRun(t, "salary over inf 190000"); !strings.Contains(c.SQL, "salary > 190000") {
+		t.Errorf("sql = %q", c.SQL)
+	}
+}
+
 func TestGroundedTitleAndCity(t *testing.T) {
 	res, c := compileAndRun(t, "data scientist roles in Oakland")
 	if !strings.Contains(c.SQL, "title = 'Data Scientist'") && !strings.Contains(c.SQL, "title = 'Senior Data Scientist'") {
@@ -164,7 +204,7 @@ func TestCompileErrors(t *testing.T) {
 
 func TestEscapeInjection(t *testing.T) {
 	tgt := jobsTarget()
-	tgt.ValueHints["city"] = append(tgt.ValueHints["city"], "O'Brien Town")
+	tgt.Hints = append(tgt.Hints, Hint{"city", "O'Brien Town"})
 	c, err := Compile("jobs in o'brien town", tgt)
 	if err != nil {
 		t.Fatal(err)

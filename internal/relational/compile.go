@@ -2026,6 +2026,7 @@ func (db *DB) runUpdateProgram(p *updateProgram, params []Value) (*Result, error
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.dataVer++
 	n := 0
 	apply := func(id int) error {
 		if !t.live[id] {
@@ -2085,6 +2086,7 @@ func (db *DB) runDeleteProgram(p *deleteProgram, params []Value) (*Result, error
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.dataVer++
 	n := 0
 	apply := func(id int) error {
 		if !t.live[id] {

@@ -85,6 +85,7 @@ func (db *DB) execUpdateInterp(up *UpdateStmt, params []Value) (*Result, error) 
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.dataVer++
 	n := 0
 	for id := range t.rows {
 		if !t.live[id] {
@@ -139,6 +140,7 @@ func (db *DB) execDeleteInterp(del *DeleteStmt, params []Value) (*Result, error)
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.dataVer++
 	n := 0
 	for id := range t.rows {
 		if !t.live[id] {

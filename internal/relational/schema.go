@@ -67,6 +67,11 @@ type table struct {
 	live    []bool // tombstones for DELETE
 	liveCnt int
 	indexes map[string]*indexDef // by column name (lowercased)
+	// dataVer counts mutating statements: every INSERT/UPDATE/DELETE bumps it
+	// inside the critical section that mutates (guarded by mu). profile is
+	// the cached TableProfile, valid while its tag equals dataVer (profile.go).
+	dataVer uint64
+	profile atomic.Pointer[TableProfile]
 }
 
 // indexDef is a secondary index over a single column.
@@ -131,10 +136,13 @@ type DB struct {
 	stmts *stmtCache
 	// noCompile forces interpreted execution (see SetCompileEnabled);
 	// noShape forces exact-text cache keys (see SetShapeCacheEnabled);
-	// compiles counts plan compilations for CacheStats.
-	noCompile atomic.Bool
-	noShape   atomic.Bool
-	compiles  atomic.Uint64
+	// compiles counts plan compilations, profileBuilds/profileHits table
+	// profile rebuilds and reuses (profile.go), for CacheStats.
+	noCompile     atomic.Bool
+	noShape       atomic.Bool
+	compiles      atomic.Uint64
+	profileBuilds atomic.Uint64
+	profileHits   atomic.Uint64
 
 	writeMu sync.RWMutex
 	onWrite []func(table string)
@@ -298,6 +306,7 @@ func (t *table) insert(row Row) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.dataVer++
 	id := len(t.rows)
 	t.rows = append(t.rows, coerced)
 	t.live = append(t.live, true)

@@ -162,6 +162,11 @@ type CacheStats struct {
 	// prepared and cached statements skip parse and compile alike. DDL on a
 	// referenced table (CREATE/DROP) forces a recompile.
 	Compiles uint64
+	// ProfileBuilds counts table-profile (re)builds, ProfileHits the Profile
+	// calls served from the cached one (profile.go). Builds should track
+	// writes to profiled tables, not asks.
+	ProfileBuilds uint64
+	ProfileHits   uint64
 	// Size is the current number of cached statements.
 	Size int
 	// Capacity is the configured bound (0 = caching disabled).
@@ -181,6 +186,7 @@ func (s CacheStats) HitRate() float64 {
 func (db *DB) CacheStats() CacheStats {
 	s := db.stmts.snapshot()
 	s.Compiles = db.compiles.Load()
+	s.ProfileBuilds, s.ProfileHits = db.profileBuilds.Load(), db.profileHits.Load()
 	return s
 }
 
@@ -189,6 +195,8 @@ func (db *DB) CacheStats() CacheStats {
 func (db *DB) ResetCacheStats() {
 	db.stmts.resetStats()
 	db.compiles.Store(0)
+	db.profileBuilds.Store(0)
+	db.profileHits.Store(0)
 }
 
 // SetStmtCacheCapacity rebounds the statement cache. Shrinking evicts

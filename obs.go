@@ -61,6 +61,12 @@ func (s *System) registerInstruments() {
 	r.CounterFunc("blueprint_plan_compiles_total", "relational plan compilations", func() float64 {
 		return float64(db.CacheStats().Compiles)
 	})
+	r.CounterFunc("blueprint_table_profile_builds_total", "table profiles (re)built because a write moved the table's data version", func() float64 {
+		return float64(db.CacheStats().ProfileBuilds)
+	})
+	r.CounterFunc("blueprint_table_profile_hits_total", "table profile lookups served from the cached profile", func() float64 {
+		return float64(db.CacheStats().ProfileHits)
+	})
 
 	// Durability engine (zeros when durability is disabled).
 	r.CounterFunc("blueprint_durability_appends_total", "WAL record appends across all subsystems", func() float64 {
