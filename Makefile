@@ -29,16 +29,17 @@ fmt-check:
 # Relational-engine benchmarks, including the statement-cache comparison
 # (BenchmarkPointQueryUncached vs Cached/Prepared), the zero-allocation
 # tokenizer/fingerprint sweeps, and the shape-vs-exact keyed cache pair; then
-# the streams and session benchmarks (Append beside many sessions' worth of
-# subscriptions, replay, the display wait deep into a conversation).
+# the streams, session and planner benchmarks (Append beside many sessions'
+# worth of subscriptions, one control message into a session, one hand-off,
+# replay, the display wait deep into a conversation, a plan crossing a hop).
 bench:
-	$(GO) test ./internal/relational/ ./internal/streams ./internal/session -run XXX -bench . -benchmem
+	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner -run XXX -bench . -benchmem
 	$(GO) run ./cmd/benchharness -fig A9
 
-# Twenty iterations of each streams and session benchmark: CI runs them so
-# that they keep building and finishing, not to read their numbers.
+# Twenty iterations of each streams, session and planner benchmark: CI runs
+# them so that they keep building and finishing, not to read their numbers.
 bench-streams:
-	$(GO) test ./internal/streams ./internal/session -run XXX -bench . -benchtime 20x
+	$(GO) test ./internal/streams ./internal/session ./internal/planner -run XXX -bench . -benchtime 20x
 
 # Fuzz for a short burst each: the tokenizer against the old slice-building
 # lexer, then NL2Q (any utterance compiles to SQL the engine executes). Seeds

@@ -1,0 +1,223 @@
+package blueprint
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"blueprint/internal/agent"
+	"blueprint/internal/budget"
+	"blueprint/internal/coordinator"
+	"blueprint/internal/hragents"
+	"blueprint/internal/planner"
+	"blueprint/internal/registry"
+	"blueprint/internal/streams"
+)
+
+// awaitPlanResults waits until the session's coordinator service has
+// finished n plans and shown the last one's result, and returns them.
+func awaitPlanResults(t *testing.T, sess *Session, n int) []*coordinator.Result {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if res := sess.PlanResults(); len(res) >= n {
+			msgs, err := sess.Store().ReadAll(agent.DisplayStream(sess.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(msgs) > 0 && msgs[len(msgs)-1].Sender == "coordinator" {
+				return res
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d plans finished", len(sess.PlanResults()), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A stream hop is delivered to whom it is addressed. Starting a session —
+// eleven agents and the coordinator announcing themselves — wakes nobody, and
+// a memo-warm planned ask wakes only the agents on its path: before control
+// subscriptions selected on the directive these were ~130 and ~30 deliveries.
+func TestDeliveriesFollowAddressing(t *testing.T) {
+	sys := newSystem(t)
+	deliveries := func() int64 { return sys.Store.StatsSnapshot().Deliveries }
+
+	before := deliveries()
+	sess, err := sys.StartSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if got := deliveries() - before; got > 30 {
+		t.Fatalf("StartSession made %d deliveries, want at most 30", got)
+	}
+
+	const q = "Summarize the applicants for job 3"
+	if _, err := sess.Ask(q, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	awaitPlanResults(t, sess, 1)
+
+	before = deliveries()
+	if _, err := sess.Ask(q, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	res := awaitPlanResults(t, sess, 2)
+	if !res[1].Steps[0].Cached {
+		t.Fatalf("the repeated ask was not served from the memo: %+v", res[1].Steps[0])
+	}
+	if got := deliveries() - before; got > 10 {
+		t.Fatalf("a memo-warm planned ask made %d deliveries, want at most 10", got)
+	}
+}
+
+// An ABORT that names no agent is a broadcast: every agent's control
+// subscription still receives it and cancels what it has in flight, while an
+// ABORT addressed to one agent reaches only that one.
+func TestBroadcastAbortReachesEveryAgent(t *testing.T) {
+	sys := newSystem(t)
+	const session = "session:abort"
+	started := make(chan string, 4)
+	ended := make(chan string, 4)
+	blocking := func(name string) *agent.Agent {
+		return agent.New(registry.AgentSpec{
+			Name: name, Inputs: []registry.ParamSpec{{Name: "IN", Type: "text"}},
+			Outputs: []registry.ParamSpec{{Name: "OUT", Type: "text"}},
+		}, func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
+			started <- name
+			<-ctx.Done()
+			ended <- name
+			return agent.Outputs{}, ctx.Err()
+		})
+	}
+	for _, name := range []string{"SLOW_A", "SLOW_B"} {
+		inst, err := agent.Attach(sys.Store, session, blocking(name), agent.Options{Timeout: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Stop()
+		for _, inv := range []string{"1", "2"} {
+			if err := agent.Execute(sys.Store, session, name, map[string]any{"IN": "x"}, "", name+"-"+inv); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		<-started
+	}
+	// abort appends the directive and checks how many subscriptions it was
+	// handed to (an idle control subscription is handed its message inside
+	// Append).
+	abort := func(d streams.Directive, deliveries int64) {
+		t.Helper()
+		before := sys.Store.StatsSnapshot().Deliveries
+		if _, err := sys.Store.Append(streams.Message{
+			Stream: agent.ControlStream(session), Kind: streams.Control, Sender: "coordinator", Directive: &d,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.Store.StatsSnapshot().Deliveries - before; got != deliveries {
+			t.Fatalf("%+v was delivered to %d subscriptions, want %d", d, got, deliveries)
+		}
+	}
+	await := func(want map[string]int) {
+		t.Helper()
+		for n := want["SLOW_A"] + want["SLOW_B"]; n > 0; n-- {
+			select {
+			case name := <-ended:
+				want[name]--
+			case <-time.After(10 * time.Second):
+				t.Fatalf("invocations still in flight: %v", want)
+			}
+		}
+		if want["SLOW_A"] != 0 || want["SLOW_B"] != 0 {
+			t.Fatalf("cancelled the wrong invocations: off by %v", want)
+		}
+	}
+
+	abort(streams.Directive{Op: streams.OpAbort, Agent: "SLOW_A", Args: map[string]any{"invocation_id": "SLOW_A-1"}}, 1)
+	await(map[string]int{"SLOW_A": 1})
+	abort(streams.Directive{Op: streams.OpAbort}, 2)
+	await(map[string]int{"SLOW_A": 1, "SLOW_B": 2})
+}
+
+// A plan crosses a stream typed, and reaches the write-ahead log as JSON:
+// after a crash the recovered PLAN message carries a generic map, which the
+// coordinator service still executes — and, because a step's memo key is the
+// same whichever way its plan travelled, answers from the recovered memo.
+func TestTypedPlanIsRecoveredAsMapAndExecutes(t *testing.T) {
+	dir := t.TempDir()
+	sys := newDurableSystem(t, dir)
+	sess, err := sys.StartSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Ask("Summarize the applicants for job 3", 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if res := awaitPlanResults(t, sess, 1); res[0].Steps[0].Cached {
+		t.Fatal("the first ask found its step memoized")
+	}
+	planMessage := func(store *streams.Store) streams.Message {
+		t.Helper()
+		msgs, err := store.ReadAll(agent.OutputStream(sess.ID, hragents.AgenticEmployer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range msgs {
+			if m.Param == "PLAN" {
+				return m
+			}
+		}
+		t.Fatal("the Agentic Employer published no plan")
+		return streams.Message{}
+	}
+	published, ok := planMessage(sys.Store).Payload.(*planner.Plan)
+	if !ok {
+		t.Fatalf("the live PLAN payload is a %T, want the *planner.Plan itself", planMessage(sys.Store).Payload)
+	}
+	sys.SimulateCrash()
+
+	sys2 := newDurableSystem(t, dir)
+	defer sys2.Close()
+	recovered := planMessage(sys2.Store)
+	if _, ok := recovered.Payload.(map[string]any); !ok {
+		t.Fatalf("the recovered PLAN payload is a %T, want a map", recovered.Payload)
+	}
+	p, err := planner.FromJSON(recovered.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.ID != published.ID || len(p.Steps) != 1 || p.Steps[0].Agent != hragents.Summarizer {
+		t.Fatalf("recovered plan %s differs from the one published:\n%s", p, published)
+	}
+
+	sess2, err := sys2.StartSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys2.Store.Publish(streams.Message{
+		Stream: agent.OutputStream(sess2.ID, hragents.AgenticEmployer), Session: sess2.ID, Kind: streams.Data,
+		Sender: hragents.AgenticEmployer, Param: "PLAN", Tags: []string{coordinator.PlanTag}, Payload: recovered.Payload,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res := awaitPlanResults(t, sess2, 1)
+	if res[0].PlanID != published.ID || res[0].Aborted || len(res[0].Steps) != 1 {
+		t.Fatalf("the recovered plan ran as %+v", res[0])
+	}
+	if !res[0].Steps[0].Cached {
+		t.Fatal("the recovered plan's step missed the recovered memo: its key depends on how the plan travelled")
+	}
+
+	// The typed road into the same memo entry.
+	r2, err := sys2.Coordinator.ExecutePlan(sess2.ID, published, budget.New(budget.Limits{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r2.Steps[0].Cached {
+		t.Fatal("the typed plan's step missed the memo entry its decoded twin hit")
+	}
+}

@@ -59,14 +59,21 @@ func ExecuteDeadline(store *streams.Store, session, agentName string, inputs map
 	return err
 }
 
+// ReportFilter selects the DONE and ERROR reports agents publish on the
+// session's control stream.
+func ReportFilter(session string) streams.Filter {
+	return streams.Filter{
+		Streams: []string{ControlStream(session)},
+		Kinds:   controlKinds,
+		Ops:     reportOps,
+	}
+}
+
 // AwaitDone blocks until a DONE or ERROR report for invocationID arrives on
 // the session control stream, scanning history first so reports that raced
 // ahead of the subscription are not missed. It returns the report directive.
 func AwaitDone(store *streams.Store, session, invocationID string) *streams.Directive {
-	sub := store.Subscribe(streams.Filter{
-		Streams: []string{ControlStream(session)},
-		Kinds:   []streams.Kind{streams.Control},
-	}, true)
+	sub := store.Subscribe(ReportFilter(session), true)
 	defer sub.Cancel()
 	for msg := range sub.C() {
 		d := msg.Directive

@@ -32,6 +32,14 @@ func DisplayStream(session string) string { return session + ":display" }
 // OutputStream is an agent's default output stream within a session.
 func OutputStream(session, agent string) string { return session + ":" + agent + ":out" }
 
+// Selectors shared by every control subscription of this package (filters
+// only read them).
+var (
+	controlKinds = []streams.Kind{streams.Control}
+	instanceOps  = []string{streams.OpExecuteAgent, streams.OpAbort}
+	reportOps    = []string{OpAgentDone, OpAgentError}
+)
+
 // Options configure an agent instance attachment.
 type Options struct {
 	// Workers is the worker-pool size (default 4).
@@ -121,10 +129,15 @@ func Attach(store *streams.Store, session string, a *Agent, opts Options) (*Inst
 		return nil, err
 	}
 
-	// Centralized activation: EXECUTE_AGENT directives addressed to us.
+	// Centralized activation: EXECUTE_AGENT and ABORT directives addressed
+	// to us (or to every agent). The session's other control traffic — entry
+	// and exit signals, plans, the reports of other agents — is not routed
+	// here at all.
 	inst.ctrlSub = store.Subscribe(streams.Filter{
 		Session: session,
-		Kinds:   []streams.Kind{streams.Control},
+		Kinds:   controlKinds,
+		Ops:     instanceOps,
+		Agent:   a.Spec.Name,
 	}, false)
 	inst.loopWg.Add(1)
 	go func() {

@@ -374,10 +374,10 @@ func (c *Coordinator) stepDeadline(b *budget.Budget) time.Time {
 // abortInvocation emits a targeted ABORT for one invocation so the agent
 // runtime cancels that in-flight processor call (a step that timed out or
 // was cancelled must not keep burning agent work).
-func (c *Coordinator) abortInvocation(session, invID string) {
+func (c *Coordinator) abortInvocation(session, agentName, invID string) {
 	_, _ = c.store.Append(streams.Message{
 		Stream: agent.ControlStream(session), Kind: streams.Control, Sender: "coordinator",
-		Directive: &streams.Directive{Op: streams.OpAbort, Args: map[string]any{"invocation_id": invID}},
+		Directive: &streams.Directive{Op: streams.OpAbort, Agent: agentName, Args: map[string]any{"invocation_id": invID}},
 	})
 }
 
@@ -398,10 +398,7 @@ func (c *Coordinator) executeStep(ctx context.Context, session string, p *planne
 	}
 
 	// Subscribe to control reports before issuing the instruction.
-	ctrl := c.store.Subscribe(streams.Filter{
-		Streams: []string{agent.ControlStream(session)},
-		Kinds:   []streams.Kind{streams.Control},
-	}, false)
+	ctrl := c.store.Subscribe(agent.ReportFilter(session), false)
 	defer ctrl.Cancel()
 
 	if err := agent.ExecuteDeadline(c.store, session, step.Agent, inputs, replyStream, invID, obs.FromContext(ctx).Token(), deadline); err != nil {
@@ -444,11 +441,11 @@ func (c *Coordinator) executeStep(ctx context.Context, session string, p *planne
 				return sr, nil
 			}
 		case <-ctx.Done():
-			c.abortInvocation(session, invID)
+			c.abortInvocation(session, step.Agent, invID)
 			sr.Err = "cancelled"
 			return sr, fmt.Errorf("step %s cancelled: %w", step.ID, ctx.Err())
 		case <-timeout:
-			c.abortInvocation(session, invID)
+			c.abortInvocation(session, step.Agent, invID)
 			sr.Err = "timeout"
 			return sr, fmt.Errorf("%w: %s after %s", ErrStepTimeout, step.ID, wait.Truncate(time.Millisecond))
 		}

@@ -598,6 +598,45 @@ func TestFailureCancelsInFlightSteps(t *testing.T) {
 	}
 }
 
+// A published plan is immutable: what its producer does to its own copy
+// afterwards — here, at once, racing the service — is not what runs.
+func TestServiceRunsThePlanAsPublished(t *testing.T) {
+	e := newEnv(t)
+	c := New(e.store, e.reg, e.tp, e.model, Options{})
+	svc := c.Serve(sess, budget.Limits{MaxCost: 1.0})
+	defer svc.Stop()
+
+	plan, err := e.tp.Plan("I am looking for a data scientist position in SF bay area.")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(plan.Steps))
+	for i, st := range plan.Steps {
+		want[i] = st.Agent
+	}
+	if err := planner.EmitPlan(e.store, sess, plan); err != nil {
+		t.Fatal(err)
+	}
+	for i := range plan.Steps {
+		plan.Steps[i].Agent = "NOBODY"
+		plan.Steps[i].Bindings = nil
+	}
+	plan.Steps = plan.Steps[:1]
+	select {
+	case res := <-svc.ResultC():
+		if res.Aborted || len(res.Steps) != len(want) {
+			t.Fatalf("service result = %+v", res)
+		}
+		for i, sr := range res.Steps {
+			if sr.Agent != want[i] || sr.Err != "" {
+				t.Fatalf("step %d ran on %s (err %q), want %s", i, sr.Agent, sr.Err, want[i])
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("service never executed the plan")
+	}
+}
+
 func TestServiceExecutesEmittedPlans(t *testing.T) {
 	e := newEnv(t)
 	c := New(e.store, e.reg, e.tp, e.model, Options{})

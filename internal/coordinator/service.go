@@ -49,6 +49,7 @@ func (c *Coordinator) Serve(session string, limits budget.Limits) *Service {
 	s.sub = c.store.Subscribe(streams.Filter{
 		Session: session,
 		Kinds:   []streams.Kind{streams.Control},
+		Ops:     []string{streams.OpPlan},
 	}, false)
 	s.wg.Add(1)
 	go s.loop()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"blueprint/internal/agent"
@@ -90,7 +91,7 @@ func (s *Suite) handleUIEvent(action string, event map[string]any) (agent.Output
 		return agent.Outputs{
 			Values: map[string]any{
 				"JOB_ID": id,
-				"PLAN":   plan.ToJSON(),
+				"PLAN":   plan,
 			},
 			Tags: []string{TagJobID, "plan"},
 		}, nil
@@ -105,7 +106,7 @@ func (s *Suite) handleIntent(intent, utterance string) (agent.Outputs, error) {
 		id := extractJobID(utterance)
 		plan := summarizerPlan(id)
 		return agent.Outputs{
-			Values: map[string]any{"JOB_ID": id, "PLAN": plan.ToJSON()},
+			Values: map[string]any{"JOB_ID": id, "PLAN": plan},
 			Tags:   []string{TagJobID, "plan"},
 		}, nil
 	case "rank":
@@ -118,7 +119,7 @@ func (s *Suite) handleIntent(intent, utterance string) (agent.Outputs, error) {
 			}},
 		}
 		return agent.Outputs{
-			Values: map[string]any{"JOB_ID": id, "PLAN": plan.ToJSON()},
+			Values: map[string]any{"JOB_ID": id, "PLAN": plan},
 			Tags:   []string{TagJobID, "plan"},
 		}, nil
 	case "career_advice":
@@ -130,7 +131,7 @@ func (s *Suite) handleIntent(intent, utterance string) (agent.Outputs, error) {
 			}},
 		}
 		return agent.Outputs{
-			Values: map[string]any{"PLAN": plan.ToJSON()},
+			Values: map[string]any{"PLAN": plan},
 			Tags:   []string{"plan"},
 		}, nil
 	default:
@@ -155,16 +156,34 @@ func summarizerPlan(jobID int) *planner.Plan {
 	}
 }
 
+// extractJobID returns the first number among the utterance's words, or 1.
 func extractJobID(utterance string) int {
-	fields := strings.Fields(utterance)
-	for _, f := range fields {
-		f = strings.Trim(f, ".,?!")
-		var n int
-		if _, err := fmt.Sscanf(f, "%d", &n); err == nil {
+	for _, f := range strings.Fields(utterance) {
+		if n, ok := leadingInt(strings.Trim(f, ".,?!")); ok {
 			return n
 		}
 	}
 	return 1
+}
+
+// leadingInt reads the integer a word starts with, as fmt.Sscanf(f, "%d", &n)
+// does: an optional sign, then the longest run of digits, which must fit an
+// int64 (an overflow rejects the word); whatever follows the run ("12th") is
+// ignored.
+func leadingInt(f string) (int, bool) {
+	end := 0
+	if end < len(f) && (f[0] == '+' || f[0] == '-') {
+		end++
+	}
+	start := end
+	for end < len(f) && '0' <= f[end] && f[end] <= '9' {
+		end++
+	}
+	if end == start {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(f[:end], 10, 64)
+	return int(n), err == nil
 }
 
 func asInt(v any) int {

@@ -2,6 +2,7 @@ package hragents
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -302,11 +303,39 @@ func TestDegradedModelStillCompletesFlows(t *testing.T) {
 }
 
 func TestExtractJobIDAndAsInt(t *testing.T) {
-	if extractJobID("summarize job 42 please") != 42 {
-		t.Fatal("extractJobID")
-	}
-	if extractJobID("no number here") != 1 {
-		t.Fatal("extractJobID fallback")
+	// Each word reads as fmt.Sscanf(word, "%d", &n) reads it.
+	for _, c := range []struct {
+		utterance string
+		want      int
+	}{
+		{"summarize job 42 please", 42},
+		{"no number here", 1},
+		{"", 1},
+		{"12", 12},
+		{"the 12th job", 12},
+		{"job +7", 7},
+		{"job -3", -3},
+		{"job", 1},
+		{"Summarize job 7.", 7},
+		{"what about job 7?!", 7},
+		{"job 99999999999999999999 or 5", 5}, // overflows int64: skipped
+		{"job 1_000 or 6", 1},                // %d stops at the underscore
+		{"- + -x 8", 8},
+		{"job x9 10", 10},
+		{"job 007", 7},
+		{"job ٣ 4", 4}, // not an ASCII digit
+	} {
+		if got := extractJobID(c.utterance); got != c.want {
+			t.Errorf("extractJobID(%q) = %d, want %d", c.utterance, got, c.want)
+		}
+		for _, f := range strings.Fields(c.utterance) {
+			f = strings.Trim(f, ".,?!")
+			var n int
+			_, err := fmt.Sscanf(f, "%d", &n)
+			if got, ok := leadingInt(f); ok != (err == nil) || (ok && got != n) {
+				t.Errorf("leadingInt(%q) = %d, %v; Sscanf reads %d, %v", f, got, ok, n, err)
+			}
+		}
 	}
 	if asInt(7) != 7 || asInt(int64(8)) != 8 || asInt(9.0) != 9 || asInt("x") != 0 {
 		t.Fatal("asInt")

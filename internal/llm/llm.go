@@ -20,6 +20,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -95,11 +96,18 @@ func (m *Model) Config() Config { return m.cfg }
 // CountTokens approximates tokenization as whitespace fields.
 func CountTokens(text string) int { return len(strings.Fields(text)) }
 
-// rng returns a deterministic per-call random source.
+// rngPool recycles the per-call random sources: a math/rand source is 4.9 KB
+// of state, and seeding one in place yields the stream a new one would.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// rng returns a deterministic per-call random source; the caller hands it
+// back with rngPool.Put once the call has drawn what it needs.
 func (m *Model) rng(prompt string) *rand.Rand {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s|%s", m.cfg.Seed, m.cfg.Name, prompt)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	r := rngPool.Get().(*rand.Rand)
+	r.Seed(int64(h.Sum64()))
+	return r
 }
 
 // meter fills a Usage for the given input/output.
@@ -126,6 +134,7 @@ func (m *Model) Classify(text string, labels []string) (string, Usage) {
 		return "", m.meter(text, "", false)
 	}
 	r := m.rng("classify|" + text)
+	defer rngPool.Put(r)
 	degraded := m.degrade(r)
 	var choice string
 	if degraded {
@@ -142,6 +151,7 @@ func (m *Model) Classify(text string, labels []string) (string, Usage) {
 // job title and place from a query. A degraded call truncates the result.
 func (m *Model) Extract(instruction, text string) (string, Usage) {
 	r := m.rng("extract|" + instruction + "|" + text)
+	defer rngPool.Put(r)
 	degraded := m.degrade(r)
 	out := m.kb.Extract(instruction, text)
 	if degraded && out != "" {
@@ -160,6 +170,7 @@ func (m *Model) Summarize(text string, maxWords int) (string, Usage) {
 		maxWords = 40
 	}
 	r := m.rng("summarize|" + text)
+	defer rngPool.Put(r)
 	degraded := m.degrade(r)
 	words := strings.Fields(text)
 	if len(words) > maxWords {
@@ -182,6 +193,7 @@ func (m *Model) Summarize(text string, maxWords int) (string, Usage) {
 // tolerate.
 func (m *Model) KnowledgeList(query string) ([]string, Usage) {
 	r := m.rng("knowledge|" + query)
+	defer rngPool.Put(r)
 	degraded := m.degrade(r)
 	items := m.kb.List(query)
 	out := append([]string(nil), items...)
@@ -203,6 +215,7 @@ func (m *Model) Generate(prompt string) (string, Usage) {
 		return strings.Join(list, ", "), usage
 	}
 	r := m.rng("generate|" + prompt)
+	defer rngPool.Put(r)
 	degraded := m.degrade(r)
 	out := m.kb.TemplateAnswer(prompt)
 	if degraded {
@@ -216,6 +229,7 @@ func (m *Model) Generate(prompt string) (string, Usage) {
 // agent's "predictive model" role.
 func (m *Model) Score(query, candidate string) (float64, Usage) {
 	r := m.rng("score|" + query + "|" + candidate)
+	defer rngPool.Put(r)
 	degraded := m.degrade(r)
 	q := strings.Fields(strings.ToLower(query))
 	c := map[string]bool{}

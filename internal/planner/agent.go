@@ -36,7 +36,7 @@ func AsAgent(tp *TaskPlanner) *agent.Agent {
 			return agent.Outputs{}, err
 		}
 		return agent.Outputs{
-			Values: map[string]any{"PLAN": plan.ToJSON()},
+			Values: map[string]any{"PLAN": plan},
 			Tags:   []string{"plan"},
 		}, nil
 	})
@@ -44,7 +44,8 @@ func AsAgent(tp *TaskPlanner) *agent.Agent {
 
 // EmitPlan publishes a plan as a PLAN control directive on the session's
 // control stream (the §V-F contract: "the task planner outputs the plan to
-// a stream to be executed").
+// a stream to be executed"). What is published is a copy: a published plan
+// is immutable, and p stays the caller's to change.
 func EmitPlan(store *streams.Store, session string, p *Plan) error {
 	_, err := store.Append(streams.Message{
 		Stream: agent.ControlStream(session),
@@ -52,7 +53,7 @@ func EmitPlan(store *streams.Store, session string, p *Plan) error {
 		Sender: AgentName,
 		Directive: &streams.Directive{
 			Op:   streams.OpPlan,
-			Args: map[string]any{"plan": p.ToJSON()},
+			Args: map[string]any{"plan": p.Clone()},
 		},
 	})
 	return err

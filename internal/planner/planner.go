@@ -12,6 +12,8 @@ package planner
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -129,7 +131,22 @@ func (p *Plan) String() string {
 	return b.String()
 }
 
-// ToJSON serializes the plan for stream transport.
+// Clone returns a copy of the plan that shares no step, binding map or
+// explanation with it. Binding values are copied as they are: a literal is
+// never written through.
+func (p *Plan) Clone() *Plan {
+	cp := *p
+	cp.Steps = slices.Clone(p.Steps)
+	for i := range cp.Steps {
+		cp.Steps[i].Bindings = maps.Clone(cp.Steps[i].Bindings)
+	}
+	cp.Explanation = slices.Clone(p.Explanation)
+	return &cp
+}
+
+// ToJSON renders the plan as the generic JSON object it becomes in a
+// write-ahead log: what a recovered stream or an external producer hands
+// FromJSON.
 func (p *Plan) ToJSON() map[string]any {
 	raw, _ := json.Marshal(p)
 	var m map[string]any
@@ -137,8 +154,20 @@ func (p *Plan) ToJSON() map[string]any {
 	return m
 }
 
-// FromJSON parses a plan from a stream payload.
+// FromJSON reads a plan from a stream payload. Within a process a plan
+// travels typed — the payload is the *Plan its producer published, which is
+// shared with the stream's history and so copied, never handed on — and only
+// a payload that has been through a log (a map) is decoded.
 func FromJSON(v any) (*Plan, error) {
+	switch p := v.(type) {
+	case *Plan:
+		if p == nil {
+			return nil, fmt.Errorf("planner: nil plan")
+		}
+		return p.Clone(), nil
+	case Plan:
+		return p.Clone(), nil
+	}
 	raw, err := json.Marshal(v)
 	if err != nil {
 		return nil, err

@@ -83,17 +83,17 @@ func BenchmarkHistory(b *testing.B) {
 
 // BenchmarkAppendManySessions is the shape of many live conversations: 512
 // session scopes, each with the 18 subscriptions a session's agents and
-// coordinator hold (12 on control messages, 6 on tagged data), and an
-// utterance appended to one session's user stream. Only that session's
-// subscriptions can receive it, and the append should cost as if the other
-// 511 sessions were not there.
+// coordinator hold (12 on the control messages addressed to them, 6 on tagged
+// data), and an utterance appended to one session's user stream. Only that
+// session's subscriptions can receive it, and the append should cost as if
+// the other 511 sessions were not there.
 func BenchmarkAppendManySessions(b *testing.B) {
 	s := NewStore()
 	b.Cleanup(func() { s.Close() })
 	for i := 0; i < 512; i++ {
 		scope := fmt.Sprintf("session:%d", i)
-		for j := 0; j < 12; j++ {
-			drain(s.Subscribe(Filter{Session: scope, Kinds: []Kind{Control}}, false))
+		for _, f := range sessionControlFilters(scope) {
+			drain(s.Subscribe(f, false))
 		}
 		for j := 0; j < 6; j++ {
 			drain(s.Subscribe(Filter{Session: scope, Kinds: []Kind{Data, Event}, IncludeTags: []string{fmt.Sprintf("tag%d", j)}}, false))
@@ -109,5 +109,83 @@ func BenchmarkAppendManySessions(b *testing.B) {
 		if _, err := s.Append(msg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// sessionControlFilters are the 12 control subscriptions of a standard
+// session: eleven agents, each on the EXECUTE_AGENT and ABORT directives
+// addressed to it, and the coordinator service on PLAN.
+func sessionControlFilters(scope string) []Filter {
+	fs := []Filter{{Session: scope, Kinds: []Kind{Control}, Ops: []string{OpPlan}}}
+	for j := 0; j < 11; j++ {
+		fs = append(fs, Filter{
+			Session: scope, Kinds: []Kind{Control},
+			Ops: []string{OpExecuteAgent, OpAbort}, Agent: fmt.Sprintf("AGENT%d", j),
+		})
+	}
+	return fs
+}
+
+// BenchmarkControlFanout is one EXECUTE_AGENT into a session with its 12
+// control subscriptions live, from Append until the addressed agent has it.
+// deliveries/op is how many of the 12 were handed the message.
+func BenchmarkControlFanout(b *testing.B) {
+	s := NewStore()
+	b.Cleanup(func() { s.Close() })
+	const scope = "session:1"
+	if _, err := s.CreateStream(scope+":control", StreamInfo{Session: scope}); err != nil {
+		b.Fatal(err)
+	}
+	got := make(chan struct{})
+	for _, f := range sessionControlFilters(scope) {
+		sub := s.Subscribe(f, false)
+		go func(addressed bool) {
+			for range sub.C() {
+				if addressed {
+					got <- struct{}{}
+				}
+			}
+		}(f.Agent == "AGENT3")
+	}
+	msg := Message{Stream: scope + ":control", Kind: Control, Sender: "coordinator", Directive: &Directive{
+		Op: OpExecuteAgent, Agent: "AGENT3", Args: map[string]any{"invocation_id": "p-s1"},
+	}}
+	before := s.StatsSnapshot().Deliveries
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Append(msg); err != nil {
+			b.Fatal(err)
+		}
+		<-got
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(s.StatsSnapshot().Deliveries-before)/float64(b.N), "deliveries/op")
+}
+
+// BenchmarkDeliverIdle is the price of one hand-off: a message appended for
+// one idle subscription, until its consumer goroutine has it — with nothing
+// queued, one goroutine wake-up and no allocation beyond Append's own.
+func BenchmarkDeliverIdle(b *testing.B) {
+	s := NewStore()
+	b.Cleanup(func() { s.Close() })
+	if _, err := s.CreateStream("x", StreamInfo{}); err != nil {
+		b.Fatal(err)
+	}
+	sub := s.Subscribe(Filter{Streams: []string{"x"}}, false)
+	got := make(chan struct{})
+	go func() {
+		for range sub.C() {
+			got <- struct{}{}
+		}
+	}()
+	msg := Message{Stream: "x", Kind: Data, Sender: "user", Payload: "How many jobs are in Austin?"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Append(msg); err != nil {
+			b.Fatal(err)
+		}
+		<-got
 	}
 }

@@ -22,6 +22,17 @@ type Filter struct {
 	// ExcludeSenders rejects messages from the listed senders; agents use it
 	// to ignore their own output streams.
 	ExcludeSenders []string
+	// Ops restricts matching to messages whose directive carries one of the
+	// listed operations (empty = any operation). A message without a
+	// directive never matches a filter that sets Ops.
+	Ops []string
+	// Agent restricts matching to directives addressed to the named agent:
+	// Directive.Agent equals it, or is empty — a directive that names no
+	// agent is a broadcast to all of them. A message without a directive
+	// never matches a filter that sets Agent. The consumer still checks the
+	// directive it receives; the selector only spares it the messages that
+	// were never meant for it.
+	Agent string
 }
 
 // Matches reports whether msg passes the filter.
@@ -41,6 +52,18 @@ func (f *Filter) Matches(msg *Message) bool {
 			}
 		}
 		if !ok {
+			return false
+		}
+	}
+	if len(f.Ops) > 0 || f.Agent != "" {
+		d := msg.Directive
+		if d == nil {
+			return false
+		}
+		if len(f.Ops) > 0 && !containsString(f.Ops, d.Op) {
+			return false
+		}
+		if f.Agent != "" && d.Agent != "" && d.Agent != f.Agent {
 			return false
 		}
 	}

@@ -7,8 +7,8 @@ func openAppend(path string) (*os.File, error) {
 	return os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
-// drain consumes a subscription until its channel closes, so that its pump
-// never blocks and nothing piles up behind it.
+// drain consumes a subscription until its channel closes, so that nothing
+// piles up behind it.
 func drain(sub *Subscription) {
 	go func() {
 		for range sub.C() {

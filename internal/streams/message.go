@@ -27,10 +27,18 @@
 //     suffixes and nothing else; only a filter that names none sweeps the
 //     store (and sorts by timestamp). A consumer that knows how far it has
 //     read — Info(id).Len is O(1) — never pays for the history before it.
-//   - Subscriptions. The unbounded queue is a slice; the channel behind C is
-//     a few messages deep and the counters are atomics, so an idle
-//     subscription holds about a kilobyte and a transient one costs little
-//     more than its two goroutines.
+//   - Addressing. A filter can select on the directive: the operations it
+//     wants (Filter.Ops) and the agent they are addressed to (Filter.Agent;
+//     a directive that names no agent is a broadcast). An agent's control
+//     subscription is handed the directives meant for that agent, not every
+//     control message of its session to discard all but its own.
+//   - Subscriptions. Append sends a message straight into the channel behind
+//     C — one goroutine wake-up per delivery — and only a message that finds
+//     the channel full is queued (an unbounded slice) behind a transient
+//     goroutine that drains the queue in order and exits. The channel is a
+//     few messages deep and the counters are atomics, so an idle
+//     subscription holds about a kilobyte and no goroutine, and a transient
+//     one costs its allocation.
 package streams
 
 import (

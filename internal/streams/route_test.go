@@ -20,6 +20,8 @@ var (
 	routeTags     = []string{"utterance", "plan", "display", "draft"}
 	routeSenders  = []string{"user", "planner", "coordinator"}
 	routeKinds    = []Kind{Data, Control, Event}
+	routeOps      = []string{OpExecuteAgent, OpAbort, OpPlan, "X"}
+	routeAgents   = []string{"", "", "A", "B"} // half of the directives are broadcasts
 )
 
 func pick[T any](r *rand.Rand, xs []T) T { return xs[r.Intn(len(xs))] }
@@ -62,6 +64,16 @@ func randomFilter(r *rand.Rand) Filter {
 	case 1:
 		f.ExcludeSenders = some(r, routeSenders, 2)
 	}
+	// Directive selectors, as the control subscriptions of agents (ops and
+	// addressee), of the coordinator (ops) and of neither set them.
+	switch r.Intn(6) {
+	case 0:
+		f.Ops, f.Agent = some(r, routeOps, 2), pick(r, routeAgents[2:])
+	case 1:
+		f.Ops = some(r, routeOps, 2)
+	case 2:
+		f.Agent = pick(r, routeAgents[2:])
+	}
 	return f
 }
 
@@ -73,8 +85,8 @@ func randomMessage(r *rand.Rand, streams []string) Message {
 	if r.Intn(3) == 0 {
 		m.Session = pick(r, routeSessions) // else inherited from the stream
 	}
-	if m.Kind == Control {
-		m.Directive = &Directive{Op: "X"}
+	if m.Kind == Control && r.Intn(8) > 0 { // now and then a control message has no directive
+		m.Directive = &Directive{Op: pick(r, routeOps), Agent: pick(r, routeAgents)}
 	}
 	return m
 }
@@ -316,19 +328,40 @@ func TestSubscribeFromMatchesBruteForce(t *testing.T) {
 func TestRoutingConcurrent(t *testing.T) {
 	s := NewStore()
 	const sessions, appends = 8, 300
-	var stay []*collector
+	var stay, addressed []*collector
 	for i := 0; i < sessions; i++ {
 		id := fmt.Sprintf("session:%d", i)
 		mustCreate(t, s, id+":user", StreamInfo{Session: id})
+		mustCreate(t, s, id+":control", StreamInfo{Session: id})
 		stay = append(stay,
 			collect(s.Subscribe(Filter{Session: id, Kinds: []Kind{Data}}, false)),
 			collect(s.Subscribe(Filter{Streams: []string{id + ":user"}}, false)))
+		// Two agents' control subscriptions and the coordinator's: of the
+		// session's control messages each receives only its own.
+		addressed = append(addressed,
+			collect(s.Subscribe(Filter{Session: id, Kinds: []Kind{Control}, Ops: []string{OpExecuteAgent, OpAbort}, Agent: "A"}, false)),
+			collect(s.Subscribe(Filter{Session: id, Kinds: []Kind{Control}, Ops: []string{OpExecuteAgent, OpAbort}, Agent: "B"}, false)),
+			collect(s.Subscribe(Filter{Session: id, Kinds: []Kind{Control}, Ops: []string{OpPlan}}, false)))
 	}
 	everything := collect(s.Subscribe(Filter{}, false))
 
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
-		wg.Add(2)
+		wg.Add(3)
+		go func(i int) { // control appender: per round one message to A, one to B, a broadcast, a plan, a signal
+			defer wg.Done()
+			for n := 0; n < appends; n++ {
+				for _, d := range []Directive{
+					{Op: OpExecuteAgent, Agent: "A"}, {Op: OpExecuteAgent, Agent: "B"},
+					{Op: OpAbort}, {Op: OpPlan}, {Op: OpEnterSession, Agent: "A"},
+				} {
+					if _, err := s.Append(Message{Stream: fmt.Sprintf("session:%d:control", i), Kind: Control, Directive: &d}); err != nil {
+						t.Errorf("append: %v", err)
+						return
+					}
+				}
+			}
+		}(i)
 		go func(i int) { // appender
 			defer wg.Done()
 			for n := 0; n < appends; n++ {
@@ -355,11 +388,28 @@ func TestRoutingConcurrent(t *testing.T) {
 			t.Fatalf("filter %+v received %d messages, want %d", c.sub.filter, len(got), appends)
 		}
 	}
-	if got := everything.await(t, sessions*appends); len(got) != sessions*appends {
-		t.Fatalf("unscoped subscription received %d messages, want %d", len(got), sessions*appends)
+	// One last broadcast and plan per session: a subscription keeps order,
+	// so once its sentinel is in, everything routed to it before is too.
+	total := 6*sessions*appends + 2*sessions
+	for i := 0; i < sessions; i++ {
+		control := fmt.Sprintf("session:%d:control", i)
+		abort := mustAppend(t, s, Message{Stream: control, Kind: Control, Directive: &Directive{Op: OpAbort}})
+		plan := mustAppend(t, s, Message{Stream: control, Kind: Control, Directive: &Directive{Op: OpPlan}})
+		for _, c := range addressed[3*i : 3*i+3] {
+			want, last := 2*appends+1, abort.ID // an agent: what is addressed to it and the broadcasts
+			if c.sub.filter.Agent == "" {
+				want, last = appends+1, plan.ID // the coordinator: the plans
+			}
+			if got := c.await(t, want); len(got) != want || got[want-1] != last {
+				t.Fatalf("filter %+v received %d messages ending in %s, want %d ending in %s", c.sub.filter, len(got), got[len(got)-1], want, last)
+			}
+		}
+	}
+	if got := everything.await(t, total); len(got) != total {
+		t.Fatalf("unscoped subscription received %d messages, want %d", len(got), total)
 	}
 	live := map[*Subscription]bool{everything.sub: true}
-	for _, c := range stay {
+	for _, c := range append(stay, addressed...) {
 		live[c.sub] = true
 	}
 	checkIndex(t, s, live)

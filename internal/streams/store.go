@@ -153,8 +153,22 @@ func (s *Store) CreateStream(id string, info StreamInfo) (StreamInfo, error) {
 	return info, nil
 }
 
-// EnsureStream creates the stream if absent and returns its info.
+// EnsureStream creates the stream if absent and returns its info. The usual
+// call finds the stream there (every Publish ensures its stream), so it is
+// looked up under the read lock first.
 func (s *Store) EnsureStream(id string, info StreamInfo) (StreamInfo, error) {
+	s.mu.RLock()
+	st, ok := s.streams[id]
+	if s.closed {
+		s.mu.RUnlock()
+		return StreamInfo{}, ErrStoreClosed
+	}
+	if ok {
+		got := st.info
+		s.mu.RUnlock()
+		return got, nil
+	}
+	s.mu.RUnlock()
 	got, err := s.CreateStream(id, info)
 	if errors.Is(err, ErrStreamExists) {
 		return s.Info(id)

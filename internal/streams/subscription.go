@@ -7,31 +7,34 @@ import (
 )
 
 // subBuffer is the capacity of a subscription's channel. The channel is not
-// the queue — pending is, without bound — it only lets the pump hand over a
-// short burst without a goroutine switch per message. It is allocated for
-// every subscription, the many idle ones and the transient ones of each ask
-// alike, so it is kept to a few messages (152 bytes each).
+// the queue — pending is, without bound — it is the slack that lets Append
+// hand a message straight to the consumer without a goroutine in between. It
+// is allocated for every subscription, the many idle ones and the transient
+// ones of each ask alike, so it is kept to a few messages (152 bytes each).
 const subBuffer = 4
 
-// Subscription delivers matching messages to a consumer. Messages are queued
-// without bound internally (pending) and drained into C by a dedicated
-// goroutine, so producers never block on slow consumers (the store remains
-// responsive, at the cost of memory for laggards — the trade the paper's
-// streaming database makes by design). C's own buffer holds no backlog: it is
-// subBuffer messages of slack between the pump and the consumer.
+// Subscription delivers matching messages to a consumer. Append sends a
+// message straight into C while the consumer keeps up; a message that finds C
+// full is queued without bound (pending) and a transient goroutine drains the
+// queue into C, in order, and exits when it is empty. So producers never
+// block on slow consumers (the store remains responsive, at the cost of
+// memory for laggards — the trade the paper's streaming database makes by
+// design), and a subscription that is idle or keeping up owns no goroutine.
 type Subscription struct {
 	store  *Store
 	filter Filter
 	filed  bool // in the store's routing index; guarded by store.mu
 
 	mu      sync.Mutex
-	pending []Message
-	cond    *sync.Cond
+	pending []Message // what overflowed ch, in order; only a live drain empties it
 	stopped bool
-
-	quit chan struct{} // closed by stop: releases a pump blocked on ch
-	ch   chan Message
+	// quit and done belong to the live drain goroutine and are nil when there
+	// is none: stop closes quit to release a drain blocked on ch, the drain
+	// closes done as it exits.
+	quit chan struct{}
 	done chan struct{}
+
+	ch chan Message
 }
 
 // Subscribe registers a subscription matching filter. If replay is true, all
@@ -60,30 +63,31 @@ func (s *Store) subscribe(filter Filter, from int64) *Subscription {
 		store:  s,
 		filter: filter,
 		ch:     make(chan Message, subBuffer),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
 	}
-	sub.cond = sync.NewCond(&sub.mu)
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		sub.stopped = true
 		close(sub.ch)
-		close(sub.done)
-		close(sub.quit)
 		return sub
 	}
 	if from >= 0 {
 		// Seed the backlog before the subscription becomes visible to
 		// appenders: once the index holds it, a concurrent Append may enqueue
 		// a live message, and replayed history must still sort first.
-		sub.pending = s.backlogLocked(&filter, from)
+		backlog := s.backlogLocked(&filter, from)
+		head := min(len(backlog), subBuffer)
+		for _, msg := range backlog[:head] {
+			sub.ch <- msg // C is empty and holds subBuffer messages
+		}
+		s.stats.deliveries.Add(int64(head))
+		if len(backlog) > head {
+			sub.pending = backlog[head:]
+			sub.startDrain()
+		}
 	}
 	s.fileLocked(sub)
-	s.mu.Unlock()
-
-	go sub.pump()
 	return sub
 }
 
@@ -129,52 +133,85 @@ func (sub *Subscription) Cancel() {
 	sub.stop()
 }
 
+// enqueue delivers msg: straight into C when nothing is queued ahead of it
+// and C has room, else behind the queue, starting the drain if none is live.
+// The send is non-blocking and made under sub.mu, which is what lets stop
+// close C without a sender on it.
 func (sub *Subscription) enqueue(msg Message) {
 	sub.mu.Lock()
+	defer sub.mu.Unlock()
 	if sub.stopped {
-		sub.mu.Unlock()
 		return
 	}
+	if sub.done == nil {
+		select {
+		case sub.ch <- msg:
+			sub.store.stats.deliveries.Add(1)
+			return
+		default:
+		}
+		sub.startDrain()
+	}
 	sub.pending = append(sub.pending, msg)
-	sub.cond.Signal()
-	sub.mu.Unlock()
 }
 
+// startDrain starts the drain goroutine; caller holds sub.mu (or is the only
+// one that can reach sub) and has seen that none is live.
+func (sub *Subscription) startDrain() {
+	sub.quit, sub.done = make(chan struct{}), make(chan struct{})
+	go sub.drain(sub.quit, sub.done)
+}
+
+// stop ends delivery and closes C, once, and returns when no goroutine of the
+// subscription is left. With no drain live every send happens under sub.mu,
+// so C is closed here; a live drain is the only sender left once stopped is
+// set, and closes C itself on its way out.
 func (sub *Subscription) stop() {
 	sub.mu.Lock()
 	if !sub.stopped {
 		sub.stopped = true
-		sub.cond.Signal()
-		close(sub.quit)
+		sub.pending = nil
+		if sub.done == nil {
+			close(sub.ch)
+		} else {
+			close(sub.quit)
+		}
 	}
+	done := sub.done
 	sub.mu.Unlock()
-	<-sub.done
+	if done != nil {
+		<-done
+	}
 }
 
-// pump moves messages from the pending queue to the channel until stopped.
-func (sub *Subscription) pump() {
-	defer close(sub.done)
-	defer close(sub.ch)
+// drain moves what overflowed C into it, in order, and exits once pending is
+// empty (the next overflow starts another) or the subscription is stopped.
+func (sub *Subscription) drain(quit <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+loop:
 	for {
 		sub.mu.Lock()
-		for len(sub.pending) == 0 && !sub.stopped {
-			sub.cond.Wait()
-		}
 		if sub.stopped {
 			sub.mu.Unlock()
-			return
+			break
 		}
 		batch := sub.pending
 		sub.pending = nil
+		if len(batch) == 0 {
+			sub.quit, sub.done = nil, nil
+			sub.mu.Unlock()
+			return
+		}
 		sub.mu.Unlock()
 
 		for i := range batch {
 			select {
 			case sub.ch <- batch[i]:
 				sub.store.stats.deliveries.Add(1)
-			case <-sub.quit:
-				return
+			case <-quit:
+				break loop
 			}
 		}
 	}
+	close(sub.ch) // stopped: stop left the close to the one sender still live
 }
