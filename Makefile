@@ -31,15 +31,18 @@ fmt-check:
 # tokenizer/fingerprint sweeps, and the shape-vs-exact keyed cache pair; then
 # the streams, session and planner benchmarks (Append beside many sessions'
 # worth of subscriptions, one control message into a session, one hand-off,
-# replay, the display wait deep into a conversation, a plan crossing a hop).
+# replay, the display wait deep into a conversation, a plan crossing a hop, a
+# statement result crossing one).
 bench:
-	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner -run XXX -bench . -benchmem
+	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner ./internal/hragents -run XXX -bench . -benchmem
 	$(GO) run ./cmd/benchharness -fig A9
 
-# Twenty iterations of each streams, session and planner benchmark: CI runs
-# them so that they keep building and finishing, not to read their numbers.
+# Twenty iterations of each streams, session, planner, relational and
+# hragents benchmark (the last two hold the group-by, the title scan and the
+# SQL executor -> query summarizer hand-off): CI runs them so that they keep
+# building and finishing, not to read their numbers.
 bench-streams:
-	$(GO) test ./internal/streams ./internal/session ./internal/planner -run XXX -bench . -benchtime 20x
+	$(GO) test ./internal/streams ./internal/session ./internal/planner ./internal/relational ./internal/hragents -run XXX -bench . -benchtime 20x
 
 # Fuzz for a short burst each: the tokenizer against the old slice-building
 # lexer, then NL2Q (any utterance compiles to SQL the engine executes). Seeds

@@ -221,3 +221,76 @@ func TestTypedPlanIsRecoveredAsMapAndExecutes(t *testing.T) {
 		t.Fatal("the typed plan's step missed the memo entry its decoded twin hit")
 	}
 }
+
+// A statement result crosses its hop typed, and reaches the write-ahead log
+// as JSON: after a crash the recovered ROWS message carries the generic
+// object, and a query summarizer fed that message answers what the live one
+// answered from the typed value.
+func TestTypedRowsAreRecoveredAsMapAndSummarized(t *testing.T) {
+	dir := t.TempDir()
+	sys := newDurableSystem(t, dir)
+	sess, err := sys.StartSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer, err := sess.Ask("average salary per city for salary over 100500", 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsMessage := func(store *streams.Store) streams.Message {
+		t.Helper()
+		msgs, err := store.ReadAll(agent.OutputStream(sess.ID, hragents.SQLExecutor))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range msgs {
+			if m.Param == "ROWS" {
+				return m
+			}
+		}
+		t.Fatal("the SQL executor published no rows")
+		return streams.Message{}
+	}
+	live := rowsMessage(sys.Store)
+	published, ok := live.Payload.(*hragents.QueryRows)
+	if !ok {
+		t.Fatalf("the live ROWS payload is a %T, want the *hragents.QueryRows itself", live.Payload)
+	}
+	if len(published.Rows) < 2 {
+		t.Fatalf("the ask selected %d rows; the test wants several: %s", len(published.Rows), published.SQL)
+	}
+	sys.SimulateCrash()
+
+	sys2 := newDurableSystem(t, dir)
+	defer sys2.Close()
+	recovered := rowsMessage(sys2.Store)
+	obj, ok := recovered.Payload.(map[string]any)
+	if !ok {
+		t.Fatalf("the recovered ROWS payload is a %T, want a map", recovered.Payload)
+	}
+	if rows, _ := obj["rows"].([]any); len(rows) != len(published.Rows) || obj["sql"] != published.SQL {
+		t.Fatalf("recovered %d rows of %v, published %d of %s", len(rows), obj["sql"], len(published.Rows), published.SQL)
+	}
+	if recovered.PayloadString() != live.PayloadString() {
+		t.Fatalf("the recovered payload renders as\n%s\nthe live one as\n%s", recovered.PayloadString(), live.PayloadString())
+	}
+
+	sess2, err := sys2.StartSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sess2.DisplayLen()
+	if _, err := sys2.Store.Publish(streams.Message{
+		Stream: agent.OutputStream(sess2.ID, hragents.SQLExecutor), Session: sess2.ID, Kind: streams.Data,
+		Sender: hragents.SQLExecutor, Param: "ROWS", Tags: []string{hragents.TagRows}, Payload: recovered.Payload,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	again, err := sess2.awaitDisplay(before, "", 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != answer {
+		t.Fatalf("the summarizer answered the recovered rows with\n%s\nthe live ones with\n%s", again, answer)
+	}
+}

@@ -290,12 +290,8 @@ func (s *Suite) sqlExecutorProc() agent.Processor {
 			return agent.Outputs{}, err
 		}
 		return agent.Outputs{
-			Values: map[string]any{"ROWS": map[string]any{
-				"columns": res.Columns,
-				"rows":    res.Maps(),
-				"sql":     sql,
-			}},
-			Tags: []string{TagRows},
+			Values: map[string]any{"ROWS": &QueryRows{Columns: res.Columns, Rows: res.Rows, SQL: sql}},
+			Tags:   []string{TagRows},
 		}, nil
 	}
 }
@@ -317,27 +313,14 @@ func (s *Suite) querySummarizerSpec() registry.AgentSpec {
 
 func (s *Suite) querySummarizerProc() agent.Processor {
 	return func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
-		payload, _ := inv.Inputs["ROWS"].(map[string]any)
-		rows, _ := payload["rows"].([]any)
-		if rows == nil {
-			if typed, ok := payload["rows"].([]map[string]any); ok {
-				for _, r := range typed {
-					rows = append(rows, r)
-				}
-			}
-		}
+		n, shown := describeRows(inv.Inputs["ROWS"])
 		var b strings.Builder
-		fmt.Fprintf(&b, "The query returned %d rows.", len(rows))
-		for i, r := range rows {
-			if i >= 5 {
-				fmt.Fprintf(&b, " (and %d more)", len(rows)-5)
-				break
-			}
-			if m, ok := r.(map[string]any); ok {
-				fmt.Fprintf(&b, " %s.", nlq.FormatRow(m))
-			} else {
-				fmt.Fprintf(&b, " %s.", nlq.FormatValue(r))
-			}
+		fmt.Fprintf(&b, "The query returned %d rows.", n)
+		for _, r := range shown {
+			fmt.Fprintf(&b, " %s.", r)
+		}
+		if n > summaryRows {
+			fmt.Fprintf(&b, " (and %d more)", n-summaryRows)
 		}
 		summary, usage := s.Model.Summarize(b.String(), 60)
 		return agent.Outputs{

@@ -34,8 +34,8 @@ import (
 type compiledExpr func(row Row, params []Value) (Value, error)
 
 // compiledAggExpr evaluates an expression that may contain aggregates over
-// the rows of one group.
-type compiledAggExpr func(rows []Row, params []Value) (Value, error)
+// one group, reading the accumulators folded while its rows were scanned.
+type compiledAggExpr func(g *aggGroup, params []Value) (Value, error)
 
 // errStalePlan signals that a compiled plan no longer matches the live
 // schema (DDL raced the execution); the router recompiles and retries.
@@ -567,6 +567,138 @@ func applyBinaryValues(op string, l, r Value) (Value, error) {
 	return compareValues(op, l, r)
 }
 
+// aggFn is the fold an accumulator slot runs.
+type aggFn int
+
+const (
+	aggCount aggFn = iota
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+)
+
+// aggSlot is one aggregate call of the select items or HAVING, lowered at
+// compile time: every group of an execution carries one accumulator per
+// slot, folded as the group's rows are scanned.
+type aggSlot struct {
+	fn       aggFn
+	name     string // SQL name, for SUM/AVG's error text
+	distinct bool
+	arg      compiledExpr
+}
+
+// accumulator is the running state of one aggregate call over one group.
+// The zero value is the state over zero rows.
+type accumulator struct {
+	n      int     // values folded: non-NULL, first occurrence under DISTINCT
+	sum    float64 // SUM/AVG
+	nonInt bool    // SUM saw a value that is not an INT
+	best   Value   // MIN/MAX
+	seen   map[string]struct{}
+	// err is the first evaluation error of the argument: the accumulator
+	// stopped there. nonNumeric marks a SUM/AVG that met a non-numeric value:
+	// the interpreter type-checks only after it has evaluated every row, so
+	// the fold keeps evaluating (for an evaluation error, which outranks it)
+	// and stops adding.
+	err        error
+	nonNumeric bool
+}
+
+// fold adds one row of the group to acc. scratch is the execution's shared
+// DISTINCT key buffer.
+func (s *aggSlot) fold(acc *accumulator, row Row, params []Value, scratch *[]byte) {
+	if acc.err != nil {
+		return
+	}
+	v, err := s.arg(row, params)
+	if err != nil {
+		acc.err = err
+		return
+	}
+	if v.IsNull() {
+		return
+	}
+	switch s.fn {
+	case aggMin, aggMax:
+		// DISTINCT cannot change a min or max; skip the dedup work.
+		if acc.n == 0 {
+			acc.best = v
+		} else if c := Compare(v, acc.best); (s.fn == aggMin && c < 0) || (s.fn == aggMax && c > 0) {
+			acc.best = v
+		}
+		acc.n++
+		return
+	}
+	if s.distinct {
+		*scratch = appendValueKey((*scratch)[:0], v)
+		if _, dup := acc.seen[string(*scratch)]; dup {
+			return
+		}
+		if acc.seen == nil {
+			acc.seen = make(map[string]struct{})
+		}
+		acc.seen[string(*scratch)] = struct{}{}
+	}
+	if s.fn == aggCount {
+		acc.n++
+		return
+	}
+	if acc.nonNumeric {
+		return
+	}
+	f, ok := v.numeric()
+	if !ok {
+		acc.nonNumeric = true
+		return
+	}
+	if v.T != TInt {
+		acc.nonInt = true
+	}
+	acc.sum += f
+	acc.n++
+}
+
+// result is the aggregate's value over the rows folded so far, or the error
+// the interpreter would have raised computing it.
+func (s *aggSlot) result(acc *accumulator) (Value, error) {
+	if acc.err != nil {
+		return Null, acc.err
+	}
+	if acc.nonNumeric {
+		return Null, fmt.Errorf("relational: %s over non-numeric value", s.name)
+	}
+	switch s.fn {
+	case aggCount:
+		return NewInt(int64(acc.n)), nil
+	case aggMin, aggMax:
+		return acc.best, nil // Null over no values
+	}
+	if acc.n == 0 {
+		return Null, nil
+	}
+	if s.fn == aggAvg {
+		return NewFloat(acc.sum / float64(acc.n)), nil
+	}
+	if acc.nonInt {
+		return NewFloat(acc.sum), nil
+	}
+	return NewInt(int64(acc.sum)), nil
+}
+
+// aggGroup is one group of an aggregated SELECT while it is scanned: its
+// first row (non-aggregate subtrees evaluate on it), its row count (which is
+// COUNT(*)) and one accumulator per aggSlot of the program.
+type aggGroup struct {
+	first Row
+	n     int
+	accs  []accumulator
+}
+
+func (p *selectProgram) newAggGroup() *aggGroup {
+	return &aggGroup{accs: make([]accumulator, len(p.aggSlots))}
+}
+
 // compileOnFirst lowers a non-aggregate expression for use in aggregation
 // context: evaluated on the group's first row, Null over an empty group.
 func compileOnFirst(cols []envCol, x Expr) (compiledAggExpr, error) {
@@ -574,52 +706,52 @@ func compileOnFirst(cols []envCol, x Expr) (compiledAggExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(rows []Row, params []Value) (Value, error) {
-		if len(rows) == 0 {
+	return func(g *aggGroup, params []Value) (Value, error) {
+		if g.n == 0 {
 			return Null, nil
 		}
-		return f(rows[0], params)
+		return f(g.first, params)
 	}, nil
 }
 
 // compileAggExpr lowers an expression that may contain aggregates, mirroring
-// evalAgg: aggregate leaves stream over the group's rows, non-aggregate
-// subtrees evaluate on the first row.
-func compileAggExpr(cols []envCol, x Expr) (compiledAggExpr, error) {
+// evalAgg: each aggregate call gets an accumulator slot (appended to slots)
+// and reads its result, non-aggregate subtrees evaluate on the first row.
+func compileAggExpr(cols []envCol, x Expr, slots *[]aggSlot) (compiledAggExpr, error) {
 	switch v := x.(type) {
 	case *AggExpr:
-		return compileAgg(cols, v)
+		return compileAgg(cols, v, slots)
 	case *BinaryExpr:
 		if !hasAggregate(v) {
 			return compileOnFirst(cols, v)
 		}
-		l, err := compileAggExpr(cols, v.L)
+		l, err := compileAggExpr(cols, v.L, slots)
 		if err != nil {
 			return nil, err
 		}
-		r, err := compileAggExpr(cols, v.R)
+		r, err := compileAggExpr(cols, v.R, slots)
 		if err != nil {
 			return nil, err
 		}
 		op := v.Op
-		return func(rows []Row, params []Value) (Value, error) {
-			lv, err := l(rows, params)
+		return func(g *aggGroup, params []Value) (Value, error) {
+			lv, err := l(g, params)
 			if err != nil {
 				return Null, err
 			}
-			rv, err := r(rows, params)
+			rv, err := r(g, params)
 			if err != nil {
 				return Null, err
 			}
 			return applyBinaryValues(op, lv, rv)
 		}, nil
 	case *UnaryExpr:
-		inner, err := compileAggExpr(cols, v.E)
+		inner, err := compileAggExpr(cols, v.E, slots)
 		if err != nil {
 			return nil, err
 		}
-		return func(rows []Row, params []Value) (Value, error) {
-			val, err := inner(rows, params)
+		return func(g *aggGroup, params []Value) (Value, error) {
+			val, err := inner(g, params)
 			if err != nil {
 				return Null, err
 			}
@@ -630,140 +762,40 @@ func compileAggExpr(cols []envCol, x Expr) (compiledAggExpr, error) {
 	}
 }
 
-// compileAgg lowers one aggregate call into a streaming accumulator: no
-// per-group value slice is materialized, and DISTINCT deduplicates through
-// the binary key encoder over a reused scratch buffer.
-func compileAgg(cols []envCol, a *AggExpr) (compiledAggExpr, error) {
+// compileAgg lowers one aggregate call: COUNT(*) is the group's row count,
+// anything else takes the next accumulator slot and reads its result.
+func compileAgg(cols []envCol, a *AggExpr, slots *[]aggSlot) (compiledAggExpr, error) {
 	if a.Star {
-		return func(rows []Row, _ []Value) (Value, error) {
-			return NewInt(int64(len(rows))), nil
+		return func(g *aggGroup, _ []Value) (Value, error) {
+			return NewInt(int64(g.n)), nil
 		}, nil
 	}
 	arg, err := compileExpr(cols, a.Arg)
 	if err != nil {
 		return nil, err
 	}
-	distinct := a.Distinct
+	slot := aggSlot{name: a.Fn, distinct: a.Distinct, arg: arg}
 	switch a.Fn {
 	case "COUNT":
-		return func(rows []Row, params []Value) (Value, error) {
-			var seen map[string]struct{}
-			var scratch []byte
-			if distinct {
-				seen = make(map[string]struct{})
-			}
-			n := 0
-			for _, r := range rows {
-				v, err := arg(r, params)
-				if err != nil {
-					return Null, err
-				}
-				if v.IsNull() {
-					continue
-				}
-				if distinct {
-					scratch = appendValueKey(scratch[:0], v)
-					if _, dup := seen[string(scratch)]; dup {
-						continue
-					}
-					seen[string(scratch)] = struct{}{}
-				}
-				n++
-			}
-			return NewInt(int64(n)), nil
-		}, nil
-	case "SUM", "AVG":
-		fn := a.Fn
-		return func(rows []Row, params []Value) (Value, error) {
-			var seen map[string]struct{}
-			var scratch []byte
-			if distinct {
-				seen = make(map[string]struct{})
-			}
-			var sum float64
-			allInt := true
-			n := 0
-			// The interpreter collects all values (surfacing evaluation
-			// errors) before type-checking them, so a deferred pendingErr
-			// keeps the error precedence identical while streaming.
-			var pendingErr error
-			for _, r := range rows {
-				v, err := arg(r, params)
-				if err != nil {
-					return Null, err
-				}
-				if v.IsNull() {
-					continue
-				}
-				if distinct {
-					scratch = appendValueKey(scratch[:0], v)
-					if _, dup := seen[string(scratch)]; dup {
-						continue
-					}
-					seen[string(scratch)] = struct{}{}
-				}
-				if pendingErr != nil {
-					continue
-				}
-				f, ok := v.numeric()
-				if !ok {
-					pendingErr = fmt.Errorf("relational: %s over non-numeric value", fn)
-					continue
-				}
-				if v.T != TInt {
-					allInt = false
-				}
-				sum += f
-				n++
-			}
-			if pendingErr != nil {
-				return Null, pendingErr
-			}
-			if n == 0 {
-				return Null, nil
-			}
-			if fn == "AVG" {
-				return NewFloat(sum / float64(n)), nil
-			}
-			if allInt {
-				return NewInt(int64(sum)), nil
-			}
-			return NewFloat(sum), nil
-		}, nil
-	case "MIN", "MAX":
-		min := a.Fn == "MIN"
-		// DISTINCT cannot change a min or max; skip the dedup work.
-		return func(rows []Row, params []Value) (Value, error) {
-			best := Null
-			have := false
-			for _, r := range rows {
-				v, err := arg(r, params)
-				if err != nil {
-					return Null, err
-				}
-				if v.IsNull() {
-					continue
-				}
-				if !have {
-					best, have = v, true
-					continue
-				}
-				c := Compare(v, best)
-				if (min && c < 0) || (!min && c > 0) {
-					best = v
-				}
-			}
-			if !have {
-				return Null, nil
-			}
-			return best, nil
-		}, nil
+		slot.fn = aggCount
+	case "SUM":
+		slot.fn = aggSum
+	case "AVG":
+		slot.fn = aggAvg
+	case "MIN":
+		slot.fn = aggMin
+	case "MAX":
+		slot.fn = aggMax
 	default:
-		fn := a.Fn
-		return func([]Row, []Value) (Value, error) {
-			return Null, fmt.Errorf("relational: unknown aggregate %q", fn)
+		return func(*aggGroup, []Value) (Value, error) {
+			return Null, fmt.Errorf("relational: unknown aggregate %q", slot.name)
 		}, nil
 	}
+	i := len(*slots)
+	*slots = append(*slots, slot)
+	return func(g *aggGroup, _ []Value) (Value, error) {
+		return slot.result(&g.accs[i])
+	}, nil
 }
 
 // ---- SELECT compilation ----
@@ -794,10 +826,14 @@ type selectProgram struct {
 
 	aggregated bool
 	items      []itemProgram // non-aggregated projection
-	aggItems   []compiledAggExpr
-	groupBy    []int
-	having     compiledAggExpr
-	aggDesc    string // "GroupBy(n keys)" or "Aggregate"
+	// starOnly marks an item list that is a lone `*`: the projection of a row
+	// is the row itself, so the result aliases stored (or joined) rows.
+	starOnly bool
+	aggItems []compiledAggExpr
+	aggSlots []aggSlot // accumulator slots of aggItems and having, in that order
+	groupBy  []int
+	having   compiledAggExpr
+	aggDesc  string // "GroupBy(n keys)" or "Aggregate"
 
 	orderBy  []orderProgram
 	sortDesc string
@@ -922,7 +958,7 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 				return nil, errUncompilable
 			}
 			p.columns = append(p.columns, itemName(it))
-			f, err := compileAggExpr(cols, it.Expr)
+			f, err := compileAggExpr(cols, it.Expr, &p.aggSlots)
 			if err != nil {
 				return nil, err
 			}
@@ -938,7 +974,7 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 			p.groupBy = append(p.groupBy, i)
 		}
 		if sel.Having != nil {
-			f, err := compileAggExpr(cols, sel.Having)
+			f, err := compileAggExpr(cols, sel.Having, &p.aggSlots)
 			if err != nil {
 				return nil, err
 			}
@@ -965,6 +1001,7 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 			p.items = append(p.items, itemProgram{f: f})
 			p.outWidth++
 		}
+		p.starOnly = len(sel.Items) == 1 && sel.Items[0].Star
 	}
 
 	for _, ob := range sel.OrderBy {
@@ -1554,61 +1591,63 @@ func (db *DB) runSelectTail(p *selectProgram, iter rowIter, params []Value, plan
 }
 
 // runAggregate executes the grouped/aggregated tail of a compiled SELECT:
-// fused filter+group with binary bucket keys, streaming accumulators per
-// item, then HAVING, DISTINCT, ORDER BY (output columns only) and
+// fused filter+group with binary bucket keys, every passing row folded into
+// its group's accumulators as it is scanned (no row is kept but each group's
+// first), then HAVING, DISTINCT, ORDER BY (output columns only) and
 // OFFSET/LIMIT with the interpreter's plan-line behaviour.
+//
+// Errors surface in the interpreter's order although the work is fused: a
+// WHERE error at any row ends the scan, so it precedes every aggregate error;
+// an accumulator keeps the first error its argument raised (in row order) and
+// raises it only when its result is read, which happens group by group, HAVING
+// before the items, items left to right — a group HAVING rejects never
+// reports what its items met.
 func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planLines *[]string) (*Result, error) {
 	sel := p.sel
-	type aggGroup struct{ rows []Row }
 	var groups []*aggGroup
+	var byKey map[string]*aggGroup
 	if len(p.groupBy) == 0 {
-		g := &aggGroup{}
-		err := iter(func(r Row) error {
-			if p.where != nil {
-				v, err := p.where(r, params)
-				if err != nil {
-					return err
-				}
-				if !truthy(v) {
-					return nil
-				}
-			}
-			g.rows = append(g.rows, r)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		groups = append(groups, g)
+		// The global group exists over empty input too.
+		groups = []*aggGroup{p.newAggGroup()}
 	} else {
-		byKey := make(map[string]*aggGroup)
-		var scratch []byte
-		err := iter(func(r Row) error {
-			if p.where != nil {
-				v, err := p.where(r, params)
-				if err != nil {
-					return err
-				}
-				if !truthy(v) {
-					return nil
-				}
+		byKey = make(map[string]*aggGroup)
+	}
+	var scratch []byte
+	err := iter(func(r Row) error {
+		if p.where != nil {
+			v, err := p.where(r, params)
+			if err != nil {
+				return err
 			}
+			if !truthy(v) {
+				return nil
+			}
+		}
+		var g *aggGroup
+		if byKey == nil {
+			g = groups[0]
+		} else {
 			scratch = scratch[:0]
 			for _, gi := range p.groupBy {
 				scratch = appendValueKey(scratch, r[gi])
 			}
-			g := byKey[string(scratch)]
-			if g == nil {
-				g = &aggGroup{}
+			if g = byKey[string(scratch)]; g == nil {
+				g = p.newAggGroup()
 				byKey[string(scratch)] = g
 				groups = append(groups, g)
 			}
-			g.rows = append(g.rows, r)
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
+		if g.n == 0 {
+			g.first = r
+		}
+		g.n++
+		for i := range p.aggSlots {
+			p.aggSlots[i].fold(&g.accs[i], r, params, &scratch)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if p.where != nil {
 		if p.sel.Explain {
@@ -1618,22 +1657,10 @@ func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planL
 
 	out := &Result{Columns: p.columns}
 	for _, g := range groups {
-		if len(p.groupBy) == 0 && len(g.rows) == 0 {
-			// Global aggregate over empty input yields one row; HAVING is
-			// not consulted (interpreter behaviour).
-			or := make(Row, 0, p.outWidth)
-			for _, f := range p.aggItems {
-				v, err := f(g.rows, params)
-				if err != nil {
-					return nil, err
-				}
-				or = append(or, v)
-			}
-			out.Rows = append(out.Rows, or)
-			continue
-		}
-		if p.having != nil {
-			hv, err := p.having(g.rows, params)
+		// A global aggregate over empty input yields one row without
+		// consulting HAVING (interpreter behaviour).
+		if p.having != nil && g.n > 0 {
+			hv, err := p.having(g, params)
 			if err != nil {
 				return nil, err
 			}
@@ -1643,7 +1670,7 @@ func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planL
 		}
 		or := make(Row, 0, p.outWidth)
 		for _, f := range p.aggItems {
-			v, err := f(g.rows, params)
+			v, err := f(g, params)
 			if err != nil {
 				return nil, err
 			}
@@ -1716,8 +1743,13 @@ func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLin
 	sel := p.sel
 	out := &Result{Columns: p.columns}
 
+	// A lone `*` projects a row onto itself: the result shares the stored (or
+	// joined) row, which nothing writes again, instead of copying it.
 	arena := newRowArena(p.outWidth)
 	project := func(r Row) (Row, error) {
+		if p.starOnly {
+			return r, nil
+		}
 		or := arena.next()
 		for _, it := range p.items {
 			if it.star {
@@ -1731,6 +1763,14 @@ func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLin
 			or = append(or, v)
 		}
 		return or, nil
+	}
+
+	// unproject hands a dropped DISTINCT duplicate back to the arena — unless
+	// the row was never taken from it.
+	unproject := func() {
+		if !p.starOnly {
+			arena.release()
+		}
 	}
 
 	var seen map[string]struct{}
@@ -1773,7 +1813,7 @@ func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLin
 			}
 			scratch = appendRowKey(scratch[:0], or)
 			if _, dup := seen[string(scratch)]; dup {
-				arena.release()
+				unproject()
 				return nil
 			}
 			if need >= 0 && len(out.Rows) == need {
@@ -1848,7 +1888,7 @@ func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLin
 		if seen != nil {
 			scratch = appendRowKey(scratch[:0], or)
 			if _, dup := seen[string(scratch)]; dup {
-				arena.release()
+				unproject()
 				return nil
 			}
 			seen[string(scratch)] = struct{}{}
@@ -2042,6 +2082,10 @@ func (db *DB) runUpdateProgram(p *updateProgram, params []Value) (*Result, error
 				return nil
 			}
 		}
+		// Stored rows are immutable (readers hold them past the lock): the
+		// statement installs a copy and writes only that.
+		row = CloneRow(row)
+		t.rows[id] = row
 		for _, tg := range p.targets {
 			nv, err := tg.f(row, params)
 			if err != nil {

@@ -532,3 +532,74 @@ func TestAppendValueKeyMatchesKeyEquivalence(t *testing.T) {
 		t.Fatal("row keys collide across value boundaries")
 	}
 }
+
+// TestDifferentialAccumulatorOrder pins the shapes whose order of events
+// changed when aggregates started folding during the scan: the compiled
+// engine evaluates an aggregate's argument while later rows are still to be
+// filtered, and every aggregate of a group at once, yet must report what the
+// interpreter reports — a WHERE error at any row first, then group by group,
+// HAVING before the items, items left to right, rows in order, SUM's
+// type error after every evaluation error.
+func TestDifferentialAccumulatorOrder(t *testing.T) {
+	// `city = 'Oakland' OR id = ?` with the parameter unbound raises "missing
+	// parameter" on exactly the rows the left side does not short-circuit.
+	corpus := []struct {
+		sql    string
+		params []any
+	}{
+		// Evaluation error inside an aggregate argument, in some groups only.
+		{`SELECT city, COUNT((city = 'Oakland' OR id = ?)) FROM jobs GROUP BY city`, nil},
+		{`SELECT city, COUNT((city = 'Oakland' OR id = ?)) FROM jobs WHERE city = 'Oakland' GROUP BY city`, nil},
+		// ... against a WHERE error on a later row: WHERE wins.
+		{`SELECT city, COUNT((city = 'Oakland' OR id = ?)) FROM jobs WHERE id < 30 OR title = ? GROUP BY city`, nil},
+		{`SELECT COUNT((id < 5 OR id = ?)) FROM jobs WHERE id < 50 OR title = ?`, nil},
+		// ... against a later item and against HAVING of the same group.
+		{`SELECT city, MIN(salary), COUNT((id < 0 OR id = ?)), SUM(title) FROM jobs GROUP BY city`, nil},
+		{`SELECT city, SUM(title), COUNT((id < 0 OR id = ?)) FROM jobs GROUP BY city`, nil},
+		{`SELECT city, SUM(title) FROM jobs GROUP BY city HAVING COUNT((id < 0 OR id = ?)) > 0`, nil},
+		// A group HAVING rejects never reports its items' errors.
+		{`SELECT city, COUNT((city = 'Oakland' OR id = ?)) FROM jobs GROUP BY city HAVING city = 'Oakland'`, nil},
+		{`SELECT city, SUM(title) FROM jobs GROUP BY city HAVING COUNT(*) > 1000`, nil},
+		// A missing parameter inside SUM(?): over zero rows, over one row, grouped.
+		{`SELECT SUM(?) FROM jobs WHERE id > 1000`, nil},
+		{`SELECT SUM(?), COUNT(*) FROM jobs WHERE id = 3`, nil},
+		{`SELECT SUM(?) FROM jobs WHERE id = 3`, []any{7}},
+		{`SELECT city, SUM(?) FROM jobs WHERE id > 1000 GROUP BY city`, nil},
+		{`SELECT city, AVG(?) FROM jobs GROUP BY city ORDER BY city`, []any{2.5}},
+		// SUM over a non-numeric value, then an evaluation error on a later
+		// row: `remote = TRUE OR id = ?` is a BOOL where it short-circuits.
+		{`SELECT SUM((remote = TRUE OR id = ?)) FROM jobs`, nil},
+		{`SELECT city, AVG((remote = TRUE OR id = ?)) FROM jobs GROUP BY city`, nil},
+		{`SELECT SUM((remote = TRUE OR id = ?)) FROM jobs WHERE remote = TRUE`, nil},
+		{`SELECT SUM(DISTINCT title), COUNT((id < 0 OR id = ?)) FROM jobs`, nil},
+		// Nested aggregate: an evaluation error on every row, none over zero rows.
+		{`SELECT MAX(COUNT(id)) FROM jobs`, nil},
+		{`SELECT MAX(COUNT(id)) FROM jobs WHERE id > 1000`, nil},
+		// HAVING on an aggregate that is not in the select list.
+		{`SELECT city FROM jobs GROUP BY city HAVING MAX(salary) > 110000 ORDER BY city`, nil},
+		{`SELECT city, COUNT(*) AS n FROM jobs GROUP BY city HAVING SUM(DISTINCT salary) > ? AND MIN(title) < 'M' ORDER BY city`, []any{500000}},
+		{`SELECT title FROM jobs GROUP BY title HAVING NOT COUNT(salary) = COUNT(*)`, nil},
+		// DISTINCT aggregates over NULLs and duplicates.
+		{`SELECT COUNT(DISTINCT salary), AVG(DISTINCT salary), COUNT(salary), AVG(salary) FROM jobs`, nil},
+		{`SELECT city, COUNT(DISTINCT title), AVG(DISTINCT salary), SUM(DISTINCT company_id) FROM jobs GROUP BY city ORDER BY city`, nil},
+		{`SELECT status, COUNT(DISTINCT score), AVG(DISTINCT score), MIN(DISTINCT score), MAX(DISTINCT score) FROM apps GROUP BY status ORDER BY status`, nil},
+		{`SELECT COUNT(DISTINCT city), COUNT(DISTINCT remote) FROM jobs WHERE city IS NULL`, nil},
+		// Global aggregate over empty input with HAVING present: one row,
+		// HAVING not consulted.
+		{`SELECT COUNT(*), SUM(salary), MIN(title), title FROM jobs WHERE id > 1000 HAVING COUNT(*) > 5`, nil},
+		{`SELECT COUNT(*) FROM jobs WHERE id > 1000 HAVING SUM(?) > 5`, nil},
+		{`SELECT COUNT(*) FROM jobs HAVING COUNT(*) > 1000`, nil},
+		{`SELECT city, COUNT(*) FROM jobs WHERE id > 1000 GROUP BY city HAVING COUNT(*) > 5`, nil},
+		// Mixed items: a column beside expressions over several aggregates of it.
+		{`SELECT city, MIN(salary) < MAX(salary), COUNT(salary) = COUNT(*) FROM jobs GROUP BY city ORDER BY city`, nil},
+		{`SELECT salary, MIN(salary) = MAX(salary) AND COUNT(DISTINCT salary) = 1 AS same FROM jobs GROUP BY salary ORDER BY salary`, nil},
+		{`SELECT title, city, AVG(salary) > MIN(salary) OR salary IS NULL FROM jobs GROUP BY title ORDER BY title`, nil},
+		{`SELECT c.size, MAX(j.salary) >= AVG(j.salary), COUNT(DISTINCT j.city) FROM jobs j LEFT JOIN companies c ON j.company_id = c.id GROUP BY c.size ORDER BY size`, nil},
+	}
+	for _, seed := range []int64{41, 42, 43} {
+		db := diffDB(t, seed)
+		for _, c := range corpus {
+			runBoth(t, db, c.sql, c.params...)
+		}
+	}
+}

@@ -54,9 +54,9 @@ func (db *DB) execInsert(ins *InsertStmt, params []Value) (*Result, error) {
 	return affected(n), nil
 }
 
-// execUpdateInterp rewrites matching rows in place, maintaining indexes,
-// evaluating the WHERE predicate and SET expressions through the interpreted
-// evaluator. The compiled path (compile.go) mirrors this loop with
+// execUpdateInterp replaces matching rows with updated copies, maintaining
+// indexes, evaluating the WHERE predicate and SET expressions through the
+// interpreted evaluator. The compiled path (compile.go) mirrors this loop with
 // offset-resolved closures; this version is its semantic oracle.
 func (db *DB) execUpdateInterp(up *UpdateStmt, params []Value) (*Result, error) {
 	t, err := db.table(up.Table)
@@ -101,6 +101,11 @@ func (db *DB) execUpdateInterp(up *UpdateStmt, params []Value) (*Result, error) 
 				continue
 			}
 		}
+		// Stored rows are immutable (readers hold them past the lock): install
+		// a copy and apply the SET targets to it, each seeing the ones before.
+		row := CloneRow(e.row)
+		t.rows[id] = row
+		e.row = row
 		for _, tg := range targets {
 			nv, err := eval(e, tg.expr, params)
 			if err != nil {
@@ -110,14 +115,14 @@ func (db *DB) execUpdateInterp(up *UpdateStmt, params []Value) (*Result, error) 
 			if err != nil {
 				return nil, fmt.Errorf("column %q: %w", t.schema.Columns[tg.col].Name, err)
 			}
-			old := t.rows[id][tg.col]
+			old := row[tg.col]
 			for _, ix := range t.indexes {
 				if ix.col == tg.col {
 					ix.remove(id, old)
 					ix.add(id, cv)
 				}
 			}
-			t.rows[id][tg.col] = cv
+			row[tg.col] = cv
 		}
 		n++
 	}

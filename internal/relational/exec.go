@@ -10,11 +10,15 @@ import (
 	"blueprint/internal/obs"
 )
 
-// Result is the outcome of a query.
+// Result is the outcome of a query. It is read-only: a result may share its
+// rows with the table (a compiled `SELECT *` returns the stored rows
+// themselves, which are immutable — an UPDATE installs a new row rather than
+// writing the old one) and with other results of the same statement, so a
+// caller that wants to change a cell copies the row first (CloneRow).
 type Result struct {
 	// Columns are the output column names.
 	Columns []string
-	// Rows are the result tuples.
+	// Rows are the result tuples. Do not write their cells or append to them.
 	Rows []Row
 	// Plan describes the chosen access path (always populated for SELECT;
 	// EXPLAIN returns only this).

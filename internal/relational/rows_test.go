@@ -1,0 +1,187 @@
+package relational
+
+import (
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+)
+
+// Stored rows are immutable and shared: an UPDATE installs a copy, so whatever
+// holds a row past the table's read lock — a group's first row, a join side, a
+// snapshot, a `SELECT *` result — reads one version of it.
+
+// TestConcurrentUpdateReaders runs compiled and interpreted readers that keep
+// stored rows past the read lock (GROUP BY, SELECT *, a two-table JOIN) beside
+// a writer issuing indexed and unindexed UPDATEs and DELETEs on both paths.
+// When UPDATE wrote cells in place this failed under -race (`make race`).
+func TestConcurrentUpdateReaders(t *testing.T) {
+	db := diffDB(t, 19)
+
+	// A result taken before an UPDATE keeps reading the old values after it.
+	before := mustQuery(t, db, `SELECT * FROM jobs WHERE id < 10`)
+	want := make([]Row, len(before.Rows))
+	for i, r := range before.Rows {
+		want[i] = CloneRow(r)
+	}
+	if n := mustExec(t, db, `UPDATE jobs SET salary = 1, title = 'rewritten', remote = FALSE WHERE id < 10`); n != len(want) {
+		t.Fatalf("UPDATE touched %d rows, want %d", n, len(want))
+	}
+	if !reflect.DeepEqual(before.Rows, want) {
+		t.Fatalf("a SELECT * result changed under a later UPDATE:\n got %v\nwant %v", before.Rows, want)
+	}
+	if got := mustQuery(t, db, `SELECT salary FROM jobs WHERE id = 3`); got.Rows[0][0].I != 1 {
+		t.Fatalf("the UPDATE is not visible to a later read: %v", got.Rows)
+	}
+
+	readers := []string{
+		`SELECT city, AVG(salary), MIN(title), COUNT(DISTINCT company_id) FROM jobs GROUP BY city`,
+		`SELECT * FROM jobs WHERE salary > 1`,
+		`SELECT j.id, j.salary, c.name FROM jobs j JOIN companies c ON j.company_id = c.id`,
+	}
+	const rounds = 200
+	var wg sync.WaitGroup
+	for _, sql := range readers {
+		st, err := Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Query runs the compiled plan, Run the interpreter.
+		for _, read := range []func() (*Result, error){
+			func() (*Result, error) { return db.Query(sql) },
+			func() (*Result, error) { return db.Run(st) },
+		} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					res, err := read()
+					if err != nil {
+						t.Errorf("%s: %v", sql, err)
+						return
+					}
+					// Read every cell after the statement has returned.
+					for _, r := range res.Rows {
+						for _, v := range r {
+							_ = v.String()
+						}
+					}
+				}
+			}()
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		byID, err := Parse(`UPDATE jobs SET salary = ?, company_id = ? WHERE id = ?`)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < rounds; i++ {
+			var err error
+			switch i % 4 {
+			case 0: // unindexed predicate, compiled
+				_, err = db.Exec(`UPDATE jobs SET salary = ?, company_id = ? WHERE id = ?`, 90000+i, i%8, i%60)
+			case 1: // index-served predicate, rewriting the indexed columns
+				_, err = db.Exec(`UPDATE jobs SET salary = ?, city = 'Austin' WHERE city = 'Oakland' AND id < ?`, 95000+i, i%60)
+			case 2: // interpreted
+				_, err = db.Run(byID, 97000+i, i%8, (i+7)%60)
+			default:
+				_, err = db.Exec(`DELETE FROM jobs WHERE id = ?`, 59-i/4%20)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}
+
+// TestGroupByAllocationsIndependentOfRows: a compiled GROUP BY keeps an
+// accumulator per group and no row but each group's first, so ten times the
+// rows in the same groups cost the same number of allocations.
+func TestGroupByAllocationsIndependentOfRows(t *testing.T) {
+	const sql = `SELECT city, COUNT(*), AVG(salary), MIN(title), COUNT(DISTINCT title) FROM jobs WHERE salary >= 90000 GROUP BY city HAVING MAX(salary) > 0`
+	allocs := func(rows int) float64 {
+		db := allocDB(t, rows, 0)
+		st, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if res, err := st.Query(); err != nil || len(res.Rows) != 5 {
+				t.Fatalf("%d groups, err %v", len(res.Rows), err)
+			}
+		})
+	}
+	small, large := allocs(500), allocs(5000)
+	if d := large - small; d > 2 || d < -2 {
+		t.Fatalf("GROUP BY allocates %.0f objects over 500 rows and %.0f over 5000: it grows with its input", small, large)
+	}
+}
+
+// TestSelectStarSharesStoredRows: `SELECT * … WHERE` returns the stored rows
+// themselves — no Value arena — so what it allocates does not depend on how
+// wide the table is.
+func TestSelectStarSharesStoredRows(t *testing.T) {
+	const sql = `SELECT * FROM jobs WHERE salary >= 150000`
+	bytesPerRun := func(pad int) (float64, *Result) {
+		db := allocDB(t, 2000, pad)
+		st, err := db.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := st.Query()
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 20
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			if _, err := st.Query(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / runs, res
+	}
+	narrow, res := bytesPerRun(0)
+	wide, wideRes := bytesPerRun(36)
+	if len(res.Rows) == 0 || len(res.Rows) != len(wideRes.Rows) || len(wideRes.Rows[0]) != len(res.Rows[0])+36 {
+		t.Fatalf("fixture: %d rows of %d cells vs %d rows of %d cells", len(res.Rows), len(res.Rows[0]), len(wideRes.Rows), len(wideRes.Rows[0]))
+	}
+	// One 40-cell Value row is ~2 KB; a copy of each result row would put the
+	// wide table far beyond this.
+	if wide > narrow*1.1+1024 {
+		t.Fatalf("SELECT * allocates %.0f B over 4-column rows and %.0f B over 40-column rows: it copies cells", narrow, wide)
+	}
+}
+
+// allocDB builds a jobs table of the given size whose rows fall into five
+// city groups, with pad extra INT columns.
+func allocDB(t testing.TB, rows, pad int) *DB {
+	t.Helper()
+	schema := Schema{Columns: []Column{{Name: "id", Type: TInt}, {Name: "title", Type: TString}, {Name: "city", Type: TString}, {Name: "salary", Type: TInt}}}
+	for i := 0; i < pad; i++ {
+		schema.Columns = append(schema.Columns, Column{Name: "pad" + string(rune('a'+i/26)) + string(rune('a'+i%26)), Type: TInt})
+	}
+	db := NewDB()
+	if err := db.CreateTable("jobs", schema); err != nil {
+		t.Fatal(err)
+	}
+	cities := []string{"San Francisco", "Oakland", "Seattle", "New York", "Austin"}
+	titles := []string{"Data Scientist", "ML Engineer", "Analyst"}
+	for i := 0; i < rows; i++ {
+		row := Row{NewInt(int64(i)), NewString(titles[i%len(titles)]), NewString(cities[i%len(cities)]), NewInt(int64(90000 + i%160*1000))}
+		for j := 0; j < pad; j++ {
+			row = append(row, NewInt(int64(j)))
+		}
+		if err := db.Insert("jobs", row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
