@@ -7,7 +7,6 @@ package blueprint_test
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +16,7 @@ import (
 	"blueprint/internal/budget"
 	"blueprint/internal/cluster"
 	"blueprint/internal/dataplan"
+	"blueprint/internal/durability"
 	"blueprint/internal/graphstore"
 	"blueprint/internal/llm"
 	"blueprint/internal/optimizer"
@@ -300,7 +300,7 @@ func BenchmarkFig10_OpenQuery(b *testing.B) {
 }
 
 // BenchmarkAblation_MultiSessionAsk measures 4 sessions asking concurrently
-// through the event-driven display pipeline (A5): with subscription-driven
+// through the event-driven display pipeline: with subscription-driven
 // waits (no sleep polling) the wall-clock per round approaches the slowest
 // single session, not the sum.
 func BenchmarkAblation_MultiSessionAsk(b *testing.B) {
@@ -399,14 +399,23 @@ func BenchmarkAblation_StreamsAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_StreamsAppendWAL measures appends with write-ahead-log
-// persistence enabled.
+// BenchmarkAblation_StreamsAppendWAL measures appends logged through the
+// durability engine, the way a System with DataDir persists its streams.
 func BenchmarkAblation_StreamsAppendWAL(b *testing.B) {
-	store, err := streams.Open(streams.Options{WALPath: filepath.Join(b.TempDir(), "bench.wal")})
+	const subStreams = 4
+	store := streams.NewStore()
+	eng, err := durability.Open(b.TempDir(), durability.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { store.Close() })
+	b.Cleanup(func() { store.Close(); eng.Close() })
+	if err := eng.Register(subStreams, "streams", store); err != nil {
+		b.Fatal(err)
+	}
+	store.SetDurable(eng.Logger(subStreams).Append)
+	if err := eng.Recover(); err != nil {
+		b.Fatal(err)
+	}
 	if _, err := store.CreateStream("s", streams.StreamInfo{}); err != nil {
 		b.Fatal(err)
 	}

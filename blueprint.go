@@ -38,12 +38,11 @@
 // (CREATE/DROP TABLE recompiles; CREATE INDEX is picked up by the runtime
 // access-path planner without recompiling). Effectiveness is observable:
 // DB.CacheStats reports hits, misses, evictions, invalidations, plan
-// compiles and the hit rate; `go run ./cmd/benchharness -fig A4` prints the
-// cached versus re-parse throughput of the agent-suite query mix, and
-// `-fig A7` the compiled-versus-interpreted ablation (filtered scan, 3-way
-// join, GROUP BY). The relational benchmarks (`make bench`,
-// BenchmarkPointQueryUncached/Cached/Prepared and the
-// *Interpreted/*Compiled pairs) measure the same effects per query.
+// compiles, interpreted executions and the hit rate. The relational
+// benchmarks (`make bench`, BenchmarkPointQueryUncached/Cached/Prepared and
+// the *Interpreted/*Compiled pairs) measure the effects per query; the repo
+// benchmark (benchmark/) tracks them per ask as relational.shape_hit_ratio,
+// relational.compiles and the relational.*_us probes.
 //
 // # Step-result memoization
 //
@@ -68,7 +67,7 @@
 // (logical DML/DDL records, table + schema-version snapshots), the memo
 // store (cacheable step results, version-checked at restore against the
 // recovered registries), both registries (snapshot-only) and the streams
-// store (its stand-alone JSON WAL migrated onto the shared engine). A
+// store (every stream creation and message, as JSON record bodies). A
 // restarted System recovers all of it — snapshot restore plus log replay,
 // with a torn final record truncated rather than fatal — so a repeated
 // ask after a restart is a memo hit instead of a cold re-execution.
@@ -108,10 +107,6 @@ type Config struct {
 	ModelTier llm.Tier
 	// ModelAccuracy overrides the tier's accuracy when in (0, 1].
 	ModelAccuracy float64
-	// WALPath enables stand-alone stream persistence to the given file
-	// (legacy single-file JSON WAL). Ignored when DataDir is set — the
-	// shared durability engine then persists streams too.
-	WALPath string
 	// DataDir enables the durability subsystem: one segmented write-ahead
 	// log + snapshot directory shared by the relational engine, the memo
 	// store, both registries and the streams store. Opening a System over

@@ -172,10 +172,12 @@ func TestDuplicateSessionID(t *testing.T) {
 	}
 }
 
+// TestWALPersistenceThroughFacade: a conversation held through the facade is
+// in the shared log the moment it happens — a crashed System (no snapshot)
+// reopened over the same DataDir replays it.
 func TestWALPersistenceThroughFacade(t *testing.T) {
 	dir := t.TempDir()
-	path := dir + "/blueprint.wal"
-	sys, err := New(Config{WALPath: path})
+	sys, err := New(Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,18 +189,20 @@ func TestWALPersistenceThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	sid := s.ID
-	s.Close()
-	sys.Close()
+	flowLen := len(s.Flow())
+	sys.SimulateCrash()
 
-	// Recover and replay the conversation.
-	store, err := streams.Open(streams.Options{WALPath: path})
+	sys2, err := New(Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
-	history := store.History(sid)
-	if len(history) < 5 {
-		t.Fatalf("recovered history = %d messages", len(history))
+	defer sys2.Close()
+	if sys2.DurabilityStats().Recovery.SnapshotRestored {
+		t.Fatal("crash restart restored a snapshot: the history did not come from the log")
+	}
+	history := sys2.Store.History(sid)
+	if len(history) < 5 || len(history) < flowLen {
+		t.Fatalf("recovered history = %d messages, want the %d of the conversation", len(history), flowLen)
 	}
 	found := false
 	for _, m := range history {

@@ -460,6 +460,9 @@ func TestConcurrentFanOutExecutesInParallel(t *testing.T) {
 	fe := newFanEnv(t, n, 40*time.Millisecond)
 	c := New(fe.store, fe.reg, fe.tp, fe.model, Options{})
 	plan := fanOutPlan(n)
+	if waves, err := plan.Waves(); err != nil || len(waves) != 2 {
+		t.Fatalf("fan-out plan schedules as %v (err %v), want 2 waves: the fan, then the join", waves, err)
+	}
 
 	start := time.Now()
 	res, err := c.ExecutePlan(sess, plan, budget.New(budget.Limits{}))

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -257,14 +261,20 @@ func TestBuildTargetSeesEveryCommittedWrite(t *testing.T) {
 	}
 }
 
+var nl2qSeeds = []string{
+	"How many jobs are in Seattle?",
+	"average salary per city for salary over 140500",
+	"I am looking for a data scientist position in SF bay area.",
+}
+
 // FuzzNL2Q: whatever the utterance, Compile against the fixture's jobs
 // target does not panic and emits SQL the engine parses and executes. Seeds:
 // the benchmark's three utterance shapes here, and under testdata/fuzz the
 // numbers strconv reads and the SQL lexer does not.
 func FuzzNL2Q(f *testing.F) {
-	f.Add("How many jobs are in Seattle?")
-	f.Add("average salary per city for salary over 140500")
-	f.Add("I am looking for a data scientist position in SF bay area.")
+	for _, u := range nl2qSeeds {
+		f.Add(u)
+	}
 	fx := newFixture(f, 1.0)
 	f.Fuzz(func(t *testing.T, utterance string) {
 		c, err := nlq.Compile(utterance, fx.bind.Target)
@@ -275,4 +285,44 @@ func FuzzNL2Q(f *testing.F) {
 			t.Fatalf("Compile(%q) = %q: %v", utterance, c.SQL, err)
 		}
 	})
+}
+
+// TestNL2QCorpusRunsCompiled: every statement NL2Q emits for FuzzNL2Q's seed
+// corpus (nl2qSeeds and testdata/fuzz/FuzzNL2Q) runs as a compiled program —
+// none is silently routed to the interpreter. The number the change that
+// retires the interpreter as a runtime path starts from.
+func TestNL2QCorpusRunsCompiled(t *testing.T) {
+	corpus := append([]string(nil), nl2qSeeds...)
+	files, err := filepath.Glob("testdata/fuzz/FuzzNL2Q/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("fuzz corpus: %d files, err %v", len(files), err)
+	}
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// "go test fuzz v1\nstring(<quoted>)\n"
+		_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\nstring(")
+		u, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a one-string fuzz corpus file (%v)", file, err)
+		}
+		corpus = append(corpus, u)
+	}
+	fx := newFixture(t, 1.0)
+	fx.db.ResetCacheStats()
+	for _, u := range corpus {
+		c, err := nlq.Compile(u, fx.bind.Target)
+		if err != nil {
+			t.Fatalf("Compile(%q): %v", u, err)
+		}
+		before := fx.db.CacheStats().InterpretedExecs
+		if _, err := fx.db.Query(c.SQL); err != nil {
+			t.Fatalf("Compile(%q) = %q: %v", u, c.SQL, err)
+		}
+		if fx.db.CacheStats().InterpretedExecs != before {
+			t.Errorf("Compile(%q) = %q ran interpreted", u, c.SQL)
+		}
+	}
 }

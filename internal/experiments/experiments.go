@@ -1,8 +1,12 @@
 // Package experiments regenerates every figure of the paper as a measured
 // table (the paper has no numeric tables; Figures 1-10 are its evaluation
-// surface). Each Fig* function runs the corresponding system behaviour and
-// returns the series recorded in EXPERIMENTS.md. cmd/benchharness prints
-// them; bench_test.go wraps the same paths as testing.B benchmarks.
+// surface), plus the ablations that enforce an invariant nothing else does
+// (A1-A3, A6, A8, A11, A12). Each Fig* function runs the corresponding
+// system behaviour and returns the series recorded in EXPERIMENTS.md.
+// cmd/benchharness prints them; bench_test.go wraps the same paths as
+// testing.B benchmarks. How fast the system is — per ask and per layer, with
+// stated noise — is the repo benchmark's job (benchmark/, BENCHMARK.json),
+// not a table's.
 package experiments
 
 import (
@@ -32,7 +36,7 @@ type Row struct {
 // Table is one experiment's result. The JSON shape is what benchharness
 // -json writes as BENCH_<ID>.json for CI artifacts.
 type Table struct {
-	ID    string   `json:"id"` // "F1".."F10", "A1".."A12"
+	ID    string   `json:"id"` // "F1".."F10", "A1".."A12" (A4, A5, A7, A9, A10 retired)
 	Title string   `json:"title"`
 	Rows  []Row    `json:"rows"`
 	Notes []string `json:"notes,omitempty"`
@@ -82,13 +86,8 @@ func All(seed int64) ([]*Table, error) {
 		{"A1", AblationBudget},
 		{"A2", AblationOptimizer},
 		{"A3", AblationStreams},
-		{"A4", AblationPlanCache},
-		{"A5", AblationScheduler},
 		{"A6", AblationMemo},
-		{"A7", AblationCompile},
 		{"A8", AblationDurability},
-		{"A9", FrontendShapeCache},
-		{"A10", AblationObservability},
 		{"A11", AblationResilience},
 		{"A12", FlightRecorder},
 	}

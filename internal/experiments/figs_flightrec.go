@@ -23,9 +23,8 @@ import (
 // overload, and the experiment reads back what the observability plane
 // captured — slow-ask exemplars with span trees and event slices, the
 // structured event log, and per-tenant SLO burn rates scraped from
-// /metrics like a dashboard would. A second phase reuses A10's
-// paired-ratio methodology to price the event log + recorder on the hot
-// path.
+// /metrics like a dashboard would. A second phase prices the event log +
+// recorder on the hot path by paired ratio.
 //
 // Enforced floors: the overload phase sheds (the governor engaged) and
 // captures exemplars; every exemplar carries >= 1 resilience event; at
@@ -275,7 +274,7 @@ func FlightRecorder(seed int64) (*Table, error) {
 		return nil, fmt.Errorf("A12: tracer retains %d session rings, bound %d", n, obs.DefaultMaxSessions)
 	}
 
-	// Phase two: what does the recorder plane cost? A10's paired-ratio
+	// Phase two: what does the recorder plane cost? Paired-ratio
 	// methodology — fresh system per batch, memo-warm governed asks,
 	// min-of-N per mode, best back-to-back pair — with the event log and
 	// recorder fully off versus on at debug.

@@ -12,6 +12,7 @@ import (
 	"blueprint/internal/coordinator"
 	"blueprint/internal/llm"
 	"blueprint/internal/registry"
+	"blueprint/internal/relational"
 	"blueprint/internal/streams"
 	"blueprint/internal/trace"
 	"blueprint/internal/workload"
@@ -372,5 +373,37 @@ func TestAgenticEmployerSignalRouting(t *testing.T) {
 	}
 	if out.Values["QUERY"] != "how many jobs" || len(out.Tags) != 1 || out.Tags[0] != TagNLQ {
 		t.Fatalf("open query routing = %+v", out)
+	}
+}
+
+// TestSuiteStatementsRunCompiled: each of the suite's prepared statements
+// runs as a compiled program, none silently on the interpreter
+// (relational.CacheStats.InterpretedExecs stays 0).
+func TestSuiteStatementsRunCompiled(t *testing.T) {
+	ent, err := workload.Build(21, workload.SmallScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, err := NewSuite(ent, llm.New(llm.Config{Name: "hr-llm", Tier: llm.TierLarge, Accuracy: 1, Seed: 17}, ent.KB), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent.DB.ResetCacheStats()
+	for name, st := range map[string]*relational.Stmt{
+		"job summary": suite.stmtJobSummary,
+		"apps by job": suite.stmtAppsByJob,
+		"top apps":    suite.stmtTopApps,
+		"job by id":   suite.stmtJobByID,
+	} {
+		res, err := st.Query(3)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatalf("%s: no rows for job 3", name)
+		}
+	}
+	if n := ent.DB.CacheStats().InterpretedExecs; n != 0 {
+		t.Fatalf("%d of the suite's 4 prepared statements ran interpreted", n)
 	}
 }

@@ -26,8 +26,7 @@ import (
 // enabled is the global kill switch: span recording and histogram
 // observation check it (one atomic load). Counters and gauges stay live
 // regardless — they are plain atomic adds and several subsystems rely on
-// them operationally. The A10 experiment toggles this to measure the
-// instrumented-vs-uninstrumented overhead.
+// them operationally.
 var enabled atomic.Bool
 
 func init() { enabled.Store(true) }

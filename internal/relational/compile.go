@@ -73,8 +73,9 @@ type planSlot struct {
 }
 
 // SetCompileEnabled toggles the compiled execution path. Disabling it forces
-// every SELECT/UPDATE/DELETE through the interpreted evaluator — used by the
-// A7 ablation and the differential tests; production leaves it on.
+// every SELECT/UPDATE/DELETE through the interpreted evaluator — the reference
+// the differential tests (differential_test.go) compare compiled execution
+// against; production leaves it on.
 func (db *DB) SetCompileEnabled(enabled bool) { db.noCompile.Store(!enabled) }
 
 // depsValid reports whether every table version recorded at compile time is
@@ -152,14 +153,20 @@ func (db *DB) compileStmt(st Statement) *compiledStmt {
 
 // ---- statement routers ----
 
+// Each router runs the slot's compiled program when there is one. What is
+// left falls through to the interpreter and is counted (CacheStats.
+// InterpretedExecs): a slotless Run, a shape the compiler refuses, or DDL
+// churn that invalidated the plan twice running — the interpreted path always
+// sees a coherent schema.
+
 func (db *DB) execSelect(sel *SelectStmt, slot *planSlot, params []Value) (*Result, error) {
-	if slot == nil || db.noCompile.Load() {
+	if db.noCompile.Load() {
 		return db.execSelectInterp(sel, params)
 	}
-	for attempt := 0; attempt < 2; attempt++ {
+	for attempt := 0; slot != nil && attempt < 2; attempt++ {
 		cs := db.planFor(sel, slot)
 		if cs.fallback || cs.sel == nil {
-			return db.execSelectInterp(sel, params)
+			break
 		}
 		res, err := db.runSelectProgram(cs.sel, params)
 		if err == errStalePlan {
@@ -168,19 +175,18 @@ func (db *DB) execSelect(sel *SelectStmt, slot *planSlot, params []Value) (*Resu
 		}
 		return res, err
 	}
-	// DDL churn kept invalidating the plan; the interpreted path always
-	// sees a coherent schema.
+	db.interpretedExecs.Add(1)
 	return db.execSelectInterp(sel, params)
 }
 
 func (db *DB) execUpdate(up *UpdateStmt, slot *planSlot, params []Value) (*Result, error) {
-	if slot == nil || db.noCompile.Load() {
+	if db.noCompile.Load() {
 		return db.execUpdateInterp(up, params)
 	}
-	for attempt := 0; attempt < 2; attempt++ {
+	for attempt := 0; slot != nil && attempt < 2; attempt++ {
 		cs := db.planFor(up, slot)
 		if cs.fallback || cs.upd == nil {
-			return db.execUpdateInterp(up, params)
+			break
 		}
 		res, err := db.runUpdateProgram(cs.upd, params)
 		if err == errStalePlan {
@@ -189,17 +195,18 @@ func (db *DB) execUpdate(up *UpdateStmt, slot *planSlot, params []Value) (*Resul
 		}
 		return res, err
 	}
+	db.interpretedExecs.Add(1)
 	return db.execUpdateInterp(up, params)
 }
 
 func (db *DB) execDelete(del *DeleteStmt, slot *planSlot, params []Value) (*Result, error) {
-	if slot == nil || db.noCompile.Load() {
+	if db.noCompile.Load() {
 		return db.execDeleteInterp(del, params)
 	}
-	for attempt := 0; attempt < 2; attempt++ {
+	for attempt := 0; slot != nil && attempt < 2; attempt++ {
 		cs := db.planFor(del, slot)
 		if cs.fallback || cs.del == nil {
-			return db.execDeleteInterp(del, params)
+			break
 		}
 		res, err := db.runDeleteProgram(cs.del, params)
 		if err == errStalePlan {
@@ -208,6 +215,7 @@ func (db *DB) execDelete(del *DeleteStmt, slot *planSlot, params []Value) (*Resu
 		}
 		return res, err
 	}
+	db.interpretedExecs.Add(1)
 	return db.execDeleteInterp(del, params)
 }
 

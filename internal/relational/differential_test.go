@@ -346,15 +346,20 @@ func TestCompiledPlanDDLInvalidation(t *testing.T) {
 	}
 
 	// A fallback shape (unknown column) must heal after the schema gains
-	// the column.
+	// the column. While it is a fallback its executions are counted as
+	// interpreted; once healed they are not.
 	mustExec(t, db, `CREATE TABLE h (x INT)`)
 	mustExec(t, db, `INSERT INTO h VALUES (1)`)
 	sth, err := db.Prepare(`SELECT y FROM h`)
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.ResetCacheStats()
 	if _, err := sth.Query(); err == nil {
 		t.Fatal("expected unknown column error")
+	}
+	if got := db.CacheStats().InterpretedExecs; got != 1 {
+		t.Fatalf("InterpretedExecs = %d after one execution of a fallback shape, want 1", got)
 	}
 	mustExec(t, db, `DROP TABLE h`)
 	mustExec(t, db, `CREATE TABLE h (y TEXT)`)
@@ -362,6 +367,9 @@ func TestCompiledPlanDDLInvalidation(t *testing.T) {
 	res, err = sth.Query()
 	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].S != "healed" {
 		t.Fatalf("healed query = %v, %v", res, err)
+	}
+	if got := db.CacheStats().InterpretedExecs; got != 1 {
+		t.Fatalf("InterpretedExecs = %d after the shape healed, want still 1", got)
 	}
 }
 

@@ -193,6 +193,51 @@ func TestShapeCacheSharing(t *testing.T) {
 			}
 		}
 	}
+
+	// Every statement kind NL2Q-style text comes in — literals inlined, never
+	// the same text twice — collapses onto one shape per template: the misses
+	// are the templates, however many variants run.
+	templates := []func(i int) string{
+		func(i int) string {
+			return fmt.Sprintf(`SELECT id AS job_id, title AS job_title FROM jobs WHERE city = 'c%d' AND salary > %d AND id >= 0 ORDER BY id ASC LIMIT 5`, i, 90000+i)
+		},
+		func(i int) string {
+			return fmt.Sprintf(`SELECT id, city FROM jobs WHERE salary BETWEEN %d AND %d AND city != 'nowhere' LIMIT 10`, 90000+i, 99000+i)
+		},
+		func(i int) string {
+			return fmt.Sprintf(`SELECT COUNT(*) AS n, MIN(salary) AS lo, AVG(salary) AS mean FROM jobs WHERE city = 'c%d' AND salary >= %d`, i, 90000+i)
+		},
+		func(i int) string {
+			return fmt.Sprintf(`SELECT id, title FROM jobs WHERE id IN (%d, %d, %d) ORDER BY id ASC`, i, i+1, i+2)
+		},
+		func(i int) string {
+			return fmt.Sprintf(`EXPLAIN SELECT id FROM jobs WHERE city = 'c%d' AND salary > %d LIMIT 5`, i, 90000+i)
+		},
+		func(i int) string {
+			return fmt.Sprintf(`UPDATE jobs SET salary = %d WHERE id = %d AND title != 'x%d'`, 50000+i, i, i)
+		},
+		func(i int) string {
+			return fmt.Sprintf(`DELETE FROM jobs WHERE id = %d AND city = 'nowhere%d'`, 1000+i, i)
+		},
+	}
+	db.ResetCacheStats()
+	const variants = 20
+	for i := 0; i < variants; i++ {
+		for _, tmpl := range templates {
+			if _, err := db.Query(tmpl(i)); err != nil {
+				t.Fatalf("%s: %v", tmpl(i), err)
+			}
+		}
+	}
+	stats = db.CacheStats()
+	if n := uint64(len(templates)); stats.Misses != n || stats.ShapeHits != n*(variants-1) || stats.ExactFallbacks != 0 {
+		t.Errorf("%d variants of %d templates: %+v, want %d misses, the rest shape hits", variants, n, stats, n)
+	}
+	// The shared UPDATE plan bound each variant's own literals.
+	res, err := db.Query(`SELECT id FROM jobs WHERE salary < 60000 ORDER BY id`)
+	if err != nil || len(res.Rows) != variants {
+		t.Fatalf("%d rows carry an UPDATE variant's salary (err %v), want %d", len(res.Rows), err, variants)
+	}
 }
 
 // Counter taxonomy: DDL is uncacheable (not a miss), fingerprint bails fall

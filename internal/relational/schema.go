@@ -136,13 +136,16 @@ type DB struct {
 	stmts *stmtCache
 	// noCompile forces interpreted execution (see SetCompileEnabled);
 	// noShape forces exact-text cache keys (see SetShapeCacheEnabled);
-	// compiles counts plan compilations, profileBuilds/profileHits table
-	// profile rebuilds and reuses (profile.go), for CacheStats.
-	noCompile     atomic.Bool
-	noShape       atomic.Bool
-	compiles      atomic.Uint64
-	profileBuilds atomic.Uint64
-	profileHits   atomic.Uint64
+	// compiles counts plan compilations, interpretedExecs the statements
+	// the routers (compile.go) ran interpreted although compilation is on,
+	// profileBuilds/profileHits table profile rebuilds and reuses
+	// (profile.go), for CacheStats.
+	noCompile        atomic.Bool
+	noShape          atomic.Bool
+	compiles         atomic.Uint64
+	interpretedExecs atomic.Uint64
+	profileBuilds    atomic.Uint64
+	profileHits      atomic.Uint64
 
 	writeMu sync.RWMutex
 	onWrite []func(table string)

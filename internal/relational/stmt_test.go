@@ -112,6 +112,30 @@ func TestStmtCacheCounters(t *testing.T) {
 	if got, want := stats.HitRate(), 0.75; got != want {
 		t.Errorf("HitRate() = %v, want %v", got, want)
 	}
+
+	// A mix of parameterized texts, interleaved the way an agent suite fires
+	// them turn after turn: each text misses once, whatever its parameters.
+	mix := []string{
+		`SELECT title, city, salary FROM jobs WHERE id = ?`,
+		`SELECT city, COUNT(*) AS n FROM jobs WHERE salary > ? GROUP BY city ORDER BY city`,
+		`SELECT id, title FROM jobs WHERE salary < ? ORDER BY salary DESC LIMIT 10`,
+		`SELECT id FROM jobs WHERE city = ? LIMIT 10`,
+	}
+	db.ResetCacheStats()
+	const turns = 200
+	for i := 0; i < turns; i++ {
+		var arg any = 90000 + i%30*1000
+		if i%len(mix) == 3 {
+			arg = "Seattle"
+		}
+		if _, err := db.Query(mix[i%len(mix)], arg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats = db.CacheStats()
+	if stats.Misses != uint64(len(mix)) || stats.Hits != uint64(turns-len(mix)) {
+		t.Errorf("%d turns over %d texts: hits/misses = %d/%d, want %d/%d", turns, len(mix), stats.Hits, stats.Misses, turns-len(mix), len(mix))
+	}
 }
 
 // DDL must flush the altered table's cached statements so no stale plan

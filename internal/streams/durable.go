@@ -8,18 +8,25 @@ import (
 	"io"
 )
 
-// Durability on the shared engine: the store's original stand-alone JSON
-// WAL (Options.WALPath, one file per store) is migrated onto the
-// durability engine's segmented, CRC-framed log — the record bodies stay
-// the same JSON documents (walRecord), but framing, rotation, group
-// commit, snapshots and truncation are the engine's, and one DataDir holds
-// every subsystem. The legacy single-file mode keeps working for
-// applications that only want stream persistence.
+// Durability: the store persists one way, through the shared durability
+// engine's segmented, CRC-framed log. The record bodies are JSON documents
+// (walRecord); framing, rotation, group commit, snapshots, torn-tail
+// truncation and recovery are the engine's, and one DataDir holds every
+// subsystem. The store implements durability.Loggable (Apply, Snapshot,
+// Restore) and logs through the sink SetDurable attaches.
 //
 // Replay is idempotent: append records carry their assigned Seq, so a
 // record whose message is already present (because the snapshot covered
 // it) is skipped — which is what lets the store log with a plain
 // asynchronous Append instead of the engine's snapshot-atomic Log path.
+
+// walRecord is the body of one log record and one line of a snapshot.
+type walRecord struct {
+	// Type is "create" for stream creation or "append" for a message.
+	Type   string      `json:"t"`
+	Stream *StreamInfo `json:"stream,omitempty"`
+	Msg    *Message    `json:"msg,omitempty"`
+}
 
 // SetDurable attaches the shared-engine sink. Attach before serving
 // traffic; CreateStream and Append then log every mutation through it.
@@ -42,8 +49,8 @@ func (s *Store) logRecordLocked(rec walRecord) error {
 }
 
 // applyRecordLocked loads one WAL record into the store, idempotently;
-// caller holds s.mu. Shared by legacy WAL recovery, engine replay (Apply)
-// and snapshot load (Restore).
+// caller holds s.mu. Shared by engine replay (Apply) and snapshot load
+// (Restore).
 func (s *Store) applyRecordLocked(rec walRecord) {
 	switch rec.Type {
 	case "create":
@@ -60,8 +67,8 @@ func (s *Store) applyRecordLocked(rec walRecord) {
 		s.streams[info.ID] = st
 		s.order = append(s.order, info.ID)
 		s.stats.streamsCreated.Add(1)
-		if info.CreatedTS > s.clock.Load() {
-			s.clock.Store(info.CreatedTS)
+		if info.CreatedTS > s.clock {
+			s.clock = info.CreatedTS
 		}
 	case "append":
 		if rec.Msg == nil {
@@ -82,12 +89,12 @@ func (s *Store) applyRecordLocked(rec walRecord) {
 			st.info.Closed = true
 		}
 		s.stats.countMessage(m.Kind)
-		if m.TS > s.clock.Load() {
-			s.clock.Store(m.TS)
+		if m.TS > s.clock {
+			s.clock = m.TS
 		}
 		var n int64
-		if _, err := fmt.Sscanf(m.ID, "m%d", &n); err == nil && n > s.nextMsg.Load() {
-			s.nextMsg.Store(n)
+		if _, err := fmt.Sscanf(m.ID, "m%d", &n); err == nil && n > s.nextMsg {
+			s.nextMsg = n
 		}
 	}
 }

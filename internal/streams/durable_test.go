@@ -2,6 +2,7 @@ package streams
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -63,6 +64,9 @@ func TestEngineReplayRecoversStreams(t *testing.T) {
 	if err := s.CloseStream("done-stream", "tester"); err != nil {
 		t.Fatal(err)
 	}
+	mustCreate(t, s, "conv", StreamInfo{Session: "s:9", Creator: "ui", Tags: []string{"conversation"}})
+	mustAppend(t, s, Message{Stream: "conv", Kind: Data, Sender: "user", Payload: "I am looking for a data scientist position"})
+	last := mustAppend(t, s, Message{Stream: "conv", Kind: Control, Sender: "ic", Directive: &Directive{Op: OpExecuteAgent, Agent: "nl2q"}})
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +75,23 @@ func TestEngineReplayRecoversStreams(t *testing.T) {
 	s2, eng2 := openDurableStore(t, dir)
 	defer eng2.Close()
 	defer s2.Close()
+	conv, err := s2.Info("conv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conv.Session != "s:9" || conv.Creator != "ui" || len(conv.Tags) != 1 || conv.Len != 2 {
+		t.Fatalf("recovered stream info = %+v", conv)
+	}
+	convMsgs, err := s2.ReadAll("conv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := convMsgs[0].PayloadString(); got != "I am looking for a data scientist position" {
+		t.Fatalf("recovered payload = %q", got)
+	}
+	if d := convMsgs[1].Directive; d == nil || d.Op != OpExecuteAgent || d.Agent != "nl2q" {
+		t.Fatalf("recovered directive = %+v", d)
+	}
 	msgs, err := s2.ReadAll("chat")
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +119,21 @@ func TestEngineReplayRecoversStreams(t *testing.T) {
 	}
 	if m.Seq != 20 {
 		t.Fatalf("post-recovery Seq = %d, want 20", m.Seq)
+	}
+	if m.TS <= last.TS {
+		t.Fatalf("clock did not resume: new TS %d <= recovered %d", m.TS, last.TS)
+	}
+	holders := 0
+	for _, h := range s2.History("") {
+		if h.ID == m.ID {
+			holders++
+		}
+	}
+	if holders != 1 {
+		t.Fatalf("message id %s is held by %d messages after recovery, want 1", m.ID, holders)
+	}
+	if _, err := s2.Append(Message{Stream: "done-stream", Payload: "late"}); !errors.Is(err, ErrStreamClosed) {
+		t.Fatalf("append to a recovered closed stream: err = %v, want ErrStreamClosed", err)
 	}
 }
 
@@ -128,64 +164,6 @@ func TestEngineSnapshotPlusTailReplay(t *testing.T) {
 		if m.Seq != int64(i) {
 			t.Fatalf("message %d has Seq %d after snapshot+replay (duplicate or gap)", i, m.Seq)
 		}
-	}
-}
-
-// TestLegacyWALTornTailTruncated is the regression test for the legacy
-// JSON WAL crash-safety fix: garbage after the last valid record must be
-// truncated at recovery, so records appended by the next run stay
-// reachable to every later recovery. Without the truncation, run 3 would
-// lose everything run 2 wrote.
-func TestLegacyWALTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.wal")
-
-	// Run 1: write two messages, then crash mid-record.
-	s, err := Open(Options{WALPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	publishN(t, s, "chat", 2)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"t":"append","msg":{"stream":"chat","pa`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	// Run 2: recovers the two messages, truncates the torn tail, appends
-	// a third.
-	s2, err := Open(Options{WALPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msgs, _ := s2.ReadAll("chat"); len(msgs) != 2 {
-		t.Fatalf("run 2 recovered %d messages, want 2", len(msgs))
-	}
-	if _, err := s2.Publish(Message{Stream: "chat", Sender: "tester", Payload: map[string]any{"i": 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Run 3: all three messages must be there — the third must not be
-	// hidden behind leftover garbage.
-	s3, err := Open(Options{WALPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	msgs, err := s3.ReadAll("chat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 3 {
-		t.Fatalf("run 3 recovered %d messages, want 3 (torn tail not truncated?)", len(msgs))
 	}
 }
 
@@ -231,8 +209,6 @@ func TestEngineTornTailPrefixForStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2, eng2 := openDurableStore(t, dir)
-	defer eng2.Close()
-	defer s2.Close()
 	msgs, err := s2.ReadAll("chat")
 	if err != nil {
 		t.Fatal(err)
@@ -244,5 +220,94 @@ func TestEngineTornTailPrefixForStreams(t *testing.T) {
 		if payloadI(m) != fmt.Sprint(i) {
 			t.Fatalf("message %d is not the committed prefix: %v", i, payloadI(m))
 		}
+	}
+
+	// The torn tail is truncated, so what the next run appends lands at a
+	// valid record boundary and a third run recovers it.
+	if _, err := s2.Publish(Message{Stream: "chat", Sender: "tester", Payload: map[string]any{"i": "after"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	s3, eng3 := openDurableStore(t, dir)
+	defer eng3.Close()
+	defer s3.Close()
+	again, err := s3.ReadAll("chat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again) != len(msgs)+1 || payloadI(again[len(again)-1]) != "after" {
+		t.Fatalf("third run recovered %d messages, want the %d-message prefix plus the append after it", len(again), len(msgs))
+	}
+}
+
+// TestSinkFailureLeavesStoreUnchanged: a mutation whose log record the sink
+// refuses did not happen — nothing stored, counted or delivered — and the
+// retry takes the place the failed call would have had.
+func TestSinkFailureLeavesStoreUnchanged(t *testing.T) {
+	s := NewStore()
+	defer s.Close()
+	fail := false
+	var logged int
+	s.SetDurable(func([]byte) error {
+		if fail {
+			fail = false
+			return errors.New("disk full")
+		}
+		logged++
+		return nil
+	})
+
+	fail = true
+	if _, err := s.CreateStream("chat", StreamInfo{}); err == nil {
+		t.Fatal("CreateStream succeeded over a failing sink")
+	}
+	if _, err := s.Info("chat"); !errors.Is(err, ErrStreamNotFound) {
+		t.Fatalf("failed CreateStream left the stream registered: err = %v", err)
+	}
+	if got := s.StatsSnapshot(); got.StreamsCreated != 0 || len(s.List("")) != 0 {
+		t.Fatalf("failed CreateStream was counted: %+v, list %v", got, s.List(""))
+	}
+	created, err := s.CreateStream("chat", StreamInfo{})
+	if err != nil {
+		t.Fatalf("retried CreateStream: %v", err) // not ErrStreamExists
+	}
+	first := mustAppend(t, s, Message{Stream: "chat", Payload: "one"})
+
+	sub := s.Subscribe(Filter{Streams: []string{"chat"}}, false)
+	defer sub.Cancel()
+	before := s.StatsSnapshot()
+	fail = true
+	if _, err := s.Append(Message{Stream: "chat", Payload: "lost"}); err == nil {
+		t.Fatal("Append succeeded over a failing sink")
+	}
+	if info, _ := s.Info("chat"); info.Len != 1 || info.Closed {
+		t.Fatalf("failed Append changed the stream: %+v", info)
+	}
+	if msgs, _ := s.ReadAll("chat"); len(msgs) != 1 || msgs[0].PayloadString() != "one" {
+		t.Fatalf("failed Append is in the history: %+v", msgs)
+	}
+	if after := s.StatsSnapshot(); after != before {
+		t.Fatalf("failed Append moved the counters: %+v -> %+v", before, after)
+	}
+
+	// A failed EOS must not close the stream either.
+	fail = true
+	if err := s.CloseStream("chat", "tester"); err == nil {
+		t.Fatal("CloseStream succeeded over a failing sink")
+	}
+	second := mustAppend(t, s, Message{Stream: "chat", Payload: "two"})
+	if second.Seq != 1 || second.TS != first.TS+1 || first.TS != created.CreatedTS+1 {
+		t.Fatalf("retry after failures: Seq %d TS %d (first TS %d, created %d), want the failed calls to have claimed nothing",
+			second.Seq, second.TS, first.TS, created.CreatedTS)
+	}
+	// The subscriber sees the retry first: the failed message was never delivered.
+	if got := recvTimeout(t, sub.C()); got.ID != second.ID {
+		t.Fatalf("subscriber received %q (%s), want the retry %s", got.PayloadString(), got.ID, second.ID)
+	}
+	if logged != 3 {
+		t.Fatalf("sink accepted %d records, want 3 (create, one, two)", logged)
 	}
 }

@@ -7,9 +7,9 @@
 // as "execute the SQL agent"). Components subscribe to streams — optionally
 // filtered by tags, kinds, sessions or senders — and receive notifications
 // for every matching message. Streams are first-class data resources: they
-// can be listed, read from any offset, closed, persisted to a write-ahead log
-// and recovered, giving the observability and controllability the paper
-// calls for.
+// can be listed, read from any offset, closed, persisted through the shared
+// durability engine (durable.go) and recovered, giving the observability and
+// controllability the paper calls for.
 //
 // Every ask crosses this package a dozen times, so its costs follow what is
 // delivered, not what exists:
@@ -120,8 +120,8 @@ type Message struct {
 	// Param optionally names the agent output parameter that produced the
 	// payload (used by the coordinator to wire DAG edges).
 	Param string `json:"param,omitempty"`
-	// Payload is the data body. It must be JSON-serializable when WAL
-	// persistence is enabled.
+	// Payload is the data body. It must be JSON-serializable when the store
+	// has a durability sink (SetDurable).
 	Payload any `json:"payload,omitempty"`
 	// Directive is the control body; non-nil iff Kind == Control.
 	Directive *Directive `json:"directive,omitempty"`

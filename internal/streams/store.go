@@ -41,14 +41,14 @@ type stream struct {
 }
 
 // Store is an embedded streams database: it owns every stream, delivers
-// messages to subscribers, tracks statistics and optionally persists to a
-// write-ahead log. All methods are safe for concurrent use.
+// messages to subscribers, tracks statistics and optionally persists through
+// a durability sink (SetDurable). All methods are safe for concurrent use.
 type Store struct {
 	mu      sync.RWMutex
 	streams map[string]*stream
 	order   []string // creation order, for deterministic listing
-	clock   atomic.Int64
-	nextMsg atomic.Int64
+	clock   int64    // logical timestamp of the last mutation; guarded by mu
+	nextMsg int64    // number of the last message id handed out; guarded by mu
 	closed  bool
 
 	// The routing index (route.go): every live subscription is filed under
@@ -58,19 +58,11 @@ type Store struct {
 	bySession map[string][]*Subscription // else under the Filter.Session scope
 	unscoped  []*Subscription            // else here
 
-	// wal is the legacy stand-alone JSON WAL (Options.WALPath); sink is
-	// the shared durability engine's append (SetDurable). At most one is
-	// set in practice.
-	wal  *walWriter
+	// sink is the shared durability engine's append (SetDurable); nil when
+	// the store is not persisted.
 	sink func(payload []byte) error
 
 	stats counters
-}
-
-// Options configure a Store.
-type Options struct {
-	// WALPath enables write-ahead-log persistence to the given file.
-	WALPath string
 }
 
 // NewStore creates an empty streams database.
@@ -82,26 +74,9 @@ func NewStore() *Store {
 	}
 }
 
-// Open creates a Store with the given options, replaying an existing WAL
-// file if one is present at opts.WALPath.
-func Open(opts Options) (*Store, error) {
-	s := NewStore()
-	if opts.WALPath != "" {
-		if err := s.recover(opts.WALPath); err != nil {
-			return nil, err
-		}
-		w, err := newWALWriter(opts.WALPath)
-		if err != nil {
-			return nil, err
-		}
-		s.wal = w
-	}
-	return s, nil
-}
-
-// Close shuts the store down: all subscriptions are cancelled and the WAL,
-// if any, is flushed and closed. Appends after Close fail with
-// ErrStoreClosed.
+// Close shuts the store down: all subscriptions are cancelled. Appends after
+// Close fail with ErrStoreClosed. The durability sink belongs to its engine,
+// which is flushed and closed by its owner.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -110,21 +85,17 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	subs := s.unfileAllLocked()
-	wal := s.wal
-	s.wal = nil
 	s.mu.Unlock()
 
 	for _, sub := range subs {
 		sub.stop()
 	}
-	if wal != nil {
-		return wal.Close()
-	}
 	return nil
 }
 
 // CreateStream registers a new stream. Creating an existing id fails with
-// ErrStreamExists.
+// ErrStreamExists. The creation is logged before it is registered: when the
+// durability sink fails, the store is unchanged and a retry can succeed.
 func (s *Store) CreateStream(id string, info StreamInfo) (StreamInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -137,19 +108,14 @@ func (s *Store) CreateStream(id string, info StreamInfo) (StreamInfo, error) {
 	info.ID = id
 	info.Closed = false
 	info.Len = 0
-	info.CreatedTS = s.clock.Add(1)
-	st := &stream{info: info}
-	s.streams[id] = st
-	s.order = append(s.order, id)
-	s.stats.streamsCreated.Add(1)
-	if s.wal != nil {
-		if err := s.wal.writeCreate(info); err != nil {
-			return StreamInfo{}, err
-		}
-	}
+	info.CreatedTS = s.clock + 1
 	if err := s.logRecordLocked(walRecord{Type: "create", Stream: &info}); err != nil {
 		return StreamInfo{}, err
 	}
+	s.clock = info.CreatedTS
+	s.streams[id] = &stream{info: info}
+	s.order = append(s.order, id)
+	s.stats.streamsCreated.Add(1)
 	return info, nil
 }
 
@@ -205,7 +171,9 @@ func (s *Store) List(session string) []StreamInfo {
 
 // Append writes msg to the stream named by msg.Stream, assigning ID, Seq and
 // TS, and delivers it to matching subscribers. The stream must exist and be
-// open. The stored message (with assigned fields) is returned.
+// open. The stored message (with assigned fields) is returned. The message is
+// logged before it is stored: when the durability sink fails, nothing is
+// stored, counted or delivered, and the next Append takes the same Seq.
 func (s *Store) Append(msg Message) (Message, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -224,10 +192,17 @@ func (s *Store) Append(msg Message) (Message, error) {
 	if msg.Session == "" {
 		msg.Session = st.info.Session
 	}
+	// Seq, TS and ID are claimed only once the record is logged.
 	msg.Seq = st.info.Len
-	msg.TS = s.clock.Add(1)
+	msg.TS = s.clock + 1
 	var idBuf [20]byte // 'm' + the 19 digits of the largest int64
-	msg.ID = string(strconv.AppendInt(append(idBuf[:0], 'm'), s.nextMsg.Add(1), 10))
+	msg.ID = string(strconv.AppendInt(append(idBuf[:0], 'm'), s.nextMsg+1, 10))
+	if err := s.logRecordLocked(walRecord{Type: "append", Msg: &msg}); err != nil {
+		s.mu.Unlock()
+		return Message{}, err
+	}
+	s.clock = msg.TS
+	s.nextMsg++
 	st.msgs = append(st.msgs, msg)
 	st.info.Len++
 	if msg.IsEOS() {
@@ -236,18 +211,8 @@ func (s *Store) Append(msg Message) (Message, error) {
 	s.stats.countMessage(msg.Kind)
 	var targetBuf [8]*Subscription // the usual fan-out fits; more spills to the heap
 	targets := s.routeLocked(&msg, targetBuf[:0])
-	var walErr error
-	if s.wal != nil {
-		walErr = s.wal.writeAppend(msg)
-	}
-	if walErr == nil {
-		walErr = s.logRecordLocked(walRecord{Type: "append", Msg: &msg})
-	}
 	s.mu.Unlock()
 
-	if walErr != nil {
-		return Message{}, walErr
-	}
 	for _, sub := range targets {
 		sub.enqueue(msg)
 	}

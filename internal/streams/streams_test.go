@@ -3,7 +3,6 @@ package streams
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -409,86 +408,6 @@ func TestConcurrentAppendAndSubscribe(t *testing.T) {
 		if m.Seq != int64(i) {
 			t.Fatalf("seq[%d] = %d", i, m.Seq)
 		}
-	}
-}
-
-func TestWALPersistRecover(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "streams.wal")
-
-	s, err := Open(Options{WALPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustCreate(t, s, "conv", StreamInfo{Session: "s:9", Creator: "ui", Tags: []string{"conversation"}})
-	mustAppend(t, s, Message{Stream: "conv", Kind: Data, Sender: "user", Payload: "I am looking for a data scientist position"})
-	mustAppend(t, s, Message{Stream: "conv", Kind: Control, Sender: "ic", Directive: &Directive{Op: OpExecuteAgent, Agent: "nl2q"}})
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(Options{WALPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	info, err := s2.Info("conv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Session != "s:9" || info.Len != 2 {
-		t.Fatalf("recovered info = %+v", info)
-	}
-	msgs, err := s2.ReadAll("conv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msgs[0].PayloadString() != "I am looking for a data scientist position" {
-		t.Fatalf("recovered payload = %q", msgs[0].PayloadString())
-	}
-	if msgs[1].Directive == nil || msgs[1].Directive.Agent != "nl2q" {
-		t.Fatalf("recovered directive = %+v", msgs[1].Directive)
-	}
-	// New appends continue the logical clock and message ids monotonically.
-	m := mustAppend(t, s2, Message{Stream: "conv", Payload: "more"})
-	if m.TS <= msgs[1].TS {
-		t.Fatalf("clock did not resume: new TS %d <= old %d", m.TS, msgs[1].TS)
-	}
-	if m.Seq != 2 {
-		t.Fatalf("seq after recovery = %d, want 2", m.Seq)
-	}
-}
-
-func TestWALRecoverToleratesTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "streams.wal")
-	s, err := Open(Options{WALPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustCreate(t, s, "a", StreamInfo{})
-	mustAppend(t, s, Message{Stream: "a", Payload: "ok"})
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a crash mid-write: append garbage partial JSON.
-	f, err := openAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"t":"append","msg":{"id":"m9","stream":"a"`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s2, err := Open(Options{WALPath: path})
-	if err != nil {
-		t.Fatalf("recovery failed on torn tail: %v", err)
-	}
-	defer s2.Close()
-	msgs, _ := s2.ReadAll("a")
-	if len(msgs) != 1 || msgs[0].PayloadString() != "ok" {
-		t.Fatalf("recovered = %+v", msgs)
 	}
 }
 

@@ -96,14 +96,7 @@ func New(cfg Config) (*System, error) {
 	}
 	model := llm.New(cfg.modelConfig(), ent.KB)
 
-	walPath := cfg.WALPath
-	if cfg.DataDir != "" {
-		walPath = "" // the shared durability engine persists streams
-	}
-	store, err := streams.Open(streams.Options{WALPath: walPath})
-	if err != nil {
-		return nil, err
-	}
+	store := streams.NewStore()
 	dataReg := registry.NewDataRegistry()
 	suite, err := hragents.NewSuite(ent, model, dataReg)
 	if err != nil {
