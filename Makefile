@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-smoke bench-streams chaos fuzz ci
+.PHONY: all build test race vet fmt-check bench bench-smoke bench-streams chaos fuzz fuzz-smoke ci
 
 all: build
 
@@ -28,7 +28,9 @@ fmt-check:
 
 # Relational-engine benchmarks, including the statement-cache comparison
 # (BenchmarkPointQueryUncached vs Cached/Prepared), the zero-allocation
-# tokenizer/fingerprint sweeps, and the shape-vs-exact keyed cache pair; then
+# tokenizer/fingerprint sweeps, the shape-vs-exact keyed cache pair, and the
+# *Compiled/*Interpreted pairs, whose *Interpreted side calls the test-only
+# reference interpreter (internal/relational/interp_test.go) directly; then
 # the streams, session and planner benchmarks (Append beside many sessions'
 # worth of subscriptions, one control message into a session, one hand-off,
 # replay, the display wait deep into a conversation, a plan crossing a hop, a
@@ -44,12 +46,21 @@ bench-streams:
 	$(GO) test ./internal/streams ./internal/session ./internal/planner ./internal/relational ./internal/hragents -run XXX -bench . -benchtime 20x
 
 # Fuzz for a short burst each: the tokenizer against the old slice-building
-# lexer, then NL2Q (any utterance compiles to SQL the engine executes). Seeds
-# under internal/{relational,dataplan}/testdata/fuzz are always replayed by
-# plain `go test`.
+# lexer, SQL text through the engine against the reference interpreter
+# (FuzzSQLDifferential: same rows, errors and EXPLAIN strings, twin databases
+# in the same state after a mutation), then NL2Q (any utterance compiles to
+# SQL the engine executes). Seeds under
+# internal/{relational,dataplan}/testdata/fuzz are always replayed by plain
+# `go test`. fuzz-smoke is the 5 s per target run of `make ci`.
 fuzz:
 	$(GO) test ./internal/relational/ -run FuzzTokenize -fuzz FuzzTokenize -fuzztime 30s
+	$(GO) test ./internal/relational/ -run FuzzSQLDifferential -fuzz FuzzSQLDifferential -fuzztime 30s
 	$(GO) test ./internal/dataplan/ -run FuzzNL2Q -fuzz FuzzNL2Q -fuzztime 30s
+
+fuzz-smoke:
+	$(GO) test ./internal/relational/ -run FuzzTokenize -fuzz FuzzTokenize -fuzztime 5s
+	$(GO) test ./internal/relational/ -run FuzzSQLDifferential -fuzz FuzzSQLDifferential -fuzztime 5s
+	$(GO) test ./internal/dataplan/ -run FuzzNL2Q -fuzz FuzzNL2Q -fuzztime 5s
 
 # Smoke run of the tables that enforce an invariant nothing else does, in
 # short mode; each is also written as machine-readable bench/BENCH_<ID>.json
@@ -84,4 +95,4 @@ bench-smoke:
 chaos:
 	$(GO) test -race -run Chaos ./...
 
-ci: fmt-check vet build race chaos bench-smoke bench-streams
+ci: fmt-check vet build race chaos fuzz-smoke bench-smoke bench-streams

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	benchharness              # run all experiments
-//	benchharness -fig F7      # run one (F1..F10, A1..A3, A6, A8, A11, A12)
+//	benchharness -fig F7      # run one of experiments.Experiments (-h lists the ids)
 //	benchharness -fig A6      # step-result memoization: repeated-ask speedup + cross-session dedup
 //	benchharness -fig A8      # durability: crash replay vs snapshot restore + warm memo across restart
 //	benchharness -fig A11     # resilience: overload control under open-loop multi-tenant load
@@ -28,32 +28,17 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "experiment id to run (F1..F10, A1..A3, A6, A8, A11, A12, or 'all')")
+	ids := make([]string, len(experiments.Experiments))
+	for i, e := range experiments.Experiments {
+		ids[i] = e.ID
+	}
+	known := strings.Join(ids, ", ")
+	fig := flag.String("fig", "all", "experiment id to run ("+known+", or 'all')")
 	seed := flag.Int64("seed", 42, "deterministic seed for workloads and the simulated LLM")
 	short := flag.Bool("short", false, "smoke mode: reduced iterations and simulated latencies")
 	jsonDir := flag.String("json", "", "directory to write BENCH_<ID>.json files (empty: text only)")
 	flag.Parse()
 	experiments.Short = *short
-
-	runners := map[string]func(int64) (*experiments.Table, error){
-		"F1":  experiments.Fig1EndToEnd,
-		"F2":  experiments.Fig2Deployment,
-		"F3":  experiments.Fig3AgentModel,
-		"F4":  experiments.Fig4PetriTriggering,
-		"F5":  experiments.Fig5DataRegistry,
-		"F6":  experiments.Fig6TaskPlan,
-		"F7":  experiments.Fig7DataPlan,
-		"F8":  experiments.Fig8Conversation,
-		"F9":  experiments.Fig9UIFlow,
-		"F10": experiments.Fig10ConversationFlow,
-		"A1":  experiments.AblationBudget,
-		"A2":  experiments.AblationOptimizer,
-		"A3":  experiments.AblationStreams,
-		"A6":  experiments.AblationMemo,
-		"A8":  experiments.AblationDurability,
-		"A11": experiments.AblationResilience,
-		"A12": experiments.FlightRecorder,
-	}
 
 	if strings.EqualFold(*fig, "all") {
 		tables, err := experiments.All(*seed)
@@ -68,18 +53,21 @@ func main() {
 		}
 		return
 	}
-	run, ok := runners[strings.ToUpper(*fig)]
-	if !ok {
-		log.Fatalf("unknown experiment %q (want F1..F10, A1..A3, A6, A8, A11, A12, all)", *fig)
+	for _, e := range experiments.Experiments {
+		if !strings.EqualFold(*fig, e.ID) {
+			continue
+		}
+		t, err := e.Run(*seed)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println(t)
+		if err := writeJSON(*jsonDir, t); err != nil {
+			log.Fatal(err)
+		}
+		return
 	}
-	t, err := run(*seed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(t)
-	if err := writeJSON(*jsonDir, t); err != nil {
-		log.Fatal(err)
-	}
+	log.Fatalf("unknown experiment %q (want %s, all)", *fig, known)
 }
 
 // writeJSON persists one table as DIR/BENCH_<ID>.json so CI can archive the

@@ -4,12 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
@@ -285,44 +281,4 @@ func FuzzNL2Q(f *testing.F) {
 			t.Fatalf("Compile(%q) = %q: %v", utterance, c.SQL, err)
 		}
 	})
-}
-
-// TestNL2QCorpusRunsCompiled: every statement NL2Q emits for FuzzNL2Q's seed
-// corpus (nl2qSeeds and testdata/fuzz/FuzzNL2Q) runs as a compiled program —
-// none is silently routed to the interpreter. The number the change that
-// retires the interpreter as a runtime path starts from.
-func TestNL2QCorpusRunsCompiled(t *testing.T) {
-	corpus := append([]string(nil), nl2qSeeds...)
-	files, err := filepath.Glob("testdata/fuzz/FuzzNL2Q/*")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("fuzz corpus: %d files, err %v", len(files), err)
-	}
-	for _, file := range files {
-		raw, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// "go test fuzz v1\nstring(<quoted>)\n"
-		_, lit, ok := strings.Cut(strings.TrimSpace(string(raw)), "\nstring(")
-		u, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
-		if !ok || err != nil {
-			t.Fatalf("%s: not a one-string fuzz corpus file (%v)", file, err)
-		}
-		corpus = append(corpus, u)
-	}
-	fx := newFixture(t, 1.0)
-	fx.db.ResetCacheStats()
-	for _, u := range corpus {
-		c, err := nlq.Compile(u, fx.bind.Target)
-		if err != nil {
-			t.Fatalf("Compile(%q): %v", u, err)
-		}
-		before := fx.db.CacheStats().InterpretedExecs
-		if _, err := fx.db.Query(c.SQL); err != nil {
-			t.Fatalf("Compile(%q) = %q: %v", u, c.SQL, err)
-		}
-		if fx.db.CacheStats().InterpretedExecs != before {
-			t.Errorf("Compile(%q) = %q ran interpreted", u, c.SQL)
-		}
-	}
 }

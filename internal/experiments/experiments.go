@@ -11,7 +11,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -65,37 +64,43 @@ func (t *Table) String() string {
 	return b.String()
 }
 
+// Experiment is one table of the harness: its id and the function that
+// measures it under a deterministic seed.
+type Experiment struct {
+	ID  string
+	Run func(seed int64) (*Table, error)
+}
+
+// Experiments lists every experiment in id order: what All runs, what
+// benchharness -fig selects from and what its usage names.
+var Experiments = []Experiment{
+	{"F1", Fig1EndToEnd},
+	{"F2", Fig2Deployment},
+	{"F3", Fig3AgentModel},
+	{"F4", Fig4PetriTriggering},
+	{"F5", Fig5DataRegistry},
+	{"F6", Fig6TaskPlan},
+	{"F7", Fig7DataPlan},
+	{"F8", Fig8Conversation},
+	{"F9", Fig9UIFlow},
+	{"F10", Fig10ConversationFlow},
+	{"A1", AblationBudget},
+	{"A2", AblationOptimizer},
+	{"A3", AblationStreams},
+	{"A6", AblationMemo},
+	{"A8", AblationDurability},
+	{"A11", AblationResilience},
+	{"A12", FlightRecorder},
+}
+
 // All runs every experiment (deterministic seed) and returns the tables in
 // id order.
 func All(seed int64) ([]*Table, error) {
-	type exp struct {
-		id  string
-		run func(int64) (*Table, error)
-	}
-	exps := []exp{
-		{"F1", Fig1EndToEnd},
-		{"F2", Fig2Deployment},
-		{"F3", Fig3AgentModel},
-		{"F4", Fig4PetriTriggering},
-		{"F5", Fig5DataRegistry},
-		{"F6", Fig6TaskPlan},
-		{"F7", Fig7DataPlan},
-		{"F8", Fig8Conversation},
-		{"F9", Fig9UIFlow},
-		{"F10", Fig10ConversationFlow},
-		{"A1", AblationBudget},
-		{"A2", AblationOptimizer},
-		{"A3", AblationStreams},
-		{"A6", AblationMemo},
-		{"A8", AblationDurability},
-		{"A11", AblationResilience},
-		{"A12", FlightRecorder},
-	}
-	out := make([]*Table, 0, len(exps))
-	for _, e := range exps {
-		t, err := e.run(seed)
+	out := make([]*Table, 0, len(Experiments))
+	for _, e := range Experiments {
+		t, err := e.Run(seed)
 		if err != nil {
-			return out, fmt.Errorf("experiment %s: %w", e.id, err)
+			return out, fmt.Errorf("experiment %s: %w", e.ID, err)
 		}
 		out = append(out, t)
 	}
@@ -115,12 +120,3 @@ func us(d time.Duration) string {
 func dollars(v float64) string { return fmt.Sprintf("$%.5f", v) }
 
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
-
-func sortedKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -169,7 +169,4 @@ func TestFormatHelpers(t *testing.T) {
 	if pct(0.876) != "87.6%" {
 		t.Fatal(pct(0.876))
 	}
-	if got := sortedKeys(map[string]int{"b": 1, "a": 2}); got[0] != "a" {
-		t.Fatal(got)
-	}
 }

@@ -188,23 +188,36 @@ func BenchmarkParseSelect(b *testing.B) {
 
 // ---- compiled vs interpreted executor benchmarks ----
 //
-// The same statements, same data, same statement cache — the only variable
-// is SetCompileEnabled, so the delta is the cost of per-row column
-// resolution, AST dispatch and stringly hash keys that prepare-time
-// compilation removes. Run with -benchmem: the compiled variants should
-// show both lower ns/op and lower allocs/op.
+// The same statements on the same data: the *Compiled variants go through
+// DB.Query (statement cache, compiled program), the *Interpreted ones hand the
+// parsed statement to the test-only reference interpreter (interp_test.go), so
+// the delta is the cost of per-row column resolution, AST dispatch and
+// stringly hash keys that prepare-time compilation removes. Run with
+// -benchmem: the compiled variants should show both lower ns/op and lower
+// allocs/op.
 
 const benchFilteredScan = `SELECT id, title, salary FROM jobs WHERE id >= ? AND title LIKE '%engineer%'`
 const benchGroupBy = `SELECT city, COUNT(*) AS n, AVG(salary) AS avg_sal FROM jobs GROUP BY city`
 
 func benchSelect(b *testing.B, sql string, compiled bool, args ...any) {
 	b.Helper()
-	db := benchDB(b, 5000, false)
-	db.SetCompileEnabled(compiled)
+	benchSelectOn(b, benchDB(b, 5000, false), sql, compiled, args...)
+}
+
+func benchSelectOn(b *testing.B, db *DB, sql string, compiled bool, args ...any) {
+	b.Helper()
+	run := func() (*Result, error) { return db.Query(sql, args...) }
+	if !compiled {
+		ref, err := refStmt(db, sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		run = func() (*Result, error) { return ref(args...) }
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(sql, args...); err != nil {
+		if _, err := run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -249,26 +262,11 @@ func benchJoin3DB(b *testing.B) *DB {
 const benchJoin3 = `SELECT j.title, c.name, r.region FROM jobs j JOIN companies c ON j.id = c.id JOIN regions r ON c.name = r.name WHERE j.salary > ?`
 
 func BenchmarkJoin3WayInterpreted(b *testing.B) {
-	db := benchJoin3DB(b)
-	db.SetCompileEnabled(false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(benchJoin3, 100000); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSelectOn(b, benchJoin3DB(b), benchJoin3, false, 100000)
 }
 
 func BenchmarkJoin3WayCompiled(b *testing.B) {
-	db := benchJoin3DB(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(benchJoin3, 100000); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSelectOn(b, benchJoin3DB(b), benchJoin3, true, 100000)
 }
 
 // BenchmarkTopKOrderByLimit isolates the bounded-heap ORDER BY + LIMIT

@@ -5,29 +5,38 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"blueprint/internal/topk"
 )
 
-// This file implements the prepare-time compiler for SELECT/UPDATE/DELETE.
+// This file implements the prepare-time compiler and the executor of
+// SELECT/UPDATE/DELETE (INSERT's program is in dml.go). It is the only
+// executor the engine ships.
 //
-// The interpreted executor (select.go, dml.go) re-resolves every column
-// reference by a linear lowercase string scan per row per expression and
-// re-dispatches on the AST node type for every evaluation. The compiler does
-// that work exactly once per (statement, schema) pair: each ColumnRef is
-// resolved to a positional offset and the expression tree is lowered into a
-// closure of type compiledExpr, so per-row evaluation touches no strings and
-// no type switches. Compiled plans are cached on *Stmt handles and in the
-// statement cache (see planSlot in stmt.go) and invalidated per table by a
-// schema version counter bumped on CREATE/DROP TABLE.
+// compileStmt does the per-statement work exactly once per (statement,
+// schema) pair: each ColumnRef is resolved to a positional offset and the
+// expression tree is lowered into a closure of type compiledExpr, so per-row
+// evaluation touches no strings and no type switches. Compiled plans are
+// cached on *Stmt handles and in the statement cache (see planSlot) and
+// invalidated per table by a schema version counter bumped on CREATE/DROP
+// TABLE.
 //
-// Statement shapes whose interpreted semantics depend on runtime row counts
-// (lazy resolution errors over empty inputs, the DISTINCT/ORDER BY row-count
-// quirk, SELECT * with aggregates) are not compiled: compileStmt marks them
-// fallback and execution uses the interpreted path, which stays the semantic
-// oracle — the differential tests in differential_test.go assert both paths
-// agree on the full property corpus.
+// What a statement reports is defined by the reference interpreter, which
+// lives in interp_test.go and is compiled into tests only: it runs a
+// statement phase by phase (filter every row, then project or aggregate, then
+// DISTINCT, ORDER BY, OFFSET/LIMIT), resolving column references per row. The
+// program fuses those phases but reports the same rows and the same error:
+// a reference that does not resolve compiles to a node raising the resolve
+// error when evaluation reaches it (none over zero rows), errors of later
+// phases wait until the filter has seen every row, and the checks the
+// interpreter makes between phases (`SELECT *` with aggregates, an aggregate
+// ORDER BY on a non-output key, the DISTINCT/ORDER BY row-count check) are
+// nodes of the program's tail. Only what the interpreter reports before it
+// reads a row — a missing table, an unknown join column or UPDATE target — is
+// an error of the build itself. The differential tests and FuzzSQLDifferential
+// (differential_test.go) hold the two together.
 
 // compiledExpr evaluates one scalar expression against a row with all column
 // references pre-resolved to positional offsets.
@@ -38,12 +47,8 @@ type compiledExpr func(row Row, params []Value) (Value, error)
 type compiledAggExpr func(g *aggGroup, params []Value) (Value, error)
 
 // errStalePlan signals that a compiled plan no longer matches the live
-// schema (DDL raced the execution); the router recompiles and retries.
+// schema (DDL raced the execution); execCompiled recompiles and retries.
 var errStalePlan = errors.New("relational: stale compiled plan")
-
-// errUncompilable marks statement shapes the compiler deliberately refuses
-// (they fall back to the interpreted oracle).
-var errUncompilable = errors.New("relational: statement not compilable")
 
 // tableDep records the schema version of one referenced table at compile
 // time. Versions bump on CREATE/DROP TABLE, so a dependency mismatch means
@@ -53,30 +58,29 @@ type tableDep struct {
 	ver   uint64
 }
 
-// compiledStmt is one compilation of a statement: either a runnable program
-// or a fallback marker, plus the schema versions it was compiled against.
+// compiledStmt is one compilation of a statement against the schema versions
+// in deps: the program of its kind, or err — what the build reported (a
+// missing table, an unknown join column or UPDATE target), which is the
+// statement's error for as long as deps hold.
 type compiledStmt struct {
-	deps     []tableDep
-	sel      *selectProgram
-	upd      *updateProgram
-	del      *deleteProgram
-	fallback bool
+	deps []tableDep
+	sel  *selectProgram
+	ins  *insertProgram
+	upd  *updateProgram
+	del  *deleteProgram
+	err  error
 }
 
 // planSlot holds the current compilation of one statement. A slot is shared
 // between a prepared *Stmt handle and the statement-cache entry for the same
 // SQL text, so Query/Exec traffic and prepared handles reuse one compiled
 // plan. Swaps are atomic: concurrent executors either see the old (still
-// version-checked) plan or the new one.
+// version-checked) plan or the new one. mu serialises compiling: executions
+// that find the slot empty or stale together compile once.
 type planSlot struct {
-	p atomic.Pointer[compiledStmt]
+	p  atomic.Pointer[compiledStmt]
+	mu sync.Mutex
 }
-
-// SetCompileEnabled toggles the compiled execution path. Disabling it forces
-// every SELECT/UPDATE/DELETE through the interpreted evaluator — the reference
-// the differential tests (differential_test.go) compare compiled execution
-// against; production leaves it on.
-func (db *DB) SetCompileEnabled(enabled bool) { db.noCompile.Store(!enabled) }
 
 // depsValid reports whether every table version recorded at compile time is
 // still current.
@@ -114,116 +118,87 @@ func (db *DB) tableVer(name string) (*table, uint64, error) {
 	return t, db.vers[key], nil
 }
 
-// planFor returns the slot's current compilation, recompiling if absent or
-// stale. Racing recompiles are harmless: both results are valid and the
-// last store wins.
-func (db *DB) planFor(st Statement, slot *planSlot) *compiledStmt {
-	cs := slot.p.Load()
-	if cs == nil || !db.depsValid(cs.deps) {
-		cs = db.compileStmt(st)
-		slot.p.Store(cs)
+// current returns the slot's compilation if it still matches the schema.
+func (db *DB) current(slot *planSlot) *compiledStmt {
+	if cs := slot.p.Load(); cs != nil && db.depsValid(cs.deps) {
+		return cs
 	}
+	return nil
+}
+
+// planFor returns the slot's current compilation, compiling when it is absent
+// or stale. Only that slow path takes the slot's mutex.
+func (db *DB) planFor(st Statement, slot *planSlot) *compiledStmt {
+	if cs := db.current(slot); cs != nil {
+		return cs
+	}
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
+	if cs := db.current(slot); cs != nil {
+		return cs
+	}
+	cs := db.compileStmt(st)
+	slot.p.Store(cs)
 	return cs
 }
 
-// compileStmt compiles st against the current schema. Any compile error
-// (unknown column, missing table, unsupported shape) produces a fallback
-// marker rather than a statement error: the interpreted path owns error
-// semantics, including the lazy cases where an unresolvable reference over
-// zero rows is not an error at all.
+// compileStmt compiles st against the current schema.
 func (db *DB) compileStmt(st Statement) *compiledStmt {
 	db.compiles.Add(1)
 	cs := &compiledStmt{deps: db.captureDeps(stmtTables(st))}
-	var err error
 	switch s := st.(type) {
 	case *SelectStmt:
-		cs.sel, err = db.buildSelectProgram(s)
+		cs.sel, cs.err = db.buildSelectProgram(s)
+	case *InsertStmt:
+		cs.ins, cs.err = db.buildInsertProgram(s)
 	case *UpdateStmt:
-		cs.upd, err = db.buildUpdateProgram(s)
+		cs.upd, cs.err = db.buildUpdateProgram(s)
 	case *DeleteStmt:
-		cs.del, err = db.buildDeleteProgram(s)
+		cs.del, cs.err = db.buildDeleteProgram(s)
 	default:
-		err = errUncompilable
-	}
-	if err != nil {
-		cs.sel, cs.upd, cs.del, cs.fallback = nil, nil, nil, true
+		cs.err = errors.New("relational: unsupported statement")
 	}
 	return cs
 }
 
-// ---- statement routers ----
-
-// Each router runs the slot's compiled program when there is one. What is
-// left falls through to the interpreter and is counted (CacheStats.
-// InterpretedExecs): a slotless Run, a shape the compiler refuses, or DDL
-// churn that invalidated the plan twice running — the interpreted path always
-// sees a coherent schema.
-
-func (db *DB) execSelect(sel *SelectStmt, slot *planSlot, params []Value) (*Result, error) {
-	if db.noCompile.Load() {
-		return db.execSelectInterp(sel, params)
-	}
-	for attempt := 0; slot != nil && attempt < 2; attempt++ {
-		cs := db.planFor(sel, slot)
-		if cs.fallback || cs.sel == nil {
-			break
+// execCompiled runs st's program from the slot. A program that finds the
+// schema changed since it was compiled reports errStalePlan, and the loop
+// compiles again: the deps were read before the versions the program checks,
+// so they are stale too, and every turn means a concurrent DDL completed.
+func (db *DB) execCompiled(st Statement, slot *planSlot, params []Value) (*Result, error) {
+	for {
+		cs := db.planFor(st, slot)
+		var res *Result
+		err := cs.err
+		switch {
+		case err != nil:
+		case cs.sel != nil:
+			res, err = db.runSelectProgram(cs.sel, params)
+		case cs.ins != nil:
+			res, err = db.runInsertProgram(cs.ins, params)
+		case cs.upd != nil:
+			res, err = db.runUpdateProgram(cs.upd, params)
+		case cs.del != nil:
+			res, err = db.runDeleteProgram(cs.del, params)
 		}
-		res, err := db.runSelectProgram(cs.sel, params)
-		if err == errStalePlan {
-			slot.p.Store(nil)
-			continue
+		if err != errStalePlan {
+			return res, err
 		}
-		return res, err
 	}
-	db.interpretedExecs.Add(1)
-	return db.execSelectInterp(sel, params)
-}
-
-func (db *DB) execUpdate(up *UpdateStmt, slot *planSlot, params []Value) (*Result, error) {
-	if db.noCompile.Load() {
-		return db.execUpdateInterp(up, params)
-	}
-	for attempt := 0; slot != nil && attempt < 2; attempt++ {
-		cs := db.planFor(up, slot)
-		if cs.fallback || cs.upd == nil {
-			break
-		}
-		res, err := db.runUpdateProgram(cs.upd, params)
-		if err == errStalePlan {
-			slot.p.Store(nil)
-			continue
-		}
-		return res, err
-	}
-	db.interpretedExecs.Add(1)
-	return db.execUpdateInterp(up, params)
-}
-
-func (db *DB) execDelete(del *DeleteStmt, slot *planSlot, params []Value) (*Result, error) {
-	if db.noCompile.Load() {
-		return db.execDeleteInterp(del, params)
-	}
-	for attempt := 0; slot != nil && attempt < 2; attempt++ {
-		cs := db.planFor(del, slot)
-		if cs.fallback || cs.del == nil {
-			break
-		}
-		res, err := db.runDeleteProgram(cs.del, params)
-		if err == errStalePlan {
-			slot.p.Store(nil)
-			continue
-		}
-		return res, err
-	}
-	db.interpretedExecs.Add(1)
-	return db.execDeleteInterp(del, params)
 }
 
 // ---- expression compilation ----
 
+// envCol is one column of a row layout: a base table's columns, then each
+// joined table's.
+type envCol struct {
+	table string // effective table name (alias), lowercased
+	name  string // column name, lowercased
+}
+
 // resolveCol resolves a column reference against an ordered column layout —
-// the single resolution routine shared by the interpreted evaluator (per
-// row) and the compiler (once per statement).
+// the single resolution routine shared by the compiler (once per statement)
+// and the reference interpreter (per row).
 func resolveCol(cols []envCol, c *ColumnRef) (int, error) {
 	tbl := strings.ToLower(c.Table)
 	col := strings.ToLower(c.Column)
@@ -246,58 +221,89 @@ func resolveCol(cols []envCol, c *ColumnRef) (int, error) {
 	return found, nil
 }
 
-// compileExpr lowers a scalar expression into a closure over the given
-// column layout. Resolution errors surface at compile time (the caller falls
-// back to the interpreted path to preserve lazy semantics); evaluation
-// errors that the interpreter raises per row (missing parameters, aggregate
-// misuse) are lowered into closures that raise them lazily, so a query over
-// zero rows still succeeds exactly like the interpreter.
-func compileExpr(cols []envCol, x Expr) (compiledExpr, error) {
+// exprCompiler lowers the expressions of one statement over a column layout
+// and records what could make them raise when evaluated: the executor may
+// skip rows (a LIMIT satisfied, an index's candidates) only in an execution
+// where no expression can raise, because the interpreter, which evaluates
+// every row, would have reported it.
+type exprCompiler struct {
+	cols []envCol
+	// raises: some node raises whenever evaluation reaches it (a reference
+	// that does not resolve, an aggregate outside aggregation context).
+	raises bool
+	// explicit holds the unified ordinals of the '?' placeholders, each of
+	// which raises when the caller left it unbound.
+	explicit []int
+}
+
+// canRaise reports whether evaluating the statement's expressions under
+// these parameters can raise at all.
+func (c *exprCompiler) canRaise(params []Value) bool {
+	if c.raises {
+		return true
+	}
+	for _, ord := range c.explicit {
+		if unbound(params, ord) {
+			return true
+		}
+	}
+	return false
+}
+
+// unbound reports whether the parameter slot with this unified ordinal has no
+// value in this execution.
+func unbound(params []Value, ord int) bool {
+	return ord-1 >= len(params) || params[ord-1].T == missingParamType
+}
+
+// raise lowers a node that cannot be evaluated into one that reports err
+// when evaluation reaches it, as the interpreter does: never over zero rows,
+// and not behind an AND/OR that short-circuits past it.
+func (c *exprCompiler) raise(err error) compiledExpr {
+	c.raises = true
+	return func(Row, []Value) (Value, error) { return Null, err }
+}
+
+// expr lowers a scalar expression into a closure over the layout.
+func (c *exprCompiler) expr(x Expr) compiledExpr {
 	switch v := x.(type) {
 	case *Literal:
 		val := v.Val
-		return func(Row, []Value) (Value, error) { return val, nil }, nil
+		return func(Row, []Value) (Value, error) { return val, nil }
 	case *Param:
 		ord := v.Ordinal
 		disp := paramSrc(v)
+		if !v.Auto {
+			c.explicit = append(c.explicit, ord)
+		}
 		return func(_ Row, params []Value) (Value, error) {
-			if ord-1 >= len(params) || params[ord-1].T == missingParamType {
+			if unbound(params, ord) {
 				return Null, fmt.Errorf("relational: missing parameter %d", disp)
 			}
 			return params[ord-1], nil
-		}, nil
+		}
 	case *ColumnRef:
-		i, err := resolveCol(cols, v)
+		i, err := resolveCol(c.cols, v)
 		if err != nil {
-			return nil, err
+			return c.raise(err)
 		}
-		return func(row Row, _ []Value) (Value, error) { return row[i], nil }, nil
+		return func(row Row, _ []Value) (Value, error) { return row[i], nil }
 	case *BinaryExpr:
-		return compileBinary(cols, v)
+		return c.binary(v)
 	case *UnaryExpr:
-		inner, err := compileExpr(cols, v.E)
-		if err != nil {
-			return nil, err
-		}
+		inner := c.expr(v.E)
 		return func(row Row, params []Value) (Value, error) {
 			val, err := inner(row, params)
 			if err != nil {
 				return Null, err
 			}
 			return NewBool(!truthy(val)), nil
-		}, nil
-	case *InExpr:
-		e, err := compileExpr(cols, v.E)
-		if err != nil {
-			return nil, err
 		}
+	case *InExpr:
+		e := c.expr(v.E)
 		items := make([]compiledExpr, len(v.List))
 		for i, item := range v.List {
-			f, err := compileExpr(cols, item)
-			if err != nil {
-				return nil, err
-			}
-			items[i] = f
+			items[i] = c.expr(item)
 		}
 		not := v.Not
 		return func(row Row, params []Value) (Value, error) {
@@ -317,20 +323,9 @@ func compileExpr(cols []envCol, x Expr) (compiledExpr, error) {
 				}
 			}
 			return NewBool(hit != not), nil
-		}, nil
+		}
 	case *BetweenExpr:
-		e, err := compileExpr(cols, v.E)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := compileExpr(cols, v.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := compileExpr(cols, v.Hi)
-		if err != nil {
-			return nil, err
-		}
+		e, lo, hi := c.expr(v.E), c.expr(v.Lo), c.expr(v.Hi)
 		not := v.Not
 		return func(row Row, params []Value) (Value, error) {
 			val, err := e(row, params)
@@ -348,12 +343,9 @@ func compileExpr(cols []envCol, x Expr) (compiledExpr, error) {
 			in := !val.IsNull() && !loV.IsNull() && !hiV.IsNull() &&
 				Compare(val, loV) >= 0 && Compare(val, hiV) <= 0
 			return NewBool(in != not), nil
-		}, nil
-	case *IsNullExpr:
-		e, err := compileExpr(cols, v.E)
-		if err != nil {
-			return nil, err
 		}
+	case *IsNullExpr:
+		e := c.expr(v.E)
 		not := v.Not
 		return func(row Row, params []Value) (Value, error) {
 			val, err := e(row, params)
@@ -361,68 +353,34 @@ func compileExpr(cols []envCol, x Expr) (compiledExpr, error) {
 				return Null, err
 			}
 			return NewBool(val.IsNull() != not), nil
-		}, nil
+		}
 	case *AggExpr:
-		// Same lazy error as the interpreter: raised per evaluation, so it
-		// never fires over zero rows.
-		return func(Row, []Value) (Value, error) {
-			return Null, errors.New("relational: aggregate outside aggregation context")
-		}, nil
+		return c.raise(errors.New("relational: aggregate outside aggregation context"))
 	default:
-		return func(Row, []Value) (Value, error) {
-			return Null, errors.New("relational: unsupported expression")
-		}, nil
+		return c.raise(errors.New("relational: unsupported expression"))
 	}
 }
 
-// compileConjuncts compiles the conjunct list of a left-deep AND chain in
-// source order.
-func compileConjuncts(cols []envCol, v *BinaryExpr) ([]compiledExpr, error) {
+// conjuncts compiles the conjunct list of a left-deep AND chain in source
+// order.
+func (c *exprCompiler) conjuncts(v *BinaryExpr) []compiledExpr {
 	var out []compiledExpr
 	if lb, ok := v.L.(*BinaryExpr); ok && lb.Op == "AND" {
-		flat, err := compileConjuncts(cols, lb)
-		if err != nil {
-			return nil, err
-		}
-		out = flat
+		out = c.conjuncts(lb)
 	} else {
-		l, err := compileExpr(cols, v.L)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, l)
+		out = append(out, c.expr(v.L))
 	}
-	r, err := compileExpr(cols, v.R)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, r), nil
+	return append(out, c.expr(v.R))
 }
 
-func compileBinary(cols []envCol, v *BinaryExpr) (compiledExpr, error) {
-	l, err := compileExpr(cols, v.L)
-	if err != nil {
-		return nil, err
-	}
-	r, err := compileExpr(cols, v.R)
-	if err != nil {
-		return nil, err
-	}
-	switch v.Op {
-	case "AND":
+func (c *exprCompiler) binary(v *BinaryExpr) compiledExpr {
+	if v.Op == "AND" {
 		// Conjunct chains (the normal WHERE form) flatten into one closure
 		// that loops a list, instead of one nested frame per AND node.
-		conjuncts := []compiledExpr{l, r}
-		if lb, ok := v.L.(*BinaryExpr); ok && lb.Op == "AND" {
-			flat, err := compileConjuncts(cols, lb)
-			if err != nil {
-				return nil, err
-			}
-			conjuncts = append(flat, r)
-		}
+		conjuncts := c.conjuncts(v)
 		return func(row Row, params []Value) (Value, error) {
-			for _, c := range conjuncts {
-				v, err := c(row, params)
+			for _, cj := range conjuncts {
+				v, err := cj(row, params)
 				if err != nil {
 					return Null, err
 				}
@@ -431,7 +389,12 @@ func compileBinary(cols []envCol, v *BinaryExpr) (compiledExpr, error) {
 				}
 			}
 			return NewBool(true), nil
-		}, nil
+		}
+	}
+	l, r := c.expr(v.L), c.expr(v.R)
+	// Comparisons dispatch on the operator once at compile time instead of
+	// re-switching on the op string for every row.
+	switch v.Op {
 	case "OR":
 		return func(row Row, params []Value) (Value, error) {
 			lv, err := l(row, params)
@@ -446,11 +409,7 @@ func compileBinary(cols []envCol, v *BinaryExpr) (compiledExpr, error) {
 				return Null, err
 			}
 			return NewBool(truthy(rv)), nil
-		}, nil
-	}
-	// Comparisons dispatch on the operator once at compile time instead of
-	// re-switching on the op string for every row.
-	switch v.Op {
+		}
 	case "=":
 		return func(row Row, params []Value) (Value, error) {
 			lv, err := l(row, params)
@@ -462,7 +421,7 @@ func compileBinary(cols []envCol, v *BinaryExpr) (compiledExpr, error) {
 				return Null, err
 			}
 			return NewBool(Equal(lv, rv)), nil
-		}, nil
+		}
 	case "!=":
 		return func(row Row, params []Value) (Value, error) {
 			lv, err := l(row, params)
@@ -477,7 +436,7 @@ func compileBinary(cols []envCol, v *BinaryExpr) (compiledExpr, error) {
 				return NewBool(false), nil
 			}
 			return NewBool(Compare(lv, rv) != 0), nil
-		}, nil
+		}
 	case "<", "<=", ">", ">=":
 		var test func(c int) bool
 		switch v.Op {
@@ -503,7 +462,7 @@ func compileBinary(cols []envCol, v *BinaryExpr) (compiledExpr, error) {
 				return NewBool(false), nil
 			}
 			return NewBool(test(Compare(lv, rv))), nil
-		}, nil
+		}
 	}
 	op := v.Op
 	return func(row Row, params []Value) (Value, error) {
@@ -516,12 +475,12 @@ func compileBinary(cols []envCol, v *BinaryExpr) (compiledExpr, error) {
 			return Null, err
 		}
 		return compareValues(op, lv, rv)
-	}, nil
+	}
 }
 
 // compareValues applies a non-logical binary operator to two evaluated
-// values — the shared tail of the interpreted evalBinary and the compiled
-// closures.
+// values — the shared tail of the compiled closures and the reference
+// interpreter's evalBinary.
 func compareValues(op string, l, r Value) (Value, error) {
 	switch op {
 	case "=":
@@ -707,40 +666,31 @@ func (p *selectProgram) newAggGroup() *aggGroup {
 	return &aggGroup{accs: make([]accumulator, len(p.aggSlots))}
 }
 
-// compileOnFirst lowers a non-aggregate expression for use in aggregation
-// context: evaluated on the group's first row, Null over an empty group.
-func compileOnFirst(cols []envCol, x Expr) (compiledAggExpr, error) {
-	f, err := compileExpr(cols, x)
-	if err != nil {
-		return nil, err
-	}
+// onFirst lowers a non-aggregate expression for use in aggregation context:
+// evaluated on the group's first row, Null over an empty group.
+func (c *exprCompiler) onFirst(x Expr) compiledAggExpr {
+	f := c.expr(x)
 	return func(g *aggGroup, params []Value) (Value, error) {
 		if g.n == 0 {
 			return Null, nil
 		}
 		return f(g.first, params)
-	}, nil
+	}
 }
 
-// compileAggExpr lowers an expression that may contain aggregates, mirroring
-// evalAgg: each aggregate call gets an accumulator slot (appended to slots)
-// and reads its result, non-aggregate subtrees evaluate on the first row.
-func compileAggExpr(cols []envCol, x Expr, slots *[]aggSlot) (compiledAggExpr, error) {
+// aggExpr lowers an expression that may contain aggregates, mirroring the
+// interpreter's evalAgg: each aggregate call gets an accumulator slot
+// (appended to slots) and reads its result, non-aggregate subtrees evaluate
+// on the first row.
+func (c *exprCompiler) aggExpr(x Expr, slots *[]aggSlot) compiledAggExpr {
 	switch v := x.(type) {
 	case *AggExpr:
-		return compileAgg(cols, v, slots)
+		return c.agg(v, slots)
 	case *BinaryExpr:
 		if !hasAggregate(v) {
-			return compileOnFirst(cols, v)
+			return c.onFirst(v)
 		}
-		l, err := compileAggExpr(cols, v.L, slots)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileAggExpr(cols, v.R, slots)
-		if err != nil {
-			return nil, err
-		}
+		l, r := c.aggExpr(v.L, slots), c.aggExpr(v.R, slots)
 		op := v.Op
 		return func(g *aggGroup, params []Value) (Value, error) {
 			lv, err := l(g, params)
@@ -752,37 +702,30 @@ func compileAggExpr(cols []envCol, x Expr, slots *[]aggSlot) (compiledAggExpr, e
 				return Null, err
 			}
 			return applyBinaryValues(op, lv, rv)
-		}, nil
-	case *UnaryExpr:
-		inner, err := compileAggExpr(cols, v.E, slots)
-		if err != nil {
-			return nil, err
 		}
+	case *UnaryExpr:
+		inner := c.aggExpr(v.E, slots)
 		return func(g *aggGroup, params []Value) (Value, error) {
 			val, err := inner(g, params)
 			if err != nil {
 				return Null, err
 			}
 			return NewBool(!truthy(val)), nil
-		}, nil
+		}
 	default:
-		return compileOnFirst(cols, x)
+		return c.onFirst(x)
 	}
 }
 
-// compileAgg lowers one aggregate call: COUNT(*) is the group's row count,
-// anything else takes the next accumulator slot and reads its result.
-func compileAgg(cols []envCol, a *AggExpr, slots *[]aggSlot) (compiledAggExpr, error) {
+// agg lowers one aggregate call: COUNT(*) is the group's row count, anything
+// else takes the next accumulator slot and reads its result.
+func (c *exprCompiler) agg(a *AggExpr, slots *[]aggSlot) compiledAggExpr {
 	if a.Star {
 		return func(g *aggGroup, _ []Value) (Value, error) {
 			return NewInt(int64(g.n)), nil
-		}, nil
+		}
 	}
-	arg, err := compileExpr(cols, a.Arg)
-	if err != nil {
-		return nil, err
-	}
-	slot := aggSlot{name: a.Fn, distinct: a.Distinct, arg: arg}
+	slot := aggSlot{name: a.Fn, distinct: a.Distinct, arg: c.expr(a.Arg)}
 	switch a.Fn {
 	case "COUNT":
 		slot.fn = aggCount
@@ -797,13 +740,13 @@ func compileAgg(cols []envCol, a *AggExpr, slots *[]aggSlot) (compiledAggExpr, e
 	default:
 		return func(*aggGroup, []Value) (Value, error) {
 			return Null, fmt.Errorf("relational: unknown aggregate %q", slot.name)
-		}, nil
+		}
 	}
 	i := len(*slots)
 	*slots = append(*slots, slot)
 	return func(g *aggGroup, _ []Value) (Value, error) {
 		return slot.result(&g.accs[i])
-	}, nil
+	}
 }
 
 // ---- SELECT compilation ----
@@ -813,7 +756,8 @@ type selectProgram struct {
 	baseTable string // lowercased storage key
 	baseVer   uint64
 	baseWidth int // base table column count (row width before joins)
-	layout    []envCol
+	// exprs compiled every expression of the statement over the joined layout.
+	exprs     exprCompiler
 	joins     []joinProgram
 	where     compiledExpr
 	whereDesc string
@@ -842,10 +786,26 @@ type selectProgram struct {
 	groupBy  []int
 	having   compiledAggExpr
 	aggDesc  string // "GroupBy(n keys)" or "Aggregate"
+	// aggErr is what the interpreter reports as it starts aggregating, once
+	// the filter has seen every row: `SELECT *` beside aggregates, or — only
+	// if a row passed the filter (aggErrLazy) — a GROUP BY key that does not
+	// resolve. Items and HAVING are not compiled then.
+	aggErr     error
+	aggErrLazy bool
 
 	orderBy  []orderProgram
 	sortDesc string
+	// orderErr is the interpreter's refusal of an aggregate ORDER BY key that
+	// is not an output column, raised where it sorts: after every group was
+	// computed, even when there is none.
+	orderErr error
+	// orderOnInput: some ORDER BY key of a non-aggregated SELECT is evaluated
+	// on the input row. Under DISTINCT the interpreter then demands as many
+	// output rows as input rows, that is, that DISTINCT dropped nothing.
+	orderOnInput bool
 }
+
+var errOrderRowCount = errors.New("relational: internal: row count mismatch in ORDER BY")
 
 type joinProgram struct {
 	table string // lowercased storage key
@@ -868,6 +828,31 @@ type orderProgram struct {
 	desc   bool
 }
 
+func itemName(it SelectItem) string {
+	if it.Alias != "" {
+		return it.Alias
+	}
+	if c, ok := it.Expr.(*ColumnRef); ok {
+		return c.Column
+	}
+	return exprString(it.Expr)
+}
+
+func distinctRows(rows []Row) []Row {
+	seen := make(map[string]struct{}, len(rows))
+	out := rows[:0:0]
+	var scratch []byte
+	for _, r := range rows {
+		scratch = appendRowKey(scratch[:0], r)
+		if _, dup := seen[string(scratch)]; dup {
+			continue
+		}
+		seen[string(scratch)] = struct{}{}
+		out = append(out, r)
+	}
+	return out
+}
+
 func outColumnIndex(columns []string, name string) int {
 	for i, c := range columns {
 		if strings.EqualFold(c, name) {
@@ -877,6 +862,9 @@ func outColumnIndex(columns []string, name string) int {
 	return -1
 }
 
+// buildSelectProgram compiles sel. Its errors are the ones the interpreter
+// reports before it reads a row, in its order: the base table, then join by
+// join the joined table and the two sides of ON.
 func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 	base, baseVer, err := db.tableVer(sel.From.Table)
 	if err != nil {
@@ -888,11 +876,7 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 		baseVer:   baseVer,
 		baseWidth: len(base.schema.Columns),
 	}
-	baseName := strings.ToLower(sel.From.Name())
-	cols := make([]envCol, 0, len(base.schema.Columns))
-	for _, c := range base.schema.Columns {
-		cols = append(cols, envCol{table: baseName, name: strings.ToLower(c.Name)})
-	}
+	cols := tableLayout(base, sel.From.Name())
 	pretty := append([]string(nil), base.schema.Names()...)
 
 	for _, j := range sel.Joins {
@@ -900,18 +884,13 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 		if err != nil {
 			return nil, err
 		}
-		jName := strings.ToLower(j.Table.Name())
-		jCols := make([]envCol, 0, len(jt.schema.Columns))
-		for _, c := range jt.schema.Columns {
-			jCols = append(jCols, envCol{table: jName, name: strings.ToLower(c.Name)})
-		}
-		// Determine which side of ON belongs to the joined table (same swap
-		// logic as the interpreter).
+		jCols := tableLayout(jt, j.Table.Name())
+		// Determine which side of ON belongs to the joined table.
 		leftRef, rightRef := j.LCol, j.RCol
 		if _, err := resolveCol(jCols, &rightRef); err != nil {
 			leftRef, rightRef = rightRef, leftRef
-			if _, err2 := resolveCol(jCols, &rightRef); err2 != nil {
-				return nil, err2
+			if _, err := resolveCol(jCols, &rightRef); err != nil {
+				return nil, fmt.Errorf("relational: join condition references no column of %s", j.Table.Name())
 			}
 		}
 		rIdx, err := resolveCol(jCols, &rightRef)
@@ -938,14 +917,11 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 		cols = append(cols, jCols...)
 		pretty = append(pretty, jt.schema.Names()...)
 	}
-	p.layout = cols
+	p.exprs.cols = cols
+	c := &p.exprs
 
 	if sel.Where != nil {
-		f, err := compileExpr(cols, sel.Where)
-		if err != nil {
-			return nil, err
-		}
-		p.where = f
+		p.where = c.expr(sel.Where)
 		p.whereAuto = hasAutoParam(sel.Where)
 		p.whereDesc = "Filter(" + exprString(sel.Where) + ")"
 	}
@@ -959,40 +935,7 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 	}
 
 	if p.aggregated {
-		for _, it := range sel.Items {
-			if it.Star {
-				// The interpreter rejects this at execution time; keep the
-				// error on the interpreted path.
-				return nil, errUncompilable
-			}
-			p.columns = append(p.columns, itemName(it))
-			f, err := compileAggExpr(cols, it.Expr, &p.aggSlots)
-			if err != nil {
-				return nil, err
-			}
-			p.aggItems = append(p.aggItems, f)
-		}
-		p.outWidth = len(p.aggItems)
-		for _, gc := range sel.GroupBy {
-			gcCopy := gc
-			i, err := resolveCol(cols, &gcCopy)
-			if err != nil {
-				return nil, err
-			}
-			p.groupBy = append(p.groupBy, i)
-		}
-		if sel.Having != nil {
-			f, err := compileAggExpr(cols, sel.Having, &p.aggSlots)
-			if err != nil {
-				return nil, err
-			}
-			p.having = f
-		}
-		if len(sel.GroupBy) > 0 {
-			p.aggDesc = fmt.Sprintf("GroupBy(%d keys)", len(sel.GroupBy))
-		} else {
-			p.aggDesc = "Aggregate"
-		}
+		p.buildAggregate()
 	} else {
 		for _, it := range sel.Items {
 			if it.Star {
@@ -1002,11 +945,7 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 				continue
 			}
 			p.columns = append(p.columns, itemName(it))
-			f, err := compileExpr(cols, it.Expr)
-			if err != nil {
-				return nil, err
-			}
-			p.items = append(p.items, itemProgram{f: f})
+			p.items = append(p.items, itemProgram{f: c.expr(it.Expr)})
 			p.outWidth++
 		}
 		p.starOnly = len(sel.Items) == 1 && sel.Items[0].Star
@@ -1019,19 +958,13 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 		}
 		if op.outIdx < 0 {
 			if p.aggregated {
-				// Interpreted path raises "must be an output column".
-				return nil, errUncompilable
+				if p.orderErr == nil {
+					p.orderErr = fmt.Errorf("relational: ORDER BY key %q must be an output column in aggregate queries", exprString(ob.Expr))
+				}
+			} else {
+				op.f = c.expr(ob.Expr)
+				p.orderOnInput = true
 			}
-			if sel.Distinct {
-				// Whether the interpreter errors here depends on how many
-				// rows DISTINCT removes at runtime; leave the quirk to it.
-				return nil, errUncompilable
-			}
-			f, err := compileExpr(cols, ob.Expr)
-			if err != nil {
-				return nil, err
-			}
-			op.f = f
 		}
 		p.orderBy = append(p.orderBy, op)
 	}
@@ -1039,6 +972,48 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 		p.sortDesc = fmt.Sprintf("Sort(%d keys)", len(sel.OrderBy))
 	}
 	return p, nil
+}
+
+// buildAggregate compiles the items, GROUP BY keys and HAVING of an
+// aggregated SELECT.
+func (p *selectProgram) buildAggregate() {
+	sel, c := p.sel, &p.exprs
+	if len(sel.GroupBy) > 0 {
+		p.aggDesc = fmt.Sprintf("GroupBy(%d keys)", len(sel.GroupBy))
+	} else {
+		p.aggDesc = "Aggregate"
+	}
+	for _, it := range sel.Items {
+		if it.Star {
+			p.aggErr = errors.New("relational: SELECT * cannot be combined with aggregates")
+			return
+		}
+	}
+	for _, gc := range sel.GroupBy {
+		gcCopy := gc
+		i, err := resolveCol(c.cols, &gcCopy)
+		if err != nil {
+			p.aggErr, p.aggErrLazy = err, true
+			break
+		}
+		p.groupBy = append(p.groupBy, i)
+	}
+	// The output columns exist whatever happens: an ORDER BY key is matched
+	// against them, and a GROUP BY key that does not resolve is no error over
+	// zero rows.
+	for _, it := range sel.Items {
+		p.columns = append(p.columns, itemName(it))
+	}
+	p.outWidth = len(sel.Items)
+	if p.aggErr != nil {
+		return
+	}
+	for _, it := range sel.Items {
+		p.aggItems = append(p.aggItems, c.aggExpr(it.Expr, &p.aggSlots))
+	}
+	if sel.Having != nil {
+		p.having = c.aggExpr(sel.Having, &p.aggSlots)
+	}
 }
 
 // filterDesc returns the Filter(...) plan line for one execution: static
@@ -1079,7 +1054,7 @@ const (
 // eligible ("col op const" forward, "const op col" reversed with the
 // operator pre-flipped); which one applies is decided per execution, after
 // the index and the bound value are known — exactly the precedence of the
-// interpreted planAccess.
+// reference planAccess.
 type accessCand struct {
 	kind accessCandKind
 
@@ -1107,10 +1082,10 @@ func constGetter(e Expr) valueGetter {
 	case *Param:
 		ord := x.Ordinal
 		return func(params []Value) (Value, bool) {
-			if ord-1 < len(params) && params[ord-1].T != missingParamType {
-				return params[ord-1], true
+			if unbound(params, ord) {
+				return Null, false
 			}
-			return Null, false
+			return params[ord-1], true
 		}
 	}
 	return nil
@@ -1132,7 +1107,7 @@ func baseColumn(e Expr, baseNameLower string) string {
 
 // buildAccessCands extracts the sargable candidates from the WHERE
 // conjuncts at compile time. Conjunct order is preserved: the per-execution
-// planner considers candidates in the same order as the interpreted one, so
+// planner considers candidates in the same order as the reference one, so
 // its strict tie-break picks the same winner.
 func buildAccessCands(baseNameLower string, where Expr) []accessCand {
 	if where == nil {
@@ -1199,21 +1174,25 @@ func buildAccessCands(baseNameLower string, where Expr) []accessCand {
 	return out
 }
 
-// planAccessCompiled is the compiled twin of (*table).planAccess: it walks
-// the precompiled candidates against the live index set and this
-// execution's bound values, producing the same access path (and plan line)
-// the interpreted planner would choose for the equivalent literal text.
+// planAccessCompiled walks the precompiled candidates against the live index
+// set and this execution's bound values, producing the access path (and plan
+// line) the reference planner (planAccess, interp_test.go) chooses for the
+// equivalent literal text.
 func (p *selectProgram) planAccessCompiled(t *table, params []Value) accessPath {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return planAccessLocked(t, p.access, params, p.sel.Explain)
+	return planAccessLocked(t, p.access, params, p.sel.Explain, false)
 }
 
 // planAccessLocked picks the best access path for the precompiled candidates
 // under this execution's bound values. The caller holds t.mu (read or write).
 // The desc plan line is rendered only when wantDesc (EXPLAIN): ordinary
-// queries never pay for it.
-func planAccessLocked(t *table, access []accessCand, params []Value, wantDesc bool) accessPath {
+// queries never pay for it. sameClass is for a caller that must visit exactly
+// the rows a scan would match (DML): an index then serves only a value of its
+// column's own class — a number for a numeric column, else the column's type —
+// because it files values by key and by Compare, and across classes the
+// predicate's Equal (3 = '3') finds rows neither does.
+func planAccessLocked(t *table, access []accessCand, params []Value, wantDesc, sameClass bool) accessPath {
 	if len(access) == 0 || len(t.indexes) == 0 {
 		if !wantDesc {
 			return accessPath{all: true}
@@ -1242,20 +1221,31 @@ func planAccessLocked(t *table, access []accessCand, params []Value, wantDesc bo
 			found = true
 		}
 	}
+	serves := func(ix *indexDef, v Value) bool {
+		if !sameClass || v.IsNull() {
+			return true
+		}
+		switch ct := t.schema.Columns[ix.col].Type; ct {
+		case TInt, TFloat:
+			return v.T == TInt || v.T == TFloat
+		default:
+			return v.T == ct
+		}
+	}
 	// resolve maps a binary candidate onto the live index set for this
 	// execution's bound values: the forward orientation wins when both sides
-	// are indexed, matching the interpreted planner.
+	// are indexed, matching the reference planner.
 	resolve := func(ac *accessCand) (*indexDef, Value, string) {
 		if ac.fwdCol != "" {
 			if cand := t.indexes[ac.fwdCol]; cand != nil {
-				if fv, ok := ac.fwdVal(params); ok && !fv.IsNull() {
+				if fv, ok := ac.fwdVal(params); ok && !fv.IsNull() && serves(cand, fv) {
 					return cand, fv, ac.fwdOp
 				}
 			}
 		}
 		if ac.revCol != "" {
 			if cand := t.indexes[ac.revCol]; cand != nil {
-				if rv, ok := ac.revVal(params); ok && !rv.IsNull() {
+				if rv, ok := ac.revVal(params); ok && !rv.IsNull() && serves(cand, rv) {
 					return cand, rv, ac.revOp
 				}
 			}
@@ -1291,7 +1281,7 @@ func planAccessLocked(t *table, access []accessCand, params []Value, wantDesc bo
 			ok := true
 			for _, g := range ac.items {
 				v, o := g(params)
-				if !o {
+				if !o || !serves(ix, v) {
 					ok = false
 					break
 				}
@@ -1324,7 +1314,7 @@ func planAccessLocked(t *table, access []accessCand, params []Value, wantDesc bo
 				}
 				lo, ok1 := ac.lo(params)
 				hi, ok2 := ac.hi(params)
-				if !ok1 || !ok2 {
+				if !ok1 || !ok2 || !serves(ix, lo) || !serves(ix, hi) {
 					continue
 				}
 				consider(candidate{rank: 2, ids: ix.order.lookupRange(lo, hi, false, false), ix: ix, op: "BETWEEN", v: lo, hi: hi})
@@ -1614,13 +1604,14 @@ func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planL
 	sel := p.sel
 	var groups []*aggGroup
 	var byKey map[string]*aggGroup
-	if len(p.groupBy) == 0 {
+	if len(sel.GroupBy) == 0 {
 		// The global group exists over empty input too.
 		groups = []*aggGroup{p.newAggGroup()}
 	} else {
 		byKey = make(map[string]*aggGroup)
 	}
 	var scratch []byte
+	passed := false
 	err := iter(func(r Row) error {
 		if p.where != nil {
 			v, err := p.where(r, params)
@@ -1630,6 +1621,12 @@ func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planL
 			if !truthy(v) {
 				return nil
 			}
+		}
+		if p.aggErr != nil {
+			// Nothing will be aggregated; the scan goes on for the filter's
+			// own errors, which come first.
+			passed = true
+			return nil
 		}
 		var g *aggGroup
 		if byKey == nil {
@@ -1656,6 +1653,9 @@ func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planL
 	})
 	if err != nil {
 		return nil, err
+	}
+	if p.aggErr != nil && (passed || !p.aggErrLazy) {
+		return nil, p.aggErr
 	}
 	if p.where != nil {
 		if p.sel.Explain {
@@ -1697,9 +1697,10 @@ func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planL
 		}
 	}
 
+	if p.orderErr != nil {
+		return nil, p.orderErr
+	}
 	if len(p.orderBy) > 0 {
-		// Aggregated ORDER BY keys are always output columns (anything else
-		// is a fallback shape).
 		idx := make([]int, len(out.Rows))
 		for i := range idx {
 			idx[i] = i
@@ -1747,6 +1748,13 @@ func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planL
 // pipeline that streams rows straight into the result, deduplicates DISTINCT
 // through binary keys, stops early once OFFSET+LIMIT rows are produced, and
 // serves ORDER BY + LIMIT through a bounded top-k heap.
+//
+// The interpreter filters every row, then projects every row, then evaluates
+// the ORDER BY keys key by key, so although the work is fused a WHERE error at
+// any row is the statement's error; a projection error (projErr) waits for the
+// filter to finish and outranks every ORDER BY error; of those (ordErr) the
+// one on the earliest key wins, then the earliest row. And the scan stops
+// early only in an execution where nothing it would skip can raise.
 func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLines *[]string) (*Result, error) {
 	sel := p.sel
 	out := &Result{Columns: p.columns}
@@ -1786,12 +1794,14 @@ func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLin
 	if sel.Distinct {
 		seen = make(map[string]struct{})
 	}
+	var projErr error
 
 	if len(p.orderBy) == 0 {
 		need := -1
 		if sel.Limit >= 0 {
 			need = sel.Offset + sel.Limit
 		}
+		stopEarly := need >= 0 && !p.exprs.canRaise(params)
 		sawMore := false
 		err := iter(func(r Row) error {
 			if p.where != nil {
@@ -1803,37 +1813,48 @@ func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLin
 					return nil
 				}
 			}
-			if seen == nil {
-				if need >= 0 && len(out.Rows) == need {
-					sawMore = true
-					return errStopScan
-				}
-				or, err := project(r)
-				if err != nil {
-					return err
-				}
-				out.Rows = append(out.Rows, or)
+			if projErr != nil {
 				return nil
 			}
-			or, err := project(r)
-			if err != nil {
-				return err
-			}
-			scratch = appendRowKey(scratch[:0], or)
-			if _, dup := seen[string(scratch)]; dup {
-				unproject()
-				return nil
-			}
-			if need >= 0 && len(out.Rows) == need {
+			full := need >= 0 && len(out.Rows) == need
+			if full && seen == nil && stopEarly {
+				// Stop before projecting a row nobody asked for.
 				sawMore = true
 				return errStopScan
 			}
-			seen[string(scratch)] = struct{}{}
+			or, err := project(r)
+			if err != nil {
+				projErr = err
+				return nil
+			}
+			if seen != nil {
+				scratch = appendRowKey(scratch[:0], or)
+				if _, dup := seen[string(scratch)]; dup {
+					unproject()
+					return nil
+				}
+			}
+			if full {
+				// One more row than asked for. Whether others follow does not
+				// change the result; whether they raise does.
+				sawMore = true
+				if stopEarly {
+					return errStopScan
+				}
+				unproject()
+				return nil
+			}
+			if seen != nil {
+				seen[string(scratch)] = struct{}{}
+			}
 			out.Rows = append(out.Rows, or)
 			return nil
 		})
 		if err != nil && err != errStopScan {
 			return nil, err
+		}
+		if projErr != nil {
+			return nil, projErr
 		}
 		if p.where != nil {
 			if p.sel.Explain {
@@ -1879,6 +1900,9 @@ func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLin
 		heap = topk.New(k, p.candLess)
 	}
 	total := 0
+	var ordErr error
+	ordErrKey := len(p.orderBy) // keys from here on cannot change the outcome
+	dropped := false            // DISTINCT removed a row
 	err := iter(func(r Row) error {
 		if p.where != nil {
 			v, err := p.where(r, params)
@@ -1889,29 +1913,38 @@ func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLin
 				return nil
 			}
 		}
+		if projErr != nil {
+			return nil
+		}
 		or, err := project(r)
 		if err != nil {
-			return err
+			projErr = err
+			return nil
 		}
 		if seen != nil {
 			scratch = appendRowKey(scratch[:0], or)
 			if _, dup := seen[string(scratch)]; dup {
 				unproject()
+				dropped = true
 				return nil
 			}
 			seen[string(scratch)] = struct{}{}
 		}
 		keys := make([]Value, len(p.orderBy))
-		for ki, op := range p.orderBy {
+		for ki, op := range p.orderBy[:ordErrKey] {
 			if op.outIdx >= 0 {
 				keys[ki] = or[op.outIdx]
 				continue
 			}
 			v, err := op.f(r, params)
 			if err != nil {
-				return err
+				ordErr, ordErrKey = err, ki
+				break
 			}
 			keys[ki] = v
+		}
+		if ordErr != nil {
+			return nil
 		}
 		c := &sortCand{out: or, keys: keys, seq: total}
 		total++
@@ -1922,8 +1955,15 @@ func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLin
 		}
 		return nil
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
+	case projErr != nil:
+		return nil, projErr
+	case dropped && p.orderOnInput:
+		return nil, errOrderRowCount
+	case ordErr != nil:
+		return nil, ordErr
 	}
 	if heap != nil {
 		cands = heap.Items()
@@ -1973,6 +2013,7 @@ func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLin
 type updateProgram struct {
 	table   string
 	ver     uint64
+	exprs   exprCompiler
 	where   compiledExpr
 	access  []accessCand
 	targets []updateTarget
@@ -1988,39 +2029,35 @@ type updateTarget struct {
 type deleteProgram struct {
 	table  string
 	ver    uint64
+	exprs  exprCompiler
 	where  compiledExpr
 	access []accessCand
 }
 
+// buildUpdateProgram compiles up. A missing table or a SET target that is not
+// a column is the statement's error whatever its rows; the predicate and the
+// SET values raise only when evaluated.
 func (db *DB) buildUpdateProgram(up *UpdateStmt) (*updateProgram, error) {
 	t, ver, err := db.tableVer(up.Table)
 	if err != nil {
 		return nil, err
 	}
 	p := &updateProgram{table: strings.ToLower(up.Table), ver: ver}
-	cols := tableLayout(t, up.Table)
+	p.exprs.cols = tableLayout(t, up.Table)
 	for _, sc := range up.Set {
 		ci := t.schema.ColIndex(sc.Column)
 		if ci < 0 {
 			return nil, fmt.Errorf("%w: %s.%s", ErrColumnUnknown, up.Table, sc.Column)
 		}
-		f, err := compileExpr(cols, sc.Value)
-		if err != nil {
-			return nil, err
-		}
 		p.targets = append(p.targets, updateTarget{
 			col:  ci,
 			name: t.schema.Columns[ci].Name,
 			typ:  t.schema.Columns[ci].Type,
-			f:    f,
+			f:    p.exprs.expr(sc.Value),
 		})
 	}
 	if up.Where != nil {
-		f, err := compileExpr(cols, up.Where)
-		if err != nil {
-			return nil, err
-		}
-		p.where = f
+		p.where = p.exprs.expr(up.Where)
 		p.access = buildAccessCands(p.table, up.Where)
 	}
 	return p, nil
@@ -2033,17 +2070,14 @@ func (db *DB) buildDeleteProgram(del *DeleteStmt) (*deleteProgram, error) {
 	}
 	p := &deleteProgram{table: strings.ToLower(del.Table), ver: ver}
 	if del.Where != nil {
-		f, err := compileExpr(tableLayout(t, del.Table), del.Where)
-		if err != nil {
-			return nil, err
-		}
-		p.where = f
+		p.exprs.cols = tableLayout(t, del.Table)
+		p.where = p.exprs.expr(del.Where)
 		p.access = buildAccessCands(p.table, del.Where)
 	}
 	return p, nil
 }
 
-// tableLayout builds the single-table column layout used by DML predicates.
+// tableLayout builds the column layout of one table under its effective name.
 func tableLayout(t *table, name string) []envCol {
 	baseName := strings.ToLower(name)
 	cols := make([]envCol, len(t.schema.Columns))
@@ -2053,18 +2087,27 @@ func tableLayout(t *table, name string) []envCol {
 	return cols
 }
 
-// dmlCandidates returns the row ids a compiled DML statement must visit,
-// using the same staged access planner as compiled SELECTs. The returned
-// slice is a private copy: the statement body mutates rows and index
-// postings, and the planner's id slices may alias live index storage. A nil
-// slice with all=true means no sargable candidate matched and the caller
-// scans the whole table. The caller holds t.mu for writing.
-func dmlCandidates(t *table, access []accessCand, params []Value) (ids []int, all bool) {
-	path := planAccessLocked(t, access, params, false)
+// dmlCandidates returns the row ids a compiled DML statement must visit, in
+// ascending order — the order the interpreter scans in, which decides what a
+// statement that fails midway leaves behind — using the same staged access
+// planner as compiled SELECTs. The returned slice is a private copy: the
+// statement body mutates rows and index postings, and the planner's id
+// slices may alias live index storage. A nil slice with all=true means the
+// caller scans the whole table: no sargable candidate matched, or an
+// expression of the statement can raise in this execution, and the
+// interpreter would have met that on a row an index skips. The caller holds
+// t.mu for writing.
+func dmlCandidates(t *table, exprs *exprCompiler, access []accessCand, params []Value) (ids []int, all bool) {
+	if len(access) == 0 || exprs.canRaise(params) {
+		return nil, true
+	}
+	path := planAccessLocked(t, access, params, false, true)
 	if path.all {
 		return nil, true
 	}
-	return append([]int(nil), path.ids...), false
+	ids = append([]int(nil), path.ids...)
+	sort.Ints(ids)
+	return ids, false
 }
 
 func (db *DB) runUpdateProgram(p *updateProgram, params []Value) (*Result, error) {
@@ -2115,7 +2158,7 @@ func (db *DB) runUpdateProgram(p *updateProgram, params []Value) (*Result, error
 		n++
 		return nil
 	}
-	if ids, all := dmlCandidates(t, p.access, params); !all {
+	if ids, all := dmlCandidates(t, &p.exprs, p.access, params); !all {
 		for _, id := range ids {
 			if err := apply(id); err != nil {
 				return nil, err
@@ -2161,7 +2204,7 @@ func (db *DB) runDeleteProgram(p *deleteProgram, params []Value) (*Result, error
 		n++
 		return nil
 	}
-	if ids, all := dmlCandidates(t, p.access, params); !all {
+	if ids, all := dmlCandidates(t, &p.exprs, p.access, params); !all {
 		for _, id := range ids {
 			if err := apply(id); err != nil {
 				return nil, err

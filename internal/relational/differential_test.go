@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,11 +10,13 @@ import (
 	"testing"
 )
 
-// Differential tests: every statement is executed through the compiled path
-// and through the interpreted oracle, and the two must agree on columns,
-// rows, plan strings and errors. The corpus covers the full dialect surface
-// (every operator, joins, grouping, HAVING, DISTINCT, ORDER BY/LIMIT/OFFSET,
-// parameters, NULLs) plus the lazy-error shapes the compiler refuses.
+// Differential tests: every statement is executed by the engine (DB.Query:
+// shape-keyed cache, compiled program) and by the reference interpreter
+// (refRun, interp_test.go), and the two must agree on columns, rows, plan
+// strings and errors. The corpus covers the full dialect surface (every
+// operator, joins, grouping, HAVING, DISTINCT, ORDER BY/LIMIT/OFFSET,
+// parameters, NULLs) plus the shapes whose outcome depends on how many rows
+// evaluation reaches.
 
 // diffDB builds a fixture with NULLs, duplicate values, indexes and three
 // joinable tables.
@@ -57,142 +60,182 @@ func diffDB(t testing.TB, seed int64) *DB {
 	return db
 }
 
-// runBoth executes sql through both paths and asserts identical outcomes.
-// It returns the shared result for follow-up assertions.
-func runBoth(t *testing.T, db *DB, sql string, params ...any) *Result {
+// sameOutcome fails unless the engine's outcome of one statement (got) is the
+// reference's (want): the same error text, or the same columns, rows and plan.
+func sameOutcome(t testing.TB, sql string, got *Result, gotErr error, want *Result, wantErr error) {
 	t.Helper()
-	db.SetCompileEnabled(true)
-	gotRes, gotErr := db.Query(sql, params...)
-	db.SetCompileEnabled(false)
-	wantRes, wantErr := db.Query(sql, params...)
-	db.SetCompileEnabled(true)
 	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("%s: compiled err = %v, interpreted err = %v", sql, gotErr, wantErr)
+		t.Fatalf("%s: compiled err = %v, reference err = %v", sql, gotErr, wantErr)
 	}
 	if gotErr != nil {
 		if gotErr.Error() != wantErr.Error() {
-			t.Fatalf("%s: compiled err %q, interpreted err %q", sql, gotErr, wantErr)
+			t.Fatalf("%s: compiled err %q, reference err %q", sql, gotErr, wantErr)
 		}
-		return nil
+		return
 	}
-	if !reflect.DeepEqual(gotRes.Columns, wantRes.Columns) {
-		t.Fatalf("%s: columns %v vs %v", sql, gotRes.Columns, wantRes.Columns)
+	if !reflect.DeepEqual(got.Columns, want.Columns) {
+		t.Fatalf("%s: columns %v vs %v", sql, got.Columns, want.Columns)
 	}
-	if len(gotRes.Rows) != len(wantRes.Rows) {
-		t.Fatalf("%s: %d rows vs %d rows\ncompiled: %v\ninterp:   %v",
-			sql, len(gotRes.Rows), len(wantRes.Rows), gotRes.Rows, wantRes.Rows)
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("%s: %d rows vs %d rows\ncompiled:  %v\nreference: %v",
+			sql, len(got.Rows), len(want.Rows), got.Rows, want.Rows)
 	}
-	for i := range gotRes.Rows {
-		if !reflect.DeepEqual(gotRes.Rows[i], wantRes.Rows[i]) {
-			t.Fatalf("%s: row %d differs: %v vs %v", sql, i, gotRes.Rows[i], wantRes.Rows[i])
-		}
-	}
-	if gotRes.Plan != wantRes.Plan {
-		t.Fatalf("%s: plan %q vs %q", sql, gotRes.Plan, wantRes.Plan)
-	}
-	// Plan strings only render under EXPLAIN now, so sweep the EXPLAIN
-	// variant of every SELECT too: compiled and interpreted access planning
-	// must describe the same path.
-	if up := strings.ToUpper(strings.TrimSpace(sql)); strings.HasPrefix(up, "SELECT") {
-		esql := "EXPLAIN " + sql
-		db.SetCompileEnabled(true)
-		gotE, gotErr := db.Query(esql, params...)
-		db.SetCompileEnabled(false)
-		wantE, wantErr := db.Query(esql, params...)
-		db.SetCompileEnabled(true)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%s: compiled err = %v, interpreted err = %v", esql, gotErr, wantErr)
-		}
-		if gotErr == nil && gotE.Plan != wantE.Plan {
-			t.Fatalf("%s: plan %q vs %q", esql, gotE.Plan, wantE.Plan)
+	for i := range got.Rows {
+		if !reflect.DeepEqual(got.Rows[i], want.Rows[i]) {
+			t.Fatalf("%s: row %d differs: %v vs %v", sql, i, got.Rows[i], want.Rows[i])
 		}
 	}
-	return gotRes
+	if got.Plan != want.Plan {
+		t.Fatalf("%s: plan %q vs %q", sql, got.Plan, want.Plan)
+	}
 }
 
-// TestDifferentialDialectSurface pins compiled == interpreted on a corpus
-// exercising every construct of the dialect, including the error shapes.
+// runBoth executes a read-only sql through the engine and through the
+// reference and asserts identical outcomes. It returns the engine's result
+// (nil when both failed alike) for follow-up assertions.
+func runBoth(t testing.TB, db *DB, sql string, params ...any) *Result {
+	t.Helper()
+	got, gotErr := db.Query(sql, params...)
+	want, wantErr := refRun(db, sql, params...)
+	sameOutcome(t, sql, got, gotErr, want, wantErr)
+	// Plan strings only render under EXPLAIN, so sweep the EXPLAIN variant of
+	// every SELECT too: compiled and reference access planning must describe
+	// the same path.
+	if up := strings.ToUpper(strings.TrimSpace(sql)); strings.HasPrefix(up, "SELECT") {
+		esql := "EXPLAIN " + sql
+		gotE, gotErr := db.Query(esql, params...)
+		wantE, wantErr := refRun(db, esql, params...)
+		sameOutcome(t, esql, gotE, gotErr, wantE, wantErr)
+	}
+	return got
+}
+
+// diffCase is one statement of a differential corpus with its parameters.
+type diffCase struct {
+	sql    string
+	params []any
+}
+
+// dialectCorpus exercises every construct of the dialect, including the
+// error shapes.
+var dialectCorpus = []diffCase{
+	// Scans, filters, every comparison operator.
+	{`SELECT id, title FROM jobs`, nil},
+	{`SELECT * FROM jobs WHERE salary > 100000`, nil},
+	{`SELECT id FROM jobs WHERE salary >= ? AND salary <= ?`, []any{95000, 110000}},
+	{`SELECT id FROM jobs WHERE salary < 95000 OR remote = TRUE`, nil},
+	{`SELECT id FROM jobs WHERE title != 'Analyst'`, nil},
+	{`SELECT id FROM jobs WHERE NOT remote = TRUE AND city = 'Oakland'`, nil},
+	{`SELECT id FROM jobs WHERE title LIKE '%data%'`, nil},
+	{`SELECT id FROM jobs WHERE title LIKE '_L %'`, nil},
+	{`SELECT id FROM jobs WHERE city IN ('Oakland', 'Austin', ?)`, []any{"Seattle"}},
+	{`SELECT id FROM jobs WHERE city NOT IN ('Oakland')`, nil},
+	{`SELECT id FROM jobs WHERE salary BETWEEN ? AND ?`, []any{95000, 105000}},
+	{`SELECT id FROM jobs WHERE salary NOT BETWEEN 95000 AND 105000`, nil},
+	{`SELECT id FROM jobs WHERE city IS NULL`, nil},
+	{`SELECT id, salary FROM jobs WHERE salary IS NOT NULL AND salary = 99000.0`, nil},
+	// Index-served predicates (EXPLAIN plans must match too).
+	{`EXPLAIN SELECT id FROM jobs WHERE city = 'Oakland'`, nil},
+	{`SELECT id FROM jobs WHERE city = ?`, []any{"Oakland"}},
+	{`SELECT id FROM jobs WHERE salary >= 110000`, nil},
+	{`EXPLAIN SELECT id FROM jobs WHERE salary BETWEEN 100000 AND 104000`, nil},
+	// Projection shapes.
+	{`SELECT title AS t, city AS c FROM jobs WHERE id < 10`, nil},
+	{`SELECT *, id FROM jobs WHERE id < 5`, nil},
+	{`SELECT DISTINCT title FROM jobs`, nil},
+	{`SELECT DISTINCT title, remote FROM jobs`, nil},
+	// Joins (inner/left, aliased, flipped ON, ambiguous errors).
+	{`SELECT j.title, c.name FROM jobs j JOIN companies c ON j.company_id = c.id`, nil},
+	{`SELECT j.title, c.name FROM jobs j JOIN companies c ON c.id = j.company_id WHERE c.size = 'mid'`, nil},
+	{`SELECT j.id, c.name FROM jobs j LEFT JOIN companies c ON j.company_id = c.id ORDER BY j.id`, nil},
+	{`SELECT a.id, j.title, c.name FROM apps a JOIN jobs j ON a.job_id = j.id JOIN companies c ON j.company_id = c.id WHERE a.score > ?`, []any{50.0}},
+	{`SELECT id FROM jobs j JOIN companies c ON j.company_id = c.id`, nil}, // ambiguous id
+	// Aggregates: global, grouped, HAVING, DISTINCT args, expressions.
+	{`SELECT COUNT(*) FROM jobs`, nil},
+	{`SELECT COUNT(*), COUNT(salary), COUNT(DISTINCT city) FROM jobs`, nil},
+	{`SELECT MIN(salary), MAX(salary), AVG(salary), SUM(salary) FROM jobs`, nil},
+	{`SELECT SUM(score), AVG(score) FROM apps`, nil},
+	{`SELECT COUNT(*) FROM jobs WHERE id > 1000`, nil}, // empty input
+	{`SELECT SUM(salary), MIN(title) FROM jobs WHERE id > 1000`, nil},
+	{`SELECT city, COUNT(*) AS n FROM jobs GROUP BY city ORDER BY city`, nil},
+	{`SELECT city, title, COUNT(*) AS n FROM jobs GROUP BY city, title ORDER BY city, title`, nil},
+	{`SELECT city, AVG(salary) AS a FROM jobs GROUP BY city HAVING COUNT(*) >= 5 ORDER BY city`, nil},
+	{`SELECT city, COUNT(*) AS n FROM jobs GROUP BY city HAVING AVG(salary) > ? ORDER BY n DESC, city`, []any{100000}},
+	{`SELECT status, SUM(score) FROM apps GROUP BY status ORDER BY status`, nil},
+	{`SELECT c.size, COUNT(*) AS n FROM jobs j JOIN companies c ON j.company_id = c.id GROUP BY c.size ORDER BY n DESC, size`, nil},
+	{`SELECT SUM(title) FROM jobs`, nil},                     // non-numeric SUM error
+	{`SELECT city, SUM(title) FROM jobs GROUP BY city`, nil}, // same, grouped
+	{`SELECT COUNT(DISTINCT salary), SUM(DISTINCT salary) FROM jobs`, nil},
+	// ORDER BY / LIMIT / OFFSET, output and input keys, ties.
+	{`SELECT id, salary FROM jobs ORDER BY salary DESC, id ASC`, nil},
+	{`SELECT id FROM jobs ORDER BY salary DESC LIMIT 5`, nil},
+	{`SELECT id FROM jobs ORDER BY salary DESC LIMIT 5 OFFSET 3`, nil},
+	{`SELECT title FROM jobs ORDER BY salary DESC LIMIT 4`, nil}, // unprojected key
+	{`SELECT id FROM jobs ORDER BY id LIMIT 0`, nil},
+	{`SELECT id FROM jobs ORDER BY id OFFSET 55`, nil},
+	{`SELECT id FROM jobs ORDER BY id OFFSET 100`, nil},
+	{`SELECT id FROM jobs LIMIT 7`, nil},
+	{`SELECT id FROM jobs LIMIT 7 OFFSET 58`, nil},
+	{`SELECT id FROM jobs LIMIT 100`, nil},
+	{`SELECT DISTINCT title FROM jobs ORDER BY title LIMIT 3`, nil},
+	{`SELECT DISTINCT title FROM jobs LIMIT 2`, nil},
+	{`SELECT DISTINCT city FROM jobs ORDER BY salary`, nil}, // runtime row-count quirk
+	{`SELECT city, COUNT(*) AS n FROM jobs GROUP BY city ORDER BY n DESC, city LIMIT 2`, nil},
+	{`SELECT city FROM jobs GROUP BY city ORDER BY salary`, nil}, // agg ORDER BY error
+	// Error shapes: lazy and eager resolution.
+	{`SELECT nope FROM jobs`, nil},
+	{`SELECT id FROM jobs WHERE nope = 1`, nil},
+	{`SELECT id FROM missing`, nil},
+	{`SELECT id FROM jobs WHERE title = ?`, nil}, // missing param
+	{`SELECT *, COUNT(*) FROM jobs`, nil},        // star with aggregate
+	{`SELECT id FROM jobs ORDER BY COUNT(id)`, nil},
+	{`SELECT city, COUNT(*) FROM jobs GROUP BY nope`, nil},
+	{`SELECT j.title FROM jobs j JOIN companies c ON j.nope = c.id`, nil},
+}
+
+// The shapes the compiler once left to the interpreter, with the outcomes
+// recorded while it still ran them: a reference that does not resolve is
+// an error only where evaluation reaches it, and the checks between the
+// interpreter's phases do not depend on the rows.
+var pinnedOutcomes = []struct {
+	sql  string
+	rows int
+	err  string
+}{
+	{`SELECT nope FROM jobs WHERE id > 1000`, 0, ""},
+	{`SELECT id FROM jobs WHERE id > 1000 AND nope = 1`, 0, ""},
+	{`SELECT id FROM jobs WHERE id > 1000 ORDER BY nope`, 0, ""},
+	{`SELECT COUNT(nope) FROM jobs WHERE id > 1000`, 1, ""},
+	{`SELECT city, COUNT(*) FROM jobs WHERE id > 1000 GROUP BY nope`, 0, ""},
+	{`SELECT DISTINCT id FROM jobs ORDER BY salary`, 60, ""},
+	{`SELECT DISTINCT city FROM jobs ORDER BY salary`, 0, "relational: internal: row count mismatch in ORDER BY"},
+	{`SELECT *, COUNT(*) FROM jobs WHERE id > 1000`, 0, "relational: SELECT * cannot be combined with aggregates"},
+	{`SELECT city FROM jobs WHERE id > 1000 GROUP BY city ORDER BY salary`, 0, `relational: ORDER BY key "salary" must be an output column in aggregate queries`},
+	// A later phase's error waits for the filter to have seen every row,
+	// and a LIMIT does not hide what the rows behind it raise.
+	{`SELECT id = ? FROM jobs WHERE id < 5 OR title = ?`, 0, "relational: missing parameter 2"},
+	{`SELECT id FROM jobs WHERE id < 10 OR nope = 1 LIMIT 3`, 0, "relational: unknown column: nope"},
+	{`SELECT id FROM jobs WHERE id < 10 LIMIT 3`, 3, ""},
+}
+
+// TestDifferentialDialectSurface pins compiled == reference on dialectCorpus.
 func TestDifferentialDialectSurface(t *testing.T) {
 	db := diffDB(t, 7)
-	corpus := []struct {
-		sql    string
-		params []any
-	}{
-		// Scans, filters, every comparison operator.
-		{`SELECT id, title FROM jobs`, nil},
-		{`SELECT * FROM jobs WHERE salary > 100000`, nil},
-		{`SELECT id FROM jobs WHERE salary >= ? AND salary <= ?`, []any{95000, 110000}},
-		{`SELECT id FROM jobs WHERE salary < 95000 OR remote = TRUE`, nil},
-		{`SELECT id FROM jobs WHERE title != 'Analyst'`, nil},
-		{`SELECT id FROM jobs WHERE NOT remote = TRUE AND city = 'Oakland'`, nil},
-		{`SELECT id FROM jobs WHERE title LIKE '%data%'`, nil},
-		{`SELECT id FROM jobs WHERE title LIKE '_L %'`, nil},
-		{`SELECT id FROM jobs WHERE city IN ('Oakland', 'Austin', ?)`, []any{"Seattle"}},
-		{`SELECT id FROM jobs WHERE city NOT IN ('Oakland')`, nil},
-		{`SELECT id FROM jobs WHERE salary BETWEEN ? AND ?`, []any{95000, 105000}},
-		{`SELECT id FROM jobs WHERE salary NOT BETWEEN 95000 AND 105000`, nil},
-		{`SELECT id FROM jobs WHERE city IS NULL`, nil},
-		{`SELECT id, salary FROM jobs WHERE salary IS NOT NULL AND salary = 99000.0`, nil},
-		// Index-served predicates (EXPLAIN plans must match too).
-		{`EXPLAIN SELECT id FROM jobs WHERE city = 'Oakland'`, nil},
-		{`SELECT id FROM jobs WHERE city = ?`, []any{"Oakland"}},
-		{`SELECT id FROM jobs WHERE salary >= 110000`, nil},
-		{`EXPLAIN SELECT id FROM jobs WHERE salary BETWEEN 100000 AND 104000`, nil},
-		// Projection shapes.
-		{`SELECT title AS t, city AS c FROM jobs WHERE id < 10`, nil},
-		{`SELECT *, id FROM jobs WHERE id < 5`, nil},
-		{`SELECT DISTINCT title FROM jobs`, nil},
-		{`SELECT DISTINCT title, remote FROM jobs`, nil},
-		// Joins (inner/left, aliased, flipped ON, ambiguous errors).
-		{`SELECT j.title, c.name FROM jobs j JOIN companies c ON j.company_id = c.id`, nil},
-		{`SELECT j.title, c.name FROM jobs j JOIN companies c ON c.id = j.company_id WHERE c.size = 'mid'`, nil},
-		{`SELECT j.id, c.name FROM jobs j LEFT JOIN companies c ON j.company_id = c.id ORDER BY j.id`, nil},
-		{`SELECT a.id, j.title, c.name FROM apps a JOIN jobs j ON a.job_id = j.id JOIN companies c ON j.company_id = c.id WHERE a.score > ?`, []any{50.0}},
-		{`SELECT id FROM jobs j JOIN companies c ON j.company_id = c.id`, nil}, // ambiguous id
-		// Aggregates: global, grouped, HAVING, DISTINCT args, expressions.
-		{`SELECT COUNT(*) FROM jobs`, nil},
-		{`SELECT COUNT(*), COUNT(salary), COUNT(DISTINCT city) FROM jobs`, nil},
-		{`SELECT MIN(salary), MAX(salary), AVG(salary), SUM(salary) FROM jobs`, nil},
-		{`SELECT SUM(score), AVG(score) FROM apps`, nil},
-		{`SELECT COUNT(*) FROM jobs WHERE id > 1000`, nil}, // empty input
-		{`SELECT SUM(salary), MIN(title) FROM jobs WHERE id > 1000`, nil},
-		{`SELECT city, COUNT(*) AS n FROM jobs GROUP BY city ORDER BY city`, nil},
-		{`SELECT city, title, COUNT(*) AS n FROM jobs GROUP BY city, title ORDER BY city, title`, nil},
-		{`SELECT city, AVG(salary) AS a FROM jobs GROUP BY city HAVING COUNT(*) >= 5 ORDER BY city`, nil},
-		{`SELECT city, COUNT(*) AS n FROM jobs GROUP BY city HAVING AVG(salary) > ? ORDER BY n DESC, city`, []any{100000}},
-		{`SELECT status, SUM(score) FROM apps GROUP BY status ORDER BY status`, nil},
-		{`SELECT c.size, COUNT(*) AS n FROM jobs j JOIN companies c ON j.company_id = c.id GROUP BY c.size ORDER BY n DESC, size`, nil},
-		{`SELECT SUM(title) FROM jobs`, nil},                     // non-numeric SUM error
-		{`SELECT city, SUM(title) FROM jobs GROUP BY city`, nil}, // same, grouped
-		{`SELECT COUNT(DISTINCT salary), SUM(DISTINCT salary) FROM jobs`, nil},
-		// ORDER BY / LIMIT / OFFSET, output and input keys, ties.
-		{`SELECT id, salary FROM jobs ORDER BY salary DESC, id ASC`, nil},
-		{`SELECT id FROM jobs ORDER BY salary DESC LIMIT 5`, nil},
-		{`SELECT id FROM jobs ORDER BY salary DESC LIMIT 5 OFFSET 3`, nil},
-		{`SELECT title FROM jobs ORDER BY salary DESC LIMIT 4`, nil}, // unprojected key
-		{`SELECT id FROM jobs ORDER BY id LIMIT 0`, nil},
-		{`SELECT id FROM jobs ORDER BY id OFFSET 55`, nil},
-		{`SELECT id FROM jobs ORDER BY id OFFSET 100`, nil},
-		{`SELECT id FROM jobs LIMIT 7`, nil},
-		{`SELECT id FROM jobs LIMIT 7 OFFSET 58`, nil},
-		{`SELECT id FROM jobs LIMIT 100`, nil},
-		{`SELECT DISTINCT title FROM jobs ORDER BY title LIMIT 3`, nil},
-		{`SELECT DISTINCT title FROM jobs LIMIT 2`, nil},
-		{`SELECT DISTINCT city FROM jobs ORDER BY salary`, nil}, // runtime row-count quirk
-		{`SELECT city, COUNT(*) AS n FROM jobs GROUP BY city ORDER BY n DESC, city LIMIT 2`, nil},
-		{`SELECT city FROM jobs GROUP BY city ORDER BY salary`, nil}, // agg ORDER BY error
-		// Error shapes: lazy and eager resolution.
-		{`SELECT nope FROM jobs`, nil},
-		{`SELECT id FROM jobs WHERE nope = 1`, nil},
-		{`SELECT id FROM missing`, nil},
-		{`SELECT id FROM jobs WHERE title = ?`, nil}, // missing param
-		{`SELECT *, COUNT(*) FROM jobs`, nil},        // star with aggregate
-		{`SELECT id FROM jobs ORDER BY COUNT(id)`, nil},
-		{`SELECT city, COUNT(*) FROM jobs GROUP BY nope`, nil},
-		{`SELECT j.title FROM jobs j JOIN companies c ON j.nope = c.id`, nil},
-	}
-	for _, c := range corpus {
+	for _, c := range dialectCorpus {
 		runBoth(t, db, c.sql, c.params...)
+	}
+
+	for _, c := range pinnedOutcomes {
+		runBoth(t, db, c.sql)
+		res, err := db.Query(c.sql)
+		switch {
+		case c.err != "":
+			if err == nil || err.Error() != c.err {
+				t.Errorf("%s: err = %v, want %q", c.sql, err, c.err)
+			}
+		case err != nil || len(res.Rows) != c.rows:
+			t.Errorf("%s: %d rows, err %v; want %d rows", c.sql, len(res.Rows), err, c.rows)
+		}
 	}
 }
 
@@ -244,39 +287,108 @@ func TestDifferentialPropertyCorpus(t *testing.T) {
 	}
 }
 
-// TestDifferentialDML: UPDATE/DELETE through compiled predicates must mutate
-// exactly the same rows as the interpreted path.
-func TestDifferentialDML(t *testing.T) {
-	mutations := []struct {
-		sql    string
-		params []any
-	}{
-		{`UPDATE jobs SET salary = ? WHERE city = 'Oakland' AND salary < ?`, []any{123456, 100000}},
-		{`UPDATE jobs SET remote = TRUE, title = 'Promoted' WHERE salary > ? OR city IS NULL`, []any{105000}},
-		{`UPDATE jobs SET salary = NULL WHERE id BETWEEN 10 AND 20`, nil},
-		{`DELETE FROM jobs WHERE title LIKE '%analyst%' OR salary IS NULL`, nil},
-		{`DELETE FROM jobs WHERE id IN (1, 3, 5, ?)`, []any{7}},
+// sameTables fails unless the two databases hold the same tables in the same
+// state: schema, every stored row and tombstone, data version, and every
+// index entry, postings in the same order.
+func sameTables(t testing.TB, after string, compiled, reference *DB) {
+	t.Helper()
+	if !reflect.DeepEqual(compiled.order, reference.order) {
+		t.Fatalf("after %s: tables %v vs %v", after, compiled.order, reference.order)
 	}
+	for _, key := range compiled.order {
+		c, r := compiled.tables[key], reference.tables[key]
+		if c.name != r.name || !reflect.DeepEqual(c.schema, r.schema) {
+			t.Fatalf("after %s: %s (%s) vs %s (%s)", after, c.name, c.schema.String(), r.name, r.schema.String())
+		}
+		if !reflect.DeepEqual(c.rows, r.rows) || !reflect.DeepEqual(c.live, r.live) || c.liveCnt != r.liveCnt {
+			t.Fatalf("after %s: %s diverges\ncompiled:  %v %v\nreference: %v %v", after, c.name, c.rows, c.live, r.rows, r.live)
+		}
+		if c.dataVer != r.dataVer {
+			t.Fatalf("after %s: %s data version %d vs %d", after, c.name, c.dataVer, r.dataVer)
+		}
+		if len(c.indexes) != len(r.indexes) {
+			t.Fatalf("after %s: %s has %d indexes vs %d", after, c.name, len(c.indexes), len(r.indexes))
+		}
+		for col, cix := range c.indexes {
+			rix := r.indexes[col]
+			if rix == nil || cix.kind != rix.kind || !reflect.DeepEqual(cix.order, rix.order) {
+				t.Fatalf("after %s: index on %s.%s diverges", after, c.name, col)
+			}
+			// An emptied posting list may linger as an empty slice.
+			for k, ids := range cix.hash {
+				if len(ids)+len(rix.hash[k]) > 0 && !reflect.DeepEqual(ids, rix.hash[k]) {
+					t.Fatalf("after %s: index on %s.%s, key %q: postings %v vs %v", after, c.name, col, k, ids, rix.hash[k])
+				}
+			}
+			for k, ids := range rix.hash {
+				if _, ok := cix.hash[k]; !ok && len(ids) > 0 {
+					t.Fatalf("after %s: index on %s.%s, key %q: postings missing vs %v", after, c.name, col, k, ids)
+				}
+			}
+		}
+	}
+}
+
+// dmlCorpus runs in order against one fixture. n and err are asserted when
+// pinned: the outcome recorded while the interpreter still ran these shapes.
+var dmlCorpus = []struct {
+	sql    string
+	params []any
+	pinned bool
+	n      int
+	err    string
+}{
+	{sql: `UPDATE jobs SET salary = ? WHERE city = 'Oakland' AND salary < ?`, params: []any{123456, 100000}},
+	{sql: `UPDATE jobs SET remote = TRUE, title = 'Promoted' WHERE salary > ? OR city IS NULL`, params: []any{105000}},
+	{sql: `UPDATE jobs SET salary = NULL WHERE id BETWEEN 10 AND 20`},
+	{sql: `DELETE FROM jobs WHERE title LIKE '%analyst%' OR salary IS NULL`},
+	{sql: `DELETE FROM jobs WHERE id IN (1, 3, 5, ?)`, params: []any{7}},
+	{sql: `UPDATE jobs SET salary = 1 WHERE nope = 1`, pinned: true, err: "relational: unknown column: nope"},
+	{sql: `UPDATE jobs SET nope = 1 WHERE id > 1000`, pinned: true, err: "relational: unknown column: jobs.nope"},
+	{sql: `UPDATE jobs SET salary = nope WHERE id > 1000`, pinned: true},
+	{sql: `DELETE FROM jobs WHERE id > 1000 AND nope = 2`, pinned: true},
+	{sql: `DELETE FROM missing WHERE id = 1`, pinned: true, err: "relational: table not found: missing"},
+	// The second row has the wrong arity: the first stays inserted.
+	{sql: `INSERT INTO companies VALUES (100, 'first', 'mid'), (101, 'short')`, pinned: true, err: "relational: wrong number of values: 2 values for 3 columns"},
+	{sql: `INSERT INTO companies (id, nope) VALUES (102, 'x')`},
+	{sql: `INSERT INTO companies (size, id) VALUES ('small', ?), (?, 104)`, params: []any{103}},
+	// Failing midway: the rows before the failing one, in id order, keep
+	// their update — through an index's candidates too. The first UPDATE
+	// files the lowest ids last in the index's Oakland postings, with a
+	// salary the third can store as a title; the other Oakland rows fail it.
+	{sql: `UPDATE jobs SET city = 'Oakland', salary = NULL WHERE id IN (0, 2, 4)`},
+	{sql: `UPDATE jobs SET title = 'partial' WHERE city = 'Oakland' AND (id < 30 OR title = ?)`},
+	{sql: `UPDATE jobs SET title = salary WHERE city = 'Oakland'`},
+	// A predicate that can raise is evaluated on every row, not on an
+	// index's candidates only.
+	{sql: `DELETE FROM jobs WHERE title = ? AND city = 'Nowhere'`},
+}
+
+// TestDifferentialDML: INSERT/UPDATE/DELETE through compiled programs must
+// report what the reference reports and mutate exactly the rows it mutates —
+// also when the statement fails midway.
+func TestDifferentialDML(t *testing.T) {
 	compiled := diffDB(t, 31)
-	interp := diffDB(t, 31)
-	interp.SetCompileEnabled(false)
-	for _, m := range mutations {
+	reference := diffDB(t, 31)
+	for _, m := range dmlCorpus {
 		nc, errC := compiled.Exec(m.sql, m.params...)
-		ni, errI := interp.Exec(m.sql, m.params...)
-		if (errC == nil) != (errI == nil) || nc != ni {
-			t.Fatalf("%s: compiled (%d, %v) vs interpreted (%d, %v)", m.sql, nc, errC, ni, errI)
+		res, errR := refRun(reference, m.sql, m.params...)
+		nr := 0
+		if errR == nil {
+			nr = affectedCount(res)
 		}
-		a, err := compiled.Query(`SELECT * FROM jobs ORDER BY id`)
-		if err != nil {
-			t.Fatal(err)
+		if (errC == nil) != (errR == nil) || nc != nr || (errC != nil && errC.Error() != errR.Error()) {
+			t.Fatalf("%s: compiled (%d, %v) vs reference (%d, %v)", m.sql, nc, errC, nr, errR)
 		}
-		b, err := interp.Query(`SELECT * FROM jobs ORDER BY id`)
-		if err != nil {
-			t.Fatal(err)
+		if m.pinned {
+			if got := fmt.Sprint(errC); nc != m.n || (m.err == "") != (errC == nil) || (errC != nil && got != m.err) {
+				t.Fatalf("%s: (%d, %v), want (%d, %q)", m.sql, nc, errC, m.n, m.err)
+			}
 		}
-		if !reflect.DeepEqual(a.Rows, b.Rows) {
-			t.Fatalf("%s: table states diverge", m.sql)
-		}
+		sameTables(t, m.sql, compiled, reference)
+	}
+	if res, err := compiled.Query(`SELECT name FROM companies WHERE id = 100`); err != nil || len(res.Rows) != 1 {
+		t.Fatalf("the row before the INSERT's failing row: %v, %v", res, err)
 	}
 }
 
@@ -304,6 +416,51 @@ func TestCompiledPlanReusedAcrossExecutions(t *testing.T) {
 	}
 	if got := db.CacheStats().Compiles; got != 1 {
 		t.Fatalf("Compiles = %d after cached Query, want 1", got)
+	}
+}
+
+// TestOneCompilePerShape: executions that meet a shape not yet compiled, or
+// compiled against a schema that is gone, all at once compile it once between
+// them — the rest wait for that program instead of building their own.
+func TestOneCompilePerShape(t *testing.T) {
+	db := diffDB(t, 3)
+	release := func(st *Stmt) uint64 {
+		t.Helper()
+		before := db.CacheStats().Compiles
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 32; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				if _, err := st.Query(g); err != nil {
+					t.Error(err)
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		return db.CacheStats().Compiles - before
+	}
+	// The LIMIT is part of the shape: twenty shapes never seen before.
+	stmts := make([]*Stmt, 20)
+	for i := range stmts {
+		st, err := db.Prepare(fmt.Sprintf(`SELECT id, status FROM apps WHERE job_id = ? AND score > 1.5 ORDER BY id LIMIT %d`, i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts[i] = st
+		if n := release(st); n != 1 {
+			t.Fatalf("32 first executions of one shape compiled it %d times, want 1", n)
+		}
+	}
+	mustExec(t, db, `DROP TABLE apps`)
+	mustExec(t, db, `CREATE TABLE apps (id INT, job_id INT, score FLOAT, status TEXT)`)
+	for _, st := range stmts {
+		if n := release(st); n != 1 {
+			t.Fatalf("32 executions after DROP+CREATE of the table compiled the shape %d times, want 1", n)
+		}
 	}
 }
 
@@ -339,27 +496,22 @@ func TestCompiledPlanDDLInvalidation(t *testing.T) {
 		t.Fatalf("Compiles %d -> %d: recreate did not recompile", before, after)
 	}
 
-	// Dropping the table turns the plan into the interpreted not-found error.
+	// Dropping the table turns the plan into the not-found error.
 	mustExec(t, db, `DROP TABLE t`)
 	if _, err := st.Query(); err == nil || !strings.Contains(err.Error(), "table not found") {
 		t.Fatalf("err = %v, want table not found", err)
 	}
 
-	// A fallback shape (unknown column) must heal after the schema gains
-	// the column. While it is a fallback its executions are counted as
-	// interpreted; once healed they are not.
+	// An unknown column is the compiled program's error only until the
+	// schema gains the column: the recreate invalidates the program with it.
 	mustExec(t, db, `CREATE TABLE h (x INT)`)
 	mustExec(t, db, `INSERT INTO h VALUES (1)`)
 	sth, err := db.Prepare(`SELECT y FROM h`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.ResetCacheStats()
-	if _, err := sth.Query(); err == nil {
-		t.Fatal("expected unknown column error")
-	}
-	if got := db.CacheStats().InterpretedExecs; got != 1 {
-		t.Fatalf("InterpretedExecs = %d after one execution of a fallback shape, want 1", got)
+	if _, err := sth.Query(); err == nil || err.Error() != "relational: unknown column: y" {
+		t.Fatalf("err = %v, want unknown column: y", err)
 	}
 	mustExec(t, db, `DROP TABLE h`)
 	mustExec(t, db, `CREATE TABLE h (y TEXT)`)
@@ -367,9 +519,6 @@ func TestCompiledPlanDDLInvalidation(t *testing.T) {
 	res, err = sth.Query()
 	if err != nil || len(res.Rows) != 1 || res.Rows[0][0].S != "healed" {
 		t.Fatalf("healed query = %v, %v", res, err)
-	}
-	if got := db.CacheStats().InterpretedExecs; got != 1 {
-		t.Fatalf("InterpretedExecs = %d after the shape healed, want still 1", got)
 	}
 }
 
@@ -541,6 +690,59 @@ func TestAppendValueKeyMatchesKeyEquivalence(t *testing.T) {
 	}
 }
 
+// `city = 'Oakland' OR id = ?` with the parameter unbound raises "missing
+// parameter" on exactly the rows the left side does not short-circuit.
+var accumulatorCorpus = []diffCase{
+	// Evaluation error inside an aggregate argument, in some groups only.
+	{`SELECT city, COUNT((city = 'Oakland' OR id = ?)) FROM jobs GROUP BY city`, nil},
+	{`SELECT city, COUNT((city = 'Oakland' OR id = ?)) FROM jobs WHERE city = 'Oakland' GROUP BY city`, nil},
+	// ... against a WHERE error on a later row: WHERE wins.
+	{`SELECT city, COUNT((city = 'Oakland' OR id = ?)) FROM jobs WHERE id < 30 OR title = ? GROUP BY city`, nil},
+	{`SELECT COUNT((id < 5 OR id = ?)) FROM jobs WHERE id < 50 OR title = ?`, nil},
+	// ... against a later item and against HAVING of the same group.
+	{`SELECT city, MIN(salary), COUNT((id < 0 OR id = ?)), SUM(title) FROM jobs GROUP BY city`, nil},
+	{`SELECT city, SUM(title), COUNT((id < 0 OR id = ?)) FROM jobs GROUP BY city`, nil},
+	{`SELECT city, SUM(title) FROM jobs GROUP BY city HAVING COUNT((id < 0 OR id = ?)) > 0`, nil},
+	// A group HAVING rejects never reports its items' errors.
+	{`SELECT city, COUNT((city = 'Oakland' OR id = ?)) FROM jobs GROUP BY city HAVING city = 'Oakland'`, nil},
+	{`SELECT city, SUM(title) FROM jobs GROUP BY city HAVING COUNT(*) > 1000`, nil},
+	// A missing parameter inside SUM(?): over zero rows, over one row, grouped.
+	{`SELECT SUM(?) FROM jobs WHERE id > 1000`, nil},
+	{`SELECT SUM(?), COUNT(*) FROM jobs WHERE id = 3`, nil},
+	{`SELECT SUM(?) FROM jobs WHERE id = 3`, []any{7}},
+	{`SELECT city, SUM(?) FROM jobs WHERE id > 1000 GROUP BY city`, nil},
+	{`SELECT city, AVG(?) FROM jobs GROUP BY city ORDER BY city`, []any{2.5}},
+	// SUM over a non-numeric value, then an evaluation error on a later
+	// row: `remote = TRUE OR id = ?` is a BOOL where it short-circuits.
+	{`SELECT SUM((remote = TRUE OR id = ?)) FROM jobs`, nil},
+	{`SELECT city, AVG((remote = TRUE OR id = ?)) FROM jobs GROUP BY city`, nil},
+	{`SELECT SUM((remote = TRUE OR id = ?)) FROM jobs WHERE remote = TRUE`, nil},
+	{`SELECT SUM(DISTINCT title), COUNT((id < 0 OR id = ?)) FROM jobs`, nil},
+	// Nested aggregate: an evaluation error on every row, none over zero rows.
+	{`SELECT MAX(COUNT(id)) FROM jobs`, nil},
+	{`SELECT MAX(COUNT(id)) FROM jobs WHERE id > 1000`, nil},
+	// HAVING on an aggregate that is not in the select list.
+	{`SELECT city FROM jobs GROUP BY city HAVING MAX(salary) > 110000 ORDER BY city`, nil},
+	{`SELECT city, COUNT(*) AS n FROM jobs GROUP BY city HAVING SUM(DISTINCT salary) > ? AND MIN(title) < 'M' ORDER BY city`, []any{500000}},
+	{`SELECT title FROM jobs GROUP BY title HAVING NOT COUNT(salary) = COUNT(*)`, nil},
+	// DISTINCT aggregates over NULLs and duplicates.
+	{`SELECT COUNT(DISTINCT salary), AVG(DISTINCT salary), COUNT(salary), AVG(salary) FROM jobs`, nil},
+	{`SELECT city, COUNT(DISTINCT title), AVG(DISTINCT salary), SUM(DISTINCT company_id) FROM jobs GROUP BY city ORDER BY city`, nil},
+	{`SELECT status, COUNT(DISTINCT score), AVG(DISTINCT score), MIN(DISTINCT score), MAX(DISTINCT score) FROM apps GROUP BY status ORDER BY status`, nil},
+	{`SELECT COUNT(DISTINCT city), COUNT(DISTINCT remote) FROM jobs WHERE city IS NULL`, nil},
+	// Global aggregate over empty input with HAVING present: one row,
+	// HAVING not consulted.
+	{`SELECT COUNT(*), SUM(salary), MIN(title), title FROM jobs WHERE id > 1000 HAVING COUNT(*) > 5`, nil},
+	{`SELECT COUNT(*) FROM jobs WHERE id > 1000 HAVING SUM(?) > 5`, nil},
+	{`SELECT COUNT(*) FROM jobs HAVING COUNT(*) > 1000`, nil},
+	{`SELECT city, COUNT(*) FROM jobs WHERE id > 1000 GROUP BY city HAVING COUNT(*) > 5`, nil},
+	// Mixed items: a column beside expressions over several aggregates of it.
+	{`SELECT city, MIN(salary) < MAX(salary), COUNT(salary) = COUNT(*) FROM jobs GROUP BY city ORDER BY city`, nil},
+	{`SELECT salary, MIN(salary) = MAX(salary) AND COUNT(DISTINCT salary) = 1 AS same FROM jobs GROUP BY salary ORDER BY salary`, nil},
+	{`SELECT title, city, AVG(salary) > MIN(salary) OR salary IS NULL FROM jobs GROUP BY title ORDER BY title`, nil},
+	{`SELECT c.size, MAX(j.salary) >= AVG(j.salary), COUNT(DISTINCT j.city) FROM jobs j LEFT JOIN companies c ON j.company_id = c.id GROUP BY c.size ORDER BY size`, nil},
+}
+
 // TestDifferentialAccumulatorOrder pins the shapes whose order of events
 // changed when aggregates started folding during the scan: the compiled
 // engine evaluates an aggregate's argument while later rows are still to be
@@ -549,65 +751,77 @@ func TestAppendValueKeyMatchesKeyEquivalence(t *testing.T) {
 // HAVING before the items, items left to right, rows in order, SUM's
 // type error after every evaluation error.
 func TestDifferentialAccumulatorOrder(t *testing.T) {
-	// `city = 'Oakland' OR id = ?` with the parameter unbound raises "missing
-	// parameter" on exactly the rows the left side does not short-circuit.
-	corpus := []struct {
-		sql    string
-		params []any
-	}{
-		// Evaluation error inside an aggregate argument, in some groups only.
-		{`SELECT city, COUNT((city = 'Oakland' OR id = ?)) FROM jobs GROUP BY city`, nil},
-		{`SELECT city, COUNT((city = 'Oakland' OR id = ?)) FROM jobs WHERE city = 'Oakland' GROUP BY city`, nil},
-		// ... against a WHERE error on a later row: WHERE wins.
-		{`SELECT city, COUNT((city = 'Oakland' OR id = ?)) FROM jobs WHERE id < 30 OR title = ? GROUP BY city`, nil},
-		{`SELECT COUNT((id < 5 OR id = ?)) FROM jobs WHERE id < 50 OR title = ?`, nil},
-		// ... against a later item and against HAVING of the same group.
-		{`SELECT city, MIN(salary), COUNT((id < 0 OR id = ?)), SUM(title) FROM jobs GROUP BY city`, nil},
-		{`SELECT city, SUM(title), COUNT((id < 0 OR id = ?)) FROM jobs GROUP BY city`, nil},
-		{`SELECT city, SUM(title) FROM jobs GROUP BY city HAVING COUNT((id < 0 OR id = ?)) > 0`, nil},
-		// A group HAVING rejects never reports its items' errors.
-		{`SELECT city, COUNT((city = 'Oakland' OR id = ?)) FROM jobs GROUP BY city HAVING city = 'Oakland'`, nil},
-		{`SELECT city, SUM(title) FROM jobs GROUP BY city HAVING COUNT(*) > 1000`, nil},
-		// A missing parameter inside SUM(?): over zero rows, over one row, grouped.
-		{`SELECT SUM(?) FROM jobs WHERE id > 1000`, nil},
-		{`SELECT SUM(?), COUNT(*) FROM jobs WHERE id = 3`, nil},
-		{`SELECT SUM(?) FROM jobs WHERE id = 3`, []any{7}},
-		{`SELECT city, SUM(?) FROM jobs WHERE id > 1000 GROUP BY city`, nil},
-		{`SELECT city, AVG(?) FROM jobs GROUP BY city ORDER BY city`, []any{2.5}},
-		// SUM over a non-numeric value, then an evaluation error on a later
-		// row: `remote = TRUE OR id = ?` is a BOOL where it short-circuits.
-		{`SELECT SUM((remote = TRUE OR id = ?)) FROM jobs`, nil},
-		{`SELECT city, AVG((remote = TRUE OR id = ?)) FROM jobs GROUP BY city`, nil},
-		{`SELECT SUM((remote = TRUE OR id = ?)) FROM jobs WHERE remote = TRUE`, nil},
-		{`SELECT SUM(DISTINCT title), COUNT((id < 0 OR id = ?)) FROM jobs`, nil},
-		// Nested aggregate: an evaluation error on every row, none over zero rows.
-		{`SELECT MAX(COUNT(id)) FROM jobs`, nil},
-		{`SELECT MAX(COUNT(id)) FROM jobs WHERE id > 1000`, nil},
-		// HAVING on an aggregate that is not in the select list.
-		{`SELECT city FROM jobs GROUP BY city HAVING MAX(salary) > 110000 ORDER BY city`, nil},
-		{`SELECT city, COUNT(*) AS n FROM jobs GROUP BY city HAVING SUM(DISTINCT salary) > ? AND MIN(title) < 'M' ORDER BY city`, []any{500000}},
-		{`SELECT title FROM jobs GROUP BY title HAVING NOT COUNT(salary) = COUNT(*)`, nil},
-		// DISTINCT aggregates over NULLs and duplicates.
-		{`SELECT COUNT(DISTINCT salary), AVG(DISTINCT salary), COUNT(salary), AVG(salary) FROM jobs`, nil},
-		{`SELECT city, COUNT(DISTINCT title), AVG(DISTINCT salary), SUM(DISTINCT company_id) FROM jobs GROUP BY city ORDER BY city`, nil},
-		{`SELECT status, COUNT(DISTINCT score), AVG(DISTINCT score), MIN(DISTINCT score), MAX(DISTINCT score) FROM apps GROUP BY status ORDER BY status`, nil},
-		{`SELECT COUNT(DISTINCT city), COUNT(DISTINCT remote) FROM jobs WHERE city IS NULL`, nil},
-		// Global aggregate over empty input with HAVING present: one row,
-		// HAVING not consulted.
-		{`SELECT COUNT(*), SUM(salary), MIN(title), title FROM jobs WHERE id > 1000 HAVING COUNT(*) > 5`, nil},
-		{`SELECT COUNT(*) FROM jobs WHERE id > 1000 HAVING SUM(?) > 5`, nil},
-		{`SELECT COUNT(*) FROM jobs HAVING COUNT(*) > 1000`, nil},
-		{`SELECT city, COUNT(*) FROM jobs WHERE id > 1000 GROUP BY city HAVING COUNT(*) > 5`, nil},
-		// Mixed items: a column beside expressions over several aggregates of it.
-		{`SELECT city, MIN(salary) < MAX(salary), COUNT(salary) = COUNT(*) FROM jobs GROUP BY city ORDER BY city`, nil},
-		{`SELECT salary, MIN(salary) = MAX(salary) AND COUNT(DISTINCT salary) = 1 AS same FROM jobs GROUP BY salary ORDER BY salary`, nil},
-		{`SELECT title, city, AVG(salary) > MIN(salary) OR salary IS NULL FROM jobs GROUP BY title ORDER BY title`, nil},
-		{`SELECT c.size, MAX(j.salary) >= AVG(j.salary), COUNT(DISTINCT j.city) FROM jobs j LEFT JOIN companies c ON j.company_id = c.id GROUP BY c.size ORDER BY size`, nil},
-	}
 	for _, seed := range []int64{41, 42, 43} {
 		db := diffDB(t, seed)
-		for _, c := range corpus {
+		for _, c := range accumulatorCorpus {
 			runBoth(t, db, c.sql, c.params...)
 		}
 	}
+}
+
+// FuzzSQLDifferential: arbitrary SQL text with a small parameter vector gives,
+// when it parses, the same outcome from the engine (DB.Query: fingerprint,
+// shape-keyed cache, compiled program) as from the reference interpreter —
+// columns, rows, error text and, for a SELECT, the EXPLAIN string — a mutation
+// applied to twin databases leaves them in the same state, and nothing
+// panics. Text that does not parse is refused by both with the same error.
+// Seeds: the differential corpora above, unbound and bound; findings are
+// checked in under testdata/fuzz/FuzzSQLDifferential.
+func FuzzSQLDifferential(f *testing.F) {
+	seed := func(sql string) {
+		f.Add(sql, uint8(0), int64(0), int64(0), "")
+		f.Add(sql, uint8(3), int64(95000), int64(110000), "Oakland")
+	}
+	for _, c := range dialectCorpus {
+		seed(c.sql)
+	}
+	for _, c := range accumulatorCorpus {
+		seed(c.sql)
+	}
+	for _, c := range pinnedOutcomes {
+		seed(c.sql)
+	}
+	for _, c := range dmlCorpus {
+		seed(c.sql)
+	}
+	seed(`CREATE TABLE scratch (a INT, b TEXT)`)
+	seed(`CREATE ORDERED INDEX idx_score ON apps (score)`)
+	seed(`DROP TABLE apps`)
+
+	// Reads share one fixture; every mutation gets fresh twins restored from
+	// its snapshot.
+	shared := diffDB(f, 7)
+	var snap bytes.Buffer
+	if err := shared.Snapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
+	twin := func(t *testing.T) *DB {
+		db := NewDB()
+		if err := db.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	f.Fuzz(func(t *testing.T, sql string, n uint8, a, b int64, s string) {
+		params := []any{a, b, s}[:n%4]
+		st, err := Parse(sql)
+		if err != nil {
+			if _, qerr := shared.Query(sql, params...); qerr == nil || qerr.Error() != err.Error() {
+				t.Fatalf("%q: Parse reports %q, Query %v", sql, err, qerr)
+			}
+			return
+		}
+		if sel, ok := st.(*SelectStmt); ok {
+			if len(sel.Joins) > 2 {
+				t.Skip("a chain of self-joins multiplies rows: keep the fuzzer's memory small")
+			}
+			runBoth(t, shared, sql, params...)
+			return
+		}
+		compiled, reference := twin(t), twin(t)
+		got, gotErr := compiled.Query(sql, params...)
+		want, wantErr := refRun(reference, sql, params...)
+		sameOutcome(t, sql, got, gotErr, want, wantErr)
+		sameTables(t, sql, compiled, reference)
+	})
 }

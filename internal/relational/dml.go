@@ -5,166 +5,74 @@ import (
 	"strings"
 )
 
-// execInsert evaluates row expressions (literals and parameters only) and
-// appends them, honoring an optional explicit column list.
-func (db *DB) execInsert(ins *InsertStmt, params []Value) (*Result, error) {
-	t, err := db.table(ins.Table)
+// insertProgram is a compiled INSERT: the VALUES cells lowered over an empty
+// layout (literals and parameters evaluate, a column reference raises when
+// its cell is reached) and the explicit column list resolved to offsets.
+type insertProgram struct {
+	ins   *InsertStmt
+	table string // lowercased storage key
+	ver   uint64
+	width int   // the table's column count
+	cols  []int // offset of each listed column, -1 if the table has none such; nil without a list
+	rows  [][]compiledExpr
+}
+
+func (db *DB) buildInsertProgram(ins *InsertStmt) (*insertProgram, error) {
+	t, ver, err := db.tableVer(ins.Table)
 	if err != nil {
 		return nil, err
 	}
-	n := 0
-	e := &env{}
+	p := &insertProgram{ins: ins, table: strings.ToLower(ins.Table), ver: ver, width: len(t.schema.Columns)}
+	for _, cn := range ins.Columns {
+		p.cols = append(p.cols, t.schema.ColIndex(cn))
+	}
+	var c exprCompiler
 	for _, exprRow := range ins.Rows {
-		row := make(Row, len(t.schema.Columns))
-		for i := range row {
-			row[i] = Null
+		cells := make([]compiledExpr, len(exprRow))
+		for i, x := range exprRow {
+			cells[i] = c.expr(x)
 		}
-		if len(ins.Columns) > 0 {
-			if len(exprRow) != len(ins.Columns) {
-				return nil, fmt.Errorf("%w: %d values for %d columns", ErrArity, len(exprRow), len(ins.Columns))
+		p.rows = append(p.rows, cells)
+	}
+	return p, nil
+}
+
+// runInsertProgram appends the statement's rows one by one, honoring an
+// optional explicit column list: a row of the wrong arity, a listed column
+// the table lacks or a cell that raises ends the statement there, with the
+// rows before it inserted.
+func (db *DB) runInsertProgram(p *insertProgram, params []Value) (*Result, error) {
+	t, ver, err := db.tableVer(p.table)
+	if err != nil || ver != p.ver {
+		return nil, errStalePlan
+	}
+	n := 0
+	for _, cells := range p.rows {
+		row := make(Row, p.width) // the zero Value is NULL
+		if want := len(p.ins.Columns); want > 0 {
+			if len(cells) != want {
+				return nil, fmt.Errorf("%w: %d values for %d columns", ErrArity, len(cells), want)
 			}
-			for i, cn := range ins.Columns {
-				ci := t.schema.ColIndex(cn)
+			for i, ci := range p.cols {
 				if ci < 0 {
-					return nil, fmt.Errorf("%w: %s.%s", ErrColumnUnknown, ins.Table, cn)
+					return nil, fmt.Errorf("%w: %s.%s", ErrColumnUnknown, p.ins.Table, p.ins.Columns[i])
 				}
-				v, err := eval(e, exprRow[i], params)
-				if err != nil {
+				if row[ci], err = cells[i](nil, params); err != nil {
 					return nil, err
 				}
-				row[ci] = v
 			}
 		} else {
-			if len(exprRow) != len(t.schema.Columns) {
-				return nil, fmt.Errorf("%w: %d values for %d columns", ErrArity, len(exprRow), len(t.schema.Columns))
+			if len(cells) != p.width {
+				return nil, fmt.Errorf("%w: %d values for %d columns", ErrArity, len(cells), p.width)
 			}
-			for i, ex := range exprRow {
-				v, err := eval(e, ex, params)
-				if err != nil {
+			for i, cell := range cells {
+				if row[i], err = cell(nil, params); err != nil {
 					return nil, err
 				}
-				row[i] = v
 			}
 		}
 		if err := t.insert(row); err != nil {
 			return nil, err
-		}
-		n++
-	}
-	return affected(n), nil
-}
-
-// execUpdateInterp replaces matching rows with updated copies, maintaining
-// indexes, evaluating the WHERE predicate and SET expressions through the
-// interpreted evaluator. The compiled path (compile.go) mirrors this loop with
-// offset-resolved closures; this version is its semantic oracle.
-func (db *DB) execUpdateInterp(up *UpdateStmt, params []Value) (*Result, error) {
-	t, err := db.table(up.Table)
-	if err != nil {
-		return nil, err
-	}
-	// Resolve SET targets first.
-	type setTarget struct {
-		col  int
-		expr Expr
-	}
-	targets := make([]setTarget, 0, len(up.Set))
-	for _, sc := range up.Set {
-		ci := t.schema.ColIndex(sc.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("%w: %s.%s", ErrColumnUnknown, up.Table, sc.Column)
-		}
-		targets = append(targets, setTarget{col: ci, expr: sc.Value})
-	}
-	cols := make([]envCol, len(t.schema.Columns))
-	baseName := strings.ToLower(up.Table)
-	for i, c := range t.schema.Columns {
-		cols[i] = envCol{table: baseName, name: strings.ToLower(c.Name)}
-	}
-	e := &env{cols: cols}
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.dataVer++
-	n := 0
-	for id := range t.rows {
-		if !t.live[id] {
-			continue
-		}
-		e.row = t.rows[id]
-		if up.Where != nil {
-			v, err := eval(e, up.Where, params)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(v) {
-				continue
-			}
-		}
-		// Stored rows are immutable (readers hold them past the lock): install
-		// a copy and apply the SET targets to it, each seeing the ones before.
-		row := CloneRow(e.row)
-		t.rows[id] = row
-		e.row = row
-		for _, tg := range targets {
-			nv, err := eval(e, tg.expr, params)
-			if err != nil {
-				return nil, err
-			}
-			cv, err := coerce(nv, t.schema.Columns[tg.col].Type)
-			if err != nil {
-				return nil, fmt.Errorf("column %q: %w", t.schema.Columns[tg.col].Name, err)
-			}
-			old := row[tg.col]
-			for _, ix := range t.indexes {
-				if ix.col == tg.col {
-					ix.remove(id, old)
-					ix.add(id, cv)
-				}
-			}
-			row[tg.col] = cv
-		}
-		n++
-	}
-	return affected(n), nil
-}
-
-// execDeleteInterp tombstones matching rows and removes them from indexes,
-// evaluating WHERE through the interpreted evaluator.
-func (db *DB) execDeleteInterp(del *DeleteStmt, params []Value) (*Result, error) {
-	t, err := db.table(del.Table)
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]envCol, len(t.schema.Columns))
-	baseName := strings.ToLower(del.Table)
-	for i, c := range t.schema.Columns {
-		cols[i] = envCol{table: baseName, name: strings.ToLower(c.Name)}
-	}
-	e := &env{cols: cols}
-
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.dataVer++
-	n := 0
-	for id := range t.rows {
-		if !t.live[id] {
-			continue
-		}
-		e.row = t.rows[id]
-		if del.Where != nil {
-			v, err := eval(e, del.Where, params)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(v) {
-				continue
-			}
-		}
-		t.live[id] = false
-		t.liveCnt--
-		for _, ix := range t.indexes {
-			ix.remove(id, t.rows[id][ix.col])
 		}
 		n++
 	}

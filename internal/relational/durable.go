@@ -25,9 +25,8 @@ import (
 //     durability.WithSnapshotBarrier). Failing statements are logged too:
 //     a multi-row INSERT or an UPDATE can error midway with earlier rows
 //     already applied, and deterministic replay reproduces exactly that
-//     partial effect. Statements executed through DB.Run or the direct
-//     catalog APIs (CreateTable, Insert, ...) bypass logging; durable
-//     deployments use the SQL surface.
+//     partial effect. The direct catalog APIs (CreateTable, Insert, ...)
+//     bypass logging; durable deployments use the SQL surface.
 //   - Appends are asynchronous: a successful Exec is durable after the
 //     engine's next group commit/background flush (Options.FlushEvery
 //     window), not at return. Callers needing a hard barrier use

@@ -116,16 +116,6 @@ func affectedCount(res *Result) int {
 	return len(res.Rows)
 }
 
-// Run executes a parsed statement. Successful mutations (DML and DDL)
-// notify the OnWrite hooks with the affected table. Statements executed
-// through Run directly (without a Query/Exec/Prepare plan slot) use the
-// interpreted evaluator; the cached entry points use compiled plans. Run
-// bypasses the durability WAL (the original SQL text is unavailable for a
-// logical record): durable deployments mutate through Query/Exec/Prepare.
-func (db *DB) Run(st Statement, params ...any) (*Result, error) {
-	return db.runLogged("", st, nil, nil, params...)
-}
-
 // runLogged executes a statement, appending a WAL record for successful
 // mutations when a durability sink is attached. The execution and the
 // append run under the sink's LogMutation so the pair cannot straddle a
@@ -146,7 +136,7 @@ func (db *DB) runLogged(sqlText string, st Statement, slot *planSlot, binder *pa
 	}
 	bound := binder.bind(vals)
 	sink := db.durableSink()
-	if sink == nil || sqlText == "" || !isMutationStmt(st) {
+	if sink == nil || !isMutationStmt(st) {
 		return db.runVals(st, slot, bound)
 	}
 	var (
@@ -181,18 +171,20 @@ func (db *DB) runLogged(sqlText string, st Statement, slot *planSlot, binder *pa
 	return res, nil
 }
 
-// runVals executes a parsed statement, using the slot's compiled plan when
-// one is provided.
+// runVals executes a parsed statement: SELECT and DML through the slot's
+// compiled program, DDL directly. Successful mutations notify the OnWrite
+// hooks with the affected table.
 func (db *DB) runVals(st Statement, slot *planSlot, vals []Value) (*Result, error) {
+	var table string
 	switch s := st.(type) {
 	case *SelectStmt:
-		return db.execSelect(s, slot, vals)
+		return db.execCompiled(s, slot, vals)
 	case *InsertStmt:
-		res, err := db.execInsert(s, vals)
-		if err == nil {
-			db.notifyWrite(s.Table)
-		}
-		return res, err
+		table = s.Table
+	case *UpdateStmt:
+		table = s.Table
+	case *DeleteStmt:
+		table = s.Table
 	case *CreateTableStmt:
 		if err := db.CreateTable(s.Table, Schema{Columns: s.Columns}); err != nil {
 			return nil, err
@@ -215,150 +207,18 @@ func (db *DB) runVals(st Statement, slot *planSlot, vals []Value) (*Result, erro
 		}
 		db.notifyWrite(s.Table)
 		return affected(0), nil
-	case *UpdateStmt:
-		res, err := db.execUpdate(s, slot, vals)
-		if err == nil {
-			db.notifyWrite(s.Table)
-		}
-		return res, err
-	case *DeleteStmt:
-		res, err := db.execDelete(s, slot, vals)
-		if err == nil {
-			db.notifyWrite(s.Table)
-		}
-		return res, err
 	default:
 		return nil, errors.New("relational: unsupported statement")
 	}
+	res, err := db.execCompiled(st, slot, vals)
+	if err == nil {
+		db.notifyWrite(table)
+	}
+	return res, err
 }
 
 func affected(n int) *Result {
 	return &Result{Columns: []string{"affected"}, Rows: []Row{{NewInt(int64(n))}}}
-}
-
-// env carries the column environment of the current row during evaluation.
-type env struct {
-	cols []envCol
-	row  Row
-}
-
-type envCol struct {
-	table string // effective table name (alias), lowercased
-	name  string // column name, lowercased
-}
-
-func (e *env) resolve(c *ColumnRef) (int, error) {
-	return resolveCol(e.cols, c)
-}
-
-// eval evaluates a scalar expression in the environment.
-func eval(e *env, x Expr, params []Value) (Value, error) {
-	switch v := x.(type) {
-	case *Literal:
-		return v.Val, nil
-	case *Param:
-		if v.Ordinal-1 >= len(params) || params[v.Ordinal-1].T == missingParamType {
-			return Null, fmt.Errorf("relational: missing parameter %d", paramSrc(v))
-		}
-		return params[v.Ordinal-1], nil
-	case *ColumnRef:
-		i, err := e.resolve(v)
-		if err != nil {
-			return Null, err
-		}
-		return e.row[i], nil
-	case *BinaryExpr:
-		return evalBinary(e, v, params)
-	case *UnaryExpr:
-		val, err := eval(e, v.E, params)
-		if err != nil {
-			return Null, err
-		}
-		return NewBool(!truthy(val)), nil
-	case *InExpr:
-		val, err := eval(e, v.E, params)
-		if err != nil {
-			return Null, err
-		}
-		hit := false
-		for _, item := range v.List {
-			iv, err := eval(e, item, params)
-			if err != nil {
-				return Null, err
-			}
-			if Equal(val, iv) {
-				hit = true
-				break
-			}
-		}
-		return NewBool(hit != v.Not), nil
-	case *BetweenExpr:
-		val, err := eval(e, v.E, params)
-		if err != nil {
-			return Null, err
-		}
-		lo, err := eval(e, v.Lo, params)
-		if err != nil {
-			return Null, err
-		}
-		hi, err := eval(e, v.Hi, params)
-		if err != nil {
-			return Null, err
-		}
-		in := !val.IsNull() && !lo.IsNull() && !hi.IsNull() &&
-			Compare(val, lo) >= 0 && Compare(val, hi) <= 0
-		return NewBool(in != v.Not), nil
-	case *IsNullExpr:
-		val, err := eval(e, v.E, params)
-		if err != nil {
-			return Null, err
-		}
-		return NewBool(val.IsNull() != v.Not), nil
-	case *AggExpr:
-		return Null, errors.New("relational: aggregate outside aggregation context")
-	default:
-		return Null, errors.New("relational: unsupported expression")
-	}
-}
-
-func evalBinary(e *env, v *BinaryExpr, params []Value) (Value, error) {
-	switch v.Op {
-	case "AND":
-		l, err := eval(e, v.L, params)
-		if err != nil {
-			return Null, err
-		}
-		if !truthy(l) {
-			return NewBool(false), nil
-		}
-		r, err := eval(e, v.R, params)
-		if err != nil {
-			return Null, err
-		}
-		return NewBool(truthy(r)), nil
-	case "OR":
-		l, err := eval(e, v.L, params)
-		if err != nil {
-			return Null, err
-		}
-		if truthy(l) {
-			return NewBool(true), nil
-		}
-		r, err := eval(e, v.R, params)
-		if err != nil {
-			return Null, err
-		}
-		return NewBool(truthy(r)), nil
-	}
-	l, err := eval(e, v.L, params)
-	if err != nil {
-		return Null, err
-	}
-	r, err := eval(e, v.R, params)
-	if err != nil {
-		return Null, err
-	}
-	return compareValues(v.Op, l, r)
 }
 
 // truthy converts a value to a boolean condition result.
@@ -416,21 +276,6 @@ func likeRec(s, p string) bool {
 	return len(s) == 0
 }
 
-// snapshot returns live rows and their ids under the table read lock.
-func (t *table) snapshot() ([]int, []Row) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ids := make([]int, 0, t.liveCnt)
-	rows := make([]Row, 0, t.liveCnt)
-	for id, r := range t.rows {
-		if t.live[id] {
-			ids = append(ids, id)
-			rows = append(rows, r)
-		}
-	}
-	return ids, rows
-}
-
 // snapshotRows returns the live rows (in id order) without materializing the
 // id slice — the scan entry point of the compiled executor.
 func (t *table) snapshotRows() []Row {
@@ -452,136 +297,10 @@ type accessPath struct {
 	all  bool
 }
 
-// planAccess inspects WHERE conjuncts for a sargable predicate over an
-// indexed column of the base table and returns matching row ids. The full
-// WHERE is still applied afterwards, so the index is purely an accelerator.
-func (t *table) planAccess(baseName string, where Expr, params []Value) accessPath {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if where == nil || len(t.indexes) == 0 {
-		return accessPath{desc: "SeqScan(" + t.name + ")", all: true}
-	}
-	conjuncts := splitAnd(where)
-	type candidate struct {
-		rank int // lower is better: 0 equality, 1 IN, 2 range
-		desc string
-		ids  []int
-	}
-	var best *candidate
-	consider := func(c candidate) {
-		if best == nil || c.rank < best.rank || (c.rank == best.rank && len(c.ids) < len(best.ids)) {
-			cc := c
-			best = &cc
-		}
-	}
-	colFor := func(e Expr) *indexDef {
-		cr, ok := e.(*ColumnRef)
-		if !ok {
-			return nil
-		}
-		if cr.Table != "" && !strings.EqualFold(cr.Table, baseName) {
-			return nil
-		}
-		return t.indexes[strings.ToLower(cr.Column)]
-	}
-	constVal := func(e Expr) (Value, bool) {
-		switch x := e.(type) {
-		case *Literal:
-			return x.Val, true
-		case *Param:
-			if x.Ordinal-1 < len(params) && params[x.Ordinal-1].T != missingParamType {
-				return params[x.Ordinal-1], true
-			}
-		}
-		return Null, false
-	}
-	for _, cj := range conjuncts {
-		switch x := cj.(type) {
-		case *BinaryExpr:
-			ix := colFor(x.L)
-			v, ok := constVal(x.R)
-			if ix == nil || !ok || v.IsNull() {
-				// try flipped: literal op column
-				ix = colFor(x.R)
-				if ix == nil {
-					continue
-				}
-				v2, ok2 := constVal(x.L)
-				if !ok2 || v2.IsNull() {
-					continue
-				}
-				// flip operator
-				op, okf := flippedOp[x.Op]
-				if !okf {
-					continue
-				}
-				x = &BinaryExpr{Op: op, L: x.R, R: x.L}
-				v = v2
-			}
-			switch x.Op {
-			case "=":
-				ids := ix.lookupEqLocked(v)
-				// Concatenation instead of fmt.Sprintf: this is the hot
-				// equality path and Sprintf's reflection is measurable there.
-				consider(candidate{rank: 0, desc: "IndexScan(" + t.name + "." + ix.column + " = " + v.String() + ", " + ix.kind.String() + ")", ids: ids})
-			case "<", "<=":
-				if ix.kind == OrderedIndex {
-					ids := ix.order.lookupRange(Null, v, false, x.Op == "<")
-					consider(candidate{rank: 2, desc: fmt.Sprintf("IndexRange(%s.%s %s %s)", t.name, ix.column, x.Op, v), ids: ids})
-				}
-			case ">", ">=":
-				if ix.kind == OrderedIndex {
-					ids := ix.order.lookupRange(v, Null, x.Op == ">", false)
-					consider(candidate{rank: 2, desc: fmt.Sprintf("IndexRange(%s.%s %s %s)", t.name, ix.column, x.Op, v), ids: ids})
-				}
-			}
-		case *InExpr:
-			if x.Not {
-				continue
-			}
-			ix := colFor(x.E)
-			if ix == nil {
-				continue
-			}
-			var ids []int
-			ok := true
-			for _, item := range x.List {
-				v, o := constVal(item)
-				if !o {
-					ok = false
-					break
-				}
-				ids = append(ids, ix.lookupEqLocked(v)...)
-			}
-			if ok {
-				consider(candidate{rank: 1, desc: fmt.Sprintf("IndexScan(%s.%s IN [%d values], %s)", t.name, ix.column, len(x.List), ix.kind), ids: dedupInts(ids)})
-			}
-		case *BetweenExpr:
-			if x.Not {
-				continue
-			}
-			ix := colFor(x.E)
-			if ix == nil || ix.kind != OrderedIndex {
-				continue
-			}
-			lo, ok1 := constVal(x.Lo)
-			hi, ok2 := constVal(x.Hi)
-			if !ok1 || !ok2 {
-				continue
-			}
-			ids := ix.order.lookupRange(lo, hi, false, false)
-			consider(candidate{rank: 2, desc: fmt.Sprintf("IndexRange(%s.%s BETWEEN %s AND %s)", t.name, ix.column, lo, hi), ids: ids})
-		}
-	}
-	if best == nil {
-		return accessPath{desc: "SeqScan(" + t.name + ")", all: true}
-	}
-	return accessPath{desc: best.desc, ids: best.ids}
-}
-
 // flippedOp mirrors a comparison operator for "literal op column" predicates
-// rewritten to "column op literal" — shared by the interpreted planner and
-// the compiled sargable-candidate builder so both normalize identically.
+// rewritten to "column op literal" — shared by the compiled
+// sargable-candidate builder and the reference planner so both normalize
+// identically.
 var flippedOp = map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 // lookupEqLocked requires t.mu held (read).

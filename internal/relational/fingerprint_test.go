@@ -330,14 +330,13 @@ func TestShapeKeyedMissingParamErrorParity(t *testing.T) {
 	}
 }
 
-// The decisive law: shape-keyed compiled execution is byte-identical —
-// columns, rows, plans and errors — to exact-keyed interpreted execution
-// over a corpus of literal variants.
+// The decisive law: shape-keyed execution is byte-identical — columns, rows,
+// plans and errors — to exact-keyed execution over a corpus of literal
+// variants.
 func TestDifferentialShapeVsExact(t *testing.T) {
 	shaped := diffDB(t, 19)
 	exact := diffDB(t, 19)
 	exact.SetShapeCacheEnabled(false)
-	exact.SetCompileEnabled(false)
 	shaped.ResetCacheStats() // fixture population traffic is not under test
 
 	templates := []string{

@@ -84,7 +84,7 @@ type rowBucket struct{ rows []Row }
 
 // buildJoinHash indexes the build side of a hash join by the binary key of
 // column idx, skipping NULLs (an equijoin never matches them). Shared by
-// the compiled and interpreted join executors.
+// the compiled join executor and the reference interpreter's.
 func buildJoinHash(jRows []Row, idx int) map[string]*rowBucket {
 	var scratch []byte
 	build := make(map[string]*rowBucket, len(jRows))

@@ -11,10 +11,11 @@ import (
 // holds a row past the table's read lock — a group's first row, a join side, a
 // snapshot, a `SELECT *` result — reads one version of it.
 
-// TestConcurrentUpdateReaders runs compiled and interpreted readers that keep
-// stored rows past the read lock (GROUP BY, SELECT *, a two-table JOIN) beside
-// a writer issuing indexed and unindexed UPDATEs and DELETEs on both paths.
-// When UPDATE wrote cells in place this failed under -race (`make race`).
+// TestConcurrentUpdateReaders runs readers that keep stored rows past the read
+// lock (GROUP BY, SELECT *, a two-table JOIN), on the compiled executor and on
+// the reference interpreter, beside a writer issuing indexed and unindexed
+// UPDATEs and DELETEs on both. When UPDATE wrote cells in place this failed
+// under -race (`make race`).
 func TestConcurrentUpdateReaders(t *testing.T) {
 	db := diffDB(t, 19)
 
@@ -42,14 +43,9 @@ func TestConcurrentUpdateReaders(t *testing.T) {
 	const rounds = 200
 	var wg sync.WaitGroup
 	for _, sql := range readers {
-		st, err := Parse(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Query runs the compiled plan, Run the interpreter.
 		for _, read := range []func() (*Result, error){
 			func() (*Result, error) { return db.Query(sql) },
-			func() (*Result, error) { return db.Run(st) },
+			func() (*Result, error) { return refRun(db, sql) },
 		} {
 			wg.Add(1)
 			go func() {
@@ -73,11 +69,6 @@ func TestConcurrentUpdateReaders(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		byID, err := Parse(`UPDATE jobs SET salary = ?, company_id = ? WHERE id = ?`)
-		if err != nil {
-			t.Error(err)
-			return
-		}
 		for i := 0; i < rounds; i++ {
 			var err error
 			switch i % 4 {
@@ -85,8 +76,8 @@ func TestConcurrentUpdateReaders(t *testing.T) {
 				_, err = db.Exec(`UPDATE jobs SET salary = ?, company_id = ? WHERE id = ?`, 90000+i, i%8, i%60)
 			case 1: // index-served predicate, rewriting the indexed columns
 				_, err = db.Exec(`UPDATE jobs SET salary = ?, city = 'Austin' WHERE city = 'Oakland' AND id < ?`, 95000+i, i%60)
-			case 2: // interpreted
-				_, err = db.Run(byID, 97000+i, i%8, (i+7)%60)
+			case 2: // the reference interpreter
+				_, err = refRun(db, `UPDATE jobs SET salary = ?, company_id = ? WHERE id = ?`, 97000+i, i%8, (i+7)%60)
 			default:
 				_, err = db.Exec(`DELETE FROM jobs WHERE id = ?`, 59-i/4%20)
 			}
@@ -125,7 +116,7 @@ func TestGroupByAllocationsIndependentOfRows(t *testing.T) {
 // TestCompiledAllocatesLessThanInterpreter: on the shapes the agents lean on —
 // a multi-predicate filtered scan over a wide table and a two-key GROUP BY —
 // the compiled program allocates fewer objects per execution than the
-// interpreter on the same statement and data.
+// reference interpreter on the same statement and data.
 func TestCompiledAllocatesLessThanInterpreter(t *testing.T) {
 	db := allocDB(t, 1200, 12)
 	for _, sql := range []string{
@@ -136,16 +127,20 @@ func TestCompiledAllocatesLessThanInterpreter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		allocs := func(compiled bool) float64 {
-			db.SetCompileEnabled(compiled)
-			defer db.SetCompileEnabled(true)
+		ref, err := refStmt(db, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := func(run func() (*Result, error)) float64 {
 			return testing.AllocsPerRun(5, func() {
-				if res, err := st.Query(); err != nil || len(res.Rows) == 0 {
+				if res, err := run(); err != nil || len(res.Rows) == 0 {
 					t.Fatalf("%s: %v", sql, err)
 				}
 			})
 		}
-		if interp, comp := allocs(false), allocs(true); comp >= interp {
+		// Both sides start from a parsed statement.
+		interp := allocs(func() (*Result, error) { return ref() })
+		if comp := allocs(func() (*Result, error) { return st.Query() }); comp >= interp {
 			t.Errorf("%s: compiled %.0f allocs/op, interpreted %.0f: no reduction", sql, comp, interp)
 		}
 	}

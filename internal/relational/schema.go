@@ -134,18 +134,13 @@ type DB struct {
 	// stmts amortizes lexing/parsing across repeated Query/Exec/Prepare
 	// calls; DDL flushes the altered table's statements (see stmt.go).
 	stmts *stmtCache
-	// noCompile forces interpreted execution (see SetCompileEnabled);
 	// noShape forces exact-text cache keys (see SetShapeCacheEnabled);
-	// compiles counts plan compilations, interpretedExecs the statements
-	// the routers (compile.go) ran interpreted although compilation is on,
-	// profileBuilds/profileHits table profile rebuilds and reuses
-	// (profile.go), for CacheStats.
-	noCompile        atomic.Bool
-	noShape          atomic.Bool
-	compiles         atomic.Uint64
-	interpretedExecs atomic.Uint64
-	profileBuilds    atomic.Uint64
-	profileHits      atomic.Uint64
+	// compiles counts plan compilations, profileBuilds/profileHits table
+	// profile rebuilds and reuses (profile.go), for CacheStats.
+	noShape       atomic.Bool
+	compiles      atomic.Uint64
+	profileBuilds atomic.Uint64
+	profileHits   atomic.Uint64
 
 	writeMu sync.RWMutex
 	onWrite []func(table string)
@@ -164,7 +159,7 @@ func (db *DB) bumpVersionLocked(key string) {
 
 // OnWrite registers fn, invoked after every successfully executed statement
 // that mutates the named table — DML (INSERT/UPDATE/DELETE) and DDL alike,
-// through Query/Exec, prepared statements and Run. The blueprint system
+// through Query/Exec and prepared statements. The blueprint system
 // wires this to the data registry's Touch, so a data change bumps the
 // table's asset version and invalidates memoized step results that read it.
 func (db *DB) OnWrite(fn func(table string)) {

@@ -162,12 +162,6 @@ type CacheStats struct {
 	// prepared and cached statements skip parse and compile alike. DDL on a
 	// referenced table (CREATE/DROP) forces a recompile.
 	Compiles uint64
-	// InterpretedExecs counts SELECT/UPDATE/DELETE executions that ran on
-	// the interpreted evaluator although compilation is enabled: shapes the
-	// compiler refuses, a plan invalidated by DDL twice in one execution,
-	// or Run without a plan slot. ExactFallbacks above is about cache
-	// keys; this is about which executor ran.
-	InterpretedExecs uint64
 	// ProfileBuilds counts table-profile (re)builds, ProfileHits the Profile
 	// calls served from the cached one (profile.go). Builds should track
 	// writes to profiled tables, not asks.
@@ -192,7 +186,6 @@ func (s CacheStats) HitRate() float64 {
 func (db *DB) CacheStats() CacheStats {
 	s := db.stmts.snapshot()
 	s.Compiles = db.compiles.Load()
-	s.InterpretedExecs = db.interpretedExecs.Load()
 	s.ProfileBuilds, s.ProfileHits = db.profileBuilds.Load(), db.profileHits.Load()
 	return s
 }
@@ -202,7 +195,6 @@ func (db *DB) CacheStats() CacheStats {
 func (db *DB) ResetCacheStats() {
 	db.stmts.resetStats()
 	db.compiles.Store(0)
-	db.interpretedExecs.Store(0)
 	db.profileBuilds.Store(0)
 	db.profileHits.Store(0)
 }
