@@ -28,9 +28,9 @@ fmt-check:
 
 # Relational-engine benchmarks, including the statement-cache comparison
 # (BenchmarkPointQueryUncached vs Cached/Prepared), the zero-allocation
-# tokenizer/fingerprint sweeps, the shape-vs-exact keyed cache pair, and the
-# *Compiled/*Interpreted pairs, whose *Interpreted side calls the test-only
-# reference interpreter (internal/relational/interp_test.go) directly; then
+# tokenizer/fingerprint sweeps, and the *Compiled/*Interpreted pairs, whose
+# *Interpreted side calls the test-only reference interpreter
+# (internal/relational/interp_test.go) directly; then
 # the streams, session and planner benchmarks (Append beside many sessions'
 # worth of subscriptions, one control message into a session, one hand-off,
 # replay, the display wait deep into a conversation, a plan crossing a hop, a

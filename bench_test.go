@@ -14,9 +14,9 @@ import (
 	"blueprint"
 	"blueprint/internal/agent"
 	"blueprint/internal/budget"
-	"blueprint/internal/cluster"
 	"blueprint/internal/dataplan"
 	"blueprint/internal/durability"
+	"blueprint/internal/experiments/cluster"
 	"blueprint/internal/graphstore"
 	"blueprint/internal/llm"
 	"blueprint/internal/optimizer"

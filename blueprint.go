@@ -149,8 +149,6 @@ type Config struct {
 	// Breaker configures the per-agent circuit breakers the scheduler
 	// consults before every dispatch (zero value = resilience defaults).
 	Breaker resilience.BreakerConfig
-	// DisableBreakers turns per-agent circuit breaking off entirely.
-	DisableBreakers bool
 	// Governor bounds concurrent governed asks (Session.GovernedAsk, the
 	// blueprintd ask endpoint): a global in-flight slot pool with a
 	// bounded fair-share wait queue and load shedding. The zero value
@@ -177,10 +175,6 @@ type Config struct {
 	// (latency target, objective, fast/slow windows); zero-value fields
 	// take obs defaults. Served at GET /slo, in /metrics and by bpctl top.
 	SLO obs.SLOConfig
-	// TraceSessions re-bounds the tracer's per-session span-ring map: past
-	// it, least-recently-active sessions' traces are evicted. Zero leaves
-	// the process-global bound alone (obs.DefaultMaxSessions).
-	TraceSessions int
 	// EventLevel sets the event log's minimum recorded level ("debug",
 	// "info", "warn", "error", "off"); empty leaves the process-global
 	// level alone (info).

@@ -195,8 +195,8 @@ func main() {
 		}
 	case "stats":
 		cs := sys.Enterprise.DB.CacheStats()
-		fmt.Printf("stmt cache: hits=%d (shape=%d exact=%d) misses=%d hit_rate=%.0f%%\n",
-			cs.Hits, cs.ShapeHits, cs.ExactFallbacks, cs.Misses, cs.HitRate()*100)
+		fmt.Printf("stmt cache: hits=%d (shape=%d) misses=%d hit_rate=%.0f%%\n",
+			cs.Hits, cs.ShapeHits, cs.Misses, cs.HitRate()*100)
 		fmt.Printf("            compiles=%d invalidations=%d uncacheable=%d size=%d\n",
 			cs.Compiles, cs.Invalidations, cs.Uncacheable, cs.Size)
 	case "snapshot":

@@ -2,6 +2,7 @@ package blueprint
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -70,6 +71,35 @@ func TestDeliveriesFollowAddressing(t *testing.T) {
 	}
 	if got := deliveries() - before; got > 10 {
 		t.Fatalf("a memo-warm planned ask made %d deliveries, want at most 10", got)
+	}
+}
+
+// A whole session gives back what it took: StartSession, one planned ask
+// and Close leave the store's subscriptions and the process's goroutines
+// where they were (TestIdleSubscriptionsOwnNoGoroutine's idea, system-wide).
+func TestSessionStartsAndStopsClean(t *testing.T) {
+	sys := newSystem(t)
+	subs := func() int64 { return sys.Store.StatsSnapshot().Subscriptions }
+	subsBefore, goroutinesBefore := subs(), runtime.NumGoroutine()
+
+	sess, err := sys.StartSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("StartSession: +%d subscriptions, +%d goroutines", subs()-subsBefore, runtime.NumGoroutine()-goroutinesBefore)
+	if _, err := sess.Ask("Summarize the applicants for job 3", 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	awaitPlanResults(t, sess, 1)
+	sess.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for subs() != subsBefore || runtime.NumGoroutine() > goroutinesBefore {
+		if time.Now().After(deadline) {
+			t.Fatalf("after Close: %d subscriptions (%d before StartSession), %d goroutines (%d before)",
+				subs(), subsBefore, runtime.NumGoroutine(), goroutinesBefore)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -12,23 +12,17 @@ import (
 // stream when empty), and a DONE/ERROR control report follows, carrying
 // invocationID.
 func Execute(store *streams.Store, session, agentName string, inputs map[string]any, replyStream, invocationID string) error {
-	return ExecuteTraced(store, session, agentName, inputs, replyStream, invocationID, "")
+	return ExecuteDeadline(store, session, agentName, inputs, replyStream, invocationID, "", time.Time{})
 }
 
-// ExecuteTraced is Execute with a trace parent: traceParent (an
-// obs.Span.Token, may be empty) rides the directive as the "trace_parent"
-// arg, so the consuming runtime can resume the caller's span tree across
-// the stream boundary.
-func ExecuteTraced(store *streams.Store, session, agentName string, inputs map[string]any, replyStream, invocationID, traceParent string) error {
-	return ExecuteDeadline(store, session, agentName, inputs, replyStream, invocationID, traceParent, time.Time{})
-}
-
-// ExecuteDeadline is ExecuteTraced with a completion deadline: a non-zero
-// deadline rides the directive as "deadline_ms" (absolute Unix
-// milliseconds — JSON-safe across the stream/durability boundary), and the
-// consuming runtime bounds the processor at min(its own timeout, time until
-// the deadline). The scheduler derives it from the plan's remaining latency
-// budget.
+// ExecuteDeadline is Execute with a trace parent and a completion deadline.
+// traceParent (an obs.Span.Token, may be empty) rides the directive as the
+// "trace_parent" arg, so the consuming runtime can resume the caller's span
+// tree across the stream boundary. A non-zero deadline rides it as
+// "deadline_ms" (absolute Unix milliseconds — JSON-safe across the
+// stream/durability boundary), and the consuming runtime bounds the
+// processor at min(its own timeout, time until the deadline). The scheduler
+// derives it from the plan's remaining latency budget.
 func ExecuteDeadline(store *streams.Store, session, agentName string, inputs map[string]any, replyStream, invocationID, traceParent string, deadline time.Time) error {
 	if _, err := store.EnsureStream(ControlStream(session), streams.StreamInfo{Session: session}); err != nil {
 		return err

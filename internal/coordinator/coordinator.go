@@ -32,10 +32,11 @@
 // order regardless of completion order, and Final remains the outputs of
 // the last completed step in plan order.
 //
-// Service executes every watched plan on its own goroutine, so plans
-// arriving on one session's streams — and plans across sessions — run
-// concurrently; completions are announced on the event-driven ResultC
-// channel.
+// Service has one intake: data messages tagged PlanTag on the session's
+// streams (one subscription, one goroutine reading it). It executes every
+// such plan on its own goroutine, so plans arriving on one session's streams
+// — and plans across sessions — run concurrently; completions are announced
+// on the event-driven ResultC channel, and Results keeps the latest 64.
 //
 // # Step-result memoization
 //

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -601,6 +602,18 @@ func TestFailureCancelsInFlightSteps(t *testing.T) {
 	}
 }
 
+// publishPlan hands the session a plan the way a planning agent does: a copy
+// of it, as a PLAN output tagged PlanTag on the planner's output stream.
+func publishPlan(t testing.TB, store *streams.Store, p *planner.Plan) {
+	t.Helper()
+	if _, err := store.Publish(streams.Message{
+		Stream: agent.OutputStream(sess, planner.AgentName), Session: sess, Kind: streams.Data,
+		Sender: planner.AgentName, Param: "PLAN", Tags: []string{PlanTag}, Payload: p.Clone(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A published plan is immutable: what its producer does to its own copy
 // afterwards — here, at once, racing the service — is not what runs.
 func TestServiceRunsThePlanAsPublished(t *testing.T) {
@@ -617,9 +630,7 @@ func TestServiceRunsThePlanAsPublished(t *testing.T) {
 	for i, st := range plan.Steps {
 		want[i] = st.Agent
 	}
-	if err := planner.EmitPlan(e.store, sess, plan); err != nil {
-		t.Fatal(err)
-	}
+	publishPlan(t, e.store, plan)
 	for i := range plan.Steps {
 		plan.Steps[i].Agent = "NOBODY"
 		plan.Steps[i].Bindings = nil
@@ -650,9 +661,7 @@ func TestServiceExecutesEmittedPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := planner.EmitPlan(e.store, sess, plan); err != nil {
-		t.Fatal(err)
-	}
+	publishPlan(t, e.store, plan)
 	// Event-driven completion: the service announces each finished plan on
 	// ResultC, so no sleep-polling of Results is needed.
 	select {
@@ -679,5 +688,84 @@ func TestServiceExecutesEmittedPlans(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no coordinator result on display stream")
+	}
+}
+
+// onePlan is a one-step plan for the PROFILER.
+func onePlan(id string) *planner.Plan {
+	return &planner.Plan{ID: id, Steps: []planner.Step{{
+		ID: "s1", Agent: "PROFILER", Bindings: map[string]planner.Binding{"CRITERIA": {Value: id}},
+	}}}
+}
+
+// A session runs plans for as long as it lives; the service keeps the last
+// resultsKept results, not all of them.
+func TestServiceKeepsTheLatestResults(t *testing.T) {
+	e := newEnv(t)
+	c := New(e.store, e.reg, e.tp, e.model, Options{})
+	svc := c.Serve(sess, budget.Limits{MaxCost: 1.0})
+	defer svc.Stop()
+	const plans = 200
+	for i := 1; i <= plans; i++ {
+		publishPlan(t, e.store, onePlan(fmt.Sprintf("p%d", i)))
+		select {
+		case res := <-svc.ResultC():
+			if res.Aborted || len(res.Steps) != 1 || res.Steps[0].Err != "" {
+				t.Fatalf("plan %d: %+v", i, res)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("plan %d never finished", i)
+		}
+	}
+	rs := svc.Results()
+	if len(rs) != resultsKept {
+		t.Fatalf("%d results kept after %d plans, want %d", len(rs), plans, resultsKept)
+	}
+	for i, r := range rs {
+		if want := fmt.Sprintf("p%d", plans-resultsKept+1+i); r.PlanID != want {
+			t.Fatalf("result %d is %s's, want %s's (oldest first, ending at the last plan)", i, r.PlanID, want)
+		}
+	}
+}
+
+// A service costs one subscription and one goroutine, takes plans as
+// plan-tagged data and nothing else, and Stop gives back what Serve took.
+func TestServiceStartsAndStopsClean(t *testing.T) {
+	e := newEnv(t)
+	c := New(e.store, e.reg, e.tp, e.model, Options{})
+	subs := func() int64 { return e.store.StatsSnapshot().Subscriptions }
+	subsBefore, goroutinesBefore := subs(), runtime.NumGoroutine()
+
+	svc := c.Serve(sess, budget.Limits{MaxCost: 1.0})
+	if got := subs(); got != subsBefore+1 {
+		t.Fatalf("Serve took %d subscriptions, want 1", got-subsBefore)
+	}
+	// A PLAN control directive is not an intake; the same service reads the
+	// plan published behind it, so it has passed the directive by then.
+	if _, err := e.store.Publish(streams.Message{
+		Stream: agent.ControlStream(sess), Session: sess, Kind: streams.Control, Sender: planner.AgentName,
+		Directive: &streams.Directive{Op: "PLAN", Args: map[string]any{"plan": onePlan("by-directive")}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	publishPlan(t, e.store, onePlan("as-data"))
+	select {
+	case <-svc.ResultC():
+	case <-time.After(10 * time.Second):
+		t.Fatal("the published plan never ran")
+	}
+	svc.Stop() // waits for anything still executing
+	if rs := svc.Results(); len(rs) != 1 || rs[0].PlanID != "as-data" {
+		t.Fatalf("plans run: %+v, want as-data once", rs)
+	}
+	if got := subs(); got != subsBefore {
+		t.Fatalf("%d subscriptions after Stop, %d before Serve", got, subsBefore)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutinesBefore {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Stop, %d before Serve", runtime.NumGoroutine(), goroutinesBefore)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

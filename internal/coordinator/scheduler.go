@@ -183,11 +183,7 @@ func (s *scheduler) runStep(step planner.Step) stepOutcome {
 	ctx, sp := obs.StartSpan(s.ctx, "scheduler", "step:"+step.ID)
 	sp.SetAttr("agent", step.Agent)
 	defer sp.End()
-	var started time.Time
-	if obs.On() {
-		started = time.Now()
-	}
-	defer mStepLatency.ObserveSince(started)
+	defer mStepLatency.ObserveSince(time.Now())
 
 	inputs, err := s.c.resolveInputs(s.session, s.plan, step, s.snapshotOutputs(), s.budget)
 	if err != nil {

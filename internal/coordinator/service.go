@@ -12,17 +12,26 @@ import (
 // DefaultMaxConcurrentPlans bounds how many watched plans one Service
 // executes concurrently; further plans queue behind the semaphore (the
 // subscription buffers them), providing backpressure against a component
-// flooding the session with PLAN directives.
+// flooding the session with plans.
 const DefaultMaxConcurrentPlans = 8
 
+// resultsKept is how many completed plan results a Service holds, in its
+// result channel's buffer and in Results alike. A session runs plans for as
+// long as it lives; its readers want the latest ones.
+const resultsKept = 64
+
+// PlanTag marks data messages carrying a plan payload.
+const PlanTag = "plan"
+
 // Service runs the coordinator as a long-lived session participant: it
-// listens to the session control stream for PLAN directives (emitted by the
-// task planner agent or any component) and executes each plan — the "TC
-// listening to any stream with a plan unrolls the plan" behaviour of Fig. 9.
-// Every plan executes on its own goroutine (each with a fresh budget), up to
-// DefaultMaxConcurrentPlans at once, so plans within one session — and
-// services across sessions — run concurrently rather than queueing behind
-// one another.
+// listens to the session's streams for data messages tagged PlanTag (the task
+// planner agent publishes its PLAN output so, as does any agent that plans)
+// and executes each plan — the "TC listening to any stream with a plan
+// unrolls the plan" behaviour of Fig. 9, and the one way a plan reaches the
+// coordinator. Every plan executes on its own goroutine (each with a fresh
+// budget), up to DefaultMaxConcurrentPlans at once, so plans within one
+// session — and services across sessions — run concurrently rather than
+// queueing behind one another.
 type Service struct {
 	c         *Coordinator
 	session   string
@@ -33,65 +42,32 @@ type Service struct {
 	sem       chan struct{}
 	closeOnce sync.Once
 
-	mu        sync.Mutex
-	results   []*Result
-	extraSubs []*streams.Subscription
+	mu      sync.Mutex
+	results []*Result // the last resultsKept, oldest first
 }
 
-// Serve starts the coordinator service on a session. Each incoming plan is
+// Serve starts the coordinator service on a session: one subscription, to
+// plan-tagged data, and one goroutine reading it. Each incoming plan is
 // executed with a fresh budget under the given limits.
 func (c *Coordinator) Serve(session string, limits budget.Limits) *Service {
 	s := &Service{
 		c: c, session: session, limits: limits,
-		resultCh: make(chan *Result, 64),
+		resultCh: make(chan *Result, resultsKept),
 		sem:      make(chan struct{}, DefaultMaxConcurrentPlans),
 	}
 	s.sub = c.store.Subscribe(streams.Filter{
-		Session: session,
-		Kinds:   []streams.Kind{streams.Control},
-		Ops:     []string{streams.OpPlan},
-	}, false)
-	s.wg.Add(1)
-	go s.loop()
-	return s
-}
-
-func (s *Service) loop() {
-	defer s.wg.Done()
-	for msg := range s.sub.C() {
-		d := msg.Directive
-		if d == nil || d.Op != streams.OpPlan {
-			continue
-		}
-		payload, ok := d.Args["plan"]
-		if !ok {
-			continue
-		}
-		s.spawn(payload)
-	}
-}
-
-// PlanTag marks data messages carrying a plan payload.
-const PlanTag = "plan"
-
-// WatchPlans additionally consumes plan-tagged *data* messages (the task
-// planner agent publishes its PLAN output parameter as data tagged "plan").
-func (s *Service) WatchPlans() {
-	sub := s.c.store.Subscribe(streams.Filter{
-		Session:     s.session,
+		Session:     session,
 		Kinds:       []streams.Kind{streams.Data},
 		IncludeTags: []string{PlanTag},
 	}, false)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		for msg := range sub.C() {
+		for msg := range s.sub.C() {
 			s.spawn(msg.Payload)
 		}
 	}()
-	s.mu.Lock()
-	s.extraSubs = append(s.extraSubs, sub)
-	s.mu.Unlock()
+	return s
 }
 
 // spawn executes one plan payload on its own goroutine, blocking the
@@ -118,6 +94,9 @@ func (s *Service) execute(payload any) {
 	res, err := s.c.ExecutePlan(s.session, p, b)
 	if res != nil {
 		s.mu.Lock()
+		if len(s.results) == resultsKept {
+			s.results = append(s.results[:0], s.results[1:]...)
+		}
 		s.results = append(s.results, res)
 		s.mu.Unlock()
 	}
@@ -134,8 +113,7 @@ func (s *Service) execute(payload any) {
 	if res != nil {
 		// Announce completion on the event-driven result channel. The
 		// channel is buffered and never blocks execution: with no consumer,
-		// results beyond the buffer are dropped from the channel (Results
-		// still returns everything).
+		// results beyond the buffer are dropped from the channel.
 		select {
 		case s.resultCh <- res:
 		default:
@@ -147,27 +125,21 @@ func (s *Service) execute(payload any) {
 // event-driven alternative to polling Results — and is closed by Stop once
 // every in-flight execution has drained, so ranging over it terminates.
 // Consumers that fall more than the channel buffer behind miss older
-// results; Results retains the complete history.
+// results.
 func (s *Service) ResultC() <-chan *Result { return s.resultCh }
 
-// Results returns the plans executed so far.
+// Results returns the most recently completed plans, oldest first: at most
+// resultsKept (64) of them, however many the session has run.
 func (s *Service) Results() []*Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]*Result(nil), s.results...)
 }
 
-// Stop cancels subscriptions, waits for in-flight executions, and closes
+// Stop cancels the subscription, waits for in-flight executions, and closes
 // the result channel. Safe to call more than once.
 func (s *Service) Stop() {
 	s.sub.Cancel()
-	s.mu.Lock()
-	extras := s.extraSubs
-	s.extraSubs = nil
-	s.mu.Unlock()
-	for _, sub := range extras {
-		sub.Cancel()
-	}
 	s.wg.Wait()
 	s.closeOnce.Do(func() { close(s.resultCh) })
 }

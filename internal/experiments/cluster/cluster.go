@@ -8,6 +8,10 @@
 // stream store), injects failures, and applies a restart policy — so the
 // Fig. 2 benchmarks measure actual recovery behaviour of the runtime, not a
 // mock.
+//
+// It is an experiment fixture, which is why it lives under
+// internal/experiments: Fig. 2 (figs_components.go) and the root package's
+// benchmarks import it; nothing a blueprintd serves does.
 package cluster
 
 import (

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"blueprint/internal/agent"
-	"blueprint/internal/cluster"
 	"blueprint/internal/durability"
+	"blueprint/internal/experiments/cluster"
 	"blueprint/internal/registry"
 	"blueprint/internal/streams"
 )

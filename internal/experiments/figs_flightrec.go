@@ -55,7 +55,6 @@ func FlightRecorder(seed int64) (*Table, error) {
 	defer func() {
 		obs.Events.SetLevel(prevLevel)
 		obs.SlowAsks.SetThreshold(prevThresh)
-		obs.SetEnabled(true)
 	}()
 	obs.Events.Reset()
 	obs.SlowAsks.Reset()

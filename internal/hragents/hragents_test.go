@@ -66,7 +66,6 @@ func newApp(t testing.TB, accuracy float64) *app {
 
 	coord := coordinator.New(store, areg, nil, model, coordinator.Options{})
 	svc := coord.Serve(sess, budget.Limits{MaxCost: 1.0})
-	svc.WatchPlans()
 	t.Cleanup(svc.Stop)
 
 	return &app{store: store, suite: suite, areg: areg, svc: svc}

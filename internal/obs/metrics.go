@@ -10,9 +10,9 @@
 //
 // Design constraints, in order: the hot path (Histogram.Observe, Counter
 // Add) must be lock-free and allocation-free; everything must be safe for
-// concurrent use; a disabled plane (SetEnabled(false)) must cost one atomic
-// load per instrumentation point. See ARCHITECTURE.md for the overhead
-// budget and bucket-ladder rationale.
+// concurrent use. The plane is always on — there is no kill switch; what an
+// instrumentation point costs is what ARCHITECTURE.md's overhead budget
+// states (with the bucket-ladder rationale).
 package obs
 
 import (
@@ -22,21 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// enabled is the global kill switch: span recording and histogram
-// observation check it (one atomic load). Counters and gauges stay live
-// regardless — they are plain atomic adds and several subsystems rely on
-// them operationally.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// On reports whether the telemetry plane is recording spans and histogram
-// observations.
-func On() bool { return enabled.Load() }
-
-// SetEnabled turns span recording and histogram observation on or off.
-func SetEnabled(v bool) { enabled.Store(v) }
 
 // Default is the process-global registry. Package-level instruments across
 // the codebase register here; blueprintd serves it at GET /metrics.
@@ -268,12 +253,8 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 // statement execution to a stuck multi-agent plan.
 var LatencyBuckets = ExpBuckets(1e-6, 2, 28)
 
-// Observe records v. Lock-free, zero allocations; a no-op while the plane
-// is disabled.
+// Observe records v. Lock-free, zero allocations.
 func (h *Histogram) Observe(v float64) {
-	if !enabled.Load() {
-		return
-	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
 	h.count.Add(1)
@@ -286,12 +267,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveSince records the seconds elapsed since start. A zero start (the
-// caller skipped the clock read while disabled) is ignored.
+// ObserveSince records the seconds elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) {
-	if start.IsZero() {
-		return
-	}
 	h.Observe(time.Since(start).Seconds())
 }
 

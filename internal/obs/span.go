@@ -36,7 +36,7 @@ var Spans = NewTracer()
 const (
 	// DefaultMaxSessions bounds how many per-session rings the tracer
 	// retains; beyond it the least-recently-active session's trace is
-	// evicted (SetMaxSessions overrides; System wires Config.TraceSessions).
+	// evicted (SetMaxSessions overrides).
 	DefaultMaxSessions = 128
 	// ringCapacity bounds each session's span ring; older spans are
 	// overwritten (an ask on the hragents suite is ~20-40 spans, so the
@@ -65,9 +65,9 @@ type SpanData struct {
 	Attrs []Attr        `json:"attrs,omitempty"`
 }
 
-// Span is an in-flight span. All methods are safe on a nil receiver — a
-// disabled tracer (or an unanchored StartUnder) hands out nil spans and
-// instrumentation sites need no conditionals.
+// Span is an in-flight span. All methods are safe on a nil receiver — an
+// unanchored StartUnder or a StartSpan outside a traced request hands out
+// nil spans and instrumentation sites need no conditionals.
 type Span struct {
 	t         *Tracer
 	session   string
@@ -242,12 +242,8 @@ func (t *Tracer) newSpan(session string, parent uint64, component, name string, 
 
 // StartRoot opens a root span and marks it the session's active root:
 // until it ends, StartUnder anchors unparented work (stream-triggered
-// agents, watched plans) beneath it. Returns nil while the plane is
-// disabled.
+// agents, watched plans) beneath it.
 func (t *Tracer) StartRoot(session, component, name string) *Span {
-	if !enabled.Load() {
-		return nil
-	}
 	sp := t.newSpan(session, 0, component, name, new(atomic.Int64))
 	st := t.session(session, true)
 	st.mu.Lock()
@@ -258,12 +254,8 @@ func (t *Tracer) StartRoot(session, component, name string) *Span {
 }
 
 // StartUnder opens a span parented to the session's active root. Without an
-// active root (no ask in flight, or the plane disabled) it returns nil and
-// nothing is recorded.
+// active root (no ask in flight) it returns nil and nothing is recorded.
 func (t *Tracer) StartUnder(session, component, name string) *Span {
-	if !enabled.Load() {
-		return nil
-	}
 	st := t.session(session, false)
 	if st == nil {
 		return nil
@@ -281,9 +273,6 @@ func (t *Tracer) StartUnder(session, component, name string) *Span {
 // Span.Token() carried in a message. An empty or malformed token falls back
 // to StartUnder.
 func (t *Tracer) Resume(session, token, component, name string) *Span {
-	if !enabled.Load() {
-		return nil
-	}
 	parent, err := strconv.ParseUint(token, 36, 64)
 	if err != nil || parent == 0 {
 		return t.StartUnder(session, component, name)
@@ -419,12 +408,11 @@ func FromContext(ctx context.Context) *Span {
 }
 
 // StartSpan derives a child span of the span carried by ctx, returning the
-// child-carrying context. Without a parent in ctx (or with the plane
-// disabled) it returns (ctx, nil): instrumentation is free outside a traced
-// request.
+// child-carrying context. Without a parent in ctx it returns (ctx, nil):
+// instrumentation is free outside a traced request.
 func StartSpan(ctx context.Context, component, name string) (context.Context, *Span) {
 	parent := FromContext(ctx)
-	if parent == nil || !enabled.Load() {
+	if parent == nil {
 		return ctx, nil
 	}
 	sp := parent.t.newSpan(parent.session, parent.id, component, name, parent.open)

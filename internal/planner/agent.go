@@ -5,7 +5,6 @@ import (
 
 	"blueprint/internal/agent"
 	"blueprint/internal/registry"
-	"blueprint/internal/streams"
 )
 
 // AgentName is the task planner's registry name.
@@ -25,9 +24,9 @@ func Spec() registry.AgentSpec {
 }
 
 // AsAgent wraps the planner as a stream-attached agent. Each utterance
-// produces a PLAN output message tagged "plan", which the task coordinator
-// listens for, plus a PLAN control directive for components that prefer the
-// control channel.
+// produces a PLAN output message tagged "plan" (the §V-F contract: "the task
+// planner outputs the plan to a stream to be executed"); plan-tagged data is
+// the one thing the task coordinator listens for.
 func AsAgent(tp *TaskPlanner) *agent.Agent {
 	return agent.New(Spec(), func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
 		utterance, _ := inv.Inputs["UTTERANCE"].(string)
@@ -40,21 +39,4 @@ func AsAgent(tp *TaskPlanner) *agent.Agent {
 			Tags:   []string{"plan"},
 		}, nil
 	})
-}
-
-// EmitPlan publishes a plan as a PLAN control directive on the session's
-// control stream (the §V-F contract: "the task planner outputs the plan to
-// a stream to be executed"). What is published is a copy: a published plan
-// is immutable, and p stays the caller's to change.
-func EmitPlan(store *streams.Store, session string, p *Plan) error {
-	_, err := store.Append(streams.Message{
-		Stream: agent.ControlStream(session),
-		Kind:   streams.Control,
-		Sender: AgentName,
-		Directive: &streams.Directive{
-			Op:   streams.OpPlan,
-			Args: map[string]any{"plan": p.Clone()},
-		},
-	})
-	return err
 }

@@ -5,9 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"blueprint/internal/agent"
 	"blueprint/internal/memo"
-	"blueprint/internal/streams"
 )
 
 // handoffPlan has every kind of binding, with literals of the types agents
@@ -117,33 +115,6 @@ func TestFromJSONCopies(t *testing.T) {
 	got.Explanation[0] = "rewritten"
 	if !reflect.DeepEqual(p, handoffPlan()) {
 		t.Fatalf("writing to FromJSON's plan changed the payload: %+v", p)
-	}
-}
-
-// EmitPlan publishes a copy, typed: the caller may go on changing its plan,
-// and what is in the stream — what the coordinator will run — does not move.
-func TestEmitPlanPublishesAnImmutableCopy(t *testing.T) {
-	store := streams.NewStore()
-	defer store.Close()
-	if _, err := store.CreateStream(agent.ControlStream("s"), streams.StreamInfo{Session: "s"}); err != nil {
-		t.Fatal(err)
-	}
-	p := handoffPlan()
-	if err := EmitPlan(store, "s", p); err != nil {
-		t.Fatal(err)
-	}
-	p.Steps[0].Agent = "OTHER"
-	p.Steps[0].Bindings["JOB_ID"] = Binding{Value: 8}
-	msgs, err := store.ReadAll(agent.ControlStream("s"))
-	if err != nil || len(msgs) != 1 {
-		t.Fatalf("emitted %d messages, err %v", len(msgs), err)
-	}
-	published, ok := msgs[0].Directive.Args["plan"].(*Plan)
-	if !ok {
-		t.Fatalf("the plan arg is a %T, want *Plan", msgs[0].Directive.Args["plan"])
-	}
-	if !reflect.DeepEqual(published, handoffPlan()) {
-		t.Fatalf("the published plan moved with the caller's: %+v", published)
 	}
 }
 

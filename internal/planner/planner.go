@@ -5,8 +5,8 @@
 // declarative plan DAG that the task coordinator executes.
 //
 // As the paper prescribes, the planner is itself an agent: AsAgent wraps it
-// so it listens to user utterances on streams and emits PLAN control
-// messages for the coordinator.
+// so it listens to user utterances on streams and publishes its plan as
+// plan-tagged data for the coordinator.
 package planner
 
 import (

@@ -275,19 +275,3 @@ func TestValidateCatchesBadPlans(t *testing.T) {
 		}
 	}
 }
-
-func TestEmitPlan(t *testing.T) {
-	store := streams.NewStore()
-	defer store.Close()
-	if _, err := store.CreateStream(agent.ControlStream("s"), streams.StreamInfo{Session: "s"}); err != nil {
-		t.Fatal(err)
-	}
-	p := &Plan{ID: "p1", Steps: []Step{{ID: "s1", Agent: "A"}}}
-	if err := EmitPlan(store, "s", p); err != nil {
-		t.Fatal(err)
-	}
-	msgs, _ := store.ReadAll(agent.ControlStream("s"))
-	if len(msgs) != 1 || msgs[0].Directive.Op != streams.OpPlan {
-		t.Fatalf("emitted = %+v", msgs)
-	}
-}

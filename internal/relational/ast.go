@@ -196,8 +196,8 @@ func exprString(e Expr) string { return exprDisplay(e, nil) }
 
 // exprDisplay renders an expression with bound parameter values: an
 // auto-extracted literal slot shows the value it was extracted from, so a
-// shape-cached statement's EXPLAIN/plan strings match the exact-keyed form
-// byte for byte. Explicit '?' placeholders always render as "?".
+// shape-cached statement's EXPLAIN/plan strings match those of its plainly
+// parsed text byte for byte. Explicit '?' placeholders always render as "?".
 func exprDisplay(e Expr, params []Value) string {
 	var b strings.Builder
 	writeExprDisplay(&b, e, params)

@@ -335,21 +335,3 @@ func BenchmarkPointQueryShapeKeyed(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(db.CacheStats().HitRate()*100, "hit%")
 }
-
-// BenchmarkPointQueryExactKeyed is the same literal-inlined workload with
-// shape keying disabled: every distinct text is a cache miss (the pre-shape
-// behavior).
-func BenchmarkPointQueryExactKeyed(b *testing.B) {
-	db := benchIDIndexedDB(b, 5000)
-	db.SetShapeCacheEnabled(false)
-	queries := make([]string, 512)
-	for i := range queries {
-		queries[i] = fmt.Sprintf(`SELECT title FROM jobs WHERE id = %d LIMIT 1`, i%5000)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(queries[i%len(queries)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

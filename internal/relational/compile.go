@@ -763,8 +763,8 @@ type selectProgram struct {
 	whereDesc string
 	// whereAuto marks WHERE trees containing auto-extracted literal params:
 	// their Filter(...) plan line depends on the bound values (rendered per
-	// execution by filterDesc so shape-cached plans print exactly like
-	// exact-keyed ones).
+	// execution by filterDesc so a shape-cached plan prints the literals of
+	// the text that ran).
 	whereAuto bool
 	// access holds the precompiled sargable-predicate candidates extracted
 	// from the WHERE conjuncts. Index existence and kind are resolved per

@@ -787,6 +787,9 @@ func FuzzSQLDifferential(f *testing.F) {
 	seed(`CREATE TABLE scratch (a INT, b TEXT)`)
 	seed(`CREATE ORDERED INDEX idx_score ON apps (score)`)
 	seed(`DROP TABLE apps`)
+	// Past maxAutoParams literals: slots first, the tail inline in the shape.
+	seed(bigIn(selIDs, 80, 69, 9))
+	seed(bigIn(`UPDATE jobs SET salary = 1 WHERE`, 80, 69, 9))
 
 	// Reads share one fixture; every mutation gets fresh twins restored from
 	// its snapshot.

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"blueprint/internal/obs"
 )
 
 // Result is the outcome of a query. It is read-only: a result may share its
@@ -120,16 +118,13 @@ func affectedCount(res *Result) int {
 // mutations when a durability sink is attached. The execution and the
 // append run under the sink's LogMutation so the pair cannot straddle a
 // snapshot boundary (logical SQL replay is not idempotent). binder (nil for
-// exact-keyed statements) merges fingerprint-extracted literal values with
+// uncached DDL) merges fingerprint-extracted literal values with
 // the caller's explicit params into the unified slot vector the shared plan
 // expects; the WAL record keeps the original SQL text and caller params —
 // replay re-fingerprints deterministically.
 func (db *DB) runLogged(sqlText string, st Statement, slot *planSlot, binder *paramBinder, params ...any) (*Result, error) {
 	mStatements.Inc()
-	if obs.On() {
-		start := time.Now()
-		defer mSQLLatency.ObserveSince(start)
-	}
+	defer mSQLLatency.ObserveSince(time.Now())
 	vals := make([]Value, len(params))
 	for i, p := range params {
 		vals[i] = FromGo(p)

@@ -13,10 +13,12 @@ const (
 	fpExplicit = 0x02 // explicit '?' placeholder
 )
 
-// maxAutoParams bounds literal extraction per statement. A statement with
-// more inline literals than this (e.g. a giant IN list) bails to exact-text
-// keying: such texts are almost certainly machine-generated one-offs whose
-// shape would pollute the cache, and the merged parameter vector stays small.
+// maxAutoParams bounds literal extraction per statement: the first
+// maxAutoParams literals of the extracting regions become slots, any further
+// ones (the tail of a giant IN list) stay inline in the key and in the AST,
+// as projection, ORDER BY and LIMIT literals do. The merged parameter vector
+// stays small, and the sweep and the parser's auto mode (parser.go, extract)
+// apply the same rule, so they agree on which literals are slots.
 const maxAutoParams = 64
 
 // fingerprint is the reusable scratch state of one fingerprint pass: the
@@ -51,11 +53,11 @@ const (
 // fingerprintStmt sweeps sql once with the zero-allocation tokenizer,
 // filling fp with a canonical shape key ('S'-prefixed: keywords uppercased,
 // whitespace and comments erased, extractable literals reduced to ordinal
-// slots) and the extracted literal values in order. It reports false when
-// the statement should bail to exact-text keying: lexical errors,
-// non-fingerprintable statement kinds (DDL), unparseable numbers, or too
-// many literals. It never allocates beyond fp's own growth (amortized O(1)
-// per statement).
+// slots) and the extracted literal values in order. It reports false for a
+// text that has no shape — a lexical error, an unparseable number, anything
+// but SELECT/INSERT/UPDATE/DELETE (DDL, or no statement at all) — which the
+// caller parses plainly and runs uncached. It never allocates beyond fp's own
+// growth (amortized O(1) per statement).
 func fingerprintStmt(fp *fingerprint, sql string) bool {
 	fp.key = append(fp.key[:0], 'S')
 	fp.lits = fp.lits[:0]
@@ -90,6 +92,7 @@ func fingerprintStmt(fp *fingerprint, sql string) bool {
 			fp.key = append(fp.key, fpSep)
 			continue
 		}
+		extract := reg == regNormal && len(fp.lits) < maxAutoParams
 		switch t.kind {
 		case tokKeyword:
 			switch t.text {
@@ -106,12 +109,9 @@ func fingerprintStmt(fp *fingerprint, sql string) bool {
 		case tokParam:
 			fp.key = append(fp.key, fpExplicit)
 		case tokNumber:
-			if reg == regNormal {
+			if extract {
 				v, err := numberValue(t.text)
 				if err != nil {
-					return false
-				}
-				if len(fp.lits) >= maxAutoParams {
 					return false
 				}
 				fp.lits = append(fp.lits, v)
@@ -120,10 +120,7 @@ func fingerprintStmt(fp *fingerprint, sql string) bool {
 				fp.key = append(fp.key, t.text...)
 			}
 		case tokString:
-			if reg == regNormal {
-				if len(fp.lits) >= maxAutoParams {
-					return false
-				}
+			if extract {
 				fp.lits = append(fp.lits, NewString(t.stringVal()))
 				fp.key = append(fp.key, fpAutoLit)
 			} else {

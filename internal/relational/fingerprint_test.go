@@ -101,7 +101,30 @@ func TestFingerprintStructuralKeysDistinct(t *testing.T) {
 	}
 }
 
-// Bail cases: statements the fingerprint pass refuses get exact-text keys.
+const selIDs = `SELECT id FROM jobs WHERE`
+
+// bigIn is `<head> id IN (...)` over n number literals: literal i is 100+i (an
+// id no fixture row has), except literal at, which is v. at = -1 swaps none.
+func bigIn(head string, n, at, v int) string {
+	var sb strings.Builder
+	sb.WriteString(head)
+	sb.WriteString(` id IN (`)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			sb.WriteString(`, `)
+		}
+		if i == at {
+			fmt.Fprint(&sb, v)
+		} else {
+			fmt.Fprint(&sb, 100+i)
+		}
+	}
+	sb.WriteString(`)`)
+	return sb.String()
+}
+
+// Bail cases: texts the fingerprint pass refuses have no shape; they are DDL
+// or text Parse refuses too, and run uncached.
 func TestFingerprintBail(t *testing.T) {
 	var fp fingerprint
 	bail := []string{
@@ -118,23 +141,28 @@ func TestFingerprintBail(t *testing.T) {
 		`EXPLAIN`,         // EXPLAIN with no statement keyword
 		`EXPLAIN EXPLAIN`, // never reaches a statement keyword
 	}
-	// A giant IN list blows the auto-param bound.
-	var sb strings.Builder
-	sb.WriteString(`SELECT id FROM jobs WHERE id IN (0`)
-	for i := 1; i <= maxAutoParams; i++ {
-		fmt.Fprintf(&sb, ", %d", i)
-	}
-	sb.WriteString(`)`)
-	bail = append(bail, sb.String())
 	for _, sql := range bail {
 		if fingerprintStmt(&fp, sql) {
 			t.Errorf("fingerprint accepted %q", sql)
 		}
+		if st, err := Parse(sql); err == nil && stmtTables(st) != nil {
+			t.Errorf("fingerprint refused %q, which parses to a cacheable %T", sql, st)
+		}
 	}
-	// One literal under the bound still fingerprints.
-	under := `SELECT id FROM jobs WHERE id IN (0` + strings.Repeat(", 1", maxAutoParams-1) + `)`
-	if !fingerprintStmt(&fp, under) {
-		t.Errorf("fingerprint bailed under the auto-param bound")
+	// A giant IN list is a shape like any other: the first maxAutoParams
+	// literals are slots, the rest stay inline in the key.
+	key, lits := fpOf(t, bigIn(selIDs, 80, -1, 0))
+	if len(lits) != maxAutoParams || lits[2].I != 102 || lits[maxAutoParams-1].I != 100+maxAutoParams-1 {
+		t.Errorf("80-literal list extracted %d literals (%v), want the first %d", len(lits), lits, maxAutoParams)
+	}
+	if k, lits := fpOf(t, bigIn(selIDs, 80, 2, 5)); k != key || lits[2].I != 5 {
+		t.Errorf("lists differing in an extracted literal: keys differ or literal 3 = %v", lits[2])
+	}
+	if k, _ := fpOf(t, bigIn(selIDs, 80, 69, 5)); k == key {
+		t.Errorf("lists differing in an inline literal (the 70th) share a key")
+	}
+	if k, _ := fpOf(t, strings.Replace(bigIn(selIDs, 80, -1, 0), `179`, `'179'`, 1)); k == key {
+		t.Errorf("an inline string and the number it spells share a key")
 	}
 }
 
@@ -230,7 +258,7 @@ func TestShapeCacheSharing(t *testing.T) {
 		}
 	}
 	stats = db.CacheStats()
-	if n := uint64(len(templates)); stats.Misses != n || stats.ShapeHits != n*(variants-1) || stats.ExactFallbacks != 0 {
+	if n := uint64(len(templates)); stats.Misses != n || stats.ShapeHits != n*(variants-1) {
 		t.Errorf("%d variants of %d templates: %+v, want %d misses, the rest shape hits", variants, n, stats, n)
 	}
 	// The shared UPDATE plan bound each variant's own literals.
@@ -238,10 +266,50 @@ func TestShapeCacheSharing(t *testing.T) {
 	if err != nil || len(res.Rows) != variants {
 		t.Fatalf("%d rows carry an UPDATE variant's salary (err %v), want %d", len(res.Rows), err, variants)
 	}
+
+	// Oversized literal lists are shapes too: the first maxAutoParams
+	// literals bind per execution, the rest are part of the shape. Each text
+	// returns what the reference returns for it — the one row its swapped-in
+	// literal names.
+	same := func(sql string, wantID int64, params ...any) error {
+		t.Helper()
+		got, gotErr := db.Query(sql, params...)
+		want, wantErr := refRun(db, sql, params...)
+		sameOutcome(t, sql, got, gotErr, want, wantErr)
+		if gotErr == nil && (len(got.Rows) != 1 || got.Rows[0][0].I != wantID) {
+			t.Fatalf("%s: rows %v, want id %d", sql, got.Rows, wantID)
+		}
+		return gotErr
+	}
+	db.ResetCacheStats()
+	same(bigIn(selIDs, 80, 2, 5), 5)
+	same(bigIn(selIDs, 80, 2, 7), 7)
+	stats = db.CacheStats()
+	if stats.Misses != 1 || stats.ShapeHits != 1 || stats.Compiles != 1 {
+		t.Errorf("80-literal lists differing in the 3rd literal: %+v, want 1 miss, 1 shape hit, 1 compile", stats)
+	}
+	size := stats.Size
+	same(bigIn(selIDs, 80, 69, 9), 9)
+	same(bigIn(selIDs, 80, 69, 11), 11)
+	stats = db.CacheStats()
+	if stats.Misses != 3 || stats.ShapeHits != 1 || stats.Size != size+2 {
+		t.Errorf("80-literal lists differing in the 70th literal: %+v, want an entry each (size %d)", stats, size+2)
+	}
+	// Explicit '?' among 80 literals: each binds to its own ordinal, and a
+	// missing one is reported by the number the user sees, though the second
+	// '?' is unified slot 66.
+	mixed := strings.Replace(bigIn(selIDs, 80, -1, 0), `(100, `, `(?, 100, `, 1) + ` AND salary > ?`
+	same(mixed, 4, 4, 0)
+	same(mixed, 4, 4, 50003) // the UPDATE variants above left row 4 at 50004
+	for n, want := range []string{"relational: missing parameter 1", "relational: missing parameter 2"} {
+		if err := same(mixed, 0, []any{4, 0}[:n]...); err == nil || err.Error() != want {
+			t.Errorf("%d of 2 parameters: err %v, want %q", n, err, want)
+		}
+	}
 }
 
-// Counter taxonomy: DDL is uncacheable (not a miss), fingerprint bails fall
-// back to exact keys, parse errors count nothing.
+// Counter taxonomy: DDL is uncacheable (not a miss), an oversized literal
+// list is a miss and then hits, parse errors count nothing.
 func TestShapeCacheCounterTaxonomy(t *testing.T) {
 	db := stmtTestDB(t)
 	db.ResetCacheStats()
@@ -253,22 +321,17 @@ func TestShapeCacheCounterTaxonomy(t *testing.T) {
 		t.Errorf("DDL: %+v, want 1 uncacheable and 0 misses", stats)
 	}
 
-	// A >maxAutoParams IN list bails to exact keying but still caches.
-	var sb strings.Builder
-	sb.WriteString(`SELECT id FROM jobs WHERE id IN (0`)
-	for i := 1; i <= maxAutoParams; i++ {
-		fmt.Fprintf(&sb, ", %d", i)
-	}
-	sb.WriteString(`)`)
+	// A >maxAutoParams IN list is cached under a shape key like any other.
+	big := bigIn(selIDs, maxAutoParams+1, -1, 0)
 	db.ResetCacheStats()
 	for i := 0; i < 3; i++ {
-		if _, err := db.Query(sb.String()); err != nil {
+		if _, err := db.Query(big); err != nil {
 			t.Fatal(err)
 		}
 	}
 	stats = db.CacheStats()
-	if stats.ExactFallbacks != 3 || stats.Misses != 1 || stats.Hits != 2 || stats.ShapeHits != 0 {
-		t.Errorf("oversized IN list: %+v, want 1 miss + 2 exact hits, all fallbacks", stats)
+	if stats.Misses != 1 || stats.Hits != 2 || stats.ShapeHits != 2 || stats.Uncacheable != 0 {
+		t.Errorf("oversized IN list: %+v, want 1 miss + 2 shape hits", stats)
 	}
 
 	db.ResetCacheStats()
@@ -281,62 +344,37 @@ func TestShapeCacheCounterTaxonomy(t *testing.T) {
 	}
 }
 
-// SetShapeCacheEnabled(false) reverts to exact-text keying: literal variants
-// stop sharing.
-func TestShapeCacheDisabled(t *testing.T) {
-	db := stmtTestDB(t)
-	db.SetShapeCacheEnabled(false)
-	defer db.SetShapeCacheEnabled(true)
-	db.SetStmtCacheCapacity(0)
-	db.SetStmtCacheCapacity(DefaultStmtCacheCapacity)
-	db.ResetCacheStats()
-	for i := 0; i < 5; i++ {
-		if _, err := db.Query(fmt.Sprintf(`SELECT title FROM jobs WHERE id = %d`, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats := db.CacheStats()
-	if stats.ShapeHits != 0 || stats.Misses != 5 || stats.Size != 5 {
-		t.Errorf("disabled shape keying: %+v, want 5 exact misses", stats)
-	}
-}
-
 // Missing explicit parameters must report the same user-visible ordinal
-// through the shape-keyed path as through a cold exact parse — auto literal
-// slots must not renumber the error.
+// through the shape-keyed path as the reference gives the plainly parsed text
+// — auto literal slots must not renumber the error.
 func TestShapeKeyedMissingParamErrorParity(t *testing.T) {
 	cases := []struct {
 		sql    string
 		params []any
+		want   string
 	}{
 		// Auto literal before the unsupplied '?': the error must still carry
 		// the explicit ordinal 1, not the unified slot number.
-		{`SELECT id FROM jobs WHERE city = 'Oakland' AND id < ?`, nil},
+		{`SELECT id FROM jobs WHERE city = 'Oakland' AND id < ?`, nil, "relational: missing parameter 1"},
 		// First '?' supplied, second missing: ordinal 2.
-		{`SELECT id FROM jobs WHERE salary > ? AND id < ?`, []any{0}},
+		{`SELECT id FROM jobs WHERE salary > ? AND id < ?`, []any{0}, "relational: missing parameter 2"},
 	}
 	for _, c := range cases {
-		shaped := stmtTestDB(t)
-		_, shapedErr := shaped.Query(c.sql, c.params...)
-		exact := stmtTestDB(t)
-		exact.SetShapeCacheEnabled(false)
-		_, exactErr := exact.Query(c.sql, c.params...)
-		if shapedErr == nil || exactErr == nil {
-			t.Fatalf("%s: expected missing-parameter errors, got %v / %v", c.sql, shapedErr, exactErr)
-		}
-		if shapedErr.Error() != exactErr.Error() {
-			t.Fatalf("%s: error parity: shape-keyed %q vs exact %q", c.sql, shapedErr, exactErr)
+		db := stmtTestDB(t)
+		runBoth(t, db, c.sql, c.params...)
+		if _, err := db.Query(c.sql, c.params...); err == nil || err.Error() != c.want {
+			t.Fatalf("%s: err %v, want %q", c.sql, err, c.want)
 		}
 	}
 }
 
 // The decisive law: shape-keyed execution is byte-identical — columns, rows,
-// plans and errors — to exact-keyed execution over a corpus of literal
-// variants.
+// plans and errors — to the reference interpreter running the plainly parsed
+// text (refRun: no fingerprint, no extraction, no cache), over a corpus of
+// literal variants.
 func TestDifferentialShapeVsExact(t *testing.T) {
 	shaped := diffDB(t, 19)
-	exact := diffDB(t, 19)
-	exact.SetShapeCacheEnabled(false)
+	reference := diffDB(t, 19)
 	shaped.ResetCacheStats() // fixture population traffic is not under test
 
 	templates := []string{
@@ -357,27 +395,8 @@ func TestDifferentialShapeVsExact(t *testing.T) {
 	run := func(sql string) {
 		t.Helper()
 		got, gotErr := shaped.Query(sql)
-		want, wantErr := exact.Query(sql)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("%s: shaped err = %v, exact err = %v", sql, gotErr, wantErr)
-		}
-		if gotErr != nil {
-			if gotErr.Error() != wantErr.Error() {
-				t.Fatalf("%s: shaped err %q, exact err %q", sql, gotErr, wantErr)
-			}
-			return
-		}
-		if !reflect.DeepEqual(got.Columns, want.Columns) || len(got.Rows) != len(want.Rows) {
-			t.Fatalf("%s:\nshaped: %v %v\nexact:  %v %v", sql, got.Columns, got.Rows, want.Columns, want.Rows)
-		}
-		for i := range got.Rows {
-			if !reflect.DeepEqual(got.Rows[i], want.Rows[i]) {
-				t.Fatalf("%s: row %d differs: %v vs %v", sql, i, got.Rows[i], want.Rows[i])
-			}
-		}
-		if got.Plan != want.Plan {
-			t.Fatalf("%s: plan %q vs %q", sql, got.Plan, want.Plan)
-		}
+		want, wantErr := refRun(shaped, sql)
+		sameOutcome(t, sql, got, gotErr, want, wantErr)
 	}
 	for _, tpl := range templates {
 		if strings.Contains(tpl, "%s") {
@@ -396,8 +415,8 @@ func TestDifferentialShapeVsExact(t *testing.T) {
 		t.Errorf("shape sharing ineffective: %+v over %d templates", stats, len(templates))
 	}
 
-	// DML variants: mutate both databases through their own paths, then the
-	// full table states must agree.
+	// DML variants: the shape cache mutates one database, the reference its
+	// twin; the full table states must agree.
 	dml := []string{
 		`UPDATE jobs SET salary = 123456 WHERE city = 'Oakland' AND salary < 100000`,
 		`UPDATE jobs SET salary = 140000 WHERE city = 'Seattle' AND salary < 95000`,
@@ -408,11 +427,10 @@ func TestDifferentialShapeVsExact(t *testing.T) {
 		`INSERT INTO jobs VALUES (901, 'exact', 'Reno', 2, 90002, FALSE)`,
 	}
 	for _, sql := range dml {
-		na, errA := shaped.Exec(sql)
-		nb, errB := exact.Exec(sql)
-		if (errA == nil) != (errB == nil) || na != nb {
-			t.Fatalf("%s: shaped (%d, %v) vs exact (%d, %v)", sql, na, errA, nb, errB)
-		}
+		got, gotErr := shaped.Query(sql)
+		want, wantErr := refRun(reference, sql)
+		sameOutcome(t, sql, got, gotErr, want, wantErr)
+		sameTables(t, sql, shaped, reference)
 		run(`SELECT * FROM jobs ORDER BY id`)
 	}
 }

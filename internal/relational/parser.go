@@ -17,7 +17,8 @@ import (
 // stay inline (SELECT items and ORDER BY keys; LIMIT/OFFSET read their
 // numbers directly and are inline by construction) — these literals feed
 // projection shape, ordering and top-k sizing, where literal identity changes
-// plan semantics.
+// plan semantics. Literals past the first maxAutoParams extracted ones stay
+// inline too (fingerprint.go).
 type parser struct {
 	tz      tokenizer
 	tok     token
@@ -519,6 +520,12 @@ func numberValue(text string) (Value, error) {
 	return NewInt(n), nil
 }
 
+// extract reports whether the literal at the current position becomes an
+// auto slot: auto mode, outside the inline regions, under the bound.
+func (p *parser) extract() bool {
+	return p.auto && p.inline == 0 && p.nslots-p.nparams < maxAutoParams
+}
+
 // autoSlot records an auto-extracted literal and returns its parameter node.
 func (p *parser) autoSlot() *Param {
 	p.nslots++
@@ -535,13 +542,13 @@ func (p *parser) primary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if p.auto && p.inline == 0 {
+		if p.extract() {
 			return p.autoSlot(), nil
 		}
 		return &Literal{Val: v}, nil
 	case tokString:
 		p.advance()
-		if p.auto && p.inline == 0 {
+		if p.extract() {
 			return p.autoSlot(), nil
 		}
 		return &Literal{Val: NewString(t.stringVal())}, nil

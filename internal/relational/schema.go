@@ -134,10 +134,8 @@ type DB struct {
 	// stmts amortizes lexing/parsing across repeated Query/Exec/Prepare
 	// calls; DDL flushes the altered table's statements (see stmt.go).
 	stmts *stmtCache
-	// noShape forces exact-text cache keys (see SetShapeCacheEnabled);
 	// compiles counts plan compilations, profileBuilds/profileHits table
 	// profile rebuilds and reuses (profile.go), for CacheStats.
-	noShape       atomic.Bool
 	compiles      atomic.Uint64
 	profileBuilds atomic.Uint64
 	profileHits   atomic.Uint64

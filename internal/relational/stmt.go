@@ -82,8 +82,8 @@ func paramSrc(p *Param) int {
 // explicit parameters into the unified slot vector a shape-shared plan
 // expects. slots holds, per unified ordinal, 0 for an auto literal or the
 // 1-based explicit '?' ordinal; lits holds the extracted literals in slot
-// order. A nil binder is the exact-keyed identity: the caller's values pass
-// through untouched.
+// order. A nil binder belongs to an uncached statement (DDL), parsed plainly
+// with nothing extracted: the caller's values pass through untouched.
 type paramBinder struct {
 	slots []int
 	lits  []Value
@@ -103,8 +103,8 @@ func newBinder(slots []int, lits []Value) *paramBinder {
 // bind produces the merged parameter vector for one execution. Explicit
 // slots the caller did not supply are filled with the missingParam sentinel
 // (not truncated) so interleaved auto literals after them still bind, and
-// the missing-parameter error reports the explicit ordinal, exactly as the
-// exact-keyed path would.
+// the missing-parameter error reports the explicit ordinal, exactly as a
+// plain Parse of the text would number it.
 func (b *paramBinder) bind(vals []Value) []Value {
 	if b == nil {
 		return vals
@@ -133,19 +133,16 @@ func (b *paramBinder) bind(vals []Value) []Value {
 
 // CacheStats reports statement-cache effectiveness counters.
 type CacheStats struct {
-	// Hits counts lookups served from the cache (parse skipped), shape-keyed
-	// and exact-keyed alike.
+	// Hits counts lookups served from the cache (parse skipped).
 	Hits uint64
 	// Misses counts lookups that had to parse a cacheable statement.
 	Misses uint64
-	// ShapeHits counts the subset of Hits served by fingerprint shape keys:
-	// the texts differed from what populated the entry (or matched it), but
-	// the literal-stripped shapes agreed, so parse and compile were skipped.
+	// ShapeHits counts the Hits served by fingerprint shape keys: the texts
+	// differed from what populated the entry (or matched it), but the
+	// literal-stripped shapes agreed, so parse and compile were skipped. The
+	// cache has one key form, so it equals Hits; /metrics and benchmark/
+	// read it by this name.
 	ShapeHits uint64
-	// ExactFallbacks counts cacheable statements served under exact-text
-	// keys — texts the fingerprint pass bailed on (DDL-free but lexically
-	// odd, oversized literal lists) or that ran with shape keying disabled.
-	ExactFallbacks uint64
 	// Uncacheable counts executions of statements that are never cached
 	// (DDL): they are not misses — no steady state of repetition could turn
 	// them into hits — so they no longer skew HitRate.
@@ -204,84 +201,49 @@ func (db *DB) ResetCacheStats() {
 // Exec and Prepare re-parses).
 func (db *DB) SetStmtCacheCapacity(n int) { db.stmts.setCapacity(n) }
 
-// SetShapeCacheEnabled toggles fingerprint shape keying. When disabled the
-// cache falls back to exact-text keys for every statement — the reference
-// the shape-cache tests (fingerprint_test.go, TestShapeCacheDisabled) compare
-// shape-keyed results and errors against, and the baseline of the
-// BenchmarkPointQueryShapeKeyed/ExactKeyed pair.
-func (db *DB) SetShapeCacheEnabled(on bool) { db.noShape.Store(!on) }
-
 // parseCached returns the parsed form of sql, its plan slot and a parameter
 // binder, consulting the statement cache first.
 //
-// The fast path fingerprints the text in one zero-allocation tokenizer
-// sweep and looks up the literal-stripped shape: texts differing only in
-// WHERE/SET/VALUES literals share one AST and one compiled plan, with the
-// extracted literals bound per-execution through the returned binder.
-// Statements the fingerprint pass bails on fall back to exact-text keys
-// (binder nil). Only DML/query statements are cached: DDL is rare, and
-// executing it invalidates the touched table's statements anyway.
+// The text is fingerprinted in one zero-allocation tokenizer sweep and its
+// literal-stripped shape looked up: texts differing only in WHERE/SET/VALUES
+// literals share one AST and one compiled plan, with the extracted literals
+// bound per-execution through the returned binder. That is the cache's one
+// key form. A text the sweep rejects has no shape: it is DDL — rare, and
+// executing it invalidates the touched table's statements anyway — or text
+// Parse refuses; it is parsed plainly and runs uncached on a slot of its own
+// (binder nil), as does, defensively, a text on which the sweep and the
+// parser disagree about the extracted literals.
 func (db *DB) parseCached(sql string) (Statement, *planSlot, *paramBinder, error) {
-	if !db.noShape.Load() {
-		fp := fpScratch.Get().(*fingerprint)
-		if fingerprintStmt(fp, sql) {
-			if st, slot, slots, nAuto, ok := db.stmts.lookupShape(fp.key); ok && nAuto == len(fp.lits) {
-				b := newBinder(slots, fp.lits)
-				fpScratch.Put(fp)
-				return st, slot, b, nil
-			}
-			st, slots, err := parseNormalized(sql)
-			if err != nil {
-				// Auto-extraction does not change parse control flow, so the
-				// error matches what Parse(sql) would report.
-				fpScratch.Put(fp)
-				return nil, nil, nil, err
-			}
-			nAuto := 0
-			for _, s := range slots {
-				if s == 0 {
-					nAuto++
-				}
-			}
-			if nAuto == len(fp.lits) && cacheableStmt(st) {
-				db.stmts.noteMiss()
-				slot, slots := db.stmts.insertShape(string(fp.key), st, stmtTables(st), &planSlot{}, slots, nAuto)
-				b := newBinder(slots, fp.lits)
-				fpScratch.Put(fp)
-				return st, slot, b, nil
-			}
-			// Extraction layouts disagree (defensive) or the statement is not
-			// cacheable under a shape: re-run through the exact path below.
-			fpScratch.Put(fp)
-		} else {
-			fpScratch.Put(fp)
+	fp := fpScratch.Get().(*fingerprint)
+	defer fpScratch.Put(fp) // newBinder copies the literals out first
+	if fingerprintStmt(fp, sql) {
+		if st, slot, slots, nAuto, ok := db.stmts.lookupShape(fp.key); ok && nAuto == len(fp.lits) {
+			return st, slot, newBinder(slots, fp.lits), nil
 		}
-	}
-	if st, slot, ok := db.stmts.lookupExact(sql); ok {
-		return st, slot, nil, nil
+		st, slots, err := parseNormalized(sql)
+		if err != nil {
+			// Auto-extraction does not change parse control flow, so the
+			// error matches what Parse(sql) would report.
+			return nil, nil, nil, err
+		}
+		nAuto := 0
+		for _, s := range slots {
+			if s == 0 {
+				nAuto++
+			}
+		}
+		if nAuto == len(fp.lits) {
+			db.stmts.noteMiss()
+			slot, slots := db.stmts.insertShape(string(fp.key), st, stmtTables(st), &planSlot{}, slots, nAuto)
+			return st, slot, newBinder(slots, fp.lits), nil
+		}
 	}
 	st, err := Parse(sql)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	slot := &planSlot{}
-	if cacheableStmt(st) {
-		db.stmts.noteMiss()
-		slot = db.stmts.insertExact(sql, st, stmtTables(st), slot)
-	} else {
-		db.stmts.noteUncacheable()
-	}
-	return st, slot, nil, nil
-}
-
-// cacheableStmt reports whether a statement kind is worth caching.
-func cacheableStmt(st Statement) bool {
-	switch st.(type) {
-	case *SelectStmt, *InsertStmt, *UpdateStmt, *DeleteStmt:
-		return true
-	default:
-		return false
-	}
+	db.stmts.noteUncacheable()
+	return st, &planSlot{}, nil, nil
 }
 
 // stmtTables returns the lowercased base-table names a cacheable statement
@@ -316,11 +278,10 @@ func stmtTables(st Statement) []string {
 	}
 }
 
-// stmtCache is a concurrency-safe bounded LRU of parsed statements. Entries
-// are keyed either by fingerprint shape ('S'-prefixed binary keys — one
-// entry serves every text sharing the literal-stripped shape) or by exact
-// text ("E"+sql, for statements the fingerprint pass bails on); the two key
-// spaces share one LRU so the bound covers both. DDL (CREATE/DROP TABLE,
+// stmtCache is a concurrency-safe bounded LRU of parsed statements, keyed by
+// fingerprint shape ('S'-prefixed binary keys, fingerprint.go): one entry
+// serves every text sharing the literal-stripped shape. A text without a
+// shape (DDL) is never entered. DDL (CREATE/DROP TABLE,
 // CREATE INDEX) invalidates per table: only the cached statements
 // referencing the altered table are flushed, so the hot paths of untouched
 // tables keep their parsed plans across schema churn elsewhere (e.g.
@@ -331,13 +292,11 @@ type stmtCache struct {
 	ll      *list.List // front = most recently used
 	entries map[string]*list.Element
 
-	hits           uint64
-	misses         uint64
-	shapeHits      uint64
-	exactFallbacks uint64
-	uncacheable    uint64
-	evictions      uint64
-	invalidations  uint64
+	hits          uint64
+	misses        uint64
+	uncacheable   uint64
+	evictions     uint64
+	invalidations uint64
 }
 
 type stmtEntry struct {
@@ -345,7 +304,7 @@ type stmtEntry struct {
 	st     Statement
 	tables []string // lowercased tables the statement touches
 	slot   *planSlot
-	slots  []int // unified slot layout (shape entries; nil for exact)
+	slots  []int // unified slot layout
 	nAuto  int   // count of auto-literal slots in slots
 }
 
@@ -365,24 +324,10 @@ func (c *stmtCache) lookupShape(key []byte) (Statement, *planSlot, []int, int, b
 	if el, ok := c.entries[string(key)]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
-		c.shapeHits++
 		e := el.Value.(*stmtEntry)
 		return e.st, e.slot, e.slots, e.nAuto, true
 	}
 	return nil, nil, nil, 0, false
-}
-
-func (c *stmtCache) lookupExact(sql string) (Statement, *planSlot, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries["E"+sql]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		c.exactFallbacks++
-		e := el.Value.(*stmtEntry)
-		return e.st, e.slot, true
-	}
-	return nil, nil, false
 }
 
 func (c *stmtCache) noteMiss()        { c.mu.Lock(); c.misses++; c.mu.Unlock() }
@@ -409,29 +354,6 @@ func (c *stmtCache) insertShape(key string, st Statement, tables []string, slot 
 		c.evictOldestLocked()
 	}
 	return slot, slots
-}
-
-// insertExact caches the parsed statement under its exact text and returns
-// the resident slot (see insertShape). Exact-keyed cacheable statements
-// count as fallbacks from shape keying.
-func (c *stmtCache) insertExact(sql string, st Statement, tables []string, slot *planSlot) *planSlot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.exactFallbacks++
-	if c.cap <= 0 {
-		return slot
-	}
-	key := "E" + sql
-	if el, ok := c.entries[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*stmtEntry).slot
-	}
-	el := c.ll.PushFront(&stmtEntry{key: key, st: st, tables: tables, slot: slot})
-	c.entries[key] = el
-	for c.ll.Len() > c.cap {
-		c.evictOldestLocked()
-	}
-	return slot
 }
 
 func (c *stmtCache) evictOldestLocked() {
@@ -505,15 +427,14 @@ func (c *stmtCache) snapshot() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Hits:           c.hits,
-		Misses:         c.misses,
-		ShapeHits:      c.shapeHits,
-		ExactFallbacks: c.exactFallbacks,
-		Uncacheable:    c.uncacheable,
-		Evictions:      c.evictions,
-		Invalidations:  c.invalidations,
-		Size:           c.ll.Len(),
-		Capacity:       c.cap,
+		Hits:          c.hits,
+		Misses:        c.misses,
+		ShapeHits:     c.hits, // one key form: every hit is a shape hit
+		Uncacheable:   c.uncacheable,
+		Evictions:     c.evictions,
+		Invalidations: c.invalidations,
+		Size:          c.ll.Len(),
+		Capacity:      c.cap,
 	}
 }
 
@@ -521,5 +442,5 @@ func (c *stmtCache) resetStats() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.hits, c.misses, c.evictions, c.invalidations = 0, 0, 0, 0
-	c.shapeHits, c.exactFallbacks, c.uncacheable = 0, 0, 0
+	c.uncacheable = 0
 }

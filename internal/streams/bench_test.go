@@ -82,8 +82,8 @@ func BenchmarkHistory(b *testing.B) {
 }
 
 // BenchmarkAppendManySessions is the shape of many live conversations: 512
-// session scopes, each with the 18 subscriptions a session's agents and
-// coordinator hold (12 on the control messages addressed to them, 6 on tagged
+// session scopes, each with the 17 subscriptions a session's agents and
+// coordinator hold (11 on the control messages addressed to them, 6 on tagged
 // data), and an utterance appended to one session's user stream. Only that
 // session's subscriptions can receive it, and the append should cost as if
 // the other 511 sessions were not there.
@@ -112,11 +112,11 @@ func BenchmarkAppendManySessions(b *testing.B) {
 	}
 }
 
-// sessionControlFilters are the 12 control subscriptions of a standard
+// sessionControlFilters are the 11 control subscriptions of a standard
 // session: eleven agents, each on the EXECUTE_AGENT and ABORT directives
-// addressed to it, and the coordinator service on PLAN.
+// addressed to it.
 func sessionControlFilters(scope string) []Filter {
-	fs := []Filter{{Session: scope, Kinds: []Kind{Control}, Ops: []string{OpPlan}}}
+	var fs []Filter
 	for j := 0; j < 11; j++ {
 		fs = append(fs, Filter{
 			Session: scope, Kinds: []Kind{Control},
@@ -126,9 +126,9 @@ func sessionControlFilters(scope string) []Filter {
 	return fs
 }
 
-// BenchmarkControlFanout is one EXECUTE_AGENT into a session with its 12
+// BenchmarkControlFanout is one EXECUTE_AGENT into a session with its 11
 // control subscriptions live, from Append until the addressed agent has it.
-// deliveries/op is how many of the 12 were handed the message.
+// deliveries/op is how many of the 11 were handed the message.
 func BenchmarkControlFanout(b *testing.B) {
 	s := NewStore()
 	b.Cleanup(func() { s.Close() })

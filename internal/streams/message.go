@@ -80,10 +80,7 @@ const (
 	OpRemoveAgent  = "REMOVE_AGENT"  // session: remove an agent
 	OpEnterSession = "ENTER_SESSION" // agent signals entry into a session
 	OpExitSession  = "EXIT_SESSION"  // agent signals exit from a session
-	OpCreateStream = "CREATE_STREAM" // request creation of an output stream
-	OpPlan         = "PLAN"          // task planner -> coordinator: plan DAG
 	OpAbort        = "ABORT"         // coordinator: abort execution (budget)
-	OpReplan       = "REPLAN"        // coordinator -> planner: request replan
 	OpEOS          = "EOS"           // end of stream sentinel
 )
 

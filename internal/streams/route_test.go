@@ -14,13 +14,17 @@ import (
 // Filter.Matches it. These tests compare the index with that brute force
 // over seeded random filters and messages.
 
+// opDone is an op with unaddressed, ops-only subscribers: the completion
+// reports agents publish (the agent package names it; streams does not).
+const opDone = "DONE"
+
 var (
 	routeStreams  = []string{"a", "b", "session:1:user", "session:1:profile:form", "session:2:user", "ghost"}
 	routeSessions = []string{"", "session", "session:1", "session:1:profile", "session:2", "session:10"}
 	routeTags     = []string{"utterance", "plan", "display", "draft"}
 	routeSenders  = []string{"user", "planner", "coordinator"}
 	routeKinds    = []Kind{Data, Control, Event}
-	routeOps      = []string{OpExecuteAgent, OpAbort, OpPlan, "X"}
+	routeOps      = []string{OpExecuteAgent, OpAbort, opDone, "X"}
 	routeAgents   = []string{"", "", "A", "B"} // half of the directives are broadcasts
 )
 
@@ -336,24 +340,24 @@ func TestRoutingConcurrent(t *testing.T) {
 		stay = append(stay,
 			collect(s.Subscribe(Filter{Session: id, Kinds: []Kind{Data}}, false)),
 			collect(s.Subscribe(Filter{Streams: []string{id + ":user"}}, false)))
-		// Two agents' control subscriptions and the coordinator's: of the
+		// Two agents' control subscriptions and a report waiter's: of the
 		// session's control messages each receives only its own.
 		addressed = append(addressed,
 			collect(s.Subscribe(Filter{Session: id, Kinds: []Kind{Control}, Ops: []string{OpExecuteAgent, OpAbort}, Agent: "A"}, false)),
 			collect(s.Subscribe(Filter{Session: id, Kinds: []Kind{Control}, Ops: []string{OpExecuteAgent, OpAbort}, Agent: "B"}, false)),
-			collect(s.Subscribe(Filter{Session: id, Kinds: []Kind{Control}, Ops: []string{OpPlan}}, false)))
+			collect(s.Subscribe(Filter{Session: id, Kinds: []Kind{Control}, Ops: []string{opDone}}, false)))
 	}
 	everything := collect(s.Subscribe(Filter{}, false))
 
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
 		wg.Add(3)
-		go func(i int) { // control appender: per round one message to A, one to B, a broadcast, a plan, a signal
+		go func(i int) { // control appender: per round one message to A, one to B, a broadcast, a report, a signal
 			defer wg.Done()
 			for n := 0; n < appends; n++ {
 				for _, d := range []Directive{
 					{Op: OpExecuteAgent, Agent: "A"}, {Op: OpExecuteAgent, Agent: "B"},
-					{Op: OpAbort}, {Op: OpPlan}, {Op: OpEnterSession, Agent: "A"},
+					{Op: OpAbort}, {Op: opDone}, {Op: OpEnterSession, Agent: "A"},
 				} {
 					if _, err := s.Append(Message{Stream: fmt.Sprintf("session:%d:control", i), Kind: Control, Directive: &d}); err != nil {
 						t.Errorf("append: %v", err)
@@ -388,17 +392,17 @@ func TestRoutingConcurrent(t *testing.T) {
 			t.Fatalf("filter %+v received %d messages, want %d", c.sub.filter, len(got), appends)
 		}
 	}
-	// One last broadcast and plan per session: a subscription keeps order,
+	// One last broadcast and report per session: a subscription keeps order,
 	// so once its sentinel is in, everything routed to it before is too.
 	total := 6*sessions*appends + 2*sessions
 	for i := 0; i < sessions; i++ {
 		control := fmt.Sprintf("session:%d:control", i)
 		abort := mustAppend(t, s, Message{Stream: control, Kind: Control, Directive: &Directive{Op: OpAbort}})
-		plan := mustAppend(t, s, Message{Stream: control, Kind: Control, Directive: &Directive{Op: OpPlan}})
+		report := mustAppend(t, s, Message{Stream: control, Kind: Control, Directive: &Directive{Op: opDone}})
 		for _, c := range addressed[3*i : 3*i+3] {
 			want, last := 2*appends+1, abort.ID // an agent: what is addressed to it and the broadcasts
 			if c.sub.filter.Agent == "" {
-				want, last = appends+1, plan.ID // the coordinator: the plans
+				want, last = appends+1, report.ID // the report waiter: the reports
 			}
 			if got := c.await(t, want); len(got) != want || got[want-1] != last {
 				t.Fatalf("filter %+v received %d messages ending in %s, want %d ending in %s", c.sub.filter, len(got), got[len(got)-1], want, last)

@@ -14,7 +14,7 @@ import (
 func TestFilterDirectiveSelectors(t *testing.T) {
 	control := func(d *Directive) Message { return Message{Stream: "s", Kind: Control, Directive: d} }
 	agentA := Filter{Kinds: []Kind{Control}, Ops: []string{OpExecuteAgent, OpAbort}, Agent: "A"}
-	plans := Filter{Ops: []string{OpPlan}}
+	reports := Filter{Ops: []string{opDone}}
 	toA := Filter{Agent: "A"}
 	for _, c := range []struct {
 		name string
@@ -26,13 +26,13 @@ func TestFilterDirectiveSelectors(t *testing.T) {
 		{"addressed to another", agentA, control(&Directive{Op: OpExecuteAgent, Agent: "B"}), false},
 		{"addressee differs in case", agentA, control(&Directive{Op: OpExecuteAgent, Agent: "a"}), false},
 		{"broadcast", agentA, control(&Directive{Op: OpAbort}), true},
-		{"broadcast of an op it did not ask for", agentA, control(&Directive{Op: OpPlan}), false},
+		{"broadcast of an op it did not ask for", agentA, control(&Directive{Op: opDone}), false},
 		{"its own entry signal", agentA, control(&Directive{Op: OpEnterSession, Agent: "A"}), false},
 		{"no directive", agentA, control(nil), false},
 		{"data message", agentA, Message{Stream: "s", Kind: Data, Payload: "x"}, false},
-		{"ops only: the op, any addressee", plans, control(&Directive{Op: OpPlan, Agent: "B"}), true},
-		{"ops only: another op", plans, control(&Directive{Op: OpAbort}), false},
-		{"ops only: no directive", plans, Message{Stream: "s", Kind: Data}, false},
+		{"ops only: the op, any addressee", reports, control(&Directive{Op: opDone, Agent: "B"}), true},
+		{"ops only: another op", reports, control(&Directive{Op: OpAbort}), false},
+		{"ops only: no directive", reports, Message{Stream: "s", Kind: Data}, false},
 		{"agent only: any op to it", toA, control(&Directive{Op: "X", Agent: "A"}), true},
 		{"agent only: any broadcast", toA, control(&Directive{Op: "X"}), true},
 		{"agent only: to another", toA, control(&Directive{Op: "X", Agent: "B"}), false},

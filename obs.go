@@ -52,9 +52,6 @@ func (s *System) registerInstruments() {
 	r.CounterFunc("blueprint_stmt_cache_shape_hits_total", "statement-cache hits served by fingerprint shape keys", func() float64 {
 		return float64(db.CacheStats().ShapeHits)
 	})
-	r.CounterFunc("blueprint_stmt_cache_exact_fallbacks_total", "cacheable statements served under exact-text keys", func() float64 {
-		return float64(db.CacheStats().ExactFallbacks)
-	})
 	r.CounterFunc("blueprint_stmt_cache_misses_total", "statement-cache lookups that parsed", func() float64 {
 		return float64(db.CacheStats().Misses)
 	})
@@ -124,7 +121,7 @@ func (s *System) registerInstruments() {
 	// Resilience: breaker states and governor occupancy (the counters —
 	// trips, rejections, sheds, degraded answers — are package-level in
 	// internal/resilience; these gauges read this System's instances and
-	// are nil-safe when breakers or the governor are disabled).
+	// are nil-safe when the governor is disabled).
 	r.GaugeFunc("blueprint_breakers_open", "agents whose circuit breaker is open or half-open", func() float64 {
 		return float64(s.Breakers.OpenCount())
 	})

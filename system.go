@@ -68,8 +68,7 @@ type System struct {
 	// Snapshot and DurabilityStats expose it for operations.
 	Durability *durability.Engine
 	// Breakers holds the per-agent circuit breakers the scheduler
-	// consults before dispatch (nil when Config.DisableBreakers is set;
-	// nil is fully functional — everything is allowed).
+	// consults before dispatch.
 	Breakers *resilience.Set
 	// Governor is the overload-control admission governor used by
 	// GovernedAsk and blueprintd (nil unless Config.Governor.MaxConcurrent
@@ -210,10 +209,7 @@ func New(cfg Config) (*System, error) {
 	// dispatching to failing agents (serving freshness-valid stale memo
 	// entries instead when the policy allows), and the governor bounds
 	// concurrent governed asks with fair-share load shedding.
-	var breakers *resilience.Set
-	if !cfg.DisableBreakers {
-		breakers = resilience.NewSet(cfg.Breaker)
-	}
+	breakers := resilience.NewSet(cfg.Breaker)
 	slo := obs.NewSLOTracker(cfg.SLO)
 	coord := coordinator.New(store, agentReg, tp, model, coordinator.Options{
 		RetryOnError: true,
@@ -246,9 +242,6 @@ func New(cfg Config) (*System, error) {
 	// Observability-plane knobs act on the process globals (last System
 	// wins, like the func-backed instrument bridges); zero values leave the
 	// globals untouched so embedding tests don't clobber each other.
-	if cfg.TraceSessions > 0 {
-		obs.Spans.SetMaxSessions(cfg.TraceSessions)
-	}
 	if cfg.SlowAskThreshold != 0 {
 		obs.SlowAsks.SetThreshold(cfg.SlowAskThreshold)
 	}
@@ -332,7 +325,7 @@ func (s *System) GovernorStats() resilience.GovernorStats {
 }
 
 // BreakerStates snapshots every per-agent circuit breaker's state (nil when
-// breakers are disabled or no agent has been dispatched yet).
+// no agent has been dispatched yet).
 func (s *System) BreakerStates() map[string]resilience.State {
 	return s.Breakers.States()
 }
@@ -369,7 +362,6 @@ func (s *System) StartSession(id string) (*Session, error) {
 		}
 	}
 	svc := s.Coordinator.Serve(base.ID, s.cfg.Budget)
-	svc.WatchPlans()
 	return &Session{Session: base, sys: s, svc: svc}, nil
 }
 
@@ -416,18 +408,14 @@ func (sess *Session) AskCtx(ctx context.Context, text string, timeout time.Durat
 const quiesceWait = 50 * time.Millisecond
 
 // askCore runs the ask under its root span and the ask-level instruments,
-// returning the answer and the root span (nil when tracing is off).
+// returning the answer and the root span.
 func (sess *Session) askCore(tid, text string, timeout time.Duration) (string, *obs.Span, error) {
 	sp := obs.Spans.StartRoot(sess.ID, "session", "ask")
 	sp.SetAttr("text", obs.Truncate(text, 80))
 	sp.SetAttr("trace", tid)
 	defer sp.End()
 	mAsks.Inc()
-	var started time.Time
-	if obs.On() {
-		started = time.Now()
-	}
-	defer mAskLatency.ObserveSince(started)
+	defer mAskLatency.ObserveSince(time.Now())
 
 	before := sess.DisplayLen()
 	if _, err := sess.PostUserText(text); err != nil {
@@ -740,8 +728,9 @@ func (sess *Session) Flow() []trace.Step {
 	return trace.Flow(sess.Store(), sess.ID)
 }
 
-// PlanResults returns the results of plans executed by the session's
-// coordinator service.
+// PlanResults returns the results of the plans the session's coordinator
+// service executed most recently, oldest first — at most 64, however long
+// the session has run.
 func (sess *Session) PlanResults() []*coordinator.Result {
 	return sess.svc.Results()
 }
