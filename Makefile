@@ -91,8 +91,9 @@ bench-smoke:
 # durability sites) and asserts the system degrades instead of wedging —
 # retries absorb transient faults, breakers isolate persistent ones, asks
 # still answer or fail cleanly. Run under the race detector: fault paths are
-# where concurrency bugs hide.
+# where concurrency bugs hide. A local shortcut: `make ci` does not list it,
+# because `race` (go test -race ./...) already runs every Chaos* test.
 chaos:
 	$(GO) test -race -run Chaos ./...
 
-ci: fmt-check vet build race chaos fuzz-smoke bench-smoke bench-streams
+ci: fmt-check vet build race fuzz-smoke bench-smoke bench-streams

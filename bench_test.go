@@ -1,6 +1,6 @@
 // Benchmarks: one per paper figure (F1..F10) plus the ablations (A1..A3).
-// These wrap the same code paths as internal/experiments (which prints the
-// EXPERIMENTS.md tables); here they are exposed as standard testing.B
+// These wrap the same code paths as internal/experiments (whose tables
+// cmd/benchharness prints); here they are exposed as standard testing.B
 // targets so `go test -bench=. -benchmem` regenerates per-operation costs.
 package blueprint_test
 

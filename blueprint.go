@@ -4,7 +4,7 @@
 // among agents, agent and data registries mapping enterprise models and
 // sources, task and data planners, a budget-aware task coordinator, and a
 // multi-objective optimizer — together with an embedded enterprise substrate
-// (relational engine, document store, graph store, KV store, simulated LLM)
+// (relational engine, document store, graph store, simulated LLM)
 // and the paper's HR case study (Agentic Employer, Career Assistant).
 //
 // The System type wires everything; Session provides the conversational

@@ -2,6 +2,7 @@ package blueprint
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -98,6 +99,90 @@ func TestSessionStartsAndStopsClean(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("after Close: %d subscriptions (%d before StartSession), %d goroutines (%d before)",
 				subs(), subsBefore, runtime.NumGoroutine(), goroutinesBefore)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// Closing a System with sessions open closes each as Session.Close does —
+// the coordinator service drained before the agents stop — so when Close
+// returns every plan a session started has run to its result, one that
+// still had a step to dispatch when Close was called included, and the
+// sessions' goroutines are gone.
+func TestSystemCloseDrainsOpenSessions(t *testing.T) {
+	sys, err := New(Config{ModelAccuracy: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goroutinesBefore := runtime.NumGoroutine()
+
+	// The lingering plan is in its first step when Close is called and needs
+	// the session's agents for its second.
+	linger := registry.AgentSpec{
+		Name:    "LINGER",
+		Inputs:  []registry.ParamSpec{{Name: "IN", Type: "text", Optional: true}},
+		Outputs: []registry.ParamSpec{{Name: "OUT", Type: "text"}},
+	}
+	if err := sys.AgentRegistry.Register(linger); err != nil {
+		t.Fatal(err)
+	}
+	sessions := make([]*Session, 4)
+	started := make(chan struct{}, 2*len(sessions)) // one send per step
+	for i := range sessions {
+		sess, err := sys.StartSession("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions[i] = sess
+		_, err = sess.AddAgent(agent.New(linger, func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
+			started <- struct{}{}
+			select {
+			case <-time.After(50 * time.Millisecond):
+				return agent.Outputs{Values: map[string]any{"OUT": "done"}}, nil
+			case <-ctx.Done():
+				return agent.Outputs{}, ctx.Err()
+			}
+		}), agent.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Ask(fmt.Sprintf("Summarize the applicants for job %d", i+1), 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Store.Publish(streams.Message{
+			Stream: agent.OutputStream(sess.ID, hragents.AgenticEmployer), Session: sess.ID, Kind: streams.Data,
+			Sender: hragents.AgenticEmployer, Param: "PLAN", Tags: []string{coordinator.PlanTag},
+			Payload: &planner.Plan{ID: "linger", Steps: []planner.Step{
+				{ID: "s1", Agent: linger.Name},
+				{ID: "s2", Agent: linger.Name, Bindings: map[string]planner.Binding{"IN": {FromStep: "s1", FromParam: "OUT"}}},
+			}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range sessions {
+		<-started
+	}
+	sys.Close()
+
+	for _, sess := range sessions {
+		res := sess.PlanResults()
+		if len(res) != 2 {
+			t.Errorf("%s: %d plan results when Close returned, want the ask's and the lingering plan's", sess.ID, len(res))
+		}
+		for _, r := range res {
+			if r.Aborted || len(r.Final) == 0 {
+				t.Errorf("%s: plan %s did not complete: %+v", sess.ID, r.PlanID, r)
+			}
+		}
+		if _, open := sys.Session(sess.ID); open {
+			t.Errorf("%s is still open after Close", sess.ID)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutinesBefore {
+		if time.Now().After(deadline) {
+			t.Fatalf("after Close: %d goroutines, %d before the first StartSession", runtime.NumGoroutine(), goroutinesBefore)
 		}
 		time.Sleep(time.Millisecond)
 	}

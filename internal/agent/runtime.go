@@ -363,15 +363,7 @@ func (in *Instance) run(inv Invocation) {
 		// Dead on arrival: report without invoking the processor.
 		in.invocations.Add(1)
 		mInvocations.Inc()
-		in.errs.Add(1)
-		mInvErrors.Inc()
-		_, _ = in.store.Append(streams.Message{
-			Stream: ControlStream(in.session), Kind: streams.Control, Sender: name,
-			Directive: &streams.Directive{Op: OpAgentError, Agent: name, Args: map[string]any{
-				"invocation_id": inv.InvocationID,
-				"error":         context.DeadlineExceeded.Error(),
-			}},
-		})
+		in.reportError(inv.InvocationID, context.DeadlineExceeded)
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
@@ -409,16 +401,8 @@ func (in *Instance) run(inv Invocation) {
 	mInvocations.Inc()
 
 	if err != nil {
-		in.errs.Add(1)
-		mInvErrors.Inc()
 		sp.SetAttr("error", obs.Truncate(err.Error(), 120))
-		_, _ = in.store.Append(streams.Message{
-			Stream: ControlStream(in.session), Kind: streams.Control, Sender: name,
-			Directive: &streams.Directive{Op: OpAgentError, Agent: name, Args: map[string]any{
-				"invocation_id": inv.InvocationID,
-				"error":         err.Error(),
-			}},
-		})
+		in.reportError(inv.InvocationID, err)
 		return
 	}
 
@@ -466,6 +450,21 @@ func (in *Instance) run(inv Invocation) {
 			"latency_ms":    float64(usage.Latency) / float64(time.Millisecond),
 			"accuracy":      usage.Accuracy,
 			"reply_stream":  outStream,
+		}},
+	})
+}
+
+// reportError counts a failed invocation and reports it to the coordinator
+// as an AGENT_ERROR on the session's control stream.
+func (in *Instance) reportError(invocationID string, err error) {
+	in.errs.Add(1)
+	mInvErrors.Inc()
+	name := in.agent.Spec.Name
+	_, _ = in.store.Append(streams.Message{
+		Stream: ControlStream(in.session), Kind: streams.Control, Sender: name,
+		Directive: &streams.Directive{Op: OpAgentError, Agent: name, Args: map[string]any{
+			"invocation_id": invocationID,
+			"error":         err.Error(),
 		}},
 	})
 }

@@ -54,6 +54,31 @@
 // bumps and data-source updates invalidate entries (and poison in-flight
 // executions) through the store's epoch machinery, so no stale result is
 // ever cached or shared.
+//
+// # One step's life
+//
+// runStep resolves a ready step's inputs, then a step of a Cacheable agent
+// (memo store configured) takes runMemoized and any other takes runFresh.
+//
+//   - runMemoized asks the store (memo.Store.Do): a hit, or a coalesced share
+//     of an identical in-flight execution, goes to satisfy; on a miss this
+//     goroutine leads, runs runFresh and hands the result to the store.
+//   - runFresh consults the agent's breaker. Open: serveStale answers from a
+//     stale entry the degradation policy tolerates (satisfy, marked
+//     Degraded), else the step goes straight to the replan fallback. Closed:
+//     admit reserves the agent's projected cost (confirm or abort when it
+//     does not fit), executeAttempts runs attempt (executeStep plus the
+//     breaker and SLO records) under the retry policy, and replanOrFail
+//     finishes: after a failure one replan (admit, attempt once), then
+//     record, and either fail — firstFailure for a step cancelled as
+//     collateral — or the commit of actuals against the critical path
+//     (depsFinishLocked plus the step's own latency).
+//   - satisfy is the one way a step completes without executing: zero cost,
+//     zero marginal latency, the producing agent's accuracy.
+//   - fail and abort record the plan's first error and cancel the rest.
+//     Every ABORT directive — the scheduler's, Coordinator.abort's at the
+//     projection stage, one invocation's on timeout or cancellation — is
+//     published by Coordinator.emitAbort.
 package coordinator
 
 import (
@@ -245,13 +270,9 @@ func (c *Coordinator) ExecutePlan(session string, p *planner.Plan, b *budget.Bud
 	// zero, so warm plans are admitted at their residual cost.
 	projCost, projLatency, _, _ := optimizer.EstimatePlanWithMemo(p, c.reg, c.opts.Memo)
 	if b.WouldExceed(projCost, projLatency) {
-		switch c.opts.OnViolation {
-		case Confirm:
-			if c.confirm(nil) {
-				break
-			}
-			return c.abort(session, res, b, fmt.Sprintf("projected cost $%.4f/latency %s exceeds budget", projCost, projLatency))
-		case Replan:
+		switch {
+		case c.opts.OnViolation == Confirm && c.confirm(nil): // confirmed: run it over budget
+		case c.opts.OnViolation == Replan:
 			if c.tp != nil && c.reg != nil {
 				if n, _ := optimizer.AssignAgents(p, c.reg, optimizer.CheapestObjectives(), b.Limits()); n > 0 {
 					res.Replans++
@@ -285,16 +306,33 @@ func (c *Coordinator) confirm(vs []budget.Violation) bool {
 	return c.opts.ConfirmFunc(vs)
 }
 
+// abort refuses a plan at the projection stage, before any step ran.
 func (c *Coordinator) abort(session string, res *Result, b *budget.Budget, reason string) (*Result, error) {
+	err := markAborted(res, reason)
+	res.Budget = b.Snapshot()
+	c.emitAbort(session, "", map[string]any{"reason": reason})
+	return res, err
+}
+
+// markAborted counts a budget abort, marks res with it and returns the
+// ErrAborted the plan reports.
+func markAborted(res *Result, reason string) error {
 	mPlanAborts.Inc()
 	res.Aborted = true
 	res.AbortReason = reason
-	res.Budget = b.Snapshot()
+	return fmt.Errorf("%w: %s", ErrAborted, reason)
+}
+
+// emitAbort publishes an ABORT directive on the session's control stream:
+// addressed to no agent it announces that the plan stopped (args carry the
+// reason), addressed to one it cancels that agent's in-flight invocation
+// (args carry the invocation_id) so a step that timed out or was cancelled
+// does not keep burning agent work.
+func (c *Coordinator) emitAbort(session, agentName string, args map[string]any) {
 	_, _ = c.store.Append(streams.Message{
 		Stream: agent.ControlStream(session), Kind: streams.Control, Sender: "coordinator",
-		Directive: &streams.Directive{Op: streams.OpAbort, Args: map[string]any{"reason": reason}},
+		Directive: &streams.Directive{Op: streams.OpAbort, Agent: agentName, Args: args},
 	})
-	return res, fmt.Errorf("%w: %s", ErrAborted, reason)
 }
 
 // resolveInputs materializes a step's bindings: upstream outputs by
@@ -372,16 +410,6 @@ func (c *Coordinator) stepDeadline(b *budget.Budget) time.Time {
 	return time.Now().Add(wait)
 }
 
-// abortInvocation emits a targeted ABORT for one invocation so the agent
-// runtime cancels that in-flight processor call (a step that timed out or
-// was cancelled must not keep burning agent work).
-func (c *Coordinator) abortInvocation(session, agentName, invID string) {
-	_, _ = c.store.Append(streams.Message{
-		Stream: agent.ControlStream(session), Kind: streams.Control, Sender: "coordinator",
-		Directive: &streams.Directive{Op: streams.OpAbort, Agent: agentName, Args: map[string]any{"invocation_id": invID}},
-	})
-}
-
 // executeStep streams an EXECUTE_AGENT instruction and awaits its DONE or
 // ERROR report, collecting outputs from the step's reply stream. The wait
 // aborts when ctx is cancelled (plan-level abort or failure elsewhere) or
@@ -442,11 +470,11 @@ func (c *Coordinator) executeStep(ctx context.Context, session string, p *planne
 				return sr, nil
 			}
 		case <-ctx.Done():
-			c.abortInvocation(session, step.Agent, invID)
+			c.emitAbort(session, step.Agent, map[string]any{"invocation_id": invID})
 			sr.Err = "cancelled"
 			return sr, fmt.Errorf("step %s cancelled: %w", step.ID, ctx.Err())
 		case <-timeout:
-			c.abortInvocation(session, step.Agent, invID)
+			c.emitAbort(session, step.Agent, map[string]any{"invocation_id": invID})
 			sr.Err = "timeout"
 			return sr, fmt.Errorf("%w: %s after %s", ErrStepTimeout, step.ID, wait.Truncate(time.Millisecond))
 		}

@@ -8,14 +8,12 @@ import (
 	"sync"
 	"time"
 
-	"blueprint/internal/agent"
 	"blueprint/internal/budget"
 	"blueprint/internal/memo"
 	"blueprint/internal/obs"
 	"blueprint/internal/planner"
 	"blueprint/internal/registry"
 	"blueprint/internal/resilience"
-	"blueprint/internal/streams"
 )
 
 // DefaultMaxParallel is the scheduler's worker-pool bound when Options does
@@ -255,43 +253,47 @@ func (s *scheduler) runMemoized(ctx context.Context, step planner.Step, spec reg
 	if err != nil {
 		// Cancelled while awaiting an identical in-flight execution
 		// (plan-level abort or failure elsewhere).
-		s.mu.Lock()
-		s.results[step.ID] = StepResult{StepID: step.ID, Agent: step.Agent, Err: "cancelled"}
-		s.mu.Unlock()
-		ferr := fmt.Errorf("%w: %s (%s): %v", ErrStepFailed, step.ID, step.Agent, err)
-		s.mu.Lock()
-		if s.failErr != nil {
-			ferr = s.failErr
-		}
-		s.mu.Unlock()
+		s.record(StepResult{StepID: step.ID, Agent: step.Agent, Err: "cancelled"})
+		ferr := s.firstFailure(fmt.Errorf("%w: %s (%s): %v", ErrStepFailed, step.ID, step.Agent, err))
 		return stepOutcome{stepID: step.ID, ran: true, err: ferr}
 	}
-
-	// Hit or coalesced share (handled identically): the step is satisfied
-	// without executing. Charge zero cost and zero marginal critical-path
-	// latency (the hit finishes "instantly" after its dependencies),
-	// keeping the accuracy estimate honest with the executing agent's
-	// profile.
+	// Hit or coalesced share, handled identically.
 	sr := StepResult{StepID: step.ID, Agent: step.Agent, Outputs: entry.Outputs, Cached: true}
-	vs := s.budget.ChargeMemoHit(step.ID+":"+step.Agent, spec.QoS.Accuracy)
+	return s.satisfy(sr, step.ID+":"+step.Agent, spec.QoS.Accuracy)
+}
+
+// satisfy completes a step without executing it — a memo hit, a coalesced
+// share of an identical in-flight execution, or a degraded serve of a stale
+// entry; sr says which. The step is charged zero cost and zero marginal
+// critical-path latency (it finishes "instantly" after its dependencies),
+// and accuracy keeps the plan's estimate honest with the profile of the
+// agent that produced the entry.
+func (s *scheduler) satisfy(sr StepResult, label string, accuracy float64) stepOutcome {
+	vs := s.budget.ChargeMemoHit(label, accuracy)
 	s.mu.Lock()
+	s.simFinish[sr.StepID] = s.depsFinishLocked(sr.StepID) // nothing added to the critical path
+	s.results[sr.StepID] = sr
+	s.res.Degraded = s.res.Degraded || sr.Degraded
+	s.mu.Unlock()
+	if len(vs) > 0 && !s.confirmViolations(vs) {
+		return stepOutcome{stepID: sr.StepID, ran: true, err: s.abort(vs[0].String())}
+	}
+	s.mu.Lock()
+	s.outputs[sr.StepID] = sr.Outputs
+	s.mu.Unlock()
+	return stepOutcome{stepID: sr.StepID, ran: true}
+}
+
+// depsFinishLocked returns when the step's dependencies have all finished on
+// the plan's critical path: the step's own start time there.
+func (s *scheduler) depsFinishLocked(stepID string) time.Duration {
 	startAt := time.Duration(0)
-	for _, d := range s.deps[step.ID] {
+	for _, d := range s.deps[stepID] {
 		if s.simFinish[d] > startAt {
 			startAt = s.simFinish[d]
 		}
 	}
-	s.simFinish[step.ID] = startAt // a hit adds nothing to the critical path
-	s.results[step.ID] = sr
-	s.mu.Unlock()
-	if len(vs) > 0 && !s.confirmViolations(vs) {
-		err := s.abort(vs[0].String())
-		return stepOutcome{stepID: step.ID, ran: true, err: err}
-	}
-	s.mu.Lock()
-	s.outputs[step.ID] = sr.Outputs
-	s.mu.Unlock()
-	return stepOutcome{stepID: step.ID, ran: true}
+	return startAt
 }
 
 // runFresh executes the step for real: circuit-breaker consult, budget
@@ -313,35 +315,38 @@ func (s *scheduler) runFresh(ctx context.Context, step planner.Step, inputs map[
 		return s.replanOrFail(ctx, step, inputs, nil, false, sr, execErr)
 	}
 
-	// Admission: reserve the registry's projected cost so parallel steps
-	// cannot jointly overshoot the cost limit. Latency is deliberately NOT
-	// reserved per step — concurrent steps overlap in time, so summing
-	// their projected latencies would falsely reject parallel plans the
-	// critical-path projection already admitted; latency is enforced at
-	// commit time against the critical path of actual step latencies.
-	// Steps of unknown agents (no QoS profile) skip the reservation and
-	// fail in executeStep.
-	var rsv *budget.Reservation
-	confirmed := false
-	spec, specErr := s.c.reg.Get(step.Agent)
-	if specErr == nil {
-		var vs []budget.Violation
-		rsv, vs = s.budget.Reserve(step.ID+":"+step.Agent, spec.QoS.CostPerCall, 0)
-		if len(vs) > 0 {
-			if !s.confirmViolations(vs) {
-				err := s.abort(vs[0].String())
-				return stepOutcome{stepID: step.ID, err: err}
-			}
-			// Confirmed: execute without a reservation; actuals are charged
-			// (and recorded as violations) on completion. The step is asked
-			// about once — the commit-stage violations it already confirmed
-			// do not prompt again.
-			confirmed = true
-		}
+	rsv, confirmed, err := s.admit(step.ID, step.Agent)
+	if err != nil {
+		return stepOutcome{stepID: step.ID, err: err}
 	}
-
 	sr, execErr := s.executeAttempts(ctx, step, inputs)
 	return s.replanOrFail(ctx, step, inputs, rsv, confirmed, sr, execErr)
+}
+
+// admit reserves the agent's projected cost (from its registry profile) so
+// parallel steps cannot jointly overshoot the cost limit. Latency is
+// deliberately NOT reserved per step — concurrent steps overlap in time, so
+// summing their projected latencies would falsely reject parallel plans the
+// critical-path projection already admitted; latency is enforced at commit
+// time against the critical path of actual step latencies. A reservation
+// that does not fit goes to the violation policy: refused, the plan aborts
+// (err); confirmed, the step executes without a reservation, its actuals are
+// charged (and recorded as violations) on completion, and the commit-stage
+// violations it already confirmed do not prompt again. Steps of unknown
+// agents (no QoS profile) skip the reservation and fail in executeStep.
+func (s *scheduler) admit(stepID, agentName string) (rsv *budget.Reservation, confirmed bool, err error) {
+	spec, specErr := s.c.reg.Get(agentName)
+	if specErr != nil {
+		return nil, false, nil
+	}
+	rsv, vs := s.budget.Reserve(stepID+":"+agentName, spec.QoS.CostPerCall, 0)
+	if len(vs) > 0 {
+		if !s.confirmViolations(vs) {
+			return nil, false, s.abort(vs[0].String())
+		}
+		confirmed = true
+	}
+	return rsv, confirmed, nil
 }
 
 // executeAttempts runs one step under the retry policy: transient failures
@@ -357,10 +362,7 @@ func (s *scheduler) executeAttempts(ctx context.Context, step planner.Step, inpu
 	var sr StepResult
 	var err error
 	for attempt := 1; ; attempt++ {
-		attemptStart := time.Now()
-		sr, err = s.c.executeStep(ctx, s.session, s.plan, step, inputs, s.c.stepDeadline(s.budget), attempt)
-		s.c.opts.Breakers.Record(step.Agent, err == nil)
-		s.c.opts.SLO.Record(obs.SLOAgent, step.Agent, time.Since(attemptStart), err != nil)
+		sr, err = s.attempt(ctx, s.plan, step, inputs, attempt)
 		if err == nil || attempt >= attempts || !resilience.Retryable(err) || s.ctx.Err() != nil {
 			return sr, err
 		}
@@ -386,20 +388,23 @@ func (s *scheduler) executeAttempts(ctx context.Context, step planner.Step, inpu
 		s.mu.Lock()
 		s.res.Retries++
 		s.mu.Unlock()
-		if obs.Events.On(obs.LevelInfo) {
-			obs.Events.Append(obs.Event{
-				Level: obs.LevelInfo, Component: "scheduler", Kind: "retry",
-				Session: s.session,
-				Attrs: []obs.Attr{
-					{Key: "step", Value: step.ID},
-					{Key: "agent", Value: step.Agent},
-					{Key: "attempt", Value: strconv.Itoa(attempt)},
-					{Key: "backoff", Value: pol.Backoff(attempt).String()},
-					{Key: "error", Value: obs.Truncate(err.Error(), 120)},
-				},
-			})
-		}
+		s.event(obs.LevelInfo, "retry",
+			obs.Attr{Key: "step", Value: step.ID},
+			obs.Attr{Key: "agent", Value: step.Agent},
+			obs.Attr{Key: "attempt", Value: strconv.Itoa(attempt)},
+			obs.Attr{Key: "backoff", Value: pol.Backoff(attempt).String()},
+			obs.Attr{Key: "error", Value: obs.Truncate(err.Error(), 120)})
 	}
+}
+
+// attempt executes the step of plan p once — the n-th try of it — and feeds
+// the outcome to the agent's breaker and its SLO series.
+func (s *scheduler) attempt(ctx context.Context, p *planner.Plan, step planner.Step, inputs map[string]any, n int) (StepResult, error) {
+	start := time.Now()
+	sr, err := s.c.executeStep(ctx, s.session, p, step, inputs, s.c.stepDeadline(s.budget), n)
+	s.c.opts.Breakers.Record(step.Agent, err == nil)
+	s.c.opts.SLO.Record(obs.SLOAgent, step.Agent, time.Since(start), err != nil)
+	return sr, err
 }
 
 // serveStale answers a breaker-rejected step from a stale memo entry when
@@ -425,38 +430,12 @@ func (s *scheduler) serveStale(step planner.Step, inputs map[string]any) (stepOu
 		return stepOutcome{}, false
 	}
 	mStepsStale.Inc()
-	if obs.Events.On(obs.LevelWarn) {
-		obs.Events.Append(obs.Event{
-			Level: obs.LevelWarn, Component: "scheduler", Kind: "degraded-serve",
-			Session: s.session,
-			Attrs: []obs.Attr{
-				{Key: "step", Value: step.ID},
-				{Key: "agent", Value: step.Agent},
-				{Key: "stale_for", Value: age.String()},
-			},
-		})
-	}
+	s.event(obs.LevelWarn, "degraded-serve",
+		obs.Attr{Key: "step", Value: step.ID},
+		obs.Attr{Key: "agent", Value: step.Agent},
+		obs.Attr{Key: "stale_for", Value: age.String()})
 	sr := StepResult{StepID: step.ID, Agent: step.Agent, Outputs: entry.Outputs, Cached: true, Degraded: true, StaleFor: age}
-	vs := s.budget.ChargeMemoHit(step.ID+":"+step.Agent+":stale", spec.QoS.Accuracy)
-	s.mu.Lock()
-	startAt := time.Duration(0)
-	for _, d := range s.deps[step.ID] {
-		if s.simFinish[d] > startAt {
-			startAt = s.simFinish[d]
-		}
-	}
-	s.simFinish[step.ID] = startAt // a degraded serve adds nothing to the critical path
-	s.results[step.ID] = sr
-	s.res.Degraded = true
-	s.mu.Unlock()
-	if len(vs) > 0 && !s.confirmViolations(vs) {
-		err := s.abort(vs[0].String())
-		return stepOutcome{stepID: step.ID, ran: true, err: err}, true
-	}
-	s.mu.Lock()
-	s.outputs[step.ID] = sr.Outputs
-	s.mu.Unlock()
-	return stepOutcome{stepID: step.ID, ran: true}, true
+	return s.satisfy(sr, step.ID+":"+step.Agent+":stale", spec.QoS.Accuracy), true
 }
 
 // replanOrFail finishes a step after its execution attempts: on failure it
@@ -469,61 +448,35 @@ func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, inputs 
 			s.res.Replans++
 			s.mu.Unlock()
 			alt, _ := np.Step(step.ID)
-			if obs.Events.On(obs.LevelWarn) {
-				obs.Events.Append(obs.Event{
-					Level: obs.LevelWarn, Component: "scheduler", Kind: "replan",
-					Session: s.session,
-					Attrs: []obs.Attr{
-						{Key: "step", Value: step.ID},
-						{Key: "from", Value: step.Agent},
-						{Key: "to", Value: alt.Agent},
-						{Key: "error", Value: obs.Truncate(execErr.Error(), 120)},
-					},
-				})
-			}
+			s.event(obs.LevelWarn, "replan",
+				obs.Attr{Key: "step", Value: step.ID},
+				obs.Attr{Key: "from", Value: step.Agent},
+				obs.Attr{Key: "to", Value: alt.Agent},
+				obs.Attr{Key: "error", Value: obs.Truncate(execErr.Error(), 120)})
 			// Re-admit the retry: the alternative agent's projected cost
 			// may differ from the reservation held for the failed one, and
 			// executing it unreserved would reopen the joint-overshoot
 			// window Reserve exists to close.
 			rsv.Release()
-			rsv = nil
-			if altSpec, err := s.c.reg.Get(alt.Agent); err == nil {
-				var vs []budget.Violation
-				rsv, vs = s.budget.Reserve(step.ID+":"+alt.Agent, altSpec.QoS.CostPerCall, 0)
-				if len(vs) > 0 {
-					if !s.confirmViolations(vs) {
-						err := s.abort(vs[0].String())
-						s.mu.Lock()
-						s.results[step.ID] = sr // the original failure
-						s.mu.Unlock()
-						return stepOutcome{stepID: step.ID, ran: true, err: err}
-					}
-					confirmed = true
-				}
+			altRsv, again, err := s.admit(step.ID, alt.Agent)
+			if err != nil {
+				s.record(sr) // the original failure
+				return stepOutcome{stepID: step.ID, ran: true, err: err}
 			}
-			replanStart := time.Now()
-			sr, execErr = s.c.executeStep(ctx, s.session, np, alt, inputs, s.c.stepDeadline(s.budget), 1)
-			s.c.opts.Breakers.Record(alt.Agent, execErr == nil)
-			s.c.opts.SLO.Record(obs.SLOAgent, alt.Agent, time.Since(replanStart), execErr != nil)
+			rsv, confirmed = altRsv, confirmed || again
+			sr, execErr = s.attempt(ctx, np, alt, inputs, 1)
 			if execErr == nil {
 				step = alt
 			}
 		}
 	}
-	s.mu.Lock()
-	s.results[step.ID] = sr
-	s.mu.Unlock()
+	s.record(sr)
 	if execErr != nil {
 		rsv.Release()
 		err := fmt.Errorf("%w: %s (%s): %w", ErrStepFailed, step.ID, step.Agent, execErr)
 		if s.ctx.Err() != nil {
-			// Cancelled by another step's failure: keep that failure as the
-			// plan error, report this step as collateral.
-			s.mu.Lock()
-			if s.failErr != nil {
-				err = s.failErr
-			}
-			s.mu.Unlock()
+			// Cancelled by another step's failure: this step is collateral.
+			err = s.firstFailure(err)
 		} else {
 			s.fail(err)
 		}
@@ -545,13 +498,7 @@ func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, inputs 
 		acc = exSpec.QoS.Accuracy
 	}
 	s.mu.Lock()
-	startAt := time.Duration(0)
-	for _, d := range s.deps[step.ID] {
-		if s.simFinish[d] > startAt {
-			startAt = s.simFinish[d]
-		}
-	}
-	finish := startAt + sr.Latency
+	finish := s.depsFinishLocked(step.ID) + sr.Latency
 	s.simFinish[step.ID] = finish
 	marginal := finish - s.chargedLatency
 	if marginal < 0 {
@@ -601,6 +548,31 @@ func (s *scheduler) confirmViolations(vs []budget.Violation) bool {
 	return s.c.confirm(vs)
 }
 
+// event logs a scheduler decision (a retry, a degraded serve, a replan)
+// against the session; the log applies its level gate.
+func (s *scheduler) event(lv obs.Level, kind string, attrs ...obs.Attr) {
+	obs.Events.Append(obs.Event{Level: lv, Component: "scheduler", Kind: kind, Session: s.session, Attrs: attrs})
+}
+
+// record stores a step's result for the plan-order assembly in run.
+func (s *scheduler) record(sr StepResult) {
+	s.mu.Lock()
+	s.results[sr.StepID] = sr
+	s.mu.Unlock()
+}
+
+// firstFailure picks the error a step that did not complete reports: the
+// plan's recorded failure when there is one — the step was cancelled as
+// collateral of it, and the plan error stays the first — and err otherwise.
+func (s *scheduler) firstFailure(err error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.failErr != nil {
+		return s.failErr
+	}
+	return err
+}
+
 // fail records the first plan-level failure and cancels outstanding work.
 func (s *scheduler) fail(err error) {
 	s.mu.Lock()
@@ -611,27 +583,20 @@ func (s *scheduler) fail(err error) {
 	s.cancel()
 }
 
-// abort records a budget abort, emits the ABORT control message, and cancels
-// outstanding work. Only the first abort/failure wins; later calls return
+// abort records a budget abort, cancels outstanding work and emits the ABORT
+// control message. Only the first abort/failure wins; later calls return
 // the recorded error.
 func (s *scheduler) abort(reason string) error {
 	s.mu.Lock()
-	if s.failErr != nil {
-		err := s.failErr
-		s.mu.Unlock()
-		s.cancel()
-		return err
+	first := s.failErr == nil
+	if first {
+		s.failErr = markAborted(s.res, reason)
 	}
-	mPlanAborts.Inc()
-	s.res.Aborted = true
-	s.res.AbortReason = reason
-	err := fmt.Errorf("%w: %s", ErrAborted, reason)
-	s.failErr = err
+	err := s.failErr
 	s.mu.Unlock()
 	s.cancel()
-	_, _ = s.c.store.Append(streams.Message{
-		Stream: agent.ControlStream(s.session), Kind: streams.Control, Sender: "coordinator",
-		Directive: &streams.Directive{Op: streams.OpAbort, Args: map[string]any{"reason": reason}},
-	})
+	if first {
+		s.c.emitAbort(s.session, "", map[string]any{"reason": reason})
+	}
 	return err
 }

@@ -6,6 +6,14 @@
 // document databases — the PROFILES collection of job-seeker profiles and
 // resumes (§II, §V-D). The data registry exposes its collections and fields
 // so the data planner can discover and query them.
+//
+// It is an in-memory source with a load-then-read life: workload.Build
+// creates the collection, inserts the documents and builds the index before
+// the System exists, and from then on the store is only read — by dataplan's
+// document operator (Find) and by DataRegistry.ImportDocstore (Collections).
+// There is no update or delete: nothing mutates a document after load, which
+// is why the store needs no DataRegistry.Touch on write, no WAL and no spans,
+// and a memoized step that declared it in its Reads cannot go stale.
 package docstore
 
 import (
@@ -18,7 +26,6 @@ import (
 
 // Common errors.
 var (
-	ErrCollectionExists   = errors.New("docstore: collection already exists")
 	ErrCollectionNotFound = errors.New("docstore: collection not found")
 	ErrDocNotFound        = errors.New("docstore: document not found")
 	ErrDuplicateID        = errors.New("docstore: duplicate document id")
@@ -59,14 +66,11 @@ func cloneValue(v any) any {
 func (d Doc) Get(path string) (any, bool) {
 	var cur any = map[string]any(d)
 	for _, part := range strings.Split(path, ".") {
+		if nested, ok := cur.(Doc); ok {
+			cur = map[string]any(nested)
+		}
 		switch node := cur.(type) {
 		case map[string]any:
-			v, ok := node[part]
-			if !ok {
-				return nil, false
-			}
-			cur = v
-		case Doc:
 			v, ok := node[part]
 			if !ok {
 				return nil, false
@@ -106,24 +110,16 @@ func NewStore() *Store {
 	return &Store{colls: make(map[string]*collection)}
 }
 
-// CreateCollection registers a new collection.
-func (s *Store) CreateCollection(name string) error {
+// EnsureCollection creates the collection if absent.
+func (s *Store) EnsureCollection(name string) {
 	key := strings.ToLower(name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.colls[key]; ok {
-		return fmt.Errorf("%w: %s", ErrCollectionExists, name)
+		return
 	}
 	s.colls[key] = &collection{name: name, docs: make(map[string]Doc), indexes: make(map[string]map[string][]string)}
 	s.order = append(s.order, key)
-	return nil
-}
-
-// EnsureCollection creates the collection if absent.
-func (s *Store) EnsureCollection(name string) {
-	if err := s.CreateCollection(name); err != nil && !errors.Is(err, ErrCollectionExists) {
-		panic(err) // unreachable: CreateCollection only returns ErrCollectionExists
-	}
 }
 
 func (s *Store) coll(name string) (*collection, error) {
@@ -147,17 +143,10 @@ type CollectionInfo struct {
 // Collections lists collection summaries in creation order.
 func (s *Store) Collections() []CollectionInfo {
 	s.mu.RLock()
-	keys := append([]string(nil), s.order...)
-	s.mu.RUnlock()
-	out := make([]CollectionInfo, 0, len(keys))
-	for _, k := range keys {
-		s.mu.RLock()
-		c, ok := s.colls[k]
-		s.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		out = append(out, c.info())
+	defer s.mu.RUnlock()
+	out := make([]CollectionInfo, 0, len(s.order))
+	for _, k := range s.order {
+		out = append(out, s.colls[k].info())
 	}
 	return out
 }
@@ -206,30 +195,6 @@ func (s *Store) Insert(coll, id string, doc Doc) error {
 	return nil
 }
 
-// Upsert stores doc under id, replacing any existing document.
-func (s *Store) Upsert(coll, id string, doc Doc) error {
-	c, err := s.coll(coll)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if old, ok := c.docs[id]; ok {
-		c.unindexLocked(id, old)
-	} else {
-		c.order = append(c.order, id)
-	}
-	cp := doc.Clone()
-	c.docs[id] = cp
-	for field, ix := range c.indexes {
-		if v, ok := cp.Get(field); ok {
-			k := valueKey(v)
-			ix[k] = append(ix[k], id)
-		}
-	}
-	return nil
-}
-
 // Get returns the document stored under id (a copy).
 func (s *Store) Get(coll, id string) (Doc, error) {
 	c, err := s.coll(coll)
@@ -243,44 +208,6 @@ func (s *Store) Get(coll, id string) (Doc, error) {
 		return nil, fmt.Errorf("%w: %s/%s", ErrDocNotFound, coll, id)
 	}
 	return d.Clone(), nil
-}
-
-// Delete removes the document stored under id.
-func (s *Store) Delete(coll, id string) error {
-	c, err := s.coll(coll)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d, ok := c.docs[id]
-	if !ok {
-		return fmt.Errorf("%w: %s/%s", ErrDocNotFound, coll, id)
-	}
-	c.unindexLocked(id, d)
-	delete(c.docs, id)
-	for i, x := range c.order {
-		if x == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-	return nil
-}
-
-func (c *collection) unindexLocked(id string, d Doc) {
-	for field, ix := range c.indexes {
-		if v, ok := d.Get(field); ok {
-			k := valueKey(v)
-			ids := ix[k]
-			for i, x := range ids {
-				if x == id {
-					ix[k] = append(ids[:i], ids[i+1:]...)
-					break
-				}
-			}
-		}
-	}
 }
 
 // CreateIndex builds an equality index over a (possibly dotted) field path.

@@ -10,9 +10,7 @@ import (
 func newProfiles(t testing.TB) *Store {
 	t.Helper()
 	s := NewStore()
-	if err := s.CreateCollection("profiles"); err != nil {
-		t.Fatal(err)
-	}
+	s.EnsureCollection("profiles")
 	docs := []struct {
 		id  string
 		doc Doc
@@ -45,14 +43,8 @@ func TestInsertGetDelete(t *testing.T) {
 	if d2["name"] != "Ada" {
 		t.Fatal("Get leaked internal state")
 	}
-	if err := s.Delete("profiles", "p1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get("profiles", "p1"); !errors.Is(err, ErrDocNotFound) {
+	if _, err := s.Get("profiles", "p9"); !errors.Is(err, ErrDocNotFound) {
 		t.Fatalf("err = %v", err)
-	}
-	if err := s.Delete("profiles", "p1"); !errors.Is(err, ErrDocNotFound) {
-		t.Fatalf("double delete err = %v", err)
 	}
 }
 
@@ -65,36 +57,14 @@ func TestInsertDuplicate(t *testing.T) {
 
 func TestCollectionErrors(t *testing.T) {
 	s := NewStore()
-	if err := s.CreateCollection("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CreateCollection("a"); !errors.Is(err, ErrCollectionExists) {
-		t.Fatalf("err = %v", err)
-	}
+	s.EnsureCollection("a")
 	if _, err := s.Get("missing", "x"); !errors.Is(err, ErrCollectionNotFound) {
 		t.Fatalf("err = %v", err)
 	}
-	s.EnsureCollection("a") // no panic on existing
+	s.EnsureCollection("A") // existing (names are case-insensitive): kept, not replaced
 	s.EnsureCollection("b")
 	if len(s.Collections()) != 2 {
 		t.Fatalf("collections = %v", s.Collections())
-	}
-}
-
-func TestUpsert(t *testing.T) {
-	s := newProfiles(t)
-	if err := s.Upsert("profiles", "p1", Doc{"name": "Ada2", "title": "Manager"}); err != nil {
-		t.Fatal(err)
-	}
-	d, _ := s.Get("profiles", "p1")
-	if d["name"] != "Ada2" {
-		t.Fatalf("upsert = %v", d)
-	}
-	if err := s.Upsert("profiles", "p9", Doc{"name": "New"}); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := s.Count("profiles"); n != 5 {
-		t.Fatalf("count = %d", n)
 	}
 }
 
@@ -186,20 +156,13 @@ func TestIndexedFind(t *testing.T) {
 	if len(hits) != 2 {
 		t.Fatalf("indexed in = %v", hits)
 	}
-	// Index maintained across upsert and delete.
-	if err := s.Upsert("profiles", "p3", Doc{"title": "Data Scientist"}); err != nil {
+	// Index maintained across a later insert.
+	if err := s.Insert("profiles", "p5", Doc{"title": "Data Scientist"}); err != nil {
 		t.Fatal(err)
 	}
 	hits, _ = s.Find("profiles", Query{Filters: []Filter{{Field: "title", Op: Eq, Value: "Data Scientist"}}})
 	if len(hits) != 3 {
-		t.Fatalf("after upsert = %d", len(hits))
-	}
-	if err := s.Delete("profiles", "p1"); err != nil {
-		t.Fatal(err)
-	}
-	hits, _ = s.Find("profiles", Query{Filters: []Filter{{Field: "title", Op: Eq, Value: "Data Scientist"}}})
-	if len(hits) != 2 {
-		t.Fatalf("after delete = %d", len(hits))
+		t.Fatalf("after insert = %d", len(hits))
 	}
 	// Creating the same index twice is a no-op.
 	if err := s.CreateIndex("profiles", "title"); err != nil {
@@ -299,8 +262,8 @@ func TestConcurrentAccess(t *testing.T) {
 	s.EnsureCollection("c")
 	done := make(chan error, 2)
 	go func() {
-		for i := 0; i < 300; i++ {
-			if err := s.Upsert("c", fmt.Sprintf("d%d", i%50), Doc{"i": i}); err != nil {
+		for i := 0; i < 50; i++ {
+			if err := s.Insert("c", fmt.Sprintf("d%d", i), Doc{"i": i}); err != nil {
 				done <- err
 				return
 			}
@@ -321,7 +284,7 @@ func TestConcurrentAccess(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, _ := s.Count("c"); n != 50 {
+	if n := s.Collections()[0].Docs; n != 50 {
 		t.Fatalf("count = %d", n)
 	}
 }

@@ -159,15 +159,6 @@ func (s *Store) Find(coll string, q Query) ([]Hit, error) {
 	return out, nil
 }
 
-// Count returns the number of documents matching the query's filters.
-func (s *Store) Count(coll string, filters ...Filter) (int, error) {
-	hits, err := s.Find(coll, Query{Filters: filters})
-	if err != nil {
-		return 0, err
-	}
-	return len(hits), nil
-}
-
 func matchFilter(d Doc, f Filter) bool {
 	v, present := d.Get(f.Field)
 	switch f.Op {

@@ -2,7 +2,7 @@
 // table (the paper has no numeric tables; Figures 1-10 are its evaluation
 // surface), plus the ablations that enforce an invariant nothing else does
 // (A1-A3, A6, A8, A11, A12). Each Fig* function runs the corresponding
-// system behaviour and returns the series recorded in EXPERIMENTS.md.
+// system behaviour and returns its series as a table.
 // cmd/benchharness prints them; bench_test.go wraps the same paths as
 // testing.B benchmarks. How fast the system is — per ask and per layer, with
 // stated noise — is the repo benchmark's job (benchmark/, BENCHMARK.json),

@@ -7,11 +7,12 @@ import (
 )
 
 // TestAllExperimentsRun regenerates every figure and checks structural
-// invariants of the results — the repo-level guarantee that EXPERIMENTS.md
-// can always be reproduced. It runs the tables in Short mode (what `make
-// bench-smoke` and CI run), where every floor a table enforces is a count or
-// a state, never a wall-clock ratio: the timing floors are benchharness's in
-// full mode, and tier-1 must not depend on how loaded the host is.
+// invariants of the results — the repo-level guarantee that every table
+// cmd/benchharness prints can always be reproduced. It runs the tables in
+// Short mode (what `make bench-smoke` and CI run), where every floor a table
+// enforces is a count or a state, never a wall-clock ratio: the timing floors
+// are benchharness's in full mode, and tier-1 must not depend on how loaded
+// the host is.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are integration-scale; skipped with -short")

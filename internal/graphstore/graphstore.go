@@ -3,6 +3,13 @@
 // In the blueprint architecture it plays the role of the enterprise's graph
 // databases — most prominently the job-title taxonomy the data planner
 // consults to expand "data scientist" into related titles (§V-G, Fig. 7).
+//
+// It is an in-memory source with a load-then-read life: workload.Build adds
+// the nodes and edges before the System exists, and from then on the graph
+// is only read — by dataplan's graph operator (FindNodes, Node, Traverse) and by
+// DataRegistry.ImportGraph (Stats). Nothing mutates it after load, which is
+// why it needs no DataRegistry.Touch on write, no WAL and no spans: a
+// memoized step that declared the graph in its Reads cannot go stale.
 package graphstore
 
 import (
@@ -110,20 +117,6 @@ func (g *Graph) Stats() (nodes, edges int) {
 	return len(g.nodes), g.edges
 }
 
-// NodesByLabel returns all nodes carrying the label, sorted by id.
-func (g *Graph) NodesByLabel(label string) []Node {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var out []Node
-	for _, n := range g.nodes {
-		if n.Label == label {
-			out = append(out, *n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // FindNodes returns nodes whose string property prop contains substr
 // (case-insensitive), sorted by id.
 func (g *Graph) FindNodes(prop, substr string) []Node {
@@ -218,57 +211,4 @@ func (g *Graph) Traverse(id, label string, dir Direction, maxDepth int) ([]strin
 		frontier = next
 	}
 	return out, nil
-}
-
-// ShortestPath returns one shortest undirected path between two nodes
-// following edges with the given label (empty = any), or nil if none.
-func (g *Graph) ShortestPath(from, to, label string) ([]string, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if _, ok := g.nodes[from]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNodeNotFound, from)
-	}
-	if _, ok := g.nodes[to]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNodeNotFound, to)
-	}
-	if from == to {
-		return []string{from}, nil
-	}
-	prev := map[string]string{from: from}
-	frontier := []string{from}
-	for len(frontier) > 0 {
-		var next []string
-		for _, cur := range frontier {
-			var adj []string
-			for _, e := range g.out[cur] {
-				if label == "" || e.Label == label {
-					adj = append(adj, e.To)
-				}
-			}
-			for _, e := range g.in[cur] {
-				if label == "" || e.Label == label {
-					adj = append(adj, e.From)
-				}
-			}
-			sort.Strings(adj)
-			for _, n := range adj {
-				if _, ok := prev[n]; ok {
-					continue
-				}
-				prev[n] = cur
-				if n == to {
-					var path []string
-					for at := to; ; at = prev[at] {
-						path = append([]string{at}, path...)
-						if at == from {
-							return path, nil
-						}
-					}
-				}
-				next = append(next, n)
-			}
-		}
-		frontier = next
-	}
-	return nil, nil
 }

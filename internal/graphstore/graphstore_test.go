@@ -171,49 +171,3 @@ func TestFindNodes(t *testing.T) {
 		t.Fatalf("no-match = %v", got)
 	}
 }
-
-func TestNodesByLabel(t *testing.T) {
-	g := newTaxonomy(t)
-	titles := g.NodesByLabel("title")
-	if len(titles) != 5 {
-		t.Fatalf("titles = %v", titles)
-	}
-	for i := 1; i < len(titles); i++ {
-		if titles[i-1].ID > titles[i].ID {
-			t.Fatal("not sorted")
-		}
-	}
-}
-
-func TestShortestPath(t *testing.T) {
-	g := newTaxonomy(t)
-	p, err := g.ShortestPath("da", "swe", "child")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// da -> data -> engineering -> software -> swe
-	if len(p) != 5 || p[0] != "da" || p[4] != "swe" {
-		t.Fatalf("path = %v", p)
-	}
-	// The related edge shortens ds -> mle to direct.
-	p, err = g.ShortestPath("ds", "mle", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p) != 2 {
-		t.Fatalf("related path = %v", p)
-	}
-	// Self path.
-	p, _ = g.ShortestPath("ds", "ds", "")
-	if len(p) != 1 {
-		t.Fatalf("self path = %v", p)
-	}
-	// Unreachable via a non-existent label.
-	p, err = g.ShortestPath("ds", "swe", "nope")
-	if err != nil || p != nil {
-		t.Fatalf("unreachable = %v, %v", p, err)
-	}
-	if _, err := g.ShortestPath("missing", "ds", ""); !errors.Is(err, ErrNodeNotFound) {
-		t.Fatalf("err = %v", err)
-	}
-}

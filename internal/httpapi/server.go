@@ -13,7 +13,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"blueprint"
@@ -51,14 +50,11 @@ type Options struct {
 type Server struct {
 	sys *blueprint.System
 	mux *http.ServeMux
-
-	mu       sync.RWMutex
-	sessions map[string]*blueprint.Session
 }
 
 // New builds the handler for sys.
 func New(sys *blueprint.System, opts Options) *Server {
-	s := &Server{sys: sys, sessions: map[string]*blueprint.Session{}}
+	s := &Server{sys: sys}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sessions", s.createSession)
 	mux.HandleFunc("POST /sessions/{id}/ask", s.ask)
@@ -89,13 +85,10 @@ func New(sys *blueprint.System, opts Options) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// SessionCount reports the live session handles (the /stats "sessions"
-// field; blueprintd logs it at shutdown).
-func (s *Server) SessionCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.sessions)
-}
+// SessionCount reports the system's open sessions (the /stats "sessions"
+// field and the blueprint_sessions_open gauge read the same list;
+// blueprintd logs it at shutdown).
+func (s *Server) SessionCount() int { return len(s.sys.Sessions.List()) }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -109,9 +102,6 @@ func (s *Server) createSession(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return
 	}
-	s.mu.Lock()
-	s.sessions[sess.ID] = sess
-	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, map[string]string{"id": sess.ID})
 }
 
@@ -120,9 +110,7 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) *blueprint.Sess
 	if !strings.HasPrefix(id, "session:") {
 		id = "session:" + id
 	}
-	s.mu.RLock()
-	sess, ok := s.sessions[id]
-	s.mu.RUnlock()
+	sess, ok := s.sys.Session(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown session " + id})
 		return nil

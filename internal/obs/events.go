@@ -125,17 +125,12 @@ type EventLog struct {
 	seq atomic.Uint64
 
 	mu   sync.Mutex
-	ring []Event
-	next int
-	full bool
+	ring ring[Event]
 }
 
 // NewEventLog creates a log recording LevelInfo and above.
 func NewEventLog(capacity int) *EventLog {
-	if capacity < 1 {
-		capacity = 1
-	}
-	l := &EventLog{ring: make([]Event, 0, capacity)}
+	l := &EventLog{ring: newRing[Event](capacity, capacity)}
 	l.min.Store(int32(LevelInfo))
 	return l
 }
@@ -170,15 +165,7 @@ func (l *EventLog) Append(e Event) {
 	e.Seq = l.seq.Add(1)
 	e.Time = time.Now()
 	l.mu.Lock()
-	if cap(l.ring) > len(l.ring) && !l.full {
-		l.ring = append(l.ring, e)
-		if len(l.ring) == cap(l.ring) {
-			l.full = true
-		}
-	} else {
-		l.ring[l.next] = e
-		l.next = (l.next + 1) % len(l.ring)
-	}
+	l.ring.push(e)
 	l.mu.Unlock()
 }
 
@@ -191,58 +178,40 @@ func (l *EventLog) Seq() uint64 { return l.seq.Load() }
 func (l *EventLog) Since(after uint64) []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var ordered []Event
-	if !l.full {
-		ordered = l.ring
-	} else {
-		ordered = make([]Event, 0, len(l.ring))
-		ordered = append(ordered, l.ring[l.next:]...)
-		ordered = append(ordered, l.ring[:l.next]...)
-	}
-	// The ring is ordered by Seq, so binary-search-free scan from the first
-	// qualifying index keeps this one allocation.
+	// The ring is ordered by Seq: skip to the first qualifying event.
 	i := 0
-	for i < len(ordered) && ordered[i].Seq <= after {
+	for i < l.ring.len() && l.ring.at(i).Seq <= after {
 		i++
 	}
-	out := make([]Event, len(ordered)-i)
-	copy(out, ordered[i:])
-	return out
+	return l.ring.oldestFirst(i)
 }
 
 // Len returns the number of retained events.
 func (l *EventLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.ring)
+	return l.ring.len()
 }
 
 // Cap returns the ring capacity.
 func (l *EventLog) Cap() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return cap(l.ring)
+	return l.ring.bound
 }
 
 // SetCapacity re-bounds the ring, dropping retained events (experiment and
 // daemon-boot hook, not a steady-state operation).
 func (l *EventLog) SetCapacity(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
 	l.mu.Lock()
-	l.ring = make([]Event, 0, capacity)
-	l.next = 0
-	l.full = false
+	l.ring = newRing[Event](capacity, capacity)
 	l.mu.Unlock()
 }
 
 // Reset drops retained events, keeping capacity and level (test hook).
 func (l *EventLog) Reset() {
 	l.mu.Lock()
-	l.ring = l.ring[:0]
-	l.next = 0
-	l.full = false
+	l.ring.reset()
 	l.mu.Unlock()
 }
 

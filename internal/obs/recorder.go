@@ -100,17 +100,12 @@ type Recorder struct {
 	captures  atomic.Uint64
 
 	mu   sync.Mutex
-	ring []*Exemplar
-	next int
-	full bool
+	ring ring[*Exemplar]
 }
 
 // NewRecorder creates a recorder with the default threshold.
 func NewRecorder(capacity int) *Recorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	r := &Recorder{ring: make([]*Exemplar, 0, capacity)}
+	r := &Recorder{ring: newRing[*Exemplar](capacity, capacity)}
 	r.threshold.Store(int64(DefaultSlowThreshold))
 	return r
 }
@@ -148,15 +143,7 @@ func (r *Recorder) Capture(ex Exemplar) uint64 {
 	}
 	r.captures.Add(1)
 	r.mu.Lock()
-	if cap(r.ring) > len(r.ring) && !r.full {
-		r.ring = append(r.ring, &ex)
-		if len(r.ring) == cap(r.ring) {
-			r.full = true
-		}
-	} else {
-		r.ring[r.next] = &ex
-		r.next = (r.next + 1) % len(r.ring)
-	}
+	r.ring.push(&ex)
 	r.mu.Unlock()
 	return ex.ID
 }
@@ -167,7 +154,9 @@ func (r *Recorder) Captures() uint64 { return r.captures.Load() }
 
 // Summaries lists the retained exemplars, most recent first.
 func (r *Recorder) Summaries() []ExemplarSummary {
-	exs := r.snapshot()
+	r.mu.Lock()
+	exs := r.ring.newestFirst()
+	r.mu.Unlock()
 	out := make([]ExemplarSummary, len(exs))
 	for i, ex := range exs {
 		out[i] = ExemplarSummary{
@@ -183,8 +172,8 @@ func (r *Recorder) Summaries() []ExemplarSummary {
 func (r *Recorder) Get(id uint64) (*Exemplar, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, ex := range r.ring {
-		if ex != nil && ex.ID == id {
+	for i := 0; i < r.ring.len(); i++ {
+		if ex := r.ring.at(i); ex.ID == id {
 			return ex, true
 		}
 	}
@@ -193,62 +182,38 @@ func (r *Recorder) Get(id uint64) (*Exemplar, bool) {
 
 // Latest returns the most recent exemplar, if any.
 func (r *Recorder) Latest() (*Exemplar, bool) {
-	exs := r.snapshot()
-	if len(exs) == 0 {
-		return nil, false
-	}
-	return exs[0], true
-}
-
-// snapshot copies the retained exemplars, most recent first.
-func (r *Recorder) snapshot() []*Exemplar {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*Exemplar, 0, len(r.ring))
-	if !r.full {
-		for i := len(r.ring) - 1; i >= 0; i-- {
-			out = append(out, r.ring[i])
-		}
-		return out
+	if n := r.ring.len(); n > 0 {
+		return r.ring.at(n - 1), true
 	}
-	for i := 0; i < len(r.ring); i++ {
-		idx := (r.next - 1 - i + 2*len(r.ring)) % len(r.ring)
-		out = append(out, r.ring[idx])
-	}
-	return out
+	return nil, false
 }
 
 // Len returns the number of retained exemplars.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.ring)
+	return r.ring.len()
 }
 
 // Cap returns the ring capacity.
 func (r *Recorder) Cap() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return cap(r.ring)
+	return r.ring.bound
 }
 
 // SetCapacity re-bounds the ring, dropping retained exemplars.
 func (r *Recorder) SetCapacity(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
 	r.mu.Lock()
-	r.ring = make([]*Exemplar, 0, capacity)
-	r.next = 0
-	r.full = false
+	r.ring = newRing[*Exemplar](capacity, capacity)
 	r.mu.Unlock()
 }
 
 // Reset drops retained exemplars, keeping capacity and threshold.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
-	r.ring = r.ring[:0]
-	r.next = 0
-	r.full = false
+	r.ring.reset()
 	r.mu.Unlock()
 }

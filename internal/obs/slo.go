@@ -68,11 +68,9 @@ type sloSeries struct {
 	kind, name string
 	total, bad uint64
 	errs, slow uint64
-	// cp is a ring of checkpoints spaced >= granularity apart, deep enough
-	// to cover SlowWindow.
-	cp   []sloCheckpoint
-	next int
-	full bool
+	// cp holds checkpoints spaced >= granularity apart, deep enough to
+	// cover SlowWindow.
+	cp ring[sloCheckpoint]
 }
 
 // SLOStatus is one series' derived view (GET /slo).
@@ -142,7 +140,7 @@ func (t *SLOTracker) Record(kind, name string, dur time.Duration, isErr bool) {
 	key := kind + "\x00" + name
 	s := t.series[key]
 	if s == nil {
-		s = &sloSeries{kind: kind, name: name, cp: make([]sloCheckpoint, 0, t.deep)}
+		s = &sloSeries{kind: kind, name: name, cp: newRing[sloCheckpoint](t.deep, t.deep)}
 		t.series[key] = s
 	}
 	s.total++
@@ -157,35 +155,13 @@ func (t *SLOTracker) Record(kind, name string, dur time.Duration, isErr bool) {
 	}
 	// Coalesce checkpoints to one per granularity interval.
 	var last time.Time
-	if n := s.len(); n > 0 {
-		last = s.at(n - 1).t
+	if n := s.cp.len(); n > 0 {
+		last = s.cp.at(n - 1).t
 	}
 	if now.Sub(last) >= t.gran {
-		s.push(sloCheckpoint{t: now, total: s.total, bad: s.bad}, t.deep)
+		s.cp.push(sloCheckpoint{t: now, total: s.total, bad: s.bad})
 	}
 	t.mu.Unlock()
-}
-
-func (s *sloSeries) len() int { return len(s.cp) }
-
-// at indexes checkpoints oldest-first.
-func (s *sloSeries) at(i int) sloCheckpoint {
-	if !s.full {
-		return s.cp[i]
-	}
-	return s.cp[(s.next+i)%len(s.cp)]
-}
-
-func (s *sloSeries) push(cp sloCheckpoint, deep int) {
-	if !s.full && len(s.cp) < deep {
-		s.cp = append(s.cp, cp)
-		if len(s.cp) == deep {
-			s.full = true
-		}
-		return
-	}
-	s.cp[s.next] = cp
-	s.next = (s.next + 1) % len(s.cp)
 }
 
 // burn computes the burn rate over the window ending at now: the bad
@@ -196,8 +172,8 @@ func (t *SLOTracker) burn(s *sloSeries, now time.Time, window time.Duration) flo
 	// Baseline = the newest checkpoint at or before the window start; if
 	// the series is younger than the window, burn is over its whole life.
 	var base sloCheckpoint
-	for i := 0; i < s.len(); i++ {
-		cp := s.at(i)
+	for i := 0; i < s.cp.len(); i++ {
+		cp := s.cp.at(i)
 		if cp.t.After(cutoff) {
 			break
 		}

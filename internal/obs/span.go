@@ -167,9 +167,7 @@ type sessionTrace struct {
 	id string
 
 	mu         sync.Mutex
-	ring       []SpanData
-	next       int // ring write cursor
-	full       bool
+	ring       ring[SpanData]
 	activeRoot uint64
 	// rootOpen is the active root's open-span counter; spans anchored or
 	// resumed under it (no ctx to inherit through) attach here.
@@ -224,7 +222,7 @@ func (t *Tracer) session(id string, create bool) *sessionTrace {
 	if !create {
 		return nil
 	}
-	st := &sessionTrace{id: id, ring: make([]SpanData, 0, 64)}
+	st := &sessionTrace{id: id, ring: newRing[SpanData](ringCapacity, 64)}
 	t.sessions[id] = t.lru.PushBack(st)
 	t.evictLocked()
 	return st
@@ -298,15 +296,7 @@ func (t *Tracer) Resume(session, token, component, name string) *Span {
 func (t *Tracer) record(session string, d SpanData, isRoot bool, id uint64) {
 	st := t.session(session, true)
 	st.mu.Lock()
-	if len(st.ring) < ringCapacity && !st.full {
-		st.ring = append(st.ring, d)
-		if len(st.ring) == ringCapacity {
-			st.full = true
-		}
-	} else {
-		st.ring[st.next] = d
-		st.next = (st.next + 1) % ringCapacity
-	}
+	st.ring.push(d)
 	if isRoot && st.activeRoot == id {
 		st.activeRoot = 0
 		st.rootOpen = nil
@@ -322,13 +312,7 @@ func (t *Tracer) Session(session string) []SpanData {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if !st.full {
-		return append([]SpanData(nil), st.ring...)
-	}
-	out := make([]SpanData, 0, ringCapacity)
-	out = append(out, st.ring[st.next:]...)
-	out = append(out, st.ring[:st.next]...)
-	return out
+	return st.ring.oldestFirst(0)
 }
 
 // Tree returns the session's recorded spans belonging to the subtree

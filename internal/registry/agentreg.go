@@ -8,19 +8,33 @@
 // derived from metadata; the agent registry additionally blends historical
 // usage logs into its embeddings ("historical usage data can also be
 // leveraged to compute enhanced embeddings", §V-C).
+//
+// # Catalog
+//
+// The paper describes the data registry as "similarly" registering what the
+// agent registry registers, and the code has the shared part once: catalog
+// (catalog.go) owns the lock, the entries and their registration order, the
+// embedder and vector index, the mutation hook the durability adapter logs
+// through, the change hooks the memo layer invalidates through,
+// register/get/list/len, keyword and vector search with the keyword
+// fallback, and the restore loop of snapshots and replayed WAL records.
+// AgentRegistry and DataRegistry embed one each and add only what is theirs:
+// usage-blended embeddings, Derive, Deregister and a version that moves only
+// when the spec does; the asset hierarchy a version bump propagates along
+// (affectedLocked), Touch, grants (governance.go) and the Import readers. A
+// change to ranking, hook order or restore is made in the catalog and
+// reaches both (TestBothRegistriesMatchBruteForce checks both against one
+// reference).
 package registry
 
 import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"blueprint/internal/obs"
-	"blueprint/internal/vectors"
 )
 
 // Process-wide registry instruments: identity-changing mutations (Register,
@@ -142,19 +156,15 @@ type AgentHit struct {
 	Score float64
 }
 
-// AgentRegistry stores agent metadata and serves search and planning.
+// AgentRegistry stores agent metadata and serves search and planning. It is
+// a catalog of AgentSpecs plus what only agents have: usage logs blended into
+// the embedding, derivation, removal and a version that moves only when the
+// spec does.
 type AgentRegistry struct {
-	mu       sync.RWMutex
-	specs    map[string]AgentSpec
-	order    []string
+	*catalog[AgentSpec, AgentHit, AgentMutation]
+	// Guarded by the catalog's lock.
 	usage    map[string][]string // recent task texts routed to the agent
 	usageCnt map[string]int
-	embedder *vectors.Embedder
-	index    *vectors.Index
-
-	hookMu      sync.RWMutex
-	changeHooks []func(agentName string)
-	mutHook     func(AgentMutation)
 }
 
 // AgentMutation describes one durable agent-registry mutation: an upserted
@@ -165,84 +175,43 @@ type AgentMutation struct {
 	Remove string     `json:"remove,omitempty"`
 }
 
+// NewAgentRegistry creates an empty agent registry.
+func NewAgentRegistry() *AgentRegistry {
+	r := &AgentRegistry{usage: make(map[string][]string), usageCnt: make(map[string]int)}
+	r.catalog = newCatalog(&catalog[AgentSpec, AgentHit, AgentMutation]{
+		noun: "agent", errExists: ErrAgentExists, errNotFound: ErrAgentNotFound,
+		name:  func(s AgentSpec) string { return s.Name },
+		text:  AgentSpec.searchText,
+		hit:   func(s AgentSpec, score float64) AgentHit { return AgentHit{Spec: s, Score: score} },
+		score: func(h AgentHit) float64 { return h.Score },
+	})
+	r.embed = r.usageBlended
+	return r
+}
+
 // SetMutationHook installs the hook invoked (outside the registry lock) after
 // every successful mutation — registration, update, derivation, removal. The
 // durability adapter uses it to log mutations to the shared WAL; at most one
 // hook is held (last wins). Touch-style version bumps are not mutations in
 // this sense: they are reproduced by relational DML replay.
-func (r *AgentRegistry) SetMutationHook(fn func(AgentMutation)) {
-	r.hookMu.Lock()
-	r.mutHook = fn
-	r.hookMu.Unlock()
-}
-
-func (r *AgentRegistry) mutated(m AgentMutation) {
-	mRegistryMutations.Inc()
-	r.hookMu.RLock()
-	fn := r.mutHook
-	r.hookMu.RUnlock()
-	if fn != nil {
-		fn(m)
-	}
-}
+func (r *AgentRegistry) SetMutationHook(fn func(AgentMutation)) { r.setMutationHook(fn) }
 
 // OnChange registers a hook invoked (outside the registry lock) whenever an
 // agent's identity moves: a version bump on Update, a Derive, or a
 // Deregister. The memoization layer subscribes here to drop cached results
 // of the changed agent.
-func (r *AgentRegistry) OnChange(fn func(agentName string)) {
-	r.hookMu.Lock()
-	defer r.hookMu.Unlock()
-	r.changeHooks = append(r.changeHooks, fn)
-}
-
-func (r *AgentRegistry) notifyChange(name string) {
-	r.hookMu.RLock()
-	hooks := make([]func(string), len(r.changeHooks))
-	copy(hooks, r.changeHooks)
-	r.hookMu.RUnlock()
-	for _, fn := range hooks {
-		fn(name)
-	}
-}
-
-// NewAgentRegistry creates an empty agent registry.
-func NewAgentRegistry() *AgentRegistry {
-	e := vectors.NewEmbedder(vectors.DefaultDim)
-	return &AgentRegistry{
-		specs:    make(map[string]AgentSpec),
-		usage:    make(map[string][]string),
-		usageCnt: make(map[string]int),
-		embedder: e,
-		index:    vectors.NewIndex(e.Dim()),
-	}
-}
+func (r *AgentRegistry) OnChange(fn func(agentName string)) { r.onChange(fn) }
 
 // Register adds a new agent. The name must be unused.
 func (r *AgentRegistry) Register(spec AgentSpec) error {
-	stored, err := r.register(spec)
-	if err == nil {
-		r.mutated(AgentMutation{Put: &stored})
-	}
-	return err
-}
-
-func (r *AgentRegistry) register(spec AgentSpec) (AgentSpec, error) {
-	if spec.Name == "" {
-		return AgentSpec{}, errors.New("registry: agent name required")
-	}
-	key := strings.ToLower(spec.Name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.specs[key]; ok {
-		return AgentSpec{}, fmt.Errorf("%w: %s", ErrAgentExists, spec.Name)
-	}
 	if spec.Version == 0 {
 		spec.Version = 1
 	}
-	r.specs[key] = spec
-	r.order = append(r.order, key)
-	return spec, r.reindexLocked(key)
+	err := r.register(spec)
+	if err == nil {
+		r.mutated(AgentMutation{Put: &spec})
+	}
+	return err
 }
 
 // Update replaces an existing agent's metadata, bumping its version. A
@@ -259,20 +228,18 @@ func (r *AgentRegistry) Update(spec AgentSpec) error {
 }
 
 func (r *AgentRegistry) update(spec AgentSpec) (changed bool, stored AgentSpec, err error) {
-	key := strings.ToLower(spec.Name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old, ok := r.specs[key]
-	if !ok {
-		return false, AgentSpec{}, fmt.Errorf("%w: %s", ErrAgentNotFound, spec.Name)
+	key, old, err := r.getLocked(spec.Name)
+	if err != nil {
+		return false, AgentSpec{}, err
 	}
 	spec.Version = old.Version
 	if reflect.DeepEqual(spec, old) {
 		return false, AgentSpec{}, nil
 	}
 	spec.Version = old.Version + 1
-	r.specs[key] = spec
-	return true, spec, r.reindexLocked(key)
+	return true, spec, r.putLocked(key, spec)
 }
 
 // Derive registers a new agent based on an existing one with a new name and
@@ -289,11 +256,10 @@ func (r *AgentRegistry) Derive(base, name, description string, mutate func(*Agen
 func (r *AgentRegistry) derive(base, name, description string, mutate func(*AgentSpec)) (AgentSpec, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	b, ok := r.specs[strings.ToLower(base)]
-	if !ok {
-		return AgentSpec{}, fmt.Errorf("%w: %s", ErrAgentNotFound, base)
+	_, spec, err := r.getLocked(base)
+	if err != nil {
+		return AgentSpec{}, err
 	}
-	spec := b
 	spec.Name = name
 	if description != "" {
 		spec.Description = description
@@ -303,12 +269,10 @@ func (r *AgentRegistry) derive(base, name, description string, mutate func(*Agen
 		mutate(&spec)
 	}
 	key := strings.ToLower(name)
-	if _, exists := r.specs[key]; exists {
+	if _, exists := r.entries[key]; exists {
 		return AgentSpec{}, fmt.Errorf("%w: %s", ErrAgentExists, name)
 	}
-	r.specs[key] = spec
-	r.order = append(r.order, key)
-	if err := r.reindexLocked(key); err != nil {
+	if err := r.putLocked(key, spec); err != nil {
 		return AgentSpec{}, err
 	}
 	return spec, nil
@@ -325,62 +289,35 @@ func (r *AgentRegistry) Deregister(name string) error {
 }
 
 func (r *AgentRegistry) deregister(name string) error {
-	key := strings.ToLower(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.specs[key]; !ok {
-		return fmt.Errorf("%w: %s", ErrAgentNotFound, name)
+	key, _, err := r.getLocked(name)
+	if err != nil {
+		return err
 	}
-	delete(r.specs, key)
 	delete(r.usage, key)
 	delete(r.usageCnt, key)
-	for i, k := range r.order {
-		if k == key {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
-	r.index.Delete(key)
+	r.removeLocked(key)
 	return nil
 }
 
 // Get returns one agent's spec.
-func (r *AgentRegistry) Get(name string) (AgentSpec, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s, ok := r.specs[strings.ToLower(name)]
-	if !ok {
-		return AgentSpec{}, fmt.Errorf("%w: %s", ErrAgentNotFound, name)
-	}
-	return s, nil
-}
+func (r *AgentRegistry) Get(name string) (AgentSpec, error) { return r.get(name) }
 
 // List returns all specs in registration order.
-func (r *AgentRegistry) List() []AgentSpec {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]AgentSpec, 0, len(r.order))
-	for _, k := range r.order {
-		out = append(out, r.specs[k])
-	}
-	return out
-}
+func (r *AgentRegistry) List() []AgentSpec { return r.list(nil) }
 
 // Len reports the number of registered agents.
-func (r *AgentRegistry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.specs)
-}
+func (r *AgentRegistry) Len() int { return r.len() }
 
 // RecordUsage logs that the agent served the given task text; the last 32
 // texts are blended into the agent's embedding with 20% weight.
 func (r *AgentRegistry) RecordUsage(name, taskText string) error {
-	key := strings.ToLower(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.specs[key]; !ok {
-		return fmt.Errorf("%w: %s", ErrAgentNotFound, name)
+	key, spec, err := r.getLocked(name)
+	if err != nil {
+		return err
 	}
 	logs := append(r.usage[key], taskText)
 	if len(logs) > 32 {
@@ -388,7 +325,7 @@ func (r *AgentRegistry) RecordUsage(name, taskText string) error {
 	}
 	r.usage[key] = logs
 	r.usageCnt[key]++
-	return r.reindexLocked(key)
+	return r.putLocked(key, spec)
 }
 
 // UsageCount reports how many times RecordUsage was called for the agent.
@@ -398,74 +335,34 @@ func (r *AgentRegistry) UsageCount(name string) int {
 	return r.usageCnt[strings.ToLower(name)]
 }
 
-func (r *AgentRegistry) reindexLocked(key string) error {
-	spec := r.specs[key]
+// usageBlended is the agent registry's embedding (the catalog's embed, so
+// called with the lock held): the spec's metadata, with the agent's usage
+// logs — when it has any — blended in at 20% weight.
+func (r *AgentRegistry) usageBlended(key string, spec AgentSpec) []float64 {
 	meta := spec.searchText()
 	logs := r.usage[key]
-	var vec []float64
 	if len(logs) == 0 {
-		vec = r.embedder.Embed(meta)
-	} else {
-		vec = r.embedder.EmbedWeighted(
-			[]string{meta, strings.Join(logs, " ")},
-			[]float64{0.8, 0.2},
-		)
+		return r.embedder.Embed(meta)
 	}
-	return r.index.Upsert(key, vec)
+	return r.embedder.EmbedWeighted(
+		[]string{meta, strings.Join(logs, " ")},
+		[]float64{0.8, 0.2},
+	)
 }
 
 // SearchKeyword returns agents whose metadata contains every query token,
 // ranked by number of token occurrences.
 func (r *AgentRegistry) SearchKeyword(query string, k int) []AgentHit {
-	toks := vectors.Tokenize(query)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var hits []AgentHit
-	for _, key := range r.order {
-		spec := r.specs[key]
-		text := strings.ToLower(spec.searchText())
-		score := 0.0
-		ok := true
-		for _, t := range toks {
-			n := strings.Count(text, t)
-			if n == 0 {
-				ok = false
-				break
-			}
-			score += float64(n)
-		}
-		if ok && len(toks) > 0 {
-			hits = append(hits, AgentHit{Spec: spec, Score: score})
-		}
-	}
-	sort.SliceStable(hits, func(i, j int) bool { return hits[i].Score > hits[j].Score })
-	if k > 0 && k < len(hits) {
-		hits = hits[:k]
-	}
-	return hits
+	return r.searchKeyword(query, k)
 }
 
 // SearchVector returns the k agents nearest to the query embedding.
 func (r *AgentRegistry) SearchVector(query string, k int) []AgentHit {
-	vec := r.embedder.Embed(query)
-	raw := r.index.Search(vec, k)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]AgentHit, 0, len(raw))
-	for _, h := range raw {
-		if spec, ok := r.specs[h.ID]; ok {
-			out = append(out, AgentHit{Spec: spec, Score: h.Score})
-		}
-	}
-	return out
+	return r.searchVector(query, k)
 }
 
 // FindForTask is the planner's entry point: vector search with a keyword
 // fallback, returning at most k candidates.
 func (r *AgentRegistry) FindForTask(taskText string, k int) []AgentHit {
-	hits := r.SearchVector(taskText, k)
-	if len(hits) > 0 {
-		return hits
-	}
-	return r.SearchKeyword(taskText, k)
+	return r.find(taskText, k)
 }

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"blueprint/internal/docstore"
 	"blueprint/internal/graphstore"
 	"blueprint/internal/relational"
-	"blueprint/internal/vectors"
 )
 
 // SourceKind enumerates data modalities (§V-D: "documents, relational
@@ -101,18 +99,12 @@ type AssetHit struct {
 	Score float64
 }
 
-// DataRegistry catalogs enterprise data assets and serves discovery.
+// DataRegistry catalogs enterprise data assets and serves discovery. It is a
+// catalog of DataAssets plus what only data has: the asset hierarchy a
+// version bump propagates along, Touch, access grants and the Import readers.
 type DataRegistry struct {
-	mu       sync.RWMutex
-	assets   map[string]DataAsset
-	order    []string
-	grants   map[string]map[string]bool // asset -> allowed agents (nil = public)
-	embedder *vectors.Embedder
-	index    *vectors.Index
-
-	hookMu      sync.RWMutex
-	changeHooks []func(assetName string)
-	mutHook     func(AssetMutation)
+	*catalog[DataAsset, AssetHit, AssetMutation]
+	grants map[string]map[string]bool // asset -> allowed agents (nil = public); guarded by the catalog's lock
 }
 
 // AssetMutation describes one durable data-registry mutation: an upserted
@@ -123,79 +115,37 @@ type AssetMutation struct {
 	Put *DataAsset `json:"put,omitempty"`
 }
 
+// NewDataRegistry creates an empty data registry.
+func NewDataRegistry() *DataRegistry {
+	return &DataRegistry{grants: make(map[string]map[string]bool), catalog: newCatalog(&catalog[DataAsset, AssetHit, AssetMutation]{
+		noun: "asset", errExists: ErrAssetExists, errNotFound: ErrAssetNotFound,
+		name:  func(a DataAsset) string { return a.Name },
+		text:  DataAsset.searchText,
+		hit:   func(a DataAsset, score float64) AssetHit { return AssetHit{Asset: a, Score: score} },
+		score: func(h AssetHit) float64 { return h.Score },
+	})}
+}
+
 // SetMutationHook installs the hook invoked (outside the registry lock)
 // after every successful Register/Update. At most one hook is held (last
 // wins); the durability adapter uses it to log mutations to the shared WAL.
-func (r *DataRegistry) SetMutationHook(fn func(AssetMutation)) {
-	r.hookMu.Lock()
-	r.mutHook = fn
-	r.hookMu.Unlock()
-}
-
-func (r *DataRegistry) mutated(m AssetMutation) {
-	mRegistryMutations.Inc()
-	r.hookMu.RLock()
-	fn := r.mutHook
-	r.hookMu.RUnlock()
-	if fn != nil {
-		fn(m)
-	}
-}
+func (r *DataRegistry) SetMutationHook(fn func(AssetMutation)) { r.setMutationHook(fn) }
 
 // OnChange registers a hook invoked (outside the registry lock) whenever an
 // asset's version bumps — Update or Touch. The memoization layer subscribes
 // here to drop cached results of agents that read the asset.
-func (r *DataRegistry) OnChange(fn func(assetName string)) {
-	r.hookMu.Lock()
-	defer r.hookMu.Unlock()
-	r.changeHooks = append(r.changeHooks, fn)
-}
-
-func (r *DataRegistry) notifyChange(name string) {
-	r.hookMu.RLock()
-	hooks := make([]func(string), len(r.changeHooks))
-	copy(hooks, r.changeHooks)
-	r.hookMu.RUnlock()
-	for _, fn := range hooks {
-		fn(name)
-	}
-}
-
-// NewDataRegistry creates an empty data registry.
-func NewDataRegistry() *DataRegistry {
-	e := vectors.NewEmbedder(vectors.DefaultDim)
-	return &DataRegistry{
-		assets:   make(map[string]DataAsset),
-		embedder: e,
-		index:    vectors.NewIndex(e.Dim()),
-	}
-}
+func (r *DataRegistry) OnChange(fn func(assetName string)) { r.onChange(fn) }
 
 // Register adds an asset.
 func (r *DataRegistry) Register(a DataAsset) error {
-	stored, err := r.register(a)
-	if err == nil {
-		r.mutated(AssetMutation{Put: &stored})
-	}
-	return err
-}
-
-func (r *DataRegistry) register(a DataAsset) (DataAsset, error) {
-	if a.Name == "" {
-		return DataAsset{}, fmt.Errorf("registry: asset name required")
-	}
-	key := strings.ToLower(a.Name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.assets[key]; ok {
-		return DataAsset{}, fmt.Errorf("%w: %s", ErrAssetExists, a.Name)
-	}
 	if a.Version == 0 {
 		a.Version = 1
 	}
-	r.assets[key] = a
-	r.order = append(r.order, key)
-	return a, r.index.Upsert(key, r.embedder.Embed(a.searchText()))
+	err := r.register(a)
+	if err == nil {
+		r.mutated(AssetMutation{Put: &a})
+	}
+	return err
 }
 
 // Update replaces an asset's metadata (e.g. refreshed row counts), bumping
@@ -203,9 +153,9 @@ func (r *DataRegistry) register(a DataAsset) (DataAsset, error) {
 // whole hierarchy slice (see affectedLocked): agents typically declare
 // their Reads at database level, so a table-level change must reach them.
 func (r *DataRegistry) Update(a DataAsset) error {
-	affected, stored, err := r.update(a)
+	affected, err := r.update(&a)
 	if err == nil {
-		r.mutated(AssetMutation{Put: &stored})
+		r.mutated(AssetMutation{Put: &a})
 	}
 	for _, name := range affected {
 		r.notifyChange(name)
@@ -213,17 +163,16 @@ func (r *DataRegistry) Update(a DataAsset) error {
 	return err
 }
 
-func (r *DataRegistry) update(a DataAsset) ([]string, DataAsset, error) {
-	key := strings.ToLower(a.Name)
+func (r *DataRegistry) update(a *DataAsset) ([]string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old, ok := r.assets[key]
-	if !ok {
-		return nil, DataAsset{}, fmt.Errorf("%w: %s", ErrAssetNotFound, a.Name)
+	key, old, err := r.getLocked(a.Name)
+	if err != nil {
+		return nil, err
 	}
 	a.Version = old.Version + 1
-	r.assets[key] = a
-	return r.affectedLocked(a.Name), a, r.index.Upsert(key, r.embedder.Embed(a.searchText()))
+	err = r.putLocked(key, *a)
+	return r.affectedLocked(a.Name), err
 }
 
 // Touch bumps an asset's version without changing its metadata — the
@@ -231,15 +180,14 @@ func (r *DataRegistry) update(a DataAsset) ([]string, DataAsset, error) {
 // rewritten) and memoized results reading it are stale. Subscribers are
 // notified for the asset, its ancestors and its descendants.
 func (r *DataRegistry) Touch(name string) error {
-	key := strings.ToLower(name)
 	r.mu.Lock()
-	a, ok := r.assets[key]
-	if !ok {
+	key, a, err := r.getLocked(name)
+	if err != nil {
 		r.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrAssetNotFound, name)
+		return err
 	}
 	a.Version++
-	r.assets[key] = a
+	r.entries[key] = a // same metadata, so the indexed embedding stands
 	affected := r.affectedLocked(a.Name)
 	r.mu.Unlock()
 	mRegistryTouches.Inc()
@@ -271,7 +219,7 @@ func (r *DataRegistry) affectedLocked(name string) []string {
 	// Ancestors (Parent chain; seen guards against malformed cycles).
 	cur := name
 	for {
-		a, ok := r.assets[strings.ToLower(cur)]
+		a, ok := r.entries[strings.ToLower(cur)]
 		if !ok || a.Parent == "" || !add(a.Parent) {
 			break
 		}
@@ -283,7 +231,7 @@ func (r *DataRegistry) affectedLocked(name string) []string {
 		p := queue[0]
 		queue = queue[1:]
 		for _, k := range r.order {
-			a := r.assets[k]
+			a := r.entries[k]
 			if strings.EqualFold(a.Parent, p) && add(a.Name) {
 				queue = append(queue, a.Name)
 			}
@@ -293,111 +241,39 @@ func (r *DataRegistry) affectedLocked(name string) []string {
 }
 
 // Get returns one asset.
-func (r *DataRegistry) Get(name string) (DataAsset, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	a, ok := r.assets[strings.ToLower(name)]
-	if !ok {
-		return DataAsset{}, fmt.Errorf("%w: %s", ErrAssetNotFound, name)
-	}
-	return a, nil
-}
+func (r *DataRegistry) Get(name string) (DataAsset, error) { return r.get(name) }
 
 // List returns assets in registration order, optionally filtered by level
 // and kind (empty = any).
 func (r *DataRegistry) List(level Level, kind SourceKind) []DataAsset {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []DataAsset
-	for _, k := range r.order {
-		a := r.assets[k]
-		if level != "" && a.Level != level {
-			continue
-		}
-		if kind != "" && a.Kind != kind {
-			continue
-		}
-		out = append(out, a)
-	}
-	return out
+	return r.list(func(a DataAsset) bool {
+		return (level == "" || a.Level == level) && (kind == "" || a.Kind == kind)
+	})
 }
 
 // Children returns assets whose Parent is the given asset, sorted by name.
 func (r *DataRegistry) Children(parent string) []DataAsset {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []DataAsset
-	for _, k := range r.order {
-		a := r.assets[k]
-		if strings.EqualFold(a.Parent, parent) {
-			out = append(out, a)
-		}
-	}
+	out := r.list(func(a DataAsset) bool { return strings.EqualFold(a.Parent, parent) })
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
 // Len reports the number of registered assets.
-func (r *DataRegistry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.assets)
-}
+func (r *DataRegistry) Len() int { return r.len() }
 
 // SearchKeyword ranks assets containing every query token.
 func (r *DataRegistry) SearchKeyword(query string, k int) []AssetHit {
-	toks := vectors.Tokenize(query)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var hits []AssetHit
-	for _, key := range r.order {
-		a := r.assets[key]
-		text := strings.ToLower(a.searchText())
-		score := 0.0
-		ok := true
-		for _, t := range toks {
-			n := strings.Count(text, t)
-			if n == 0 {
-				ok = false
-				break
-			}
-			score += float64(n)
-		}
-		if ok && len(toks) > 0 {
-			hits = append(hits, AssetHit{Asset: a, Score: score})
-		}
-	}
-	sort.SliceStable(hits, func(i, j int) bool { return hits[i].Score > hits[j].Score })
-	if k > 0 && k < len(hits) {
-		hits = hits[:k]
-	}
-	return hits
+	return r.searchKeyword(query, k)
 }
 
 // SearchVector returns the k assets nearest to the query embedding.
 func (r *DataRegistry) SearchVector(query string, k int) []AssetHit {
-	vec := r.embedder.Embed(query)
-	raw := r.index.Search(vec, k)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]AssetHit, 0, len(raw))
-	for _, h := range raw {
-		if a, ok := r.assets[h.ID]; ok {
-			out = append(out, AssetHit{Asset: a, Score: h.Score})
-		}
-	}
-	return out
+	return r.searchVector(query, k)
 }
 
 // Discover is the data planner's entry point: vector search with keyword
 // fallback.
-func (r *DataRegistry) Discover(query string, k int) []AssetHit {
-	hits := r.SearchVector(query, k)
-	if len(hits) > 0 {
-		return hits
-	}
-	return r.SearchKeyword(query, k)
-}
+func (r *DataRegistry) Discover(query string, k int) []AssetHit { return r.find(query, k) }
 
 // ImportRelational registers a relational DB and each of its tables under
 // the given database asset name, capturing schemas, row counts and index

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Durable adapts the two registries to the durability engine's Loggable
@@ -43,16 +42,13 @@ type mutationRecord struct {
 // identity-changing mutation to the WAL through append (an Engine.Logger
 // Append). Call after recovery; see the ordering contract above.
 func (d Durable) AttachLog(append func([]byte) error) {
-	d.Agents.SetMutationHook(func(m AgentMutation) {
-		if buf, err := json.Marshal(mutationRecord{Agent: &m}); err == nil {
+	log := func(rec mutationRecord) {
+		if buf, err := json.Marshal(rec); err == nil {
 			_ = append(buf)
 		}
-	})
-	d.Data.SetMutationHook(func(m AssetMutation) {
-		if buf, err := json.Marshal(mutationRecord{Asset: &m}); err == nil {
-			_ = append(buf)
-		}
-	})
+	}
+	d.Agents.SetMutationHook(func(m AgentMutation) { log(mutationRecord{Agent: &m}) })
+	d.Data.SetMutationHook(func(m AssetMutation) { log(mutationRecord{Asset: &m}) })
 }
 
 // Apply replays one logged mutation: upserts reuse the restore path
@@ -67,13 +63,13 @@ func (d Durable) Apply(p []byte) error {
 	}
 	switch {
 	case rec.Agent != nil && rec.Agent.Put != nil:
-		d.Agents.restoreSpecs([]AgentSpec{*rec.Agent.Put})
+		d.Agents.restore([]AgentSpec{*rec.Agent.Put})
 	case rec.Agent != nil && rec.Agent.Remove != "":
 		if err := d.Agents.deregister(rec.Agent.Remove); err != nil && !errors.Is(err, ErrAgentNotFound) {
 			return err
 		}
 	case rec.Asset != nil && rec.Asset.Put != nil:
-		d.Data.restoreAssets([]DataAsset{*rec.Asset.Put})
+		d.Data.restore([]DataAsset{*rec.Asset.Put})
 	default:
 		return errors.New("registry: empty WAL record")
 	}
@@ -95,36 +91,7 @@ func (d Durable) Restore(r io.Reader) error {
 	if err := json.NewDecoder(r).Decode(&img); err != nil {
 		return fmt.Errorf("registry: decode snapshot: %w", err)
 	}
-	d.Agents.restoreSpecs(img.Agents)
-	d.Data.restoreAssets(img.Assets)
+	d.Agents.restore(img.Agents)
+	d.Data.restore(img.Assets)
 	return nil
-}
-
-// restoreSpecs replaces/installs specs exactly as snapshotted (versions
-// included), without version bumps or change notifications.
-func (r *AgentRegistry) restoreSpecs(specs []AgentSpec) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, spec := range specs {
-		key := strings.ToLower(spec.Name)
-		if _, ok := r.specs[key]; !ok {
-			r.order = append(r.order, key)
-		}
-		r.specs[key] = spec
-		_ = r.reindexLocked(key)
-	}
-}
-
-// restoreAssets mirrors restoreSpecs for the data registry.
-func (r *DataRegistry) restoreAssets(assets []DataAsset) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, a := range assets {
-		key := strings.ToLower(a.Name)
-		if _, ok := r.assets[key]; !ok {
-			r.order = append(r.order, key)
-		}
-		r.assets[key] = a
-		_ = r.index.Upsert(key, r.embedder.Embed(a.searchText()))
-	}
 }

@@ -15,13 +15,9 @@ var ErrUnauthorized = errors.New("registry: agent not authorized for asset")
 func (r *DataRegistry) Grant(assetName string, agents ...string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	key := strings.ToLower(assetName)
-	a, ok := r.assets[key]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrAssetNotFound, assetName)
-	}
-	if r.grants == nil {
-		r.grants = make(map[string]map[string]bool)
+	key, _, err := r.getLocked(assetName)
+	if err != nil {
+		return err
 	}
 	g := r.grants[key]
 	if g == nil {
@@ -31,7 +27,6 @@ func (r *DataRegistry) Grant(assetName string, agents ...string) error {
 	for _, agent := range agents {
 		g[strings.ToLower(agent)] = true
 	}
-	_ = a
 	return nil
 }
 
@@ -63,7 +58,7 @@ func (r *DataRegistry) Authorized(assetName, agent string) bool {
 }
 
 func (r *DataRegistry) authorizedLocked(assetKey, agent string) bool {
-	a, ok := r.assets[assetKey]
+	a, ok := r.entries[assetKey]
 	if !ok {
 		return false
 	}

@@ -141,17 +141,6 @@ func CountBySender(flow []Step) map[string]int {
 	return out
 }
 
-// CountByOp tallies control messages per op.
-func CountByOp(flow []Step) map[string]int {
-	out := map[string]int{}
-	for _, s := range flow {
-		if s.Op != "" {
-			out[s.Op]++
-		}
-	}
-	return out
-}
-
 // Render prints the flow one step per line (debugging aid and bpctl
 // output).
 func Render(flow []Step) string {

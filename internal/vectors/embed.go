@@ -9,6 +9,12 @@
 // preserves the mechanics the architecture depends on — cosine similarity
 // between related texts is higher than between unrelated texts, embeddings
 // are composable and cacheable — while being fully deterministic.
+//
+// There is one index, the exact flat Index, and one holder of it: the
+// catalog under the agent and data registries (internal/registry). It is a
+// derived structure — rebuilt from registry entries on register, update and
+// restore — not a data source of its own, so it has no asset in the data
+// registry, no WAL records and no spans.
 package vectors
 
 import (

@@ -16,8 +16,7 @@ type Hit struct {
 
 // Index is a thread-safe vector index supporting exact (flat) k-NN search.
 // Registry sizes in the blueprint (hundreds to low tens of thousands of
-// agents/sources) are comfortably served by exact search; an inverted-file
-// accelerated variant is provided by IVFIndex for larger registries.
+// agents/sources) are comfortably served by exact search.
 type Index struct {
 	mu   sync.RWMutex
 	dim  int
@@ -113,195 +112,5 @@ func (ix *Index) Search(query []float64, k int) []Hit {
 }
 
 func sortHits(hits []Hit) {
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].ID < hits[j].ID
-	})
-}
-
-// IVFIndex is an inverted-file (coarse-quantized) index: vectors are assigned
-// to the nearest of nlist centroids chosen by a deterministic k-means++ style
-// seeding followed by Lloyd iterations; search probes the nprobe nearest
-// lists. It trades a little recall for sublinear scan cost and is used by the
-// Fig. 5 bench to contrast exact and approximate registry discovery.
-type IVFIndex struct {
-	mu        sync.RWMutex
-	dim       int
-	nlist     int
-	nprobe    int
-	centroids [][]float64
-	lists     [][]int // centroid -> positions
-	ids       []string
-	vecs      [][]float64
-	pos       map[string]int
-	trained   bool
-}
-
-// NewIVFIndex creates an IVF index with nlist coarse cells probing nprobe
-// cells at query time.
-func NewIVFIndex(dim, nlist, nprobe int) *IVFIndex {
-	if dim <= 0 {
-		dim = DefaultDim
-	}
-	if nlist <= 0 {
-		nlist = 16
-	}
-	if nprobe <= 0 {
-		nprobe = 4
-	}
-	if nprobe > nlist {
-		nprobe = nlist
-	}
-	return &IVFIndex{dim: dim, nlist: nlist, nprobe: nprobe, pos: make(map[string]int)}
-}
-
-// Add inserts a vector; Train must be called after all adds (re-adding after
-// training triggers list reassignment for the new vector only).
-func (ix *IVFIndex) Add(id string, vec []float64) error {
-	if len(vec) != ix.dim {
-		return fmt.Errorf("vectors: dimension mismatch: got %d, want %d", len(vec), ix.dim)
-	}
-	cp := make([]float64, len(vec))
-	copy(cp, vec)
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if _, ok := ix.pos[id]; ok {
-		return fmt.Errorf("vectors: duplicate id %q", id)
-	}
-	p := len(ix.ids)
-	ix.pos[id] = p
-	ix.ids = append(ix.ids, id)
-	ix.vecs = append(ix.vecs, cp)
-	if ix.trained {
-		c := ix.nearestCentroid(cp)
-		ix.lists[c] = append(ix.lists[c], p)
-	}
-	return nil
-}
-
-// Len reports the number of indexed vectors.
-func (ix *IVFIndex) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.ids)
-}
-
-// Train builds the coarse quantizer over the currently added vectors.
-func (ix *IVFIndex) Train() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	n := len(ix.vecs)
-	if n == 0 {
-		ix.trained = true
-		ix.lists = make([][]int, ix.nlist)
-		ix.centroids = make([][]float64, ix.nlist)
-		for i := range ix.centroids {
-			ix.centroids[i] = make([]float64, ix.dim)
-		}
-		return
-	}
-	k := ix.nlist
-	if k > n {
-		k = n
-	}
-	// Deterministic seeding: evenly spaced samples.
-	ix.centroids = make([][]float64, 0, k)
-	for i := 0; i < k; i++ {
-		src := ix.vecs[(i*n)/k]
-		c := make([]float64, ix.dim)
-		copy(c, src)
-		ix.centroids = append(ix.centroids, c)
-	}
-	assign := make([]int, n)
-	for iter := 0; iter < 8; iter++ {
-		changed := false
-		for i, v := range ix.vecs {
-			c := ix.nearestCentroid(v)
-			if assign[i] != c {
-				assign[i] = c
-				changed = true
-			}
-		}
-		sums := make([][]float64, len(ix.centroids))
-		counts := make([]int, len(ix.centroids))
-		for i := range sums {
-			sums[i] = make([]float64, ix.dim)
-		}
-		for i, v := range ix.vecs {
-			c := assign[i]
-			counts[c]++
-			for j := range v {
-				sums[c][j] += v[j]
-			}
-		}
-		for c := range ix.centroids {
-			if counts[c] == 0 {
-				continue
-			}
-			for j := range sums[c] {
-				sums[c][j] /= float64(counts[c])
-			}
-			ix.centroids[c] = Normalize(sums[c])
-		}
-		if !changed && iter > 0 {
-			break
-		}
-	}
-	ix.lists = make([][]int, len(ix.centroids))
-	for i := range ix.vecs {
-		ix.lists[assign[i]] = append(ix.lists[assign[i]], i)
-	}
-	ix.trained = true
-}
-
-func (ix *IVFIndex) nearestCentroid(v []float64) int {
-	best, bestScore := 0, -2.0
-	for c, cent := range ix.centroids {
-		s := Cosine(v, cent)
-		if s > bestScore {
-			best, bestScore = c, s
-		}
-	}
-	return best
-}
-
-// Search probes the nprobe nearest lists and returns the top-k hits.
-// Searching an untrained index returns nil.
-func (ix *IVFIndex) Search(query []float64, k int) []Hit {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if !ix.trained || k <= 0 || len(ix.ids) == 0 {
-		return nil
-	}
-	type cs struct {
-		c     int
-		score float64
-	}
-	order := make([]cs, 0, len(ix.centroids))
-	for c, cent := range ix.centroids {
-		order = append(order, cs{c, Cosine(query, cent)})
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].score != order[j].score {
-			return order[i].score > order[j].score
-		}
-		return order[i].c < order[j].c
-	})
-	probes := ix.nprobe
-	if probes > len(order) {
-		probes = len(order)
-	}
-	var hits []Hit
-	for _, o := range order[:probes] {
-		for _, p := range ix.lists[o.c] {
-			hits = append(hits, Hit{ID: ix.ids[p], Score: Cosine(query, ix.vecs[p])})
-		}
-	}
-	sortHits(hits)
-	if k > len(hits) {
-		k = len(hits)
-	}
-	return hits[:k]
+	sort.Slice(hits, func(i, j int) bool { return hitBefore(hits[i], hits[j]) })
 }

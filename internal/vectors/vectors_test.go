@@ -243,107 +243,6 @@ func TestIndexSearchEmptyAndZeroK(t *testing.T) {
 	}
 }
 
-func TestIVFIndexRecall(t *testing.T) {
-	e := NewEmbedder(128)
-	flat := NewIndex(128)
-	ivf := NewIVFIndex(128, 8, 8) // probing all lists -> recall must match flat top-1
-	texts := make([]string, 200)
-	for i := range texts {
-		texts[i] = fmt.Sprintf("source %d holds records about topic %d and domain %d", i, i%17, i%5)
-		id := fmt.Sprintf("s%03d", i)
-		v := e.Embed(texts[i])
-		if err := flat.Upsert(id, v); err != nil {
-			t.Fatal(err)
-		}
-		if err := ivf.Add(id, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ivf.Train()
-	if ivf.Len() != 200 {
-		t.Fatalf("ivf Len = %d, want 200", ivf.Len())
-	}
-	match := 0
-	for i := 0; i < 50; i++ {
-		q := e.Embed(fmt.Sprintf("records about topic %d", i%17))
-		f := flat.Search(q, 1)
-		g := ivf.Search(q, 1)
-		if len(f) == 1 && len(g) == 1 && f[0].ID == g[0].ID {
-			match++
-		}
-	}
-	if match < 50 {
-		t.Fatalf("full-probe IVF recall@1 = %d/50, want 50", match)
-	}
-}
-
-func TestIVFIndexPartialProbe(t *testing.T) {
-	e := NewEmbedder(64)
-	ivf := NewIVFIndex(64, 16, 2)
-	for i := 0; i < 300; i++ {
-		if err := ivf.Add(fmt.Sprintf("v%d", i), e.Embed(fmt.Sprintf("item %d group %d", i, i%20))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ivf.Train()
-	hits := ivf.Search(e.Embed("item 5 group 5"), 5)
-	if len(hits) == 0 {
-		t.Fatal("partial probe returned no hits")
-	}
-	for i := 1; i < len(hits); i++ {
-		if hits[i].Score > hits[i-1].Score {
-			t.Fatal("hits not sorted by score")
-		}
-	}
-}
-
-func TestIVFDuplicateAdd(t *testing.T) {
-	ivf := NewIVFIndex(8, 2, 1)
-	if err := ivf.Add("a", make([]float64, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ivf.Add("a", make([]float64, 8)); err == nil {
-		t.Fatal("expected duplicate id error")
-	}
-	if err := ivf.Add("b", make([]float64, 4)); err == nil {
-		t.Fatal("expected dimension error")
-	}
-}
-
-func TestIVFAddAfterTrain(t *testing.T) {
-	e := NewEmbedder(32)
-	ivf := NewIVFIndex(32, 4, 4)
-	for i := 0; i < 20; i++ {
-		if err := ivf.Add(fmt.Sprintf("pre%d", i), e.Embed(fmt.Sprintf("item %d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ivf.Train()
-	if err := ivf.Add("late", e.Embed("a very distinctive late addition")); err != nil {
-		t.Fatal(err)
-	}
-	hits := ivf.Search(e.Embed("a very distinctive late addition"), 1)
-	if len(hits) != 1 || hits[0].ID != "late" {
-		t.Fatalf("late-added vector not found: %v", hits)
-	}
-}
-
-func TestIVFUntrainedSearch(t *testing.T) {
-	ivf := NewIVFIndex(8, 2, 1)
-	_ = ivf.Add("a", make([]float64, 8))
-	if hits := ivf.Search(make([]float64, 8), 1); hits != nil {
-		t.Fatalf("untrained search = %v, want nil", hits)
-	}
-}
-
-func TestIVFEmptyTrain(t *testing.T) {
-	ivf := NewIVFIndex(8, 4, 2)
-	ivf.Train()
-	if hits := ivf.Search(make([]float64, 8), 1); hits != nil {
-		t.Fatalf("empty trained search = %v, want nil", hits)
-	}
-}
-
 // searchFullSort is the pre-top-k reference: score every vector into a
 // fresh slice and sort all N. Kept in the test package as the oracle for
 // TestSearchTopKMatchesFullSort and the baseline for BenchmarkSearchTopK.

@@ -1,8 +1,8 @@
 // Package workload generates the synthetic YourJourney enterprise (§II):
 // relational jobs/companies/applications data, document-store job-seeker
 // profiles, the job-title taxonomy graph, and natural-language query
-// workloads. Everything is seeded and deterministic so every experiment in
-// EXPERIMENTS.md is reproducible bit-for-bit.
+// workloads. Everything is seeded and deterministic so every experiment
+// table is reproducible bit-for-bit.
 package workload
 
 import (

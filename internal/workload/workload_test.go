@@ -64,7 +64,7 @@ func TestBuildCounts(t *testing.T) {
 			t.Fatalf("%s = %v, want %d", check.table, res.Rows[0][0], check.want)
 		}
 	}
-	if n, _ := e.Docs.Count("profiles"); n != sc.Profiles {
+	if n := e.Docs.Collections()[0].Docs; n != sc.Profiles {
 		t.Fatalf("profiles = %d", n)
 	}
 	nodes, edges := e.Graph.Stats()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"blueprint/internal/agent"
@@ -42,6 +43,9 @@ var ErrNoResponse = errors.New("blueprint: no response before deadline")
 // LLM, and the generated enterprise substrate.
 type System struct {
 	cfg Config
+
+	sessMu   sync.RWMutex
+	sessions map[string]*Session // what StartSession handed out, until its Close
 
 	// Store is the streams database (§V-A).
 	Store *streams.Store
@@ -232,6 +236,7 @@ func New(cfg Config) (*System, error) {
 		SLO:           slo,
 		Factory:       factory,
 		Sessions:      session.NewManager(store, factory),
+		sessions:      map[string]*Session{},
 		TaskPlanner:   tp,
 		DataPlanner:   suite.DataPlanner,
 		Coordinator:   coord,
@@ -265,31 +270,31 @@ func (s *System) MemoStats() memo.Stats {
 // Close shuts the system down gracefully: all sessions, then — when
 // durability is on — a final snapshot and a clean log close, so the next
 // open restores instead of replaying. Then the stream store.
-func (s *System) Close() {
-	for _, id := range s.Sessions.List() {
-		if sess, err := s.Sessions.Get(id); err == nil {
-			sess.Close()
-		}
-	}
-	if s.Durability != nil {
-		_ = s.Durability.Snapshot()
-		_ = s.Durability.Close()
-	}
-	_ = s.Store.Close()
-}
+func (s *System) Close() { s.shutdown(true) }
 
 // SimulateCrash stops the system without the final snapshot, as if the
 // process died: the WAL is flushed (so tests and experiments are
 // deterministic) but no snapshot boundary is written, forcing the next
 // open onto the full replay path. Test/benchmark seam for the recovery
 // scenarios (benchharness -fig A8, the crash-recovery property tests).
-func (s *System) SimulateCrash() {
+func (s *System) SimulateCrash() { s.shutdown(false) }
+
+// shutdown closes every open session — each one's coordinator service
+// drained of its running plans first, then its agents (Session.Close) — so
+// that what the log and the optional final snapshot record is complete,
+// then the durability engine and the stream store.
+func (s *System) shutdown(snapshot bool) {
 	for _, id := range s.Sessions.List() {
-		if sess, err := s.Sessions.Get(id); err == nil {
+		if sess, ok := s.Session(id); ok {
 			sess.Close()
+		} else if base, err := s.Sessions.Get(id); err == nil {
+			base.Close() // made through Sessions.Create: no service to drain
 		}
 	}
 	if s.Durability != nil {
+		if snapshot {
+			_ = s.Durability.Snapshot()
+		}
 		_ = s.Durability.Close()
 	}
 	_ = s.Store.Close()
@@ -361,14 +366,29 @@ func (s *System) StartSession(id string) (*Session, error) {
 			}
 		}
 	}
-	svc := s.Coordinator.Serve(base.ID, s.cfg.Budget)
-	return &Session{Session: base, sys: s, svc: svc}, nil
+	sess := &Session{Session: base, sys: s, svc: s.Coordinator.Serve(base.ID, s.cfg.Budget)}
+	s.sessMu.Lock()
+	s.sessions[base.ID] = sess
+	s.sessMu.Unlock()
+	return sess, nil
 }
 
-// Close stops the coordinator service and the underlying session.
+// Session returns the open session StartSession handed out under id.
+func (s *System) Session(id string) (*Session, bool) {
+	s.sessMu.RLock()
+	defer s.sessMu.RUnlock()
+	sess, ok := s.sessions[id]
+	return sess, ok
+}
+
+// Close stops the coordinator service, waiting for the plans it is running,
+// then the underlying session and its agents.
 func (sess *Session) Close() {
 	sess.svc.Stop()
 	sess.Session.Close()
+	sess.sys.sessMu.Lock()
+	delete(sess.sys.sessions, sess.ID)
+	sess.sys.sessMu.Unlock()
 }
 
 // Ask posts a user utterance and waits for the next display output,
