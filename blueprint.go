@@ -68,11 +68,12 @@
 // write-ahead log plus snapshot files shared by the relational engine
 // (logical DML/DDL records, table + schema-version snapshots), the memo
 // store (cacheable step results, version-checked at restore against the
-// recovered registries), both registries (snapshot-only) and the streams
-// store (every stream creation and message, as JSON record bodies). A
-// restarted System recovers all of it — snapshot restore plus log replay,
-// with a torn final record truncated rather than fatal — so a repeated
-// ask after a restart is a memo hit instead of a cold re-execution.
+// recovered registries), both registries (every mutation a logged record,
+// plus snapshots) and the streams store (every stream creation and message,
+// as JSON record bodies). A restarted System recovers all of it — snapshot
+// restore plus log replay, with a torn final record truncated rather than
+// fatal — so a repeated ask after a restart is a memo hit instead of a cold
+// re-execution.
 // System.Close flushes a final snapshot; Config.SnapshotEvery adds
 // background snapshots that bound recovery time and truncate the log.
 // Observe through System.DurabilityStats, blueprintd's /stats and POST
@@ -87,7 +88,6 @@ import (
 	"blueprint/internal/budget"
 	"blueprint/internal/llm"
 	"blueprint/internal/obs"
-	"blueprint/internal/optimizer"
 	"blueprint/internal/resilience"
 	"blueprint/internal/workload"
 )
@@ -125,8 +125,6 @@ type Config struct {
 	// Budget is the per-request QoS limit enforced by the coordinator
 	// (default: MaxCost $1).
 	Budget budget.Limits
-	// Objectives weight the optimizer (default: balanced).
-	Objectives optimizer.Objectives
 	// MaxParallel bounds how many plan steps the coordinator executes
 	// concurrently (default coordinator.DefaultMaxParallel; 1 = sequential).
 	// blueprintd exposes it as the -parallel flag.
@@ -194,9 +192,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Budget == (budget.Limits{}) {
 		c.Budget = budget.Limits{MaxCost: 1.0}
-	}
-	if c.Objectives == (optimizer.Objectives{}) {
-		c.Objectives = optimizer.DefaultObjectives()
 	}
 	if c.Retry == (resilience.RetryPolicy{}) {
 		c.Retry = resilience.DefaultRetryPolicy()

@@ -1,6 +1,7 @@
 package blueprint
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"strings"
@@ -375,5 +376,70 @@ func TestAskCostIndependentOfDisplayHistory(t *testing.T) {
 	// Reading 2000 messages (Display/ReadAll) copies over 300 KB per ask.
 	if deepBytes > 1.5*freshBytes+64<<10 {
 		t.Errorf("an ask on a 2000-message display stream allocated %.0f B, %.0f B on a new session", deepBytes, freshBytes)
+	}
+}
+
+// An ask-level memo entry has one reader: the degraded serve of an ask the
+// governor shed. Under Config{} there is no governor, so a planned and an NLQ
+// GovernedAsk leave exactly the step entries the same asks leave through Ask
+// and nothing under the ask key; with a governor configured each answered ask
+// is remembered.
+func TestAskLevelMemoEntryOnlyWithAGovernor(t *testing.T) {
+	asks := []string{"Summarize the applicants for job 12", "How many jobs are in San Francisco?"}
+	run := func(cfg Config, ask func(s *Session, text string) error) *System {
+		t.Helper()
+		cfg.ModelAccuracy = 1.0
+		sys, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sys.Close)
+		s, err := sys.StartSession("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, text := range asks {
+			if err := ask(s, text); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Close() // running plans finish first: their step entries are stored
+		return sys
+	}
+	plain := func(s *Session, text string) error {
+		_, err := s.Ask(text, 10*time.Second)
+		return err
+	}
+	governed := func(s *Session, text string) error {
+		_, err := s.GovernedAsk(context.Background(), "t", text, 10*time.Second)
+		return err
+	}
+	remembered := func(sys *System) int {
+		n := 0
+		for _, text := range asks {
+			key, ok := askKey(text)
+			if !ok {
+				t.Fatalf("no ask key for %q", text)
+			}
+			if _, ok := sys.Memo.Peek(key); ok {
+				n++
+			}
+		}
+		return n
+	}
+
+	steps := run(Config{}, plain).Memo.Len()
+	if steps == 0 {
+		t.Fatal("the planned ask left no step entry; the comparison below would be vacuous")
+	}
+	ungoverned := run(Config{}, governed)
+	if n := ungoverned.Memo.Len(); n != steps || remembered(ungoverned) != 0 {
+		t.Fatalf("ungoverned GovernedAsk: %d memo entries (%d under the ask key), want the %d step entries Ask leaves", n, remembered(ungoverned), steps)
+	}
+	cfg := Config{}
+	cfg.Governor.MaxConcurrent = 4
+	gov := run(cfg, governed)
+	if n := gov.Memo.Len(); n != steps+len(asks) || remembered(gov) != len(asks) {
+		t.Fatalf("governed GovernedAsk: %d memo entries (%d under the ask key), want %d step entries + %d answers", n, remembered(gov), steps, len(asks))
 	}
 }

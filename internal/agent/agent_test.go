@@ -381,6 +381,13 @@ func TestWorkerPoolConcurrency(t *testing.T) {
 		t.Fatalf("active = %d, want exactly 3 (pool size)", active.Load())
 	}
 	close(block)
+	// Stop discards directives still queued in the control subscription, so
+	// wait for all six reports before stopping.
+	for i := 0; i < 6; i++ {
+		if d := AwaitDone(store, testSession, fmt.Sprintf("w%d", i)); d == nil || d.Op != OpAgentDone {
+			t.Fatalf("w%d report = %+v, want AGENT_DONE", i, d)
+		}
+	}
 	inst.Stop()
 	if peak.Load() != 3 {
 		t.Fatalf("peak concurrency = %d, want 3", peak.Load())

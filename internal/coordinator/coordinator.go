@@ -9,21 +9,27 @@
 // # Concurrent DAG scheduling
 //
 // ExecutePlan honours the plan's DAG structure rather than its listing
-// order: the step dependencies are derived from the bindings
-// (planner.Plan.Deps), and a bounded worker pool (Options.MaxParallel,
-// default DefaultMaxParallel) dispatches every step whose dependencies are
-// satisfied concurrently. A fan-out plan with N independent steps therefore
-// completes in one wave (planner.Plan.Waves describes the wave structure),
-// and the optimizer projects its latency as the critical path over the DAG,
-// not the sum of the steps.
+// order, and reads that structure once: its first line derives the plan's
+// planner.Graph (which is also the plan's validation), and the same value
+// goes to the optimizer's projection and to the scheduler. The scheduler
+// counts down the graph's dependencies and dispatches a step's children as
+// they reach zero onto a bounded worker pool (Options.MaxParallel, default
+// DefaultMaxParallel), so a fan-out plan with N independent steps completes
+// in one wave (Graph.Waves describes the wave structure), and the optimizer
+// projects its latency as the critical path over the same DAG, not the sum
+// of the steps.
 //
 // Violation semantics under concurrency: each step is admitted through the
 // budget's atomic Reserve/Commit path, so concurrently dispatched steps can
 // never jointly overshoot the cost limit; latency is charged as each step's
 // marginal growth of the plan's critical path over actual step latencies,
 // so the latency limit means the plan's (possibly simulated) end-to-end
-// latency — consistent with the optimizer's critical-path projection —
-// rather than a sum that would double-count overlapping steps. A step that does
+// latency rather than a sum that would double-count overlapping steps. That
+// is the optimizer's critical-path projection in the same units and by the
+// same rule — a step starts when planner.Graph.ReadyAt says its dependencies
+// have finished, in optimizer.CriticalPath over registered latencies and in
+// the scheduler's commit over reported ones — so the latency a completed plan
+// was charged is CriticalPath over what its agents reported. A step that does
 // not fit triggers the violation policy (Abort cancels the shared context,
 // which unblocks every in-flight step and skips queued ones; Confirm
 // consults ConfirmFunc — serialized so one prompt shows at a time, and at
@@ -57,22 +63,29 @@
 //
 // # One step's life
 //
-// runStep resolves a ready step's inputs, then a step of a Cacheable agent
-// (memo store configured) takes runMemoized and any other takes runFresh.
+// runStep resolves a ready step's inputs with planner.Plan.Resolve — the one
+// reading of bindings, which the projection also uses: here over the outputs
+// of completed steps (read under the scheduler's lock) and with a transform
+// that runs the data planner and charges the budget. That completes the
+// step's identity (stepIdentity): the agent's registry entry, read once by the
+// step's worker, and for a Cacheable agent with a memo store configured the
+// memo key of those inputs. Everything after takes that value — only a
+// replan's alternative agent is looked up again. A keyed step takes
+// runMemoized and any other runFresh.
 //
 //   - runMemoized asks the store (memo.Store.Do): a hit, or a coalesced share
 //     of an identical in-flight execution, goes to satisfy; on a miss this
 //     goroutine leads, runs runFresh and hands the result to the store.
 //   - runFresh consults the agent's breaker. Open: serveStale answers from a
-//     stale entry the degradation policy tolerates (satisfy, marked
-//     Degraded), else the step goes straight to the replan fallback. Closed:
-//     admit reserves the agent's projected cost (confirm or abort when it
-//     does not fit), executeAttempts runs attempt (executeStep plus the
-//     breaker and SLO records) under the retry policy, and replanOrFail
-//     finishes: after a failure one replan (admit, attempt once), then
-//     record, and either fail — firstFailure for a step cancelled as
-//     collateral — or the commit of actuals against the critical path
-//     (depsFinishLocked plus the step's own latency).
+//     stale entry under the step's key that the degradation policy tolerates
+//     (satisfy, marked Degraded), else the step goes straight to the replan
+//     fallback. Closed: admit reserves the agent's projected cost (confirm or
+//     abort when it does not fit), executeAttempts runs attempt (executeStep
+//     plus the breaker and SLO records) under the retry policy, and
+//     replanOrFail finishes: after a failure one replan (admit, attempt
+//     once), then record, and either fail — firstFailure for a step cancelled
+//     as collateral — or the commit of actuals against the critical path
+//     (Graph.ReadyAt plus the step's own latency).
 //   - satisfy is the one way a step completes without executing: zero cost,
 //     zero marginal latency, the producing agent's accuracy.
 //   - fail and abort record the plan's first error and cancel the rest.
@@ -243,7 +256,8 @@ type Result struct {
 // package comment); the call itself blocks until the plan completes, fails,
 // or aborts.
 func (c *Coordinator) ExecutePlan(session string, p *planner.Plan, b *budget.Budget) (*Result, error) {
-	if err := p.Validate(); err != nil {
+	g, err := p.Graph()
+	if err != nil {
 		return nil, err
 	}
 	if b == nil {
@@ -268,7 +282,7 @@ func (c *Coordinator) ExecutePlan(session string, p *planner.Plan, b *budget.Bud
 	// plans are not falsely rejected for the sum of their parallel steps;
 	// with memoization on, steps expected to hit the cache are priced at
 	// zero, so warm plans are admitted at their residual cost.
-	projCost, projLatency, _, _ := optimizer.EstimatePlanWithMemo(p, c.reg, c.opts.Memo)
+	projCost, projLatency, _, _ := optimizer.EstimatePlanWithMemo(p, g, c.reg, c.opts.Memo)
 	if b.WouldExceed(projCost, projLatency) {
 		switch {
 		case c.opts.OnViolation == Confirm && c.confirm(nil): // confirmed: run it over budget
@@ -276,7 +290,7 @@ func (c *Coordinator) ExecutePlan(session string, p *planner.Plan, b *budget.Bud
 			if c.tp != nil && c.reg != nil {
 				if n, _ := optimizer.AssignAgents(p, c.reg, optimizer.CheapestObjectives(), b.Limits()); n > 0 {
 					res.Replans++
-					projCost, projLatency, _, _ = optimizer.EstimatePlanWithMemo(p, c.reg, c.opts.Memo)
+					projCost, projLatency, _, _ = optimizer.EstimatePlanWithMemo(p, g, c.reg, c.opts.Memo)
 					if b.WouldExceed(projCost, projLatency) {
 						return c.abort(session, res, b, "still over budget after cost-optimized reassignment")
 					}
@@ -289,7 +303,7 @@ func (c *Coordinator) ExecutePlan(session string, p *planner.Plan, b *budget.Bud
 		}
 	}
 
-	err := newScheduler(c, session, p, b, res, span).run()
+	err = newScheduler(c, session, p, g, b, res, span).run()
 	res.Budget = b.Snapshot()
 	return res, err
 }
@@ -335,39 +349,21 @@ func (c *Coordinator) emitAbort(session, agentName string, args map[string]any) 
 	})
 }
 
-// resolveInputs materializes a step's bindings: upstream outputs by
-// reference, literals directly, and user text — transformed through a
-// micro data plan (extract operator) when the binding names a transform.
-func (c *Coordinator) resolveInputs(session string, p *planner.Plan, step planner.Step, outputs map[string]map[string]any, b *budget.Budget) (map[string]any, error) {
-	inputs := map[string]any{}
-	for param, bind := range step.Bindings {
-		switch {
-		case bind.FromStep != "":
-			stepOut, ok := outputs[bind.FromStep]
-			if !ok {
-				return nil, fmt.Errorf("step %s output not available for %s", bind.FromStep, param)
-			}
-			v, ok := stepOut[bind.FromParam]
-			if !ok {
-				return nil, fmt.Errorf("output %s.%s not produced", bind.FromStep, bind.FromParam)
-			}
-			inputs[param] = v
-		case bind.FromUserText:
-			text := p.Utterance
-			if bind.Transform != "" && c.model != nil {
-				transformed, usage, err := c.transform(bind.Transform, text)
-				if err != nil {
-					return nil, err
-				}
-				b.Charge("transform:"+param, usage.Cost, usage.Latency, 0)
-				text = transformed
-			}
-			inputs[param] = text
-		case bind.Value != nil:
-			inputs[param] = bind.Value
+// transformer is the transform the scheduler hands planner.Plan.Resolve: a
+// binding's named transformation of USER.TEXT runs through transform and its
+// usage is charged to b. Without a model the text passes through unchanged.
+func (c *Coordinator) transformer(b *budget.Budget) func(param, name, text string) (string, error) {
+	return func(param, name, text string) (string, error) {
+		if c.model == nil {
+			return text, nil
 		}
+		transformed, usage, err := c.transform(name, text)
+		if err != nil {
+			return "", err
+		}
+		b.Charge("transform:"+param, usage.Cost, usage.Latency, 0)
+		return transformed, nil
 	}
-	return inputs, nil
 }
 
 // transform runs USER.TEXT through the data planner's extract operator

@@ -461,8 +461,8 @@ func TestConcurrentFanOutExecutesInParallel(t *testing.T) {
 	fe := newFanEnv(t, n, 40*time.Millisecond)
 	c := New(fe.store, fe.reg, fe.tp, fe.model, Options{})
 	plan := fanOutPlan(n)
-	if waves, err := plan.Waves(); err != nil || len(waves) != 2 {
-		t.Fatalf("fan-out plan schedules as %v (err %v), want 2 waves: the fan, then the join", waves, err)
+	if g, err := plan.Graph(); err != nil || len(g.Waves) != 2 {
+		t.Fatalf("fan-out plan schedules as %v (err %v), want 2 waves: the fan, then the join", g.Waves, err)
 	}
 
 	start := time.Now()

@@ -31,10 +31,10 @@ var errReplanned = errors.New("coordinator: step replanned to an alternative age
 // waiters re-execute — and typically degrade the same way.
 var errDegraded = errors.New("coordinator: step served degraded from a stale entry; not re-cacheable")
 
-// scheduler executes one plan as a dependency-driven DAG: it derives the
-// step dependencies from the plan's bindings (planner.Plan.Deps), dispatches
-// every step whose dependencies are satisfied onto a bounded worker pool,
-// merges step outputs under a lock, and admits each step through the
+// scheduler executes one plan as a dependency-driven DAG: it takes the plan's
+// graph from ExecutePlan (planner.Graph, the value the projection walked),
+// dispatches every step whose dependencies are satisfied onto a bounded worker
+// pool, merges step outputs under a lock, and admits each step through the
 // budget's atomic Reserve/Commit path so concurrently executing steps cannot
 // jointly overshoot the cost limit; latency is enforced against the critical
 // path of actual step latencies (each commit charges only the critical
@@ -45,12 +45,12 @@ type scheduler struct {
 	c       *Coordinator
 	session string
 	plan    *planner.Plan
+	graph   planner.Graph // the plan's dependency DAG, as projected
 	budget  *budget.Budget
 	res     *Result
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	deps   map[string][]string // plan dependency DAG (set once in run)
 
 	mu             sync.Mutex
 	outputs        map[string]map[string]any // completed step outputs by step ID
@@ -60,6 +60,34 @@ type scheduler struct {
 	chargedLatency time.Duration             // critical-path latency charged so far
 }
 
+// stepIdentity is what the scheduler needs to know about a ready step's
+// agent: the cut of its registry entry that prices the step's admission and
+// commit and bounds its freshness — read once, by the step's worker — and, for
+// a Cacheable agent with a memo store configured, the memo key runStep adds
+// from the resolved inputs. It is handed by value through the step's life;
+// only a replan looks an agent up again: the alternative's.
+type stepIdentity struct {
+	known     bool                // the agent is registered; the fields below are its entry's
+	name      string              // registry name
+	version   int                 // registry version, part of the memo key
+	cacheable bool                // results are a function of inputs and reads
+	reads     []string            // data assets whose updates invalidate its results
+	qos       registry.QoSProfile // projected cost, accuracy, freshness
+	key       memo.Key            // valid when keyed
+	keyed     bool                // the step's result lives in the memo store under key
+}
+
+// identify reads the agent's registry entry into a stepIdentity without a key;
+// an unregistered agent is the zero identity.
+func (s *scheduler) identify(agentName string) stepIdentity {
+	spec, err := s.c.reg.Get(agentName)
+	if err != nil {
+		return stepIdentity{}
+	}
+	return stepIdentity{known: true, name: spec.Name, version: spec.Version,
+		cacheable: spec.Cacheable, reads: spec.Reads, qos: spec.QoS}
+}
+
 // stepOutcome is one worker's report back to the scheduling loop.
 type stepOutcome struct {
 	stepID string
@@ -67,12 +95,12 @@ type stepOutcome struct {
 	err    error
 }
 
-func newScheduler(c *Coordinator, session string, p *planner.Plan, b *budget.Budget, res *Result, span *obs.Span) *scheduler {
+func newScheduler(c *Coordinator, session string, p *planner.Plan, g planner.Graph, b *budget.Budget, res *Result, span *obs.Span) *scheduler {
 	ctx, cancel := context.WithCancel(context.Background())
 	// The plan span rides the scheduler context so step spans parent to it.
 	ctx = obs.ContextWith(ctx, span)
 	return &scheduler{
-		c: c, session: session, plan: p, budget: b, res: res,
+		c: c, session: session, plan: p, graph: g, budget: b, res: res,
 		ctx: ctx, cancel: cancel,
 		outputs:   map[string]map[string]any{},
 		results:   map[string]StepResult{},
@@ -86,17 +114,9 @@ func newScheduler(c *Coordinator, session string, p *planner.Plan, b *budget.Bud
 func (s *scheduler) run() error {
 	defer s.cancel()
 	steps := s.plan.Steps
-	deps := s.plan.Deps()
-	s.deps = deps // published to workers via the ready-channel send
-	index := make(map[string]planner.Step, len(steps))
-	indeg := make(map[string]int, len(steps))
-	children := map[string][]string{}
-	for _, st := range steps {
-		index[st.ID] = st
-		indeg[st.ID] = len(deps[st.ID])
-		for _, d := range deps[st.ID] {
-			children[d] = append(children[d], st.ID)
-		}
+	waiting := make(map[string]int, len(s.graph.Deps)) // dependencies a step still waits for
+	for id, ds := range s.graph.Deps {
+		waiting[id] = len(ds)
 	}
 
 	workers := s.c.opts.MaxParallel
@@ -107,16 +127,22 @@ func (s *scheduler) run() error {
 		workers = len(steps)
 	}
 
-	ready := make(chan planner.Step, len(steps))
+	ready := make(chan string, len(steps)) // step IDs
 	done := make(chan stepOutcome, len(steps))
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for st := range ready {
+			for id := range ready {
+				st, _ := s.plan.Step(id)
 				mBusyWorkers.Add(1)
-				oc := s.runStep(st)
+				// The registry is read here, at the bottom of the worker's
+				// new 2 KB stack, not inside runStep: Get returns a spec of a
+				// few hundred bytes by value through three frames, and beneath
+				// runStep's frame that chain grows the stack a second time
+				// (runtime.newstack 6 % -> 17 % of a memo-warm plan).
+				oc := s.runStep(st, s.identify(st.Agent))
 				mBusyWorkers.Add(-1)
 				done <- oc
 			}
@@ -124,11 +150,9 @@ func (s *scheduler) run() error {
 	}
 
 	dispatched := 0
-	for _, st := range steps { // seed the initial wave, in plan order
-		if indeg[st.ID] == 0 {
-			ready <- st
-			dispatched++
-		}
+	for _, id := range s.graph.Waves[0] { // the initial wave, in plan order
+		ready <- id
+		dispatched++
 	}
 	stopped := false
 	for finished := 0; finished < dispatched; finished++ {
@@ -140,10 +164,10 @@ func (s *scheduler) run() error {
 		if stopped || !oc.ran {
 			continue
 		}
-		for _, child := range children[oc.stepID] {
-			indeg[child]--
-			if indeg[child] == 0 {
-				ready <- index[child]
+		for _, child := range s.graph.Children[oc.stepID] {
+			waiting[child]--
+			if waiting[child] == 0 {
+				ready <- child
 				dispatched++
 			}
 		}
@@ -168,12 +192,13 @@ func (s *scheduler) run() error {
 	return s.failErr
 }
 
-// runStep executes one plan step end to end: input resolution, then either
-// the memoized path (cacheable agent, memo store configured) or the fresh
-// path — budget admission (Reserve), agent execution with one optional
-// replan retry, and the Commit of actuals. Policy decisions on violations
-// happen inline; the scheduling loop only learns success or failure.
-func (s *scheduler) runStep(step planner.Step) stepOutcome {
+// runStep executes one plan step end to end: input resolution
+// (planner.Plan.Resolve over the completed steps' outputs), the memo key that
+// completes a memoizable step's identity, then either the memoized path or
+// the fresh path — budget admission (Reserve), agent execution with one
+// optional replan retry, and the Commit of actuals. Policy decisions on
+// violations happen inline; the scheduling loop only learns success or failure.
+func (s *scheduler) runStep(step planner.Step, id stepIdentity) stepOutcome {
 	if s.ctx.Err() != nil {
 		return stepOutcome{stepID: step.ID, ran: false}
 	}
@@ -183,20 +208,28 @@ func (s *scheduler) runStep(step planner.Step) stepOutcome {
 	defer sp.End()
 	defer mStepLatency.ObserveSince(time.Now())
 
-	inputs, err := s.c.resolveInputs(s.session, s.plan, step, s.snapshotOutputs(), s.budget)
+	inputs, err := s.plan.Resolve(step, s.output, s.c.transformer(s.budget))
 	if err != nil {
 		err = fmt.Errorf("%w: %s: %v", ErrStepFailed, step.ID, err)
 		s.fail(err)
 		return stepOutcome{stepID: step.ID, err: err}
 	}
-	if s.c.opts.Memo != nil {
-		if spec, err := s.c.reg.Get(step.Agent); err == nil && spec.Cacheable {
-			if key, kerr := memo.ComputeKey(spec.Name, spec.Version, inputs); kerr == nil {
-				return s.runMemoized(ctx, step, spec, key, inputs)
-			}
+	if id.cacheable && s.c.opts.Memo != nil {
+		if key, err := memo.ComputeKey(id.name, id.version, inputs); err == nil {
+			id.key, id.keyed = key, true
+			return s.runMemoized(ctx, step, id, inputs)
 		}
 	}
-	return s.runFresh(ctx, step, inputs)
+	return s.runFresh(ctx, step, id, inputs)
+}
+
+// output reports a completed step's outputs: what Resolve binds a downstream
+// input to. Per-step maps are written once, at completion, and never mutated.
+func (s *scheduler) output(step string) (map[string]any, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out, ok := s.outputs[step]
+	return out, ok
 }
 
 // runMemoized satisfies the step from the memoization store when possible:
@@ -206,18 +239,18 @@ func (s *scheduler) runStep(step planner.Step) stepOutcome {
 // sessions sharing this Coordinator — run once and share the result. The
 // leader runs the full fresh path (admission, execution, commit) so its
 // plan is charged normally; only the winners' waiters ride free.
-func (s *scheduler) runMemoized(ctx context.Context, step planner.Step, spec registry.AgentSpec, key memo.Key, inputs map[string]any) stepOutcome {
+func (s *scheduler) runMemoized(ctx context.Context, step planner.Step, id stepIdentity, inputs map[string]any) stepOutcome {
 	// The memo span covers the whole Do (for a leader that includes the
 	// fresh execution it led); the agent execution itself is a sibling child
 	// of the step span, so hit/coalesced trees show a bare memo/lookup and
 	// miss trees show lookup + execution side by side.
 	_, msp := obs.StartSpan(ctx, "memo", "lookup")
-	msp.SetAttr("agent", spec.Name)
+	msp.SetAttr("agent", id.name)
 	var leaderOC stepOutcome
 	led := false
-	entry, outcome, err := s.c.opts.Memo.Do(s.ctx, key, spec.Name, spec.Reads, spec.QoS.Freshness, func() (memo.Entry, error) {
+	entry, outcome, err := s.c.opts.Memo.Do(s.ctx, id.key, id.name, id.reads, id.qos.Freshness, func() (memo.Entry, error) {
 		led = true
-		leaderOC = s.runFresh(ctx, step, inputs)
+		leaderOC = s.runFresh(ctx, step, id, inputs)
 		if leaderOC.err != nil || !leaderOC.ran {
 			e := leaderOC.err
 			if e == nil {
@@ -228,7 +261,7 @@ func (s *scheduler) runMemoized(ctx context.Context, step planner.Step, spec reg
 		s.mu.Lock()
 		sr := s.results[step.ID]
 		s.mu.Unlock()
-		if sr.Agent != spec.Name {
+		if sr.Agent != id.name {
 			// A replan retry swapped in an alternative agent: its result
 			// must not be cached under the original agent's key (wrong
 			// invalidation attribution — Reads, version — and wrong QoS
@@ -259,7 +292,7 @@ func (s *scheduler) runMemoized(ctx context.Context, step planner.Step, spec reg
 	}
 	// Hit or coalesced share, handled identically.
 	sr := StepResult{StepID: step.ID, Agent: step.Agent, Outputs: entry.Outputs, Cached: true}
-	return s.satisfy(sr, step.ID+":"+step.Agent, spec.QoS.Accuracy)
+	return s.satisfy(sr, step.ID+":"+step.Agent, id.qos.Accuracy)
 }
 
 // satisfy completes a step without executing it — a memo hit, a coalesced
@@ -271,7 +304,7 @@ func (s *scheduler) runMemoized(ctx context.Context, step planner.Step, spec reg
 func (s *scheduler) satisfy(sr StepResult, label string, accuracy float64) stepOutcome {
 	vs := s.budget.ChargeMemoHit(label, accuracy)
 	s.mu.Lock()
-	s.simFinish[sr.StepID] = s.depsFinishLocked(sr.StepID) // nothing added to the critical path
+	s.simFinish[sr.StepID] = s.graph.ReadyAt(sr.StepID, s.simFinish) // nothing added to the critical path
 	s.results[sr.StepID] = sr
 	s.res.Degraded = s.res.Degraded || sr.Degraded
 	s.mu.Unlock()
@@ -284,43 +317,31 @@ func (s *scheduler) satisfy(sr StepResult, label string, accuracy float64) stepO
 	return stepOutcome{stepID: sr.StepID, ran: true}
 }
 
-// depsFinishLocked returns when the step's dependencies have all finished on
-// the plan's critical path: the step's own start time there.
-func (s *scheduler) depsFinishLocked(stepID string) time.Duration {
-	startAt := time.Duration(0)
-	for _, d := range s.deps[stepID] {
-		if s.simFinish[d] > startAt {
-			startAt = s.simFinish[d]
-		}
-	}
-	return startAt
-}
-
 // runFresh executes the step for real: circuit-breaker consult, budget
 // admission, agent execution under the retry policy, with a degraded
 // stale-memo serve or one replan fallback when the breaker rejects or the
 // retries are exhausted, and the Commit of actuals.
-func (s *scheduler) runFresh(ctx context.Context, step planner.Step, inputs map[string]any) stepOutcome {
+func (s *scheduler) runFresh(ctx context.Context, step planner.Step, id stepIdentity, inputs map[string]any) stepOutcome {
 	// Circuit breaker: an open breaker rejects the dispatch outright. The
 	// step is then answered from a stale memo entry when the degradation
 	// policy tolerates its age, or falls through (execErr set, nothing
 	// reserved or executed) to the replan fallback below — routing around
 	// the broken agent instead of hammering it.
 	if !s.c.opts.Breakers.Allow(step.Agent) {
-		if oc, ok := s.serveStale(step, inputs); ok {
+		if oc, ok := s.serveStale(step, id); ok {
 			return oc
 		}
 		sr := StepResult{StepID: step.ID, Agent: step.Agent, Err: resilience.ErrBreakerOpen.Error()}
 		execErr := fmt.Errorf("%s: %w", step.Agent, resilience.ErrBreakerOpen)
-		return s.replanOrFail(ctx, step, inputs, nil, false, sr, execErr)
+		return s.replanOrFail(ctx, step, id, inputs, nil, false, sr, execErr)
 	}
 
-	rsv, confirmed, err := s.admit(step.ID, step.Agent)
+	rsv, confirmed, err := s.admit(step.ID+":"+step.Agent, id)
 	if err != nil {
 		return stepOutcome{stepID: step.ID, err: err}
 	}
 	sr, execErr := s.executeAttempts(ctx, step, inputs)
-	return s.replanOrFail(ctx, step, inputs, rsv, confirmed, sr, execErr)
+	return s.replanOrFail(ctx, step, id, inputs, rsv, confirmed, sr, execErr)
 }
 
 // admit reserves the agent's projected cost (from its registry profile) so
@@ -334,12 +355,11 @@ func (s *scheduler) runFresh(ctx context.Context, step planner.Step, inputs map[
 // charged (and recorded as violations) on completion, and the commit-stage
 // violations it already confirmed do not prompt again. Steps of unknown
 // agents (no QoS profile) skip the reservation and fail in executeStep.
-func (s *scheduler) admit(stepID, agentName string) (rsv *budget.Reservation, confirmed bool, err error) {
-	spec, specErr := s.c.reg.Get(agentName)
-	if specErr != nil {
+func (s *scheduler) admit(label string, id stepIdentity) (rsv *budget.Reservation, confirmed bool, err error) {
+	if !id.known {
 		return nil, false, nil
 	}
-	rsv, vs := s.budget.Reserve(stepID+":"+agentName, spec.QoS.CostPerCall, 0)
+	rsv, vs := s.budget.Reserve(label, id.qos.CostPerCall, 0)
 	if len(vs) > 0 {
 		if !s.confirmViolations(vs) {
 			return nil, false, s.abort(vs[0].String())
@@ -408,25 +428,16 @@ func (s *scheduler) attempt(ctx context.Context, p *planner.Plan, step planner.S
 }
 
 // serveStale answers a breaker-rejected step from a stale memo entry when
-// the agent is cacheable, an entry is resident, and its age is within the
-// degradation policy's bound of the agent's declared freshness. The serve
-// is charged like a memo hit (zero cost, zero marginal critical-path
-// latency) and marked Degraded with its staleness.
-func (s *scheduler) serveStale(step planner.Step, inputs map[string]any) (stepOutcome, bool) {
-	st := s.c.opts.Memo
-	if st == nil {
+// the step is keyed (a cacheable agent, a memo store), an entry is resident,
+// and its age is within the degradation policy's bound of the agent's
+// declared freshness. The serve is charged like a memo hit (zero cost, zero
+// marginal critical-path latency) and marked Degraded with its staleness.
+func (s *scheduler) serveStale(step planner.Step, id stepIdentity) (stepOutcome, bool) {
+	if !id.keyed {
 		return stepOutcome{}, false
 	}
-	spec, err := s.c.reg.Get(step.Agent)
-	if err != nil || !spec.Cacheable {
-		return stepOutcome{}, false
-	}
-	key, kerr := memo.ComputeKey(spec.Name, spec.Version, inputs)
-	if kerr != nil {
-		return stepOutcome{}, false
-	}
-	entry, age, ok := st.GetStale(key)
-	if !ok || !s.c.opts.Degrade.Allows(spec.QoS.Freshness, age) {
+	entry, age, ok := s.c.opts.Memo.GetStale(id.key)
+	if !ok || !s.c.opts.Degrade.Allows(id.qos.Freshness, age) {
 		return stepOutcome{}, false
 	}
 	mStepsStale.Inc()
@@ -435,13 +446,13 @@ func (s *scheduler) serveStale(step planner.Step, inputs map[string]any) (stepOu
 		obs.Attr{Key: "agent", Value: step.Agent},
 		obs.Attr{Key: "stale_for", Value: age.String()})
 	sr := StepResult{StepID: step.ID, Agent: step.Agent, Outputs: entry.Outputs, Cached: true, Degraded: true, StaleFor: age}
-	return s.satisfy(sr, step.ID+":"+step.Agent+":stale", spec.QoS.Accuracy), true
+	return s.satisfy(sr, step.ID+":"+step.Agent+":stale", id.qos.Accuracy), true
 }
 
 // replanOrFail finishes a step after its execution attempts: on failure it
 // applies the one replan fallback (RetryOnError), then records the result
 // and commits actuals.
-func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, inputs map[string]any, rsv *budget.Reservation, confirmed bool, sr StepResult, execErr error) stepOutcome {
+func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, id stepIdentity, inputs map[string]any, rsv *budget.Reservation, confirmed bool, sr StepResult, execErr error) stepOutcome {
 	if execErr != nil && s.c.opts.RetryOnError && s.c.tp != nil && s.ctx.Err() == nil {
 		if np, rerr := s.c.tp.Replan(s.plan, step.ID); rerr == nil {
 			s.mu.Lock()
@@ -458,7 +469,8 @@ func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, inputs 
 			// executing it unreserved would reopen the joint-overshoot
 			// window Reserve exists to close.
 			rsv.Release()
-			altRsv, again, err := s.admit(step.ID, alt.Agent)
+			altID := s.identify(alt.Agent)
+			altRsv, again, err := s.admit(step.ID+":"+alt.Agent, altID)
 			if err != nil {
 				s.record(sr) // the original failure
 				return stepOutcome{stepID: step.ID, ran: true, err: err}
@@ -466,7 +478,7 @@ func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, inputs 
 			rsv, confirmed = altRsv, confirmed || again
 			sr, execErr = s.attempt(ctx, np, alt, inputs, 1)
 			if execErr == nil {
-				step = alt
+				step, id = alt, altID
 			}
 		}
 	}
@@ -493,12 +505,9 @@ func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, inputs 
 	// and the units stay the agents' reported latencies — the same units
 	// the optimizer's critical-path projection uses (essential for the
 	// simulated LLM, whose reported latency is not slept wall time).
-	acc := 0.0
-	if exSpec, err := s.c.reg.Get(step.Agent); err == nil {
-		acc = exSpec.QoS.Accuracy
-	}
+	acc := id.qos.Accuracy // zero for an unregistered agent
 	s.mu.Lock()
-	finish := s.depsFinishLocked(step.ID) + sr.Latency
+	finish := s.graph.ReadyAt(step.ID, s.simFinish) + sr.Latency
 	s.simFinish[step.ID] = finish
 	marginal := finish - s.chargedLatency
 	if marginal < 0 {
@@ -521,19 +530,6 @@ func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, inputs 
 	s.outputs[step.ID] = sr.Outputs
 	s.mu.Unlock()
 	return stepOutcome{stepID: step.ID, ran: true}
-}
-
-// snapshotOutputs copies the completed-outputs map so resolveInputs can read
-// it without holding the scheduler lock (per-step maps are written once and
-// never mutated after completion).
-func (s *scheduler) snapshotOutputs() map[string]map[string]any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]map[string]any, len(s.outputs))
-	for k, v := range s.outputs {
-		out[k] = v
-	}
-	return out
 }
 
 // confirmViolations applies the violation policy for an in-flight step:

@@ -87,7 +87,7 @@ func (s *Service) spawn(payload any) {
 
 func (s *Service) execute(payload any) {
 	p, err := planner.FromJSON(payload)
-	if err != nil || p.Validate() != nil {
+	if err != nil {
 		return
 	}
 	b := budget.New(s.limits)

@@ -3,10 +3,9 @@
 // surface), plus the ablations that enforce an invariant nothing else does
 // (A1-A3, A6, A8, A11, A12). Each Fig* function runs the corresponding
 // system behaviour and returns its series as a table.
-// cmd/benchharness prints them; bench_test.go wraps the same paths as
-// testing.B benchmarks. How fast the system is — per ask and per layer, with
-// stated noise — is the repo benchmark's job (benchmark/, BENCHMARK.json),
-// not a table's.
+// cmd/benchharness prints them and TestAllExperimentsRun runs them in short
+// mode. How fast the system is — per ask and per layer, with stated noise —
+// is the repo benchmark's job (benchmark/, BENCHMARK.json), not a table's.
 package experiments
 
 import (

@@ -129,7 +129,12 @@ func AblationMemo(seed int64) (*Table, error) {
 		stopAll(insts)
 		return nil, err
 	}
-	projColdCost, projColdLat, _, _ := optimizer.EstimatePlanWithMemo(plan, reg, m)
+	graph, err := plan.Graph()
+	if err != nil {
+		stopAll(insts)
+		return nil, err
+	}
+	projColdCost, projColdLat, _, _ := optimizer.EstimatePlanWithMemo(plan, graph, reg, m)
 
 	start := time.Now()
 	if _, err := c.ExecutePlan("session:a6-repeat", plan, nil); err != nil {
@@ -153,7 +158,7 @@ func AblationMemo(seed int64) (*Table, error) {
 	if got := totalExecs(); got != 3 {
 		return nil, fmt.Errorf("A6: warm run re-executed agents (%d executions, want 3)", got)
 	}
-	projWarmCost, projWarmLat, _, projHits := optimizer.EstimatePlanWithMemo(plan, reg, m)
+	projWarmCost, projWarmLat, _, projHits := optimizer.EstimatePlanWithMemo(plan, graph, reg, m)
 	if projHits != 3 || projWarmCost != 0 {
 		return nil, fmt.Errorf("A6: cache-aware projection expected 3 hits at $0, got %d at $%.4f", projHits, projWarmCost)
 	}

@@ -8,8 +8,9 @@
 // candidates first; the weighted score ranks the rest. A Pareto helper
 // exposes the non-dominated frontier for ablation benchmarks.
 //
-// Plan projection is cache-aware: EstimatePlanWithMemo prices steps whose
-// results are resident in the coordinator's memoization store at zero
+// Plan projection is cache-aware: EstimatePlanWithMemo walks the plan's one
+// graph (planner.Graph, the value the scheduler executes) and prices steps
+// whose results are resident in the coordinator's memoization store at zero
 // cost/latency, chaining expected hits through the DAG, so warm repeated
 // asks are admitted at their true residual cost.
 package optimizer
@@ -251,142 +252,83 @@ func AssignAgents(p *planner.Plan, reg *registry.AgentRegistry, obj Objectives, 
 	return changed, nil
 }
 
-// EstimatePlan projects a task plan's cost, latency and accuracy from the
-// registered QoS profiles — the projection the coordinator hands to the
+// EstimatePlanWithMemo projects a task plan's cost, latency and accuracy from
+// the registered QoS profiles — the projection the coordinator hands to the
 // budget before execution (§V-H "along with an initial budget and projected
-// costs estimated by the optimizer").
+// costs estimated by the optimizer"). g is the plan's graph (Plan.Graph): the
+// coordinator passes the value its scheduler executes, so the projection and
+// the execution order the same DAG.
 //
 // Cost sums over every step and accuracy multiplies through, but latency is
-// the critical path over the plan's dependency DAG: steps in the same
-// topological wave execute concurrently under the coordinator's scheduler,
-// so a fan-out plan's projected latency is its longest dependency chain, not
-// the sum of all steps. Without this, parallel plans would be falsely
-// rejected as over a latency budget they comfortably meet. Malformed plans
-// (cycles) fall back to the conservative sequential sum.
-func EstimatePlan(p *planner.Plan, reg *registry.AgentRegistry) (cost float64, latency time.Duration, accuracy float64) {
-	cost, latency, accuracy, _ = EstimatePlanWithMemo(p, reg, nil)
-	return cost, latency, accuracy
-}
-
-// EstimatePlanWithMemo is EstimatePlan priced against a memoization
-// snapshot: steps whose results are already cached contribute zero cost and
-// zero critical-path latency, so a warm plan is projected at its true
-// residual cost instead of the cold sum — cache-aware planning. A nil store
-// degrades to the cold EstimatePlan projection.
+// the critical path over the dependency DAG: steps in the same topological
+// wave execute concurrently under the coordinator's scheduler, so a fan-out
+// plan's projected latency is its longest dependency chain, not the sum of
+// all steps. Without this, parallel plans would be falsely rejected as over a
+// latency budget they comfortably meet.
+//
+// The projection is priced against a memoization snapshot: steps whose
+// results are already cached contribute zero cost and zero critical-path
+// latency, so a warm plan is projected at its true residual cost instead of
+// the cold sum — cache-aware planning. A nil store gives the cold projection.
 //
 // Hit projection chains through the DAG: a step's memo key needs its
-// concrete inputs, so a step is projectable when every binding is static
-// (literal values, the raw utterance) or fed by an upstream step that is
-// itself an expected hit — in which case the cached outputs supply the
-// downstream inputs. Model-dependent transforms and outputs of steps that
-// must execute stay unpredictable and are conservatively priced as misses.
-func EstimatePlanWithMemo(p *planner.Plan, reg *registry.AgentRegistry, m *memo.Store) (cost float64, latency time.Duration, accuracy float64, expectedHits int) {
+// concrete inputs, so a step is projectable when Plan.Resolve can bind every
+// input without executing anything — literal values, the raw utterance, or
+// the cached outputs of an upstream step that is itself an expected hit.
+// Model-dependent transforms and outputs of steps that must execute stay
+// unpredictable and are conservatively priced as misses.
+func EstimatePlanWithMemo(p *planner.Plan, g planner.Graph, reg *registry.AgentRegistry, m *memo.Store) (cost float64, latency time.Duration, accuracy float64, expectedHits int) {
 	accuracy = 1.0
 	stepLat := make(map[string]time.Duration, len(p.Steps))
 	hitOutputs := make(map[string]map[string]any)
-
-	// Walk in wave order so upstream expected-hit outputs are available
-	// when downstream keys are computed (plan order for malformed DAGs,
-	// where chaining is off anyway).
-	order := make([]string, 0, len(p.Steps))
-	if waves, err := p.Waves(); err == nil {
-		for _, wave := range waves {
-			order = append(order, wave...)
-		}
-	} else {
-		for _, s := range p.Steps {
-			order = append(order, s.ID)
-		}
+	expectedHit := func(step string) (map[string]any, bool) {
+		out, ok := hitOutputs[step]
+		return out, ok
 	}
 
-	for _, id := range order {
-		s, ok := p.Step(id)
-		if !ok {
-			continue
-		}
-		spec, err := reg.Get(s.Agent)
-		if err != nil {
-			continue
-		}
-		if spec.QoS.Accuracy > 0 {
-			accuracy *= spec.QoS.Accuracy
-		}
-		if m != nil && spec.Cacheable {
-			if inputs, ok := staticInputs(p, s, hitOutputs); ok {
-				if key, err := memo.ComputeKey(spec.Name, spec.Version, inputs); err == nil {
-					if e, ok := m.Peek(key); ok {
-						expectedHits++
-						stepLat[s.ID] = 0
-						hitOutputs[s.ID] = e.Outputs
-						continue
+	// Wave order, so upstream expected-hit outputs are available when
+	// downstream keys are computed.
+	for _, wave := range g.Waves {
+		for _, id := range wave {
+			s, _ := p.Step(id)
+			spec, err := reg.Get(s.Agent)
+			if err != nil {
+				continue
+			}
+			if spec.QoS.Accuracy > 0 {
+				accuracy *= spec.QoS.Accuracy
+			}
+			if m != nil && spec.Cacheable {
+				if inputs, err := p.Resolve(s, expectedHit, nil); err == nil {
+					if key, err := memo.ComputeKey(spec.Name, spec.Version, inputs); err == nil {
+						if e, ok := m.Peek(key); ok {
+							expectedHits++
+							stepLat[s.ID] = 0
+							hitOutputs[s.ID] = e.Outputs
+							continue
+						}
 					}
 				}
 			}
+			cost += spec.QoS.CostPerCall
+			stepLat[s.ID] = spec.QoS.Latency
 		}
-		cost += spec.QoS.CostPerCall
-		stepLat[s.ID] = spec.QoS.Latency
 	}
-	latency = CriticalPath(p, stepLat)
+	latency = CriticalPath(g, stepLat)
 	return cost, latency, accuracy, expectedHits
 }
 
-// staticInputs resolves a step's bindings without executing anything:
-// literals, the untransformed utterance, and upstream outputs known from
-// expected memo hits. Reports false when any binding needs execution (a
-// model transform or an output of a step that will actually run).
-func staticInputs(p *planner.Plan, s planner.Step, hitOutputs map[string]map[string]any) (map[string]any, bool) {
-	inputs := make(map[string]any, len(s.Bindings))
-	for param, b := range s.Bindings {
-		switch {
-		case b.FromStep != "":
-			out, ok := hitOutputs[b.FromStep]
-			if !ok {
-				return nil, false
-			}
-			v, ok := out[b.FromParam]
-			if !ok {
-				return nil, false
-			}
-			inputs[param] = v
-		case b.FromUserText:
-			if b.Transform != "" {
-				return nil, false
-			}
-			inputs[param] = p.Utterance
-		case b.Value != nil:
-			inputs[param] = b.Value
-		}
-	}
-	return inputs, true
-}
-
-// CriticalPath computes the longest dependency chain through the plan,
-// weighting each step by stepLat (steps absent from the map weigh zero).
-// Falls back to the sum of all weights when the plan is not a valid DAG.
-func CriticalPath(p *planner.Plan, stepLat map[string]time.Duration) time.Duration {
-	waves, err := p.Waves()
-	if err != nil {
-		var sum time.Duration
-		for _, d := range stepLat {
-			sum += d
-		}
-		return sum
-	}
-	deps := p.Deps()
-	finish := make(map[string]time.Duration, len(p.Steps))
+// CriticalPath computes the longest dependency chain through the plan's
+// graph, weighting each step by stepLat (steps absent from the map weigh
+// zero): every step finishes its own latency after its dependencies have
+// (Graph.ReadyAt), and the plan finishes with its last step.
+func CriticalPath(g planner.Graph, stepLat map[string]time.Duration) time.Duration {
+	finish := make(map[string]time.Duration, len(stepLat))
 	var longest time.Duration
-	for _, wave := range waves {
+	for _, wave := range g.Waves {
 		for _, id := range wave {
-			var start time.Duration
-			for _, d := range deps[id] {
-				if finish[d] > start {
-					start = finish[d]
-				}
-			}
-			finish[id] = start + stepLat[id]
-			if finish[id] > longest {
-				longest = finish[id]
-			}
+			finish[id] = g.ReadyAt(id, finish) + stepLat[id]
+			longest = max(longest, finish[id])
 		}
 	}
 	return longest

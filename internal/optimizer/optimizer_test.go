@@ -3,6 +3,7 @@ package optimizer
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -220,6 +221,16 @@ func TestAssignAgents(t *testing.T) {
 	}
 }
 
+// graphOf derives the plan's graph, as ExecutePlan does before projecting.
+func graphOf(t *testing.T, p *planner.Plan) planner.Graph {
+	t.Helper()
+	g, err := p.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestEstimatePlanChain(t *testing.T) {
 	reg := optimizerRegistry(t)
 	// s1 -> s2 -> s3: a chain's critical path is the sum of its steps.
@@ -232,7 +243,7 @@ func TestEstimatePlanChain(t *testing.T) {
 				Bindings: map[string]planner.Binding{"IN": {FromStep: "s2", FromParam: "OUT"}}},
 		},
 	}
-	cost, lat, acc := EstimatePlan(p, reg)
+	cost, lat, acc, _ := EstimatePlanWithMemo(p, graphOf(t, p), reg, nil)
 	if cost < 0.052-1e-9 || cost > 0.052+1e-9 {
 		t.Fatalf("cost = %v", cost)
 	}
@@ -255,7 +266,7 @@ func TestEstimatePlanCriticalPathOverDAG(t *testing.T) {
 			{ID: "s2", Agent: "MATCHER_BUDGET"},
 		},
 	}
-	cost, lat, _ := EstimatePlan(p, reg)
+	cost, lat, _, _ := EstimatePlanWithMemo(p, graphOf(t, p), reg, nil)
 	if lat != 200*time.Millisecond {
 		t.Fatalf("fan-out latency = %v, want max(200ms, 20ms)", lat)
 	}
@@ -280,7 +291,7 @@ func TestEstimatePlanCriticalPathOverDAG(t *testing.T) {
 			{ID: "s4", Agent: "MATCHER_BUDGET", Bindings: dep("s2", "s3")},
 		},
 	}
-	_, lat, _ = EstimatePlan(diamond, reg)
+	_, lat, _, _ = EstimatePlanWithMemo(diamond, graphOf(t, diamond), reg, nil)
 	if want := (20 + 200 + 20) * time.Millisecond; lat != want {
 		t.Fatalf("diamond latency = %v, want %v", lat, want)
 	}
@@ -312,8 +323,8 @@ func TestEstimatePlanWithMemoPricesResidualCost(t *testing.T) {
 	}
 
 	m := memo.New(16)
-	// Cold store: identical to EstimatePlan.
-	cost, lat, _, hits := EstimatePlanWithMemo(p, reg, m)
+	// Cold store: the cold projection.
+	cost, lat, _, hits := EstimatePlanWithMemo(p, graphOf(t, p), reg, m)
 	if hits != 0 || cost != 0.03 || lat != 150*time.Millisecond {
 		t.Fatalf("cold: cost=%v lat=%v hits=%d", cost, lat, hits)
 	}
@@ -325,7 +336,7 @@ func TestEstimatePlanWithMemoPricesResidualCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Put(k1, "FETCH", nil, 0, memo.Entry{Outputs: map[string]any{"OUT": "fetched"}, Cost: 0.01})
-	cost, lat, _, hits = EstimatePlanWithMemo(p, reg, m)
+	cost, lat, _, hits = EstimatePlanWithMemo(p, graphOf(t, p), reg, m)
 	if hits != 1 || cost != 0.02 || lat != 50*time.Millisecond {
 		t.Fatalf("s1 warm: cost=%v lat=%v hits=%d", cost, lat, hits)
 	}
@@ -334,13 +345,13 @@ func TestEstimatePlanWithMemoPricesResidualCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Put(k2, "DERIVE", nil, 0, memo.Entry{Outputs: map[string]any{"OUT": "derived"}, Cost: 0.02})
-	cost, lat, _, hits = EstimatePlanWithMemo(p, reg, m)
+	cost, lat, _, hits = EstimatePlanWithMemo(p, graphOf(t, p), reg, m)
 	if hits != 2 || cost != 0 || lat != 0 {
 		t.Fatalf("fully warm: cost=%v lat=%v hits=%d", cost, lat, hits)
 	}
 
 	// Nil store degrades to the cold projection.
-	cost, _, _, hits = EstimatePlanWithMemo(p, reg, nil)
+	cost, _, _, hits = EstimatePlanWithMemo(p, graphOf(t, p), reg, nil)
 	if hits != 0 || cost != 0.03 {
 		t.Fatalf("nil store: cost=%v hits=%d", cost, hits)
 	}
@@ -365,7 +376,49 @@ func TestEstimatePlanWithMemoTransformsAreMisses(t *testing.T) {
 	// transform output is model-dependent, so the step prices as a miss.
 	k, _ := memo.ComputeKey("FETCH", 1, map[string]any{"Q": "the ask"})
 	m.Put(k, "FETCH", nil, 0, memo.Entry{})
-	if cost, _, _, hits := EstimatePlanWithMemo(p, reg, m); hits != 0 || cost != 0.01 {
+	if cost, _, _, hits := EstimatePlanWithMemo(p, graphOf(t, p), reg, m); hits != 0 || cost != 0.01 {
 		t.Fatalf("transform step projected as hit: cost=%v hits=%d", cost, hits)
+	}
+}
+
+// CriticalPath is the longest latency-weighted dependency chain: held to a
+// plain recursion over the bindings, on random DAGs (fan-out, fan-in, listed
+// in shuffled order) with random step latencies, some steps unweighted.
+func TestCriticalPathMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 1000; i++ {
+		n := 1 + rng.Intn(8)
+		p := &planner.Plan{}
+		lat := map[string]time.Duration{}
+		for j := 0; j < n; j++ {
+			s := planner.Step{ID: fmt.Sprintf("s%d", j), Agent: "A", Bindings: map[string]planner.Binding{}}
+			for k := 0; k < 3 && j > 0; k++ {
+				if rng.Intn(2) == 0 {
+					s.Bindings[fmt.Sprintf("IN_%d", k)] = planner.Binding{FromStep: fmt.Sprintf("s%d", rng.Intn(j)), FromParam: "OUT"}
+				}
+			}
+			p.Steps = append(p.Steps, s)
+			if rng.Intn(5) > 0 {
+				lat[s.ID] = time.Duration(rng.Intn(500)) * time.Millisecond
+			}
+		}
+		rng.Shuffle(n, func(a, b int) { p.Steps[a], p.Steps[b] = p.Steps[b], p.Steps[a] })
+
+		var finish func(id string) time.Duration
+		finish = func(id string) time.Duration {
+			s, _ := p.Step(id)
+			var start time.Duration
+			for _, b := range s.Bindings {
+				start = max(start, finish(b.FromStep))
+			}
+			return start + lat[id]
+		}
+		var want time.Duration
+		for _, s := range p.Steps {
+			want = max(want, finish(s.ID))
+		}
+		if got := CriticalPath(graphOf(t, p), lat); got != want {
+			t.Fatalf("plan %d: CriticalPath = %v, longest path = %v\n%s", i, got, want, p)
+		}
 	}
 }

@@ -50,8 +50,9 @@ type Step struct {
 	Score float64 `json:"score,omitempty"`
 }
 
-// Plan is a task plan DAG. Steps are in topological (execution) order; the
-// DAG edges are implied by the FromStep bindings.
+// Plan is a task plan DAG. The DAG edges are implied by the FromStep bindings
+// (Graph derives them); the planner lists steps in execution order, but no
+// consumer depends on the listing order.
 type Plan struct {
 	// ID identifies the plan instance.
 	ID string `json:"id"`
@@ -65,36 +66,13 @@ type Plan struct {
 	Explanation []string `json:"explanation,omitempty"`
 }
 
-// Validate checks plan well-formedness: every step named and assigned,
-// no duplicate IDs, every FromStep binding resolving to a plan step, and the
-// dependency relation forming a DAG (cycle check via Waves). Steps need not
-// be listed in topological order — the coordinator's scheduler derives the
-// execution order from the dependency DAG.
+// Validate checks plan well-formedness — what deriving the plan's Graph
+// checks: every step named and assigned, no duplicate IDs, every FromStep
+// binding resolving to a plan step, and the dependencies forming a DAG. A
+// caller that goes on to use the plan's shape calls Graph and keeps the value.
 func (p *Plan) Validate() error {
-	if len(p.Steps) == 0 {
-		return fmt.Errorf("planner: empty plan")
-	}
-	seen := map[string]bool{}
-	for _, s := range p.Steps {
-		if s.ID == "" || s.Agent == "" {
-			return fmt.Errorf("planner: step missing id or agent")
-		}
-		if seen[s.ID] {
-			return fmt.Errorf("planner: duplicate step id %q", s.ID)
-		}
-		seen[s.ID] = true
-	}
-	for _, s := range p.Steps {
-		for param, b := range s.Bindings {
-			if b.FromStep != "" && !seen[b.FromStep] {
-				return fmt.Errorf("planner: step %s input %s depends on %q which is not a plan step", s.ID, param, b.FromStep)
-			}
-		}
-	}
-	if _, err := p.Waves(); err != nil {
-		return err
-	}
-	return nil
+	_, err := p.Graph()
+	return err
 }
 
 // Step returns the step with the given id.

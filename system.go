@@ -611,7 +611,8 @@ type Answer struct {
 // otherwise fails with a *resilience.OverloadError carrying the advisory
 // Retry-After (blueprintd maps it to HTTP 429). Admitted asks execute
 // normally and memoize their answer for future degraded serves. A nil
-// governor (Config.Governor unset) admits everything immediately.
+// governor (Config.Governor unset) admits everything immediately and, never
+// shedding, memoizes no answers.
 func (sess *Session) GovernedAsk(ctx context.Context, tenant, text string, timeout time.Duration) (Answer, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -665,10 +666,13 @@ func askKey(text string) (memo.Key, bool) {
 	return key, err == nil
 }
 
-// rememberAnswer memoizes a completed ask's answer for degraded serving.
+// rememberAnswer memoizes a completed ask's answer for degraded serving. Its
+// one reader, staleAnswer, runs only when the governor sheds an ask, so
+// without a governor nothing is stored: the entry would cost a key hash, a
+// slot of the step memo's LRU and (with DataDir) a log record for no reader.
 func (sess *Session) rememberAnswer(text, out string) {
 	sys := sess.sys
-	if sys.Memo == nil || sys.cfg.Degrade.Disabled {
+	if sys.Governor == nil || sys.Memo == nil || sys.cfg.Degrade.Disabled {
 		return
 	}
 	if key, ok := askKey(text); ok {
