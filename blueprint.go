@@ -27,19 +27,27 @@
 // statements referencing the altered table (other tables' statements stay
 // resident), so no stale plan survives a schema change.
 //
+// The dialect is as wide as what the program emits (the agent suite's
+// prepared statements, NL2Q, the data plan's IN-list semi-join, the workload
+// builder): statements over one table — filters, GROUP BY with
+// COUNT/SUM/AVG/MIN/MAX, SELECT DISTINCT, ORDER BY, LIMIT/OFFSET, INSERT,
+// UPDATE, DELETE, DDL. Sources are combined in the data plan, not in SQL:
+// JOIN, table aliases, qualified columns, HAVING, BETWEEN and aggregate
+// DISTINCT are refused by the parser, by name
+// (internal/relational/ARCHITECTURE.md, "Dialect").
+//
 // Beyond parse amortization, every SELECT/INSERT/UPDATE/DELETE is compiled
 // at prepare time (internal/relational/compile.go) — the compiled program is
 // the engine's only executor: every column reference is resolved to a
 // positional offset once and the expression trees are lowered into closures,
-// so per-row evaluation does no string matching and no AST dispatch; hash
-// joins, GROUP BY, DISTINCT and COUNT(DISTINCT) key their tables through an
-// allocation-free binary encoder, and ORDER BY + LIMIT runs through a
-// bounded top-k heap. Compiled plans ride on *Stmt handles
-// and in the statement cache, invalidated per table by schema versions
-// (CREATE/DROP TABLE recompiles; CREATE INDEX is picked up by the runtime
-// access-path planner without recompiling). Effectiveness is observable:
-// DB.CacheStats reports hits, misses, evictions, invalidations, plan
-// compiles and the hit rate. The relational benchmarks (`make bench`,
+// so per-row evaluation does no string matching and no AST dispatch; GROUP BY
+// and DISTINCT key their tables through an allocation-free binary encoder,
+// and ORDER BY + LIMIT runs through a bounded top-k heap. Compiled plans ride
+// on *Stmt handles and in the statement cache, invalidated per table by
+// schema versions (CREATE/DROP TABLE recompiles; CREATE INDEX is picked up by
+// the runtime access-path planner without recompiling). Effectiveness is
+// observable: DB.CacheStats reports hits, misses, evictions, invalidations,
+// plan compiles and the hit rate. The relational benchmarks (`make bench`,
 // BenchmarkPointQueryUncached/Cached/Prepared and the *Interpreted/*Compiled
 // pairs, the former running the test-only reference interpreter) measure
 // the effects per query; the repo benchmark (benchmark/) tracks them per ask

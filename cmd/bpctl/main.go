@@ -13,7 +13,7 @@
 //	bpctl plan <utterance>            # show the task plan DAG
 //	bpctl ask <utterance>             # full pipeline, print answer + flow
 //	bpctl memo <utterance>            # run the plan twice: cold vs memo-warm + stats
-//	bpctl sql <statement>             # raw SQL against the enterprise DB
+//	bpctl sql <statement>             # raw SQL against the enterprise DB: one table a statement; JOIN, aliases, HAVING, BETWEEN are refused by name
 //	bpctl stats                       # statement-cache counters (shape keying)
 //	bpctl -data-dir D snapshot        # take a durability snapshot + print stats
 //	bpctl [-addr URL] trace <session> # span tree of a session on a running daemon

@@ -219,12 +219,7 @@ func (e *Executor) run(n Node, values map[string]any) (any, Estimate, error) {
 		}
 		coll, _ := n.Args["collection"].(string)
 		field, _ := n.Args["field"].(string)
-		value := n.Args["value"]
-		var q docstore.Query
-		if field != "" {
-			q.Filters = append(q.Filters, docstore.Filter{Field: field, Op: docstore.Eq, Value: value})
-		}
-		hits, err := e.src.Docs.Find(coll, q)
+		hits, err := e.src.Docs.Find(coll, field, n.Args["value"])
 		if err != nil {
 			return nil, Estimate{}, err
 		}

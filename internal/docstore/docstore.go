@@ -1,6 +1,6 @@
 // Package docstore implements an embedded document database: named
-// collections of JSON-like documents with field queries, secondary indexes,
-// sorting and projection.
+// collections of JSON-like documents, read back whole or by one field's
+// value, through an equality index where the field has one.
 //
 // In the blueprint architecture it plays the role of the enterprise's
 // document databases — the PROFILES collection of job-seeker profiles and
@@ -11,9 +11,12 @@
 // creates the collection, inserts the documents and builds the index before
 // the System exists, and from then on the store is only read — by dataplan's
 // document operator (Find) and by DataRegistry.ImportDocstore (Collections).
-// There is no update or delete: nothing mutates a document after load, which
-// is why the store needs no DataRegistry.Touch on write, no WAL and no spans,
-// and a memoized step that declared it in its Reads cannot go stale.
+// Find is as wide as that one caller: a collection and an optional
+// `field = value`. There is no other operator, sort, offset, projection or
+// lookup by id, because no plan node asks for one. There is no update or
+// delete: nothing mutates a document after load, which is why the store needs
+// no DataRegistry.Touch on write, no WAL and no spans, and a memoized step
+// that declared it in its Reads cannot go stale.
 package docstore
 
 import (
@@ -27,7 +30,6 @@ import (
 // Common errors.
 var (
 	ErrCollectionNotFound = errors.New("docstore: collection not found")
-	ErrDocNotFound        = errors.New("docstore: document not found")
 	ErrDuplicateID        = errors.New("docstore: duplicate document id")
 )
 
@@ -195,19 +197,40 @@ func (s *Store) Insert(coll, id string, doc Doc) error {
 	return nil
 }
 
-// Get returns the document stored under id (a copy).
-func (s *Store) Get(coll, id string) (Doc, error) {
+// Hit pairs a document id with its content.
+type Hit struct {
+	ID  string
+	Doc Doc
+}
+
+// Find returns copies of the collection's documents in insertion order: all
+// of them when field is "", else those whose (possibly dotted) field equals
+// value. Equality is the index key's — numbers unified across int and float,
+// a string never equal to a number — whether an index on the field serves
+// the lookup or the collection is scanned.
+func (s *Store) Find(coll, field string, value any) ([]Hit, error) {
 	c, err := s.coll(coll)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	d, ok := c.docs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrDocNotFound, coll, id)
+
+	ids, want := c.order, valueKey(value)
+	if ix, ok := c.indexes[field]; ok && field != "" {
+		ids, field = ix[want], "" // the postings are the answer
 	}
-	return d.Clone(), nil
+	var hits []Hit
+	for _, id := range ids {
+		d := c.docs[id]
+		if field != "" {
+			if v, ok := d.Get(field); !ok || valueKey(v) != want {
+				continue
+			}
+		}
+		hits = append(hits, Hit{ID: id, Doc: d.Clone()})
+	}
+	return hits, nil
 }
 
 // CreateIndex builds an equality index over a (possibly dotted) field path.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"testing/quick"
 )
 
 func newProfiles(t testing.TB) *Store {
@@ -28,23 +27,34 @@ func newProfiles(t testing.TB) *Store {
 	return s
 }
 
-func TestInsertGetDelete(t *testing.T) {
-	s := newProfiles(t)
-	d, err := s.Get("profiles", "p1")
+// find is Find for a test that expects no error.
+func find(t testing.TB, s *Store, coll, field string, value any) []Hit {
+	t.Helper()
+	hits, err := s.Find(coll, field, value)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d["name"] != "Ada" {
-		t.Fatalf("doc = %v", d)
+	return hits
+}
+
+func TestInsertGetDelete(t *testing.T) {
+	s := newProfiles(t)
+	hits := find(t, s, "profiles", "name", "Ada")
+	if len(hits) != 1 || hits[0].ID != "p1" || hits[0].Doc["title"] != "Data Scientist" {
+		t.Fatalf("hits = %v", hits)
 	}
-	// Returned doc is a copy.
-	d["name"] = "mutated"
-	d2, _ := s.Get("profiles", "p1")
-	if d2["name"] != "Ada" {
-		t.Fatal("Get leaked internal state")
+	// Returned doc is a copy, nested values too.
+	hits[0].Doc["name"] = "mutated"
+	hits[0].Doc["skills"].([]any)[0] = "mutated"
+	again := find(t, s, "profiles", "", nil)
+	if len(again) != 4 || again[0].ID != "p1" || again[3].ID != "p4" {
+		t.Fatalf("all documents, in insertion order = %v", again)
 	}
-	if _, err := s.Get("profiles", "p9"); !errors.Is(err, ErrDocNotFound) {
-		t.Fatalf("err = %v", err)
+	if again[0].Doc["name"] != "Ada" || again[0].Doc["skills"].([]any)[0] != "python" {
+		t.Fatal("Find leaked internal state")
+	}
+	if hits := find(t, s, "profiles", "name", "nobody"); len(hits) != 0 {
+		t.Fatalf("hits = %v", hits)
 	}
 }
 
@@ -58,7 +68,7 @@ func TestInsertDuplicate(t *testing.T) {
 func TestCollectionErrors(t *testing.T) {
 	s := NewStore()
 	s.EnsureCollection("a")
-	if _, err := s.Get("missing", "x"); !errors.Is(err, ErrCollectionNotFound) {
+	if _, err := s.Find("missing", "", nil); !errors.Is(err, ErrCollectionNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 	s.EnsureCollection("A") // existing (names are case-insensitive): kept, not replaced
@@ -68,74 +78,30 @@ func TestCollectionErrors(t *testing.T) {
 	}
 }
 
+// TestFindFilters: the one predicate, field = value, by scanning.
 func TestFindFilters(t *testing.T) {
 	s := newProfiles(t)
 	cases := []struct {
-		name    string
-		filters []Filter
-		want    int
+		name  string
+		field string
+		value any
+		want  int
 	}{
-		{"eq", []Filter{{Field: "title", Op: Eq, Value: "Data Scientist"}}, 2},
-		{"ne", []Filter{{Field: "title", Op: Ne, Value: "Data Scientist"}}, 2},
-		{"gt", []Filter{{Field: "years", Op: Gt, Value: 5}}, 2},
-		{"gte", []Filter{{Field: "years", Op: Gte, Value: 5}}, 3},
-		{"lt", []Filter{{Field: "years", Op: Lt, Value: 5}}, 1},
-		{"lte", []Filter{{Field: "years", Op: Lte, Value: 5}}, 2},
-		{"contains-string", []Filter{{Field: "title", Op: Contains, Value: "data"}}, 3},
-		{"contains-array", []Filter{{Field: "skills", Op: Contains, Value: "ml"}}, 2},
-		{"exists", []Filter{{Field: "address", Op: Exists}}, 1},
-		{"in", []Filter{{Field: "city", Op: In, Value: []string{"Oakland", "Berkeley"}}}, 2},
-		{"and", []Filter{{Field: "title", Op: Eq, Value: "Data Scientist"}, {Field: "years", Op: Gt, Value: 6}}, 1},
-		{"missing-field", []Filter{{Field: "nope", Op: Eq, Value: 1}}, 0},
+		{"eq", "title", "Data Scientist", 2},
+		{"eq-number", "years", 5, 1},
+		{"eq-number-unified", "years", 5.0, 1},
+		{"eq-number-int64", "years", int64(11), 1},
+		{"string-is-no-number", "years", "5", 0},
+		{"dotted", "address.zip", "94720", 1},
+		{"array-element", "skills.1", "ml", 1},
+		{"missing-field", "nope", 1, 0},
+		{"missing-field-nil", "nope", nil, 0},
+		{"all", "", nil, 4},
 	}
 	for _, c := range cases {
-		hits, err := s.Find("profiles", Query{Filters: c.filters})
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if len(hits) != c.want {
+		if hits := find(t, s, "profiles", c.field, c.value); len(hits) != c.want {
 			t.Errorf("%s: hits = %d, want %d", c.name, len(hits), c.want)
 		}
-	}
-}
-
-func TestFindSortLimitOffset(t *testing.T) {
-	s := newProfiles(t)
-	hits, err := s.Find("profiles", Query{SortBy: "years", Desc: true, Limit: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 2 || hits[0].ID != "p4" || hits[1].ID != "p2" {
-		t.Fatalf("sorted = %v", hits)
-	}
-	hits, _ = s.Find("profiles", Query{SortBy: "years", Offset: 3})
-	if len(hits) != 1 || hits[0].ID != "p4" {
-		t.Fatalf("offset = %v", hits)
-	}
-	hits, _ = s.Find("profiles", Query{SortBy: "years", Offset: 99})
-	if len(hits) != 0 {
-		t.Fatalf("offset beyond = %v", hits)
-	}
-}
-
-func TestFindProjection(t *testing.T) {
-	s := newProfiles(t)
-	hits, err := s.Find("profiles", Query{
-		Filters: []Filter{{Field: "name", Op: Eq, Value: "Edsger"}},
-		Fields:  []string{"name", "address.zip"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 1 {
-		t.Fatalf("hits = %v", hits)
-	}
-	d := hits[0].Doc
-	if d["name"] != "Edsger" || d["address.zip"] != "94720" {
-		t.Fatalf("projection = %v", d)
-	}
-	if _, ok := d["title"]; ok {
-		t.Fatal("projection leaked unrequested field")
 	}
 }
 
@@ -144,24 +110,25 @@ func TestIndexedFind(t *testing.T) {
 	if err := s.CreateIndex("profiles", "title"); err != nil {
 		t.Fatal(err)
 	}
-	// Same results through the index.
-	hits, err := s.Find("profiles", Query{Filters: []Filter{{Field: "title", Op: Eq, Value: "Data Scientist"}}})
-	if err != nil {
+	if err := s.CreateIndex("profiles", "years"); err != nil {
 		t.Fatal(err)
 	}
-	if len(hits) != 2 {
+	// Same results through the index, in insertion order.
+	hits := find(t, s, "profiles", "title", "Data Scientist")
+	if len(hits) != 2 || hits[0].ID != "p1" || hits[1].ID != "p4" {
 		t.Fatalf("indexed eq = %v", hits)
 	}
-	hits, _ = s.Find("profiles", Query{Filters: []Filter{{Field: "title", Op: In, Value: []string{"Data Analyst", "ML Engineer"}}}})
-	if len(hits) != 2 {
-		t.Fatalf("indexed in = %v", hits)
+	if hits := find(t, s, "profiles", "years", 5.0); len(hits) != 1 || hits[0].ID != "p1" {
+		t.Fatalf("indexed number, unified = %v", hits)
+	}
+	if hits := find(t, s, "profiles", "years", "5"); len(hits) != 0 {
+		t.Fatalf("indexed number against a string = %v", hits)
 	}
 	// Index maintained across a later insert.
 	if err := s.Insert("profiles", "p5", Doc{"title": "Data Scientist"}); err != nil {
 		t.Fatal(err)
 	}
-	hits, _ = s.Find("profiles", Query{Filters: []Filter{{Field: "title", Op: Eq, Value: "Data Scientist"}}})
-	if len(hits) != 3 {
+	if hits = find(t, s, "profiles", "title", "Data Scientist"); len(hits) != 3 {
 		t.Fatalf("after insert = %d", len(hits))
 	}
 	// Creating the same index twice is a no-op.
@@ -214,35 +181,6 @@ func TestDottedGet(t *testing.T) {
 	}
 }
 
-func TestCompareAnyNumericUnification(t *testing.T) {
-	if compareAny(3, 3.0) != 0 || compareAny(int64(3), 3) != 0 {
-		t.Fatal("numeric unification broken")
-	}
-	if compareAny(2, 3.5) >= 0 {
-		t.Fatal("2 < 3.5 expected")
-	}
-	if compareAny("a", "b") >= 0 {
-		t.Fatal("string compare broken")
-	}
-	if compareAny(nil, 1) >= 0 || compareAny(1, nil) <= 0 {
-		t.Fatal("nil ordering broken")
-	}
-	if compareAny(false, true) >= 0 {
-		t.Fatal("bool ordering broken")
-	}
-}
-
-func TestCompareAnyTotalOrderProperty(t *testing.T) {
-	f := func(a, b float64) bool {
-		x := compareAny(a, b)
-		y := compareAny(b, a)
-		return x == -y
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestInsertClonesInput(t *testing.T) {
 	s := NewStore()
 	s.EnsureCollection("c")
@@ -251,8 +189,8 @@ func TestInsertClonesInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc["list"].([]any)[0] = 99
-	got, _ := s.Get("c", "x")
-	if got["list"].([]any)[0] != 1 {
+	got := find(t, s, "c", "", nil)
+	if len(got) != 1 || got[0].Doc["list"].([]any)[0] != 1 {
 		t.Fatal("Insert did not clone input")
 	}
 }
@@ -272,7 +210,7 @@ func TestConcurrentAccess(t *testing.T) {
 	}()
 	go func() {
 		for i := 0; i < 300; i++ {
-			if _, err := s.Find("c", Query{Filters: []Filter{{Field: "i", Op: Gte, Value: 0}}}); err != nil {
+			if _, err := s.Find("c", "i", 0); err != nil {
 				done <- err
 				return
 			}

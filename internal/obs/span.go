@@ -36,7 +36,7 @@ var Spans = NewTracer()
 const (
 	// DefaultMaxSessions bounds how many per-session rings the tracer
 	// retains; beyond it the least-recently-active session's trace is
-	// evicted (SetMaxSessions overrides).
+	// evicted.
 	DefaultMaxSessions = 128
 	// ringCapacity bounds each session's span ring; older spans are
 	// overwritten (an ask on the hragents suite is ~20-40 spans, so the
@@ -175,20 +175,10 @@ type sessionTrace struct {
 }
 
 // NewTracer creates an empty tracer with the default session bound.
-func NewTracer() *Tracer {
-	return &Tracer{max: DefaultMaxSessions, sessions: map[string]*list.Element{}, lru: list.New()}
-}
+func NewTracer() *Tracer { return newTracer(DefaultMaxSessions) }
 
-// SetMaxSessions re-bounds the per-session ring map (minimum 1), evicting
-// least-recently-active sessions if already above the new bound.
-func (t *Tracer) SetMaxSessions(n int) {
-	if n < 1 {
-		n = 1
-	}
-	t.mu.Lock()
-	t.max = n
-	t.evictLocked()
-	t.mu.Unlock()
+func newTracer(maxSessions int) *Tracer {
+	return &Tracer{max: maxSessions, sessions: map[string]*list.Element{}, lru: list.New()}
 }
 
 // SessionCount returns the number of retained session rings.

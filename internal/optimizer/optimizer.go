@@ -280,6 +280,9 @@ func AssignAgents(p *planner.Plan, reg *registry.AgentRegistry, obj Objectives, 
 func EstimatePlanWithMemo(p *planner.Plan, g planner.Graph, reg *registry.AgentRegistry, m *memo.Store) (cost float64, latency time.Duration, accuracy float64, expectedHits int) {
 	accuracy = 1.0
 	stepLat := make(map[string]time.Duration, len(p.Steps))
+	// Made here although only a hit writes it: it does not escape, so here it
+	// lives on the stack; made inside the loop, on the first hit, it is a heap
+	// allocation per projection of a warm plan.
 	hitOutputs := make(map[string]map[string]any)
 	expectedHit := func(step string) (map[string]any, bool) {
 		out, ok := hitOutputs[step]

@@ -254,6 +254,14 @@ func TestEstimatePlanChain(t *testing.T) {
 	if acc < want-1e-9 || acc > want+1e-9 {
 		t.Fatalf("accuracy = %v", acc)
 	}
+
+	// Without a memo store the projection allocates no map: the expected-hit
+	// outputs, the step latencies and the finish times do not escape and stay
+	// on the stack. Measured over no steps, so that the registry's own
+	// allocations per lookup stay out of the count.
+	if n := testing.AllocsPerRun(100, func() { EstimatePlanWithMemo(&planner.Plan{}, planner.Graph{}, reg, nil) }); n != 0 {
+		t.Fatalf("cold projection of no steps: %v allocations, want 0", n)
+	}
 }
 
 func TestEstimatePlanCriticalPathOverDAG(t *testing.T) {

@@ -12,11 +12,9 @@ type Statement interface{ stmt() }
 type SelectStmt struct {
 	Distinct bool
 	Items    []SelectItem
-	From     TableRef
-	Joins    []JoinClause
+	From     string // the one table read
 	Where    Expr
 	GroupBy  []ColumnRef
-	Having   Expr
 	OrderBy  []OrderItem
 	Limit    int // -1 = none
 	Offset   int
@@ -74,28 +72,6 @@ func (*DropTableStmt) stmt()   {}
 func (*UpdateStmt) stmt()      {}
 func (*DeleteStmt) stmt()      {}
 
-// TableRef names a table with an optional alias.
-type TableRef struct {
-	Table string
-	Alias string
-}
-
-// Name returns the effective name (alias if present).
-func (t TableRef) Name() string {
-	if t.Alias != "" {
-		return t.Alias
-	}
-	return t.Table
-}
-
-// JoinClause is INNER/LEFT JOIN t ON a = b (equijoin only).
-type JoinClause struct {
-	Left  bool // LEFT OUTER join if true, else inner
-	Table TableRef
-	LCol  ColumnRef
-	RCol  ColumnRef
-}
-
 // SelectItem is one projection: expression (possibly aggregate) with alias,
 // or the star.
 type SelectItem struct {
@@ -127,18 +103,9 @@ type Param struct {
 	Auto    bool
 }
 
-// ColumnRef references table.column or column.
+// ColumnRef references a column of the statement's table by name.
 type ColumnRef struct {
-	Table  string
 	Column string
-}
-
-// String renders the reference.
-func (c ColumnRef) String() string {
-	if c.Table != "" {
-		return c.Table + "." + c.Column
-	}
-	return c.Column
 }
 
 // BinaryExpr applies Op to L and R. Ops: = != < <= > >= AND OR LIKE.
@@ -160,13 +127,6 @@ type InExpr struct {
 	Not  bool
 }
 
-// BetweenExpr is "E BETWEEN lo AND hi".
-type BetweenExpr struct {
-	E      Expr
-	Lo, Hi Expr
-	Not    bool
-}
-
 // IsNullExpr is "E IS [NOT] NULL".
 type IsNullExpr struct {
 	E   Expr
@@ -175,21 +135,19 @@ type IsNullExpr struct {
 
 // AggExpr is an aggregate call: COUNT(*), COUNT(col), SUM/AVG/MIN/MAX(col).
 type AggExpr struct {
-	Fn       string // upper case
-	Star     bool
-	Arg      Expr
-	Distinct bool
+	Fn   string // upper case
+	Star bool
+	Arg  Expr
 }
 
-func (*Literal) expr()     {}
-func (*Param) expr()       {}
-func (*ColumnRef) expr()   {}
-func (*BinaryExpr) expr()  {}
-func (*UnaryExpr) expr()   {}
-func (*InExpr) expr()      {}
-func (*BetweenExpr) expr() {}
-func (*IsNullExpr) expr()  {}
-func (*AggExpr) expr()     {}
+func (*Literal) expr()    {}
+func (*Param) expr()      {}
+func (*ColumnRef) expr()  {}
+func (*BinaryExpr) expr() {}
+func (*UnaryExpr) expr()  {}
+func (*InExpr) expr()     {}
+func (*IsNullExpr) expr() {}
+func (*AggExpr) expr()    {}
 
 // exprString renders an expression for EXPLAIN output and error messages.
 func exprString(e Expr) string { return exprDisplay(e, nil) }
@@ -247,7 +205,7 @@ func writeExprDisplay(b *strings.Builder, e Expr, params []Value) {
 		}
 		b.WriteByte('?')
 	case *ColumnRef:
-		b.WriteString(x.String())
+		b.WriteString(x.Column)
 	case *BinaryExpr:
 		b.WriteByte('(')
 		writeExprDisplay(b, x.L, params)
@@ -274,16 +232,6 @@ func writeExprDisplay(b *strings.Builder, e Expr, params []Value) {
 			writeExprDisplay(b, it, params)
 		}
 		b.WriteByte(')')
-	case *BetweenExpr:
-		writeExprDisplay(b, x.E, params)
-		if x.Not {
-			b.WriteString(" NOT BETWEEN ")
-		} else {
-			b.WriteString(" BETWEEN ")
-		}
-		writeExprDisplay(b, x.Lo, params)
-		b.WriteString(" AND ")
-		writeExprDisplay(b, x.Hi, params)
 	case *IsNullExpr:
 		writeExprDisplay(b, x.E, params)
 		if x.Not {
@@ -298,9 +246,6 @@ func writeExprDisplay(b *strings.Builder, e Expr, params []Value) {
 			return
 		}
 		b.WriteByte('(')
-		if x.Distinct {
-			b.WriteString("DISTINCT ")
-		}
 		writeExprDisplay(b, x.Arg, params)
 		b.WriteByte(')')
 	default:
@@ -327,8 +272,6 @@ func hasAutoParam(e Expr) bool {
 				return true
 			}
 		}
-	case *BetweenExpr:
-		return hasAutoParam(x.E) || hasAutoParam(x.Lo) || hasAutoParam(x.Hi)
 	case *IsNullExpr:
 		return hasAutoParam(x.E)
 	case *AggExpr:
@@ -355,8 +298,6 @@ func hasAggregate(e Expr) bool {
 				return true
 			}
 		}
-	case *BetweenExpr:
-		return hasAggregate(x.E) || hasAggregate(x.Lo) || hasAggregate(x.Hi)
 	case *IsNullExpr:
 		return hasAggregate(x.E)
 	}

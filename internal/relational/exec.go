@@ -271,20 +271,6 @@ func likeRec(s, p string) bool {
 	return len(s) == 0
 }
 
-// snapshotRows returns the live rows (in id order) without materializing the
-// id slice — the scan entry point of the compiled executor.
-func (t *table) snapshotRows() []Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	rows := make([]Row, 0, t.liveCnt)
-	for id, r := range t.rows {
-		if t.live[id] {
-			rows = append(rows, r)
-		}
-	}
-	return rows
-}
-
 // accessPath is the planner's choice for reading the base table.
 type accessPath struct {
 	desc string

@@ -38,8 +38,8 @@ var fpScratch = sync.Pool{New: func() any {
 // stay inline in the key (bail-to-inline): those constants shape the result
 // set — projection arity/typing, sort keys and top-k heap sizing — so two
 // texts differing there must not share a plan. Everywhere else (WHERE, SET,
-// VALUES, HAVING, join-free predicates) literal identity only changes bound
-// values, and literals become ordinal slots.
+// VALUES) literal identity only changes bound values, and literals become
+// ordinal slots.
 type fpRegion int
 
 const (
@@ -96,7 +96,7 @@ func fingerprintStmt(fp *fingerprint, sql string) bool {
 		switch t.kind {
 		case tokKeyword:
 			switch t.text {
-			case "FROM", "WHERE", "GROUP", "HAVING":
+			case "FROM", "WHERE", "GROUP":
 				reg = regNormal
 			case "ORDER":
 				reg = regOrder

@@ -9,7 +9,7 @@ import (
 
 // The reference interpreter: the engine's first executor, kept unchanged as
 // the definition of what a statement returns and reports. It runs a statement
-// phase by phase over the AST — access-path planning, joins, filtering,
+// phase by phase over the AST — access-path planning, filtering,
 // aggregation or projection, DISTINCT, ordering, limiting — resolving column
 // references per row, and shares with the compiled executor (compile.go) only
 // leaf helpers (resolveCol, truthy, compareValues, the hash-key encoders).
@@ -58,7 +58,7 @@ func refRun(db *DB, sql string, params ...any) (*Result, error) {
 
 // env carries the column environment of the current row during evaluation.
 type env struct {
-	cols []envCol
+	cols []string
 	row  Row
 }
 
@@ -107,22 +107,6 @@ func eval(e *env, x Expr, params []Value) (Value, error) {
 			}
 		}
 		return NewBool(hit != v.Not), nil
-	case *BetweenExpr:
-		val, err := eval(e, v.E, params)
-		if err != nil {
-			return Null, err
-		}
-		lo, err := eval(e, v.Lo, params)
-		if err != nil {
-			return Null, err
-		}
-		hi, err := eval(e, v.Hi, params)
-		if err != nil {
-			return Null, err
-		}
-		in := !val.IsNull() && !lo.IsNull() && !hi.IsNull() &&
-			Compare(val, lo) >= 0 && Compare(val, hi) <= 0
-		return NewBool(in != v.Not), nil
 	case *IsNullExpr:
 		val, err := eval(e, v.E, params)
 		if err != nil {
@@ -177,19 +161,17 @@ func evalBinary(e *env, v *BinaryExpr, params []Value) (Value, error) {
 }
 
 // execSelectInterp runs a SELECT through the interpreted evaluator:
-// access-path planning, joins, filtering, aggregation, projection, DISTINCT,
+// access-path planning, filtering, aggregation, projection, DISTINCT,
 // ordering and limiting, resolving column references per row. It is the
-// semantic oracle for the compiled path (compile.go) — differential tests
-// assert both agree — and serves statements the compiler refuses as well as
-// direct Run calls.
+// semantic oracle for the compiled path — differential tests assert both
+// agree.
 func (db *DB) execSelectInterp(sel *SelectStmt, params []Value) (*Result, error) {
-	base, err := db.table(sel.From.Table)
+	base, err := db.table(sel.From)
 	if err != nil {
 		return nil, err
 	}
-	baseName := strings.ToLower(sel.From.Name())
 
-	path := base.planAccess(sel.From.Name(), sel.Where, params)
+	path := base.planAccess(sel.Where, params)
 	planLines := []string{path.desc}
 
 	// Materialize base rows.
@@ -208,88 +190,9 @@ func (db *DB) execSelectInterp(sel *SelectStmt, params []Value) (*Result, error)
 		base.mu.RUnlock()
 	}
 
-	cols := make([]envCol, 0, len(base.schema.Columns))
-	for _, c := range base.schema.Columns {
-		cols = append(cols, envCol{table: baseName, name: strings.ToLower(c.Name)})
-	}
-	// Track pretty names for star expansion.
-	pretty := append([]string(nil), base.schema.Names()...)
-
-	// Hash joins, applied left to right.
-	for _, j := range sel.Joins {
-		jt, err := db.table(j.Table.Table)
-		if err != nil {
-			return nil, err
-		}
-		jName := strings.ToLower(j.Table.Name())
-		_, jRows := jt.snapshot()
-
-		// Determine which side of ON belongs to the joined table.
-		jCols := make([]envCol, 0, len(jt.schema.Columns))
-		for _, c := range jt.schema.Columns {
-			jCols = append(jCols, envCol{table: jName, name: strings.ToLower(c.Name)})
-		}
-		leftRef, rightRef := j.LCol, j.RCol
-		jEnv := &env{cols: jCols}
-		if _, err := jEnv.resolve(&rightRef); err != nil {
-			// ON was written joined-side first; swap.
-			leftRef, rightRef = rightRef, leftRef
-			if _, err2 := jEnv.resolve(&rightRef); err2 != nil {
-				return nil, fmt.Errorf("relational: join condition references no column of %s", j.Table.Name())
-			}
-		}
-		rIdx, err := jEnv.resolve(&rightRef)
-		if err != nil {
-			return nil, err
-		}
-		curEnv := &env{cols: cols}
-		lIdx, err := curEnv.resolve(&leftRef)
-		if err != nil {
-			return nil, err
-		}
-		// Build hash on joined table (binary keys; see buildJoinHash in
-		// key.go, shared with the compiled executor).
-		var scratch []byte
-		build := buildJoinHash(jRows, rIdx)
-		joined := make([]Row, 0, len(rows))
-		nullRight := make(Row, len(jt.schema.Columns))
-		for i := range nullRight {
-			nullRight[i] = Null
-		}
-		for _, lr := range rows {
-			v := lr[lIdx]
-			var matches []Row
-			if !v.IsNull() {
-				scratch = appendValueKey(scratch[:0], v)
-				if bk := build[string(scratch)]; bk != nil {
-					matches = bk.rows
-				}
-			}
-			if len(matches) == 0 {
-				if j.Left {
-					nr := make(Row, 0, len(lr)+len(nullRight))
-					nr = append(nr, lr...)
-					nr = append(nr, nullRight...)
-					joined = append(joined, nr)
-				}
-				continue
-			}
-			for _, rr := range matches {
-				nr := make(Row, 0, len(lr)+len(rr))
-				nr = append(nr, lr...)
-				nr = append(nr, rr...)
-				joined = append(joined, nr)
-			}
-		}
-		rows = joined
-		cols = append(cols, jCols...)
-		pretty = append(pretty, jt.schema.Names()...)
-		kind := "HashJoin"
-		if j.Left {
-			kind = "LeftHashJoin"
-		}
-		planLines = append(planLines, fmt.Sprintf("%s(%s ON %s = %s)", kind, j.Table.Name(), j.LCol.String(), j.RCol.String()))
-	}
+	cols := tableLayout(base)
+	// Pretty names for star expansion.
+	pretty := base.schema.Names()
 
 	// Filter.
 	if sel.Where != nil {
@@ -369,7 +272,7 @@ func (db *DB) execSelectInterp(sel *SelectStmt, params []Value) (*Result, error)
 }
 
 // project evaluates non-aggregate select items per row.
-func project(sel *SelectStmt, rows []Row, cols []envCol, pretty []string, params []Value) (*Result, error) {
+func project(sel *SelectStmt, rows []Row, cols []string, pretty []string, params []Value) (*Result, error) {
 	var names []string
 	for _, it := range sel.Items {
 		if it.Star {
@@ -401,7 +304,7 @@ func project(sel *SelectStmt, rows []Row, cols []envCol, pretty []string, params
 
 // aggregate groups rows by the GROUP BY keys (or a single global group) and
 // evaluates aggregate select items per group.
-func aggregate(sel *SelectStmt, rows []Row, cols []envCol, pretty []string, params []Value) (*Result, error) {
+func aggregate(sel *SelectStmt, rows []Row, cols []string, pretty []string, params []Value) (*Result, error) {
 	for _, it := range sel.Items {
 		if it.Star {
 			return nil, fmt.Errorf("relational: SELECT * cannot be combined with aggregates")
@@ -457,15 +360,6 @@ func aggregate(sel *SelectStmt, rows []Row, cols []envCol, pretty []string, para
 			}
 			res.Rows = append(res.Rows, or)
 			continue
-		}
-		if sel.Having != nil {
-			hv, err := evalAgg(e, sel.Having, g.rows, params)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(hv) {
-				continue
-			}
 		}
 		var or Row
 		for _, it := range sel.Items {
@@ -524,8 +418,6 @@ func computeAgg(e *env, a *AggExpr, rows []Row, params []Value) (Value, error) {
 		return NewInt(int64(len(rows))), nil
 	}
 	var vals []Value
-	seen := map[string]bool{}
-	var scratch []byte
 	for _, r := range rows {
 		e.row = r
 		v, err := eval(e, a.Arg, params)
@@ -534,13 +426,6 @@ func computeAgg(e *env, a *AggExpr, rows []Row, params []Value) (Value, error) {
 		}
 		if v.IsNull() {
 			continue
-		}
-		if a.Distinct {
-			scratch = appendValueKey(scratch[:0], v)
-			if seen[string(scratch)] {
-				continue
-			}
-			seen[string(scratch)] = true
 		}
 		vals = append(vals, v)
 	}
@@ -590,7 +475,7 @@ func computeAgg(e *env, a *AggExpr, rows []Row, params []Value) (Value, error) {
 // orderResult sorts the projected rows. ORDER BY keys naming an output
 // column (or alias) sort on the output; otherwise, for non-aggregated
 // queries, the key is evaluated against the underlying input row.
-func orderResult(sel *SelectStmt, out *Result, cols []envCol, inputRows []Row, params []Value, aggregated bool) error {
+func orderResult(sel *SelectStmt, out *Result, cols []string, inputRows []Row, params []Value, aggregated bool) error {
 	type sortKey struct {
 		vals []Value
 	}
@@ -598,7 +483,7 @@ func orderResult(sel *SelectStmt, out *Result, cols []envCol, inputRows []Row, p
 
 	for ki, ob := range sel.OrderBy {
 		// Try output column first (same resolution rule as the compiler).
-		if cr, ok := ob.Expr.(*ColumnRef); ok && cr.Table == "" {
+		if cr, ok := ob.Expr.(*ColumnRef); ok {
 			if i := outColumnIndex(out.Columns, cr.Column); i >= 0 {
 				for ri := range out.Rows {
 					keys[ri].vals = append(keys[ri].vals, out.Rows[ri][i])
@@ -667,7 +552,7 @@ func (t *table) snapshot() ([]int, []Row) {
 // planAccess inspects WHERE conjuncts for a sargable predicate over an
 // indexed column of the base table and returns matching row ids. The full
 // WHERE is still applied afterwards, so the index is purely an accelerator.
-func (t *table) planAccess(baseName string, where Expr, params []Value) accessPath {
+func (t *table) planAccess(where Expr, params []Value) accessPath {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if where == nil || len(t.indexes) == 0 {
@@ -689,9 +574,6 @@ func (t *table) planAccess(baseName string, where Expr, params []Value) accessPa
 	colFor := func(e Expr) *indexDef {
 		cr, ok := e.(*ColumnRef)
 		if !ok {
-			return nil
-		}
-		if cr.Table != "" && !strings.EqualFold(cr.Table, baseName) {
 			return nil
 		}
 		return t.indexes[strings.ToLower(cr.Column)]
@@ -768,21 +650,6 @@ func (t *table) planAccess(baseName string, where Expr, params []Value) accessPa
 			if ok {
 				consider(candidate{rank: 1, desc: fmt.Sprintf("IndexScan(%s.%s IN [%d values], %s)", t.name, ix.column, len(x.List), ix.kind), ids: dedupInts(ids)})
 			}
-		case *BetweenExpr:
-			if x.Not {
-				continue
-			}
-			ix := colFor(x.E)
-			if ix == nil || ix.kind != OrderedIndex {
-				continue
-			}
-			lo, ok1 := constVal(x.Lo)
-			hi, ok2 := constVal(x.Hi)
-			if !ok1 || !ok2 {
-				continue
-			}
-			ids := ix.order.lookupRange(lo, hi, false, false)
-			consider(candidate{rank: 2, desc: fmt.Sprintf("IndexRange(%s.%s BETWEEN %s AND %s)", t.name, ix.column, lo, hi), ids: ids})
 		}
 	}
 	if best == nil {
@@ -842,7 +709,7 @@ func (db *DB) execInsertInterp(ins *InsertStmt, params []Value) (*Result, error)
 
 // execUpdateInterp replaces matching rows with updated copies, maintaining
 // indexes, evaluating the WHERE predicate and SET expressions through the
-// interpreted evaluator. The compiled path (compile.go) mirrors this loop with
+// interpreted evaluator. The compiled path (dml.go) mirrors this loop with
 // offset-resolved closures; this version is its semantic oracle.
 func (db *DB) execUpdateInterp(up *UpdateStmt, params []Value) (*Result, error) {
 	t, err := db.table(up.Table)
@@ -862,12 +729,7 @@ func (db *DB) execUpdateInterp(up *UpdateStmt, params []Value) (*Result, error) 
 		}
 		targets = append(targets, setTarget{col: ci, expr: sc.Value})
 	}
-	cols := make([]envCol, len(t.schema.Columns))
-	baseName := strings.ToLower(up.Table)
-	for i, c := range t.schema.Columns {
-		cols[i] = envCol{table: baseName, name: strings.ToLower(c.Name)}
-	}
-	e := &env{cols: cols}
+	e := &env{cols: tableLayout(t)}
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -922,12 +784,7 @@ func (db *DB) execDeleteInterp(del *DeleteStmt, params []Value) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]envCol, len(t.schema.Columns))
-	baseName := strings.ToLower(del.Table)
-	for i, c := range t.schema.Columns {
-		cols[i] = envCol{table: baseName, name: strings.ToLower(c.Name)}
-	}
-	e := &env{cols: cols}
+	e := &env{cols: tableLayout(t)}
 
 	t.mu.Lock()
 	defer t.mu.Unlock()

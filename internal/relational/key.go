@@ -7,12 +7,11 @@ import (
 
 // Binary hash-key encoding for rows and values.
 //
-// The executor's hash operators (hash join build/probe, GROUP BY bucketing,
-// DISTINCT, COUNT(DISTINCT)) need a map key that identifies a value's
-// equality class. The original implementation rendered every value to a fresh
-// string ("i:42", "s:Oakland", ...) and concatenated multi-column keys
-// through a strings.Builder — one or more heap allocations per row per
-// operator. appendValueKey instead encodes the value into a caller-owned
+// The executor's hash operators (GROUP BY bucketing, DISTINCT) need a map key
+// that identifies a value's equality class. The original implementation
+// rendered every value to a fresh string ("i:42", "s:Oakland", ...) and
+// concatenated multi-column keys through a strings.Builder — one or more heap
+// allocations per row per operator. appendValueKey instead encodes the value into a caller-owned
 // scratch []byte that is truncated and reused across rows, so the steady
 // state of a hash probe allocates nothing: Go map lookups with a
 // `m[string(scratch)]` expression do not copy the byte slice, and the key
@@ -24,7 +23,7 @@ import (
 //	null   -> 0x00
 //	bool   -> 0x01, 0x00|0x01
 //	int    -> 0x02, 8-byte big-endian two's complement
-//	float  -> integral floats encode as int (so 3 = 3.0 joins/groups with 3,
+//	float  -> integral floats encode as int (so 3.0 groups with 3,
 //	          matching Value.Key and Compare); otherwise 0x03, 8-byte IEEE bits
 //	string -> 0x04, uvarint byte length, raw bytes
 //
@@ -74,32 +73,4 @@ func appendRowKey(dst []byte, r Row) []byte {
 		dst = appendValueKey(dst, v)
 	}
 	return dst
-}
-
-// rowBucket groups build-side join rows sharing one key. Buckets are held
-// by pointer so appending a row never re-assigns the map key: the key
-// string is materialized once per distinct value and probes with a
-// `m[string(scratch)]` expression allocate nothing.
-type rowBucket struct{ rows []Row }
-
-// buildJoinHash indexes the build side of a hash join by the binary key of
-// column idx, skipping NULLs (an equijoin never matches them). Shared by
-// the compiled join executor and the reference interpreter's.
-func buildJoinHash(jRows []Row, idx int) map[string]*rowBucket {
-	var scratch []byte
-	build := make(map[string]*rowBucket, len(jRows))
-	for _, r := range jRows {
-		v := r[idx]
-		if v.IsNull() {
-			continue
-		}
-		scratch = appendValueKey(scratch[:0], v)
-		b := build[string(scratch)]
-		if b == nil {
-			b = &rowBucket{}
-			build[string(scratch)] = b
-		}
-		b.rows = append(b.rows, r)
-	}
-	return build
 }

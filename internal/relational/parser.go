@@ -107,8 +107,12 @@ func (p *parser) peek() token {
 func (p *parser) cur() token  { return p.tok }
 func (p *parser) next() token { t := p.tok; p.advance(); return t }
 
+func (p *parser) atKeyword(kw string) bool {
+	return p.tok.kind == tokKeyword && p.tok.text == kw
+}
+
 func (p *parser) acceptKeyword(kw string) bool {
-	if p.cur().kind == tokKeyword && p.cur().text == kw {
+	if p.atKeyword(kw) {
 		p.advance()
 		return true
 	}
@@ -146,6 +150,16 @@ func (p *parser) expectIdent() (string, error) {
 	// Permit non-reserved keyword-looking identifiers for column names like
 	// "count" is reserved, so users must quote differently; keep strict.
 	return "", fmt.Errorf("relational: expected identifier, got %q at %d", t.text, t.pos)
+}
+
+// unsupported is the one error for a construct whose keywords the tokenizer
+// still reserves but the dialect does not have — JOIN, a table alias, a
+// qualified column, HAVING, BETWEEN, an aggregate's DISTINCT. Nothing in the
+// program emits them (ARCHITECTURE.md, "Dialect"), so they can only arrive
+// from outside (bpctl sql, a WAL record of an older build) and fail here, by
+// name, instead of parsing as something else.
+func (p *parser) unsupported(construct string) error {
+	return fmt.Errorf("relational: %s is not supported (at %d)", construct, p.cur().pos)
 }
 
 func (p *parser) statement() (Statement, error) {
@@ -222,46 +236,19 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
-	from, err := p.tableRef()
+	// One table, under its own name.
+	from, err := p.expectIdent()
 	if err != nil {
 		return nil, err
 	}
 	sel.From = from
-
-	for {
-		left := false
-		if p.acceptKeyword("LEFT") {
-			left = true
-			_ = p.acceptKeyword("INNER") // tolerate nothing; LEFT [JOIN]
-		} else if p.acceptKeyword("INNER") {
-			// inner join
-		} else if p.cur().kind == tokKeyword && p.cur().text == "JOIN" {
-			// bare JOIN
-		} else {
-			break
-		}
-		if err := p.expectKeyword("JOIN"); err != nil {
-			return nil, err
-		}
-		tr, err := p.tableRef()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("ON"); err != nil {
-			return nil, err
-		}
-		l, err := p.columnRef()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp("="); err != nil {
-			return nil, err
-		}
-		r, err := p.columnRef()
-		if err != nil {
-			return nil, err
-		}
-		sel.Joins = append(sel.Joins, JoinClause{Left: left, Table: tr, LCol: l, RCol: r})
+	switch {
+	case p.cur().kind == tokIdent, p.atKeyword("AS"):
+		return nil, p.unsupported("table alias")
+	case p.atKeyword("LEFT"):
+		return nil, p.unsupported("LEFT JOIN")
+	case p.atKeyword("JOIN"), p.atKeyword("INNER"):
+		return nil, p.unsupported("JOIN")
 	}
 
 	if p.acceptKeyword("WHERE") {
@@ -286,12 +273,8 @@ func (p *parser) selectStmt() (*SelectStmt, error) {
 			}
 		}
 	}
-	if p.acceptKeyword("HAVING") {
-		h, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Having = h
+	if p.atKeyword("HAVING") {
+		return nil, p.unsupported("HAVING")
 	}
 	if p.acceptKeyword("ORDER") {
 		if err := p.expectKeyword("BY"); err != nil {
@@ -347,35 +330,13 @@ func (p *parser) expectInt() (int, error) {
 	return n, nil
 }
 
-func (p *parser) tableRef() (TableRef, error) {
-	name, err := p.expectIdent()
-	if err != nil {
-		return TableRef{}, err
-	}
-	tr := TableRef{Table: name}
-	if p.acceptKeyword("AS") {
-		a, err := p.expectIdent()
-		if err != nil {
-			return TableRef{}, err
-		}
-		tr.Alias = a
-	} else if p.cur().kind == tokIdent {
-		tr.Alias = p.next().text
-	}
-	return tr, nil
-}
-
 func (p *parser) columnRef() (ColumnRef, error) {
 	a, err := p.expectIdent()
 	if err != nil {
 		return ColumnRef{}, err
 	}
-	if p.acceptOp(".") {
-		b, err := p.expectIdent()
-		if err != nil {
-			return ColumnRef{}, err
-		}
-		return ColumnRef{Table: a, Column: b}, nil
+	if t := p.cur(); t.kind == tokOp && t.text == "." {
+		return ColumnRef{}, p.unsupported("qualified column reference")
 	}
 	return ColumnRef{Column: a}, nil
 }
@@ -435,11 +396,14 @@ func (p *parser) comparison() (Expr, error) {
 		}
 		return &IsNullExpr{E: l, Not: not}, nil
 	}
-	// [NOT] IN / BETWEEN / LIKE
+	// [NOT] IN / LIKE
 	notPrefix := false
-	if p.cur().kind == tokKeyword && p.cur().text == "NOT" {
+	if p.atKeyword("NOT") {
 		nt := p.peek()
-		if nt.kind == tokKeyword && (nt.text == "IN" || nt.text == "BETWEEN" || nt.text == "LIKE") {
+		if nt.kind == tokKeyword && nt.text == "BETWEEN" {
+			return nil, p.unsupported("NOT BETWEEN")
+		}
+		if nt.kind == tokKeyword && (nt.text == "IN" || nt.text == "LIKE") {
 			p.advance()
 			notPrefix = true
 		}
@@ -464,19 +428,8 @@ func (p *parser) comparison() (Expr, error) {
 		}
 		return &InExpr{E: l, List: list, Not: notPrefix}, nil
 	}
-	if p.acceptKeyword("BETWEEN") {
-		lo, err := p.primary()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("AND"); err != nil {
-			return nil, err
-		}
-		hi, err := p.primary()
-		if err != nil {
-			return nil, err
-		}
-		return &BetweenExpr{E: l, Lo: lo, Hi: hi, Not: notPrefix}, nil
+	if p.atKeyword("BETWEEN") {
+		return nil, p.unsupported("BETWEEN")
 	}
 	if p.acceptKeyword("LIKE") {
 		r, err := p.primary()
@@ -584,7 +537,9 @@ func (p *parser) primary() (Expr, error) {
 				}
 				agg.Star = true
 			} else {
-				agg.Distinct = p.acceptKeyword("DISTINCT")
+				if p.atKeyword("DISTINCT") {
+					return nil, p.unsupported(t.text + "(DISTINCT)")
+				}
 				arg, err := p.primary()
 				if err != nil {
 					return nil, err

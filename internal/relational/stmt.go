@@ -151,8 +151,8 @@ type CacheStats struct {
 	Evictions uint64
 	// Invalidations counts DDL-triggered flush events that dropped at least
 	// one entry. Invalidation is per-table: each DDL statement flushes only
-	// the cached statements referencing the altered table, so hot statements
-	// over other tables keep their parsed form.
+	// the cached statements over the altered table, so hot statements over
+	// other tables keep their parsed form.
 	Invalidations uint64
 	// Compiles counts plan compilations (compile.go). A steady workload of
 	// repeated statements should show Compiles plateauing while Hits grows:
@@ -234,7 +234,7 @@ func (db *DB) parseCached(sql string) (Statement, *planSlot, *paramBinder, error
 		}
 		if nAuto == len(fp.lits) {
 			db.stmts.noteMiss()
-			slot, slots := db.stmts.insertShape(string(fp.key), st, stmtTables(st), &planSlot{}, slots, nAuto)
+			slot, slots := db.stmts.insertShape(string(fp.key), st, stmtTable(st), &planSlot{}, slots, nAuto)
 			return st, slot, newBinder(slots, fp.lits), nil
 		}
 	}
@@ -246,35 +246,21 @@ func (db *DB) parseCached(sql string) (Statement, *planSlot, *paramBinder, error
 	return st, &planSlot{}, nil, nil
 }
 
-// stmtTables returns the lowercased base-table names a cacheable statement
-// references (the FROM table plus joined tables for SELECT; the target table
-// for DML) — the invalidation key set for per-table DDL flushes.
-func stmtTables(st Statement) []string {
+// stmtTable returns the lowercased name of the one table a cacheable
+// statement reads or writes — the key of its schema-version dependency and of
+// per-table DDL flushes — or "" for DDL.
+func stmtTable(st Statement) string {
 	switch s := st.(type) {
 	case *SelectStmt:
-		out := []string{strings.ToLower(s.From.Table)}
-		for _, j := range s.Joins {
-			t := strings.ToLower(j.Table.Table)
-			dup := false
-			for _, have := range out {
-				if have == t {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, t)
-			}
-		}
-		return out
+		return strings.ToLower(s.From)
 	case *InsertStmt:
-		return []string{strings.ToLower(s.Table)}
+		return strings.ToLower(s.Table)
 	case *UpdateStmt:
-		return []string{strings.ToLower(s.Table)}
+		return strings.ToLower(s.Table)
 	case *DeleteStmt:
-		return []string{strings.ToLower(s.Table)}
+		return strings.ToLower(s.Table)
 	default:
-		return nil
+		return ""
 	}
 }
 
@@ -282,8 +268,8 @@ func stmtTables(st Statement) []string {
 // fingerprint shape ('S'-prefixed binary keys, fingerprint.go): one entry
 // serves every text sharing the literal-stripped shape. A text without a
 // shape (DDL) is never entered. DDL (CREATE/DROP TABLE,
-// CREATE INDEX) invalidates per table: only the cached statements
-// referencing the altered table are flushed, so the hot paths of untouched
+// CREATE INDEX) invalidates per table: only the cached statements over the
+// altered table are flushed, so the hot paths of untouched
 // tables keep their parsed plans across schema churn elsewhere (e.g.
 // scratch tables created and dropped by agents).
 type stmtCache struct {
@@ -300,12 +286,12 @@ type stmtCache struct {
 }
 
 type stmtEntry struct {
-	key    string
-	st     Statement
-	tables []string // lowercased tables the statement touches
-	slot   *planSlot
-	slots  []int // unified slot layout
-	nAuto  int   // count of auto-literal slots in slots
+	key   string
+	st    Statement
+	table string // lowercased table the statement reads or writes
+	slot  *planSlot
+	slots []int // unified slot layout
+	nAuto int   // count of auto-literal slots in slots
 }
 
 func newStmtCache(capacity int) *stmtCache {
@@ -337,7 +323,7 @@ func (c *stmtCache) noteUncacheable() { c.mu.Lock(); c.uncacheable++; c.mu.Unloc
 // the resident plan slot and slot layout — the caller's own when it won,
 // the earlier entry's when it lost a parse race (so the compiled plan stays
 // shared).
-func (c *stmtCache) insertShape(key string, st Statement, tables []string, slot *planSlot, slots []int, nAuto int) (*planSlot, []int) {
+func (c *stmtCache) insertShape(key string, st Statement, table string, slot *planSlot, slots []int, nAuto int) (*planSlot, []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.cap <= 0 {
@@ -348,7 +334,7 @@ func (c *stmtCache) insertShape(key string, st Statement, tables []string, slot 
 		e := el.Value.(*stmtEntry)
 		return e.slot, e.slots
 	}
-	el := c.ll.PushFront(&stmtEntry{key: key, st: st, tables: tables, slot: slot, slots: slots, nAuto: nAuto})
+	el := c.ll.PushFront(&stmtEntry{key: key, st: st, table: table, slot: slot, slots: slots, nAuto: nAuto})
 	c.entries[key] = el
 	for c.ll.Len() > c.cap {
 		c.evictOldestLocked()
@@ -366,7 +352,7 @@ func (c *stmtCache) evictOldestLocked() {
 	c.evictions++
 }
 
-// invalidateTable flushes the cached statements referencing the given table
+// invalidateTable flushes the cached statements over the given table
 // (called after successful DDL on it). Statements over other tables stay
 // resident: a scratch-table CREATE/DROP no longer evicts the enterprise hot
 // path. DDL is rare, so the linear sweep over at most cap entries is cheap.
@@ -379,14 +365,10 @@ func (c *stmtCache) invalidateTable(table string) {
 	var next *list.Element
 	for el := c.ll.Front(); el != nil; el = next {
 		next = el.Next()
-		e := el.Value.(*stmtEntry)
-		for _, t := range e.tables {
-			if t == key {
-				c.ll.Remove(el)
-				delete(c.entries, e.key)
-				flushed++
-				break
-			}
+		if e := el.Value.(*stmtEntry); e.table == key {
+			c.ll.Remove(el)
+			delete(c.entries, e.key)
+			flushed++
 		}
 	}
 	if flushed > 0 {

@@ -33,13 +33,6 @@ func NewIndex(dim int) *Index {
 	return &Index{dim: dim, pos: make(map[string]int)}
 }
 
-// Len reports the number of indexed vectors.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.ids)
-}
-
 // Upsert adds or replaces the vector stored under id.
 func (ix *Index) Upsert(id string, vec []float64) error {
 	if len(vec) != ix.dim {

@@ -174,8 +174,8 @@ func TestIndexUpsertSearch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ix.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", ix.Len())
+	if n := len(ix.Search(e.Embed("anything"), 100)); n != 4 {
+		t.Fatalf("indexed vectors = %d, want 4", n)
 	}
 	hits := ix.Search(e.Embed("assess match quality of job seeker profiles against jobs"), 2)
 	if len(hits) != 2 {
@@ -195,10 +195,10 @@ func TestIndexUpsertReplaces(t *testing.T) {
 	if err := ix.Upsert("a", e.Embed("completely different replacement")); err != nil {
 		t.Fatal(err)
 	}
-	if ix.Len() != 1 {
-		t.Fatalf("Len after replace = %d, want 1", ix.Len())
+	hits := ix.Search(e.Embed("completely different replacement"), 10)
+	if len(hits) != 1 {
+		t.Fatalf("indexed vectors after replace = %d, want 1", len(hits))
 	}
-	hits := ix.Search(e.Embed("completely different replacement"), 1)
 	if hits[0].Score < 0.99 {
 		t.Fatalf("replaced vector not searchable: %v", hits)
 	}
@@ -215,10 +215,11 @@ func TestIndexDelete(t *testing.T) {
 	}
 	ix.Delete("id2")
 	ix.Delete("missing") // no-op
-	if ix.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", ix.Len())
+	hits := ix.Search(e.Embed("id2 text body"), 10)
+	if len(hits) != 4 {
+		t.Fatalf("indexed vectors = %d, want 4", len(hits))
 	}
-	for _, h := range ix.Search(e.Embed("id2 text body"), 10) {
+	for _, h := range hits {
 		if h.ID == "id2" {
 			t.Fatal("deleted id still in results")
 		}

@@ -2,8 +2,6 @@ package workload
 
 import (
 	"testing"
-
-	"blueprint/internal/docstore"
 )
 
 func TestBuildDeterministic(t *testing.T) {
@@ -117,9 +115,12 @@ func TestProfilesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := e.Docs.Find("profiles", docstore.Query{Limit: 5})
+	hits, err := e.Docs.Find("profiles", "", nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(hits) == 0 {
+		t.Fatal("no profiles")
 	}
 	for _, h := range hits {
 		for _, field := range []string{"name", "title", "city", "years", "skills"} {
