@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-smoke bench-streams chaos fuzz fuzz-smoke loc ci
+.PHONY: all build test race vet fmt-check census bench bench-smoke bench-streams chaos fuzz fuzz-smoke loc ci
 
 all: build
 
@@ -25,6 +25,14 @@ fmt-check:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# The caller census (census_test.go): type-checks the whole module from source
+# and fails on a func or method outside benchmark/ and examples/ that only
+# tests call (or nothing does) and that is not on the test's allow-list, or on
+# an allow-list entry that has gained a caller. Verbose, so the count of every
+# kind of declared name is printed. `go test ./...` runs it too; -short skips it.
+census:
+	$(GO) test -run TestCallerCensus -count=1 -v .
 
 # Relational-engine benchmarks, including the statement-cache comparison
 # (BenchmarkPointQueryUncached vs Cached/Prepared), the zero-allocation
@@ -50,18 +58,25 @@ bench-streams:
 # lexer, SQL text through the engine against the reference interpreter
 # (FuzzSQLDifferential: same rows, errors and EXPLAIN strings, twin databases
 # in the same state after a mutation), then NL2Q (any utterance compiles to
-# SQL the engine executes). Seeds under
-# internal/{relational,dataplan}/testdata/fuzz are always replayed by plain
-# `go test`. fuzz-smoke is the 5 s per target run of `make ci`.
+# SQL the engine executes), any string as a trace_parent token through
+# Tracer.Resume, and arbitrary bytes as the only log segment through recovery
+# (a well-framed prefix applied, the rest cut off, the same again on a second
+# recovery). Seeds under internal/{relational,dataplan}/testdata/fuzz are
+# always replayed by plain `go test`. fuzz-smoke is the 5 s per target run of
+# `make ci`.
 fuzz:
 	$(GO) test ./internal/relational/ -run FuzzTokenize -fuzz FuzzTokenize -fuzztime 30s
 	$(GO) test ./internal/relational/ -run FuzzSQLDifferential -fuzz FuzzSQLDifferential -fuzztime 30s
 	$(GO) test ./internal/dataplan/ -run FuzzNL2Q -fuzz FuzzNL2Q -fuzztime 30s
+	$(GO) test ./internal/obs/ -run FuzzResumeToken -fuzz FuzzResumeToken -fuzztime 30s
+	$(GO) test ./internal/durability/ -run FuzzRecoverSegment -fuzz FuzzRecoverSegment -fuzztime 30s
 
 fuzz-smoke:
 	$(GO) test ./internal/relational/ -run FuzzTokenize -fuzz FuzzTokenize -fuzztime 5s
 	$(GO) test ./internal/relational/ -run FuzzSQLDifferential -fuzz FuzzSQLDifferential -fuzztime 5s
 	$(GO) test ./internal/dataplan/ -run FuzzNL2Q -fuzz FuzzNL2Q -fuzztime 5s
+	$(GO) test ./internal/obs/ -run FuzzResumeToken -fuzz FuzzResumeToken -fuzztime 5s
+	$(GO) test ./internal/durability/ -run FuzzRecoverSegment -fuzz FuzzRecoverSegment -fuzztime 5s
 
 # Go line counts outside benchmark/, non-test and test files apart, each split
 # into code, comment and blank lines (a line holding code and a comment is
@@ -118,4 +133,4 @@ bench-smoke:
 chaos:
 	$(GO) test -race -run Chaos ./...
 
-ci: fmt-check vet build race fuzz-smoke bench-smoke bench-streams
+ci: fmt-check vet census build race fuzz-smoke bench-smoke bench-streams

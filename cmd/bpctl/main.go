@@ -401,8 +401,7 @@ func remoteTop(w io.Writer, addr string) error {
 	// means the error budget is being consumed faster than sustainable —
 	// fast >> slow means it started just now.
 	var slo struct {
-		Objective float64         `json:"objective"`
-		Series    []obs.SLOStatus `json:"series"`
+		Series []obs.SLOStatus `json:"series"`
 	}
 	if err := getJSON(addr, "/slo", &slo); err == nil {
 		for _, st := range slo.Series {

@@ -8,6 +8,15 @@
 // fires and the processor receives the full input tuple. Each agent instance
 // owns a worker pool so a triggered agent keeps listening while workers
 // execute (§V-B).
+//
+// What an instance holds is what it has touched. Attach takes one or two
+// subscriptions and as many goroutines, ensures the session's control,
+// session and display streams exist, and announces ENTER_SESSION; the
+// agent's own output stream (OutputStream) is created by its first output,
+// not before. An instance counts nothing of its own: invocations and errors
+// go to the process-wide blueprint_agent_invocations_total and
+// blueprint_agent_errors_total, and one invocation's outcome and cost are in
+// the AGENT_DONE / AGENT_ERROR report it puts on the control stream.
 package agent
 
 import (
@@ -17,7 +26,6 @@ import (
 	"time"
 
 	"blueprint/internal/registry"
-	"blueprint/internal/streams"
 )
 
 // Control operations specific to the agent runtime.
@@ -34,9 +42,6 @@ type Invocation struct {
 	Session string
 	// Inputs binds each input parameter name to its value.
 	Inputs map[string]any
-	// Trigger is the message that fired the transition (the control message
-	// for centralized activation, the last token for decentralized).
-	Trigger streams.Message
 	// ReplyStream, when set, is where outputs must be published (set by the
 	// coordinator); otherwise the agent's default output streams are used.
 	ReplyStream string

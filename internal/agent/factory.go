@@ -3,11 +3,9 @@ package agent
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"blueprint/internal/registry"
-	"blueprint/internal/streams"
 )
 
 // Factory errors.
@@ -23,10 +21,9 @@ type Constructor func(spec registry.AgentSpec) Processor
 // "AgentFactory server" of §V-B. Containers in the cluster simulator each
 // run one Factory.
 type Factory struct {
-	mu     sync.RWMutex
-	reg    *registry.AgentRegistry
-	ctors  map[string]Constructor
-	spawns int
+	mu    sync.RWMutex
+	reg   *registry.AgentRegistry
+	ctors map[string]Constructor
 }
 
 // NewFactory creates a factory over an agent registry.
@@ -39,18 +36,6 @@ func (f *Factory) RegisterConstructor(name string, c Constructor) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.ctors[name] = c
-}
-
-// Constructors lists registered constructor names, sorted.
-func (f *Factory) Constructors() []string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]string, 0, len(f.ctors))
-	for k := range f.ctors {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Build creates an Agent value for the named registry spec.
@@ -66,31 +51,4 @@ func (f *Factory) Build(name string) (*Agent, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoConstructor, name)
 	}
 	return New(spec, ctor(spec)), nil
-}
-
-// Spawn builds the named agent and attaches an instance to the session,
-// honoring the spec's worker-count deployment hint.
-func (f *Factory) Spawn(store *streams.Store, session, name string, opts Options) (*Instance, error) {
-	a, err := f.Build(name)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Workers == 0 && a.Spec.Deployment.Workers > 0 {
-		opts.Workers = a.Spec.Deployment.Workers
-	}
-	inst, err := Attach(store, session, a, opts)
-	if err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	f.spawns++
-	f.mu.Unlock()
-	return inst, nil
-}
-
-// SpawnCount reports how many instances this factory has spawned.
-func (f *Factory) SpawnCount() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.spawns
 }

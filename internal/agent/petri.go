@@ -1,29 +1,20 @@
 package agent
 
-import (
-	"sync"
-
-	"blueprint/internal/streams"
-)
-
-// token is one value waiting in a place.
-type token struct {
-	value any
-	msg   streams.Message
-}
+import "sync"
 
 // petriNet implements the Fig. 4 triggering mechanism: one place per input
 // parameter; a transition fires when every place holds at least one token,
-// yielding the full input tuple for processor().
+// yielding the full input tuple for processor(). A token is the value a
+// message carried.
 type petriNet struct {
 	mu     sync.Mutex
 	params []string
-	places map[string][]token
+	places map[string][]any
 	policy TriggerPolicy
 }
 
 func newPetriNet(params []string, policy TriggerPolicy) *petriNet {
-	places := make(map[string][]token, len(params))
+	places := make(map[string][]any, len(params))
 	for _, p := range params {
 		places[p] = nil
 	}
@@ -33,7 +24,7 @@ func newPetriNet(params []string, policy TriggerPolicy) *petriNet {
 // offer deposits a token into the named place and returns zero or more
 // ready input tuples according to the pairing policy. Unknown places are
 // ignored (the message wasn't addressed to this agent's inputs).
-func (pn *petriNet) offer(place string, tok token) []map[string]token {
+func (pn *petriNet) offer(place string, tok any) []map[string]any {
 	pn.mu.Lock()
 	defer pn.mu.Unlock()
 	if _, ok := pn.places[place]; !ok {
@@ -41,14 +32,14 @@ func (pn *petriNet) offer(place string, tok token) []map[string]token {
 	}
 	switch pn.policy {
 	case PairLatest:
-		pn.places[place] = []token{tok}
+		pn.places[place] = []any{tok}
 	default:
 		pn.places[place] = append(pn.places[place], tok)
 	}
 
-	var fired []map[string]token
+	var fired []map[string]any
 	for pn.readyLocked() {
-		tuple := make(map[string]token, len(pn.params))
+		tuple := make(map[string]any, len(pn.params))
 		for _, p := range pn.params {
 			tuple[p] = pn.places[p][0]
 			if pn.policy != PairLatest {
@@ -71,15 +62,4 @@ func (pn *petriNet) readyLocked() bool {
 		}
 	}
 	return true
-}
-
-// pending reports the number of queued tokens per place (observability).
-func (pn *petriNet) pending() map[string]int {
-	pn.mu.Lock()
-	defer pn.mu.Unlock()
-	out := make(map[string]int, len(pn.params))
-	for _, p := range pn.params {
-		out[p] = len(pn.places[p])
-	}
-	return out
 }

@@ -12,8 +12,8 @@ import (
 	"blueprint/internal/streams"
 )
 
-// Process-wide agent-runtime instruments (per-instance counters stay on
-// Instance.Stats; these aggregate across all agents for /metrics).
+// Process-wide agent-runtime instruments: every instance counts here, for
+// /metrics; an instance keeps no counters of its own.
 var (
 	mInvocations = obs.Default.Counter("blueprint_agent_invocations_total", "agent processor invocations across all instances")
 	mInvErrors   = obs.Default.Counter("blueprint_agent_errors_total", "agent invocations that returned an error")
@@ -51,13 +51,6 @@ type Options struct {
 	DisableListen bool
 }
 
-// Stats are per-instance counters.
-type Stats struct {
-	Invocations int64
-	Errors      int64
-	CostTotal   float64
-}
-
 // Instance is one running agent attached to a session's streams.
 type Instance struct {
 	agent   *Agent
@@ -71,12 +64,8 @@ type Instance struct {
 	dataSub *streams.Subscription
 	ctrlSub *streams.Subscription
 
-	invocations atomic.Int64
-	errs        atomic.Int64
-	costMu      sync.Mutex
-	costTotal   float64
-	nextInv     atomic.Int64
-	stopOnce    sync.Once
+	nextInv  atomic.Int64
+	stopOnce sync.Once
 
 	// live tracks the cancel funcs of in-flight invocations so ABORT
 	// directives (session-wide, or targeted via an invocation_id arg) stop
@@ -88,10 +77,17 @@ type Instance struct {
 // Attach starts an agent instance in a session: it subscribes to the
 // session's streams per the agent's listen rule and to EXECUTE_AGENT
 // directives on the control stream, announces ENTER_SESSION, and serves
-// until Stop.
+// until Stop. It ensures the session's control, session and display streams
+// exist (so it works on a bare store, without a session manager) and creates
+// nothing else: the agent's own output stream comes into being with its
+// first output, through Publish. A zero opts.Workers takes the spec's
+// Deployment.Workers hint, then the default.
 func Attach(store *streams.Store, session string, a *Agent, opts Options) (*Instance, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.Workers <= 0 {
+		opts.Workers = a.Spec.Deployment.Workers
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 4
@@ -115,7 +111,7 @@ func Attach(store *streams.Store, session string, a *Agent, opts Options) (*Inst
 		live:    make(map[string]context.CancelFunc),
 	}
 
-	for _, id := range []string{ControlStream(session), SessionStream(session), DisplayStream(session), OutputStream(session, a.Spec.Name)} {
+	for _, id := range []string{ControlStream(session), SessionStream(session), DisplayStream(session)} {
 		if _, err := store.EnsureStream(id, streams.StreamInfo{Session: session, Creator: a.Spec.Name}); err != nil {
 			return nil, err
 		}
@@ -168,24 +164,6 @@ func Attach(store *streams.Store, session string, a *Agent, opts Options) (*Inst
 	}
 	return inst, nil
 }
-
-// Name returns the agent name.
-func (in *Instance) Name() string { return in.agent.Spec.Name }
-
-// Stats returns a snapshot of the instance counters.
-func (in *Instance) Stats() Stats {
-	in.costMu.Lock()
-	cost := in.costTotal
-	in.costMu.Unlock()
-	return Stats{
-		Invocations: in.invocations.Load(),
-		Errors:      in.errs.Load(),
-		CostTotal:   cost,
-	}
-}
-
-// PendingTokens reports queued tokens per input place (observability).
-func (in *Instance) PendingTokens() map[string]int { return in.petri.pending() }
 
 // Stop announces EXIT_SESSION, cancels subscriptions and waits for in-flight
 // workers.
@@ -247,7 +225,6 @@ func (in *Instance) controlLoop() {
 		in.dispatch(Invocation{
 			Session:      msg.Session,
 			Inputs:       inputs,
-			Trigger:      msg,
 			ReplyStream:  reply,
 			InvocationID: invID,
 			TraceParent:  traceParent,
@@ -289,20 +266,10 @@ func (in *Instance) dataLoop() {
 		if place == "" {
 			continue
 		}
-		tuples := in.petri.offer(place, token{value: msg.Payload, msg: msg})
-		for _, tuple := range tuples {
-			inputs := make(map[string]any, len(tuple))
-			var trigger streams.Message
-			for p, tok := range tuple {
-				inputs[p] = tok.value
-				if tok.msg.TS > trigger.TS {
-					trigger = tok.msg
-				}
-			}
+		for _, inputs := range in.petri.offer(place, msg.Payload) {
 			in.dispatch(Invocation{
 				Session:      msg.Session,
 				Inputs:       inputs,
-				Trigger:      trigger,
 				InvocationID: fmt.Sprintf("%s-%d", in.agent.Spec.Name, in.nextInv.Add(1)),
 			})
 		}
@@ -361,7 +328,6 @@ func (in *Instance) run(inv Invocation) {
 	}
 	if timeout <= 0 {
 		// Dead on arrival: report without invoking the processor.
-		in.invocations.Add(1)
 		mInvocations.Inc()
 		in.reportError(inv.InvocationID, context.DeadlineExceeded)
 		return
@@ -397,7 +363,6 @@ func (in *Instance) run(inv Invocation) {
 		out, err = in.agent.Process(ctx, inv)
 	}
 	elapsed := time.Since(start)
-	in.invocations.Add(1)
 	mInvocations.Inc()
 
 	if err != nil {
@@ -414,9 +379,6 @@ func (in *Instance) run(inv Invocation) {
 			Accuracy: in.agent.Spec.QoS.Accuracy,
 		}
 	}
-	in.costMu.Lock()
-	in.costTotal += usage.Cost
-	in.costMu.Unlock()
 
 	// Publish outputs: one message per output parameter, tagged with the
 	// parameter name so downstream agents can listen selectively.
@@ -457,7 +419,6 @@ func (in *Instance) run(inv Invocation) {
 // reportError counts a failed invocation and reports it to the coordinator
 // as an AGENT_ERROR on the session's control stream.
 func (in *Instance) reportError(invocationID string, err error) {
-	in.errs.Add(1)
 	mInvErrors.Inc()
 	name := in.agent.Spec.Name
 	_, _ = in.store.Append(streams.Message{

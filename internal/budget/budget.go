@@ -354,10 +354,3 @@ func (b *Budget) Snapshot() Report {
 		LatencyReserved: b.reservedLatency,
 	}
 }
-
-// Violated reports whether any violation has occurred.
-func (b *Budget) Violated() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.violations) > 0
-}

@@ -19,7 +19,7 @@ func TestChargeWithinLimits(t *testing.T) {
 	if r.Accuracy != 0.95 {
 		t.Fatalf("accuracy = %v", r.Accuracy)
 	}
-	if b.Violated() {
+	if len(b.Snapshot().Violations) > 0 {
 		t.Fatal("violated within limits")
 	}
 }
@@ -36,7 +36,7 @@ func TestCostViolation(t *testing.T) {
 	if !strings.Contains(v[0].String(), "cost") {
 		t.Fatalf("render = %s", v[0])
 	}
-	if !b.Violated() {
+	if len(b.Snapshot().Violations) == 0 {
 		t.Fatal("not marked violated")
 	}
 }
@@ -180,7 +180,7 @@ func TestReserveRejectsOverLimit(t *testing.T) {
 		t.Fatalf("over-limit reserve admitted: rsv=%v v=%v", rsv, v)
 	}
 	// A failed Reserve claims nothing and records no violation.
-	if b.Violated() {
+	if len(b.Snapshot().Violations) > 0 {
 		t.Fatal("failed reserve recorded a violation")
 	}
 	if r := b.Snapshot(); r.CostReserved != 0 {
@@ -240,7 +240,7 @@ func TestConcurrentReserveCannotOvershoot(t *testing.T) {
 			t.Fatalf("commit violated after admission: %v", v)
 		}
 	}
-	if b.Violated() {
+	if len(b.Snapshot().Violations) > 0 {
 		t.Fatal("reserve/commit path overshot the limit")
 	}
 	if cost := b.Snapshot().CostSpent; cost > limit {
@@ -288,7 +288,7 @@ func TestChargeMemoHitAccuracyStillCounts(t *testing.T) {
 	if vs := b.ChargeMemoHit("s1:BAD:memo", 0.1); len(vs) == 0 {
 		t.Fatal("low-accuracy memo hit did not trip MinAccuracy")
 	}
-	if !b.Violated() {
+	if len(b.Snapshot().Violations) == 0 {
 		t.Fatal("expected recorded violation")
 	}
 }

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"sort"
 	"sync"
 
 	"blueprint/internal/agent"
@@ -28,10 +29,12 @@ const PlanTag = "plan"
 // planner agent publishes its PLAN output so, as does any agent that plans)
 // and executes each plan — the "TC listening to any stream with a plan
 // unrolls the plan" behaviour of Fig. 9, and the one way a plan reaches the
-// coordinator. Every plan executes on its own goroutine (each with a fresh
-// budget), up to DefaultMaxConcurrentPlans at once, so plans within one
-// session — and services across sessions — run concurrently rather than
-// queueing behind one another.
+// coordinator. A producer's Tags go on all of its outputs, so a plan's
+// companion values (the Agentic Employer's JOB_ID) arrive here too; mayBePlan
+// drops them in the watch loop. Every plan executes on its own goroutine
+// (each with a fresh budget), up to DefaultMaxConcurrentPlans at once, so
+// plans within one session — and services across sessions — run concurrently
+// rather than queueing behind one another.
 type Service struct {
 	c         *Coordinator
 	session   string
@@ -64,10 +67,24 @@ func (c *Coordinator) Serve(session string, limits budget.Limits) *Service {
 	go func() {
 		defer s.wg.Done()
 		for msg := range s.sub.C() {
-			s.spawn(msg.Payload)
+			if mayBePlan(msg.Payload) {
+				s.spawn(msg.Payload)
+			}
 		}
 	}()
 	return s
+}
+
+// mayBePlan reports whether a plan-tagged payload can be a plan: the typed
+// value a live producer publishes, or the generic map a recovered or external
+// payload is. Anything else planner.FromJSON would only marshal, fail to
+// unmarshal and drop, on a goroutine and a semaphore slot of its own.
+func mayBePlan(payload any) bool {
+	switch payload.(type) {
+	case *planner.Plan, planner.Plan, map[string]any:
+		return true
+	}
+	return false
 }
 
 // spawn executes one plan payload on its own goroutine, blocking the
@@ -102,11 +119,11 @@ func (s *Service) execute(payload any) {
 	}
 	if err == nil && res != nil {
 		// Surface the final outputs on the display stream for the user.
-		for param, v := range res.Final {
+		for _, param := range s.c.finalOrder(res) {
 			_, _ = s.c.store.Publish(streams.Message{
 				Stream: agent.DisplayStream(s.session), Session: s.session,
 				Kind: streams.Data, Sender: "coordinator", Param: param,
-				Tags: []string{"result"}, Payload: v,
+				Tags: []string{"result"}, Payload: res.Final[param],
 			})
 		}
 	}
@@ -119,6 +136,37 @@ func (s *Service) execute(payload any) {
 		default:
 		}
 	}
+}
+
+// finalOrder lists res.Final's parameters in the order the agent that produced
+// them declares its outputs, so that what reaches the display — and which
+// output an ask takes as its answer — is the same from run to run; sorted,
+// when the registry does not know the agent or one of the outputs.
+func (c *Coordinator) finalOrder(res *Result) []string {
+	names := make([]string, 0, len(res.Final))
+	if len(res.Final) > 1 {
+		var producer string
+		for _, sr := range res.Steps {
+			if sr.Err == "" {
+				producer = sr.Agent
+			}
+		}
+		if spec, err := c.reg.Get(producer); err == nil {
+			for _, p := range spec.Outputs {
+				if _, ok := res.Final[p.Name]; ok {
+					names = append(names, p.Name)
+				}
+			}
+		}
+	}
+	if len(names) < len(res.Final) {
+		names = names[:0]
+		for n := range res.Final {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+	}
+	return names
 }
 
 // ResultC delivers each completed plan result as it finishes — the

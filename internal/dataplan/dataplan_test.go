@@ -97,6 +97,18 @@ func newFixture(t testing.TB, accuracy float64) *fixture {
 
 const runningExample = "I am looking for a data scientist position in SF bay area."
 
+// planNode finds the plan's node by id.
+func planNode(t *testing.T, p *Plan, id string) Node {
+	t.Helper()
+	for _, n := range p.Nodes {
+		if n.ID == id {
+			return n
+		}
+	}
+	t.Fatalf("plan has no node %q: %s", id, p)
+	return Node{}
+}
+
 func TestBuildTarget(t *testing.T) {
 	f := newFixture(t, 1.0)
 	if f.bind.Target.Table != "jobs" {
@@ -173,8 +185,8 @@ func TestPlanDecomposedFig7(t *testing.T) {
 		t.Fatalf("plan = %s", plan)
 	}
 	// Q2NL injection visible in the LLM node prompt.
-	cityNode, ok := plan.Node("cities")
-	if !ok || !strings.Contains(cityNode.Args["prompt"].(string), "cities in the sf bay area") {
+	cityNode := planNode(t, plan, "cities")
+	if !strings.Contains(cityNode.Args["prompt"].(string), "cities in the sf bay area") {
 		t.Fatalf("cities node = %+v", cityNode)
 	}
 	res, err := f.exec.Execute(plan)
@@ -207,8 +219,8 @@ func TestPlanDecomposedWithLLMTitles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	titlesNode, ok := plan.Node("titles")
-	if !ok || titlesNode.Kind != OpLLM {
+	titlesNode := planNode(t, plan, "titles")
+	if titlesNode.Kind != OpLLM {
 		t.Fatalf("titles node = %+v", titlesNode)
 	}
 	res, err := f.exec.Execute(plan)

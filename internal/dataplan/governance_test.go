@@ -38,8 +38,8 @@ func TestPlanForGraphFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	titles, ok := plan.Node("titles")
-	if !ok || titles.Kind != OpLLM {
+	titles := planNode(t, plan, "titles")
+	if titles.Kind != OpLLM {
 		t.Fatalf("expected LLM title expansion fallback, got %+v", titles)
 	}
 	res, err := f.exec.Execute(plan)

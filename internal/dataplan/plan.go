@@ -87,16 +87,6 @@ type Plan struct {
 	Explanation []string `json:"explanation,omitempty"`
 }
 
-// Node returns the node with the given id.
-func (p *Plan) Node(id string) (Node, bool) {
-	for _, n := range p.Nodes {
-		if n.ID == id {
-			return n, true
-		}
-	}
-	return Node{}, false
-}
-
 // Validate checks DAG well-formedness: unique ids, known dependencies, an
 // output node, and acyclicity (insertion order must be topological).
 func (p *Plan) Validate() error {

@@ -130,7 +130,6 @@ type Stats struct {
 }
 
 type subsystem struct {
-	id   uint8
 	name string
 	l    Loggable
 	// barrier marks a subsystem whose replay is not idempotent: its
@@ -237,7 +236,7 @@ func (e *Engine) Register(id uint8, name string, l Loggable, opts ...RegisterOpt
 	if _, ok := e.subs[id]; ok {
 		return fmt.Errorf("durability: subsystem id %d already registered", id)
 	}
-	sub := subsystem{id: id, name: name, l: l}
+	sub := subsystem{name: name, l: l}
 	for _, opt := range opts {
 		opt(&sub)
 	}
@@ -384,7 +383,11 @@ func (e *Engine) replaySegment(seq uint64) (torn bool, err error) {
 		return false, fmt.Errorf("durability: open segment for replay: %w", err)
 	}
 	defer f.Close()
-	fr := &frameReader{r: bufio.NewReaderSize(f, 1<<16)}
+	fi, err := f.Stat()
+	if err != nil {
+		return false, fmt.Errorf("durability: stat segment for replay: %w", err)
+	}
+	fr := &frameReader{r: bufio.NewReaderSize(f, 1<<16), size: fi.Size()}
 	for {
 		id, payload, rerr := fr.next()
 		if errors.Is(rerr, io.EOF) {
@@ -454,7 +457,8 @@ func (e *Engine) readSnapshot(path string) ([]snapSection, bool) {
 	if err != nil || !bytes.HasPrefix(data, snapMagic) {
 		return nil, false
 	}
-	fr := &frameReader{r: bytes.NewReader(data[len(snapMagic):])}
+	body := data[len(snapMagic):]
+	fr := &frameReader{r: bytes.NewReader(body), size: int64(len(body))}
 	var out []snapSection
 	for {
 		id, payload, err := fr.next()
@@ -854,9 +858,6 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// Dir returns the engine's data directory.
-func (e *Engine) Dir() string { return e.dir }
-
 // Stats returns a snapshot of the counters plus the on-disk footprint.
 func (e *Engine) Stats() Stats {
 	st := Stats{
@@ -896,9 +897,6 @@ func (e *Engine) Logger(id uint8) *SubLogger { return &SubLogger{e: e, id: id} }
 
 // Append logs one record asynchronously (see Engine.Append).
 func (l *SubLogger) Append(payload []byte) error { return l.e.Append(l.id, payload) }
-
-// AppendSync logs one record through group commit (see Engine.AppendSync).
-func (l *SubLogger) AppendSync(payload []byte) error { return l.e.AppendSync(l.id, payload) }
 
 // LogMutation atomically applies and logs a mutation (see Engine.Log).
 func (l *SubLogger) LogMutation(apply func() ([]byte, error)) error { return l.e.Log(l.id, apply) }

@@ -49,6 +49,7 @@ func appendFrame(buf []byte, id uint8, payload []byte) []byte {
 // end of the last fully validated frame so a torn tail can be truncated.
 type frameReader struct {
 	r    io.Reader
+	size int64  // bytes in the source: a frame claiming more than is left is torn, and is not allocated for
 	buf  []byte // reused payload buffer; contents valid until the next read
 	good int64  // offset just past the last valid frame
 }
@@ -66,7 +67,7 @@ func (fr *frameReader) next() (uint8, []byte, error) {
 		return 0, nil, errTorn
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
-	if length == 0 || length > maxFrameBytes {
+	if length == 0 || length > maxFrameBytes || int64(length) > fr.size-fr.good-frameHeaderBytes {
 		return 0, nil, errTorn
 	}
 	if cap(fr.buf) < int(length) {
@@ -93,12 +94,6 @@ func AppendUvarint(b []byte, v uint64) []byte {
 // AppendVarint appends v as a zig-zag signed varint.
 func AppendVarint(b []byte, v int64) []byte {
 	return binary.AppendVarint(b, v)
-}
-
-// AppendBytes appends a length-prefixed byte string.
-func AppendBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
 }
 
 // AppendString appends a length-prefixed string.

@@ -17,7 +17,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"blueprint/internal/agent"
@@ -78,7 +77,6 @@ type Cluster struct {
 	containers map[string]*Container
 	ctrOrder   []string
 	nextCtr    int
-	restarts   int
 }
 
 // New creates a cluster scheduling agents from factory into session.
@@ -155,7 +153,7 @@ func (c *Cluster) Deploy(agentName string) (*Container, error) {
 	c.ctrOrder = append(c.ctrOrder, ctr.ID)
 	c.mu.Unlock()
 
-	inst, err := agent.Attach(c.store, c.session, a, agent.Options{Workers: a.Spec.Deployment.Workers})
+	inst, err := agent.Attach(c.store, c.session, a, agent.Options{})
 	if err != nil {
 		c.mu.Lock()
 		ctr.State = Failed
@@ -244,7 +242,7 @@ func (c *Cluster) Reconcile() (int, error) {
 		if err != nil {
 			return restarted, err
 		}
-		inst, err := agent.Attach(c.store, c.session, a, agent.Options{Workers: a.Spec.Deployment.Workers})
+		inst, err := agent.Attach(c.store, c.session, a, agent.Options{})
 		if err != nil {
 			return restarted, err
 		}
@@ -252,7 +250,6 @@ func (c *Cluster) Reconcile() (int, error) {
 		ctr.inst = inst
 		ctr.State = Running
 		ctr.Restarts++
-		c.restarts++
 		c.mu.Unlock()
 		restarted++
 	}
@@ -286,25 +283,6 @@ func (c *Cluster) Placement() map[string]int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.loadLocked()
-}
-
-// TotalRestarts reports cumulative restarts across the cluster.
-func (c *Cluster) TotalRestarts() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.restarts
-}
-
-// Nodes lists registered nodes sorted by name.
-func (c *Cluster) Nodes() []Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Node, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		out = append(out, *n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // Shutdown stops every running container.

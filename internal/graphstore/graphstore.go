@@ -135,40 +135,6 @@ func (g *Graph) FindNodes(prop, substr string) []Node {
 	return out
 }
 
-// Neighbors returns ids adjacent to id via edges with the given label
-// (empty label = any), in the given direction, sorted.
-func (g *Graph) Neighbors(id, label string, dir Direction) ([]string, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if _, ok := g.nodes[id]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNodeNotFound, id)
-	}
-	seen := map[string]bool{}
-	var out []string
-	add := func(nid string) {
-		if !seen[nid] {
-			seen[nid] = true
-			out = append(out, nid)
-		}
-	}
-	if dir == Out || dir == Both {
-		for _, e := range g.out[id] {
-			if label == "" || e.Label == label {
-				add(e.To)
-			}
-		}
-	}
-	if dir == In || dir == Both {
-		for _, e := range g.in[id] {
-			if label == "" || e.Label == label {
-				add(e.From)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
 // Traverse performs a BFS from id following edges with the given label in
 // the given direction, up to maxDepth hops (0 = only the start node).
 // The start node is included. Results are in BFS order with ties sorted.

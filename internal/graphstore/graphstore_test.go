@@ -79,30 +79,32 @@ func TestAddErrors(t *testing.T) {
 	}
 }
 
+// TestNeighbors: a node's neighbours are a one-hop Traverse, after the start
+// node it begins with.
 func TestNeighbors(t *testing.T) {
 	g := newTaxonomy(t)
-	out, err := g.Neighbors("data", "child", Out)
+	out, err := g.Traverse("data", "child", Out, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 3 || out[0] != "da" || out[1] != "ds" || out[2] != "sds" {
+	if len(out) != 4 || out[0] != "data" || out[1] != "da" || out[2] != "ds" || out[3] != "sds" {
 		t.Fatalf("children = %v", out)
 	}
-	in, err := g.Neighbors("ds", "child", In)
+	in, err := g.Traverse("ds", "child", In, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(in) != 1 || in[0] != "data" {
+	if len(in) != 2 || in[1] != "data" {
 		t.Fatalf("parents = %v", in)
 	}
-	both, err := g.Neighbors("ds", "", Both)
+	both, err := g.Traverse("ds", "", Both, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(both) != 2 { // data (in), mle (out related)
+	if len(both) != 3 { // ds, then data (in) and mle (out related)
 		t.Fatalf("both = %v", both)
 	}
-	if _, err := g.Neighbors("missing", "", Out); !errors.Is(err, ErrNodeNotFound) {
+	if _, err := g.Traverse("missing", "", Out, 1); !errors.Is(err, ErrNodeNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"blueprint/internal/obs"
 	"blueprint/internal/planner"
 	"blueprint/internal/registry"
-	"blueprint/internal/relational"
 )
 
 // ---------------------------------------------------------------- Intent Classifier
@@ -640,9 +639,4 @@ func (s *Suite) moderatorProc() agent.Processor {
 			Values: map[string]any{"VERDICT": map[string]any{"allowed": true}},
 		}, nil
 	}
-}
-
-// queryJobByID is a shared helper for examples and tests.
-func (s *Suite) queryJobByID(id int) (*relational.Result, error) {
-	return s.stmtJobByID.Query(id)
 }

@@ -52,7 +52,11 @@ func newApp(t testing.TB, accuracy float64) *app {
 
 	var insts []*agent.Instance
 	for _, name := range []string{AgenticEmployer, IntentClassifier, NL2Q, SQLExecutor, QuerySummarizer, Summarizer, Ranker, Profiler, JobMatcher, Presenter, Advisor, Moderator} {
-		inst, err := factory.Spawn(store, sess, name, agent.Options{})
+		a, err := factory.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := agent.Attach(store, sess, a, agent.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +348,7 @@ func TestExtractJobIDAndAsInt(t *testing.T) {
 
 func TestQueryJobByID(t *testing.T) {
 	a := newApp(t, 1.0)
-	res, err := a.suite.queryJobByID(1)
+	res, err := a.suite.stmtJobSummary.Query(1)
 	if err != nil || len(res.Rows) != 1 {
 		t.Fatalf("job 1 = %v err=%v", res, err)
 	}
@@ -390,7 +394,6 @@ func TestSuiteStatementsRunCompiled(t *testing.T) {
 		"job summary": suite.stmtJobSummary,
 		"apps by job": suite.stmtAppsByJob,
 		"top apps":    suite.stmtTopApps,
-		"job by id":   suite.stmtJobByID,
 	} {
 		res, err := st.Query(3)
 		if err != nil {

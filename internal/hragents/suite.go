@@ -63,7 +63,6 @@ type Suite struct {
 	stmtJobSummary *relational.Stmt // job header for the Summarizer
 	stmtAppsByJob  *relational.Stmt // application status histogram
 	stmtTopApps    *relational.Stmt // Ranker's score-ordered applicants
-	stmtJobByID    *relational.Stmt // full job row
 }
 
 // NewSuite wires the suite over a generated enterprise. The data registry is
@@ -120,7 +119,6 @@ func (s *Suite) prepareStatements() error {
 	s.stmtJobSummary = prepare(`SELECT title, city, salary FROM jobs WHERE id = ?`)
 	s.stmtAppsByJob = prepare(`SELECT status, COUNT(*) AS n FROM applications WHERE job_id = ? GROUP BY status ORDER BY status`)
 	s.stmtTopApps = prepare(`SELECT profile_id, status, score, years FROM applications WHERE job_id = ? ORDER BY score DESC LIMIT 10`)
-	s.stmtJobByID = prepare(`SELECT * FROM jobs WHERE id = ?`)
 	if err != nil {
 		return fmt.Errorf("hragents: preparing suite statements: %w", err)
 	}

@@ -2,7 +2,6 @@ package llm
 
 import (
 	"math/rand"
-	"sort"
 	"strings"
 )
 
@@ -70,16 +69,6 @@ func DefaultKnowledgeBase() *KnowledgeBase {
 			"career_advice": {"advice", "career", "should i", "skills do i need", "become"},
 		},
 	}
-}
-
-// Regions returns the known region names, sorted.
-func (kb *KnowledgeBase) Regions() []string {
-	out := make([]string, 0, len(kb.regions))
-	for r := range kb.regions {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // CitiesIn returns the cities of a region (nil if unknown). Matching is

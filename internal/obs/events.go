@@ -200,14 +200,6 @@ func (l *EventLog) Cap() int {
 	return l.ring.bound
 }
 
-// SetCapacity re-bounds the ring, dropping retained events (experiment and
-// daemon-boot hook, not a steady-state operation).
-func (l *EventLog) SetCapacity(capacity int) {
-	l.mu.Lock()
-	l.ring = newRing[Event](capacity, capacity)
-	l.mu.Unlock()
-}
-
 // Reset drops retained events, keeping capacity and level (test hook).
 func (l *EventLog) Reset() {
 	l.mu.Lock()

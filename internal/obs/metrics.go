@@ -74,7 +74,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Gauge returns the named settable gauge, creating it on first use.
+// Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	m := r.register(name, func() metric { return &Gauge{name: name, help: help} })
 	g, ok := m.(*Gauge)
@@ -124,13 +124,6 @@ func (r *Registry) funcMetric(name, help, typ string, fn func() float64) {
 	r.order = append(r.order, name)
 }
 
-// Names returns the registered instrument names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.order...)
-}
-
 // ---- Counter ----
 
 // Counter is a monotonically increasing counter (atomic, lock-free).
@@ -143,12 +136,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
 func (c *Counter) metricName() string { return c.name }
 func (c *Counter) metricHelp() string { return c.help }
 func (c *Counter) metricType() string { return "counter" }
@@ -158,7 +145,7 @@ func (c *Counter) sample(emit func(string, float64)) {
 
 // ---- Gauge ----
 
-// Gauge is a settable instantaneous value (atomic int64, lock-free). Worker
+// Gauge is an instantaneous value moved by deltas (atomic int64, lock-free). Worker
 // occupancy, queue depths and resident sizes use it.
 type Gauge struct {
 	v    atomic.Int64
@@ -166,14 +153,8 @@ type Gauge struct {
 	help string
 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add adds delta (negative to decrement).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 func (g *Gauge) metricName() string { return g.name }
 func (g *Gauge) metricHelp() string { return g.help }
@@ -333,11 +314,6 @@ func (h *Histogram) Quantiles(qs ...float64) []float64 {
 		}
 	}
 	return out
-}
-
-// Quantile estimates a single quantile; see Quantiles.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.Quantiles(q)[0]
 }
 
 func (h *Histogram) metricName() string { return h.name }

@@ -39,7 +39,7 @@ func TestHistogramBasics(t *testing.T) {
 func TestHistogramOverflowBucket(t *testing.T) {
 	h := newHistogram("h", "", []float64{1, 2})
 	h.Observe(1000) // +Inf bucket
-	if got := h.Quantile(0.99); got != 2 {
+	if got := h.Quantiles(0.99)[0]; got != 2 {
 		t.Fatalf("overflow quantile = %f, want clamp to top bound 2", got)
 	}
 }
@@ -130,8 +130,8 @@ func BenchmarkHistogramObserveParallel(b *testing.B) {
 
 func TestExpositionFormatParses(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_ops_total", "operations").Add(42)
-	r.Gauge("test_workers", "busy workers").Set(3)
+	r.Counter("test_ops_total", "operations").Inc()
+	r.Gauge("test_workers", "busy workers").Add(3)
 	r.GaugeFunc("test_entries", "entries", func() float64 { return 17 })
 	h := r.Histogram("test_latency_seconds", "latency", []float64{0.001, 0.01, 0.1})
 	for i := 0; i < 100; i++ {

@@ -204,13 +204,6 @@ func (r *Recorder) Cap() int {
 	return r.ring.bound
 }
 
-// SetCapacity re-bounds the ring, dropping retained exemplars.
-func (r *Recorder) SetCapacity(capacity int) {
-	r.mu.Lock()
-	r.ring = newRing[*Exemplar](capacity, capacity)
-	r.mu.Unlock()
-}
-
 // Reset drops retained exemplars, keeping capacity and threshold.
 func (r *Recorder) Reset() {
 	r.mu.Lock()

@@ -340,26 +340,6 @@ func (t *Tracer) Tree(session string, root uint64) []SpanData {
 	return out
 }
 
-// Sessions lists the sessions with recorded traces, least recently active
-// first.
-func (t *Tracer) Sessions() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.sessions))
-	for el := t.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*sessionTrace).id)
-	}
-	return out
-}
-
-// Reset drops all recorded traces (test hook).
-func (t *Tracer) Reset() {
-	t.mu.Lock()
-	t.sessions = map[string]*list.Element{}
-	t.lru = list.New()
-	t.mu.Unlock()
-}
-
 // ---- context propagation ----
 
 type ctxKey struct{}

@@ -87,7 +87,7 @@ func isASCIIDigit(c byte) bool { return c >= '0' && c <= '9' }
 // a chain of range compares. The fingerprint pass sweeps every statement on
 // the cache-key path, so cycles per byte here are cycles per query.
 const (
-	clOther byte = iota // not a token byte: lexical error
+	_       byte = iota // not a token byte (the table's zero value): lexical error
 	clSpace             // ASCII whitespace the old lexer skipped
 	clWord              // ASCII letter or '_': starts an identifier/keyword
 	clDigit             // ASCII digit: starts a number

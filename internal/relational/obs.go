@@ -33,17 +33,6 @@ func (db *DB) QueryContext(ctx context.Context, sql string, params ...any) (*Res
 	return res, err
 }
 
-// ExecContext is Exec with span propagation (see QueryContext).
-func (db *DB) ExecContext(ctx context.Context, sql string, params ...any) (int, error) {
-	_, sp := obs.StartSpan(ctx, "relational", "exec")
-	defer sp.End()
-	sp.SetAttr("sql", obs.Truncate(sql, 80))
-	if err := resilience.Check(ctx, resilience.SiteRelational); err != nil {
-		return 0, err
-	}
-	return db.Exec(sql, params...)
-}
-
 // QueryContext executes the prepared statement under a "relational" span
 // parented to the trace carried by ctx (see DB.QueryContext).
 func (s *Stmt) QueryContext(ctx context.Context, params ...any) (*Result, error) {
@@ -51,13 +40,4 @@ func (s *Stmt) QueryContext(ctx context.Context, params ...any) (*Result, error)
 	defer sp.End()
 	sp.SetAttr("sql", obs.Truncate(s.sql, 80))
 	return s.Query(params...)
-}
-
-// ExecContext executes the prepared statement under a "relational" span
-// parented to the trace carried by ctx.
-func (s *Stmt) ExecContext(ctx context.Context, params ...any) (int, error) {
-	_, sp := obs.StartSpan(ctx, "relational", "stmt")
-	defer sp.End()
-	sp.SetAttr("sql", obs.Truncate(s.sql, 80))
-	return s.Exec(params...)
 }

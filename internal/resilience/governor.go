@@ -311,26 +311,6 @@ func (g *Governor) Stats() GovernorStats {
 	return st
 }
 
-// Saturated reports whether the governor is at capacity with asks waiting —
-// the daemon-level brownout signal consulted by the degradation path. Safe
-// on nil (never saturated).
-func (g *Governor) Saturated() bool {
-	if g == nil {
-		return false
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inflight >= g.cfg.MaxConcurrent && g.queue.Len() > 0
-}
-
-// RetryAfter is the advisory backoff for shed responses. Safe on nil.
-func (g *Governor) RetryAfter() time.Duration {
-	if g == nil {
-		return time.Second
-	}
-	return g.cfg.RetryAfter
-}
-
 // CountDegraded counts one stale-memo degraded answer (kept here so the
 // governor owns the full admitted/shed/degraded ledger the A11 experiment
 // reads). Safe on nil.

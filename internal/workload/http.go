@@ -52,9 +52,6 @@ type AskResult struct {
 // Shed reports whether the ask was load-shed (HTTP 429).
 func (r AskResult) Shed() bool { return r.Status == http.StatusTooManyRequests }
 
-// OK reports a fresh, successful answer.
-func (r AskResult) OK() bool { return r.Status == http.StatusOK && !r.Degraded }
-
 // CreateSession opens a session on the daemon and returns its id.
 func (d *HTTPDriver) CreateSession() (string, error) {
 	resp, err := d.Client.Post(d.Base+"/sessions", "application/json", nil)
@@ -100,11 +97,10 @@ func (d *HTTPDriver) Ask(sessionID, tenant, text string, timeout time.Duration) 
 		res.RetryAfter = time.Duration(secs) * time.Second
 	}
 	var payload struct {
-		Answer     string  `json:"answer"`
-		Degraded   bool    `json:"degraded"`
-		StaleForMS int64   `json:"stale_for_ms"`
-		RetryMS    float64 `json:"retry_after_ms"`
-		Error      string  `json:"error"`
+		Answer     string `json:"answer"`
+		Degraded   bool   `json:"degraded"`
+		StaleForMS int64  `json:"stale_for_ms"`
+		Error      string `json:"error"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 		return res, fmt.Errorf("ask response body: %w", err)

@@ -101,7 +101,7 @@ func TestHTTPDriverAgainstStub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.OK() || res.Answer != "42 jobs" || res.TraceID != "session:abc-1" {
+	if res.Status != http.StatusOK || res.Degraded || res.Answer != "42 jobs" || res.TraceID != "session:abc-1" {
 		t.Fatalf("fresh ask = %+v", res)
 	}
 
@@ -112,15 +112,12 @@ func TestHTTPDriverAgainstStub(t *testing.T) {
 	if !res.Shed() || res.RetryAfter != 2*time.Second || res.Err != "overloaded" {
 		t.Fatalf("shed ask = %+v", res)
 	}
-	if res.OK() {
-		t.Fatal("shed result reports OK")
-	}
 
 	res, err = d.Ask(id, "pro", "stale ok", time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Degraded || res.StaleFor != 1500*time.Millisecond || res.OK() {
+	if !res.Degraded || res.StaleFor != 1500*time.Millisecond || res.Status != http.StatusOK {
 		t.Fatalf("degraded ask = %+v", res)
 	}
 }

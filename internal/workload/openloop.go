@@ -99,14 +99,6 @@ func OpenLoop(seed int64, cfg OpenLoopConfig) []Arrival {
 	}
 }
 
-// OfferedRate reports a schedule's realized offered load in asks/second.
-func OfferedRate(arrivals []Arrival, duration time.Duration) float64 {
-	if duration <= 0 {
-		return 0
-	}
-	return float64(len(arrivals)) / duration.Seconds()
-}
-
 // Replay fires fn for each arrival at its scheduled offset, open-loop: each
 // invocation runs in its own goroutine and the schedule never waits for
 // completions. Replay returns once every fired invocation has returned (or

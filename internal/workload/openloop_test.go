@@ -25,7 +25,7 @@ func TestOpenLoopDeterministicPoisson(t *testing.T) {
 	}
 	// Realized rate within 25% of the offered rate (Poisson noise at
 	// ~400 expected arrivals is well inside that).
-	rate := OfferedRate(one, cfg.Duration)
+	rate := float64(len(one)) / cfg.Duration.Seconds()
 	if math.Abs(rate-cfg.Rate) > cfg.Rate*0.25 {
 		t.Errorf("realized rate %.1f/s, offered %.1f/s", rate, cfg.Rate)
 	}

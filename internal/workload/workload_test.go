@@ -164,11 +164,11 @@ func TestTaxonomyRelatedEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := e.Graph.Neighbors("t:data_scientist", "related", 0) // Out
+	rel, err := e.Graph.Traverse("t:data_scientist", "related", 0, 1) // Out, one hop
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rel) != 4 {
+	if rel = rel[1:]; len(rel) != 4 { // without the start node
 		t.Fatalf("related = %v", rel)
 	}
 }

@@ -409,18 +409,29 @@ func (sess *Session) Ask(text string, timeout time.Duration) (string, error) {
 // threshold or error are captured as exemplars — span tree, overlapping
 // events, cost breakdown — addressable by the trace id.
 func (sess *Session) AskCtx(ctx context.Context, text string, timeout time.Duration) (string, error) {
+	_, rec := sess.beginAsk(ctx)
+	rec.text = text
+	var out string
+	out, rec.root, rec.err = sess.askCore(rec.trace, text, timeout)
+	rec.dur = time.Since(rec.start)
+	sess.recordAsk(rec)
+	return out, rec.err
+}
+
+// beginAsk is the prologue of every ask, governed or not: it mints the ask's
+// trace id when ctx carries none (returning a ctx that does), and opens the
+// ask's record at the current time and event-log cursor. The caller fills in
+// the rest as the ask proceeds and hands the record to recordAsk.
+func (sess *Session) beginAsk(ctx context.Context) (context.Context, askRecord) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	tid := obs.TraceIDFrom(ctx)
 	if tid == "" {
 		tid = obs.NewTraceID(sess.ID)
+		ctx = obs.WithTraceID(ctx, tid)
 	}
-	start := time.Now()
-	evStart := obs.Events.Seq()
-	out, root, err := sess.askCore(tid, text, timeout)
-	sess.recordAsk(askRecord{
-		trace: tid, text: text, start: start, dur: time.Since(start),
-		evStart: evStart, root: root, err: err,
-	})
-	return out, err
+	return ctx, askRecord{trace: tid, start: time.Now(), evStart: obs.Events.Seq()}
 }
 
 // quiesceWait bounds how long an exemplar capture waits for the ask's
@@ -614,17 +625,9 @@ type Answer struct {
 // governor (Config.Governor unset) admits everything immediately and, never
 // shedding, memoizes no answers.
 func (sess *Session) GovernedAsk(ctx context.Context, tenant, text string, timeout time.Duration) (Answer, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	tid := obs.TraceIDFrom(ctx)
-	if tid == "" {
-		tid = obs.NewTraceID(sess.ID)
-		ctx = obs.WithTraceID(ctx, tid)
-	}
-	start := time.Now()
-	evStart := obs.Events.Seq()
-	rec := askRecord{trace: tid, tenant: tenant, text: text, start: start, evStart: evStart}
+	ctx, rec := sess.beginAsk(ctx)
+	rec.tenant, rec.text = tenant, text
+	tid, start := rec.trace, rec.start
 
 	release, err := sess.sys.Governor.Admit(ctx, tenant)
 	if err != nil {
