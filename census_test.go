@@ -42,9 +42,9 @@ var censusKept = map[string]string{
 	"registry.DataRegistry.Update":         "§V-D registry lifecycle: a new version of an asset's entry",
 	"registry.DataRegistry.Children":       "§V-D the asset hierarchy, walked down from a parent",
 	"session.Session.Extend":               "§V-E nested session scopes (SESSION:ID:PROFILE)",
-	"session.Session.RemoveAgent":          "§V-E an agent leaves a session (REMOVE_AGENT)",
+	"session.Session.RemoveAgent":          "§V-E an agent leaves a session (REMOVE_AGENT): the deployment leaves, and stops with its last session",
 	"session.Session.Agents":               "§V-E session membership",
-	"session.Session.Agent":                "§V-E session membership",
+	"session.Session.Agent":                "§V-E session membership: the deployment the session joined, which other sessions share",
 	"session.Session.Members":              "§V-E session membership, replayed from the session stream's ENTER/EXIT signals",
 	"session.Session.Display":              "§V-E the display stream's messages; the program waits on it by offset instead",
 	"session.Session.History":              "§V-E every message of the scope, in order",

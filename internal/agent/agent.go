@@ -5,18 +5,37 @@
 // stream tags under inclusion/exclusion rules). Multi-parameter agents are
 // triggered through a PetriNet-inspired mechanism: every input parameter is
 // a place fed by stream messages; when all places hold a token, a transition
-// fires and the processor receives the full input tuple. Each agent instance
-// owns a worker pool so a triggered agent keeps listening while workers
-// execute (§V-B).
+// fires and the processor receives the full input tuple.
 //
-// What an instance holds is what it has touched. Attach takes one or two
-// subscriptions and as many goroutines, ensures the session's control,
-// session and display streams exist, and announces ENTER_SESSION; the
-// agent's own output stream (OutputStream) is created by its first output,
-// not before. An instance counts nothing of its own: invocations and errors
-// go to the process-wide blueprint_agent_invocations_total and
-// blueprint_agent_errors_total, and one invocation's outcome and cost are in
-// the AGENT_DONE / AGENT_ERROR report it puts on the control stream.
+// An agent is deployed once and joins sessions (§V-B/C: containers behind an
+// agent factory; §V-E: a session is a scope agents enter and exit). A
+// deployment (Instance, made by Deploy) owns one subscription to the control
+// directives addressed to the agent, one to the data it listens for when its
+// spec designates tags, and a loop goroutine on each — that, whatever the
+// number of sessions it serves. Join files those subscriptions under a
+// session's scope, ensures the session's control, session and display
+// streams and announces ENTER_SESSION; Leave is the reverse, with
+// EXIT_SESSION; Stop leaves every session and ends the deployment. Attach is
+// Deploy then Join, for an agent that serves one session.
+//
+// What a joined session holds of a deployment comes into being with the
+// first message routed for the pair, and goes when the session leaves: the
+// tokens waiting to pair (only for an agent with two or more required
+// inputs), the count of its invocations in flight with the queue of those
+// waiting behind them, and the cancel funcs ABORT reaches. Options.Workers
+// bounds the invocations of one (agent, session) pair that run at once; one
+// that arrives beyond the bound waits in the pair's queue and is started, in
+// arrival order, by the worker that next finishes — the deployment's loops
+// never wait for a worker, so a session at its bound delays no other. An
+// invocation belongs to the joined scope its message was routed under: its
+// output, display and control streams and its span are that session's, while
+// Invocation.Session is the message's own, which may be a sub-scope. The
+// agent's output stream in a session (OutputStream) is created by its first
+// output there, not before. A deployment counts nothing of its own:
+// invocations and errors go to the process-wide
+// blueprint_agent_invocations_total and blueprint_agent_errors_total, and one
+// invocation's outcome and cost are in the AGENT_DONE / AGENT_ERROR report it
+// puts on its session's control stream.
 package agent
 
 import (

@@ -478,8 +478,8 @@ func TestFactory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inst.Stop()
-	if cap(inst.sem) != 2 {
-		t.Fatalf("worker pool = %d, want the spec's deployment hint 2", cap(inst.sem))
+	if inst.opts.Workers != 2 {
+		t.Fatalf("worker pool = %d, want the spec's deployment hint 2", inst.opts.Workers)
 	}
 	if _, err := f.Build("MISSING"); err == nil {
 		t.Fatal("built unregistered agent")

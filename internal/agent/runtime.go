@@ -2,7 +2,10 @@ package agent
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,9 +43,10 @@ var (
 	reportOps    = []string{OpAgentDone, OpAgentError}
 )
 
-// Options configure an agent instance attachment.
+// Options configure a deployed agent.
 type Options struct {
-	// Workers is the worker-pool size (default 4).
+	// Workers bounds the invocations one joined session has running at once
+	// (default 4); what arrives beyond it waits in that session's queue.
 	Workers int
 	// Timeout bounds one processor call (default 30s).
 	Timeout time.Duration
@@ -51,38 +55,59 @@ type Options struct {
 	DisableListen bool
 }
 
-// Instance is one running agent attached to a session's streams.
-type Instance struct {
-	agent   *Agent
-	store   *streams.Store
-	session string
-	opts    Options
-	petri   *petriNet
-	sem     chan struct{}
-	wg      sync.WaitGroup // in-flight worker invocations
-	loopWg  sync.WaitGroup // control/data loop goroutines
-	dataSub *streams.Subscription
-	ctrlSub *streams.Subscription
+// Errors of Join.
+var (
+	ErrJoined  = errors.New("agent: session already joined")
+	ErrStopped = errors.New("agent: instance stopped")
+)
 
-	nextInv  atomic.Int64
+// Instance is one deployed agent: the subscriptions and loop goroutines that
+// serve every session it has joined, and a seat for each of those sessions.
+type Instance struct {
+	agent  *Agent
+	store  *streams.Store
+	opts   Options
+	params []string // the required inputs: the places tokens pair over
+	policy TriggerPolicy
+
+	ctrlSub  *streams.Subscription
+	dataSub  *streams.Subscription // nil when the agent does not listen
+	loopWg   sync.WaitGroup        // control/data loop goroutines
 	stopOnce sync.Once
 
+	// joined maps each joined session scope to its seat, nil until the first
+	// message is routed for the pair. Join and Leave also file and unfile
+	// the subscriptions under mu, so a scope is joined and routed as one.
+	mu      sync.Mutex
+	joined  map[string]*seat
+	stopped bool
+}
+
+// seat is what one joined session holds of a deployment, from the first
+// message routed for the pair until the session leaves.
+type seat struct {
+	session string
+	nextInv atomic.Int64
+	petri   *petriNet // pairs tokens when the agent has two or more required inputs; the data loop's alone
+
+	mu      sync.Mutex
+	running int          // invocations in flight, at most Options.Workers
+	queue   []Invocation // what arrived with every worker busy, in order
 	// live tracks the cancel funcs of in-flight invocations so ABORT
 	// directives (session-wide, or targeted via an invocation_id arg) stop
 	// running processor work instead of letting it burn its full timeout.
-	liveMu sync.Mutex
-	live   map[string]context.CancelFunc
+	live map[string]context.CancelFunc
+	left bool           // the session has left: nothing more starts
+	wg   sync.WaitGroup // workers; no Add once left is set
 }
 
-// Attach starts an agent instance in a session: it subscribes to the
-// session's streams per the agent's listen rule and to EXECUTE_AGENT
-// directives on the control stream, announces ENTER_SESSION, and serves
-// until Stop. It ensures the session's control, session and display streams
-// exist (so it works on a bare store, without a session manager) and creates
-// nothing else: the agent's own output stream comes into being with its
-// first output, through Publish. A zero opts.Workers takes the spec's
-// Deployment.Workers hint, then the default.
-func Attach(store *streams.Store, session string, a *Agent, opts Options) (*Instance, error) {
+// Deploy starts an agent's one instance over a store: a subscription to the
+// EXECUTE_AGENT and ABORT directives addressed to it, one to the data its
+// listen rule designates when it has one, and a loop goroutine on each. That
+// is all a deployment owns, whatever the number of sessions it goes on to
+// Join, and it receives nothing until the first. A zero opts.Workers takes
+// the spec's Deployment.Workers hint, then the default.
+func Deploy(store *streams.Store, a *Agent, opts Options) (*Instance, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
@@ -95,112 +120,206 @@ func Attach(store *streams.Store, session string, a *Agent, opts Options) (*Inst
 	if opts.Timeout <= 0 {
 		opts.Timeout = 30 * time.Second
 	}
-	params := make([]string, 0, len(a.Spec.Inputs))
+	in := &Instance{
+		agent:  a,
+		store:  store,
+		opts:   opts,
+		policy: PolicyFromSpec(a.Spec),
+		joined: make(map[string]*seat),
+	}
 	for _, p := range a.Spec.Inputs {
 		if !p.Optional {
-			params = append(params, p.Name)
+			in.params = append(in.params, p.Name)
 		}
-	}
-	inst := &Instance{
-		agent:   a,
-		store:   store,
-		session: session,
-		opts:    opts,
-		petri:   newPetriNet(params, PolicyFromSpec(a.Spec)),
-		sem:     make(chan struct{}, opts.Workers),
-		live:    make(map[string]context.CancelFunc),
-	}
-
-	for _, id := range []string{ControlStream(session), SessionStream(session), DisplayStream(session)} {
-		if _, err := store.EnsureStream(id, streams.StreamInfo{Session: session, Creator: a.Spec.Name}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Announce entry (§V-E).
-	if _, err := store.Append(streams.Message{
-		Stream: SessionStream(session), Kind: streams.Control, Sender: a.Spec.Name,
-		Directive: &streams.Directive{Op: streams.OpEnterSession, Agent: a.Spec.Name},
-	}); err != nil {
-		return nil, err
 	}
 
 	// Centralized activation: EXECUTE_AGENT and ABORT directives addressed
-	// to us (or to every agent). The session's other control traffic — entry
-	// and exit signals, plans, the reports of other agents — is not routed
-	// here at all.
-	inst.ctrlSub = store.Subscribe(streams.Filter{
-		Session: session,
-		Kinds:   controlKinds,
-		Ops:     instanceOps,
-		Agent:   a.Spec.Name,
-	}, false)
-	inst.loopWg.Add(1)
+	// to us (or to every agent). A joined session's other control traffic —
+	// entry and exit signals, plans, the reports of other agents — is not
+	// routed here at all.
+	in.ctrlSub = store.SubscribeScoped(streams.Filter{
+		Kinds: controlKinds,
+		Ops:   instanceOps,
+		Agent: a.Spec.Name,
+	})
+	in.loopWg.Add(1)
 	go func() {
-		defer inst.loopWg.Done()
-		inst.controlLoop()
+		defer in.loopWg.Done()
+		in.controlLoop()
 	}()
 
 	// Decentralized activation requires *designated* tags (§V-B): an agent
 	// with no inclusion rule is centrally activated only, unless it opts
 	// into listening to everything via the "listen_all" property.
-	listenAll := false
-	if v, ok := a.Spec.Properties["listen_all"].(bool); ok {
-		listenAll = v
-	}
+	listenAll, _ := a.Spec.Properties["listen_all"].(bool)
 	if !opts.DisableListen && len(a.Spec.Inputs) > 0 && (len(a.Spec.Listen.IncludeTags) > 0 || listenAll) {
-		inst.dataSub = store.Subscribe(streams.Filter{
-			Session:        session,
+		in.dataSub = store.SubscribeScoped(streams.Filter{
 			Kinds:          []streams.Kind{streams.Data, streams.Event},
 			IncludeTags:    a.Spec.Listen.IncludeTags,
 			ExcludeTags:    a.Spec.Listen.ExcludeTags,
 			ExcludeSenders: []string{a.Spec.Name},
-		}, false)
-		inst.loopWg.Add(1)
+		})
+		in.loopWg.Add(1)
 		go func() {
-			defer inst.loopWg.Done()
-			inst.dataLoop()
+			defer in.loopWg.Done()
+			in.dataLoop()
 		}()
 	}
-	return inst, nil
+	return in, nil
 }
 
-// Stop announces EXIT_SESSION, cancels subscriptions and waits for in-flight
-// workers.
+// Attach is Deploy and Join for an agent that serves one session: the
+// instance it returns has joined session, and Stop leaves it. A session
+// manager that places one deployment in many sessions calls the two itself.
+func Attach(store *streams.Store, session string, a *Agent, opts Options) (*Instance, error) {
+	in, err := Deploy(store, a, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := in.Join(session); err != nil {
+		in.Stop()
+		return nil, err
+	}
+	return in, nil
+}
+
+// Join puts the deployment in a session: it ensures the session's control,
+// session and display streams exist (so it works on a bare store, without a
+// session manager), announces ENTER_SESSION (§V-E) and files the deployment's
+// subscriptions under the session's scope, sub-scopes included. It creates
+// nothing else: the agent's output stream in the session comes into being
+// with its first output there, through Publish, and the pair's seat with the
+// first message routed for it. Joining a session twice fails with ErrJoined
+// and changes nothing.
+func (in *Instance) Join(session string) error {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.stopped {
+		return ErrStopped
+	}
+	if _, ok := in.joined[session]; ok {
+		return fmt.Errorf("%w: %s in %s", ErrJoined, in.agent.Spec.Name, session)
+	}
+	name := in.agent.Spec.Name
+	for _, id := range []string{ControlStream(session), SessionStream(session), DisplayStream(session)} {
+		if _, err := in.store.EnsureStream(id, streams.StreamInfo{Session: session, Creator: name}); err != nil {
+			return err
+		}
+	}
+	if _, err := in.store.Append(streams.Message{
+		Stream: SessionStream(session), Kind: streams.Control, Sender: name,
+		Directive: &streams.Directive{Op: streams.OpEnterSession, Agent: name},
+	}); err != nil {
+		return err
+	}
+	in.ctrlSub.Join(session)
+	if in.dataSub != nil {
+		in.dataSub.Join(session)
+	}
+	in.joined[session] = nil
+	return nil
+}
+
+// Leave takes the deployment out of a session: nothing more is routed to it
+// from there, what is still queued for the session — undispatched messages,
+// invocations waiting for a worker — is dropped, the session's in-flight
+// invocations are waited for (those of other sessions are not), and
+// EXIT_SESSION is announced. Leaving a session not joined is a no-op.
+func (in *Instance) Leave(session string) {
+	in.mu.Lock()
+	st, ok := in.joined[session]
+	if ok {
+		delete(in.joined, session)
+		in.ctrlSub.Leave(session)
+		if in.dataSub != nil {
+			in.dataSub.Leave(session)
+		}
+	}
+	in.mu.Unlock()
+	if !ok {
+		return
+	}
+	if st != nil {
+		st.mu.Lock()
+		st.left, st.queue = true, nil
+		st.mu.Unlock()
+		st.wg.Wait()
+	}
+	// Best-effort exit signal; the store may already be closed.
+	name := in.agent.Spec.Name
+	_, _ = in.store.Append(streams.Message{
+		Stream: SessionStream(session), Kind: streams.Control, Sender: name,
+		Directive: &streams.Directive{Op: streams.OpExitSession, Agent: name},
+	})
+}
+
+// Stop leaves every joined session, then cancels the subscriptions and waits
+// for the loop goroutines: the end of the deployment.
 func (in *Instance) Stop() {
 	in.stopOnce.Do(func() {
+		in.mu.Lock()
+		in.stopped = true
+		sessions := make([]string, 0, len(in.joined))
+		for session := range in.joined {
+			sessions = append(sessions, session)
+		}
+		in.mu.Unlock()
+		for _, session := range sessions {
+			in.Leave(session)
+		}
 		if in.dataSub != nil {
 			in.dataSub.Cancel()
 		}
 		in.ctrlSub.Cancel()
-		// Wait for the loop goroutines first: they are the only dispatchers,
-		// so once they exit no new wg.Add can race with wg.Wait below.
 		in.loopWg.Wait()
-		in.wg.Wait()
-		// Best-effort exit signal; the store may already be closed.
-		_, _ = in.store.Append(streams.Message{
-			Stream: SessionStream(in.session), Kind: streams.Control, Sender: in.agent.Spec.Name,
-			Directive: &streams.Directive{Op: streams.OpExitSession, Agent: in.agent.Spec.Name},
-		})
 	})
 }
 
+// seatFor returns the seat of the innermost joined scope msgSession lies
+// within, creating it on the pair's first message, or nil when the session
+// has left since the message was routed.
+func (in *Instance) seatFor(msgSession string) *seat {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for scope := msgSession; ; {
+		if st, ok := in.joined[scope]; ok {
+			if st == nil {
+				st = &seat{session: scope}
+				in.joined[scope] = st
+			}
+			return st
+		}
+		i := strings.LastIndexByte(scope, ':')
+		if i < 0 {
+			return nil
+		}
+		scope = scope[:i]
+	}
+}
+
+// invocationID mints an id for an invocation that came without one.
+func (in *Instance) invocationID(st *seat) string {
+	return fmt.Sprintf("%s-%d", in.agent.Spec.Name, st.nextInv.Add(1))
+}
+
 // controlLoop serves EXECUTE_AGENT directives addressed to this agent and
-// ABORT directives cancelling in-flight work.
+// ABORT directives cancelling in-flight work, each within the joined session
+// it arrived in.
 func (in *Instance) controlLoop() {
 	for msg := range in.ctrlSub.C() {
 		d := msg.Directive
 		if d == nil {
 			continue
 		}
+		st := in.seatFor(msg.Session)
+		if st == nil {
+			continue
+		}
 		if d.Op == streams.OpAbort && (d.Agent == "" || d.Agent == in.agent.Spec.Name) {
 			// Targeted abort (invocation_id arg) cancels one invocation;
-			// a bare abort cancels everything in flight.
-			if id, _ := d.Args["invocation_id"].(string); id != "" {
-				in.cancelInvocation(id)
-			} else {
-				in.cancelAll()
-			}
+			// a bare abort cancels everything the session has in flight.
+			id, _ := d.Args["invocation_id"].(string)
+			in.abort(st, id)
 			continue
 		}
 		if d.Op != streams.OpExecuteAgent || d.Agent != in.agent.Spec.Name {
@@ -216,13 +335,13 @@ func (in *Instance) controlLoop() {
 		invID, _ := d.Args["invocation_id"].(string)
 		traceParent, _ := d.Args["trace_parent"].(string)
 		if invID == "" {
-			invID = fmt.Sprintf("%s-%d", in.agent.Spec.Name, in.nextInv.Add(1))
+			invID = in.invocationID(st)
 		}
 		var deadline time.Time
 		if ms, ok := d.Args["deadline_ms"].(float64); ok && ms > 0 {
 			deadline = time.UnixMilli(int64(ms))
 		}
-		in.dispatch(Invocation{
+		in.dispatch(st, Invocation{
 			Session:      msg.Session,
 			Inputs:       inputs,
 			ReplyStream:  reply,
@@ -233,51 +352,79 @@ func (in *Instance) controlLoop() {
 	}
 }
 
-// cancelInvocation cancels one in-flight invocation by ID (no-op when it is
-// not running here).
-func (in *Instance) cancelInvocation(id string) {
-	in.liveMu.Lock()
-	cancel := in.live[id]
-	in.liveMu.Unlock()
-	if cancel != nil {
-		cancel()
+// abort cancels the session's in-flight invocation id, or all of them when
+// id is empty. An invocation still waiting for a worker never starts: it is
+// reported as cancelled, as it would have been had it been running.
+func (in *Instance) abort(st *seat, id string) {
+	st.mu.Lock()
+	var cancels []context.CancelFunc
+	var dropped []Invocation
+	if id == "" {
+		for _, c := range st.live {
+			cancels = append(cancels, c)
+		}
+		dropped, st.queue = st.queue, nil
+	} else {
+		if c := st.live[id]; c != nil {
+			cancels = append(cancels, c)
+		}
+		st.queue = slices.DeleteFunc(st.queue, func(inv Invocation) bool {
+			if inv.InvocationID != id {
+				return false
+			}
+			dropped = append(dropped, inv)
+			return true
+		})
 	}
-}
-
-// cancelAll cancels every in-flight invocation on this instance.
-func (in *Instance) cancelAll() {
-	in.liveMu.Lock()
-	cancels := make([]context.CancelFunc, 0, len(in.live))
-	for _, c := range in.live {
-		cancels = append(cancels, c)
-	}
-	in.liveMu.Unlock()
+	st.mu.Unlock()
 	for _, c := range cancels {
 		c()
+	}
+	for _, inv := range dropped {
+		mInvocations.Inc()
+		in.reportError(st.session, inv.InvocationID, context.Canceled)
 	}
 }
 
 // dataLoop implements decentralized activation: each matching message is a
-// token offered to the PetriNet place named by the message's Param, a tag
-// matching an input name, or — for single-input agents — the sole input.
+// token offered to the place named by the message's Param, a tag matching an
+// input name, or — for single-input agents — the sole input. Tokens pair
+// within the joined session the message arrived in.
 func (in *Instance) dataLoop() {
 	for msg := range in.dataSub.C() {
 		place := in.placeFor(msg)
 		if place == "" {
 			continue
 		}
-		for _, inputs := range in.petri.offer(place, msg.Payload) {
-			in.dispatch(Invocation{
+		st := in.seatFor(msg.Session)
+		if st == nil {
+			continue
+		}
+		for _, inputs := range in.offer(st, place, msg.Payload) {
+			in.dispatch(st, Invocation{
 				Session:      msg.Session,
 				Inputs:       inputs,
-				InvocationID: fmt.Sprintf("%s-%d", in.agent.Spec.Name, in.nextInv.Add(1)),
+				InvocationID: in.invocationID(st),
 			})
 		}
 	}
 }
 
+// offer deposits a token and returns the input tuples it completes. With one
+// required input every token is a tuple; only an agent with more keeps a
+// Petri net, one per joined session, from the session's first token.
+func (in *Instance) offer(st *seat, place string, tok any) []map[string]any {
+	if len(in.params) == 1 {
+		return []map[string]any{{place: tok}}
+	}
+	if st.petri == nil {
+		st.petri = newPetriNet(in.params, in.policy)
+	}
+	return st.petri.offer(place, tok)
+}
+
 func (in *Instance) placeFor(msg streams.Message) string {
-	required := in.petri.params
+	required := in.params
 	if msg.Param != "" {
 		for _, p := range required {
 			if p == msg.Param {
@@ -296,22 +443,43 @@ func (in *Instance) placeFor(msg streams.Message) string {
 	return ""
 }
 
-// dispatch runs the invocation on the worker pool.
-func (in *Instance) dispatch(inv Invocation) {
-	in.sem <- struct{}{}
-	in.wg.Add(1)
-	go func() {
-		defer func() {
-			<-in.sem
-			in.wg.Done()
-		}()
-		in.run(inv)
-	}()
+// dispatch runs the invocation on one of the session's workers, or queues it
+// behind them when all are busy: the loops never wait for a worker, so a
+// session at its bound holds up no other session's messages.
+func (in *Instance) dispatch(st *seat, inv Invocation) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	switch {
+	case st.left: // the session left while the message was in hand
+	case st.running < in.opts.Workers:
+		st.running++
+		st.wg.Add(1)
+		go in.work(st, inv)
+	default:
+		st.queue = append(st.queue, inv)
+	}
 }
 
-func (in *Instance) run(inv Invocation) {
+// work runs inv and then whatever queued up meanwhile, oldest first, and
+// gives the worker's slot back once the queue is empty.
+func (in *Instance) work(st *seat, inv Invocation) {
+	defer st.wg.Done()
+	for {
+		in.run(st, inv)
+		st.mu.Lock()
+		if len(st.queue) == 0 {
+			st.running--
+			st.mu.Unlock()
+			return
+		}
+		inv, st.queue = st.queue[0], st.queue[1:]
+		st.mu.Unlock()
+	}
+}
+
+func (in *Instance) run(st *seat, inv Invocation) {
 	if inv.Session == "" {
-		inv.Session = in.session
+		inv.Session = st.session
 	}
 	in.fillDefaults(&inv)
 	name := in.agent.Spec.Name
@@ -329,19 +497,22 @@ func (in *Instance) run(inv Invocation) {
 	if timeout <= 0 {
 		// Dead on arrival: report without invoking the processor.
 		mInvocations.Inc()
-		in.reportError(inv.InvocationID, context.DeadlineExceeded)
+		in.reportError(st.session, inv.InvocationID, context.DeadlineExceeded)
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	if inv.InvocationID != "" {
-		in.liveMu.Lock()
-		in.live[inv.InvocationID] = cancel
-		in.liveMu.Unlock()
+		st.mu.Lock()
+		if st.live == nil {
+			st.live = make(map[string]context.CancelFunc)
+		}
+		st.live[inv.InvocationID] = cancel
+		st.mu.Unlock()
 		defer func() {
-			in.liveMu.Lock()
-			delete(in.live, inv.InvocationID)
-			in.liveMu.Unlock()
+			st.mu.Lock()
+			delete(st.live, inv.InvocationID)
+			st.mu.Unlock()
 		}()
 	}
 	// Resume the caller's trace across the stream boundary (centralized
@@ -349,7 +520,7 @@ func (in *Instance) run(inv Invocation) {
 	// anchor beneath the session's active root, or trace nothing when no
 	// ask is in flight. The span rides ctx so processors that touch the
 	// relational engine extend the tree.
-	sp := obs.Spans.Resume(in.session, inv.TraceParent, "agent", name)
+	sp := obs.Spans.Resume(st.session, inv.TraceParent, "agent", name)
 	sp.SetAttr("invocation", inv.InvocationID)
 	ctx = obs.ContextWith(ctx, sp)
 	defer sp.End()
@@ -367,7 +538,7 @@ func (in *Instance) run(inv Invocation) {
 
 	if err != nil {
 		sp.SetAttr("error", obs.Truncate(err.Error(), 120))
-		in.reportError(inv.InvocationID, err)
+		in.reportError(st.session, inv.InvocationID, err)
 		return
 	}
 
@@ -384,7 +555,7 @@ func (in *Instance) run(inv Invocation) {
 	// parameter name so downstream agents can listen selectively.
 	outStream := inv.ReplyStream
 	if outStream == "" {
-		outStream = OutputStream(in.session, name)
+		outStream = OutputStream(st.session, name)
 	}
 	for _, p := range in.agent.Spec.Outputs {
 		v, ok := out.Values[p.Name]
@@ -400,12 +571,12 @@ func (in *Instance) run(inv Invocation) {
 	}
 	if out.Display != "" {
 		_, _ = in.store.Append(streams.Message{
-			Stream: DisplayStream(in.session), Session: inv.Session, Kind: streams.Data,
+			Stream: DisplayStream(st.session), Session: inv.Session, Kind: streams.Data,
 			Sender: name, Payload: out.Display, Tags: []string{"display"},
 		})
 	}
 	_, _ = in.store.Append(streams.Message{
-		Stream: ControlStream(in.session), Kind: streams.Control, Sender: name,
+		Stream: ControlStream(st.session), Kind: streams.Control, Sender: name,
 		Directive: &streams.Directive{Op: OpAgentDone, Agent: name, Args: map[string]any{
 			"invocation_id": inv.InvocationID,
 			"cost":          usage.Cost,
@@ -418,11 +589,11 @@ func (in *Instance) run(inv Invocation) {
 
 // reportError counts a failed invocation and reports it to the coordinator
 // as an AGENT_ERROR on the session's control stream.
-func (in *Instance) reportError(invocationID string, err error) {
+func (in *Instance) reportError(session, invocationID string, err error) {
 	mInvErrors.Inc()
 	name := in.agent.Spec.Name
 	_, _ = in.store.Append(streams.Message{
-		Stream: ControlStream(in.session), Kind: streams.Control, Sender: name,
+		Stream: ControlStream(session), Kind: streams.Control, Sender: name,
 		Directive: &streams.Directive{Op: OpAgentError, Agent: name, Args: map[string]any{
 			"invocation_id": invocationID,
 			"error":         err.Error(),

@@ -36,19 +36,84 @@ func UserStream(id string) string { return id + ":user" }
 // like any other input through streams").
 func EventStream(id string) string { return id + ":events" }
 
-// Manager creates and tracks sessions over one stream store.
+// Manager creates and tracks sessions over one stream store, and owns the
+// agents deployed into them: an agent is deployed once, by the first session
+// to add it, every later session joins that deployment by the agent's name,
+// and it is stopped when the last of them has left.
 type Manager struct {
 	mu       sync.Mutex
 	store    *streams.Store
 	factory  *agent.Factory
 	sessions map[string]*Session
 	nextID   int
+	deployed map[string]*deployment
+}
+
+// deployment is one agent's instance and the number of sessions holding it
+// (joined, joining or still leaving); guarded by Manager.mu.
+type deployment struct {
+	inst     *agent.Instance
+	sessions int
 }
 
 // NewManager creates a session manager. The factory may be nil if agents
 // are attached directly rather than spawned by name.
 func NewManager(store *streams.Store, factory *agent.Factory) *Manager {
-	return &Manager{store: store, factory: factory, sessions: make(map[string]*Session)}
+	return &Manager{
+		store: store, factory: factory,
+		sessions: make(map[string]*Session), deployed: make(map[string]*deployment),
+	}
+}
+
+// join puts the agent deployed under name in a session. When no session
+// holds one it deploys a (with opts), built from the factory when nil.
+func (m *Manager) join(session, name string, a *agent.Agent, opts agent.Options) (*agent.Instance, error) {
+	m.mu.Lock()
+	d := m.deployed[name]
+	if d == nil {
+		var err error
+		if a == nil {
+			a, err = m.factory.Build(name)
+		}
+		if err == nil {
+			d = &deployment{}
+			d.inst, err = agent.Deploy(m.store, a, opts)
+		}
+		if err != nil {
+			m.mu.Unlock()
+			return nil, err
+		}
+		m.deployed[name] = d
+	}
+	d.sessions++
+	m.mu.Unlock()
+	if err := d.inst.Join(session); err != nil {
+		m.release(name)
+		return nil, err
+	}
+	return d.inst, nil
+}
+
+// leave takes the agent deployed under name out of a session that joined it.
+func (m *Manager) leave(session, name string, inst *agent.Instance) {
+	inst.Leave(session)
+	m.release(name)
+}
+
+// release gives up one session's hold on a deployment and stops it when that
+// was the last.
+func (m *Manager) release(name string) {
+	m.mu.Lock()
+	d := m.deployed[name]
+	d.sessions--
+	last := d.sessions == 0
+	if last {
+		delete(m.deployed, name)
+	}
+	m.mu.Unlock()
+	if last {
+		d.inst.Stop()
+	}
 }
 
 // Create opens a new session. An empty id allocates "session:<n>".
@@ -63,11 +128,10 @@ func (m *Manager) Create(id string) (*Session, error) {
 		return nil, fmt.Errorf("%w: %s", ErrSessionExists, id)
 	}
 	s := &Session{
-		ID:      id,
-		store:   m.store,
-		factory: m.factory,
-		mgr:     m,
-		agents:  make(map[string]*agent.Instance),
+		ID:     id,
+		store:  m.store,
+		mgr:    m,
+		agents: make(map[string]*agent.Instance),
 	}
 	for _, stream := range []string{
 		UserStream(id), EventStream(id),
@@ -115,9 +179,8 @@ type Session struct {
 	// ID is the session scope identifier.
 	ID string
 
-	store   *streams.Store
-	factory *agent.Factory
-	mgr     *Manager
+	store *streams.Store
+	mgr   *Manager
 
 	mu     sync.Mutex
 	agents map[string]*agent.Instance
@@ -142,58 +205,60 @@ func (s *Session) Extend(name string) (*Session, error) {
 	return child, nil
 }
 
-// AddAgent attaches a pre-built agent to the session and announces
-// ADD_AGENT on the session stream.
+// AddAgent puts a pre-built agent in the session and announces ADD_AGENT on
+// the session stream. The agent is deployed if no session holds one of its
+// name; otherwise the session joins that deployment, and a is not used.
 func (s *Session) AddAgent(a *agent.Agent, opts agent.Options) (*agent.Instance, error) {
+	return s.join(a.Spec.Name, a, opts)
+}
+
+// SpawnAgent adds the named agent, built from the factory when no session
+// holds it yet.
+func (s *Session) SpawnAgent(name string, opts agent.Options) (*agent.Instance, error) {
+	if s.mgr.factory == nil {
+		return nil, errors.New("session: no factory configured")
+	}
+	return s.join(name, nil, opts)
+}
+
+// join decides membership under the session's lock: of concurrent adds of one
+// name exactly one joins, and none once the session is closed.
+func (s *Session) join(name string, a *agent.Agent, opts agent.Options) (*agent.Instance, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s", ErrSessionNotFound, s.ID)
 	}
-	if _, ok := s.agents[a.Spec.Name]; ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrAgentActive, a.Spec.Name)
+	if _, ok := s.agents[name]; ok {
+		return nil, fmt.Errorf("%w: %s", ErrAgentActive, name)
 	}
-	s.mu.Unlock()
-
-	inst, err := agent.Attach(s.store, s.ID, a, opts)
+	inst, err := s.mgr.join(s.ID, name, a, opts)
+	if errors.Is(err, agent.ErrJoined) {
+		// A RemoveAgent of it is still waiting for its invocations.
+		err = fmt.Errorf("%w: %s", ErrAgentActive, name)
+	}
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	s.agents[a.Spec.Name] = inst
-	s.mu.Unlock()
+	s.agents[name] = inst
 	_, _ = s.store.Append(streams.Message{
 		Stream: agent.SessionStream(s.ID), Kind: streams.Control, Sender: "session-manager",
-		Directive: &streams.Directive{Op: streams.OpAddAgent, Agent: a.Spec.Name},
+		Directive: &streams.Directive{Op: streams.OpAddAgent, Agent: name},
 	})
 	return inst, nil
 }
 
-// SpawnAgent builds the named agent from the factory and adds it.
-func (s *Session) SpawnAgent(name string, opts agent.Options) (*agent.Instance, error) {
-	if s.factory == nil {
-		return nil, errors.New("session: no factory configured")
-	}
-	a, err := s.factory.Build(name)
-	if err != nil {
-		return nil, err
-	}
-	return s.AddAgent(a, opts)
-}
-
-// RemoveAgent stops an active agent and announces REMOVE_AGENT.
+// RemoveAgent takes an active agent out of the session, waiting for what it
+// has in flight here, and announces REMOVE_AGENT.
 func (s *Session) RemoveAgent(name string) error {
 	s.mu.Lock()
 	inst, ok := s.agents[name]
-	if ok {
-		delete(s.agents, name)
-	}
+	delete(s.agents, name)
 	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrAgentInactive, name)
 	}
-	inst.Stop()
+	s.mgr.leave(s.ID, name, inst)
 	_, _ = s.store.Append(streams.Message{
 		Stream: agent.SessionStream(s.ID), Kind: streams.Control, Sender: "session-manager",
 		Directive: &streams.Directive{Op: streams.OpRemoveAgent, Agent: name},
@@ -213,7 +278,8 @@ func (s *Session) Agents() []string {
 	return out
 }
 
-// Agent returns the active instance by name.
+// Agent returns the deployment of an active agent by name: the instance the
+// session joined, which other sessions may have joined too.
 func (s *Session) Agent(name string) (*agent.Instance, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -333,8 +399,8 @@ func (s *Session) Members() []string {
 	return out
 }
 
-// Close stops all agents (children first) and removes the session from its
-// manager. Closing twice is a no-op.
+// Close takes the session's agents out of it (children first) and removes
+// the session from its manager. Closing twice is a no-op.
 func (s *Session) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -344,18 +410,15 @@ func (s *Session) Close() {
 	s.closed = true
 	subs := s.subs
 	s.subs = nil
-	agents := make([]*agent.Instance, 0, len(s.agents))
-	for _, inst := range s.agents {
-		agents = append(agents, inst)
-	}
-	s.agents = make(map[string]*agent.Instance)
+	agents := s.agents
+	s.agents = nil
 	s.mu.Unlock()
 
 	for _, c := range subs {
 		c.Close()
 	}
-	for _, inst := range agents {
-		inst.Stop()
+	for name, inst := range agents {
+		s.mgr.leave(s.ID, name, inst)
 	}
 	s.mgr.remove(s.ID)
 }

@@ -3,7 +3,10 @@ package session
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -313,5 +316,115 @@ func TestAwaitDisplayFromOffset(t *testing.T) {
 	post("at from")
 	if out := <-got; out != "at from" {
 		t.Fatalf("await beyond the end = %q", out)
+	}
+}
+
+// Membership is one decision under the session's lock: of sixteen concurrent
+// adds of one agent exactly one joins — or none, when Close got there first —
+// and whatever joined is gone after Close. (Before, the check and the attach
+// were apart: several attached, the map kept one, the rest were never
+// stopped, and an add racing Close attached to a closed session.)
+func TestConcurrentAddAndClose(t *testing.T) {
+	store, m := newEnv(t)
+	subs := func() int64 { return store.StatsSnapshot().Subscriptions }
+	subsBefore, goroutinesBefore := subs(), runtime.NumGoroutine()
+	for round := 0; round < 50; round++ {
+		s, err := m.Create("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		var added atomic.Int64
+		for i := 0; i < 16; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				switch _, err := s.SpawnAgent("GREETER", agent.Options{}); {
+				case err == nil:
+					added.Add(1)
+				case !errors.Is(err, ErrAgentActive) && !errors.Is(err, ErrSessionNotFound):
+					t.Errorf("SpawnAgent: %v", err)
+				}
+			}()
+		}
+		if round%2 == 0 {
+			runtime.Gosched() // let some adds in first, every other round
+		}
+		s.Close()
+		wg.Wait()
+
+		entered := 0
+		msgs, err := store.ReadAll(agent.SessionStream(s.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, msg := range msgs {
+			if msg.Directive.Op == streams.OpEnterSession {
+				entered++
+			}
+		}
+		if n := int(added.Load()); n > 1 || entered != n {
+			t.Fatalf("round %d: %d adds succeeded and %d ENTER_SESSION were announced, want the same number, at most 1", round, n, entered)
+		}
+		if got := s.Members(); len(got) != 0 {
+			t.Fatalf("round %d: members after Close = %v", round, got)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for subs() != subsBefore || runtime.NumGoroutine() > goroutinesBefore {
+		if time.Now().After(deadline) {
+			t.Fatalf("after the last Close: %d subscriptions (%d before), %d goroutines (%d before)",
+				subs(), subsBefore, runtime.NumGoroutine(), goroutinesBefore)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A deployment lives as long as a session holds it: the second session joins
+// the first one's instance, and the instance stops with the last to leave.
+func TestSessionsShareADeployment(t *testing.T) {
+	store, m := newEnv(t)
+	subs := func() int64 { return store.StatsSnapshot().Subscriptions }
+	base := subs()
+	s1, _ := m.Create("")
+	s2, _ := m.Create("")
+	i1, err := s1.SpawnAgent("GREETER", agent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := subs()
+	i2, err := s2.SpawnAgent("GREETER", agent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i1 != i2 || subs() != held {
+		t.Fatalf("the second session got its own instance (%d subscriptions, %d with one session)", subs(), held)
+	}
+	for _, s := range []*Session{s1, s2} {
+		from := s.DisplayLen()
+		if _, err := s.PostUserText(s.ID); err != nil {
+			t.Fatal(err)
+		}
+		if out, err := s.AwaitDisplay(from, "", 5*time.Second); err != nil || out != "hi, "+s.ID {
+			t.Fatalf("%s display = %q, %v", s.ID, out, err)
+		}
+	}
+	if n := len(s1.Display()) + len(s2.Display()); n != 2 {
+		t.Fatalf("%d display messages over both sessions, want one each", n)
+	}
+	s1.Close()
+	if subs() != held {
+		t.Fatalf("%d subscriptions after the first session closed, want the deployment's %d", subs(), held)
+	}
+	from := s2.DisplayLen()
+	if _, err := s2.PostUserText("still here"); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := s2.AwaitDisplay(from, "", 5*time.Second); err != nil || out != "hi, still here" {
+		t.Fatalf("display after the other session closed = %q, %v", out, err)
+	}
+	s2.Close()
+	if subs() != base {
+		t.Fatalf("%d subscriptions after the last session closed, want %d", subs(), base)
 	}
 }

@@ -82,33 +82,66 @@ func BenchmarkHistory(b *testing.B) {
 }
 
 // BenchmarkAppendManySessions is the shape of many live conversations: 512
-// session scopes, each with the 17 subscriptions a session's agents and
-// coordinator hold (11 on the control messages addressed to them, 6 on tagged
-// data), and an utterance appended to one session's user stream. Only that
-// session's subscriptions can receive it, and the append should cost as if
-// the other 511 sessions were not there.
+// session scopes, each with the 17 subscriptions that serve a session (11 on
+// the control messages addressed to an agent, 6 on tagged data), and an
+// utterance appended to one session's user stream. Only the subscriptions
+// filed under that session can receive it, and the append should cost as if
+// the other 511 sessions were not there. "deployed" files them the way
+// deployed agents do — 17 scoped subscriptions, each joined to all 512
+// scopes; "private" is one single-session subscription per session and
+// agent, 8 704 of them.
 func BenchmarkAppendManySessions(b *testing.B) {
-	s := NewStore()
-	b.Cleanup(func() { s.Close() })
-	for i := 0; i < 512; i++ {
-		scope := fmt.Sprintf("session:%d", i)
-		for _, f := range sessionControlFilters(scope) {
-			drain(s.Subscribe(f, false))
-		}
-		for j := 0; j < 6; j++ {
-			drain(s.Subscribe(Filter{Session: scope, Kinds: []Kind{Data, Event}, IncludeTags: []string{fmt.Sprintf("tag%d", j)}}, false))
-		}
+	dataFilter := func(scope string, j int) Filter {
+		return Filter{Session: scope, Kinds: []Kind{Data, Event}, IncludeTags: []string{fmt.Sprintf("tag%d", j)}}
 	}
-	if _, err := s.CreateStream("session:7:user", StreamInfo{Session: "session:7"}); err != nil {
-		b.Fatal(err)
+	scopes := make([]string, 512)
+	for i := range scopes {
+		scopes[i] = fmt.Sprintf("session:%d", i)
 	}
-	msg := Message{Stream: "session:7:user", Kind: Data, Sender: "user", Tags: []string{"user", "tag0"}, Payload: "How many jobs are in Austin?"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Append(msg); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		file func(s *Store)
+	}{
+		{"deployed", func(s *Store) {
+			filters := sessionControlFilters("")
+			for j := 0; j < 6; j++ {
+				filters = append(filters, dataFilter("", j))
+			}
+			for _, f := range filters {
+				sub := s.SubscribeScoped(f)
+				drain(sub)
+				for _, scope := range scopes {
+					sub.Join(scope)
+				}
+			}
+		}},
+		{"private", func(s *Store) {
+			for _, scope := range scopes {
+				for _, f := range sessionControlFilters(scope) {
+					drain(s.Subscribe(f, false))
+				}
+				for j := 0; j < 6; j++ {
+					drain(s.Subscribe(dataFilter(scope, j), false))
+				}
+			}
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := NewStore()
+			b.Cleanup(func() { s.Close() })
+			c.file(s)
+			if _, err := s.CreateStream("session:7:user", StreamInfo{Session: "session:7"}); err != nil {
+				b.Fatal(err)
+			}
+			msg := Message{Stream: "session:7:user", Kind: Data, Sender: "user", Tags: []string{"user", "tag0"}, Payload: "How many jobs are in Austin?"}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Append(msg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

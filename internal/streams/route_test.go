@@ -11,8 +11,9 @@ import (
 
 // The routing index must be invisible: whatever it narrows Append's search
 // to, the subscriptions that receive a message are exactly those whose
-// Filter.Matches it. These tests compare the index with that brute force
-// over seeded random filters and messages.
+// Filter.Matches it — for a scoped subscription, those that also have joined
+// a scope the message's session lies within. These tests compare the index
+// with that brute force over seeded random filters, joins and messages.
 
 // opDone is an op with unaddressed, ops-only subscribers: the completion
 // reports agents publish (the agent package names it; streams does not).
@@ -141,12 +142,14 @@ func (c *collector) await(t *testing.T, n int) []string {
 }
 
 // checkIndex verifies the index holds exactly the live subscriptions, each
-// class disjoint from the others, with no empty bucket left behind.
+// class disjoint from the others — a scoped one filed under exactly the
+// scopes it has joined, and nowhere else — with no empty bucket left behind.
 func checkIndex(t *testing.T, s *Store, live map[*Subscription]bool) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seen := map[*Subscription]string{}
+	filings := map[*Subscription]int{} // of a scoped subscription, in bySession
 	visit := func(class, key string, bucket []*Subscription) {
 		if len(bucket) == 0 {
 			t.Fatalf("empty bucket %s[%q] left in the index", class, key)
@@ -157,6 +160,16 @@ func checkIndex(t *testing.T, s *Store, live map[*Subscription]bool) {
 			}
 			if slices.Contains(bucket[:i], sub) {
 				t.Fatalf("%s[%q] holds a subscription twice", class, key)
+			}
+			if sub.scopes != nil && class == "bySession" {
+				if _, joined := sub.scopes[key]; !joined {
+					t.Fatalf("scoped subscription filed under %q, which it has not joined (%v)", key, sub.scopes)
+				}
+				filings[sub]++
+				continue
+			}
+			if (sub.scopes != nil) != (class == "scoped") {
+				t.Fatalf("%s[%q] holds a subscription of the wrong kind (scopes %v)", class, key, sub.scopes)
 			}
 			if c, ok := seen[sub]; ok && c != class {
 				t.Fatalf("subscription filed under %s and %s", c, class)
@@ -172,6 +185,14 @@ func checkIndex(t *testing.T, s *Store, live map[*Subscription]bool) {
 	}
 	if len(s.unscoped) > 0 {
 		visit("unscoped", "", s.unscoped)
+	}
+	if len(s.scoped) > 0 {
+		visit("scoped", "", s.scoped)
+	}
+	for sub := range live {
+		if sub.scopes != nil && filings[sub] != len(sub.scopes) {
+			t.Fatalf("scoped subscription is in %d scope buckets, joined %v", filings[sub], sub.scopes)
+		}
 	}
 	if len(seen) != len(live) {
 		t.Fatalf("index holds %d subscriptions, %d are live", len(seen), len(live))
@@ -195,6 +216,22 @@ func TestRoutingMatchesBruteForce(t *testing.T) {
 			live := map[*Subscription]bool{}
 			cols := map[*Subscription]*collector{}
 			want := map[*Subscription][]string{}
+			// joined is the model of every scoped subscription's scopes: it
+			// must receive a matching message whose session lies within one.
+			joined := map[*Subscription]map[string]bool{}
+			var scoped []*Subscription // the live ones, for picking
+			receives := func(sub *Subscription, msg *Message) bool {
+				if scopes, ok := joined[sub]; ok {
+					within := false
+					for scope := range scopes {
+						within = within || scopeContains(scope, msg.Session)
+					}
+					if !within {
+						return false
+					}
+				}
+				return sub.filter.Matches(msg)
+			}
 			cancel := func(sub *Subscription) {
 				// Everything routed to it must arrive, and nothing else by the
 				// time its channel closes.
@@ -202,16 +239,30 @@ func TestRoutingMatchesBruteForce(t *testing.T) {
 				sub.Cancel()
 				<-cols[sub].done
 				if got := cols[sub].got; !slices.Equal(got, want[sub]) {
-					t.Fatalf("filter %+v received %v, want %v", sub.filter, got, want[sub])
+					t.Fatalf("filter %+v (joined %v) received %v, want %v", sub.filter, joined[sub], got, want[sub])
 				}
 				delete(live, sub)
+				delete(joined, sub)
+				if i := slices.Index(scoped, sub); i >= 0 {
+					scoped = slices.Delete(scoped, i, i+1)
+				}
 				checkIndex(t, s, live)
 			}
 
+			scopedMatched := 0
 			for step := 0; step < 1500; step++ {
-				switch op := r.Intn(10); {
+				switch op := r.Intn(12); {
 				case op < 2 || len(live) < 8:
-					sub := s.Subscribe(randomFilter(r), false)
+					var sub *Subscription
+					if r.Intn(3) == 0 {
+						f := randomFilter(r)
+						f.Session = "" // the joined scopes are the scope
+						sub = s.SubscribeScoped(f)
+						joined[sub] = map[string]bool{}
+						scoped = append(scoped, sub)
+					} else {
+						sub = s.Subscribe(randomFilter(r), false)
+					}
 					live[sub], cols[sub] = true, collect(sub)
 					checkIndex(t, s, live)
 				case op < 3:
@@ -219,6 +270,18 @@ func TestRoutingMatchesBruteForce(t *testing.T) {
 						cancel(sub)
 						break
 					}
+				case op < 5 && len(scoped) > 0:
+					// Join or leave a random scope, joined or not: a scope and
+					// its ancestor, the same one twice, one never joined.
+					sub, scope := pick(r, scoped), pick(r, routeSessions[1:])
+					if r.Intn(3) > 0 {
+						sub.Join(scope)
+						joined[sub][scope] = true
+					} else {
+						sub.Leave(scope)
+						delete(joined[sub], scope)
+					}
+					checkIndex(t, s, live)
 				default:
 					if step == 700 {
 						mustCreate(t, s, "ghost", StreamInfo{Session: "session:1"})
@@ -230,11 +293,14 @@ func TestRoutingMatchesBruteForce(t *testing.T) {
 					s.mu.Unlock()
 					matched := 0
 					for sub := range live {
-						if sub.filter.Matches(&msg) {
+						if receives(sub, &msg) {
 							matched++
+							if joined[sub] != nil {
+								scopedMatched++
+							}
 							want[sub] = append(want[sub], msg.ID)
 							if !slices.Contains(routed, sub) {
-								t.Fatalf("message %+v not routed to matching filter %+v", msg, sub.filter)
+								t.Fatalf("message %+v not routed to matching filter %+v (joined %v)", msg, sub.filter, joined[sub])
 							}
 						}
 					}
@@ -243,15 +309,18 @@ func TestRoutingMatchesBruteForce(t *testing.T) {
 					}
 				}
 			}
+			if scopedMatched < 100 {
+				t.Fatalf("scoped subscriptions matched only %d messages: the generator is off", scopedMatched)
+			}
 			if len(want) < 20 {
 				t.Fatalf("only %d subscriptions ever matched: the generator is off", len(want))
 			}
 			for sub := range live {
 				cancel(sub)
 			}
-			if len(s.byStream)+len(s.bySession)+len(s.unscoped) != 0 {
-				t.Fatalf("index not empty after the last Cancel: %d stream, %d session buckets, %d unscoped",
-					len(s.byStream), len(s.bySession), len(s.unscoped))
+			if len(s.byStream)+len(s.bySession)+len(s.unscoped)+len(s.scoped) != 0 {
+				t.Fatalf("index not empty after the last Cancel: %d stream, %d session buckets, %d unscoped, %d scoped",
+					len(s.byStream), len(s.bySession), len(s.unscoped), len(s.scoped))
 			}
 			if n := s.StatsSnapshot().Subscriptions; n != 0 {
 				t.Fatalf("Subscriptions = %d after the last Cancel", n)
@@ -266,8 +335,15 @@ func TestCloseEmptiesIndex(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	s := NewStore()
 	var subs []*Subscription
-	for i := 0; i < 64; i++ {
+	for i := 0; i < 48; i++ {
 		subs = append(subs, s.Subscribe(randomFilter(r), false))
+	}
+	for i := 0; i < 16; i++ { // scoped ones in 0, 1, 2 and 3 scopes, a scope and its ancestor among them
+		sub := s.SubscribeScoped(Filter{Kinds: []Kind{Control}})
+		for _, scope := range routeSessions[1 : 1+i%4] {
+			sub.Join(scope)
+		}
+		subs = append(subs, sub)
 	}
 	if n := s.StatsSnapshot().Subscriptions; n != 64 {
 		t.Fatalf("Subscriptions = %d, want 64", n)
@@ -281,8 +357,12 @@ func TestCloseEmptiesIndex(t *testing.T) {
 			t.Fatal("channel still open after Close")
 		}
 		sub.Cancel()
+		sub.Join("session:1") // neither revives it
 	}
 	checkIndex(t, s, nil)
+	if len(s.bySession)+len(s.scoped) != 0 {
+		t.Fatalf("%d session buckets, %d scoped subscriptions after Close", len(s.bySession), len(s.scoped))
+	}
 }
 
 // A replay from an offset must equal the brute force over the stored
@@ -348,6 +428,14 @@ func TestRoutingConcurrent(t *testing.T) {
 			collect(s.Subscribe(Filter{Session: id, Kinds: []Kind{Control}, Ops: []string{opDone}}, false)))
 	}
 	everything := collect(s.Subscribe(Filter{}, false))
+	// A deployed agent's two subscriptions, joined to every session: the data
+	// of all of them, and of their control messages the broadcasts.
+	deployedData := collect(s.SubscribeScoped(Filter{Kinds: []Kind{Data}}))
+	deployedCtrl := collect(s.SubscribeScoped(Filter{Kinds: []Kind{Control}, Ops: []string{OpExecuteAgent, OpAbort}, Agent: "C"}))
+	for i := 0; i < sessions; i++ {
+		deployedData.sub.Join(fmt.Sprintf("session:%d", i))
+		deployedCtrl.sub.Join(fmt.Sprintf("session:%d", i))
+	}
 
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
@@ -378,11 +466,18 @@ func TestRoutingConcurrent(t *testing.T) {
 		go func(i int) { // subscription churn in every class
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(i)))
+			comeAndGo := s.SubscribeScoped(Filter{})
+			drain(comeAndGo)
 			for n := 0; n < appends; n++ {
 				sub := s.Subscribe(randomFilter(r), n%4 == 0)
 				drain(sub)
+				comeAndGo.Join(fmt.Sprintf("session:%d", (i+n)%sessions))
 				sub.Cancel()
+				if n%3 > 0 {
+					comeAndGo.Leave(fmt.Sprintf("session:%d", (i+n)%sessions))
+				}
 			}
+			comeAndGo.Cancel() // out of the scopes it was still in
 		}(i)
 	}
 	wg.Wait()
@@ -412,7 +507,12 @@ func TestRoutingConcurrent(t *testing.T) {
 	if got := everything.await(t, total); len(got) != total {
 		t.Fatalf("unscoped subscription received %d messages, want %d", len(got), total)
 	}
-	live := map[*Subscription]bool{everything.sub: true}
+	for c, want := range map[*collector]int{deployedData: sessions * appends, deployedCtrl: sessions * (appends + 1)} {
+		if got := c.await(t, want); len(got) != want {
+			t.Fatalf("scoped filter %+v received %d messages, want %d", c.sub.filter, len(got), want)
+		}
+	}
+	live := map[*Subscription]bool{everything.sub: true, deployedData.sub: true, deployedCtrl.sub: true}
 	for _, c := range append(stay, addressed...) {
 		live[c.sub] = true
 	}

@@ -52,11 +52,12 @@ type Store struct {
 	closed  bool
 
 	// The routing index (route.go): every live subscription is filed under
-	// exactly one class, so Append consults only the buckets its message
-	// can reach.
+	// exactly one class — a scoped one also under each session scope it has
+	// joined — so Append consults only the buckets its message can reach.
 	byStream  map[string][]*Subscription // filed under each Filter.Streams id
-	bySession map[string][]*Subscription // else under the Filter.Session scope
+	bySession map[string][]*Subscription // else under the Filter.Session scope, or each scope joined
 	unscoped  []*Subscription            // else here
+	scoped    []*Subscription            // every SubscribeScoped one, joined anywhere or not
 
 	// sink is the shared durability engine's append (SetDurable); nil when
 	// the store is not persisted.

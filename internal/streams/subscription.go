@@ -24,6 +24,9 @@ type Subscription struct {
 	store  *Store
 	filter Filter
 	filed  bool // in the store's routing index; guarded by store.mu
+	// scopes holds the session scopes a SubscribeScoped subscription has
+	// joined, and is nil for every other; guarded by store.mu.
+	scopes map[string]struct{}
 
 	mu      sync.Mutex
 	pending []Message // what overflowed ch, in order; only a live drain empties it
@@ -43,9 +46,9 @@ type Subscription struct {
 // delivered.
 func (s *Store) Subscribe(filter Filter, replay bool) *Subscription {
 	if replay {
-		return s.subscribe(filter, 0)
+		return s.subscribe(filter, 0, nil)
 	}
-	return s.subscribe(filter, -1)
+	return s.subscribe(filter, -1, nil)
 }
 
 // SubscribeFrom is Subscribe with a replay that starts at offset from of
@@ -54,14 +57,43 @@ func (s *Store) Subscribe(filter Filter, replay bool) *Subscription {
 // there and pays for the suffix, not the history; from <= 0 replays
 // everything, from at or beyond a stream's end replays nothing of it.
 func (s *Store) SubscribeFrom(filter Filter, from int64) *Subscription {
-	return s.subscribe(filter, max(from, 0))
+	return s.subscribe(filter, max(from, 0), nil)
 }
 
-// subscribe registers a subscription; from < 0 means no replay.
-func (s *Store) subscribe(filter Filter, from int64) *Subscription {
+// SubscribeScoped registers a subscription that serves whichever session
+// scopes it joins: it receives the messages appended after a Join whose
+// session lies within a joined scope and that match filter, each once, and
+// none from a scope it has not joined or has left — nothing at all until the
+// first Join. It is one subscription (one channel, one consumer) however many
+// scopes it serves, and an Append into a scope it has not joined never
+// evaluates its filter. The filter names the other rules; its Session stays
+// empty, the joined scopes being the scope.
+func (s *Store) SubscribeScoped(filter Filter) *Subscription {
+	return s.subscribe(filter, -1, make(map[string]struct{}))
+}
+
+// Join adds a session scope to those a SubscribeScoped subscription serves.
+func (sub *Subscription) Join(scope string) {
+	sub.store.mu.Lock()
+	sub.store.joinLocked(sub, scope)
+	sub.store.mu.Unlock()
+}
+
+// Leave takes a joined scope away again. Messages of it already handed to
+// the subscription stay in its queue.
+func (sub *Subscription) Leave(scope string) {
+	sub.store.mu.Lock()
+	sub.store.leaveLocked(sub, scope)
+	sub.store.mu.Unlock()
+}
+
+// subscribe registers a subscription; from < 0 means no replay, and a
+// non-nil scopes makes it a scoped one.
+func (s *Store) subscribe(filter Filter, from int64, scopes map[string]struct{}) *Subscription {
 	sub := &Subscription{
 		store:  s,
 		filter: filter,
+		scopes: scopes,
 		ch:     make(chan Message, subBuffer),
 	}
 
