@@ -43,19 +43,23 @@ census:
 # the streams, session and planner benchmarks (Append beside many sessions'
 # worth of subscriptions, one control message into a session, one hand-off,
 # replay, the display wait deep into a conversation, a plan crossing a hop, a
-# statement result crossing one) and, in the root package, one more session
-# started and closed beside 512 live ones (BenchmarkStartSessionBesideLive,
-# which also reports the goroutines and subscriptions a live session holds).
+# statement result crossing one), the analytic ask's statement on the 5 000
+# jobs of workload.MediumScale (BenchmarkRangeGroupBy, a range group-by through
+# idx_jobs_salary at four selectivities: B/op should be the same at each) and,
+# in the root package, one more session started and closed beside 512 live
+# ones (BenchmarkStartSessionBesideLive, which also reports the goroutines and
+# subscriptions a live session holds).
 bench:
-	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner ./internal/hragents . -run XXX -bench . -benchmem
+	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner ./internal/hragents ./internal/workload . -run XXX -bench . -benchmem
 
-# Twenty iterations of each streams, session, planner, relational and
-# hragents benchmark (the last two hold the group-by, the title scan and the
-# SQL executor -> query summarizer hand-off) and of the root package's
-# BenchmarkStartSessionBesideLive: CI runs them so that they keep building and
-# finishing, not to read their numbers.
+# Twenty iterations of each streams, session, planner, relational, hragents
+# and workload benchmark (the last three hold the group-by, the title scan,
+# the SQL executor -> query summarizer hand-off and the range group-by at
+# workload scale) and of the root package's BenchmarkStartSessionBesideLive:
+# CI runs them so that they keep building and finishing, not to read their
+# numbers.
 bench-streams:
-	$(GO) test ./internal/streams ./internal/session ./internal/planner ./internal/relational ./internal/hragents . -run XXX -bench . -benchtime 20x
+	$(GO) test ./internal/streams ./internal/session ./internal/planner ./internal/relational ./internal/hragents ./internal/workload . -run XXX -bench . -benchtime 20x
 
 # Fuzz for a short burst each: the tokenizer against the old slice-building
 # lexer, SQL text through the engine against the reference interpreter

@@ -9,10 +9,38 @@ import (
 // time, and the choice among them against the live indexes and the bound
 // values of one execution (see compile.go for the file map).
 
-// valueGetter resolves one comparison operand at execution time: a captured
-// literal, or a parameter slot (explicit or auto-extracted). ok is false
-// when the slot is unbound.
-type valueGetter func(params []Value) (Value, bool)
+// constOperand is the constant side of a comparison, resolved at execution
+// time: a captured literal, or the parameter slot ord (explicit or
+// auto-extracted; 0 for a literal), reported as parameter disp where an
+// execution that left it unbound evaluates it.
+type constOperand struct {
+	lit       Value
+	ord, disp int
+}
+
+// newConstOperand compiles a constant-valued operand (literal or parameter);
+// nil if the expression is not a planning-time constant.
+func newConstOperand(e Expr) *constOperand {
+	switch x := e.(type) {
+	case *Literal:
+		return &constOperand{lit: x.Val}
+	case *Param:
+		return &constOperand{ord: x.Ordinal, disp: paramSrc(x)}
+	}
+	return nil
+}
+
+// value returns the constant in place — it is not copied — or nil when the
+// slot is unbound.
+func (k *constOperand) value(params []Value) *Value {
+	if k.ord == 0 {
+		return &k.lit
+	}
+	if unbound(params, k.ord) {
+		return nil
+	}
+	return &params[k.ord-1]
+}
 
 type accessCandKind int
 
@@ -32,33 +60,14 @@ type accessCand struct {
 
 	fwdCol string // lowercased base-table column, "" if ineligible
 	fwdOp  string
-	fwdVal valueGetter
+	fwdVal *constOperand
 	revCol string
 	revOp  string
-	revVal valueGetter
+	revVal *constOperand
 
-	col   string        // IN column
-	items []valueGetter // IN list operands
-	n     int           // len of the original IN list (for the plan line)
-}
-
-// constGetter compiles a constant-valued operand (literal or parameter);
-// nil if the expression is not a planning-time constant.
-func constGetter(e Expr) valueGetter {
-	switch x := e.(type) {
-	case *Literal:
-		v := x.Val
-		return func([]Value) (Value, bool) { return v, true }
-	case *Param:
-		ord := x.Ordinal
-		return func(params []Value) (Value, bool) {
-			if unbound(params, ord) {
-				return Null, false
-			}
-			return params[ord-1], true
-		}
-	}
-	return nil
+	col   string          // IN column
+	items []*constOperand // IN list operands
+	n     int             // len of the original IN list (for the plan line)
 }
 
 // baseColumn returns the lowercased column name when e is a column reference,
@@ -88,12 +97,12 @@ func buildAccessCands(where Expr) []accessCand {
 			}
 			c := accessCand{kind: candBinary}
 			if col := baseColumn(x.L); col != "" {
-				if g := constGetter(x.R); g != nil {
+				if g := newConstOperand(x.R); g != nil {
 					c.fwdCol, c.fwdOp, c.fwdVal = col, x.Op, g
 				}
 			}
 			if col := baseColumn(x.R); col != "" {
-				if g := constGetter(x.L); g != nil {
+				if g := newConstOperand(x.L); g != nil {
 					c.revCol, c.revOp, c.revVal = col, flippedOp[x.Op], g
 				}
 			}
@@ -111,7 +120,7 @@ func buildAccessCands(where Expr) []accessCand {
 			c := accessCand{kind: candIn, col: col, n: len(x.List)}
 			ok := true
 			for _, item := range x.List {
-				g := constGetter(item)
+				g := newConstOperand(item)
 				if g == nil {
 					ok = false
 					break
@@ -126,25 +135,47 @@ func buildAccessCands(where Expr) []accessCand {
 	return out
 }
 
-// planAccessCompiled walks the precompiled candidates against the live index
-// set and this execution's bound values, producing the access path (and plan
-// line) the reference planner (planAccess, interp_test.go) chooses for the
-// equivalent literal text.
-func (p *selectProgram) planAccessCompiled(t *table, params []Value) accessPath {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return planAccessLocked(t, p.access, params, p.sel.Explain, false)
+// accessPath is the planner's choice for reading the base table: every row
+// (all), or the rows an index files under the winning predicate. ids and
+// entries are views of index storage — a hash posting list itself, a run of
+// an ordered index's entries — not copies (an IN list's merged postings, which
+// no index stores, are the one list made for the path): a path is valid only
+// while the caller still holds the t.mu it planned under, and a caller that
+// will write the index copies it first (dmlCandidates). At most one of the
+// two is non-empty, and its order is the order the rows are visited in.
+type accessPath struct {
+	desc    string
+	all     bool
+	ids     []int
+	entries []orderedEntry
 }
 
-// planAccessLocked picks the best access path for the precompiled candidates
-// under this execution's bound values. The caller holds t.mu (read or write).
-// The desc plan line is rendered only when wantDesc (EXPLAIN): ordinary
-// queries never pay for it. sameClass is for a caller that must visit exactly
-// the rows a scan would match (DML): an index then serves only a value of its
-// column's own class — a number for a numeric column, else the column's type —
-// because it files values by key and by Compare, and across classes the
-// predicate's Equal (3 = '3') finds rows neither does.
-func planAccessLocked(t *table, access []accessCand, params []Value, wantDesc, sameClass bool) accessPath {
+func (p *accessPath) len() int { return len(p.ids) + len(p.entries) }
+
+// appendIDs appends the path's row ids to dst, in visiting order — the one
+// way they are copied out: into an IN list's merge, into a DML statement's
+// private list.
+func (p *accessPath) appendIDs(dst []int) []int {
+	dst = append(dst, p.ids...)
+	for i := range p.entries {
+		dst = append(dst, p.entries[i].id)
+	}
+	return dst
+}
+
+// planAccessLocked walks the precompiled candidates against the live index
+// set and this execution's bound values, producing the access path (and plan
+// line) the reference planner (planAccess, interp_test.go) chooses for the
+// equivalent literal text. The caller holds t.mu (read or write) and keeps
+// holding it for as long as it reads the path. The desc plan line is
+// rendered only when wantDesc (EXPLAIN): ordinary queries never pay for it.
+//
+// An index serves only a value of its column's own class — a number for a
+// numeric column, else the column's type — because it files values by key and
+// by Compare, and across classes the predicate's Equal (3 = '3') finds rows
+// neither does, and Compare's order is not the one the entries are sorted in.
+// A value of another class leaves the conjunct to the scan.
+func planAccessLocked(t *table, access []accessCand, params []Value, wantDesc bool) accessPath {
 	if len(access) == 0 || len(t.indexes) == 0 {
 		if !wantDesc {
 			return accessPath{all: true}
@@ -156,10 +187,10 @@ func planAccessLocked(t *table, access []accessCand, params []Value, wantDesc, s
 	// not cost a formatted string per execution.
 	type candidate struct {
 		rank int
-		ids  []int
+		path accessPath
 		ix   *indexDef
 		op   string // "=", "<", "<=", ">", ">=", "IN"
-		v    Value
+		v    *Value
 		n    int // IN list length
 	}
 	var (
@@ -167,13 +198,13 @@ func planAccessLocked(t *table, access []accessCand, params []Value, wantDesc, s
 		found bool
 	)
 	consider := func(c candidate) {
-		if !found || c.rank < best.rank || (c.rank == best.rank && len(c.ids) < len(best.ids)) {
+		if !found || c.rank < best.rank || (c.rank == best.rank && c.path.len() < best.path.len()) {
 			best = c
 			found = true
 		}
 	}
-	serves := func(ix *indexDef, v Value) bool {
-		if !sameClass || v.IsNull() {
+	serves := func(ix *indexDef, v *Value) bool {
+		if v.IsNull() {
 			return true
 		}
 		switch ct := t.schema.Columns[ix.col].Type; ct {
@@ -186,22 +217,22 @@ func planAccessLocked(t *table, access []accessCand, params []Value, wantDesc, s
 	// resolve maps a binary candidate onto the live index set for this
 	// execution's bound values: the forward orientation wins when both sides
 	// are indexed, matching the reference planner.
-	resolve := func(ac *accessCand) (*indexDef, Value, string) {
+	resolve := func(ac *accessCand) (*indexDef, *Value, string) {
 		if ac.fwdCol != "" {
 			if cand := t.indexes[ac.fwdCol]; cand != nil {
-				if fv, ok := ac.fwdVal(params); ok && !fv.IsNull() && serves(cand, fv) {
+				if fv := ac.fwdVal.value(params); fv != nil && !fv.IsNull() && serves(cand, fv) {
 					return cand, fv, ac.fwdOp
 				}
 			}
 		}
 		if ac.revCol != "" {
 			if cand := t.indexes[ac.revCol]; cand != nil {
-				if rv, ok := ac.revVal(params); ok && !rv.IsNull() && serves(cand, rv) {
+				if rv := ac.revVal.value(params); rv != nil && !rv.IsNull() && serves(cand, rv) {
 					return cand, rv, ac.revOp
 				}
 			}
 		}
-		return nil, Null, ""
+		return nil, nil, ""
 	}
 	// Candidates are considered strictly by rank: equality (0), then IN (1),
 	// then ranges (2). A lower rank always wins regardless of result size, so
@@ -215,7 +246,7 @@ func planAccessLocked(t *table, access []accessCand, params []Value, wantDesc, s
 			continue
 		}
 		if ix, v, op := resolve(ac); ix != nil && op == "=" {
-			consider(candidate{rank: 0, ids: ix.lookupEqLocked(v), ix: ix, op: "=", v: v})
+			consider(candidate{rank: 0, path: ix.eqView(*v), ix: ix, op: "=", v: v})
 		}
 	}
 	if !found {
@@ -231,15 +262,16 @@ func planAccessLocked(t *table, access []accessCand, params []Value, wantDesc, s
 			var ids []int
 			ok := true
 			for _, g := range ac.items {
-				v, o := g(params)
-				if !o || !serves(ix, v) {
+				v := g.value(params)
+				if v == nil || !serves(ix, v) {
 					ok = false
 					break
 				}
-				ids = append(ids, ix.lookupEqLocked(v)...)
+				eq := ix.eqView(*v)
+				ids = eq.appendIDs(ids)
 			}
 			if ok {
-				consider(candidate{rank: 1, ids: dedupInts(ids), ix: ix, op: "IN", n: ac.n})
+				consider(candidate{rank: 1, path: accessPath{ids: dedupInts(ids)}, ix: ix, op: "IN", n: ac.n})
 			}
 		}
 	}
@@ -255,9 +287,9 @@ func planAccessLocked(t *table, access []accessCand, params []Value, wantDesc, s
 			}
 			switch op {
 			case "<", "<=":
-				consider(candidate{rank: 2, ids: ix.order.lookupRange(Null, v, false, op == "<"), ix: ix, op: op, v: v})
+				consider(candidate{rank: 2, path: accessPath{entries: ix.order.run(Null, *v, false, op == "<")}, ix: ix, op: op, v: v})
 			case ">", ">=":
-				consider(candidate{rank: 2, ids: ix.order.lookupRange(v, Null, op == ">", false), ix: ix, op: op, v: v})
+				consider(candidate{rank: 2, path: accessPath{entries: ix.order.run(*v, Null, op == ">", false)}, ix: ix, op: op, v: v})
 			}
 		}
 	}
@@ -268,7 +300,7 @@ func planAccessLocked(t *table, access []accessCand, params []Value, wantDesc, s
 		return accessPath{desc: "SeqScan(" + t.name + ")", all: true}
 	}
 	if !wantDesc {
-		return accessPath{ids: best.ids}
+		return best.path
 	}
 	var b strings.Builder
 	b.Grow(64)
@@ -279,7 +311,7 @@ func planAccessLocked(t *table, access []accessCand, params []Value, wantDesc, s
 		b.WriteByte('.')
 		b.WriteString(best.ix.column)
 		b.WriteString(" = ")
-		writeValueDisplay(&b, best.v)
+		writeValueDisplay(&b, *best.v)
 		b.WriteString(", ")
 		b.WriteString(best.ix.kind.String())
 		b.WriteByte(')')
@@ -293,8 +325,9 @@ func planAccessLocked(t *table, access []accessCand, params []Value, wantDesc, s
 		b.WriteByte(' ')
 		b.WriteString(best.op)
 		b.WriteByte(' ')
-		writeValueDisplay(&b, best.v)
+		writeValueDisplay(&b, *best.v)
 		b.WriteByte(')')
 	}
-	return accessPath{desc: b.String(), ids: best.ids}
+	best.path.desc = b.String()
+	return best.path
 }

@@ -31,7 +31,10 @@ const (
 type aggSlot struct {
 	fn   aggFn
 	name string // SQL name, for SUM/AVG's error text
-	arg  compiledExpr
+	// The argument: the cell at offset col when it is a bare column, read in
+	// place; else col is -1 and arg evaluates it.
+	col int
+	arg compiledExpr
 }
 
 // accumulator is the running state of one aggregate call over one group.
@@ -55,10 +58,16 @@ func (s *aggSlot) fold(acc *accumulator, row Row, params []Value) {
 	if acc.err != nil {
 		return
 	}
-	v, err := s.arg(row, params)
-	if err != nil {
-		acc.err = err
-		return
+	var v *Value
+	if s.col >= 0 {
+		v = &row[s.col]
+	} else {
+		val, err := s.arg(row, params)
+		if err != nil {
+			acc.err = err
+			return
+		}
+		v = &val
 	}
 	if v.IsNull() {
 		return
@@ -66,9 +75,9 @@ func (s *aggSlot) fold(acc *accumulator, row Row, params []Value) {
 	switch s.fn {
 	case aggMin, aggMax:
 		if acc.n == 0 {
-			acc.best = v
-		} else if c := Compare(v, acc.best); (s.fn == aggMin && c < 0) || (s.fn == aggMax && c > 0) {
-			acc.best = v
+			acc.best = *v
+		} else if c := Compare(*v, acc.best); (s.fn == aggMin && c < 0) || (s.fn == aggMax && c > 0) {
+			acc.best = *v
 		}
 		acc.n++
 		return
@@ -190,7 +199,15 @@ func (c *exprCompiler) agg(a *AggExpr, slots *[]aggSlot) compiledAggExpr {
 			return NewInt(int64(g.n)), nil
 		}
 	}
-	slot := aggSlot{name: a.Fn, arg: c.expr(a.Arg)}
+	slot := aggSlot{name: a.Fn, col: -1}
+	if ref, ok := a.Arg.(*ColumnRef); ok {
+		if i, err := resolveCol(c.cols, ref); err == nil {
+			slot.col = i
+		}
+	}
+	if slot.col < 0 {
+		slot.arg = c.expr(a.Arg)
+	}
 	switch a.Fn {
 	case "COUNT":
 		slot.fn = aggCount
@@ -266,23 +283,26 @@ func (p *selectProgram) buildAggregate() {
 func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planLines *[]string) (*Result, error) {
 	sel := p.sel
 	var groups []*aggGroup
-	var byKey map[string]*aggGroup
+	// byKey files the groups under the binary encoding of their key cells;
+	// byText, under a lone GROUP BY column, those whose cell is TEXT under the
+	// cell's string itself. A TEXT cell's encoding is its string behind a tag
+	// and no other class shares the tag, so the groups are the same either way.
+	var byKey, byText map[string]*aggGroup
 	if len(sel.GroupBy) == 0 {
 		// The global group exists over empty input too.
 		groups = []*aggGroup{p.newAggGroup()}
 	} else {
 		byKey = make(map[string]*aggGroup)
+		if len(p.groupBy) == 1 {
+			byText = make(map[string]*aggGroup)
+		}
 	}
 	var scratch []byte
 	passed := false
 	err := iter(func(r Row) error {
 		if p.where != nil {
-			v, err := p.where(r, params)
-			if err != nil {
+			if ok, err := p.where(r, params); !ok || err != nil {
 				return err
-			}
-			if !truthy(v) {
-				return nil
 			}
 		}
 		if p.aggErr != nil {
@@ -294,6 +314,12 @@ func (db *DB) runAggregate(p *selectProgram, iter rowIter, params []Value, planL
 		var g *aggGroup
 		if byKey == nil {
 			g = groups[0]
+		} else if cell := &r[p.groupBy[0]]; byText != nil && cell.T == TString {
+			if g = byText[cell.S]; g == nil {
+				g = p.newAggGroup()
+				byText[cell.S] = g
+				groups = append(groups, g)
+			}
 		} else {
 			scratch = scratch[:0]
 			for _, gi := range p.groupBy {

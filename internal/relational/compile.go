@@ -13,19 +13,21 @@ import (
 //
 //	compile.go    a statement's compilation, the plan slot that holds it, its
 //	              schema-version dependency, the execute-and-recompile loop
-//	expr.go       scalar expressions lowered to closures over a row layout
-//	access.go     sargable WHERE conjuncts and the per-execution access path
+//	expr.go       scalar expressions lowered to closures over a row layout,
+//	              a WHERE tree to a predicate
+//	access.go     sargable WHERE conjuncts and the per-execution access path,
+//	              a view of index storage under the caller's lock
 //	aggregate.go  accumulators, aggregate expressions, the grouped tail
 //	select.go     the SELECT program: build, scan, project, DISTINCT, ORDER BY
 //	dml.go        the INSERT, UPDATE and DELETE programs
 //
 // compileStmt does the per-statement work exactly once per (statement,
 // schema) pair: each ColumnRef is resolved to a positional offset and the
-// expression tree is lowered into a closure of type compiledExpr, so per-row
-// evaluation touches no strings and no type switches. Compiled plans are
-// cached on *Stmt handles and in the statement cache (see planSlot) and
-// invalidated per table by a schema version counter bumped on CREATE/DROP
-// TABLE.
+// expression tree is lowered into a closure of type compiledExpr (a WHERE
+// tree into a compiledPred), so per-row evaluation touches no strings and no
+// type switches on the AST. Compiled plans are cached on *Stmt handles and in
+// the statement cache (see planSlot) and invalidated per table by a schema
+// version counter bumped on CREATE/DROP TABLE.
 //
 // What a statement reports is defined by the reference interpreter, which
 // lives in interp_test.go and is compiled into tests only: it runs a

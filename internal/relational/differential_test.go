@@ -22,12 +22,21 @@ import (
 // tables.
 func diffDB(t testing.TB, seed int64) *DB {
 	t.Helper()
+	return newDiffDB(t, seed, true)
+}
+
+// newDiffDB builds diffDB's tables and rows, with its indexes or with none.
+func newDiffDB(t testing.TB, seed int64, indexed bool) *DB {
+	t.Helper()
 	db := NewDB()
 	mustExec(t, db, `CREATE TABLE jobs (id INT, title TEXT, city TEXT, company_id INT, salary INT, remote BOOL)`)
 	mustExec(t, db, `CREATE TABLE companies (id INT, name TEXT, size TEXT)`)
 	mustExec(t, db, `CREATE TABLE apps (id INT, job_id INT, score FLOAT, status TEXT)`)
-	mustExec(t, db, `CREATE INDEX idx_city ON jobs (city)`)
-	mustExec(t, db, `CREATE ORDERED INDEX idx_salary ON jobs (salary)`)
+	if indexed {
+		mustExec(t, db, `CREATE INDEX idx_city ON jobs (city)`)
+		mustExec(t, db, `CREATE ORDERED INDEX idx_salary ON jobs (salary)`)
+		mustExec(t, db, `CREATE INDEX idx_apps_job ON apps (job_id)`)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	titles := []string{"Data Scientist", "ML Engineer", "Analyst", "it's odd", ""}
 	cities := []string{"Oakland", "Seattle", "Austin", "San Jose"}
@@ -136,6 +145,18 @@ var dialectCorpus = []diffCase{
 	{`EXPLAIN SELECT id FROM jobs WHERE city = 'Oakland'`, nil},
 	{`SELECT id FROM jobs WHERE city = ?`, []any{"Oakland"}},
 	{`SELECT id FROM jobs WHERE salary >= 110000`, nil},
+	// A constant of another class than the column's is the scan's to compare
+	// (95000 > '9500' by rendering, 3 = '3'), with an index on the column
+	// (salary ordered, job_id hash) as without one (id); a number of the other
+	// numeric type is still the index's.
+	{`SELECT COUNT(*) FROM jobs WHERE salary > '95000'`, nil},
+	{`SELECT COUNT(*) FROM jobs WHERE id > '50'`, nil},
+	{`SELECT id FROM apps WHERE job_id = '3'`, nil},
+	{`SELECT id FROM jobs WHERE id = '3'`, nil},
+	{`SELECT id FROM apps WHERE job_id = ? AND '3' = job_id`, []any{"3"}},
+	{`SELECT id FROM apps WHERE job_id IN (3, '4')`, nil},
+	{`SELECT id FROM apps WHERE 3.0 = job_id`, nil},
+	{`SELECT id FROM jobs WHERE salary <= 99000.5`, nil},
 	// Projection shapes.
 	{`SELECT title AS t, city AS c FROM jobs WHERE id < 10`, nil},
 	{`SELECT *, id FROM jobs WHERE id < 5`, nil},

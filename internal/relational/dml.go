@@ -86,7 +86,7 @@ type updateProgram struct {
 	table   string
 	ver     uint64
 	exprs   exprCompiler
-	where   compiledExpr
+	where   compiledPred
 	access  []accessCand
 	targets []updateTarget
 }
@@ -102,7 +102,7 @@ type deleteProgram struct {
 	table  string
 	ver    uint64
 	exprs  exprCompiler
-	where  compiledExpr
+	where  compiledPred
 	access []accessCand
 }
 
@@ -129,7 +129,7 @@ func (db *DB) buildUpdateProgram(up *UpdateStmt) (*updateProgram, error) {
 		})
 	}
 	if up.Where != nil {
-		p.where = p.exprs.expr(up.Where)
+		p.where = p.exprs.pred(up.Where)
 		p.access = buildAccessCands(up.Where)
 	}
 	return p, nil
@@ -143,7 +143,7 @@ func (db *DB) buildDeleteProgram(del *DeleteStmt) (*deleteProgram, error) {
 	p := &deleteProgram{table: strings.ToLower(del.Table), ver: ver}
 	if del.Where != nil {
 		p.exprs.cols = tableLayout(t)
-		p.where = p.exprs.expr(del.Where)
+		p.where = p.exprs.pred(del.Where)
 		p.access = buildAccessCands(del.Where)
 	}
 	return p, nil
@@ -152,22 +152,21 @@ func (db *DB) buildDeleteProgram(del *DeleteStmt) (*deleteProgram, error) {
 // dmlCandidates returns the row ids a compiled DML statement must visit, in
 // ascending order — the order the interpreter scans in, which decides what a
 // statement that fails midway leaves behind — using the same staged access
-// planner as compiled SELECTs. The returned slice is a private copy: the
-// statement body mutates rows and index postings, and the planner's id
-// slices may alias live index storage. A nil slice with all=true means the
-// caller scans the whole table: no sargable candidate matched, or an
-// expression of the statement can raise in this execution, and the
-// interpreter would have met that on a row an index skips. The caller holds
-// t.mu for writing.
+// planner as compiled SELECTs. The returned slice is a private copy of the
+// planner's view: the statement body mutates rows and the index postings the
+// view reads. A nil slice with all=true means the caller scans the whole
+// table: no sargable candidate matched, or an expression of the statement
+// can raise in this execution, and the interpreter would have met that on a
+// row an index skips. The caller holds t.mu for writing.
 func dmlCandidates(t *table, exprs *exprCompiler, access []accessCand, params []Value) (ids []int, all bool) {
 	if len(access) == 0 || exprs.canRaise(params) {
 		return nil, true
 	}
-	path := planAccessLocked(t, access, params, false, true)
+	path := planAccessLocked(t, access, params, false)
 	if path.all {
 		return nil, true
 	}
-	ids = append([]int(nil), path.ids...)
+	ids = path.appendIDs(make([]int, 0, path.len()))
 	sort.Ints(ids)
 	return ids, false
 }
@@ -187,12 +186,8 @@ func (db *DB) runUpdateProgram(p *updateProgram, params []Value) (*Result, error
 		}
 		row := t.rows[id]
 		if p.where != nil {
-			v, err := p.where(row, params)
-			if err != nil {
+			if ok, err := p.where(row, params); !ok || err != nil {
 				return err
-			}
-			if !truthy(v) {
-				return nil
 			}
 		}
 		// Stored rows are immutable (readers hold them past the lock): the
@@ -250,12 +245,8 @@ func (db *DB) runDeleteProgram(p *deleteProgram, params []Value) (*Result, error
 			return nil
 		}
 		if p.where != nil {
-			v, err := p.where(t.rows[id], params)
-			if err != nil {
+			if ok, err := p.where(t.rows[id], params); !ok || err != nil {
 				return err
-			}
-			if !truthy(v) {
-				return nil
 			}
 		}
 		t.live[id] = false

@@ -271,26 +271,11 @@ func likeRec(s, p string) bool {
 	return len(s) == 0
 }
 
-// accessPath is the planner's choice for reading the base table.
-type accessPath struct {
-	desc string
-	ids  []int // nil = full scan
-	all  bool
-}
-
 // flippedOp mirrors a comparison operator for "literal op column" predicates
 // rewritten to "column op literal" — shared by the compiled
 // sargable-candidate builder and the reference planner so both normalize
 // identically.
 var flippedOp = map[string]string{"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-// lookupEqLocked requires t.mu held (read).
-func (ix *indexDef) lookupEqLocked(v Value) []int {
-	if ix.kind == HashIndex {
-		return append([]int(nil), ix.hash[v.Key()]...)
-	}
-	return ix.order.lookupEq(v)
-}
 
 func splitAnd(e Expr) []Expr {
 	if b, ok := e.(*BinaryExpr); ok && b.Op == "AND" {

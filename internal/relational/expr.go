@@ -12,6 +12,11 @@ import (
 // references pre-resolved to positional offsets.
 type compiledExpr func(row Row, params []Value) (Value, error)
 
+// compiledPred is a WHERE tree lowered to the one question a scan asks of it:
+// does this row pass? The answer travels as a bool, not as a Value that the
+// caller tests with truthy.
+type compiledPred func(row Row, params []Value) (bool, error)
+
 // resolveCol resolves a column reference against a row layout — the
 // lowercased column names of the statement's table (tableLayout) — the single
 // resolution routine shared by the compiler (once per statement) and the
@@ -61,6 +66,10 @@ func unbound(params []Value, ord int) bool {
 	return ord-1 >= len(params) || params[ord-1].T == missingParamType
 }
 
+func errMissingParam(disp int) error {
+	return fmt.Errorf("relational: missing parameter %d", disp)
+}
+
 // raise lowers a node that cannot be evaluated into one that reports err
 // when evaluation reaches it, as the interpreter does: never over zero rows,
 // and not behind an AND/OR that short-circuits past it.
@@ -83,7 +92,7 @@ func (c *exprCompiler) expr(x Expr) compiledExpr {
 		}
 		return func(_ Row, params []Value) (Value, error) {
 			if unbound(params, ord) {
-				return Null, fmt.Errorf("relational: missing parameter %d", disp)
+				return Null, errMissingParam(disp)
 			}
 			return params[ord-1], nil
 		}
@@ -146,34 +155,145 @@ func (c *exprCompiler) expr(x Expr) compiledExpr {
 	}
 }
 
+// pred lowers a WHERE tree to a predicate. An AND chain is the list of its
+// conjuncts' predicates in source order; a comparison of a column with a
+// constant is typed (comparison); every other node is its expr closure under
+// truthy.
+func (c *exprCompiler) pred(x Expr) compiledPred {
+	if b, ok := x.(*BinaryExpr); ok {
+		if b.Op == "AND" {
+			conjuncts := c.conjuncts(b)
+			return func(row Row, params []Value) (bool, error) {
+				for _, cj := range conjuncts {
+					if ok, err := cj(row, params); !ok || err != nil {
+						return false, err
+					}
+				}
+				return true, nil
+			}
+		}
+		if p := c.comparison(b); p != nil {
+			return p
+		}
+	}
+	f := c.expr(x)
+	return func(row Row, params []Value) (bool, error) {
+		v, err := f(row, params)
+		if err != nil {
+			return false, err
+		}
+		return truthy(v), nil
+	}
+}
+
 // conjuncts compiles the conjunct list of a left-deep AND chain in source
 // order.
-func (c *exprCompiler) conjuncts(v *BinaryExpr) []compiledExpr {
-	var out []compiledExpr
+func (c *exprCompiler) conjuncts(v *BinaryExpr) []compiledPred {
+	var out []compiledPred
 	if lb, ok := v.L.(*BinaryExpr); ok && lb.Op == "AND" {
 		out = c.conjuncts(lb)
 	} else {
-		out = append(out, c.expr(v.L))
+		out = append(out, c.pred(v.L))
 	}
-	return append(out, c.expr(v.R))
+	return append(out, c.pred(v.R))
+}
+
+// comparison lowers `col <op> const` or `const <op> col` — <op> one of =, <,
+// <=, >, >=, const a literal or a parameter — to a predicate that reads the
+// cell and the constant in place and, on a row where both are INT or both
+// TEXT, compares the two fields directly. Any other pairing (NULL, FLOAT,
+// BOOL, mixed classes) goes through Equal / Compare as the generic closure
+// does, so the result never depends on the column's declared type. It
+// returns nil for any other node, and for a column that does not resolve,
+// which must raise where evaluation reaches it.
+func (c *exprCompiler) comparison(b *BinaryExpr) compiledPred {
+	flipped, sarg := flippedOp[b.Op]
+	if !sarg {
+		return nil
+	}
+	ref, isCol := b.L.(*ColumnRef)
+	k, op := b.R, b.Op
+	if !isCol {
+		// `const <op> col` is `col <flipped op> const`.
+		ref, isCol = b.R.(*ColumnRef)
+		k, op = b.L, flipped
+	}
+	if !isCol {
+		return nil
+	}
+	i, err := resolveCol(c.cols, ref)
+	if err != nil {
+		return nil
+	}
+	operand := newConstOperand(k)
+	if operand == nil {
+		return nil
+	}
+	if x, ok := k.(*Param); ok && !x.Auto {
+		c.explicit = append(c.explicit, x.Ordinal)
+	}
+	if op == "=" {
+		return func(row Row, params []Value) (bool, error) {
+			k := operand.value(params)
+			if k == nil {
+				return false, errMissingParam(operand.disp)
+			}
+			cell := &row[i]
+			if cell.T == k.T {
+				switch cell.T {
+				case TInt:
+					return cell.I == k.I, nil
+				case TString:
+					return cell.S == k.S, nil
+				}
+			}
+			return Equal(*cell, *k), nil
+		}
+	}
+	// What the predicate answers when the cell sorts before, with and after
+	// the constant.
+	less, same, more := op[0] == '<', len(op) == 2, op[0] == '>'
+	return func(row Row, params []Value) (bool, error) {
+		k := operand.value(params)
+		if k == nil {
+			return false, errMissingParam(operand.disp)
+		}
+		cell := &row[i]
+		cmp := 0
+		switch {
+		case cell.T == TInt && k.T == TInt:
+			if cell.I < k.I {
+				cmp = -1
+			} else if cell.I > k.I {
+				cmp = 1
+			}
+		case cell.T == TString && k.T == TString:
+			cmp = strings.Compare(cell.S, k.S)
+		case cell.IsNull() || k.IsNull():
+			return false, nil
+		default:
+			cmp = Compare(*cell, *k)
+		}
+		switch {
+		case cmp < 0:
+			return less, nil
+		case cmp > 0:
+			return more, nil
+		}
+		return same, nil
+	}
 }
 
 func (c *exprCompiler) binary(v *BinaryExpr) compiledExpr {
 	if v.Op == "AND" {
-		// Conjunct chains (the normal WHERE form) flatten into one closure
-		// that loops a list, instead of one nested frame per AND node.
-		conjuncts := c.conjuncts(v)
+		// One lowering of a conjunction, wherever it stands.
+		p := c.pred(v)
 		return func(row Row, params []Value) (Value, error) {
-			for _, cj := range conjuncts {
-				v, err := cj(row, params)
-				if err != nil {
-					return Null, err
-				}
-				if !truthy(v) {
-					return NewBool(false), nil
-				}
+			ok, err := p(row, params)
+			if err != nil {
+				return Null, err
 			}
-			return NewBool(true), nil
+			return NewBool(ok), nil
 		}
 	}
 	l, r := c.expr(v.L), c.expr(v.R)

@@ -47,23 +47,11 @@ func (ix *orderedIndex) remove(v Value, id int) {
 	}
 }
 
-// lookupEq returns rowids whose value equals v. Both ends of the run are
-// found by binary search and the ids are copied into one right-sized slice —
-// no per-entry Compare calls or append growth along the way.
-func (ix *orderedIndex) lookupEq(v Value) []int {
-	lo := sort.Search(len(ix.entries), func(i int) bool {
-		return Compare(ix.entries[i].v, v) >= 0
-	})
-	hi := sort.Search(len(ix.entries), func(i int) bool {
-		return Compare(ix.entries[i].v, v) > 0
-	})
-	return ix.copyIDs(lo, hi)
-}
-
-// lookupRange returns rowids with lo <= value <= hi; either bound may be
-// Null meaning unbounded, and loOpen/hiOpen make the bound exclusive. Both
-// bounds are binary-searched, then the id range is copied in one pass.
-func (ix *orderedIndex) lookupRange(lo, hi Value, loOpen, hiOpen bool) []int {
+// run returns the entries with lo <= value <= hi, as a view of the index's
+// own storage: valid while the table lock it was taken under is held. Either
+// bound may be Null meaning unbounded, and loOpen/hiOpen make the bound
+// exclusive. Both bounds are binary-searched.
+func (ix *orderedIndex) run(lo, hi Value, loOpen, hiOpen bool) []orderedEntry {
 	start := 0
 	if !lo.IsNull() {
 		start = sort.Search(len(ix.entries), func(i int) bool {
@@ -84,18 +72,8 @@ func (ix *orderedIndex) lookupRange(lo, hi Value, loOpen, hiOpen bool) []int {
 			return c > 0
 		})
 	}
-	return ix.copyIDs(start, end)
-}
-
-// copyIDs extracts the ids of entries[start:end) into a right-sized slice,
-// or nil for an empty range.
-func (ix *orderedIndex) copyIDs(start, end int) []int {
 	if start >= end {
 		return nil
 	}
-	out := make([]int, end-start)
-	for i := range out {
-		out[i] = ix.entries[start+i].id
-	}
-	return out
+	return ix.entries[start:end]
 }

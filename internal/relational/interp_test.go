@@ -589,19 +589,32 @@ func (t *table) planAccess(where Expr, params []Value) accessPath {
 		}
 		return Null, false
 	}
+	// An index serves only a value of its column's own class: a number for an
+	// INT or FLOAT column, else the column's type. Any other value leaves the
+	// conjunct to the scan, whose Equal and Compare are the predicate's.
+	serves := func(ix *indexDef, v Value) bool {
+		if v.IsNull() {
+			return true
+		}
+		ct := t.schema.Columns[ix.col].Type
+		if ct == TInt || ct == TFloat {
+			return v.T == TInt || v.T == TFloat
+		}
+		return v.T == ct
+	}
 	for _, cj := range conjuncts {
 		switch x := cj.(type) {
 		case *BinaryExpr:
 			ix := colFor(x.L)
 			v, ok := constVal(x.R)
-			if ix == nil || !ok || v.IsNull() {
+			if ix == nil || !ok || v.IsNull() || !serves(ix, v) {
 				// try flipped: literal op column
 				ix = colFor(x.R)
 				if ix == nil {
 					continue
 				}
 				v2, ok2 := constVal(x.L)
-				if !ok2 || v2.IsNull() {
+				if !ok2 || v2.IsNull() || !serves(ix, v2) {
 					continue
 				}
 				// flip operator
@@ -641,7 +654,7 @@ func (t *table) planAccess(where Expr, params []Value) accessPath {
 			ok := true
 			for _, item := range x.List {
 				v, o := constVal(item)
-				if !o {
+				if !o || !serves(ix, v) {
 					ok = false
 					break
 				}
@@ -656,6 +669,70 @@ func (t *table) planAccess(where Expr, params []Value) accessPath {
 		return accessPath{desc: "SeqScan(" + t.name + ")", all: true}
 	}
 	return accessPath{desc: best.desc, ids: best.ids}
+}
+
+// The reference plans by id lists copied out of the index, as the engine once
+// did: these lookups have no other caller.
+
+// lookupEqLocked requires t.mu held (read).
+func (ix *indexDef) lookupEqLocked(v Value) []int {
+	if ix.kind == HashIndex {
+		return append([]int(nil), ix.hash[v.Key()]...)
+	}
+	return ix.order.lookupEq(v)
+}
+
+// lookupEq returns rowids whose value equals v. Both ends of the run are
+// found by binary search and the ids are copied into one right-sized slice —
+// no per-entry Compare calls or append growth along the way.
+func (ix *orderedIndex) lookupEq(v Value) []int {
+	lo := sort.Search(len(ix.entries), func(i int) bool {
+		return Compare(ix.entries[i].v, v) >= 0
+	})
+	hi := sort.Search(len(ix.entries), func(i int) bool {
+		return Compare(ix.entries[i].v, v) > 0
+	})
+	return ix.copyIDs(lo, hi)
+}
+
+// lookupRange returns rowids with lo <= value <= hi; either bound may be
+// Null meaning unbounded, and loOpen/hiOpen make the bound exclusive. Both
+// bounds are binary-searched, then the id range is copied in one pass.
+func (ix *orderedIndex) lookupRange(lo, hi Value, loOpen, hiOpen bool) []int {
+	start := 0
+	if !lo.IsNull() {
+		start = sort.Search(len(ix.entries), func(i int) bool {
+			c := Compare(ix.entries[i].v, lo)
+			if loOpen {
+				return c > 0
+			}
+			return c >= 0
+		})
+	}
+	end := len(ix.entries)
+	if !hi.IsNull() {
+		end = sort.Search(len(ix.entries), func(i int) bool {
+			c := Compare(ix.entries[i].v, hi)
+			if hiOpen {
+				return c >= 0
+			}
+			return c > 0
+		})
+	}
+	return ix.copyIDs(start, end)
+}
+
+// copyIDs extracts the ids of entries[start:end) into a right-sized slice,
+// or nil for an empty range.
+func (ix *orderedIndex) copyIDs(start, end int) []int {
+	if start >= end {
+		return nil
+	}
+	out := make([]int, end-start)
+	for i := range out {
+		out[i] = ix.entries[start+i].id
+	}
+	return out
 }
 
 // execInsertInterp evaluates row expressions (literals and parameters only) and

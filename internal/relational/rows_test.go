@@ -89,6 +89,110 @@ func TestConcurrentUpdateReaders(t *testing.T) {
 	wg.Wait()
 }
 
+// TestIndexViewBesideWriter: an access path is a view of index storage, good
+// only under the read lock it was planned under. Four readers loop a range
+// group-by (a run of the ordered index), a hash-equality select (the posting
+// list itself) and an IN select (merged postings) while a writer rewrites the
+// indexed columns, inserts and deletes on the same table and a CREATE INDEX
+// lands mid-run. Every returned row satisfies its statement's predicate, and
+// on every other round — taken under a gate the writer holds around each of
+// its statements, so that the table stands still: gate first, then the
+// table's lock, on both sides — the result is the reference interpreter's,
+// which plans by copied id lists. Under -race (`make race`) a view read
+// outside its lock is a report.
+func TestIndexViewBesideWriter(t *testing.T) {
+	db := allocDB(t, 2000, 0)
+	mustExec(t, db, `CREATE ORDERED INDEX isal ON jobs (salary)`)
+	mustExec(t, db, `CREATE INDEX icity ON jobs (city)`)
+	cities := []string{"San Francisco", "Oakland", "Seattle", "New York", "Austin"}
+
+	statements := []struct {
+		sql  string
+		args func(i int) []any
+		// holds reports whether a returned row satisfies the predicate.
+		holds func(r Row, args []any) bool
+	}{
+		{`SELECT city, COUNT(*), MIN(salary), AVG(salary) FROM jobs WHERE salary > ? GROUP BY city`,
+			func(i int) []any { return []any{100000 + i%7*20000} },
+			func(r Row, args []any) bool { return r[1].I > 0 && r[2].I > int64(args[0].(int)) }},
+		{`SELECT id, city, salary FROM jobs WHERE city = ?`,
+			func(i int) []any { return []any{cities[i%len(cities)]} },
+			func(r Row, args []any) bool { return r[1].S == args[0].(string) }},
+		{`SELECT id, title FROM jobs WHERE title IN (?, ?)`,
+			func(i int) []any { return []any{"Analyst", []string{"ML Engineer", "Rewritten"}[i%2]} },
+			func(r Row, args []any) bool { return r[1].S == args[0].(string) || r[1].S == args[1].(string) }},
+	}
+
+	const rounds = 150
+	var gate sync.RWMutex
+	var wg sync.WaitGroup
+	for reader := 0; reader < 4; reader++ {
+		wg.Add(1)
+		go func(reader int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				st := statements[(i+reader)%len(statements)]
+				args := st.args(i)
+				if i%2 == 0 {
+					res, err := db.Query(st.sql, args...)
+					if err != nil {
+						t.Errorf("%s %v: %v", st.sql, args, err)
+						return
+					}
+					// The first column is a row's id or a group's key: a view
+					// that moved under the scan shows one twice.
+					seen := map[string]bool{}
+					for _, r := range res.Rows {
+						if key := r[0].String(); !st.holds(r, args) || seen[key] {
+							t.Errorf("%s %v returned %v", st.sql, args, r)
+							return
+						} else {
+							seen[key] = true
+						}
+					}
+					continue
+				}
+				gate.RLock()
+				got, gotErr := db.Query(st.sql, args...)
+				want, wantErr := refRun(db, st.sql, args...)
+				gate.RUnlock()
+				if gotErr != nil || wantErr != nil || !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Errorf("%s %v beside the writer:\n engine:   %v, %v\nreference: %v, %v", st.sql, args, got, gotErr, want, wantErr)
+					return
+				}
+			}
+		}(reader)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			var err error
+			gate.Lock()
+			switch {
+			case i == rounds/2:
+				_, err = db.Exec(`CREATE INDEX ititle ON jobs (title)`)
+			case i%5 == 0: // through the ordered index, rewriting its column
+				_, err = db.Exec(`UPDATE jobs SET salary = ? WHERE salary > ? AND id < ?`, 90000+i*700, 240000-i*100, 40*i)
+			case i%5 == 1: // through the hash index, rewriting its column and the IN column
+				_, err = db.Exec(`UPDATE jobs SET city = ?, title = 'Rewritten' WHERE city = ? AND id < ?`, cities[(i+1)%5], cities[i%5], 10*i)
+			case i%5 == 2:
+				_, err = db.Exec(`INSERT INTO jobs VALUES (?, 'Analyst', ?, ?)`, 2000+i, cities[i%5], 95000+i*1000)
+			case i%5 == 3:
+				_, err = db.Exec(`DELETE FROM jobs WHERE city = ? AND id < ?`, cities[i%5], 4*i)
+			default:
+				_, err = db.Exec(`DELETE FROM jobs WHERE title IN ('Analyst') AND salary > ?`, 245000-i*100)
+			}
+			gate.Unlock()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}
+
 // TestGroupByAllocationsIndependentOfRows: a compiled GROUP BY keeps an
 // accumulator per group and no row but each group's first, so ten times the
 // rows in the same groups cost the same number of allocations.
@@ -109,6 +213,58 @@ func TestGroupByAllocationsIndependentOfRows(t *testing.T) {
 	small, large := allocs(500), allocs(5000)
 	if d := large - small; d > 2 || d < -2 {
 		t.Fatalf("GROUP BY allocates %.0f objects over 500 rows and %.0f over 5000: it grows with its input", small, large)
+	}
+}
+
+// TestIndexedSelectAllocationsIndependentOfMatches: an index-served SELECT
+// reads the index's own storage under the lock it planned under — a run of the
+// ordered entries, the hash posting list — instead of a copy of the matching
+// ids, so what it allocates, in objects and in bytes, does not depend on how
+// many entries match.
+func TestIndexedSelectAllocationsIndependentOfMatches(t *testing.T) {
+	db := allocDB(t, 5000, 0)
+	mustExec(t, db, `CREATE ORDERED INDEX isal ON jobs (salary)`)
+	mustExec(t, db, `CREATE INDEX icity ON jobs (city)`)
+	mustExec(t, db, `UPDATE jobs SET city = 'Few' WHERE id < 50`)
+	mustExec(t, db, `UPDATE jobs SET city = 'Many' WHERE id >= 500`)
+	// cost is what one execution allocates — objects, bytes — checked to meet
+	// at least min and at most max index entries.
+	cost := func(sql, where, tail string, arg any, min, max int64) (float64, float64) {
+		if n := mustQuery(t, db, `SELECT COUNT(*) FROM jobs WHERE `+where, arg).Rows[0][0].I; n < min || n > max {
+			t.Fatalf("%s %v: %d matches, want %d to %d", where, arg, n, min, max)
+		}
+		st, err := db.Prepare(sql + ` WHERE ` + where + tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := st.Query(arg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		objects := testing.AllocsPerRun(50, run)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 50; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return objects, float64(after.TotalAlloc-before.TotalAlloc) / 50
+	}
+	for _, c := range []struct {
+		sql, where, tail string
+		few, many        any
+	}{
+		{`SELECT title, AVG(salary) FROM jobs`, `salary > ?`, ` GROUP BY title`, 247000, 105000},
+		{`SELECT COUNT(*) FROM jobs`, `city = ?`, ``, "Few", "Many"},
+	} {
+		fewObjects, fewBytes := cost(c.sql, c.where, c.tail, c.few, 50, 100)
+		manyObjects, manyBytes := cost(c.sql, c.where, c.tail, c.many, 4000, 4500)
+		if fewObjects != manyObjects || manyBytes-fewBytes > 512 {
+			t.Fatalf("%s WHERE %s allocates %.0f objects, %.0f bytes for %v and %.0f objects, %.0f bytes for %v: it grows with the matches",
+				c.sql, c.where, fewObjects, fewBytes, c.few, manyObjects, manyBytes, c.many)
+		}
 	}
 }
 

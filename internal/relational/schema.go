@@ -383,6 +383,22 @@ func (db *DB) CreateIndex(idxName, tableName, column string, kind IndexKind) err
 	return nil
 }
 
+// eqView returns the rows the index files under a value equal to v, as a
+// view of its storage (accessPath): the hash posting list, or the run of
+// ordered entries. NULL is never filed. The caller holds the table's lock.
+func (ix *indexDef) eqView(v Value) accessPath {
+	if v.IsNull() {
+		return accessPath{}
+	}
+	if ix.kind == HashIndex {
+		// The key is built in a buffer on the stack, and a map probe by
+		// string(bytes) does not copy it.
+		var buf [48]byte
+		return accessPath{ids: ix.hash[string(v.appendKey(buf[:0]))]}
+	}
+	return accessPath{entries: ix.order.run(v, v, false, false)}
+}
+
 func (ix *indexDef) add(id int, v Value) {
 	if v.IsNull() {
 		return

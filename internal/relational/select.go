@@ -19,7 +19,7 @@ type selectProgram struct {
 	baseVer   uint64
 	// exprs compiled every expression of the statement over the table's layout.
 	exprs     exprCompiler
-	where     compiledExpr
+	where     compiledPred
 	whereDesc string
 	// whereAuto marks WHERE trees containing auto-extracted literal params:
 	// their Filter(...) plan line depends on the bound values (rendered per
@@ -28,7 +28,7 @@ type selectProgram struct {
 	whereAuto bool
 	// access holds the precompiled sargable-predicate candidates extracted
 	// from the WHERE conjuncts. Index existence and kind are resolved per
-	// execution (planAccessCompiled), so a CREATE INDEX is picked up without
+	// execution (planAccessLocked), so a CREATE INDEX is picked up without
 	// recompiling and a shape-shared plan chooses its access path from the
 	// literals bound to this execution.
 	access []accessCand
@@ -129,7 +129,7 @@ func (db *DB) buildSelectProgram(sel *SelectStmt) (*selectProgram, error) {
 	c := &p.exprs
 
 	if sel.Where != nil {
-		p.where = c.expr(sel.Where)
+		p.where = c.pred(sel.Where)
 		p.whereAuto = hasAutoParam(sel.Where)
 		p.whereDesc = "Filter(" + exprString(sel.Where) + ")"
 	}
@@ -275,6 +275,10 @@ var errStopScan = errors.New("relational: stop scan")
 // scan→filter→project pipeline.
 type rowIter func(visit func(Row) error) error
 
+// runSelectProgram plans the access path and scans it under one hold of the
+// table's read lock, the rows streaming straight from storage into the
+// filter and the aggregation or projection of the tail, then assembles the
+// plan string of an EXPLAIN.
 func (db *DB) runSelectProgram(p *selectProgram, params []Value) (*Result, error) {
 	sel := p.sel
 	base, ver, err := db.tableVer(sel.From)
@@ -282,18 +286,15 @@ func (db *DB) runSelectProgram(p *selectProgram, params []Value) (*Result, error
 		return nil, errStalePlan
 	}
 
-	path := p.planAccessCompiled(base, params)
 	var planLines []string
-	if sel.Explain {
-		planLines = append(make([]string, 0, 8), path.desc)
-	}
-
-	// Fused scan: rows stream straight from storage into the filter and
-	// projection closures, under the table read lock — no snapshot slice is
-	// materialized between scan and the rest of the pipeline.
+	// The tail calls iter once, before it adds a plan line of its own.
 	iter := func(visit func(Row) error) error {
 		base.mu.RLock()
 		defer base.mu.RUnlock()
+		path := planAccessLocked(base, p.access, params, sel.Explain)
+		if sel.Explain {
+			planLines = append(make([]string, 0, 8), path.desc)
+		}
 		if path.all {
 			for id, r := range base.rows {
 				if !base.live[id] {
@@ -305,8 +306,16 @@ func (db *DB) runSelectProgram(p *selectProgram, params []Value) (*Result, error
 			}
 			return nil
 		}
+		// One of the two views holds the candidates.
 		for _, id := range path.ids {
-			if id >= 0 && id < len(base.rows) && base.live[id] {
+			if base.live[id] {
+				if err := visit(base.rows[id]); err != nil {
+					return err
+				}
+			}
+		}
+		for i := range path.entries {
+			if id := path.entries[i].id; base.live[id] {
 				if err := visit(base.rows[id]); err != nil {
 					return err
 				}
@@ -314,14 +323,8 @@ func (db *DB) runSelectProgram(p *selectProgram, params []Value) (*Result, error
 		}
 		return nil
 	}
-	return db.runSelectTail(p, iter, params, planLines)
-}
 
-// runSelectTail runs the post-scan pipeline (filter, aggregation or
-// projection, DISTINCT, ordering, limits) and assembles the plan string.
-func (db *DB) runSelectTail(p *selectProgram, iter rowIter, params []Value, planLines []string) (*Result, error) {
 	var out *Result
-	var err error
 	if p.aggregated {
 		out, err = db.runAggregate(p, iter, params, &planLines)
 	} else {
@@ -330,7 +333,7 @@ func (db *DB) runSelectTail(p *selectProgram, iter rowIter, params []Value, plan
 	if err != nil {
 		return nil, err
 	}
-	if p.sel.Explain {
+	if sel.Explain {
 		out.Plan = strings.Join(planLines, " -> ")
 		return &Result{Columns: []string{"plan"}, Rows: []Row{{NewString(out.Plan)}}, Plan: out.Plan}, nil
 	}
@@ -398,12 +401,8 @@ func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLin
 		sawMore := false
 		err := iter(func(r Row) error {
 			if p.where != nil {
-				v, err := p.where(r, params)
-				if err != nil {
+				if ok, err := p.where(r, params); !ok || err != nil {
 					return err
-				}
-				if !truthy(v) {
-					return nil
 				}
 			}
 			if projErr != nil {
@@ -498,12 +497,8 @@ func (db *DB) runProject(p *selectProgram, iter rowIter, params []Value, planLin
 	dropped := false            // DISTINCT removed a row
 	err := iter(func(r Row) error {
 		if p.where != nil {
-			v, err := p.where(r, params)
-			if err != nil {
+			if ok, err := p.where(r, params); !ok || err != nil {
 				return err
-			}
-			if !truthy(v) {
-				return nil
 			}
 		}
 		if projErr != nil {

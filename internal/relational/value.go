@@ -220,24 +220,30 @@ func Equal(a, b Value) bool {
 // Key returns a string usable as a hash-index key. NULLs share a key but are
 // never matched by equality lookups (the index skips them).
 func (v Value) Key() string {
+	var buf [48]byte
+	return string(v.appendKey(buf[:0]))
+}
+
+// appendKey appends v's Key to dst.
+func (v Value) appendKey(dst []byte) []byte {
 	switch v.T {
 	case TInt:
-		return "i:" + strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(append(dst, "i:"...), v.I, 10)
 	case TFloat:
 		// Integral floats share keys with ints so 3 = 3.0 lookups work.
 		if v.F == float64(int64(v.F)) {
-			return "i:" + strconv.FormatInt(int64(v.F), 10)
+			return strconv.AppendInt(append(dst, "i:"...), int64(v.F), 10)
 		}
-		return "f:" + strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.AppendFloat(append(dst, "f:"...), v.F, 'g', -1, 64)
 	case TString:
-		return "s:" + v.S
+		return append(append(dst, "s:"...), v.S...)
 	case TBool:
 		if v.B {
-			return "b:1"
+			return append(dst, "b:1"...)
 		}
-		return "b:0"
+		return append(dst, "b:0"...)
 	default:
-		return "null"
+		return append(dst, "null"...)
 	}
 }
 
