@@ -42,7 +42,10 @@ census:
 # (internal/relational/interp_test.go) directly; then
 # the streams, session and planner benchmarks (Append beside many sessions'
 # worth of subscriptions, one control message into a session, one hand-off,
-# replay, the display wait deep into a conversation, a plan crossing a hop, a
+# Append through a real durability engine for a string, a rows-shaped and a
+# directive message and from every P at once (BenchmarkAppendDurable), a
+# recovery of 10 000 stream records (BenchmarkRecoverStreams), replay, the
+# display wait deep into a conversation, a plan crossing a hop, a
 # statement result crossing one), the analytic ask's statement on the 5 000
 # jobs of workload.MediumScale (BenchmarkRangeGroupBy, a range group-by through
 # idx_jobs_salary at four selectivities: B/op should be the same at each) and,
@@ -53,9 +56,10 @@ bench:
 	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner ./internal/hragents ./internal/workload . -run XXX -bench . -benchmem
 
 # Twenty iterations of each streams, session, planner, relational, hragents
-# and workload benchmark (the last three hold the group-by, the title scan,
-# the SQL executor -> query summarizer hand-off and the range group-by at
-# workload scale) and of the root package's BenchmarkStartSessionBesideLive:
+# and workload benchmark (the first holds the durable append and the stream
+# log's recovery; the last three the group-by, the title scan, the SQL
+# executor -> query summarizer hand-off and the range group-by at workload
+# scale) and of the root package's BenchmarkStartSessionBesideLive:
 # CI runs them so that they keep building and finishing, not to read their
 # numbers.
 bench-streams:
@@ -66,17 +70,20 @@ bench-streams:
 # (FuzzSQLDifferential: same rows, errors and EXPLAIN strings, twin databases
 # in the same state after a mutation), then NL2Q (any utterance compiles to
 # SQL the engine executes), any string as a trace_parent token through
-# Tracer.Resume, and arbitrary bytes as the only log segment through recovery
+# Tracer.Resume, arbitrary bytes as the only log segment through recovery
 # (a well-framed prefix applied, the rest cut off, the same again on a second
-# recovery). Seeds under internal/{relational,dataplan}/testdata/fuzz are
-# always replayed by plain `go test`. fuzz-smoke is the 5 s per target run of
-# `make ci`.
+# recovery), and arbitrary bytes as one stream log record and as a streams
+# snapshot section (FuzzStreamRecord: no panic, no allocation the input cannot
+# fill, records built from the input round-trip both ways). Seeds under
+# internal/{relational,dataplan}/testdata/fuzz are always replayed by plain
+# `go test`. fuzz-smoke is the 5 s per target run of `make ci`.
 fuzz:
 	$(GO) test ./internal/relational/ -run FuzzTokenize -fuzz FuzzTokenize -fuzztime 30s
 	$(GO) test ./internal/relational/ -run FuzzSQLDifferential -fuzz FuzzSQLDifferential -fuzztime 30s
 	$(GO) test ./internal/dataplan/ -run FuzzNL2Q -fuzz FuzzNL2Q -fuzztime 30s
 	$(GO) test ./internal/obs/ -run FuzzResumeToken -fuzz FuzzResumeToken -fuzztime 30s
 	$(GO) test ./internal/durability/ -run FuzzRecoverSegment -fuzz FuzzRecoverSegment -fuzztime 30s
+	$(GO) test ./internal/streams/ -run FuzzStreamRecord -fuzz FuzzStreamRecord -fuzztime 30s
 
 fuzz-smoke:
 	$(GO) test ./internal/relational/ -run FuzzTokenize -fuzz FuzzTokenize -fuzztime 5s
@@ -84,6 +91,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dataplan/ -run FuzzNL2Q -fuzz FuzzNL2Q -fuzztime 5s
 	$(GO) test ./internal/obs/ -run FuzzResumeToken -fuzz FuzzResumeToken -fuzztime 5s
 	$(GO) test ./internal/durability/ -run FuzzRecoverSegment -fuzz FuzzRecoverSegment -fuzztime 5s
+	$(GO) test ./internal/streams/ -run FuzzStreamRecord -fuzz FuzzStreamRecord -fuzztime 5s
 
 # Go line counts outside benchmark/, non-test and test files apart, each split
 # into code, comment and blank lines (a line holding code and a comment is

@@ -159,6 +159,18 @@ func (d *Dec) Varint() int64 {
 	return v
 }
 
+// Count decodes an element count. Every element takes at least one byte, so
+// a count beyond the undecoded bytes is malformed: it latches Err and reads
+// 0, and no caller sizes an allocation the input cannot fill.
+func (d *Dec) Count() int {
+	n := d.Uvarint()
+	if n > uint64(len(d.b)) {
+		d.fail()
+		return 0
+	}
+	return int(n)
+}
+
 // Bytes decodes a length-prefixed byte string (a view into the input).
 func (d *Dec) Bytes() []byte {
 	n := d.Uvarint()

@@ -2,6 +2,7 @@ package streams
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -220,5 +221,91 @@ func BenchmarkDeliverIdle(b *testing.B) {
 			b.Fatal(err)
 		}
 		<-got
+	}
+}
+
+// BenchmarkAppendDurable is Append through a real durability engine (no
+// fsync, no flush loop) for the three shapes an ask logs: a string payload,
+// a rows-shaped map and a directive with Args. "parallel" appends all three
+// from every P onto two shared streams, so the store lock's hold shows.
+func BenchmarkAppendDurable(b *testing.B) {
+	streams := []string{"a", "b"}
+	newStore := func(b *testing.B) *Store {
+		s, eng := openDurableStore(b, b.TempDir())
+		b.Cleanup(func() {
+			eng.Close()
+			s.Close()
+		})
+		for _, id := range streams {
+			if _, err := s.CreateStream(id, StreamInfo{Session: "session:1"}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return s
+	}
+	var msgs [2][3]Message // by stream, then shape
+	for i, id := range streams {
+		for j := range msgs[i] {
+			msgs[i][j] = shapedMessage(id, "user", j)
+		}
+	}
+	for j, shape := range []string{"string", "rows", "directive"} {
+		b.Run(shape, func(b *testing.B) {
+			s := newStore(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Append(msgs[0][j]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("parallel", func(b *testing.B) {
+		s := newStore(b)
+		var next atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for i := int(next.Add(1)); pb.Next(); i++ {
+				if _, err := s.Append(msgs[i%2][i%3]); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
+}
+
+// BenchmarkRecoverStreams is recovery of a log of 10 000 stream records —
+// one create, then appends of the three shapes BenchmarkAppendDurable logs —
+// into a fresh store.
+func BenchmarkRecoverStreams(b *testing.B) {
+	const records = 10000
+	dir := b.TempDir()
+	s, eng := openDurableStore(b, dir)
+	if _, err := s.CreateStream("a", StreamInfo{Session: "session:1"}); err != nil {
+		b.Fatal(err)
+	}
+	for i := 1; i < records; i++ {
+		if _, err := s.Append(shapedMessage("a", "user", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		b.Fatal(err)
+	}
+	s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, eng := openDurableStore(b, dir)
+		b.StopTimer()
+		if got := eng.Stats().Recovery.ReplayedRecords; got != records {
+			b.Fatalf("replayed %d records, want %d", got, records)
+		}
+		eng.Close()
+		s.Close()
+		b.StartTimer()
 	}
 }

@@ -2,10 +2,16 @@ package streams
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"blueprint/internal/durability"
@@ -309,5 +315,290 @@ func TestSinkFailureLeavesStoreUnchanged(t *testing.T) {
 	}
 	if logged != 3 {
 		t.Fatalf("sink accepted %d records, want 3 (create, one, two)", logged)
+	}
+}
+
+// TestRecoveryKeepsBytes: every string a stream or message holds comes back
+// byte for byte, valid UTF-8 or not, whether recovery replays the log or
+// restores a snapshot (encoding/json would turn "\xff" into U+FFFD, and the
+// stream "s\xff" would no longer be found).
+func TestRecoveryKeepsBytes(t *testing.T) {
+	for _, viaSnapshot := range []bool{false, true} {
+		name := map[bool]string{false: "replay", true: "restore"}[viaSnapshot]
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, eng := openDurableStore(t, dir)
+			mustCreate(t, s, "s\xff", StreamInfo{Session: "x\xfe", Tags: []string{"t\xff"}, Creator: "c\xfe"})
+			mustAppend(t, s, Message{Stream: "s\xff", Sender: "a\xff", Tags: []string{"t\xff", ""}, Param: "q\xfe", Payload: "p\xff"})
+			mustAppend(t, s, Message{Stream: "s\xff", Sender: "a\xff", Payload: ""})
+			mustAppend(t, s, Message{Stream: "s\xff", Kind: Control, Session: "x\xfe:y\xff", Directive: &Directive{Op: "o\xff", Agent: "g\xfe"}})
+			wantInfo, wantHist := s.List(""), s.History("")
+			if viaSnapshot {
+				if err := eng.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+
+			s2, eng2 := openDurableStore(t, dir)
+			defer eng2.Close()
+			defer s2.Close()
+			if rec := eng2.Stats().Recovery; rec.SnapshotRestored != viaSnapshot || (viaSnapshot && rec.ReplayedRecords != 0) {
+				t.Fatalf("recovery took the wrong path: %+v", rec)
+			}
+			if _, err := s2.Info("s\xff"); err != nil {
+				t.Fatalf("Info of the recovered stream: %v", err)
+			}
+			if got := s2.List(""); !reflect.DeepEqual(got, wantInfo) {
+				t.Fatalf("recovered streams %+v, want %+v", got, wantInfo)
+			}
+			got := s2.History("")
+			if !reflect.DeepEqual(got, wantHist) {
+				t.Fatalf("recovered history:\n%+v\nwant\n%+v", got, wantHist)
+			}
+			if got[1].Payload != "" {
+				t.Fatalf("an empty string payload recovered as %#v", got[1].Payload)
+			}
+		})
+	}
+}
+
+// recordingSink keeps a copy of every record it is handed (the store reuses
+// its buffer once the sink returns).
+type recordingSink struct {
+	mu   sync.Mutex
+	recs [][]byte
+}
+
+func (r *recordingSink) log(rec []byte) error {
+	r.mu.Lock()
+	r.recs = append(r.recs, bytes.Clone(rec))
+	r.mu.Unlock()
+	return nil
+}
+
+func (r *recordingSink) records() [][]byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.recs
+}
+
+// jsonRoundTrip is what encoding/json makes of v: what a recovered JSON
+// payload holds.
+func jsonRoundTrip(t testing.TB, v any) any {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out any
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// shapedMessage is the i-th of three rotating shapes: a string payload, a
+// rows-shaped map and a directive with Args.
+func shapedMessage(stream, sender string, i int) Message {
+	m := Message{Stream: stream, Sender: sender, Tags: []string{sender}}
+	switch i % 3 {
+	case 0:
+		m.Payload = fmt.Sprintf("%s says %d", sender, i)
+	case 1:
+		m.Tags = append(m.Tags, "ROWS")
+		m.Payload = map[string]any{
+			"columns": []string{"id", "title"},
+			"rows":    []map[string]any{{"id": i, "title": "data engineer"}, {"id": i + 1, "title": "analyst"}},
+			"sql":     "SELECT id, title FROM jobs WHERE id > ?",
+		}
+	case 2:
+		m.Kind = Control
+		m.Directive = &Directive{Op: OpExecuteAgent, Agent: "SQLEXECUTOR", Args: map[string]any{"invocation_id": sender, "n": i}}
+	}
+	return m
+}
+
+// TestHeaderAndBodyBelongToOneMessage: with the body of a record encoded
+// before the store lock and its header under it, concurrent appends to
+// shared streams still log each message whole and in each stream's Seq
+// order — replaying the log gives the same history, message for message.
+func TestHeaderAndBodyBelongToOneMessage(t *testing.T) {
+	s := NewStore()
+	defer s.Close()
+	sink := &recordingSink{}
+	s.SetDurable(sink.log)
+	shared := []string{"shared:a", "shared:b"}
+	own := []string{"own:0", "own:1"}
+	mustCreate(t, s, shared[0], StreamInfo{Session: "session:1", Tags: []string{"conversation"}})
+	mustCreate(t, s, shared[1], StreamInfo{Session: "session:1"})
+	mustCreate(t, s, own[0], StreamInfo{Session: "session:2", Creator: "g0"})
+	mustCreate(t, s, own[1], StreamInfo{})
+
+	const goroutines, appends = 8, 500
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			sender := fmt.Sprintf("g%d", g)
+			for i := 0; i < appends; i++ {
+				stream := shared[i%2]
+				if g < 2 && i%4 == 3 {
+					stream = own[g] // goroutines 0 and 1 alone write the other two
+				}
+				m := shapedMessage(stream, sender, i)
+				if i%5 == 0 {
+					m.Session = "session:1:" + sender // else the stream's, defaulted under the lock
+				}
+				if _, err := s.Append(m); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	replayed := NewStore()
+	defer replayed.Close()
+	recs := sink.records()
+	if want := 4 + goroutines*appends; len(recs) != want {
+		t.Fatalf("sink holds %d records, want %d", len(recs), want)
+	}
+	for i, rec := range recs {
+		if err := replayed.Apply(rec); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	live, got := s.History(""), replayed.History("")
+	if len(got) != len(live) {
+		t.Fatalf("replay holds %d messages, the store %d", len(got), len(live))
+	}
+	for i := range live {
+		want := live[i]
+		if _, isString := want.Payload.(string); want.Payload != nil && !isString {
+			want.Payload = jsonRoundTrip(t, want.Payload)
+		}
+		if d := want.Directive; d != nil {
+			want.Directive = &Directive{Op: d.Op, Agent: d.Agent, Args: jsonRoundTrip(t, d.Args).(map[string]any)}
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("message %d replays as\n%+v\nthe store holds\n%+v", i, got[i], want)
+		}
+	}
+	if !reflect.DeepEqual(replayed.List(""), s.List("")) {
+		t.Fatalf("replayed streams %+v, the store's %+v", replayed.List(""), s.List(""))
+	}
+}
+
+// TestSetDurableMidRunLogsWhatFollows: a sink attached while producers
+// append is handed every message stored after SetDurable returned — the
+// logged messages are exactly a suffix of the history by timestamp,
+// whichever side of the attach a producer encoded on.
+func TestSetDurableMidRunLogsWhatFollows(t *testing.T) {
+	s := NewStore()
+	defer s.Close()
+	for _, id := range []string{"a", "b"} {
+		mustCreate(t, s, id, StreamInfo{Session: "session:1"})
+	}
+	var (
+		attached atomic.Bool
+		appended atomic.Int64
+		mustLog  sync.Map // ids appended after SetDurable returned
+		wg       sync.WaitGroup
+	)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i, afterAttach := 0, 0; afterAttach < 200; i++ {
+				after := attached.Load()
+				m, err := s.Append(shapedMessage([]string{"a", "b"}[i%2], fmt.Sprintf("g%d", g), i))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				appended.Add(1)
+				if after {
+					mustLog.Store(m.ID, true)
+					afterAttach++
+				}
+			}
+		}(g)
+	}
+	for appended.Load() < 600 { // the producers get going without a sink
+		runtime.Gosched()
+	}
+	sink := &recordingSink{}
+	s.SetDurable(sink.log)
+	attached.Store(true)
+	wg.Wait()
+
+	logged := map[string]bool{}
+	for _, rec := range sink.records() {
+		r, err := decodeRecord(rec)
+		if err != nil || r.typ != recAppend {
+			t.Fatalf("sink was handed %q (%v)", rec, err)
+		}
+		logged[r.msg.ID] = true
+	}
+	mustLog.Range(func(id, _ any) bool {
+		if !logged[id.(string)] {
+			t.Errorf("message %s was appended after SetDurable returned and is not in the log", id)
+		}
+		return true
+	})
+	hist := s.History("")
+	first := len(hist) - len(logged)
+	for i, m := range hist {
+		if logged[m.ID] != (i >= first) {
+			t.Fatalf("the log holds %d messages, not the last %d of the history: message %d (%s) logged=%v",
+				len(logged), len(logged), i, m.ID, logged[m.ID])
+		}
+	}
+}
+
+// TestParentFormatRecordFailsRecovery: a log written by the JSON record
+// format this one replaced is refused by name, not skipped.
+func TestParentFormatRecordFailsRecovery(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := durability.Open(dir, durability.Options{DisableFsync: true, FlushEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Append(testSubID, []byte(`{"t":"create","stream":{"id":"chat","closed":false,"len":0,"created_ts":1}}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := NewStore()
+	defer s.Close()
+	eng2, err := durability.Open(dir, durability.Options{DisableFsync: true, FlushEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng2.Register(testSubID, "streams", s); err != nil {
+		t.Fatal(err)
+	}
+	err = eng2.Recover()
+	if err == nil || !strings.Contains(err.Error(), "replay streams record") {
+		t.Fatalf("Recover over a JSON stream record: err = %v, want it refused as a streams record", err)
+	}
+	if len(s.List("")) != 0 {
+		t.Fatalf("the refused record created %+v", s.List(""))
 	}
 }

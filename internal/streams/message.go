@@ -117,8 +117,11 @@ type Message struct {
 	// Param optionally names the agent output parameter that produced the
 	// payload (used by the coordinator to wire DAG edges).
 	Param string `json:"param,omitempty"`
-	// Payload is the data body. It must be JSON-serializable when the store
-	// has a durability sink (SetDurable).
+	// Payload is the data body. When the store has a durability sink
+	// (SetDurable), a string payload is logged as its bytes and recovers byte
+	// for byte; any other payload must be JSON-serializable, is logged as
+	// the bytes json.Marshal writes for it, and recovers as what
+	// encoding/json decodes them into (map[string]any, []any, float64, ...).
 	Payload any `json:"payload,omitempty"`
 	// Directive is the control body; non-nil iff Kind == Control.
 	Directive *Directive `json:"directive,omitempty"`

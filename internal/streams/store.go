@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"blueprint/internal/durability"
 )
 
 // Common store errors.
@@ -60,8 +62,9 @@ type Store struct {
 	scoped    []*Subscription            // every SubscribeScoped one, joined anywhere or not
 
 	// sink is the shared durability engine's append (SetDurable); nil when
-	// the store is not persisted.
-	sink func(payload []byte) error
+	// the store is not persisted. It is stored under mu and loaded without
+	// it, so a producer can encode its part of a record before the lock.
+	sink atomic.Pointer[func(payload []byte) error]
 
 	stats counters
 }
@@ -98,6 +101,13 @@ func (s *Store) Close() error {
 // ErrStreamExists. The creation is logged before it is registered: when the
 // durability sink fails, the store is unchanged and a retry can succeed.
 func (s *Store) CreateStream(id string, info StreamInfo) (StreamInfo, error) {
+	info.ID = id
+	var sc *scratch
+	if s.sink.Load() != nil {
+		sc = getScratch()
+		defer sc.release()
+		sc.body = appendCreateHead(sc.body[:0], &info)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -106,12 +116,19 @@ func (s *Store) CreateStream(id string, info StreamInfo) (StreamInfo, error) {
 	if _, ok := s.streams[id]; ok {
 		return StreamInfo{}, fmt.Errorf("%w: %s", ErrStreamExists, id)
 	}
-	info.ID = id
 	info.Closed = false
 	info.Len = 0
 	info.CreatedTS = s.clock + 1
-	if err := s.logRecordLocked(walRecord{Type: "create", Stream: &info}); err != nil {
-		return StreamInfo{}, err
+	if log := s.sink.Load(); log != nil {
+		if sc == nil { // attached since the first look
+			sc = getScratch()
+			defer sc.release()
+			sc.body = appendCreateHead(sc.body[:0], &info)
+		}
+		sc.body = durability.AppendUvarint(sc.body, uint64(info.CreatedTS))
+		if err := (*log)(sc.body); err != nil {
+			return StreamInfo{}, err
+		}
 	}
 	s.clock = info.CreatedTS
 	s.streams[id] = &stream{info: info}
@@ -176,6 +193,16 @@ func (s *Store) List(session string) []StreamInfo {
 // logged before it is stored: when the durability sink fails, nothing is
 // stored, counted or delivered, and the next Append takes the same Seq.
 func (s *Store) Append(msg Message) (Message, error) {
+	// What the producer handed in is encoded before the lock; only the
+	// header the store assigns is written under it.
+	var sc *scratch
+	if s.sink.Load() != nil {
+		sc = getScratch()
+		defer sc.release()
+		if err := sc.encodeBody(&msg); err != nil {
+			return Message{}, err
+		}
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -196,14 +223,26 @@ func (s *Store) Append(msg Message) (Message, error) {
 	// Seq, TS and ID are claimed only once the record is logged.
 	msg.Seq = st.info.Len
 	msg.TS = s.clock + 1
+	n := s.nextMsg + 1
 	var idBuf [20]byte // 'm' + the 19 digits of the largest int64
-	msg.ID = string(strconv.AppendInt(append(idBuf[:0], 'm'), s.nextMsg+1, 10))
-	if err := s.logRecordLocked(walRecord{Type: "append", Msg: &msg}); err != nil {
-		s.mu.Unlock()
-		return Message{}, err
+	msg.ID = string(strconv.AppendInt(append(idBuf[:0], 'm'), n, 10))
+	if log := s.sink.Load(); log != nil {
+		if sc == nil { // attached since the first look
+			sc = getScratch()
+			defer sc.release()
+			if err := sc.encodeBody(&msg); err != nil {
+				s.mu.Unlock()
+				return Message{}, err
+			}
+		}
+		sc.rec = append(appendHeader(sc.rec[:0], msg.Seq, msg.TS, n, msg.Session), sc.body...)
+		if err := (*log)(sc.rec); err != nil {
+			s.mu.Unlock()
+			return Message{}, err
+		}
 	}
 	s.clock = msg.TS
-	s.nextMsg++
+	s.nextMsg = n
 	st.msgs = append(st.msgs, msg)
 	st.info.Len++
 	if msg.IsEOS() {
