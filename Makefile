@@ -1,10 +1,10 @@
 # Build, verify and bench targets. `make ci` is what the GitHub Actions
-# workflow runs on every push: formatting, vet, build, and the full test
-# suite under the race detector.
+# workflow runs on every push: formatting, vet, build, the full test suite
+# under the race detector, and the ask-identity tests twenty times over.
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check census bench bench-smoke bench-streams chaos fuzz fuzz-smoke loc ci
+.PHONY: all build test race stress vet fmt-check census bench bench-smoke bench-streams chaos fuzz fuzz-smoke loc ci
 
 all: build
 
@@ -16,6 +16,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The tests whose failure depends on the schedule, twenty times under the race
+# detector: every answer of asks interleaved at zero think time — on many
+# sessions, and two at once on one — is the asking utterance's own, and each
+# ask's span tree holds only its own agents.
+stress:
+	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession' .
 
 vet:
 	$(GO) vet ./...
@@ -69,12 +76,14 @@ bench-streams:
 # lexer, SQL text through the engine against the reference interpreter
 # (FuzzSQLDifferential: same rows, errors and EXPLAIN strings, twin databases
 # in the same state after a mutation), then NL2Q (any utterance compiles to
-# SQL the engine executes), any string as a trace_parent token through
-# Tracer.Resume, arbitrary bytes as the only log segment through recovery
+# SQL the engine executes), any string as a trace_parent token, with an open,
+# ended, unknown or no ask, through Tracer.Resume (parented and charged by the
+# ask, never another's), arbitrary bytes as the only log segment through recovery
 # (a well-framed prefix applied, the rest cut off, the same again on a second
 # recovery), and arbitrary bytes as one stream log record and as a streams
 # snapshot section (FuzzStreamRecord: no panic, no allocation the input cannot
-# fill, records built from the input round-trip both ways). Seeds under
+# fill, records built from the input round-trip both ways, a message's Ask
+# not logged). Seeds under
 # internal/{relational,dataplan}/testdata/fuzz are always replayed by plain
 # `go test`. fuzz-smoke is the 5 s per target run of `make ci`.
 fuzz:
@@ -148,4 +157,4 @@ bench-smoke:
 chaos:
 	$(GO) test -race -run Chaos ./...
 
-ci: fmt-check vet census build race fuzz-smoke bench-smoke bench-streams
+ci: fmt-check vet census build race stress fuzz-smoke bench-smoke bench-streams

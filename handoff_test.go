@@ -401,7 +401,7 @@ func TestTypedRowsAreRecoveredAsMapAndSummarized(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	again, err := sess2.awaitDisplay(before, "", 10*time.Second)
+	again, err := sess2.AwaitDisplay(before, "", 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

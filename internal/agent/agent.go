@@ -28,11 +28,13 @@
 // arrival order, by the worker that next finishes — the deployment's loops
 // never wait for a worker, so a session at its bound delays no other. An
 // invocation belongs to the joined scope its message was routed under: its
-// output, display and control streams and its span are that session's, while
-// Invocation.Session is the message's own, which may be a sub-scope. The
-// agent's output stream in a session (OutputStream) is created by its first
-// output there, not before. A deployment counts nothing of its own:
-// invocations and errors go to the process-wide
+// output, display and control streams are that session's, while
+// Invocation.Session is the message's own, which may be a sub-scope. It
+// serves the ask its triggering message named (Invocation.Ask): its span is
+// charged to that ask, and its outputs, display message and report carry the
+// ask's id. The agent's output stream in a session (OutputStream) is created
+// by its first output there, not before. A deployment counts nothing of its
+// own: invocations and errors go to the process-wide
 // blueprint_agent_invocations_total and blueprint_agent_errors_total, and one
 // invocation's outcome and cost are in the AGENT_DONE / AGENT_ERROR report it
 // puts on its session's control stream.
@@ -69,8 +71,14 @@ type Invocation struct {
 	// TraceParent is the caller's span token (obs.Span.Token), carried in
 	// the EXECUTE_AGENT directive so the trace survives the stream boundary:
 	// the runtime resumes the span tree under it. Empty for decentralized
-	// (tag-triggered) activations, which anchor to the session's active root.
+	// (tag-triggered) activations, which anchor to the root of their ask.
 	TraceParent string
+	// Ask is the ask the invocation serves (streams.Message.Ask; 0 for none):
+	// the Ask of the message that triggered it — the EXECUTE_AGENT directive,
+	// or the data message whose token completed the input tuple. Its span is
+	// charged to that ask, and its outputs, display message and DONE or
+	// ERROR report carry it.
+	Ask uint64
 	// Deadline is the caller's absolute completion deadline (zero = none),
 	// carried in the EXECUTE_AGENT directive as "deadline_ms". The runtime
 	// bounds the processor context at min(Options.Timeout, time until

@@ -1,8 +1,6 @@
 package agent
 
 import (
-	"time"
-
 	"blueprint/internal/streams"
 )
 
@@ -12,38 +10,40 @@ import (
 // stream when empty), and a DONE/ERROR control report follows, carrying
 // invocationID.
 func Execute(store *streams.Store, session, agentName string, inputs map[string]any, replyStream, invocationID string) error {
-	return ExecuteDeadline(store, session, agentName, inputs, replyStream, invocationID, "", time.Time{})
+	return ExecuteInvocation(store, agentName, Invocation{Session: session, Inputs: inputs, ReplyStream: replyStream, InvocationID: invocationID})
 }
 
-// ExecuteDeadline is Execute with a trace parent and a completion deadline.
-// traceParent (an obs.Span.Token, may be empty) rides the directive as the
-// "trace_parent" arg, so the consuming runtime can resume the caller's span
-// tree across the stream boundary. A non-zero deadline rides it as
-// "deadline_ms" (absolute Unix milliseconds — JSON-safe across the
-// stream/durability boundary), and the consuming runtime bounds the
-// processor at min(its own timeout, time until the deadline). The scheduler
-// derives it from the plan's remaining latency budget.
-func ExecuteDeadline(store *streams.Store, session, agentName string, inputs map[string]any, replyStream, invocationID, traceParent string, deadline time.Time) error {
-	if _, err := store.EnsureStream(ControlStream(session), streams.StreamInfo{Session: session}); err != nil {
+// ExecuteInvocation is Execute for the whole invocation the consuming
+// runtime is to start. inv.TraceParent (an obs.Span.Token, may be empty)
+// rides the directive as the "trace_parent" arg, so the runtime can resume
+// the caller's span tree across the stream boundary. A non-zero inv.Deadline
+// rides it as "deadline_ms" (absolute Unix milliseconds — JSON-safe across
+// the stream/durability boundary), and the runtime bounds the processor at
+// min(its own timeout, time until the deadline); the scheduler derives it
+// from the plan's remaining latency budget. inv.Ask is the directive
+// message's own Ask.
+func ExecuteInvocation(store *streams.Store, agentName string, inv Invocation) error {
+	if _, err := store.EnsureStream(ControlStream(inv.Session), streams.StreamInfo{Session: inv.Session}); err != nil {
 		return err
 	}
-	args := map[string]any{"inputs": inputs}
-	if replyStream != "" {
-		args["reply_stream"] = replyStream
+	args := map[string]any{"inputs": inv.Inputs}
+	if inv.ReplyStream != "" {
+		args["reply_stream"] = inv.ReplyStream
 	}
-	if invocationID != "" {
-		args["invocation_id"] = invocationID
+	if inv.InvocationID != "" {
+		args["invocation_id"] = inv.InvocationID
 	}
-	if traceParent != "" {
-		args["trace_parent"] = traceParent
+	if inv.TraceParent != "" {
+		args["trace_parent"] = inv.TraceParent
 	}
-	if !deadline.IsZero() {
-		args["deadline_ms"] = float64(deadline.UnixMilli())
+	if !inv.Deadline.IsZero() {
+		args["deadline_ms"] = float64(inv.Deadline.UnixMilli())
 	}
 	_, err := store.Append(streams.Message{
-		Stream: ControlStream(session),
+		Stream: ControlStream(inv.Session),
 		Kind:   streams.Control,
 		Sender: "coordinator",
+		Ask:    inv.Ask,
 		Directive: &streams.Directive{
 			Op:    streams.OpExecuteAgent,
 			Agent: agentName,

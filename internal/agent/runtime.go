@@ -348,6 +348,7 @@ func (in *Instance) controlLoop() {
 			InvocationID: invID,
 			TraceParent:  traceParent,
 			Deadline:     deadline,
+			Ask:          msg.Ask,
 		})
 	}
 }
@@ -382,7 +383,7 @@ func (in *Instance) abort(st *seat, id string) {
 	}
 	for _, inv := range dropped {
 		mInvocations.Inc()
-		in.reportError(st.session, inv.InvocationID, context.Canceled)
+		in.reportError(st.session, inv, context.Canceled)
 	}
 }
 
@@ -400,11 +401,13 @@ func (in *Instance) dataLoop() {
 		if st == nil {
 			continue
 		}
+		// A tuple fires on the token that completes it: this message's.
 		for _, inputs := range in.offer(st, place, msg.Payload) {
 			in.dispatch(st, Invocation{
 				Session:      msg.Session,
 				Inputs:       inputs,
 				InvocationID: in.invocationID(st),
+				Ask:          msg.Ask,
 			})
 		}
 	}
@@ -497,7 +500,7 @@ func (in *Instance) run(st *seat, inv Invocation) {
 	if timeout <= 0 {
 		// Dead on arrival: report without invoking the processor.
 		mInvocations.Inc()
-		in.reportError(st.session, inv.InvocationID, context.DeadlineExceeded)
+		in.reportError(st.session, inv, context.DeadlineExceeded)
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
@@ -515,12 +518,12 @@ func (in *Instance) run(st *seat, inv Invocation) {
 			st.mu.Unlock()
 		}()
 	}
-	// Resume the caller's trace across the stream boundary (centralized
-	// activation carries a trace_parent token); tag-triggered activations
-	// anchor beneath the session's active root, or trace nothing when no
-	// ask is in flight. The span rides ctx so processors that touch the
-	// relational engine extend the tree.
-	sp := obs.Spans.Resume(st.session, inv.TraceParent, "agent", name)
+	// Resume the ask's trace across the stream boundary: under the caller's
+	// span when the directive carried a trace_parent token, else under the
+	// ask's root; nothing is traced for a message of no open ask. The span
+	// rides ctx so processors that touch the relational engine extend the
+	// tree.
+	sp := obs.Spans.Resume(inv.Ask, inv.TraceParent, "agent", name)
 	sp.SetAttr("invocation", inv.InvocationID)
 	ctx = obs.ContextWith(ctx, sp)
 	defer sp.End()
@@ -538,7 +541,7 @@ func (in *Instance) run(st *seat, inv Invocation) {
 
 	if err != nil {
 		sp.SetAttr("error", obs.Truncate(err.Error(), 120))
-		in.reportError(st.session, inv.InvocationID, err)
+		in.reportError(st.session, inv, err)
 		return
 	}
 
@@ -566,17 +569,17 @@ func (in *Instance) run(st *seat, inv Invocation) {
 			Stream: outStream, Session: inv.Session, Kind: streams.Data,
 			Sender: name, Param: p.Name,
 			Tags:    append([]string{p.Name}, out.Tags...),
-			Payload: v,
+			Payload: v, Ask: inv.Ask,
 		})
 	}
 	if out.Display != "" {
 		_, _ = in.store.Append(streams.Message{
 			Stream: DisplayStream(st.session), Session: inv.Session, Kind: streams.Data,
-			Sender: name, Payload: out.Display, Tags: []string{"display"},
+			Sender: name, Payload: out.Display, Tags: []string{"display"}, Ask: inv.Ask,
 		})
 	}
 	_, _ = in.store.Append(streams.Message{
-		Stream: ControlStream(st.session), Kind: streams.Control, Sender: name,
+		Stream: ControlStream(st.session), Kind: streams.Control, Sender: name, Ask: inv.Ask,
 		Directive: &streams.Directive{Op: OpAgentDone, Agent: name, Args: map[string]any{
 			"invocation_id": inv.InvocationID,
 			"cost":          usage.Cost,
@@ -589,13 +592,13 @@ func (in *Instance) run(st *seat, inv Invocation) {
 
 // reportError counts a failed invocation and reports it to the coordinator
 // as an AGENT_ERROR on the session's control stream.
-func (in *Instance) reportError(session, invocationID string, err error) {
+func (in *Instance) reportError(session string, inv Invocation, err error) {
 	mInvErrors.Inc()
 	name := in.agent.Spec.Name
 	_, _ = in.store.Append(streams.Message{
-		Stream: ControlStream(session), Kind: streams.Control, Sender: name,
+		Stream: ControlStream(session), Kind: streams.Control, Sender: name, Ask: inv.Ask,
 		Directive: &streams.Directive{Op: OpAgentError, Agent: name, Args: map[string]any{
-			"invocation_id": invocationID,
+			"invocation_id": inv.InvocationID,
 			"error":         err.Error(),
 		}},
 	})

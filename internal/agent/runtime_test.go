@@ -55,7 +55,7 @@ func TestCallerDeadlineBoundsProcessor(t *testing.T) {
 
 	start := time.Now()
 	deadline := start.Add(100 * time.Millisecond)
-	if err := ExecuteDeadline(store, testSession, "SLOW", map[string]any{"IN": "x"}, "reply", "inv-dl", "", deadline); err != nil {
+	if err := ExecuteInvocation(store, "SLOW", Invocation{Session: testSession, Inputs: map[string]any{"IN": "x"}, ReplyStream: "reply", InvocationID: "inv-dl", Deadline: deadline}); err != nil {
 		t.Fatal(err)
 	}
 	msg := awaitError(t, store, "inv-dl")
@@ -77,7 +77,7 @@ func TestExpiredDeadlineShortCircuits(t *testing.T) {
 	defer inst.Stop()
 
 	past := time.Now().Add(-time.Second)
-	if err := ExecuteDeadline(store, testSession, "SLOW", map[string]any{"IN": "x"}, "reply", "inv-past", "", past); err != nil {
+	if err := ExecuteInvocation(store, "SLOW", Invocation{Session: testSession, Inputs: map[string]any{"IN": "x"}, ReplyStream: "reply", InvocationID: "inv-past", Deadline: past}); err != nil {
 		t.Fatal(err)
 	}
 	awaitError(t, store, "inv-past")

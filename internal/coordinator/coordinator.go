@@ -42,7 +42,11 @@
 // streams (one subscription, one goroutine reading it). It executes every
 // such plan on its own goroutine, so plans arriving on one session's streams
 // — and plans across sessions — run concurrently; completions are announced
-// on the event-driven ResultC channel, and Results keeps the latest 64.
+// on the event-driven ResultC channel, and Results keeps the latest 64. The
+// ask a plan message names (streams.Message.Ask) goes down with the plan, to
+// the scheduler: the plan's span joins that ask's tree, and every
+// EXECUTE_AGENT, ABORT and result message the plan writes, and its Result,
+// carry the ask's id. ExecutePlan runs a plan for no ask, ExecuteAsk for one.
 //
 // # Step-result memoization
 //
@@ -230,6 +234,9 @@ type StepResult struct {
 // Result is the outcome of one plan execution.
 type Result struct {
 	PlanID string
+	// Ask is the ask the plan ran for (streams.Message.Ask; 0 for none):
+	// what a reader picks the result of one ask out by.
+	Ask uint64
 	// Steps holds per-step results in plan order (steps execute
 	// concurrently; completion order is not meaningful).
 	Steps []StepResult
@@ -254,8 +261,24 @@ type Result struct {
 // ExecutePlan runs the plan within the session, charging b for every step.
 // Steps execute concurrently along the plan's dependency DAG (see the
 // package comment); the call itself blocks until the plan completes, fails,
-// or aborts.
+// or aborts. It runs the plan for no ask: ExecuteAsk is the call on behalf
+// of one.
 func (c *Coordinator) ExecutePlan(session string, p *planner.Plan, b *budget.Budget) (*Result, error) {
+	return c.ExecuteAsk(session, 0, p, b)
+}
+
+// ExecuteAsk is ExecutePlan on behalf of ask (a root span id, as
+// streams.Message.Ask holds it): the plan's span joins the ask's tree, and
+// every EXECUTE_AGENT and ABORT the plan writes, and the Result, carry the
+// id.
+func (c *Coordinator) ExecuteAsk(session string, ask uint64, p *planner.Plan, b *budget.Budget) (*Result, error) {
+	return c.execute(session, ask, p, b, nil)
+}
+
+// execute is ExecuteAsk with done, when set, handed the outcome before the
+// plan's span ends: so whatever waits for the ask's spans to end (the flight
+// recorder) finds what done did with it.
+func (c *Coordinator) execute(session string, ask uint64, p *planner.Plan, b *budget.Budget, done func(*Result, error)) (res *Result, err error) {
 	g, err := p.Graph()
 	if err != nil {
 		return nil, err
@@ -263,18 +286,20 @@ func (c *Coordinator) ExecutePlan(session string, p *planner.Plan, b *budget.Bud
 	if b == nil {
 		b = budget.New(budget.Limits{})
 	}
-	res := &Result{PlanID: p.ID}
+	res = &Result{PlanID: p.ID, Ask: ask}
 	mPlans.Inc()
 
-	// The plan span anchors beneath the session's active root (the ask in
-	// flight); watched plans arriving on streams have no caller context, so
-	// anchoring — not a ctx parameter — is what links them into the tree.
-	span := obs.Spans.StartUnder(session, "coordinator", "plan")
+	// Watched plans arrive on streams with no caller context: the ask the
+	// plan message named, not a ctx parameter, links the plan into its tree.
+	span := obs.Spans.Resume(ask, "", "coordinator", "plan")
 	span.SetAttr("plan", p.ID)
 	if p.Utterance != "" {
 		span.SetAttr("utterance", obs.Truncate(p.Utterance, 60))
 	}
 	defer span.End()
+	if done != nil {
+		defer func() { done(res, err) }()
+	}
 
 	// Pre-execution projection (§V-H: plan arrives "along with an initial
 	// budget and projected costs (estimated by the optimizer)"). The
@@ -292,18 +317,18 @@ func (c *Coordinator) ExecutePlan(session string, p *planner.Plan, b *budget.Bud
 					res.Replans++
 					projCost, projLatency, _, _ = optimizer.EstimatePlanWithMemo(p, g, c.reg, c.opts.Memo)
 					if b.WouldExceed(projCost, projLatency) {
-						return c.abort(session, res, b, "still over budget after cost-optimized reassignment")
+						return c.abort(session, ask, res, b, "still over budget after cost-optimized reassignment")
 					}
 					break
 				}
 			}
-			return c.abort(session, res, b, fmt.Sprintf("projected cost $%.4f exceeds budget and no replan available", projCost))
+			return c.abort(session, ask, res, b, fmt.Sprintf("projected cost $%.4f exceeds budget and no replan available", projCost))
 		default:
-			return c.abort(session, res, b, fmt.Sprintf("projected cost $%.4f/latency %s exceeds budget", projCost, projLatency))
+			return c.abort(session, ask, res, b, fmt.Sprintf("projected cost $%.4f/latency %s exceeds budget", projCost, projLatency))
 		}
 	}
 
-	err = newScheduler(c, session, p, g, b, res, span).run()
+	err = newScheduler(c, session, ask, p, g, b, res, span).run()
 	res.Budget = b.Snapshot()
 	return res, err
 }
@@ -321,10 +346,10 @@ func (c *Coordinator) confirm(vs []budget.Violation) bool {
 }
 
 // abort refuses a plan at the projection stage, before any step ran.
-func (c *Coordinator) abort(session string, res *Result, b *budget.Budget, reason string) (*Result, error) {
+func (c *Coordinator) abort(session string, ask uint64, res *Result, b *budget.Budget, reason string) (*Result, error) {
 	err := markAborted(res, reason)
 	res.Budget = b.Snapshot()
-	c.emitAbort(session, "", map[string]any{"reason": reason})
+	c.emitAbort(session, ask, "", map[string]any{"reason": reason})
 	return res, err
 }
 
@@ -341,10 +366,10 @@ func markAborted(res *Result, reason string) error {
 // addressed to no agent it announces that the plan stopped (args carry the
 // reason), addressed to one it cancels that agent's in-flight invocation
 // (args carry the invocation_id) so a step that timed out or was cancelled
-// does not keep burning agent work.
-func (c *Coordinator) emitAbort(session, agentName string, args map[string]any) {
+// does not keep burning agent work. It carries the ask the plan runs for.
+func (c *Coordinator) emitAbort(session string, ask uint64, agentName string, args map[string]any) {
 	_, _ = c.store.Append(streams.Message{
-		Stream: agent.ControlStream(session), Kind: streams.Control, Sender: "coordinator",
+		Stream: agent.ControlStream(session), Kind: streams.Control, Sender: "coordinator", Ask: ask,
 		Directive: &streams.Directive{Op: streams.OpAbort, Agent: agentName, Args: args},
 	})
 }
@@ -413,7 +438,8 @@ func (c *Coordinator) stepDeadline(b *budget.Budget) time.Time {
 // invocation. attempt distinguishes retries of one step (each needs a
 // distinct invocation ID and reply stream, or a retry would consume the
 // failed attempt's stale reports).
-func (c *Coordinator) executeStep(ctx context.Context, session string, p *planner.Plan, step planner.Step, inputs map[string]any, deadline time.Time, attempt int) (StepResult, error) {
+func (s *scheduler) executeStep(ctx context.Context, p *planner.Plan, step planner.Step, inputs map[string]any, deadline time.Time, attempt int) (StepResult, error) {
+	c, session := s.c, s.session
 	sr := StepResult{StepID: step.ID, Agent: step.Agent, Outputs: map[string]any{}}
 	replyStream := fmt.Sprintf("%s:%s:%s", session, p.ID, step.ID)
 	invID := fmt.Sprintf("%s-%s", p.ID, step.ID)
@@ -426,7 +452,10 @@ func (c *Coordinator) executeStep(ctx context.Context, session string, p *planne
 	ctrl := c.store.Subscribe(agent.ReportFilter(session), false)
 	defer ctrl.Cancel()
 
-	if err := agent.ExecuteDeadline(c.store, session, step.Agent, inputs, replyStream, invID, obs.FromContext(ctx).Token(), deadline); err != nil {
+	if err := agent.ExecuteInvocation(c.store, step.Agent, agent.Invocation{
+		Session: session, Inputs: inputs, ReplyStream: replyStream, InvocationID: invID,
+		TraceParent: obs.FromContext(ctx).Token(), Deadline: deadline, Ask: s.ask,
+	}); err != nil {
 		return sr, err
 	}
 
@@ -442,8 +471,8 @@ func (c *Coordinator) executeStep(ctx context.Context, session string, p *planne
 			if d == nil {
 				continue
 			}
-			if id, _ := d.Args["invocation_id"].(string); id != invID {
-				continue
+			if id, _ := d.Args["invocation_id"].(string); id != invID || msg.Ask != s.ask {
+				continue // another step's report, or an identical plan's of another ask
 			}
 			switch d.Op {
 			case agent.OpAgentError:
@@ -466,11 +495,11 @@ func (c *Coordinator) executeStep(ctx context.Context, session string, p *planne
 				return sr, nil
 			}
 		case <-ctx.Done():
-			c.emitAbort(session, step.Agent, map[string]any{"invocation_id": invID})
+			c.emitAbort(session, s.ask, step.Agent, map[string]any{"invocation_id": invID})
 			sr.Err = "cancelled"
 			return sr, fmt.Errorf("step %s cancelled: %w", step.ID, ctx.Err())
 		case <-timeout:
-			c.emitAbort(session, step.Agent, map[string]any{"invocation_id": invID})
+			c.emitAbort(session, s.ask, step.Agent, map[string]any{"invocation_id": invID})
 			sr.Err = "timeout"
 			return sr, fmt.Errorf("%w: %s after %s", ErrStepTimeout, step.ID, wait.Truncate(time.Millisecond))
 		}

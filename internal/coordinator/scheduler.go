@@ -44,6 +44,7 @@ var errDegraded = errors.New("coordinator: step served degraded from a stale ent
 type scheduler struct {
 	c       *Coordinator
 	session string
+	ask     uint64 // the ask the plan runs for; every message it writes carries it
 	plan    *planner.Plan
 	graph   planner.Graph // the plan's dependency DAG, as projected
 	budget  *budget.Budget
@@ -95,12 +96,12 @@ type stepOutcome struct {
 	err    error
 }
 
-func newScheduler(c *Coordinator, session string, p *planner.Plan, g planner.Graph, b *budget.Budget, res *Result, span *obs.Span) *scheduler {
+func newScheduler(c *Coordinator, session string, ask uint64, p *planner.Plan, g planner.Graph, b *budget.Budget, res *Result, span *obs.Span) *scheduler {
 	ctx, cancel := context.WithCancel(context.Background())
 	// The plan span rides the scheduler context so step spans parent to it.
 	ctx = obs.ContextWith(ctx, span)
 	return &scheduler{
-		c: c, session: session, plan: p, graph: g, budget: b, res: res,
+		c: c, session: session, ask: ask, plan: p, graph: g, budget: b, res: res,
 		ctx: ctx, cancel: cancel,
 		outputs:   map[string]map[string]any{},
 		results:   map[string]StepResult{},
@@ -421,7 +422,7 @@ func (s *scheduler) executeAttempts(ctx context.Context, step planner.Step, inpu
 // the outcome to the agent's breaker and its SLO series.
 func (s *scheduler) attempt(ctx context.Context, p *planner.Plan, step planner.Step, inputs map[string]any, n int) (StepResult, error) {
 	start := time.Now()
-	sr, err := s.c.executeStep(ctx, s.session, p, step, inputs, s.c.stepDeadline(s.budget), n)
+	sr, err := s.executeStep(ctx, p, step, inputs, s.c.stepDeadline(s.budget), n)
 	s.c.opts.Breakers.Record(step.Agent, err == nil)
 	s.c.opts.SLO.Record(obs.SLOAgent, step.Agent, time.Since(start), err != nil)
 	return sr, err
@@ -592,7 +593,7 @@ func (s *scheduler) abort(reason string) error {
 	s.mu.Unlock()
 	s.cancel()
 	if first {
-		s.c.emitAbort(s.session, "", map[string]any{"reason": reason})
+		s.c.emitAbort(s.session, s.ask, "", map[string]any{"reason": reason})
 	}
 	return err
 }

@@ -68,7 +68,7 @@ func (c *Coordinator) Serve(session string, limits budget.Limits) *Service {
 		defer s.wg.Done()
 		for msg := range s.sub.C() {
 			if mayBePlan(msg.Payload) {
-				s.spawn(msg.Payload)
+				s.spawn(msg.Payload, msg.Ask)
 			}
 		}
 	}()
@@ -87,10 +87,11 @@ func mayBePlan(payload any) bool {
 	return false
 }
 
-// spawn executes one plan payload on its own goroutine, blocking the
-// calling watch loop while DefaultMaxConcurrentPlans executions are already
-// in flight (backpressure; the subscription queues further messages).
-func (s *Service) spawn(payload any) {
+// spawn executes one plan payload, for the ask its message named, on its own
+// goroutine, blocking the calling watch loop while DefaultMaxConcurrentPlans
+// executions are already in flight (backpressure; the subscription queues
+// further messages).
+func (s *Service) spawn(payload any, ask uint64) {
 	s.sem <- struct{}{}
 	s.wg.Add(1)
 	go func() {
@@ -98,17 +99,22 @@ func (s *Service) spawn(payload any) {
 			<-s.sem
 			s.wg.Done()
 		}()
-		s.execute(payload)
+		s.execute(payload, ask)
 	}()
 }
 
-func (s *Service) execute(payload any) {
+func (s *Service) execute(payload any, ask uint64) {
 	p, err := planner.FromJSON(payload)
 	if err != nil {
 		return
 	}
-	b := budget.New(s.limits)
-	res, err := s.c.ExecutePlan(s.session, p, b)
+	_, _ = s.c.execute(s.session, ask, p, budget.New(s.limits), s.finish)
+}
+
+// finish keeps a plan's result, shows its final outputs and announces it,
+// all before the plan's span ends: an ask that waits for its spans to end
+// finds its result in Results.
+func (s *Service) finish(res *Result, err error) {
 	if res != nil {
 		s.mu.Lock()
 		if len(s.results) == resultsKept {
@@ -123,7 +129,7 @@ func (s *Service) execute(payload any) {
 			_, _ = s.c.store.Publish(streams.Message{
 				Stream: agent.DisplayStream(s.session), Session: s.session,
 				Kind: streams.Data, Sender: "coordinator", Param: param,
-				Tags: []string{"result"}, Payload: res.Final[param],
+				Tags: []string{"result"}, Payload: res.Final[param], Ask: res.Ask,
 			})
 		}
 	}

@@ -34,7 +34,7 @@ type Options struct {
 //
 //	POST /sessions                         -> {"id": "session:1"}
 //	POST /sessions/{id}/ask    {"text":..} -> {"answer": ...} (X-Trace-Id on every response, 429s included)
-//	POST /sessions/{id}/click  {event}     -> {"answer": ...}
+//	POST /sessions/{id}/click  {event}     -> {"answer": ...} (X-Trace-Id, as for ask)
 //	GET  /sessions/{id}/flow               -> per-message flow trace
 //	GET  /agents                           -> agent registry contents
 //	GET  /data                             -> data registry contents
@@ -181,12 +181,15 @@ func (s *Server) click(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "body must be a UI event object"})
 		return
 	}
-	answer, err := sess.Click(event, 15*time.Second)
+	// A click is an ask: it has a trace id on every response too.
+	tid := obs.NewTraceID(sess.ID)
+	w.Header().Set("X-Trace-Id", tid)
+	answer, err := sess.ClickCtx(obs.WithTraceID(r.Context(), tid), event, 15*time.Second)
 	if err != nil {
-		writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error()})
+		writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error(), "trace": tid})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"answer": answer})
+	writeJSON(w, http.StatusOK, map[string]string{"answer": answer, "trace": tid})
 }
 
 func (s *Server) flow(w http.ResponseWriter, r *http.Request) {

@@ -386,6 +386,26 @@ func TestTraceIDHeaderOverHTTP(t *testing.T) {
 		t.Fatalf("body trace %v != header %q", out["trace"], tid)
 	}
 
+	// A click is an ask: its response carries a fresh id as well, and the
+	// click's root span is tagged with it.
+	rec, out = do(t, s, "POST", "/sessions/"+id+"/click", `{"action": "select_job", "job_id": 4}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("click = %d %s", rec.Code, rec.Body)
+	}
+	clickTid := rec.Header().Get("X-Trace-Id")
+	if !strings.HasPrefix(clickTid, "session:"+id+"-") || clickTid == tid || out["trace"] != clickTid {
+		t.Fatalf("click X-Trace-Id = %q, body trace %v (ask's %q), want a fresh session-prefixed id in both", clickTid, out["trace"], tid)
+	}
+	tagged := false
+	for _, sp := range obs.Spans.Session("session:" + id) {
+		for _, a := range sp.Attrs {
+			tagged = tagged || (sp.Parent == 0 && sp.Name == "click" && a.Key == "trace" && a.Value == clickTid)
+		}
+	}
+	if !tagged {
+		t.Fatalf("no click root span carries trace %q", clickTid)
+	}
+
 	// Occupy the slot, then shed a novel ask: the 429 must carry the header
 	// too (the operator greps /events for exactly this id).
 	inj := resilience.NewInjector(1, resilience.Rule{

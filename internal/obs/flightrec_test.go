@@ -414,11 +414,14 @@ func TestTracerBoundedMemory(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
 		sp := tr.StartRoot(fmt.Sprintf("sess-%d", i), "session", "ask")
-		tr.StartUnder(fmt.Sprintf("sess-%d", i), "agent", "step").End()
+		tr.Resume(sp.ID(), "", "agent", "step").End()
 		sp.End()
 	}
 	if got := tr.SessionCount(); got != DefaultMaxSessions {
 		t.Fatalf("session count = %d, want bound %d", got, DefaultMaxSessions)
+	}
+	if n := len(tr.asks); n != 0 {
+		t.Fatalf("%d asks left open after every span ended", n)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -434,11 +437,11 @@ func TestTracerTree(t *testing.T) {
 	tr := NewTracer()
 	// Two interleaved asks in one session: Tree must isolate one root.
 	r1 := tr.StartRoot("s", "session", "ask1")
-	c1 := tr.newSpan("s", r1.ID(), "agent", "step1", nil)
+	c1 := tr.Resume(r1.ID(), "", "agent", "step1")
 	c1.End()
 	r1.End()
 	r2 := tr.StartRoot("s", "session", "ask2")
-	c2 := tr.newSpan("s", r2.ID(), "agent", "step2", nil)
+	c2 := tr.Resume(r2.ID(), "", "agent", "step2")
 	c2.End()
 	r2.End()
 	tree := tr.Tree("s", r1.ID())
@@ -460,13 +463,47 @@ func TestTracerTree(t *testing.T) {
 	// coordinator ancestors land. The whole chain is then recorded AFTER
 	// the root, so membership must not depend on ring order.
 	r3 := tr.StartRoot("s", "session", "ask3")
-	p3 := tr.newSpan("s", r3.ID(), "coordinator", "plan", nil)
-	c3 := tr.newSpan("s", p3.ID(), "agent", "late", nil)
+	p3 := tr.Resume(r3.ID(), "", "coordinator", "plan")
+	c3 := tr.Resume(r3.ID(), p3.Token(), "agent", "late")
 	r3.End()
 	c3.End()
 	p3.End()
 	tree = tr.Tree("s", r3.ID())
 	if len(tree) != 3 {
 		t.Fatalf("laggard tree = %d spans, want 3 (root + chain recorded after it)", len(tree))
+	}
+}
+
+// The table of open asks holds an ask exactly while one of its spans is
+// open, whatever the session bound evicts meanwhile: laggards that end after
+// their root — and after their session's ring was evicted — still retire
+// their ask, and every Settled channel closes.
+func TestOpenAsksEmptyUnderEviction(t *testing.T) {
+	tr := newTracer(2)
+	var roots, laggards []*Span
+	for i := 0; i < 10; i++ {
+		root := tr.StartRoot(fmt.Sprintf("sess-%d", i), "session", "ask")
+		plan := tr.Resume(root.ID(), "", "coordinator", "plan")
+		laggards = append(laggards, plan, tr.Resume(root.ID(), plan.Token(), "agent", "late"))
+		roots = append(roots, root)
+	}
+	for _, root := range roots {
+		root.End()
+	}
+	if n := len(tr.asks); n != 10 {
+		t.Fatalf("%d asks open with their laggards running, want 10", n)
+	}
+	for i := len(laggards) - 1; i >= 0; i-- {
+		laggards[i].End()
+	}
+	for _, root := range roots {
+		select {
+		case <-root.Settled():
+		default:
+			t.Fatalf("ask %d did not settle", root.ID())
+		}
+	}
+	if n, s := len(tr.asks), tr.SessionCount(); n != 0 || s != 2 {
+		t.Fatalf("after every span ended: %d asks open (want 0), %d session rings (want the bound, 2)", n, s)
 	}
 }

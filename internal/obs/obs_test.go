@@ -264,36 +264,65 @@ func TestSpanTreeAndContextPropagation(t *testing.T) {
 	}
 }
 
-func TestStartUnderAnchorsToActiveRoot(t *testing.T) {
+// A span started for a message is parented and charged by the ask the
+// message names, never by whichever ask is open when it starts: a laggard of
+// ask 1 that starts while ask 2 is open joins ask 1's tree and holds ask 1
+// open, and once every span of an ask has ended its id anchors nothing.
+func TestResumeAnchorsByAsk(t *testing.T) {
 	tr := NewTracer()
-	if sp := tr.StartUnder("s2", "agent", "x"); sp != nil {
-		t.Fatal("StartUnder without a root must be a no-op")
+	if sp := tr.Resume(0, "", "agent", "x"); sp != nil {
+		t.Fatal("Resume for no ask must be a no-op")
 	}
-	root := tr.StartRoot("s2", "session", "ask")
-	sp := tr.StartUnder("s2", "agent", "x")
-	if sp == nil || sp.parent != root.ID() {
-		t.Fatalf("StartUnder did not anchor to the active root")
+	ask1 := tr.StartRoot("s2", "session", "ask")
+	plan := tr.Resume(ask1.ID(), "", "coordinator", "plan")
+	ask1.End() // the answer displayed; the plan still runs
+	ask2 := tr.StartRoot("s2", "session", "ask")
+	late := tr.Resume(ask1.ID(), plan.Token(), "agent", "late")
+	if late == nil || late.parent != plan.ID() || late.ask != ask1.ask {
+		t.Fatalf("laggard of ask 1 = %+v, want a child of its plan span charged to ask 1", late)
 	}
-	sp.End()
-	root.End()
-	if sp2 := tr.StartUnder("s2", "agent", "y"); sp2 != nil {
-		t.Fatal("root ended; StartUnder must be a no-op again")
+	plan.End()
+	select {
+	case <-ask1.Settled():
+		t.Fatal("ask 1 settled with its laggard still open")
+	default:
 	}
+	if n := ask2.ask.open.Load(); n != 1 {
+		t.Fatalf("ask 2 counts %d open spans, want its root alone", n)
+	}
+	late.End()
+	select {
+	case <-ask1.Settled():
+	default:
+		t.Fatal("ask 1 did not settle when its last span ended")
+	}
+	if sp := tr.Resume(ask1.ID(), "", "agent", "after"); sp != nil {
+		t.Fatal("a settled ask anchored a new span")
+	}
+	if tree := tr.Tree("s2", ask1.ID()); len(tree) != 3 {
+		t.Fatalf("ask 1's tree holds %d spans, want root, plan and laggard", len(tree))
+	}
+	ask2.End()
 }
 
 func TestResumeToken(t *testing.T) {
 	tr := NewTracer()
 	root := tr.StartRoot("s3", "session", "ask")
 	tok := root.Token()
-	sp := tr.Resume("s3", tok, "agent", "NL2Q")
+	sp := tr.Resume(root.ID(), tok, "agent", "NL2Q")
 	if sp == nil || sp.parent != root.ID() {
 		t.Fatalf("Resume(%q) parent = %v, want %d", tok, sp, root.ID())
 	}
+	// A malformed token anchors under the ask's root.
+	if got := tr.Resume(root.ID(), "!!!", "agent", "x"); got == nil || got.parent != root.ID() {
+		t.Fatalf("malformed token: %+v, want a child of the root", got)
+	} else {
+		got.End()
+	}
 	sp.End()
 	root.End()
-	// Malformed token falls back to StartUnder (root gone -> nil).
-	if got := tr.Resume("s3", "!!!", "agent", "x"); got != nil {
-		t.Fatalf("malformed token with no active root should no-op")
+	if got := tr.Resume(root.ID(), tok, "agent", "x"); got != nil {
+		t.Fatalf("a token of an ask with no span open should no-op")
 	}
 }
 
@@ -301,8 +330,8 @@ func TestResumeToken(t *testing.T) {
 // span surface is inert on nil.
 func TestNilSpanIsInert(t *testing.T) {
 	tr := NewTracer()
-	if tr.StartUnder("s", "agent", "x") != nil {
-		t.Fatal("StartUnder without an active root")
+	if tr.Resume(1, "", "agent", "x") != nil {
+		t.Fatal("Resume for an ask never started")
 	}
 	if ctx, sp := StartSpan(context.Background(), "agent", "x"); sp != nil || FromContext(ctx) != nil {
 		t.Fatal("StartSpan without a parent in the context")
@@ -310,7 +339,7 @@ func TestNilSpanIsInert(t *testing.T) {
 	var sp *Span
 	sp.SetAttr("k", "v")
 	sp.End()
-	if sp.Token() != "" || sp.ID() != 0 {
+	if sp.Token() != "" || sp.ID() != 0 || sp.Settled() == nil {
 		t.Fatal("nil span surface not inert")
 	}
 }

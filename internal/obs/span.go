@@ -25,10 +25,12 @@ import (
 //
 // Completed spans are recorded into a bounded per-session ring
 // (Tracer.Session reads it; GET /trace/{session} and bpctl trace render
-// it). Components that fire outside any ask (decentralized activations on
-// an idle session) produce no spans: StartUnder anchors to the session's
-// active root and returns a no-op span when there is none, so rings hold
-// coherent ask trees rather than unanchored noise.
+// it). An ask's root span names the ask: its id rides every message the ask
+// causes (streams.Message.Ask), and work started for such a message joins
+// the ask's tree through Resume, looked up by that id for as long as any
+// span of the ask is open. Work whose message names no open ask (activity on
+// an idle session, a late message of a finished ask) produces no span, so
+// rings hold coherent ask trees rather than unanchored noise.
 
 // Spans is the process-global tracer, the spans counterpart of Default.
 var Spans = NewTracer()
@@ -65,25 +67,32 @@ type SpanData struct {
 	Attrs []Attr        `json:"attrs,omitempty"`
 }
 
-// Span is an in-flight span. All methods are safe on a nil receiver — an
-// unanchored StartUnder or a StartSpan outside a traced request hands out
+// Span is an in-flight span. All methods are safe on a nil receiver — a
+// Resume for no open ask or a StartSpan outside a traced request hands out
 // nil spans and instrumentation sites need no conditionals.
 type Span struct {
 	t         *Tracer
-	session   string
+	ask       *openAsk // the ask the span is charged to; its session's ring records it
 	id        uint64
 	parent    uint64
 	component string
 	name      string
 	start     time.Time
-	// open counts this ask's started-but-unended spans, shared down the
-	// tree from the root (via ctx, resume and active-root anchoring). The
-	// flight recorder polls it to know when the tree has quiesced.
-	open *atomic.Int64
 
 	mu    sync.Mutex
 	attrs []Attr
 	ended bool
+}
+
+// openAsk is an ask with a span open, filed in its tracer's table under its
+// root's id: the root's session, the count of the ask's spans started and
+// not yet ended, and the channel Settled hands out, closed when that count
+// falls to zero and the ask leaves the table.
+type openAsk struct {
+	id      uint64
+	session string
+	open    atomic.Int64
+	settled chan struct{} // made by the first Settled; guarded by Tracer.mu
 }
 
 // SetAttr attaches a key/value attribute (no-op after End).
@@ -112,25 +121,36 @@ func (s *Span) End() {
 	s.ended = true
 	attrs := s.attrs
 	s.mu.Unlock()
-	s.t.record(s.session, SpanData{
+	s.t.record(s.ask.session, SpanData{
 		ID: s.id, Parent: s.parent, Component: s.component, Name: s.name,
 		Start: s.start, Dur: time.Since(s.start), Attrs: attrs,
-	}, s.parent == 0, s.id)
-	if s.open != nil {
-		s.open.Add(-1)
+	})
+	if s.ask.open.Add(-1) == 0 {
+		s.t.settle(s.ask)
 	}
 }
 
-// OpenInTree reports how many spans of this span's ask tree (itself
-// included) have started but not yet ended. Zero for nil spans. The
-// flight recorder uses it to wait for the tree to quiesce before
-// snapshotting — agents end their spans a hair after the answer is
-// displayed.
-func (s *Span) OpenInTree() int64 {
-	if s == nil || s.open == nil {
-		return 0
+// closedChan is what Settled hands out for an ask no longer open.
+var closedChan = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+// Settled returns a channel closed once every span of this span's ask has
+// ended and been recorded (at once for nil). The flight recorder waits on it
+// before it reads an ask's tree: the answer displays a hair before the
+// agent that posted it, and that agent's coordinator ancestors, end.
+func (s *Span) Settled() <-chan struct{} {
+	if s == nil {
+		return closedChan
 	}
-	return s.open.Load()
+	t, a := s.t, s.ask
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.asks[a.id] != a {
+		return closedChan
+	}
+	if a.settled == nil {
+		a.settled = make(chan struct{})
+	}
+	return a.settled
 }
 
 // ID returns the span id (0 for nil).
@@ -161,24 +181,21 @@ type Tracer struct {
 	max      int
 	sessions map[string]*list.Element // of *sessionTrace
 	lru      *list.List               // least-recently-active at the front
+	asks     map[uint64]*openAsk      // by root id, while a span of the ask is open
 }
 
 type sessionTrace struct {
 	id string
 
-	mu         sync.Mutex
-	ring       ring[SpanData]
-	activeRoot uint64
-	// rootOpen is the active root's open-span counter; spans anchored or
-	// resumed under it (no ctx to inherit through) attach here.
-	rootOpen *atomic.Int64
+	mu   sync.Mutex
+	ring ring[SpanData]
 }
 
 // NewTracer creates an empty tracer with the default session bound.
 func NewTracer() *Tracer { return newTracer(DefaultMaxSessions) }
 
 func newTracer(maxSessions int) *Tracer {
-	return &Tracer{max: maxSessions, sessions: map[string]*list.Element{}, lru: list.New()}
+	return &Tracer{max: maxSessions, sessions: map[string]*list.Element{}, lru: list.New(), asks: map[uint64]*openAsk{}}
 }
 
 // SessionCount returns the number of retained session rings.
@@ -218,79 +235,70 @@ func (t *Tracer) session(id string, create bool) *sessionTrace {
 	return st
 }
 
-func (t *Tracer) newSpan(session string, parent uint64, component, name string, open *atomic.Int64) *Span {
-	if open != nil {
-		open.Add(1)
-	}
+// newSpan makes a span of ask a; the caller has counted it open.
+func (t *Tracer) newSpan(a *openAsk, parent uint64, component, name string) *Span {
 	return &Span{
-		t: t, session: session, id: t.nextID.Add(1), parent: parent,
-		component: component, name: name, start: time.Now(), open: open,
+		t: t, ask: a, id: t.nextID.Add(1), parent: parent,
+		component: component, name: name, start: time.Now(),
 	}
 }
 
-// StartRoot opens a root span and marks it the session's active root:
-// until it ends, StartUnder anchors unparented work (stream-triggered
-// agents, watched plans) beneath it.
+// StartRoot opens an ask's root span. Its id names the ask: the messages the
+// ask causes carry it, and Resume finds the ask by it until the ask's last
+// span ends.
 func (t *Tracer) StartRoot(session, component, name string) *Span {
-	sp := t.newSpan(session, 0, component, name, new(atomic.Int64))
-	st := t.session(session, true)
-	st.mu.Lock()
-	st.activeRoot = sp.id
-	st.rootOpen = sp.open
-	st.mu.Unlock()
+	a := &openAsk{session: session}
+	a.open.Store(1)
+	sp := t.newSpan(a, 0, component, name)
+	a.id = sp.id
+	t.mu.Lock()
+	t.asks[a.id] = a
+	t.mu.Unlock()
 	return sp
 }
 
-// StartUnder opens a span parented to the session's active root. Without an
-// active root (no ask in flight) it returns nil and nothing is recorded.
-func (t *Tracer) StartUnder(session, component, name string) *Span {
-	st := t.session(session, false)
-	if st == nil {
+// Resume opens a span for work that a message of ask caused, recorded in the
+// ask's session and charged to the ask. Its parent is the span token names —
+// a Span.Token carried across a stream boundary — or the ask's root when the
+// token is empty or malformed. It returns nil, and nothing is recorded, when
+// no span of ask is open (ask 0 included): never is the work charged to
+// another ask.
+func (t *Tracer) Resume(ask uint64, token, component, name string) *Span {
+	t.mu.Lock()
+	a := t.asks[ask]
+	if a != nil {
+		a.open.Add(1) // under mu, so that settle cannot retire the ask meanwhile
+	}
+	t.mu.Unlock()
+	if a == nil {
 		return nil
 	}
-	st.mu.Lock()
-	root, open := st.activeRoot, st.rootOpen
-	st.mu.Unlock()
-	if root == 0 {
-		return nil
-	}
-	return t.newSpan(session, root, component, name, open)
-}
-
-// Resume continues a trace across a stream boundary: token is a parent
-// Span.Token() carried in a message. An empty or malformed token falls back
-// to StartUnder.
-func (t *Tracer) Resume(session, token, component, name string) *Span {
 	parent, err := strconv.ParseUint(token, 36, 64)
 	if err != nil || parent == 0 {
-		return t.StartUnder(session, component, name)
+		parent = ask
 	}
-	st := t.session(session, false)
-	if st == nil {
-		return nil
-	}
-	// A resumed span belongs to whichever ask published the token; the
-	// session's active ask is the overwhelmingly common (and only
-	// observable) case, so it charges that root's open counter.
-	st.mu.Lock()
-	open := st.rootOpen
-	if st.activeRoot == 0 {
-		open = nil
-	}
-	st.mu.Unlock()
-	return t.newSpan(session, parent, component, name, open)
+	return t.newSpan(a, parent, component, name)
 }
 
-// record appends a completed span to the session ring; a completed root
-// releases the active-root anchor.
-func (t *Tracer) record(session string, d SpanData, isRoot bool, id uint64) {
+// settle retires an ask whose open count fell to zero, unless a Resume has
+// counted a new span of it since.
+func (t *Tracer) settle(a *openAsk) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if a.open.Load() != 0 || t.asks[a.id] != a {
+		return
+	}
+	delete(t.asks, a.id)
+	if a.settled != nil {
+		close(a.settled)
+	}
+}
+
+// record appends a completed span to the session ring.
+func (t *Tracer) record(session string, d SpanData) {
 	st := t.session(session, true)
 	st.mu.Lock()
 	st.ring.push(d)
-	if isRoot && st.activeRoot == id {
-		st.activeRoot = 0
-		st.rootOpen = nil
-	}
 	st.mu.Unlock()
 }
 
@@ -369,7 +377,8 @@ func StartSpan(ctx context.Context, component, name string) (context.Context, *S
 	if parent == nil {
 		return ctx, nil
 	}
-	sp := parent.t.newSpan(parent.session, parent.id, component, name, parent.open)
+	parent.ask.open.Add(1)
+	sp := parent.t.newSpan(parent.ask, parent.id, component, name)
 	return ContextWith(ctx, sp), sp
 }
 

@@ -291,20 +291,21 @@ func (s *Session) Agent(name string) (*agent.Instance, error) {
 }
 
 // PostUserText publishes a user utterance to the session's user stream,
-// tagged "user" and "utterance".
-func (s *Session) PostUserText(text string) (streams.Message, error) {
+// tagged "user" and "utterance", as input of ask (0 for none): the id every
+// message the utterance causes carries.
+func (s *Session) PostUserText(ask uint64, text string) (streams.Message, error) {
 	return s.store.Append(streams.Message{
 		Stream: UserStream(s.ID), Session: s.ID, Kind: streams.Data,
-		Sender: "user", Tags: []string{"user", "utterance"}, Payload: text,
+		Sender: "user", Tags: []string{"user", "utterance"}, Payload: text, Ask: ask,
 	})
 }
 
 // PostUserEvent publishes a UI event (click, form submit) to the session's
-// event stream (Fig. 9 step 1).
-func (s *Session) PostUserEvent(event map[string]any) (streams.Message, error) {
+// event stream (Fig. 9 step 1) as input of ask (0 for none).
+func (s *Session) PostUserEvent(ask uint64, event map[string]any) (streams.Message, error) {
 	return s.store.Append(streams.Message{
 		Stream: EventStream(s.ID), Session: s.ID, Kind: streams.Event,
-		Sender: "user", Tags: []string{"ui", "event"}, Payload: event,
+		Sender: "user", Tags: []string{"ui", "event"}, Payload: event, Ask: ask,
 	})
 }
 
@@ -322,9 +323,10 @@ func (s *Session) Display() []string {
 	return out
 }
 
-// DisplayLen is the number of display messages so far: the offset an ask
-// passes to AwaitDisplay so that only what it causes is waited for. It reads
-// the stream's length, not its messages.
+// DisplayLen is the number of display messages so far: read before an ask
+// posts its input, it is the offset the wait for the answer starts from, so
+// that the history before it is never replayed. It reads the stream's
+// length, not its messages.
 func (s *Session) DisplayLen() int {
 	info, err := s.store.Info(agent.DisplayStream(s.ID))
 	if err != nil {
@@ -333,15 +335,30 @@ func (s *Session) DisplayLen() int {
 	return int(info.Len)
 }
 
+// AwaitAnswer blocks until the display stream carries, at index >= from, a
+// message that ask caused, and returns the first such message's payload: the
+// ask's answer. Display messages of other asks — a plan result that lands
+// after its own ask returned, the answer of an ask running beside this one —
+// are passed over. ErrNoDisplay is returned on timeout.
+func (s *Session) AwaitAnswer(from int, ask uint64, timeout time.Duration) (string, error) {
+	return s.awaitDisplay(from, ask, "", timeout)
+}
+
 // AwaitDisplay blocks until the display stream carries a message at index
-// >= from whose payload contains substr (empty matches anything), returning
-// its payload. The wait is event-driven: a streams subscription resumed at
-// offset from delivers the display messages already at or past it (so
-// outputs that raced ahead of the call are not missed) and then new ones as
-// they are appended — no polling, no sleeps, and no replay of the history
-// before from, so a wait costs the same on a long conversation as on a new
-// one. ErrNoDisplay is returned on timeout.
+// >= from whose payload contains substr (empty matches anything), of any
+// ask, returning its payload. ErrNoDisplay is returned on timeout.
 func (s *Session) AwaitDisplay(from int, substr string, timeout time.Duration) (string, error) {
+	return s.awaitDisplay(from, 0, substr, timeout)
+}
+
+// awaitDisplay is the one display wait: the first message at index >= from
+// of ask (any, for 0) whose payload contains substr. It is event-driven: a
+// streams subscription resumed at offset from delivers the display messages
+// already at or past it (so outputs that raced ahead of the call are not
+// missed) and then new ones as they are appended — no polling, no sleeps,
+// and no replay of the history before from, so a wait costs the same on a
+// long conversation as on a new one.
+func (s *Session) awaitDisplay(from int, ask uint64, substr string, timeout time.Duration) (string, error) {
 	sub := s.store.SubscribeFrom(streams.Filter{
 		Streams: []string{agent.DisplayStream(s.ID)},
 	}, int64(from))
@@ -354,8 +371,8 @@ func (s *Session) AwaitDisplay(from int, substr string, timeout time.Duration) (
 			if !ok {
 				return "", fmt.Errorf("%w: %s (stream closed)", ErrNoDisplay, s.ID)
 			}
-			if msg.Seq < int64(from) {
-				continue // live, but from lies further beyond the stream's end
+			if msg.Seq < int64(from) || (ask != 0 && msg.Ask != ask) {
+				continue // live, but from lies further beyond the stream's end; or another ask's
 			}
 			if text := msg.PayloadString(); substr == "" || strings.Contains(text, substr) {
 				return text, nil

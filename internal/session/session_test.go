@@ -90,7 +90,7 @@ func TestSpawnAgentAndConversation(t *testing.T) {
 	disp := store.Subscribe(streams.Filter{Streams: []string{agent.DisplayStream(s.ID)}}, true)
 	defer disp.Cancel()
 
-	if _, err := s.PostUserText("alice"); err != nil {
+	if _, err := s.PostUserText(0, "alice"); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -150,7 +150,7 @@ func TestExtendScoping(t *testing.T) {
 		t.Fatalf("child id = %s", child.ID)
 	}
 	// Messages in the child scope appear in the parent's history.
-	if _, err := child.PostUserText("nested text"); err != nil {
+	if _, err := child.PostUserText(0, "nested text"); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -176,7 +176,7 @@ func TestUserEvent(t *testing.T) {
 	defer s.Close()
 	sub := store.Subscribe(streams.Filter{Kinds: []streams.Kind{streams.Event}}, false)
 	defer sub.Cancel()
-	if _, err := s.PostUserEvent(map[string]any{"action": "select", "job_id": 12}); err != nil {
+	if _, err := s.PostUserEvent(0, map[string]any{"action": "select", "job_id": 12}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -402,7 +402,7 @@ func TestSessionsShareADeployment(t *testing.T) {
 	}
 	for _, s := range []*Session{s1, s2} {
 		from := s.DisplayLen()
-		if _, err := s.PostUserText(s.ID); err != nil {
+		if _, err := s.PostUserText(0, s.ID); err != nil {
 			t.Fatal(err)
 		}
 		if out, err := s.AwaitDisplay(from, "", 5*time.Second); err != nil || out != "hi, "+s.ID {
@@ -417,7 +417,7 @@ func TestSessionsShareADeployment(t *testing.T) {
 		t.Fatalf("%d subscriptions after the first session closed, want the deployment's %d", subs(), held)
 	}
 	from := s2.DisplayLen()
-	if _, err := s2.PostUserText("still here"); err != nil {
+	if _, err := s2.PostUserText(0, "still here"); err != nil {
 		t.Fatal(err)
 	}
 	if out, err := s2.AwaitDisplay(from, "", 5*time.Second); err != nil || out != "hi, still here" {

@@ -321,7 +321,8 @@ func TestSinkFailureLeavesStoreUnchanged(t *testing.T) {
 // TestRecoveryKeepsBytes: every string a stream or message holds comes back
 // byte for byte, valid UTF-8 or not, whether recovery replays the log or
 // restores a snapshot (encoding/json would turn "\xff" into U+FFFD, and the
-// stream "s\xff" would no longer be found).
+// stream "s\xff" would no longer be found) — and a message's Ask, which names
+// an ask of the process that wrote it, comes back as 0.
 func TestRecoveryKeepsBytes(t *testing.T) {
 	for _, viaSnapshot := range []bool{false, true} {
 		name := map[bool]string{false: "replay", true: "restore"}[viaSnapshot]
@@ -329,10 +330,17 @@ func TestRecoveryKeepsBytes(t *testing.T) {
 			dir := t.TempDir()
 			s, eng := openDurableStore(t, dir)
 			mustCreate(t, s, "s\xff", StreamInfo{Session: "x\xfe", Tags: []string{"t\xff"}, Creator: "c\xfe"})
-			mustAppend(t, s, Message{Stream: "s\xff", Sender: "a\xff", Tags: []string{"t\xff", ""}, Param: "q\xfe", Payload: "p\xff"})
+			mustAppend(t, s, Message{Stream: "s\xff", Sender: "a\xff", Tags: []string{"t\xff", ""}, Param: "q\xfe", Payload: "p\xff", Ask: 7})
 			mustAppend(t, s, Message{Stream: "s\xff", Sender: "a\xff", Payload: ""})
-			mustAppend(t, s, Message{Stream: "s\xff", Kind: Control, Session: "x\xfe:y\xff", Directive: &Directive{Op: "o\xff", Agent: "g\xfe"}})
+			mustAppend(t, s, Message{Stream: "s\xff", Kind: Control, Session: "x\xfe:y\xff", Directive: &Directive{Op: "o\xff", Agent: "g\xfe"}, Ask: 1 << 63})
 			wantInfo, wantHist := s.List(""), s.History("")
+			// An ask id is not logged: the recovered messages have Ask 0.
+			if wantHist[0].Ask != 7 || wantHist[2].Ask != 1<<63 {
+				t.Fatalf("the live history lost its ask ids: %+v", wantHist)
+			}
+			for i := range wantHist {
+				wantHist[i].Ask = 0
+			}
 			if viaSnapshot {
 				if err := eng.Snapshot(); err != nil {
 					t.Fatal(err)

@@ -125,6 +125,12 @@ type Message struct {
 	Payload any `json:"payload,omitempty"`
 	// Directive is the control body; non-nil iff Kind == Control.
 	Directive *Directive `json:"directive,omitempty"`
+	// Ask names the ask that caused the message: the id of the ask's root
+	// span (obs.Span.ID), stamped where the ask's input is posted and carried
+	// by one rule — a message made in response to a message carries that
+	// message's Ask. 0 means no ask. The id is local to the process that
+	// minted it, so it is not logged: a recovered message has Ask 0.
+	Ask uint64 `json:"-"`
 }
 
 // HasTag reports whether the message carries the given tag.

@@ -7,7 +7,7 @@ import (
 // Ask-level instruments: end-to-end latency of the request/response
 // convenience path, the quantiles bpctl top and GET /metrics report.
 var (
-	mAsks       = obs.Default.Counter("blueprint_asks_total", "session asks (user utterances awaited to a display answer)")
+	mAsks       = obs.Default.Counter("blueprint_asks_total", "session asks (user utterances and clicks awaited to a display answer)")
 	mAskLatency = obs.Default.Histogram("blueprint_ask_latency_seconds", "end-to-end ask latency, post to display answer", obs.LatencyBuckets)
 )
 

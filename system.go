@@ -391,15 +391,15 @@ func (sess *Session) Close() {
 	sess.sys.sessMu.Unlock()
 }
 
-// Ask posts a user utterance and waits for the next display output,
-// returning it. The architecture is fully asynchronous; Ask is the
-// convenience wrapper for request/response usage.
+// Ask posts a user utterance and waits for its answer: the first display
+// output the utterance caused. The architecture is fully asynchronous; Ask
+// is the convenience wrapper for request/response usage.
 //
-// Ask opens the session's root span: until the answer arrives, every
-// component the ask flows through — tag-triggered agents, the coordinator's
-// plan execution, scheduler steps, memo lookups, relational statements —
-// anchors its spans beneath it, so GET /trace/{session} (and bpctl trace)
-// shows the full timed tree of the ask.
+// Ask opens the ask's root span, whose id every message the ask causes
+// carries: each component the ask flows through — tag-triggered agents, the
+// coordinator's plan execution, scheduler steps, memo lookups, relational
+// statements — anchors its spans beneath it by that id, so GET
+// /trace/{session} (and bpctl trace) shows the full timed tree of the ask.
 func (sess *Session) Ask(text string, timeout time.Duration) (string, error) {
 	return sess.AskCtx(context.Background(), text, timeout)
 }
@@ -409,10 +409,16 @@ func (sess *Session) Ask(text string, timeout time.Duration) (string, error) {
 // threshold or error are captured as exemplars — span tree, overlapping
 // events, cost breakdown — addressable by the trace id.
 func (sess *Session) AskCtx(ctx context.Context, text string, timeout time.Duration) (string, error) {
+	return sess.recordedAsk(ctx, text, nil, timeout)
+}
+
+// recordedAsk is an ungoverned ask, utterance or click (event set): askCore
+// between beginAsk and recordAsk.
+func (sess *Session) recordedAsk(ctx context.Context, text string, event map[string]any, timeout time.Duration) (string, error) {
 	_, rec := sess.beginAsk(ctx)
 	rec.text = text
 	var out string
-	out, rec.root, rec.err = sess.askCore(rec.trace, text, timeout)
+	out, rec.root, rec.err = sess.askCore(rec.trace, text, event, timeout)
 	rec.dur = time.Since(rec.start)
 	sess.recordAsk(rec)
 	return out, rec.err
@@ -435,25 +441,42 @@ func (sess *Session) beginAsk(ctx context.Context) (context.Context, askRecord) 
 }
 
 // quiesceWait bounds how long an exemplar capture waits for the ask's
-// laggard spans (agents end theirs a hair after the answer displays).
+// laggard spans to end: only an agent that hangs takes it whole.
 const quiesceWait = 50 * time.Millisecond
 
-// askCore runs the ask under its root span and the ask-level instruments,
-// returning the answer and the root span.
-func (sess *Session) askCore(tid, text string, timeout time.Duration) (string, *obs.Span, error) {
-	sp := obs.Spans.StartRoot(sess.ID, "session", "ask")
+// askCore runs one ask under its root span and the ask-level instruments,
+// returning its answer and the root. It posts the ask's input — the
+// utterance, or the UI event when event is set (a click, whose text is the
+// event's rendering) — stamped with the root's id, and takes as the answer
+// the first display message carrying that id, at or past the display length
+// read before the post.
+func (sess *Session) askCore(tid, text string, event map[string]any, timeout time.Duration) (string, *obs.Span, error) {
+	name := "ask"
+	if event != nil {
+		name = "click"
+	}
+	sp := obs.Spans.StartRoot(sess.ID, "session", name)
 	sp.SetAttr("text", obs.Truncate(text, 80))
 	sp.SetAttr("trace", tid)
 	defer sp.End()
 	mAsks.Inc()
 	defer mAskLatency.ObserveSince(time.Now())
 
-	before := sess.DisplayLen()
-	if _, err := sess.PostUserText(text); err != nil {
+	from := sess.DisplayLen()
+	var err error
+	if event == nil {
+		_, err = sess.PostUserText(sp.ID(), text)
+	} else {
+		_, err = sess.PostUserEvent(sp.ID(), event)
+	}
+	if err != nil {
 		return "", sp, err
 	}
-	out, err := sess.awaitDisplay(before, "", timeout)
-	return out, sp, err
+	out, err := sess.AwaitAnswer(from, sp.ID(), timeout)
+	if err != nil {
+		return "", sp, fmt.Errorf("%w (%s)", ErrNoResponse, timeout)
+	}
+	return out, sp, nil
 }
 
 // askRecord carries one finished ask's identity and outcome to recordAsk.
@@ -512,45 +535,31 @@ func (sess *Session) recordAsk(rec askRecord) {
 		ex.Spans = quiescedTree(sess.ID, rec.root)
 	}
 	ex.Events = filterAskEvents(obs.Events.Since(rec.evStart), sess.ID, rec.trace)
-	// The cost breakdown comes from the plan the ask executed — the most
-	// recent result of the session's coordinator service (asks serialize
-	// per session, so "last completed" is this ask's plan whenever one ran).
+	// The cost breakdown is that of the plan the ask ran, found by the ask's
+	// id once its spans have ended (the plan's span outlives the recording of
+	// its result); an ask that ran no plan, as an NLQ chain does, has none.
 	if rec.root != nil {
-		if results := sess.svc.Results(); len(results) > 0 {
-			ex.Breakdown = breakdownOf(results[len(results)-1])
+		for _, res := range sess.svc.Results() {
+			if res.Ask == rec.root.ID() {
+				ex.Breakdown = breakdownOf(res)
+			}
 		}
 	}
 	rcd.Capture(ex)
 }
 
-// quiescedTree snapshots an ask's span tree for an exemplar, waiting
-// (bounded by quiesceWait) for the tree to finish landing first. The answer
-// displays the moment the last agent posts it — a hair before that agent's
-// span, and its coordinator ancestors, End into the ring. Two signals
-// compose: the root's open-span counter covers spans already started, and a
-// stability settle (two consecutive identical-size reads) covers the
-// cross-stream handoff gap where one stage's span has ended but the next
-// stage's has not started yet, so the counter transiently reads zero. This
-// path only runs for asks that were already slow, degraded or failed, so
-// the short wait is free.
+// quiescedTree snapshots an ask's span tree for an exemplar once every span
+// of the ask has ended (root.Settled), or after quiesceWait when one hangs.
+// This path only runs for asks that were already slow, degraded or failed,
+// so the wait is free.
 func quiescedTree(session string, root *obs.Span) []obs.SpanData {
-	deadline := time.Now().Add(quiesceWait)
-	tree := obs.Spans.Tree(session, root.ID())
-	for stable := 0; stable < 2 && time.Now().Before(deadline); {
-		time.Sleep(200 * time.Microsecond)
-		if root.OpenInTree() > 0 {
-			stable = 0
-			continue
-		}
-		next := obs.Spans.Tree(session, root.ID())
-		if len(next) != len(tree) {
-			stable = 0
-		} else {
-			stable++
-		}
-		tree = next
+	timer := time.NewTimer(quiesceWait)
+	defer timer.Stop()
+	select {
+	case <-root.Settled():
+	case <-timer.C:
 	}
-	return tree
+	return obs.Spans.Tree(session, root.ID())
 }
 
 // breakdownOf summarizes a coordinator result for an exemplar.
@@ -652,7 +661,7 @@ func (sess *Session) GovernedAsk(ctx context.Context, tenant, text string, timeo
 		return Answer{TraceID: tid}, err
 	}
 	defer release()
-	out, root, askErr := sess.askCore(tid, text, timeout)
+	out, root, askErr := sess.askCore(tid, text, nil, timeout)
 	rec.dur, rec.root, rec.err = time.Since(start), root, askErr
 	if askErr != nil {
 		sess.recordAsk(rec)
@@ -709,27 +718,17 @@ func (sess *Session) staleAnswer(text string) (Answer, bool) {
 	return Answer{Text: out, Degraded: true, StaleFor: age}, true
 }
 
-// Click posts a UI event (e.g. selecting a job) and waits for the resulting
-// display output (Fig. 9). Like Ask, it roots a span tree for the duration.
+// Click posts a UI event (e.g. selecting a job) and waits for the display
+// output it caused (Fig. 9). A click is an ask: it roots a span tree for the
+// duration and, slow or failed, is captured as an exemplar.
 func (sess *Session) Click(event map[string]any, timeout time.Duration) (string, error) {
-	sp := obs.Spans.StartRoot(sess.ID, "session", "click")
-	defer sp.End()
-	before := sess.DisplayLen()
-	if _, err := sess.PostUserEvent(event); err != nil {
-		return "", err
-	}
-	return sess.awaitDisplay(before, "", timeout)
+	return sess.ClickCtx(context.Background(), event, timeout)
 }
 
-// awaitDisplay waits, event-driven (no polling — see session.AwaitDisplay),
-// for a display message beyond index `from` containing substr (empty matches
-// anything).
-func (sess *Session) awaitDisplay(from int, substr string, timeout time.Duration) (string, error) {
-	out, err := sess.Session.AwaitDisplay(from, substr, timeout)
-	if err != nil {
-		return "", fmt.Errorf("%w (%s)", ErrNoResponse, timeout)
-	}
-	return out, nil
+// ClickCtx is Click with a context carrying the click's trace id, as AskCtx
+// is Ask's.
+func (sess *Session) ClickCtx(ctx context.Context, event map[string]any, timeout time.Duration) (string, error) {
+	return sess.recordedAsk(ctx, fmt.Sprint(event), event, timeout)
 }
 
 // ExecuteUtterance runs the full §V pipeline synchronously: plan the
@@ -745,7 +744,7 @@ func (sess *Session) ExecuteUtterance(text string) (*coordinator.Result, *planne
 		return nil, nil, err
 	}
 	b := budget.New(sess.sys.cfg.Budget)
-	res, err := sess.sys.Coordinator.ExecutePlan(sess.ID, p, b)
+	res, err := sess.sys.Coordinator.ExecuteAsk(sess.ID, sp.ID(), p, b)
 	return res, p, err
 }
 
