@@ -1,6 +1,7 @@
 # Build, verify and bench targets. `make ci` is what the GitHub Actions
 # workflow runs on every push: formatting, vet, build, the full test suite
-# under the race detector, and the ask-identity tests twenty times over.
+# under the race detector, and the ask-identity and worker-pool tests twenty
+# times over.
 
 GO ?= go
 
@@ -20,9 +21,12 @@ race:
 # The tests whose failure depends on the schedule, twenty times under the race
 # detector: every answer of asks interleaved at zero think time — on many
 # sessions, and two at once on one — is the asking utterance's own, and each
-# ask's span tree holds only its own agents.
+# ask's span tree holds only its own agents; and the store's worker pool never
+# blocks a chain of nested hand-offs, and gives its parked workers back at
+# Close.
 stress:
 	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession' .
+	$(GO) test -race -count=20 -run 'TestGoNeverBlocks|TestPoolIdleAndClose' ./internal/streams
 
 vet:
 	$(GO) vet ./...
@@ -52,7 +56,9 @@ census:
 # Append through a real durability engine for a string, a rows-shaped and a
 # directive message and from every P at once (BenchmarkAppendDurable), a
 # recovery of 10 000 stream records (BenchmarkRecoverStreams), replay, the
-# display wait deep into a conversation, a plan crossing a hop, a
+# display wait deep into a conversation, a plan crossing a hop, an awaited
+# hand-off of a task using ~16 KB of stack through Store.Go and through a
+# fresh goroutine (BenchmarkHandOffDeepStack, pool and go), a
 # statement result crossing one), the analytic ask's statement on the 5 000
 # jobs of workload.MediumScale (BenchmarkRangeGroupBy, a range group-by through
 # idx_jobs_salary at four selectivities: B/op should be the same at each) and,
@@ -63,8 +69,9 @@ bench:
 	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner ./internal/hragents ./internal/workload . -run XXX -bench . -benchmem
 
 # Twenty iterations of each streams, session, planner, relational, hragents
-# and workload benchmark (the first holds the durable append and the stream
-# log's recovery; the last three the group-by, the title scan, the SQL
+# and workload benchmark (the first holds the durable append, the stream
+# log's recovery and the pool's deep-stack hand-off; the last three the
+# group-by, the title scan, the SQL
 # executor -> query summarizer hand-off and the range group-by at workload
 # scale) and of the root package's BenchmarkStartSessionBesideLive:
 # CI runs them so that they keep building and finishing, not to read their

@@ -22,11 +22,14 @@
 // first message routed for the pair, and goes when the session leaves: the
 // tokens waiting to pair (only for an agent with two or more required
 // inputs), the count of its invocations in flight with the queue of those
-// waiting behind them, and the cancel funcs ABORT reaches. Options.Workers
-// bounds the invocations of one (agent, session) pair that run at once; one
-// that arrives beyond the bound waits in the pair's queue and is started, in
-// arrival order, by the worker that next finishes — the deployment's loops
-// never wait for a worker, so a session at its bound delays no other. An
+// waiting behind them, and the cancel funcs ABORT reaches. An invocation runs
+// on a worker of the store's pool (streams.Store.Go), a long-lived goroutine
+// that keeps the stack earlier tasks grew. The pool bounds nothing, so
+// Options.Workers is what bounds the invocations of one (agent, session) pair
+// that run at once; one that arrives beyond the bound waits in the pair's
+// queue and runs, in arrival order, after the invocation that next finishes
+// — the deployment's loops never wait for a worker, so a session at its
+// bound delays no other. An
 // invocation belongs to the joined scope its message was routed under: its
 // output, display and control streams are that session's, while
 // Invocation.Session is the message's own, which may be a sub-scope. It

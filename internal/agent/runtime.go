@@ -446,9 +446,10 @@ func (in *Instance) placeFor(msg streams.Message) string {
 	return ""
 }
 
-// dispatch runs the invocation on one of the session's workers, or queues it
-// behind them when all are busy: the loops never wait for a worker, so a
-// session at its bound holds up no other session's messages.
+// dispatch runs the invocation on a worker of the store's pool when the
+// session has fewer than Options.Workers running, or queues it behind them:
+// the loops never wait, so a session at its bound holds up no other session's
+// messages.
 func (in *Instance) dispatch(st *seat, inv Invocation) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -457,7 +458,7 @@ func (in *Instance) dispatch(st *seat, inv Invocation) {
 	case st.running < in.opts.Workers:
 		st.running++
 		st.wg.Add(1)
-		go in.work(st, inv)
+		in.store.Go(func() { in.work(st, inv) })
 	default:
 		st.queue = append(st.queue, inv)
 	}

@@ -15,7 +15,7 @@ const benchStepLatency = 2 * time.Millisecond
 
 // BenchmarkFanoutSequential and BenchmarkFanoutParallel measure the same
 // 4-wide fan-out plan (plus a join step) under MaxParallel=1 and the default
-// worker pool: the parallel scheduler should complete the fan-out wave in
+// MaxParallel: the parallel scheduler should complete the fan-out wave in
 // ~1x step latency instead of 4x.
 func benchmarkFanout(b *testing.B, maxParallel int) {
 	const n = 4

@@ -12,10 +12,13 @@
 // order, and reads that structure once: its first line derives the plan's
 // planner.Graph (which is also the plan's validation), and the same value
 // goes to the optimizer's projection and to the scheduler. The scheduler
-// counts down the graph's dependencies and dispatches a step's children as
-// they reach zero onto a bounded worker pool (Options.MaxParallel, default
-// DefaultMaxParallel), so a fan-out plan with N independent steps completes
-// in one wave (Graph.Waves describes the wave structure), and the optimizer
+// counts down the graph's dependencies and runs a step's children as they
+// reach zero: one on the plan's own goroutine, the others on the store's pool
+// of long-lived workers (streams.Store.Go), with at most Options.MaxParallel
+// (default DefaultMaxParallel) in flight counting the plan's own. So a
+// one-step plan hands nothing off, a fan-out plan with N independent steps
+// completes in one wave (Graph.Waves describes the wave structure), and the
+// optimizer
 // projects its latency as the critical path over the same DAG, not the sum
 // of the steps.
 //
@@ -40,7 +43,8 @@
 //
 // Service has one intake: data messages tagged PlanTag on the session's
 // streams (one subscription, one goroutine reading it). It executes every
-// such plan on its own goroutine, so plans arriving on one session's streams
+// such plan on a worker of the store's pool, so plans arriving on one
+// session's streams
 // — and plans across sessions — run concurrently; completions are announced
 // on the event-driven ResultC channel, and Results keeps the latest 64. The
 // ask a plan message names (streams.Message.Ask) goes down with the plan, to
@@ -71,8 +75,8 @@
 // reading of bindings, which the projection also uses: here over the outputs
 // of completed steps (read under the scheduler's lock) and with a transform
 // that runs the data planner and charges the budget. That completes the
-// step's identity (stepIdentity): the agent's registry entry, read once by the
-// step's worker, and for a Cacheable agent with a memo store configured the
+// step's identity (stepIdentity): the agent's registry entry, read once, and
+// for a Cacheable agent with a memo store configured the
 // memo key of those inputs. Everything after takes that value — only a
 // replan's alternative agent is looked up again. A keyed step takes
 // runMemoized and any other runFresh.
@@ -124,7 +128,7 @@ var (
 	mPlanAborts  = obs.Default.Counter("blueprint_plan_aborts_total", "plan executions aborted on budget violations")
 	mSteps       = obs.Default.Counter("blueprint_scheduler_steps_total", "plan steps scheduled (executed or satisfied from the memo)")
 	mStepsCached = obs.Default.Counter("blueprint_scheduler_steps_cached_total", "plan steps satisfied from the memoization store")
-	mBusyWorkers = obs.Default.Gauge("blueprint_scheduler_busy_workers", "scheduler workers currently executing a step")
+	mBusyWorkers = obs.Default.Gauge("blueprint_scheduler_busy_workers", "plan steps currently executing, on a plan's goroutine or a pooled worker")
 	mStepLatency = obs.Default.Histogram("blueprint_step_latency_seconds", "wall time of one scheduled step, admission to commit", obs.LatencyBuckets)
 	mStepRetries = obs.Default.Counter("blueprint_scheduler_step_retries_total", "same-agent step retries dispatched under the retry policy")
 	mStepsStale  = obs.Default.Counter("blueprint_scheduler_steps_degraded_total", "plan steps answered from stale memo entries while the agent's breaker was open")
@@ -163,8 +167,9 @@ type Options struct {
 	StepTimeout time.Duration
 	// RetryOnError enables one replan+retry when an agent reports an error.
 	RetryOnError bool
-	// MaxParallel bounds how many plan steps execute concurrently
-	// (default DefaultMaxParallel; 1 degenerates to sequential execution).
+	// MaxParallel bounds how many of a plan's steps execute at once, counting
+	// the one the plan's own goroutine runs (default DefaultMaxParallel; 1
+	// runs every step on the plan's goroutine, one after another).
 	MaxParallel int
 	// Memo enables cross-session step-result memoization: results of
 	// Cacheable agents are reused (and concurrent identical executions
@@ -335,7 +340,7 @@ func (c *Coordinator) execute(session string, ask uint64, p *planner.Plan, b *bu
 
 // confirm consults ConfirmFunc under confirmMu, so prompts are serialized
 // across concurrent steps and concurrently executing plans (Service runs
-// each watched plan on its own goroutine over one shared Coordinator).
+// watched plans concurrently over one shared Coordinator).
 func (c *Coordinator) confirm(vs []budget.Violation) bool {
 	if c.opts.ConfirmFunc == nil {
 		return false

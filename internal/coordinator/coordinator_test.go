@@ -519,17 +519,23 @@ func TestParallelPlanFitsLatencyBudget(t *testing.T) {
 	}
 }
 
-// MaxParallel: 1 must serialize the same plan.
-func TestMaxParallelOneSerializes(t *testing.T) {
+// MaxParallel bounds the steps in flight, counting the one the plan's own
+// goroutine runs: on a 3-wide fan-out at most min(MaxParallel, 3) run at
+// once, and under MaxParallel 1 they run one after another.
+func TestMaxParallelBoundsInFlightSteps(t *testing.T) {
 	const n = 3
-	fe := newFanEnv(t, n, 20*time.Millisecond)
-	c := New(fe.store, fe.reg, fe.tp, fe.model, Options{MaxParallel: 1})
-	res, err := c.ExecutePlan(sess, fanOutPlan(n), budget.New(budget.Limits{}))
-	if err != nil {
-		t.Fatalf("sequential fan-out failed: %v (res=%+v)", err, res)
-	}
-	if max := fe.maxInFlight.Load(); max != 1 {
-		t.Fatalf("max in-flight = %d under MaxParallel=1", max)
+	for _, limit := range []int{1, 2, 3, 8} {
+		t.Run(fmt.Sprintf("MaxParallel=%d", limit), func(t *testing.T) {
+			fe := newFanEnv(t, n, 20*time.Millisecond)
+			c := New(fe.store, fe.reg, fe.tp, fe.model, Options{MaxParallel: limit})
+			res, err := c.ExecutePlan(sess, fanOutPlan(n), budget.New(budget.Limits{}))
+			if err != nil {
+				t.Fatalf("fan-out failed: %v (res=%+v)", err, res)
+			}
+			if got, want := fe.maxInFlight.Load(), int64(min(limit, n)); got != want {
+				t.Fatalf("max in-flight = %d under MaxParallel=%d, want %d", got, limit, want)
+			}
+		})
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 	"blueprint/internal/resilience"
 )
 
-// DefaultMaxParallel is the scheduler's worker-pool bound when Options does
-// not set one: up to this many plan steps execute concurrently.
+// DefaultMaxParallel bounds how many of a plan's steps execute at once when
+// Options does not set one.
 const DefaultMaxParallel = 8
 
 // errReplanned marks a memoized-step execution whose replan retry executed
@@ -33,14 +33,16 @@ var errDegraded = errors.New("coordinator: step served degraded from a stale ent
 
 // scheduler executes one plan as a dependency-driven DAG: it takes the plan's
 // graph from ExecutePlan (planner.Graph, the value the projection walked),
-// dispatches every step whose dependencies are satisfied onto a bounded worker
-// pool, merges step outputs under a lock, and admits each step through the
+// runs every step whose dependencies are satisfied — one on the plan's own
+// goroutine, the others on the store's pool (streams.Store.Go), at most
+// MaxParallel at once counting the plan's own — merges step outputs under a
+// lock, and admits each step through the
 // budget's atomic Reserve/Commit path so concurrently executing steps cannot
 // jointly overshoot the cost limit; latency is enforced against the critical
 // path of actual step latencies (each commit charges only the critical
 // path's growth), matching the optimizer's projection in the same units.
 // The first failure or budget abort cancels the shared context, which
-// unblocks in-flight steps; queued-but-unstarted steps are skipped.
+// unblocks in-flight steps; ready steps not yet started are skipped.
 type scheduler struct {
 	c       *Coordinator
 	session string
@@ -63,7 +65,7 @@ type scheduler struct {
 
 // stepIdentity is what the scheduler needs to know about a ready step's
 // agent: the cut of its registry entry that prices the step's admission and
-// commit and bounds its freshness — read once, by the step's worker — and, for
+// commit and bounds its freshness — read once, by runStep — and, for
 // a Cacheable agent with a memo store configured, the memo key runStep adds
 // from the resolved inputs. It is handed by value through the step's life;
 // only a replan looks an agent up again: the alternative's.
@@ -111,7 +113,10 @@ func newScheduler(c *Coordinator, session string, ask uint64, p *planner.Plan, g
 
 // run executes the plan to completion (or first failure) and assembles the
 // result. It always leaves res.Steps in plan order regardless of the actual
-// completion order.
+// completion order. The plan's goroutine runs one ready step itself and hands
+// the others to the store's pool, with at most MaxParallel in flight counting
+// its own: a one-step plan, or any plan under MaxParallel 1, runs on the
+// plan's goroutine alone and makes no channel.
 func (s *scheduler) run() error {
 	defer s.cancel()
 	steps := s.plan.Steps
@@ -119,48 +124,36 @@ func (s *scheduler) run() error {
 	for id, ds := range s.graph.Deps {
 		waiting[id] = len(ds)
 	}
-
-	workers := s.c.opts.MaxParallel
-	if workers <= 0 {
-		workers = DefaultMaxParallel
-	}
-	if workers > len(steps) {
-		workers = len(steps)
+	parallel := s.c.opts.MaxParallel
+	if parallel <= 0 {
+		parallel = DefaultMaxParallel
 	}
 
-	ready := make(chan string, len(steps)) // step IDs
-	done := make(chan stepOutcome, len(steps))
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range ready {
-				st, _ := s.plan.Step(id)
-				mBusyWorkers.Add(1)
-				// The registry is read here, at the bottom of the worker's
-				// new 2 KB stack, not inside runStep: Get returns a spec of a
-				// few hundred bytes by value through three frames, and beneath
-				// runStep's frame that chain grows the stack a second time
-				// (runtime.newstack 6 % -> 17 % of a memo-warm plan).
-				oc := s.runStep(st, s.identify(st.Agent))
-				mBusyWorkers.Add(-1)
-				done <- oc
-			}
-		}()
-	}
-
-	dispatched := 0
-	for _, id := range s.graph.Waves[0] { // the initial wave, in plan order
-		ready <- id
-		dispatched++
-	}
+	wave := s.graph.Waves[0]
+	ready := wave[:len(wave):len(wave)] // the initial wave, in plan order; appending copies it
+	var done chan stepOutcome           // made with the first hand-off
+	handedOff := 0                      // steps handed to the pool whose outcome is not taken yet
 	stopped := false
-	for finished := 0; finished < dispatched; finished++ {
-		oc := <-done
+	for len(ready) > 0 || handedOff > 0 {
+		for len(ready) > 1 && handedOff+1 < parallel {
+			if done == nil {
+				done = make(chan stepOutcome, len(steps)) // one send per step at most
+			}
+			id := ready[0]
+			ready = ready[1:]
+			handedOff++
+			s.c.store.Go(func() { done <- s.step(id) })
+		}
+		var oc stepOutcome
+		if len(ready) > 0 {
+			oc = s.step(ready[0])
+			ready = ready[1:]
+		} else {
+			oc = <-done
+			handedOff--
+		}
 		if oc.err != nil {
 			stopped = true // failure already recorded; drain in-flight work
-			continue
 		}
 		if stopped || !oc.ran {
 			continue
@@ -168,13 +161,10 @@ func (s *scheduler) run() error {
 		for _, child := range s.graph.Children[oc.stepID] {
 			waiting[child]--
 			if waiting[child] == 0 {
-				ready <- child
-				dispatched++
+				ready = append(ready, child)
 			}
 		}
 	}
-	close(ready)
-	wg.Wait()
 
 	// Assemble results in plan order; Final is the last completed step's
 	// outputs, matching the sequential contract.
@@ -193,13 +183,23 @@ func (s *scheduler) run() error {
 	return s.failErr
 }
 
+// step runs the ready step id to its outcome, on whichever goroutine calls it.
+func (s *scheduler) step(id string) stepOutcome {
+	st, _ := s.plan.Step(id)
+	mBusyWorkers.Add(1)
+	oc := s.runStep(st)
+	mBusyWorkers.Add(-1)
+	return oc
+}
+
 // runStep executes one plan step end to end: input resolution
-// (planner.Plan.Resolve over the completed steps' outputs), the memo key that
-// completes a memoizable step's identity, then either the memoized path or
-// the fresh path — budget admission (Reserve), agent execution with one
-// optional replan retry, and the Commit of actuals. Policy decisions on
-// violations happen inline; the scheduling loop only learns success or failure.
-func (s *scheduler) runStep(step planner.Step, id stepIdentity) stepOutcome {
+// (planner.Plan.Resolve over the completed steps' outputs), the registry entry
+// and, for a memoizable step, the memo key that complete the step's identity,
+// then either the memoized path or the fresh path — budget admission
+// (Reserve), agent execution with one optional replan retry, and the Commit of
+// actuals. Policy decisions on violations happen inline; the scheduling loop
+// only learns success or failure.
+func (s *scheduler) runStep(step planner.Step) stepOutcome {
 	if s.ctx.Err() != nil {
 		return stepOutcome{stepID: step.ID, ran: false}
 	}
@@ -215,6 +215,7 @@ func (s *scheduler) runStep(step planner.Step, id stepIdentity) stepOutcome {
 		s.fail(err)
 		return stepOutcome{stepID: step.ID, err: err}
 	}
+	id := s.identify(step.Agent)
 	if id.cacheable && s.c.opts.Memo != nil {
 		if key, err := memo.ComputeKey(id.name, id.version, inputs); err == nil {
 			id.key, id.keyed = key, true

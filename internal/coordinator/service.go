@@ -31,8 +31,9 @@ const PlanTag = "plan"
 // unrolls the plan" behaviour of Fig. 9, and the one way a plan reaches the
 // coordinator. A producer's Tags go on all of its outputs, so a plan's
 // companion values (the Agentic Employer's JOB_ID) arrive here too; mayBePlan
-// drops them in the watch loop. Every plan executes on its own goroutine
-// (each with a fresh budget), up to DefaultMaxConcurrentPlans at once, so
+// drops them in the watch loop. Every plan executes on a worker of the
+// store's pool (streams.Store.Go), each with a fresh budget, up to
+// DefaultMaxConcurrentPlans at once, so
 // plans within one session — and services across sessions — run concurrently
 // rather than queueing behind one another.
 type Service struct {
@@ -78,7 +79,7 @@ func (c *Coordinator) Serve(session string, limits budget.Limits) *Service {
 // mayBePlan reports whether a plan-tagged payload can be a plan: the typed
 // value a live producer publishes, or the generic map a recovered or external
 // payload is. Anything else planner.FromJSON would only marshal, fail to
-// unmarshal and drop, on a goroutine and a semaphore slot of its own.
+// unmarshal and drop, on a pooled worker and a semaphore slot of its own.
 func mayBePlan(payload any) bool {
 	switch payload.(type) {
 	case *planner.Plan, planner.Plan, map[string]any:
@@ -87,20 +88,20 @@ func mayBePlan(payload any) bool {
 	return false
 }
 
-// spawn executes one plan payload, for the ask its message named, on its own
-// goroutine, blocking the calling watch loop while DefaultMaxConcurrentPlans
-// executions are already in flight (backpressure; the subscription queues
-// further messages).
+// spawn executes one plan payload, for the ask its message named, on a worker
+// of the store's pool, blocking the calling watch loop while
+// DefaultMaxConcurrentPlans executions are already in flight (backpressure;
+// the subscription queues further messages).
 func (s *Service) spawn(payload any, ask uint64) {
 	s.sem <- struct{}{}
 	s.wg.Add(1)
-	go func() {
+	s.c.store.Go(func() {
 		defer func() {
 			<-s.sem
 			s.wg.Done()
 		}()
 		s.execute(payload, ask)
-	}()
+	})
 }
 
 func (s *Service) execute(payload any, ask uint64) {

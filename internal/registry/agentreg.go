@@ -85,7 +85,8 @@ type Deployment struct {
 	Resource string `json:"resource,omitempty"`
 	// Replicas is the desired instance count.
 	Replicas int `json:"replicas,omitempty"`
-	// Workers is the per-instance worker pool size.
+	// Workers is the default of agent.Options.Workers: how many invocations
+	// of one (agent, session) pair run at once.
 	Workers int `json:"workers,omitempty"`
 }
 

@@ -309,3 +309,46 @@ func BenchmarkRecoverStreams(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// BenchmarkHandOffDeepStack is one awaited hand-off of a task that uses about
+// 16 KB of stack, as an agent invocation or a plan step does through the
+// agent, registry and relational frames. "pool" hands it to Store.Go, whose
+// parked worker kept the stack the previous task grew; "go" starts a
+// goroutine for it, which grows a fresh 2 KB stack every time.
+func BenchmarkHandOffDeepStack(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		handOff func(s *Store, f func())
+	}{
+		{"pool", (*Store).Go},
+		{"go", func(_ *Store, f func()) { go f() }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := NewStore()
+			b.Cleanup(func() { s.Close() })
+			done := make(chan byte)
+			task := func() { done <- deepFrames(16) }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.handOff(s, task)
+				handOffSink = <-done
+			}
+		})
+	}
+}
+
+// handOffSink keeps deepFrames' result live.
+var handOffSink byte
+
+// deepFrames recurses n frames of about 1 KB of stack each.
+//
+//go:noinline
+func deepFrames(n int) byte {
+	var frame [1000]byte
+	frame[n] = byte(n)
+	if n == 0 {
+		return frame[0]
+	}
+	return deepFrames(n-1) + frame[n]
+}

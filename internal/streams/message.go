@@ -34,11 +34,24 @@
 //     control message of its session to discard all but its own.
 //   - Subscriptions. Append sends a message straight into the channel behind
 //     C — one goroutine wake-up per delivery — and only a message that finds
-//     the channel full is queued (an unbounded slice) behind a transient
-//     goroutine that drains the queue in order and exits. The channel is a
-//     few messages deep and the counters are atomics, so an idle
-//     subscription holds about a kilobyte and no goroutine, and a transient
-//     one costs its allocation.
+//     the channel full is queued (an unbounded slice) behind a drain, a task
+//     on the store's pool that moves the queue in order and returns. The
+//     channel is a few messages deep and the counters are atomics, so an
+//     idle subscription holds about a kilobyte and no goroutine, and a
+//     transient one costs its allocation.
+//   - Work. Store.Go runs a task on one of the store's long-lived workers:
+//     an overflow's drain here, an agent invocation (agent), a plan
+//     execution and the steps a plan's own goroutine does not run
+//     (coordinator). A worker parks between tasks and keeps the stack they
+//     grew, so a hand-off does not grow a fresh 2 KB stack through the
+//     agent, registry and relational frames again; one parked for 100 ms
+//     exits, and Close ends every parked one. Go never blocks and bounds
+//     nothing: a plan waits on its own agents' invocations, which a bounded
+//     pool could deadlock, so the governor, agent.Options.Workers and the
+//     coordinator's MaxParallel stay the bounds. The store owns the pool
+//     because it is the one object the agent deployments, the coordinator
+//     and the session manager are all built over, and the last one a System
+//     closes: no constructor takes a pool.
 package streams
 
 import (

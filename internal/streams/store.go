@@ -44,7 +44,9 @@ type stream struct {
 
 // Store is an embedded streams database: it owns every stream, delivers
 // messages to subscribers, tracks statistics and optionally persists through
-// a durability sink (SetDurable). All methods are safe for concurrent use.
+// a durability sink (SetDurable). It also owns the pool of long-lived workers
+// that runs the hand-offs of the components built over it (Go). All methods
+// are safe for concurrent use.
 type Store struct {
 	mu      sync.RWMutex
 	streams map[string]*stream
@@ -67,6 +69,7 @@ type Store struct {
 	sink atomic.Pointer[func(payload []byte) error]
 
 	stats counters
+	pool  pool // the workers behind Go (pool.go)
 }
 
 // NewStore creates an empty streams database.
@@ -75,11 +78,13 @@ func NewStore() *Store {
 		streams:   make(map[string]*stream),
 		byStream:  make(map[string][]*Subscription),
 		bySession: make(map[string][]*Subscription),
+		pool:      pool{tasks: make(chan func()), quit: make(chan struct{})},
 	}
 }
 
-// Close shuts the store down: all subscriptions are cancelled. Appends after
-// Close fail with ErrStoreClosed. The durability sink belongs to its engine,
+// Close shuts the store down: all subscriptions are cancelled, then the pool's
+// parked workers exit. Appends after Close fail with ErrStoreClosed; a Go
+// after Close still runs its task. The durability sink belongs to its engine,
 // which is flushed and closed by its owner.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -94,6 +99,7 @@ func (s *Store) Close() error {
 	for _, sub := range subs {
 		sub.stop()
 	}
+	close(s.pool.quit)
 	return nil
 }
 

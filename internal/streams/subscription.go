@@ -15,8 +15,9 @@ const subBuffer = 4
 
 // Subscription delivers matching messages to a consumer. Append sends a
 // message straight into C while the consumer keeps up; a message that finds C
-// full is queued without bound (pending) and a transient goroutine drains the
-// queue into C, in order, and exits when it is empty. So producers never
+// full is queued without bound (pending) and a drain, a task on the store's
+// pool (Store.Go), moves the queue into C, in order, and returns when it is
+// empty. So producers never
 // block on slow consumers (the store remains responsive, at the cost of
 // memory for laggards — the trade the paper's streaming database makes by
 // design), and a subscription that is idle or keeping up owns no goroutine.
@@ -31,9 +32,9 @@ type Subscription struct {
 	mu      sync.Mutex
 	pending []Message // what overflowed ch, in order; only a live drain empties it
 	stopped bool
-	// quit and done belong to the live drain goroutine and are nil when there
-	// is none: stop closes quit to release a drain blocked on ch, the drain
-	// closes done as it exits.
+	// quit and done belong to the live drain and are nil when there is none:
+	// stop closes quit to release a drain blocked on ch, the drain closes done
+	// as it returns.
 	quit chan struct{}
 	done chan struct{}
 
@@ -187,14 +188,15 @@ func (sub *Subscription) enqueue(msg Message) {
 	sub.pending = append(sub.pending, msg)
 }
 
-// startDrain starts the drain goroutine; caller holds sub.mu (or is the only
-// one that can reach sub) and has seen that none is live.
+// startDrain hands a drain to the store's pool; caller holds sub.mu (or is the
+// only one that can reach sub) and has seen that none is live.
 func (sub *Subscription) startDrain() {
-	sub.quit, sub.done = make(chan struct{}), make(chan struct{})
-	go sub.drain(sub.quit, sub.done)
+	quit, done := make(chan struct{}), make(chan struct{})
+	sub.quit, sub.done = quit, done
+	sub.store.Go(func() { sub.drain(quit, done) })
 }
 
-// stop ends delivery and closes C, once, and returns when no goroutine of the
+// stop ends delivery and closes C, once, and returns when no drain of the
 // subscription is left. With no drain live every send happens under sub.mu,
 // so C is closed here; a live drain is the only sender left once stopped is
 // set, and closes C itself on its way out.
@@ -216,7 +218,7 @@ func (sub *Subscription) stop() {
 	}
 }
 
-// drain moves what overflowed C into it, in order, and exits once pending is
+// drain moves what overflowed C into it, in order, and returns once pending is
 // empty (the next overflow starts another) or the subscription is stopped.
 func (sub *Subscription) drain(quit <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
