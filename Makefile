@@ -1,7 +1,7 @@
 # Build, verify and bench targets. `make ci` is what the GitHub Actions
 # workflow runs on every push: formatting, vet, build, the full test suite
-# under the race detector, and the ask-identity and worker-pool tests twenty
-# times over.
+# under the race detector, and the ask-identity, worker-pool and plan-seat
+# tests twenty times over.
 
 GO ?= go
 
@@ -21,12 +21,15 @@ race:
 # The tests whose failure depends on the schedule, twenty times under the race
 # detector: every answer of asks interleaved at zero think time — on many
 # sessions, and two at once on one — is the asking utterance's own, and each
-# ask's span tree holds only its own agents; and the store's worker pool never
-# blocks a chain of nested hand-offs, and gives its parked workers back at
-# Close.
+# ask's span tree holds only its own agents, and closing the System drains
+# every open session's running plans; the store's worker pool never blocks a
+# chain of nested hand-offs, and gives its parked workers back at Close; and
+# in the one coordinator service, a session at its plan bound holds up no
+# other session, and a session's Leave waits for its own running plans only.
 stress:
-	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession' .
+	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession|TestSystemCloseDrainsOpenSessions' .
 	$(GO) test -race -count=20 -run 'TestGoNeverBlocks|TestPoolIdleAndClose' ./internal/streams
+	$(GO) test -race -count=20 -run 'TestSeatBoundHoldsUpOnlyItsSession|TestLeaveWaitsForItsOwnPlansOnly' ./internal/coordinator
 
 vet:
 	$(GO) vet ./...
@@ -61,23 +64,27 @@ census:
 # fresh goroutine (BenchmarkHandOffDeepStack, pool and go), a
 # statement result crossing one), the analytic ask's statement on the 5 000
 # jobs of workload.MediumScale (BenchmarkRangeGroupBy, a range group-by through
-# idx_jobs_salary at four selectivities: B/op should be the same at each) and,
-# in the root package, one more session started and closed beside 512 live
-# ones (BenchmarkStartSessionBesideLive, which also reports the goroutines and
-# subscriptions a live session holds).
+# idx_jobs_salary at four selectivities: B/op should be the same at each), the
+# coordinator's fan-out plan run one step at a time and in parallel and plans
+# of many sessions at once (BenchmarkFanout*, BenchmarkMultiSessionThroughput),
+# a histogram observation alone and from every P (internal/obs), a vector
+# top-k search against a full sort (internal/vectors) and, in the root
+# package, one more session started and closed beside 512 live ones
+# (BenchmarkStartSessionBesideLive, which also reports the goroutines and
+# subscriptions a live session holds: 0 and 0).
 bench:
-	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner ./internal/hragents ./internal/workload . -run XXX -bench . -benchmem
+	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner ./internal/hragents ./internal/workload ./internal/coordinator ./internal/obs ./internal/vectors . -run XXX -bench . -benchmem
 
-# Twenty iterations of each streams, session, planner, relational, hragents
-# and workload benchmark (the first holds the durable append, the stream
-# log's recovery and the pool's deep-stack hand-off; the last three the
-# group-by, the title scan, the SQL
-# executor -> query summarizer hand-off and the range group-by at workload
-# scale) and of the root package's BenchmarkStartSessionBesideLive:
-# CI runs them so that they keep building and finishing, not to read their
-# numbers.
+# Twenty iterations of each streams, session, planner, relational, hragents,
+# workload, coordinator, obs and vectors benchmark (the first holds the
+# durable append, the stream log's recovery and the pool's deep-stack
+# hand-off; relational, hragents and workload the group-by, the title scan,
+# the SQL executor -> query summarizer hand-off and the range group-by at
+# workload scale; coordinator the fan-out plans and many sessions' plans at
+# once) and of the root package's BenchmarkStartSessionBesideLive: CI runs
+# them so that they keep building and finishing, not to read their numbers.
 bench-streams:
-	$(GO) test ./internal/streams ./internal/session ./internal/planner ./internal/relational ./internal/hragents ./internal/workload . -run XXX -bench . -benchtime 20x
+	$(GO) test ./internal/streams ./internal/session ./internal/planner ./internal/relational ./internal/hragents ./internal/workload ./internal/coordinator ./internal/obs ./internal/vectors . -run XXX -bench . -benchtime 20x
 
 # Fuzz for a short burst each: the tokenizer against the old slice-building
 # lexer, SQL text through the engine against the reference interpreter

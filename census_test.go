@@ -58,7 +58,6 @@ var censusKept = map[string]string{
 	"resilience.OverloadError.Unwrap": "errors.Is(err, ErrOverloaded) reaches it through an anonymous interface inside package errors",
 
 	// Causal signals a test waits on or reads instead of sleeping.
-	"coordinator.Service.ResultC":   "coordinator tests wait for a plan's completion on it",
 	"blueprint.Session.PlanResults": "root tests wait for and read the plans a session ran",
 	"memo.Store.Len":                "memo and durability tests read the resident entry count",
 	"planner.Plan.ToJSON":           "the map form a logged plan has: the plan/payload duality tests build it",

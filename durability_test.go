@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,6 +102,56 @@ func TestDurableRestartRecoversTablesRegistriesAndStreams(t *testing.T) {
 	hist := sys2.Store.History(sessID)
 	if len(hist) < flowLen {
 		t.Fatalf("recovered %d stream messages for %s, want >= %d", len(hist), sessID, flowLen)
+	}
+}
+
+// A session recovered from the log keeps its id and history to itself: after
+// a restart the next auto-named session is a new one that holds none of the
+// recovered conversation, while naming the recovered id reopens it on
+// purpose.
+func TestDurableRestartNewSessionDoesNotTakeARecoveredID(t *testing.T) {
+	dir := t.TempDir()
+	sys := newDurableSystem(t, dir)
+	sess, err := sys.StartSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Ask("How many jobs are in San Francisco?", 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	old := sess.ID
+	sys.Close()
+
+	sys2 := newDurableSystem(t, dir)
+	defer sys2.Close()
+	recovered := len(sys2.Store.History(old))
+	if recovered == 0 {
+		t.Fatalf("nothing of %s recovered", old)
+	}
+	fresh, err := sys2.StartSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.ID == old {
+		t.Fatalf("a new session took the recovered id %s", old)
+	}
+	if n := fresh.DisplayLen(); n != 0 {
+		t.Errorf("a new session shows %d display messages, want 0", n)
+	}
+	for _, m := range fresh.History() {
+		if strings.HasPrefix(m.Stream, old+":") {
+			t.Fatalf("%s's history holds %s's message %+v", fresh.ID, old, m)
+		}
+	}
+	if got := len(sys2.Store.History(old)); got != recovered {
+		t.Errorf("%s holds %d messages after a new session started, %d recovered", old, got, recovered)
+	}
+	reopened, err := sys2.StartSession(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reopened.DisplayLen() == 0 {
+		t.Errorf("reopening %s by name lost its display history", old)
 	}
 }
 

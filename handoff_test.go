@@ -16,8 +16,8 @@ import (
 	"blueprint/internal/streams"
 )
 
-// awaitPlanResults waits until the session's coordinator service has
-// finished n plans and shown the last one's result, and returns them.
+// awaitPlanResults waits until the coordinator service has finished n plans
+// of the session and shown the last one's result, and returns them.
 func awaitPlanResults(t *testing.T, sess *Session, n int) []*coordinator.Result {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -105,7 +105,7 @@ func TestSessionStartsAndStopsClean(t *testing.T) {
 }
 
 // Closing a System with sessions open closes each as Session.Close does —
-// the coordinator service drained before the agents stop — so when Close
+// its running plans drained before the agents stop — so when Close
 // returns every plan a session started has run to its result, one that
 // still had a step to dispatch when Close was called included, and the
 // sessions' goroutines are gone.

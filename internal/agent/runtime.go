@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -259,10 +259,7 @@ func (in *Instance) Stop() {
 	in.stopOnce.Do(func() {
 		in.mu.Lock()
 		in.stopped = true
-		sessions := make([]string, 0, len(in.joined))
-		for session := range in.joined {
-			sessions = append(sessions, session)
-		}
+		sessions := slices.Collect(maps.Keys(in.joined))
 		in.mu.Unlock()
 		for _, session := range sessions {
 			in.Leave(session)
@@ -281,20 +278,16 @@ func (in *Instance) Stop() {
 func (in *Instance) seatFor(msgSession string) *seat {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	for scope := msgSession; ; {
-		if st, ok := in.joined[scope]; ok {
-			if st == nil {
-				st = &seat{session: scope}
-				in.joined[scope] = st
-			}
-			return st
-		}
-		i := strings.LastIndexByte(scope, ':')
-		if i < 0 {
-			return nil
-		}
-		scope = scope[:i]
+	scope, ok := streams.InnermostScope(in.joined, msgSession)
+	if !ok {
+		return nil
 	}
+	st := in.joined[scope]
+	if st == nil {
+		st = &seat{session: scope}
+		in.joined[scope] = st
+	}
+	return st
 }
 
 // invocationID mints an id for an invocation that came without one.

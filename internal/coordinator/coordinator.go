@@ -41,12 +41,14 @@
 // order regardless of completion order, and Final remains the outputs of
 // the last completed step in plan order.
 //
-// Service has one intake: data messages tagged PlanTag on the session's
-// streams (one subscription, one goroutine reading it). It executes every
-// such plan on a worker of the store's pool, so plans arriving on one
-// session's streams
-// — and plans across sessions — run concurrently; completions are announced
-// on the event-driven ResultC channel, and Results keeps the latest 64. The
+// Service is the coordinator deployed once per process, and sessions join it
+// as they join an agent deployment. It has one intake: data messages tagged
+// PlanTag in a joined session's scope (one scoped subscription and one
+// goroutine reading it, for every session). It hands each such plan at once
+// to a worker of the store's pool, which takes one of the session's
+// DefaultMaxConcurrentPlans slots, so plans of one session — and of many —
+// run concurrently, and a session at its bound holds up no other's. A
+// session's Seat keeps its latest 64 results, readable after it has left. The
 // ask a plan message names (streams.Message.Ask) goes down with the plan, to
 // the scheduler: the plan's span joins that ask's tree, and every
 // EXECUTE_AGENT, ABORT and result message the plan writes, and its Result,
@@ -60,8 +62,8 @@
 // cost and zero marginal critical-path latency charged to the budget
 // (budget.ChargeMemoHit) — and unblocks its dependents; a miss executes
 // under single-flight deduplication, so N concurrent identical steps
-// (within a plan, across plans, and across sessions — Service instances
-// share one Coordinator and therefore one store) run exactly once while
+// (within a plan, across plans, and across sessions — every session's plans
+// run on one Coordinator and therefore one store) run exactly once while
 // the rest await the winner. The pre-execution projection prices plans
 // against the same store (optimizer.EstimatePlanWithMemo), so a warm
 // repeated ask is admitted at its true residual cost. Registry version

@@ -608,12 +608,12 @@ func TestFailureCancelsInFlightSteps(t *testing.T) {
 	}
 }
 
-// publishPlan hands the session a plan the way a planning agent does: a copy
+// publishPlan hands a session a plan the way a planning agent does: a copy
 // of it, as a PLAN output tagged PlanTag on the planner's output stream.
-func publishPlan(t testing.TB, store *streams.Store, p *planner.Plan) {
+func publishPlan(t testing.TB, store *streams.Store, session string, p *planner.Plan) {
 	t.Helper()
 	if _, err := store.Publish(streams.Message{
-		Stream: agent.OutputStream(sess, planner.AgentName), Session: sess, Kind: streams.Data,
+		Stream: agent.OutputStream(session, planner.AgentName), Session: session, Kind: streams.Data,
 		Sender: planner.AgentName, Param: "PLAN", Tags: []string{PlanTag}, Payload: p.Clone(),
 	}); err != nil {
 		t.Fatal(err)
@@ -625,8 +625,9 @@ func publishPlan(t testing.TB, store *streams.Store, p *planner.Plan) {
 func TestServiceRunsThePlanAsPublished(t *testing.T) {
 	e := newEnv(t)
 	c := New(e.store, e.reg, e.tp, e.model, Options{})
-	svc := c.Serve(sess, budget.Limits{MaxCost: 1.0})
+	svc := c.Serve(budget.Limits{MaxCost: 1.0})
 	defer svc.Stop()
+	seat, shown := svc.Join(sess), shownResults(t, e.store, sess)
 
 	plan, err := e.tp.Plan("I am looking for a data scientist position in SF bay area.")
 	if err != nil {
@@ -636,64 +637,43 @@ func TestServiceRunsThePlanAsPublished(t *testing.T) {
 	for i, st := range plan.Steps {
 		want[i] = st.Agent
 	}
-	publishPlan(t, e.store, plan)
+	publishPlan(t, e.store, sess, plan)
 	for i := range plan.Steps {
 		plan.Steps[i].Agent = "NOBODY"
 		plan.Steps[i].Bindings = nil
 	}
 	plan.Steps = plan.Steps[:1]
-	select {
-	case res := <-svc.ResultC():
-		if res.Aborted || len(res.Steps) != len(want) {
-			t.Fatalf("service result = %+v", res)
+	awaitShown(t, shown, 1)
+	res := seat.Results()[0]
+	if res.Aborted || len(res.Steps) != len(want) {
+		t.Fatalf("service result = %+v", res)
+	}
+	for i, sr := range res.Steps {
+		if sr.Agent != want[i] || sr.Err != "" {
+			t.Fatalf("step %d ran on %s (err %q), want %s", i, sr.Agent, sr.Err, want[i])
 		}
-		for i, sr := range res.Steps {
-			if sr.Agent != want[i] || sr.Err != "" {
-				t.Fatalf("step %d ran on %s (err %q), want %s", i, sr.Agent, sr.Err, want[i])
-			}
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("service never executed the plan")
 	}
 }
 
 func TestServiceExecutesEmittedPlans(t *testing.T) {
 	e := newEnv(t)
 	c := New(e.store, e.reg, e.tp, e.model, Options{})
-	svc := c.Serve(sess, budget.Limits{MaxCost: 1.0})
+	svc := c.Serve(budget.Limits{MaxCost: 1.0})
 	defer svc.Stop()
+	seat, shown := svc.Join(sess), shownResults(t, e.store, sess)
 
 	plan, err := e.tp.Plan("I am looking for a data scientist position in SF bay area.")
 	if err != nil {
 		t.Fatal(err)
 	}
-	publishPlan(t, e.store, plan)
-	// Event-driven completion: the service announces each finished plan on
-	// ResultC, so no sleep-polling of Results is needed.
-	select {
-	case res := <-svc.ResultC():
-		if res.Aborted {
-			t.Fatalf("service result aborted: %+v", res)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("service never executed the plan")
+	publishPlan(t, e.store, sess, plan)
+	// The plan's final outputs surface on the display stream, tagged
+	// "result", after its result is kept.
+	if m := awaitShown(t, shown, 1)[0]; !m.HasTag("result") {
+		t.Fatalf("coordinator displayed %+v, want a result", m)
 	}
-	if rs := svc.Results(); len(rs) != 1 {
-		t.Fatalf("results = %d, want 1", len(rs))
-	}
-	// Final outputs surfaced on the display stream.
-	msgs, err := e.store.ReadAll(agent.DisplayStream(sess))
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, m := range msgs {
-		if m.Sender == "coordinator" && m.HasTag("result") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no coordinator result on display stream")
+	if rs := seat.Results(); len(rs) != 1 || rs[0].Aborted {
+		t.Fatalf("results = %+v, want one completed plan", rs)
 	}
 }
 
@@ -709,21 +689,19 @@ func onePlan(id string) *planner.Plan {
 func TestServiceKeepsTheLatestResults(t *testing.T) {
 	e := newEnv(t)
 	c := New(e.store, e.reg, e.tp, e.model, Options{})
-	svc := c.Serve(sess, budget.Limits{MaxCost: 1.0})
+	svc := c.Serve(budget.Limits{MaxCost: 1.0})
 	defer svc.Stop()
+	seat, shown := svc.Join(sess), shownResults(t, e.store, sess)
 	const plans = 200
 	for i := 1; i <= plans; i++ {
-		publishPlan(t, e.store, onePlan(fmt.Sprintf("p%d", i)))
-		select {
-		case res := <-svc.ResultC():
-			if res.Aborted || len(res.Steps) != 1 || res.Steps[0].Err != "" {
-				t.Fatalf("plan %d: %+v", i, res)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("plan %d never finished", i)
+		publishPlan(t, e.store, sess, onePlan(fmt.Sprintf("p%d", i)))
+		awaitShown(t, shown, 1)
+		rs := seat.Results()
+		if res := rs[len(rs)-1]; res.Aborted || len(res.Steps) != 1 || res.Steps[0].Err != "" {
+			t.Fatalf("plan %d: %+v", i, res)
 		}
 	}
-	rs := svc.Results()
+	rs := seat.Results()
 	if len(rs) != resultsKept {
 		t.Fatalf("%d results kept after %d plans, want %d", len(rs), plans, resultsKept)
 	}
@@ -734,17 +712,26 @@ func TestServiceKeepsTheLatestResults(t *testing.T) {
 	}
 }
 
-// A service costs one subscription and one goroutine, takes plans as
-// plan-tagged data and nothing else, and Stop gives back what Serve took.
+// A service costs one subscription and one goroutine however many sessions
+// join it, takes plans as plan-tagged data and nothing else, and Stop gives
+// back what Serve took.
 func TestServiceStartsAndStopsClean(t *testing.T) {
 	e := newEnv(t)
 	c := New(e.store, e.reg, e.tp, e.model, Options{})
+	shown := shownResults(t, e.store, sess)
 	subs := func() int64 { return e.store.StatsSnapshot().Subscriptions }
 	subsBefore, goroutinesBefore := subs(), runtime.NumGoroutine()
 
-	svc := c.Serve(sess, budget.Limits{MaxCost: 1.0})
+	svc := c.Serve(budget.Limits{MaxCost: 1.0})
+	seat := svc.Join(sess)
+	for i := 1; i < 8; i++ {
+		svc.Join(fmt.Sprintf("%s-%d", sess, i))
+	}
 	if got := subs(); got != subsBefore+1 {
-		t.Fatalf("Serve took %d subscriptions, want 1", got-subsBefore)
+		t.Fatalf("Serve and 8 joins took %d subscriptions, want 1", got-subsBefore)
+	}
+	if got := runtime.NumGoroutine(); got != goroutinesBefore+1 {
+		t.Fatalf("Serve and 8 joins started %d goroutines, want 1", got-goroutinesBefore)
 	}
 	// A PLAN control directive is not an intake; the same service reads the
 	// plan published behind it, so it has passed the directive by then.
@@ -754,14 +741,10 @@ func TestServiceStartsAndStopsClean(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	publishPlan(t, e.store, onePlan("as-data"))
-	select {
-	case <-svc.ResultC():
-	case <-time.After(10 * time.Second):
-		t.Fatal("the published plan never ran")
-	}
-	svc.Stop() // waits for anything still executing
-	if rs := svc.Results(); len(rs) != 1 || rs[0].PlanID != "as-data" {
+	publishPlan(t, e.store, sess, onePlan("as-data"))
+	awaitShown(t, shown, 1)
+	svc.Stop() // leaves every session, waiting for anything still executing
+	if rs := seat.Results(); len(rs) != 1 || rs[0].PlanID != "as-data" {
 		t.Fatalf("plans run: %+v, want as-data once", rs)
 	}
 	if got := subs(); got != subsBefore {

@@ -1,6 +1,8 @@
 package coordinator
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -10,76 +12,131 @@ import (
 	"blueprint/internal/streams"
 )
 
-// DefaultMaxConcurrentPlans bounds how many watched plans one Service
-// executes concurrently; further plans queue behind the semaphore (the
-// subscription buffers them), providing backpressure against a component
-// flooding the session with plans.
+// DefaultMaxConcurrentPlans bounds how many plans one joined session has
+// executing at once; the session's further plans wait for a slot on workers
+// of the store's pool, so a session flooding itself with plans holds up no
+// other session's.
 const DefaultMaxConcurrentPlans = 8
 
-// resultsKept is how many completed plan results a Service holds, in its
-// result channel's buffer and in Results alike. A session runs plans for as
-// long as it lives; its readers want the latest ones.
+// resultsKept is how many completed plan results a session's Seat holds. A
+// session runs plans for as long as it lives; its readers want the latest
+// ones.
 const resultsKept = 64
 
 // PlanTag marks data messages carrying a plan payload.
 const PlanTag = "plan"
 
-// Service runs the coordinator as a long-lived session participant: it
-// listens to the session's streams for data messages tagged PlanTag (the task
+// Service is the coordinator deployed once per process: it listens for data
+// messages tagged PlanTag in every session that has joined it (the task
 // planner agent publishes its PLAN output so, as does any agent that plans)
 // and executes each plan — the "TC listening to any stream with a plan
 // unrolls the plan" behaviour of Fig. 9, and the one way a plan reaches the
-// coordinator. A producer's Tags go on all of its outputs, so a plan's
-// companion values (the Agentic Employer's JOB_ID) arrive here too; mayBePlan
-// drops them in the watch loop. Every plan executes on a worker of the
-// store's pool (streams.Store.Go), each with a fresh budget, up to
-// DefaultMaxConcurrentPlans at once, so
-// plans within one session — and services across sessions — run concurrently
-// rather than queueing behind one another.
+// coordinator. Sessions join and leave it as they join and leave an agent
+// deployment (agent.Instance): one scoped subscription and one watch
+// goroutine serve them all, and a session holds only its Seat. A producer's
+// Tags go on all of its outputs, so a plan's companion values (the Agentic
+// Employer's JOB_ID) arrive here too; mayBePlan drops them in the watch loop.
+// The loop never waits: every plan goes at once to a worker of the store's
+// pool (streams.Store.Go), which takes one of its session's
+// DefaultMaxConcurrentPlans slots and executes the plan with a fresh budget.
 type Service struct {
-	c         *Coordinator
-	session   string
-	limits    budget.Limits
-	sub       *streams.Subscription
-	wg        sync.WaitGroup
-	resultCh  chan *Result
-	sem       chan struct{}
-	closeOnce sync.Once
+	c      *Coordinator
+	limits budget.Limits
+	sub    *streams.Subscription
+	loop   sync.WaitGroup
+
+	mu    sync.Mutex
+	seats map[string]*Seat // the joined sessions
+}
+
+// Seat is what one joined session holds of the Service: its bound on plans
+// executing, the plans it has running and its latest results, which stay
+// readable after the session has left.
+type Seat struct {
+	slots chan struct{} // one per executing plan, DefaultMaxConcurrentPlans
+	left  chan struct{} // closed by Leave: no further plan starts
+	wg    sync.WaitGroup
 
 	mu      sync.Mutex
 	results []*Result // the last resultsKept, oldest first
 }
 
-// Serve starts the coordinator service on a session: one subscription, to
-// plan-tagged data, and one goroutine reading it. Each incoming plan is
-// executed with a fresh budget under the given limits.
-func (c *Coordinator) Serve(session string, limits budget.Limits) *Service {
-	s := &Service{
-		c: c, session: session, limits: limits,
-		resultCh: make(chan *Result, resultsKept),
-		sem:      make(chan struct{}, DefaultMaxConcurrentPlans),
-	}
-	s.sub = c.store.Subscribe(streams.Filter{
-		Session:     session,
+// Serve deploys the coordinator service: one subscription, to plan-tagged
+// data of the sessions that Join it, and one goroutine reading it. Each plan
+// is executed with a fresh budget under the given limits.
+func (c *Coordinator) Serve(limits budget.Limits) *Service {
+	s := &Service{c: c, limits: limits, seats: map[string]*Seat{}}
+	s.sub = c.store.SubscribeScoped(streams.Filter{
 		Kinds:       []streams.Kind{streams.Data},
 		IncludeTags: []string{PlanTag},
-	}, false)
-	s.wg.Add(1)
+	})
+	s.loop.Add(1)
 	go func() {
-		defer s.wg.Done()
+		defer s.loop.Done()
 		for msg := range s.sub.C() {
 			if mayBePlan(msg.Payload) {
-				s.spawn(msg.Payload, msg.Ask)
+				s.spawn(msg.Session, msg.Payload, msg.Ask)
 			}
 		}
 	}()
 	return s
 }
 
+// Join puts a session, sub-scopes included, in the service's care and
+// returns its seat: a plan published in a sub-scope runs on the seat of the
+// innermost joined scope and shows there. A session joins once.
+func (s *Service) Join(session string) *Seat {
+	st := &Seat{slots: make(chan struct{}, DefaultMaxConcurrentPlans), left: make(chan struct{})}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seats[session] = st
+	s.sub.Join(session)
+	return st
+}
+
+// Seat returns the seat of a joined session.
+func (s *Service) Seat(session string) (*Seat, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, ok := s.seats[session]
+	return st, ok
+}
+
+// Leave takes a session out of the service, as agent.Instance.Leave does:
+// nothing more is routed from it, its plans still waiting for a slot are
+// dropped, and its running plans are waited for (those of other sessions are
+// not). Leaving a session not joined is a no-op.
+func (s *Service) Leave(session string) {
+	s.mu.Lock()
+	st, ok := s.seats[session]
+	if ok {
+		delete(s.seats, session)
+		s.sub.Leave(session)
+		close(st.left)
+	}
+	s.mu.Unlock()
+	if ok {
+		st.wg.Wait()
+	}
+}
+
+// Stop leaves every session still joined, then cancels the subscription and
+// waits for the watch goroutine. Safe to call more than once.
+func (s *Service) Stop() {
+	s.mu.Lock()
+	sessions := slices.Collect(maps.Keys(s.seats))
+	s.mu.Unlock()
+	for _, session := range sessions {
+		s.Leave(session)
+	}
+	s.sub.Cancel()
+	s.loop.Wait()
+}
+
 // mayBePlan reports whether a plan-tagged payload can be a plan: the typed
 // value a live producer publishes, or the generic map a recovered or external
 // payload is. Anything else planner.FromJSON would only marshal, fail to
-// unmarshal and drop, on a pooled worker and a semaphore slot of its own.
+// unmarshal and drop, on a pooled worker and a slot of its own.
 func mayBePlan(payload any) bool {
 	switch payload.(type) {
 	case *planner.Plan, planner.Plan, map[string]any:
@@ -88,60 +145,58 @@ func mayBePlan(payload any) bool {
 	return false
 }
 
-// spawn executes one plan payload, for the ask its message named, on a worker
-// of the store's pool, blocking the calling watch loop while
-// DefaultMaxConcurrentPlans executions are already in flight (backpressure;
-// the subscription queues further messages).
-func (s *Service) spawn(payload any, ask uint64) {
-	s.sem <- struct{}{}
-	s.wg.Add(1)
+// spawn hands the plan payload of a message in scope, for ask, to a worker of
+// the store's pool without waiting, for the seat of the innermost joined
+// scope. The worker waits for one of the seat's slots and executes the plan
+// in that joined scope, unless the session has left by then.
+func (s *Service) spawn(scope string, payload any, ask uint64) {
+	s.mu.Lock()
+	session, ok := streams.InnermostScope(s.seats, scope)
+	st := s.seats[session]
+	if ok {
+		st.wg.Add(1) // under s.mu, so never after Leave's Wait has begun
+	}
+	s.mu.Unlock()
+	if !ok {
+		return // the session left after the message was routed
+	}
 	s.c.store.Go(func() {
-		defer func() {
-			<-s.sem
-			s.wg.Done()
-		}()
-		s.execute(payload, ask)
+		defer st.wg.Done()
+		st.slots <- struct{}{} // at the bound: until one of the session's running plans ends
+		defer func() { <-st.slots }()
+		select {
+		case <-st.left: // the session left while this plan waited for its slot
+			return
+		default:
+		}
+		if p, err := planner.FromJSON(payload); err == nil {
+			_, _ = s.c.execute(session, ask, p, budget.New(s.limits), func(res *Result, err error) {
+				s.finish(session, st, res, err)
+			})
+		}
 	})
 }
 
-func (s *Service) execute(payload any, ask uint64) {
-	p, err := planner.FromJSON(payload)
+// finish keeps a plan's result on its seat and, when the plan completed,
+// shows its final outputs on the session's display stream, both before the
+// plan's span ends: an ask that waits for its spans to end finds its result
+// in Results.
+func (s *Service) finish(session string, st *Seat, res *Result, err error) {
+	st.mu.Lock()
+	if len(st.results) == resultsKept {
+		st.results = append(st.results[:0], st.results[1:]...)
+	}
+	st.results = append(st.results, res)
+	st.mu.Unlock()
 	if err != nil {
 		return
 	}
-	_, _ = s.c.execute(s.session, ask, p, budget.New(s.limits), s.finish)
-}
-
-// finish keeps a plan's result, shows its final outputs and announces it,
-// all before the plan's span ends: an ask that waits for its spans to end
-// finds its result in Results.
-func (s *Service) finish(res *Result, err error) {
-	if res != nil {
-		s.mu.Lock()
-		if len(s.results) == resultsKept {
-			s.results = append(s.results[:0], s.results[1:]...)
-		}
-		s.results = append(s.results, res)
-		s.mu.Unlock()
-	}
-	if err == nil && res != nil {
-		// Surface the final outputs on the display stream for the user.
-		for _, param := range s.c.finalOrder(res) {
-			_, _ = s.c.store.Publish(streams.Message{
-				Stream: agent.DisplayStream(s.session), Session: s.session,
-				Kind: streams.Data, Sender: "coordinator", Param: param,
-				Tags: []string{"result"}, Payload: res.Final[param], Ask: res.Ask,
-			})
-		}
-	}
-	if res != nil {
-		// Announce completion on the event-driven result channel. The
-		// channel is buffered and never blocks execution: with no consumer,
-		// results beyond the buffer are dropped from the channel.
-		select {
-		case s.resultCh <- res:
-		default:
-		}
+	for _, param := range s.c.finalOrder(res) {
+		_, _ = s.c.store.Publish(streams.Message{
+			Stream: agent.DisplayStream(session), Session: session,
+			Kind: streams.Data, Sender: "coordinator", Param: param,
+			Tags: []string{"result"}, Payload: res.Final[param], Ask: res.Ask,
+		})
 	}
 }
 
@@ -176,25 +231,10 @@ func (c *Coordinator) finalOrder(res *Result) []string {
 	return names
 }
 
-// ResultC delivers each completed plan result as it finishes — the
-// event-driven alternative to polling Results — and is closed by Stop once
-// every in-flight execution has drained, so ranging over it terminates.
-// Consumers that fall more than the channel buffer behind miss older
-// results.
-func (s *Service) ResultC() <-chan *Result { return s.resultCh }
-
-// Results returns the most recently completed plans, oldest first: at most
-// resultsKept (64) of them, however many the session has run.
-func (s *Service) Results() []*Result {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Result(nil), s.results...)
-}
-
-// Stop cancels the subscription, waits for in-flight executions, and closes
-// the result channel. Safe to call more than once.
-func (s *Service) Stop() {
-	s.sub.Cancel()
-	s.wg.Wait()
-	s.closeOnce.Do(func() { close(s.resultCh) })
+// Results returns the session's most recently completed plans, oldest
+// first: at most resultsKept (64) of them, however many it has run.
+func (st *Seat) Results() []*Result {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return append([]*Result(nil), st.results...)
 }

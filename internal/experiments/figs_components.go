@@ -116,13 +116,6 @@ func Fig2Deployment(seed int64) (*Table, error) {
 	return t, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Fig3AgentModel measures the Fig. 3 agent model: processor round trips
 // through streams and worker-pool concurrency scaling.
 func Fig3AgentModel(seed int64) (*Table, error) {

@@ -13,6 +13,7 @@ package nlq
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -168,7 +169,7 @@ func Compile(query string, tgt Target) (Compiled, error) {
 				}
 				if col != "" {
 					cond := fmt.Sprintf("%s %s %s", col, cmp.op, num)
-					if !containsStr(where, cond) {
+					if !slices.Contains(where, cond) {
 						where = append(where, cond)
 						explain = append(explain, "filter: "+cond)
 						grounded++
@@ -278,15 +279,6 @@ func Compile(query string, tgt Target) (Compiled, error) {
 	return Compiled{SQL: sb.String(), Confidence: conf, Explanation: explain}, nil
 }
 
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
 func escape(s string) string { return strings.ReplaceAll(s, "'", "''") }
 
 // firstColumnAfter finds the first known column name appearing in text.
@@ -366,13 +358,6 @@ func quotedPhrases(text string) []string {
 		text = text[i+j+2:]
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Q2NL renders a structured sub-query as a natural-language prompt for an

@@ -116,13 +116,19 @@ func (m *Manager) release(name string) {
 	}
 }
 
-// Create opens a new session. An empty id allocates "session:<n>".
+// Create opens a new session. An empty id allocates the next "session:<n>"
+// whose user stream the store does not hold — a session recovered from the
+// log keeps its id and history to itself — while an explicit id reopens its
+// streams on purpose.
 func (m *Manager) Create(id string) (*Session, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if id == "" {
+	for id == "" {
 		m.nextID++
 		id = fmt.Sprintf("session:%d", m.nextID)
+		if _, err := m.store.Info(UserStream(id)); err == nil {
+			id = ""
+		}
 	}
 	if _, ok := m.sessions[id]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrSessionExists, id)

@@ -1,5 +1,7 @@
 package streams
 
+import "slices"
+
 // Filter selects messages for a subscription. The zero value matches every
 // message. Filters implement the inclusion/exclusion rules the paper assigns
 // to agents monitoring streams (§V-B: "defined by inclusion and exclusion
@@ -37,7 +39,7 @@ type Filter struct {
 
 // Matches reports whether msg passes the filter.
 func (f *Filter) Matches(msg *Message) bool {
-	if len(f.Streams) > 0 && !containsString(f.Streams, msg.Stream) {
+	if len(f.Streams) > 0 && !slices.Contains(f.Streams, msg.Stream) {
 		return false
 	}
 	if f.Session != "" && !scopeContains(f.Session, msg.Session) {
@@ -60,17 +62,17 @@ func (f *Filter) Matches(msg *Message) bool {
 		if d == nil {
 			return false
 		}
-		if len(f.Ops) > 0 && !containsString(f.Ops, d.Op) {
+		if len(f.Ops) > 0 && !slices.Contains(f.Ops, d.Op) {
 			return false
 		}
 		if f.Agent != "" && d.Agent != "" && d.Agent != f.Agent {
 			return false
 		}
 	}
-	if len(f.Senders) > 0 && !containsString(f.Senders, msg.Sender) {
+	if len(f.Senders) > 0 && !slices.Contains(f.Senders, msg.Sender) {
 		return false
 	}
-	if len(f.ExcludeSenders) > 0 && containsString(f.ExcludeSenders, msg.Sender) {
+	if len(f.ExcludeSenders) > 0 && slices.Contains(f.ExcludeSenders, msg.Sender) {
 		return false
 	}
 	for _, t := range f.ExcludeTags {
@@ -91,15 +93,6 @@ func (f *Filter) Matches(msg *Message) bool {
 		}
 	}
 	return true
-}
-
-func containsString(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 // scopeContains reports whether scope child equals parent or is nested under

@@ -24,7 +24,7 @@ func (s *Store) fileLocked(sub *Subscription) {
 		s.scoped = append(s.scoped, sub) // into bySession scope by scope, as it joins
 	case len(f.Streams) > 0:
 		for i, id := range f.Streams {
-			if !containsString(f.Streams[:i], id) { // a repeated id is filed once
+			if !slices.Contains(f.Streams[:i], id) { // a repeated id is filed once
 				s.byStream[id] = append(s.byStream[id], sub)
 			}
 		}
@@ -161,4 +161,20 @@ func without(bucket []*Subscription, sub *Subscription) []*Subscription {
 	bucket[i] = bucket[last]
 	bucket[last] = nil
 	return bucket[:last]
+}
+
+// InnermostScope returns the innermost key of joined that session lies
+// within: session itself, else its nearest ":"-ancestor there. A consumer of
+// a SubscribeScoped subscription finds with it the joined scope a message
+// was routed for (a sub-scope's message reaches its parent's joiner).
+func InnermostScope[V any](joined map[string]V, session string) (string, bool) {
+	for i := len(session); i > 0; i-- {
+		if i < len(session) && session[i] != ':' {
+			continue
+		}
+		if _, ok := joined[session[:i]]; ok {
+			return session[:i], true
+		}
+	}
+	return "", false
 }

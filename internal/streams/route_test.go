@@ -522,3 +522,26 @@ func TestRoutingConcurrent(t *testing.T) {
 	}
 	checkIndex(t, s, nil)
 }
+
+// InnermostScope finds the joined scope a session lies within, the nearest
+// one first, and only along ":" boundaries.
+func TestInnermostScope(t *testing.T) {
+	joined := map[string]int{"session:1": 1, "session:1:profile": 2, "session:2": 3}
+	for _, tc := range []struct {
+		session, want string
+		ok            bool
+	}{
+		{"session:1", "session:1", true},
+		{"session:1:profile", "session:1:profile", true},
+		{"session:1:profile:form", "session:1:profile", true},
+		{"session:1:other", "session:1", true},
+		{"session:10", "", false},
+		{"session:2x", "", false},
+		{"session", "", false},
+		{"", "", false},
+	} {
+		if got, ok := InnermostScope(joined, tc.session); got != tc.want || ok != tc.ok {
+			t.Errorf("InnermostScope(%q) = %q, %v; want %q, %v", tc.session, got, ok, tc.want, tc.ok)
+		}
+	}
+}

@@ -137,7 +137,7 @@ func (s *Store) backlogLocked(filter *Filter, from int64) []Message {
 	scanned := 0
 	for i, id := range scan {
 		st, ok := s.streams[id]
-		if !ok || from >= int64(len(st.msgs)) || (named && containsString(scan[:i], id)) {
+		if !ok || from >= int64(len(st.msgs)) || (named && slices.Contains(scan[:i], id)) {
 			continue // absent, nothing at or past from, or a repeated name
 		}
 		scanned++

@@ -262,10 +262,3 @@ func Queries(seed int64, n int) []Query {
 	}
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

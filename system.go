@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"blueprint/internal/agent"
@@ -42,10 +41,8 @@ var ErrNoResponse = errors.New("blueprint: no response before deadline")
 // registries, the planners, the optimizer-backed coordinator, the simulated
 // LLM, and the generated enterprise substrate.
 type System struct {
-	cfg Config
-
-	sessMu   sync.RWMutex
-	sessions map[string]*Session // what StartSession handed out, until its Close
+	cfg   Config
+	plans *coordinator.Service // deployed once; every StartSession session joins it
 
 	// Store is the streams database (§V-A).
 	Store *streams.Store
@@ -236,7 +233,7 @@ func New(cfg Config) (*System, error) {
 		SLO:           slo,
 		Factory:       factory,
 		Sessions:      session.NewManager(store, factory),
-		sessions:      map[string]*Session{},
+		plans:         coord.Serve(cfg.Budget),
 		TaskPlanner:   tp,
 		DataPlanner:   suite.DataPlanner,
 		Coordinator:   coord,
@@ -279,18 +276,17 @@ func (s *System) Close() { s.shutdown(true) }
 // scenarios (benchharness -fig A8, the crash-recovery property tests).
 func (s *System) SimulateCrash() { s.shutdown(false) }
 
-// shutdown closes every open session — each one's coordinator service
-// drained of its running plans first, then its agents (Session.Close) — so
-// that what the log and the optional final snapshot record is complete,
+// shutdown closes every open session as Session.Close does — its running
+// plans drained first, then its agents — and stops the coordinator service,
+// so that what the log and the optional final snapshot record is complete;
 // then the durability engine and the stream store.
 func (s *System) shutdown(snapshot bool) {
 	for _, id := range s.Sessions.List() {
-		if sess, ok := s.Session(id); ok {
-			sess.Close()
-		} else if base, err := s.Sessions.Get(id); err == nil {
-			base.Close() // made through Sessions.Create: no service to drain
+		if base, err := s.Sessions.Get(id); err == nil {
+			(&Session{Session: base, sys: s}).Close()
 		}
 	}
+	s.plans.Stop()
 	if s.Durability != nil {
 		if snapshot {
 			_ = s.Durability.Snapshot()
@@ -343,16 +339,16 @@ var StandardAgents = []string{
 	hragents.Presenter, hragents.Advisor,
 }
 
-// Session is a live conversational session: the case-study agents listening
-// on its streams plus a coordinator service executing emitted plans.
+// Session is a live conversational session: a scope that the deployed
+// case-study agents and the coordinator service have joined.
 type Session struct {
 	*session.Session
-	sys *System
-	svc *coordinator.Service
+	sys   *System
+	plans *coordinator.Seat // the session's place in the coordinator service
 }
 
-// StartSession opens a session (auto-named when id is empty), spawns the
-// standard agents and starts the coordinator service.
+// StartSession opens a session (auto-named when id is empty) and joins it to
+// the standard agents and the coordinator service.
 func (s *System) StartSession(id string) (*Session, error) {
 	base, err := s.Sessions.Create(id)
 	if err != nil {
@@ -366,29 +362,25 @@ func (s *System) StartSession(id string) (*Session, error) {
 			}
 		}
 	}
-	sess := &Session{Session: base, sys: s, svc: s.Coordinator.Serve(base.ID, s.cfg.Budget)}
-	s.sessMu.Lock()
-	s.sessions[base.ID] = sess
-	s.sessMu.Unlock()
-	return sess, nil
+	return &Session{Session: base, sys: s, plans: s.plans.Join(base.ID)}, nil
 }
 
-// Session returns the open session StartSession handed out under id.
+// Session returns the open session StartSession made under id: one the
+// coordinator service still holds a seat for.
 func (s *System) Session(id string) (*Session, bool) {
-	s.sessMu.RLock()
-	defer s.sessMu.RUnlock()
-	sess, ok := s.sessions[id]
-	return sess, ok
+	seat, joined := s.plans.Seat(id)
+	base, err := s.Sessions.Get(id)
+	if !joined || err != nil {
+		return nil, false
+	}
+	return &Session{Session: base, sys: s, plans: seat}, true
 }
 
-// Close stops the coordinator service, waiting for the plans it is running,
-// then the underlying session and its agents.
+// Close takes the session out of the coordinator service, waiting for the
+// plans it is running, then closes the underlying session and its agents.
 func (sess *Session) Close() {
-	sess.svc.Stop()
+	sess.sys.plans.Leave(sess.ID)
 	sess.Session.Close()
-	sess.sys.sessMu.Lock()
-	delete(sess.sys.sessions, sess.ID)
-	sess.sys.sessMu.Unlock()
 }
 
 // Ask posts a user utterance and waits for its answer: the first display
@@ -539,7 +531,7 @@ func (sess *Session) recordAsk(rec askRecord) {
 	// id once its spans have ended (the plan's span outlives the recording of
 	// its result); an ask that ran no plan, as an NLQ chain does, has none.
 	if rec.root != nil {
-		for _, res := range sess.svc.Results() {
+		for _, res := range sess.plans.Results() {
 			if res.Ask == rec.root.ID() {
 				ex.Breakdown = breakdownOf(res)
 			}
@@ -754,9 +746,9 @@ func (sess *Session) Flow() []trace.Step {
 	return trace.Flow(sess.Store(), sess.ID)
 }
 
-// PlanResults returns the results of the plans the session's coordinator
-// service executed most recently, oldest first — at most 64, however long
+// PlanResults returns the results of the plans the coordinator service
+// executed for the session most recently, oldest first — at most 64, however long
 // the session has run.
 func (sess *Session) PlanResults() []*coordinator.Result {
-	return sess.svc.Results()
+	return sess.plans.Results()
 }
