@@ -68,23 +68,26 @@ census:
 # coordinator's fan-out plan run one step at a time and in parallel and plans
 # of many sessions at once (BenchmarkFanout*, BenchmarkMultiSessionThroughput),
 # a histogram observation alone and from every P (internal/obs), a vector
-# top-k search against a full sort (internal/vectors) and, in the root
+# top-k search against a full sort (internal/vectors), the simulated model's
+# classify, extract and summarize heads (internal/llm, BenchmarkModelHeads:
+# the per-call random source allocates nothing) and, in the root
 # package, one more session started and closed beside 512 live ones
 # (BenchmarkStartSessionBesideLive, which also reports the goroutines and
 # subscriptions a live session holds: 0 and 0).
 bench:
-	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner ./internal/hragents ./internal/workload ./internal/coordinator ./internal/obs ./internal/vectors . -run XXX -bench . -benchmem
+	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner ./internal/hragents ./internal/workload ./internal/coordinator ./internal/obs ./internal/vectors ./internal/llm . -run XXX -bench . -benchmem
 
 # Twenty iterations of each streams, session, planner, relational, hragents,
-# workload, coordinator, obs and vectors benchmark (the first holds the
+# workload, coordinator, obs, vectors and llm benchmark (the first holds the
 # durable append, the stream log's recovery and the pool's deep-stack
 # hand-off; relational, hragents and workload the group-by, the title scan,
 # the SQL executor -> query summarizer hand-off and the range group-by at
 # workload scale; coordinator the fan-out plans and many sessions' plans at
-# once) and of the root package's BenchmarkStartSessionBesideLive: CI runs
-# them so that they keep building and finishing, not to read their numbers.
+# once, llm the model heads an ask's agents call) and of the root package's
+# BenchmarkStartSessionBesideLive: CI runs them so that they keep building
+# and finishing, not to read their numbers.
 bench-streams:
-	$(GO) test ./internal/streams ./internal/session ./internal/planner ./internal/relational ./internal/hragents ./internal/workload ./internal/coordinator ./internal/obs ./internal/vectors . -run XXX -bench . -benchtime 20x
+	$(GO) test ./internal/streams ./internal/session ./internal/planner ./internal/relational ./internal/hragents ./internal/workload ./internal/coordinator ./internal/obs ./internal/vectors ./internal/llm . -run XXX -bench . -benchtime 20x
 
 # Fuzz for a short burst each: the tokenizer against the old slice-building
 # lexer, SQL text through the engine against the reference interpreter
@@ -97,7 +100,9 @@ bench-streams:
 # recovery), and arbitrary bytes as one stream log record and as a streams
 # snapshot section (FuzzStreamRecord: no panic, no allocation the input cannot
 # fill, records built from the input round-trip both ways, a message's Ask
-# not logged). Seeds under
+# not logged), and any seed and up to 4 096 draws through the simulated
+# model's lazy random source against math/rand's own (FuzzLazySource: the
+# same Uint64, Float64 and Intn draw for draw). Seeds under
 # internal/{relational,dataplan}/testdata/fuzz are always replayed by plain
 # `go test`. fuzz-smoke is the 5 s per target run of `make ci`.
 fuzz:
@@ -107,6 +112,7 @@ fuzz:
 	$(GO) test ./internal/obs/ -run FuzzResumeToken -fuzz FuzzResumeToken -fuzztime 30s
 	$(GO) test ./internal/durability/ -run FuzzRecoverSegment -fuzz FuzzRecoverSegment -fuzztime 30s
 	$(GO) test ./internal/streams/ -run FuzzStreamRecord -fuzz FuzzStreamRecord -fuzztime 30s
+	$(GO) test ./internal/llm/ -run FuzzLazySource -fuzz FuzzLazySource -fuzztime 30s
 
 fuzz-smoke:
 	$(GO) test ./internal/relational/ -run FuzzTokenize -fuzz FuzzTokenize -fuzztime 5s
@@ -115,6 +121,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs/ -run FuzzResumeToken -fuzz FuzzResumeToken -fuzztime 5s
 	$(GO) test ./internal/durability/ -run FuzzRecoverSegment -fuzz FuzzRecoverSegment -fuzztime 5s
 	$(GO) test ./internal/streams/ -run FuzzStreamRecord -fuzz FuzzStreamRecord -fuzztime 5s
+	$(GO) test ./internal/llm/ -run FuzzLazySource -fuzz FuzzLazySource -fuzztime 5s
 
 # Go line counts outside benchmark/, non-test and test files apart, each split
 # into code, comment and blank lines (a line holding code and a comment is

@@ -74,14 +74,8 @@ func DefaultKnowledgeBase() *KnowledgeBase {
 // CitiesIn returns the cities of a region (nil if unknown). Matching is
 // case-insensitive and tolerant of surrounding words ("in the SF Bay Area").
 func (kb *KnowledgeBase) CitiesIn(region string) []string {
-	needle := strings.ToLower(region)
 	// Longest matching region name wins ("sf bay area" over "bay area").
-	best := ""
-	for name := range kb.regions {
-		if strings.Contains(needle, name) && len(name) > len(best) {
-			best = name
-		}
-	}
+	best := longestName(kb.regions, strings.ToLower(region))
 	if best == "" {
 		return nil
 	}
@@ -91,13 +85,7 @@ func (kb *KnowledgeBase) CitiesIn(region string) []string {
 // RelatedTitles returns titles related to the given one (including
 // canonical forms), or nil if unknown.
 func (kb *KnowledgeBase) RelatedTitles(title string) []string {
-	needle := strings.ToLower(title)
-	best := ""
-	for name := range kb.titles {
-		if strings.Contains(needle, name) && len(name) > len(best) {
-			best = name
-		}
-	}
+	best := longestName(kb.titles, strings.ToLower(title))
 	if best == "" {
 		return nil
 	}
@@ -106,13 +94,7 @@ func (kb *KnowledgeBase) RelatedTitles(title string) []string {
 
 // SkillsFor returns the skills associated with a title, or nil.
 func (kb *KnowledgeBase) SkillsFor(title string) []string {
-	needle := strings.ToLower(title)
-	best := ""
-	for name := range kb.skills {
-		if strings.Contains(needle, name) && len(name) > len(best) {
-			best = name
-		}
-	}
+	best := longestName(kb.skills, strings.ToLower(title))
 	if best == "" {
 		return nil
 	}
@@ -224,37 +206,41 @@ func stripFiller(text string) string {
 	return strings.TrimSpace(t)
 }
 
-func (kb *KnowledgeBase) extractTitle(text string) string {
-	t := strings.ToLower(text)
+// longestName returns the longest key of names that text contains, the
+// first by byte order among equally long ones, or "" if none is contained.
+// Map order never decides.
+func longestName[V any](names map[string]V, text string) string {
 	best := ""
-	for name := range kb.titles {
-		if strings.Contains(t, name) && len(name) > len(best) {
+	for name := range names {
+		if strings.Contains(text, name) && (len(name) > len(best) || len(name) == len(best) && name < best) {
 			best = name
 		}
 	}
 	return best
 }
 
+func (kb *KnowledgeBase) extractTitle(text string) string {
+	return longestName(kb.titles, strings.ToLower(text))
+}
+
+// extractLocation returns the longest region name the text contains, else
+// the known city it mentions first (the longer, then the first by byte
+// order, of cities mentioned at the same place).
 func (kb *KnowledgeBase) extractLocation(text string) string {
 	t := strings.ToLower(text)
-	best := ""
-	for name := range kb.regions {
-		if strings.Contains(t, name) && len(name) > len(best) {
-			best = name
-		}
+	if region := longestName(kb.regions, t); region != "" {
+		return region
 	}
-	if best != "" {
-		return best
-	}
-	// Fall back to a known city mention.
+	best, at := "", len(t)
 	for _, cities := range kb.regions {
 		for _, c := range cities {
-			if strings.Contains(t, strings.ToLower(c)) {
-				return c
+			i := strings.Index(t, strings.ToLower(c))
+			if i >= 0 && (i < at || i == at && (len(c) > len(best) || len(c) == len(best) && c < best)) {
+				best, at = c, i
 			}
 		}
 	}
-	return ""
+	return best
 }
 
 // TemplateAnswer produces a deterministic free-text answer.

@@ -13,15 +13,27 @@
 // paths are designed around. All randomness derives from a per-call hash of
 // (seed, prompt), so identical calls give identical answers regardless of
 // ordering — making every experiment reproducible.
+//
+// The hash is FNV-1a over "<seed>|<name>|<head>|<prompt parts>", its state
+// after the model's own prefix computed once in New. It seeds a math/rand
+// stream, and every head draws through math/rand's own Float64 and Intn; but
+// the source under them is lazySource (source.go), which yields exactly the
+// draws of rand.NewSource(hash) while computing only the words of the seeded
+// state that a draw reads — two a draw, of 607. Its copy of math/rand's
+// rngCooked table is derived at init from rand.NewSource(1)'s first 607 draws,
+// so nothing here restates the standard library's constants and a change to
+// them would show as a failing TestLazySourceMatchesMathRand, not as quietly
+// different answers. Which calls degrade is pinned by testdata/golden.txt.
 package llm
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Tier identifies a model size class.
@@ -80,6 +92,9 @@ type Usage struct {
 type Model struct {
 	cfg Config
 	kb  *KnowledgeBase
+	// prefix is the FNV-1a state after "<seed>|<name>|", where every
+	// call's hash starts.
+	prefix uint64
 }
 
 // New creates a model over the shared knowledge base.
@@ -87,32 +102,86 @@ func New(cfg Config, kb *KnowledgeBase) *Model {
 	if kb == nil {
 		kb = DefaultKnowledgeBase()
 	}
-	return &Model{cfg: cfg, kb: kb}
+	prefix := fnvAdd(fnvOffset, strconv.FormatInt(cfg.Seed, 10)+"|"+cfg.Name+"|")
+	return &Model{cfg: cfg, kb: kb, prefix: prefix}
 }
 
 // Config returns the model's configuration.
 func (m *Model) Config() Config { return m.cfg }
 
-// CountTokens approximates tokenization as whitespace fields.
-func CountTokens(text string) int { return len(strings.Fields(text)) }
+// CountTokens approximates tokenization as whitespace fields: it equals
+// len(strings.Fields(text)) without building the slice.
+func CountTokens(text string) int {
+	n := 0
+	for i := 0; ; n++ {
+		if _, i = nextField(text, i); i < 0 {
+			return n
+		}
+	}
+}
 
-// rngPool recycles the per-call random sources: a math/rand source is 4.9 KB
-// of state, and seeding one in place yields the stream a new one would.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// nextField returns the bounds of the first field of s at or after byte i,
+// as strings.Fields splits it (unicode.IsSpace separates; an invalid byte is
+// not a space), and -1, -1 when none is left.
+func nextField(s string, i int) (start, end int) {
+	for start = -1; i < len(s); {
+		space, size := asciiSpace[s[i]] != 0, 1
+		if s[i] >= utf8.RuneSelf {
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(r)
+		}
+		if space {
+			if start >= 0 {
+				return start, i
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start < 0 {
+		return -1, -1
+	}
+	return start, len(s)
+}
 
-// rng returns a deterministic per-call random source; the caller hands it
-// back with rngPool.Put once the call has drawn what it needs.
-func (m *Model) rng(prompt string) *rand.Rand {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%s", m.cfg.Seed, m.cfg.Name, prompt)
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports.
+var asciiSpace = [256]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
+
+// rngPool recycles the per-call random sources; Rand.Seed resets one to
+// the stream a new one would draw.
+var rngPool = sync.Pool{New: func() any { return rand.New(new(lazySource)) }}
+
+// FNV-1a, 64 bit, as hash/fnv computes it.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvAdd(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
+}
+
+// rng returns a deterministic per-call random source seeded with the hash of
+// the model's prefix and the call's prompt parts, concatenated; the caller
+// hands it back with rngPool.Put once the call has drawn what it needs.
+func (m *Model) rng(prompt ...string) *rand.Rand {
+	h := m.prefix
+	for _, p := range prompt {
+		h = fnvAdd(h, p)
+	}
 	r := rngPool.Get().(*rand.Rand)
-	r.Seed(int64(h.Sum64()))
+	r.Seed(int64(h))
 	return r
 }
 
-// meter fills a Usage for the given input/output.
-func (m *Model) meter(input, output string, degraded bool) Usage {
-	in, out := CountTokens(input), CountTokens(output)
+// meter fills a Usage for the given input and output token counts.
+func (m *Model) meter(in, out int, degraded bool) Usage {
 	return Usage{
 		InputTokens:  in,
 		OutputTokens: out,
@@ -131,9 +200,9 @@ func (m *Model) degrade(r *rand.Rand) bool {
 // label. An empty label set returns "".
 func (m *Model) Classify(text string, labels []string) (string, Usage) {
 	if len(labels) == 0 {
-		return "", m.meter(text, "", false)
+		return "", m.meter(CountTokens(text), 0, false)
 	}
-	r := m.rng("classify|" + text)
+	r := m.rng("classify|", text)
 	defer rngPool.Put(r)
 	degraded := m.degrade(r)
 	var choice string
@@ -142,7 +211,7 @@ func (m *Model) Classify(text string, labels []string) (string, Usage) {
 	} else {
 		choice = m.kb.BestLabel(text, labels)
 	}
-	return choice, m.meter(text, choice, degraded)
+	return choice, m.meter(CountTokens(text), CountTokens(choice), degraded)
 }
 
 // Extract pulls the span of text matching the instruction. The simulator
@@ -150,7 +219,7 @@ func (m *Model) Classify(text string, labels []string) (string, Usage) {
 // "criteria" strips conversational filler, "title" and "location" pull the
 // job title and place from a query. A degraded call truncates the result.
 func (m *Model) Extract(instruction, text string) (string, Usage) {
-	r := m.rng("extract|" + instruction + "|" + text)
+	r := m.rng("extract|", instruction, "|", text)
 	defer rngPool.Put(r)
 	degraded := m.degrade(r)
 	out := m.kb.Extract(instruction, text)
@@ -160,7 +229,7 @@ func (m *Model) Extract(instruction, text string) (string, Usage) {
 			out = strings.Join(words[:len(words)-1], " ")
 		}
 	}
-	return out, m.meter(instruction+" "+text, out, degraded)
+	return out, m.meter(CountTokens(instruction)+CountTokens(text), CountTokens(out), degraded)
 }
 
 // Summarize condenses text to at most maxWords words. A degraded call
@@ -169,21 +238,48 @@ func (m *Model) Summarize(text string, maxWords int) (string, Usage) {
 	if maxWords <= 0 {
 		maxWords = 40
 	}
-	r := m.rng("summarize|" + text)
+	r := m.rng("summarize|", text)
 	defer rngPool.Put(r)
 	degraded := m.degrade(r)
-	words := strings.Fields(text)
-	if len(words) > maxWords {
-		words = words[:maxWords]
-	}
-	out := strings.Join(words, " ")
-	if len(out) > 0 {
-		out = "Summary: " + out
+	const prefix, filler = "Summary: ", " (Additionally, results may relate to unspecified roles.)"
+	// The first maxWords fields joined by single spaces, as
+	// strings.Join(strings.Fields(text)[:maxWords], " ") without the split.
+	// They lie within text[:end]; the output is sized exactly, since a
+	// summary may be kept as long as the conversation that shows it.
+	end, size := 0, 0
+	for w := 0; w < maxWords; w++ {
+		start, e := nextField(text, end)
+		if e < 0 {
+			break
+		}
+		if w == 0 {
+			size += len(prefix)
+		} else {
+			size++
+		}
+		size += e - start
+		end = e
 	}
 	if degraded {
-		out += " (Additionally, results may relate to unspecified roles.)"
+		size += len(filler)
 	}
-	return out, m.meter(text, out, degraded)
+	var b strings.Builder
+	b.Grow(size)
+	for i := 0; i < end; {
+		start, e := nextField(text, i)
+		if i == 0 {
+			b.WriteString(prefix)
+		} else {
+			b.WriteByte(' ')
+		}
+		b.WriteString(text[start:e])
+		i = e
+	}
+	if degraded {
+		b.WriteString(filler)
+	}
+	out := b.String()
+	return out, m.meter(CountTokens(text), CountTokens(out), degraded)
 }
 
 // KnowledgeList answers a list-valued knowledge query against the knowledge
@@ -192,7 +288,7 @@ func (m *Model) Summarize(text string, maxWords int) (string, Usage) {
 // plausible-but-wrong item — the failure mode the Fig. 7 data plan has to
 // tolerate.
 func (m *Model) KnowledgeList(query string) ([]string, Usage) {
-	r := m.rng("knowledge|" + query)
+	r := m.rng("knowledge|", query)
 	defer rngPool.Put(r)
 	degraded := m.degrade(r)
 	items := m.kb.List(query)
@@ -204,7 +300,11 @@ func (m *Model) KnowledgeList(query string) ([]string, Usage) {
 			out = append(out, m.kb.Hallucination(query, r))
 		}
 	}
-	return out, m.meter(query, strings.Join(out, " "), degraded)
+	outTokens := 0
+	for _, item := range out {
+		outTokens += CountTokens(item)
+	}
+	return out, m.meter(CountTokens(query), outTokens, degraded)
 }
 
 // Generate produces free text for a prompt. List-shaped prompts delegate to
@@ -214,21 +314,21 @@ func (m *Model) Generate(prompt string) (string, Usage) {
 		list, usage := m.KnowledgeList(items)
 		return strings.Join(list, ", "), usage
 	}
-	r := m.rng("generate|" + prompt)
+	r := m.rng("generate|", prompt)
 	defer rngPool.Put(r)
 	degraded := m.degrade(r)
 	out := m.kb.TemplateAnswer(prompt)
 	if degraded {
 		out += " Note that some details could not be verified."
 	}
-	return out, m.meter(prompt, out, degraded)
+	return out, m.meter(CountTokens(prompt), CountTokens(out), degraded)
 }
 
 // Score rates the relevance of candidate to query in [0,1]; the simulator
 // uses token overlap, and degraded calls add noise. It backs the JobMatcher
 // agent's "predictive model" role.
 func (m *Model) Score(query, candidate string) (float64, Usage) {
-	r := m.rng("score|" + query + "|" + candidate)
+	r := m.rng("score|", query, "|", candidate)
 	defer rngPool.Put(r)
 	degraded := m.degrade(r)
 	q := strings.Fields(strings.ToLower(query))
@@ -237,7 +337,7 @@ func (m *Model) Score(query, candidate string) (float64, Usage) {
 		c[w] = true
 	}
 	if len(q) == 0 {
-		return 0, m.meter(query+candidate, "", degraded)
+		return 0, m.meter(CountTokens(candidate), 0, degraded)
 	}
 	hit := 0
 	for _, w := range q {
@@ -255,5 +355,6 @@ func (m *Model) Score(query, candidate string) (float64, Usage) {
 			score = 1
 		}
 	}
-	return score, m.meter(query+" "+candidate, fmt.Sprintf("%.3f", score), degraded)
+	// The answer is one token, the score as "%.3f" prints it.
+	return score, m.meter(CountTokens(query)+CountTokens(candidate), 1, degraded)
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"blueprint/internal/nlq"
 )
 
 func perfect(tier Tier) *Model {
@@ -288,4 +290,121 @@ func TestCountTokens(t *testing.T) {
 	if CountTokens("") != 0 || CountTokens("a b  c") != 3 {
 		t.Fatal("token counting broken")
 	}
+}
+
+// meteringCorpus holds every kind of separator strings.Fields knows (ASCII
+// whitespace, U+0085, U+00A0, U+3000) and what it does not split on
+// (invalid UTF-8, a lone continuation byte, U+200B), at both ends and doubled.
+var meteringCorpus = []string{
+	"", " ", "\t\n\v\f\r ", "one", " one ", "one two", "one\ttwo\nthree\r\nfour",
+	"a\u0085b", "\u0085a\u0085\u0085b\u0085", "a\u00a0b\u00a0", "\u3000a\u3000\u3000b",
+	"a\u200bb", "\xff", "a\xffb \xfe\xfd c", "\x80 \xc3", "caf\u00e9 na\u00efve \u4e2d\u6587 \U0001F600x",
+	"\u2028a\u2029b\u1680c\u2000d\u205f", "trailing   ", "   leading",
+}
+
+// TestCountTokensMatchesFields pins CountTokens to strings.Fields, which
+// the one-pass count replaces.
+func TestCountTokensMatchesFields(t *testing.T) {
+	for _, s := range append(meteringCorpus, goldenCorpus...) {
+		if got, want := CountTokens(s), len(strings.Fields(s)); got != want {
+			t.Errorf("CountTokens(%q) = %d, want %d", s, got, want)
+		}
+	}
+}
+
+// TestSummarizeMatchesFieldsJoin pins Summarize's output to the form it had
+// when it split the whole text: the first maxWords fields joined by single
+// spaces, prefixed, and the filler sentence on a degraded call.
+func TestSummarizeMatchesFieldsJoin(t *testing.T) {
+	long := strings.Repeat("applicant\twith  strong\nbackground\u00a0in go ", 100) // 500 words
+	texts := append(append([]string{long}, goldenCorpus...), meteringCorpus...)
+	for _, cfg := range Presets(42) {
+		m := New(cfg, nil)
+		for _, text := range texts {
+			for _, max := range []int{1, 6, 40} {
+				words := strings.Fields(text)
+				if len(words) > max {
+					words = words[:max]
+				}
+				want := strings.Join(words, " ")
+				if want != "" {
+					want = "Summary: " + want
+				}
+				got, u := m.Summarize(text, max)
+				if u.Degraded {
+					want += " (Additionally, results may relate to unspecified roles.)"
+				}
+				if got != want {
+					t.Fatalf("%s Summarize(%q, %d) = %q, want %q", cfg.Name, text, max, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestExtractLocationFirstMention: a text naming two known cities extracts
+// the one it mentions first, on every call, whatever order the knowledge
+// base's maps iterate in.
+func TestExtractLocationFirstMention(t *testing.T) {
+	kb := DefaultKnowledgeBase()
+	m := perfect(TierLarge)
+	for _, c := range []struct{ text, want string }{
+		{"openings in Seattle or Oakland", "Seattle"},
+		{"openings in Oakland or Seattle", "Oakland"},
+		{"Irvine, then Brooklyn, then Palo Alto", "Irvine"},
+	} {
+		for i := 0; i < 200; i++ {
+			if got := kb.Extract("location", c.text); got != c.want {
+				t.Fatalf("call %d: KnowledgeBase.Extract(location, %q) = %q, want %q", i, c.text, got, c.want)
+			}
+			if got, _ := m.Extract("location", c.text); got != c.want {
+				t.Fatalf("call %d: Model.Extract(location, %q) = %q, want %q", i, c.text, got, c.want)
+			}
+		}
+	}
+}
+
+// TestLongestNameBreaksTiesByName: equally long matching names resolve to
+// the first by byte order, not to whichever the map yields first.
+func TestLongestNameBreaksTiesByName(t *testing.T) {
+	names := map[string]int{"data ops": 0, "data eng": 0, "ml ops": 0, "data": 0}
+	for i := 0; i < 200; i++ {
+		if got := longestName(names, "data ops and data eng roles"); got != "data eng" {
+			t.Fatalf("call %d: %q, want %q", i, got, "data eng")
+		}
+	}
+	if got := longestName(names, "nothing here"); got != "" {
+		t.Fatalf("no match: %q", got)
+	}
+}
+
+// BenchmarkModelHeads times the heads an ask's agents call: the intent
+// classifier, the criteria extractor and the query summarizer over a 12-row
+// result. Each call hashes its prompt, seeds a pooled source and draws once
+// or twice; the source allocates nothing, so allocs/op is the answer's own.
+func BenchmarkModelHeads(b *testing.B) {
+	m := New(Presets(42)[1], nil)
+	text := "I am looking for a data scientist position in SF bay area."
+	var rows strings.Builder
+	for i := 0; i < 12; i++ {
+		rows.WriteString("Data Scientist | San Jose | 145000\n")
+	}
+	b.Run("Classify", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			m.Classify(text, nlq.StandardIntents)
+		}
+	})
+	b.Run("Extract", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			m.Extract("criteria", text)
+		}
+	})
+	b.Run("Summarize", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			m.Summarize(rows.String(), 40)
+		}
+	})
 }
