@@ -1,7 +1,7 @@
 # Build, verify and bench targets. `make ci` is what the GitHub Actions
 # workflow runs on every push: formatting, vet, build, the full test suite
-# under the race detector, and the ask-identity, worker-pool and plan-seat
-# tests twenty times over.
+# under the race detector, and the ask-identity, worker-pool, plan-seat and
+# session-membership tests twenty times over.
 
 GO ?= go
 
@@ -25,11 +25,15 @@ race:
 # every open session's running plans; the store's worker pool never blocks a
 # chain of nested hand-offs, and gives its parked workers back at Close; and
 # in the one coordinator service, a session at its plan bound holds up no
-# other session, and a session's Leave waits for its own running plans only.
+# other session, and a session's Leave waits for its own running plans only;
+# and a session's membership is one decision per change: of concurrent adds
+# of the same agents exactly one joins, none once Close got there first, and
+# the session stream records each name added once.
 stress:
 	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession|TestSystemCloseDrainsOpenSessions' .
 	$(GO) test -race -count=20 -run 'TestGoNeverBlocks|TestPoolIdleAndClose' ./internal/streams
 	$(GO) test -race -count=20 -run 'TestSeatBoundHoldsUpOnlyItsSession|TestLeaveWaitsForItsOwnPlansOnly' ./internal/coordinator
+	$(GO) test -race -count=20 -run 'TestDuplicateAgentRejected|TestConcurrentAddAndClose' ./internal/session
 
 vet:
 	$(GO) vet ./...

@@ -153,7 +153,7 @@ func TestSessionIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Session b saw none of session a's conversational traffic (its own
-	// flow holds only agent ENTER/ADD setup signals).
+	// flow holds only its ADD_AGENT membership record).
 	for _, step := range s2.Flow() {
 		if step.Sender == "user" || step.Kind == streams.Data {
 			t.Fatalf("session a traffic leaked into b: %+v", step)

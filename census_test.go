@@ -45,7 +45,7 @@ var censusKept = map[string]string{
 	"session.Session.RemoveAgent":          "§V-E an agent leaves a session (REMOVE_AGENT): the deployment leaves, and stops with its last session",
 	"session.Session.Agents":               "§V-E session membership",
 	"session.Session.Agent":                "§V-E session membership: the deployment the session joined, which other sessions share",
-	"session.Session.Members":              "§V-E session membership, replayed from the session stream's ENTER/EXIT signals",
+	"session.Session.Members":              "§V-E session membership, replayed from the one ADD_AGENT / REMOVE_AGENT record per change on the session stream",
 	"session.Session.Display":              "§V-E the display stream's messages; the program waits on it by offset instead",
 	"session.Session.History":              "§V-E every message of the scope, in order",
 	"streams.Store.List":                   "§V-A streams are first-class data resources: enumerate them",

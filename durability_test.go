@@ -5,11 +5,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"blueprint/internal/registry"
+	"blueprint/internal/session"
 	"blueprint/internal/streams"
 )
 
@@ -229,6 +232,63 @@ func TestDurableCrashReplayWithoutSnapshot(t *testing.T) {
 	}
 	if res.Rows[0][0].I != 40 {
 		t.Fatalf("crashy rows after replay = %d, want 40", res.Rows[0][0].I)
+	}
+}
+
+// A session's membership records recover as they were written: after a
+// crash, the session stream of one session closed by hand and of one the
+// crash closed reads back message for message, the names still one string
+// payload, and Members replays them to the same answer.
+func TestDurableCrashRecoversMembershipRecords(t *testing.T) {
+	dir := t.TempDir()
+	sys := newDurableSystem(t, dir)
+	closed, err := sys.StartSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closed.RemoveAgent(StandardAgents[0]); err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	open, err := sys.StartSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SimulateCrash() // closes open: its REMOVE_AGENT is logged too
+	written, members := map[string][]streams.Message{}, map[string][]string{}
+	for _, s := range []*Session{closed, open} {
+		msgs, err := sys.Store.ReadAll(session.SessionStream(s.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		written[s.ID], members[s.ID] = msgs, s.Members()
+	}
+	if n := len(written[closed.ID]); n != 3 {
+		t.Fatalf("%s's session stream holds %d records, want ADD_AGENT, REMOVE_AGENT and Close's REMOVE_AGENT", closed.ID, n)
+	}
+
+	sys2 := newDurableSystem(t, dir)
+	defer sys2.Close()
+	for _, id := range []string{closed.ID, open.ID} {
+		msgs, err := sys2.Store.ReadAll(session.SessionStream(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(msgs, written[id]) {
+			t.Errorf("%s's session stream recovered as\n%+v\nwritten as\n%+v", id, msgs, written[id])
+		}
+		for _, m := range msgs {
+			if _, ok := m.Payload.(string); !ok {
+				t.Errorf("%s: a recovered record's names are a %T, want a string", id, m.Payload)
+			}
+		}
+		reopened, err := sys2.Sessions.Create(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reopened.Members(); !slices.Equal(got, members[id]) {
+			t.Errorf("%s: recovered members = %v, want %v", id, got, members[id])
+		}
 	}
 }
 

@@ -13,10 +13,12 @@
 // directives addressed to the agent, one to the data it listens for when its
 // spec designates tags, and a loop goroutine on each — that, whatever the
 // number of sessions it serves. Join files those subscriptions under a
-// session's scope, ensures the session's control, session and display
-// streams and announces ENTER_SESSION; Leave is the reverse, with
-// EXIT_SESSION; Stop leaves every session and ends the deployment. Attach is
-// Deploy then Join, for an agent that serves one session.
+// session's scope and Leave unfiles them: an agent joins by routing alone,
+// creating no stream and appending nothing, for membership is recorded by
+// the session, its one writer (package session). Stop leaves every session
+// and ends the deployment. Attach is Deploy then Join for an agent that
+// serves one session on a bare store, and creates the session's control and
+// display streams the runtime writes to.
 //
 // What a joined session holds of a deployment comes into being with the
 // first message routed for the pair, and goes when the session leaves: the

@@ -401,26 +401,6 @@ func TestWorkerPoolConcurrency(t *testing.T) {
 	}
 }
 
-func TestSessionEntryExitSignals(t *testing.T) {
-	store := newStore(t)
-	sub := store.Subscribe(streams.Filter{Streams: []string{SessionStream(testSession)}}, true)
-	defer sub.Cancel()
-
-	inst, err := Attach(store, testSession, echoAgent(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := awaitMessage(t, sub)
-	if m.Directive == nil || m.Directive.Op != streams.OpEnterSession || m.Directive.Agent != "ECHO" {
-		t.Fatalf("enter = %+v", m)
-	}
-	inst.Stop()
-	m = awaitMessage(t, sub)
-	if m.Directive == nil || m.Directive.Op != streams.OpExitSession {
-		t.Fatalf("exit = %+v", m)
-	}
-}
-
 func TestDisplayStreamOutput(t *testing.T) {
 	store := newStore(t)
 	a := New(registry.AgentSpec{

@@ -175,13 +175,6 @@ func TestLeaveWaitsForItsOwnSessionOnly(t *testing.T) {
 		t.Fatal("Leave waits for another session's invocation")
 	}
 	awaitReport(t, store, sessionA, "a1", OpAgentDone)
-	msgs, err := store.ReadAll(SessionStream(sessionA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last := msgs[len(msgs)-1].Directive; last.Op != streams.OpExitSession || last.Agent != "GATED" {
-		t.Fatalf("session stream ends with %+v, want EXIT_SESSION", last)
-	}
 	// Left: a new directive for A goes nowhere, and what was queued is gone.
 	g.execute(t, store, sessionA, "a4")
 	close(g.gates[sessionB])

@@ -26,9 +26,6 @@ var (
 // components, so their naming is part of the architecture's contract.
 func ControlStream(session string) string { return session + ":control" }
 
-// SessionStream carries agent entry/exit signals and session directives.
-func SessionStream(session string) string { return session + ":session" }
-
 // DisplayStream carries user-facing renderings (§V-B output rendering).
 func DisplayStream(session string) string { return session + ":display" }
 
@@ -135,8 +132,8 @@ func Deploy(store *streams.Store, a *Agent, opts Options) (*Instance, error) {
 
 	// Centralized activation: EXECUTE_AGENT and ABORT directives addressed
 	// to us (or to every agent). A joined session's other control traffic —
-	// entry and exit signals, plans, the reports of other agents — is not
-	// routed here at all.
+	// its membership records, the reports of other agents — is not routed
+	// here at all.
 	in.ctrlSub = store.SubscribeScoped(streams.Filter{
 		Kinds: controlKinds,
 		Ops:   instanceOps,
@@ -168,10 +165,17 @@ func Deploy(store *streams.Store, a *Agent, opts Options) (*Instance, error) {
 	return in, nil
 }
 
-// Attach is Deploy and Join for an agent that serves one session: the
-// instance it returns has joined session, and Stop leaves it. A session
-// manager that places one deployment in many sessions calls the two itself.
+// Attach is Deploy and Join for an agent that serves one session on a bare
+// store: it first creates the session's control and display streams, which
+// the runtime writes its reports and renderings to, and the instance it
+// returns has joined session; Stop leaves it. A session manager, whose
+// sessions own their streams, calls Deploy and Join itself.
 func Attach(store *streams.Store, session string, a *Agent, opts Options) (*Instance, error) {
+	for _, id := range []string{ControlStream(session), DisplayStream(session)} {
+		if _, err := store.EnsureStream(id, streams.StreamInfo{Session: session, Creator: a.Spec.Name}); err != nil {
+			return nil, err
+		}
+	}
 	in, err := Deploy(store, a, opts)
 	if err != nil {
 		return nil, err
@@ -183,14 +187,12 @@ func Attach(store *streams.Store, session string, a *Agent, opts Options) (*Inst
 	return in, nil
 }
 
-// Join puts the deployment in a session: it ensures the session's control,
-// session and display streams exist (so it works on a bare store, without a
-// session manager), announces ENTER_SESSION (§V-E) and files the deployment's
-// subscriptions under the session's scope, sub-scopes included. It creates
-// nothing else: the agent's output stream in the session comes into being
-// with its first output there, through Publish, and the pair's seat with the
-// first message routed for it. Joining a session twice fails with ErrJoined
-// and changes nothing.
+// Join puts the deployment in a session by routing alone: it files the
+// deployment's subscriptions under the session's scope, sub-scopes included.
+// It creates no stream and appends nothing — membership is the session's to
+// record — and the pair's seat comes into being with the first message
+// routed for it. Joining a session twice fails with ErrJoined and changes
+// nothing.
 func (in *Instance) Join(session string) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -199,18 +201,6 @@ func (in *Instance) Join(session string) error {
 	}
 	if _, ok := in.joined[session]; ok {
 		return fmt.Errorf("%w: %s in %s", ErrJoined, in.agent.Spec.Name, session)
-	}
-	name := in.agent.Spec.Name
-	for _, id := range []string{ControlStream(session), SessionStream(session), DisplayStream(session)} {
-		if _, err := in.store.EnsureStream(id, streams.StreamInfo{Session: session, Creator: name}); err != nil {
-			return err
-		}
-	}
-	if _, err := in.store.Append(streams.Message{
-		Stream: SessionStream(session), Kind: streams.Control, Sender: name,
-		Directive: &streams.Directive{Op: streams.OpEnterSession, Agent: name},
-	}); err != nil {
-		return err
 	}
 	in.ctrlSub.Join(session)
 	if in.dataSub != nil {
@@ -222,9 +212,9 @@ func (in *Instance) Join(session string) error {
 
 // Leave takes the deployment out of a session: nothing more is routed to it
 // from there, what is still queued for the session — undispatched messages,
-// invocations waiting for a worker — is dropped, the session's in-flight
-// invocations are waited for (those of other sessions are not), and
-// EXIT_SESSION is announced. Leaving a session not joined is a no-op.
+// invocations waiting for a worker — is dropped, and the session's in-flight
+// invocations are waited for (those of other sessions are not). Leaving a
+// session not joined is a no-op.
 func (in *Instance) Leave(session string) {
 	in.mu.Lock()
 	st, ok := in.joined[session]
@@ -236,21 +226,12 @@ func (in *Instance) Leave(session string) {
 		}
 	}
 	in.mu.Unlock()
-	if !ok {
-		return
-	}
 	if st != nil {
 		st.mu.Lock()
 		st.left, st.queue = true, nil
 		st.mu.Unlock()
 		st.wg.Wait()
 	}
-	// Best-effort exit signal; the store may already be closed.
-	name := in.agent.Spec.Name
-	_, _ = in.store.Append(streams.Message{
-		Stream: SessionStream(session), Kind: streams.Control, Sender: name,
-		Directive: &streams.Directive{Op: streams.OpExitSession, Agent: name},
-	})
 }
 
 // Stop leaves every joined session, then cancels the subscriptions and waits
@@ -318,12 +299,7 @@ func (in *Instance) controlLoop() {
 		if d.Op != streams.OpExecuteAgent || d.Agent != in.agent.Spec.Name {
 			continue
 		}
-		inputs := map[string]any{}
-		if raw, ok := d.Args["inputs"].(map[string]any); ok {
-			for k, v := range raw {
-				inputs[k] = v
-			}
-		}
+		inputs, _ := d.Args["inputs"].(map[string]any)
 		reply, _ := d.Args["reply_stream"].(string)
 		invID, _ := d.Args["invocation_id"].(string)
 		traceParent, _ := d.Args["trace_parent"].(string)
@@ -336,7 +312,7 @@ func (in *Instance) controlLoop() {
 		}
 		in.dispatch(st, Invocation{
 			Session:      msg.Session,
-			Inputs:       inputs,
+			Inputs:       maps.Clone(inputs), // fillDefaults writes to it
 			ReplyStream:  reply,
 			InvocationID: invID,
 			TraceParent:  traceParent,
@@ -421,12 +397,8 @@ func (in *Instance) offer(st *seat, place string, tok any) []map[string]any {
 
 func (in *Instance) placeFor(msg streams.Message) string {
 	required := in.params
-	if msg.Param != "" {
-		for _, p := range required {
-			if p == msg.Param {
-				return p
-			}
-		}
+	if msg.Param != "" && slices.Contains(required, msg.Param) {
+		return msg.Param
 	}
 	for _, p := range required {
 		if msg.HasTag(p) {

@@ -6,11 +6,13 @@
 package httpapi
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -47,6 +49,10 @@ type Options struct {
 //	GET  /slow/{id}                        -> one exemplar: span tree, events, cost breakdown
 //	GET  /slo                              -> per-tenant/per-agent SLO burn rates
 //	POST /snapshot                         -> take a durability snapshot now
+//
+// An ask's or a click's body is at most maxBody bytes (413 beyond), an ask's
+// timeout_ms at most maxAskTimeout, and either one's wait ends when its
+// client goes away.
 type Server struct {
 	sys *blueprint.System
 	mux *http.ServeMux
@@ -90,6 +96,24 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // blueprintd logs it at shutdown).
 func (s *Server) SessionCount() int { return len(s.sys.Sessions.List()) }
 
+const maxBody = 1 << 20                // bytes of an ask's or a click's body
+const maxAskTimeout = 60 * time.Second // the longest wait timeout_ms asks for
+
+// decodeBody decodes r's JSON body, read up to maxBody bytes, into v, and
+// returns the status a failure answers (0 for none): 413 for a longer body,
+// 400 for one that does not decode.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) int {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	var tooLong *http.MaxBytesError
+	if errors.As(err, &tooLong) {
+		return http.StatusRequestEntityTooLarge
+	}
+	if err != nil {
+		return http.StatusBadRequest
+	}
+	return 0
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -105,11 +129,17 @@ func (s *Server) createSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]string{"id": sess.ID})
 }
 
-func (s *Server) session(w http.ResponseWriter, r *http.Request) *blueprint.Session {
+// sessionID is the request's {id}, "session:" prefixed when it comes without.
+func sessionID(r *http.Request) string {
 	id := r.PathValue("id")
-	if !strings.HasPrefix(id, "session:") {
-		id = "session:" + id
+	if strings.HasPrefix(id, "session:") {
+		return id
 	}
+	return "session:" + id
+}
+
+func (s *Server) session(w http.ResponseWriter, r *http.Request) *blueprint.Session {
+	id := sessionID(r)
 	sess, ok := s.sys.Session(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown session " + id})
@@ -127,13 +157,13 @@ func (s *Server) ask(w http.ResponseWriter, r *http.Request) {
 		Text    string `json:"text"`
 		Timeout int    `json:"timeout_ms"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Text == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "body must be {\"text\": ...}"})
+	if code := decodeBody(w, r, &body); code != 0 || body.Text == "" {
+		writeJSON(w, cmp.Or(code, http.StatusBadRequest), map[string]string{"error": "body must be {\"text\": ...}, at most 1 MiB"})
 		return
 	}
 	timeout := 15 * time.Second
 	if body.Timeout > 0 {
-		timeout = time.Duration(body.Timeout) * time.Millisecond
+		timeout = time.Duration(min(body.Timeout, int(maxAskTimeout/time.Millisecond))) * time.Millisecond
 	}
 	tenant := r.Header.Get("X-Tenant")
 	if tenant == "" {
@@ -177,8 +207,8 @@ func (s *Server) click(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var event map[string]any
-	if err := json.NewDecoder(r.Body).Decode(&event); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "body must be a UI event object"})
+	if code := decodeBody(w, r, &event); code != 0 {
+		writeJSON(w, code, map[string]string{"error": "body must be a UI event object, at most 1 MiB"})
 		return
 	}
 	// A click is an ask: it has a trace id on every response too.
@@ -256,10 +286,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 // trace serves a session's recorded span tree: the raw spans plus a
 // rendered tree (what bpctl trace prints).
 func (s *Server) trace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !strings.HasPrefix(id, "session:") {
-		id = "session:" + id
-	}
+	id := sessionID(r)
 	spans := obs.Spans.Session(id)
 	if len(spans) == 0 {
 		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no trace recorded for " + id})
@@ -294,16 +321,7 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 		}
 		min = lv
 	}
-	evs := obs.Events.Since(after)
-	if min > obs.LevelDebug {
-		kept := evs[:0]
-		for _, e := range evs {
-			if e.Level >= min {
-				kept = append(kept, e)
-			}
-		}
-		evs = kept
-	}
+	evs := slices.DeleteFunc(obs.Events.Since(after), func(e obs.Event) bool { return e.Level < min })
 	if v := r.URL.Query().Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {

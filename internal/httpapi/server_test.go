@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -438,6 +439,62 @@ func TestTraceIDHeaderOverHTTP(t *testing.T) {
 	}
 	resilience.Deactivate()
 	<-holder
+}
+
+// An ask's wait ends with its request: a client that goes away 50 ms into an
+// ask that asked to wait 10 minutes gives its governor slot back then, so the
+// next ask is admitted, not queued and shed. No agent answers in a session
+// without the standard agents, so each ask ends only by its request or its
+// timeout.
+func TestAskWaitEndsWithItsRequest(t *testing.T) {
+	s := newTestServerCfg(t, blueprint.Config{
+		ModelAccuracy: 1.0, DisableStandardAgents: true,
+		Governor: resilience.GovernorConfig{MaxConcurrent: 1},
+	})
+	_, out := do(t, s, "POST", "/sessions", "")
+	id := strings.TrimPrefix(out["id"].(string), "session:")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	req := httptest.NewRequest("POST", "/sessions/"+id+"/ask",
+		strings.NewReader(`{"text": "How many jobs are in Seattle?", "timeout_ms": 600000}`)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	start := time.Now()
+	s.ServeHTTP(rec, req)
+	if took := time.Since(start); took > 5*time.Second || rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("a cancelled ask returned %d after %s, want 504 soon after its 50 ms", rec.Code, took)
+	}
+
+	start = time.Now()
+	rec, _ = do(t, s, "POST", "/sessions/"+id+"/ask", `{"text": "How many jobs are in Seattle?", "timeout_ms": 100}`)
+	if took := time.Since(start); took > 5*time.Second || rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("the next ask returned %d after %s, want 504 after its own 100 ms", rec.Code, took)
+	}
+	if st := s.sys.GovernorStats(); st.Admitted != 2 || st.Shed != 0 || st.InFlight != 0 {
+		t.Fatalf("governor ledger = %+v, want both asks admitted and none in flight", st)
+	}
+}
+
+// An ask's or a click's body is read up to 1 MiB: a longer one is refused
+// with 413, one that is not JSON with 400.
+func TestOversizeBodyRefused(t *testing.T) {
+	s := newTestServerCfg(t, blueprint.Config{ModelAccuracy: 1.0, DisableStandardAgents: true})
+	_, out := do(t, s, "POST", "/sessions", "")
+	id := strings.TrimPrefix(out["id"].(string), "session:")
+	long := `{"text": "` + strings.Repeat("a", maxBody) + `"}`
+	for _, c := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/ask", long, http.StatusRequestEntityTooLarge},
+		{"/click", long, http.StatusRequestEntityTooLarge},
+		{"/ask", `{"text": `, http.StatusBadRequest},
+		{"/click", `[1, 2]`, http.StatusBadRequest},
+	} {
+		if rec, _ := do(t, s, "POST", "/sessions/"+id+c.path, c.body); rec.Code != c.want {
+			t.Errorf("POST %s with a %d-byte body = %d, want %d", c.path, len(c.body), rec.Code, c.want)
+		}
+	}
 }
 
 // TestRetryAfterOnBothShedPaths pins Retry-After on the two 429 paths: the

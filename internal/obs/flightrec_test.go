@@ -302,6 +302,39 @@ func TestSLONilAndSorting(t *testing.T) {
 	}
 }
 
+// Tenant names are client-chosen: past maxSLOSeries, a new tenant is counted
+// in one overflow series, while the tenants seen first keep their own.
+func TestSLOTenantSeriesBounded(t *testing.T) {
+	tr := NewSLOTracker(SLOConfig{})
+	const tenants = 10000
+	for i := 0; i < tenants; i++ {
+		tr.Record(SLOTenant, fmt.Sprintf("t%d", i), 0, false)
+	}
+	tr.Record(SLOTenant, "t0", 0, true)
+	tr.Record(SLOAgent, "SQLEXECUTOR", 0, false)
+	series := map[string]SLOStatus{}
+	for _, st := range tr.Status() {
+		if st.Kind == SLOTenant {
+			series[st.Name] = st
+		}
+	}
+	if len(series) > maxSLOSeries+1 {
+		t.Fatalf("%d tenants made %d tenant series, want at most %d", tenants, len(series), maxSLOSeries+1)
+	}
+	if st := series["t0"]; st.Total != 2 || st.Bad != 1 {
+		t.Errorf("the first tenant's series = %+v, want its own 2 observations, 1 bad", st)
+	}
+	if st := series[fmt.Sprintf("t%d", maxSLOSeries-1)]; st.Total != 1 {
+		t.Errorf("the last tenant under the cap has no series of its own: %+v", st)
+	}
+	if st := series[sloOverflow]; st.Total != tenants-maxSLOSeries {
+		t.Errorf("overflow series holds %d observations, want %d", st.Total, tenants-maxSLOSeries)
+	}
+	if _, ok := series[fmt.Sprintf("t%d", tenants-1)]; ok {
+		t.Error("a tenant past the cap got a series of its own")
+	}
+}
+
 func TestSLOExpositionLabels(t *testing.T) {
 	r := NewRegistry()
 	tr := NewSLOTracker(SLOConfig{})

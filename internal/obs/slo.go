@@ -1,7 +1,8 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 )
@@ -22,6 +23,14 @@ const (
 	SLOTenant = "tenant"
 	SLOAgent  = "agent"
 )
+
+// Once a tracker holds maxSLOSeries series, a tenant it has not seen is
+// counted in the one tenant series named sloOverflow: tenant names are
+// whatever X-Tenant values clients send, and each series costs its
+// checkpoint ring (about 4 KB at the default windows) and two /metrics
+// samples for as long as the process runs. Agents, the registry's, are few.
+const maxSLOSeries = 128
+const sloOverflow = "(other)"
 
 // SLOConfig sets the objectives and burn windows.
 type SLOConfig struct {
@@ -110,10 +119,7 @@ func NewSLOTracker(cfg SLOConfig) *SLOTracker {
 	// Checkpoint granularity: fine enough that the fast window sees ~10
 	// points, bounded below so a tiny experiment window cannot turn every
 	// Record into a checkpoint append.
-	gran := cfg.FastWindow / 10
-	if gran < 10*time.Millisecond {
-		gran = 10 * time.Millisecond
-	}
+	gran := max(cfg.FastWindow/10, 10*time.Millisecond)
 	deep := int(cfg.SlowWindow/gran) + 2
 	return &SLOTracker{cfg: cfg, gran: gran, deep: deep, now: time.Now, series: map[string]*sloSeries{}}
 }
@@ -126,9 +132,10 @@ func (t *SLOTracker) Config() SLOConfig {
 	return t.cfg
 }
 
-// Record folds one observation into the (kind, name) series: an error is
-// always bad, and a success slower than LatencyTarget is bad too. Safe on
-// nil (disabled tracker).
+// Record folds one observation into the (kind, name) series — the tenant
+// overflow series for a new tenant once the tracker holds maxSLOSeries: an
+// error is always bad, and a success slower than LatencyTarget is bad too.
+// Safe on nil (disabled tracker).
 func (t *SLOTracker) Record(kind, name string, dur time.Duration, isErr bool) {
 	if t == nil || name == "" {
 		return
@@ -139,6 +146,10 @@ func (t *SLOTracker) Record(kind, name string, dur time.Duration, isErr bool) {
 	t.mu.Lock()
 	key := kind + "\x00" + name
 	s := t.series[key]
+	if s == nil && kind == SLOTenant && len(t.series) >= maxSLOSeries {
+		name, key = sloOverflow, kind+"\x00"+sloOverflow
+		s = t.series[key]
+	}
 	if s == nil {
 		s = &sloSeries{kind: kind, name: name, cp: newRing[sloCheckpoint](t.deep, t.deep)}
 		t.series[key] = s
@@ -212,11 +223,8 @@ func (t *SLOTracker) Status() []SLOStatus {
 		}
 		out = append(out, st)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Name < out[j].Name
+	slices.SortFunc(out, func(a, b SLOStatus) int {
+		return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Name, b.Name))
 	})
 	return out
 }

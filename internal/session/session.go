@@ -1,15 +1,24 @@
 // Package session implements the blueprint's sessions (§V-E): the context
 // and scope in which agents collaborate. A session owns a family of streams
-// (user input, control, session signals, display output), tracks the agents
-// added to it — explicitly by the user, via configuration, or by the task
-// planner — and supports hierarchical sub-scopes such as SESSION:ID:PROFILE,
-// analogous to scoping in programming languages.
+// (user input, UI events, control, its own session stream, display output),
+// tracks the agents added to it — explicitly by the user, via configuration,
+// or by the task planner — and supports hierarchical sub-scopes such as
+// SESSION:ID:PROFILE, analogous to scoping in programming languages.
+//
+// A session is the one writer of its membership. Each change it makes — an
+// add of one agent or of many (SpawnAgents), a RemoveAgent, the Close that
+// takes every member out — is one control record on the session stream, an
+// ADD_AGENT or REMOVE_AGENT whose string payload names the agents it adds or
+// removes, one a line; Members replays them. An agent joins and leaves by
+// routing alone (agent.Instance.Join, Leave) and writes nothing here.
 package session
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -35,6 +44,10 @@ func UserStream(id string) string { return id + ":user" }
 // EventStream carries UI events (§VI: "events from UI are processed just
 // like any other input through streams").
 func EventStream(id string) string { return id + ":events" }
+
+// SessionStream carries the session's membership records: an ADD_AGENT or
+// REMOVE_AGENT per change, written by the session alone.
+func SessionStream(id string) string { return id + ":session" }
 
 // Manager creates and tracks sessions over one stream store, and owns the
 // agents deployed into them: an agent is deployed once, by the first session
@@ -141,7 +154,7 @@ func (m *Manager) Create(id string) (*Session, error) {
 	}
 	for _, stream := range []string{
 		UserStream(id), EventStream(id),
-		agent.ControlStream(id), agent.SessionStream(id), agent.DisplayStream(id),
+		agent.ControlStream(id), SessionStream(id), agent.DisplayStream(id),
 	} {
 		if _, err := m.store.EnsureStream(stream, streams.StreamInfo{Session: id, Creator: "session-manager"}); err != nil {
 			return nil, err
@@ -166,12 +179,7 @@ func (m *Manager) Get(id string) (*Session, error) {
 func (m *Manager) List() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.sessions))
-	for id := range m.sessions {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(m.sessions))
 }
 
 func (m *Manager) remove(id string) {
@@ -211,77 +219,108 @@ func (s *Session) Extend(name string) (*Session, error) {
 	return child, nil
 }
 
-// AddAgent puts a pre-built agent in the session and announces ADD_AGENT on
-// the session stream. The agent is deployed if no session holds one of its
-// name; otherwise the session joins that deployment, and a is not used.
+// AddAgent puts a pre-built agent in the session, a membership change of
+// one. The agent is deployed if no session holds one of its name; otherwise
+// the session joins that deployment, and a is not used.
 func (s *Session) AddAgent(a *agent.Agent, opts agent.Options) (*agent.Instance, error) {
-	return s.join(a.Spec.Name, a, opts)
+	return s.joinOne(a.Spec.Name, a, opts)
 }
 
 // SpawnAgent adds the named agent, built from the factory when no session
-// holds it yet.
+// holds it yet: SpawnAgents of one.
 func (s *Session) SpawnAgent(name string, opts agent.Options) (*agent.Instance, error) {
-	if s.mgr.factory == nil {
-		return nil, errors.New("session: no factory configured")
-	}
-	return s.join(name, nil, opts)
+	return s.joinOne(name, nil, opts)
 }
 
-// join decides membership under the session's lock: of concurrent adds of one
-// name exactly one joins, and none once the session is closed.
-func (s *Session) join(name string, a *agent.Agent, opts agent.Options) (*agent.Instance, error) {
+// SpawnAgents adds the named agents as one membership change, recorded by
+// one ADD_AGENT: all of them join, or — on a name already active or given
+// twice, or an agent that fails to build or join — none does and nothing is
+// recorded.
+func (s *Session) SpawnAgents(names []string, opts agent.Options) error {
+	_, err := s.join(names, nil, opts)
+	return err
+}
+
+func (s *Session) joinOne(name string, a *agent.Agent, opts agent.Options) (*agent.Instance, error) {
+	insts, err := s.join([]string{name}, a, opts)
+	if err != nil {
+		return nil, err
+	}
+	return insts[0], nil
+}
+
+// join makes one membership change under the session's lock, names joining
+// whole or not at all: of concurrent adds of one name exactly one joins, and
+// none once the session is closed. a, when set, is the pre-built agent behind
+// AddAgent's one name; without it the names are built from the factory.
+func (s *Session) join(names []string, a *agent.Agent, opts agent.Options) ([]*agent.Instance, error) {
+	if a == nil && s.mgr.factory == nil {
+		return nil, errors.New("session: no factory configured")
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, fmt.Errorf("%w: %s", ErrSessionNotFound, s.ID)
 	}
-	if _, ok := s.agents[name]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrAgentActive, name)
+	insts := make([]*agent.Instance, 0, len(names))
+	for _, name := range names {
+		_, active := s.agents[name] // active, or named twice in names
+		var inst *agent.Instance
+		var err error
+		if !active {
+			inst, err = s.mgr.join(s.ID, name, a, opts)
+		}
+		if active || errors.Is(err, agent.ErrJoined) {
+			// ErrJoined: a RemoveAgent of it is still waiting for its invocations.
+			err = fmt.Errorf("%w: %s", ErrAgentActive, name)
+		}
+		if err != nil {
+			for _, name := range names[:len(insts)] {
+				s.mgr.leave(s.ID, name, s.agents[name])
+				delete(s.agents, name)
+			}
+			return nil, err
+		}
+		s.agents[name] = inst
+		insts = append(insts, inst)
 	}
-	inst, err := s.mgr.join(s.ID, name, a, opts)
-	if errors.Is(err, agent.ErrJoined) {
-		// A RemoveAgent of it is still waiting for its invocations.
-		err = fmt.Errorf("%w: %s", ErrAgentActive, name)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.agents[name] = inst
-	_, _ = s.store.Append(streams.Message{
-		Stream: agent.SessionStream(s.ID), Kind: streams.Control, Sender: "session-manager",
-		Directive: &streams.Directive{Op: streams.OpAddAgent, Agent: name},
-	})
-	return inst, nil
+	s.record(streams.OpAddAgent, names)
+	return insts, nil
 }
 
-// RemoveAgent takes an active agent out of the session, waiting for what it
-// has in flight here, and announces REMOVE_AGENT.
+// RemoveAgent takes an active agent out of the session, recording the
+// REMOVE_AGENT, and waits for what it has in flight here.
 func (s *Session) RemoveAgent(name string) error {
 	s.mu.Lock()
 	inst, ok := s.agents[name]
-	delete(s.agents, name)
+	if ok {
+		delete(s.agents, name)
+		s.record(streams.OpRemoveAgent, []string{name})
+	}
 	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrAgentInactive, name)
 	}
 	s.mgr.leave(s.ID, name, inst)
-	_, _ = s.store.Append(streams.Message{
-		Stream: agent.SessionStream(s.ID), Kind: streams.Control, Sender: "session-manager",
-		Directive: &streams.Directive{Op: streams.OpRemoveAgent, Agent: name},
-	})
 	return nil
+}
+
+// record appends one membership change to the session stream, under s.mu so
+// that records follow the order of the changes. The names ride as one string
+// payload, one a line, which the log recovers byte for byte; the store may
+// already be closed.
+func (s *Session) record(op string, names []string) {
+	_, _ = s.store.Append(streams.Message{
+		Stream: SessionStream(s.ID), Kind: streams.Control, Sender: "session-manager",
+		Payload: strings.Join(names, "\n"), Directive: &streams.Directive{Op: op},
+	})
 }
 
 // Agents returns the names of active agents, sorted.
 func (s *Session) Agents() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.agents))
-	for n := range s.agents {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(s.agents))
 }
 
 // Agent returns the deployment of an active agent by name: the instance the
@@ -345,16 +384,16 @@ func (s *Session) DisplayLen() int {
 // message that ask caused, and returns the first such message's payload: the
 // ask's answer. Display messages of other asks — a plan result that lands
 // after its own ask returned, the answer of an ask running beside this one —
-// are passed over. ErrNoDisplay is returned on timeout.
-func (s *Session) AwaitAnswer(from int, ask uint64, timeout time.Duration) (string, error) {
-	return s.awaitDisplay(from, ask, "", timeout)
+// are passed over. ErrNoDisplay is returned on timeout or when ctx ends.
+func (s *Session) AwaitAnswer(ctx context.Context, from int, ask uint64, timeout time.Duration) (string, error) {
+	return s.awaitDisplay(ctx, from, ask, "", timeout)
 }
 
 // AwaitDisplay blocks until the display stream carries a message at index
 // >= from whose payload contains substr (empty matches anything), of any
 // ask, returning its payload. ErrNoDisplay is returned on timeout.
 func (s *Session) AwaitDisplay(from int, substr string, timeout time.Duration) (string, error) {
-	return s.awaitDisplay(from, 0, substr, timeout)
+	return s.awaitDisplay(context.Background(), from, 0, substr, timeout)
 }
 
 // awaitDisplay is the one display wait: the first message at index >= from
@@ -363,8 +402,8 @@ func (s *Session) AwaitDisplay(from int, substr string, timeout time.Duration) (
 // already at or past it (so outputs that raced ahead of the call are not
 // missed) and then new ones as they are appended — no polling, no sleeps,
 // and no replay of the history before from, so a wait costs the same on a
-// long conversation as on a new one.
-func (s *Session) awaitDisplay(from int, ask uint64, substr string, timeout time.Duration) (string, error) {
+// long conversation as on a new one. It gives up when ctx ends.
+func (s *Session) awaitDisplay(ctx context.Context, from int, ask uint64, substr string, timeout time.Duration) (string, error) {
 	sub := s.store.SubscribeFrom(streams.Filter{
 		Streams: []string{agent.DisplayStream(s.ID)},
 	}, int64(from))
@@ -385,6 +424,8 @@ func (s *Session) awaitDisplay(from int, ask uint64, substr string, timeout time
 			}
 		case <-timer.C:
 			return "", fmt.Errorf("%w: %s after %s", ErrNoDisplay, s.ID, timeout)
+		case <-ctx.Done():
+			return "", fmt.Errorf("%w: %s: %w", ErrNoDisplay, s.ID, ctx.Err())
 		}
 	}
 }
@@ -395,35 +436,30 @@ func (s *Session) History() []streams.Message {
 	return s.store.History(s.ID)
 }
 
-// Members reconstructs agent membership from the session stream's
-// ENTER/EXIT signals: the authoritative, replayable record (§V-E).
+// Members replays the session stream's membership records: the
+// authoritative, replayable record of which agents the session holds (§V-E).
 func (s *Session) Members() []string {
-	msgs, err := s.store.ReadAll(agent.SessionStream(s.ID))
+	msgs, err := s.store.ReadAll(SessionStream(s.ID))
 	if err != nil {
 		return nil
 	}
 	active := map[string]bool{}
 	for _, m := range msgs {
-		if m.Directive == nil {
-			continue
-		}
-		switch m.Directive.Op {
-		case streams.OpEnterSession:
-			active[m.Directive.Agent] = true
-		case streams.OpExitSession:
-			delete(active, m.Directive.Agent)
+		for _, name := range strings.Split(m.PayloadString(), "\n") {
+			switch m.Directive.Op {
+			case streams.OpAddAgent:
+				active[name] = true
+			case streams.OpRemoveAgent:
+				delete(active, name)
+			}
 		}
 	}
-	out := make([]string, 0, len(active))
-	for n := range active {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(active))
 }
 
-// Close takes the session's agents out of it (children first) and removes
-// the session from its manager. Closing twice is a no-op.
+// Close takes the session's agents out of it (children first), recording
+// one REMOVE_AGENT that lists them sorted, and removes the session from its
+// manager. Closing twice is a no-op.
 func (s *Session) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -435,6 +471,9 @@ func (s *Session) Close() {
 	s.subs = nil
 	agents := s.agents
 	s.agents = nil
+	if len(agents) > 0 {
+		s.record(streams.OpRemoveAgent, slices.Sorted(maps.Keys(agents)))
+	}
 	s.mu.Unlock()
 
 	for _, c := range subs {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,7 +29,21 @@ func newEnv(t testing.TB) (*streams.Store, *Manager) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// SHOUTER listens to nothing: it only makes a second name to add.
+	if err := reg.Register(registry.AgentSpec{
+		Name:    "SHOUTER",
+		Inputs:  []registry.ParamSpec{{Name: "TEXT"}},
+		Outputs: []registry.ParamSpec{{Name: "SHOUT"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	f := agent.NewFactory(reg)
+	f.RegisterConstructor("SHOUTER", func(spec registry.AgentSpec) agent.Processor {
+		return func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
+			text, _ := inv.Inputs["TEXT"].(string)
+			return agent.Outputs{Values: map[string]any{"SHOUT": strings.ToUpper(text)}}, nil
+		}
+	})
 	f.RegisterConstructor("GREETER", func(spec registry.AgentSpec) agent.Processor {
 		return func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
 			text, _ := inv.Inputs["TEXT"].(string)
@@ -106,36 +121,132 @@ func TestSpawnAgentAndConversation(t *testing.T) {
 	}
 }
 
+// records renders the session stream's membership records, one
+// "OP name name…" each, in order.
+func records(t *testing.T, store *streams.Store, id string) []string {
+	t.Helper()
+	msgs, err := store.ReadAll(SessionStream(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []string{}
+	for _, m := range msgs {
+		out = append(out, m.Directive.Op+" "+strings.ReplaceAll(m.PayloadString(), "\n", " "))
+	}
+	return out
+}
+
+// Every membership change is one record on the session stream, written by
+// the session, and Members replays them: a parent and its Extend child, step
+// by step, each row the state after its change.
 func TestMembersFromSessionStream(t *testing.T) {
-	_, m := newEnv(t)
-	s, _ := m.Create("")
-	defer s.Close()
-	if _, err := s.SpawnAgent("GREETER", agent.Options{}); err != nil {
+	store, m := newEnv(t)
+	s, _ := m.Create("session:m")
+	child, err := s.Extend("profile")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Members(); len(got) != 1 || got[0] != "GREETER" {
-		t.Fatalf("members = %v", got)
-	}
-	if err := s.RemoveAgent("GREETER"); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Members(); len(got) != 0 {
-		t.Fatalf("members after exit = %v", got)
-	}
-	if err := s.RemoveAgent("GREETER"); !errors.Is(err, ErrAgentInactive) {
-		t.Fatalf("err = %v", err)
+	var opts agent.Options
+	echo := agent.New(registry.AgentSpec{Name: "ECHO", Inputs: []registry.ParamSpec{{Name: "X"}}},
+		func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) { return agent.Outputs{}, nil })
+	for _, step := range []struct {
+		name                    string
+		change                  func() error
+		wantErr                 error
+		members, childMembers   []string
+		recorded, childRecorded []string
+	}{
+		{"SpawnAgent", func() error { _, err := s.SpawnAgent("GREETER", opts); return err }, nil,
+			[]string{"GREETER"}, nil,
+			[]string{"ADD_AGENT GREETER"}, []string{}},
+		{"AddAgent", func() error { _, err := s.AddAgent(echo, opts); return err }, nil,
+			[]string{"ECHO", "GREETER"}, nil,
+			[]string{"ADD_AGENT GREETER", "ADD_AGENT ECHO"}, []string{}},
+		{"SpawnAgents with one already active", func() error { return s.SpawnAgents([]string{"SHOUTER", "GREETER"}, opts) }, ErrAgentActive,
+			[]string{"ECHO", "GREETER"}, nil,
+			[]string{"ADD_AGENT GREETER", "ADD_AGENT ECHO"}, []string{}},
+		{"SpawnAgents into the child", func() error { return child.SpawnAgents([]string{"SHOUTER", "GREETER"}, opts) }, nil,
+			[]string{"ECHO", "GREETER"}, []string{"GREETER", "SHOUTER"},
+			[]string{"ADD_AGENT GREETER", "ADD_AGENT ECHO"}, []string{"ADD_AGENT SHOUTER GREETER"}},
+		{"RemoveAgent", func() error { return s.RemoveAgent("ECHO") }, nil,
+			[]string{"GREETER"}, []string{"GREETER", "SHOUTER"},
+			[]string{"ADD_AGENT GREETER", "ADD_AGENT ECHO", "REMOVE_AGENT ECHO"}, []string{"ADD_AGENT SHOUTER GREETER"}},
+		{"RemoveAgent of an inactive one", func() error { return s.RemoveAgent("ECHO") }, ErrAgentInactive,
+			[]string{"GREETER"}, []string{"GREETER", "SHOUTER"},
+			[]string{"ADD_AGENT GREETER", "ADD_AGENT ECHO", "REMOVE_AGENT ECHO"}, []string{"ADD_AGENT SHOUTER GREETER"}},
+		{"Close", func() error { s.Close(); return nil }, nil,
+			nil, nil,
+			[]string{"ADD_AGENT GREETER", "ADD_AGENT ECHO", "REMOVE_AGENT ECHO", "REMOVE_AGENT GREETER"},
+			[]string{"ADD_AGENT SHOUTER GREETER", "REMOVE_AGENT GREETER SHOUTER"}},
+	} {
+		if err := step.change(); !errors.Is(err, step.wantErr) {
+			t.Fatalf("%s: err = %v, want %v", step.name, err, step.wantErr)
+		}
+		if got := s.Members(); !slices.Equal(got, step.members) {
+			t.Errorf("%s: members = %v, want %v", step.name, got, step.members)
+		}
+		if got := child.Members(); !slices.Equal(got, step.childMembers) {
+			t.Errorf("%s: child members = %v, want %v", step.name, got, step.childMembers)
+		}
+		if got, agents := s.Members(), s.Agents(); !slices.Equal(got, agents) {
+			t.Errorf("%s: members %v, but the session holds %v", step.name, got, agents)
+		}
+		if got := records(t, store, s.ID); !slices.Equal(got, step.recorded) {
+			t.Errorf("%s: session stream = %q, want %q", step.name, got, step.recorded)
+		}
+		if got := records(t, store, child.ID); !slices.Equal(got, step.childRecorded) {
+			t.Errorf("%s: child's session stream = %q, want %q", step.name, got, step.childRecorded)
+		}
 	}
 }
 
+// A name joins a session once. Of concurrent batches naming the same agents
+// exactly one joins, and a batch naming an active agent, or one name twice,
+// joins none of its names: across the records every name is added once.
 func TestDuplicateAgentRejected(t *testing.T) {
-	_, m := newEnv(t)
+	store, m := newEnv(t)
 	s, _ := m.Create("")
 	defer s.Close()
-	if _, err := s.SpawnAgent("GREETER", agent.Options{}); err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	var joined atomic.Int64
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			switch err := s.SpawnAgents([]string{"GREETER", "SHOUTER"}, agent.Options{}); {
+			case err == nil:
+				joined.Add(1)
+			case !errors.Is(err, ErrAgentActive):
+				t.Errorf("SpawnAgents: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := joined.Load(); n != 1 {
+		t.Fatalf("%d concurrent batches joined, want 1", n)
 	}
 	if _, err := s.SpawnAgent("GREETER", agent.Options{}); !errors.Is(err, ErrAgentActive) {
 		t.Fatalf("err = %v", err)
+	}
+	if err := s.RemoveAgent("SHOUTER"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SpawnAgents([]string{"SHOUTER", "SHOUTER"}, agent.Options{}); !errors.Is(err, ErrAgentActive) {
+		t.Fatalf("a batch naming one agent twice: err = %v", err)
+	}
+	added := map[string]int{}
+	for _, r := range records(t, store, s.ID) {
+		if op, names, _ := strings.Cut(r, " "); op == streams.OpAddAgent {
+			for _, name := range strings.Fields(names) {
+				added[name]++
+			}
+		}
+	}
+	if added["GREETER"] != 1 || added["SHOUTER"] != 1 || len(added) != 2 {
+		t.Fatalf("names added across the records: %v, want GREETER and SHOUTER once each", added)
+	}
+	if got := s.Members(); !slices.Equal(got, []string{"GREETER"}) {
+		t.Fatalf("members = %v", got)
 	}
 }
 
@@ -353,18 +464,14 @@ func TestConcurrentAddAndClose(t *testing.T) {
 		s.Close()
 		wg.Wait()
 
-		entered := 0
-		msgs, err := store.ReadAll(agent.SessionStream(s.ID))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, msg := range msgs {
-			if msg.Directive.Op == streams.OpEnterSession {
-				entered++
+		named := 0
+		for _, r := range records(t, store, s.ID) {
+			if r == streams.OpAddAgent+" GREETER" {
+				named++
 			}
 		}
-		if n := int(added.Load()); n > 1 || entered != n {
-			t.Fatalf("round %d: %d adds succeeded and %d ENTER_SESSION were announced, want the same number, at most 1", round, n, entered)
+		if n := int(added.Load()); n > 1 || named != n {
+			t.Fatalf("round %d: %d adds succeeded and %d ADD_AGENT records name GREETER, want the same number, at most 1", round, n, named)
 		}
 		if got := s.Members(); len(got) != 0 {
 			t.Fatalf("round %d: members after Close = %v", round, got)

@@ -31,7 +31,10 @@
 //     wants (Filter.Ops) and the agent they are addressed to (Filter.Agent;
 //     a directive that names no agent is a broadcast). An agent's control
 //     subscription is handed the directives meant for that agent, not every
-//     control message of its session to discard all but its own.
+//     control message of its session to discard all but its own. A
+//     session's membership records (ADD_AGENT, REMOVE_AGENT: one per change,
+//     on its session stream, written by package session alone) are ops no
+//     agent asks for, so they reach no agent.
 //   - Subscriptions. Append sends a message straight into the channel behind
 //     C — one goroutine wake-up per delivery — and only a message that finds
 //     the channel full is queued (an unbounded slice) behind a drain, a task
@@ -89,10 +92,8 @@ func (k Kind) String() string {
 // Well-known control operations exchanged between blueprint components.
 const (
 	OpExecuteAgent = "EXECUTE_AGENT" // coordinator -> agent: run with given inputs
-	OpAddAgent     = "ADD_AGENT"     // session: include an agent in the session
-	OpRemoveAgent  = "REMOVE_AGENT"  // session: remove an agent
-	OpEnterSession = "ENTER_SESSION" // agent signals entry into a session
-	OpExitSession  = "EXIT_SESSION"  // agent signals exit from a session
+	OpAddAgent     = "ADD_AGENT"     // session: agents join it (the payload names them, one a line)
+	OpRemoveAgent  = "REMOVE_AGENT"  // session: agents leave it (likewise)
 	OpAbort        = "ABORT"         // coordinator: abort execution (budget)
 	OpEOS          = "EOS"           // end of stream sentinel
 )

@@ -440,12 +440,12 @@ func TestRoutingConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < sessions; i++ {
 		wg.Add(3)
-		go func(i int) { // control appender: per round one message to A, one to B, a broadcast, a report, a signal
+		go func(i int) { // control appender: per round one message to A, one to B, a broadcast, a report, a membership record
 			defer wg.Done()
 			for n := 0; n < appends; n++ {
 				for _, d := range []Directive{
 					{Op: OpExecuteAgent, Agent: "A"}, {Op: OpExecuteAgent, Agent: "B"},
-					{Op: OpAbort}, {Op: opDone}, {Op: OpEnterSession, Agent: "A"},
+					{Op: OpAbort}, {Op: opDone}, {Op: OpAddAgent, Agent: "A"},
 				} {
 					if _, err := s.Append(Message{Stream: fmt.Sprintf("session:%d:control", i), Kind: Control, Directive: &d}); err != nil {
 						t.Errorf("append: %v", err)

@@ -27,7 +27,7 @@ func TestFilterDirectiveSelectors(t *testing.T) {
 		{"addressee differs in case", agentA, control(&Directive{Op: OpExecuteAgent, Agent: "a"}), false},
 		{"broadcast", agentA, control(&Directive{Op: OpAbort}), true},
 		{"broadcast of an op it did not ask for", agentA, control(&Directive{Op: opDone}), false},
-		{"its own entry signal", agentA, control(&Directive{Op: OpEnterSession, Agent: "A"}), false},
+		{"a membership record naming it", agentA, control(&Directive{Op: OpAddAgent, Agent: "A"}), false},
 		{"no directive", agentA, control(nil), false},
 		{"data message", agentA, Message{Stream: "s", Kind: Data, Payload: "x"}, false},
 		{"ops only: the op, any addressee", reports, control(&Directive{Op: opDone, Agent: "B"}), true},

@@ -2,23 +2,24 @@ package blueprint
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"blueprint/internal/agent"
 	"blueprint/internal/obs"
+	"blueprint/internal/session"
 	"blueprint/internal/streams"
 )
 
 // A new session holds what starting it touched: the five streams the session
-// manager and the agents' announcements write (user, event, control, session,
-// display) — an agent's own output stream comes into being with its first
-// output — the paper-visible ENTER_SESSION / ADD_AGENT pair of each of the
-// eleven standard agents, and — the agents and the coordinator service being
-// deployed already, another session live — no subscription and no goroutine.
-// With DataDir, every stream created and every message appended is one log
-// record and nothing else is logged.
+// manager creates (user, event, control, session, display) — an agent's own
+// output stream comes into being with its first output — one ADD_AGENT
+// record naming the eleven standard agents in spawn order, and — the agents
+// and the coordinator service being deployed already, another session live —
+// no subscription and no goroutine. Close adds one REMOVE_AGENT naming them
+// sorted. With DataDir, every stream created and every message appended is
+// one log record and nothing else is logged.
 func TestNewSessionHoldsWhatItTouched(t *testing.T) {
 	sys, err := New(Config{ModelAccuracy: 1.0, DataDir: t.TempDir()})
 	if err != nil {
@@ -45,28 +46,27 @@ func TestNewSessionHoldsWhatItTouched(t *testing.T) {
 	if got := runtime.NumGoroutine() - goroutines; got != 0 {
 		t.Errorf("StartSession started %d goroutines, want 0", got)
 	}
-	ops := map[string]int{}
-	msgs, err := sys.Store.ReadAll(agent.SessionStream(sess.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range msgs {
-		ops[m.Directive.Op]++
-		// Agent by agent in spawn order: its own announcement, then the manager's.
-		if want := [...]string{streams.OpEnterSession, streams.OpAddAgent}[i%2]; i < 2*len(StandardAgents) &&
-			(m.Directive.Op != want || m.Directive.Agent != StandardAgents[i/2]) {
-			t.Errorf("session stream message %d is %s %s, want %s %s", i, m.Directive.Op, m.Directive.Agent, want, StandardAgents[i/2])
+	record := func(i int, op string, names []string) {
+		t.Helper()
+		msgs, err := sys.Store.ReadAll(session.SessionStream(sess.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(msgs) != i+1 {
+			t.Fatalf("session stream holds %d messages, want %d", len(msgs), i+1)
+		}
+		if m := msgs[i]; m.Directive.Op != op || m.Payload != strings.Join(names, "\n") {
+			t.Errorf("session stream message %d is %s %q, want %s %q", i, m.Directive.Op, m.Payload, op, names)
 		}
 	}
-	if n := len(StandardAgents); ops[streams.OpEnterSession] != n || ops[streams.OpAddAgent] != n || len(msgs) != 2*n {
-		t.Errorf("session stream holds %v, want %d ENTER_SESSION and %d ADD_AGENT", ops, n, n)
-	}
+	record(0, streams.OpAddAgent, StandardAgents)
 
 	sess.Close()
+	record(1, streams.OpRemoveAgent, slices.Sorted(slices.Values(StandardAgents)))
 	closed := stats()
 	logged := (closed.StreamsCreated - before.StreamsCreated) + (closed.MessagesAppended - before.MessagesAppended)
-	if got := int64(sys.DurabilityStats().Appends - appends); got != logged || logged != 38 {
-		t.Errorf("StartSession and Close logged %d records, want 38, one for each of the %d streams and messages", got, logged)
+	if got := int64(sys.DurabilityStats().Appends - appends); got != logged || logged != 7 {
+		t.Errorf("StartSession and Close logged %d records, want 7, one for each of the %d streams and messages", got, logged)
 	}
 
 	// A planned ask creates the output streams of the agents on its path,
@@ -92,12 +92,12 @@ func TestNewSessionHoldsWhatItTouched(t *testing.T) {
 }
 
 // Idle conversations are cheap to keep: 512 sessions started beside a live one
-// retain their streams, their 22 announcements and a seat in the coordinator
-// service each — not eleven agent instances, nor a coordinator of their own —
-// and no goroutine. The heap ceiling is above what that takes (about
-// 11 KB) and a third of what a session held when every one instantiated the
-// agents (48 KB of heap, 64 KB of stack, 17 goroutines); the stack one is half
-// a goroutine's smallest stack, so a goroutine a session fails it.
+// retain their streams, their one membership record and a seat in the
+// coordinator service each — not eleven agent instances, nor a coordinator of
+// their own — and no goroutine. The heap ceiling is above what that takes
+// (about 5 KB) and a sixth of what a session held when every one instantiated
+// the agents (48 KB of heap, 64 KB of stack, 17 goroutines); the stack one is
+// half a goroutine's smallest stack, so a goroutine a session fails it.
 func TestIdleSessionsStayCheap(t *testing.T) {
 	sys, err := New(Config{ModelAccuracy: 1.0})
 	if err != nil {
@@ -126,8 +126,8 @@ func TestIdleSessionsStayCheap(t *testing.T) {
 	stackKB := (float64(after.StackInuse) - float64(before.StackInuse)) / 1024 / sessions
 	t.Logf("%d idle sessions: %.1f KB of heap, %.1f KB of stack and %.2f goroutines each, started in %.1f us each",
 		sessions, heapKB, stackKB, float64(runtime.NumGoroutine()-goroutines)/sessions, float64(took.Microseconds())/sessions)
-	if heapKB > 16 {
-		t.Errorf("an idle session retains %.1f KB of heap, want at most 16", heapKB)
+	if heapKB > 8 {
+		t.Errorf("an idle session retains %.1f KB of heap, want at most 8", heapKB)
 	}
 	if stackKB > 1 {
 		t.Errorf("an idle session holds %.1f KB of stack, want at most 1", stackKB)

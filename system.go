@@ -355,11 +355,9 @@ func (s *System) StartSession(id string) (*Session, error) {
 		return nil, err
 	}
 	if !s.cfg.DisableStandardAgents {
-		for _, name := range StandardAgents {
-			if _, err := base.SpawnAgent(name, agent.Options{}); err != nil {
-				base.Close()
-				return nil, fmt.Errorf("blueprint: spawning %s: %w", name, err)
-			}
+		if err := base.SpawnAgents(StandardAgents, agent.Options{}); err != nil {
+			base.Close()
+			return nil, fmt.Errorf("blueprint: spawning the standard agents: %w", err)
 		}
 	}
 	return &Session{Session: base, sys: s, plans: s.plans.Join(base.ID)}, nil
@@ -407,10 +405,10 @@ func (sess *Session) AskCtx(ctx context.Context, text string, timeout time.Durat
 // recordedAsk is an ungoverned ask, utterance or click (event set): askCore
 // between beginAsk and recordAsk.
 func (sess *Session) recordedAsk(ctx context.Context, text string, event map[string]any, timeout time.Duration) (string, error) {
-	_, rec := sess.beginAsk(ctx)
+	ctx, rec := sess.beginAsk(ctx)
 	rec.text = text
 	var out string
-	out, rec.root, rec.err = sess.askCore(rec.trace, text, event, timeout)
+	out, rec.root, rec.err = sess.askCore(ctx, rec.trace, text, event, timeout)
 	rec.dur = time.Since(rec.start)
 	sess.recordAsk(rec)
 	return out, rec.err
@@ -441,8 +439,9 @@ const quiesceWait = 50 * time.Millisecond
 // utterance, or the UI event when event is set (a click, whose text is the
 // event's rendering) — stamped with the root's id, and takes as the answer
 // the first display message carrying that id, at or past the display length
-// read before the post.
-func (sess *Session) askCore(tid, text string, event map[string]any, timeout time.Duration) (string, *obs.Span, error) {
+// read before the post. The wait ends with ctx: a caller that has gone away
+// (an HTTP client disconnected) holds nothing until the timeout.
+func (sess *Session) askCore(ctx context.Context, tid, text string, event map[string]any, timeout time.Duration) (string, *obs.Span, error) {
 	name := "ask"
 	if event != nil {
 		name = "click"
@@ -464,9 +463,9 @@ func (sess *Session) askCore(tid, text string, event map[string]any, timeout tim
 	if err != nil {
 		return "", sp, err
 	}
-	out, err := sess.AwaitAnswer(from, sp.ID(), timeout)
+	out, err := sess.AwaitAnswer(ctx, from, sp.ID(), timeout)
 	if err != nil {
-		return "", sp, fmt.Errorf("%w (%s)", ErrNoResponse, timeout)
+		return "", sp, fmt.Errorf("%w: %w", ErrNoResponse, err)
 	}
 	return out, sp, nil
 }
@@ -653,7 +652,7 @@ func (sess *Session) GovernedAsk(ctx context.Context, tenant, text string, timeo
 		return Answer{TraceID: tid}, err
 	}
 	defer release()
-	out, root, askErr := sess.askCore(tid, text, nil, timeout)
+	out, root, askErr := sess.askCore(ctx, tid, text, nil, timeout)
 	rec.dur, rec.root, rec.err = time.Since(start), root, askErr
 	if askErr != nil {
 		sess.recordAsk(rec)
