@@ -1,7 +1,7 @@
 # Build, verify and bench targets. `make ci` is what the GitHub Actions
 # workflow runs on every push: formatting, vet, build, the full test suite
-# under the race detector, and the ask-identity, worker-pool, plan-seat and
-# session-membership tests twenty times over.
+# under the race detector, and the ask-identity, plan-run identity,
+# worker-pool, plan-seat and session-membership tests twenty times over.
 
 GO ?= go
 
@@ -21,8 +21,9 @@ race:
 # The tests whose failure depends on the schedule, twenty times under the race
 # detector: every answer of asks interleaved at zero think time — on many
 # sessions, and two at once on one — is the asking utterance's own, and each
-# ask's span tree holds only its own agents, and closing the System drains
-# every open session's running plans; the store's worker pool never blocks a
+# ask's span tree holds only its own agents, and runs of one plan id at once
+# in one session each get their own step results, and closing the System
+# drains every open session's running plans; the store's worker pool never blocks a
 # chain of nested hand-offs, and gives its parked workers back at Close; and
 # in the one coordinator service, a session at its plan bound holds up no
 # other session, and a session's Leave waits for its own running plans only;
@@ -30,7 +31,7 @@ race:
 # of the same agents exactly one joins, none once Close got there first, and
 # the session stream records each name added once.
 stress:
-	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession|TestSystemCloseDrainsOpenSessions' .
+	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession|TestOnePlanIDRunsConcurrently|TestSystemCloseDrainsOpenSessions' .
 	$(GO) test -race -count=20 -run 'TestGoNeverBlocks|TestPoolIdleAndClose' ./internal/streams
 	$(GO) test -race -count=20 -run 'TestSeatBoundHoldsUpOnlyItsSession|TestLeaveWaitsForItsOwnPlansOnly' ./internal/coordinator
 	$(GO) test -race -count=20 -run 'TestDuplicateAgentRejected|TestConcurrentAddAndClose' ./internal/session

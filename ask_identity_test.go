@@ -7,11 +7,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"blueprint/internal/hragents"
 	"blueprint/internal/obs"
+	"blueprint/internal/planner"
 	"blueprint/internal/resilience"
 )
 
@@ -339,6 +341,53 @@ func TestAskIdentity(t *testing.T) {
 			t.Fatalf("%d answers remembered for degraded serves, want one per utterance asked", remembered)
 		}
 	})
+}
+
+// TestOnePlanIDRunsConcurrently: runs of one plan id at once in one session
+// are separate executions. Four at a time, each binding SQLEXECUTOR to a
+// statement of its own, over 50 rounds: every run's final ROWS are its own
+// statement's, and no stream is named for the plan.
+func TestOnePlanIDRunsConcurrently(t *testing.T) {
+	sys := newSystem(t)
+	sess, err := sys.StartSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	const runs, rounds = 4, 50
+	var wrong atomic.Int64
+	var first sync.Once
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for i := 0; i < runs; i++ {
+			job := int64(r*runs + i + 1) // one job id per run: 1..200
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p := &planner.Plan{ID: "dup", Steps: []planner.Step{{ID: "q", Agent: hragents.SQLExecutor,
+					Bindings: map[string]planner.Binding{"SQL": {Value: fmt.Sprintf("SELECT id FROM jobs WHERE id = %d", job)}}}}}
+				res, err := sys.Coordinator.ExecutePlan(sess.ID, p, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rows, _ := res.Final["ROWS"].(*hragents.QueryRows)
+				if rows == nil || len(rows.Rows) != 1 || rows.Rows[0][0].I != job {
+					wrong.Add(1)
+					first.Do(func() { t.Logf("the run of job %d got %+v", job, res.Final["ROWS"]) })
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if n := wrong.Load(); n > 0 {
+		t.Errorf("%d of %d results were not their own run's rows", n, runs*rounds)
+	}
+	for _, info := range sys.Store.List(sess.ID) {
+		if strings.Contains(info.ID, ":dup") {
+			t.Errorf("stream %s is named for the plan", info.ID)
+		}
+	}
 }
 
 // exemplarOf returns the flight recorder's exemplar of the ask with trace id

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"blueprint/internal/agent"
 	"blueprint/internal/budget"
 	"blueprint/internal/hragents"
 	"blueprint/internal/llm"
@@ -116,6 +117,49 @@ func TestExecuteUtteranceRunningExample(t *testing.T) {
 	}
 	if res.Budget.CostSpent <= 0 || res.Budget.Charges < 3 {
 		t.Fatalf("budget = %+v", res.Budget)
+	}
+}
+
+// A planned open query runs each of its steps once: a step's outputs ride
+// its report to the coordinator, so the SQL and ROWS they carry start no
+// tag-listening agent of the session's Fig. 10 chain beside the plan. One
+// AGENT_DONE per step, one SQLEXECUTOR and one QUERY_SUMMARIZER run, one
+// answer displayed; and since no data message carries a step's output, no
+// such run can still be on its way when the plan returns.
+func TestPlannedOpenQueryRunsEachStepOnce(t *testing.T) {
+	sys := newSystem(t)
+	s, err := sys.StartSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, plan, err := s.ExecuteUtterance("How many jobs are in San Francisco?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, runs, displayed := 0, map[string]int{}, 0
+	for _, m := range sys.Store.History(s.ID) {
+		switch {
+		case m.Directive != nil && m.Directive.Op == agent.OpAgentDone:
+			reports++
+			runs[m.Directive.Agent]++
+		case m.Stream == agent.DisplayStream(s.ID):
+			if m.Sender == hragents.QuerySummarizer {
+				displayed++
+			}
+		case m.Kind == streams.Data && (m.HasTag(hragents.TagSQL) || m.HasTag(hragents.TagRows)):
+			t.Errorf("%s published %v on %s", m.Sender, m.Tags, m.Stream)
+		}
+	}
+	if reports != len(plan.Steps) {
+		t.Errorf("%d AGENT_DONE reports for a plan of %d steps (%v)", reports, len(plan.Steps), runs)
+	}
+	if runs[hragents.SQLExecutor] != 1 || runs[hragents.QuerySummarizer] != 1 {
+		t.Errorf("%s ran %d times and %s %d, want once each", hragents.SQLExecutor, runs[hragents.SQLExecutor],
+			hragents.QuerySummarizer, runs[hragents.QuerySummarizer])
+	}
+	if displayed != 1 {
+		t.Errorf("%s displayed %d answers, want 1", hragents.QuerySummarizer, displayed)
 	}
 }
 

@@ -37,12 +37,14 @@
 // Invocation.Session is the message's own, which may be a sub-scope. It
 // serves the ask its triggering message named (Invocation.Ask): its span is
 // charged to that ask, and its outputs, display message and report carry the
-// ask's id. The agent's output stream in a session (OutputStream) is created
-// by its first output there, not before. A deployment counts nothing of its
-// own: invocations and errors go to the process-wide
+// ask's id. An invocation's outputs go to one place: the stream it names
+// (Invocation.ReplyStream) — for a tag-activated one the agent's output
+// stream in the session (OutputStream), created by its first output there,
+// not before — or, when it names none, its AGENT_DONE report. A deployment
+// counts nothing of its own: invocations and errors go to the process-wide
 // blueprint_agent_invocations_total and blueprint_agent_errors_total, and one
 // invocation's outcome and cost are in the AGENT_DONE / AGENT_ERROR report it
-// puts on its session's control stream.
+// puts on its session's control stream (Report, ReadReport, AwaitReport).
 package agent
 
 import (
@@ -68,8 +70,11 @@ type Invocation struct {
 	Session string
 	// Inputs binds each input parameter name to its value.
 	Inputs map[string]any
-	// ReplyStream, when set, is where outputs must be published (set by the
-	// coordinator); otherwise the agent's default output streams are used.
+	// ReplyStream is the stream the outputs are published on: the agent's
+	// OutputStream for a tag-activated invocation, the directive's
+	// "reply_stream" for an executed one. Empty, the outputs ride the
+	// invocation's AGENT_DONE report instead (Report.Outputs), as the task
+	// coordinator's are.
 	ReplyStream string
 	// InvocationID correlates DONE/ERROR reports with requests.
 	InvocationID string

@@ -352,7 +352,7 @@ func (in *Instance) abort(st *seat, id string) {
 	}
 	for _, inv := range dropped {
 		mInvocations.Inc()
-		in.reportError(st.session, inv, context.Canceled)
+		in.report(st.session, inv, Usage{}, nil, context.Canceled)
 	}
 }
 
@@ -375,6 +375,7 @@ func (in *Instance) dataLoop() {
 			in.dispatch(st, Invocation{
 				Session:      msg.Session,
 				Inputs:       inputs,
+				ReplyStream:  OutputStream(st.session, in.agent.Spec.Name),
 				InvocationID: in.invocationID(st),
 				Ask:          msg.Ask,
 			})
@@ -466,24 +467,22 @@ func (in *Instance) run(st *seat, inv Invocation) {
 	if timeout <= 0 {
 		// Dead on arrival: report without invoking the processor.
 		mInvocations.Inc()
-		in.reportError(st.session, inv, context.DeadlineExceeded)
+		in.report(st.session, inv, Usage{}, nil, context.DeadlineExceeded)
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	if inv.InvocationID != "" {
-		st.mu.Lock()
-		if st.live == nil {
-			st.live = make(map[string]context.CancelFunc)
-		}
-		st.live[inv.InvocationID] = cancel
-		st.mu.Unlock()
-		defer func() {
-			st.mu.Lock()
-			delete(st.live, inv.InvocationID)
-			st.mu.Unlock()
-		}()
+	st.mu.Lock()
+	if st.live == nil {
+		st.live = make(map[string]context.CancelFunc)
 	}
+	st.live[inv.InvocationID] = cancel
+	st.mu.Unlock()
+	defer func() {
+		st.mu.Lock()
+		delete(st.live, inv.InvocationID)
+		st.mu.Unlock()
+	}()
 	// Resume the ask's trace across the stream boundary: under the caller's
 	// span when the directive carried a trace_parent token, else under the
 	// ask's root; nothing is traced for a message of no open ask. The span
@@ -507,32 +506,33 @@ func (in *Instance) run(st *seat, inv Invocation) {
 
 	if err != nil {
 		sp.SetAttr("error", obs.Truncate(err.Error(), 120))
-		in.reportError(st.session, inv, err)
+		in.report(st.session, inv, Usage{}, nil, err)
 		return
 	}
 
 	usage := out.Usage
 	if usage == (Usage{}) {
-		usage = Usage{
-			Cost:     in.agent.Spec.QoS.CostPerCall,
-			Latency:  elapsed,
-			Accuracy: in.agent.Spec.QoS.Accuracy,
-		}
+		usage = Usage{Cost: in.agent.Spec.QoS.CostPerCall, Latency: elapsed, Accuracy: in.agent.Spec.QoS.Accuracy}
 	}
 
-	// Publish outputs: one message per output parameter, tagged with the
-	// parameter name so downstream agents can listen selectively.
-	outStream := inv.ReplyStream
-	if outStream == "" {
-		outStream = OutputStream(st.session, name)
+	// Outputs go to the stream the invocation names, one message per output
+	// parameter tagged with its name so downstream agents can listen
+	// selectively; an invocation that names none gets them in its report.
+	var outputs map[string]any
+	if inv.ReplyStream == "" {
+		outputs = make(map[string]any, len(out.Values))
 	}
 	for _, p := range in.agent.Spec.Outputs {
 		v, ok := out.Values[p.Name]
 		if !ok {
 			continue
 		}
+		if outputs != nil {
+			outputs[p.Name] = v
+			continue
+		}
 		_, _ = in.store.Publish(streams.Message{
-			Stream: outStream, Session: inv.Session, Kind: streams.Data,
+			Stream: inv.ReplyStream, Session: inv.Session, Kind: streams.Data,
 			Sender: name, Param: p.Name,
 			Tags:    append([]string{p.Name}, out.Tags...),
 			Payload: v, Ask: inv.Ask,
@@ -544,30 +544,7 @@ func (in *Instance) run(st *seat, inv Invocation) {
 			Sender: name, Payload: out.Display, Tags: []string{"display"}, Ask: inv.Ask,
 		})
 	}
-	_, _ = in.store.Append(streams.Message{
-		Stream: ControlStream(st.session), Kind: streams.Control, Sender: name, Ask: inv.Ask,
-		Directive: &streams.Directive{Op: OpAgentDone, Agent: name, Args: map[string]any{
-			"invocation_id": inv.InvocationID,
-			"cost":          usage.Cost,
-			"latency_ms":    float64(usage.Latency) / float64(time.Millisecond),
-			"accuracy":      usage.Accuracy,
-			"reply_stream":  outStream,
-		}},
-	})
-}
-
-// reportError counts a failed invocation and reports it to the coordinator
-// as an AGENT_ERROR on the session's control stream.
-func (in *Instance) reportError(session string, inv Invocation, err error) {
-	mInvErrors.Inc()
-	name := in.agent.Spec.Name
-	_, _ = in.store.Append(streams.Message{
-		Stream: ControlStream(session), Kind: streams.Control, Sender: name, Ask: inv.Ask,
-		Directive: &streams.Directive{Op: OpAgentError, Agent: name, Args: map[string]any{
-			"invocation_id": inv.InvocationID,
-			"error":         err.Error(),
-		}},
-	})
+	in.report(st.session, inv, usage, outputs, nil)
 }
 
 // fillDefaults binds declared defaults for optional parameters left unbound.

@@ -96,6 +96,13 @@
 //     once), then record, and either fail — firstFailure for a step cancelled
 //     as collateral — or the commit of actuals against the critical path
 //     (Graph.ReadyAt plus the step's own latency).
+//   - executeStep is one execution: an EXECUTE_AGENT directive naming no
+//     reply stream, under an invocation id of its own (a per-Coordinator
+//     count), so runs of one plan id — and a step's retries — never share
+//     one. The agent's AGENT_DONE report (agent.ReadReport) carries the
+//     step's outputs beside its cost and latency; nothing is published for
+//     the step, so no stream is named for a plan or step and no agent
+//     listening for tags runs beside the plan.
 //   - satisfy is the one way a step completes without executing: zero cost,
 //     zero marginal latency, the producing agent's accuracy.
 //   - fail and abort record the plan's first error and cancel the rest.
@@ -109,6 +116,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"blueprint/internal/agent"
@@ -207,6 +215,9 @@ type Coordinator struct {
 	model     *llm.Model
 	opts      Options
 	confirmMu sync.Mutex // serializes ConfirmFunc consultations
+	// invocations numbers the agent invocations executeStep starts, so
+	// each has an id of its own.
+	invocations atomic.Uint64
 }
 
 // New creates a coordinator. The planner may be nil when replanning is not
@@ -438,77 +449,48 @@ func (c *Coordinator) stepDeadline(b *budget.Budget) time.Time {
 	return time.Now().Add(wait)
 }
 
-// executeStep streams an EXECUTE_AGENT instruction and awaits its DONE or
-// ERROR report, collecting outputs from the step's reply stream. The wait
-// aborts when ctx is cancelled (plan-level abort or failure elsewhere) or
-// the deadline passes; either way a targeted ABORT stops the in-flight
-// invocation. attempt distinguishes retries of one step (each needs a
-// distinct invocation ID and reply stream, or a retry would consume the
-// failed attempt's stale reports).
-func (s *scheduler) executeStep(ctx context.Context, p *planner.Plan, step planner.Step, inputs map[string]any, deadline time.Time, attempt int) (StepResult, error) {
+// executeStep streams an EXECUTE_AGENT instruction that names no reply
+// stream and awaits its DONE or ERROR report, which carries the step's
+// outputs. Every call is its own invocation, with an id of its own. The wait
+// aborts when ctx is cancelled (plan-level abort or failure elsewhere) or the
+// deadline passes; either way a targeted ABORT stops the in-flight
+// invocation.
+func (s *scheduler) executeStep(ctx context.Context, step planner.Step, inputs map[string]any, deadline time.Time) (StepResult, error) {
 	c, session := s.c, s.session
-	sr := StepResult{StepID: step.ID, Agent: step.Agent, Outputs: map[string]any{}}
-	replyStream := fmt.Sprintf("%s:%s:%s", session, p.ID, step.ID)
-	invID := fmt.Sprintf("%s-%s", p.ID, step.ID)
-	if attempt > 1 {
-		replyStream = fmt.Sprintf("%s:a%d", replyStream, attempt)
-		invID = fmt.Sprintf("%s-a%d", invID, attempt)
-	}
+	sr := StepResult{StepID: step.ID, Agent: step.Agent}
+	invID := fmt.Sprintf("%s-%s-%d", s.plan.ID, step.ID, c.invocations.Add(1))
 
 	// Subscribe to control reports before issuing the instruction.
 	ctrl := c.store.Subscribe(agent.ReportFilter(session), false)
 	defer ctrl.Cancel()
 
 	if err := agent.ExecuteInvocation(c.store, step.Agent, agent.Invocation{
-		Session: session, Inputs: inputs, ReplyStream: replyStream, InvocationID: invID,
+		Session: session, Inputs: inputs, InvocationID: invID,
 		TraceParent: obs.FromContext(ctx).Token(), Deadline: deadline, Ask: s.ask,
 	}); err != nil {
 		return sr, err
 	}
 
 	wait := time.Until(deadline)
-	timeout := time.After(wait)
-	for {
-		select {
-		case msg, ok := <-ctrl.C():
-			if !ok {
-				return sr, fmt.Errorf("control stream closed")
-			}
-			d := msg.Directive
-			if d == nil {
-				continue
-			}
-			if id, _ := d.Args["invocation_id"].(string); id != invID || msg.Ask != s.ask {
-				continue // another step's report, or an identical plan's of another ask
-			}
-			switch d.Op {
-			case agent.OpAgentError:
-				errMsg, _ := d.Args["error"].(string)
-				sr.Err = errMsg
-				return sr, errors.New(errMsg)
-			case agent.OpAgentDone:
-				sr.Cost, _ = d.Args["cost"].(float64)
-				if ms, ok := d.Args["latency_ms"].(float64); ok {
-					sr.Latency = time.Duration(ms * float64(time.Millisecond))
-				}
-				msgs, err := c.store.ReadAll(replyStream)
-				if err == nil {
-					for _, m := range msgs {
-						if m.Param != "" {
-							sr.Outputs[m.Param] = m.Payload
-						}
-					}
-				}
-				return sr, nil
-			}
-		case <-ctx.Done():
-			c.emitAbort(session, s.ask, step.Agent, map[string]any{"invocation_id": invID})
-			sr.Err = "cancelled"
-			return sr, fmt.Errorf("step %s cancelled: %w", step.ID, ctx.Err())
-		case <-timeout:
-			c.emitAbort(session, s.ask, step.Agent, map[string]any{"invocation_id": invID})
-			sr.Err = "timeout"
-			return sr, fmt.Errorf("%w: %s after %s", ErrStepTimeout, step.ID, wait.Truncate(time.Millisecond))
+	waitCtx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
+	d, err := agent.AwaitReport(waitCtx, ctrl, invID)
+	if err == nil {
+		rep, err := agent.ReadReport(d)
+		if err != nil {
+			sr.Err = err.Error()
 		}
+		sr.Outputs, sr.Cost, sr.Latency = rep.Outputs, rep.Usage.Cost, rep.Usage.Latency
+		return sr, err
 	}
+	if waitCtx.Err() == nil {
+		return sr, err // the store closed
+	}
+	c.emitAbort(session, s.ask, step.Agent, map[string]any{"invocation_id": invID})
+	if ctx.Err() != nil {
+		sr.Err = "cancelled"
+		return sr, fmt.Errorf("step %s cancelled: %w", step.ID, ctx.Err())
+	}
+	sr.Err = "timeout"
+	return sr, fmt.Errorf("%w: %s after %s", ErrStepTimeout, step.ID, wait.Truncate(time.Millisecond))
 }

@@ -384,7 +384,7 @@ func (s *scheduler) executeAttempts(ctx context.Context, step planner.Step, inpu
 	var sr StepResult
 	var err error
 	for attempt := 1; ; attempt++ {
-		sr, err = s.attempt(ctx, s.plan, step, inputs, attempt)
+		sr, err = s.attempt(ctx, step, inputs)
 		if err == nil || attempt >= attempts || !resilience.Retryable(err) || s.ctx.Err() != nil {
 			return sr, err
 		}
@@ -419,11 +419,11 @@ func (s *scheduler) executeAttempts(ctx context.Context, step planner.Step, inpu
 	}
 }
 
-// attempt executes the step of plan p once — the n-th try of it — and feeds
-// the outcome to the agent's breaker and its SLO series.
-func (s *scheduler) attempt(ctx context.Context, p *planner.Plan, step planner.Step, inputs map[string]any, n int) (StepResult, error) {
+// attempt executes the step once and feeds the outcome to the agent's
+// breaker and its SLO series.
+func (s *scheduler) attempt(ctx context.Context, step planner.Step, inputs map[string]any) (StepResult, error) {
 	start := time.Now()
-	sr, err := s.executeStep(ctx, p, step, inputs, s.c.stepDeadline(s.budget), n)
+	sr, err := s.executeStep(ctx, step, inputs, s.c.stepDeadline(s.budget))
 	s.c.opts.Breakers.Record(step.Agent, err == nil)
 	s.c.opts.SLO.Record(obs.SLOAgent, step.Agent, time.Since(start), err != nil)
 	return sr, err
@@ -478,7 +478,7 @@ func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, id step
 				return stepOutcome{stepID: step.ID, ran: true, err: err}
 			}
 			rsv, confirmed = altRsv, confirmed || again
-			sr, execErr = s.attempt(ctx, np, alt, inputs, 1)
+			sr, execErr = s.attempt(ctx, alt, inputs)
 			if execErr == nil {
 				step, id = alt, altID
 			}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"blueprint"
+	"blueprint/internal/agent"
 	"blueprint/internal/budget"
 	"blueprint/internal/hragents"
 	"blueprint/internal/streams"
@@ -177,12 +178,13 @@ func Fig8Conversation(seed int64) (*Table, error) {
 	return t, nil
 }
 
-// fig9Pattern is the exact Fig. 9 sequence.
+// fig9Pattern is the exact Fig. 9 sequence; S's step is its AGENT_DONE
+// report, which carries the summary to the coordinator.
 var fig9Pattern = []trace.Matcher{
 	{Sender: "user", Tag: "ui", Kind: streams.Event},
 	{Sender: hragents.AgenticEmployer, Tag: "plan", Kind: streams.Data},
 	{Sender: "coordinator", Op: streams.OpExecuteAgent, Agent: hragents.Summarizer, Kind: streams.Control},
-	{Sender: hragents.Summarizer, Tag: hragents.TagSummary, Kind: streams.Data},
+	{Sender: hragents.Summarizer, Op: agent.OpAgentDone, Kind: streams.Control},
 }
 
 // Fig9UIFlow verifies and measures the UI-initiated flow (Fig. 9):

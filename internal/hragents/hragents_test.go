@@ -151,13 +151,13 @@ func TestFig9UIFlow(t *testing.T) {
 		t.Fatalf("summary = %q", out)
 	}
 	// Fig. 9: U (UI event) -> AE (job id + plan) -> TC (EXECUTE control) ->
-	// S (summary).
+	// S (its AGENT_DONE report, carrying the summary).
 	flow := trace.Flow(a.store, sess)
 	pattern := []trace.Matcher{
 		{Sender: "user", Tag: "ui", Kind: streams.Event},
 		{Sender: AgenticEmployer, Tag: "plan", Kind: streams.Data},
 		{Sender: "coordinator", Op: streams.OpExecuteAgent, Agent: Summarizer, Kind: streams.Control},
-		{Sender: Summarizer, Tag: TagSummary, Kind: streams.Data},
+		{Sender: Summarizer, Op: agent.OpAgentDone, Kind: streams.Control},
 	}
 	if _, ok := trace.MatchSequence(flow, pattern); !ok {
 		t.Fatalf("Fig. 9 sequence not found in flow:\n%s", trace.Render(flow))

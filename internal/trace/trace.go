@@ -8,8 +8,10 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"blueprint/internal/agent"
 	"blueprint/internal/obs"
 	"blueprint/internal/streams"
 )
@@ -30,7 +32,8 @@ type Step struct {
 	Agent string
 	// Tags are the message tags.
 	Tags []string
-	// Payload is a short rendering of the payload.
+	// Payload is a short rendering of the payload; for an AGENT_DONE
+	// report, of the outputs it carries.
 	Payload string
 }
 
@@ -46,9 +49,15 @@ func Flow(store *streams.Store, session string) []Step {
 			Kind:   m.Kind,
 			Tags:   m.Tags,
 		}
-		if m.Directive != nil {
-			s.Op = m.Directive.Op
-			s.Agent = m.Directive.Agent
+		if d := m.Directive; d != nil {
+			s.Op = d.Op
+			s.Agent = d.Agent
+			// An AGENT_DONE report's payload is the outputs it carries.
+			if d.Op == agent.OpAgentDone {
+				if rep, _ := agent.ReadReport(d); rep.Outputs != nil {
+					m.Payload = rep.Outputs
+				}
+			}
 		}
 		// Rune-safe: payloads carry user text, and a byte slice at 60
 		// could split a multi-byte UTF-8 character.
@@ -85,17 +94,8 @@ func (m Matcher) Matches(s Step) bool {
 	if m.Agent != "" && s.Agent != m.Agent {
 		return false
 	}
-	if m.Tag != "" {
-		found := false
-		for _, t := range s.Tags {
-			if t == m.Tag {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
+	if m.Tag != "" && !slices.Contains(s.Tags, m.Tag) {
+		return false
 	}
 	if !m.AnyKind && s.Kind != m.Kind {
 		return false

@@ -1,10 +1,13 @@
 package trace
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"unicode/utf8"
 
+	"blueprint/internal/agent"
+	"blueprint/internal/registry"
 	"blueprint/internal/streams"
 )
 
@@ -71,6 +74,57 @@ func TestFlowTruncationIsRuneSafe(t *testing.T) {
 	}
 	if !utf8.ValidString(got) {
 		t.Fatalf("truncation split a rune: %q", got)
+	}
+}
+
+// An AGENT_DONE report that carries its invocation's outputs renders them as
+// its payload, truncated as a data payload is — the declared ones: EXTRA,
+// which would sort first, is not among them; a report of an invocation
+// that published its outputs, and the directive that started it, render
+// none.
+func TestFlowRendersReportOutputs(t *testing.T) {
+	s := streams.NewStore()
+	t.Cleanup(func() { s.Close() })
+	a := agent.New(registry.AgentSpec{
+		Name:    "LONG",
+		Inputs:  []registry.ParamSpec{{Name: "N", Type: "number"}},
+		Outputs: []registry.ParamSpec{{Name: "OUT", Type: "text"}},
+	}, func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
+		return agent.Outputs{Values: map[string]any{"OUT": strings.Repeat("y", 100), "EXTRA": 1}}, nil
+	})
+	inst, err := agent.Attach(s, "sess", a, agent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Stop()
+	for _, reply := range []string{"", "sess:reply"} {
+		if err := agent.Execute(s, "sess", "LONG", map[string]any{"N": 1}, reply, "inv"+reply); err != nil {
+			t.Fatal(err)
+		}
+		if d := agent.AwaitDone(s, "sess", "inv"+reply); d == nil || d.Op != agent.OpAgentDone {
+			t.Fatalf("report = %+v", d)
+		}
+	}
+	var reports []Step
+	for _, st := range Flow(s, "sess") {
+		switch st.Op {
+		case agent.OpAgentDone:
+			reports = append(reports, st)
+		case streams.OpExecuteAgent:
+			if st.Payload != "" {
+				t.Errorf("EXECUTE_AGENT rendered %q", st.Payload)
+			}
+		}
+	}
+	if len(reports) != 2 {
+		t.Fatalf("%d reports in the flow, want 2", len(reports))
+	}
+	want := `{"OUT":"` + strings.Repeat("y", 60-len(`{"OUT":"`)) + "..."
+	if got := reports[0].Payload; got != want {
+		t.Errorf("report carrying outputs rendered %q, want %q", got, want)
+	}
+	if got := reports[1].Payload; got != "" {
+		t.Errorf("report of published outputs rendered %q, want nothing", got)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"blueprint/internal/agent"
+	"blueprint/internal/hragents"
 	"blueprint/internal/obs"
 	"blueprint/internal/session"
 	"blueprint/internal/streams"
@@ -69,25 +71,33 @@ func TestNewSessionHoldsWhatItTouched(t *testing.T) {
 		t.Errorf("StartSession and Close logged %d records, want 7, one for each of the %d streams and messages", got, logged)
 	}
 
-	// A planned ask creates the output streams of the agents on its path,
-	// and no others.
+	// A planned ask creates the output streams of the agents that published
+	// on its path — the intent classifier's, and the agentic employer's,
+	// whose plan the coordinator runs — and no other: the plan's steps
+	// report their outputs, so no stream is named for the plan.
 	sess, err = sys.StartSession("")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	started := map[string]bool{}
+	for _, info := range sys.Store.List(sess.ID) {
+		started[info.ID] = true
+	}
 	if _, err := sess.Ask("Summarize the applicants for job 3", 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	awaitPlanResults(t, sess, 1)
-	var outs []string
+	var added []string
 	for _, info := range sys.Store.List(sess.ID) {
-		if strings.HasSuffix(info.ID, ":out") {
-			outs = append(outs, info.ID)
+		if !started[info.ID] {
+			added = append(added, info.ID)
 		}
 	}
-	if len(outs) == 0 || len(outs) >= len(StandardAgents) {
-		t.Errorf("after one planned ask %d agents have an output stream (%v), want only those that published", len(outs), outs)
+	slices.Sort(added)
+	want := []string{agent.OutputStream(sess.ID, hragents.AgenticEmployer), agent.OutputStream(sess.ID, hragents.IntentClassifier)}
+	if !slices.Equal(added, want) {
+		t.Errorf("after one planned ask the session holds the new streams %v, want %v", added, want)
 	}
 }
 
