@@ -1,11 +1,12 @@
 # Build, verify and bench targets. `make ci` is what the GitHub Actions
 # workflow runs on every push: formatting, vet, build, the full test suite
-# under the race detector, and the ask-identity, plan-run identity,
-# worker-pool, plan-seat and session-membership tests twenty times over.
+# under the race detector, the ask-identity, plan-run identity, worker-pool,
+# plan-seat and session-membership tests twenty times over and the durable
+# write-order test five times, fuzz bursts, and the Go benchmarks once.
 
 GO ?= go
 
-.PHONY: all build test race stress vet fmt-check census bench bench-smoke bench-streams chaos fuzz fuzz-smoke loc ci
+.PHONY: all build test race stress vet fmt-check census bench bench-streams chaos fuzz fuzz-smoke loc ci
 
 all: build
 
@@ -29,12 +30,16 @@ race:
 # other session, and a session's Leave waits for its own running plans only;
 # and a session's membership is one decision per change: of concurrent adds
 # of the same agents exactly one joins, none once Close got there first, and
-# the session stream records each name added once.
+# the session stream records each name added once; and concurrent writes to
+# one row and to one agent are logged in the order they were applied, so a
+# crash recovers what the live process ended with (fifty crash-and-reopen
+# rounds a run, so five runs).
 stress:
 	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession|TestOnePlanIDRunsConcurrently|TestSystemCloseDrainsOpenSessions' .
 	$(GO) test -race -count=20 -run 'TestGoNeverBlocks|TestPoolIdleAndClose' ./internal/streams
 	$(GO) test -race -count=20 -run 'TestSeatBoundHoldsUpOnlyItsSession|TestLeaveWaitsForItsOwnPlansOnly' ./internal/coordinator
 	$(GO) test -race -count=20 -run 'TestDuplicateAgentRejected|TestConcurrentAddAndClose' ./internal/session
+	$(GO) test -race -count=5 -run 'TestDurableLogKeepsWriteOrder' .
 
 vet:
 	$(GO) vet ./...
@@ -78,7 +83,12 @@ census:
 # the per-call random source allocates nothing) and, in the root
 # package, one more session started and closed beside 512 live ones
 # (BenchmarkStartSessionBesideLive, which also reports the goroutines and
-# subscriptions a live session holds: 0 and 0).
+# subscriptions a live session holds: 0 and 0), a memo-warm governed ask
+# with the event log and flight recorder off and on
+# (BenchmarkGovernedAskRecording), and the overload test's two open-loop
+# phases at full length, one 2 s phase an iteration, reporting shed_ratio,
+# degraded_ratio and accepted_p99_ms at 0.5x and 2x the governor's capacity
+# (BenchmarkOverloadPhases).
 bench:
 	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner ./internal/hragents ./internal/workload ./internal/coordinator ./internal/obs ./internal/vectors ./internal/llm . -run XXX -bench . -benchmem
 
@@ -89,10 +99,13 @@ bench:
 # the SQL executor -> query summarizer hand-off and the range group-by at
 # workload scale; coordinator the fan-out plans and many sessions' plans at
 # once, llm the model heads an ask's agents call) and of the root package's
-# BenchmarkStartSessionBesideLive: CI runs them so that they keep building
-# and finishing, not to read their numbers.
+# BenchmarkStartSessionBesideLive and BenchmarkGovernedAskRecording, then one
+# iteration, a whole phase, of each BenchmarkOverloadPhases case: CI runs
+# them so that they keep building and finishing, not to read their numbers.
 bench-streams:
-	$(GO) test ./internal/streams ./internal/session ./internal/planner ./internal/relational ./internal/hragents ./internal/workload ./internal/coordinator ./internal/obs ./internal/vectors ./internal/llm . -run XXX -bench . -benchtime 20x
+	$(GO) test ./internal/streams ./internal/session ./internal/planner ./internal/relational ./internal/hragents ./internal/workload ./internal/coordinator ./internal/obs ./internal/vectors ./internal/llm -run XXX -bench . -benchtime 20x
+	$(GO) test . -run XXX -bench 'StartSessionBesideLive|GovernedAskRecording' -benchtime 20x
+	$(GO) test . -run XXX -bench OverloadPhases -benchtime 1x
 
 # Fuzz for a short burst each: the tokenizer against the old slice-building
 # lexer, SQL text through the engine against the reference interpreter
@@ -149,30 +162,6 @@ loc:
 			} \
 		}'
 
-# Smoke run of the tables that enforce an invariant nothing else does, in
-# short mode; each is also written as machine-readable bench/BENCH_<ID>.json
-# (archived by CI). A6 (step-result memoization) fails on a warm run that
-# re-executes, a concurrent identical workload that does not coalesce, or an
-# invalidation that is not selective. A8 (durability) fails on a crash restart
-# that loses rows or does not replay every committed write, a warm start that
-# replays anything after its snapshot, or a restarted process whose repeated
-# ask misses memo. A11 drives governed asks with an open-loop multi-tenant
-# workload at 0.5x and 2x admission capacity: baseline sheds <= 20%, overload
-# sheds some-but-not-everything, degraded answers are marked and
-# freshness-valid, no goroutines leak. A12 drives the same workload over real
-# HTTP against the live blueprintd handler and checks the flight recorder
-# explains the overload: exemplars carry events and deep span trees, the
-# scraped per-tenant SLO burn exceeds 1 under overload and the baseline, rings
-# stay bounded. The wall-clock floors (A6 >= 5x warm ask, A8 >= 5x
-# snapshot-vs-replay, A11 accepted-p99 ceiling, A12 <= 5% recorder cost) are
-# enforced by benchharness without -short only. How fast an ask and each layer
-# under it is, is benchmark/'s to say (BENCHMARK.json).
-bench-smoke:
-	$(GO) run ./cmd/benchharness -fig A6 -short -json bench
-	$(GO) run ./cmd/benchharness -fig A8 -short -json bench
-	$(GO) run ./cmd/benchharness -fig A11 -short -json bench
-	$(GO) run ./cmd/benchharness -fig A12 -short -json bench
-
 # Chaos suite: every Chaos* test activates the deterministic fault injector
 # (injected errors, latency, hangs or crashes at the agent, relational and
 # durability sites) and asserts the system degrades instead of wedging —
@@ -183,4 +172,4 @@ bench-smoke:
 chaos:
 	$(GO) test -race -run Chaos ./...
 
-ci: fmt-check vet census build race stress fuzz-smoke bench-smoke bench-streams
+ci: fmt-check vet census build race stress fuzz-smoke bench-streams

@@ -66,8 +66,9 @@
 // version bumps invalidate entries automatically (and poison in-flight
 // executions, so stale results are never cached or shared). Tune with
 // Config.MemoCapacity / Config.DisableMemo, observe through
-// System.MemoStats, blueprintd's GET /memo, `bpctl memo <utterance>`, and
-// `go run ./cmd/benchharness -fig A6`.
+// System.MemoStats, blueprintd's GET /memo and `bpctl memo <utterance>`.
+// The repo benchmark times it: coordinator.plan_cold_us and plan_warm_us,
+// and the plan-hot workload.
 //
 // # Durability and warm restarts
 //
@@ -86,8 +87,9 @@
 // background snapshots that bound recovery time and truncate the log.
 // Observe through System.DurabilityStats, blueprintd's /stats and POST
 // /snapshot (with -data-dir and graceful SIGINT/SIGTERM shutdown), `bpctl
-// -data-dir D snapshot`, and `go run ./cmd/benchharness -fig A8` (crash
-// replay vs snapshot restore, warm-memo hit rate across restart).
+// -data-dir D snapshot`. The repo benchmark times recovery as
+// durability.recover_s, durability.replay_records_per_s and
+// durability.snapshot_ms.
 package blueprint
 
 import (
@@ -112,10 +114,8 @@ type Config struct {
 	Seed int64
 	// Scale sizes the generated enterprise (default workload.SmallScale).
 	Scale workload.Scale
-	// ModelTier selects the simulated LLM tier: "small", "medium", "large"
-	// (default "large").
-	ModelTier llm.Tier
-	// ModelAccuracy overrides the tier's accuracy when in (0, 1].
+	// ModelAccuracy overrides the large simulated model tier's accuracy
+	// when in (0, 1].
 	ModelAccuracy float64
 	// DataDir enables the durability subsystem: one segmented write-ahead
 	// log + snapshot directory shared by the relational engine, the memo
@@ -146,30 +146,11 @@ type Config struct {
 	// DisableStandardAgents skips spawning the case-study agents in new
 	// sessions (for applications registering only their own agents).
 	DisableStandardAgents bool
-	// Retry is the coordinator's per-step retry policy: failed executions
-	// retry with exponential backoff + jitter, every backoff charged
-	// against the plan's latency budget so retries can never blow the
-	// deadline (default resilience.DefaultRetryPolicy; MaxAttempts 1
-	// disables retrying).
-	Retry resilience.RetryPolicy
-	// Breaker configures the per-agent circuit breakers the scheduler
-	// consults before every dispatch (zero value = resilience defaults).
-	Breaker resilience.BreakerConfig
 	// Governor bounds concurrent governed asks (Session.GovernedAsk, the
 	// blueprintd ask endpoint): a global in-flight slot pool with a
 	// bounded fair-share wait queue and load shedding. The zero value
 	// (MaxConcurrent 0) disables admission control.
 	Governor resilience.GovernorConfig
-	// Degrade controls graceful degradation: when a breaker is open or
-	// the governor sheds, a stale memoized result within StaleFactor x
-	// the declared freshness may be served, marked Degraded, instead of
-	// failing (zero value = StaleFactor 4; Disabled turns it off).
-	Degrade resilience.DegradePolicy
-	// AskFreshness is the freshness tolerance attached to memoized
-	// ask-level answers, bounding how stale a degraded answer served
-	// during overload may be (default 30s; with the default StaleFactor
-	// a shed ask may be answered from a result up to 2m old).
-	AskFreshness time.Duration
 	// SlowAskThreshold sets the flight recorder's capture threshold: asks
 	// slower than it (or erroring, degraded, shed) are captured with their
 	// span tree, event slice and cost breakdown into obs.SlowAsks, served
@@ -195,33 +176,16 @@ func (c Config) withDefaults() Config {
 	if c.Scale == (workload.Scale{}) {
 		c.Scale = workload.SmallScale()
 	}
-	if c.ModelTier == "" {
-		c.ModelTier = llm.TierLarge
-	}
 	if c.Budget == (budget.Limits{}) {
 		c.Budget = budget.Limits{MaxCost: 1.0}
-	}
-	if c.Retry == (resilience.RetryPolicy{}) {
-		c.Retry = resilience.DefaultRetryPolicy()
-	}
-	if c.AskFreshness <= 0 {
-		c.AskFreshness = 30 * time.Second
 	}
 	return c
 }
 
-// modelConfig resolves the tier preset and accuracy override.
+// modelConfig resolves the large tier's preset and the accuracy override.
 func (c Config) modelConfig() llm.Config {
 	presets := llm.Presets(c.Seed)
-	var cfg llm.Config
-	for _, p := range presets {
-		if p.Tier == c.ModelTier {
-			cfg = p
-		}
-	}
-	if cfg.Name == "" {
-		cfg = presets[len(presets)-1]
-	}
+	cfg := presets[len(presets)-1]
 	if c.ModelAccuracy > 0 && c.ModelAccuracy <= 1 {
 		cfg.Accuracy = c.ModelAccuracy
 	}

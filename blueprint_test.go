@@ -280,14 +280,10 @@ func TestAskTimeout(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Seed != 42 || c.ModelTier != llm.TierLarge || c.Budget.MaxCost != 1.0 {
+	if c.Seed != 42 || c.Budget.MaxCost != 1.0 {
 		t.Fatalf("defaults = %+v", c)
 	}
-	mc := Config{ModelTier: "bogus"}.withDefaults().modelConfig()
-	if mc.Tier != llm.TierLarge {
-		t.Fatalf("bogus tier resolved to %s", mc.Tier)
-	}
-	mc = Config{ModelAccuracy: 0.5}.withDefaults().modelConfig()
+	mc := Config{ModelAccuracy: 0.5}.withDefaults().modelConfig()
 	if mc.Accuracy != 0.5 {
 		t.Fatalf("accuracy override = %v", mc.Accuracy)
 	}

@@ -53,9 +53,21 @@ var censusKept = map[string]string{
 
 	// Safety and fault-suite hooks.
 	"durability.Engine.Sync":          "safety: makes every appended record durable; Append's doc names it as the barrier",
+	"resilience.NewInjector":          "chaos suite: builds the seeded fault plan a test activates",
+	"resilience.Activate":             "chaos suite: turns a fault plan on at every injection site",
+	"resilience.Deactivate":           "chaos suite: turns the fault plan off",
 	"resilience.Injector.OnCrash":     "chaos suite: how an injected crash reaches the test's simulated process death",
 	"resilience.Injector.Stats":       "chaos suite: asserts the fault plan fired",
 	"resilience.OverloadError.Unwrap": "errors.Is(err, ErrOverloaded) reaches it through an anonymous interface inside package errors",
+
+	// Load drivers: today only the overload and flight-recorder tests and
+	// the overload benchmark drive the program with them.
+	"workload.OpenLoop":                 "the open-loop overload workload planned for the repo benchmark (ROADMAP.md)",
+	"workload.Replay":                   "the open-loop overload workload: the schedule fired without waiting on completions",
+	"workload.NewHTTPDriver":            "a client ledger to reconcile with /metrics, /slo and /slow (ROADMAP.md)",
+	"workload.HTTPDriver.CreateSession": "the client ledger",
+	"workload.HTTPDriver.Ask":           "the client ledger: one ask as the client saw it",
+	"workload.HTTPDriver.ScrapeMetrics": "the client ledger: /metrics read as a dashboard reads it",
 
 	// Causal signals a test waits on or reads instead of sleeping.
 	"blueprint.Session.PlanResults": "root tests wait for and read the plans a session ran",
@@ -274,7 +286,7 @@ func TestCallerCensus(t *testing.T) {
 			return nil
 		}
 		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); !ok || err != nil {
-			return err // a file for another build (race.go)
+			return err // a file for another build
 		}
 		f, err := parser.ParseFile(c.fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {

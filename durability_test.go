@@ -8,10 +8,12 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"blueprint/internal/registry"
+	"blueprint/internal/resilience"
 	"blueprint/internal/session"
 	"blueprint/internal/streams"
 )
@@ -77,8 +79,13 @@ func TestDurableRestartRecoversTablesRegistriesAndStreams(t *testing.T) {
 
 	sys2 := newDurableSystem(t, dir)
 	defer sys2.Close()
-	if !sys2.DurabilityStats().Recovery.SnapshotRestored {
+	rec := sys2.DurabilityStats().Recovery
+	if !rec.SnapshotRestored {
 		t.Fatal("graceful restart did not restore from snapshot")
+	}
+	// Close snapshotted last, so the log has no tail to replay.
+	if rec.ReplayedRecords != 0 {
+		t.Fatalf("graceful restart replayed %d records after the snapshot, want 0", rec.ReplayedRecords)
 	}
 	res, err := sys2.Enterprise.DB.Query(`SELECT COUNT(*) FROM audit`)
 	if err != nil {
@@ -223,8 +230,9 @@ func TestDurableCrashReplayWithoutSnapshot(t *testing.T) {
 	if st.Recovery.SnapshotRestored {
 		t.Fatal("crash restart claimed a snapshot restore")
 	}
-	if st.Recovery.ReplayedRecords == 0 {
-		t.Fatal("crash restart replayed no records")
+	// Every committed statement is in the log: the CREATE and 40 INSERTs.
+	if st.Recovery.ReplayedRecords < 41 {
+		t.Fatalf("crash restart replayed %d records, want >= the 41 committed statements", st.Recovery.ReplayedRecords)
 	}
 	res, err := sys2.Enterprise.DB.Query(`SELECT COUNT(*) FROM crashy`)
 	if err != nil {
@@ -337,6 +345,78 @@ func TestDurableCrashReplaysRegistryMutations(t *testing.T) {
 	}
 	if _, err := sys2.DataRegistry.Get("scratch.crash_notes"); err != nil {
 		t.Fatalf("registered asset lost in crash: %v", err)
+	}
+}
+
+// Concurrent writes to one row and to one agent reach the log in the order
+// they were applied: after a crash, recovery holds the value and the agent
+// version the live process ended with. A latency fault on half of the log
+// appends widens the window between a change and the append of its record.
+func TestDurableLogKeepsWriteOrder(t *testing.T) {
+	const rounds, writers, writes = 50, 4, 10
+	inj := resilience.NewInjector(1, resilience.Rule{
+		Site: resilience.SiteDurability, Kind: resilience.KindLatency,
+		Probability: 0.5, Latency: 200 * time.Microsecond,
+	})
+	defer resilience.Deactivate()
+	rowV := func(sys *System) int64 {
+		res, err := sys.Enterprise.DB.Query(`SELECT v FROM c WHERE id = 1`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].I
+	}
+	var rowsDiverged, agentsDiverged int
+	for round := 0; round < rounds; round++ {
+		dir := t.TempDir()
+		sys := newDurableSystem(t, dir)
+		db := sys.Enterprise.DB
+		for _, s := range []string{`CREATE TABLE c (id INT, v INT)`, `INSERT INTO c VALUES (1, 0)`} {
+			if _, err := db.Exec(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resilience.Activate(inj)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 1; i <= writes; i++ {
+					if _, err := db.Exec(`UPDATE c SET v = ? WHERE id = 1`, w*writes+i); err != nil {
+						t.Error(err)
+					}
+					spec, err := sys.AgentRegistry.Get("SUMMARIZER")
+					if err == nil {
+						spec.Description = fmt.Sprintf("writer %d, write %d", w, i)
+						err = sys.AgentRegistry.Update(spec)
+					}
+					if err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		resilience.Deactivate()
+		liveV := rowV(sys)
+		liveAgent, err := sys.AgentRegistry.Get("SUMMARIZER")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.SimulateCrash()
+
+		sys2 := newDurableSystem(t, dir)
+		if rowV(sys2) != liveV {
+			rowsDiverged++
+		}
+		if got, err := sys2.AgentRegistry.Get("SUMMARIZER"); err != nil || got.Version != liveAgent.Version || got.Description != liveAgent.Description {
+			agentsDiverged++
+		}
+		sys2.Close()
+	}
+	if rowsDiverged > 0 || agentsDiverged > 0 {
+		t.Fatalf("recovery differs from the live process: the row in %d and the agent in %d of %d rounds", rowsDiverged, agentsDiverged, rounds)
 	}
 }
 

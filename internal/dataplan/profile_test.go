@@ -193,7 +193,7 @@ func TestBuildTargetSeesEveryCommittedWrite(t *testing.T) {
 					_, err = db.Exec(fmt.Sprintf(`INSERT INTO %s VALUES (%d, '%s', '%s', %d)`, tbl, id, val("title", id), val("city", id), id))
 				case 1:
 					op = "prepared INSERT"
-					_, err = ins.Exec(id, val("title", id), val("city", id), id)
+					_, err = ins.Query(id, val("title", id), val("city", id), id)
 				case 2:
 					op = "DB.Insert"
 					err = db.Insert(tbl, relational.Row{relational.NewInt(int64(id)), relational.NewString(val("title", id)), relational.Null, relational.NewInt(1)})
@@ -202,13 +202,13 @@ func TestBuildTargetSeesEveryCommittedWrite(t *testing.T) {
 					_, err = db.Exec(`UPDATE `+tbl+` SET city = ? WHERE id <= ?`, val("moved", round), old)
 				case 4:
 					op = "prepared UPDATE"
-					_, err = upd.Exec(val("retitled", round), old)
+					_, err = upd.Query(val("retitled", round), old)
 				case 5:
 					op = "Exec DELETE"
 					_, err = db.Exec(`DELETE FROM `+tbl+` WHERE id = ?`, old)
 				case 6:
 					op = "prepared DELETE"
-					_, err = del.Exec(old)
+					_, err = del.Query(old)
 				case 7:
 					op = "WAL Apply"
 					if _, err = twin.Exec(`INSERT INTO `+tbl+` VALUES (?, ?, ?, ?)`, id, val("logged", id), val("city", id), id); err == nil {

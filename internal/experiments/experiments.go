@@ -1,11 +1,12 @@
-// Package experiments regenerates every figure of the paper as a measured
-// table (the paper has no numeric tables; Figures 1-10 are its evaluation
-// surface), plus the ablations that enforce an invariant nothing else does
-// (A1-A3, A6, A8, A11, A12). Each Fig* function runs the corresponding
-// system behaviour and returns its series as a table.
-// cmd/benchharness prints them and TestAllExperimentsRun runs them in short
-// mode. How fast the system is — per ask and per layer, with stated noise —
-// is the repo benchmark's job (benchmark/, BENCHMARK.json), not a table's.
+// Package experiments regenerates every figure of the paper as a table (the
+// paper has no numeric tables; Figures 1-10 are its evaluation surface),
+// plus the ablations A1-A3 (budget, optimizer, streams). Each Fig* function
+// runs the corresponding system behaviour and returns its series as a
+// table. TestAllExperimentsRun runs and checks them and logs each table, so
+// `go test -v -run TestAllExperimentsRun ./internal/experiments` prints the
+// paper's figures. How fast the system is — per ask and per layer, with
+// stated noise — is the repo benchmark's job (benchmark/, BENCHMARK.json),
+// not a table's.
 package experiments
 
 import (
@@ -14,30 +15,24 @@ import (
 	"time"
 )
 
-// Short reduces iteration counts, fan-out widths and simulated latencies so
-// a smoke run (make bench-smoke, cmd/benchharness -short) finishes in
-// seconds while still exercising every measured path.
-var Short bool
-
 // Metric is one measured value.
 type Metric struct {
-	Name  string `json:"name"`
-	Value string `json:"value"`
+	Name  string
+	Value string
 }
 
 // Row is one series point of an experiment.
 type Row struct {
-	Series  string   `json:"series"`
-	Metrics []Metric `json:"metrics"`
+	Series  string
+	Metrics []Metric
 }
 
-// Table is one experiment's result. The JSON shape is what benchharness
-// -json writes as BENCH_<ID>.json for CI artifacts.
+// Table is one experiment's result.
 type Table struct {
-	ID    string   `json:"id"` // "F1".."F10", "A1".."A12" (A4, A5, A7, A9, A10 retired)
-	Title string   `json:"title"`
-	Rows  []Row    `json:"rows"`
-	Notes []string `json:"notes,omitempty"`
+	ID    string // "F1".."F10", "A1".."A3"
+	Title string
+	Rows  []Row
+	Notes []string
 }
 
 // String renders the table as aligned text.
@@ -70,8 +65,7 @@ type Experiment struct {
 	Run func(seed int64) (*Table, error)
 }
 
-// Experiments lists every experiment in id order: what All runs, what
-// benchharness -fig selects from and what its usage names.
+// Experiments lists every experiment in id order.
 var Experiments = []Experiment{
 	{"F1", Fig1EndToEnd},
 	{"F2", Fig2Deployment},
@@ -86,24 +80,6 @@ var Experiments = []Experiment{
 	{"A1", AblationBudget},
 	{"A2", AblationOptimizer},
 	{"A3", AblationStreams},
-	{"A6", AblationMemo},
-	{"A8", AblationDurability},
-	{"A11", AblationResilience},
-	{"A12", FlightRecorder},
-}
-
-// All runs every experiment (deterministic seed) and returns the tables in
-// id order.
-func All(seed int64) ([]*Table, error) {
-	out := make([]*Table, 0, len(Experiments))
-	for _, e := range Experiments {
-		t, err := e.Run(seed)
-		if err != nil {
-			return out, fmt.Errorf("experiment %s: %w", e.ID, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }
 
 // ---- shared formatting helpers ----

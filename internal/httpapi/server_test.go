@@ -576,7 +576,6 @@ func TestRetryAfterOnBothShedPaths(t *testing.T) {
 // TestFlightRecorderEndpointsOverHTTP drives a slow ask over the API and
 // reads it back through /events, /slow, /slow/{id} and /slo.
 func TestFlightRecorderEndpointsOverHTTP(t *testing.T) {
-	obs.SlowAsks.Reset()
 	s := newTestServerCfg(t, blueprint.Config{
 		ModelAccuracy:    1.0,
 		SlowAskThreshold: time.Nanosecond, // everything is slow

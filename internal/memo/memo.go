@@ -38,8 +38,8 @@
 //     their true residual cost — cache-aware planning.
 //
 // Effectiveness is observable through Stats (hits, misses, evictions,
-// invalidations, dedup-coalesced, saved cost/latency, HitRate) and the
-// benchharness -fig A6 experiment.
+// invalidations, dedup-coalesced, saved cost/latency, HitRate) and the repo
+// benchmark's memo.* figures and plan-hot workload.
 package memo
 
 import (

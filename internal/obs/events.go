@@ -193,20 +193,6 @@ func (l *EventLog) Len() int {
 	return l.ring.len()
 }
 
-// Cap returns the ring capacity.
-func (l *EventLog) Cap() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ring.bound
-}
-
-// Reset drops retained events, keeping capacity and level (test hook).
-func (l *EventLog) Reset() {
-	l.mu.Lock()
-	l.ring.reset()
-	l.mu.Unlock()
-}
-
 // Sampler admits 1 in every N calls — the per-site sampling gate for
 // high-frequency event sources (per-admit, per-group-commit) so they
 // cannot wash rare transitions out of the ring. A nil sampler admits

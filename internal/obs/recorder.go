@@ -111,7 +111,8 @@ func NewRecorder(capacity int) *Recorder {
 }
 
 // SetThreshold sets the slow-ask latency threshold; a negative duration
-// disables capture (the A12 overhead baseline uses it).
+// disables capture (the recording-off side of BenchmarkGovernedAskRecording
+// uses it).
 func (r *Recorder) SetThreshold(d time.Duration) { r.threshold.Store(int64(d)) }
 
 // Threshold returns the capture threshold (< 0 when disabled).
@@ -195,18 +196,4 @@ func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.ring.len()
-}
-
-// Cap returns the ring capacity.
-func (r *Recorder) Cap() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ring.bound
-}
-
-// Reset drops retained exemplars, keeping capacity and threshold.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	r.ring.reset()
-	r.mu.Unlock()
 }

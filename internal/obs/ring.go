@@ -52,10 +52,3 @@ func (r *ring[T]) newestFirst() []T {
 	}
 	return out
 }
-
-// reset drops the retained values and keeps the bound and the storage.
-func (r *ring[T]) reset() {
-	clear(r.buf) // release what the dropped values point to
-	r.buf = r.buf[:0]
-	r.next = 0
-}

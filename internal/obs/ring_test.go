@@ -7,9 +7,8 @@ import (
 )
 
 // The ring against a model: a plain slice that keeps every push since the
-// last reset or re-bound. The ring must hold that slice's last `bound`
-// values, in both read orders, whatever the interleaving of pushes, resets
-// and re-bounds.
+// last re-bound. The ring must hold that slice's last `bound` values, in
+// both read orders, whatever the interleaving of pushes and re-bounds.
 func TestRingMatchesSliceModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -18,12 +17,9 @@ func TestRingMatchesSliceModel(t *testing.T) {
 		var model []int
 		for op := 0; op < 400; op++ {
 			switch n := rng.Intn(100); {
-			case n < 90:
+			case n < 95:
 				r.push(op)
 				model = append(model, op)
-			case n < 95:
-				r.reset()
-				model = nil
 			default:
 				bound = rng.Intn(200) - 1             // -1 and 0 bound to 1
 				r = newRing[int](bound, rng.Intn(64)) // most bounds outgrow the first allocation

@@ -190,11 +190,12 @@ func NewAgentRegistry() *AgentRegistry {
 	return r
 }
 
-// SetMutationHook installs the hook invoked (outside the registry lock) after
-// every successful mutation — registration, update, derivation, removal. The
-// durability adapter uses it to log mutations to the shared WAL; at most one
-// hook is held (last wins). Touch-style version bumps are not mutations in
-// this sense: they are reproduced by relational DML replay.
+// SetMutationHook installs the hook invoked (outside the registry lock, in
+// the order the mutations were made) after every successful mutation —
+// registration, update, derivation, removal. The durability adapter uses it
+// to log mutations to the shared WAL; at most one hook is held (last wins).
+// Touch-style version bumps are not mutations in this sense: they are
+// reproduced by relational DML replay.
 func (r *AgentRegistry) SetMutationHook(fn func(AgentMutation)) { r.setMutationHook(fn) }
 
 // OnChange registers a hook invoked (outside the registry lock) whenever an
@@ -205,6 +206,8 @@ func (r *AgentRegistry) OnChange(fn func(agentName string)) { r.onChange(fn) }
 
 // Register adds a new agent. The name must be unused.
 func (r *AgentRegistry) Register(spec AgentSpec) error {
+	r.changeMu.Lock()
+	defer r.changeMu.Unlock()
 	if spec.Version == 0 {
 		spec.Version = 1
 	}
@@ -220,6 +223,8 @@ func (r *AgentRegistry) Register(spec AgentSpec) error {
 // so memo keys and derived-agent chains are not invalidated spuriously
 // (idempotent deploys re-register everything on every rollout).
 func (r *AgentRegistry) Update(spec AgentSpec) error {
+	r.changeMu.Lock()
+	defer r.changeMu.Unlock()
 	changed, stored, err := r.update(spec)
 	if err == nil && changed {
 		r.mutated(AgentMutation{Put: &stored})
@@ -246,6 +251,8 @@ func (r *AgentRegistry) update(spec AgentSpec) (changed bool, stored AgentSpec, 
 // Derive registers a new agent based on an existing one with a new name and
 // description override ("derive new agents from existing ones", §V-C).
 func (r *AgentRegistry) Derive(base, name, description string, mutate func(*AgentSpec)) (AgentSpec, error) {
+	r.changeMu.Lock()
+	defer r.changeMu.Unlock()
 	spec, err := r.derive(base, name, description, mutate)
 	if err == nil {
 		r.mutated(AgentMutation{Put: &spec})
@@ -281,6 +288,8 @@ func (r *AgentRegistry) derive(base, name, description string, mutate func(*Agen
 
 // Deregister removes an agent.
 func (r *AgentRegistry) Deregister(name string) error {
+	r.changeMu.Lock()
+	defer r.changeMu.Unlock()
 	err := r.deregister(name)
 	if err == nil {
 		r.mutated(AgentMutation{Remove: name})

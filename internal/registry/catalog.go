@@ -39,6 +39,11 @@ type catalog[T, H, M any] struct {
 	hookMu      sync.RWMutex
 	changeHooks []func(name string)
 	mutHook     func(M)
+	// changeMu orders the mutation hook's calls, and so the log behind it,
+	// as the changes were made: each mutating method holds it across its
+	// change and its hook. The hook runs outside mu, so without it two
+	// changes to one entry could be logged in reverse order.
+	changeMu sync.Mutex
 }
 
 // newCatalog completes c — whose per-registry fields the caller has set —
@@ -51,8 +56,8 @@ func newCatalog[T, H, M any](c *catalog[T, H, M]) *catalog[T, H, M] {
 	return c
 }
 
-// setMutationHook installs the hook run (outside the lock) after every
-// successful mutation; at most one is held, the last set.
+// setMutationHook installs the hook run (outside mu, under changeMu) after
+// every successful mutation; at most one is held, the last set.
 func (c *catalog[T, H, M]) setMutationHook(fn func(M)) {
 	c.hookMu.Lock()
 	c.mutHook = fn

@@ -126,9 +126,10 @@ func NewDataRegistry() *DataRegistry {
 	})}
 }
 
-// SetMutationHook installs the hook invoked (outside the registry lock)
-// after every successful Register/Update. At most one hook is held (last
-// wins); the durability adapter uses it to log mutations to the shared WAL.
+// SetMutationHook installs the hook invoked (outside the registry lock, in
+// the order the mutations were made) after every successful Register/Update.
+// At most one hook is held (last wins); the durability adapter uses it to
+// log mutations to the shared WAL.
 func (r *DataRegistry) SetMutationHook(fn func(AssetMutation)) { r.setMutationHook(fn) }
 
 // OnChange registers a hook invoked (outside the registry lock) whenever an
@@ -138,6 +139,8 @@ func (r *DataRegistry) OnChange(fn func(assetName string)) { r.onChange(fn) }
 
 // Register adds an asset.
 func (r *DataRegistry) Register(a DataAsset) error {
+	r.changeMu.Lock()
+	defer r.changeMu.Unlock()
 	if a.Version == 0 {
 		a.Version = 1
 	}
@@ -153,6 +156,8 @@ func (r *DataRegistry) Register(a DataAsset) error {
 // whole hierarchy slice (see affectedLocked): agents typically declare
 // their Reads at database level, so a table-level change must reach them.
 func (r *DataRegistry) Update(a DataAsset) error {
+	r.changeMu.Lock()
+	defer r.changeMu.Unlock()
 	affected, err := r.update(&a)
 	if err == nil {
 		r.mutated(AssetMutation{Put: &a})

@@ -46,7 +46,7 @@ func seedDurable(t testing.TB, db *DB, rows int) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= rows; i++ {
-		if _, err := stmt.Exec(i, fmt.Sprintf("item-%d", i), float64(i)*1.5, i%2 == 0); err != nil {
+		if _, err := stmt.Query(i, fmt.Sprintf("item-%d", i), float64(i)*1.5, i%2 == 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +263,7 @@ func BenchmarkDurableWrite(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := stmt.Exec(i, "row-payload", float64(i)); err != nil {
+			if _, err := stmt.Query(i, "row-payload", float64(i)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -117,7 +117,9 @@ func affectedCount(res *Result) int {
 // runLogged executes a statement, appending a WAL record for successful
 // mutations when a durability sink is attached. The execution and the
 // append run under the sink's LogMutation so the pair cannot straddle a
-// snapshot boundary (logical SQL replay is not idempotent). binder (nil for
+// snapshot boundary (logical SQL replay is not idempotent), and under
+// db.logMu so records reach the log in the order their mutations were
+// applied: the table lock is released before the append. binder (nil for
 // uncached DDL) merges fingerprint-extracted literal values with
 // the caller's explicit params into the unified slot vector the shared plan
 // expects; the WAL record keeps the original SQL text and caller params —
@@ -139,6 +141,8 @@ func (db *DB) runLogged(sqlText string, st Statement, slot *planSlot, binder *pa
 		execErr error
 		bufp    *[]byte
 	)
+	db.logMu.Lock()
+	defer db.logMu.Unlock()
 	walErr := sink.LogMutation(func() ([]byte, error) {
 		res, execErr = db.runVals(st, slot, bound)
 		// Failing statements are logged too: a multi-row INSERT or an

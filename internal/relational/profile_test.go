@@ -107,12 +107,12 @@ func TestProfileRebuildsAfterEveryKindOfWrite(t *testing.T) {
 		{"compiled UPDATE", func() { mustExec(t, db, `UPDATE t SET city = 'Tromso' WHERE id = 2`) }},
 		{"compiled DELETE", func() { mustExec(t, db, `DELETE FROM t WHERE id = 1`) }},
 		{"prepared INSERT", func() {
-			if _, err := ins.Exec(3, "Narvik"); err != nil {
+			if _, err := ins.Query(3, "Narvik"); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"prepared UPDATE", func() {
-			if _, err := upd.Exec("Bodo", 3); err != nil {
+			if _, err := upd.Query("Bodo", 3); err != nil {
 				t.Fatal(err)
 			}
 		}},

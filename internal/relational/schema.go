@@ -146,6 +146,10 @@ type DB struct {
 	// durable holds the optional write-ahead-log sink (durable.go) as a
 	// durableBox; nil until SetDurable.
 	durable atomic.Value
+	// logMu orders the log as the mutations were made: runLogged holds it
+	// across a mutation and the append of its record, so two writes to one
+	// row are logged, and so replayed, in the order they were applied.
+	logMu sync.Mutex
 }
 
 // bumpVersionLocked advances the schema version of the (lowercased) table

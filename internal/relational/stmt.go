@@ -50,16 +50,6 @@ func (s *Stmt) Query(params ...any) (*Result, error) {
 	return s.db.runLogged(s.sql, s.st, s.slot, s.binder, params...)
 }
 
-// Exec executes the prepared statement and reports the number of affected
-// rows, mirroring DB.Exec.
-func (s *Stmt) Exec(params ...any) (int, error) {
-	res, err := s.db.runLogged(s.sql, s.st, s.slot, s.binder, params...)
-	if err != nil {
-		return 0, err
-	}
-	return affectedCount(res), nil
-}
-
 // missingParamType marks an unsupplied explicit parameter slot in a merged
 // parameter vector (paramBinder.bind). It is outside the public Type range,
 // so no real value can carry it; evaluation surfaces the same "missing

@@ -80,11 +80,11 @@ func TestPrepareQueryAndExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := ins.Exec(1000, "prepared", "Austin", 123456)
+	ran, err := ins.Query(1000, "prepared", "Austin", 123456)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 1 {
+	if n := affectedCount(ran); n != 1 {
 		t.Fatalf("affected = %d, want 1", n)
 	}
 	res, err := db.Query(`SELECT title FROM jobs WHERE id = 1000`)

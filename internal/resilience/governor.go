@@ -312,6 +312,5 @@ func (g *Governor) Stats() GovernorStats {
 }
 
 // CountDegraded counts one stale-memo degraded answer (kept here so the
-// governor owns the full admitted/shed/degraded ledger the A11 experiment
-// reads). Safe on nil.
+// governor owns the full admitted/shed/degraded ledger). Safe on nil.
 func (g *Governor) CountDegraded() { mGovDegraded.Inc() }

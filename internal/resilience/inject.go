@@ -12,8 +12,9 @@
 // of a production compound-AI serving tier; the multi-agent orchestration
 // survey (arXiv 2601.13671) catalogs retry/circuit-breaker patterns as table
 // stakes. This package supplies both, plus the chaos seam — deterministic,
-// seedable fault injection — that lets the test suite and benchharness -fig
-// A11 prove the claims instead of asserting them. See ARCHITECTURE.md.
+// seedable fault injection — that lets the test suite (the chaos tests, the
+// overload test) prove the claims instead of asserting them. See
+// ARCHITECTURE.md.
 package resilience
 
 import (

@@ -49,9 +49,6 @@ type AskResult struct {
 	Err string
 }
 
-// Shed reports whether the ask was load-shed (HTTP 429).
-func (r AskResult) Shed() bool { return r.Status == http.StatusTooManyRequests }
-
 // CreateSession opens a session on the daemon and returns its id.
 func (d *HTTPDriver) CreateSession() (string, error) {
 	resp, err := d.Client.Post(d.Base+"/sessions", "application/json", nil)

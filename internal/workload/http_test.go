@@ -109,7 +109,7 @@ func TestHTTPDriverAgainstStub(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Shed() || res.RetryAfter != 2*time.Second || res.Err != "overloaded" {
+	if res.Status != http.StatusTooManyRequests || res.RetryAfter != 2*time.Second || res.Err != "overloaded" {
 		t.Fatalf("shed ask = %+v", res)
 	}
 

@@ -2,9 +2,7 @@ package workload
 
 import (
 	"context"
-	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 )
@@ -127,23 +125,4 @@ func Replay(ctx context.Context, arrivals []Arrival, fn func(Arrival)) {
 		}(a)
 	}
 	wg.Wait()
-}
-
-// Percentile returns the p-th percentile (0-100, nearest-rank) of the given
-// latencies. Zero when empty.
-func Percentile(latencies []time.Duration, p float64) time.Duration {
-	if len(latencies) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(latencies))
-	copy(sorted, latencies)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }

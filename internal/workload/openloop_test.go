@@ -111,16 +111,3 @@ func TestReplayCancellation(t *testing.T) {
 		t.Errorf("cancellation served the whole %d-arrival schedule", served)
 	}
 }
-
-func TestPercentile(t *testing.T) {
-	lat := []time.Duration{5, 1, 4, 2, 3} // unsorted on purpose
-	if got := Percentile(lat, 50); got != 3 {
-		t.Errorf("p50 = %d, want 3", got)
-	}
-	if got := Percentile(lat, 100); got != 5 {
-		t.Errorf("p100 = %d, want 5", got)
-	}
-	if got := Percentile(nil, 99); got != 0 {
-		t.Errorf("empty p99 = %d, want 0", got)
-	}
-}

@@ -99,8 +99,8 @@ func (s *System) registerInstruments() {
 	})
 
 	// Attribution plane: SLO burn rates as labeled gauges, plus the event
-	// log's and flight recorder's ring occupancy (their capacity bound is
-	// part of the A12 floor).
+	// log's and flight recorder's ring occupancy (the flight-recorder
+	// overload test holds the rings to their capacity bounds).
 	r.SLOFunc("blueprint_slo_burn_rate", "error-budget burn rate per tenant/agent series and window (1.0 = burning exactly the budget)", s.SLO)
 	r.GaugeFunc("blueprint_events_retained", "events retained in the bounded event ring", func() float64 {
 		return float64(obs.Events.Len())

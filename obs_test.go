@@ -1,11 +1,13 @@
 package blueprint
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"blueprint/internal/obs"
+	"blueprint/internal/resilience"
 )
 
 // TestAskProducesSpanTree is the end-to-end observability acceptance test:
@@ -117,4 +119,47 @@ func spanAttr(sp obs.SpanData, key string) string {
 		}
 	}
 	return ""
+}
+
+// BenchmarkGovernedAskRecording prices the event log and the flight recorder
+// on the ask path: a memo-warm governed ask with both off, and with events
+// recorded at debug and exemplars captured past the default threshold.
+func BenchmarkGovernedAskRecording(b *testing.B) {
+	prevLevel, prevThreshold := obs.Events.Level(), obs.SlowAsks.Threshold()
+	defer func() {
+		obs.Events.SetLevel(prevLevel)
+		obs.SlowAsks.SetThreshold(prevThreshold)
+	}()
+	for _, mode := range []struct {
+		name      string
+		level     obs.Level
+		threshold time.Duration
+	}{{"off", obs.LevelOff, -1}, {"on", obs.LevelDebug, obs.DefaultSlowThreshold}} {
+		b.Run(mode.name, func(b *testing.B) {
+			sys, err := New(Config{Governor: resilience.GovernorConfig{MaxConcurrent: 8}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sys.Close()
+			sess, err := sys.StartSession("")
+			if err != nil {
+				b.Fatal(err)
+			}
+			obs.Events.SetLevel(mode.level)
+			obs.SlowAsks.SetThreshold(mode.threshold)
+			const utterance = "Summarize the applicants for job 3"
+			for i := 0; i < 3; i++ { // the first ask fills the step memo
+				if _, err := sess.GovernedAsk(context.Background(), "default", utterance, 10*time.Second); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sess.GovernedAsk(context.Background(), "default", utterance, 10*time.Second); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -210,15 +210,14 @@ func New(cfg Config) (*System, error) {
 	// dispatching to failing agents (serving freshness-valid stale memo
 	// entries instead when the policy allows), and the governor bounds
 	// concurrent governed asks with fair-share load shedding.
-	breakers := resilience.NewSet(cfg.Breaker)
+	breakers := resilience.NewSet(resilience.BreakerConfig{})
 	slo := obs.NewSLOTracker(cfg.SLO)
 	coord := coordinator.New(store, agentReg, tp, model, coordinator.Options{
 		RetryOnError: true,
 		MaxParallel:  cfg.MaxParallel,
 		Memo:         memoStore,
-		Retry:        cfg.Retry,
+		Retry:        resilience.DefaultRetryPolicy(),
 		Breakers:     breakers,
-		Degrade:      cfg.Degrade,
 		SLO:          slo,
 	})
 	sys := &System{
@@ -270,10 +269,10 @@ func (s *System) MemoStats() memo.Stats {
 func (s *System) Close() { s.shutdown(true) }
 
 // SimulateCrash stops the system without the final snapshot, as if the
-// process died: the WAL is flushed (so tests and experiments are
-// deterministic) but no snapshot boundary is written, forcing the next
-// open onto the full replay path. Test/benchmark seam for the recovery
-// scenarios (benchharness -fig A8, the crash-recovery property tests).
+// process died: the WAL is flushed (so tests are deterministic) but no
+// snapshot boundary is written, forcing the next open onto the full replay
+// path. Test/benchmark seam for the recovery scenarios (the crash-recovery
+// tests, the benchmark's recovery figures).
 func (s *System) SimulateCrash() { s.shutdown(false) }
 
 // shutdown closes every open session as Session.Close does — its running
@@ -601,6 +600,11 @@ func filterAskEvents(events []obs.Event, session, trace string) []obs.Event {
 // invalidates them (stale answers are stale only in time, never in version).
 const askAgent = "__ask__"
 
+// askFreshness is the freshness tolerance of a memoized ask-level answer:
+// with the default degrade policy's StaleFactor a shed ask may be answered
+// from a result up to 2m old.
+const askFreshness = 30 * time.Second
+
 // Answer is the result of a governed ask.
 type Answer struct {
 	// Text is the display answer.
@@ -675,11 +679,11 @@ func askKey(text string) (memo.Key, bool) {
 // slot of the step memo's LRU and (with DataDir) a log record for no reader.
 func (sess *Session) rememberAnswer(text, out string) {
 	sys := sess.sys
-	if sys.Governor == nil || sys.Memo == nil || sys.cfg.Degrade.Disabled {
+	if sys.Governor == nil || sys.Memo == nil {
 		return
 	}
 	if key, ok := askKey(text); ok {
-		sys.Memo.Put(key, askAgent, []string{"hr"}, sys.cfg.AskFreshness, memo.Entry{
+		sys.Memo.Put(key, askAgent, []string{"hr"}, askFreshness, memo.Entry{
 			Outputs: map[string]any{"text": out},
 		})
 	}
@@ -687,10 +691,10 @@ func (sess *Session) rememberAnswer(text, out string) {
 
 // staleAnswer attempts the graceful-degradation path for a shed ask: a
 // resident memoized answer for the same utterance, within the staleness
-// bound Config.Degrade derives from Config.AskFreshness.
+// bound the default degrade policy derives from askFreshness.
 func (sess *Session) staleAnswer(text string) (Answer, bool) {
 	sys := sess.sys
-	if sys.Memo == nil || sys.cfg.Degrade.Disabled {
+	if sys.Memo == nil {
 		return Answer{}, false
 	}
 	key, ok := askKey(text)
@@ -698,7 +702,7 @@ func (sess *Session) staleAnswer(text string) (Answer, bool) {
 		return Answer{}, false
 	}
 	ent, age, ok := sys.Memo.GetStale(key)
-	if !ok || !sys.cfg.Degrade.Allows(sys.cfg.AskFreshness, age) {
+	if !ok || !(resilience.DegradePolicy{}).Allows(askFreshness, age) {
 		return Answer{}, false
 	}
 	out, _ := ent.Outputs["text"].(string)
