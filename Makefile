@@ -55,8 +55,11 @@ fmt-check:
 # tests call (or nothing does) and that is not on the test's allow-list, or on
 # an allow-list entry that has gained a caller. Verbose, so the count of every
 # kind of declared name is printed. `go test ./...` runs it too; -short skips it.
+# Beside it the clock-read check (clockreads_test.go): a direct read of the
+# machine's clock outside internal/clock and its allow-list fails, and so does
+# an allow-list entry whose read is gone.
 census:
-	$(GO) test -run TestCallerCensus -count=1 -v .
+	$(GO) test -run 'TestCallerCensus|TestClockReads' -count=1 -v .
 
 # Relational-engine benchmarks, including the statement-cache comparison
 # (BenchmarkPointQueryUncached vs Cached/Prepared), the zero-allocation

@@ -90,6 +90,20 @@
 // -data-dir D snapshot`. The repo benchmark times recovery as
 // durability.recover_s, durability.replay_records_per_s and
 // durability.snapshot_ms.
+//
+// # One clock
+//
+// Every rule that decides by time reads one clock (internal/clock) that the
+// System owns and hands to each layer as it builds it: a plan step's
+// deadline and the wait for its report, the retry backoff, the processor
+// timeout, a breaker's open period, a memo entry's TTL and stale age, the SLO
+// windows, a queued ask's wait, the injector's latency, an idle pool worker's
+// exit, an ask's timing and the exemplar's quiesce wait. New runs on the
+// real clock. The retry, breaker and degradation policies, the 30 s step
+// bound (agent.StepTimeout) and the SLO windows are constants, not settings:
+// a test that needs one to pass builds the layer on a fake clock and
+// advances it. The durability engine and the process-global telemetry read
+// the machine's clock; TestClockReads lists where and why.
 package blueprint
 
 import (
@@ -159,8 +173,9 @@ type Config struct {
 	// capture.
 	SlowAskThreshold time.Duration
 	// SLO configures the per-tenant/per-agent SLO burn-rate accounting
-	// (latency target, objective, fast/slow windows); zero-value fields
-	// take obs defaults. Served at GET /slo, in /metrics and by bpctl top.
+	// (latency target, objective; zero-value fields take obs defaults) over
+	// the obs.SLOFastWindow and obs.SLOSlowWindow windows. Served at GET
+	// /slo, in /metrics and by bpctl top.
 	SLO obs.SLOConfig
 	// EventLevel sets the event log's minimum recorded level ("debug",
 	// "info", "warn", "error", "off"); empty leaves the process-global

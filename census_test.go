@@ -69,6 +69,11 @@ var censusKept = map[string]string{
 	"workload.HTTPDriver.Ask":           "the client ledger: one ask as the client saw it",
 	"workload.HTTPDriver.ScrapeMetrics": "the client ledger: /metrics read as a dashboard reads it",
 
+	// The fake clock: a test advances it instead of sleeping.
+	"clock.NewFake":        "a clock that moves only when a test advances it, handed to what the test builds",
+	"clock.Clock.Advance":  "moves the fake clock: a deadline, backoff, open period, TTL or window passes at once",
+	"clock.Clock.Sleeping": "waits until code under test sleeps on the fake clock, and reads what it asked for",
+
 	// Causal signals a test waits on or reads instead of sleeping.
 	"blueprint.Session.PlanResults": "root tests wait for and read the plans a session ran",
 	"memo.Store.Len":                "memo and durability tests read the resident entry count",

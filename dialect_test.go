@@ -97,7 +97,7 @@ func TestEveryEmitterStaysInsideTheDialect(t *testing.T) {
 		Relational: db,
 		Graphs:     map[string]*graphstore.Graph{"taxonomy": sys.Enterprise.Graph},
 		Model:      sys.Model,
-	}).Execute(plan)
+	}, nil).Execute(plan)
 	if err != nil || len(res.Rows) == 0 {
 		t.Errorf("decomposed plan: %d rows, %v\n%s", len(res.Rows), err, plan)
 	}

@@ -42,7 +42,7 @@ func main() {
 		Relational: ent.DB,
 		Graphs:     map[string]*graphstore.Graph{"taxonomy": ent.Graph},
 		Model:      sys.Model,
-	})
+	}, nil)
 
 	recall := func(rows []map[string]any) float64 {
 		hit := 0

@@ -208,7 +208,7 @@ func TestBroadcastAbortReachesEveryAgent(t *testing.T) {
 		})
 	}
 	for _, name := range []string{"SLOW_A", "SLOW_B"} {
-		inst, err := agent.Attach(sys.Store, session, blocking(name), agent.Options{Timeout: time.Hour})
+		inst, err := agent.Attach(sys.Store, session, blocking(name), agent.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,7 +91,7 @@ type Invocation struct {
 	Ask uint64
 	// Deadline is the caller's absolute completion deadline (zero = none),
 	// carried in the EXECUTE_AGENT directive as "deadline_ms". The runtime
-	// bounds the processor context at min(Options.Timeout, time until
+	// bounds the processor context at min(StepTimeout, time until
 	// Deadline), so a plan with little latency budget left cannot have one
 	// step run for the full default timeout.
 	Deadline time.Time

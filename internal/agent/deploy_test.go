@@ -48,7 +48,7 @@ func deployGated(t *testing.T, store *streams.Store, workers int, sessions ...st
 		case <-ctx.Done():
 			return Outputs{}, ctx.Err()
 		}
-	}), Options{Workers: workers, Timeout: time.Hour})
+	}), Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

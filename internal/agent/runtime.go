@@ -45,12 +45,14 @@ type Options struct {
 	// Workers bounds the invocations one joined session has running at once
 	// (default 4); what arrives beyond it waits in that session's queue.
 	Workers int
-	// Timeout bounds one processor call (default 30s).
-	Timeout time.Duration
 	// DisableListen turns off decentralized (tag) activation; the instance
 	// then only reacts to EXECUTE_AGENT directives.
 	DisableListen bool
 }
+
+// StepTimeout bounds one invocation: the runtime's processor call, and the
+// coordinator's wait for a plan step's report.
+const StepTimeout = 30 * time.Second
 
 // Errors of Join.
 var (
@@ -113,9 +115,6 @@ func Deploy(store *streams.Store, a *Agent, opts Options) (*Instance, error) {
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 4
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 30 * time.Second
 	}
 	in := &Instance{
 		agent:  a,
@@ -454,13 +453,15 @@ func (in *Instance) run(st *seat, inv Invocation) {
 	in.fillDefaults(&inv)
 	name := in.agent.Spec.Name
 
-	// The processor context is bounded by min(instance timeout, time until
-	// the caller's deadline): a plan nearly out of latency budget must not
-	// have one step run for the full default timeout. The cancel func is
-	// registered under the invocation ID so ABORT directives stop the work.
-	timeout := in.opts.Timeout
+	// The processor context is bounded by min(StepTimeout, time until the
+	// caller's deadline) on the store's clock: a plan nearly out of latency
+	// budget must not have one step run for the full timeout. The cancel
+	// func is registered under the invocation ID so ABORT directives stop
+	// the work.
+	clk := in.store.Clock()
+	timeout := StepTimeout
 	if !inv.Deadline.IsZero() {
-		if rem := time.Until(inv.Deadline); rem < timeout {
+		if rem := clk.Until(inv.Deadline); rem < timeout {
 			timeout = rem
 		}
 	}
@@ -470,7 +471,7 @@ func (in *Instance) run(st *seat, inv Invocation) {
 		in.report(st.session, inv, Usage{}, nil, context.DeadlineExceeded)
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := clk.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	st.mu.Lock()
 	if st.live == nil {
@@ -493,15 +494,15 @@ func (in *Instance) run(st *seat, inv Invocation) {
 	ctx = obs.ContextWith(ctx, sp)
 	defer sp.End()
 
-	start := time.Now()
+	start := clk.Now()
 	// Fault-injection hook: when a chaos injector is active the invocation
 	// may error, stall, or crash here instead of running the processor.
 	var out Outputs
-	err := resilience.Check(ctx, resilience.SiteAgent)
+	err := resilience.Check(ctx, clk, resilience.SiteAgent)
 	if err == nil {
 		out, err = in.agent.Process(ctx, inv)
 	}
-	elapsed := time.Since(start)
+	elapsed := clk.Since(start)
 	mInvocations.Inc()
 
 	if err != nil {

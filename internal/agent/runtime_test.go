@@ -47,7 +47,7 @@ func awaitError(t *testing.T, store *streams.Store, invID string) string {
 func TestCallerDeadlineBoundsProcessor(t *testing.T) {
 	store := newStore(t)
 	// Instance timeout is long; the caller's deadline must win.
-	inst, err := Attach(store, testSession, blockingAgent("SLOW", nil), Options{Timeout: time.Hour})
+	inst, err := Attach(store, testSession, blockingAgent("SLOW", nil), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestCallerDeadlineBoundsProcessor(t *testing.T) {
 func TestExpiredDeadlineShortCircuits(t *testing.T) {
 	store := newStore(t)
 	started := make(chan struct{}, 1)
-	inst, err := Attach(store, testSession, blockingAgent("SLOW", started), Options{Timeout: time.Hour})
+	inst, err := Attach(store, testSession, blockingAgent("SLOW", started), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTargetedAbortCancelsInvocation(t *testing.T) {
 		defer finished.Add(1)
 		return block(ctx, inv)
 	}
-	inst, err := Attach(store, testSession, a, Options{Timeout: time.Hour, Workers: 2})
+	inst, err := Attach(store, testSession, a, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,10 +173,6 @@ type Options struct {
 	// ConfirmFunc is consulted under the Confirm policy. Calls are
 	// serialized even when concurrent steps violate simultaneously.
 	ConfirmFunc func(violations []budget.Violation) bool
-	// StepTimeout bounds one agent invocation end-to-end (default 30s).
-	StepTimeout time.Duration
-	// RetryOnError enables one replan+retry when an agent reports an error.
-	RetryOnError bool
 	// MaxParallel bounds how many of a plan's steps execute at once, counting
 	// the one the plan's own goroutine runs (default DefaultMaxParallel; 1
 	// runs every step on the plan's goroutine, one after another).
@@ -185,22 +181,12 @@ type Options struct {
 	// Cacheable agents are reused (and concurrent identical executions
 	// deduplicated) through this store. nil disables memoization.
 	Memo *memo.Store
-	// Retry is the same-agent retry policy for failed step executions:
-	// transient errors (resilience.Retryable) retry with exponential
-	// backoff, every backoff sleep charged against the plan's latency
-	// budget. The zero value disables same-agent retries (one attempt);
-	// replan fallback (RetryOnError) still applies afterwards.
-	Retry resilience.RetryPolicy
 	// Breakers, when set, gates every step dispatch through the target
 	// agent's circuit breaker and records each execution outcome. An open
 	// breaker rejects the dispatch; the step is then served degraded from a
-	// stale memo entry (Degrade permitting) or replanned to an alternative
-	// agent.
+	// stale memo entry that resilience.ServeStale tolerates (marked
+	// Degraded), or replanned to an alternative agent.
 	Breakers *resilience.Set
-	// Degrade rules the stale-memo degraded serve used when a breaker is
-	// open: a resident entry whose age is within the policy's bound of the
-	// agent's declared Freshness answers the step, marked Degraded.
-	Degrade resilience.DegradePolicy
 	// SLO, when set, receives one per-agent observation per fresh step
 	// execution attempt (latency + error), feeding the per-agent burn
 	// rates GET /slo and bpctl top report. nil disables (nil-safe).
@@ -209,24 +195,24 @@ type Options struct {
 
 // Coordinator executes task plans over a stream store.
 type Coordinator struct {
-	store     *streams.Store
-	reg       *registry.AgentRegistry
-	tp        *planner.TaskPlanner
-	model     *llm.Model
-	opts      Options
-	confirmMu sync.Mutex // serializes ConfirmFunc consultations
+	store      *streams.Store
+	reg        *registry.AgentRegistry
+	tp         *planner.TaskPlanner
+	model      *llm.Model
+	opts       Options
+	transforms *dataplan.Executor // runs the data planner's transformations on the store's clock
+	confirmMu  sync.Mutex         // serializes ConfirmFunc consultations
 	// invocations numbers the agent invocations executeStep starts, so
 	// each has an id of its own.
 	invocations atomic.Uint64
 }
 
-// New creates a coordinator. The planner may be nil when replanning is not
-// needed; the model backs user-text transforms (criteria extraction).
+// New creates a coordinator on the store's clock. A failed step is replanned
+// to an alternative agent once when tp is set; tp is nil when replanning is
+// not wanted. The model backs user-text transforms (criteria extraction).
 func New(store *streams.Store, reg *registry.AgentRegistry, tp *planner.TaskPlanner, model *llm.Model, opts Options) *Coordinator {
-	if opts.StepTimeout <= 0 {
-		opts.StepTimeout = 30 * time.Second
-	}
-	return &Coordinator{store: store, reg: reg, tp: tp, model: model, opts: opts}
+	return &Coordinator{store: store, reg: reg, tp: tp, model: model, opts: opts,
+		transforms: dataplan.NewExecutor(dataplan.Sources{Model: model}, store.Clock())}
 }
 
 // StepResult records one executed step.
@@ -426,8 +412,7 @@ func (c *Coordinator) transform(transform, text string) (string, dataplan.Estima
 		}},
 		Output: "x",
 	}
-	exec := dataplan.NewExecutor(dataplan.Sources{Model: c.model})
-	out, err := exec.Execute(plan)
+	out, err := c.transforms.Execute(plan)
 	if err != nil {
 		return "", dataplan.Estimate{}, err
 	}
@@ -435,18 +420,18 @@ func (c *Coordinator) transform(transform, text string) (string, dataplan.Estima
 }
 
 // stepDeadline derives one attempt's absolute completion deadline:
-// StepTimeout, tightened to the plan's remaining latency headroom when a
-// latency limit is set — a plan nearly out of budget must not let one step
-// run for the full default timeout. The deadline rides the EXECUTE_AGENT
-// directive, so the agent runtime bounds the processor context to it too.
+// agent.StepTimeout, tightened to the plan's remaining latency headroom when
+// a latency limit is set — a plan nearly out of budget must not let one step
+// run for the full timeout. The deadline rides the EXECUTE_AGENT directive,
+// so the agent runtime bounds the processor context to it too.
 func (c *Coordinator) stepDeadline(b *budget.Budget) time.Time {
-	wait := c.opts.StepTimeout
+	wait := agent.StepTimeout
 	if b != nil && b.Limits().MaxLatency > 0 {
 		if _, rem := b.Remaining(); rem < wait {
 			wait = rem
 		}
 	}
-	return time.Now().Add(wait)
+	return c.store.Clock().Now().Add(wait)
 }
 
 // executeStep streams an EXECUTE_AGENT instruction that names no reply
@@ -471,8 +456,9 @@ func (s *scheduler) executeStep(ctx context.Context, step planner.Step, inputs m
 		return sr, err
 	}
 
-	wait := time.Until(deadline)
-	waitCtx, cancel := context.WithDeadline(ctx, deadline)
+	clk := c.store.Clock()
+	wait := clk.Until(deadline)
+	waitCtx, cancel := clk.WithDeadline(ctx, deadline)
 	defer cancel()
 	d, err := agent.AwaitReport(waitCtx, ctrl, invID)
 	if err == nil {

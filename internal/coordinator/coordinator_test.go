@@ -12,6 +12,7 @@ import (
 
 	"blueprint/internal/agent"
 	"blueprint/internal/budget"
+	"blueprint/internal/clock"
 	"blueprint/internal/llm"
 	"blueprint/internal/planner"
 	"blueprint/internal/registry"
@@ -30,9 +31,14 @@ type env struct {
 	insts []*agent.Instance
 }
 
-func newEnv(t testing.TB) *env {
+func newEnv(t testing.TB) *env { return newEnvOn(t, nil) }
+
+// newEnvOn is newEnv with the store, and so the agents and coordinators built
+// over it, on clk.
+func newEnvOn(t testing.TB, clk *clock.Clock) *env {
 	t.Helper()
 	store := streams.NewStore()
+	store.SetClock(clk)
 	t.Cleanup(func() { store.Close() })
 	reg := registry.NewAgentRegistry()
 	model := llm.New(llm.Config{Name: "coord-llm", Accuracy: 1.0, CostPer1K: 0.001, Seed: 9}, nil)
@@ -247,7 +253,7 @@ func TestRetryOnErrorReplans(t *testing.T) {
 	}
 	defer inst.Stop()
 
-	c := New(e.store, e.reg, e.tp, e.model, Options{RetryOnError: true})
+	c := New(e.store, e.reg, e.tp, e.model, Options{})
 	// Hand-build a plan whose matcher step uses the flaky agent.
 	plan := &planner.Plan{
 		ID: "manual-1", Utterance: "match me", Intent: "rank",
@@ -292,7 +298,7 @@ func TestReplanRetryReadmitsThroughBudget(t *testing.T) {
 	}
 	defer inst.Stop()
 
-	c := New(e.store, e.reg, e.tp, e.model, Options{RetryOnError: true})
+	c := New(e.store, e.reg, e.tp, e.model, Options{})
 	plan := &planner.Plan{
 		ID: "manual-4", Utterance: "match me", Intent: "rank",
 		Steps: []planner.Step{
@@ -314,17 +320,34 @@ func TestReplanRetryReadmitsThroughBudget(t *testing.T) {
 	}
 }
 
+// A step whose agent never reports times out at agent.StepTimeout on the
+// store's clock, each of its attempts, and the plan fails with the timeout.
 func TestStepFailureWithoutRetry(t *testing.T) {
-	e := newEnv(t)
-	c := New(e.store, e.reg, e.tp, e.model, Options{})
+	clk := clock.NewFake(time.Unix(0, 0))
+	e := newEnvOn(t, clk)
+	c := New(e.store, e.reg, nil, e.model, Options{})
 	plan := &planner.Plan{
 		ID: "manual-2", Utterance: "x", Intent: "rank",
 		Steps: []planner.Step{{ID: "s1", Agent: "NO_SUCH_AGENT", Task: "anything"}},
 	}
-	c.opts.StepTimeout = 300 * time.Millisecond
-	_, err := c.ExecutePlan(sess, plan, budget.New(budget.Limits{}))
-	if !errors.Is(err, ErrStepFailed) && !errors.Is(err, ErrStepTimeout) {
-		t.Fatalf("err = %v", err)
+	dispatches := e.store.Subscribe(streams.Filter{
+		Streams: []string{agent.ControlStream(sess)}, Ops: []string{streams.OpExecuteAgent},
+	}, false)
+	defer dispatches.Cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.ExecutePlan(sess, plan, budget.New(budget.Limits{}))
+		done <- err
+	}()
+	for attempt := 1; attempt <= 3; attempt++ {
+		<-dispatches.C() // the attempt's deadline is set before its directive
+		clk.Advance(agent.StepTimeout)
+		if attempt < 3 {
+			clk.Advance(clk.Sleeping())
+		}
+	}
+	if err := <-done; !errors.Is(err, ErrStepFailed) || !errors.Is(err, ErrStepTimeout) {
+		t.Fatalf("err = %v, want a step timeout", err)
 	}
 }
 
@@ -545,7 +568,7 @@ func TestMaxParallelBoundsInFlightSteps(t *testing.T) {
 func TestFailureCancelsInFlightSteps(t *testing.T) {
 	e := newEnv(t)
 	started := make(chan struct{}, 2)
-	release := make(chan struct{})
+	release, woke := make(chan struct{}), make(chan struct{})
 	add := func(name string, fail bool) {
 		spec := registry.AgentSpec{
 			Name:        name,
@@ -563,9 +586,10 @@ func TestFailureCancelsInFlightSteps(t *testing.T) {
 				<-release
 				return agent.Outputs{}, errors.New("boom")
 			}
-			<-ctx.Done() // sleeper: only the agent-side timeout wakes it
+			<-ctx.Done() // sleeper: only a cancellation or the step timeout wakes it
+			close(woke)
 			return agent.Outputs{}, ctx.Err()
-		}), agent.Options{DisableListen: true, Timeout: 500 * time.Millisecond})
+		}), agent.Options{DisableListen: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -574,9 +598,9 @@ func TestFailureCancelsInFlightSteps(t *testing.T) {
 	add("FAILER", true)
 	add("SLEEPER", false)
 
-	// StepTimeout of 10s: if cancellation did not work, the plan would hang
-	// on the sleeper for the full step timeout.
-	c := New(e.store, e.reg, e.tp, e.model, Options{StepTimeout: 10 * time.Second})
+	// If cancellation did not work, the plan would hang on the sleeper for
+	// the full step timeout. No planner: the failed step is not replanned.
+	c := New(e.store, e.reg, nil, e.model, Options{})
 	plan := &planner.Plan{
 		ID: "abort-fan", Utterance: "x", Intent: "rank",
 		Steps: []planner.Step{
@@ -599,6 +623,13 @@ func TestFailureCancelsInFlightSteps(t *testing.T) {
 	}
 	if wall := time.Since(start); wall > 5*time.Second {
 		t.Fatalf("failure did not cancel the in-flight sleeper (took %v)", wall)
+	}
+	// The targeted ABORT stops the sleeper's invocation too, not only the
+	// plan's wait for it.
+	select {
+	case <-woke:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the sleeper's invocation was not cancelled")
 	}
 	// The cancelled sleeper is reported as collateral, not as the cause.
 	for _, sr := range res.Steps {

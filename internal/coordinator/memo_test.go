@@ -288,7 +288,7 @@ func TestMemoReplannedStepNotCached(t *testing.T) {
 	}
 	defer inst.Stop()
 
-	c := New(e.store, e.reg, e.tp, e.model, Options{RetryOnError: true, Memo: m})
+	c := New(e.store, e.reg, e.tp, e.model, Options{Memo: m})
 	plan := &planner.Plan{
 		ID: "memo-replan", Utterance: "match me", Intent: "rank",
 		Steps: []planner.Step{

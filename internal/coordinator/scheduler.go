@@ -207,7 +207,9 @@ func (s *scheduler) runStep(step planner.Step) stepOutcome {
 	ctx, sp := obs.StartSpan(s.ctx, "scheduler", "step:"+step.ID)
 	sp.SetAttr("agent", step.Agent)
 	defer sp.End()
-	defer mStepLatency.ObserveSince(time.Now())
+	clk := s.c.store.Clock()
+	start := clk.Now()
+	defer func() { mStepLatency.Observe(clk.Since(start).Seconds()) }()
 
 	inputs, err := s.plan.Resolve(step, s.output, s.c.transformer(s.budget))
 	if err != nil {
@@ -340,6 +342,7 @@ func (s *scheduler) runFresh(ctx context.Context, step planner.Step, id stepIden
 
 	rsv, confirmed, err := s.admit(step.ID+":"+step.Agent, id)
 	if err != nil {
+		s.c.opts.Breakers.Forgo(step.Agent) // the dispatch Allow admitted is not made
 		return stepOutcome{stepID: step.ID, err: err}
 	}
 	sr, execErr := s.executeAttempts(ctx, step, inputs)
@@ -374,37 +377,35 @@ func (s *scheduler) admit(label string, id stepIdentity) (rsv *budget.Reservatio
 // executeAttempts runs one step under the retry policy: transient failures
 // retry against the same agent with exponential backoff, each backoff
 // charged to the plan's latency budget (a plan pays for its own waiting and
-// therefore never retries itself past its SLO). Every attempt's outcome
-// feeds the agent's breaker; retries stop when the error is not transient,
-// the breaker trips, the budget has no headroom for the backoff, or the
-// plan is cancelled.
+// therefore never retries itself past its SLO) and slept on the clock. Every
+// attempt's outcome feeds the agent's breaker; retries stop when the error is
+// not transient, the attempts are spent, the breaker trips, the budget has no
+// headroom for the backoff, or the plan is cancelled. A retry the breaker
+// admitted and that is not made is given back to it.
 func (s *scheduler) executeAttempts(ctx context.Context, step planner.Step, inputs map[string]any) (StepResult, error) {
-	pol := s.c.opts.Retry
-	attempts := pol.Attempts()
-	var sr StepResult
-	var err error
 	for attempt := 1; ; attempt++ {
-		sr, err = s.attempt(ctx, step, inputs)
-		if err == nil || attempt >= attempts || !resilience.Retryable(err) || s.ctx.Err() != nil {
+		sr, err := s.attempt(ctx, step, inputs)
+		if err == nil || !resilience.Retryable(err) || s.ctx.Err() != nil {
 			return sr, err
 		}
+		backoff, again := resilience.Backoff(attempt)
 		// This failure may have tripped the breaker; the next attempt needs
 		// its admission like any other dispatch.
-		if !s.c.opts.Breakers.Allow(step.Agent) {
+		if !again || !s.c.opts.Breakers.Allow(step.Agent) {
 			return sr, err
 		}
-		if backoff := pol.Backoff(attempt); backoff > 0 {
-			if lim := s.budget.Limits(); lim.MaxLatency > 0 {
-				if _, rem := s.budget.Remaining(); backoff > rem {
-					// No latency headroom left to back off in; retrying
-					// would bust the SLO the budget protects.
-					return sr, err
-				}
-			}
-			s.budget.ChargeRetryBackoff(step.ID+":"+step.Agent, backoff)
-			if !resilience.SleepBudgeted(s.ctx, backoff) {
+		if lim := s.budget.Limits(); lim.MaxLatency > 0 {
+			if _, rem := s.budget.Remaining(); backoff > rem {
+				// No latency headroom left to back off in; retrying would
+				// bust the SLO the budget protects.
+				s.c.opts.Breakers.Forgo(step.Agent)
 				return sr, err
 			}
+		}
+		s.budget.ChargeRetryBackoff(step.ID+":"+step.Agent, backoff)
+		if !s.c.store.Clock().Sleep(s.ctx, backoff) {
+			s.c.opts.Breakers.Forgo(step.Agent)
+			return sr, err
 		}
 		mStepRetries.Inc()
 		s.mu.Lock()
@@ -414,7 +415,7 @@ func (s *scheduler) executeAttempts(ctx context.Context, step planner.Step, inpu
 			obs.Attr{Key: "step", Value: step.ID},
 			obs.Attr{Key: "agent", Value: step.Agent},
 			obs.Attr{Key: "attempt", Value: strconv.Itoa(attempt)},
-			obs.Attr{Key: "backoff", Value: pol.Backoff(attempt).String()},
+			obs.Attr{Key: "backoff", Value: backoff.String()},
 			obs.Attr{Key: "error", Value: obs.Truncate(err.Error(), 120)})
 	}
 }
@@ -422,24 +423,25 @@ func (s *scheduler) executeAttempts(ctx context.Context, step planner.Step, inpu
 // attempt executes the step once and feeds the outcome to the agent's
 // breaker and its SLO series.
 func (s *scheduler) attempt(ctx context.Context, step planner.Step, inputs map[string]any) (StepResult, error) {
-	start := time.Now()
+	clk := s.c.store.Clock()
+	start := clk.Now()
 	sr, err := s.executeStep(ctx, step, inputs, s.c.stepDeadline(s.budget))
 	s.c.opts.Breakers.Record(step.Agent, err == nil)
-	s.c.opts.SLO.Record(obs.SLOAgent, step.Agent, time.Since(start), err != nil)
+	s.c.opts.SLO.Record(obs.SLOAgent, step.Agent, clk.Since(start), err != nil)
 	return sr, err
 }
 
 // serveStale answers a breaker-rejected step from a stale memo entry when
 // the step is keyed (a cacheable agent, a memo store), an entry is resident,
-// and its age is within the degradation policy's bound of the agent's
-// declared freshness. The serve is charged like a memo hit (zero cost, zero
+// and resilience.ServeStale tolerates its age under the agent's declared
+// freshness. The serve is charged like a memo hit (zero cost, zero
 // marginal critical-path latency) and marked Degraded with its staleness.
 func (s *scheduler) serveStale(step planner.Step, id stepIdentity) (stepOutcome, bool) {
 	if !id.keyed {
 		return stepOutcome{}, false
 	}
 	entry, age, ok := s.c.opts.Memo.GetStale(id.key)
-	if !ok || !s.c.opts.Degrade.Allows(id.qos.Freshness, age) {
+	if !ok || !resilience.ServeStale(id.qos.Freshness, age) {
 		return stepOutcome{}, false
 	}
 	mStepsStale.Inc()
@@ -452,10 +454,10 @@ func (s *scheduler) serveStale(step planner.Step, id stepIdentity) (stepOutcome,
 }
 
 // replanOrFail finishes a step after its execution attempts: on failure it
-// applies the one replan fallback (RetryOnError), then records the result
-// and commits actuals.
+// applies the one replan fallback when the coordinator has a planner, then
+// records the result and commits actuals.
 func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, id stepIdentity, inputs map[string]any, rsv *budget.Reservation, confirmed bool, sr StepResult, execErr error) stepOutcome {
-	if execErr != nil && s.c.opts.RetryOnError && s.c.tp != nil && s.ctx.Err() == nil {
+	if execErr != nil && s.c.tp != nil && s.ctx.Err() == nil {
 		if np, rerr := s.c.tp.Replan(s.plan, step.ID); rerr == nil {
 			s.mu.Lock()
 			s.res.Replans++

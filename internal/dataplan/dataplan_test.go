@@ -90,7 +90,7 @@ func newFixture(t testing.TB, accuracy float64) *fixture {
 			Relational: db,
 			Graphs:     map[string]*graphstore.Graph{"taxonomy": g},
 			Model:      model,
-		}),
+		}, nil),
 		bind: TableBinding{Asset: asset, Target: tgt},
 	}
 }
@@ -364,7 +364,7 @@ func TestExecutorOperators(t *testing.T) {
 }
 
 func TestExecutorMissingSources(t *testing.T) {
-	e := NewExecutor(Sources{})
+	e := NewExecutor(Sources{}, nil)
 	plans := []*Plan{
 		{Output: "q", Nodes: []Node{{ID: "q", Kind: OpSQL, Args: map[string]any{"sql": "SELECT 1"}}}},
 		{Output: "l", Nodes: []Node{{ID: "l", Kind: OpLLM, Args: map[string]any{"prompt": "x"}}}},
@@ -402,7 +402,7 @@ func TestEmptyExpansionMatchesNothing(t *testing.T) {
 func TestDocFindOperator(t *testing.T) {
 	f := newFixture(t, 1.0)
 	ds := newDocs(t)
-	f.exec = NewExecutor(Sources{Docs: ds})
+	f.exec = NewExecutor(Sources{Docs: ds}, nil)
 	plan := &Plan{
 		Query: "profiles", Strategy: "manual",
 		Nodes:  []Node{{ID: "d", Kind: OpDocFind, Args: map[string]any{"collection": "profiles", "field": "title", "value": "Data Scientist"}}},

@@ -3,8 +3,8 @@ package dataplan
 import (
 	"fmt"
 	"strings"
-	"time"
 
+	"blueprint/internal/clock"
 	"blueprint/internal/docstore"
 	"blueprint/internal/graphstore"
 	"blueprint/internal/llm"
@@ -38,14 +38,15 @@ type Result struct {
 // Executor runs data plans against bound sources.
 type Executor struct {
 	src Sources
+	clk *clock.Clock // times a node that reports no latency of its own
 }
 
 // NewExecutor creates an executor. Data-plan SQL is highly repetitive per
 // session (the same templated point and IN-list queries fire on every
 // turn); DB.Query serves repeats from the engine's statement cache, so the
-// parse cost is paid once per text.
-func NewExecutor(src Sources) *Executor {
-	return &Executor{src: src}
+// parse cost is paid once per text. It times nodes on clk.
+func NewExecutor(src Sources, clk *clock.Clock) *Executor {
+	return &Executor{src: src, clk: clk}
 }
 
 // Execute runs the plan's nodes in order (insertion order is topological by
@@ -57,13 +58,13 @@ func (e *Executor) Execute(plan *Plan) (*Result, error) {
 	res := &Result{Usage: Estimate{Accuracy: 1.0}}
 	values := map[string]any{}
 	for _, n := range plan.Nodes {
-		start := time.Now()
+		start := e.clk.Now()
 		v, usage, err := e.run(n, values)
 		if err != nil {
 			return nil, fmt.Errorf("dataplan: node %s (%s): %w", n.ID, n.Kind, err)
 		}
 		if usage.Latency == 0 {
-			usage.Latency = time.Since(start)
+			usage.Latency = e.clk.Since(start)
 		}
 		res.Usage.Cost += usage.Cost
 		res.Usage.Latency += usage.Latency

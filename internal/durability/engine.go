@@ -481,9 +481,10 @@ func (e *Engine) append(id uint8, payload []byte) (uint64, error) {
 		return 0, nil
 	}
 	// Chaos hook: an active injector may fail or stall the append here, as
-	// a real disk would. There is no caller context on this path, so hangs
-	// are bounded by the injector itself.
-	if err := resilience.Check(context.Background(), resilience.SiteDurability); err != nil {
+	// a real disk would, on the real clock the engine runs on. There is no
+	// caller context on this path, so hangs are bounded by the injector
+	// itself.
+	if err := resilience.Check(context.Background(), nil, resilience.SiteDurability); err != nil {
 		return 0, fmt.Errorf("durability: append: %w", err)
 	}
 	e.mu.Lock()

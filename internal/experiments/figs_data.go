@@ -99,7 +99,7 @@ func Fig7DataPlan(seed int64) (*Table, error) {
 				Relational: ent.DB,
 				Graphs:     map[string]*graphstore.Graph{"taxonomy": ent.Graph},
 				Model:      model,
-			})
+			}, nil)
 			var plan *dataplan.Plan
 			if cfg.strategy == "direct" {
 				plan, err = planner.PlanDirect(query, bind)

@@ -36,7 +36,7 @@ func newApp(t testing.TB, accuracy float64) *app {
 		t.Fatal(err)
 	}
 	model := llm.New(llm.Config{Name: "hr-llm", Tier: llm.TierLarge, CostPer1K: 0.01, BaseLatency: time.Millisecond, Accuracy: accuracy, Seed: 17}, ent.KB)
-	suite, err := NewSuite(ent, model, nil)
+	suite, err := NewSuite(ent, model, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestSuiteStatementsRunCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite, err := NewSuite(ent, llm.New(llm.Config{Name: "hr-llm", Tier: llm.TierLarge, Accuracy: 1, Seed: 17}, ent.KB), nil)
+	suite, err := NewSuite(ent, llm.New(llm.Config{Name: "hr-llm", Tier: llm.TierLarge, Accuracy: 1, Seed: 17}, ent.KB), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"blueprint/internal/agent"
+	"blueprint/internal/clock"
 	"blueprint/internal/dataplan"
 	"blueprint/internal/graphstore"
 	"blueprint/internal/llm"
@@ -65,9 +66,10 @@ type Suite struct {
 	stmtTopApps    *relational.Stmt // Ranker's score-ordered applicants
 }
 
-// NewSuite wires the suite over a generated enterprise. The data registry is
-// populated with the enterprise's sources if empty.
-func NewSuite(ent *workload.Enterprise, model *llm.Model, dataReg *registry.DataRegistry) (*Suite, error) {
+// NewSuite wires the suite over a generated enterprise, timing its data plans
+// on clk. The data registry is populated with the enterprise's sources if
+// empty.
+func NewSuite(ent *workload.Enterprise, model *llm.Model, dataReg *registry.DataRegistry, clk *clock.Clock) (*Suite, error) {
 	if dataReg == nil {
 		dataReg = registry.NewDataRegistry()
 	}
@@ -98,7 +100,7 @@ func NewSuite(ent *workload.Enterprise, model *llm.Model, dataReg *registry.Data
 		Docs:       ent.Docs,
 		Graphs:     map[string]*graphstore.Graph{"taxonomy": ent.Graph},
 		Model:      model,
-	})
+	}, clk)
 	if err := s.prepareStatements(); err != nil {
 		return nil, err
 	}

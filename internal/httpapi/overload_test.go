@@ -52,10 +52,7 @@ func TestFlightRecorderExplainsOverload(t *testing.T) {
 			RetryAfter:    100 * time.Millisecond,
 		},
 		EventLevel: "debug", // every admitted ask carries its admit event
-		SLO: obs.SLOConfig{
-			LatencyTarget: 150 * time.Millisecond, Objective: 0.9,
-			FastWindow: phase, SlowWindow: 10 * time.Minute,
-		},
+		SLO:        obs.SLOConfig{LatencyTarget: 150 * time.Millisecond, Objective: 0.9},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -377,8 +377,8 @@ func (s *Server) slo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"objective":         cfg.Objective,
 		"latency_target_ms": float64(cfg.LatencyTarget) / float64(time.Millisecond),
-		"fast_window_ms":    float64(cfg.FastWindow) / float64(time.Millisecond),
-		"slow_window_ms":    float64(cfg.SlowWindow) / float64(time.Millisecond),
+		"fast_window_ms":    float64(obs.SLOFastWindow) / float64(time.Millisecond),
+		"slow_window_ms":    float64(obs.SLOSlowWindow) / float64(time.Millisecond),
 		"series":            s.sys.SLO.Status(),
 	})
 }

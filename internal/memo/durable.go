@@ -91,7 +91,7 @@ func (s *Store) logPutLocked(key Key, agent string, sources []string, ttl time.D
 		rec.Version = s.dur.AgentVersion(agent)
 	}
 	if ttl > 0 {
-		rec.Expires = s.now().Add(ttl).UnixNano()
+		rec.Expires = s.clk.Now().Add(ttl).UnixNano()
 	}
 	if b, err := json.Marshal(rec); err == nil {
 		_ = s.dur.Append(b)
@@ -116,7 +116,7 @@ func (s *Store) logInvalidateLocked(op, name string) {
 func (s *Store) applyRecord(rec durRecord) (restored bool, err error) {
 	switch rec.Op {
 	case opPut:
-		if rec.Expires != 0 && !s.now().Before(time.Unix(0, rec.Expires)) {
+		if rec.Expires != 0 && !s.clk.Now().Before(time.Unix(0, rec.Expires)) {
 			return false, nil // expired while the process was down
 		}
 		if s.dur.Validate != nil && !s.dur.Validate(rec.Agent, rec.Version) {
@@ -124,7 +124,7 @@ func (s *Store) applyRecord(rec durRecord) (restored bool, err error) {
 		}
 		var ttl time.Duration
 		if rec.Expires != 0 {
-			ttl = time.Unix(0, rec.Expires).Sub(s.now())
+			ttl = s.clk.Until(time.Unix(0, rec.Expires))
 		}
 		_, existed := s.entries[rec.Key]
 		s.putLocked(rec.Key, canonName(rec.Agent), canonNames(rec.Sources), ttl, Entry{

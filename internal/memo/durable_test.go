@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"blueprint/internal/clock"
 )
 
 // collectSink is a fake WAL: appended records replay into a fresh store.
@@ -117,9 +119,9 @@ func TestDurableSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestDurableExpiredEntriesDroppedAtRestore(t *testing.T) {
-	now := time.Now()
+	now := time.Unix(1000, 0)
 	s := New(16)
-	s.now = func() time.Time { return now }
+	s.SetClock(clock.NewFake(now))
 	sink := &collectSink{}
 	s.SetDurable(DurableConfig{Append: sink.append})
 	key, _ := ComputeKey("A", 1, map[string]any{"q": 1})
@@ -127,7 +129,7 @@ func TestDurableExpiredEntriesDroppedAtRestore(t *testing.T) {
 
 	// Reopen "two minutes later": the TTL has lapsed while down.
 	s2 := New(16)
-	s2.now = func() time.Time { return now.Add(2 * time.Minute) }
+	s2.SetClock(clock.NewFake(now.Add(2 * time.Minute)))
 	for _, rec := range sink.recs {
 		if err := s2.Apply(rec); err != nil {
 			t.Fatal(err)

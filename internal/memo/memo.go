@@ -53,6 +53,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"blueprint/internal/clock"
 )
 
 // DefaultCapacity bounds the store when New is given a non-positive size.
@@ -194,7 +196,7 @@ type Store struct {
 	agentEpoch  map[string]uint64
 	sourceEpoch map[string]uint64
 	stats       Stats
-	now         func() time.Time // injectable for TTL tests
+	clk         *clock.Clock // reads TTL expiry and stale age
 
 	// dur is the optional durability wiring (durable.go): cacheable
 	// results and invalidations are logged to the shared WAL and restored
@@ -217,7 +219,13 @@ func New(capacity int) *Store {
 		flights:     make(map[Key]*flight),
 		agentEpoch:  make(map[string]uint64),
 		sourceEpoch: make(map[string]uint64),
-		now:         time.Now,
+	}
+}
+
+// SetClock puts the store on clk. Call it before the first Put.
+func (s *Store) SetClock(clk *clock.Clock) {
+	if s != nil {
+		s.clk = clk
 	}
 }
 
@@ -256,7 +264,7 @@ func (s *Store) Peek(key Key) (Entry, bool) {
 		return Entry{}, false
 	}
 	e := el.Value.(*entry)
-	if !e.expires.IsZero() && s.now().After(e.expires) {
+	if !e.expires.IsZero() && s.clk.Now().After(e.expires) {
 		return Entry{}, false
 	}
 	return cloneEntry(e.val), true
@@ -265,7 +273,7 @@ func (s *Store) Peek(key Key) (Entry, bool) {
 // GetStale returns the resident entry for key regardless of TTL expiry,
 // together with its age since it was stored — the graceful-degradation read
 // used when an agent's breaker is open or the daemon is shedding load. The
-// caller decides whether the age is tolerable (resilience.DegradePolicy
+// caller decides whether the age is tolerable (resilience.ServeStale
 // against the agent's declared freshness). Version-invalidated entries are
 // gone entirely, so whatever GetStale returns is stale only in time, never
 // in version. Counts a StaleServe, not a hit. Safe on a nil store.
@@ -284,7 +292,7 @@ func (s *Store) GetStale(key Key) (Entry, time.Duration, bool) {
 	// A stale serve proves the entry is still useful; keep it resident
 	// through the brownout.
 	s.lru.MoveToFront(el)
-	return cloneEntry(e.val), s.now().Sub(e.storedAt), true
+	return cloneEntry(e.val), s.clk.Since(e.storedAt), true
 }
 
 // Put stores an execution result under key. agent and sources drive
@@ -480,7 +488,7 @@ func (s *Store) lookupLocked(key Key) (*entry, bool) {
 		return nil, false
 	}
 	e := el.Value.(*entry)
-	if !e.expires.IsZero() && s.now().After(e.expires) {
+	if !e.expires.IsZero() && s.clk.Now().After(e.expires) {
 		return nil, false
 	}
 	s.lru.MoveToFront(el)
@@ -494,7 +502,7 @@ func (s *Store) putLocked(key Key, agent string, sources []string, ttl time.Dura
 		s.lru.Remove(el)
 		delete(s.entries, key)
 	}
-	e := &entry{key: key, agent: agent, sources: append([]string(nil), sources...), val: cloneEntry(val), storedAt: s.now()}
+	e := &entry{key: key, agent: agent, sources: append([]string(nil), sources...), val: cloneEntry(val), storedAt: s.clk.Now()}
 	if ttl > 0 {
 		e.expires = e.storedAt.Add(ttl)
 	}

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"blueprint/internal/clock"
 )
 
 func mustKey(t *testing.T, agent string, version int, inputs map[string]any) Key {
@@ -99,14 +101,14 @@ func TestLRUEviction(t *testing.T) {
 
 func TestTTLExpiry(t *testing.T) {
 	s := New(8)
-	now := time.Unix(1000, 0)
-	s.now = func() time.Time { return now }
+	clk := clock.NewFake(time.Unix(1000, 0))
+	s.SetClock(clk)
 	k := mustKey(t, "A", 1, map[string]any{"q": 1})
 	s.Put(k, "A", nil, time.Minute, Entry{Outputs: map[string]any{"OUT": 1}})
 	if _, ok := s.Get(k); !ok {
 		t.Fatal("fresh entry missed")
 	}
-	now = now.Add(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	if _, ok := s.Get(k); ok {
 		t.Fatal("expired entry served")
 	}
@@ -117,8 +119,8 @@ func TestTTLExpiry(t *testing.T) {
 
 func TestGetStaleServesExpiredEntries(t *testing.T) {
 	s := New(8)
-	now := time.Unix(1000, 0)
-	s.now = func() time.Time { return now }
+	clk := clock.NewFake(time.Unix(1000, 0))
+	s.SetClock(clk)
 	k := mustKey(t, "A", 1, map[string]any{"q": 1})
 	s.Put(k, "A", []string{"hr"}, time.Minute, Entry{Outputs: map[string]any{"OUT": 1}})
 
@@ -130,7 +132,7 @@ func TestGetStaleServesExpiredEntries(t *testing.T) {
 
 	// Past TTL: invisible to Get/Peek, but GetStale still serves it with the
 	// true age so the degradation policy can judge it.
-	now = now.Add(5 * time.Minute)
+	clk.Advance(5 * time.Minute)
 	if _, ok := s.Get(k); ok {
 		t.Fatal("expired entry served by Get")
 	}
@@ -155,11 +157,11 @@ func TestGetStaleServesExpiredEntries(t *testing.T) {
 
 func TestExpiredEntryReplacedInPlace(t *testing.T) {
 	s := New(8)
-	now := time.Unix(1000, 0)
-	s.now = func() time.Time { return now }
+	clk := clock.NewFake(time.Unix(1000, 0))
+	s.SetClock(clk)
 	k := mustKey(t, "A", 1, map[string]any{"q": 1})
 	s.Put(k, "A", nil, time.Minute, Entry{Outputs: map[string]any{"OUT": "old"}})
-	now = now.Add(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	// Re-execution via Do must replace the retained expired entry.
 	_, out, err := s.Do(context.Background(), k, "A", nil, time.Minute, func() (Entry, error) {
 		return Entry{Outputs: map[string]any{"OUT": "new"}}, nil

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"blueprint/internal/clock"
 )
 
 // ---- event log ----
@@ -204,18 +206,15 @@ func TestRecorderRingAndClamp(t *testing.T) {
 // ---- SLO burn rates ----
 
 func TestSLOBurnMath(t *testing.T) {
+	clk := clock.NewFake(time.Unix(1000, 0))
 	tr := NewSLOTracker(SLOConfig{
 		LatencyTarget: 100 * time.Millisecond,
 		Objective:     0.9, // error budget 0.1 — burn = badFrac * 10
-		FastWindow:    time.Minute,
-		SlowWindow:    10 * time.Minute,
-	})
-	clock := time.Unix(1000, 0)
-	tr.now = func() time.Time { return clock }
+	}, clk)
 
 	// 100 observations spread over 100s: 20 bad (10 errors + 10 slow).
 	for i := 0; i < 100; i++ {
-		clock = clock.Add(time.Second)
+		clk.Advance(time.Second)
 		switch {
 		case i%10 == 0:
 			tr.Record(SLOTenant, "acme", 10*time.Millisecond, true)
@@ -247,7 +246,7 @@ func TestSLOBurnMath(t *testing.T) {
 
 	// A burst of pure errors moves the fast burn far above the slow burn.
 	for i := 0; i < 30; i++ {
-		clock = clock.Add(time.Second)
+		clk.Advance(time.Second)
 		tr.Record(SLOTenant, "acme", 10*time.Millisecond, true)
 	}
 	st = tr.Status()[0]
@@ -261,11 +260,11 @@ func TestSLOBurnMath(t *testing.T) {
 	// Flush a checkpoint past the coalescing granularity so the burst's
 	// tail is baselined, then 20 minutes of silence: both windows drain to
 	// zero burn.
-	clock = clock.Add(tr.gran)
+	clk.Advance(sloGranularity)
 	tr.Record(SLOTenant, "acme", 10*time.Millisecond, false)
-	clock = clock.Add(20 * time.Minute)
+	clk.Advance(20 * time.Minute)
 	tr.Record(SLOTenant, "acme", 10*time.Millisecond, false)
-	clock = clock.Add(time.Second)
+	clk.Advance(time.Second)
 	st = tr.Status()[0]
 	if st.FastBurn != 0 || st.SlowBurn != 0 {
 		t.Fatalf("after quiet period burns = %f/%f, want 0/0", st.FastBurn, st.SlowBurn)
@@ -281,7 +280,7 @@ func TestSLONilAndSorting(t *testing.T) {
 	if nilT.Config().Objective != 0.99 {
 		t.Fatal("nil tracker Config must return defaults")
 	}
-	tr := NewSLOTracker(SLOConfig{})
+	tr := NewSLOTracker(SLOConfig{}, nil)
 	tr.Record(SLOTenant, "b", 0, false)
 	tr.Record(SLOAgent, "z", 0, false)
 	tr.Record(SLOTenant, "a", 0, false)
@@ -305,7 +304,7 @@ func TestSLONilAndSorting(t *testing.T) {
 // Tenant names are client-chosen: past maxSLOSeries, a new tenant is counted
 // in one overflow series, while the tenants seen first keep their own.
 func TestSLOTenantSeriesBounded(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{})
+	tr := NewSLOTracker(SLOConfig{}, nil)
 	const tenants = 10000
 	for i := 0; i < tenants; i++ {
 		tr.Record(SLOTenant, fmt.Sprintf("t%d", i), 0, false)
@@ -337,7 +336,7 @@ func TestSLOTenantSeriesBounded(t *testing.T) {
 
 func TestSLOExpositionLabels(t *testing.T) {
 	r := NewRegistry()
-	tr := NewSLOTracker(SLOConfig{})
+	tr := NewSLOTracker(SLOConfig{}, nil)
 	// Hostile tenant name: X-Tenant is client-controlled.
 	tr.Record(SLOTenant, "evil\"}\n\\name", time.Second, true)
 	r.SLOFunc("test_burn", "burn", tr)
@@ -355,7 +354,7 @@ func TestSLOExpositionLabels(t *testing.T) {
 		}
 	}
 	// Re-point semantics: a second SLOFunc call swaps the tracker.
-	tr2 := NewSLOTracker(SLOConfig{})
+	tr2 := NewSLOTracker(SLOConfig{}, nil)
 	tr2.Record(SLOAgent, "fresh", 0, false)
 	r.SLOFunc("test_burn", "burn", tr2)
 	sb.Reset()

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	"blueprint/internal/clock"
 )
 
 // SLO accounting. The production question is never "what is p95" but "is
@@ -32,18 +34,26 @@ const (
 const maxSLOSeries = 128
 const sloOverflow = "(other)"
 
-// SLOConfig sets the objectives and burn windows.
+// The two burn-rate windows: fast answers "is it on fire now", slow "has it
+// been smoldering".
+const (
+	SLOFastWindow = time.Minute
+	SLOSlowWindow = 10 * time.Minute
+)
+
+// sloGranularity spaces a series' checkpoints: the fast window sees ten.
+const sloGranularity = SLOFastWindow / 10
+
+// sloDepth is how many checkpoints a series keeps to cover the slow window.
+const sloDepth = int(SLOSlowWindow/sloGranularity) + 2
+
+// SLOConfig sets the objectives.
 type SLOConfig struct {
 	// LatencyTarget classifies an observation slower than it as bad
 	// (default 1s).
 	LatencyTarget time.Duration
 	// Objective is the target good fraction, e.g. 0.99 (default 0.99).
 	Objective float64
-	// FastWindow and SlowWindow are the two burn-rate windows (defaults
-	// 1m and 10m): fast answers "is it on fire now", slow "has it been
-	// smoldering".
-	FastWindow time.Duration
-	SlowWindow time.Duration
 }
 
 // WithDefaults fills unset fields.
@@ -53,15 +63,6 @@ func (c SLOConfig) WithDefaults() SLOConfig {
 	}
 	if c.Objective <= 0 || c.Objective >= 1 {
 		c.Objective = 0.99
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = time.Minute
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = 10 * time.Minute
-	}
-	if c.SlowWindow < c.FastWindow {
-		c.SlowWindow = c.FastWindow
 	}
 	return c
 }
@@ -77,8 +78,8 @@ type sloSeries struct {
 	kind, name string
 	total, bad uint64
 	errs, slow uint64
-	// cp holds checkpoints spaced >= granularity apart, deep enough to
-	// cover SlowWindow.
+	// cp holds checkpoints spaced >= sloGranularity apart, deep enough to
+	// cover SLOSlowWindow.
 	cp ring[sloCheckpoint]
 }
 
@@ -104,24 +105,16 @@ type SLOStatus struct {
 // is mutex-protected but cold relative to the data plane (one call per
 // ask / per step), and Status is read-only over a snapshot.
 type SLOTracker struct {
-	cfg  SLOConfig
-	gran time.Duration
-	deep int
-	now  func() time.Time
+	cfg SLOConfig
+	clk *clock.Clock // stamps checkpoints and ends the windows
 
 	mu     sync.Mutex
 	series map[string]*sloSeries
 }
 
-// NewSLOTracker creates a tracker.
-func NewSLOTracker(cfg SLOConfig) *SLOTracker {
-	cfg = cfg.WithDefaults()
-	// Checkpoint granularity: fine enough that the fast window sees ~10
-	// points, bounded below so a tiny experiment window cannot turn every
-	// Record into a checkpoint append.
-	gran := max(cfg.FastWindow/10, 10*time.Millisecond)
-	deep := int(cfg.SlowWindow/gran) + 2
-	return &SLOTracker{cfg: cfg, gran: gran, deep: deep, now: time.Now, series: map[string]*sloSeries{}}
+// NewSLOTracker creates a tracker on clk.
+func NewSLOTracker(cfg SLOConfig, clk *clock.Clock) *SLOTracker {
+	return &SLOTracker{cfg: cfg.WithDefaults(), clk: clk, series: map[string]*sloSeries{}}
 }
 
 // Config returns the tracker's resolved configuration.
@@ -142,7 +135,7 @@ func (t *SLOTracker) Record(kind, name string, dur time.Duration, isErr bool) {
 	}
 	slow := dur > t.cfg.LatencyTarget
 	bad := isErr || slow
-	now := t.now()
+	now := t.clk.Now()
 	t.mu.Lock()
 	key := kind + "\x00" + name
 	s := t.series[key]
@@ -151,7 +144,7 @@ func (t *SLOTracker) Record(kind, name string, dur time.Duration, isErr bool) {
 		s = t.series[key]
 	}
 	if s == nil {
-		s = &sloSeries{kind: kind, name: name, cp: newRing[sloCheckpoint](t.deep, t.deep)}
+		s = &sloSeries{kind: kind, name: name, cp: newRing[sloCheckpoint](sloDepth, sloDepth)}
 		t.series[key] = s
 	}
 	s.total++
@@ -169,7 +162,7 @@ func (t *SLOTracker) Record(kind, name string, dur time.Duration, isErr bool) {
 	if n := s.cp.len(); n > 0 {
 		last = s.cp.at(n - 1).t
 	}
-	if now.Sub(last) >= t.gran {
+	if now.Sub(last) >= sloGranularity {
 		s.cp.push(sloCheckpoint{t: now, total: s.total, bad: s.bad})
 	}
 	t.mu.Unlock()
@@ -204,7 +197,7 @@ func (t *SLOTracker) Status() []SLOStatus {
 	if t == nil {
 		return nil
 	}
-	now := t.now()
+	now := t.clk.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]SLOStatus, 0, len(t.series))
@@ -213,9 +206,9 @@ func (t *SLOTracker) Status() []SLOStatus {
 			Kind: s.kind, Name: s.name,
 			Total: s.total, Bad: s.bad, Errors: s.errs, Slow: s.slow,
 			Objective:  t.cfg.Objective,
-			FastBurn:   t.burn(s, now, t.cfg.FastWindow),
-			SlowBurn:   t.burn(s, now, t.cfg.SlowWindow),
-			FastWindow: t.cfg.FastWindow, SlowWindow: t.cfg.SlowWindow,
+			FastBurn:   t.burn(s, now, SLOFastWindow),
+			SlowBurn:   t.burn(s, now, SLOSlowWindow),
+			FastWindow: SLOFastWindow, SlowWindow: SLOSlowWindow,
 			LatencyMS: float64(t.cfg.LatencyTarget) / float64(time.Millisecond),
 		}
 		if s.total > 0 {

@@ -23,7 +23,8 @@ func (db *DB) QueryContext(ctx context.Context, sql string, params ...any) (*Res
 	_, sp := obs.StartSpan(ctx, "relational", "query")
 	defer sp.End()
 	sp.SetAttr("sql", obs.Truncate(sql, 80))
-	if err := resilience.Check(ctx, resilience.SiteRelational); err != nil {
+	// The engine keeps no clock: an injected latency here is real time.
+	if err := resilience.Check(ctx, nil, resilience.SiteRelational); err != nil {
 		return nil, err
 	}
 	res, err := db.Query(sql, params...)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"blueprint/internal/clock"
 	"blueprint/internal/obs"
 )
 
@@ -30,9 +31,9 @@ type State int
 const (
 	// Closed passes traffic, recording outcomes in the failure window.
 	Closed State = iota
-	// Open rejects traffic until OpenFor elapses.
+	// Open rejects traffic until breakerOpenFor elapses.
 	Open
-	// HalfOpen admits up to HalfOpenProbes trial dispatches; all-success
+	// HalfOpen admits up to breakerProbes trial dispatches; all-success
 	// closes the breaker, any failure re-opens it.
 	HalfOpen
 )
@@ -48,53 +49,26 @@ func (s State) String() string {
 	}
 }
 
-// BreakerConfig tunes the per-agent breakers of one Set.
-type BreakerConfig struct {
-	// Window is the sliding outcome window (last Window dispatches; default
-	// 20).
-	Window int
-	// MinSamples is the fewest recorded outcomes before the failure rate is
-	// trusted (default 5) — a single early failure must not trip a breaker.
-	MinSamples int
-	// FailureThreshold opens the breaker when the windowed failure rate
-	// reaches it (default 0.5).
-	FailureThreshold float64
-	// OpenFor is how long an open breaker rejects before probing (default
-	// 2s).
-	OpenFor time.Duration
-	// HalfOpenProbes is how many trial dispatches half-open admits
-	// (default 1).
-	HalfOpenProbes int
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Window <= 0 {
-		c.Window = 20
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 5
-	}
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 0.5
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = 2 * time.Second
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
-	return c
-}
+// The breaker policy, one for every agent: a breaker trips when at least
+// breakerMinSamples of its last breakerWindow dispatches are recorded and
+// breakerThreshold of them failed — a single early failure must not trip it —
+// then rejects for breakerOpenFor, then admits breakerProbes trial dispatches.
+const (
+	breakerWindow     = 20
+	breakerMinSamples = 5
+	breakerThreshold  = 0.5
+	breakerOpenFor    = 2 * time.Second
+	breakerProbes     = 1
+)
 
 // Breaker is one closed/open/half-open circuit over a sliding outcome
 // window. Safe for concurrent use.
 type Breaker struct {
 	mu      sync.Mutex
-	cfg     BreakerConfig
-	name    string // owning agent, for state-transition events ("" standalone)
-	now     func() time.Time
+	name    string       // owning agent, for state-transition events ("" standalone)
+	clk     *clock.Clock // reads the open period
 	state   State
-	window  []bool // ring of outcomes, true = failure
+	window  [breakerWindow]bool // ring of outcomes, true = failure
 	next    int
 	filled  int
 	openAt  time.Time
@@ -102,10 +76,9 @@ type Breaker struct {
 	probeOK int
 }
 
-// NewBreaker creates a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	cfg = cfg.withDefaults()
-	return &Breaker{cfg: cfg, now: time.Now, window: make([]bool, cfg.Window)}
+// NewBreaker creates a closed breaker on clk.
+func NewBreaker(clk *clock.Clock) *Breaker {
+	return &Breaker{clk: clk}
 }
 
 // stateEvent records one state transition in the event log. Transitions
@@ -130,7 +103,7 @@ func (b *Breaker) Allow() bool {
 	case Closed:
 		return true
 	case Open:
-		if b.now().Sub(b.openAt) < b.cfg.OpenFor {
+		if b.clk.Since(b.openAt) < breakerOpenFor {
 			mBreakerRejections.Inc()
 			return false
 		}
@@ -139,7 +112,7 @@ func (b *Breaker) Allow() bool {
 		b.stateEvent(obs.LevelInfo, "half-open")
 		fallthrough
 	default: // HalfOpen
-		if b.probes >= b.cfg.HalfOpenProbes {
+		if b.probes >= breakerProbes {
 			mBreakerRejections.Inc()
 			return false
 		}
@@ -157,7 +130,7 @@ func (b *Breaker) Record(success bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.window[b.next] = !success
-	b.next = (b.next + 1) % len(b.window)
+	b.next = (b.next + 1) % breakerWindow
 	if b.filled < len(b.window) {
 		b.filled++
 	}
@@ -168,16 +141,28 @@ func (b *Breaker) Record(success bool) {
 			return
 		}
 		b.probeOK++
-		if b.probeOK >= b.cfg.HalfOpenProbes {
+		if b.probeOK >= breakerProbes {
 			b.state = Closed
 			b.resetWindowLocked()
 			mBreakerCloses.Inc()
 			b.stateEvent(obs.LevelInfo, "close")
 		}
 	case Closed:
-		if b.filled >= b.cfg.MinSamples && b.failureRateLocked() >= b.cfg.FailureThreshold {
+		if b.filled >= breakerMinSamples && b.failureRateLocked() >= breakerThreshold {
 			b.tripLocked()
 		}
+	}
+}
+
+// Forgo gives back a dispatch Allow admitted that is not going to be made:
+// a half-open probe taken and then not dispatched returns to the breaker, so
+// the next dispatch probes instead of the breaker waiting for an outcome that
+// never comes. A closed breaker gave nothing to return.
+func (b *Breaker) Forgo() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == HalfOpen && b.probes > b.probeOK {
+		b.probes--
 	}
 }
 
@@ -191,16 +176,14 @@ func (b *Breaker) State() State {
 
 func (b *Breaker) tripLocked() {
 	b.state = Open
-	b.openAt = b.now()
+	b.openAt = b.clk.Now()
 	mBreakerTrips.Inc()
 	b.stateEvent(obs.LevelWarn, "open",
 		obs.Attr{Key: "failure_rate", Value: strconv.FormatFloat(b.failureRateLocked(), 'f', 2, 64)})
 }
 
 func (b *Breaker) resetWindowLocked() {
-	for i := range b.window {
-		b.window[i] = false
-	}
+	b.window = [breakerWindow]bool{}
 	b.next, b.filled = 0, 0
 }
 
@@ -221,13 +204,13 @@ func (b *Breaker) failureRateLocked() float64 {
 // Set holds one breaker per agent, created lazily on first use.
 type Set struct {
 	mu  sync.Mutex
-	cfg BreakerConfig
+	clk *clock.Clock
 	m   map[string]*Breaker
 }
 
-// NewSet creates an empty breaker set.
-func NewSet(cfg BreakerConfig) *Set {
-	return &Set{cfg: cfg.withDefaults(), m: make(map[string]*Breaker)}
+// NewSet creates an empty breaker set whose breakers run on clk.
+func NewSet(clk *clock.Clock) *Set {
+	return &Set{clk: clk, m: make(map[string]*Breaker)}
 }
 
 // For returns the named agent's breaker, creating it closed. Safe on a nil
@@ -240,7 +223,7 @@ func (s *Set) For(name string) *Breaker {
 	defer s.mu.Unlock()
 	b, ok := s.m[name]
 	if !ok {
-		b = NewBreaker(s.cfg)
+		b = NewBreaker(s.clk)
 		b.name = name
 		s.m[name] = b
 	}
@@ -254,6 +237,15 @@ func (s *Set) Allow(name string) bool {
 		return true
 	}
 	return s.For(name).Allow()
+}
+
+// Forgo gives back a dispatch to the named agent that Allow admitted and
+// that is not going to be made (Breaker.Forgo). No-op on nil.
+func (s *Set) Forgo(name string) {
+	if s == nil {
+		return
+	}
+	s.For(name).Forgo()
 }
 
 // Record folds one dispatch outcome for the named agent. No-op on nil.

@@ -2,46 +2,19 @@ package resilience
 
 import "time"
 
-// DegradePolicy decides when a stale memoized result may be served instead
-// of executing — the graceful-degradation rule applied when an agent's
-// breaker is open or the daemon is shedding. The freshness declared in the
-// agent's QoS profile (registry.QoSProfile.Freshness) is the tolerance: a
-// stale serve is freshness-valid while the entry's age is within
-// StaleFactor times that declared tolerance. Agents that declared no
-// freshness bound (0 = valid until invalidated) are always servable from a
-// resident entry — invalidation already removed anything version-stale.
-type DegradePolicy struct {
-	// Disabled turns stale serving off; degraded paths then fail instead.
-	Disabled bool
-	// StaleFactor scales the declared freshness into the degraded-serve
-	// bound (default 4: an entry memoized under a 30s freshness hint may be
-	// served degraded until it is 2m old).
-	StaleFactor float64
-}
+// staleFactor scales an agent's declared freshness into the bound of a
+// degraded serve: an entry memoized under a 30s freshness hint may be served
+// degraded until it is 2m old.
+const staleFactor = 4
 
-// DefaultStaleFactor is the degraded-serve staleness multiplier.
-const DefaultStaleFactor = 4
-
-// MaxStale returns the oldest entry age the policy will serve for an agent
-// with the given declared freshness (0 = no bound: resident entries are
-// servable at any age).
-func (p DegradePolicy) MaxStale(freshness time.Duration) time.Duration {
-	if freshness <= 0 {
-		return 0
-	}
-	f := p.StaleFactor
-	if f < 1 {
-		f = DefaultStaleFactor
-	}
-	return time.Duration(float64(freshness) * f)
-}
-
-// Allows reports whether an entry of the given age may be served degraded
-// under the agent's declared freshness tolerance.
-func (p DegradePolicy) Allows(freshness, age time.Duration) bool {
-	if p.Disabled {
-		return false
-	}
-	max := p.MaxStale(freshness)
-	return max == 0 || age <= max
+// ServeStale is the graceful-degradation rule, applied when an agent's
+// breaker is open or the daemon is shedding: it reports whether a memoized
+// entry of the given age may be served instead of executing. The freshness
+// declared in the agent's QoS profile (registry.QoSProfile.Freshness) is the
+// tolerance: a stale serve is freshness-valid while the entry's age is within
+// staleFactor times it. An agent that declared no freshness bound (0 = valid
+// until invalidated) is always servable from a resident entry — invalidation
+// already removed anything version-stale.
+func ServeStale(freshness, age time.Duration) bool {
+	return freshness <= 0 || age <= staleFactor*freshness
 }

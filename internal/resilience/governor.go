@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"blueprint/internal/clock"
 	"blueprint/internal/obs"
 )
 
@@ -122,7 +123,8 @@ type waiter struct {
 type Governor struct {
 	mu    sync.Mutex
 	cfg   GovernorConfig
-	share int // per-tenant slot cap under contention
+	share int          // per-tenant slot cap under contention
+	clk   *clock.Clock // times a queued ask's wait
 
 	inflight  int
 	perTenant map[string]int
@@ -142,6 +144,13 @@ func NewGovernor(cfg GovernorConfig) *Governor {
 		share = 1
 	}
 	return &Governor{cfg: cfg, share: share, perTenant: map[string]int{}, queue: list.New()}
+}
+
+// SetClock puts the governor on clk. Call it before the first Admit.
+func (g *Governor) SetClock(clk *clock.Clock) {
+	if g != nil {
+		g.clk = clk
+	}
 }
 
 // Admit claims one ask slot for tenant, waiting (bounded) when the daemon is
@@ -189,6 +198,9 @@ func (g *Governor) Admit(ctx context.Context, tenant string) (func(), error) {
 	el := g.queue.PushBack(w)
 	depth := g.queue.Len()
 	g.stats.Queued = depth
+	// The wait is timed from the moment the ask is seen queued.
+	t := g.clk.NewTimer(g.cfg.QueueTimeout)
+	defer t.Stop()
 	g.mu.Unlock()
 	if obs.Events.On(obs.LevelInfo) {
 		obs.Events.Append(obs.Event{
@@ -201,8 +213,6 @@ func (g *Governor) Admit(ctx context.Context, tenant string) (func(), error) {
 		})
 	}
 
-	t := time.NewTimer(g.cfg.QueueTimeout)
-	defer t.Stop()
 	select {
 	case <-w.granted:
 		g.admitEvent(ctx, tenant, true)

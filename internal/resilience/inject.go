@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"blueprint/internal/clock"
 	"blueprint/internal/obs"
 )
 
@@ -221,13 +222,13 @@ func Activate(in *Injector) { active.Store(in) }
 // Deactivate disarms fault injection.
 func Deactivate() { active.Store(nil) }
 
-// Check is the runtime hook subsystems call at their injection site. With no
-// active injector it is a single atomic load. Otherwise it resolves one
-// consultation: KindError returns ErrInjected; KindLatency sleeps (cut short
-// by ctx); KindHang blocks until ctx is cancelled or the hang bound elapses,
-// then returns ErrInjected; KindCrash invokes the crash hook and returns
-// ErrInjected.
-func Check(ctx context.Context, site Site) error {
+// Check is the runtime hook subsystems call at their injection site, on the
+// clock they run on. With no active injector it is a single atomic load.
+// Otherwise it resolves one consultation: KindError returns ErrInjected;
+// KindLatency sleeps on clk (cut short by ctx); KindHang blocks until ctx is
+// cancelled or the hang bound elapses on clk, then returns ErrInjected;
+// KindCrash invokes the crash hook and returns ErrInjected.
+func Check(ctx context.Context, clk *clock.Clock, site Site) error {
 	in := active.Load()
 	if in == nil {
 		return nil
@@ -240,11 +241,11 @@ func Check(ctx context.Context, site Site) error {
 	switch d.kind {
 	case KindLatency:
 		mInjectedLatency.Inc()
-		sleepCtx(ctx, d.latency)
+		clk.Sleep(ctx, d.latency)
 		return nil
 	case KindHang:
 		mInjectedHangs.Inc()
-		sleepCtx(ctx, d.latency)
+		clk.Sleep(ctx, d.latency)
 		return fmt.Errorf("%w: hang at %s", ErrInjected, site)
 	case KindCrash:
 		mInjectedCrashes.Inc()
@@ -255,18 +256,5 @@ func Check(ctx context.Context, site Site) error {
 	default:
 		mInjectedErrors.Inc()
 		return fmt.Errorf("%w: error at %s", ErrInjected, site)
-	}
-}
-
-// sleepCtx sleeps d or until ctx is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"blueprint/internal/clock"
 )
 
 // ---- injector ----
@@ -64,7 +67,7 @@ func TestInjectorSiteSelectivity(t *testing.T) {
 
 func TestCheckInactiveIsNil(t *testing.T) {
 	Deactivate()
-	if err := Check(context.Background(), SiteAgent); err != nil {
+	if err := Check(context.Background(), nil, SiteAgent); err != nil {
 		t.Fatalf("inactive Check returned %v", err)
 	}
 }
@@ -74,31 +77,34 @@ func TestCheckKinds(t *testing.T) {
 
 	// Error.
 	Activate(NewInjector(1, Rule{Kind: KindError, Probability: 1}))
-	if err := Check(context.Background(), SiteAgent); !errors.Is(err, ErrInjected) {
+	if err := Check(context.Background(), nil, SiteAgent); !errors.Is(err, ErrInjected) {
 		t.Fatalf("KindError: got %v", err)
 	}
 
-	// Latency: healthy but delayed.
+	// Latency: healthy but delayed, by the rule's latency on the caller's
+	// clock.
+	clk := clock.NewFake(time.Unix(0, 0))
 	Activate(NewInjector(1, Rule{Kind: KindLatency, Probability: 1, Latency: 20 * time.Millisecond}))
-	start := time.Now()
-	if err := Check(context.Background(), SiteAgent); err != nil {
-		t.Fatalf("KindLatency: got %v", err)
+	got := make(chan error, 1)
+	go func() { got <- Check(context.Background(), clk, SiteAgent) }()
+	if d := clk.Sleeping(); d != 20*time.Millisecond {
+		t.Fatalf("KindLatency slept %s, want 20ms", d)
 	}
-	if d := time.Since(start); d < 15*time.Millisecond {
-		t.Fatalf("KindLatency slept only %s", d)
+	clk.Advance(20 * time.Millisecond)
+	if err := <-got; err != nil {
+		t.Fatalf("KindLatency: got %v", err)
 	}
 
 	// Hang: blocks until ctx cancel, then errors.
 	Activate(NewInjector(1, Rule{Kind: KindHang, Probability: 1, Latency: time.Minute}))
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start = time.Now()
-	err := Check(ctx, SiteAgent)
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("KindHang: got %v", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() { got <- Check(ctx, clk, SiteAgent) }()
+	if d := clk.Sleeping(); d != time.Minute {
+		t.Fatalf("KindHang bounded by %s, want the rule's minute", d)
 	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("KindHang ignored cancellation, blocked %s", d)
+	cancel()
+	if err := <-got; !errors.Is(err, ErrInjected) {
+		t.Fatalf("KindHang: got %v", err)
 	}
 
 	// Crash: invokes the hook.
@@ -106,7 +112,7 @@ func TestCheckKinds(t *testing.T) {
 	in := NewInjector(1, Rule{Kind: KindCrash, Probability: 1})
 	in.OnCrash(func() { crashed = true })
 	Activate(in)
-	if err := Check(context.Background(), SiteAgent); !errors.Is(err, ErrInjected) {
+	if err := Check(context.Background(), nil, SiteAgent); !errors.Is(err, ErrInjected) {
 		t.Fatalf("KindCrash: got %v", err)
 	}
 	if !crashed {
@@ -117,22 +123,29 @@ func TestCheckKinds(t *testing.T) {
 // ---- retry ----
 
 func TestBackoffGrowthAndCap(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 40 * time.Millisecond, Multiplier: 2}
-	want := []time.Duration{10, 20, 40, 40}
-	for i, w := range want {
-		if got := p.Backoff(i + 1); got != w*time.Millisecond {
-			t.Fatalf("Backoff(%d) = %s, want %s", i+1, got, w*time.Millisecond)
+	// 10ms doubling, each ±20 %; the third attempt is the last.
+	for attempt, base := range map[int]time.Duration{1: 10 * time.Millisecond, 2: 20 * time.Millisecond} {
+		d, again := Backoff(attempt)
+		if !again || d < base*8/10 || d > base*12/10 {
+			t.Fatalf("Backoff(%d) = %s, %v; want %s ±20%%", attempt, d, again, base)
 		}
+	}
+	if d, again := Backoff(retryAttempts); again || d != 0 {
+		t.Fatalf("Backoff(%d) = %s, %v: the last attempt retries nothing", retryAttempts, d, again)
 	}
 }
 
 func TestBackoffJitterBounded(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 2, BaseBackoff: 100 * time.Millisecond, Multiplier: 2, JitterFrac: 0.2}
+	seen := map[time.Duration]bool{}
 	for i := 0; i < 100; i++ {
-		d := p.Backoff(1)
-		if d < 80*time.Millisecond || d > 120*time.Millisecond {
-			t.Fatalf("jittered backoff %s outside ±20%% of 100ms", d)
+		d, _ := Backoff(1)
+		if d < 8*time.Millisecond || d > 12*time.Millisecond {
+			t.Fatalf("jittered backoff %s outside ±20%% of 10ms", d)
 		}
+		seen[d] = true
+	}
+	if len(seen) < 2 {
+		t.Fatal("100 backoffs drew one value: no jitter")
 	}
 }
 
@@ -159,32 +172,32 @@ func TestRetryableClassification(t *testing.T) {
 // ---- breaker ----
 
 func TestBreakerStateMachine(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBreaker(BreakerConfig{Window: 10, MinSamples: 4, FailureThreshold: 0.5, OpenFor: time.Second, HalfOpenProbes: 1})
-	b.now = func() time.Time { return now }
+	clk := clock.NewFake(time.Unix(0, 0))
+	b := NewBreaker(clk)
 
-	// Below MinSamples nothing trips, even at 100% failure.
-	for i := 0; i < 3; i++ {
+	// Below breakerMinSamples nothing trips, even at 100% failure.
+	for i := 0; i < breakerMinSamples-1; i++ {
 		b.Record(false)
 	}
 	if st := b.State(); st != Closed {
-		t.Fatalf("tripped below MinSamples: %s", st)
+		t.Fatalf("tripped below the minimum samples: %s", st)
 	}
-	b.Record(false) // 4 samples, 100% failure -> trip
+	b.Record(false) // the minimum, at 100% failure -> trip
 	if st := b.State(); st != Open {
 		t.Fatalf("state after threshold = %s, want open", st)
 	}
+	clk.Advance(breakerOpenFor - time.Millisecond)
 	if b.Allow() {
 		t.Fatal("open breaker allowed a dispatch")
 	}
 
-	// OpenFor elapses -> half-open admits exactly HalfOpenProbes.
-	now = now.Add(2 * time.Second)
+	// The open period elapses -> half-open admits exactly one probe.
+	clk.Advance(time.Millisecond)
 	if !b.Allow() {
 		t.Fatal("half-open probe rejected")
 	}
 	if b.Allow() {
-		t.Fatal("second probe admitted with HalfOpenProbes=1")
+		t.Fatal("second probe admitted beside the first")
 	}
 
 	// Probe failure re-opens.
@@ -193,15 +206,25 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatalf("state after probe failure = %s, want open", st)
 	}
 
-	// Next probe succeeds -> closed, window reset.
-	now = now.Add(2 * time.Second)
+	// A probe taken and given back is taken again by the next dispatch.
+	clk.Advance(breakerOpenFor)
 	if !b.Allow() {
 		t.Fatal("second half-open probe rejected")
 	}
+	b.Forgo()
+	if st := b.State(); st != HalfOpen {
+		t.Fatalf("state after a forgone probe = %s, want half-open", st)
+	}
+	if !b.Allow() {
+		t.Fatal("probe not admitted after the last one was given back")
+	}
+
+	// Probe success -> closed, window reset.
 	b.Record(true)
 	if st := b.State(); st != Closed {
 		t.Fatalf("state after probe success = %s, want closed", st)
 	}
+	b.Forgo() // a closed breaker gave nothing to return
 	if !b.Allow() {
 		t.Fatal("closed breaker rejected")
 	}
@@ -214,8 +237,8 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 func TestBreakerSetPartitionsByAgent(t *testing.T) {
-	s := NewSet(BreakerConfig{Window: 4, MinSamples: 2, FailureThreshold: 0.5, OpenFor: time.Hour})
-	for i := 0; i < 4; i++ {
+	s := NewSet(nil)
+	for i := 0; i < breakerMinSamples; i++ {
 		s.Record("flaky", false)
 		s.Record("healthy", true)
 	}
@@ -240,6 +263,7 @@ func TestNilBreakerSet(t *testing.T) {
 		t.Fatal("nil set must allow")
 	}
 	s.Record("x", false)
+	s.Forgo("x")
 	if s.OpenCount() != 0 {
 		t.Fatal("nil set OpenCount != 0")
 	}
@@ -247,8 +271,17 @@ func TestNilBreakerSet(t *testing.T) {
 
 // ---- governor ----
 
+// awaitQueued waits until n asks are queued on g.
+func awaitQueued(g *Governor, n int) {
+	for g.Stats().Queued < n {
+		runtime.Gosched()
+	}
+}
+
 func TestGovernorAdmitRelease(t *testing.T) {
+	clk := clock.NewFake(time.Unix(0, 0))
 	g := NewGovernor(GovernorConfig{MaxConcurrent: 2, MaxQueue: 2, QueueTimeout: 50 * time.Millisecond})
+	g.SetClock(clk)
 	ctx := context.Background()
 	r1, err := g.Admit(ctx, "a")
 	if err != nil {
@@ -258,14 +291,23 @@ func TestGovernorAdmitRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pool full; a third ask queues and times out.
-	start := time.Now()
-	_, err = g.Admit(ctx, "b")
+	// Pool full; a third ask queues and times out after QueueTimeout.
+	got := make(chan error, 1)
+	go func() {
+		_, err := g.Admit(ctx, "b")
+		got <- err
+	}()
+	awaitQueued(g, 1)
+	clk.Advance(49 * time.Millisecond)
+	select {
+	case err := <-got:
+		t.Fatalf("shed before QueueTimeout: %v", err)
+	default:
+	}
+	clk.Advance(time.Millisecond)
+	err = <-got
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("expected shed, got %v", err)
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("shed decision took %s (must be bounded by QueueTimeout)", d)
 	}
 	var oe *OverloadError
 	if !errors.As(err, &oe) || oe.RetryAfter <= 0 {
@@ -292,7 +334,7 @@ func TestGovernorQueueHandoff(t *testing.T) {
 		}
 		got <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let b queue
+	awaitQueued(g, 1)
 	r1()
 	select {
 	case err := <-got:
@@ -310,7 +352,7 @@ func TestGovernorQueueFullShedsImmediately(t *testing.T) {
 	r, _ := g.Admit(ctx, "a")
 	defer r()
 	go func() { _, _ = g.Admit(ctx, "b") }() // fills the queue
-	time.Sleep(20 * time.Millisecond)
+	awaitQueued(g, 1)
 	start := time.Now()
 	_, err := g.Admit(ctx, "c")
 	if !errors.Is(err, ErrOverloaded) {
@@ -351,7 +393,7 @@ func TestGovernorTenantFairness(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(20 * time.Millisecond)
+	awaitQueued(g, 2)
 	releases[0]()
 	releases[1]()
 	for i := 0; i < 2; i++ {
@@ -424,17 +466,13 @@ func TestNilGovernor(t *testing.T) {
 // ---- degrade ----
 
 func TestDegradePolicy(t *testing.T) {
-	p := DegradePolicy{StaleFactor: 4}
-	if !p.Allows(time.Second, 3*time.Second) {
-		t.Fatal("age 3s within 4x1s bound rejected")
+	if !ServeStale(time.Second, 4*time.Second) {
+		t.Fatal("age 4s within 4x1s bound rejected")
 	}
-	if p.Allows(time.Second, 5*time.Second) {
-		t.Fatal("age 5s beyond 4x1s bound allowed")
+	if ServeStale(time.Second, 4*time.Second+1) {
+		t.Fatal("age past 4x1s bound allowed")
 	}
-	if !p.Allows(0, 24*time.Hour) {
+	if !ServeStale(0, 24*time.Hour) {
 		t.Fatal("freshness 0 (valid until invalidated) must always allow")
-	}
-	if (DegradePolicy{Disabled: true}).Allows(time.Second, 0) {
-		t.Fatal("disabled policy allowed a serve")
 	}
 }

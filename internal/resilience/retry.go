@@ -8,69 +8,29 @@ import (
 	"time"
 )
 
-// RetryPolicy generalizes the coordinator's seed-era "one replan retry" into
-// a declared policy: how many attempts a step gets, how backoff grows
-// between them, and which errors are worth retrying at all. The scheduler
-// charges every backoff sleep against the plan's remaining latency budget,
-// so retries consume the deadline they are trying to save — a plan never
-// retries itself past its own SLO.
-type RetryPolicy struct {
-	// MaxAttempts bounds total tries (1 = no retry; 0 = treat as 1).
-	MaxAttempts int
-	// BaseBackoff is the delay before the first retry.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the grown delay.
-	MaxBackoff time.Duration
-	// Multiplier grows the delay per retry (default 2).
-	Multiplier float64
-	// JitterFrac randomizes each delay by ±JitterFrac (e.g. 0.2 = ±20%),
-	// decorrelating synchronized retry storms.
-	JitterFrac float64
-}
+// The retry policy: how many attempts a step gets and how backoff grows
+// between them. It generalizes the coordinator's seed-era "one replan retry".
+// The scheduler charges every backoff against the plan's remaining latency
+// budget, so retries consume the deadline they are trying to save — a plan
+// never retries itself past its own SLO. Jitter decorrelates synchronized
+// retry storms.
+const (
+	retryAttempts = 3                      // total tries of one step
+	retryBase     = 10 * time.Millisecond  // the delay before the first retry
+	retryMax      = 250 * time.Millisecond // the cap the doubling delay stops at
+	retryJitter   = 0.2                    // each delay is randomized by ±20 %
+)
 
-// DefaultRetryPolicy is the production default: three attempts, 10ms base
-// doubling to a 250ms cap, ±20% jitter.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 250 * time.Millisecond, Multiplier: 2, JitterFrac: 0.2}
-}
-
-// Attempts returns the effective attempt bound (at least 1).
-func (p RetryPolicy) Attempts() int {
-	if p.MaxAttempts < 1 {
-		return 1
+// Backoff returns the delay before retrying a step whose attempt number
+// attempt (1-based) failed, and false when that attempt was the last one the
+// policy allows. Jitter draws from the package RNG, which is safe for
+// concurrent use.
+func Backoff(attempt int) (time.Duration, bool) {
+	if attempt < 1 || attempt >= retryAttempts {
+		return 0, false
 	}
-	return p.MaxAttempts
-}
-
-// Backoff computes the delay before retry number retry (1-based: the delay
-// after the first failed attempt is Backoff(1)). Jitter draws from the
-// package RNG, which is safe for concurrent use.
-func (p RetryPolicy) Backoff(retry int) time.Duration {
-	if retry < 1 || p.BaseBackoff <= 0 {
-		return 0
-	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
-	d := float64(p.BaseBackoff)
-	for i := 1; i < retry; i++ {
-		d *= mult
-		if p.MaxBackoff > 0 && d >= float64(p.MaxBackoff) {
-			d = float64(p.MaxBackoff)
-			break
-		}
-	}
-	if p.MaxBackoff > 0 && d > float64(p.MaxBackoff) {
-		d = float64(p.MaxBackoff)
-	}
-	if p.JitterFrac > 0 {
-		d *= 1 + p.JitterFrac*(2*jitterFloat()-1)
-	}
-	if d < 0 {
-		return 0
-	}
-	return time.Duration(d)
+	d := min(retryBase<<(attempt-1), retryMax)
+	return time.Duration(float64(d) * (1 + retryJitter*(2*jitterFloat()-1))), true
 }
 
 // jitterRNG backs Backoff's jitter. Retry jitter exists to decorrelate
@@ -103,21 +63,4 @@ func Retryable(err error) bool {
 		return false
 	}
 	return true
-}
-
-// SleepBudgeted sleeps d unless ctx is cancelled first; it reports whether
-// the full sleep completed. The scheduler calls it between attempts after
-// charging d to the plan's latency budget.
-func SleepBudgeted(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }

@@ -408,7 +408,7 @@ func (s *Session) awaitDisplay(ctx context.Context, from int, ask uint64, substr
 		Streams: []string{agent.DisplayStream(s.ID)},
 	}, int64(from))
 	defer sub.Cancel()
-	timer := time.NewTimer(timeout)
+	timer := s.store.Clock().NewTimer(timeout)
 	defer timer.Stop()
 	for {
 		select {

@@ -332,6 +332,7 @@ func TestAwaitDisplayEventDriven(t *testing.T) {
 	}
 
 	// Future append wakes a waiting call.
+	subs := store.StatsSnapshot().Subscriptions
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -340,7 +341,9 @@ func TestAwaitDisplayEventDriven(t *testing.T) {
 			t.Errorf("await = %q, %v", out, err)
 		}
 	}()
-	time.Sleep(10 * time.Millisecond) // let the waiter subscribe
+	for store.StatsSnapshot().Subscriptions == subs { // until the waiter subscribes
+		runtime.Gosched()
+	}
 	post("hello world")
 	<-done
 

@@ -271,8 +271,8 @@ func (s *Store) applyLocked(r *record) {
 		s.streams[info.ID] = &stream{info: info}
 		s.order = append(s.order, info.ID)
 		s.stats.streamsCreated.Add(1)
-		if info.CreatedTS > s.clock {
-			s.clock = info.CreatedTS
+		if info.CreatedTS > s.lastTS {
+			s.lastTS = info.CreatedTS
 		}
 	case recAppend:
 		m := r.msg
@@ -290,8 +290,8 @@ func (s *Store) applyLocked(r *record) {
 			st.info.Closed = true
 		}
 		s.stats.countMessage(m.Kind)
-		if m.TS > s.clock {
-			s.clock = m.TS
+		if m.TS > s.lastTS {
+			s.lastTS = m.TS
 		}
 		if r.n > s.nextMsg {
 			s.nextMsg = r.n

@@ -1,6 +1,10 @@
 package streams
 
-import "time"
+import (
+	"time"
+
+	"blueprint/internal/clock"
+)
 
 // idleExit is how long a parked worker waits for its next task before it
 // exits. It bounds what an idle store holds, not how many workers a busy one
@@ -26,14 +30,14 @@ func (s *Store) Go(f func()) {
 	select {
 	case s.pool.tasks <- f:
 	default:
-		go s.pool.work(f)
+		go s.pool.work(s.clk, f)
 	}
 }
 
 // work runs f, then every task the worker is handed while parked, until it
-// has been parked for idleExit or the store is closed.
-func (p *pool) work(f func()) {
-	idle := time.NewTimer(idleExit)
+// has been parked for idleExit on clk or the store is closed.
+func (p *pool) work(clk *clock.Clock, f func()) {
+	idle := clk.NewTimer(idleExit)
 	defer idle.Stop()
 	for {
 		f()

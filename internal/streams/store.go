@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"blueprint/internal/clock"
 	"blueprint/internal/durability"
 )
 
@@ -51,7 +52,7 @@ type Store struct {
 	mu      sync.RWMutex
 	streams map[string]*stream
 	order   []string // creation order, for deterministic listing
-	clock   int64    // logical timestamp of the last mutation; guarded by mu
+	lastTS  int64    // logical timestamp of the last mutation; guarded by mu
 	nextMsg int64    // number of the last message id handed out; guarded by mu
 	closed  bool
 
@@ -69,7 +70,8 @@ type Store struct {
 	sink atomic.Pointer[func(payload []byte) error]
 
 	stats counters
-	pool  pool // the workers behind Go (pool.go)
+	pool  pool         // the workers behind Go (pool.go)
+	clk   *clock.Clock // the clock of everything built over the store (SetClock)
 }
 
 // NewStore creates an empty streams database.
@@ -81,6 +83,15 @@ func NewStore() *Store {
 		pool:      pool{tasks: make(chan func()), quit: make(chan struct{})},
 	}
 }
+
+// SetClock puts the store on clk: its pool's idle workers, and the agents,
+// sessions and coordinator built over it, read it. Call it before the first
+// use, as SetDurable.
+func (s *Store) SetClock(clk *clock.Clock) { s.clk = clk }
+
+// Clock is the clock the store runs on (nil, the real clock, unless SetClock
+// was called).
+func (s *Store) Clock() *clock.Clock { return s.clk }
 
 // Close shuts the store down: all subscriptions are cancelled, then the pool's
 // parked workers exit. Appends after Close fail with ErrStoreClosed; a Go
@@ -124,7 +135,7 @@ func (s *Store) CreateStream(id string, info StreamInfo) (StreamInfo, error) {
 	}
 	info.Closed = false
 	info.Len = 0
-	info.CreatedTS = s.clock + 1
+	info.CreatedTS = s.lastTS + 1
 	if log := s.sink.Load(); log != nil {
 		if sc == nil { // attached since the first look
 			sc = getScratch()
@@ -136,7 +147,7 @@ func (s *Store) CreateStream(id string, info StreamInfo) (StreamInfo, error) {
 			return StreamInfo{}, err
 		}
 	}
-	s.clock = info.CreatedTS
+	s.lastTS = info.CreatedTS
 	s.streams[id] = &stream{info: info}
 	s.order = append(s.order, id)
 	s.stats.streamsCreated.Add(1)
@@ -228,7 +239,7 @@ func (s *Store) Append(msg Message) (Message, error) {
 	}
 	// Seq, TS and ID are claimed only once the record is logged.
 	msg.Seq = st.info.Len
-	msg.TS = s.clock + 1
+	msg.TS = s.lastTS + 1
 	n := s.nextMsg + 1
 	var idBuf [20]byte // 'm' + the 19 digits of the largest int64
 	msg.ID = string(strconv.AppendInt(append(idBuf[:0], 'm'), n, 10))
@@ -247,7 +258,7 @@ func (s *Store) Append(msg Message) (Message, error) {
 			return Message{}, err
 		}
 	}
-	s.clock = msg.TS
+	s.lastTS = msg.TS
 	s.nextMsg = n
 	st.msgs = append(st.msgs, msg)
 	st.info.Len++

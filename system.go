@@ -8,6 +8,7 @@ import (
 
 	"blueprint/internal/agent"
 	"blueprint/internal/budget"
+	"blueprint/internal/clock"
 	"blueprint/internal/coordinator"
 	"blueprint/internal/dataplan"
 	"blueprint/internal/durability"
@@ -42,6 +43,7 @@ var ErrNoResponse = errors.New("blueprint: no response before deadline")
 // LLM, and the generated enterprise substrate.
 type System struct {
 	cfg   Config
+	clock *clock.Clock         // the one clock every layer that decides by time reads
 	plans *coordinator.Service // deployed once; every StartSession session joins it
 
 	// Store is the streams database (§V-A).
@@ -87,8 +89,12 @@ type System struct {
 	Suite *hragents.Suite
 }
 
-// New builds a System from the configuration.
-func New(cfg Config) (*System, error) {
+// New builds a System from the configuration, on the real clock.
+func New(cfg Config) (*System, error) { return newOnClock(cfg, nil) }
+
+// newOnClock builds a System on clk, which it hands to every layer that
+// decides by time as that layer is built.
+func newOnClock(cfg Config, clk *clock.Clock) (*System, error) {
 	cfg = cfg.withDefaults()
 	ent, err := workload.Build(cfg.Seed, cfg.Scale)
 	if err != nil {
@@ -97,8 +103,9 @@ func New(cfg Config) (*System, error) {
 	model := llm.New(cfg.modelConfig(), ent.KB)
 
 	store := streams.NewStore()
+	store.SetClock(clk)
 	dataReg := registry.NewDataRegistry()
-	suite, err := hragents.NewSuite(ent, model, dataReg)
+	suite, err := hragents.NewSuite(ent, model, dataReg, clk)
 	if err != nil {
 		store.Close()
 		return nil, err
@@ -127,6 +134,7 @@ func New(cfg Config) (*System, error) {
 	var memoStore *memo.Store
 	if !cfg.DisableMemo {
 		memoStore = memo.New(cfg.MemoCapacity)
+		memoStore.SetClock(clk)
 		agentReg.OnChange(func(name string) { memoStore.InvalidateAgent(name) })
 		dataReg.OnChange(func(name string) { memoStore.InvalidateSource(name) })
 		// Data-change seam: every write through the relational engine (DML
@@ -210,25 +218,26 @@ func New(cfg Config) (*System, error) {
 	// dispatching to failing agents (serving freshness-valid stale memo
 	// entries instead when the policy allows), and the governor bounds
 	// concurrent governed asks with fair-share load shedding.
-	breakers := resilience.NewSet(resilience.BreakerConfig{})
-	slo := obs.NewSLOTracker(cfg.SLO)
+	breakers := resilience.NewSet(clk)
+	slo := obs.NewSLOTracker(cfg.SLO, clk)
 	coord := coordinator.New(store, agentReg, tp, model, coordinator.Options{
-		RetryOnError: true,
-		MaxParallel:  cfg.MaxParallel,
-		Memo:         memoStore,
-		Retry:        resilience.DefaultRetryPolicy(),
-		Breakers:     breakers,
-		SLO:          slo,
+		MaxParallel: cfg.MaxParallel,
+		Memo:        memoStore,
+		Breakers:    breakers,
+		SLO:         slo,
 	})
+	governor := resilience.NewGovernor(cfg.Governor)
+	governor.SetClock(clk)
 	sys := &System{
 		cfg:           cfg,
+		clock:         clk,
 		Store:         store,
 		AgentRegistry: agentReg,
 		DataRegistry:  dataReg,
 		Memo:          memoStore,
 		Durability:    eng,
 		Breakers:      breakers,
-		Governor:      resilience.NewGovernor(cfg.Governor),
+		Governor:      governor,
 		SLO:           slo,
 		Factory:       factory,
 		Sessions:      session.NewManager(store, factory),
@@ -408,7 +417,7 @@ func (sess *Session) recordedAsk(ctx context.Context, text string, event map[str
 	rec.text = text
 	var out string
 	out, rec.root, rec.err = sess.askCore(ctx, rec.trace, text, event, timeout)
-	rec.dur = time.Since(rec.start)
+	rec.dur = sess.sys.clock.Since(rec.start)
 	sess.recordAsk(rec)
 	return out, rec.err
 }
@@ -426,7 +435,7 @@ func (sess *Session) beginAsk(ctx context.Context) (context.Context, askRecord) 
 		tid = obs.NewTraceID(sess.ID)
 		ctx = obs.WithTraceID(ctx, tid)
 	}
-	return ctx, askRecord{trace: tid, start: time.Now(), evStart: obs.Events.Seq()}
+	return ctx, askRecord{trace: tid, start: sess.sys.clock.Now(), evStart: obs.Events.Seq()}
 }
 
 // quiesceWait bounds how long an exemplar capture waits for the ask's
@@ -450,7 +459,9 @@ func (sess *Session) askCore(ctx context.Context, tid, text string, event map[st
 	sp.SetAttr("trace", tid)
 	defer sp.End()
 	mAsks.Inc()
-	defer mAskLatency.ObserveSince(time.Now())
+	clk := sess.sys.clock
+	start := clk.Now()
+	defer func() { mAskLatency.Observe(clk.Since(start).Seconds()) }()
 
 	from := sess.DisplayLen()
 	var err error
@@ -522,7 +533,7 @@ func (sess *Session) recordAsk(rec askRecord) {
 		ex.Err = rec.err.Error()
 	}
 	if rec.root != nil {
-		ex.Spans = quiescedTree(sess.ID, rec.root)
+		ex.Spans = quiescedTree(sess.sys.clock, sess.ID, rec.root)
 	}
 	ex.Events = filterAskEvents(obs.Events.Since(rec.evStart), sess.ID, rec.trace)
 	// The cost breakdown is that of the plan the ask ran, found by the ask's
@@ -539,11 +550,11 @@ func (sess *Session) recordAsk(rec askRecord) {
 }
 
 // quiescedTree snapshots an ask's span tree for an exemplar once every span
-// of the ask has ended (root.Settled), or after quiesceWait when one hangs.
-// This path only runs for asks that were already slow, degraded or failed,
-// so the wait is free.
-func quiescedTree(session string, root *obs.Span) []obs.SpanData {
-	timer := time.NewTimer(quiesceWait)
+// of the ask has ended (root.Settled), or after quiesceWait on clk when one
+// hangs. This path only runs for asks that were already slow, degraded or
+// failed, so the wait is free.
+func quiescedTree(clk *clock.Clock, session string, root *obs.Span) []obs.SpanData {
+	timer := clk.NewTimer(quiesceWait)
 	defer timer.Stop()
 	select {
 	case <-root.Settled():
@@ -601,8 +612,8 @@ func filterAskEvents(events []obs.Event, session, trace string) []obs.Event {
 const askAgent = "__ask__"
 
 // askFreshness is the freshness tolerance of a memoized ask-level answer:
-// with the default degrade policy's StaleFactor a shed ask may be answered
-// from a result up to 2m old.
+// under resilience.ServeStale a shed ask may be answered from a result up to
+// 2m old.
 const askFreshness = 30 * time.Second
 
 // Answer is the result of a governed ask.
@@ -631,7 +642,7 @@ type Answer struct {
 func (sess *Session) GovernedAsk(ctx context.Context, tenant, text string, timeout time.Duration) (Answer, error) {
 	ctx, rec := sess.beginAsk(ctx)
 	rec.tenant, rec.text = tenant, text
-	tid, start := rec.trace, rec.start
+	tid, start, clk := rec.trace, rec.start, sess.sys.clock
 
 	release, err := sess.sys.Governor.Admit(ctx, tenant)
 	if err != nil {
@@ -647,17 +658,17 @@ func (sess *Session) GovernedAsk(ctx context.Context, tenant, text string, timeo
 					},
 				})
 			}
-			rec.dur, rec.outcome = time.Since(start), obs.OutcomeDegraded
+			rec.dur, rec.outcome = clk.Since(start), obs.OutcomeDegraded
 			sess.recordAsk(rec)
 			return ans, nil
 		}
-		rec.dur, rec.outcome, rec.err = time.Since(start), obs.OutcomeShed, err
+		rec.dur, rec.outcome, rec.err = clk.Since(start), obs.OutcomeShed, err
 		sess.recordAsk(rec)
 		return Answer{TraceID: tid}, err
 	}
 	defer release()
 	out, root, askErr := sess.askCore(ctx, tid, text, nil, timeout)
-	rec.dur, rec.root, rec.err = time.Since(start), root, askErr
+	rec.dur, rec.root, rec.err = clk.Since(start), root, askErr
 	if askErr != nil {
 		sess.recordAsk(rec)
 		return Answer{TraceID: tid}, askErr
@@ -691,7 +702,7 @@ func (sess *Session) rememberAnswer(text, out string) {
 
 // staleAnswer attempts the graceful-degradation path for a shed ask: a
 // resident memoized answer for the same utterance, within the staleness
-// bound the default degrade policy derives from askFreshness.
+// bound resilience.ServeStale derives from askFreshness.
 func (sess *Session) staleAnswer(text string) (Answer, bool) {
 	sys := sess.sys
 	if sys.Memo == nil {
@@ -702,7 +713,7 @@ func (sess *Session) staleAnswer(text string) (Answer, bool) {
 		return Answer{}, false
 	}
 	ent, age, ok := sys.Memo.GetStale(key)
-	if !ok || !(resilience.DegradePolicy{}).Allows(askFreshness, age) {
+	if !ok || !resilience.ServeStale(askFreshness, age) {
 		return Answer{}, false
 	}
 	out, _ := ent.Outputs["text"].(string)
