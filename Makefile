@@ -1,8 +1,9 @@
 # Build, verify and bench targets. `make ci` is what the GitHub Actions
 # workflow runs on every push: formatting, vet, build, the full test suite
 # under the race detector, the ask-identity, plan-run identity, worker-pool,
-# plan-seat and session-membership tests twenty times over and the durable
-# write-order test five times, fuzz bursts, and the Go benchmarks once.
+# plan-seat, session-membership and governed-entry tests twenty times over
+# and the durable write-order test five times, fuzz bursts, and the Go
+# benchmarks once.
 
 GO ?= go
 
@@ -30,7 +31,9 @@ race:
 # other session, and a session's Leave waits for its own running plans only;
 # and a session's membership is one decision per change: of concurrent adds
 # of the same agents exactly one joins, none once Close got there first, and
-# the session stream records each name added once; and concurrent writes to
+# the session stream records each name added once; and over HTTP a click is
+# governed as an ask is, and a shed or queued ask has its root span's id from
+# the moment it arrives; and concurrent writes to
 # one row and to one agent are logged in the order they were applied, so a
 # crash recovers what the live process ended with (fifty crash-and-reopen
 # rounds a run, so five runs).
@@ -39,6 +42,7 @@ stress:
 	$(GO) test -race -count=20 -run 'TestGoNeverBlocks|TestPoolIdleAndClose' ./internal/streams
 	$(GO) test -race -count=20 -run 'TestSeatBoundHoldsUpOnlyItsSession|TestLeaveWaitsForItsOwnPlansOnly' ./internal/coordinator
 	$(GO) test -race -count=20 -run 'TestDuplicateAgentRejected|TestConcurrentAddAndClose' ./internal/session
+	$(GO) test -race -count=20 -run 'TestClickIsGoverned|TestShedAndQueuedAsksHaveOneID' ./internal/httpapi
 	$(GO) test -race -count=5 -run 'TestDurableLogKeepsWriteOrder' .
 
 vet:
@@ -121,7 +125,9 @@ bench-streams:
 # recovery), and arbitrary bytes as one stream log record and as a streams
 # snapshot section (FuzzStreamRecord: no panic, no allocation the input cannot
 # fill, records built from the input round-trip both ways, a message's Ask
-# not logged), and any seed and up to 4 096 draws through the simulated
+# not logged), arbitrary bytes as one relational log record and as a
+# relational snapshot (FuzzRelationalRecord: no panic, no count the bytes
+# cannot fill), and any seed and up to 4 096 draws through the simulated
 # model's lazy random source against math/rand's own (FuzzLazySource: the
 # same Uint64, Float64 and Intn draw for draw). Seeds under
 # internal/{relational,dataplan}/testdata/fuzz are always replayed by plain
@@ -133,6 +139,7 @@ fuzz:
 	$(GO) test ./internal/obs/ -run FuzzResumeToken -fuzz FuzzResumeToken -fuzztime 30s
 	$(GO) test ./internal/durability/ -run FuzzRecoverSegment -fuzz FuzzRecoverSegment -fuzztime 30s
 	$(GO) test ./internal/streams/ -run FuzzStreamRecord -fuzz FuzzStreamRecord -fuzztime 30s
+	$(GO) test ./internal/relational/ -run FuzzRelationalRecord -fuzz FuzzRelationalRecord -fuzztime 30s
 	$(GO) test ./internal/llm/ -run FuzzLazySource -fuzz FuzzLazySource -fuzztime 30s
 
 fuzz-smoke:
@@ -142,6 +149,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs/ -run FuzzResumeToken -fuzz FuzzResumeToken -fuzztime 5s
 	$(GO) test ./internal/durability/ -run FuzzRecoverSegment -fuzz FuzzRecoverSegment -fuzztime 5s
 	$(GO) test ./internal/streams/ -run FuzzStreamRecord -fuzz FuzzStreamRecord -fuzztime 5s
+	$(GO) test ./internal/relational/ -run FuzzRelationalRecord -fuzz FuzzRelationalRecord -fuzztime 5s
 	$(GO) test ./internal/llm/ -run FuzzLazySource -fuzz FuzzLazySource -fuzztime 5s
 
 # Go line counts outside benchmark/, non-test and test files apart, each split

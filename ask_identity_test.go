@@ -321,7 +321,7 @@ func TestAskIdentity(t *testing.T) {
 		o := loadAskOracle(t, sys)
 		pool := answeredAlone(t, o, o.pool(30))
 		wrong := driveSessions(t, sys, o, pool, 4, 75, func(sess *Session, text string) (string, error) {
-			ans, err := sess.GovernedAsk(context.Background(), "pro", text, 10*time.Second)
+			ans, err := sess.GovernedAsk(context.Background(), "pro", text, nil, 10*time.Second)
 			return ans.Text, err
 		})
 		if len(wrong) > 0 {
@@ -390,8 +390,8 @@ func TestOnePlanIDRunsConcurrently(t *testing.T) {
 	}
 }
 
-// exemplarOf returns the flight recorder's exemplar of the ask with trace id
-// tid, or nil.
+// exemplarOf returns the flight recorder's exemplar of the ask with id tid
+// (obs.AskID's rendering), or nil.
 func exemplarOf(tid string) *obs.Exemplar {
 	for _, sum := range obs.SlowAsks.Summaries() {
 		if sum.Trace == tid {
@@ -411,19 +411,18 @@ func captureEveryAsk(t *testing.T) {
 	t.Cleanup(func() { obs.SlowAsks.SetThreshold(prev) })
 }
 
-// tracedAsk asks text under a fresh trace id and returns the answer and the
-// ask's exemplar.
+// tracedAsk asks text in-process (no tenant) and returns the answer and the
+// ask's exemplar, found by the ask's id.
 func tracedAsk(sess *Session, text string) (string, *obs.Exemplar, error) {
-	tid := obs.NewTraceID(sess.ID)
-	answer, err := sess.AskCtx(obs.WithTraceID(context.Background(), tid), text, 10*time.Second)
+	ans, err := sess.GovernedAsk(context.Background(), "", text, nil, 10*time.Second)
 	if err != nil {
 		return "", nil, err
 	}
-	ex := exemplarOf(tid)
+	ex := exemplarOf(ans.TraceID)
 	if ex == nil {
-		return "", nil, fmt.Errorf("no exemplar of ask %s (%q)", tid, text)
+		return "", nil, fmt.Errorf("no exemplar of ask %s (%q)", ans.TraceID, text)
 	}
-	return answer, ex, nil
+	return ans.Text, ex, nil
 }
 
 func mustTracedAsk(t *testing.T, sess *Session, text string) *obs.Exemplar {
@@ -572,13 +571,13 @@ func TestExemplarTreeIsTheDrainedTree(t *testing.T) {
 				exemplars = append(exemplars, ex)
 				mu.Unlock()
 			}
-			tid := obs.NewTraceID(sess.ID)
-			if _, err := sess.ClickCtx(obs.WithTraceID(context.Background(), tid), map[string]any{"action": "select_job", "job_id": 6 + c}, 10*time.Second); err != nil {
+			ans, err := sess.GovernedAsk(context.Background(), "", "", map[string]any{"action": "select_job", "job_id": 6 + c}, 10*time.Second)
+			if err != nil {
 				errs <- err
 				return
 			}
 			mu.Lock()
-			exemplars = append(exemplars, exemplarOf(tid))
+			exemplars = append(exemplars, exemplarOf(ans.TraceID))
 			mu.Unlock()
 		}(c)
 	}

@@ -161,7 +161,7 @@ type Config struct {
 	// sessions (for applications registering only their own agents).
 	DisableStandardAgents bool
 	// Governor bounds concurrent governed asks (Session.GovernedAsk, the
-	// blueprintd ask endpoint): a global in-flight slot pool with a
+	// blueprintd ask and click endpoints): a global in-flight slot pool with a
 	// bounded fair-share wait queue and load shedding. The zero value
 	// (MaxConcurrent 0) disables admission control.
 	Governor resilience.GovernorConfig

@@ -451,7 +451,7 @@ func TestAskLevelMemoEntryOnlyWithAGovernor(t *testing.T) {
 		return err
 	}
 	governed := func(s *Session, text string) error {
-		_, err := s.GovernedAsk(context.Background(), "t", text, 10*time.Second)
+		_, err := s.GovernedAsk(context.Background(), "t", text, nil, 10*time.Second)
 		return err
 	}
 	remembered := func(sys *System) int {

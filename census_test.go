@@ -30,6 +30,7 @@ var censusKept = map[string]string{
 	"planner.IncrementalPlan.Veto":         "§V-F incremental planning: an agent excluded from the remaining steps after a failure or a thumbs-down",
 	"planner.IncrementalPlan.Next":         "§V-F incremental planning",
 	"planner.IncrementalPlan.Materialize":  "§V-F incremental planning: the steps emitted so far, as a plan the coordinator runs",
+	"optimizer.AssignAgents":               "§IV objective-driven agent assignment: each step of a task plan re-picked by the objectives",
 	"registry.DataRegistry.Grant":          "§VII governance: an asset restricted to the listed agents",
 	"registry.DataRegistry.Revoke":         "§VII governance",
 	"registry.DataRegistry.ClearGrants":    "§VII governance",

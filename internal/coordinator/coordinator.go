@@ -33,13 +33,12 @@
 // have finished, in optimizer.CriticalPath over registered latencies and in
 // the scheduler's commit over reported ones — so the latency a completed plan
 // was charged is CriticalPath over what its agents reported. A step that does
-// not fit triggers the violation policy (Abort cancels the shared context,
-// which unblocks every in-flight step and skips queued ones; Confirm
-// consults ConfirmFunc — serialized so one prompt shows at a time, and at
-// most once per step; Replan applies only at the whole-plan projection
-// stage and otherwise aborts). Step results are always reported in plan
-// order regardless of completion order, and Final remains the outputs of
-// the last completed step in plan order.
+// not fit goes to Options.Confirm — serialized so one prompt shows at a
+// time, and at most once per step — and, refused or with no Confirm set,
+// aborts the plan: the shared context is cancelled, which unblocks every
+// in-flight step and skips queued ones. Step results are always reported in
+// plan order regardless of completion order, and Final remains the outputs
+// of the last completed step in plan order.
 //
 // Service is the coordinator deployed once per process, and sessions join it
 // as they join an agent deployment. It has one intake: data messages tagged
@@ -151,28 +150,14 @@ var (
 	ErrStepTimeout = errors.New("coordinator: step timed out")
 )
 
-// ViolationPolicy selects what happens when the budget is (or would be)
-// exceeded.
-type ViolationPolicy int
-
-const (
-	// Abort stops execution and emits an ABORT control message (default).
-	Abort ViolationPolicy = iota
-	// Replan asks the task planner for an alternative for the pending step
-	// and retries once before aborting.
-	Replan
-	// Confirm consults the ConfirmFunc; execution continues if it returns
-	// true ("prompt the user to confirm budget violations", §V-H).
-	Confirm
-)
-
 // Options configure a coordinator.
 type Options struct {
-	// OnViolation selects the budget-violation policy.
-	OnViolation ViolationPolicy
-	// ConfirmFunc is consulted under the Confirm policy. Calls are
-	// serialized even when concurrent steps violate simultaneously.
-	ConfirmFunc func(violations []budget.Violation) bool
+	// Confirm is consulted when the budget is, or would be, exceeded ("prompt
+	// the user to confirm budget violations", §V-H): the plan goes on over
+	// budget when it returns true, and aborts with an ABORT control message
+	// otherwise. Calls are serialized even when concurrent steps violate
+	// simultaneously. nil aborts on every violation.
+	Confirm func(violations []budget.Violation) bool
 	// MaxParallel bounds how many of a plan's steps execute at once, counting
 	// the one the plan's own goroutine runs (default DefaultMaxParallel; 1
 	// runs every step on the plan's goroutine, one after another).
@@ -201,7 +186,7 @@ type Coordinator struct {
 	model      *llm.Model
 	opts       Options
 	transforms *dataplan.Executor // runs the data planner's transformations on the store's clock
-	confirmMu  sync.Mutex         // serializes ConfirmFunc consultations
+	confirmMu  sync.Mutex         // serializes Confirm consultations
 	// invocations numbers the agent invocations executeStep starts, so
 	// each has an id of its own.
 	invocations atomic.Uint64
@@ -312,24 +297,8 @@ func (c *Coordinator) execute(session string, ask uint64, p *planner.Plan, b *bu
 	// with memoization on, steps expected to hit the cache are priced at
 	// zero, so warm plans are admitted at their residual cost.
 	projCost, projLatency, _, _ := optimizer.EstimatePlanWithMemo(p, g, c.reg, c.opts.Memo)
-	if b.WouldExceed(projCost, projLatency) {
-		switch {
-		case c.opts.OnViolation == Confirm && c.confirm(nil): // confirmed: run it over budget
-		case c.opts.OnViolation == Replan:
-			if c.tp != nil && c.reg != nil {
-				if n, _ := optimizer.AssignAgents(p, c.reg, optimizer.CheapestObjectives(), b.Limits()); n > 0 {
-					res.Replans++
-					projCost, projLatency, _, _ = optimizer.EstimatePlanWithMemo(p, g, c.reg, c.opts.Memo)
-					if b.WouldExceed(projCost, projLatency) {
-						return c.abort(session, ask, res, b, "still over budget after cost-optimized reassignment")
-					}
-					break
-				}
-			}
-			return c.abort(session, ask, res, b, fmt.Sprintf("projected cost $%.4f exceeds budget and no replan available", projCost))
-		default:
-			return c.abort(session, ask, res, b, fmt.Sprintf("projected cost $%.4f/latency %s exceeds budget", projCost, projLatency))
-		}
+	if b.WouldExceed(projCost, projLatency) && !c.confirm(nil) {
+		return c.abort(session, ask, res, b, fmt.Sprintf("projected cost $%.4f/latency %s exceeds budget", projCost, projLatency))
 	}
 
 	err = newScheduler(c, session, ask, p, g, b, res, span).run()
@@ -337,16 +306,17 @@ func (c *Coordinator) execute(session string, ask uint64, p *planner.Plan, b *bu
 	return res, err
 }
 
-// confirm consults ConfirmFunc under confirmMu, so prompts are serialized
-// across concurrent steps and concurrently executing plans (Service runs
-// watched plans concurrently over one shared Coordinator).
+// confirm consults Options.Confirm under confirmMu, so prompts are
+// serialized across concurrent steps and concurrently executing plans
+// (Service runs watched plans concurrently over one shared Coordinator). nil
+// vs is the plan's projection; without a Confirm every violation is refused.
 func (c *Coordinator) confirm(vs []budget.Violation) bool {
-	if c.opts.ConfirmFunc == nil {
+	if c.opts.Confirm == nil {
 		return false
 	}
 	c.confirmMu.Lock()
 	defer c.confirmMu.Unlock()
-	return c.opts.ConfirmFunc(vs)
+	return c.opts.Confirm(vs)
 }
 
 // abort refuses a plan at the projection stage, before any step ran.

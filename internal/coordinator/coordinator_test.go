@@ -165,10 +165,9 @@ func TestBudgetAbortsMidPlan(t *testing.T) {
 	defer abortSub.Cancel()
 
 	// Pre-projection would catch this; test mid-plan enforcement by using
-	// Confirm policy that accepts the projection but rejects actuals.
+	// a Confirm that accepts the projection but rejects actuals.
 	calls := 0
-	c.opts.OnViolation = Confirm
-	c.opts.ConfirmFunc = func(v []budget.Violation) bool {
+	c.opts.Confirm = func(v []budget.Violation) bool {
 		calls++
 		return v == nil // accept projection warning, reject actual violations
 	}
@@ -211,8 +210,7 @@ func TestConfirmPolicyContinues(t *testing.T) {
 	e := newEnv(t)
 	calls := 0
 	c := New(e.store, e.reg, e.tp, e.model, Options{
-		OnViolation: Confirm,
-		ConfirmFunc: func(v []budget.Violation) bool { calls++; return true },
+		Confirm: func(v []budget.Violation) bool { calls++; return true },
 	})
 	plan, _ := e.tp.Plan("I am looking for a data scientist position.")
 	b := budget.New(budget.Limits{MaxCost: 0.0001})

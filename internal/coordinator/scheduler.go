@@ -312,7 +312,7 @@ func (s *scheduler) satisfy(sr StepResult, label string, accuracy float64) stepO
 	s.results[sr.StepID] = sr
 	s.res.Degraded = s.res.Degraded || sr.Degraded
 	s.mu.Unlock()
-	if len(vs) > 0 && !s.confirmViolations(vs) {
+	if len(vs) > 0 && !s.c.confirm(vs) {
 		return stepOutcome{stepID: sr.StepID, ran: true, err: s.abort(vs[0].String())}
 	}
 	s.mu.Lock()
@@ -355,7 +355,7 @@ func (s *scheduler) runFresh(ctx context.Context, step planner.Step, id stepIden
 // summing their projected latencies would falsely reject parallel plans the
 // critical-path projection already admitted; latency is enforced at commit
 // time against the critical path of actual step latencies. A reservation
-// that does not fit goes to the violation policy: refused, the plan aborts
+// that does not fit goes to Options.Confirm: refused, the plan aborts
 // (err); confirmed, the step executes without a reservation, its actuals are
 // charged (and recorded as violations) on completion, and the commit-stage
 // violations it already confirmed do not prompt again. Steps of unknown
@@ -366,7 +366,7 @@ func (s *scheduler) admit(label string, id stepIdentity) (rsv *budget.Reservatio
 	}
 	rsv, vs := s.budget.Reserve(label, id.qos.CostPerCall, 0)
 	if len(vs) > 0 {
-		if !s.confirmViolations(vs) {
+		if !s.c.confirm(vs) {
 			return nil, false, s.abort(vs[0].String())
 		}
 		confirmed = true
@@ -525,7 +525,7 @@ func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, id step
 	} else {
 		vs = s.budget.Charge(step.ID+":"+step.Agent, sr.Cost, marginal, acc)
 	}
-	if len(vs) > 0 && !confirmed && !s.confirmViolations(vs) {
+	if len(vs) > 0 && !confirmed && !s.c.confirm(vs) {
 		err := s.abort(vs[0].String())
 		return stepOutcome{stepID: step.ID, ran: true, err: err}
 	}
@@ -536,22 +536,12 @@ func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, id step
 	return stepOutcome{stepID: step.ID, ran: true}
 }
 
-// confirmViolations applies the violation policy for an in-flight step:
-// only the Confirm policy can wave execution on, and confirmations are
-// serialized (Coordinator.confirm) so a human (or test) sees one prompt at
-// a time. Abort and Replan fall through to abort — replanning for budget
-// reasons happens only at the whole-plan projection stage.
-func (s *scheduler) confirmViolations(vs []budget.Violation) bool {
-	if s.c.opts.OnViolation != Confirm {
-		return false
-	}
-	return s.c.confirm(vs)
-}
-
 // event logs a scheduler decision (a retry, a degraded serve, a replan)
-// against the session; the log applies its level gate.
+// against the session and the ask the plan runs for; the log applies its
+// level gate.
 func (s *scheduler) event(lv obs.Level, kind string, attrs ...obs.Attr) {
-	obs.Events.Append(obs.Event{Level: lv, Component: "scheduler", Kind: kind, Session: s.session, Attrs: attrs})
+	obs.Events.Append(obs.Event{Level: lv, Component: "scheduler", Kind: kind,
+		Session: s.session, Trace: obs.AskID(s.ask), Attrs: attrs})
 }
 
 // record stores a step's result for the plan-order assembly in run.

@@ -35,8 +35,8 @@ type Options struct {
 // Endpoints:
 //
 //	POST /sessions                         -> {"id": "session:1"}
-//	POST /sessions/{id}/ask    {"text":..} -> {"answer": ...} (X-Trace-Id on every response, 429s included)
-//	POST /sessions/{id}/click  {event}     -> {"answer": ...} (X-Trace-Id, as for ask)
+//	POST /sessions/{id}/ask    {"text":..} -> {"answer": ...} (X-Trace-Id on every response; 429 + Retry-After when shed)
+//	POST /sessions/{id}/click  {event}     -> {"answer": ...} (governed as an ask is: X-Trace-Id, 429 when shed)
 //	GET  /sessions/{id}/flow               -> per-message flow trace
 //	GET  /agents                           -> agent registry contents
 //	GET  /data                             -> data registry contents
@@ -50,9 +50,11 @@ type Options struct {
 //	GET  /slo                              -> per-tenant/per-agent SLO burn rates
 //	POST /snapshot                         -> take a durability snapshot now
 //
-// An ask's or a click's body is at most maxBody bytes (413 beyond), an ask's
-// timeout_ms at most maxAskTimeout, and either one's wait ends when its
-// client goes away.
+// An ask and a click take one path: each is admitted under the request's
+// X-Tenant, shed with 429 or served degraded alike, and each response names
+// the ask's id (its root span's) in X-Trace-Id. An ask's or a click's body is
+// at most maxBody bytes (413 beyond), an ask's timeout_ms at most
+// maxAskTimeout, and either one's wait ends when its client goes away.
 type Server struct {
 	sys *blueprint.System
 	mux *http.ServeMux
@@ -161,44 +163,7 @@ func (s *Server) ask(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, cmp.Or(code, http.StatusBadRequest), map[string]string{"error": "body must be {\"text\": ...}, at most 1 MiB"})
 		return
 	}
-	timeout := 15 * time.Second
-	if body.Timeout > 0 {
-		timeout = time.Duration(min(body.Timeout, int(maxAskTimeout/time.Millisecond))) * time.Millisecond
-	}
-	tenant := r.Header.Get("X-Tenant")
-	if tenant == "" {
-		tenant = "default"
-	}
-	// Mint the trace id here so the response header is set on every path —
-	// sheds included, which is exactly when an operator wants to grep the
-	// event log for the rejected ask.
-	tid := obs.NewTraceID(sess.ID)
-	w.Header().Set("X-Trace-Id", tid)
-	ctx := obs.WithTraceID(r.Context(), tid)
-	ans, err := sess.GovernedAsk(ctx, tenant, body.Text, timeout)
-	if err != nil {
-		var ov *resilience.OverloadError
-		if errors.As(err, &ov) {
-			// Shed: 429 with the governor's advisory backoff. Retry-After
-			// is whole seconds (RFC 9110), rounded up so "1s" never
-			// becomes "0".
-			secs := int(math.Ceil(ov.RetryAfter.Seconds()))
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeJSON(w, http.StatusTooManyRequests, map[string]any{
-				"error": err.Error(), "retry_after_ms": ov.RetryAfter.Milliseconds(),
-				"trace": tid,
-			})
-			return
-		}
-		writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error(), "trace": tid})
-		return
-	}
-	out := map[string]any{"answer": ans.Text, "trace": ans.TraceID}
-	if ans.Degraded {
-		out["degraded"] = true
-		out["stale_for_ms"] = ans.StaleFor.Milliseconds()
-	}
-	writeJSON(w, http.StatusOK, out)
+	s.answer(w, r, sess, body.Text, nil, body.Timeout)
 }
 
 func (s *Server) click(w http.ResponseWriter, r *http.Request) {
@@ -207,19 +172,47 @@ func (s *Server) click(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var event map[string]any
-	if code := decodeBody(w, r, &event); code != 0 {
-		writeJSON(w, code, map[string]string{"error": "body must be a UI event object, at most 1 MiB"})
+	if code := decodeBody(w, r, &event); code != 0 || event == nil {
+		writeJSON(w, cmp.Or(code, http.StatusBadRequest), map[string]string{"error": "body must be a UI event object, at most 1 MiB"})
 		return
 	}
-	// A click is an ask: it has a trace id on every response too.
-	tid := obs.NewTraceID(sess.ID)
-	w.Header().Set("X-Trace-Id", tid)
-	answer, err := sess.ClickCtx(obs.WithTraceID(r.Context(), tid), event, 15*time.Second)
-	if err != nil {
-		writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error(), "trace": tid})
+	s.answer(w, r, sess, "", event, 0)
+}
+
+// answer serves one decoded ask or click (event set) through
+// Session.GovernedAsk, under the request's X-Tenant ("default" when absent)
+// and a wait of timeoutMS, clamped to maxAskTimeout (15 s when 0). Every
+// outcome carries the ask's id as X-Trace-Id and the body's "trace": a shed
+// answers 429 with the governor's advisory Retry-After, a degraded serve 200
+// marked "degraded", any other failure 504.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, sess *blueprint.Session, text string, event map[string]any, timeoutMS int) {
+	timeout := 15 * time.Second
+	if timeoutMS > 0 {
+		timeout = time.Duration(min(timeoutMS, int(maxAskTimeout/time.Millisecond))) * time.Millisecond
+	}
+	tenant := cmp.Or(r.Header.Get("X-Tenant"), "default")
+	ans, err := sess.GovernedAsk(r.Context(), tenant, text, event, timeout)
+	w.Header().Set("X-Trace-Id", ans.TraceID)
+	if err == nil {
+		out := map[string]any{"answer": ans.Text, "trace": ans.TraceID}
+		if ans.Degraded {
+			out["degraded"] = true
+			out["stale_for_ms"] = ans.StaleFor.Milliseconds()
+		}
+		writeJSON(w, http.StatusOK, out)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"answer": answer, "trace": tid})
+	var ov *resilience.OverloadError
+	if errors.As(err, &ov) {
+		// Retry-After is whole seconds (RFC 9110), rounded up so "1s"
+		// never becomes "0".
+		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(ov.RetryAfter.Seconds()))))
+		writeJSON(w, http.StatusTooManyRequests, map[string]any{
+			"error": err.Error(), "retry_after_ms": ov.RetryAfter.Milliseconds(), "trace": ans.TraceID,
+		})
+		return
+	}
+	writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error(), "trace": ans.TraceID})
 }
 
 func (s *Server) flow(w http.ResponseWriter, r *http.Request) {

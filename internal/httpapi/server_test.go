@@ -3,6 +3,7 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -380,8 +381,8 @@ func TestTraceIDHeaderOverHTTP(t *testing.T) {
 		t.Fatalf("ask = %d %s", rec.Code, rec.Body)
 	}
 	tid := rec.Header().Get("X-Trace-Id")
-	if !strings.HasPrefix(tid, "session:"+id+"-") {
-		t.Fatalf("X-Trace-Id = %q, want session-prefixed id", tid)
+	if tid == "" {
+		t.Fatal("ask answered without an X-Trace-Id")
 	}
 	if out["trace"] != tid {
 		t.Fatalf("body trace %v != header %q", out["trace"], tid)
@@ -394,8 +395,8 @@ func TestTraceIDHeaderOverHTTP(t *testing.T) {
 		t.Fatalf("click = %d %s", rec.Code, rec.Body)
 	}
 	clickTid := rec.Header().Get("X-Trace-Id")
-	if !strings.HasPrefix(clickTid, "session:"+id+"-") || clickTid == tid || out["trace"] != clickTid {
-		t.Fatalf("click X-Trace-Id = %q, body trace %v (ask's %q), want a fresh session-prefixed id in both", clickTid, out["trace"], tid)
+	if clickTid == "" || clickTid == tid || out["trace"] != clickTid {
+		t.Fatalf("click X-Trace-Id = %q, body trace %v (ask's %q), want a fresh id in both", clickTid, out["trace"], tid)
 	}
 	tagged := false
 	for _, sp := range obs.Spans.Session("session:" + id) {
@@ -667,3 +668,149 @@ func TestFlightRecorderEndpointsOverHTTP(t *testing.T) {
 }
 
 func strconvU(n uint64) string { return strconv.FormatUint(n, 10) }
+
+// post sends body to path under tenant.
+func post(h http.Handler, path, tenant, body string) (*httptest.ResponseRecorder, map[string]any) {
+	req := httptest.NewRequest("POST", path, strings.NewReader(body))
+	req.Header.Set("X-Tenant", tenant)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	var out map[string]any
+	_ = json.Unmarshal(rec.Body.Bytes(), &out)
+	return rec, out
+}
+
+// eventOf returns the logged event of component and kind that names ask tid,
+// from the events after seq.
+func eventOf(seq uint64, component, kind, tid string) (obs.Event, bool) {
+	for _, e := range obs.Events.Since(seq) {
+		if e.Component == component && e.Kind == kind && e.Trace == tid {
+			return e, true
+		}
+	}
+	return obs.Event{}, false
+}
+
+// A click takes the ask's way in: under its X-Tenant it is admitted, served
+// degraded while the governor is saturated and its answer is remembered, or
+// shed with 429, Retry-After and X-Trace-Id, and the shed event names that
+// id.
+func TestClickIsGoverned(t *testing.T) {
+	s := newTestServerCfg(t, blueprint.Config{
+		ModelAccuracy: 1.0,
+		Governor:      resilience.GovernorConfig{MaxConcurrent: 1, RetryAfter: 2 * time.Second},
+	})
+	_, out := do(t, s, "POST", "/sessions", "")
+	path := "/sessions/" + strings.TrimPrefix(out["id"].(string), "session:") + "/click"
+	const remembered = `{"action": "select_job", "job_id": 4}`
+	if rec, _ := post(s, path, "pro", remembered); rec.Code != http.StatusOK {
+		t.Fatalf("click on an idle governor = %d %s", rec.Code, rec.Body)
+	}
+	if st := s.sys.GovernorStats(); st.Admitted != 1 {
+		t.Fatalf("governor ledger = %+v after one click, want it admitted", st)
+	}
+
+	// The tenant holds the one slot: its next clicks cannot be admitted.
+	release, err := s.sys.Governor.Admit(context.Background(), "pro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	rec, out := post(s, path, "pro", remembered)
+	if rec.Code != http.StatusOK || out["degraded"] != true {
+		t.Fatalf("a remembered click under saturation = %d %s, want a degraded 200", rec.Code, rec.Body)
+	}
+	seq := obs.Events.Seq()
+	rec, out = post(s, path, "pro", `{"action": "select_job", "job_id": 9}`)
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != "2" {
+		t.Fatalf("a novel click under saturation = %d (Retry-After %q) %s, want 429 with Retry-After 2",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+	}
+	tid := rec.Header().Get("X-Trace-Id")
+	if tid == "" || out["trace"] != tid {
+		t.Fatalf("shed click X-Trace-Id = %q, body trace %v", tid, out["trace"])
+	}
+	if _, ok := eventOf(seq, "governor", "shed", tid); !ok {
+		t.Fatalf("no governor shed event names the shed click %s", tid)
+	}
+}
+
+// An ask has one id from the moment it arrives: a shed ask's X-Trace-Id finds
+// its shed event and its exemplar, whose tree is the ask's one root span; a
+// queued ask's root span opens before the governor queues it, the queue event
+// names the root, and the wait lies inside the root.
+func TestShedAndQueuedAsksHaveOneID(t *testing.T) {
+	s := newTestServerCfg(t, blueprint.Config{
+		ModelAccuracy: 1.0,
+		Governor:      resilience.GovernorConfig{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: 10 * time.Second},
+	})
+	_, out := do(t, s, "POST", "/sessions", "")
+	session := out["id"].(string)
+	path := "/sessions/" + strings.TrimPrefix(session, "session:") + "/ask"
+	release, err := s.sys.Governor.Admit(context.Background(), "holder")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Four sheds: the recorder keeps one shed exemplar in four.
+	seq := obs.Events.Seq()
+	captured := 0
+	for i := 0; i < 4; i++ {
+		rec, _ := post(s, path, "holder", fmt.Sprintf(`{"text": "How many jobs are in shed city %d?"}`, i))
+		tid := rec.Header().Get("X-Trace-Id")
+		if rec.Code != http.StatusTooManyRequests || tid == "" {
+			t.Fatalf("shed ask = %d, X-Trace-Id %q", rec.Code, tid)
+		}
+		if _, ok := eventOf(seq, "governor", "shed", tid); !ok {
+			t.Fatalf("no governor shed event names the shed ask %s", tid)
+		}
+		for _, sum := range obs.SlowAsks.Summaries() {
+			if sum.Trace != tid {
+				continue
+			}
+			ex, _ := obs.SlowAsks.Get(sum.ID)
+			if ex.Outcome != obs.OutcomeShed || len(ex.Spans) != 1 || obs.AskID(ex.Spans[0].ID) != tid {
+				t.Fatalf("shed exemplar of %s: outcome %s, tree\n%s\nwant its one root span", tid, ex.Outcome, obs.RenderTree(ex.Spans))
+			}
+			captured++
+		}
+	}
+	if captured != 1 {
+		t.Fatalf("%d of 4 shed asks captured, want 1", captured)
+	}
+
+	// Another tenant queues behind the held slot, and runs once it is free.
+	seq = obs.Events.Seq()
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec, _ := post(s, path, "queued", `{"text": "How many jobs are in Seattle?"}`)
+		done <- rec
+	}()
+	for deadline := time.Now().Add(10 * time.Second); s.sys.GovernorStats().Queued == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the ask never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	rec := <-done
+	tid := rec.Header().Get("X-Trace-Id")
+	if rec.Code != http.StatusOK || tid == "" {
+		t.Fatalf("queued ask = %d %s, X-Trace-Id %q", rec.Code, rec.Body, tid)
+	}
+	queued, ok := eventOf(seq, "governor", "queue", tid)
+	if !ok {
+		t.Fatalf("no governor queue event names the queued ask %s", tid)
+	}
+	for _, sp := range obs.Spans.Session(session) {
+		if obs.AskID(sp.ID) != tid {
+			continue
+		}
+		if sp.Parent != 0 || sp.Start.After(queued.Time) || sp.Start.Add(sp.Dur).Before(queued.Time) {
+			t.Fatalf("root span %d (parent %d) runs %s..%s, queue event at %s: the wait must lie inside the root",
+				sp.ID, sp.Parent, sp.Start.Format(time.StampNano), sp.Start.Add(sp.Dur).Format(time.StampNano), queued.Time.Format(time.StampNano))
+		}
+		return
+	}
+	t.Fatalf("no span of session %s has the queued ask's id %s", session, tid)
+}

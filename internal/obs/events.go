@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"sync"
@@ -104,7 +103,8 @@ type Event struct {
 	// "degraded-serve", "group-commit", ...
 	Kind string `json:"kind"`
 	// Session and Trace correlate the event with a session ring and an
-	// ask's X-Trace-Id (either may be empty for process-global events).
+	// ask: Trace is the ask's id as AskID renders it, its X-Trace-Id
+	// (either may be empty for process-global events).
 	Session string `json:"session,omitempty"`
 	Trace   string `json:"trace,omitempty"`
 	Attrs   []Attr `json:"attrs,omitempty"`
@@ -217,42 +217,4 @@ func (s *Sampler) Allow() bool {
 		return true
 	}
 	return s.n.Add(1)%s.every == 1
-}
-
-// ---- trace-id correlation ----
-
-// Trace ids correlate an HTTP response (X-Trace-Id), the governor's shed
-// events, the session's span tree and the flight-recorder exemplar of one
-// ask. They ride context.Context: blueprintd mints one per ask request and
-// GovernedAsk/AskCtx mint one when the caller didn't.
-
-type traceIDKey struct{}
-
-var traceSeq atomic.Uint64
-
-// NewTraceID mints a process-unique trace id with a readable prefix
-// (typically the session id).
-func NewTraceID(prefix string) string {
-	n := traceSeq.Add(1)
-	if prefix == "" {
-		prefix = "trace"
-	}
-	return prefix + "-" + strconv.FormatUint(n, 36)
-}
-
-// WithTraceID returns ctx carrying the trace id (ctx unchanged for "").
-func WithTraceID(ctx context.Context, id string) context.Context {
-	if id == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, traceIDKey{}, id)
-}
-
-// TraceIDFrom returns the trace id carried by ctx, or "".
-func TraceIDFrom(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	id, _ := ctx.Value(traceIDKey{}).(string)
-	return id
 }

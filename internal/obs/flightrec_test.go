@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -121,23 +122,29 @@ func TestSampler(t *testing.T) {
 	}
 }
 
-func TestTraceIDHelpers(t *testing.T) {
-	a, b := NewTraceID("s1"), NewTraceID("s1")
-	if a == b {
-		t.Fatalf("trace ids not unique: %q", a)
+// An ask has one id, its root span's: every span of the ask, however deep,
+// and the context carrying one of them, name the root, and AskID renders it
+// ("" for no ask).
+func TestAskID(t *testing.T) {
+	tr := NewTracer()
+	root := tr.StartRoot("s1", "session", "ask")
+	ctx, child := StartSpan(ContextWith(t.Context(), root), "scheduler", "step")
+	_, grandchild := StartSpan(ctx, "agent", "X")
+	resumed := tr.Resume(root.ID(), child.Token(), "agent", "Y")
+	for _, sp := range []*Span{root, child, grandchild, resumed, FromContext(ctx)} {
+		if sp.Ask() != root.ID() {
+			t.Fatalf("span %d names ask %d, want the root's %d", sp.ID(), sp.Ask(), root.ID())
+		}
 	}
-	if !strings.HasPrefix(a, "s1-") {
-		t.Fatalf("trace id %q missing prefix", a)
+	if got, want := AskID(root.ID()), strconv.FormatUint(root.ID(), 10); got != want {
+		t.Fatalf("AskID = %q, want %q", got, want)
 	}
-	ctx := WithTraceID(t.Context(), a)
-	if got := TraceIDFrom(ctx); got != a {
-		t.Fatalf("TraceIDFrom = %q, want %q", got, a)
+	if AskID(0) != "" || FromContext(t.Context()).Ask() != 0 {
+		t.Fatal("no ask must render as \"\"")
 	}
-	if got := TraceIDFrom(t.Context()); got != "" {
-		t.Fatalf("TraceIDFrom(bare ctx) = %q", got)
-	}
-	if WithTraceID(ctx, "") != ctx {
-		t.Fatal("WithTraceID(\"\") must return ctx unchanged")
+	other := tr.StartRoot("s1", "session", "ask")
+	if AskID(other.ID()) == AskID(root.ID()) {
+		t.Fatal("two asks rendered the same id")
 	}
 }
 

@@ -42,7 +42,8 @@ type CostBreakdown struct {
 // Exemplar is one captured ask: identity, outcome, and the full evidence.
 type Exemplar struct {
 	// ID is the capture sequence number (GET /slow/{n} addresses it).
-	ID      uint64    `json:"id"`
+	ID uint64 `json:"id"`
+	// Trace is the ask's id (AskID of its root span's), its X-Trace-Id.
 	Trace   string    `json:"trace,omitempty"`
 	Session string    `json:"session"`
 	Tenant  string    `json:"tenant,omitempty"`

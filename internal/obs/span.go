@@ -161,6 +161,25 @@ func (s *Span) ID() uint64 {
 	return s.id
 }
 
+// Ask returns the id of the ask the span is charged to — its root's id (0
+// for nil).
+func (s *Span) Ask() uint64 {
+	if s == nil {
+		return 0
+	}
+	return s.ask.id
+}
+
+// AskID renders an ask's id (a root span's id, as streams.Message.Ask holds
+// it) the one way X-Trace-Id, an Answer, events and exemplars carry it: ""
+// for 0, no ask.
+func AskID(ask uint64) string {
+	if ask == 0 {
+		return ""
+	}
+	return strconv.FormatUint(ask, 10)
+}
+
 // Token serializes the span identity for propagation across a stream
 // boundary ("" for nil); Tracer.Resume parses it back.
 func (s *Span) Token() string {

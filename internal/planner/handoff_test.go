@@ -101,8 +101,8 @@ func TestFromJSONTypedEqualsDecoded(t *testing.T) {
 }
 
 // What FromJSON returns shares no mutable state with the payload: the
-// payload stays in the stream's history, and the coordinator rewrites the
-// plans it runs (agent reassignment under the Replan policy).
+// payload stays in the stream's history, and a reader may rewrite the plan it
+// decoded (optimizer.AssignAgents reassigns steps in place).
 func TestFromJSONCopies(t *testing.T) {
 	p := handoffPlan()
 	got, err := FromJSON(p)

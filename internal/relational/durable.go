@@ -37,6 +37,9 @@ import (
 //   - Snapshot/Restore serialize the catalog (schemas, indexes), all live
 //     rows, and the per-table schema versions — restoring the versions
 //     keeps compiled-plan invalidation monotonic across restarts.
+//   - Both decoders read every element count through durability.Dec.Count:
+//     a count beyond the bytes left is an error, so no record or snapshot
+//     sizes an allocation its bytes cannot fill.
 type DurabilitySink interface {
 	// LogMutation atomically applies a mutation and appends the WAL
 	// record it returns (nil payload = nothing to log).
@@ -94,9 +97,9 @@ func decodeWALRecord(rec []byte) (string, []Value, error) {
 		return "", nil, fmt.Errorf("relational: unknown wal record version %d", v)
 	}
 	sql := d.String()
-	n := d.Uvarint()
+	n := d.Count()
 	params := make([]Value, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		params = append(params, decodeValue(d))
 	}
 	if err := d.Err(); err != nil {
@@ -235,20 +238,20 @@ func (db *DB) Restore(r io.Reader) error {
 		return fmt.Errorf("relational: unknown snapshot version %d", v)
 	}
 	schemaSeq := d.Uvarint()
-	nvers := d.Uvarint()
+	nvers := d.Count()
 	vers := make(map[string]uint64, nvers)
-	for i := uint64(0); i < nvers && d.Err() == nil; i++ {
+	for i := 0; i < nvers && d.Err() == nil; i++ {
 		k := d.String()
 		vers[k] = d.Uvarint()
 	}
-	ntables := d.Uvarint()
+	ntables := d.Count()
 	tables := make(map[string]*table, ntables)
 	var order []string
-	for ti := uint64(0); ti < ntables && d.Err() == nil; ti++ {
+	for ti := 0; ti < ntables && d.Err() == nil; ti++ {
 		name := d.String()
-		ncols := d.Uvarint()
+		ncols := d.Count()
 		schema := Schema{Columns: make([]Column, 0, ncols)}
-		for i := uint64(0); i < ncols && d.Err() == nil; i++ {
+		for i := 0; i < ncols && d.Err() == nil; i++ {
 			cn := d.String()
 			schema.Columns = append(schema.Columns, Column{Name: cn, Type: Type(d.Byte())})
 		}
@@ -256,17 +259,17 @@ func (db *DB) Restore(r io.Reader) error {
 			name, column string
 			kind         IndexKind
 		}
-		nidx := d.Uvarint()
+		nidx := d.Count()
 		idxs := make([]idxMeta, 0, nidx)
-		for i := uint64(0); i < nidx && d.Err() == nil; i++ {
+		for i := 0; i < nidx && d.Err() == nil; i++ {
 			in := d.String()
 			ic := d.String()
 			idxs = append(idxs, idxMeta{name: in, column: ic, kind: IndexKind(d.Byte())})
 		}
-		nrows := d.Uvarint()
+		nrows := d.Count()
 		t := &table{name: name, schema: schema, indexes: make(map[string]*indexDef)}
 		t.rows = make([]Row, 0, nrows)
-		for ri := uint64(0); ri < nrows && d.Err() == nil; ri++ {
+		for ri := 0; ri < nrows && d.Err() == nil; ri++ {
 			row := make(Row, len(schema.Columns))
 			for ci := range row {
 				row[ci] = decodeValue(d)

@@ -24,15 +24,15 @@ var (
 )
 
 // shedEvent records one shed decision in the event log, carrying the
-// tenant, the reason and the ask's trace id so a 429 response correlates
-// with the flight recorder.
+// tenant, the reason and the id of the ask whose root span ctx carries, so a
+// 429 response correlates with the flight recorder.
 func shedEvent(ctx context.Context, tenant, reason string, queued int) {
 	if !obs.Events.On(obs.LevelWarn) {
 		return
 	}
 	obs.Events.Append(obs.Event{
 		Level: obs.LevelWarn, Component: "governor", Kind: "shed",
-		Trace: obs.TraceIDFrom(ctx),
+		Trace: obs.AskID(obs.FromContext(ctx).Ask()),
 		Attrs: []obs.Attr{
 			{Key: "tenant", Value: tenant},
 			{Key: "reason", Value: reason},
@@ -205,7 +205,7 @@ func (g *Governor) Admit(ctx context.Context, tenant string) (func(), error) {
 	if obs.Events.On(obs.LevelInfo) {
 		obs.Events.Append(obs.Event{
 			Level: obs.LevelInfo, Component: "governor", Kind: "queue",
-			Trace: obs.TraceIDFrom(ctx),
+			Trace: obs.AskID(obs.FromContext(ctx).Ask()),
 			Attrs: []obs.Attr{
 				{Key: "tenant", Value: tenant},
 				{Key: "depth", Value: strconv.Itoa(depth)},
@@ -255,7 +255,7 @@ func (g *Governor) admitEvent(ctx context.Context, tenant string, waited bool) {
 	}
 	obs.Events.Append(obs.Event{
 		Level: obs.LevelDebug, Component: "governor", Kind: "admit",
-		Trace: obs.TraceIDFrom(ctx),
+		Trace: obs.AskID(obs.FromContext(ctx).Ask()),
 		Attrs: []obs.Attr{
 			{Key: "tenant", Value: tenant},
 			{Key: "waited", Value: strconv.FormatBool(waited)},

@@ -149,14 +149,14 @@ func BenchmarkGovernedAskRecording(b *testing.B) {
 			obs.SlowAsks.SetThreshold(mode.threshold)
 			const utterance = "Summarize the applicants for job 3"
 			for i := 0; i < 3; i++ { // the first ask fills the step memo
-				if _, err := sess.GovernedAsk(context.Background(), "default", utterance, 10*time.Second); err != nil {
+				if _, err := sess.GovernedAsk(context.Background(), "default", utterance, nil, 10*time.Second); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sess.GovernedAsk(context.Background(), "default", utterance, 10*time.Second); err != nil {
+				if _, err := sess.GovernedAsk(context.Background(), "default", utterance, nil, 10*time.Second); err != nil {
 					b.Fatal(err)
 				}
 			}

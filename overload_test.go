@@ -118,7 +118,7 @@ func (r *overloadRig) phase(st *overloadStats, seed int64, rate float64, burst w
 	workload.Replay(context.Background(), arrivals, func(a workload.Arrival) {
 		sess := r.sessions[int(next.Add(1))%len(r.sessions)]
 		start := time.Now()
-		ans, err := sess.GovernedAsk(context.Background(), a.Tenant, a.Query.Text, 10*time.Second)
+		ans, err := sess.GovernedAsk(context.Background(), a.Tenant, a.Query.Text, nil, 10*time.Second)
 		lat := time.Since(start)
 		mu.Lock()
 		defer mu.Unlock()
@@ -239,7 +239,7 @@ func TestSystemRunsOnItsClock(t *testing.T) {
 	}
 	ctx := context.Background()
 	const text = "How many jobs are in San Francisco?"
-	if _, err := s.GovernedAsk(ctx, "t", text, 10*time.Second); err != nil {
+	if _, err := s.GovernedAsk(ctx, "t", text, nil, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -256,7 +256,7 @@ func TestSystemRunsOnItsClock(t *testing.T) {
 	}
 	got := make(chan answer, 1)
 	go func() {
-		ans, err := s.GovernedAsk(ctx, "t", text, 10*time.Second)
+		ans, err := s.GovernedAsk(ctx, "t", text, nil, 10*time.Second)
 		got <- answer{ans, err}
 	}()
 	for sys.Governor.Stats().Queued == 0 {

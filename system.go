@@ -391,73 +391,99 @@ func (sess *Session) Close() {
 
 // Ask posts a user utterance and waits for its answer: the first display
 // output the utterance caused. The architecture is fully asynchronous; Ask
-// is the convenience wrapper for request/response usage.
+// is the convenience wrapper for request/response usage. An in-process ask
+// names no tenant, so it is not admitted by the governor and feeds no tenant
+// SLO series.
 //
-// Ask opens the ask's root span, whose id every message the ask causes
-// carries: each component the ask flows through — tag-triggered agents, the
-// coordinator's plan execution, scheduler steps, memo lookups, relational
-// statements — anchors its spans beneath it by that id, so GET
-// /trace/{session} (and bpctl trace) shows the full timed tree of the ask.
+// Every ask opens a root span, whose id is the ask's one id: every message
+// the ask causes carries it, and each component the ask flows through —
+// tag-triggered agents, the coordinator's plan execution, scheduler steps,
+// memo lookups, relational statements — anchors its spans beneath it by that
+// id, so GET /trace/{session} (and bpctl trace) shows the full timed tree of
+// the ask. An ask that is slow, fails, is shed or is served degraded is
+// captured as a flight-recorder exemplar under the same id.
 func (sess *Session) Ask(text string, timeout time.Duration) (string, error) {
-	return sess.AskCtx(context.Background(), text, timeout)
+	ans, err := sess.GovernedAsk(context.Background(), "", text, nil, timeout)
+	return ans.Text, err
 }
 
-// AskCtx is Ask with a context carrying the ask's trace id (obs.WithTraceID;
-// one is minted when absent). Asks that exceed the flight recorder's
-// threshold or error are captured as exemplars — span tree, overlapping
-// events, cost breakdown — addressable by the trace id.
-func (sess *Session) AskCtx(ctx context.Context, text string, timeout time.Duration) (string, error) {
-	return sess.recordedAsk(ctx, text, nil, timeout)
-}
+// GovernedAsk is the one way in for an ask — Ask and Click are each one call
+// of it, and blueprintd's ask and click handlers call it — and puts the ask
+// behind the overload governor. With event set the ask is a click, as
+// Click's: the UI event is posted, its rendering is the ask's text, and text
+// is not read. Each step runs once, in order:
+//
+//   - the ask's root span opens, so its id (Answer.TraceID, obs.AskID of the
+//     root's) names all that follows, a queued ask's wait included;
+//   - the ask claims an admission slot for its tenant, waiting, bounded, when
+//     the daemon is at capacity. Tenant "" — an in-process ask — skips
+//     admission and the tenant SLO series. A nil governor (Config.Governor
+//     unset) admits everything at once;
+//   - a shed ask is answered from a freshness-valid stale memoized answer
+//     when graceful degradation allows it — marked Degraded — and otherwise
+//     fails with a *resilience.OverloadError carrying the advisory
+//     Retry-After (blueprintd maps it to HTTP 429). Its root ends at once;
+//   - an admitted ask executes;
+//   - its answer is memoized for later degraded serves (only with a
+//     governor: without one nothing is shed);
+//   - recordAsk records it.
+func (sess *Session) GovernedAsk(ctx context.Context, tenant, text string, event map[string]any, timeout time.Duration) (Answer, error) {
+	name := "ask"
+	if event != nil {
+		name, text = "click", fmt.Sprint(event)
+	}
+	root := obs.Spans.StartRoot(sess.ID, "session", name)
+	ans := Answer{TraceID: obs.AskID(root.ID())}
+	root.SetAttr("text", obs.Truncate(text, 80))
+	root.SetAttr("trace", ans.TraceID) // what a reader holding only X-Trace-Id finds the tree by
+	rec := askRecord{root: root, tenant: tenant, text: text, start: sess.sys.clock.Now(), evStart: obs.Events.Seq()}
+	ctx = obs.ContextWith(ctx, root)
 
-// recordedAsk is an ungoverned ask, utterance or click (event set): askCore
-// between beginAsk and recordAsk.
-func (sess *Session) recordedAsk(ctx context.Context, text string, event map[string]any, timeout time.Duration) (string, error) {
-	ctx, rec := sess.beginAsk(ctx)
-	rec.text = text
-	var out string
-	out, rec.root, rec.err = sess.askCore(ctx, rec.trace, text, event, timeout)
-	rec.dur = sess.sys.clock.Since(rec.start)
+	if tenant != "" {
+		release, err := sess.sys.Governor.Admit(ctx, tenant)
+		if err != nil {
+			root.End()
+			rec.outcome, rec.err = obs.OutcomeShed, err
+			if stale, ok := sess.staleAnswer(text); ok {
+				stale.TraceID = ans.TraceID
+				ans = stale
+				rec.outcome, rec.err = obs.OutcomeDegraded, nil
+				if obs.Events.On(obs.LevelWarn) {
+					obs.Events.Append(obs.Event{
+						Level: obs.LevelWarn, Component: "session", Kind: "degraded-ask",
+						Session: sess.ID, Trace: ans.TraceID,
+						Attrs: []obs.Attr{
+							{Key: "tenant", Value: tenant},
+							{Key: "stale_for", Value: ans.StaleFor.String()},
+						},
+					})
+				}
+			}
+			sess.recordAsk(rec)
+			return ans, rec.err
+		}
+		defer release()
+	}
+	ans.Text, rec.err = sess.execute(ctx, root.ID(), text, event, timeout)
+	root.End()
+	if rec.err == nil {
+		sess.rememberAnswer(text, ans.Text)
+	}
 	sess.recordAsk(rec)
-	return out, rec.err
-}
-
-// beginAsk is the prologue of every ask, governed or not: it mints the ask's
-// trace id when ctx carries none (returning a ctx that does), and opens the
-// ask's record at the current time and event-log cursor. The caller fills in
-// the rest as the ask proceeds and hands the record to recordAsk.
-func (sess *Session) beginAsk(ctx context.Context) (context.Context, askRecord) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	tid := obs.TraceIDFrom(ctx)
-	if tid == "" {
-		tid = obs.NewTraceID(sess.ID)
-		ctx = obs.WithTraceID(ctx, tid)
-	}
-	return ctx, askRecord{trace: tid, start: sess.sys.clock.Now(), evStart: obs.Events.Seq()}
+	return ans, rec.err
 }
 
 // quiesceWait bounds how long an exemplar capture waits for the ask's
 // laggard spans to end: only an agent that hangs takes it whole.
 const quiesceWait = 50 * time.Millisecond
 
-// askCore runs one ask under its root span and the ask-level instruments,
-// returning its answer and the root. It posts the ask's input — the
-// utterance, or the UI event when event is set (a click, whose text is the
-// event's rendering) — stamped with the root's id, and takes as the answer
-// the first display message carrying that id, at or past the display length
-// read before the post. The wait ends with ctx: a caller that has gone away
-// (an HTTP client disconnected) holds nothing until the timeout.
-func (sess *Session) askCore(ctx context.Context, tid, text string, event map[string]any, timeout time.Duration) (string, *obs.Span, error) {
-	name := "ask"
-	if event != nil {
-		name = "click"
-	}
-	sp := obs.Spans.StartRoot(sess.ID, "session", name)
-	sp.SetAttr("text", obs.Truncate(text, 80))
-	sp.SetAttr("trace", tid)
-	defer sp.End()
+// execute runs an admitted ask under the ask-level instruments and returns
+// its answer. It posts the ask's input — the utterance, or the UI event when
+// event is set — stamped with the ask's id, and takes as the answer the
+// first display message carrying that id, at or past the display length read
+// before the post. The wait ends with ctx: a caller that has gone away (an
+// HTTP client disconnected) holds nothing until the timeout.
+func (sess *Session) execute(ctx context.Context, ask uint64, text string, event map[string]any, timeout time.Duration) (string, error) {
 	mAsks.Inc()
 	clk := sess.sys.clock
 	start := clk.Now()
@@ -466,30 +492,28 @@ func (sess *Session) askCore(ctx context.Context, tid, text string, event map[st
 	from := sess.DisplayLen()
 	var err error
 	if event == nil {
-		_, err = sess.PostUserText(sp.ID(), text)
+		_, err = sess.PostUserText(ask, text)
 	} else {
-		_, err = sess.PostUserEvent(sp.ID(), event)
+		_, err = sess.PostUserEvent(ask, event)
 	}
 	if err != nil {
-		return "", sp, err
+		return "", err
 	}
-	out, err := sess.AwaitAnswer(ctx, from, sp.ID(), timeout)
+	out, err := sess.AwaitAnswer(ctx, from, ask, timeout)
 	if err != nil {
-		return "", sp, fmt.Errorf("%w: %w", ErrNoResponse, err)
+		return "", fmt.Errorf("%w: %w", ErrNoResponse, err)
 	}
-	return out, sp, nil
+	return out, nil
 }
 
 // askRecord carries one finished ask's identity and outcome to recordAsk.
 type askRecord struct {
-	trace   string
-	tenant  string // "" outside the governed path (no tenant SLO series)
+	root    *obs.Span // the ask's root span, ended; its id is the ask's (a shed ask's has no children)
+	tenant  string    // "" for an in-process ask (no tenant SLO series)
 	text    string
 	start   time.Time
-	dur     time.Duration
-	evStart uint64    // event-log cursor at ask start (the exemplar's window)
-	root    *obs.Span // root span (nil = no span tree, e.g. shed before execution)
-	outcome string    // "" = classify: error when err != nil, else slow-by-threshold
+	evStart uint64 // event-log cursor at ask start (the exemplar's window)
+	outcome string // "" = classify: error when err != nil, else slow-by-threshold
 	err     error
 }
 
@@ -498,24 +522,25 @@ type askRecord struct {
 // exemplars (the ones with span evidence) out of the recorder ring.
 var shedSampler = obs.NewSampler(4)
 
-// recordAsk is the per-ask observability funnel shared by AskCtx and
-// GovernedAsk: it feeds the tenant's SLO series and captures a flight
-// recorder exemplar when the ask was slow, failed, degraded or shed.
+// recordAsk is the last step of every ask: it feeds the tenant's SLO series
+// and captures a flight recorder exemplar when the ask was slow, failed,
+// degraded or shed. The ask's time runs from its start to this call.
 func (sess *Session) recordAsk(rec askRecord) {
+	dur := sess.sys.clock.Since(rec.start)
 	if rec.tenant != "" {
 		// Sheds and degraded (stale) serves burn the tenant's error budget
 		// alongside outright errors: the SLO promises a fresh answer in
 		// time, and none of the three delivered one.
 		bad := rec.err != nil ||
 			rec.outcome == obs.OutcomeShed || rec.outcome == obs.OutcomeDegraded
-		sess.sys.SLO.Record(obs.SLOTenant, rec.tenant, rec.dur, bad)
+		sess.sys.SLO.Record(obs.SLOTenant, rec.tenant, dur, bad)
 	}
 	outcome := rec.outcome
 	if outcome == "" && rec.err != nil {
 		outcome = obs.OutcomeError
 	}
 	rcd := obs.SlowAsks
-	if !rcd.ShouldCapture(rec.dur, outcome) {
+	if !rcd.ShouldCapture(dur, outcome) {
 		return
 	}
 	if outcome == "" {
@@ -524,26 +549,23 @@ func (sess *Session) recordAsk(rec askRecord) {
 	if outcome == obs.OutcomeShed && !shedSampler.Allow() {
 		return
 	}
+	id := obs.AskID(rec.root.ID())
 	ex := obs.Exemplar{
-		Trace: rec.trace, Session: sess.ID, Tenant: rec.tenant,
-		Text: obs.Truncate(rec.text, 120), Start: rec.start, Dur: rec.dur,
+		Trace: id, Session: sess.ID, Tenant: rec.tenant,
+		Text: obs.Truncate(rec.text, 120), Start: rec.start, Dur: dur,
 		Outcome: outcome,
 	}
 	if rec.err != nil {
 		ex.Err = rec.err.Error()
 	}
-	if rec.root != nil {
-		ex.Spans = quiescedTree(sess.sys.clock, sess.ID, rec.root)
-	}
-	ex.Events = filterAskEvents(obs.Events.Since(rec.evStart), sess.ID, rec.trace)
+	ex.Spans = quiescedTree(sess.sys.clock, sess.ID, rec.root)
+	ex.Events = filterAskEvents(obs.Events.Since(rec.evStart), sess.ID, id)
 	// The cost breakdown is that of the plan the ask ran, found by the ask's
 	// id once its spans have ended (the plan's span outlives the recording of
 	// its result); an ask that ran no plan, as an NLQ chain does, has none.
-	if rec.root != nil {
-		for _, res := range sess.plans.Results() {
-			if res.Ask == rec.root.ID() {
-				ex.Breakdown = breakdownOf(res)
-			}
+	for _, res := range sess.plans.Results() {
+		if res.Ask == rec.root.ID() {
+			ex.Breakdown = breakdownOf(res)
 		}
 	}
 	rcd.Capture(ex)
@@ -585,15 +607,15 @@ func breakdownOf(res *coordinator.Result) *obs.CostBreakdown {
 }
 
 // filterAskEvents keeps the events belonging to one ask's window: events
-// tagged with the ask's trace id or session, plus untagged process-global
-// events (breaker transitions, WAL group commits) that overlapped it.
-// Events tagged with a *different* trace or session are concurrent
-// neighbors' and are dropped.
-func filterAskEvents(events []obs.Event, session, trace string) []obs.Event {
+// naming the ask (its id as obs.AskID renders it) or its session, plus
+// untagged process-global events (breaker transitions, WAL group commits)
+// that overlapped it. Events naming a *different* ask or session are
+// concurrent neighbors' and are dropped.
+func filterAskEvents(events []obs.Event, session, ask string) []obs.Event {
 	out := events[:0]
 	for _, e := range events {
 		switch {
-		case trace != "" && e.Trace == trace:
+		case ask != "" && e.Trace == ask:
 		case e.Session == session && e.Session != "":
 		case e.Trace == "" && e.Session == "":
 		default:
@@ -625,57 +647,10 @@ type Answer struct {
 	Degraded bool
 	// StaleFor is the served entry's age when Degraded.
 	StaleFor time.Duration
-	// TraceID correlates the answer with its span tree, events and any
-	// flight-recorder exemplar (blueprintd returns it as X-Trace-Id).
+	// TraceID is the ask's id (obs.AskID of its root span's), set on every
+	// outcome: it finds the ask's span tree, events and any flight-recorder
+	// exemplar (blueprintd returns it as X-Trace-Id).
 	TraceID string
-}
-
-// GovernedAsk is Ask behind the overload governor: the ask first claims an
-// admission slot for its tenant (waiting, bounded, when the daemon is at
-// capacity). A shed ask is answered from a freshness-valid stale memoized
-// answer when graceful degradation allows it — marked Degraded — and
-// otherwise fails with a *resilience.OverloadError carrying the advisory
-// Retry-After (blueprintd maps it to HTTP 429). Admitted asks execute
-// normally and memoize their answer for future degraded serves. A nil
-// governor (Config.Governor unset) admits everything immediately and, never
-// shedding, memoizes no answers.
-func (sess *Session) GovernedAsk(ctx context.Context, tenant, text string, timeout time.Duration) (Answer, error) {
-	ctx, rec := sess.beginAsk(ctx)
-	rec.tenant, rec.text = tenant, text
-	tid, start, clk := rec.trace, rec.start, sess.sys.clock
-
-	release, err := sess.sys.Governor.Admit(ctx, tenant)
-	if err != nil {
-		if ans, ok := sess.staleAnswer(text); ok {
-			ans.TraceID = tid
-			if obs.Events.On(obs.LevelWarn) {
-				obs.Events.Append(obs.Event{
-					Level: obs.LevelWarn, Component: "session", Kind: "degraded-ask",
-					Session: sess.ID, Trace: tid,
-					Attrs: []obs.Attr{
-						{Key: "tenant", Value: tenant},
-						{Key: "stale_for", Value: ans.StaleFor.String()},
-					},
-				})
-			}
-			rec.dur, rec.outcome = clk.Since(start), obs.OutcomeDegraded
-			sess.recordAsk(rec)
-			return ans, nil
-		}
-		rec.dur, rec.outcome, rec.err = clk.Since(start), obs.OutcomeShed, err
-		sess.recordAsk(rec)
-		return Answer{TraceID: tid}, err
-	}
-	defer release()
-	out, root, askErr := sess.askCore(ctx, tid, text, nil, timeout)
-	rec.dur, rec.root, rec.err = clk.Since(start), root, askErr
-	if askErr != nil {
-		sess.recordAsk(rec)
-		return Answer{TraceID: tid}, askErr
-	}
-	sess.rememberAnswer(text, out)
-	sess.recordAsk(rec)
-	return Answer{Text: out, TraceID: tid}, nil
 }
 
 // askKey derives the memo key of an utterance's whole-ask answer.
@@ -728,13 +703,8 @@ func (sess *Session) staleAnswer(text string) (Answer, bool) {
 // output it caused (Fig. 9). A click is an ask: it roots a span tree for the
 // duration and, slow or failed, is captured as an exemplar.
 func (sess *Session) Click(event map[string]any, timeout time.Duration) (string, error) {
-	return sess.ClickCtx(context.Background(), event, timeout)
-}
-
-// ClickCtx is Click with a context carrying the click's trace id, as AskCtx
-// is Ask's.
-func (sess *Session) ClickCtx(ctx context.Context, event map[string]any, timeout time.Duration) (string, error) {
-	return sess.recordedAsk(ctx, fmt.Sprint(event), event, timeout)
+	ans, err := sess.GovernedAsk(context.Background(), "", "", event, timeout)
+	return ans.Text, err
 }
 
 // ExecuteUtterance runs the full §V pipeline synchronously: plan the
