@@ -71,9 +71,11 @@ census:
 # scan, group-by, top-k ORDER BY + LIMIT; all single-table, as the dialect
 # is), whose *Interpreted side calls the test-only reference interpreter
 # (internal/relational/interp_test.go) directly; then
-# the streams, session and planner benchmarks (Append beside many sessions'
-# worth of subscriptions, one control message into a session, one hand-off,
-# Append through a real durability engine for a string, a rows-shaped and a
+# the streams, session and planner benchmarks (Append to one stream,
+# BenchmarkAppend: its B/op is what a stream's history costs to grow, one
+# chunk now and then and never a copy — run it at -benchtime 100000x; Append
+# beside many sessions' worth of subscriptions, one control message into a
+# session, one hand-off, Append through a real durability engine for a string, a rows-shaped and a
 # directive message and from every P at once (BenchmarkAppendDurable), a
 # recovery of 10 000 stream records (BenchmarkRecoverStreams), replay, the
 # display wait deep into a conversation, a plan crossing a hop, an awaited
@@ -84,11 +86,13 @@ census:
 # idx_jobs_salary at four selectivities: B/op should be the same at each), the
 # coordinator's fan-out plan run one step at a time and in parallel and plans
 # of many sessions at once (BenchmarkFanout*, BenchmarkMultiSessionThroughput),
-# a histogram observation alone and from every P (internal/obs), a vector
-# top-k search against a full sort (internal/vectors), the simulated model's
-# classify, extract and summarize heads (internal/llm, BenchmarkModelHeads:
-# the per-call random source allocates nothing) and, in the root
-# package, one more session started and closed beside 512 live ones
+# a histogram observation alone and from every P and 512 sessions' spans
+# recorded round-robin, each ask re-making its session's evicted span ring
+# (internal/obs, BenchmarkSpanRingChurn: a re-made ring costs one ask's
+# spans), a vector top-k search against a full sort (internal/vectors), the
+# simulated model's classify, extract and summarize heads (internal/llm,
+# BenchmarkModelHeads: the per-call random source allocates nothing) and, in
+# the root package, one more session started and closed beside 512 live ones
 # (BenchmarkStartSessionBesideLive, which also reports the goroutines and
 # subscriptions a live session holds: 0 and 0), a memo-warm governed ask
 # with the event log and flight recorder off and on
@@ -100,11 +104,11 @@ bench:
 	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner ./internal/hragents ./internal/workload ./internal/coordinator ./internal/obs ./internal/vectors ./internal/llm . -run XXX -bench . -benchmem
 
 # Twenty iterations of each streams, session, planner, relational, hragents,
-# workload, coordinator, obs, vectors and llm benchmark (the first holds the
-# durable append, the stream log's recovery and the pool's deep-stack
-# hand-off; relational, hragents and workload the group-by, the title scan,
-# the SQL executor -> query summarizer hand-off and the range group-by at
-# workload scale; coordinator the fan-out plans and many sessions' plans at
+# workload, coordinator, obs, vectors and llm benchmark (the first holds
+# BenchmarkAppend, the durable append, the stream log's recovery and the
+# pool's deep-stack hand-off; obs BenchmarkSpanRingChurn; relational,
+# hragents and workload the group-by, the title scan, the SQL executor ->
+# query summarizer hand-off and the range group-by at workload scale; coordinator the fan-out plans and many sessions' plans at
 # once, llm the model heads an ask's agents call) and of the root package's
 # BenchmarkStartSessionBesideLive and BenchmarkGovernedAskRecording, then one
 # iteration, a whole phase, of each BenchmarkOverloadPhases case: CI runs

@@ -130,7 +130,7 @@ type EventLog struct {
 
 // NewEventLog creates a log recording LevelInfo and above.
 func NewEventLog(capacity int) *EventLog {
-	l := &EventLog{ring: newRing[Event](capacity, capacity)}
+	l := &EventLog{ring: newRing[Event](capacity)}
 	l.min.Store(int32(LevelInfo))
 	return l
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -469,6 +470,59 @@ func TestTracerBoundedMemory(t *testing.T) {
 	const bound = 64 << 20
 	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > bound {
 		t.Fatalf("heap grew %d bytes across %d sessions, want <= %d", grew, n, bound)
+	}
+}
+
+// A session's span ring is made, and made again after the tracer evicted it,
+// with room for one ask's spans, not for many asks': with one more session
+// than the tracer keeps, recorded round-robin, every record of a session's
+// first span re-makes its ring. Re-making one and recording an ask's 8 spans
+// into it allocates at most 1 KB: the trace, and one chunk of 8 spans.
+func TestRemadeSpanRingCostsOneAsk(t *testing.T) {
+	tr := NewTracer()
+	ids := make([]string, DefaultMaxSessions+1)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("sess-%d", i)
+	}
+	ask := func(id string) {
+		for i := 0; i < 8; i++ {
+			tr.record(id, SpanData{ID: uint64(i + 1), Component: "agent", Name: "step"})
+		}
+	}
+	for _, id := range ids { // the last one evicts the first
+		ask(id)
+	}
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for round := 0; round < 3; round++ {
+		for _, id := range ids {
+			runtime.ReadMemStats(&before)
+			ask(id) // the least recently active session: evicted, so re-made
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	if got := tr.SessionCount(); got != DefaultMaxSessions {
+		t.Fatalf("session count = %d, want %d", got, DefaultMaxSessions)
+	}
+	if least > 1<<10 {
+		t.Fatalf("re-making an evicted session's ring and recording 8 spans allocated %d bytes, want <= 1024", least)
+	}
+}
+
+// Sessions' spans recorded round-robin over more sessions than the tracer
+// keeps: every ask re-makes its session's ring, the churn of a daemon
+// serving many short conversations.
+func BenchmarkSpanRingChurn(b *testing.B) {
+	tr := NewTracer()
+	ids := make([]string, 512)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("sess-%d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.record(ids[i/8%len(ids)], SpanData{ID: uint64(i + 1), Component: "agent", Name: "step"})
 	}
 }
 

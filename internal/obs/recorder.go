@@ -106,7 +106,7 @@ type Recorder struct {
 
 // NewRecorder creates a recorder with the default threshold.
 func NewRecorder(capacity int) *Recorder {
-	r := &Recorder{ring: newRing[*Exemplar](capacity, capacity)}
+	r := &Recorder{ring: newRing[*Exemplar](capacity)}
 	r.threshold.Store(int64(DefaultSlowThreshold))
 	return r
 }

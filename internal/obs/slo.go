@@ -144,7 +144,7 @@ func (t *SLOTracker) Record(kind, name string, dur time.Duration, isErr bool) {
 		s = t.series[key]
 	}
 	if s == nil {
-		s = &sloSeries{kind: kind, name: name, cp: newRing[sloCheckpoint](sloDepth, sloDepth)}
+		s = &sloSeries{kind: kind, name: name, cp: newRing[sloCheckpoint](sloDepth)}
 		t.series[key] = s
 	}
 	s.total++

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"container/list"
 	"context"
 	"strconv"
 	"sync"
@@ -41,8 +40,8 @@ const (
 	// evicted.
 	DefaultMaxSessions = 128
 	// ringCapacity bounds each session's span ring; older spans are
-	// overwritten (an ask on the hragents suite is ~20-40 spans, so the
-	// ring holds the last ~50-100 asks of a session).
+	// overwritten (an ask on the hragents suite is ~6-8 spans, so the ring
+	// holds the last ~250-340 asks of a session).
 	ringCapacity = 2048
 )
 
@@ -198,13 +197,16 @@ type Tracer struct {
 
 	mu       sync.Mutex
 	max      int
-	sessions map[string]*list.Element // of *sessionTrace
-	lru      *list.List               // least-recently-active at the front
-	asks     map[uint64]*openAsk      // by root id, while a span of the ask is open
+	sessions map[string]*sessionTrace
+	lru      sessionTrace        // the recency list's sentinel: lru.next is the least recently active
+	asks     map[uint64]*openAsk // by root id, while a span of the ask is open
 }
 
+// sessionTrace is a session's ring, linked into the tracer's recency list
+// itself, so that making one is a single allocation beside its ring's.
 type sessionTrace struct {
-	id string
+	id         string
+	prev, next *sessionTrace // guarded by Tracer.mu
 
 	mu   sync.Mutex
 	ring ring[SpanData]
@@ -214,7 +216,9 @@ type sessionTrace struct {
 func NewTracer() *Tracer { return newTracer(DefaultMaxSessions) }
 
 func newTracer(maxSessions int) *Tracer {
-	return &Tracer{max: maxSessions, sessions: map[string]*list.Element{}, lru: list.New(), asks: map[uint64]*openAsk{}}
+	t := &Tracer{max: maxSessions, sessions: map[string]*sessionTrace{}, asks: map[uint64]*openAsk{}}
+	t.lru.prev, t.lru.next = &t.lru, &t.lru
+	return t
 }
 
 // SessionCount returns the number of retained session rings.
@@ -226,30 +230,40 @@ func (t *Tracer) SessionCount() int {
 
 func (t *Tracer) evictLocked() {
 	for len(t.sessions) > t.max {
-		front := t.lru.Front()
-		st := front.Value.(*sessionTrace)
-		t.lru.Remove(front)
+		st := t.lru.next
+		st.unlink()
 		delete(t.sessions, st.id)
 	}
 }
+
+// pushNewestLocked links st in as the most recently active session.
+func (t *Tracer) pushNewestLocked(st *sessionTrace) {
+	st.prev, st.next = t.lru.prev, &t.lru
+	st.prev.next, t.lru.prev = st, st
+}
+
+// unlink takes st out of the recency list; the caller holds Tracer.mu.
+func (st *sessionTrace) unlink() { st.prev.next, st.next.prev = st.next, st.prev }
 
 // session looks a session's ring up. A create (span activity) bumps the
 // session to most-recently-active; pure reads leave the LRU order alone.
 func (t *Tracer) session(id string, create bool) *sessionTrace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	el, ok := t.sessions[id]
+	st, ok := t.sessions[id]
 	if ok {
 		if create {
-			t.lru.MoveToBack(el)
+			st.unlink()
+			t.pushNewestLocked(st)
 		}
-		return el.Value.(*sessionTrace)
+		return st
 	}
 	if !create {
 		return nil
 	}
-	st := &sessionTrace{id: id, ring: newRing[SpanData](ringCapacity, 64)}
-	t.sessions[id] = t.lru.PushBack(st)
+	st = &sessionTrace{id: id, ring: newRing[SpanData](ringCapacity)}
+	t.sessions[id] = st
+	t.pushNewestLocked(st)
 	t.evictLocked()
 	return st
 }

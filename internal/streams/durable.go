@@ -284,7 +284,7 @@ func (s *Store) applyLocked(r *record) {
 			return // already present (snapshot covered it)
 		}
 		m.Seq = st.info.Len
-		st.msgs = append(st.msgs, m)
+		st.msgs.Append(m)
 		st.info.Len++
 		if m.IsEOS() {
 			st.info.Closed = true
@@ -328,12 +328,14 @@ func (s *Store) Snapshot(w io.Writer) error {
 		st := s.streams[id]
 		rec = durability.AppendUvarint(appendCreateHead(rec[:0], &st.info), uint64(st.info.CreatedTS))
 		put()
-		for i := range st.msgs {
-			var err error
-			if rec, err = appendMessageRecord(rec[:0], &st.msgs[i]); err != nil {
-				return err
+		for c := range st.msgs.Chunks(0, st.msgs.Len()) {
+			for i := range c {
+				var err error
+				if rec, err = appendMessageRecord(rec[:0], &c[i]); err != nil {
+					return err
+				}
+				put()
 			}
-			put()
 		}
 	}
 	return bw.Flush()

@@ -14,6 +14,13 @@
 // Every ask crosses this package a dozen times, so its costs follow what is
 // delivered, not what exists:
 //
+//   - Storage. A stream's history is a chunk.Log: messages sit in chunks
+//     that never move, so an Append that finds the last chunk full
+//     allocates one chunk under the store lock and copies no history.
+//     Chunks double up to 256 messages and then grow by at most a quarter
+//     of the length and 512, so a stream holds about the spare room an
+//     appended slice would, less on average; Read, replay, History and
+//     Snapshot walk the chunks in order.
 //   - Routing. The store files each subscription under one of three classes —
 //     the streams its filter names, else its session scope, else unscoped —
 //     and Append gathers candidates only from the message's stream, from its

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"blueprint/internal/chunk"
 	"blueprint/internal/clock"
 	"blueprint/internal/durability"
 )
@@ -40,7 +41,7 @@ type StreamInfo struct {
 
 type stream struct {
 	info StreamInfo
-	msgs []Message
+	msgs chunk.Log[Message] // grows by chunks: an Append never copies history
 }
 
 // Store is an embedded streams database: it owns every stream, delivers
@@ -260,7 +261,7 @@ func (s *Store) Append(msg Message) (Message, error) {
 	}
 	s.lastTS = msg.TS
 	s.nextMsg = n
-	st.msgs = append(st.msgs, msg)
+	st.msgs.Append(msg)
 	st.info.Len++
 	if msg.IsEOS() {
 		st.info.Closed = true
@@ -309,16 +310,19 @@ func (s *Store) Read(id string, from int64, max int) ([]Message, error) {
 	if from < 0 {
 		from = 0
 	}
-	if from >= int64(len(st.msgs)) {
+	n := int64(st.msgs.Len())
+	if from >= n {
 		return nil, nil
 	}
-	msgs := st.msgs[from:]
-	if max > 0 && max < len(msgs) {
-		msgs = msgs[:max]
+	to := n
+	if max > 0 && int64(max) < n-from {
+		to = from + int64(max)
 	}
-	out := make([]Message, len(msgs))
-	for i := range msgs {
-		out[i] = msgs[i].Clone()
+	out := make([]Message, 0, to-from)
+	for c := range st.msgs.Chunks(int(from), int(to)) {
+		for i := range c {
+			out = append(out, c[i].Clone())
+		}
 	}
 	return out, nil
 }
@@ -337,12 +341,12 @@ func (s *Store) History(session string) []Message {
 	var out []Message
 	for _, id := range s.order {
 		st := s.streams[id]
-		for i := range st.msgs {
-			m := &st.msgs[i]
-			if session != "" && !scopeContains(session, m.Session) {
-				continue
+		for c := range st.msgs.Chunks(0, st.msgs.Len()) {
+			for i := range c {
+				if m := &c[i]; session == "" || scopeContains(session, m.Session) {
+					out = append(out, m.Clone())
+				}
 			}
-			out = append(out, m.Clone())
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].TS < out[j].TS })

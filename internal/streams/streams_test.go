@@ -1,8 +1,10 @@
 package streams
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -134,6 +136,111 @@ func TestReadOffsets(t *testing.T) {
 		t.Fatalf("Read negative offset = %v, %v", got, err)
 	}
 }
+
+// Every read of a stream agrees with a plain []Message model at lengths and
+// offsets that cross each edge of the chunks a stream's history is stored in
+// (1, 2, 4, ... 256, then every quarter of a power of two to 2048, then
+// every 512): Read for from/max at and around each edge, History, Read after
+// Snapshot and Restore, and SubscribeFrom's replay, which must deliver the
+// model's suffix and nothing else.
+func TestReadOffsetsAtChunkEdges(t *testing.T) {
+	edges := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 320, 384, 448, 512, 640, 768, 896, 1024, 1280, 1536, 1792, 2048, 2560, 3072}
+	var offsets []int // each edge, one before and one after
+	for _, e := range edges {
+		offsets = append(offsets, e-1, e, e+1)
+	}
+	same := func(a, b []Message) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i].ID != b[i].ID || a[i].Seq != b[i].Seq || a[i].TS != b[i].TS || a[i].PayloadString() != b[i].PayloadString() {
+				return false
+			}
+		}
+		return true
+	}
+	for _, n := range []int{0, 1, 2, 255, 256, 257, 511, 512, 513, 3000} {
+		s := NewStore()
+		mustCreate(t, s, "a", StreamInfo{})
+		var model []Message
+		for i := 0; i < n; i++ {
+			model = append(model, mustAppend(t, s, Message{Stream: "a", Payload: fmt.Sprint(i)}))
+		}
+		froms := []int{-1}
+		for _, o := range slices.Sorted(slices.Values(append(offsets, n-1, n, n+1))) {
+			if o > froms[len(froms)-1] && o <= n+1 {
+				froms = append(froms, o)
+			}
+		}
+		reads := func(s *Store, what string) {
+			t.Helper()
+			for _, from := range froms {
+				// Reads of 0, 1 and 2 messages, to the stream's end, and to
+				// each offset up to 600 on (across two chunk edges or more).
+				maxes := []int{0, 1, 2, n - 1 - max0(from), n - max0(from), n + 1 - max0(from)}
+				for _, o := range offsets {
+					if d := o - max0(from); d > 2 && d <= 600 {
+						maxes = append(maxes, d)
+					}
+				}
+				for _, max := range maxes {
+					if max < 0 {
+						continue
+					}
+					got, err := s.Read("a", int64(from), max)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := model[min(n, max0(from)):]
+					if max > 0 {
+						want = want[:min(len(want), max)]
+					}
+					if !same(got, want) {
+						t.Fatalf("%d messages, %s Read(%d, %d): %d messages, want %d", n, what, from, max, len(got), len(want))
+					}
+				}
+			}
+		}
+		reads(s, "")
+		if got := s.History(""); !same(got, model) {
+			t.Fatalf("%d messages: History holds %d, want the model's", n, len(got))
+		}
+		var snap bytes.Buffer
+		if err := s.Snapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		restored := NewStore()
+		if err := restored.Restore(&snap); err != nil {
+			t.Fatal(err)
+		}
+		reads(restored, "restored")
+		restored.Close()
+
+		// A replay is exact when the next message after it is one appended
+		// after the subscription, to a stream that was empty until then.
+		for _, from := range froms {
+			end := fmt.Sprintf("end-%d", from)
+			mustCreate(t, s, end, StreamInfo{})
+			sub := s.SubscribeFrom(Filter{Streams: []string{"a", end}}, int64(from))
+			var got []Message
+			for range model[min(n, max0(from)):] {
+				got = append(got, recvTimeout(t, sub.C()))
+			}
+			if want := model[min(n, max0(from)):]; !same(got, want) {
+				t.Fatalf("%d messages: SubscribeFrom(%d) replayed %d, want %d", n, from, len(got), len(want))
+			}
+			sentinel := mustAppend(t, s, Message{Stream: end, Payload: "end"})
+			if m := recvTimeout(t, sub.C()); m.ID != sentinel.ID {
+				t.Fatalf("%d messages: SubscribeFrom(%d) delivered %s (%q) after its replay, want the live %s", n, from, m.ID, m.PayloadString(), sentinel.ID)
+			}
+			sub.Cancel()
+		}
+		s.Close()
+	}
+}
+
+func max0(i int) int { return max(i, 0) }
 
 func TestSubscribeLive(t *testing.T) {
 	s := NewStore()

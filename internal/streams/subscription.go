@@ -10,7 +10,7 @@ import (
 // the queue — pending is, without bound — it is the slack that lets Append
 // hand a message straight to the consumer without a goroutine in between. It
 // is allocated for every subscription, the many idle ones and the transient
-// ones of each ask alike, so it is kept to a few messages (152 bytes each).
+// ones of each ask alike, so it is kept to a few messages (160 bytes each).
 const subBuffer = 4
 
 // Subscription delivers matching messages to a consumer. Append sends a
@@ -137,13 +137,15 @@ func (s *Store) backlogLocked(filter *Filter, from int64) []Message {
 	scanned := 0
 	for i, id := range scan {
 		st, ok := s.streams[id]
-		if !ok || from >= int64(len(st.msgs)) || (named && slices.Contains(scan[:i], id)) {
+		if !ok || from >= int64(st.msgs.Len()) || (named && slices.Contains(scan[:i], id)) {
 			continue // absent, nothing at or past from, or a repeated name
 		}
 		scanned++
-		for j := from; j < int64(len(st.msgs)); j++ {
-			if filter.Matches(&st.msgs[j]) {
-				backlog = append(backlog, st.msgs[j].Clone())
+		for c := range st.msgs.Chunks(int(from), st.msgs.Len()) {
+			for j := range c {
+				if filter.Matches(&c[j]) {
+					backlog = append(backlog, c[j].Clone())
+				}
 			}
 		}
 	}
