@@ -86,8 +86,10 @@ census:
 # idx_jobs_salary at four selectivities: B/op should be the same at each), the
 # coordinator's fan-out plan run one step at a time and in parallel and plans
 # of many sessions at once (BenchmarkFanout*, BenchmarkMultiSessionThroughput),
-# a histogram observation alone and from every P and 512 sessions' spans
-# recorded round-robin, each ask re-making its session's evicted span ring
+# one AGENT_DONE report appended, with its outputs and with usage alone
+# (internal/agent, BenchmarkReport: a typed directive, no map and no boxed
+# number), a histogram observation alone and from every P and 512 sessions'
+# spans recorded round-robin, each ask re-making its session's evicted span ring
 # (internal/obs, BenchmarkSpanRingChurn: a re-made ring costs one ask's
 # spans), a vector top-k search against a full sort (internal/vectors), the
 # simulated model's classify, extract and summarize heads (internal/llm,
@@ -101,12 +103,13 @@ census:
 # degraded_ratio and accepted_p99_ms at 0.5x and 2x the governor's capacity
 # (BenchmarkOverloadPhases).
 bench:
-	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner ./internal/hragents ./internal/workload ./internal/coordinator ./internal/obs ./internal/vectors ./internal/llm . -run XXX -bench . -benchmem
+	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner ./internal/hragents ./internal/workload ./internal/coordinator ./internal/agent ./internal/obs ./internal/vectors ./internal/llm . -run XXX -bench . -benchmem
 
 # Twenty iterations of each streams, session, planner, relational, hragents,
-# workload, coordinator, obs, vectors and llm benchmark (the first holds
-# BenchmarkAppend, the durable append, the stream log's recovery and the
-# pool's deep-stack hand-off; obs BenchmarkSpanRingChurn; relational,
+# workload, coordinator, agent, obs, vectors and llm benchmark (the first
+# holds BenchmarkAppend, the durable append, the stream log's recovery and
+# the pool's deep-stack hand-off; agent BenchmarkReport; obs
+# BenchmarkSpanRingChurn; relational,
 # hragents and workload the group-by, the title scan, the SQL executor ->
 # query summarizer hand-off and the range group-by at workload scale; coordinator the fan-out plans and many sessions' plans at
 # once, llm the model heads an ask's agents call) and of the root package's
@@ -114,7 +117,7 @@ bench:
 # iteration, a whole phase, of each BenchmarkOverloadPhases case: CI runs
 # them so that they keep building and finishing, not to read their numbers.
 bench-streams:
-	$(GO) test ./internal/streams ./internal/session ./internal/planner ./internal/relational ./internal/hragents ./internal/workload ./internal/coordinator ./internal/obs ./internal/vectors ./internal/llm -run XXX -bench . -benchtime 20x
+	$(GO) test ./internal/streams ./internal/session ./internal/planner ./internal/relational ./internal/hragents ./internal/workload ./internal/coordinator ./internal/agent ./internal/obs ./internal/vectors ./internal/llm -run XXX -bench . -benchtime 20x
 	$(GO) test . -run XXX -bench 'StartSessionBesideLive|GovernedAskRecording' -benchtime 20x
 	$(GO) test . -run XXX -bench OverloadPhases -benchtime 1x
 
@@ -122,9 +125,9 @@ bench-streams:
 # lexer, SQL text through the engine against the reference interpreter
 # (FuzzSQLDifferential: same rows, errors and EXPLAIN strings, twin databases
 # in the same state after a mutation), then NL2Q (any utterance compiles to
-# SQL the engine executes), any string as a trace_parent token, with an open,
-# ended, unknown or no ask, through Tracer.Resume (parented and charged by the
-# ask, never another's), arbitrary bytes as the only log segment through recovery
+# SQL the engine executes), any uint64 as the parent span id a directive
+# carries, with an open, ended, unknown or no ask, through Tracer.Resume
+# (parented and charged by the ask, never another's), arbitrary bytes as the only log segment through recovery
 # (a well-framed prefix applied, the rest cut off, the same again on a second
 # recovery), and arbitrary bytes as one stream log record and as a streams
 # snapshot section (FuzzStreamRecord: no panic, no allocation the input cannot
@@ -140,7 +143,7 @@ fuzz:
 	$(GO) test ./internal/relational/ -run FuzzTokenize -fuzz FuzzTokenize -fuzztime 30s
 	$(GO) test ./internal/relational/ -run FuzzSQLDifferential -fuzz FuzzSQLDifferential -fuzztime 30s
 	$(GO) test ./internal/dataplan/ -run FuzzNL2Q -fuzz FuzzNL2Q -fuzztime 30s
-	$(GO) test ./internal/obs/ -run FuzzResumeToken -fuzz FuzzResumeToken -fuzztime 30s
+	$(GO) test ./internal/obs/ -run FuzzResumeParent -fuzz FuzzResumeParent -fuzztime 30s
 	$(GO) test ./internal/durability/ -run FuzzRecoverSegment -fuzz FuzzRecoverSegment -fuzztime 30s
 	$(GO) test ./internal/streams/ -run FuzzStreamRecord -fuzz FuzzStreamRecord -fuzztime 30s
 	$(GO) test ./internal/relational/ -run FuzzRelationalRecord -fuzz FuzzRelationalRecord -fuzztime 30s
@@ -150,7 +153,7 @@ fuzz-smoke:
 	$(GO) test ./internal/relational/ -run FuzzTokenize -fuzz FuzzTokenize -fuzztime 5s
 	$(GO) test ./internal/relational/ -run FuzzSQLDifferential -fuzz FuzzSQLDifferential -fuzztime 5s
 	$(GO) test ./internal/dataplan/ -run FuzzNL2Q -fuzz FuzzNL2Q -fuzztime 5s
-	$(GO) test ./internal/obs/ -run FuzzResumeToken -fuzz FuzzResumeToken -fuzztime 5s
+	$(GO) test ./internal/obs/ -run FuzzResumeParent -fuzz FuzzResumeParent -fuzztime 5s
 	$(GO) test ./internal/durability/ -run FuzzRecoverSegment -fuzz FuzzRecoverSegment -fuzztime 5s
 	$(GO) test ./internal/streams/ -run FuzzStreamRecord -fuzz FuzzStreamRecord -fuzztime 5s
 	$(GO) test ./internal/relational/ -run FuzzRelationalRecord -fuzz FuzzRelationalRecord -fuzztime 5s

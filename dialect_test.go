@@ -112,7 +112,7 @@ func TestEveryEmitterStaysInsideTheDialect(t *testing.T) {
 
 	for _, m := range s.History() {
 		if d := m.Directive; d != nil && d.Op == agent.OpAgentError {
-			t.Errorf("%s failed: %v", d.Agent, d.Args["error"])
+			t.Errorf("%s failed: %v", d.Agent, d.Error)
 		}
 	}
 	// Every statement above had a shape: Uncacheable counts DDL (and a text

@@ -252,7 +252,7 @@ func TestBroadcastAbortReachesEveryAgent(t *testing.T) {
 		}
 	}
 
-	abort(streams.Directive{Op: streams.OpAbort, Agent: "SLOW_A", Args: map[string]any{"invocation_id": "SLOW_A-1"}}, 1)
+	abort(streams.Directive{Op: streams.OpAbort, Agent: "SLOW_A", Invocation: "SLOW_A-1"}, 1)
 	await(map[string]int{"SLOW_A": 1})
 	abort(streams.Directive{Op: streams.OpAbort}, 2)
 	await(map[string]int{"SLOW_A": 1, "SLOW_B": 2})

@@ -72,17 +72,18 @@ type Invocation struct {
 	Inputs map[string]any
 	// ReplyStream is the stream the outputs are published on: the agent's
 	// OutputStream for a tag-activated invocation, the directive's
-	// "reply_stream" for an executed one. Empty, the outputs ride the
+	// ReplyStream for an executed one. Empty, the outputs ride the
 	// invocation's AGENT_DONE report instead (Report.Outputs), as the task
 	// coordinator's are.
 	ReplyStream string
 	// InvocationID correlates DONE/ERROR reports with requests.
 	InvocationID string
-	// TraceParent is the caller's span token (obs.Span.Token), carried in
-	// the EXECUTE_AGENT directive so the trace survives the stream boundary:
-	// the runtime resumes the span tree under it. Empty for decentralized
-	// (tag-triggered) activations, which anchor to the root of their ask.
-	TraceParent string
+	// TraceParent is the id of the caller's span (obs.Span.ID), carried in
+	// the EXECUTE_AGENT directive as its Parent so the trace survives the
+	// stream boundary: the runtime resumes the span tree under it. 0 for
+	// decentralized (tag-triggered) activations, which anchor to the root
+	// of their ask.
+	TraceParent uint64
 	// Ask is the ask the invocation serves (streams.Message.Ask; 0 for none):
 	// the Ask of the message that triggered it — the EXECUTE_AGENT directive,
 	// or the data message whose token completed the input tuple. Its span is
@@ -90,7 +91,8 @@ type Invocation struct {
 	// ERROR report carry it.
 	Ask uint64
 	// Deadline is the caller's absolute completion deadline (zero = none),
-	// carried in the EXECUTE_AGENT directive as "deadline_ms". The runtime
+	// carried in the EXECUTE_AGENT directive in Unix nanoseconds, so it
+	// crosses the stream and the log to the nanosecond. The runtime
 	// bounds the processor context at min(StepTimeout, time until
 	// Deadline), so a plan with little latency budget left cannot have one
 	// step run for the full default timeout.

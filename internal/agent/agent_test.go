@@ -104,8 +104,8 @@ func TestCentralizedExecution(t *testing.T) {
 	if d == nil || d.Op != OpAgentDone {
 		t.Fatalf("done = %+v", d)
 	}
-	if cost, _ := d.Args["cost"].(float64); cost != 0.001 {
-		t.Fatalf("cost = %v", d.Args["cost"])
+	if d.Cost != 0.001 {
+		t.Fatalf("cost = %v", d.Cost)
 	}
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("processor ran %d times, want 1", n)
@@ -308,8 +308,8 @@ func TestErrorReporting(t *testing.T) {
 	if d == nil || d.Op != OpAgentError {
 		t.Fatalf("directive = %+v", d)
 	}
-	if msg, _ := d.Args["error"].(string); msg != "boom" {
-		t.Fatalf("error = %v", d.Args["error"])
+	if d.Error != "boom" {
+		t.Fatalf("error = %v", d.Error)
 	}
 }
 

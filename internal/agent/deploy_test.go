@@ -91,11 +91,11 @@ func (g *gated) awaitStarted(t *testing.T, want ...string) {
 	}
 }
 
-func abort(t *testing.T, store *streams.Store, session string, args map[string]any) {
+func abort(t *testing.T, store *streams.Store, session, invocation string) {
 	t.Helper()
 	if _, err := store.Append(streams.Message{
 		Stream: ControlStream(session), Kind: streams.Control, Sender: "coordinator",
-		Directive: &streams.Directive{Op: streams.OpAbort, Args: args},
+		Directive: &streams.Directive{Op: streams.OpAbort, Invocation: invocation},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestTargetedAbortStaysInItsSession(t *testing.T) {
 	g.execute(t, store, sessionB, "p-s1")
 	g.awaitStarted(t, sessionA+"/p-s1", sessionB+"/p-s1")
 
-	abort(t, store, sessionA, map[string]any{"invocation_id": "p-s1"})
+	abort(t, store, sessionA, "p-s1")
 	awaitReport(t, store, sessionA, "p-s1", OpAgentError)
 	// B's invocation of the same id ran on: it completes when its gate opens.
 	close(g.gates[sessionB])
@@ -138,7 +138,7 @@ func TestBareAbortCancelsOneSessionsWork(t *testing.T) {
 	g.execute(t, store, sessionB, "s1", "s2")
 	g.awaitStarted(t, sessionA+"/s1", sessionA+"/s2", sessionB+"/s1", sessionB+"/s2")
 
-	abort(t, store, sessionA, nil)
+	abort(t, store, sessionA, "")
 	for _, id := range []string{"s1", "s2", "s3"} {
 		awaitReport(t, store, sessionA, id, OpAgentError) // the queued one as if it had been running
 	}

@@ -3,7 +3,6 @@ package agent
 import (
 	"context"
 	"errors"
-	"time"
 
 	"blueprint/internal/streams"
 )
@@ -19,50 +18,36 @@ func Execute(store *streams.Store, session, agentName string, inputs map[string]
 
 // ExecuteInvocation is Execute for the whole invocation the consuming
 // runtime is to start: its outputs go to inv.ReplyStream, or ride its report
-// when that is empty. inv.TraceParent (an obs.Span.Token, may be empty)
-// rides the directive as the "trace_parent" arg, so the runtime can resume
-// the caller's span tree across the stream boundary. A non-zero inv.Deadline
-// rides it as "deadline_ms" (absolute Unix milliseconds — JSON-safe across
-// the stream/durability boundary), and the runtime bounds the processor at
-// min(its own timeout, time until the deadline); the scheduler derives it
-// from the plan's remaining latency budget. inv.Ask is the directive
-// message's own Ask.
+// when that is empty. The directive carries inv.Inputs as they are, not a
+// copy; inv.TraceParent (the caller's span id, 0 for none) as its Parent,
+// so the runtime can resume the caller's span tree across the stream
+// boundary; and a non-zero inv.Deadline in Unix nanoseconds, by which the
+// runtime bounds the processor at min(its own timeout, time until the
+// deadline) — the scheduler derives it from the plan's remaining latency
+// budget. inv.Ask is the directive message's own Ask.
 func ExecuteInvocation(store *streams.Store, agentName string, inv Invocation) error {
 	if _, err := store.EnsureStream(ControlStream(inv.Session), streams.StreamInfo{Session: inv.Session}); err != nil {
 		return err
 	}
-	args := map[string]any{"inputs": inv.Inputs}
-	if inv.ReplyStream != "" {
-		args["reply_stream"] = inv.ReplyStream
-	}
-	if inv.InvocationID != "" {
-		args["invocation_id"] = inv.InvocationID
-	}
-	if inv.TraceParent != "" {
-		args["trace_parent"] = inv.TraceParent
+	d := &streams.Directive{
+		Op: streams.OpExecuteAgent, Agent: agentName, Invocation: inv.InvocationID,
+		Inputs: inv.Inputs, ReplyStream: inv.ReplyStream, Parent: inv.TraceParent,
 	}
 	if !inv.Deadline.IsZero() {
-		args["deadline_ms"] = float64(inv.Deadline.UnixMilli())
+		d.Deadline = inv.Deadline.UnixNano()
 	}
 	_, err := store.Append(streams.Message{
-		Stream: ControlStream(inv.Session),
-		Kind:   streams.Control,
-		Sender: "coordinator",
-		Ask:    inv.Ask,
-		Directive: &streams.Directive{
-			Op:    streams.OpExecuteAgent,
-			Agent: agentName,
-			Args:  args,
-		},
+		Stream: ControlStream(inv.Session), Kind: streams.Control, Sender: "coordinator", Ask: inv.Ask,
+		Directive: d,
 	})
 	return err
 }
 
 // Report is what an AGENT_DONE report says of its invocation. A report is
 // the directive an invocation ends with on its session's control stream,
-// and this file alone knows its Args: "invocation_id"; for AGENT_DONE the
-// usage ("cost", "latency_ms", "accuracy") and, for an invocation that named
-// no reply stream, "outputs"; for AGENT_ERROR the "error".
+// naming the invocation: an AGENT_DONE carries the usage and, for an
+// invocation that named no reply stream, the outputs; an AGENT_ERROR the
+// error.
 type Report struct {
 	Usage Usage
 	// Outputs binds each declared output the processor produced to its
@@ -73,23 +58,19 @@ type Report struct {
 
 // report appends the invocation's report to the session's control stream:
 // AGENT_ERROR when err is set (and counted), else AGENT_DONE with usage and,
-// unless nil, outputs.
+// unless nil, outputs, which the report keeps without a copy.
 func (in *Instance) report(session string, inv Invocation, usage Usage, outputs map[string]any, err error) {
-	op, args := OpAgentDone, map[string]any{"invocation_id": inv.InvocationID}
+	name := in.agent.Spec.Name
+	d := &streams.Directive{Op: OpAgentDone, Agent: name, Invocation: inv.InvocationID}
 	if err != nil {
 		mInvErrors.Inc()
-		op, args["error"] = OpAgentError, err.Error()
+		d.Op, d.Error = OpAgentError, err.Error()
 	} else {
-		args["cost"], args["accuracy"] = usage.Cost, usage.Accuracy
-		args["latency_ms"] = float64(usage.Latency) / float64(time.Millisecond)
-		if outputs != nil {
-			args["outputs"] = outputs
-		}
+		d.Outputs, d.Cost, d.Accuracy, d.Latency = outputs, usage.Cost, usage.Accuracy, usage.Latency
 	}
-	name := in.agent.Spec.Name
 	_, _ = in.store.Append(streams.Message{
 		Stream: ControlStream(session), Kind: streams.Control, Sender: name, Ask: inv.Ask,
-		Directive: &streams.Directive{Op: op, Agent: name, Args: args},
+		Directive: d,
 	})
 }
 
@@ -97,16 +78,9 @@ func (in *Instance) report(session string, inv Invocation, usage Usage, outputs 
 // Report.
 func ReadReport(d *streams.Directive) (Report, error) {
 	if d.Op == OpAgentError {
-		msg, _ := d.Args["error"].(string)
-		return Report{}, errors.New(msg)
+		return Report{}, errors.New(d.Error)
 	}
-	var r Report
-	r.Usage.Cost, _ = d.Args["cost"].(float64)
-	ms, _ := d.Args["latency_ms"].(float64)
-	r.Usage.Latency = time.Duration(ms * float64(time.Millisecond))
-	r.Usage.Accuracy, _ = d.Args["accuracy"].(float64)
-	r.Outputs, _ = d.Args["outputs"].(map[string]any)
-	return r, nil
+	return Report{Usage: Usage{Cost: d.Cost, Latency: d.Latency, Accuracy: d.Accuracy}, Outputs: d.Outputs}, nil
 }
 
 // ReportFilter selects the DONE and ERROR reports agents publish on the
@@ -133,7 +107,7 @@ func AwaitReport(ctx context.Context, sub *streams.Subscription, invocationID st
 			if !ok {
 				return nil, errReportsClosed
 			}
-			if id, _ := msg.Directive.Args["invocation_id"].(string); id == invocationID {
+			if msg.Directive.Invocation == invocationID {
 				return msg.Directive, nil
 			}
 		case <-ctx.Done():

@@ -92,12 +92,17 @@ type seat struct {
 	mu      sync.Mutex
 	running int          // invocations in flight, at most Options.Workers
 	queue   []Invocation // what arrived with every worker busy, in order
-	// live tracks the cancel funcs of in-flight invocations so ABORT
-	// directives (session-wide, or targeted via an invocation_id arg) stop
-	// running processor work instead of letting it burn its full timeout.
-	live map[string]context.CancelFunc
+	// live holds the in-flight invocations by id, so an ABORT stops running
+	// processor work instead of letting it burn its full timeout.
+	live map[string]liveInv
 	left bool           // the session has left: nothing more starts
 	wg   sync.WaitGroup // workers; no Add once left is set
+}
+
+// liveInv is one in-flight invocation: the ask it serves and how to stop it.
+type liveInv struct {
+	ask    uint64
+	cancel context.CancelFunc
 }
 
 // Deploy starts an agent's one instance over a store: a subscription to the
@@ -276,8 +281,8 @@ func (in *Instance) invocationID(st *seat) string {
 }
 
 // controlLoop serves EXECUTE_AGENT directives addressed to this agent and
-// ABORT directives cancelling in-flight work, each within the joined session
-// it arrived in.
+// ABORT directives cancelling the work of their message's ask, each within
+// the joined session it arrived in.
 func (in *Instance) controlLoop() {
 	for msg := range in.ctrlSub.C() {
 		d := msg.Directive
@@ -289,62 +294,56 @@ func (in *Instance) controlLoop() {
 			continue
 		}
 		if d.Op == streams.OpAbort && (d.Agent == "" || d.Agent == in.agent.Spec.Name) {
-			// Targeted abort (invocation_id arg) cancels one invocation;
-			// a bare abort cancels everything the session has in flight.
-			id, _ := d.Args["invocation_id"].(string)
-			in.abort(st, id)
+			in.abort(st, d.Invocation, msg.Ask)
 			continue
 		}
 		if d.Op != streams.OpExecuteAgent || d.Agent != in.agent.Spec.Name {
 			continue
 		}
-		inputs, _ := d.Args["inputs"].(map[string]any)
-		reply, _ := d.Args["reply_stream"].(string)
-		invID, _ := d.Args["invocation_id"].(string)
-		traceParent, _ := d.Args["trace_parent"].(string)
+		invID := d.Invocation
 		if invID == "" {
 			invID = in.invocationID(st)
 		}
 		var deadline time.Time
-		if ms, ok := d.Args["deadline_ms"].(float64); ok && ms > 0 {
-			deadline = time.UnixMilli(int64(ms))
+		if d.Deadline != 0 {
+			deadline = time.Unix(0, d.Deadline)
 		}
 		in.dispatch(st, Invocation{
 			Session:      msg.Session,
-			Inputs:       maps.Clone(inputs), // fillDefaults writes to it
-			ReplyStream:  reply,
+			Inputs:       maps.Clone(d.Inputs), // fillDefaults writes to it
+			ReplyStream:  d.ReplyStream,
 			InvocationID: invID,
-			TraceParent:  traceParent,
+			TraceParent:  d.Parent,
 			Deadline:     deadline,
 			Ask:          msg.Ask,
 		})
 	}
 }
 
-// abort cancels the session's in-flight invocation id, or all of them when
-// id is empty. An invocation still waiting for a worker never starts: it is
-// reported as cancelled, as it would have been had it been running.
-func (in *Instance) abort(st *seat, id string) {
+// abort cancels the session's invocations of ask: the one named id, or every
+// one when id is empty (an ABORT that names no invocation). An invocation
+// of another ask is never touched. One still waiting for a worker never
+// starts: it is reported as cancelled, as it would have been had it been
+// running.
+func (in *Instance) abort(st *seat, id string, ask uint64) {
+	hit := func(invID string, invAsk uint64) bool {
+		return invAsk == ask && (id == "" || invID == id)
+	}
 	st.mu.Lock()
 	var cancels []context.CancelFunc
-	var dropped []Invocation
-	if id == "" {
-		for _, c := range st.live {
-			cancels = append(cancels, c)
+	for invID, l := range st.live {
+		if hit(invID, l.ask) {
+			cancels = append(cancels, l.cancel)
 		}
-		dropped, st.queue = st.queue, nil
-	} else {
-		if c := st.live[id]; c != nil {
-			cancels = append(cancels, c)
-		}
-		st.queue = slices.DeleteFunc(st.queue, func(inv Invocation) bool {
-			if inv.InvocationID != id {
-				return false
-			}
-			dropped = append(dropped, inv)
-			return true
-		})
 	}
+	var dropped []Invocation
+	st.queue = slices.DeleteFunc(st.queue, func(inv Invocation) bool {
+		if !hit(inv.InvocationID, inv.Ask) {
+			return false
+		}
+		dropped = append(dropped, inv)
+		return true
+	})
 	st.mu.Unlock()
 	for _, c := range cancels {
 		c()
@@ -475,9 +474,9 @@ func (in *Instance) run(st *seat, inv Invocation) {
 	defer cancel()
 	st.mu.Lock()
 	if st.live == nil {
-		st.live = make(map[string]context.CancelFunc)
+		st.live = make(map[string]liveInv)
 	}
-	st.live[inv.InvocationID] = cancel
+	st.live[inv.InvocationID] = liveInv{inv.Ask, cancel}
 	st.mu.Unlock()
 	defer func() {
 		st.mu.Lock()
@@ -485,8 +484,8 @@ func (in *Instance) run(st *seat, inv Invocation) {
 		st.mu.Unlock()
 	}()
 	// Resume the ask's trace across the stream boundary: under the caller's
-	// span when the directive carried a trace_parent token, else under the
-	// ask's root; nothing is traced for a message of no open ask. The span
+	// span when the directive named one as its Parent, else under the ask's
+	// root; nothing is traced for a message of no open ask. The span
 	// rides ctx so processors that touch the relational engine extend the
 	// tree.
 	sp := obs.Spans.Resume(inv.Ask, inv.TraceParent, "agent", name)

@@ -36,8 +36,7 @@ func awaitError(t *testing.T, store *streams.Store, invID string) string {
 		if d == nil || d.Op != OpAgentError {
 			t.Fatalf("report = %+v, want AGENT_ERROR", d)
 		}
-		msg, _ := d.Args["error"].(string)
-		return msg
+		return d.Error
 	case <-time.After(5 * time.Second):
 		t.Fatal("no error report")
 	}
@@ -116,7 +115,7 @@ func TestTargetedAbortCancelsInvocation(t *testing.T) {
 	// Abort only inv-a; inv-b must keep running.
 	if _, err := store.Append(streams.Message{
 		Stream: ControlStream(testSession), Kind: streams.Control, Sender: "coordinator",
-		Directive: &streams.Directive{Op: streams.OpAbort, Args: map[string]any{"invocation_id": "inv-a"}},
+		Directive: &streams.Directive{Op: streams.OpAbort, Invocation: "inv-a"},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +134,62 @@ func TestTargetedAbortCancelsInvocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	awaitError(t, store, "inv-b")
+}
+
+// An ABORT acts on the invocations of its own ask: a plan abort that names
+// no agent and no invocation leaves another ask's work running on the same
+// session, and cancels its own ask's.
+func TestPlanAbortSparesOtherAsks(t *testing.T) {
+	store := newStore(t)
+	started, gate := make(chan struct{}, 2), make(chan struct{})
+	a := New(registry.AgentSpec{
+		Name:    "SLOW",
+		Inputs:  []registry.ParamSpec{{Name: "IN", Type: "text"}},
+		Outputs: []registry.ParamSpec{{Name: "OUT", Type: "text"}},
+	}, func(ctx context.Context, inv Invocation) (Outputs, error) {
+		started <- struct{}{}
+		select {
+		case <-gate:
+			return Outputs{Values: map[string]any{"OUT": "done"}}, nil
+		case <-ctx.Done():
+			return Outputs{}, ctx.Err()
+		}
+	})
+	inst, err := Attach(store, testSession, a, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Stop()
+	execute := func(id string, ask uint64) {
+		t.Helper()
+		if err := ExecuteInvocation(store, "SLOW", Invocation{Session: testSession, Inputs: map[string]any{"IN": id}, InvocationID: id, Ask: ask}); err != nil {
+			t.Fatal(err)
+		}
+		<-started
+	}
+	planAbort := func(ask uint64) {
+		t.Helper()
+		if _, err := store.Append(streams.Message{
+			Stream: ControlStream(testSession), Kind: streams.Control, Sender: "coordinator", Ask: ask,
+			Directive: &streams.Directive{Op: streams.OpAbort, Reason: "budget"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	execute("ask2-a", 2)
+	planAbort(1)
+	// The control loop takes its messages in order: by the time the next
+	// invocation starts, the abort has been served.
+	execute("ask1-b", 1)
+	planAbort(1)
+	if msg := awaitError(t, store, "ask1-b"); msg != context.Canceled.Error() {
+		t.Fatalf("ask 1's invocation: error %q, want it cancelled", msg)
+	}
+	close(gate)
+	if d := AwaitDone(store, testSession, "ask2-a"); d == nil || d.Op != OpAgentDone {
+		t.Fatalf("ask 2's invocation reported %+v, want AGENT_DONE: ask 1's abort cancelled it", d)
+	}
 }
 
 func TestAgentFaultInjection(t *testing.T) {

@@ -280,7 +280,7 @@ func (c *Coordinator) execute(session string, ask uint64, p *planner.Plan, b *bu
 
 	// Watched plans arrive on streams with no caller context: the ask the
 	// plan message named, not a ctx parameter, links the plan into its tree.
-	span := obs.Spans.Resume(ask, "", "coordinator", "plan")
+	span := obs.Spans.Resume(ask, 0, "coordinator", "plan")
 	span.SetAttr("plan", p.ID)
 	if p.Utterance != "" {
 		span.SetAttr("utterance", obs.Truncate(p.Utterance, 60))
@@ -323,7 +323,7 @@ func (c *Coordinator) confirm(vs []budget.Violation) bool {
 func (c *Coordinator) abort(session string, ask uint64, res *Result, b *budget.Budget, reason string) (*Result, error) {
 	err := markAborted(res, reason)
 	res.Budget = b.Snapshot()
-	c.emitAbort(session, ask, "", map[string]any{"reason": reason})
+	c.emitAbort(session, ask, streams.Directive{Reason: reason})
 	return res, err
 }
 
@@ -336,15 +336,17 @@ func markAborted(res *Result, reason string) error {
 	return fmt.Errorf("%w: %s", ErrAborted, reason)
 }
 
-// emitAbort publishes an ABORT directive on the session's control stream:
-// addressed to no agent it announces that the plan stopped (args carry the
-// reason), addressed to one it cancels that agent's in-flight invocation
-// (args carry the invocation_id) so a step that timed out or was cancelled
-// does not keep burning agent work. It carries the ask the plan runs for.
-func (c *Coordinator) emitAbort(session string, ask uint64, agentName string, args map[string]any) {
+// emitAbort publishes d as an ABORT directive on the session's control
+// stream, carrying the ask the plan runs for: addressed to no agent it
+// announces that the plan stopped, and why (d.Reason), and every agent of
+// the session cancels what it runs for the ask; addressed to one it cancels
+// that agent's invocation d.Invocation, so a step that timed out or was
+// cancelled does not keep burning agent work.
+func (c *Coordinator) emitAbort(session string, ask uint64, d streams.Directive) {
+	d.Op = streams.OpAbort
 	_, _ = c.store.Append(streams.Message{
 		Stream: agent.ControlStream(session), Kind: streams.Control, Sender: "coordinator", Ask: ask,
-		Directive: &streams.Directive{Op: streams.OpAbort, Agent: agentName, Args: args},
+		Directive: &d,
 	})
 }
 
@@ -421,7 +423,7 @@ func (s *scheduler) executeStep(ctx context.Context, step planner.Step, inputs m
 
 	if err := agent.ExecuteInvocation(c.store, step.Agent, agent.Invocation{
 		Session: session, Inputs: inputs, InvocationID: invID,
-		TraceParent: obs.FromContext(ctx).Token(), Deadline: deadline, Ask: s.ask,
+		TraceParent: obs.FromContext(ctx).ID(), Deadline: deadline, Ask: s.ask,
 	}); err != nil {
 		return sr, err
 	}
@@ -442,7 +444,7 @@ func (s *scheduler) executeStep(ctx context.Context, step planner.Step, inputs m
 	if waitCtx.Err() == nil {
 		return sr, err // the store closed
 	}
-	c.emitAbort(session, s.ask, step.Agent, map[string]any{"invocation_id": invID})
+	c.emitAbort(session, s.ask, streams.Directive{Agent: step.Agent, Invocation: invID})
 	if ctx.Err() != nil {
 		sr.Err = "cancelled"
 		return sr, fmt.Errorf("step %s cancelled: %w", step.ID, ctx.Err())

@@ -766,7 +766,7 @@ func TestServiceStartsAndStopsClean(t *testing.T) {
 	// plan published behind it, so it has passed the directive by then.
 	if _, err := e.store.Publish(streams.Message{
 		Stream: agent.ControlStream(sess), Session: sess, Kind: streams.Control, Sender: planner.AgentName,
-		Directive: &streams.Directive{Op: "PLAN", Args: map[string]any{"plan": onePlan("by-directive")}},
+		Payload: onePlan("by-directive"), Directive: &streams.Directive{Op: "PLAN"},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"blueprint/internal/planner"
 	"blueprint/internal/registry"
 	"blueprint/internal/resilience"
+	"blueprint/internal/streams"
 )
 
 // DefaultMaxParallel bounds how many of a plan's steps execute at once when
@@ -586,7 +587,7 @@ func (s *scheduler) abort(reason string) error {
 	s.mu.Unlock()
 	s.cancel()
 	if first {
-		s.c.emitAbort(s.session, s.ask, "", map[string]any{"reason": reason})
+		s.c.emitAbort(s.session, s.ask, streams.Directive{Reason: reason})
 	}
 	return err
 }

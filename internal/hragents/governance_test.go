@@ -26,8 +26,8 @@ func TestJobMatcherRespectsGovernance(t *testing.T) {
 	if d == nil || d.Op != agent.OpAgentError {
 		t.Fatalf("expected error report, got %+v", d)
 	}
-	if msg, _ := d.Args["error"].(string); !strings.Contains(msg, "not authorized") {
-		t.Fatalf("error = %q", msg)
+	if !strings.Contains(d.Error, "not authorized") {
+		t.Fatalf("error = %q", d.Error)
 	}
 
 	// Grant the matcher and retry: service restored.

@@ -131,7 +131,7 @@ func TestAskID(t *testing.T) {
 	root := tr.StartRoot("s1", "session", "ask")
 	ctx, child := StartSpan(ContextWith(t.Context(), root), "scheduler", "step")
 	_, grandchild := StartSpan(ctx, "agent", "X")
-	resumed := tr.Resume(root.ID(), child.Token(), "agent", "Y")
+	resumed := tr.Resume(root.ID(), child.ID(), "agent", "Y")
 	for _, sp := range []*Span{root, child, grandchild, resumed, FromContext(ctx)} {
 		if sp.Ask() != root.ID() {
 			t.Fatalf("span %d names ask %d, want the root's %d", sp.ID(), sp.Ask(), root.ID())
@@ -454,7 +454,7 @@ func TestTracerBoundedMemory(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
 		sp := tr.StartRoot(fmt.Sprintf("sess-%d", i), "session", "ask")
-		tr.Resume(sp.ID(), "", "agent", "step").End()
+		tr.Resume(sp.ID(), 0, "agent", "step").End()
 		sp.End()
 	}
 	if got := tr.SessionCount(); got != DefaultMaxSessions {
@@ -530,11 +530,11 @@ func TestTracerTree(t *testing.T) {
 	tr := NewTracer()
 	// Two interleaved asks in one session: Tree must isolate one root.
 	r1 := tr.StartRoot("s", "session", "ask1")
-	c1 := tr.Resume(r1.ID(), "", "agent", "step1")
+	c1 := tr.Resume(r1.ID(), 0, "agent", "step1")
 	c1.End()
 	r1.End()
 	r2 := tr.StartRoot("s", "session", "ask2")
-	c2 := tr.Resume(r2.ID(), "", "agent", "step2")
+	c2 := tr.Resume(r2.ID(), 0, "agent", "step2")
 	c2.End()
 	r2.End()
 	tree := tr.Tree("s", r1.ID())
@@ -556,8 +556,8 @@ func TestTracerTree(t *testing.T) {
 	// coordinator ancestors land. The whole chain is then recorded AFTER
 	// the root, so membership must not depend on ring order.
 	r3 := tr.StartRoot("s", "session", "ask3")
-	p3 := tr.Resume(r3.ID(), "", "coordinator", "plan")
-	c3 := tr.Resume(r3.ID(), p3.Token(), "agent", "late")
+	p3 := tr.Resume(r3.ID(), 0, "coordinator", "plan")
+	c3 := tr.Resume(r3.ID(), p3.ID(), "agent", "late")
 	r3.End()
 	c3.End()
 	p3.End()
@@ -576,8 +576,8 @@ func TestOpenAsksEmptyUnderEviction(t *testing.T) {
 	var roots, laggards []*Span
 	for i := 0; i < 10; i++ {
 		root := tr.StartRoot(fmt.Sprintf("sess-%d", i), "session", "ask")
-		plan := tr.Resume(root.ID(), "", "coordinator", "plan")
-		laggards = append(laggards, plan, tr.Resume(root.ID(), plan.Token(), "agent", "late"))
+		plan := tr.Resume(root.ID(), 0, "coordinator", "plan")
+		laggards = append(laggards, plan, tr.Resume(root.ID(), plan.ID(), "agent", "late"))
 		roots = append(roots, root)
 	}
 	for _, root := range roots {

@@ -270,14 +270,14 @@ func TestSpanTreeAndContextPropagation(t *testing.T) {
 // open, and once every span of an ask has ended its id anchors nothing.
 func TestResumeAnchorsByAsk(t *testing.T) {
 	tr := NewTracer()
-	if sp := tr.Resume(0, "", "agent", "x"); sp != nil {
+	if sp := tr.Resume(0, 0, "agent", "x"); sp != nil {
 		t.Fatal("Resume for no ask must be a no-op")
 	}
 	ask1 := tr.StartRoot("s2", "session", "ask")
-	plan := tr.Resume(ask1.ID(), "", "coordinator", "plan")
+	plan := tr.Resume(ask1.ID(), 0, "coordinator", "plan")
 	ask1.End() // the answer displayed; the plan still runs
 	ask2 := tr.StartRoot("s2", "session", "ask")
-	late := tr.Resume(ask1.ID(), plan.Token(), "agent", "late")
+	late := tr.Resume(ask1.ID(), plan.ID(), "agent", "late")
 	if late == nil || late.parent != plan.ID() || late.ask != ask1.ask {
 		t.Fatalf("laggard of ask 1 = %+v, want a child of its plan span charged to ask 1", late)
 	}
@@ -296,7 +296,7 @@ func TestResumeAnchorsByAsk(t *testing.T) {
 	default:
 		t.Fatal("ask 1 did not settle when its last span ended")
 	}
-	if sp := tr.Resume(ask1.ID(), "", "agent", "after"); sp != nil {
+	if sp := tr.Resume(ask1.ID(), 0, "agent", "after"); sp != nil {
 		t.Fatal("a settled ask anchored a new span")
 	}
 	if tree := tr.Tree("s2", ask1.ID()); len(tree) != 3 {
@@ -305,24 +305,27 @@ func TestResumeAnchorsByAsk(t *testing.T) {
 	ask2.End()
 }
 
+// The parent a directive carries is a span id: Resume opens the span under
+// it, under the ask's root when it is 0, and not at all once the ask is done.
 func TestResumeToken(t *testing.T) {
 	tr := NewTracer()
 	root := tr.StartRoot("s3", "session", "ask")
-	tok := root.Token()
-	sp := tr.Resume(root.ID(), tok, "agent", "NL2Q")
-	if sp == nil || sp.parent != root.ID() {
-		t.Fatalf("Resume(%q) parent = %v, want %d", tok, sp, root.ID())
+	_, step := StartSpan(ContextWith(t.Context(), root), "scheduler", "step")
+	sp := tr.Resume(root.ID(), step.ID(), "agent", "NL2Q")
+	if sp == nil || sp.parent != step.ID() {
+		t.Fatalf("Resume(%d) parent = %v, want %d", step.ID(), sp, step.ID())
 	}
-	// A malformed token anchors under the ask's root.
-	if got := tr.Resume(root.ID(), "!!!", "agent", "x"); got == nil || got.parent != root.ID() {
-		t.Fatalf("malformed token: %+v, want a child of the root", got)
+	// No parent anchors under the ask's root.
+	if got := tr.Resume(root.ID(), 0, "agent", "x"); got == nil || got.parent != root.ID() {
+		t.Fatalf("no parent: %+v, want a child of the root", got)
 	} else {
 		got.End()
 	}
 	sp.End()
+	step.End()
 	root.End()
-	if got := tr.Resume(root.ID(), tok, "agent", "x"); got != nil {
-		t.Fatalf("a token of an ask with no span open should no-op")
+	if got := tr.Resume(root.ID(), step.ID(), "agent", "x"); got != nil {
+		t.Fatalf("a parent of an ask with no span open should no-op")
 	}
 }
 
@@ -330,7 +333,7 @@ func TestResumeToken(t *testing.T) {
 // span surface is inert on nil.
 func TestNilSpanIsInert(t *testing.T) {
 	tr := NewTracer()
-	if tr.Resume(1, "", "agent", "x") != nil {
+	if tr.Resume(1, 0, "agent", "x") != nil {
 		t.Fatal("Resume for an ask never started")
 	}
 	if ctx, sp := StartSpan(context.Background(), "agent", "x"); sp != nil || FromContext(ctx) != nil {
@@ -339,7 +342,7 @@ func TestNilSpanIsInert(t *testing.T) {
 	var sp *Span
 	sp.SetAttr("k", "v")
 	sp.End()
-	if sp.Token() != "" || sp.ID() != 0 || sp.Settled() == nil {
+	if sp.ID() != 0 || sp.Settled() == nil {
 		t.Fatal("nil span surface not inert")
 	}
 }

@@ -16,11 +16,11 @@ import (
 //
 //   - In-process, via context.Context: StartSpan derives a child of the
 //     span carried by ctx (ContextWith/FromContext).
-//   - Across stream boundaries, via tokens: the coordinator embeds
-//     Span.Token() in the EXECUTE_AGENT directive args and the agent
-//     runtime resumes the trace with Tracer.Resume — orchestration crosses
-//     goroutines over streams, so the trace context must ride the message,
-//     not the call stack.
+//   - Across stream boundaries, by id: the coordinator puts its span's ID
+//     in the EXECUTE_AGENT directive (streams.Directive.Parent) and the
+//     agent runtime resumes the trace under it with Tracer.Resume —
+//     orchestration crosses goroutines over streams, so the trace context
+//     must ride the message, not the call stack.
 //
 // Completed spans are recorded into a bounded per-session ring
 // (Tracer.Session reads it; GET /trace/{session} and bpctl trace render
@@ -179,15 +179,6 @@ func AskID(ask uint64) string {
 	return strconv.FormatUint(ask, 10)
 }
 
-// Token serializes the span identity for propagation across a stream
-// boundary ("" for nil); Tracer.Resume parses it back.
-func (s *Span) Token() string {
-	if s == nil {
-		return ""
-	}
-	return strconv.FormatUint(s.id, 36)
-}
-
 // Tracer records spans into bounded per-session rings. The session map
 // itself is bounded too: past maxSessions the least-recently-active
 // session's trace is evicted, so a daemon churning through millions of
@@ -291,12 +282,11 @@ func (t *Tracer) StartRoot(session, component, name string) *Span {
 }
 
 // Resume opens a span for work that a message of ask caused, recorded in the
-// ask's session and charged to the ask. Its parent is the span token names —
-// a Span.Token carried across a stream boundary — or the ask's root when the
-// token is empty or malformed. It returns nil, and nothing is recorded, when
-// no span of ask is open (ask 0 included): never is the work charged to
-// another ask.
-func (t *Tracer) Resume(ask uint64, token, component, name string) *Span {
+// ask's session and charged to the ask. Its parent is the span id parent —
+// a Span.ID carried across a stream boundary — or the ask's root when
+// parent is 0. It returns nil, and nothing is recorded, when no span of ask
+// is open (ask 0 included): never is the work charged to another ask.
+func (t *Tracer) Resume(ask, parent uint64, component, name string) *Span {
 	t.mu.Lock()
 	a := t.asks[ask]
 	if a != nil {
@@ -306,8 +296,7 @@ func (t *Tracer) Resume(ask uint64, token, component, name string) *Span {
 	if a == nil {
 		return nil
 	}
-	parent, err := strconv.ParseUint(token, 36, 64)
-	if err != nil || parent == 0 {
+	if parent == 0 {
 		parent = ask
 	}
 	return t.newSpan(a, parent, component, name)

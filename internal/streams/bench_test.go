@@ -182,7 +182,7 @@ func BenchmarkControlFanout(b *testing.B) {
 		}(f.Agent == "AGENT3")
 	}
 	msg := Message{Stream: scope + ":control", Kind: Control, Sender: "coordinator", Directive: &Directive{
-		Op: OpExecuteAgent, Agent: "AGENT3", Args: map[string]any{"invocation_id": "p-s1"},
+		Op: OpExecuteAgent, Agent: "AGENT3", Invocation: "p-s1",
 	}}
 	before := s.StatsSnapshot().Deliveries
 	b.ReportAllocs()
@@ -226,8 +226,9 @@ func BenchmarkDeliverIdle(b *testing.B) {
 
 // BenchmarkAppendDurable is Append through a real durability engine (no
 // fsync, no flush loop) for the three shapes an ask logs: a string payload,
-// a rows-shaped map and a directive with Args. "parallel" appends all three
-// from every P onto two shared streams, so the store lock's hold shows.
+// a rows-shaped map and an EXECUTE_AGENT directive with inputs. "parallel"
+// appends all three from every P onto two shared streams, so the store
+// lock's hold shows.
 func BenchmarkAppendDurable(b *testing.B) {
 	streams := []string{"a", "b"}
 	newStore := func(b *testing.B) *Store {

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"blueprint/internal/durability"
 )
@@ -27,12 +30,22 @@ import (
 // An append record's header (before the bar) is what the store assigns
 // under its lock — the message id is "m"+n — and is written there; its
 // body is what the producer handed in, and is encoded before the lock is
-// taken. A payload is nil, a string — its bytes, so it recovers byte for
-// byte — or anything else as the bytes json.Marshal writes for it, which
-// recovery decodes into an any (map[string]any, []any, float64, ...). A
-// directive is Op, Agent and its Args as JSON. A snapshot is the same
-// records, each prefixed by its length; Apply and Restore share one
-// decoder, which refuses a record it cannot read whole.
+// taken. A payload is a value: nil, a string — its bytes, so it recovers
+// byte for byte — or anything else as the bytes json.Marshal writes for
+// it, which recovery decodes into an any (map[string]any, []any, float64,
+// ...). A directive is the byte 0 for none, or
+//
+//	dirTyped Op Agent mask field...
+//
+// where the mask's bits name the typed fields that are not zero, each then
+// written in the order of the dir* bits: strings and integers as
+// themselves and floats as their bits, so each recovers exactly, and
+// Inputs and Outputs as a count and each key with its value, written as a
+// payload is (a nil map is left out, an empty one is a count of 0). A
+// directive written as Op, Agent and a JSON args map, under the tag 1, is
+// refused by name. A snapshot is the same records, each prefixed by its
+// length; Apply and Restore share one decoder, which refuses a record it
+// cannot read whole.
 //
 // Replay is idempotent: append records carry their assigned Seq, so a
 // record whose message is already present (because the snapshot covered
@@ -47,11 +60,31 @@ const (
 	recAppend byte = 2
 )
 
-// Payload tags.
+// Value tags: how a payload, or one input or output value, is written.
 const (
 	payloadNil byte = iota
 	payloadString
 	payloadJSON
+)
+
+// dirTyped opens a directive: its fields are typed.
+const dirTyped byte = 2
+
+// Directive field bits: the typed fields a directive record holds, in the
+// order they follow its mask.
+const (
+	dirInvocation uint64 = 1 << iota
+	dirInputs
+	dirReplyStream
+	dirParent
+	dirDeadline
+	dirOutputs
+	dirCost
+	dirAccuracy
+	dirLatency
+	dirError
+	dirReason
+	dirAll = dirReason<<1 - 1
 )
 
 // scratch is the pair of buffers one record is built in: the producer's
@@ -101,36 +134,107 @@ func appendHeader(b []byte, seq, ts, n int64, session string) []byte {
 	return durability.AppendString(b, session)
 }
 
-// appendBody encodes an append record's body. It fails only on a payload
-// or directive Args that encoding/json refuses.
+// appendBody encodes an append record's body. It fails only on a payload,
+// input or output value that encoding/json refuses.
 func appendBody(b []byte, m *Message) ([]byte, error) {
 	b = durability.AppendString(b, m.Stream)
 	b = durability.AppendVarint(b, int64(m.Kind))
 	b = appendStrings(b, m.Tags)
 	b = durability.AppendString(b, m.Sender)
 	b = durability.AppendString(b, m.Param)
-	var err error
-	switch p := m.Payload.(type) {
-	case nil:
-		b = append(b, payloadNil)
-	case string:
-		b = durability.AppendString(append(b, payloadString), p)
-	default:
-		if b, err = appendJSON(append(b, payloadJSON), p); err != nil {
-			return b, fmt.Errorf("streams: encode payload: %w", err)
-		}
+	b, err := appendValue(b, m.Payload)
+	if err != nil {
+		return b, fmt.Errorf("streams: encode payload: %w", err)
 	}
-	d := m.Directive
+	return appendDirective(b, m.Directive)
+}
+
+// appendValue encodes a payload, or one input or output value.
+func appendValue(b []byte, v any) ([]byte, error) {
+	switch v := v.(type) {
+	case nil:
+		return append(b, payloadNil), nil
+	case string:
+		return durability.AppendString(append(b, payloadString), v), nil
+	default:
+		return appendJSON(append(b, payloadJSON), v)
+	}
+}
+
+// appendDirective encodes a message's directive, or its absence.
+func appendDirective(b []byte, d *Directive) ([]byte, error) {
 	if d == nil {
 		return append(b, 0), nil
 	}
-	b = durability.AppendString(append(b, 1), d.Op)
+	b = durability.AppendString(append(b, dirTyped), d.Op)
 	b = durability.AppendString(b, d.Agent)
-	if len(d.Args) == 0 {
-		return durability.AppendUvarint(b, 0), nil
+	var mask uint64
+	for bit, set := range [...]bool{ // one entry per dir* bit, in order
+		d.Invocation != "", d.Inputs != nil, d.ReplyStream != "", d.Parent != 0, d.Deadline != 0,
+		d.Outputs != nil, math.Float64bits(d.Cost) != 0, math.Float64bits(d.Accuracy) != 0, d.Latency != 0,
+		d.Error != "", d.Reason != "",
+	} {
+		if set {
+			mask |= 1 << bit
+		}
 	}
-	if b, err = appendJSON(b, d.Args); err != nil {
-		return b, fmt.Errorf("streams: encode directive args: %w", err)
+	b = durability.AppendUvarint(b, mask)
+	var err error
+	if mask&dirInvocation != 0 {
+		b = durability.AppendString(b, d.Invocation)
+	}
+	if mask&dirInputs != 0 {
+		if b, err = appendValues(b, d.Inputs); err != nil {
+			return b, fmt.Errorf("streams: encode directive inputs: %w", err)
+		}
+	}
+	if mask&dirReplyStream != 0 {
+		b = durability.AppendString(b, d.ReplyStream)
+	}
+	if mask&dirParent != 0 {
+		b = durability.AppendUvarint(b, d.Parent)
+	}
+	if mask&dirDeadline != 0 {
+		b = durability.AppendVarint(b, d.Deadline)
+	}
+	if mask&dirOutputs != 0 {
+		if b, err = appendValues(b, d.Outputs); err != nil {
+			return b, fmt.Errorf("streams: encode directive outputs: %w", err)
+		}
+	}
+	if mask&dirCost != 0 {
+		b = durability.AppendFloat(b, d.Cost)
+	}
+	if mask&dirAccuracy != 0 {
+		b = durability.AppendFloat(b, d.Accuracy)
+	}
+	if mask&dirLatency != 0 {
+		b = durability.AppendVarint(b, int64(d.Latency))
+	}
+	if mask&dirError != 0 {
+		b = durability.AppendString(b, d.Error)
+	}
+	if mask&dirReason != 0 {
+		b = durability.AppendString(b, d.Reason)
+	}
+	return b, nil
+}
+
+// appendValues encodes an input or output map in key order, so one map
+// always makes the same bytes.
+func appendValues(b []byte, m map[string]any) ([]byte, error) {
+	var room [8]string
+	keys := room[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b = durability.AppendUvarint(b, uint64(len(keys)))
+	var err error
+	for _, k := range keys {
+		if b, err = appendValue(durability.AppendString(b, k), m[k]); err != nil {
+			return b, fmt.Errorf("%q: %w", k, err)
+		}
 	}
 	return b, nil
 }
@@ -194,7 +298,7 @@ func decodeRecord(rec []byte) (record, error) {
 		m.Tags = decodeStrings(d)
 		m.Sender = d.String()
 		m.Param = d.String()
-		if m.Payload, err = decodePayload(d); err == nil {
+		if m.Payload, err = decodeValue(d); err == nil {
 			m.Directive, err = decodeDirective(d)
 		}
 	default:
@@ -225,7 +329,7 @@ func decodeStrings(d *durability.Dec) []string {
 	return out
 }
 
-func decodePayload(d *durability.Dec) (any, error) {
+func decodeValue(d *durability.Dec) (any, error) {
 	switch tag := d.Byte(); tag {
 	case payloadNil:
 		return nil, nil
@@ -234,29 +338,81 @@ func decodePayload(d *durability.Dec) (any, error) {
 	case payloadJSON:
 		var v any
 		if err := json.Unmarshal(d.Bytes(), &v); err != nil && d.Err() == nil {
-			return nil, fmt.Errorf("streams: decode payload: %w", err)
+			return nil, fmt.Errorf("streams: decode value: %w", err)
 		}
 		return v, nil
 	default:
-		return nil, fmt.Errorf("streams: unknown payload tag %#x", tag)
+		return nil, fmt.Errorf("streams: unknown value tag %#x", tag)
 	}
 }
 
 func decodeDirective(d *durability.Dec) (*Directive, error) {
-	switch present := d.Byte(); present {
+	switch tag := d.Byte(); tag {
 	case 0:
 		return nil, nil
-	case 1:
+	case dirTyped:
 	default:
-		return nil, fmt.Errorf("streams: unknown directive tag %#x", present)
+		return nil, fmt.Errorf("streams: unknown directive tag %#x", tag)
 	}
 	dir := &Directive{Op: d.String(), Agent: d.String()}
-	if args := d.Bytes(); len(args) > 0 {
-		if err := json.Unmarshal(args, &dir.Args); err != nil {
-			return nil, fmt.Errorf("streams: decode directive args: %w", err)
+	mask := d.Uvarint()
+	if mask&^dirAll != 0 {
+		return nil, fmt.Errorf("streams: unknown directive fields %#x", mask&^dirAll)
+	}
+	var err error
+	if mask&dirInvocation != 0 {
+		dir.Invocation = d.String()
+	}
+	if mask&dirInputs != 0 {
+		if dir.Inputs, err = decodeValues(d); err != nil {
+			return nil, err
 		}
 	}
+	if mask&dirReplyStream != 0 {
+		dir.ReplyStream = d.String()
+	}
+	if mask&dirParent != 0 {
+		dir.Parent = d.Uvarint()
+	}
+	if mask&dirDeadline != 0 {
+		dir.Deadline = d.Varint()
+	}
+	if mask&dirOutputs != 0 {
+		if dir.Outputs, err = decodeValues(d); err != nil {
+			return nil, err
+		}
+	}
+	if mask&dirCost != 0 {
+		dir.Cost = d.Float()
+	}
+	if mask&dirAccuracy != 0 {
+		dir.Accuracy = d.Float()
+	}
+	if mask&dirLatency != 0 {
+		dir.Latency = time.Duration(d.Varint())
+	}
+	if mask&dirError != 0 {
+		dir.Error = d.String()
+	}
+	if mask&dirReason != 0 {
+		dir.Reason = d.String()
+	}
 	return dir, nil
+}
+
+// decodeValues reads an input or output map.
+func decodeValues(d *durability.Dec) (map[string]any, error) {
+	n := d.Count()
+	m := make(map[string]any, n)
+	for range n {
+		k := d.String()
+		v, err := decodeValue(d)
+		if err != nil {
+			return nil, err
+		}
+		m[k] = v
+	}
+	return m, nil
 }
 
 // applyLocked loads one decoded record into the store, idempotently; caller

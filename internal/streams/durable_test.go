@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -374,6 +375,102 @@ func TestRecoveryKeepsBytes(t *testing.T) {
 	}
 }
 
+// directiveOfEachOp is one directive of each op the program speaks, every
+// typed field its op uses set to a value the old float-millisecond path
+// would not have kept exactly. Input and output values are strings or what
+// encoding/json decodes into, as recovery returns them.
+func directiveOfEachOp() []Directive {
+	return []Directive{{
+		Op: OpExecuteAgent, Agent: "SQLEXECUTOR", Invocation: "plan-1-q-7", ReplyStream: "session:1:SQLEXECUTOR:out",
+		Inputs: map[string]any{"SQL": "SELECT id FROM jobs WHERE city = 'Zürich'", "LIMIT": 25.0, "OPTS": map[string]any{"cached": true, "hint": nil}},
+		Parent: 1<<63 | 12345, Deadline: 1_790_000_000_123_456_789,
+	}, {
+		Op: "AGENT_DONE", Agent: "SQLEXECUTOR", Invocation: "plan-1-q-7",
+		Cost: math.Nextafter(0.3, 1), Accuracy: math.Copysign(0, -1), Latency: 1_234_567,
+		Outputs: map[string]any{"ROWS": []any{"a", 1.5, map[string]any{"id": 3.0}}, "TEXT": "3 rows\x00\xff"},
+	}, {
+		Op: "AGENT_DONE", Agent: "QUERY_SUMMARIZER", Invocation: "QUERY_SUMMARIZER-4", Outputs: map[string]any{},
+		Cost: math.SmallestNonzeroFloat64, Accuracy: 0.95, Latency: 1,
+	}, {
+		Op: "AGENT_ERROR", Agent: "SQLEXECUTOR", Invocation: "plan-1-q-8", Error: "relational: no such column \"nope\" (at 7)",
+	}, {
+		Op: OpAbort, Agent: "SQLEXECUTOR", Invocation: "plan-1-q-8",
+	}, {
+		Op: OpAbort, Reason: "budget: cost 0.31 over limit 0.30",
+	}}
+}
+
+// TestDirectivesRecoverExactly: one directive of each op, logged and
+// recovered by replay and by a snapshot's restore, comes back field for
+// field — floats bit for bit, latency and deadline to the nanosecond, and
+// every input and output value.
+func TestDirectivesRecoverExactly(t *testing.T) {
+	for _, viaSnapshot := range []bool{false, true} {
+		name := map[bool]string{false: "replay", true: "restore"}[viaSnapshot]
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, eng := openDurableStore(t, dir)
+			mustCreate(t, s, "session:1:control", StreamInfo{Session: "session:1"})
+			want := directiveOfEachOp()
+			for i := range want {
+				mustAppend(t, s, Message{Stream: "session:1:control", Kind: Control, Sender: "coordinator", Directive: &want[i]})
+			}
+			if viaSnapshot {
+				if err := eng.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+
+			s2, eng2 := openDurableStore(t, dir)
+			defer eng2.Close()
+			defer s2.Close()
+			if rec := eng2.Stats().Recovery; rec.SnapshotRestored != viaSnapshot {
+				t.Fatalf("recovery took the wrong path: %+v", rec)
+			}
+			got, err := s2.ReadAll("session:1:control")
+			if err != nil || len(got) != len(want) {
+				t.Fatalf("recovered %d messages (%v), want %d", len(got), err, len(want))
+			}
+			for i, m := range got {
+				d, w := m.Directive, &want[i]
+				if d == nil || !reflect.DeepEqual(*d, *w) ||
+					math.Float64bits(d.Cost) != math.Float64bits(w.Cost) ||
+					math.Float64bits(d.Accuracy) != math.Float64bits(w.Accuracy) {
+					t.Fatalf("%s recovered as\n%#v\nwant\n%#v", w.Op, d, w)
+				}
+			}
+		})
+	}
+}
+
+// TestUntypedDirectiveRecordFailsRecovery: an append record whose directive
+// is Op, Agent and a JSON args map, as logs held them before directives were
+// typed, is refused by name, not read as typed fields.
+func TestUntypedDirectiveRecordFailsRecovery(t *testing.T) {
+	s := NewStore()
+	defer s.Close()
+	mustCreate(t, s, "session:1:control", StreamInfo{Session: "session:1"})
+	rec := appendHeader(nil, 0, 2, 1, "session:1")
+	rec = durability.AppendString(rec, "session:1:control")
+	rec = durability.AppendVarint(rec, int64(Control))
+	rec = appendStrings(rec, nil)
+	rec = durability.AppendString(rec, "coordinator")
+	rec = durability.AppendString(rec, "")
+	rec = append(rec, payloadNil, 1)
+	rec = durability.AppendString(durability.AppendString(rec, OpExecuteAgent), "SQLEXECUTOR")
+	rec = durability.AppendString(rec, `{"invocation_id":"p-s1","inputs":{"SQL":"SELECT 1"}}`)
+	if err := s.Apply(rec); err == nil || !strings.Contains(err.Error(), "unknown directive tag 0x1") {
+		t.Fatalf("Apply of an untyped directive record: err = %v, want it refused by its tag", err)
+	}
+	if info, _ := s.Info("session:1:control"); info.Len != 0 {
+		t.Fatalf("the refused record was stored: %+v", info)
+	}
+}
+
 // recordingSink keeps a copy of every record it is handed (the store reuses
 // its buffer once the sink returns).
 type recordingSink struct {
@@ -410,7 +507,7 @@ func jsonRoundTrip(t testing.TB, v any) any {
 }
 
 // shapedMessage is the i-th of three rotating shapes: a string payload, a
-// rows-shaped map and a directive with Args.
+// rows-shaped map and an EXECUTE_AGENT directive with inputs.
 func shapedMessage(stream, sender string, i int) Message {
 	m := Message{Stream: stream, Sender: sender, Tags: []string{sender}}
 	switch i % 3 {
@@ -425,7 +522,7 @@ func shapedMessage(stream, sender string, i int) Message {
 		}
 	case 2:
 		m.Kind = Control
-		m.Directive = &Directive{Op: OpExecuteAgent, Agent: "SQLEXECUTOR", Args: map[string]any{"invocation_id": sender, "n": i}}
+		m.Directive = &Directive{Op: OpExecuteAgent, Agent: "SQLEXECUTOR", Invocation: sender, Inputs: map[string]any{"SQL": sender, "n": i}}
 	}
 	return m
 }
@@ -497,7 +594,9 @@ func TestHeaderAndBodyBelongToOneMessage(t *testing.T) {
 			want.Payload = jsonRoundTrip(t, want.Payload)
 		}
 		if d := want.Directive; d != nil {
-			want.Directive = &Directive{Op: d.Op, Agent: d.Agent, Args: jsonRoundTrip(t, d.Args).(map[string]any)}
+			recovered := *d
+			recovered.Inputs = jsonRoundTrip(t, d.Inputs).(map[string]any)
+			want.Directive = &recovered
 		}
 		if !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("message %d replays as\n%+v\nthe store holds\n%+v", i, got[i], want)

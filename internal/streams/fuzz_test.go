@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"blueprint/internal/durability"
 )
@@ -47,6 +48,22 @@ func FuzzStreamRecord(f *testing.F) {
 		f.Fatal("a record claiming 2^62 tags was applied")
 	}
 	seeds = append(seeds, huge, nil, []byte(`{"t":"create","stream":{"id":"chat"}}`))
+	// One record of each directive op.
+	if _, err := s.CreateStream("ctl", StreamInfo{Session: "session:1"}); err != nil {
+		f.Fatal(err)
+	}
+	ops := directiveOfEachOp()
+	for i := range ops {
+		m, err := s.Append(Message{Stream: "ctl", Kind: Control, Sender: "coordinator", Directive: &ops[i]})
+		if err != nil {
+			f.Fatal(err)
+		}
+		rec, err := appendMessageRecord(nil, &m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, rec)
+	}
 	for _, seed := range seeds {
 		f.Add(seed)
 	}
@@ -93,8 +110,8 @@ func allocBounded(t *testing.T, input []byte, fn func()) {
 // fuzzRecordValues builds a stream and a message from fuzz bytes: strings
 // are the input's NUL-separated fields (any bytes, valid UTF-8 or not), the
 // numbers a hash of it, and the payload and directive shapes chosen by it.
-// A JSON payload or Args is what encoding/json makes of it, as recovery
-// returns it.
+// A JSON payload, input or output value is what encoding/json makes of it,
+// as recovery returns it.
 func fuzzRecordValues(t *testing.T, data []byte) (StreamInfo, Message) {
 	fields := bytes.Split(data, []byte{0})
 	field := func(i int) string {
@@ -130,11 +147,55 @@ func fuzzRecordValues(t *testing.T, data []byte) (StreamInfo, Message) {
 	case 2:
 		m.Payload = jsonRoundTrip(t, map[string]any{"rows": []any{field(8), len(data)}, "sql": field(9)})
 	}
-	if h%4 >= 2 {
+	switch h % 4 {
+	case 2:
 		m.Directive = &Directive{Op: field(6), Agent: field(7)}
-		if h%4 == 3 {
-			m.Directive.Args = jsonRoundTrip(t, map[string]any{"input": field(9)}).(map[string]any)
-		}
+	case 3:
+		m.Directive = fuzzDirective(t, field(6), field(7), field(9), h)
 	}
 	return info, m
+}
+
+// fuzzDirective sets each typed field of a directive, or leaves it zero, by
+// one bit of h; text is every string field's and a string input's value.
+func fuzzDirective(t *testing.T, op, agent, text string, h uint64) *Directive {
+	d := &Directive{Op: op, Agent: agent}
+	set := func(k uint) bool { return h>>(8+k)&1 == 1 }
+	if set(0) {
+		d.Invocation = text
+	}
+	if set(1) {
+		d.Inputs = map[string]any{"TEXT": text, "N": jsonRoundTrip(t, h>>40)}
+	}
+	if set(2) {
+		d.ReplyStream = text
+	}
+	if set(3) {
+		d.Parent = h
+	}
+	if set(4) {
+		d.Deadline = int64(h)
+	}
+	if set(5) {
+		d.Outputs = map[string]any{}
+		if set(6) {
+			d.Outputs[text] = jsonRoundTrip(t, []any{text, float64(h >> 12)})
+		}
+	}
+	if set(7) {
+		d.Cost = float64(int64(h)) / 7
+	}
+	if set(8) {
+		d.Accuracy = 1 / float64(h|1)
+	}
+	if set(9) {
+		d.Latency = time.Duration(h >> 1)
+	}
+	if set(10) {
+		d.Error = text
+	}
+	if set(11) {
+		d.Reason = text
+	}
+	return d
 }

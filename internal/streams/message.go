@@ -67,6 +67,7 @@ package streams
 import (
 	"encoding/json"
 	"fmt"
+	"time"
 )
 
 // Kind distinguishes the two message classes of §V-A plus UI events (§VI).
@@ -105,14 +106,48 @@ const (
 	OpEOS          = "EOS"           // end of stream sentinel
 )
 
-// Directive is the structured body of a control message.
+// Directive is the structured body of a control message. The program
+// speaks a fixed set of directives, and each keeps its parameters in the
+// typed fields its op uses; the others stay zero:
+//
+//   - EXECUTE_AGENT: Invocation, Inputs, ReplyStream, Parent, Deadline.
+//   - AGENT_DONE: Invocation, Outputs, Cost, Accuracy, Latency.
+//   - AGENT_ERROR: Invocation, Error.
+//   - ABORT: Invocation to cancel one invocation, or none (a Reason at
+//     most) to cancel every invocation of the message's ask.
+//
+// Inputs and Outputs are the producer's own maps, stored without a copy:
+// read-only once appended.
 type Directive struct {
 	// Op is one of the Op* constants (or an application-defined operation).
 	Op string `json:"op"`
 	// Agent names the target agent, when the operation addresses one.
 	Agent string `json:"agent,omitempty"`
-	// Args carries operation parameters (e.g. agent input bindings).
-	Args map[string]any `json:"args,omitempty"`
+	// Invocation is the id of the agent invocation the directive starts,
+	// reports on or aborts.
+	Invocation string `json:"invocation,omitempty"`
+	// Inputs binds each input parameter the invocation gets to its value.
+	Inputs map[string]any `json:"inputs,omitempty"`
+	// ReplyStream is where the invocation publishes its outputs; empty, they
+	// ride its AGENT_DONE report.
+	ReplyStream string `json:"reply_stream,omitempty"`
+	// Parent is the id of the caller's span (obs.Span.ID), under which the
+	// invocation's span is resumed; 0 is the root of the message's ask.
+	Parent uint64 `json:"parent,omitempty"`
+	// Deadline is the caller's absolute completion deadline in Unix
+	// nanoseconds; 0 is none.
+	Deadline int64 `json:"deadline,omitempty"`
+	// Outputs binds each output an invocation that named no reply stream
+	// produced to its value; nil when it named one.
+	Outputs map[string]any `json:"outputs,omitempty"`
+	// Cost, Accuracy and Latency are a finished invocation's QoS actuals.
+	Cost     float64       `json:"cost,omitempty"`
+	Accuracy float64       `json:"accuracy,omitempty"`
+	Latency  time.Duration `json:"latency,omitempty"`
+	// Error is a failed invocation's error text.
+	Error string `json:"error,omitempty"`
+	// Reason says why an ABORT stopped a plan.
+	Reason string `json:"reason,omitempty"`
 }
 
 // Message is a single entry in a stream.

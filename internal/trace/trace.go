@@ -53,10 +53,8 @@ func Flow(store *streams.Store, session string) []Step {
 			s.Op = d.Op
 			s.Agent = d.Agent
 			// An AGENT_DONE report's payload is the outputs it carries.
-			if d.Op == agent.OpAgentDone {
-				if rep, _ := agent.ReadReport(d); rep.Outputs != nil {
-					m.Payload = rep.Outputs
-				}
+			if d.Op == agent.OpAgentDone && d.Outputs != nil {
+				m.Payload = d.Outputs
 			}
 		}
 		// Rune-safe: payloads carry user text, and a byte slice at 60
