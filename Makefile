@@ -28,7 +28,9 @@ race:
 # drains every open session's running plans; the store's worker pool never blocks a
 # chain of nested hand-offs, and gives its parked workers back at Close; and
 # in the one coordinator service, a session at its plan bound holds up no
-# other session, and a session's Leave waits for its own running plans only;
+# other session, and a session's Leave waits for its own running plans only,
+# and the service runs one read loop however many sessions join it, which
+# Stop ends;
 # and a session's membership is one decision per change: of concurrent adds
 # of the same agents exactly one joins, none once Close got there first, and
 # the session stream records each name added once; and over HTTP a click is
@@ -40,7 +42,7 @@ race:
 stress:
 	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession|TestOnePlanIDRunsConcurrently|TestSystemCloseDrainsOpenSessions' .
 	$(GO) test -race -count=20 -run 'TestGoNeverBlocks|TestPoolIdleAndClose' ./internal/streams
-	$(GO) test -race -count=20 -run 'TestSeatBoundHoldsUpOnlyItsSession|TestLeaveWaitsForItsOwnPlansOnly' ./internal/coordinator
+	$(GO) test -race -count=20 -run 'TestSeatBoundHoldsUpOnlyItsSession|TestLeaveWaitsForItsOwnPlansOnly|TestServiceStartsAndStopsClean' ./internal/coordinator
 	$(GO) test -race -count=20 -run 'TestDuplicateAgentRejected|TestConcurrentAddAndClose' ./internal/session
 	$(GO) test -race -count=20 -run 'TestClickIsGoverned|TestShedAndQueuedAsksHaveOneID' ./internal/httpapi
 	$(GO) test -race -count=5 -run 'TestDurableLogKeepsWriteOrder' .

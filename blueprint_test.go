@@ -57,15 +57,32 @@ func TestFig1ArchitectureWiring(t *testing.T) {
 	if !strings.Contains(out, "Summary:") {
 		t.Fatalf("answer = %q", out)
 	}
-	// Observability: every hop is on the streams.
+	// Observability: every hop is on the streams, in the exact Fig. 10
+	// order U -> IC -> AE -> NL2Q -> QE -> QS. QS publishes its summary
+	// before it displays it, so the chain is whole once Ask has returned.
 	flow := s.Flow()
-	senders := trace.Senders(flow)
-	joined := strings.Join(senders, ",")
-	for _, want := range []string{"user", hragents.IntentClassifier, hragents.AgenticEmployer, hragents.NL2Q, hragents.SQLExecutor, hragents.QuerySummarizer} {
-		if !strings.Contains(joined, want) {
-			t.Fatalf("flow missing %s: %v", want, senders)
-		}
+	if _, ok := trace.MatchSequence(flow, fig10Pattern); !ok {
+		t.Fatalf("Fig. 10 sequence not found in the session's flow:\n%s", trace.Render(flow))
 	}
+}
+
+// fig10Pattern is the exact Fig. 10 chain.
+var fig10Pattern = []trace.Matcher{
+	{Sender: "user", Tag: "utterance", Kind: streams.Data},
+	{Sender: hragents.IntentClassifier, Tag: hragents.TagIntent, Kind: streams.Data},
+	{Sender: hragents.AgenticEmployer, Tag: hragents.TagNLQ, Kind: streams.Data},
+	{Sender: hragents.NL2Q, Tag: hragents.TagSQL, Kind: streams.Data},
+	{Sender: hragents.SQLExecutor, Tag: hragents.TagRows, Kind: streams.Data},
+	{Sender: hragents.QuerySummarizer, Tag: hragents.TagSummary, Kind: streams.Data},
+}
+
+// fig9Pattern is the exact Fig. 9 sequence; S's step is its AGENT_DONE
+// report, which carries the summary to the coordinator.
+var fig9Pattern = []trace.Matcher{
+	{Sender: "user", Tag: "ui", Kind: streams.Event},
+	{Sender: hragents.AgenticEmployer, Tag: "plan", Kind: streams.Data},
+	{Sender: "coordinator", Op: streams.OpExecuteAgent, Agent: hragents.Summarizer, Kind: streams.Control},
+	{Sender: hragents.Summarizer, Op: agent.OpAgentDone, Kind: streams.Control},
 }
 
 func TestClickFlow(t *testing.T) {
@@ -90,6 +107,13 @@ func TestClickFlow(t *testing.T) {
 			t.Fatal("coordinator executed no plan")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	// Fig. 9: U (UI event) -> AE (job id + plan) -> TC (EXECUTE control) ->
+	// S (its AGENT_DONE report). The plan's result is recorded after the
+	// report it was read from, so the report is in the flow by now.
+	flow := s.Flow()
+	if _, ok := trace.MatchSequence(flow, fig9Pattern); !ok {
+		t.Fatalf("Fig. 9 sequence not found in the session's flow:\n%s", trace.Render(flow))
 	}
 }
 
@@ -174,9 +198,13 @@ func TestBudgetEnforcedThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	_, _, err = s.ExecuteUtterance("I am looking for a data scientist position in SF bay area.")
+	res, _, err := s.ExecuteUtterance("I am looking for a data scientist position in SF bay area.")
 	if err == nil {
 		t.Fatal("micro-budget execution succeeded")
+	}
+	// The coordinator aborts the plan, as a result, rather than failing it.
+	if res == nil || !res.Aborted || res.AbortReason == "" {
+		t.Fatalf("micro-budget result = %+v, want an aborted plan with its reason", res)
 	}
 }
 

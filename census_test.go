@@ -31,6 +31,8 @@ var censusKept = map[string]string{
 	"planner.IncrementalPlan.Next":         "§V-F incremental planning",
 	"planner.IncrementalPlan.Materialize":  "§V-F incremental planning: the steps emitted so far, as a plan the coordinator runs",
 	"optimizer.AssignAgents":               "§IV objective-driven agent assignment: each step of a task plan re-picked by the objectives",
+	"optimizer.ChooseModelTier":            "§IV objective-driven model selection: the tier the objectives and limits pick",
+	"optimizer.Pareto":                     "§IV multi-objective optimization: the candidates no other beats on cost, latency and accuracy",
 	"registry.DataRegistry.Grant":          "§VII governance: an asset restricted to the listed agents",
 	"registry.DataRegistry.Revoke":         "§VII governance",
 	"registry.DataRegistry.ClearGrants":    "§VII governance",
@@ -51,6 +53,9 @@ var censusKept = map[string]string{
 	"session.Session.History":              "§V-E every message of the scope, in order",
 	"streams.Store.List":                   "§V-A streams are first-class data resources: enumerate them",
 	"streams.Store.CloseStream":            "§V-A a stream ends with an EOS sentinel",
+
+	// §VI Figs. 9/10: the flow tests match the paper's sender sequences.
+	"trace.MatchSequence": "the Fig. 9 and Fig. 10 sequences as ordered subsequences of a session's flow",
 
 	// Safety and fault-suite hooks.
 	"durability.Engine.Sync":          "safety: makes every appended record durable; Append's doc names it as the barrier",
@@ -74,6 +79,9 @@ var censusKept = map[string]string{
 	"clock.NewFake":        "a clock that moves only when a test advances it, handed to what the test builds",
 	"clock.Clock.Advance":  "moves the fake clock: a deadline, backoff, open period, TTL or window passes at once",
 	"clock.Clock.Sleeping": "waits until code under test sleeps on the fake clock, and reads what it asked for",
+
+	// Test seams that build what the program assembles elsewhere.
+	"agent.Attach": "deploys an agent on a bare store and joins it to one session, where the program deploys once and joins through a session",
 
 	// Causal signals a test waits on or reads instead of sleeping.
 	"blueprint.Session.PlanResults": "root tests wait for and read the plans a session ran",

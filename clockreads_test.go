@@ -22,9 +22,8 @@ import (
 var clockKept = map[string]string{
 	"internal/clock/": "the real clock: the nil *Clock reads the machine's time here",
 
-	// Harnesses that time what they measure, outside any System.
-	"internal/experiments/": "the paper-figure harness times the runs it reports on the wall clock",
-	"internal/workload/":    "the load harness: an open-loop schedule fires on the wall clock its latencies are measured against",
+	// The load harness times what it measures, outside any System.
+	"internal/workload/": "the load harness: an open-loop schedule fires on the wall clock its latencies are measured against",
 
 	// The durability engine runs on real time: it is opened before the
 	// System's layers and keeps no clock.

@@ -515,4 +515,27 @@ func TestPetriPendingObservability(t *testing.T) {
 			t.Fatalf("B token %d fired %v, want one tuple with A=%v", i, fired, wantA)
 		}
 	}
+
+	// A transition of eight places fires only once every place holds a
+	// token, and then with each place's oldest one.
+	places := []string{"P0", "P1", "P2", "P3", "P4", "P5", "P6", "P7"}
+	wide := newPetriNet(places, PairZip)
+	for round := 0; round < 2; round++ {
+		for i, p := range places[:7] {
+			if fired := wide.offer(p, 10*round+i); fired != nil {
+				t.Fatalf("fired with P7 empty: %v", fired)
+			}
+		}
+	}
+	for round := 0; round < 2; round++ {
+		fired := wide.offer("P7", 10*round+7)
+		if len(fired) != 1 {
+			t.Fatalf("P7 token %d fired %d tuples, want 1", round, len(fired))
+		}
+		for i, p := range places {
+			if fired[0][p] != 10*round+i {
+				t.Fatalf("P7 token %d fired %v, want %s=%d", round, fired[0], p, 10*round+i)
+			}
+		}
+	}
 }

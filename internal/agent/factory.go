@@ -17,9 +17,9 @@ var (
 // spec so one constructor can serve a family of derived agents.
 type Constructor func(spec registry.AgentSpec) Processor
 
-// Factory spawns agent instances from registry specs — the per-container
-// "AgentFactory server" of §V-B. Containers in the cluster simulator each
-// run one Factory.
+// Factory spawns agent instances from registry specs — the "AgentFactory
+// server" of §V-B. A System's session manager builds each agent it deploys
+// through one.
 type Factory struct {
 	mu    sync.RWMutex
 	reg   *registry.AgentRegistry

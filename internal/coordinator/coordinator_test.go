@@ -29,6 +29,7 @@ type env struct {
 	tp    *planner.TaskPlanner
 	model *llm.Model
 	insts []*agent.Instance
+	apps  []*agent.Agent // the agent each of insts deploys, in the same order
 }
 
 func newEnv(t testing.TB) *env { return newEnvOn(t, nil) }
@@ -54,11 +55,13 @@ func newEnvOn(t testing.TB, clk *clock.Clock) *env {
 		if err := reg.Register(spec); err != nil {
 			t.Fatal(err)
 		}
-		inst, err := agent.Attach(store, sess, agent.New(spec, proc), agent.Options{DisableListen: true})
+		a := agent.New(spec, proc)
+		inst, err := agent.Attach(store, sess, a, agent.Options{DisableListen: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		e.insts = append(e.insts, inst)
+		e.apps = append(e.apps, a)
 	}
 
 	add(registry.AgentSpec{
@@ -146,6 +149,31 @@ func TestExecuteFig6PlanEndToEnd(t *testing.T) {
 	}
 	if res.Budget.CostSpent <= 0 {
 		t.Fatalf("cost = %v", res.Budget.CostSpent)
+	}
+
+	// Restart on failure (Fig. 2): JOBMATCHER's deployment stops and a fresh
+	// Deploy + Join of the same agent replaces it; the session's next plan
+	// runs on the new deployment and binds as the first did.
+	e.insts[1].Stop()
+	in, err := agent.Deploy(e.store, e.apps[1], agent.Options{DisableListen: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.insts[1] = in
+	if err := in.Join(sess); err != nil {
+		t.Fatal(err)
+	}
+	plan.ID += "-after-restart" // fresh invocation ids
+	res, err = c.ExecutePlan(sess, plan, budget.New(budget.Limits{MaxCost: 1.0}))
+	if err != nil {
+		t.Fatalf("the plan after the restart failed: %v", err)
+	}
+	if rendered, _ := res.Final["RENDERED"].(string); len(res.Steps) != 3 || !strings.Contains(rendered, "Data Scientist @ Acme") {
+		t.Fatalf("the plan after the restart rendered %q in %d steps", rendered, len(res.Steps))
+	}
+	matches, _ := res.Steps[1].Outputs["MATCHES"].([]any)
+	if m, _ := matches[0].(map[string]any); m["criteria"] != "data scientist position in SF bay area" {
+		t.Fatalf("the new JOBMATCHER was bound %v, want the PROFILER's criteria", m["criteria"])
 	}
 }
 
@@ -749,7 +777,7 @@ func TestServiceStartsAndStopsClean(t *testing.T) {
 	c := New(e.store, e.reg, e.tp, e.model, Options{})
 	shown := shownResults(t, e.store, sess)
 	subs := func() int64 { return e.store.StatsSnapshot().Subscriptions }
-	subsBefore, goroutinesBefore := subs(), runtime.NumGoroutine()
+	subsBefore, goroutinesBefore := subs(), serviceGoroutines()
 
 	svc := c.Serve(budget.Limits{MaxCost: 1.0})
 	seat := svc.Join(sess)
@@ -759,8 +787,14 @@ func TestServiceStartsAndStopsClean(t *testing.T) {
 	if got := subs(); got != subsBefore+1 {
 		t.Fatalf("Serve and 8 joins took %d subscriptions, want 1", got-subsBefore)
 	}
-	if got := runtime.NumGoroutine(); got != goroutinesBefore+1 {
-		t.Fatalf("Serve and 8 joins started %d goroutines, want 1", got-goroutinesBefore)
+	var started []string
+	for id := range serviceGoroutines() {
+		if !goroutinesBefore[id] {
+			started = append(started, id)
+		}
+	}
+	if len(started) != 1 {
+		t.Fatalf("Serve and 8 joins started %d goroutines, want 1", len(started))
 	}
 	// A PLAN control directive is not an intake; the same service reads the
 	// plan published behind it, so it has passed the directive by then.
@@ -779,11 +813,37 @@ func TestServiceStartsAndStopsClean(t *testing.T) {
 	if got := subs(); got != subsBefore {
 		t.Fatalf("%d subscriptions after Stop, %d before Serve", got, subsBefore)
 	}
+	// Stop returns once the loop is done; its goroutine may take a moment
+	// more to exit.
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > goroutinesBefore {
+	for serviceGoroutines()[started[0]] {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after Stop, %d before Serve", runtime.NumGoroutine(), goroutinesBefore)
+			t.Fatalf("goroutine %s that Serve started is still running after Stop", started[0])
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// serviceGoroutines returns the ids of the goroutines running the service's
+// code — its read loop, or anything Serve or a Service method starts — read
+// from their stacks ("created by" lines aside). What a call started is the
+// ids in the set after it and not before: unlike a runtime.NumGoroutine
+// difference, that does not move with other goroutines ending, a store's
+// pool workers or an earlier test's service on its way out.
+func serviceGoroutines() map[string]bool {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	ids := map[string]bool{}
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, "\nblueprint/internal/coordinator.(*Coordinator).Serve") ||
+			strings.Contains(g, "\nblueprint/internal/coordinator.(*Service).") {
+			id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+			ids[id] = true
+		}
+	}
+	return ids
 }

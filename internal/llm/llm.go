@@ -65,9 +65,10 @@ type Config struct {
 	Seed int64
 }
 
-// Presets returns the standard three-tier model family used across the
-// benchmarks. The absolute numbers are synthetic; their *ordering* (larger =
-// slower, costlier, more accurate) is what the optimizer experiments need.
+// Presets returns the standard three-tier model family; a System runs on the
+// large tier. The absolute numbers are synthetic; their *ordering* (larger =
+// slower, costlier, more accurate) is what model-tier selection
+// (optimizer.ChooseModelTier) needs.
 func Presets(seed int64) []Config {
 	return []Config{
 		{Name: "sim-small", Tier: TierSmall, CostPer1K: 0.0005, BaseLatency: 15 * time.Millisecond, PerToken: 50 * time.Microsecond, Accuracy: 0.75, Seed: seed},

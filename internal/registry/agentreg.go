@@ -76,15 +76,10 @@ type ListenRule struct {
 	ExcludeTags []string `json:"exclude_tags,omitempty"`
 }
 
-// Deployment captures containerization metadata (§V-C: docker images and
-// deployment configurations) consumed by the cluster simulator.
+// Deployment is how an agent is deployed (§V-C deployment configurations):
+// what agent.Deploy reads from the registry entry when its options leave it
+// open.
 type Deployment struct {
-	// Image is the container image name.
-	Image string `json:"image,omitempty"`
-	// Resource is the compute class required: "cpu" or "gpu".
-	Resource string `json:"resource,omitempty"`
-	// Replicas is the desired instance count.
-	Replicas int `json:"replicas,omitempty"`
 	// Workers is the default of agent.Options.Workers: how many invocations
 	// of one (agent, session) pair run at once.
 	Workers int `json:"workers,omitempty"`

@@ -100,8 +100,8 @@ func assetsUnderTest() catalogUnderTest {
 			}
 			return out
 		},
-		keyword:    func(q string, k int) []refHit { return hits(r.SearchKeyword(q, k)) },
-		vector:     func(q string, k int) []refHit { return hits(r.SearchVector(q, k)) },
+		keyword:    func(q string, k int) []refHit { return hits(r.searchKeyword(q, k)) },
+		vector:     func(q string, k int) []refHit { return hits(r.searchVector(q, k)) },
 		find:       func(q string, k int) []refHit { return hits(r.Discover(q, k)) },
 		onChange:   r.OnChange,
 		onMutation: func(fn func(string)) { r.SetMutationHook(func(m AssetMutation) { fn(m.Put.Name) }) },

@@ -266,16 +266,6 @@ func (r *DataRegistry) Children(parent string) []DataAsset {
 // Len reports the number of registered assets.
 func (r *DataRegistry) Len() int { return r.len() }
 
-// SearchKeyword ranks assets containing every query token.
-func (r *DataRegistry) SearchKeyword(query string, k int) []AssetHit {
-	return r.searchKeyword(query, k)
-}
-
-// SearchVector returns the k assets nearest to the query embedding.
-func (r *DataRegistry) SearchVector(query string, k int) []AssetHit {
-	return r.searchVector(query, k)
-}
-
 // Discover is the data planner's entry point: vector search with keyword
 // fallback.
 func (r *DataRegistry) Discover(query string, k int) []AssetHit { return r.find(query, k) }

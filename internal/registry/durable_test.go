@@ -152,4 +152,18 @@ func TestDurableMutationLogRoundTrip(t *testing.T) {
 	if err := replay.Apply(wal[4]); err != nil {
 		t.Fatalf("re-applied removal errored: %v", err)
 	}
+	// A spec logged while Deployment still held image, resource and replicas
+	// replays: the keys no field reads are skipped, workers is kept.
+	old := `{"agent":{"put":{"name":"LEGACY","description":"logged with container metadata","version":2,` +
+		`"deployment":{"image":"legacy:1","resource":"gpu","replicas":3,"workers":2}}}}`
+	if err := replay.Apply([]byte(old)); err != nil {
+		t.Fatalf("a record with the old deployment keys failed to replay: %v", err)
+	}
+	legacy, err := agents2.Get("LEGACY")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy.Version != 2 || legacy.Deployment.Workers != 2 {
+		t.Fatalf("replayed LEGACY = v%d with %d workers, want v2 with 2", legacy.Version, legacy.Deployment.Workers)
+	}
 }

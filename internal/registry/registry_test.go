@@ -315,11 +315,11 @@ func TestDataDiscovery(t *testing.T) {
 
 func TestDataKeywordSearch(t *testing.T) {
 	r, _ := newDataReg(t)
-	hits := r.SearchKeyword("applications status", 5)
+	hits := r.searchKeyword("applications status", 5)
 	if len(hits) != 1 || hits[0].Asset.Name != "hr.applications" {
 		t.Fatalf("keyword = %+v", hits)
 	}
-	if got := r.SearchKeyword("", 5); got != nil {
+	if got := r.searchKeyword("", 5); got != nil {
 		t.Fatalf("empty query = %+v", got)
 	}
 }
