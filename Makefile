@@ -25,7 +25,9 @@ race:
 # sessions, and two at once on one — is the asking utterance's own, and each
 # ask's span tree holds only its own agents, and runs of one plan id at once
 # in one session each get their own step results, and closing the System
-# drains every open session's running plans; the store's worker pool never blocks a
+# drains every open session's running plans, and sessions closed with asks in
+# flight keep no stream, nothing of theirs re-created by a late output, report
+# or plan result; the store's worker pool never blocks a
 # chain of nested hand-offs, and gives its parked workers back at Close; and
 # in the one coordinator service, a session at its plan bound holds up no
 # other session, and a session's Leave waits for its own running plans only,
@@ -40,7 +42,7 @@ race:
 # crash recovers what the live process ended with (fifty crash-and-reopen
 # rounds a run, so five runs).
 stress:
-	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession|TestOnePlanIDRunsConcurrently|TestSystemCloseDrainsOpenSessions' .
+	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession|TestOnePlanIDRunsConcurrently|TestSystemCloseDrainsOpenSessions|TestCloseForgetsUnderLoad' .
 	$(GO) test -race -count=20 -run 'TestGoNeverBlocks|TestPoolIdleAndClose' ./internal/streams
 	$(GO) test -race -count=20 -run 'TestSeatBoundHoldsUpOnlyItsSession|TestLeaveWaitsForItsOwnPlansOnly|TestServiceStartsAndStopsClean' ./internal/coordinator
 	$(GO) test -race -count=20 -run 'TestDuplicateAgentRejected|TestConcurrentAddAndClose' ./internal/session

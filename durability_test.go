@@ -243,10 +243,12 @@ func TestDurableCrashReplayWithoutSnapshot(t *testing.T) {
 	}
 }
 
-// A session's membership records recover as they were written: after a
-// crash, the session stream of one session closed by hand and of one the
-// crash closed reads back message for message, the names still one string
-// payload, and Members replays them to the same answer.
+// A session's membership records recover as they were written, and a closed
+// session recovers as nothing: after a crash, the session stream of a session
+// the crash shut down reads back message for message, the names still one
+// string payload, and Members replays them to the same answer; a session
+// closed by hand, its records written first, has no stream left, live or
+// recovered, and reopening its id finds no member.
 func TestDurableCrashRecoversMembershipRecords(t *testing.T) {
 	dir := t.TempDir()
 	sys := newDurableSystem(t, dir)
@@ -257,45 +259,51 @@ func TestDurableCrashRecoversMembershipRecords(t *testing.T) {
 	if err := closed.RemoveAgent(StandardAgents[0]); err != nil {
 		t.Fatal(err)
 	}
+	if msgs, err := sys.Store.ReadAll(session.SessionStream(closed.ID)); err != nil || len(msgs) != 2 {
+		t.Fatalf("%s's session stream holds %d records (%v), want ADD_AGENT and REMOVE_AGENT", closed.ID, len(msgs), err)
+	}
 	closed.Close()
+	if left := sys.Store.List(closed.ID); len(left) != 0 {
+		t.Fatalf("%s's streams outlive its Close: %+v", closed.ID, left)
+	}
 	open, err := sys.StartSession("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.SimulateCrash() // closes open: its REMOVE_AGENT is logged too
-	written, members := map[string][]streams.Message{}, map[string][]string{}
-	for _, s := range []*Session{closed, open} {
-		msgs, err := sys.Store.ReadAll(session.SessionStream(s.ID))
-		if err != nil {
-			t.Fatal(err)
-		}
-		written[s.ID], members[s.ID] = msgs, s.Members()
+	sys.SimulateCrash() // shuts open down: its REMOVE_AGENT is logged, its streams kept
+	written, err := sys.Store.ReadAll(session.SessionStream(open.ID))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := len(written[closed.ID]); n != 3 {
-		t.Fatalf("%s's session stream holds %d records, want ADD_AGENT, REMOVE_AGENT and Close's REMOVE_AGENT", closed.ID, n)
+	if n := len(written); n != 2 {
+		t.Fatalf("%s's session stream holds %d records, want ADD_AGENT and the shutdown's REMOVE_AGENT", open.ID, n)
 	}
+	members := open.Members()
 
 	sys2 := newDurableSystem(t, dir)
 	defer sys2.Close()
-	for _, id := range []string{closed.ID, open.ID} {
-		msgs, err := sys2.Store.ReadAll(session.SessionStream(id))
-		if err != nil {
-			t.Fatal(err)
+	if left := sys2.Store.List(closed.ID); len(left) != 0 {
+		t.Errorf("%s's streams recovered after its Close: %+v", closed.ID, left)
+	}
+	msgs, err := sys2.Store.ReadAll(session.SessionStream(open.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(msgs, written) {
+		t.Errorf("%s's session stream recovered as\n%+v\nwritten as\n%+v", open.ID, msgs, written)
+	}
+	for _, m := range msgs {
+		if _, ok := m.Payload.(string); !ok {
+			t.Errorf("%s: a recovered record's names are a %T, want a string", open.ID, m.Payload)
 		}
-		if !reflect.DeepEqual(msgs, written[id]) {
-			t.Errorf("%s's session stream recovered as\n%+v\nwritten as\n%+v", id, msgs, written[id])
-		}
-		for _, m := range msgs {
-			if _, ok := m.Payload.(string); !ok {
-				t.Errorf("%s: a recovered record's names are a %T, want a string", id, m.Payload)
-			}
-		}
+	}
+	for id, want := range map[string][]string{open.ID: members, closed.ID: nil} {
 		reopened, err := sys2.Sessions.Create(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := reopened.Members(); !slices.Equal(got, members[id]) {
-			t.Errorf("%s: recovered members = %v, want %v", id, got, members[id])
+		if got := reopened.Members(); !slices.Equal(got, want) {
+			t.Errorf("%s: recovered members = %v, want %v", id, got, want)
 		}
 	}
 }

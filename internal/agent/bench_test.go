@@ -26,6 +26,7 @@ func BenchmarkReport(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(in.Stop)
+	st := in.seatFor(testSession) // as the pair's first message makes it
 	inv := Invocation{Session: testSession, InvocationID: "plan-1-s1-1", Ask: 7}
 	usage := Usage{Cost: 0.001, Latency: 1234567 * time.Nanosecond, Accuracy: 0.95}
 	for _, c := range []struct {
@@ -38,7 +39,7 @@ func BenchmarkReport(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
-				in.report(testSession, inv, usage, c.outputs, nil)
+				in.report(st, inv, usage, c.outputs, nil)
 			}
 		})
 	}

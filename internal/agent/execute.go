@@ -26,7 +26,8 @@ func Execute(store *streams.Store, session, agentName string, inputs map[string]
 // deadline) — the scheduler derives it from the plan's remaining latency
 // budget. inv.Ask is the directive message's own Ask.
 func ExecuteInvocation(store *streams.Store, agentName string, inv Invocation) error {
-	if _, err := store.EnsureStream(ControlStream(inv.Session), streams.StreamInfo{Session: inv.Session}); err != nil {
+	control := ControlStream(inv.Session)
+	if _, err := store.EnsureStream(control, streams.StreamInfo{Session: inv.Session}); err != nil {
 		return err
 	}
 	d := &streams.Directive{
@@ -37,7 +38,7 @@ func ExecuteInvocation(store *streams.Store, agentName string, inv Invocation) e
 		d.Deadline = inv.Deadline.UnixNano()
 	}
 	_, err := store.Append(streams.Message{
-		Stream: ControlStream(inv.Session), Kind: streams.Control, Sender: "coordinator", Ask: inv.Ask,
+		Stream: control, Kind: streams.Control, Sender: "coordinator", Ask: inv.Ask,
 		Directive: d,
 	})
 	return err
@@ -56,10 +57,10 @@ type Report struct {
 	Outputs map[string]any
 }
 
-// report appends the invocation's report to the session's control stream:
+// report appends the invocation's report to its seat's control stream:
 // AGENT_ERROR when err is set (and counted), else AGENT_DONE with usage and,
 // unless nil, outputs, which the report keeps without a copy.
-func (in *Instance) report(session string, inv Invocation, usage Usage, outputs map[string]any, err error) {
+func (in *Instance) report(st *seat, inv Invocation, usage Usage, outputs map[string]any, err error) {
 	name := in.agent.Spec.Name
 	d := &streams.Directive{Op: OpAgentDone, Agent: name, Invocation: inv.InvocationID}
 	if err != nil {
@@ -69,7 +70,7 @@ func (in *Instance) report(session string, inv Invocation, usage Usage, outputs 
 		d.Outputs, d.Cost, d.Accuracy, d.Latency = outputs, usage.Cost, usage.Accuracy, usage.Latency
 	}
 	_, _ = in.store.Append(streams.Message{
-		Stream: ControlStream(session), Kind: streams.Control, Sender: name, Ask: inv.Ask,
+		Stream: st.control, Kind: streams.Control, Sender: name, Ask: inv.Ask,
 		Directive: d,
 	})
 }

@@ -86,6 +86,7 @@ type Instance struct {
 // message routed for the pair until the session leaves.
 type seat struct {
 	session string
+	control string // ControlStream(session), where the pair's reports go
 	nextInv atomic.Int64
 	petri   *petriNet // pairs tokens when the agent has two or more required inputs; the data loop's alone
 
@@ -269,7 +270,7 @@ func (in *Instance) seatFor(msgSession string) *seat {
 	}
 	st := in.joined[scope]
 	if st == nil {
-		st = &seat{session: scope}
+		st = &seat{session: scope, control: ControlStream(scope)}
 		in.joined[scope] = st
 	}
 	return st
@@ -350,7 +351,7 @@ func (in *Instance) abort(st *seat, id string, ask uint64) {
 	}
 	for _, inv := range dropped {
 		mInvocations.Inc()
-		in.report(st.session, inv, Usage{}, nil, context.Canceled)
+		in.report(st, inv, Usage{}, nil, context.Canceled)
 	}
 }
 
@@ -467,7 +468,7 @@ func (in *Instance) run(st *seat, inv Invocation) {
 	if timeout <= 0 {
 		// Dead on arrival: report without invoking the processor.
 		mInvocations.Inc()
-		in.report(st.session, inv, Usage{}, nil, context.DeadlineExceeded)
+		in.report(st, inv, Usage{}, nil, context.DeadlineExceeded)
 		return
 	}
 	ctx, cancel := clk.WithTimeout(context.Background(), timeout)
@@ -506,7 +507,7 @@ func (in *Instance) run(st *seat, inv Invocation) {
 
 	if err != nil {
 		sp.SetAttr("error", obs.Truncate(err.Error(), 120))
-		in.report(st.session, inv, Usage{}, nil, err)
+		in.report(st, inv, Usage{}, nil, err)
 		return
 	}
 
@@ -544,7 +545,7 @@ func (in *Instance) run(st *seat, inv Invocation) {
 			Sender: name, Payload: out.Display, Tags: []string{"display"}, Ask: inv.Ask,
 		})
 	}
-	in.report(st.session, inv, usage, outputs, nil)
+	in.report(st, inv, usage, outputs, nil)
 }
 
 // fillDefaults binds declared defaults for optional parameters left unbound.

@@ -38,6 +38,7 @@ type Options struct {
 //	POST /sessions/{id}/ask    {"text":..} -> {"answer": ...} (X-Trace-Id on every response; 429 + Retry-After when shed)
 //	POST /sessions/{id}/click  {event}     -> {"answer": ...} (governed as an ask is: X-Trace-Id, 429 when shed)
 //	GET  /sessions/{id}/flow               -> per-message flow trace
+//	DELETE /sessions/{id}                  -> 204: the session is closed and its streams forgotten (404 when not open)
 //	GET  /agents                           -> agent registry contents
 //	GET  /data                             -> data registry contents
 //	GET  /stats                            -> flat registry snapshot (all counters + quantiles)
@@ -68,6 +69,7 @@ func New(sys *blueprint.System, opts Options) *Server {
 	mux.HandleFunc("POST /sessions/{id}/ask", s.ask)
 	mux.HandleFunc("POST /sessions/{id}/click", s.click)
 	mux.HandleFunc("GET /sessions/{id}/flow", s.flow)
+	mux.HandleFunc("DELETE /sessions/{id}", s.closeSession)
 	mux.HandleFunc("GET /agents", s.agents)
 	mux.HandleFunc("GET /data", s.data)
 	mux.HandleFunc("GET /stats", s.stats)
@@ -229,6 +231,15 @@ func (s *Server) flow(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// closeSession ends a conversation: Session.Close, after which an ask, a
+// click or a flow of the id is answered 404.
+func (s *Server) closeSession(w http.ResponseWriter, r *http.Request) {
+	if sess := s.session(w, r); sess != nil {
+		sess.Close()
+		w.WriteHeader(http.StatusNoContent)
+	}
 }
 
 func (s *Server) agents(w http.ResponseWriter, r *http.Request) {

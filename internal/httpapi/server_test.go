@@ -85,6 +85,39 @@ func TestSessionLifecycleOverHTTP(t *testing.T) {
 	}
 }
 
+// DELETE /sessions/{id} ends a conversation: 204, nothing of the session is
+// left in the store, and every later request naming the id, a second DELETE
+// included, is a 404 — as is a DELETE of an id never opened.
+func TestCloseSessionOverHTTP(t *testing.T) {
+	s := newTestServer(t)
+	_, out := do(t, s, "POST", "/sessions", "")
+	id, _ := out["id"].(string)
+	path := "/sessions/" + strings.TrimPrefix(id, "session:")
+	if rec, _ := do(t, s, "POST", path+"/ask", `{"text": "How many jobs are in San Francisco?"}`); rec.Code != http.StatusOK {
+		t.Fatalf("ask = %d %s", rec.Code, rec.Body)
+	}
+	if rec, _ := do(t, s, "DELETE", path, ""); rec.Code != http.StatusNoContent {
+		t.Fatalf("DELETE = %d %s", rec.Code, rec.Body)
+	}
+	if n := s.SessionCount(); n != 0 {
+		t.Errorf("%d sessions open after the DELETE, want 0", n)
+	}
+	if left := s.sys.Store.List(id); len(left) != 0 {
+		t.Errorf("the store holds %d streams of %s after the DELETE: %+v", len(left), id, left)
+	}
+	for _, c := range []struct{ method, path, body string }{
+		{"POST", path + "/ask", `{"text": "How many jobs are in San Francisco?"}`},
+		{"POST", path + "/click", `{"action": "select_job", "job_id": 3}`},
+		{"GET", path + "/flow", ""},
+		{"DELETE", path, ""},
+		{"DELETE", "/sessions/999", ""},
+	} {
+		if rec, _ := do(t, s, c.method, c.path, c.body); rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s after the DELETE = %d, want 404", c.method, c.path, rec.Code)
+		}
+	}
+}
+
 func TestErrorsOverHTTP(t *testing.T) {
 	s := newTestServer(t)
 	rec, _ := do(t, s, "POST", "/sessions/999/ask", `{"text": "hi"}`)

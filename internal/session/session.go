@@ -6,11 +6,18 @@
 // SESSION:ID:PROFILE, analogous to scoping in programming languages.
 //
 // A session is the one writer of its membership. Each change it makes — an
-// add of one agent or of many (SpawnAgents), a RemoveAgent, the Close that
-// takes every member out — is one control record on the session stream, an
-// ADD_AGENT or REMOVE_AGENT whose string payload names the agents it adds or
-// removes, one a line; Members replays them. An agent joins and leaves by
-// routing alone (agent.Instance.Join, Leave) and writes nothing here.
+// add of one agent or of many (SpawnAgents), a RemoveAgent — is one control
+// record on the session stream, an ADD_AGENT or REMOVE_AGENT whose string
+// payload names the agents it adds or removes, one a line; Members replays
+// them. An agent joins and leaves by routing alone (agent.Instance.Join,
+// Leave) and writes nothing here.
+//
+// A closed session leaves nothing: Close takes its agents out and then drops
+// its streams, sub-scopes included, from the store (streams.Store.Drop) — one
+// drop record, and nothing of the session in memory, in the next snapshot or
+// in what recovery rebuilds. A shutdown (Manager.Close) is not a close: it
+// takes every open session's agents out, recording each one's REMOVE_AGENT,
+// and drops nothing, so the sessions recover and can be reopened by id.
 package session
 
 import (
@@ -132,7 +139,9 @@ func (m *Manager) release(name string) {
 // Create opens a new session. An empty id allocates the next "session:<n>"
 // whose user stream the store does not hold — a session recovered from the
 // log keeps its id and history to itself — while an explicit id reopens its
-// streams on purpose.
+// streams on purpose. A closed session's id is not handed out again by this
+// manager, but may be after a restart: nothing of the closed session is left
+// for the new one to inherit.
 func (m *Manager) Create(id string) (*Session, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -180,6 +189,18 @@ func (m *Manager) List() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return slices.Sorted(maps.Keys(m.sessions))
+}
+
+// Close is the shutdown of every open session: each one's agents are taken
+// out, its REMOVE_AGENT recorded, and it leaves the manager, but its streams
+// are kept, so that the log and a final snapshot hold it whole.
+func (m *Manager) Close() {
+	m.mu.Lock()
+	open := slices.Collect(maps.Values(m.sessions))
+	m.mu.Unlock()
+	for _, s := range open {
+		s.close(false)
+	}
 }
 
 func (m *Manager) remove(id string) {
@@ -457,10 +478,18 @@ func (s *Session) Members() []string {
 	return slices.Sorted(maps.Keys(active))
 }
 
-// Close takes the session's agents out of it (children first), recording
-// one REMOVE_AGENT that lists them sorted, and removes the session from its
-// manager. Closing twice is a no-op.
-func (s *Session) Close() {
+// Close ends the session and forgets it: its children and its agents are
+// taken out first, each agent's in-flight invocations waited for, and then
+// the store drops the session's streams, sub-scopes included (one drop
+// record, and no REMOVE_AGENT, which nothing would read), before the session
+// leaves its manager — so a Create of its id fails until they are gone.
+// Closing twice is a no-op.
+func (s *Session) Close() { s.close(true) }
+
+// close takes the session's agents out (children first) and removes it from
+// its manager. forget drops its streams; without it the agents' leaving is
+// recorded as one REMOVE_AGENT that lists them sorted.
+func (s *Session) close(forget bool) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -471,16 +500,21 @@ func (s *Session) Close() {
 	s.subs = nil
 	agents := s.agents
 	s.agents = nil
-	if len(agents) > 0 {
+	if len(agents) > 0 && !forget {
 		s.record(streams.OpRemoveAgent, slices.Sorted(maps.Keys(agents)))
 	}
 	s.mu.Unlock()
 
 	for _, c := range subs {
-		c.Close()
+		c.close(forget)
 	}
 	for name, inst := range agents {
 		s.mgr.leave(s.ID, name, inst)
+	}
+	if forget {
+		// Drop fails only on a closed store or a refused log record; the
+		// streams are then kept, as a shutdown keeps them.
+		_ = s.store.Drop(s.ID)
 	}
 	s.mgr.remove(s.ID)
 }

@@ -138,7 +138,8 @@ func records(t *testing.T, store *streams.Store, id string) []string {
 
 // Every membership change is one record on the session stream, written by
 // the session, and Members replays them: a parent and its Extend child, step
-// by step, each row the state after its change.
+// by step, each row the state after its change — until Close, after which
+// neither has a stream left, nor a member.
 func TestMembersFromSessionStream(t *testing.T) {
 	store, m := newEnv(t)
 	s, _ := m.Create("session:m")
@@ -154,7 +155,7 @@ func TestMembersFromSessionStream(t *testing.T) {
 		change                  func() error
 		wantErr                 error
 		members, childMembers   []string
-		recorded, childRecorded []string
+		recorded, childRecorded []string // nil once the streams of both are dropped
 	}{
 		{"SpawnAgent", func() error { _, err := s.SpawnAgent("GREETER", opts); return err }, nil,
 			[]string{"GREETER"}, nil,
@@ -176,8 +177,7 @@ func TestMembersFromSessionStream(t *testing.T) {
 			[]string{"ADD_AGENT GREETER", "ADD_AGENT ECHO", "REMOVE_AGENT ECHO"}, []string{"ADD_AGENT SHOUTER GREETER"}},
 		{"Close", func() error { s.Close(); return nil }, nil,
 			nil, nil,
-			[]string{"ADD_AGENT GREETER", "ADD_AGENT ECHO", "REMOVE_AGENT ECHO", "REMOVE_AGENT GREETER"},
-			[]string{"ADD_AGENT SHOUTER GREETER", "REMOVE_AGENT GREETER SHOUTER"}},
+			nil, nil},
 	} {
 		if err := step.change(); !errors.Is(err, step.wantErr) {
 			t.Fatalf("%s: err = %v, want %v", step.name, err, step.wantErr)
@@ -190,6 +190,12 @@ func TestMembersFromSessionStream(t *testing.T) {
 		}
 		if got, agents := s.Members(), s.Agents(); !slices.Equal(got, agents) {
 			t.Errorf("%s: members %v, but the session holds %v", step.name, got, agents)
+		}
+		if step.recorded == nil {
+			if left := store.List(s.ID); len(left) != 0 {
+				t.Errorf("%s: the store holds %d streams of the session and its child: %+v", step.name, len(left), left)
+			}
+			continue
 		}
 		if got := records(t, store, s.ID); !slices.Equal(got, step.recorded) {
 			t.Errorf("%s: session stream = %q, want %q", step.name, got, step.recorded)
@@ -435,7 +441,9 @@ func TestAwaitDisplayFromOffset(t *testing.T) {
 
 // Membership is one decision under the session's lock: of sixteen concurrent
 // adds of one agent exactly one joins — or none, when Close got there first —
-// and whatever joined is gone after Close. (Before, the check and the attach
+// and whatever joined is gone after Close, the session's streams with it. The
+// ADD_AGENT records are counted as they are delivered, by a subscription to
+// the session stream opened before the round. (Before, the check and the attach
 // were apart: several attached, the map kept one, the rest were never
 // stopped, and an add racing Close attached to a closed session.)
 func TestConcurrentAddAndClose(t *testing.T) {
@@ -447,6 +455,7 @@ func TestConcurrentAddAndClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		recorded := store.Subscribe(streams.Filter{Streams: []string{SessionStream(s.ID)}}, true)
 		var wg sync.WaitGroup
 		var added atomic.Int64
 		for i := 0; i < 16; i++ {
@@ -468,16 +477,26 @@ func TestConcurrentAddAndClose(t *testing.T) {
 		wg.Wait()
 
 		named := 0
-		for _, r := range records(t, store, s.ID) {
-			if r == streams.OpAddAgent+" GREETER" {
-				named++
+	delivered: // every record was appended, and so handed to recorded, before Close and wg.Wait returned
+		for {
+			select {
+			case msg := <-recorded.C():
+				if msg.Directive.Op == streams.OpAddAgent && msg.PayloadString() == "GREETER" {
+					named++
+				}
+			default:
+				break delivered
 			}
 		}
+		recorded.Cancel()
 		if n := int(added.Load()); n > 1 || named != n {
 			t.Fatalf("round %d: %d adds succeeded and %d ADD_AGENT records name GREETER, want the same number, at most 1", round, n, named)
 		}
 		if got := s.Members(); len(got) != 0 {
 			t.Fatalf("round %d: members after Close = %v", round, got)
+		}
+		if left := store.List(s.ID); len(left) != 0 {
+			t.Fatalf("round %d: %d streams of the session after Close", round, len(left))
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)

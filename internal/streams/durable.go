@@ -26,6 +26,7 @@ import (
 //
 //	create: recCreate ID Session Tags Creator CreatedTS
 //	append: recAppend Seq TS n Session | Stream Kind Tags Sender Param payload directive
+//	drop:   recDrop Scope
 //
 // An append record's header (before the bar) is what the store assigns
 // under its lock — the message id is "m"+n — and is written there; its
@@ -52,12 +53,17 @@ import (
 // it) is skipped — which is what lets the store log with a plain
 // asynchronous Append instead of the engine's snapshot-atomic Log path. It
 // needs the log in each stream's Seq order, so the sink is called under
-// the store lock.
+// the store lock. A drop record is what keeps that rule sound when a scope
+// is dropped and its stream ids are created again, Seq restarting at 0:
+// replay forgets everything of the scope that came before the drop, the
+// snapshot's copy of a later incarnation included, and rebuilds it from the
+// records that follow.
 
 // Record types: the first byte of every record.
 const (
 	recCreate byte = 1
 	recAppend byte = 2
+	recDrop   byte = 3
 )
 
 // Value tags: how a payload, or one input or output value, is written.
@@ -123,6 +129,11 @@ func appendCreateHead(b []byte, info *StreamInfo) []byte {
 	b = durability.AppendString(b, info.Session)
 	b = appendStrings(b, info.Tags)
 	return durability.AppendString(b, info.Creator)
+}
+
+// appendDrop encodes a drop record.
+func appendDrop(b []byte, scope string) []byte {
+	return durability.AppendString(append(b, recDrop), scope)
 }
 
 // appendHeader encodes an append record's header.
@@ -265,13 +276,14 @@ func appendJSON(b []byte, v any) ([]byte, error) {
 	return append(durability.AppendUvarint(b, uint64(len(js))), js...), nil
 }
 
-// record is one decoded log record: a stream creation (info) or a message
-// (msg, whose id is "m"+n).
+// record is one decoded log record: a stream creation (info), a message
+// (msg, whose id is "m"+n) or a drop (scope).
 type record struct {
-	typ  byte
-	info StreamInfo
-	msg  Message
-	n    int64
+	typ   byte
+	info  StreamInfo
+	msg   Message
+	n     int64
+	scope string
 }
 
 // decodeRecord reads one record, which must be all of rec.
@@ -301,6 +313,8 @@ func decodeRecord(rec []byte) (record, error) {
 		if m.Payload, err = decodeValue(d); err == nil {
 			m.Directive, err = decodeDirective(d)
 		}
+	case recDrop:
+		r.scope = d.String()
 	default:
 		if d.Err() == nil {
 			return r, fmt.Errorf("streams: unknown record type %#x", r.typ)
@@ -424,8 +438,9 @@ func (s *Store) applyLocked(r *record) {
 		if _, ok := s.streams[info.ID]; ok {
 			return // already present (snapshot covered it)
 		}
-		s.streams[info.ID] = &stream{info: info}
-		s.order = append(s.order, info.ID)
+		st := &stream{info: info}
+		s.streams[info.ID] = st
+		s.order = append(s.order, st)
 		s.stats.streamsCreated.Add(1)
 		if info.CreatedTS > s.lastTS {
 			s.lastTS = info.CreatedTS
@@ -452,6 +467,8 @@ func (s *Store) applyLocked(r *record) {
 		if r.n > s.nextMsg {
 			s.nextMsg = r.n
 		}
+	case recDrop:
+		s.dropLocked(r.scope)
 	}
 }
 
@@ -480,8 +497,7 @@ func (s *Store) Snapshot(w io.Writer) error {
 		bw.Write(prefix) // a write error sticks to bw and Flush returns it
 		bw.Write(rec)
 	}
-	for _, id := range s.order {
-		st := s.streams[id]
+	for _, st := range s.order {
 		rec = durability.AppendUvarint(appendCreateHead(rec[:0], &st.info), uint64(st.info.CreatedTS))
 		put()
 		for c := range st.msgs.Chunks(0, st.msgs.Len()) {

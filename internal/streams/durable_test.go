@@ -709,3 +709,89 @@ func TestParentFormatRecordFailsRecovery(t *testing.T) {
 		t.Fatalf("the refused record created %+v", s.List(""))
 	}
 }
+
+// TestDropForgetsScope: Drop forgets the streams of a scope, sub-scopes
+// included and nothing else, as one log record written first — a refused
+// record drops nothing — and hands out no message id or timestamp again. A
+// stream of the scope created anew starts at Seq 0, and it recovers exactly
+// even from the worst overlap of snapshot and log: a snapshot taken after the
+// reopen, with every record ever logged replayed on top of it.
+func TestDropForgetsScope(t *testing.T) {
+	s := NewStore()
+	defer s.Close()
+	var sink recordingSink
+	fail := false
+	s.SetDurable(func(rec []byte) error {
+		if fail {
+			fail = false
+			return errors.New("disk full")
+		}
+		return sink.log(rec)
+	})
+	for _, id := range []string{"session:1:user", "session:1:profile:user", "session:10:user", "other"} {
+		session, _ := strings.CutSuffix(id, ":user")
+		if _, err := s.CreateStream(id, StreamInfo{Session: session}); err != nil {
+			t.Fatal(err)
+		}
+		publishN(t, s, id, 3)
+	}
+	fail = true
+	if err := s.Drop("session:1"); err == nil {
+		t.Fatal("Drop succeeded over a failing sink")
+	}
+	if n := len(s.List("session:1")); n != 2 {
+		t.Fatalf("a refused Drop left %d streams of session:1, want 2", n)
+	}
+	last := mustAppend(t, s, Message{Stream: "other", Payload: "before"})
+	if err := s.Drop("session:1"); err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, info := range s.List("") {
+		kept = append(kept, info.ID)
+	}
+	if want := []string{"session:10:user", "other"}; !reflect.DeepEqual(kept, want) {
+		t.Fatalf("after Drop the store lists %v, want %v", kept, want)
+	}
+	if msgs := s.History("session:1"); len(msgs) != 0 {
+		t.Fatalf("after Drop the scope's history holds %d messages", len(msgs))
+	}
+
+	if _, err := s.CreateStream("session:1:user", StreamInfo{Session: "session:1"}); err != nil {
+		t.Fatal(err)
+	}
+	publishN(t, s, "session:1:user", 2)
+	var snap bytes.Buffer
+	if err := s.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	publishN(t, s, "session:1:user", 1)
+	live, _ := s.ReadAll("session:1:user")
+	if first := live[0]; first.Seq != 0 || first.TS <= last.TS || first.ID == last.ID {
+		t.Fatalf("the re-created stream's first message is Seq %d TS %d %s, after %s at TS %d", first.Seq, first.TS, first.ID, last.ID, last.TS)
+	}
+
+	re := NewStore()
+	defer re.Close()
+	if err := re.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range sink.records() {
+		if err := re.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, _ := re.ReadAll("session:1:user")
+	render := func(msgs []Message) (out []string) {
+		for _, m := range msgs {
+			out = append(out, fmt.Sprintf("%s seq=%d ts=%d i=%s", m.ID, m.Seq, m.TS, payloadI(m)))
+		}
+		return out
+	}
+	if !reflect.DeepEqual(render(got), render(live)) {
+		t.Fatalf("the re-created stream recovered as %q, live %q", render(got), render(live))
+	}
+	if n := len(re.List("session:1")); n != 1 {
+		t.Fatalf("recovery holds %d streams of session:1, want the re-created one", n)
+	}
+}

@@ -17,7 +17,8 @@ import (
 // hold — a count that claims more elements than bytes remain is an error,
 // not a make. The same bytes also build a stream and a message whose
 // records round-trip both ways: decode(encode(m)) == m, but for its Ask,
-// which is not logged and decodes as 0, and encode(decode(b)) == b.
+// which is not logged and decodes as 0, and encode(decode(b)) == b; and a
+// drop record of the stream's session decodes to that scope.
 func FuzzStreamRecord(f *testing.F) {
 	s := NewStore()
 	if _, err := s.CreateStream("conv", StreamInfo{Session: "session:1", Tags: []string{"conversation"}, Creator: "ui"}); err != nil {
@@ -64,6 +65,16 @@ func FuzzStreamRecord(f *testing.F) {
 		}
 		seeds = append(seeds, rec)
 	}
+	// Drop records, of a scope and of a nested one; then one with a byte after
+	// it and one whose scope is cut short, which the decoder refuses.
+	drop := appendDrop(nil, "session:1")
+	seeds = append(seeds, drop, appendDrop(nil, "session:1:profile"))
+	for _, bad := range [][]byte{append(bytes.Clone(drop), 0), drop[:len(drop)-1]} {
+		if _, err := decodeRecord(bad); err == nil {
+			f.Fatalf("drop record %q decoded", bad)
+		}
+		seeds = append(seeds, bad)
+	}
 	for _, seed := range seeds {
 		f.Add(seed)
 	}
@@ -76,6 +87,9 @@ func FuzzStreamRecord(f *testing.F) {
 		create := durability.AppendUvarint(appendCreateHead(nil, &info), uint64(info.CreatedTS))
 		if r, err := decodeRecord(create); err != nil || r.typ != recCreate || !reflect.DeepEqual(r.info, info) {
 			t.Fatalf("create record of %+v decodes as %+v (%v)", info, r.info, err)
+		}
+		if r, err := decodeRecord(appendDrop(nil, info.Session)); err != nil || r.typ != recDrop || r.scope != info.Session {
+			t.Fatalf("drop record of %q decodes as %q (%v)", info.Session, r.scope, err)
 		}
 		rec, err := appendMessageRecord(nil, &m)
 		if err != nil {

@@ -7,9 +7,10 @@
 // as "execute the SQL agent"). Components subscribe to streams — optionally
 // filtered by tags, kinds, sessions or senders — and receive notifications
 // for every matching message. Streams are first-class data resources: they
-// can be listed, read from any offset, closed, persisted through the shared
-// durability engine (durable.go) and recovered, giving the observability and
-// controllability the paper calls for.
+// can be listed, read from any offset, closed, dropped with the session scope
+// they belong to (Drop: a closed session keeps nothing), persisted through the
+// shared durability engine (durable.go) and recovered, giving the
+// observability and controllability the paper calls for.
 //
 // Every ask crosses this package a dozen times, so its costs follow what is
 // delivered, not what exists:

@@ -3,6 +3,7 @@ package streams
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -52,9 +53,9 @@ type stream struct {
 type Store struct {
 	mu      sync.RWMutex
 	streams map[string]*stream
-	order   []string // creation order, for deterministic listing
-	lastTS  int64    // logical timestamp of the last mutation; guarded by mu
-	nextMsg int64    // number of the last message id handed out; guarded by mu
+	order   []*stream // creation order, for deterministic listing
+	lastTS  int64     // logical timestamp of the last mutation; guarded by mu
+	nextMsg int64     // number of the last message id handed out; guarded by mu
 	closed  bool
 
 	// The routing index (route.go): every live subscription is filed under
@@ -149,8 +150,9 @@ func (s *Store) CreateStream(id string, info StreamInfo) (StreamInfo, error) {
 		}
 	}
 	s.lastTS = info.CreatedTS
-	s.streams[id] = &stream{info: info}
-	s.order = append(s.order, id)
+	st := &stream{info: info}
+	s.streams[id] = st
+	s.order = append(s.order, st)
 	s.stats.streamsCreated.Add(1)
 	return info, nil
 }
@@ -195,8 +197,7 @@ func (s *Store) List(session string) []StreamInfo {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]StreamInfo, 0, len(s.order))
-	for _, id := range s.order {
-		st := s.streams[id]
+	for _, st := range s.order {
 		if session != "" && !scopeContains(session, st.info.Session) {
 			continue
 		}
@@ -297,6 +298,43 @@ func (s *Store) CloseStream(id, sender string) error {
 	return err
 }
 
+// Drop forgets every stream whose session lies within scope, sub-scopes
+// included: its messages leave memory, every later Snapshot and what
+// recovery rebuilds. The drop is one log record, written before it is
+// applied: when the durability sink fails, the store is unchanged. Message
+// ids and the logical clock keep their high-water marks, so the process
+// hands none of a dropped message's out again. Subscriptions are left as
+// they are; a stream of the scope created again starts empty.
+func (s *Store) Drop(scope string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrStoreClosed
+	}
+	if log := s.sink.Load(); log != nil {
+		sc := getScratch()
+		defer sc.release()
+		sc.rec = appendDrop(sc.rec[:0], scope)
+		if err := (*log)(sc.rec); err != nil {
+			return err
+		}
+	}
+	s.dropLocked(scope)
+	return nil
+}
+
+// dropLocked forgets the streams of scope; caller holds s.mu. Drop and the
+// replay of its record share it.
+func (s *Store) dropLocked(scope string) {
+	s.order = slices.DeleteFunc(s.order, func(st *stream) bool {
+		if !scopeContains(scope, st.info.Session) {
+			return false
+		}
+		delete(s.streams, st.info.ID)
+		return true
+	})
+}
+
 // Read returns up to max messages of the stream starting at offset from
 // (max <= 0 means no limit). Messages are copies; mutating them does not
 // affect the store.
@@ -339,8 +377,7 @@ func (s *Store) History(session string) []Message {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []Message
-	for _, id := range s.order {
-		st := s.streams[id]
+	for _, st := range s.order {
 		for c := range st.msgs.Chunks(0, st.msgs.Len()) {
 			for i := range c {
 				if m := &c[i]; session == "" || scopeContains(session, m.Session) {

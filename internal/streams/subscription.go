@@ -129,16 +129,21 @@ func (s *Store) subscribe(filter Filter, from int64, scopes map[string]struct{})
 // s.mu. A stream-scoped filter reads only the suffixes of the streams it
 // names; only a filter that names none sweeps the store.
 func (s *Store) backlogLocked(filter *Filter, from int64) []Message {
-	scan, named := filter.Streams, true
-	if len(scan) == 0 {
-		scan, named = s.order, false
+	scan := s.order
+	if names := filter.Streams; len(names) > 0 {
+		var room [4]*stream
+		scan = room[:0]
+		for i, id := range names {
+			if st, ok := s.streams[id]; ok && !slices.Contains(names[:i], id) { // present, and named first here
+				scan = append(scan, st)
+			}
+		}
 	}
 	var backlog []Message
 	scanned := 0
-	for i, id := range scan {
-		st, ok := s.streams[id]
-		if !ok || from >= int64(st.msgs.Len()) || (named && slices.Contains(scan[:i], id)) {
-			continue // absent, nothing at or past from, or a repeated name
+	for _, st := range scan {
+		if from >= int64(st.msgs.Len()) {
+			continue // nothing at or past from
 		}
 		scanned++
 		for c := range st.msgs.Chunks(int(from), st.msgs.Len()) {

@@ -19,9 +19,10 @@ import (
 // output stream comes into being with its first output — one ADD_AGENT
 // record naming the eleven standard agents in spawn order, and — the agents
 // and the coordinator service being deployed already, another session live —
-// no subscription and no goroutine. Close adds one REMOVE_AGENT naming them
-// sorted. With DataDir, every stream created and every message appended is
-// one log record and nothing else is logged.
+// no subscription and no goroutine. Close leaves none of it: the session's
+// streams are dropped, with one drop record. With DataDir, every stream
+// created and every message appended is one log record, the drop one more,
+// and nothing else is logged.
 func TestNewSessionHoldsWhatItTouched(t *testing.T) {
 	sys, err := New(Config{ModelAccuracy: 1.0, DataDir: t.TempDir()})
 	if err != nil {
@@ -64,11 +65,13 @@ func TestNewSessionHoldsWhatItTouched(t *testing.T) {
 	record(0, streams.OpAddAgent, StandardAgents)
 
 	sess.Close()
-	record(1, streams.OpRemoveAgent, slices.Sorted(slices.Values(StandardAgents)))
+	if left := sys.Store.List(sess.ID); len(left) != 0 {
+		t.Errorf("Close left %d streams of %s: %+v", len(left), sess.ID, left)
+	}
 	closed := stats()
 	logged := (closed.StreamsCreated - before.StreamsCreated) + (closed.MessagesAppended - before.MessagesAppended)
-	if got := int64(sys.DurabilityStats().Appends - appends); got != logged || logged != 7 {
-		t.Errorf("StartSession and Close logged %d records, want 7, one for each of the %d streams and messages", got, logged)
+	if got := int64(sys.DurabilityStats().Appends - appends); got != logged+1 || logged != 6 {
+		t.Errorf("StartSession and Close logged %d records, want 7: one for each of the %d streams and messages, and the drop", got, logged)
 	}
 
 	// A planned ask creates the output streams of the agents that published

@@ -284,17 +284,14 @@ func (s *System) Close() { s.shutdown(true) }
 // tests, the benchmark's recovery figures).
 func (s *System) SimulateCrash() { s.shutdown(false) }
 
-// shutdown closes every open session as Session.Close does — its running
-// plans drained first, then its agents — and stops the coordinator service,
-// so that what the log and the optional final snapshot record is complete;
+// shutdown stops the coordinator service, draining every open session's
+// running plans, then takes the sessions' agents out without forgetting the
+// sessions (session.Manager.Close), so that what the log and the optional
+// final snapshot record is complete and each session can be reopened by id;
 // then the durability engine and the stream store.
 func (s *System) shutdown(snapshot bool) {
-	for _, id := range s.Sessions.List() {
-		if base, err := s.Sessions.Get(id); err == nil {
-			(&Session{Session: base, sys: s}).Close()
-		}
-	}
 	s.plans.Stop()
+	s.Sessions.Close()
 	if s.Durability != nil {
 		if snapshot {
 			_ = s.Durability.Snapshot()
@@ -383,7 +380,8 @@ func (s *System) Session(id string) (*Session, bool) {
 }
 
 // Close takes the session out of the coordinator service, waiting for the
-// plans it is running, then closes the underlying session and its agents.
+// plans it is running, then closes the underlying session: its agents leave
+// and its streams are dropped, so nothing of it is kept or recovered.
 func (sess *Session) Close() {
 	sess.sys.plans.Leave(sess.ID)
 	sess.Session.Close()
