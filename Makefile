@@ -65,9 +65,14 @@ fmt-check:
 # kind of declared name is printed. `go test ./...` runs it too; -short skips it.
 # Beside it the clock-read check (clockreads_test.go): a direct read of the
 # machine's clock outside internal/clock and its allow-list fails, and so does
-# an allow-list entry whose read is gone.
+# an allow-list entry whose read is gone. And the census of stream writes
+# (streamwrites_test.go): six asks, cold and memo-warm, in one session, and a
+# message that no listen rule, plan intake, addressee, awaiting caller,
+# ask's answer or recovery reads fails, unless its class is on that test's
+# allow-list; so does an entry no unread message falls under. Verbose, so
+# every class of message is printed with its count and readers.
 census:
-	$(GO) test -run 'TestCallerCensus|TestClockReads' -count=1 -v .
+	$(GO) test -run 'TestCallerCensus|TestClockReads|TestStreamWrites' -count=1 -v .
 
 # Relational-engine benchmarks, including the statement-cache comparison
 # (BenchmarkPointQueryUncached vs Cached/Prepared), the zero-allocation

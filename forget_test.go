@@ -3,12 +3,14 @@ package blueprint
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"blueprint/internal/session"
 	"blueprint/internal/streams"
 )
 
@@ -274,6 +276,47 @@ func TestCloseForgetsUnderLoad(t *testing.T) {
 	for _, id := range closed {
 		if left := sys.Store.List(id); len(left) != 0 {
 			t.Errorf("%s holds %d streams after its Close, first %s", id, len(left), left[0].ID)
+		}
+	}
+}
+
+// An ask in flight when its session closes ends with the close: the drop of
+// the session's streams ends the wait on its display, so a summarize with a
+// 3 s timeout, closed right after its utterance, returns in well under a
+// second, with its answer or with ErrNoResponse.
+func TestCloseEndsAnAskInFlight(t *testing.T) {
+	sys := newSystem(t)
+	for range 3 {
+		sess, err := sys.StartSession("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		type result struct {
+			err  error
+			took time.Duration
+		}
+		done := make(chan result, 1)
+		go func() {
+			start := time.Now()
+			_, err := sess.Ask("Summarize the applicants for job 3", 3*time.Second)
+			done <- result{err, time.Since(start)}
+		}()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+			if info, err := sys.Store.Info(session.UserStream(sess.ID)); err == nil && info.Len > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the utterance was never posted")
+			}
+		}
+		sess.Close()
+		r := <-done
+		t.Logf("%s: the ask returned %v after %v", sess.ID, r.err, r.took)
+		if r.took >= time.Second {
+			t.Fatalf("the ask returned %v after its session's Close, %v after it began; want under 1s", r.err, r.took)
+		}
+		if r.err != nil && !errors.Is(r.err, ErrNoResponse) {
+			t.Fatalf("the ask failed with %v, want an answer or ErrNoResponse", r.err)
 		}
 	}
 }

@@ -40,11 +40,14 @@
 // ask's id. An invocation's outputs go to one place: the stream it names
 // (Invocation.ReplyStream) — for a tag-activated one the agent's output
 // stream in the session (OutputStream), created by its first output there,
-// not before — or, when it names none, its AGENT_DONE report. A deployment
+// not before — or, when it names none, its AGENT_DONE report. A report
+// answers an EXECUTE_AGENT: such an invocation ends with an AGENT_DONE or
+// AGENT_ERROR on its session's control stream, carrying its outcome and cost
+// (Report, ReadReport, AwaitReport), for the caller that awaits it. A tag
+// activation has no caller: its outputs are its result, and it reports only a
+// failure, whose AGENT_ERROR is the record the fault leaves. A deployment
 // counts nothing of its own: invocations and errors go to the process-wide
-// blueprint_agent_invocations_total and blueprint_agent_errors_total, and one
-// invocation's outcome and cost are in the AGENT_DONE / AGENT_ERROR report it
-// puts on its session's control stream (Report, ReadReport, AwaitReport).
+// blueprint_agent_invocations_total and blueprint_agent_errors_total.
 package agent
 
 import (
@@ -74,7 +77,8 @@ type Invocation struct {
 	// OutputStream for a tag-activated invocation, the directive's
 	// ReplyStream for an executed one. Empty, the outputs ride the
 	// invocation's AGENT_DONE report instead (Report.Outputs), as the task
-	// coordinator's are.
+	// coordinator's are. An executed invocation reports either way; a
+	// tag-activated one only when it fails.
 	ReplyStream string
 	// InvocationID correlates DONE/ERROR reports with requests.
 	InvocationID string
@@ -87,8 +91,9 @@ type Invocation struct {
 	// Ask is the ask the invocation serves (streams.Message.Ask; 0 for none):
 	// the Ask of the message that triggered it — the EXECUTE_AGENT directive,
 	// or the data message whose token completed the input tuple. Its span is
-	// charged to that ask, and its outputs, display message and DONE or
-	// ERROR report carry it.
+	// charged to that ask, and its outputs, display message and report (a
+	// DONE or ERROR for an executed invocation, an ERROR alone for a
+	// tag-activated one) carry it.
 	Ask uint64
 	// Deadline is the caller's absolute completion deadline (zero = none),
 	// carried in the EXECUTE_AGENT directive in Unix nanoseconds, so it
@@ -97,6 +102,8 @@ type Invocation struct {
 	// Deadline), so a plan with little latency budget left cannot have one
 	// step run for the full default timeout.
 	Deadline time.Time
+	// tagged marks a decentralized activation, which reports only a failure.
+	tagged bool
 }
 
 // Usage reports the QoS actuals of one invocation, folded into the session

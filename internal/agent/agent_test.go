@@ -134,6 +134,11 @@ func TestDecentralizedTagTrigger(t *testing.T) {
 	if m.Payload != "STREAM TRIGGER" {
 		t.Fatalf("output = %+v", m)
 	}
+	// Its output is its result: a tag-activated success reports nothing.
+	inst.Stop() // waits for the invocation to end
+	if ctrl, _ := store.ReadAll(ControlStream(testSession)); len(ctrl) != 0 {
+		t.Fatalf("a tag-activated success wrote %d control messages, first %+v", len(ctrl), ctrl[0].Directive)
+	}
 }
 
 func TestExcludeTagsRespected(t *testing.T) {
@@ -292,6 +297,7 @@ func TestErrorReporting(t *testing.T) {
 		Name:    "FAILER",
 		Inputs:  []registry.ParamSpec{{Name: "X"}},
 		Outputs: []registry.ParamSpec{{Name: "Y"}},
+		Listen:  registry.ListenRule{IncludeTags: []string{"x"}},
 	}, func(ctx context.Context, inv Invocation) (Outputs, error) {
 		return Outputs{}, errors.New("boom")
 	})
@@ -310,6 +316,31 @@ func TestErrorReporting(t *testing.T) {
 	}
 	if d.Error != "boom" {
 		t.Fatalf("error = %v", d.Error)
+	}
+
+	// A tag-activated failure reports too: its AGENT_ERROR is the one record
+	// the fault leaves.
+	reports := store.Subscribe(ReportFilter(testSession), false)
+	defer reports.Cancel()
+	if _, err := store.Publish(streams.Message{
+		Stream: testSession + ":in", Session: testSession, Kind: streams.Data, Sender: "test", Tags: []string{"x"}, Payload: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	awaitMessage(t, reports)
+	inst.Stop() // so nothing more comes
+	ctrl, err := store.ReadAll(ControlStream(testSession))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tagged []*streams.Directive
+	for _, m := range ctrl {
+		if d := m.Directive; d.Op != streams.OpExecuteAgent && d.Invocation != "inv-err" {
+			tagged = append(tagged, d)
+		}
+	}
+	if len(tagged) != 1 || tagged[0].Op != OpAgentError || tagged[0].Error != "boom" {
+		t.Fatalf("a failed tag activation left %d control messages, want one AGENT_ERROR: %+v", len(tagged), tagged)
 	}
 }
 

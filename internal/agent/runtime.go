@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"blueprint/internal/obs"
+	"blueprint/internal/registry"
 	"blueprint/internal/resilience"
 	"blueprint/internal/streams"
 )
@@ -45,9 +46,6 @@ type Options struct {
 	// Workers bounds the invocations one joined session has running at once
 	// (default 4); what arrives beyond it waits in that session's queue.
 	Workers int
-	// DisableListen turns off decentralized (tag) activation; the instance
-	// then only reacts to EXECUTE_AGENT directives.
-	DisableListen bool
 }
 
 // StepTimeout bounds one invocation: the runtime's processor call, and the
@@ -150,17 +148,8 @@ func Deploy(store *streams.Store, a *Agent, opts Options) (*Instance, error) {
 		in.controlLoop()
 	}()
 
-	// Decentralized activation requires *designated* tags (§V-B): an agent
-	// with no inclusion rule is centrally activated only, unless it opts
-	// into listening to everything via the "listen_all" property.
-	listenAll, _ := a.Spec.Properties["listen_all"].(bool)
-	if !opts.DisableListen && len(a.Spec.Inputs) > 0 && (len(a.Spec.Listen.IncludeTags) > 0 || listenAll) {
-		in.dataSub = store.SubscribeScoped(streams.Filter{
-			Kinds:          []streams.Kind{streams.Data, streams.Event},
-			IncludeTags:    a.Spec.Listen.IncludeTags,
-			ExcludeTags:    a.Spec.Listen.ExcludeTags,
-			ExcludeSenders: []string{a.Spec.Name},
-		})
+	if f, ok := ListenFilter(a.Spec); ok {
+		in.dataSub = store.SubscribeScoped(f)
 		in.loopWg.Add(1)
 		go func() {
 			defer in.loopWg.Done()
@@ -168,6 +157,23 @@ func Deploy(store *streams.Store, a *Agent, opts Options) (*Instance, error) {
 		}()
 	}
 	return in, nil
+}
+
+// ListenFilter is the rule of an agent's decentralized activation: the data
+// and events carrying a tag its spec designates (§V-B), never its own
+// outputs. ok is false for an agent activated centrally only: one with no
+// input, or with no inclusion rule and no "listen_all" property.
+func ListenFilter(spec registry.AgentSpec) (f streams.Filter, ok bool) {
+	listenAll, _ := spec.Properties["listen_all"].(bool)
+	if len(spec.Inputs) == 0 || (len(spec.Listen.IncludeTags) == 0 && !listenAll) {
+		return f, false
+	}
+	return streams.Filter{
+		Kinds:          []streams.Kind{streams.Data, streams.Event},
+		IncludeTags:    spec.Listen.IncludeTags,
+		ExcludeTags:    spec.Listen.ExcludeTags,
+		ExcludeSenders: []string{spec.Name},
+	}, true
 }
 
 // Attach is Deploy and Join for an agent that serves one session on a bare
@@ -377,6 +383,7 @@ func (in *Instance) dataLoop() {
 				ReplyStream:  OutputStream(st.session, in.agent.Spec.Name),
 				InvocationID: in.invocationID(st),
 				Ask:          msg.Ask,
+				tagged:       true,
 			})
 		}
 	}
@@ -511,11 +518,6 @@ func (in *Instance) run(st *seat, inv Invocation) {
 		return
 	}
 
-	usage := out.Usage
-	if usage == (Usage{}) {
-		usage = Usage{Cost: in.agent.Spec.QoS.CostPerCall, Latency: elapsed, Accuracy: in.agent.Spec.QoS.Accuracy}
-	}
-
 	// Outputs go to the stream the invocation names, one message per output
 	// parameter tagged with its name so downstream agents can listen
 	// selectively; an invocation that names none gets them in its report.
@@ -544,6 +546,13 @@ func (in *Instance) run(st *seat, inv Invocation) {
 			Stream: DisplayStream(st.session), Session: inv.Session, Kind: streams.Data,
 			Sender: name, Payload: out.Display, Tags: []string{"display"}, Ask: inv.Ask,
 		})
+	}
+	if inv.tagged {
+		return // its outputs are its result: nothing awaits a report
+	}
+	usage := out.Usage
+	if usage == (Usage{}) {
+		usage = Usage{Cost: in.agent.Spec.QoS.CostPerCall, Latency: elapsed, Accuracy: in.agent.Spec.QoS.Accuracy}
 	}
 	in.report(st, inv, usage, outputs, nil)
 }

@@ -56,7 +56,7 @@ func newEnvOn(t testing.TB, clk *clock.Clock) *env {
 			t.Fatal(err)
 		}
 		a := agent.New(spec, proc)
-		inst, err := agent.Attach(store, sess, a, agent.Options{DisableListen: true})
+		inst, err := agent.Attach(store, sess, a, agent.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +155,7 @@ func TestExecuteFig6PlanEndToEnd(t *testing.T) {
 	// Deploy + Join of the same agent replaces it; the session's next plan
 	// runs on the new deployment and binds as the first did.
 	e.insts[1].Stop()
-	in, err := agent.Deploy(e.store, e.apps[1], agent.Options{DisableListen: true})
+	in, err := agent.Deploy(e.store, e.apps[1], agent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestRetryOnErrorReplans(t *testing.T) {
 	}
 	inst, err := agent.Attach(e.store, sess, agent.New(spec, func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
 		return agent.Outputs{}, errors.New("model unavailable")
-	}), agent.Options{DisableListen: true})
+	}), agent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestReplanRetryReadmitsThroughBudget(t *testing.T) {
 	}
 	inst, err := agent.Attach(e.store, sess, agent.New(spec, func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
 		return agent.Outputs{}, errors.New("model unavailable")
-	}), agent.Options{DisableListen: true})
+	}), agent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func (fe *fanEnv) attach(t testing.TB, session string, n int, stepLatency time.D
 				return agent.Outputs{}, ctx.Err()
 			}
 			return agent.Outputs{Values: map[string]any{"OUT": "done"}}, nil
-		}), agent.Options{DisableListen: true, Workers: n})
+		}), agent.Options{Workers: n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -476,7 +476,7 @@ func (fe *fanEnv) attach(t testing.TB, session string, n int, stepLatency time.D
 	}
 	inst, err := agent.Attach(fe.store, session, agent.New(join, func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
 		return agent.Outputs{Values: map[string]any{"JOINED": fmt.Sprintf("%d inputs", len(inv.Inputs))}}, nil
-	}), agent.Options{DisableListen: true})
+	}), agent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +615,7 @@ func TestFailureCancelsInFlightSteps(t *testing.T) {
 			<-ctx.Done() // sleeper: only a cancellation or the step timeout wakes it
 			close(woke)
 			return agent.Outputs{}, ctx.Err()
-		}), agent.Options{DisableListen: true})
+		}), agent.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func TestRandomPlansBindUpstreamOutputsAndChargeTheCriticalPath(t *testing.T) {
 			Values: map[string]any{"OUT": "out of " + step},
 			Usage:  agent.Usage{Latency: time.Duration(ms) * time.Millisecond},
 		}, nil
-	}), agent.Options{DisableListen: true, Workers: 8})
+	}), agent.Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

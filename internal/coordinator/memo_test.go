@@ -73,7 +73,7 @@ func (e *memoEnv) attach(t testing.TB, session string, fetchLatency time.Duratio
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst, err := agent.Attach(e.store, session, agent.New(spec, proc), agent.Options{DisableListen: true})
+		inst, err := agent.Attach(e.store, session, agent.New(spec, proc), agent.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestMemoReplannedStepNotCached(t *testing.T) {
 	}
 	inst, err := agent.Attach(e.store, sess, agent.New(spec, func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
 		return agent.Outputs{}, errors.New("model unavailable")
-	}), agent.Options{DisableListen: true})
+	}), agent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func registerProc(t testing.TB, store *streams.Store, reg *registry.AgentRegistr
 	if err := reg.Register(spec); err != nil {
 		t.Fatal(err)
 	}
-	inst, err := agent.Attach(store, sess, agent.New(spec, proc), agent.Options{DisableListen: true})
+	inst, err := agent.Attach(store, sess, agent.New(spec, proc), agent.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

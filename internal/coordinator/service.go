@@ -34,8 +34,8 @@ const PlanTag = "plan"
 // coordinator. Sessions join and leave it as they join and leave an agent
 // deployment (agent.Instance): one scoped subscription and one watch
 // goroutine serve them all, and a session holds only its Seat. A producer's
-// Tags go on all of its outputs, so a plan's companion values (the Agentic
-// Employer's JOB_ID) arrive here too; mayBePlan drops them in the watch loop.
+// Tags go on all of its outputs, so any value published beside a plan
+// arrives here too; the watch loop drops what mayBePlan refuses.
 // The loop never waits: every plan goes at once to a worker of the store's
 // pool (streams.Store.Go), which takes one of its session's
 // DefaultMaxConcurrentPlans slots and executes the plan with a fresh budget.
@@ -66,15 +66,12 @@ type Seat struct {
 // is executed with a fresh budget under the given limits.
 func (c *Coordinator) Serve(limits budget.Limits) *Service {
 	s := &Service{c: c, limits: limits, seats: map[string]*Seat{}}
-	s.sub = c.store.SubscribeScoped(streams.Filter{
-		Kinds:       []streams.Kind{streams.Data},
-		IncludeTags: []string{PlanTag},
-	})
+	s.sub = c.store.SubscribeScoped(planFilter)
 	s.loop.Add(1)
 	go func() {
 		defer s.loop.Done()
 		for msg := range s.sub.C() {
-			if mayBePlan(msg.Payload) {
+			if ReadsPlan(&msg) {
 				s.spawn(msg.Session, msg.Payload, msg.Ask)
 			}
 		}
@@ -131,6 +128,15 @@ func (s *Service) Stop() {
 	}
 	s.sub.Cancel()
 	s.loop.Wait()
+}
+
+// planFilter is what the service receives: data tagged PlanTag.
+var planFilter = streams.Filter{Kinds: []streams.Kind{streams.Data}, IncludeTags: []string{PlanTag}}
+
+// ReadsPlan reports whether the service executes msg as a plan: plan-tagged
+// data whose payload mayBePlan.
+func ReadsPlan(msg *streams.Message) bool {
+	return planFilter.Matches(msg) && mayBePlan(msg.Payload)
 }
 
 // mayBePlan reports whether a plan-tagged payload can be a plan: the typed

@@ -57,11 +57,11 @@ func awaitShown(t testing.TB, shown *streams.Subscription, n int) []streams.Mess
 	return msgs
 }
 
-// A producer's Tags go on all of its outputs, so a plan's companions arrive
-// tagged PlanTag too (the Agentic Employer's JOB_ID beside its PLAN). They
-// run nothing, show nothing, abort nothing and do not keep Stop waiting — and
-// one that cannot be a plan is dropped by the watch loop itself, on the
-// payload alone, before a goroutine or a JSON round trip is spent on it.
+// A producer's Tags go on all of its outputs, so a value an agent publishes
+// beside its plan arrives tagged PlanTag too. Such strays run nothing, show
+// nothing, abort nothing and do not keep Stop waiting — and one that cannot
+// be a plan is dropped by the watch loop itself, on the payload alone,
+// before a goroutine or a JSON round trip is spent on it.
 func TestServiceDropsPlanTaggedStrays(t *testing.T) {
 	e := newEnv(t)
 	c := New(e.store, e.reg, e.tp, e.model, Options{})
@@ -146,7 +146,7 @@ func TestServiceDisplaysFinalOutputsInDeclaredOrder(t *testing.T) {
 		}
 		inst, err := agent.Attach(e.store, sess, agent.New(spec, func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
 			return agent.Outputs{Values: map[string]any{"SUMMARY": "s", "DETAIL": "d"}}, nil
-		}), agent.Options{DisableListen: true})
+		}), agent.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func gatedAgent(t *testing.T, e *env, gates map[string]chan struct{}) <-chan str
 		case <-ctx.Done():
 			return agent.Outputs{}, ctx.Err()
 		}
-	}), agent.Options{DisableListen: true, Workers: 2 * DefaultMaxConcurrentPlans})
+	}), agent.Options{Workers: 2 * DefaultMaxConcurrentPlans})
 	if err != nil {
 		t.Fatal(err)
 	}

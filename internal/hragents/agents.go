@@ -52,7 +52,6 @@ func (s *Suite) agenticEmployerSpec() registry.AgentSpec {
 		Inputs:      []registry.ParamSpec{{Name: "SIGNAL", Type: "json", Description: "UI event or classified intent"}},
 		Outputs: []registry.ParamSpec{
 			{Name: "QUERY", Type: "text", Description: "open query forwarded to NL2Q, tagged NLQ"},
-			{Name: "JOB_ID", Type: "int", Description: "selected job id"},
 			{Name: "PLAN", Type: "plan", Description: "task plan for the coordinator"},
 		},
 		Listen: registry.ListenRule{IncludeTags: []string{"ui", TagIntent}},
@@ -85,15 +84,7 @@ func (s *Suite) agenticEmployerProc() agent.Processor {
 func (s *Suite) handleUIEvent(action string, event map[string]any) (agent.Outputs, error) {
 	switch action {
 	case "select_job":
-		id := asInt(event["job_id"])
-		plan := summarizerPlan(id)
-		return agent.Outputs{
-			Values: map[string]any{
-				"JOB_ID": id,
-				"PLAN":   plan,
-			},
-			Tags: []string{TagJobID, "plan"},
-		}, nil
+		return planned(summarizerPlan(asInt(event["job_id"])))
 	default:
 		return agent.Outputs{}, fmt.Errorf("agentic employer: unknown UI action %q", action)
 	}
@@ -102,12 +93,7 @@ func (s *Suite) handleUIEvent(action string, event map[string]any) (agent.Output
 func (s *Suite) handleIntent(intent, utterance string) (agent.Outputs, error) {
 	switch intent {
 	case "summarize":
-		id := extractJobID(utterance)
-		plan := summarizerPlan(id)
-		return agent.Outputs{
-			Values: map[string]any{"JOB_ID": id, "PLAN": plan},
-			Tags:   []string{TagJobID, "plan"},
-		}, nil
+		return planned(summarizerPlan(extractJobID(utterance)))
 	case "rank":
 		id := extractJobID(utterance)
 		plan := &planner.Plan{
@@ -117,10 +103,7 @@ func (s *Suite) handleIntent(intent, utterance string) (agent.Outputs, error) {
 				Bindings: map[string]planner.Binding{"JOB_ID": {Value: id}},
 			}},
 		}
-		return agent.Outputs{
-			Values: map[string]any{"JOB_ID": id, "PLAN": plan},
-			Tags:   []string{TagJobID, "plan"},
-		}, nil
+		return planned(plan)
 	case "career_advice":
 		plan := &planner.Plan{
 			ID: "ae-advice", Utterance: utterance, Intent: "career_advice",
@@ -129,10 +112,7 @@ func (s *Suite) handleIntent(intent, utterance string) (agent.Outputs, error) {
 				Bindings: map[string]planner.Binding{"QUESTION": {Value: utterance}},
 			}},
 		}
-		return agent.Outputs{
-			Values: map[string]any{"PLAN": plan},
-			Tags:   []string{"plan"},
-		}, nil
+		return planned(plan)
 	default:
 		// Open-ended query: tag it NLQ; the NL2Q agent picks it up
 		// (Fig. 10 step 3).
@@ -141,6 +121,13 @@ func (s *Suite) handleIntent(intent, utterance string) (agent.Outputs, error) {
 			Tags:   []string{TagNLQ},
 		}, nil
 	}
+}
+
+// planned is the Agentic Employer's output for a plan: the PLAN alone, tagged
+// "plan" for the coordinator; what a step needs, a job id say, is in its
+// bindings.
+func planned(plan *planner.Plan) (agent.Outputs, error) {
+	return agent.Outputs{Values: map[string]any{"PLAN": plan}, Tags: []string{"plan"}}, nil
 }
 
 // summarizerPlan builds the one-step plan AE emits for the coordinator

@@ -44,7 +44,6 @@ const (
 	TagSQL     = "SQL"
 	TagRows    = "ROWS"
 	TagIntent  = "intent"
-	TagJobID   = "job_id"
 	TagSummary = "summary"
 )
 

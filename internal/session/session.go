@@ -423,12 +423,15 @@ func (s *Session) AwaitDisplay(from int, substr string, timeout time.Duration) (
 // already at or past it (so outputs that raced ahead of the call are not
 // missed) and then new ones as they are appended — no polling, no sleeps,
 // and no replay of the history before from, so a wait costs the same on a
-// long conversation as on a new one. It gives up when ctx ends.
+// long conversation as on a new one. It gives up when ctx ends, and at once
+// when the session is closed: the drop of its streams ends the subscription.
 func (s *Session) awaitDisplay(ctx context.Context, from int, ask uint64, substr string, timeout time.Duration) (string, error) {
-	sub := s.store.SubscribeFrom(streams.Filter{
-		Streams: []string{agent.DisplayStream(s.ID)},
-	}, int64(from))
+	display := agent.DisplayStream(s.ID)
+	sub := s.store.SubscribeFrom(streams.Filter{Streams: []string{display}}, int64(from))
 	defer sub.Cancel()
+	if _, err := s.store.Info(display); err != nil { // dropped before sub was filed: no drop will end sub
+		return "", fmt.Errorf("%w: %s (stream closed)", ErrNoDisplay, s.ID)
+	}
 	timer := s.store.Clock().NewTimer(timeout)
 	defer timer.Stop()
 	for {

@@ -443,9 +443,10 @@ func TestAwaitDisplayFromOffset(t *testing.T) {
 // adds of one agent exactly one joins — or none, when Close got there first —
 // and whatever joined is gone after Close, the session's streams with it. The
 // ADD_AGENT records are counted as they are delivered, by a subscription to
-// the session stream opened before the round. (Before, the check and the attach
-// were apart: several attached, the map kept one, the rest were never
-// stopped, and an add racing Close attached to a closed session.)
+// the session stream opened before the round, which the drop at Close ends.
+// (Before, the check and the attach were apart: several attached, the map
+// kept one, the rest were never stopped, and an add racing Close attached to
+// a closed session.)
 func TestConcurrentAddAndClose(t *testing.T) {
 	store, m := newEnv(t)
 	subs := func() int64 { return store.StatsSnapshot().Subscriptions }
@@ -480,7 +481,10 @@ func TestConcurrentAddAndClose(t *testing.T) {
 	delivered: // every record was appended, and so handed to recorded, before Close and wg.Wait returned
 		for {
 			select {
-			case msg := <-recorded.C():
+			case msg, ok := <-recorded.C():
+				if !ok { // the drop of the session stream ended the subscription
+					break delivered
+				}
 				if msg.Directive.Op == streams.OpAddAgent && msg.PayloadString() == "GREETER" {
 					named++
 				}

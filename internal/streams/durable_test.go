@@ -713,7 +713,9 @@ func TestParentFormatRecordFailsRecovery(t *testing.T) {
 // TestDropForgetsScope: Drop forgets the streams of a scope, sub-scopes
 // included and nothing else, as one log record written first — a refused
 // record drops nothing — and hands out no message id or timestamp again. A
-// stream of the scope created anew starts at Seq 0, and it recovers exactly
+// subscription naming only dropped streams ends with the Drop; one that also
+// names a kept stream, or selects by scope, stays. A stream of the scope
+// created anew starts at Seq 0, and it recovers exactly
 // even from the worst overlap of snapshot and log: a snapshot taken after the
 // reopen, with every record ever logged replayed on top of it.
 func TestDropForgetsScope(t *testing.T) {
@@ -735,6 +737,19 @@ func TestDropForgetsScope(t *testing.T) {
 		}
 		publishN(t, s, id, 3)
 	}
+	dropped := s.Subscribe(Filter{Streams: []string{"session:1:user", "session:1:profile:user"}}, false)
+	straddling := s.Subscribe(Filter{Streams: []string{"session:1:user", "session:10:user"}}, false)
+	scoped := s.Subscribe(Filter{Session: "session:1"}, false)
+	defer straddling.Cancel()
+	defer scoped.Cancel()
+	ended := func(sub *Subscription) bool {
+		select {
+		case _, ok := <-sub.C():
+			return !ok
+		default:
+			return false
+		}
+	}
 	fail = true
 	if err := s.Drop("session:1"); err == nil {
 		t.Fatal("Drop succeeded over a failing sink")
@@ -742,9 +757,15 @@ func TestDropForgetsScope(t *testing.T) {
 	if n := len(s.List("session:1")); n != 2 {
 		t.Fatalf("a refused Drop left %d streams of session:1, want 2", n)
 	}
+	if ended(dropped) {
+		t.Fatal("a refused Drop ended a subscription")
+	}
 	last := mustAppend(t, s, Message{Stream: "other", Payload: "before"})
 	if err := s.Drop("session:1"); err != nil {
 		t.Fatal(err)
+	}
+	if !ended(dropped) || ended(straddling) || ended(scoped) {
+		t.Fatalf("after Drop: ended %v, %v, %v; want only the subscription to dropped streams alone ended", ended(dropped), ended(straddling), ended(scoped))
 	}
 	var kept []string
 	for _, info := range s.List("") {

@@ -303,36 +303,60 @@ func (s *Store) CloseStream(id, sender string) error {
 // recovery rebuilds. The drop is one log record, written before it is
 // applied: when the durability sink fails, the store is unchanged. Message
 // ids and the logical clock keep their high-water marks, so the process
-// hands none of a dropped message's out again. Subscriptions are left as
-// they are; a stream of the scope created again starts empty.
+// hands none of a dropped message's out again. A subscription every stream
+// of whose Filter.Streams is dropped ends, as Cancel ends one, for nothing
+// can come to it any more: a wait on a dropped stream returns at once. Any
+// other subscription is left as it is; a stream of the scope created again
+// starts empty.
 func (s *Store) Drop(scope string) error {
+	ended, err := s.drop(scope)
+	for _, sub := range ended {
+		sub.stop()
+	}
+	return err
+}
+
+// drop logs and applies a Drop, and unfiles the subscriptions it ends, which
+// the caller stops once s.mu is released.
+func (s *Store) drop(scope string) ([]*Subscription, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ErrStoreClosed
+		return nil, ErrStoreClosed
 	}
 	if log := s.sink.Load(); log != nil {
 		sc := getScratch()
 		defer sc.release()
 		sc.rec = appendDrop(sc.rec[:0], scope)
 		if err := (*log)(sc.rec); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	s.dropLocked(scope)
-	return nil
+	gone := s.dropLocked(scope)
+	var ended []*Subscription
+	for _, id := range gone {
+		for _, sub := range slices.Clone(s.byStream[id]) { // unfiling edits the bucket
+			if sub.filed && !slices.ContainsFunc(sub.filter.Streams, func(id string) bool { return !slices.Contains(gone, id) }) {
+				s.unfileLocked(sub)
+				ended = append(ended, sub)
+			}
+		}
+	}
+	return ended, nil
 }
 
-// dropLocked forgets the streams of scope; caller holds s.mu. Drop and the
-// replay of its record share it.
-func (s *Store) dropLocked(scope string) {
+// dropLocked forgets the streams of scope and returns their ids; caller
+// holds s.mu. Drop and the replay of its record share it.
+func (s *Store) dropLocked(scope string) (gone []string) {
 	s.order = slices.DeleteFunc(s.order, func(st *stream) bool {
 		if !scopeContains(scope, st.info.Session) {
 			return false
 		}
 		delete(s.streams, st.info.ID)
+		gone = append(gone, st.info.ID)
 		return true
 	})
+	return gone
 }
 
 // Read returns up to max messages of the stream starting at offset from

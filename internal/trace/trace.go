@@ -2,8 +2,8 @@
 // store's history — the observability payoff of making orchestration
 // explicit on streams (§V-A: "enhancing observability"). The Fig. 9 and
 // Fig. 10 integration tests assert their exact sender sequences with this
-// package, and the benchmark harness uses it to report per-component
-// message counts.
+// package, and a session's Flow — what bpctl's ask prints and GET
+// /sessions/{id}/flow serves — is built and rendered with it.
 package trace
 
 import (

@@ -147,9 +147,9 @@ func TestIdleSessionsStayCheap(t *testing.T) {
 	}
 }
 
-// Each planned ask runs exactly one plan: the Agentic Employer tags both of
-// its outputs "plan", and the JOB_ID beside the PLAN must neither run as one
-// nor count as one.
+// Each planned ask runs exactly one plan: the Agentic Employer's one PLAN
+// output, tagged "plan", runs once and counts once, whether the ask is a
+// click, a summarize, a rank or a request for advice.
 func TestPlannedAskRunsOnePlan(t *testing.T) {
 	sys := newSystem(t)
 	plans := func() float64 { return obs.Default.Snapshot()["blueprint_plans_total"] }
