@@ -27,7 +27,10 @@ race:
 # in one session each get their own step results, and closing the System
 # drains every open session's running plans, and sessions closed with asks in
 # flight keep no stream, nothing of theirs re-created by a late output, report
-# or plan result; the store's worker pool never blocks a
+# or plan result; a session asked past its horizon of 256 asks, while its
+# flow is read and its display waits resume from released offsets, answers
+# each ask as its first time and reads a flow in order with a released count
+# that only grows; the store's worker pool never blocks a
 # chain of nested hand-offs, and gives its parked workers back at Close; and
 # in the one coordinator service, a session at its plan bound holds up no
 # other session, and a session's Leave waits for its own running plans only,
@@ -42,7 +45,7 @@ race:
 # crash recovers what the live process ended with (fifty crash-and-reopen
 # rounds a run, so five runs).
 stress:
-	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession|TestOnePlanIDRunsConcurrently|TestSystemCloseDrainsOpenSessions|TestCloseForgetsUnderLoad' .
+	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession|TestOnePlanIDRunsConcurrently|TestSystemCloseDrainsOpenSessions|TestCloseForgetsUnderLoad|TestAsksPastTheHorizonWhileFlowIsRead' .
 	$(GO) test -race -count=20 -run 'TestGoNeverBlocks|TestPoolIdleAndClose' ./internal/streams
 	$(GO) test -race -count=20 -run 'TestSeatBoundHoldsUpOnlyItsSession|TestLeaveWaitsForItsOwnPlansOnly|TestServiceStartsAndStopsClean' ./internal/coordinator
 	$(GO) test -race -count=20 -run 'TestDuplicateAgentRejected|TestConcurrentAddAndClose' ./internal/session
@@ -69,8 +72,13 @@ fmt-check:
 # (streamwrites_test.go): six asks, cold and memo-warm, in one session, and a
 # message that no listen rule, plan intake, addressee, awaiting caller,
 # ask's answer or recovery reads fails, unless its class is on that test's
-# allow-list; so does an entry no unread message falls under. Verbose, so
-# every class of message is printed with its count and readers.
+# allow-list; so does an entry no unread message falls under. Then its census
+# of reads after the answer: every reader of stored messages in the program
+# must be on its table, which says how far back each reaches, and only the
+# classes no reader but observability and the snapshot reaches once their ask
+# has answered may sit on streams a session releases past its horizon.
+# Verbose, so every class of message is printed with its count and readers,
+# and with the readers that reach it after its answer.
 census:
 	$(GO) test -run 'TestCallerCensus|TestClockReads|TestStreamWrites' -count=1 -v .
 

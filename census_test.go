@@ -51,7 +51,6 @@ var censusKept = map[string]string{
 	"session.Session.Members":              "§V-E session membership, replayed from the one ADD_AGENT / REMOVE_AGENT record per change on the session stream",
 	"session.Session.Display":              "§V-E the display stream's messages; the program waits on it by offset instead",
 	"session.Session.History":              "§V-E every message of the scope, in order",
-	"streams.Store.List":                   "§V-A streams are first-class data resources: enumerate them",
 	"streams.Store.CloseStream":            "§V-A a stream ends with an EOS sentinel",
 
 	// §VI Figs. 9/10: the flow tests match the paper's sender sequences.

@@ -154,7 +154,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("answer: %s\n\nflow:\n%s", answer, trace.Render(s.Flow()))
+		fmt.Printf("answer: %s\n\nflow (%d earlier messages released):\n%s", answer, s.Released(), trace.Render(s.Flow()))
 		if spans := obs.Spans.Session(s.ID); len(spans) > 0 {
 			fmt.Printf("\nspans:\n%s", obs.RenderTree(spans))
 		}

@@ -2,6 +2,7 @@ package chunk
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -130,4 +131,161 @@ func ExampleLog() {
 	// [b]
 	// [c d]
 	// [e]
+}
+
+// edges returns, in order, the positions up to n at which a chunk starts, in
+// the schedule of a log whose first chunk holds first values (the zero Log:
+// 1), as the package doc states it: doubling below 256, four chunks a
+// power-of-two span below 2048, then 512 values a chunk.
+func edges(first, n int) []int {
+	out := []int{0}
+	for e := max(first, 1); e <= n; {
+		out = append(out, e)
+		switch {
+		case e < quarterFrom:
+			e *= 2
+		case e < fixedFrom:
+			span := 1
+			for span*2 <= e {
+				span *= 2
+			}
+			e += span / 4
+		default:
+			e += fixedSize
+		}
+	}
+	return out
+}
+
+// Release against a slice model, under random appends and releases, for the
+// zero Log and three first chunks, over lengths that cross the 256 and 2048
+// edges of the schedule: Len, Start, At and Chunks agree with the model; a
+// release drops exactly the full chunks wholly below it, so one that falls
+// inside a chunk keeps that chunk; a pointer At gave into a kept chunk still
+// points at its value (but for the chunk opened after a release of every
+// chunk, which may move until it is full); and a release allocates nothing.
+func TestReleaseMatchesModel(t *testing.T) {
+	const n = fixedFrom + 3*fixedSize + 9
+	for _, first := range []int{0, 1, 8, 256} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			l := Make[int](first)
+			if first == 0 {
+				l = Log[int]{}
+			}
+			cuts := edges(first, n)
+			model, start := []int(nil), 0
+			ptrs := map[int]*int{}
+			movesBelow := 0 // the end of a chunk opened in an empty log
+			check := func(at string) {
+				t.Helper()
+				if l.Len() != len(model) || l.Start() != start {
+					t.Fatalf("first %d seed %d %s: Len %d Start %d, want %d and %d", first, seed, at, l.Len(), l.Start(), len(model), start)
+				}
+				for i := start; i < len(model); i++ {
+					if *l.At(i) != model[i] {
+						t.Fatalf("first %d seed %d %s: At(%d) = %d, want %d", first, seed, at, i, *l.At(i), model[i])
+					}
+				}
+				var got []int
+				for c := range l.Chunks(start, len(model)) {
+					got = append(got, c...)
+				}
+				if !slices.Equal(got, model[start:]) {
+					t.Fatalf("first %d seed %d %s: Chunks from Start holds %d values, want %d", first, seed, at, len(got), len(model)-start)
+				}
+				if h := l.Head(); len(model) > start && (len(h) == 0 || h[0] != model[start]) {
+					t.Fatalf("first %d seed %d %s: Head %v does not start at %d", first, seed, at, h, model[start])
+				}
+				for i, p := range ptrs {
+					if i < start {
+						delete(ptrs, i)
+					} else if p != l.At(i) || *p != model[i] {
+						t.Fatalf("first %d seed %d %s: the pointer to %d moved", first, seed, at, i)
+					}
+				}
+			}
+			release := func(before int) {
+				t.Helper()
+				allocs := testing.AllocsPerRun(1, func() { l.Release(before) })
+				for _, e := range cuts { // the last edge at or below both before and the length
+					if e > before || e > len(model) {
+						break
+					}
+					start = max(start, e)
+				}
+				if allocs != 0 {
+					t.Fatalf("first %d seed %d: Release(%d) allocated", first, seed, before)
+				}
+				if start == len(model) {
+					movesBelow = cuts[slices.Index(cuts, start)+1]
+				}
+				check(fmt.Sprintf("after Release(%d) at length %d", before, len(model)))
+			}
+			for len(model) < n {
+				for k := rng.Intn(300); k > 0 && len(model) < n; k-- {
+					v := rng.Int()
+					l.Append(v)
+					model = append(model, v)
+					if rng.Intn(50) == 0 && len(model) > movesBelow {
+						ptrs[len(model)-1] = l.At(len(model) - 1)
+					}
+				}
+				check(fmt.Sprintf("at length %d", len(model)))
+				// A release at, beside or between edges, or anywhere up to
+				// past the end.
+				e := cuts[rng.Intn(len(cuts))]
+				for _, before := range []int{e - 1, e, e + 1, start + rng.Intn(len(model)-start+2)} {
+					release(before)
+				}
+			}
+			release(n) // everything but the last, partly filled, chunk
+			if l.Start() != cuts[len(cuts)-1] {
+				t.Fatalf("first %d seed %d: Release(Len) keeps from %d, want the last chunk's start %d", first, seed, l.Start(), cuts[len(cuts)-1])
+			}
+		}
+	}
+}
+
+// A log rebuilt from another's kept values: Skip to any position, at and
+// around the 256 and 2048 edges too, then appends read back from there, and
+// Release drops the chunk that the skip entered part way once it is full.
+func TestSkipThenAppend(t *testing.T) {
+	for _, to := range []int{1, 5, 255, 256, 257, 300, 2047, 2048, 2049, 2600, 5000} {
+		var l Log[int]
+		if allocs := testing.AllocsPerRun(1, func() { l.Skip(to) }); allocs != 0 {
+			t.Fatalf("Skip(%d) allocated", to)
+		}
+		if l.Len() != to || l.Start() != to || len(l.Head()) != 0 {
+			t.Fatalf("Skip(%d): Len %d Start %d Head %d values", to, l.Len(), l.Start(), len(l.Head()))
+		}
+		l.Append(to)
+		if c := l.Head(); cap(c) > 8 {
+			t.Fatalf("Skip(%d): the first Append opened room for %d values, want at most 8", to, cap(c))
+		}
+		for i := to + 1; i < to+1500; i++ {
+			l.Append(i)
+		}
+		for i := to; i < l.Len(); i++ {
+			if *l.At(i) != i {
+				t.Fatalf("Skip(%d): At(%d) = %d", to, i, *l.At(i))
+			}
+		}
+		var got []int
+		for c := range l.Chunks(to, l.Len()) {
+			got = append(got, c...)
+		}
+		if len(got) != 1500 || got[0] != to || got[1499] != to+1499 {
+			t.Fatalf("Skip(%d): Chunks read %d values", to, len(got))
+		}
+		head := len(l.Head())
+		l.Release(to + head)
+		if l.Start() != to+head || *l.At(l.Start()) != to+head {
+			t.Fatalf("Skip(%d): Release past the head keeps from %d, want %d", to, l.Start(), to+head)
+		}
+		l.Skip(to + 5000) // the log keeps values: no-op
+		if l.Len() != to+1500 {
+			t.Fatalf("Skip on a log that keeps values moved its end to %d", l.Len())
+		}
+	}
 }

@@ -20,6 +20,7 @@ import (
 	"blueprint"
 	"blueprint/internal/obs"
 	"blueprint/internal/resilience"
+	"blueprint/internal/session"
 )
 
 // Options tunes the handler surface.
@@ -37,7 +38,7 @@ type Options struct {
 //	POST /sessions                         -> {"id": "session:1"}
 //	POST /sessions/{id}/ask    {"text":..} -> {"answer": ...} (X-Trace-Id on every response; 429 + Retry-After when shed)
 //	POST /sessions/{id}/click  {event}     -> {"answer": ...} (governed as an ask is: X-Trace-Id, 429 when shed)
-//	GET  /sessions/{id}/flow               -> per-message flow trace
+//	GET  /sessions/{id}/flow               -> {"released": n, "steps": [...]}: the flow the session keeps, after the n messages it released
 //	DELETE /sessions/{id}                  -> 204: the session is closed and its streams forgotten (404 when not open)
 //	GET  /agents                           -> agent registry contents
 //	GET  /data                             -> data registry contents
@@ -186,7 +187,8 @@ func (s *Server) click(w http.ResponseWriter, r *http.Request) {
 // and a wait of timeoutMS, clamped to maxAskTimeout (15 s when 0). Every
 // outcome carries the ask's id as X-Trace-Id and the body's "trace": a shed
 // answers 429 with the governor's advisory Retry-After, a degraded serve 200
-// marked "degraded", any other failure 504.
+// marked "degraded", an ask whose session was closed under it (a DELETE
+// racing it) 410 Gone, any other failure 504.
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, sess *blueprint.Session, text string, event map[string]any, timeoutMS int) {
 	timeout := 15 * time.Second
 	if timeoutMS > 0 {
@@ -214,7 +216,11 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, sess *blueprint.
 		})
 		return
 	}
-	writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": err.Error(), "trace": ans.TraceID})
+	status := http.StatusGatewayTimeout
+	if errors.Is(err, session.ErrClosed) {
+		status = http.StatusGone
+	}
+	writeJSON(w, status, map[string]string{"error": err.Error(), "trace": ans.TraceID})
 }
 
 func (s *Server) flow(w http.ResponseWriter, r *http.Request) {
@@ -230,7 +236,7 @@ func (s *Server) flow(w http.ResponseWriter, r *http.Request) {
 			"kind": st.Kind.String(), "op": st.Op, "tags": st.Tags, "payload": st.Payload,
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, map[string]any{"released": sess.Released(), "steps": out})
 }
 
 // closeSession ends a conversation: Session.Close, after which an ask, a

@@ -14,6 +14,7 @@ import (
 	"blueprint"
 	"blueprint/internal/obs"
 	"blueprint/internal/resilience"
+	"blueprint/internal/session"
 )
 
 func newTestServer(t *testing.T) *Server {
@@ -79,9 +80,12 @@ func TestSessionLifecycleOverHTTP(t *testing.T) {
 	if rec2.Code != http.StatusOK {
 		t.Fatalf("flow = %d", rec2.Code)
 	}
-	var flow []map[string]any
-	if err := json.Unmarshal(rec2.Body.Bytes(), &flow); err != nil || len(flow) == 0 {
-		t.Fatalf("flow body = %v err=%v", len(flow), err)
+	var flow struct {
+		Released *int64           `json:"released"`
+		Steps    []map[string]any `json:"steps"`
+	}
+	if err := json.Unmarshal(rec2.Body.Bytes(), &flow); err != nil || len(flow.Steps) == 0 || flow.Released == nil || *flow.Released != 0 {
+		t.Fatalf("flow body = %d steps, released %v, err=%v", len(flow.Steps), flow.Released, err)
 	}
 }
 
@@ -116,6 +120,44 @@ func TestCloseSessionOverHTTP(t *testing.T) {
 			t.Errorf("%s %s after the DELETE = %d, want 404", c.method, c.path, rec.Code)
 		}
 	}
+}
+
+// A DELETE that races an ask answers the ask with what happened to it: 200
+// when the answer came first, 410 Gone when the session was closed under it,
+// never 504 as if it had timed out. Each round closes the session once the
+// ask's utterance is on its user stream, so the ask is in flight; at the
+// parent every closed-under ask was a 504.
+func TestCloseRacingAnAskIsGone(t *testing.T) {
+	s := newTestServer(t)
+	codes := map[int]int{}
+	for round := 0; round < 10; round++ {
+		_, out := do(t, s, "POST", "/sessions", "")
+		id, _ := out["id"].(string)
+		path := "/sessions/" + strings.TrimPrefix(id, "session:")
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			rec, _ := do(t, s, "POST", path+"/ask", `{"text": "Summarize the applicants for job 3", "timeout_ms": 5000}`)
+			done <- rec
+		}()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Microsecond) {
+			if info, err := s.sys.Store.Info(session.UserStream(id)); err == nil && info.Len > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: the ask's utterance never reached %s", round, id)
+			}
+		}
+		if rec, _ := do(t, s, "DELETE", path, ""); rec.Code != http.StatusNoContent {
+			t.Fatalf("round %d: DELETE = %d %s", round, rec.Code, rec.Body)
+		}
+		switch rec := <-done; rec.Code {
+		case http.StatusOK, http.StatusGone:
+			codes[rec.Code]++
+		default:
+			t.Fatalf("round %d: the ask a DELETE raced = %d %s, want 200 or 410", round, rec.Code, rec.Body)
+		}
+	}
+	t.Logf("answers: %v", codes)
 }
 
 func TestErrorsOverHTTP(t *testing.T) {

@@ -39,10 +39,15 @@ const (
 	// retains; beyond it the least-recently-active session's trace is
 	// evicted.
 	DefaultMaxSessions = 128
+	// KeptAsks is the horizon of a conversation: how many of a session's
+	// latest asks the process keeps. A session's streams keep the messages
+	// of its last KeptAsks asks (streams.TagAsks), and its span ring about
+	// as many asks' spans. It is a constant, not an option.
+	KeptAsks = 256
 	// ringCapacity bounds each session's span ring; older spans are
 	// overwritten (an ask on the hragents suite is ~6-8 spans, so the ring
 	// holds the last ~250-340 asks of a session).
-	ringCapacity = 2048
+	ringCapacity = 8 * KeptAsks
 )
 
 // Attr is one span attribute.

@@ -18,6 +18,22 @@
 // in what recovery rebuilds. A shutdown (Manager.Close) is not a close: it
 // takes every open session's agents out, recording each one's REMOVE_AGENT,
 // and drops nothing, so the sessions recover and can be reopened by id.
+//
+// An open session keeps a bounded history: the messages of its last
+// obs.KeptAsks (256) asks, not every message since it opened. Its user and
+// event streams are the scope's ask streams (streams.TagAsks), an utterance
+// or a click an ask, and the later of the TSs of the utterance 256 back and
+// the click 256 back is the session's horizon: as each of its streams grows,
+// it lets go of its chunks that lie wholly before the horizon, so it holds
+// at least the last 256 asks' messages, at most the last 512 asks' (256 of
+// each kind), and at most one chunk more. The session stream is never
+// released (streams.TagKeepAll): Members replays every membership record.
+// Nothing else a session does reads a message once its ask has answered —
+// an ask's wait starts at DisplayLen, a report wait matches its own
+// invocation — so only History (and the flows built on it) and a snapshot
+// see the difference, and each stream's StreamInfo.Released says how many
+// messages it let go of. The rule is the store's, applied again on log
+// replay, so a recovered session keeps what the live one kept.
 package session
 
 import (
@@ -43,6 +59,10 @@ var (
 	// ErrNoDisplay is returned by AwaitDisplay when no matching display
 	// output arrives before the deadline.
 	ErrNoDisplay = errors.New("session: no display output before deadline")
+	// ErrClosed is returned by a display wait whose session was closed under
+	// it: the drop of the session's streams ended the wait. It wraps
+	// ErrNoDisplay, as every failed display wait does.
+	ErrClosed = fmt.Errorf("%w: session closed", ErrNoDisplay)
 )
 
 // UserStream is the stream carrying user utterances for a session.
@@ -161,11 +181,20 @@ func (m *Manager) Create(id string) (*Session, error) {
 		mgr:    m,
 		agents: make(map[string]*agent.Instance),
 	}
-	for _, stream := range []string{
-		UserStream(id), EventStream(id),
-		agent.ControlStream(id), SessionStream(id), agent.DisplayStream(id),
+	// The user and event streams set the scope's horizon, which every stream
+	// of the session but the session stream is held to.
+	for _, stream := range []struct {
+		id  string
+		tag string
+	}{
+		{UserStream(id), streams.TagAsks}, {EventStream(id), streams.TagAsks},
+		{agent.ControlStream(id), ""}, {SessionStream(id), streams.TagKeepAll}, {agent.DisplayStream(id), ""},
 	} {
-		if _, err := m.store.EnsureStream(stream, streams.StreamInfo{Session: id, Creator: "session-manager"}); err != nil {
+		info := streams.StreamInfo{Session: id, Creator: "session-manager"}
+		if stream.tag != "" {
+			info.Tags = []string{stream.tag}
+		}
+		if _, err := m.store.EnsureStream(stream.id, info); err != nil {
 			return nil, err
 		}
 	}
@@ -375,7 +404,7 @@ func (s *Session) PostUserEvent(ask uint64, event map[string]any) (streams.Messa
 	})
 }
 
-// Display returns the user-facing outputs rendered so far (the display
+// Display returns the user-facing outputs the session keeps (the display
 // stream payloads, in order).
 func (s *Session) Display() []string {
 	msgs, err := s.store.ReadAll(agent.DisplayStream(s.ID))
@@ -405,7 +434,8 @@ func (s *Session) DisplayLen() int {
 // message that ask caused, and returns the first such message's payload: the
 // ask's answer. Display messages of other asks — a plan result that lands
 // after its own ask returned, the answer of an ask running beside this one —
-// are passed over. ErrNoDisplay is returned on timeout or when ctx ends.
+// are passed over. ErrNoDisplay is returned on timeout or when ctx ends,
+// ErrClosed (which wraps it) when the session is closed first.
 func (s *Session) AwaitAnswer(ctx context.Context, from int, ask uint64, timeout time.Duration) (string, error) {
 	return s.awaitDisplay(ctx, from, ask, "", timeout)
 }
@@ -423,14 +453,15 @@ func (s *Session) AwaitDisplay(from int, substr string, timeout time.Duration) (
 // already at or past it (so outputs that raced ahead of the call are not
 // missed) and then new ones as they are appended — no polling, no sleeps,
 // and no replay of the history before from, so a wait costs the same on a
-// long conversation as on a new one. It gives up when ctx ends, and at once
-// when the session is closed: the drop of its streams ends the subscription.
+// long conversation as on a new one. It gives up when ctx ends, and at once,
+// with ErrClosed, when the session is closed: the drop of its streams ends
+// the subscription.
 func (s *Session) awaitDisplay(ctx context.Context, from int, ask uint64, substr string, timeout time.Duration) (string, error) {
 	display := agent.DisplayStream(s.ID)
 	sub := s.store.SubscribeFrom(streams.Filter{Streams: []string{display}}, int64(from))
 	defer sub.Cancel()
 	if _, err := s.store.Info(display); err != nil { // dropped before sub was filed: no drop will end sub
-		return "", fmt.Errorf("%w: %s (stream closed)", ErrNoDisplay, s.ID)
+		return "", fmt.Errorf("%w: %s", ErrClosed, s.ID)
 	}
 	timer := s.store.Clock().NewTimer(timeout)
 	defer timer.Stop()
@@ -438,7 +469,7 @@ func (s *Session) awaitDisplay(ctx context.Context, from int, ask uint64, substr
 		select {
 		case msg, ok := <-sub.C():
 			if !ok {
-				return "", fmt.Errorf("%w: %s (stream closed)", ErrNoDisplay, s.ID)
+				return "", fmt.Errorf("%w: %s", ErrClosed, s.ID)
 			}
 			if msg.Seq < int64(from) || (ask != 0 && msg.Ask != ask) {
 				continue // live, but from lies further beyond the stream's end; or another ask's
@@ -454,8 +485,9 @@ func (s *Session) awaitDisplay(ctx context.Context, from int, ask uint64, substr
 	}
 }
 
-// History returns every message in this session scope (including
-// sub-scopes), in global order — the paper's observability story.
+// History returns every message this session scope (sub-scopes included)
+// keeps, in global order — the paper's observability story, back to the
+// horizon of its last obs.KeptAsks asks.
 func (s *Session) History() []streams.Message {
 	return s.store.History(s.ID)
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"blueprint/internal/agent"
+	"blueprint/internal/obs"
 	"blueprint/internal/registry"
 	"blueprint/internal/streams"
 )
@@ -559,5 +560,57 @@ func TestSessionsShareADeployment(t *testing.T) {
 	s2.Close()
 	if subs() != base {
 		t.Fatalf("%d subscriptions after the last session closed, want %d", subs(), base)
+	}
+}
+
+// A session's user and event streams are its ask streams: past 256
+// utterances, or 256 clicks, the session's streams let go of what lies before
+// the horizon — a session of clicks alone too — while the session stream
+// keeps every membership record, however many there are.
+func TestSessionStreamsKeepTheirLastAsks(t *testing.T) {
+	store := streams.NewStore()
+	defer store.Close()
+	m := NewManager(store, nil)
+	talk, err := m.Create("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clicks, err := m.Create("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3 * obs.KeptAsks
+	for i := 0; i < n; i++ {
+		if _, err := talk.PostUserText(0, "How many jobs are in San Francisco?"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := clicks.PostUserEvent(0, map[string]any{"action": "select_job", "job_id": i}); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []*Session{talk, clicks} {
+			if _, err := store.Append(streams.Message{Stream: agent.DisplayStream(s.ID), Payload: "answer"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		talk.record(streams.OpAddAgent, []string{"A"})
+		talk.record(streams.OpRemoveAgent, []string{"A"})
+	}
+	for _, c := range []struct {
+		stream   string
+		releases bool
+	}{
+		{UserStream(talk.ID), true}, {agent.DisplayStream(talk.ID), true}, {SessionStream(talk.ID), false},
+		{EventStream(clicks.ID), true}, {agent.DisplayStream(clicks.ID), true},
+	} {
+		info, err := store.Info(c.stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (info.Released > 0) != c.releases || info.Released > n-obs.KeptAsks {
+			t.Errorf("%s released %d of %d messages, want some: %t, and never the last %d", c.stream, info.Released, info.Len, c.releases, obs.KeptAsks)
+		}
+	}
+	if got := talk.Members(); len(got) != 0 {
+		t.Errorf("Members = %v after every add was removed", got)
 	}
 }

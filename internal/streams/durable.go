@@ -24,9 +24,10 @@ import (
 // A record is a binary envelope written with durability's Append* helpers
 // and read with its Dec:
 //
-//	create: recCreate ID Session Tags Creator CreatedTS
-//	append: recAppend Seq TS n Session | Stream Kind Tags Sender Param payload directive
-//	drop:   recDrop Scope
+//	create:  recCreate ID Session Tags Creator CreatedTS
+//	append:  recAppend Seq TS n Session | Stream Kind Tags Sender Param payload directive
+//	drop:    recDrop Scope
+//	release: recRelease ID Released
 //
 // An append record's header (before the bar) is what the store assigns
 // under its lock — the message id is "m"+n — and is written there; its
@@ -58,12 +59,22 @@ import (
 // replay forgets everything of the scope that came before the drop, the
 // snapshot's copy of a later incarnation included, and rebuilds it from the
 // records that follow.
+//
+// A stream's release of its chunks before its scope's horizon (TagAsks) is
+// not logged. Log replay re-derives it: each replayed append runs the same
+// rule against the ask stream as replayed so far, which holds what the live
+// one held at that append, so a replayed stream lets go of what the live one
+// did. A snapshot holds only what is kept: after a stream's create record, a
+// release record says how many leading messages it had let go of, and
+// loading a snapshot applies no rule of its own, so the store it rebuilds
+// is the one the snapshot was taken of.
 
 // Record types: the first byte of every record.
 const (
-	recCreate byte = 1
-	recAppend byte = 2
-	recDrop   byte = 3
+	recCreate  byte = 1
+	recAppend  byte = 2
+	recDrop    byte = 3
+	recRelease byte = 4 // written only in a snapshot
 )
 
 // Value tags: how a payload, or one input or output value, is written.
@@ -277,7 +288,8 @@ func appendJSON(b []byte, v any) ([]byte, error) {
 }
 
 // record is one decoded log record: a stream creation (info), a message
-// (msg, whose id is "m"+n) or a drop (scope).
+// (msg, whose id is "m"+n), a drop (scope) or a release (info.ID,
+// info.Released).
 type record struct {
 	typ   byte
 	info  StreamInfo
@@ -315,6 +327,9 @@ func decodeRecord(rec []byte) (record, error) {
 		}
 	case recDrop:
 		r.scope = d.String()
+	case recRelease:
+		r.info.ID = d.String()
+		r.info.Released = int64(d.Uvarint())
 	default:
 		if d.Err() == nil {
 			return r, fmt.Errorf("streams: unknown record type %#x", r.typ)
@@ -430,18 +445,16 @@ func decodeValues(d *durability.Dec) (map[string]any, error) {
 }
 
 // applyLocked loads one decoded record into the store, idempotently; caller
-// holds s.mu. Engine replay (Apply) and snapshot load (Restore) share it.
-func (s *Store) applyLocked(r *record) {
+// holds s.mu. Engine replay (Apply) and snapshot load (Restore) share it;
+// replay, and only replay, runs the release rule after an append.
+func (s *Store) applyLocked(r *record, replay bool) {
 	switch r.typ {
 	case recCreate:
 		info := r.info
 		if _, ok := s.streams[info.ID]; ok {
 			return // already present (snapshot covered it)
 		}
-		st := &stream{info: info}
-		s.streams[info.ID] = st
-		s.order = append(s.order, st)
-		s.stats.streamsCreated.Add(1)
+		s.addLocked(info)
 		if info.CreatedTS > s.lastTS {
 			s.lastTS = info.CreatedTS
 		}
@@ -460,6 +473,9 @@ func (s *Store) applyLocked(r *record) {
 		if m.IsEOS() {
 			st.info.Closed = true
 		}
+		if replay {
+			s.releaseLocked(st)
+		}
 		s.stats.countMessage(m.Kind)
 		if m.TS > s.lastTS {
 			s.lastTS = m.TS
@@ -469,6 +485,12 @@ func (s *Store) applyLocked(r *record) {
 		}
 	case recDrop:
 		s.dropLocked(r.scope)
+	case recRelease: // follows its stream's create record, before its messages
+		if st, ok := s.streams[r.info.ID]; ok {
+			st.msgs.Skip(int(r.info.Released))
+			st.info.Len = int64(st.msgs.Len())
+			st.info.Released = int64(st.msgs.Start())
+		}
 	}
 }
 
@@ -480,13 +502,13 @@ func (s *Store) Apply(rec []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.applyLocked(&r)
+	s.applyLocked(&r, true)
 	return nil
 }
 
-// Snapshot serializes every stream and message as a replayable record
-// sequence, each record prefixed by its length. It implements
-// durability.Loggable.
+// Snapshot serializes every stream and the messages it keeps as a
+// replayable record sequence, each record prefixed by its length. It
+// implements durability.Loggable.
 func (s *Store) Snapshot(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -500,7 +522,12 @@ func (s *Store) Snapshot(w io.Writer) error {
 	for _, st := range s.order {
 		rec = durability.AppendUvarint(appendCreateHead(rec[:0], &st.info), uint64(st.info.CreatedTS))
 		put()
-		for c := range st.msgs.Chunks(0, st.msgs.Len()) {
+		if start := st.msgs.Start(); start > 0 {
+			rec = durability.AppendString(append(rec[:0], recRelease), st.info.ID)
+			rec = durability.AppendUvarint(rec, uint64(start))
+			put()
+		}
+		for c := range st.msgs.Chunks(st.msgs.Start(), st.msgs.Len()) {
 			for i := range c {
 				var err error
 				if rec, err = appendMessageRecord(rec[:0], &c[i]); err != nil {
@@ -531,7 +558,7 @@ func (s *Store) Restore(r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("streams: snapshot: %w", err)
 		}
-		s.applyLocked(&r)
+		s.applyLocked(&r, false)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"blueprint/internal/durability"
+	"blueprint/internal/obs"
 )
 
 // FuzzStreamRecord hands the record decoder arbitrary bytes as one log
@@ -75,6 +76,22 @@ func FuzzStreamRecord(f *testing.F) {
 		}
 		seeds = append(seeds, bad)
 	}
+	// A snapshot of a stream that let go of its oldest messages: its create
+	// record, a release record, the messages it keeps.
+	asks := NewStore()
+	if _, err := asks.CreateStream("s:user", StreamInfo{Session: "s", Tags: []string{TagAsks}}); err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < obs.KeptAsks+2; i++ {
+		if _, err := asks.Append(Message{Stream: "s:user", Payload: "ask"}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	snap.Reset()
+	if err := asks.Snapshot(&snap); err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, bytes.Clone(snap.Bytes()))
 	for _, seed := range seeds {
 		f.Add(seed)
 	}

@@ -35,6 +35,22 @@
 //     suffixes and nothing else; only a filter that names none sweeps the
 //     store (and sorts by timestamp). A consumer that knows how far it has
 //     read — Info(id).Len is O(1) — never pays for the history before it.
+//   - Retention. History is what a stream keeps, and a session keeps the
+//     messages of its last obs.KeptAsks (256) asks, not every one since it
+//     opened. The streams tagged TagAsks (a session's user and event
+//     streams, an utterance or a click an ask) set their scope's horizon:
+//     the later of the TSs of their messages KeptAsks back, so the scope's
+//     last KeptAsks asks lie past it. On every Append to a stream of the
+//     scope, the stream lets go of its leading chunks that lie wholly before
+//     the horizon (chunk.Log.Release: whole chunks, nothing moved, nothing
+//     allocated), so it keeps those asks' messages and at most one chunk
+//     more. A stream tagged TagKeepAll (a session's membership records) and
+//     a stream of a scope with no ask stream keep everything. Positions do
+//     not move: Seq, Len and offsets go on counting, Released is the first
+//     kept Seq, and Read, replay, History and Snapshot serve from there — an
+//     offset in the released prefix starts at the first kept message. Log
+//     replay applies the same rule, a snapshot holds only what is kept
+//     (durable.go), so recovery keeps what the live store kept.
 //   - Addressing. A filter can select on the directive: the operations it
 //     wants (Filter.Ops) and the agent they are addressed to (Filter.Agent;
 //     a directive that names no agent is a broadcast). An agent's control

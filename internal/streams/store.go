@@ -12,6 +12,7 @@ import (
 	"blueprint/internal/chunk"
 	"blueprint/internal/clock"
 	"blueprint/internal/durability"
+	"blueprint/internal/obs"
 )
 
 // Common store errors.
@@ -36,9 +37,28 @@ type StreamInfo struct {
 	Closed bool `json:"closed"`
 	// Len is the number of messages appended so far.
 	Len int64 `json:"len"`
+	// Released is the number of leading messages the stream has let go of
+	// (TagAsks): the Seq of the first message it keeps. Reads, replay,
+	// History and Snapshot serve the messages from there on.
+	Released int64 `json:"released,omitempty"`
 	// CreatedTS is the logical timestamp of creation.
 	CreatedTS int64 `json:"created_ts"`
 }
+
+// Stream tags the store acts on (StreamInfo.Tags).
+const (
+	// TagAsks marks an ask stream of its session scope, one message an ask:
+	// a session's user stream (an utterance an ask) and its event stream (a
+	// click an ask). The scope's horizon is the latest of the TSs of the
+	// messages obs.KeptAsks back on its ask streams, counting those that
+	// hold that many, so at least the scope's last KeptAsks asks lie at or
+	// past it; every stream of the scope, its ask streams included, lets go
+	// of its chunks that lie wholly before the horizon.
+	TagAsks = "asks"
+	// TagKeepAll marks a stream that lets go of nothing, in a scope with an
+	// ask stream (a session's membership records).
+	TagKeepAll = "keep-all"
+)
 
 type stream struct {
 	info StreamInfo
@@ -53,9 +73,10 @@ type stream struct {
 type Store struct {
 	mu      sync.RWMutex
 	streams map[string]*stream
-	order   []*stream // creation order, for deterministic listing
-	lastTS  int64     // logical timestamp of the last mutation; guarded by mu
-	nextMsg int64     // number of the last message id handed out; guarded by mu
+	order   []*stream            // creation order, for deterministic listing
+	anchors map[string][]*stream // session scope -> its ask streams (TagAsks)
+	lastTS  int64                // logical timestamp of the last mutation; guarded by mu
+	nextMsg int64                // number of the last message id handed out; guarded by mu
 	closed  bool
 
 	// The routing index (route.go): every live subscription is filed under
@@ -80,6 +101,7 @@ type Store struct {
 func NewStore() *Store {
 	return &Store{
 		streams:   make(map[string]*stream),
+		anchors:   make(map[string][]*stream),
 		byStream:  make(map[string][]*Subscription),
 		bySession: make(map[string][]*Subscription),
 		pool:      pool{tasks: make(chan func()), quit: make(chan struct{})},
@@ -150,11 +172,48 @@ func (s *Store) CreateStream(id string, info StreamInfo) (StreamInfo, error) {
 		}
 	}
 	s.lastTS = info.CreatedTS
+	s.addLocked(info)
+	return info, nil
+}
+
+// addLocked registers a new stream, an ask stream among its scope's too.
+// Caller holds s.mu.
+func (s *Store) addLocked(info StreamInfo) {
 	st := &stream{info: info}
-	s.streams[id] = st
+	if info.Session != "" && slices.Contains(info.Tags, TagAsks) {
+		s.anchors[info.Session] = append(s.anchors[info.Session], st)
+	}
+	s.streams[info.ID] = st
 	s.order = append(s.order, st)
 	s.stats.streamsCreated.Add(1)
-	return info, nil
+}
+
+// releaseLocked lets st go of its leading chunks that lie wholly before
+// its scope's horizon (TagAsks), unless st keeps all. It runs on every
+// Append and costs a map lookup, a position lookup on each ask stream and
+// on st, and a compare, so the chunks kept before the horizon are never
+// more than one. Caller holds s.mu.
+func (s *Store) releaseLocked(st *stream) {
+	asks := s.anchors[st.info.Session]
+	if len(asks) == 0 || slices.Contains(st.info.Tags, TagKeepAll) {
+		return
+	}
+	var horizon int64 // 0 while no ask stream holds obs.KeptAsks messages
+	for _, a := range asks {
+		if i := a.msgs.Len() - obs.KeptAsks; i >= a.msgs.Start() {
+			horizon = max(horizon, a.msgs.At(i).TS)
+		}
+	}
+	for horizon > 0 {
+		head, at := st.msgs.Head(), st.msgs.Start()
+		if len(head) == 0 || head[len(head)-1].TS >= horizon {
+			return
+		}
+		if st.msgs.Release(at + len(head)); st.msgs.Start() == at {
+			return // the head is the last chunk, still filling
+		}
+		st.info.Released = int64(st.msgs.Start())
+	}
 }
 
 // EnsureStream creates the stream if absent and returns its info. The usual
@@ -267,6 +326,7 @@ func (s *Store) Append(msg Message) (Message, error) {
 	if msg.IsEOS() {
 		st.info.Closed = true
 	}
+	s.releaseLocked(st)
 	s.stats.countMessage(msg.Kind)
 	var targetBuf [8]*Subscription // the usual fan-out fits; more spills to the heap
 	targets := s.routeLocked(&msg, targetBuf[:0])
@@ -353,6 +413,7 @@ func (s *Store) dropLocked(scope string) (gone []string) {
 			return false
 		}
 		delete(s.streams, st.info.ID)
+		delete(s.anchors, st.info.Session)
 		gone = append(gone, st.info.ID)
 		return true
 	})
@@ -360,7 +421,8 @@ func (s *Store) dropLocked(scope string) (gone []string) {
 }
 
 // Read returns up to max messages of the stream starting at offset from
-// (max <= 0 means no limit). Messages are copies; mutating them does not
+// (max <= 0 means no limit); a from the stream has released starts at the
+// first message it keeps. Messages are copies; mutating them does not
 // affect the store.
 func (s *Store) Read(id string, from int64, max int) ([]Message, error) {
 	s.mu.RLock()
@@ -369,8 +431,8 @@ func (s *Store) Read(id string, from int64, max int) ([]Message, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrStreamNotFound, id)
 	}
-	if from < 0 {
-		from = 0
+	if start := int64(st.msgs.Start()); from < start {
+		from = start
 	}
 	n := int64(st.msgs.Len())
 	if from >= n {
@@ -394,15 +456,16 @@ func (s *Store) ReadAll(id string) ([]Message, error) {
 	return s.Read(id, 0, 0)
 }
 
-// History returns every message in the store whose session is within the
-// given scope (empty scope = everything), ordered by global timestamp. It is
-// the basis for flow reconstruction (Figs. 9/10) and observability.
+// History returns every kept message in the store whose session is within
+// the given scope (empty scope = everything), ordered by global timestamp.
+// It is the basis for flow reconstruction (Figs. 9/10) and observability;
+// StreamInfo.Released counts what each stream no longer holds.
 func (s *Store) History(session string) []Message {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []Message
 	for _, st := range s.order {
-		for c := range st.msgs.Chunks(0, st.msgs.Len()) {
+		for c := range st.msgs.Chunks(st.msgs.Start(), st.msgs.Len()) {
 			for i := range c {
 				if m := &c[i]; session == "" || scopeContains(session, m.Session) {
 					out = append(out, m.Clone())

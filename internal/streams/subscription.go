@@ -54,7 +54,8 @@ func (s *Store) Subscribe(filter Filter, replay bool) *Subscription {
 
 // SubscribeFrom is Subscribe with a replay that starts at offset from of
 // each stream: existing matching messages with Seq >= from are delivered
-// first, then live ones. A consumer that knows how far it has read resumes
+// first (from the first kept one, when the stream has released from), then
+// live ones. A consumer that knows how far it has read resumes
 // there and pays for the suffix, not the history; from <= 0 replays
 // everything, from at or beyond a stream's end replays nothing of it.
 func (s *Store) SubscribeFrom(filter Filter, from int64) *Subscription {
@@ -142,11 +143,12 @@ func (s *Store) backlogLocked(filter *Filter, from int64) []Message {
 	var backlog []Message
 	scanned := 0
 	for _, st := range scan {
-		if from >= int64(st.msgs.Len()) {
+		lo := max(from, int64(st.msgs.Start())) // a released offset starts at the first kept
+		if lo >= int64(st.msgs.Len()) {
 			continue // nothing at or past from
 		}
 		scanned++
-		for c := range st.msgs.Chunks(int(from), st.msgs.Len()) {
+		for c := range st.msgs.Chunks(int(lo), st.msgs.Len()) {
 			for j := range c {
 				if filter.Matches(&c[j]) {
 					backlog = append(backlog, c[j].Clone())

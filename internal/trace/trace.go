@@ -37,7 +37,9 @@ type Step struct {
 	Payload string
 }
 
-// Flow extracts the ordered steps of a session from store history.
+// Flow extracts the ordered steps of a session from store history: the
+// messages its streams keep, back to the horizon of its last obs.KeptAsks
+// asks. Released counts the earlier ones.
 func Flow(store *streams.Store, session string) []Step {
 	msgs := store.History(session)
 	out := make([]Step, 0, len(msgs))
@@ -63,6 +65,17 @@ func Flow(store *streams.Store, session string) []Step {
 		out = append(out, s)
 	}
 	return out
+}
+
+// Released returns how many earlier messages the streams of a session scope
+// (sub-scopes included) have let go of: the messages before those a Flow of
+// it holds.
+func Released(store *streams.Store, session string) int64 {
+	var n int64
+	for _, info := range store.List(session) {
+		n += info.Released
+	}
+	return n
 }
 
 // Matcher matches one flow step. Zero fields match anything.

@@ -723,9 +723,17 @@ func (sess *Session) ExecuteUtterance(text string) (*coordinator.Result, *planne
 }
 
 // Flow returns the session's observed message flow (for debugging and the
-// Fig. 9/10 verifications).
+// Fig. 9/10 verifications): the messages of its last obs.KeptAsks asks, and
+// any later ones of earlier asks.
 func (sess *Session) Flow() []trace.Step {
 	return trace.Flow(sess.Store(), sess.ID)
+}
+
+// Released returns how many earlier messages of the session its streams
+// have let go of, beyond the horizon of its last obs.KeptAsks asks: the
+// messages before its Flow.
+func (sess *Session) Released() int64 {
+	return trace.Released(sess.Store(), sess.ID)
 }
 
 // PlanResults returns the results of the plans the coordinator service
