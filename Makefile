@@ -149,9 +149,12 @@ bench-streams:
 # recovery), and arbitrary bytes as one stream log record and as a streams
 # snapshot section (FuzzStreamRecord: no panic, no allocation the input cannot
 # fill, records built from the input round-trip both ways, a message's Ask
-# not logged), arbitrary bytes as one relational log record and as a
+# not logged, a *planner.Plan payload and a *hragents.QueryRows output
+# recover as themselves), arbitrary bytes as one relational log record and as a
 # relational snapshot (FuzzRelationalRecord: no panic, no count the bytes
-# cannot fill), and any seed and up to 4 096 draws through the simulated
+# cannot fill, no cell of an unknown type read as NULL), arbitrary bytes as
+# one memo log record and as a memo snapshot (FuzzMemoRecord: no panic, no
+# allocation the input cannot fill), and any seed and up to 4 096 draws through the simulated
 # model's lazy random source against math/rand's own (FuzzLazySource: the
 # same Uint64, Float64 and Intn draw for draw). Seeds under
 # internal/{relational,dataplan}/testdata/fuzz are always replayed by plain
@@ -164,6 +167,7 @@ fuzz:
 	$(GO) test ./internal/durability/ -run FuzzRecoverSegment -fuzz FuzzRecoverSegment -fuzztime 30s
 	$(GO) test ./internal/streams/ -run FuzzStreamRecord -fuzz FuzzStreamRecord -fuzztime 30s
 	$(GO) test ./internal/relational/ -run FuzzRelationalRecord -fuzz FuzzRelationalRecord -fuzztime 30s
+	$(GO) test ./internal/memo/ -run FuzzMemoRecord -fuzz FuzzMemoRecord -fuzztime 30s
 	$(GO) test ./internal/llm/ -run FuzzLazySource -fuzz FuzzLazySource -fuzztime 30s
 
 fuzz-smoke:
@@ -174,6 +178,7 @@ fuzz-smoke:
 	$(GO) test ./internal/durability/ -run FuzzRecoverSegment -fuzz FuzzRecoverSegment -fuzztime 5s
 	$(GO) test ./internal/streams/ -run FuzzStreamRecord -fuzz FuzzStreamRecord -fuzztime 5s
 	$(GO) test ./internal/relational/ -run FuzzRelationalRecord -fuzz FuzzRelationalRecord -fuzztime 5s
+	$(GO) test ./internal/memo/ -run FuzzMemoRecord -fuzz FuzzMemoRecord -fuzztime 5s
 	$(GO) test ./internal/llm/ -run FuzzLazySource -fuzz FuzzLazySource -fuzztime 5s
 
 # Go line counts outside benchmark/, non-test and test files apart, each split

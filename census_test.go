@@ -85,7 +85,6 @@ var censusKept = map[string]string{
 	// Causal signals a test waits on or reads instead of sleeping.
 	"blueprint.Session.PlanResults": "root tests wait for and read the plans a session ran",
 	"memo.Store.Len":                "memo and durability tests read the resident entry count",
-	"planner.Plan.ToJSON":           "the map form a logged plan has: the plan/payload duality tests build it",
 
 	// internal/relational was sized to its producers in PR 21; these seams
 	// feed its differential, property and durability suites.
@@ -145,6 +144,30 @@ func (c *census) Import(path string) (*types.Package, error) {
 	p, err := c.check(path, files, false)
 	c.pkgs[path] = p
 	return p, err
+}
+
+// checkExternal checks and counts a directory's external _test package as
+// go test builds it: against the package beside its in-package tests, whose
+// exported test names it may use. What its files import is loaded first,
+// against the plain package, so no other package is checked against the
+// one with tests.
+func (c *census) checkExternal(path string, withTests *types.Package, files []*ast.File) error {
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			if _, err := c.Import(strings.Trim(spec.Path.Value, `"`)); err != nil {
+				return err
+			}
+		}
+	}
+	plain, had := c.pkgs[path]
+	c.pkgs[path] = withTests
+	_, err := c.check(path+"_test", files, true)
+	if had {
+		c.pkgs[path] = plain
+	} else {
+		delete(c.pkgs, path)
+	}
+	return err
 }
 
 // check type-checks one set of files as a package. With count set it also
@@ -328,11 +351,12 @@ func TestCallerCensus(t *testing.T) {
 				own = append(own, f)
 			}
 		}
-		if _, err := c.check(path, own, true); err != nil {
+		withTests, err := c.check(path, own, true)
+		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
 		if len(ext) > 0 {
-			if _, err := c.check(path+"_test", ext, true); err != nil {
+			if err := c.checkExternal(path, withTests, ext); err != nil {
 				t.Fatalf("%s_test: %v", path, err)
 			}
 		}

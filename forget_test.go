@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"blueprint/internal/hragents"
+	"blueprint/internal/planner"
 	"blueprint/internal/session"
 	"blueprint/internal/streams"
 )
@@ -99,12 +101,15 @@ func TestClosedSessionsLeaveNothing(t *testing.T) {
 }
 
 // canonical is what the log keeps of a message: no Ask, and a payload, input
-// or output value that is not a string as JSON makes it.
+// or output value as durability's value codec recovers it — a scalar, a
+// *planner.Plan or a *hragents.QueryRows as itself, any other value as JSON
+// makes it.
 func canonical(t *testing.T, m streams.Message) streams.Message {
 	t.Helper()
 	viaJSON := func(v any) any {
-		if _, ok := v.(string); ok || v == nil {
-			return v
+		switch v.(type) {
+		case nil, string, int, int64, float64, bool, *planner.Plan, *hragents.QueryRows:
+			return v // the value codec logs these typed
 		}
 		b, err := json.Marshal(v)
 		if err != nil {

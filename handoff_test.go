@@ -3,6 +3,7 @@ package blueprint
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"blueprint/internal/planner"
 	"blueprint/internal/registry"
 	"blueprint/internal/streams"
+	"blueprint/internal/trace"
 )
 
 // awaitPlanResults waits until the coordinator service has finished n plans
@@ -258,11 +260,11 @@ func TestBroadcastAbortReachesEveryAgent(t *testing.T) {
 	await(map[string]int{"SLOW_A": 1, "SLOW_B": 2})
 }
 
-// A plan crosses a stream typed, and reaches the write-ahead log as JSON:
-// after a crash the recovered PLAN message carries a generic map, which the
-// coordinator service still executes — and, because a step's memo key is the
-// same whichever way its plan travelled, answers from the recovered memo.
-func TestTypedPlanIsRecoveredAsMapAndExecutes(t *testing.T) {
+// A plan crosses a stream typed and is logged typed: after a crash the
+// recovered PLAN message carries the *planner.Plan that was published, field
+// for field, which the coordinator service executes and answers from the
+// recovered memo.
+func TestTypedPlanIsRecoveredAndExecutes(t *testing.T) {
 	dir := t.TempDir()
 	sys := newDurableSystem(t, dir)
 	sess, err := sys.StartSession("")
@@ -298,14 +300,11 @@ func TestTypedPlanIsRecoveredAsMapAndExecutes(t *testing.T) {
 	sys2 := newDurableSystem(t, dir)
 	defer sys2.Close()
 	recovered := planMessage(sys2.Store)
-	if _, ok := recovered.Payload.(map[string]any); !ok {
-		t.Fatalf("the recovered PLAN payload is a %T, want a map", recovered.Payload)
+	p, ok := recovered.Payload.(*planner.Plan)
+	if !ok {
+		t.Fatalf("the recovered PLAN payload is a %T, want a *planner.Plan", recovered.Payload)
 	}
-	p, err := planner.FromJSON(recovered.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.ID != published.ID || len(p.Steps) != 1 || p.Steps[0].Agent != hragents.Summarizer {
+	if !reflect.DeepEqual(p, published) || len(p.Steps) != 1 || p.Steps[0].Agent != hragents.Summarizer {
 		t.Fatalf("recovered plan %s differs from the one published:\n%s", p, published)
 	}
 
@@ -324,7 +323,7 @@ func TestTypedPlanIsRecoveredAsMapAndExecutes(t *testing.T) {
 		t.Fatalf("the recovered plan ran as %+v", res[0])
 	}
 	if !res[0].Steps[0].Cached {
-		t.Fatal("the recovered plan's step missed the recovered memo: its key depends on how the plan travelled")
+		t.Fatal("the recovered plan's step missed the recovered memo")
 	}
 
 	// The typed road into the same memo entry.
@@ -333,15 +332,15 @@ func TestTypedPlanIsRecoveredAsMapAndExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !r2.Steps[0].Cached {
-		t.Fatal("the typed plan's step missed the memo entry its decoded twin hit")
+		t.Fatal("the published plan's step missed the memo entry its recovered twin hit")
 	}
 }
 
-// A statement result crosses its hop typed, and reaches the write-ahead log
-// as JSON: after a crash the recovered ROWS message carries the generic
-// object, and a query summarizer fed that message answers what the live one
-// answered from the typed value.
-func TestTypedRowsAreRecoveredAsMapAndSummarized(t *testing.T) {
+// A statement result crosses its hop typed and is logged typed: after a
+// crash the recovered ROWS message carries the *hragents.QueryRows that was
+// published, cell for cell, and a query summarizer fed that message answers
+// what the live one answered.
+func TestTypedRowsAreRecoveredAndSummarized(t *testing.T) {
 	dir := t.TempDir()
 	sys := newDurableSystem(t, dir)
 	sess, err := sys.StartSession("")
@@ -379,12 +378,8 @@ func TestTypedRowsAreRecoveredAsMapAndSummarized(t *testing.T) {
 	sys2 := newDurableSystem(t, dir)
 	defer sys2.Close()
 	recovered := rowsMessage(sys2.Store)
-	obj, ok := recovered.Payload.(map[string]any)
-	if !ok {
-		t.Fatalf("the recovered ROWS payload is a %T, want a map", recovered.Payload)
-	}
-	if rows, _ := obj["rows"].([]any); len(rows) != len(published.Rows) || obj["sql"] != published.SQL {
-		t.Fatalf("recovered %d rows of %v, published %d of %s", len(rows), obj["sql"], len(published.Rows), published.SQL)
+	if rows, ok := recovered.Payload.(*hragents.QueryRows); !ok || !reflect.DeepEqual(rows, published) {
+		t.Fatalf("the recovered ROWS payload is\n%#v\nthe published one\n%#v", recovered.Payload, published)
 	}
 	if recovered.PayloadString() != live.PayloadString() {
 		t.Fatalf("the recovered payload renders as\n%s\nthe live one as\n%s", recovered.PayloadString(), live.PayloadString())
@@ -407,5 +402,75 @@ func TestTypedRowsAreRecoveredAsMapAndSummarized(t *testing.T) {
 	}
 	if again != answer {
 		t.Fatalf("the summarizer answered the recovered rows with\n%s\nthe live ones with\n%s", again, answer)
+	}
+}
+
+// A recovered session's flow renders as the live one did: every value a
+// message carries is logged as the value it is, so each step of trace.Flow
+// after a crash and recovery has the payload the same step had before, and
+// every recovered message of the session equals the live one (canonical
+// normalises only generic maps and slices). The session asks a summarize, a
+// count and a rank, then a per-city group-by, a job search and a click — the
+// asks TestStreamWrites checks. When plans and rows were logged as JSON,
+// each PLAN step rendered with its keys re-sorted.
+func TestRecoveredFlowRendersAsLive(t *testing.T) {
+	dir := t.TempDir()
+	sys := newDurableSystem(t, dir)
+	sess, err := sys.StartSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{
+		"Summarize the applicants for job 3",
+		"How many jobs are in San Francisco?",
+		"Rank the applicants for job 3",
+		"How many jobs are there per city?",
+		"I am looking for a data scientist position in SF bay area.",
+	} {
+		if _, err := sess.Ask(text, 10*time.Second); err != nil {
+			t.Fatalf("%q: %v", text, err)
+		}
+	}
+	if _, err := sess.Click(map[string]any{"action": "select_job", "job_id": 5}, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	awaitPlanResults(t, sess, 3) // the summarize, the rank and the click
+	live, liveMsgs := trace.Flow(sys.Store, sess.ID), sessionStreams(t, sys.Store, sess.ID)
+	sys.SimulateCrash()
+
+	sys2 := newDurableSystem(t, dir)
+	defer sys2.Close()
+	byTS := map[int64]trace.Step{}
+	for _, s := range trace.Flow(sys2.Store, sess.ID) {
+		byTS[s.TS] = s
+	}
+	both, differ := 0, 0
+	for _, s := range live {
+		r, ok := byTS[s.TS]
+		if !ok {
+			continue
+		}
+		both++
+		if r.Payload != s.Payload {
+			differ++
+			t.Errorf("step %d (%s %s %s) renders recovered as\n%s\nlive as\n%s", s.TS, s.Sender, s.Op, s.Stream, r.Payload, s.Payload)
+		}
+	}
+	t.Logf("%d flow steps live, %d of them recovered, %d differ", len(live), both, differ)
+	if both != len(live) {
+		t.Errorf("%d of %d live flow steps recovered", both, len(live))
+	}
+	recovered := sessionStreams(t, sys2.Store, sess.ID)
+	for stream, want := range liveMsgs {
+		got := recovered[stream]
+		if len(got) < len(want) {
+			t.Errorf("%s: %d messages recovered, %d live", stream, len(got), len(want))
+			continue
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%s message %d recovered as\n%#v\nlive\n%#v", stream, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -139,16 +139,12 @@ func ReadsPlan(msg *streams.Message) bool {
 	return planFilter.Matches(msg) && mayBePlan(msg.Payload)
 }
 
-// mayBePlan reports whether a plan-tagged payload can be a plan: the typed
-// value a live producer publishes, or the generic map a recovered or external
-// payload is. Anything else planner.FromJSON would only marshal, fail to
-// unmarshal and drop, on a pooled worker and a slot of its own.
+// mayBePlan reports whether a plan-tagged payload is a plan: the *planner.Plan
+// a producer publishes, live or recovered from a log. Anything else would
+// take a pooled worker and a slot of its own only to be dropped.
 func mayBePlan(payload any) bool {
-	switch payload.(type) {
-	case *planner.Plan, planner.Plan, map[string]any:
-		return true
-	}
-	return false
+	p, ok := payload.(*planner.Plan)
+	return ok && p != nil
 }
 
 // spawn hands the plan payload of a message in scope, for ask, to a worker of
@@ -175,11 +171,11 @@ func (s *Service) spawn(scope string, payload any, ask uint64) {
 			return
 		default:
 		}
-		if p, err := planner.FromJSON(payload); err == nil {
-			_, _ = s.c.execute(session, ask, p, budget.New(s.limits), func(res *Result, err error) {
-				s.finish(session, st, res, err)
-			})
-		}
+		// The payload stays in the stream's history: the plan run is a copy.
+		p := payload.(*planner.Plan).Clone()
+		_, _ = s.c.execute(session, ask, p, budget.New(s.limits), func(res *Result, err error) {
+			s.finish(session, st, res, err)
+		})
 	})
 }
 

@@ -61,7 +61,7 @@ func awaitShown(t testing.TB, shown *streams.Subscription, n int) []streams.Mess
 // beside its plan arrives tagged PlanTag too. Such strays run nothing, show
 // nothing, abort nothing and do not keep Stop waiting — and one that cannot
 // be a plan is dropped by the watch loop itself, on the payload alone,
-// before a goroutine or a JSON round trip is spent on it.
+// before a goroutine is spent on it.
 func TestServiceDropsPlanTaggedStrays(t *testing.T) {
 	e := newEnv(t)
 	c := New(e.store, e.reg, e.tp, e.model, Options{})
@@ -108,12 +108,12 @@ func TestServiceDropsPlanTaggedStrays(t *testing.T) {
 		}
 	}
 
-	for _, p := range []any{onePlan("p"), *onePlan("v"), map[string]any{"id": "m"}} {
-		if !mayBePlan(p) {
-			t.Errorf("mayBePlan(%T) = false", p)
-		}
+	if !mayBePlan(onePlan("p")) {
+		t.Error("mayBePlan(*planner.Plan) = false")
 	}
-	for _, stray := range strays[:3] {
+	// A plan is the *planner.Plan itself, live or recovered from a log: a
+	// plan value, a nil plan or a map is turned away.
+	for _, stray := range append(strays, *onePlan("v"), (*planner.Plan)(nil), map[string]any{"id": "m"}) {
 		if mayBePlan(stray) {
 			t.Errorf("mayBePlan(%T) = true", stray)
 		}

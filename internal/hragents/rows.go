@@ -2,10 +2,11 @@ package hragents
 
 import (
 	"encoding/json"
+	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
+	"blueprint/internal/durability"
 	"blueprint/internal/nlq"
 	"blueprint/internal/relational"
 )
@@ -14,14 +15,57 @@ import (
 // engine's own row format — the column names once, the rows as the engine
 // returned them (each as wide as Columns, and read-only: a `SELECT *` shares
 // them with the table) and the SQL text. It crosses the stream hop as this
-// value; what needs bytes (the write-ahead log, a memo key, a stream view)
-// gets, through MarshalJSON, the object
-// {"columns":[…],"rows":[{column: value}…],"sql":"…"} — which is also the
-// form a consumer meets after a recovery (a generic map).
+// value, and the write-ahead log keeps it as this value: it is registered
+// with durability's value codec, its cells written by the relational
+// engine's own cell codec, so a recovered ROWS payload is a *QueryRows too.
+// What needs JSON (a memo key, PayloadString, a stream view) gets, through
+// MarshalJSON, the object {"columns":[…],"rows":[{column: value}…],"sql":"…"}.
 type QueryRows struct {
 	Columns []string
 	Rows    []relational.Row
 	SQL     string
+}
+
+func init() { durability.RegisterValue(durability.TagQueryRows, appendQueryRows, decodeQueryRows) }
+
+// appendQueryRows writes q as the durability value codec logs it: the SQL,
+// the columns, then the rows, each as len(Columns) cells; a nil slice and
+// an empty one each recover as themselves.
+func appendQueryRows(b []byte, q *QueryRows) ([]byte, error) {
+	b = durability.AppendString(b, q.SQL)
+	b = durability.AppendStrings(b, q.Columns)
+	b = durability.AppendOptCount(b, len(q.Rows), q.Rows == nil)
+	for _, row := range q.Rows {
+		if len(row) != len(q.Columns) {
+			return b, fmt.Errorf("hragents: a row of %d cells under %d columns", len(row), len(q.Columns))
+		}
+		for _, v := range row {
+			b = relational.AppendCell(b, v)
+		}
+	}
+	return b, nil
+}
+
+// decodeQueryRows reads what appendQueryRows wrote. Every cell takes a byte,
+// so rows claiming more cells than bytes remain latch d's error.
+func decodeQueryRows(d *durability.Dec) *QueryRows {
+	q := &QueryRows{SQL: d.String(), Columns: d.Strings()}
+	n, w := d.OptCount(), len(q.Columns)
+	if n > 0 && w > 0 && n > d.Len()/w {
+		d.Failf("hragents: %d rows of %d cells in %d bytes", n, w, d.Len())
+		return q
+	}
+	if n >= 0 {
+		q.Rows = make([]relational.Row, n)
+	}
+	cells := make([]relational.Value, max(n, 0)*w)
+	for i := range q.Rows {
+		q.Rows[i] = cells[i*w : (i+1)*w : (i+1)*w]
+		for j := range q.Rows[i] {
+			q.Rows[i][j] = relational.DecodeCell(d)
+		}
+	}
+	return q
 }
 
 // cellOrder lists the cell positions of a row in the order a column->value
@@ -40,102 +84,37 @@ func (q *QueryRows) cellOrder() []int {
 	return order
 }
 
-// MarshalJSON renders the bytes encoding/json produces for
-// {"columns": Columns, "rows": (*relational.Result).Maps(), "sql": SQL}.
+// MarshalJSON renders {"columns": Columns, "rows": (*relational.Result).Maps(),
+// "sql": SQL}.
 func (q QueryRows) MarshalJSON() ([]byte, error) {
-	cols, err := json.Marshal(q.Columns)
-	if err != nil {
-		return nil, err
-	}
-	order := q.cellOrder()
-	keys := make([][]byte, len(order))
-	for i, j := range order {
-		k, err := json.Marshal(q.Columns[j])
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = append(k, ':')
-	}
-	b := make([]byte, 0, 64+len(cols)+len(q.SQL)+len(q.Rows)*len(cols)*2)
-	b = append(b, `{"columns":`...)
-	b = append(b, cols...)
-	b = append(b, `,"rows":[`...)
-	for ri, row := range q.Rows {
-		if ri > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, '{')
-		for i, j := range order {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, keys[i]...)
-			if b, err = appendCellJSON(b, row[j]); err != nil {
-				return nil, err
-			}
-		}
-		b = append(b, '}')
-	}
-	b = append(b, `],"sql":`...)
-	sql, err := json.Marshal(q.SQL)
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, sql...)
-	return append(b, '}'), nil
-}
-
-// appendCellJSON appends v as encoding/json renders v.Go().
-func appendCellJSON(b []byte, v relational.Value) ([]byte, error) {
-	switch v.T {
-	case relational.TInt:
-		return strconv.AppendInt(b, v.I, 10), nil
-	case relational.TBool:
-		return strconv.AppendBool(b, v.B), nil
-	case relational.TString, relational.TFloat:
-		// Escaping and float formatting are encoding/json's own.
-		enc, err := json.Marshal(v.Go())
-		return append(b, enc...), err
-	default:
-		return append(b, "null"...), nil
-	}
+	return json.Marshal(map[string]any{
+		"columns": q.Columns, "rows": (&relational.Result{Columns: q.Columns, Rows: q.Rows}).Maps(), "sql": q.SQL,
+	})
 }
 
 // summaryRows is how many result rows the query summarizer quotes.
 const summaryRows = 5
 
-// describeRows reads what the query summarizer says about a ROWS payload:
-// the row count and the first summaryRows rows, each rendered as
-// nlq.FormatRow renders its column->value map. The live payload is the
-// executor's *QueryRows; one that has been through a log, or came from an
-// external producer, is the generic object.
+// describeRows reads what the query summarizer says about a ROWS payload,
+// the executor's *QueryRows: the row count and the first summaryRows rows,
+// each rendered as nlq.FormatRow renders its column->value map.
 func describeRows(payload any) (n int, shown []string) {
-	switch p := payload.(type) {
-	case *QueryRows:
-		order := p.cellOrder()
-		for _, row := range p.Rows[:min(len(p.Rows), summaryRows)] {
-			var b strings.Builder
-			for i, j := range order {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				b.WriteString(p.Columns[j])
-				b.WriteString(": ")
-				b.WriteString(nlq.FormatValue(row[j].Go()))
-			}
-			shown = append(shown, b.String())
-		}
-		return len(p.Rows), shown
-	case map[string]any:
-		rows, _ := p["rows"].([]any)
-		for _, r := range rows[:min(len(rows), summaryRows)] {
-			if m, ok := r.(map[string]any); ok {
-				shown = append(shown, nlq.FormatRow(m))
-			} else {
-				shown = append(shown, nlq.FormatValue(r))
-			}
-		}
-		return len(rows), shown
+	p, ok := payload.(*QueryRows)
+	if !ok {
+		return 0, nil
 	}
-	return 0, nil
+	order := p.cellOrder()
+	for _, row := range p.Rows[:min(len(p.Rows), summaryRows)] {
+		var b strings.Builder
+		for i, j := range order {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(p.Columns[j])
+			b.WriteString(": ")
+			b.WriteString(nlq.FormatValue(row[j].Go()))
+		}
+		shown = append(shown, b.String())
+	}
+	return len(p.Rows), shown
 }

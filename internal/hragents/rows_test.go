@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"blueprint/internal/agent"
+	"blueprint/internal/durability"
 	"blueprint/internal/relational"
 )
 
@@ -63,9 +64,9 @@ func executeSQL(t testing.TB, s *Suite, sql string) (typed any, mapForm map[stri
 	return out.Values["ROWS"], map[string]any{"columns": res.Columns, "rows": res.Maps(), "sql": sql}
 }
 
-// The typed ROWS payload encodes to exactly the bytes of its generic-object
-// form, which is what the write-ahead log, PayloadString, memo keys and the
-// HTTP stream views are specified to see.
+// The typed ROWS payload JSON-encodes to exactly the bytes of its
+// generic-object form, which is what PayloadString, memo keys and the HTTP
+// stream views are specified to see.
 func TestQueryRowsEncodesAsTheMapForm(t *testing.T) {
 	a := newApp(t, 1.0)
 	a.suite.Ent.DB = rowsDB(t)
@@ -94,10 +95,11 @@ func TestQueryRowsEncodesAsTheMapForm(t *testing.T) {
 	}
 }
 
-// The query summarizer says the same about a result whether it receives it
-// typed (live) or as the generic object a log or an external producer hands
-// it.
-func TestQuerySummaryEqualAcrossJSONRoundTrip(t *testing.T) {
+// A ROWS payload logged by durability's value codec recovers as the
+// *QueryRows that was logged, cell for cell, and the query summarizer says
+// the same about it. A row not as wide as its columns is refused, not logged
+// out of step.
+func TestQueryRowsRecoverTyped(t *testing.T) {
 	a := newApp(t, 1.0)
 	a.suite.Ent.DB = rowsDB(t)
 	summarize := func(rows any) string {
@@ -110,28 +112,28 @@ func TestQuerySummaryEqualAcrossJSONRoundTrip(t *testing.T) {
 	}
 	for _, sql := range rowsStatements {
 		typed, _ := executeSQL(t, a.suite, sql)
-		raw, err := json.Marshal(typed)
+		b, err := durability.AppendValue(nil, typed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var decoded any
-		if err := json.Unmarshal(raw, &decoded); err != nil {
-			t.Fatal(err)
+		d := durability.NewDec(b)
+		back := d.Value()
+		if d.Err() != nil || d.Len() != 0 || !reflect.DeepEqual(back, typed) {
+			t.Fatalf("%s: logged as %q, recovered as %#v (%v, %d bytes left), want %#v", sql, b, back, d.Err(), d.Len(), typed)
 		}
-		n, shown := describeRows(typed)
-		dn, dshown := describeRows(decoded)
-		if n != dn || !reflect.DeepEqual(shown, dshown) {
-			t.Fatalf("%s: typed payload reads as %d rows %q, decoded as %d rows %q", sql, n, shown, dn, dshown)
-		}
-		if n != len(typed.(*QueryRows).Rows) || len(shown) != min(n, summaryRows) {
-			t.Fatalf("%s: %d rows described as %d, %d shown", sql, len(typed.(*QueryRows).Rows), n, len(shown))
-		}
-		if got, want := summarize(typed), summarize(decoded); got != want {
-			t.Fatalf("%s: summary of the typed payload\n%s\nof the decoded one\n%s", sql, got, want)
+		if got, want := summarize(back), summarize(typed); got != want {
+			t.Fatalf("%s: summary of the recovered payload\n%s\nof the live one\n%s", sql, got, want)
 		}
 	}
-	if got, want := summarize(nil), summarize(map[string]any{"rows": []any{}}); got != want {
-		t.Fatalf("no payload summarizes as %q, an empty one as %q", got, want)
+	for _, q := range []*QueryRows{{}, {Columns: []string{}, Rows: []relational.Row{}}} {
+		b, _ := durability.AppendValue(nil, q)
+		if back := durability.NewDec(b).Value(); !reflect.DeepEqual(back, q) {
+			t.Fatalf("%#v recovered as %#v", q, back)
+		}
+	}
+	ragged := &QueryRows{Columns: []string{"id", "name"}, Rows: []relational.Row{{relational.NewInt(1)}}}
+	if _, err := durability.AppendValue(nil, ragged); err == nil {
+		t.Fatal("a row of 1 cell under 2 columns was logged")
 	}
 }
 

@@ -2,11 +2,15 @@ package memo
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"blueprint/internal/clock"
+	"blueprint/internal/hragents"
+	"blueprint/internal/planner"
+	"blueprint/internal/relational"
 )
 
 // collectSink is a fake WAL: appended records replay into a fresh store.
@@ -140,5 +144,80 @@ func TestDurableExpiredEntriesDroppedAtRestore(t *testing.T) {
 	}
 	if s2.Stats().Restored != 0 {
 		t.Fatalf("Restored = %d, want 0", s2.Stats().Restored)
+	}
+}
+
+// typedOutputs are step outputs of the types the value codec keeps: a
+// statement result, a plan with an int literal binding, and a string.
+func typedOutputs() map[string]any {
+	return map[string]any{
+		"ROWS": &hragents.QueryRows{
+			Columns: []string{"id", "city", "salary"},
+			Rows: []relational.Row{
+				{relational.NewInt(7), relational.NewString("San Jose"), relational.NewFloat(120500.5)},
+				{relational.NewInt(8), relational.Null, relational.NewFloat(99000)},
+			},
+			SQL: "SELECT id, city, salary FROM jobs WHERE id IN (7, 8)",
+		},
+		"PLAN": &planner.Plan{
+			ID: "ae-summarize-7", Utterance: "Summarize the applicants for job 7", Intent: "summarize",
+			Steps: []planner.Step{{ID: "s1", Agent: "SUMMARIZER", Task: "summarize", Score: 0.5,
+				Bindings: map[string]planner.Binding{"JOB_ID": {Value: 7}}}},
+			Explanation: []string{"intent: summarize"},
+		},
+		"SUMMARY": "2 jobs, one in San Jose",
+	}
+}
+
+// Outputs of registered and scalar types restore as the values that were
+// put, reflect.DeepEqual, from log replay and from a snapshot: the rows as
+// rows, the plan as a plan whose JOB_ID is still an int.
+func TestDurableOutputsKeepTheirTypes(t *testing.T) {
+	sink := &collectSink{}
+	s := New(16)
+	s.SetDurable(DurableConfig{Append: sink.append})
+	key, err := ComputeKey("SUMMARIZER", 1, map[string]any{"JOB_ID": 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Entry{Outputs: typedOutputs(), Cost: 0.02, Latency: 3 * time.Millisecond}
+	s.Put(key, "SUMMARIZER", []string{"jobs"}, 0, want)
+
+	replayed := New(16)
+	for _, rec := range sink.recs {
+		if err := replayed.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := s.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored := New(16)
+	if err := restored.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for name, store := range map[string]*Store{"replay": replayed, "restore": restored} {
+		got, ok := store.Get(key)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the entry came back as\n%#v (found %v)\nwant\n%#v", name, got, ok, want)
+		}
+	}
+}
+
+// A memo record written as JSON, as the log held them before its records
+// were binary, is refused with an error that names memo, by Apply and by
+// Restore; nothing is restored and nothing panics.
+func TestJSONMemoRecordIsRefused(t *testing.T) {
+	old := []byte(`{"op":"put","key":"k","agent":"fetch","outputs":{"OUT":"rows"}}`)
+	s := New(16)
+	if err := s.Apply(old); err == nil || !strings.HasPrefix(err.Error(), "memo: ") {
+		t.Fatalf("Apply of a JSON record: err = %v, want a memo error", err)
+	}
+	if err := s.Restore(bytes.NewReader(append(old, '\n'))); err == nil || !strings.HasPrefix(err.Error(), "memo: ") {
+		t.Fatalf("Restore of a JSON snapshot: err = %v, want a memo error", err)
+	}
+	if s.Len() != 0 || s.Stats().Restored != 0 {
+		t.Fatalf("a refused record restored %d entries", s.Len())
 	}
 }

@@ -200,8 +200,10 @@ type Store struct {
 
 	// dur is the optional durability wiring (durable.go): cacheable
 	// results and invalidations are logged to the shared WAL and restored
-	// on reopen, version-checked against the restored registries.
+	// on reopen, version-checked against the restored registries. rec is
+	// the buffer each record is built in; the sink copies what it keeps.
 	dur DurableConfig
+	rec []byte
 }
 
 // New creates a store bounded to capacity entries (DefaultCapacity when
@@ -412,7 +414,7 @@ func (s *Store) InvalidateAgent(agent string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.invalidateAgentLocked(agent)
-	s.logInvalidateLocked(opInvalidateAgent, agent)
+	s.logInvalidateLocked(recInvalidateAgent, agent)
 	return n
 }
 
@@ -438,7 +440,7 @@ func (s *Store) InvalidateSource(source string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := s.invalidateSourceLocked(source)
-	s.logInvalidateLocked(opInvalidateSource, source)
+	s.logInvalidateLocked(recInvalidateSource, source)
 	return n
 }
 

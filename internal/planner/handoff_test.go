@@ -1,15 +1,16 @@
 package planner
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
+	"blueprint/internal/durability"
 	"blueprint/internal/memo"
 )
 
 // handoffPlan has every kind of binding, with literals of the types agents
-// bind (an int job id, a string, a nested object).
+// bind (an int job id, a string, a nested object), and a step with no
+// binding map.
 func handoffPlan() *Plan {
 	return &Plan{
 		ID: "ae-summarize-7", Utterance: "summarize job 7", Intent: "summarize",
@@ -40,104 +41,92 @@ func literals(s Step) map[string]any {
 	return in
 }
 
-// A plan handed over typed is the plan its JSON form decodes to, field for
-// field — only numbers differ in type (7 stays an int typed, comes back a
-// float64 decoded) — and a step's memo key is the same on both roads, so
-// what one run memoized the other still hits, also across a restart.
-func TestFromJSONTypedEqualsDecoded(t *testing.T) {
-	p := handoffPlan()
-	decoded, err := FromJSON(p.ToJSON())
+// logged is what the durability value codec recovers of a value: what a
+// stream or memo log gives back after a restart.
+func logged(t testing.TB, v any) any {
+	t.Helper()
+	b, err := durability.AppendValue(nil, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, payload := range map[string]any{"*Plan": p, "Plan": *p} {
-		typed, err := FromJSON(payload)
+	d := durability.NewDec(b)
+	out := d.Value()
+	if d.Err() != nil || d.Len() != 0 {
+		t.Fatalf("%T decoded with %v and %d bytes left", v, d.Err(), d.Len())
+	}
+	return out
+}
+
+// A logged plan recovers as the *Plan that was logged, field for field: an
+// int literal stays an int, a nil binding map stays nil, and only a literal
+// that is a generic map comes back with JSON's types. So a step's memo key
+// is the same before and after a restart.
+func TestPlanRecoversTyped(t *testing.T) {
+	p := handoffPlan()
+	got, ok := logged(t, p).(*Plan)
+	if !ok {
+		t.Fatalf("a logged plan recovers as a %T", logged(t, p))
+	}
+	want := handoffPlan()
+	want.Steps[0].Bindings["OPTS"] = Binding{Value: map[string]any{"limit": 3.0, "fields": []any{"name", "status"}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the plan recovered as\n%#v\nwant\n%#v", got, want)
+	}
+	for i, s := range p.Steps {
+		tk, err := memo.ComputeKey(s.Agent, 1, literals(s))
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(typed, p) {
-			t.Fatalf("%s: FromJSON changed the plan:\n%+v\n%+v", name, typed, p)
-		}
-		if typed.ID != decoded.ID || typed.Utterance != decoded.Utterance || typed.Intent != decoded.Intent ||
-			!reflect.DeepEqual(typed.Explanation, decoded.Explanation) || len(typed.Steps) != len(decoded.Steps) {
-			t.Fatalf("%s: header differs: %+v vs %+v", name, typed, decoded)
-		}
-		for i, ts := range typed.Steps {
-			ds := decoded.Steps[i]
-			if ts.ID != ds.ID || ts.Agent != ds.Agent || ts.Task != ds.Task || ts.Score != ds.Score || len(ts.Bindings) != len(ds.Bindings) {
-				t.Fatalf("%s: step %d differs: %+v vs %+v", name, i, ts, ds)
-			}
-			for param, tb := range ts.Bindings {
-				db := ds.Bindings[param]
-				tv, dv := tb.Value, db.Value
-				tb.Value, db.Value = nil, nil
-				if tb != db {
-					t.Fatalf("%s: binding %s.%s differs: %+v vs %+v", name, ts.ID, param, tb, db)
-				}
-				// A literal is the same value up to its JSON form.
-				if fmt.Sprint(tv) != fmt.Sprint(dv) {
-					t.Fatalf("%s: literal %s.%s differs: %v vs %v", name, ts.ID, param, tv, dv)
-				}
-			}
-			tk, err := memo.ComputeKey(ts.Agent, 1, literals(ts))
-			if err != nil {
-				t.Fatal(err)
-			}
-			dk, err := memo.ComputeKey(ds.Agent, 1, literals(ds))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tk != dk {
-				t.Fatalf("%s: step %s has memo key %s typed and %s decoded", name, ts.ID, tk, dk)
-			}
+		if rk, _ := memo.ComputeKey(s.Agent, 1, literals(got.Steps[i])); rk != tk {
+			t.Fatalf("step %s has memo key %s live and %s recovered", s.ID, tk, rk)
 		}
 	}
-	if v := decoded.Steps[0].Bindings["JOB_ID"].Value; v != float64(7) {
-		t.Fatalf("decoded JOB_ID = %#v, want float64(7): the decode road is not being taken", v)
+	planned, err := New(hrRegistry(t), perfectModel(), nil).Plan("I am looking for a data scientist position.")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := FromJSON((*Plan)(nil)); err == nil {
-		t.Fatal("FromJSON accepted a nil *Plan")
+	if back := logged(t, planned); !reflect.DeepEqual(back, planned) {
+		t.Fatalf("a planned plan recovered as\n%#v\nwant\n%#v", back, planned)
+	}
+	if _, err := durability.AppendValue(nil, (*Plan)(nil)); err == nil {
+		t.Fatal("a nil *Plan was logged")
 	}
 }
 
-// What FromJSON returns shares no mutable state with the payload: the
-// payload stays in the stream's history, and a reader may rewrite the plan it
-// decoded (optimizer.AssignAgents reassigns steps in place).
-func TestFromJSONCopies(t *testing.T) {
+// A plan's Clone shares no mutable state with it: the payload stays in the
+// stream's history, and the coordinator may rewrite the copy it runs
+// (optimizer.AssignAgents reassigns steps in place).
+func TestCloneCopies(t *testing.T) {
 	p := handoffPlan()
-	got, err := FromJSON(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := p.Clone()
 	got.Steps[0].Agent = "OTHER"
 	got.Steps[0].Bindings["JOB_ID"] = Binding{Value: 8}
 	got.Steps = append(got.Steps, Step{ID: "s4", Agent: "X"})
 	got.Explanation[0] = "rewritten"
 	if !reflect.DeepEqual(p, handoffPlan()) {
-		t.Fatalf("writing to FromJSON's plan changed the payload: %+v", p)
+		t.Fatalf("writing to the clone changed the payload: %+v", p)
 	}
 }
 
-var sinkPlan *Plan
+var sinkPlan any
 
-// BenchmarkPlanHandoff is one plan crossing one in-process stream hop, the
-// consumer's side of it: typed (a copy) against what it replaced, the JSON
-// object form (struct -> bytes -> map at the producer, map -> bytes -> struct
-// here), which a recovered log still takes.
+// BenchmarkPlanHandoff is one plan crossing one stream hop, the consumer's
+// side of it: in process (the coordinator's copy) and through a log (encoded,
+// then decoded as recovery decodes it).
 func BenchmarkPlanHandoff(b *testing.B) {
 	p := handoffPlan()
 	b.Run("typed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			var payload any = p
-			sinkPlan, _ = FromJSON(payload)
+			sinkPlan = p.Clone()
 		}
 	})
-	b.Run("json", func(b *testing.B) {
+	b.Run("log", func(b *testing.B) {
 		b.ReportAllocs()
+		var buf []byte
 		for i := 0; i < b.N; i++ {
-			var payload any = p.ToJSON()
-			sinkPlan, _ = FromJSON(payload)
+			buf, _ = durability.AppendValue(buf[:0], p)
+			sinkPlan = durability.NewDec(buf).Value()
 		}
 	})
 }

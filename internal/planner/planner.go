@@ -10,13 +10,13 @@
 package planner
 
 import (
-	"encoding/json"
 	"fmt"
 	"maps"
 	"slices"
 	"strings"
 	"sync/atomic"
 
+	"blueprint/internal/durability"
 	"blueprint/internal/llm"
 	"blueprint/internal/nlq"
 	"blueprint/internal/registry"
@@ -122,39 +122,65 @@ func (p *Plan) Clone() *Plan {
 	return &cp
 }
 
-// ToJSON renders the plan as the generic JSON object it becomes in a
-// write-ahead log: what a recovered stream or an external producer hands
-// FromJSON.
-func (p *Plan) ToJSON() map[string]any {
-	raw, _ := json.Marshal(p)
-	var m map[string]any
-	_ = json.Unmarshal(raw, &m)
-	return m
+func init() { durability.RegisterValue(durability.TagPlan, appendPlan, decodePlan) }
+
+// appendPlan writes a plan as the durability value codec logs it: its
+// header, its steps, each step's bindings in name order with a literal as a
+// value of the codec, and its explanation; a nil slice or map and an empty
+// one each recover as themselves.
+func appendPlan(b []byte, p *Plan) ([]byte, error) {
+	if p == nil {
+		return b, fmt.Errorf("planner: nil plan")
+	}
+	b = durability.AppendString(b, p.ID)
+	b = durability.AppendString(b, p.Utterance)
+	b = durability.AppendString(b, p.Intent)
+	b = durability.AppendOptCount(b, len(p.Steps), p.Steps == nil)
+	var err error
+	for _, s := range p.Steps {
+		b = durability.AppendString(b, s.ID)
+		b = durability.AppendString(b, s.Agent)
+		b = durability.AppendString(b, s.Task)
+		b = durability.AppendFloat(b, s.Score)
+		b = durability.AppendOptCount(b, len(s.Bindings), s.Bindings == nil)
+		for _, param := range slices.Sorted(maps.Keys(s.Bindings)) {
+			bind := s.Bindings[param]
+			b = durability.AppendString(b, param)
+			b = durability.AppendString(b, bind.FromStep)
+			b = durability.AppendString(b, bind.FromParam)
+			b = durability.AppendBool(b, bind.FromUserText)
+			b = durability.AppendString(b, bind.Transform)
+			if b, err = durability.AppendValue(b, bind.Value); err != nil {
+				return b, fmt.Errorf("planner: step %s binding %s: %w", s.ID, param, err)
+			}
+		}
+	}
+	return durability.AppendStrings(b, p.Explanation), nil
 }
 
-// FromJSON reads a plan from a stream payload. Within a process a plan
-// travels typed — the payload is the *Plan its producer published, which is
-// shared with the stream's history and so copied, never handed on — and only
-// a payload that has been through a log (a map) is decoded.
-func FromJSON(v any) (*Plan, error) {
-	switch p := v.(type) {
-	case *Plan:
-		if p == nil {
-			return nil, fmt.Errorf("planner: nil plan")
+// decodePlan reads what appendPlan wrote.
+func decodePlan(d *durability.Dec) *Plan {
+	p := &Plan{ID: d.String(), Utterance: d.String(), Intent: d.String()}
+	if n := d.OptCount(); n >= 0 {
+		p.Steps = make([]Step, n)
+	}
+	for i := range p.Steps {
+		s := &p.Steps[i]
+		s.ID, s.Agent, s.Task, s.Score = d.String(), d.String(), d.String(), d.Float()
+		n := d.OptCount()
+		if n >= 0 {
+			s.Bindings = make(map[string]Binding, n)
 		}
-		return p.Clone(), nil
-	case Plan:
-		return p.Clone(), nil
+		for range max(n, 0) {
+			param := d.String()
+			s.Bindings[param] = Binding{
+				FromStep: d.String(), FromParam: d.String(), FromUserText: d.Bool(),
+				Transform: d.String(), Value: d.Value(),
+			}
+		}
 	}
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	var p Plan
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return nil, err
-	}
-	return &p, nil
+	p.Explanation = d.Strings()
+	return p
 }
 
 // SubTask is one templated sub-task within an intent.

@@ -197,25 +197,6 @@ func TestReplanPicksAlternative(t *testing.T) {
 	}
 }
 
-func TestPlanJSONRoundTrip(t *testing.T) {
-	tp := New(hrRegistry(t), perfectModel(), nil)
-	plan, err := tp.Plan("I am looking for a data scientist position.")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := plan.ToJSON()
-	back, err := FromJSON(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ID != plan.ID || len(back.Steps) != len(plan.Steps) {
-		t.Fatalf("roundtrip = %+v", back)
-	}
-	if back.Steps[1].Bindings["JOBSEEKER_DATA"].FromStep != "s1" {
-		t.Fatalf("bindings lost: %+v", back.Steps[1].Bindings)
-	}
-}
-
 func TestPlanStringRendering(t *testing.T) {
 	tp := New(hrRegistry(t), perfectModel(), nil)
 	plan, _ := tp.Plan("I am looking for a data scientist position.")
@@ -249,9 +230,9 @@ func TestPlannerAsAgent(t *testing.T) {
 	}
 	select {
 	case msg := <-out.C():
-		p, err := FromJSON(msg.Payload)
-		if err != nil {
-			t.Fatal(err)
+		p, ok := msg.Payload.(*Plan)
+		if !ok {
+			t.Fatalf("the plan is published as a %T", msg.Payload)
 		}
 		if len(p.Steps) != 3 || p.Steps[0].Agent != "PROFILER" {
 			t.Fatalf("plan = %+v", p)

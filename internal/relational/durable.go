@@ -86,7 +86,7 @@ func appendWALRecord(buf []byte, sql string, params []Value) []byte {
 	buf = durability.AppendString(buf, sql)
 	buf = durability.AppendUvarint(buf, uint64(len(params)))
 	for _, v := range params {
-		buf = appendValue(buf, v)
+		buf = AppendCell(buf, v)
 	}
 	return buf
 }
@@ -100,7 +100,7 @@ func decodeWALRecord(rec []byte) (string, []Value, error) {
 	n := d.Count()
 	params := make([]Value, 0, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		params = append(params, decodeValue(d))
+		params = append(params, DecodeCell(d))
 	}
 	if err := d.Err(); err != nil {
 		return "", nil, err
@@ -108,8 +108,10 @@ func decodeWALRecord(rec []byte) (string, []Value, error) {
 	return sql, params, nil
 }
 
-// appendValue encodes one typed cell.
-func appendValue(b []byte, v Value) []byte {
+// AppendCell encodes one typed cell: its type byte, then the value. It is
+// the relational engine's cell codec, under its log records and snapshots
+// and under every logged value that holds rows.
+func AppendCell(b []byte, v Value) []byte {
 	b = append(b, byte(v.T))
 	switch v.T {
 	case TInt:
@@ -119,17 +121,17 @@ func appendValue(b []byte, v Value) []byte {
 	case TString:
 		b = durability.AppendString(b, v.S)
 	case TBool:
-		if v.B {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b = durability.AppendBool(b, v.B)
 	}
 	return b
 }
 
-func decodeValue(d *durability.Dec) Value {
-	switch Type(d.Byte()) {
+// DecodeCell decodes a cell AppendCell wrote. A type byte no cell has
+// latches d's error, so the rest of the record is not read out of step.
+func DecodeCell(d *durability.Dec) Value {
+	switch t := Type(d.Byte()); t {
+	case TNull:
+		return Null
 	case TInt:
 		return NewInt(d.Varint())
 	case TFloat:
@@ -137,8 +139,9 @@ func decodeValue(d *durability.Dec) Value {
 	case TString:
 		return NewString(d.String())
 	case TBool:
-		return NewBool(d.Byte() != 0)
+		return NewBool(d.Bool())
 	default:
+		d.Failf("relational: unknown cell type %#x", int(t))
 		return Null
 	}
 }
@@ -212,7 +215,7 @@ func (db *DB) Snapshot(w io.Writer) error {
 				continue
 			}
 			for _, v := range row {
-				b = appendValue(b, v)
+				b = AppendCell(b, v)
 			}
 		}
 		t.mu.RUnlock()
@@ -272,7 +275,7 @@ func (db *DB) Restore(r io.Reader) error {
 		for ri := 0; ri < nrows && d.Err() == nil; ri++ {
 			row := make(Row, len(schema.Columns))
 			for ci := range row {
-				row[ci] = decodeValue(d)
+				row[ci] = DecodeCell(d)
 			}
 			t.rows = append(t.rows, row)
 			t.live = append(t.live, true)

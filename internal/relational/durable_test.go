@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -296,4 +297,45 @@ func BenchmarkDurableWrite(b *testing.B) {
 		}
 		run(b, db)
 	})
+}
+
+// A cell whose type byte no cell has is an error, not a NULL: read as NULL,
+// the bytes after it would be decoded out of step. A log record and a
+// snapshot holding one are refused, and DecodeCell latches the error on the
+// decoder it was handed.
+func TestUnknownCellTypeIsRefused(t *testing.T) {
+	rec := appendWALRecord(nil, `INSERT INTO jobs (id, city) VALUES (?, ?)`, []Value{NewInt(7), NewString("Oakland")})
+	bad := append([]byte(nil), rec...)
+	bad[len(bad)-len(AppendCell(AppendCell(nil, NewInt(7)), NewString("Oakland")))] = 9 // the first cell's type
+	if _, _, err := decodeWALRecord(bad); err == nil {
+		t.Fatal("a record with a cell of type 9 decoded")
+	}
+	db := NewDB()
+	if _, err := db.Exec(`CREATE TABLE jobs (id INT, city TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Apply(bad); err == nil {
+		t.Fatal("a record with a cell of type 9 was applied")
+	}
+	if _, err := db.Exec(`INSERT INTO jobs VALUES (1, 'Oakland')`); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := db.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	cells := AppendCell(AppendCell(nil, NewInt(1)), NewString("Oakland"))
+	image := snap.Bytes()
+	at := bytes.LastIndex(image, cells)
+	if at < 0 {
+		t.Fatal("the snapshot does not end its rows with the row's cells")
+	}
+	image[at] = 0x7f
+	if err := NewDB().Restore(bytes.NewReader(image)); err == nil {
+		t.Fatal("a snapshot with a cell of type 0x7f was restored")
+	}
+	d := durability.NewDec([]byte{5, 1, 2})
+	if v := DecodeCell(d); v.T != TNull || d.Err() == nil {
+		t.Fatalf("DecodeCell of type 5 = %+v, err %v: want NULL and an error", v, d.Err())
+	}
 }

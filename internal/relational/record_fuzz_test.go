@@ -11,8 +11,9 @@ import (
 // log record to Apply and as a snapshot to Restore, each on a fresh DB.
 // Neither panics: a count that claims more elements than bytes remain is an
 // error, not a make. Seeds are records and a snapshot the encoders wrote,
-// and a record and a snapshot that claim 2^62 elements (also checked in
-// under testdata/fuzz/FuzzRelationalRecord, so plain `go test` replays them).
+// a record and a snapshot that claim 2^62 elements (also checked in under
+// testdata/fuzz/FuzzRelationalRecord, so plain `go test` replays them), and a
+// record holding a cell of a type no cell has.
 func FuzzRelationalRecord(f *testing.F) {
 	db := NewDB()
 	params := [][]Value{nil, {NewInt(7), NewString("Oakland")}, {NewFloat(1.5), NewBool(true), Null}}
@@ -43,8 +44,15 @@ func FuzzRelationalRecord(f *testing.F) {
 	if err := NewDB().Restore(bytes.NewReader(hugeVersions)); err == nil {
 		f.Fatal("a snapshot claiming 2^62 schema versions was restored")
 	}
+	// A parameter whose cell type is 9: refused, not read as NULL.
+	unknownCell := appendWALRecord(nil, `SELECT id FROM jobs WHERE id = ?`, []Value{NewInt(7)})
+	unknownCell[len(unknownCell)-2] = 9
+	if err := NewDB().Apply(unknownCell); err == nil {
+		f.Fatal("a record holding a cell of type 9 was applied")
+	}
 	f.Add(hugeParams)
 	f.Add(hugeVersions)
+	f.Add(unknownCell)
 	f.Add([]byte(nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,11 +2,8 @@ package streams
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,22 +29,23 @@ import (
 // An append record's header (before the bar) is what the store assigns
 // under its lock — the message id is "m"+n — and is written there; its
 // body is what the producer handed in, and is encoded before the lock is
-// taken. A payload is a value: nil, a string — its bytes, so it recovers
-// byte for byte — or anything else as the bytes json.Marshal writes for
-// it, which recovery decodes into an any (map[string]any, []any, float64,
-// ...). A directive is the byte 0 for none, or
+// taken. A payload is written by durability's value codec
+// (durability.AppendValue): nil, a string, an int, int64, float64 or bool,
+// and a registered type (a *planner.Plan, a *hragents.QueryRows) recover
+// as the Go value that was logged, a string byte for byte; anything else
+// goes through encoding/json and recovers with JSON's types
+// (map[string]any, []any, float64, ...). A directive is the byte 0 for
+// none, or
 //
-//	dirTyped Op Agent mask field...
+//	dirTyped Op Agent Invocation Inputs ReplyStream Parent Deadline Outputs Cost Accuracy Latency Error Reason
 //
-// where the mask's bits name the typed fields that are not zero, each then
-// written in the order of the dir* bits: strings and integers as
-// themselves and floats as their bits, so each recovers exactly, and
-// Inputs and Outputs as a count and each key with its value, written as a
-// payload is (a nil map is left out, an empty one is a count of 0). A
-// directive written as Op, Agent and a JSON args map, under the tag 1, is
-// refused by name. A snapshot is the same records, each prefixed by its
-// length; Apply and Restore share one decoder, which refuses a record it
-// cannot read whole.
+// with strings and integers as themselves and floats as their bits, so each
+// recovers exactly, and Inputs and Outputs as durability.AppendValues writes
+// them, a nil map and an empty one apart. A directive under the tag 1 (Op,
+// Agent and a JSON args map) or 2 (the typed fields behind a mask of those
+// not zero), as logs held them before, is refused by name. A snapshot is
+// the same records, each prefixed by its length; Apply and Restore share
+// one decoder, which refuses a record it cannot read whole.
 //
 // Replay is idempotent: append records carry their assigned Seq, so a
 // record whose message is already present (because the snapshot covered
@@ -77,32 +75,9 @@ const (
 	recRelease byte = 4 // written only in a snapshot
 )
 
-// Value tags: how a payload, or one input or output value, is written.
-const (
-	payloadNil byte = iota
-	payloadString
-	payloadJSON
-)
-
-// dirTyped opens a directive: its fields are typed.
-const dirTyped byte = 2
-
-// Directive field bits: the typed fields a directive record holds, in the
-// order they follow its mask.
-const (
-	dirInvocation uint64 = 1 << iota
-	dirInputs
-	dirReplyStream
-	dirParent
-	dirDeadline
-	dirOutputs
-	dirCost
-	dirAccuracy
-	dirLatency
-	dirError
-	dirReason
-	dirAll = dirReason<<1 - 1
-)
+// dirTyped opens a directive: its typed fields follow, each written in the
+// order Directive declares them.
+const dirTyped byte = 3
 
 // scratch is the pair of buffers one record is built in: the producer's
 // part, encoded before the store lock, and the record assembled under it.
@@ -138,7 +113,7 @@ func appendCreateHead(b []byte, info *StreamInfo) []byte {
 	b = append(b, recCreate)
 	b = durability.AppendString(b, info.ID)
 	b = durability.AppendString(b, info.Session)
-	b = appendStrings(b, info.Tags)
+	b = durability.AppendStrings(b, info.Tags)
 	return durability.AppendString(b, info.Creator)
 }
 
@@ -157,30 +132,18 @@ func appendHeader(b []byte, seq, ts, n int64, session string) []byte {
 }
 
 // appendBody encodes an append record's body. It fails only on a payload,
-// input or output value that encoding/json refuses.
+// input or output value the value codec refuses.
 func appendBody(b []byte, m *Message) ([]byte, error) {
 	b = durability.AppendString(b, m.Stream)
 	b = durability.AppendVarint(b, int64(m.Kind))
-	b = appendStrings(b, m.Tags)
+	b = durability.AppendStrings(b, m.Tags)
 	b = durability.AppendString(b, m.Sender)
 	b = durability.AppendString(b, m.Param)
-	b, err := appendValue(b, m.Payload)
+	b, err := durability.AppendValue(b, m.Payload)
 	if err != nil {
 		return b, fmt.Errorf("streams: encode payload: %w", err)
 	}
 	return appendDirective(b, m.Directive)
-}
-
-// appendValue encodes a payload, or one input or output value.
-func appendValue(b []byte, v any) ([]byte, error) {
-	switch v := v.(type) {
-	case nil:
-		return append(b, payloadNil), nil
-	case string:
-		return durability.AppendString(append(b, payloadString), v), nil
-	default:
-		return appendJSON(append(b, payloadJSON), v)
-	}
 }
 
 // appendDirective encodes a message's directive, or its absence.
@@ -190,75 +153,22 @@ func appendDirective(b []byte, d *Directive) ([]byte, error) {
 	}
 	b = durability.AppendString(append(b, dirTyped), d.Op)
 	b = durability.AppendString(b, d.Agent)
-	var mask uint64
-	for bit, set := range [...]bool{ // one entry per dir* bit, in order
-		d.Invocation != "", d.Inputs != nil, d.ReplyStream != "", d.Parent != 0, d.Deadline != 0,
-		d.Outputs != nil, math.Float64bits(d.Cost) != 0, math.Float64bits(d.Accuracy) != 0, d.Latency != 0,
-		d.Error != "", d.Reason != "",
-	} {
-		if set {
-			mask |= 1 << bit
-		}
+	b = durability.AppendString(b, d.Invocation)
+	b, err := durability.AppendValues(b, d.Inputs)
+	if err != nil {
+		return b, fmt.Errorf("streams: encode directive inputs: %w", err)
 	}
-	b = durability.AppendUvarint(b, mask)
-	var err error
-	if mask&dirInvocation != 0 {
-		b = durability.AppendString(b, d.Invocation)
+	b = durability.AppendString(b, d.ReplyStream)
+	b = durability.AppendUvarint(b, d.Parent)
+	b = durability.AppendVarint(b, d.Deadline)
+	if b, err = durability.AppendValues(b, d.Outputs); err != nil {
+		return b, fmt.Errorf("streams: encode directive outputs: %w", err)
 	}
-	if mask&dirInputs != 0 {
-		if b, err = appendValues(b, d.Inputs); err != nil {
-			return b, fmt.Errorf("streams: encode directive inputs: %w", err)
-		}
-	}
-	if mask&dirReplyStream != 0 {
-		b = durability.AppendString(b, d.ReplyStream)
-	}
-	if mask&dirParent != 0 {
-		b = durability.AppendUvarint(b, d.Parent)
-	}
-	if mask&dirDeadline != 0 {
-		b = durability.AppendVarint(b, d.Deadline)
-	}
-	if mask&dirOutputs != 0 {
-		if b, err = appendValues(b, d.Outputs); err != nil {
-			return b, fmt.Errorf("streams: encode directive outputs: %w", err)
-		}
-	}
-	if mask&dirCost != 0 {
-		b = durability.AppendFloat(b, d.Cost)
-	}
-	if mask&dirAccuracy != 0 {
-		b = durability.AppendFloat(b, d.Accuracy)
-	}
-	if mask&dirLatency != 0 {
-		b = durability.AppendVarint(b, int64(d.Latency))
-	}
-	if mask&dirError != 0 {
-		b = durability.AppendString(b, d.Error)
-	}
-	if mask&dirReason != 0 {
-		b = durability.AppendString(b, d.Reason)
-	}
-	return b, nil
-}
-
-// appendValues encodes an input or output map in key order, so one map
-// always makes the same bytes.
-func appendValues(b []byte, m map[string]any) ([]byte, error) {
-	var room [8]string
-	keys := room[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	b = durability.AppendUvarint(b, uint64(len(keys)))
-	var err error
-	for _, k := range keys {
-		if b, err = appendValue(durability.AppendString(b, k), m[k]); err != nil {
-			return b, fmt.Errorf("%q: %w", k, err)
-		}
-	}
-	return b, nil
+	b = durability.AppendFloat(b, d.Cost)
+	b = durability.AppendFloat(b, d.Accuracy)
+	b = durability.AppendVarint(b, int64(d.Latency))
+	b = durability.AppendString(b, d.Error)
+	return durability.AppendString(b, d.Reason), nil
 }
 
 // appendMessageRecord encodes a stored message's whole append record.
@@ -269,22 +179,6 @@ func appendMessageRecord(b []byte, m *Message) ([]byte, error) {
 		return b, fmt.Errorf("streams: message id %q is not m<n>", m.ID)
 	}
 	return appendBody(appendHeader(b, m.Seq, m.TS, n, m.Session), m)
-}
-
-func appendStrings(b []byte, ss []string) []byte {
-	b = durability.AppendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = durability.AppendString(b, s)
-	}
-	return b
-}
-
-func appendJSON(b []byte, v any) ([]byte, error) {
-	js, err := json.Marshal(v)
-	if err != nil {
-		return b, err
-	}
-	return append(durability.AppendUvarint(b, uint64(len(js))), js...), nil
 }
 
 // record is one decoded log record: a stream creation (info), a message
@@ -302,12 +196,11 @@ type record struct {
 func decodeRecord(rec []byte) (record, error) {
 	var r record
 	d := durability.NewDec(rec)
-	var err error
 	switch r.typ = d.Byte(); r.typ {
 	case recCreate:
 		r.info.ID = d.String()
 		r.info.Session = d.String()
-		r.info.Tags = decodeStrings(d)
+		r.info.Tags = d.Strings()
 		r.info.Creator = d.String()
 		r.info.CreatedTS = int64(d.Uvarint())
 	case recAppend:
@@ -319,12 +212,11 @@ func decodeRecord(rec []byte) (record, error) {
 		m.Session = d.String()
 		m.Stream = d.String()
 		m.Kind = Kind(d.Varint())
-		m.Tags = decodeStrings(d)
+		m.Tags = d.Strings()
 		m.Sender = d.String()
 		m.Param = d.String()
-		if m.Payload, err = decodeValue(d); err == nil {
-			m.Directive, err = decodeDirective(d)
-		}
+		m.Payload = d.Value()
+		m.Directive = decodeDirective(d)
 	case recDrop:
 		r.scope = d.String()
 	case recRelease:
@@ -335,113 +227,26 @@ func decodeRecord(rec []byte) (record, error) {
 			return r, fmt.Errorf("streams: unknown record type %#x", r.typ)
 		}
 	}
-	switch {
-	case d.Err() != nil:
-		return r, fmt.Errorf("streams: record: %w", d.Err())
-	case err != nil:
-		return r, err
-	case d.Len() != 0:
-		return r, fmt.Errorf("streams: %d bytes after the record", d.Len())
+	if err := d.End(); err != nil {
+		return r, fmt.Errorf("streams: record: %w", err)
 	}
 	return r, nil
 }
 
-func decodeStrings(d *durability.Dec) []string {
-	n := d.Count()
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = d.String()
-	}
-	return out
-}
-
-func decodeValue(d *durability.Dec) (any, error) {
-	switch tag := d.Byte(); tag {
-	case payloadNil:
-		return nil, nil
-	case payloadString:
-		return d.String(), nil
-	case payloadJSON:
-		var v any
-		if err := json.Unmarshal(d.Bytes(), &v); err != nil && d.Err() == nil {
-			return nil, fmt.Errorf("streams: decode value: %w", err)
-		}
-		return v, nil
-	default:
-		return nil, fmt.Errorf("streams: unknown value tag %#x", tag)
-	}
-}
-
-func decodeDirective(d *durability.Dec) (*Directive, error) {
+func decodeDirective(d *durability.Dec) *Directive {
 	switch tag := d.Byte(); tag {
 	case 0:
-		return nil, nil
+		return nil
 	case dirTyped:
+		return &Directive{
+			Op: d.String(), Agent: d.String(), Invocation: d.String(), Inputs: d.Values(),
+			ReplyStream: d.String(), Parent: d.Uvarint(), Deadline: d.Varint(), Outputs: d.Values(),
+			Cost: d.Float(), Accuracy: d.Float(), Latency: time.Duration(d.Varint()), Error: d.String(), Reason: d.String(),
+		}
 	default:
-		return nil, fmt.Errorf("streams: unknown directive tag %#x", tag)
+		d.Failf("streams: unknown directive tag %#x", tag)
+		return nil
 	}
-	dir := &Directive{Op: d.String(), Agent: d.String()}
-	mask := d.Uvarint()
-	if mask&^dirAll != 0 {
-		return nil, fmt.Errorf("streams: unknown directive fields %#x", mask&^dirAll)
-	}
-	var err error
-	if mask&dirInvocation != 0 {
-		dir.Invocation = d.String()
-	}
-	if mask&dirInputs != 0 {
-		if dir.Inputs, err = decodeValues(d); err != nil {
-			return nil, err
-		}
-	}
-	if mask&dirReplyStream != 0 {
-		dir.ReplyStream = d.String()
-	}
-	if mask&dirParent != 0 {
-		dir.Parent = d.Uvarint()
-	}
-	if mask&dirDeadline != 0 {
-		dir.Deadline = d.Varint()
-	}
-	if mask&dirOutputs != 0 {
-		if dir.Outputs, err = decodeValues(d); err != nil {
-			return nil, err
-		}
-	}
-	if mask&dirCost != 0 {
-		dir.Cost = d.Float()
-	}
-	if mask&dirAccuracy != 0 {
-		dir.Accuracy = d.Float()
-	}
-	if mask&dirLatency != 0 {
-		dir.Latency = time.Duration(d.Varint())
-	}
-	if mask&dirError != 0 {
-		dir.Error = d.String()
-	}
-	if mask&dirReason != 0 {
-		dir.Reason = d.String()
-	}
-	return dir, nil
-}
-
-// decodeValues reads an input or output map.
-func decodeValues(d *durability.Dec) (map[string]any, error) {
-	n := d.Count()
-	m := make(map[string]any, n)
-	for range n {
-		k := d.String()
-		v, err := decodeValue(d)
-		if err != nil {
-			return nil, err
-		}
-		m[k] = v
-	}
-	return m, nil
 }
 
 // applyLocked loads one decoded record into the store, idempotently; caller

@@ -20,6 +20,10 @@ import (
 // records round-trip both ways: decode(encode(m)) == m, but for its Ask,
 // which is not logged and decodes as 0, and encode(decode(b)) == b; and a
 // drop record of the stream's session decodes to that scope.
+//
+// Seeds include TypedSeeds: messages holding values of types that packages
+// importing this one register with durability's value codec, which an
+// external test file (typed_seeds_test.go) fills in.
 func FuzzStreamRecord(f *testing.F) {
 	s := NewStore()
 	if _, err := s.CreateStream("conv", StreamInfo{Session: "session:1", Tags: []string{"conversation"}, Creator: "ui"}); err != nil {
@@ -92,6 +96,25 @@ func FuzzStreamRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	seeds = append(seeds, bytes.Clone(snap.Bytes()))
+	// Messages whose values are registered types, each recovering as itself.
+	if len(TypedSeeds) == 0 {
+		f.Fatal("no typed seeds: typed_seeds_test.go did not run")
+	}
+	for _, m := range TypedSeeds {
+		m.Stream = "ctl"
+		m, err := s.Append(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		rec, err := appendMessageRecord(nil, &m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if r, err := decodeRecord(rec); err != nil || !reflect.DeepEqual(r.msg, m) {
+			f.Fatalf("a typed message recovers as\n%#v (%v)\nwant\n%#v", r.msg, err, m)
+		}
+		seeds = append(seeds, rec)
+	}
 	for _, seed := range seeds {
 		f.Add(seed)
 	}
@@ -124,6 +147,9 @@ func FuzzStreamRecord(f *testing.F) {
 		}
 	})
 }
+
+// TypedSeeds are FuzzStreamRecord's messages holding registered types.
+var TypedSeeds []Message
 
 // allocBounded runs fn and fails if it allocated more than a fixed allowance
 // plus a multiple of the input: what decoding a record may cost.

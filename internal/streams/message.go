@@ -191,10 +191,12 @@ type Message struct {
 	// payload (used by the coordinator to wire DAG edges).
 	Param string `json:"param,omitempty"`
 	// Payload is the data body. When the store has a durability sink
-	// (SetDurable), a string payload is logged as its bytes and recovers byte
-	// for byte; any other payload must be JSON-serializable, is logged as
-	// the bytes json.Marshal writes for it, and recovers as what
-	// encoding/json decodes them into (map[string]any, []any, float64, ...).
+	// (SetDurable), the payload is logged by durability's value codec: nil,
+	// a string (byte for byte), an int, int64, float64 or bool, and a
+	// registered type (*planner.Plan, *hragents.QueryRows) recover as the
+	// value that was logged; any other payload must be JSON-serializable
+	// and recovers as what encoding/json decodes it into (map[string]any,
+	// []any, float64, ...).
 	Payload any `json:"payload,omitempty"`
 	// Directive is the control body; non-nil iff Kind == Control.
 	Directive *Directive `json:"directive,omitempty"`
