@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -90,6 +91,54 @@ func TestPlanRecoversTyped(t *testing.T) {
 	}
 	if _, err := durability.AppendValue(nil, (*Plan)(nil)); err == nil {
 		t.Fatal("a nil *Plan was logged")
+	}
+}
+
+// A plan is the plan its JSON form decodes to, field for field — only
+// numbers differ in type (7 stays an int typed, comes back a float64
+// decoded) — and a step's memo key is the same on both roads, so what one
+// run memoized the other still hits.
+func TestFromJSONTypedEqualsDecoded(t *testing.T) {
+	p := handoffPlan()
+	decoded := planFromJSON(t, p)
+	if !reflect.DeepEqual(p, handoffPlan()) {
+		t.Fatalf("encoding the plan changed it: %+v", p)
+	}
+	if p.ID != decoded.ID || p.Utterance != decoded.Utterance || p.Intent != decoded.Intent ||
+		!reflect.DeepEqual(p.Explanation, decoded.Explanation) || len(p.Steps) != len(decoded.Steps) {
+		t.Fatalf("header differs: %+v vs %+v", p, decoded)
+	}
+	for i, ts := range p.Steps {
+		ds := decoded.Steps[i]
+		if ts.ID != ds.ID || ts.Agent != ds.Agent || ts.Task != ds.Task || ts.Score != ds.Score || len(ts.Bindings) != len(ds.Bindings) {
+			t.Fatalf("step %d differs: %+v vs %+v", i, ts, ds)
+		}
+		for param, tb := range ts.Bindings {
+			db := ds.Bindings[param]
+			tv, dv := tb.Value, db.Value
+			tb.Value, db.Value = nil, nil
+			if tb != db {
+				t.Fatalf("binding %s.%s differs: %+v vs %+v", ts.ID, param, tb, db)
+			}
+			// A literal is the same value up to its JSON form.
+			if fmt.Sprint(tv) != fmt.Sprint(dv) {
+				t.Fatalf("literal %s.%s differs: %v vs %v", ts.ID, param, tv, dv)
+			}
+		}
+		tk, err := memo.ComputeKey(ts.Agent, 1, literals(ts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dk, err := memo.ComputeKey(ds.Agent, 1, literals(ds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tk != dk {
+			t.Fatalf("step %s has memo key %s typed and %s decoded", ts.ID, tk, dk)
+		}
+	}
+	if v := decoded.Steps[0].Bindings["JOB_ID"].Value; v != float64(7) {
+		t.Fatalf("decoded JOB_ID = %#v, want float64(7): the decode road is not being taken", v)
 	}
 }
 

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -194,6 +195,36 @@ func TestReplanPicksAlternative(t *testing.T) {
 	}
 	if _, err := tp.Replan(plan, "nope"); err == nil {
 		t.Fatal("replanned unknown step")
+	}
+}
+
+// planFromJSON decodes a plan's JSON form: what Message.PayloadString renders
+// a plan payload as, and what a plan nested in a generic map is logged as.
+func planFromJSON(t testing.TB, p *Plan) *Plan {
+	t.Helper()
+	raw, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Plan
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
+	}
+	return &back
+}
+
+func TestPlanJSONRoundTrip(t *testing.T) {
+	tp := New(hrRegistry(t), perfectModel(), nil)
+	plan, err := tp.Plan("I am looking for a data scientist position.")
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := planFromJSON(t, plan)
+	if back.ID != plan.ID || len(back.Steps) != len(plan.Steps) {
+		t.Fatalf("roundtrip = %+v", back)
+	}
+	if back.Steps[1].Bindings["JOBSEEKER_DATA"].FromStep != "s1" {
+		t.Fatalf("bindings lost: %+v", back.Steps[1].Bindings)
 	}
 }
 
