@@ -1,9 +1,9 @@
 # Build, verify and bench targets. `make ci` is what the GitHub Actions
 # workflow runs on every push: formatting, vet, build, the full test suite
 # under the race detector, the ask-identity, plan-run identity, worker-pool,
-# plan-seat, session-membership and governed-entry tests twenty times over
-# and the durable write-order test five times, fuzz bursts, and the Go
-# benchmarks once.
+# plan-seat, session-membership, governed-entry and log-compaction tests
+# twenty times over and the durable write-order test five times, fuzz
+# bursts, and the Go benchmarks once.
 
 GO ?= go
 
@@ -43,7 +43,9 @@ race:
 # the moment it arrives; and concurrent writes to
 # one row and to one agent are logged in the order they were applied, so a
 # crash recovers what the live process ended with (fifty crash-and-reopen
-# rounds a run, so five runs).
+# rounds a run, so five runs); and the log's own compactions, on a small
+# segment, race writers through Log and through Append, and a close without
+# a snapshot recovers every acknowledged write.
 stress:
 	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession|TestOnePlanIDRunsConcurrently|TestSystemCloseDrainsOpenSessions|TestCloseForgetsUnderLoad|TestAsksPastTheHorizonWhileFlowIsRead' .
 	$(GO) test -race -count=20 -run 'TestGoNeverBlocks|TestPoolIdleAndClose' ./internal/streams
@@ -51,6 +53,7 @@ stress:
 	$(GO) test -race -count=20 -run 'TestDuplicateAgentRejected|TestConcurrentAddAndClose' ./internal/session
 	$(GO) test -race -count=20 -run 'TestClickIsGoverned|TestShedAndQueuedAsksHaveOneID' ./internal/httpapi
 	$(GO) test -race -count=5 -run 'TestDurableLogKeepsWriteOrder' .
+	$(GO) test -race -count=20 -run 'TestCompactionRacesWriters' ./internal/durability
 
 vet:
 	$(GO) vet ./...

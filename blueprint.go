@@ -83,8 +83,11 @@
 // restore plus log replay, with a torn final record truncated rather than
 // fatal — so a repeated ask after a restart is a memo hit instead of a cold
 // re-execution.
-// System.Close flushes a final snapshot; Config.SnapshotEvery adds
-// background snapshots that bound recovery time and truncate the log.
+// The log compacts itself: when a segment seals and the sealed log past the
+// last snapshot is at least as large as that snapshot, the engine takes a
+// new one in the background and truncates the log it covers, so the log on
+// disk — and what a restart replays — stays within the snapshot's size plus
+// two segments, with no setting. System.Close flushes a final snapshot.
 // Observe through System.DurabilityStats, blueprintd's /stats and POST
 // /snapshot (with -data-dir and graceful SIGINT/SIGTERM shutdown), `bpctl
 // -data-dir D snapshot`. The repo benchmark times recovery as
@@ -137,13 +140,9 @@ type Config struct {
 	// an existing DataDir recovers all of it — tables, registry versions,
 	// warm memo entries, stream history — via snapshot restore plus log
 	// replay (a torn final record after a crash is truncated, not fatal).
+	// The log compacts itself into a snapshot whenever it outgrows the last
+	// one (internal/durability/ARCHITECTURE.md, "Compaction").
 	DataDir string
-	// SnapshotEvery takes background snapshots at this interval when
-	// DataDir is set (0 = only on Close and explicit System.Snapshot
-	// calls). Snapshots bound recovery time: restore is one sequential
-	// read instead of a full log replay, and superseded log segments are
-	// deleted.
-	SnapshotEvery time.Duration
 	// Budget is the per-request QoS limit enforced by the coordinator
 	// (default: MaxCost $1).
 	Budget budget.Limits

@@ -27,10 +27,8 @@ var clockKept = map[string]string{
 
 	// The durability engine runs on real time: it is opened before the
 	// System's layers and keeps no clock.
-	"durability.Engine.Recover":           "recovery timing, reported in Stats",
-	"durability.Engine.Snapshot":          "the last snapshot's wall time, reported in Stats",
-	"durability.Engine.StartAutoSnapshot": "the auto-snapshot loop's ticker",
-	"durability.Engine.flushLoop":         "the group-commit fsync loop's ticker",
+	"durability.Engine.Recover":   "recovery timing, reported in Stats",
+	"durability.Engine.flushLoop": "the group-commit fsync loop's ticker",
 
 	// The telemetry plane is process-global until it is scoped per System
 	// (ROADMAP.md), so its stamps are wall-clock stamps.

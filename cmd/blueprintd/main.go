@@ -50,7 +50,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 42, "deterministic seed")
 	dataDir := flag.String("data-dir", "", "durability directory: shared WAL + snapshots for warm restarts")
-	snapEvery := flag.Duration("snapshot-every", time.Minute, "background snapshot interval when -data-dir is set (0 = only on shutdown)")
 	parallel := flag.Int("parallel", 0, "max concurrently executing steps per plan (0 = default)")
 	memoCap := flag.Int("memo", 0, "step-result memoization cache capacity in entries (0 = default)")
 	noMemo := flag.Bool("no-memo", false, "disable step-result memoization")
@@ -69,8 +68,7 @@ func main() {
 	flag.Parse()
 
 	sys, err := blueprint.New(blueprint.Config{
-		Seed: *seed, ModelAccuracy: 1.0,
-		DataDir: *dataDir, SnapshotEvery: *snapEvery,
+		Seed: *seed, ModelAccuracy: 1.0, DataDir: *dataDir,
 		MaxParallel: *parallel, MemoCapacity: *memoCap, DisableMemo: *noMemo,
 		Governor: resilience.GovernorConfig{
 			MaxConcurrent: *maxConc, MaxQueue: *maxQueue,

@@ -68,8 +68,9 @@ type Options struct {
 	// SegmentBytes is the rotation threshold (default DefaultSegmentBytes).
 	SegmentBytes int64
 	// FlushEvery is the background flush+fsync interval for asynchronous
-	// appends (default DefaultFlushEvery; negative disables the loop —
-	// flushes then happen only on rotation, snapshot, sync and close).
+	// appends (default DefaultFlushEvery; negative disables the background
+	// flush — flushes then happen only on rotation, snapshot, sync and
+	// close).
 	FlushEvery time.Duration
 	// DisableFsync skips fsync calls (tests and benchmarks on tmpfs).
 	DisableFsync bool
@@ -114,17 +115,16 @@ type Stats struct {
 	Fsyncs  uint64
 	// Rotations counts segment rollovers.
 	Rotations uint64
-	// Snapshots counts snapshots taken this run; SnapshotBytes is the size
-	// of the last one. TruncatedSegments counts log segments deleted after
-	// snapshots.
+	// Snapshots counts snapshots taken this run, compactions included;
+	// SnapshotBytes is the size of the last one (the restored one's until
+	// this run takes one). TruncatedSegments counts log segments deleted
+	// after snapshots.
 	Snapshots         uint64
 	SnapshotBytes     int64
 	TruncatedSegments uint64
 	// Segments and LogBytes describe the resident log files on disk.
 	Segments int
 	LogBytes int64
-	// LastSnapshot is when the last snapshot completed (zero if none).
-	LastSnapshot time.Time
 	// Recovery describes the Recover call that opened this engine.
 	Recovery RecoveryStats
 }
@@ -172,9 +172,12 @@ type Engine struct {
 	scratch  []byte // reused frame-encode buffer
 	segSeq   uint64 // current segment sequence
 	segBytes int64  // bytes written to the current segment
-	seq      uint64 // append ticket, for group commit
-	synced   uint64 // highest ticket known flushed+fsynced
-	closed   bool
+	// sealedBytes counts the sealed segments' bytes past the last
+	// snapshot's boundary: the log a compaction would truncate.
+	sealedBytes int64
+	seq         uint64 // append ticket, for group commit
+	synced      uint64 // highest ticket known flushed+fsynced
+	closed      bool
 
 	// Group commit: AppendSync callers wait until a flush+fsync covering
 	// their ticket completes; one waiter leads the flush for the batch.
@@ -196,13 +199,12 @@ type Engine struct {
 	snapshots     atomic.Uint64
 	snapshotBytes atomic.Int64
 	truncated     atomic.Uint64
-	lastSnapshot  atomic.Int64 // unix nanos
 	recStats      RecoveryStats
 
+	// compact asks the flush loop for a snapshot (see append).
+	compact  chan struct{}
 	loopStop chan struct{}
 	loopDone chan struct{}
-	autoStop chan struct{}
-	autoDone chan struct{}
 }
 
 // Open creates the engine over a data directory (created if absent). Call
@@ -216,9 +218,10 @@ func Open(dir string, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("durability: create dir: %w", err)
 	}
 	e := &Engine{
-		dir:  dir,
-		opts: opts.withDefaults(),
-		subs: make(map[uint8]subsystem),
+		dir:     dir,
+		opts:    opts.withDefaults(),
+		subs:    make(map[uint8]subsystem),
+		compact: make(chan struct{}, 1),
 	}
 	e.ccond = sync.NewCond(&e.cmu)
 	return e, nil
@@ -297,25 +300,28 @@ func (e *Engine) Recover() error {
 		}
 	}
 
-	boundary, restored, err := e.restoreSnapshot()
+	boundary, snapBytes, err := e.restoreSnapshot()
 	if err != nil {
 		return err
 	}
-	e.recStats.SnapshotRestored = restored
+	e.recStats.SnapshotRestored = snapBytes > 0
 	e.recStats.SnapshotSeq = boundary
+	e.snapshotBytes.Store(snapBytes)
 
 	segs, err := e.listSeqs("wal", "log")
 	if err != nil {
 		return fmt.Errorf("durability: list segments: %w", err)
 	}
+	var replayed int64 // bytes of the segments replayed, the writer's included
 	for _, seq := range segs {
 		if seq < boundary {
 			continue // superseded by the snapshot; awaiting truncation
 		}
-		torn, err := e.replaySegment(seq)
+		kept, torn, err := e.replaySegment(seq)
 		if err != nil {
 			return err
 		}
+		replayed += kept
 		if torn {
 			// Everything after a torn frame is unreachable; drop any later
 			// segments (they can only exist after mid-log corruption).
@@ -358,50 +364,50 @@ func (e *Engine) Recover() error {
 	e.w = bufio.NewWriterSize(f, 1<<16)
 	e.segSeq = cur
 	e.segBytes = fi.Size()
+	e.sealedBytes = replayed - e.segBytes
 	e.mu.Unlock()
 
 	e.recStats.Duration = time.Since(start)
 	e.recovered.Store(true)
 
-	if e.opts.FlushEvery > 0 {
-		e.loopStop = make(chan struct{})
-		e.loopDone = make(chan struct{})
-		go e.flushLoop()
-	}
+	e.loopStop = make(chan struct{})
+	e.loopDone = make(chan struct{})
+	go e.flushLoop()
 	return nil
 }
 
 // replaySegment applies every valid frame of one segment, truncating the
-// file at the first torn frame. It reports whether a torn tail was cut.
-func (e *Engine) replaySegment(seq uint64) (torn bool, err error) {
+// file at the first torn frame. It returns the bytes the segment keeps and
+// reports whether a torn tail was cut.
+func (e *Engine) replaySegment(seq uint64) (kept int64, torn bool, err error) {
 	path := filepath.Join(e.dir, segName(seq))
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return false, nil
+			return 0, false, nil
 		}
-		return false, fmt.Errorf("durability: open segment for replay: %w", err)
+		return 0, false, fmt.Errorf("durability: open segment for replay: %w", err)
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return false, fmt.Errorf("durability: stat segment for replay: %w", err)
+		return 0, false, fmt.Errorf("durability: stat segment for replay: %w", err)
 	}
 	fr := &frameReader{r: bufio.NewReaderSize(f, 1<<16), size: fi.Size()}
 	for {
 		id, payload, rerr := fr.next()
 		if errors.Is(rerr, io.EOF) {
-			return false, nil
+			return fr.good, false, nil
 		}
 		if errors.Is(rerr, errTorn) {
 			f.Close()
 			if terr := os.Truncate(path, fr.good); terr != nil {
-				return true, fmt.Errorf("durability: truncate torn tail: %w", terr)
+				return fr.good, true, fmt.Errorf("durability: truncate torn tail: %w", terr)
 			}
-			return true, nil
+			return fr.good, true, nil
 		}
 		if rerr != nil {
-			return false, rerr
+			return 0, false, rerr
 		}
 		sub, ok := e.subs[id]
 		if !ok {
@@ -409,7 +415,7 @@ func (e *Engine) replaySegment(seq uint64) (torn bool, err error) {
 			continue
 		}
 		if aerr := sub.l.Apply(payload); aerr != nil {
-			return false, fmt.Errorf("durability: replay %s record: %w", sub.name, aerr)
+			return 0, false, fmt.Errorf("durability: replay %s record: %w", sub.name, aerr)
 		}
 		e.recStats.ReplayedRecords++
 		e.recStats.ReplayedBytes += int64(frameHeaderBytes + 1 + len(payload))
@@ -417,15 +423,16 @@ func (e *Engine) replaySegment(seq uint64) (torn bool, err error) {
 }
 
 // restoreSnapshot loads the newest fully valid snapshot, returning its
-// boundary sequence (replay starts at that segment).
-func (e *Engine) restoreSnapshot() (uint64, bool, error) {
+// boundary sequence (replay starts at that segment) and its size in bytes
+// (0 when none restored).
+func (e *Engine) restoreSnapshot() (uint64, int64, error) {
 	snaps, err := e.listSeqs("snap", "snap")
 	if err != nil {
-		return 0, false, fmt.Errorf("durability: list snapshots: %w", err)
+		return 0, 0, fmt.Errorf("durability: list snapshots: %w", err)
 	}
 	for i := len(snaps) - 1; i >= 0; i-- {
 		seq := snaps[i]
-		sections, ok := e.readSnapshot(filepath.Join(e.dir, snapName(seq)))
+		sections, size, ok := e.readSnapshot(filepath.Join(e.dir, snapName(seq)))
 		if !ok {
 			continue // corrupt or torn snapshot; fall back to an older one
 		}
@@ -435,12 +442,12 @@ func (e *Engine) restoreSnapshot() (uint64, bool, error) {
 				continue
 			}
 			if err := sub.l.Restore(bytes.NewReader(sec.body)); err != nil {
-				return 0, false, fmt.Errorf("durability: restore %s snapshot: %w", sub.name, err)
+				return 0, 0, fmt.Errorf("durability: restore %s snapshot: %w", sub.name, err)
 			}
 		}
-		return seq, true, nil
+		return seq, size, nil
 	}
-	return 0, false, nil
+	return 0, 0, nil
 }
 
 type snapSection struct {
@@ -450,12 +457,13 @@ type snapSection struct {
 
 var snapMagic = []byte("BPSNAP1\n")
 
-// readSnapshot parses and fully validates a snapshot file; every section's
-// CRC must check out before any byte of it is restored.
-func (e *Engine) readSnapshot(path string) ([]snapSection, bool) {
+// readSnapshot parses and fully validates a snapshot file, returning its
+// sections and size; every section's CRC must check out before any byte of
+// it is restored.
+func (e *Engine) readSnapshot(path string) ([]snapSection, int64, bool) {
 	data, err := os.ReadFile(path)
 	if err != nil || !bytes.HasPrefix(data, snapMagic) {
-		return nil, false
+		return nil, 0, false
 	}
 	body := data[len(snapMagic):]
 	fr := &frameReader{r: bytes.NewReader(body), size: int64(len(body))}
@@ -463,10 +471,10 @@ func (e *Engine) readSnapshot(path string) ([]snapSection, bool) {
 	for {
 		id, payload, err := fr.next()
 		if errors.Is(err, io.EOF) {
-			return out, true
+			return out, int64(len(data)), true
 		}
 		if err != nil {
-			return nil, false
+			return nil, 0, false
 		}
 		out = append(out, snapSection{id: id, body: append([]byte(nil), payload...)})
 	}
@@ -496,6 +504,17 @@ func (e *Engine) append(id uint8, payload []byte) (uint64, error) {
 		if err := e.rotateLocked(); err != nil {
 			e.mu.Unlock()
 			return 0, err
+		}
+		// Compaction: once the sealed log past the last snapshot is as
+		// large as that snapshot, a new one costs no more to write than the
+		// log it truncates. The flush loop takes it: this append may hold
+		// snapMu's read side (Log) or a subsystem's lock, and Snapshot
+		// waits for both.
+		if e.compactDueLocked() {
+			select {
+			case e.compact <- struct{}{}:
+			default: // one is already asked for
+			}
 		}
 	}
 	e.scratch = appendFrame(e.scratch[:0], id, payload)
@@ -599,6 +618,12 @@ func (e *Engine) Sync() error {
 	return err
 }
 
+// compactDueLocked reports whether the sealed log past the last snapshot's
+// boundary is at least as large as that snapshot. Caller holds e.mu.
+func (e *Engine) compactDueLocked() bool {
+	return e.sealedBytes >= e.snapshotBytes.Load()
+}
+
 // rotateLocked seals the current segment and opens the next. Caller holds
 // e.mu.
 func (e *Engine) rotateLocked() error {
@@ -629,6 +654,7 @@ func (e *Engine) rotateLocked() error {
 	}
 	e.f = f
 	e.w.Reset(f)
+	e.sealedBytes += e.segBytes
 	e.segBytes = 0
 	e.synced = e.seq // everything so far is on the sealed, fsynced segment
 	e.rotations.Add(1)
@@ -681,6 +707,7 @@ func (e *Engine) Snapshot() error {
 		}
 	}
 	boundary := e.segSeq
+	sealed := e.sealedBytes // all before the boundary
 	e.mu.Unlock()
 
 	// Phase 1 (under the snapshot write lock): serialize the barrier
@@ -770,44 +797,36 @@ func (e *Engine) Snapshot() error {
 			}
 		}
 	}
+	e.mu.Lock()
+	e.sealedBytes -= sealed
+	e.mu.Unlock()
 	e.snapshots.Add(1)
 	e.snapshotBytes.Store(int64(buf.Len()))
-	e.lastSnapshot.Store(time.Now().UnixNano())
 	return nil
 }
 
-// StartAutoSnapshot snapshots in the background every interval until the
-// engine closes. Errors are reflected in Stats (a snapshot that fails
-// leaves the log intact, so durability is unaffected).
-func (e *Engine) StartAutoSnapshot(interval time.Duration) {
-	if interval <= 0 || e.autoStop != nil {
-		return
-	}
-	e.autoStop = make(chan struct{})
-	e.autoDone = make(chan struct{})
-	go func() {
-		defer close(e.autoDone)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				_ = e.Snapshot()
-			case <-e.autoStop:
-				return
-			}
-		}
-	}()
-}
-
+// flushLoop is the engine's background goroutine: it flushes every
+// FlushEvery, and takes the snapshots append finds due. A compaction that
+// fails leaves the log intact; the next sealed segment asks again.
 func (e *Engine) flushLoop() {
 	defer close(e.loopDone)
-	t := time.NewTicker(e.opts.FlushEvery)
-	defer t.Stop()
+	var tick <-chan time.Time
+	if e.opts.FlushEvery > 0 {
+		t := time.NewTicker(e.opts.FlushEvery)
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		select {
-		case <-t.C:
+		case <-tick:
 			_, _ = e.flushAndSync()
+		case <-e.compact:
+			e.mu.Lock()
+			due := e.compactDueLocked() // a snapshot since the ask may have paid it
+			e.mu.Unlock()
+			if due {
+				_ = e.Snapshot()
+			}
 		case <-e.loopStop:
 			return
 		}
@@ -817,11 +836,6 @@ func (e *Engine) flushLoop() {
 // Close flushes and closes the log. It does not snapshot: callers wanting
 // a warm-start boundary take one first (System.Close does).
 func (e *Engine) Close() error {
-	if e.autoStop != nil {
-		close(e.autoStop)
-		<-e.autoDone
-		e.autoStop = nil
-	}
 	if e.loopStop != nil {
 		close(e.loopStop)
 		<-e.loopDone
@@ -871,9 +885,6 @@ func (e *Engine) Stats() Stats {
 		SnapshotBytes:     e.snapshotBytes.Load(),
 		TruncatedSegments: e.truncated.Load(),
 		Recovery:          e.recStats,
-	}
-	if ns := e.lastSnapshot.Load(); ns != 0 {
-		st.LastSnapshot = time.Unix(0, ns)
 	}
 	if segs, err := e.listSeqs("wal", "log"); err == nil {
 		st.Segments = len(segs)

@@ -92,6 +92,32 @@ func (q QueryRows) MarshalJSON() ([]byte, error) {
 	})
 }
 
+// AppendJSONHead appends MarshalJSON's output to b, or a prefix of it that
+// leaves b longer than n bytes (streams.JSONHeader): it renders the first
+// row, then twice as many, until the rows rendered make the prefix, so a
+// flow step of a 4 000-row result costs what one of a few rows does.
+func (q *QueryRows) AppendJSONHead(b []byte, n int) ([]byte, error) {
+	if q == nil {
+		return append(b, "null"...), nil
+	}
+	sql, err := json.Marshal(q.SQL)
+	if err != nil {
+		return b, err
+	}
+	for k := 1; k < len(q.Rows); k *= 2 {
+		j, err := QueryRows{Columns: q.Columns, Rows: q.Rows[:k], SQL: q.SQL}.MarshalJSON()
+		if err != nil {
+			return b, err
+		}
+		// Up to the ']' closing its k rows, j is the whole rendering's head.
+		if head := j[:len(j)-len(`],"sql":}`)-len(sql)]; len(b)+len(head) > n {
+			return append(b, head...), nil
+		}
+	}
+	j, err := q.MarshalJSON()
+	return append(b, j...), err
+}
+
 // summaryRows is how many result rows the query summarizer quotes.
 const summaryRows = 5
 

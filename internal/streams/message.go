@@ -84,6 +84,8 @@ package streams
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 )
 
@@ -253,4 +255,59 @@ func (m Message) PayloadString() string {
 		}
 		return string(b)
 	}
+}
+
+// JSONHeader is a payload whose JSON can be long (a ROWS result), so that a
+// short rendering of it need not marshal all of it.
+type JSONHeader interface {
+	// AppendJSONHead appends the value's JSON to b, or a prefix of it that
+	// leaves b longer than n bytes.
+	AppendJSONHead(b []byte, n int) ([]byte, error)
+}
+
+// PayloadHead returns PayloadString, or a prefix of it longer than n bytes:
+// all that obs.Truncate(…, n) reads of it. A JSONHeader payload, or a map
+// holding one (an AGENT_DONE report's outputs), is rendered only as far as
+// that prefix needs; so a value JSON cannot encode, which PayloadString
+// renders with %v instead, is seen only when it lies within the prefix.
+func (m Message) PayloadHead(n int) string {
+	switch m.Payload.(type) {
+	case nil, string:
+		return m.PayloadString()
+	}
+	b, err := appendJSONHead(nil, m.Payload, n)
+	if err != nil {
+		return m.PayloadString()
+	}
+	return string(b)
+}
+
+// appendJSONHead appends json.Marshal(v) to b, or a prefix of it that leaves
+// b longer than n bytes.
+func appendJSONHead(b []byte, v any, n int) ([]byte, error) {
+	switch v := v.(type) {
+	case JSONHeader:
+		return v.AppendJSONHead(b, n)
+	case map[string]any:
+		if v == nil {
+			return append(b, "null"...), nil
+		}
+		b = append(b, '{')
+		for i, k := range slices.Sorted(maps.Keys(v)) { // json.Marshal's key order
+			if len(b) > n {
+				return b, nil
+			}
+			if i > 0 {
+				b = append(b, ',')
+			}
+			key, _ := json.Marshal(k)
+			var err error
+			if b, err = appendJSONHead(append(append(b, key...), ':'), v[k], n); err != nil {
+				return b, err
+			}
+		}
+		return append(b, '}'), nil
+	}
+	j, err := json.Marshal(v)
+	return append(b, j...), err
 }

@@ -60,8 +60,9 @@ func Flow(store *streams.Store, session string) []Step {
 			}
 		}
 		// Rune-safe: payloads carry user text, and a byte slice at 60
-		// could split a multi-byte UTF-8 character.
-		s.Payload = obs.Truncate(m.PayloadString(), 60)
+		// could split a multi-byte UTF-8 character. PayloadHead renders a
+		// long payload (a ROWS result) only as far as the cut.
+		s.Payload = obs.Truncate(m.PayloadHead(60), 60)
 		out = append(out, s)
 	}
 	return out

@@ -2,12 +2,16 @@ package trace
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 	"unicode/utf8"
 
 	"blueprint/internal/agent"
+	"blueprint/internal/hragents"
+	"blueprint/internal/obs"
 	"blueprint/internal/registry"
+	"blueprint/internal/relational"
 	"blueprint/internal/streams"
 )
 
@@ -180,5 +184,81 @@ func TestRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// A ROWS step renders only as much of its result as its 60 runes need: as a
+// payload and as an AGENT_DONE report's outputs it reads as the whole
+// rendering truncated, whatever the row count, and a 4 000-row step costs no
+// more than a 4-row one plus 1 KB.
+func TestFlowRendersOnlyTheHead(t *testing.T) {
+	wide := func(n int) *hragents.QueryRows {
+		q := &hragents.QueryRows{Columns: []string{"id", "title", "city"}, SQL: "SELECT id, title, city FROM jobs WHERE title <> '<none>'"}
+		for i := 0; i < n; i++ {
+			q.Rows = append(q.Rows, relational.Row{relational.NewInt(int64(i)), relational.NewString("Data <Scientist> é"), relational.NewString("SF")})
+		}
+		return q
+	}
+	narrow := func(n int) *hragents.QueryRows { // seven bytes a row: the head needs several
+		q := &hragents.QueryRows{Columns: []string{"n"}, SQL: "SELECT n FROM t"}
+		for i := 0; i < n; i++ {
+			q.Rows = append(q.Rows, relational.Row{relational.NewInt(int64(i % 10))})
+		}
+		return q
+	}
+	flowOf := func(payloads ...*hragents.QueryRows) (*streams.Store, []Step) {
+		s := streams.NewStore()
+		t.Cleanup(func() { s.Close() })
+		for _, id := range []string{"sess:user", "sess:control"} {
+			if _, err := s.CreateStream(id, streams.StreamInfo{Session: "sess"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, q := range payloads {
+			for _, m := range []streams.Message{
+				{Stream: "sess:user", Kind: streams.Data, Sender: "SQLEXECUTOR", Tags: []string{"ROWS"}, Payload: q},
+				{Stream: "sess:control", Kind: streams.Control, Sender: "SQLEXECUTOR",
+					Directive: &streams.Directive{Op: agent.OpAgentDone, Outputs: map[string]any{"ROWS": q, "n": len(q.Rows)}}},
+			} {
+				if _, err := s.Append(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return s, Flow(s, "sess")
+	}
+
+	var all []*hragents.QueryRows
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 8, 9, 17, 400, 4000} {
+		all = append(all, wide(n), narrow(n))
+	}
+	_, flow := flowOf(all...)
+	for i, step := range flow {
+		q := all[i/2]
+		m := streams.Message{Payload: q}
+		if i%2 == 1 {
+			m.Payload = map[string]any{"ROWS": q, "n": len(q.Rows)}
+		}
+		if want := obs.Truncate(m.PayloadString(), 60); step.Payload != want {
+			t.Errorf("step %d (%d rows) renders\n%s\nnot\n%s", i, len(q.Rows), step.Payload, want)
+		}
+	}
+
+	allocated := func(rows int) uint64 {
+		s, _ := flowOf(wide(rows))
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		const runs = 50
+		for i := 0; i < runs; i++ {
+			Flow(s, "sess")
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	few, many := allocated(4), allocated(4000)
+	t.Logf("a flow of a ROWS payload and its report allocates %d B at 4 rows, %d B at 4 000", few, many)
+	if many > few+1024 {
+		t.Errorf("a 4 000-row step allocates %d B, a 4-row one %d B: more than 1 KB apart", many, few)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"blueprint/internal/hragents"
 	"blueprint/internal/obs"
 	"blueprint/internal/streams"
+	"blueprint/internal/trace"
 )
 
 // writeClass groups the messages TestStreamWrites finds: the stream's role
@@ -70,20 +71,7 @@ func TestStreamWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	ask := func(text string) func() (string, error) {
-		return func() (string, error) { return sess.Ask(text, 10*time.Second) }
-	}
-	asks := []func() (string, error){
-		ask("How many jobs are in San Francisco?"),
-		ask("How many jobs are there per city?"),
-		ask("I am looking for a data scientist position in SF bay area."),
-		ask("Summarize the applicants for job 3"),
-		ask("Rank the applicants for job 3"),
-		func() (string, error) {
-			return sess.Click(map[string]any{"action": "select_job", "job_id": 5}, 10*time.Second)
-		},
-	}
-	const plansPerPass = 3               // the summarize, the rank and the click
+	asks := sixAsks(sess)
 	answers := make([]string, len(asks)) // the second pass's, memo-warm
 	for pass := 1; pass <= 2; pass++ {
 		msgs, log := len(sess.History()), sys.DurabilityStats()
@@ -213,6 +201,73 @@ func TestStreamWrites(t *testing.T) {
 	t.Logf("past the horizon: %d messages of %s released", sess.Released(), sess.ID)
 	if sess.Released() == 0 {
 		t.Errorf("%d asks past the first passes released nothing", obs.KeptAsks)
+	}
+}
+
+// sixAsks are the asks TestStreamWrites checks, on one session: a count, a
+// per-city group-by, a job search, a summarize and a rank of job 3, and a
+// click on job 5. The last plansPerPass of them each run a plan.
+func sixAsks(sess *Session) []func() (string, error) {
+	ask := func(text string) func() (string, error) {
+		return func() (string, error) { return sess.Ask(text, 10*time.Second) }
+	}
+	return []func() (string, error){
+		ask("How many jobs are in San Francisco?"),
+		ask("How many jobs are there per city?"),
+		ask("I am looking for a data scientist position in SF bay area."),
+		ask("Summarize the applicants for job 3"),
+		ask("Rank the applicants for job 3"),
+		func() (string, error) {
+			return sess.Click(map[string]any{"action": "select_job", "job_id": 5}, 10*time.Second)
+		},
+	}
+}
+
+// plansPerPass counts the sixAsks that run a plan: the summarize, the rank
+// and the click.
+const plansPerPass = 3
+
+// Each step of trace.Flow renders as its whole payload truncated to 60
+// runes, though a long payload (a ROWS result) is rendered only as far as
+// the cut (streams.Message.PayloadHead): on the six asks of TestStreamWrites,
+// every step's Payload equals obs.Truncate(PayloadString(), 60) of its
+// message, an AGENT_DONE report's outputs standing for its payload.
+func TestFlowStepsRenderTheirPayloadsHead(t *testing.T) {
+	sys, err := New(Config{ModelAccuracy: 1.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sess, err := sys.StartSession("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	for i, do := range sixAsks(sess) {
+		if _, err := do(); err != nil {
+			t.Fatalf("ask %d: %v", i+1, err)
+		}
+	}
+	awaitPlanResults(t, sess, plansPerPass)
+	history, flow := sys.Store.History(sess.ID), trace.Flow(sys.Store, sess.ID)
+	if len(flow) != len(history) {
+		t.Fatalf("%d flow steps of %d messages", len(flow), len(history))
+	}
+	rows := 0
+	for i, m := range history {
+		if d := m.Directive; d != nil && d.Op == agent.OpAgentDone && d.Outputs != nil {
+			m.Payload = d.Outputs
+		}
+		if _, ok := m.Payload.(*hragents.QueryRows); ok {
+			rows++
+		}
+		if want := obs.Truncate(m.PayloadString(), 60); flow[i].Payload != want {
+			t.Errorf("step %d (%s %s) renders\n%s\nnot\n%s", i, m.Sender, m.Stream, flow[i].Payload, want)
+		}
+	}
+	t.Logf("%d steps, %d of them ROWS results", len(flow), rows)
+	if rows == 0 {
+		t.Error("no ROWS step among the six asks")
 	}
 }
 

@@ -208,9 +208,6 @@ func newOnClock(cfg Config, clk *clock.Clock) (*System, error) {
 		// start re-registers the same base set) and replayed records must
 		// not re-log themselves.
 		durableReg.AttachLog(eng.Logger(subRegistries).Append)
-		if cfg.SnapshotEvery > 0 {
-			eng.StartAutoSnapshot(cfg.SnapshotEvery)
-		}
 	}
 
 	// Resilience (§I "configured to scale and restart on failure"): failed
