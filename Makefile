@@ -35,7 +35,9 @@ race:
 # in the one coordinator service, a session at its plan bound holds up no
 # other session, and a session's Leave waits for its own running plans only,
 # and the service runs one read loop however many sessions join it, which
-# Stop ends;
+# Stop ends, and a plan run — memo-warm, fan-out or replanned, direct or
+# through the service while its PLAN message is rendered — never writes the
+# plan it runs;
 # and a session's membership is one decision per change: of concurrent adds
 # of the same agents exactly one joins, none once Close got there first, and
 # the session stream records each name added once; and over HTTP a click is
@@ -49,7 +51,7 @@ race:
 stress:
 	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession|TestOnePlanIDRunsConcurrently|TestSystemCloseDrainsOpenSessions|TestCloseForgetsUnderLoad|TestAsksPastTheHorizonWhileFlowIsRead' .
 	$(GO) test -race -count=20 -run 'TestGoNeverBlocks|TestPoolIdleAndClose' ./internal/streams
-	$(GO) test -race -count=20 -run 'TestSeatBoundHoldsUpOnlyItsSession|TestLeaveWaitsForItsOwnPlansOnly|TestServiceStartsAndStopsClean' ./internal/coordinator
+	$(GO) test -race -count=20 -run 'TestSeatBoundHoldsUpOnlyItsSession|TestLeaveWaitsForItsOwnPlansOnly|TestServiceStartsAndStopsClean|TestPlanRunLeavesPayloadUnchanged' ./internal/coordinator
 	$(GO) test -race -count=20 -run 'TestDuplicateAgentRejected|TestConcurrentAddAndClose' ./internal/session
 	$(GO) test -race -count=20 -run 'TestClickIsGoverned|TestShedAndQueuedAsksHaveOneID' ./internal/httpapi
 	$(GO) test -race -count=5 -run 'TestDurableLogKeepsWriteOrder' .
@@ -105,7 +107,9 @@ census:
 # jobs of workload.MediumScale (BenchmarkRangeGroupBy, a range group-by through
 # idx_jobs_salary at four selectivities: B/op should be the same at each), the
 # coordinator's fan-out plan run one step at a time and in parallel and plans
-# of many sessions at once (BenchmarkFanout*, BenchmarkMultiSessionThroughput),
+# of many sessions at once (BenchmarkFanout*, BenchmarkMultiSessionThroughput)
+# and a memo-warm one-step plan (BenchmarkWarmPlan: its B/op and allocs/op
+# are the coordinator's own cost of a planned ask whose step is a memo hit),
 # one AGENT_DONE report appended, with its outputs and with usage alone
 # (internal/agent, BenchmarkReport: a typed directive, no map and no boxed
 # number), a histogram observation alone and from every P and 512 sessions'
@@ -132,7 +136,7 @@ bench:
 # BenchmarkSpanRingChurn; relational,
 # hragents and workload the group-by, the title scan, the SQL executor ->
 # query summarizer hand-off and the range group-by at workload scale; coordinator the fan-out plans and many sessions' plans at
-# once, llm the model heads an ask's agents call) and of the root package's
+# once and the memo-warm plan, llm the model heads an ask's agents call) and of the root package's
 # BenchmarkStartSessionBesideLive and BenchmarkGovernedAskRecording, then one
 # iteration, a whole phase, of each BenchmarkOverloadPhases case: CI runs
 # them so that they keep building and finishing, not to read their numbers.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"blueprint/internal/budget"
+	"blueprint/internal/planner"
 )
 
 // benchStepLatency keeps the benchmarks honest (real waiting, as an agent
@@ -62,4 +63,39 @@ func BenchmarkMultiSessionThroughput(b *testing.B) {
 		wg.Wait()
 	}
 	b.ReportMetric(float64(sessions), "plans/op")
+}
+
+// warmPlan is a coordinator over a memo store and a memo-warm plan shaped
+// like the one the Agentic Employer emits for a summarize ask: one step of a
+// Cacheable agent whose one input is an int literal, run once so that its
+// result is memoized.
+func warmPlan(tb testing.TB) (*Coordinator, *planner.Plan) {
+	tb.Helper()
+	e := newMemoEnv(tb, 0)
+	e.attach(tb, "session:warm", 0)
+	c := New(e.store, e.reg, nil, nil, Options{Memo: e.m})
+	p := &planner.Plan{
+		ID: "ae-summarize-7", Utterance: "summarize job 7", Intent: "summarize",
+		Steps: []planner.Step{{
+			ID: "s1", Agent: "FETCH", Task: "summarize applicants for the selected job",
+			Bindings: map[string]planner.Binding{"JOB_ID": {Value: 7}},
+		}},
+	}
+	if _, err := c.ExecutePlan("session:warm", p, budget.New(budget.Limits{MaxCost: 1})); err != nil {
+		tb.Fatal(err)
+	}
+	return c, p
+}
+
+// BenchmarkWarmPlan is ExecutePlan of a memo-warm one-step plan: the
+// coordinator's own cost of a planned ask whose step is a memo hit.
+func BenchmarkWarmPlan(b *testing.B) {
+	c, p := warmPlan(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.ExecutePlan("session:warm", p, budget.New(budget.Limits{MaxCost: 1})); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

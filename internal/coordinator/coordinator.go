@@ -11,16 +11,20 @@
 // ExecutePlan honours the plan's DAG structure rather than its listing
 // order, and reads that structure once: its first line derives the plan's
 // planner.Graph (which is also the plan's validation), and the same value
-// goes to the optimizer's projection and to the scheduler. The scheduler
-// counts down the graph's dependencies and runs a step's children as they
+// goes to the optimizer's projection and to the scheduler. It identifies
+// each step once as well (see "One step's life"), and runs the plan it is
+// handed in place: no run writes a plan, so the service runs the published
+// payload itself. The graph names a step by its position in the plan, and the
+// scheduler keeps each step's state — its waiting count, outputs, result and
+// critical-path finish — at that position, in slices of the plan's length.
+// It counts down the graph's dependencies and runs a step's children as they
 // reach zero: one on the plan's own goroutine, the others on the store's pool
 // of long-lived workers (streams.Store.Go), with at most Options.MaxParallel
 // (default DefaultMaxParallel) in flight counting the plan's own. So a
 // one-step plan hands nothing off, a fan-out plan with N independent steps
 // completes in one wave (Graph.Waves describes the wave structure), and the
-// optimizer
-// projects its latency as the critical path over the same DAG, not the sum
-// of the steps.
+// optimizer projects its latency as the critical path over the same DAG, not
+// the sum of the steps.
 //
 // Violation semantics under concurrency: each step is admitted through the
 // budget's atomic Reserve/Commit path, so concurrently dispatched steps can
@@ -72,15 +76,19 @@
 //
 // # One step's life
 //
-// runStep resolves a ready step's inputs with planner.Plan.Resolve — the one
-// reading of bindings, which the projection also uses: here over the outputs
-// of completed steps (read under the scheduler's lock) and with a transform
-// that runs the data planner and charges the budget. That completes the
-// step's identity (stepIdentity): the agent's registry entry, read once, and
-// for a Cacheable agent with a memo store configured the
-// memo key of those inputs. Everything after takes that value — only a
-// replan's alternative agent is looked up again. A keyed step takes
-// runMemoized and any other runFresh.
+// A step has one identity per execution (optimizer.StepIdentity), made by
+// ExecutePlan before the projection (optimizer.IdentifyPlan): the agent's
+// registry entry, read once, and — for a step whose inputs the plan fixes
+// (literals and the untransformed utterance) — those inputs, resolved with
+// planner.Plan.Resolve, the one reading of bindings, and for a Cacheable
+// agent with a memo store configured their memo key. The projection prices
+// the step with that value and runStep runs it. A step that reads an
+// upstream output or needs a transform is resolved by runStep when it is
+// ready, over the outputs of completed steps (read under the scheduler's
+// lock) and with a transform that runs the data planner and charges the
+// budget, and keyed then (StepIdentity.WithInputs). Everything after takes
+// that value — only a replan's alternative agent is looked up again. A keyed
+// step takes runMemoized and any other runFresh.
 //
 //   - runMemoized asks the store (memo.Store.Do): a hit, or a coalesced share
 //     of an identical in-flight execution, goes to satisfy; on a miss this
@@ -296,12 +304,15 @@ func (c *Coordinator) execute(session string, ask uint64, p *planner.Plan, b *bu
 	// plans are not falsely rejected for the sum of their parallel steps;
 	// with memoization on, steps expected to hit the cache are priced at
 	// zero, so warm plans are admitted at their residual cost.
-	projCost, projLatency, _, _ := optimizer.EstimatePlanWithMemo(p, g, c.reg, c.opts.Memo)
+	// Each step is identified here, once: the projection prices the plan
+	// with the identities and the scheduler runs each step under its own.
+	ids := optimizer.IdentifyPlan(p, c.reg, c.opts.Memo)
+	projCost, projLatency, _, _ := optimizer.EstimatePlanWithMemo(p, g, ids, c.opts.Memo)
 	if b.WouldExceed(projCost, projLatency) && !c.confirm(nil) {
 		return c.abort(session, ask, res, b, fmt.Sprintf("projected cost $%.4f/latency %s exceeds budget", projCost, projLatency))
 	}
 
-	err = newScheduler(c, session, ask, p, g, b, res, span).run()
+	err = newScheduler(c, session, ask, p, g, ids, b, res, span).run()
 	res.Budget = b.Snapshot()
 	return res, err
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -671,10 +673,22 @@ func publishPlan(t testing.TB, store *streams.Store, session string, p *planner.
 	t.Helper()
 	if _, err := store.Publish(streams.Message{
 		Stream: agent.OutputStream(session, planner.AgentName), Session: session, Kind: streams.Data,
-		Sender: planner.AgentName, Param: "PLAN", Tags: []string{PlanTag}, Payload: p.Clone(),
+		Sender: planner.AgentName, Param: "PLAN", Tags: []string{PlanTag}, Payload: copyPlan(p),
 	}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// copyPlan is a copy of p that shares no step, binding map or explanation
+// with it; a binding's literal is copied as it is.
+func copyPlan(p *planner.Plan) *planner.Plan {
+	cp := *p
+	cp.Steps = slices.Clone(p.Steps)
+	for i := range cp.Steps {
+		cp.Steps[i].Bindings = maps.Clone(cp.Steps[i].Bindings)
+	}
+	cp.Explanation = slices.Clone(p.Explanation)
+	return &cp
 }
 
 // A published plan is immutable: what its producer does to its own copy

@@ -104,7 +104,11 @@ func TestRandomPlansBindUpstreamOutputsAndChargeTheCriticalPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := optimizer.CriticalPath(g, reported); res.Budget.Latency != want {
+		byPosition := make([]time.Duration, n) // as the graph names steps
+		for j, step := range p.Steps {
+			byPosition[j] = reported[step.ID]
+		}
+		if want := optimizer.CriticalPath(g, byPosition); res.Budget.Latency != want {
 			t.Fatalf("plan %d: budget charged %v, critical path over the reported latencies is %v\n%s", i, res.Budget.Latency, want, p)
 		}
 	}

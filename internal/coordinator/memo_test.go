@@ -311,3 +311,21 @@ func TestMemoReplannedStepNotCached(t *testing.T) {
 		t.Fatalf("replanned step was cached: %d entries", n)
 	}
 }
+
+// A memo-warm one-step plan runs in place: the plan is identified once —
+// its step's registry entry read, its inputs resolved and keyed — for the
+// projection and the scheduler alike, per-step state sits in slices, and the
+// projection reads the memo entry without copying it. The bound is the count
+// when that was so (30); with a second resolve and key, the scheduler's maps
+// and a copied entry the count was 45.
+func TestWarmPlanAllocations(t *testing.T) {
+	c, p := warmPlan(t)
+	n := testing.AllocsPerRun(200, func() {
+		if _, err := c.ExecutePlan("session:warm", p, budget.New(budget.Limits{MaxCost: 1})); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 30 {
+		t.Fatalf("a memo-warm one-step plan allocates %v times, want at most 30", n)
+	}
+}

@@ -11,8 +11,8 @@ import (
 	"blueprint/internal/budget"
 	"blueprint/internal/memo"
 	"blueprint/internal/obs"
+	"blueprint/internal/optimizer"
 	"blueprint/internal/planner"
-	"blueprint/internal/registry"
 	"blueprint/internal/resilience"
 	"blueprint/internal/streams"
 )
@@ -33,23 +33,26 @@ var errReplanned = errors.New("coordinator: step replanned to an alternative age
 var errDegraded = errors.New("coordinator: step served degraded from a stale entry; not re-cacheable")
 
 // scheduler executes one plan as a dependency-driven DAG: it takes the plan's
-// graph from ExecutePlan (planner.Graph, the value the projection walked),
-// runs every step whose dependencies are satisfied — one on the plan's own
-// goroutine, the others on the store's pool (streams.Store.Go), at most
-// MaxParallel at once counting the plan's own — merges step outputs under a
-// lock, and admits each step through the
-// budget's atomic Reserve/Commit path so concurrently executing steps cannot
-// jointly overshoot the cost limit; latency is enforced against the critical
-// path of actual step latencies (each commit charges only the critical
-// path's growth), matching the optimizer's projection in the same units.
-// The first failure or budget abort cancels the shared context, which
-// unblocks in-flight steps; ready steps not yet started are skipped.
+// graph and its steps' identities from ExecutePlan (planner.Graph and
+// optimizer.IdentifyPlan, the values the projection walked), runs every step
+// whose dependencies are satisfied — one on the plan's own goroutine, the
+// others on the store's pool (streams.Store.Go), at most MaxParallel at once
+// counting the plan's own — merges step outputs under a lock, and admits each
+// step through the budget's atomic Reserve/Commit path so concurrently
+// executing steps cannot jointly overshoot the cost limit; latency is
+// enforced against the critical path of actual step latencies (each commit
+// charges only the critical path's growth), matching the optimizer's
+// projection in the same units. The first failure or budget abort cancels the
+// shared context, which unblocks in-flight steps; ready steps not yet started
+// are skipped. A step is named by its position in the plan, as the graph
+// names it, and its state is kept at that position.
 type scheduler struct {
 	c       *Coordinator
 	session string
 	ask     uint64 // the ask the plan runs for; every message it writes carries it
 	plan    *planner.Plan
-	graph   planner.Graph // the plan's dependency DAG, as projected
+	graph   planner.Graph            // the plan's dependency DAG, as projected
+	ids     []optimizer.StepIdentity // each step's identity, as projected; read-only
 	budget  *budget.Budget
 	res     *Result
 
@@ -57,58 +60,41 @@ type scheduler struct {
 	cancel context.CancelFunc
 
 	mu             sync.Mutex
-	outputs        map[string]map[string]any // completed step outputs by step ID
-	results        map[string]StepResult     // recorded step results by step ID
-	failErr        error                     // first failure; nil while healthy
-	simFinish      map[string]time.Duration  // per-step critical-path finish time
-	chargedLatency time.Duration             // critical-path latency charged so far
+	steps          []stepState     // each step's progress, by position
+	finish         []time.Duration // each step's critical-path finish, by position: what Graph.ReadyAt reads
+	failErr        error           // first failure; nil while healthy
+	chargedLatency time.Duration   // critical-path latency charged so far
 }
 
-// stepIdentity is what the scheduler needs to know about a ready step's
-// agent: the cut of its registry entry that prices the step's admission and
-// commit and bounds its freshness — read once, by runStep — and, for
-// a Cacheable agent with a memo store configured, the memo key runStep adds
-// from the resolved inputs. It is handed by value through the step's life;
-// only a replan looks an agent up again: the alternative's.
-type stepIdentity struct {
-	known     bool                // the agent is registered; the fields below are its entry's
-	name      string              // registry name
-	version   int                 // registry version, part of the memo key
-	cacheable bool                // results are a function of inputs and reads
-	reads     []string            // data assets whose updates invalidate its results
-	qos       registry.QoSProfile // projected cost, accuracy, freshness
-	key       memo.Key            // valid when keyed
-	keyed     bool                // the step's result lives in the memo store under key
-}
-
-// identify reads the agent's registry entry into a stepIdentity without a key;
-// an unregistered agent is the zero identity.
-func (s *scheduler) identify(agentName string) stepIdentity {
-	spec, err := s.c.reg.Get(agentName)
-	if err != nil {
-		return stepIdentity{}
-	}
-	return stepIdentity{known: true, name: spec.Name, version: spec.Version,
-		cacheable: spec.Cacheable, reads: spec.Reads, qos: spec.QoS}
+// stepState is one step's part of a plan run. waiting belongs to run's loop;
+// the rest is written under the scheduler's lock, each once.
+type stepState struct {
+	waiting  int            // dependencies that have not completed
+	done     bool           // the step completed: outputs are what downstream inputs bind to
+	outputs  map[string]any // never mutated once set
+	recorded bool           // result holds the step's result
+	result   StepResult
 }
 
 // stepOutcome is one worker's report back to the scheduling loop.
 type stepOutcome struct {
-	stepID string
-	ran    bool // false when the step was skipped (cancelled before start)
-	err    error
+	step int  // the step's position in the plan
+	ran  bool // false when the step was skipped (cancelled before start)
+	err  error
 }
 
-func newScheduler(c *Coordinator, session string, ask uint64, p *planner.Plan, g planner.Graph, b *budget.Budget, res *Result, span *obs.Span) *scheduler {
+func newScheduler(c *Coordinator, session string, ask uint64, p *planner.Plan, g planner.Graph, ids []optimizer.StepIdentity, b *budget.Budget, res *Result, span *obs.Span) *scheduler {
 	ctx, cancel := context.WithCancel(context.Background())
 	// The plan span rides the scheduler context so step spans parent to it.
 	ctx = obs.ContextWith(ctx, span)
+	steps := make([]stepState, len(p.Steps))
+	for i, ds := range g.Deps {
+		steps[i].waiting = len(ds)
+	}
 	return &scheduler{
-		c: c, session: session, ask: ask, plan: p, graph: g, budget: b, res: res,
+		c: c, session: session, ask: ask, plan: p, graph: g, ids: ids, budget: b, res: res,
 		ctx: ctx, cancel: cancel,
-		outputs:   map[string]map[string]any{},
-		results:   map[string]StepResult{},
-		simFinish: map[string]time.Duration{},
+		steps: steps, finish: make([]time.Duration, len(p.Steps)),
 	}
 }
 
@@ -120,11 +106,6 @@ func newScheduler(c *Coordinator, session string, ask uint64, p *planner.Plan, g
 // plan's goroutine alone and makes no channel.
 func (s *scheduler) run() error {
 	defer s.cancel()
-	steps := s.plan.Steps
-	waiting := make(map[string]int, len(s.graph.Deps)) // dependencies a step still waits for
-	for id, ds := range s.graph.Deps {
-		waiting[id] = len(ds)
-	}
 	parallel := s.c.opts.MaxParallel
 	if parallel <= 0 {
 		parallel = DefaultMaxParallel
@@ -138,12 +119,13 @@ func (s *scheduler) run() error {
 	for len(ready) > 0 || handedOff > 0 {
 		for len(ready) > 1 && handedOff+1 < parallel {
 			if done == nil {
-				done = make(chan stepOutcome, len(steps)) // one send per step at most
+				done = make(chan stepOutcome, len(s.steps)) // one send per step at most
 			}
-			id := ready[0]
+			i := ready[0]
 			ready = ready[1:]
 			handedOff++
-			s.c.store.Go(func() { done <- s.step(id) })
+			out := done // captured by value: done itself stays off the heap
+			s.c.store.Go(func() { out <- s.step(i) })
 		}
 		var oc stepOutcome
 		if len(ready) > 0 {
@@ -159,9 +141,9 @@ func (s *scheduler) run() error {
 		if stopped || !oc.ran {
 			continue
 		}
-		for _, child := range s.graph.Children[oc.stepID] {
-			waiting[child]--
-			if waiting[child] == 0 {
+		for _, child := range s.graph.Children[oc.step] {
+			s.steps[child].waiting--
+			if s.steps[child].waiting == 0 {
 				ready = append(ready, child)
 			}
 		}
@@ -171,39 +153,39 @@ func (s *scheduler) run() error {
 	// outputs, matching the sequential contract.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, st := range steps {
-		sr, ok := s.results[st.ID]
-		if !ok {
+	for i := range s.steps {
+		st := &s.steps[i]
+		if !st.recorded {
 			continue
 		}
-		s.res.Steps = append(s.res.Steps, sr)
-		if sr.Err == "" {
-			s.res.Final = sr.Outputs
+		s.res.Steps = append(s.res.Steps, st.result)
+		if st.result.Err == "" {
+			s.res.Final = st.result.Outputs
 		}
 	}
 	return s.failErr
 }
 
-// step runs the ready step id to its outcome, on whichever goroutine calls it.
-func (s *scheduler) step(id string) stepOutcome {
-	st, _ := s.plan.Step(id)
+// step runs the ready step i to its outcome, on whichever goroutine calls it.
+func (s *scheduler) step(i int) stepOutcome {
 	mBusyWorkers.Add(1)
-	oc := s.runStep(st)
+	oc := s.runStep(i)
 	mBusyWorkers.Add(-1)
 	return oc
 }
 
-// runStep executes one plan step end to end: input resolution
-// (planner.Plan.Resolve over the completed steps' outputs), the registry entry
-// and, for a memoizable step, the memo key that complete the step's identity,
-// then either the memoized path or the fresh path — budget admission
-// (Reserve), agent execution with one optional replan retry, and the Commit of
-// actuals. Policy decisions on violations happen inline; the scheduling loop
-// only learns success or failure.
-func (s *scheduler) runStep(step planner.Step) stepOutcome {
+// runStep executes one plan step end to end. Its identity comes from
+// ExecutePlan; a step whose inputs the plan does not fix first resolves them
+// (planner.Plan.Resolve over the completed steps' outputs) and, when
+// memoizable, keys them. Then either the memoized path or the fresh path —
+// budget admission (Reserve), agent execution with one optional replan
+// retry, and the Commit of actuals. Policy decisions on violations happen
+// inline; the scheduling loop only learns success or failure.
+func (s *scheduler) runStep(i int) stepOutcome {
 	if s.ctx.Err() != nil {
-		return stepOutcome{stepID: step.ID, ran: false}
+		return stepOutcome{step: i, ran: false}
 	}
+	step := s.plan.Steps[i]
 	mSteps.Inc()
 	ctx, sp := obs.StartSpan(s.ctx, "scheduler", "step:"+step.ID)
 	sp.SetAttr("agent", step.Agent)
@@ -212,29 +194,30 @@ func (s *scheduler) runStep(step planner.Step) stepOutcome {
 	start := clk.Now()
 	defer func() { mStepLatency.Observe(clk.Since(start).Seconds()) }()
 
-	inputs, err := s.plan.Resolve(step, s.output, s.c.transformer(s.budget))
-	if err != nil {
-		err = fmt.Errorf("%w: %s: %v", ErrStepFailed, step.ID, err)
-		s.fail(err)
-		return stepOutcome{stepID: step.ID, err: err}
-	}
-	id := s.identify(step.Agent)
-	if id.cacheable && s.c.opts.Memo != nil {
-		if key, err := memo.ComputeKey(id.name, id.version, inputs); err == nil {
-			id.key, id.keyed = key, true
-			return s.runMemoized(ctx, step, id, inputs)
+	id := s.ids[i]
+	if id.Inputs == nil {
+		inputs, err := s.plan.Resolve(step, s.output, s.c.transformer(s.budget))
+		if err != nil {
+			err = fmt.Errorf("%w: %s: %v", ErrStepFailed, step.ID, err)
+			s.fail(err)
+			return stepOutcome{step: i, err: err}
 		}
+		id = id.WithInputs(inputs, s.c.opts.Memo)
 	}
-	return s.runFresh(ctx, step, id, inputs)
+	if id.Keyed {
+		return s.runMemoized(ctx, i, id)
+	}
+	return s.runFresh(ctx, i, id)
 }
 
 // output reports a completed step's outputs: what Resolve binds a downstream
-// input to. Per-step maps are written once, at completion, and never mutated.
+// input to. A step's outputs are written once, at completion, and never
+// mutated.
 func (s *scheduler) output(step string) (map[string]any, bool) {
+	i := s.plan.Index(step) // a plan step: the graph checked every binding
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out, ok := s.outputs[step]
-	return out, ok
+	return s.steps[i].outputs, s.steps[i].done
 }
 
 // runMemoized satisfies the step from the memoization store when possible:
@@ -244,18 +227,19 @@ func (s *scheduler) output(step string) (map[string]any, bool) {
 // sessions sharing this Coordinator — run once and share the result. The
 // leader runs the full fresh path (admission, execution, commit) so its
 // plan is charged normally; only the winners' waiters ride free.
-func (s *scheduler) runMemoized(ctx context.Context, step planner.Step, id stepIdentity, inputs map[string]any) stepOutcome {
+func (s *scheduler) runMemoized(ctx context.Context, i int, id optimizer.StepIdentity) stepOutcome {
+	step := s.plan.Steps[i]
 	// The memo span covers the whole Do (for a leader that includes the
 	// fresh execution it led); the agent execution itself is a sibling child
 	// of the step span, so hit/coalesced trees show a bare memo/lookup and
 	// miss trees show lookup + execution side by side.
 	_, msp := obs.StartSpan(ctx, "memo", "lookup")
-	msp.SetAttr("agent", id.name)
+	msp.SetAttr("agent", id.Name)
 	var leaderOC stepOutcome
 	led := false
-	entry, outcome, err := s.c.opts.Memo.Do(s.ctx, id.key, id.name, id.reads, id.qos.Freshness, func() (memo.Entry, error) {
+	entry, outcome, err := s.c.opts.Memo.Do(s.ctx, id.Key, id.Name, id.Reads, id.QoS.Freshness, func() (memo.Entry, error) {
 		led = true
-		leaderOC = s.runFresh(ctx, step, id, inputs)
+		leaderOC = s.runFresh(ctx, i, id)
 		if leaderOC.err != nil || !leaderOC.ran {
 			e := leaderOC.err
 			if e == nil {
@@ -264,9 +248,9 @@ func (s *scheduler) runMemoized(ctx context.Context, step planner.Step, id stepI
 			return memo.Entry{}, e
 		}
 		s.mu.Lock()
-		sr := s.results[step.ID]
+		sr := s.steps[i].result
 		s.mu.Unlock()
-		if sr.Agent != id.name {
+		if sr.Agent != id.Name {
 			// A replan retry swapped in an alternative agent: its result
 			// must not be cached under the original agent's key (wrong
 			// invalidation attribution — Reads, version — and wrong QoS
@@ -291,13 +275,13 @@ func (s *scheduler) runMemoized(ctx context.Context, step planner.Step, id stepI
 	if err != nil {
 		// Cancelled while awaiting an identical in-flight execution
 		// (plan-level abort or failure elsewhere).
-		s.record(StepResult{StepID: step.ID, Agent: step.Agent, Err: "cancelled"})
+		s.record(i, StepResult{StepID: step.ID, Agent: step.Agent, Err: "cancelled"})
 		ferr := s.firstFailure(fmt.Errorf("%w: %s (%s): %v", ErrStepFailed, step.ID, step.Agent, err))
-		return stepOutcome{stepID: step.ID, ran: true, err: ferr}
+		return stepOutcome{step: i, ran: true, err: ferr}
 	}
 	// Hit or coalesced share, handled identically.
 	sr := StepResult{StepID: step.ID, Agent: step.Agent, Outputs: entry.Outputs, Cached: true}
-	return s.satisfy(sr, step.ID+":"+step.Agent, id.qos.Accuracy)
+	return s.satisfy(i, sr, step.ID+":"+step.Agent, id.QoS.Accuracy)
 }
 
 // satisfy completes a step without executing it — a memo hit, a coalesced
@@ -306,48 +290,54 @@ func (s *scheduler) runMemoized(ctx context.Context, step planner.Step, id stepI
 // critical-path latency (it finishes "instantly" after its dependencies),
 // and accuracy keeps the plan's estimate honest with the profile of the
 // agent that produced the entry.
-func (s *scheduler) satisfy(sr StepResult, label string, accuracy float64) stepOutcome {
+func (s *scheduler) satisfy(i int, sr StepResult, label string, accuracy float64) stepOutcome {
 	vs := s.budget.ChargeMemoHit(label, accuracy)
 	s.mu.Lock()
-	s.simFinish[sr.StepID] = s.graph.ReadyAt(sr.StepID, s.simFinish) // nothing added to the critical path
-	s.results[sr.StepID] = sr
+	s.finish[i] = s.graph.ReadyAt(i, s.finish) // nothing added to the critical path
+	s.steps[i].result, s.steps[i].recorded = sr, true
 	s.res.Degraded = s.res.Degraded || sr.Degraded
 	s.mu.Unlock()
 	if len(vs) > 0 && !s.c.confirm(vs) {
-		return stepOutcome{stepID: sr.StepID, ran: true, err: s.abort(vs[0].String())}
+		return stepOutcome{step: i, ran: true, err: s.abort(vs[0].String())}
 	}
+	s.complete(i, sr.Outputs)
+	return stepOutcome{step: i, ran: true}
+}
+
+// complete publishes step i's outputs to the steps that bind to them.
+func (s *scheduler) complete(i int, outputs map[string]any) {
 	s.mu.Lock()
-	s.outputs[sr.StepID] = sr.Outputs
+	s.steps[i].outputs, s.steps[i].done = outputs, true
 	s.mu.Unlock()
-	return stepOutcome{stepID: sr.StepID, ran: true}
 }
 
 // runFresh executes the step for real: circuit-breaker consult, budget
 // admission, agent execution under the retry policy, with a degraded
 // stale-memo serve or one replan fallback when the breaker rejects or the
 // retries are exhausted, and the Commit of actuals.
-func (s *scheduler) runFresh(ctx context.Context, step planner.Step, id stepIdentity, inputs map[string]any) stepOutcome {
+func (s *scheduler) runFresh(ctx context.Context, i int, id optimizer.StepIdentity) stepOutcome {
+	step := s.plan.Steps[i]
 	// Circuit breaker: an open breaker rejects the dispatch outright. The
 	// step is then answered from a stale memo entry when the degradation
 	// policy tolerates its age, or falls through (execErr set, nothing
 	// reserved or executed) to the replan fallback below — routing around
 	// the broken agent instead of hammering it.
 	if !s.c.opts.Breakers.Allow(step.Agent) {
-		if oc, ok := s.serveStale(step, id); ok {
+		if oc, ok := s.serveStale(i, id); ok {
 			return oc
 		}
 		sr := StepResult{StepID: step.ID, Agent: step.Agent, Err: resilience.ErrBreakerOpen.Error()}
 		execErr := fmt.Errorf("%s: %w", step.Agent, resilience.ErrBreakerOpen)
-		return s.replanOrFail(ctx, step, id, inputs, nil, false, sr, execErr)
+		return s.replanOrFail(ctx, i, id, nil, false, sr, execErr)
 	}
 
 	rsv, confirmed, err := s.admit(step.ID+":"+step.Agent, id)
 	if err != nil {
 		s.c.opts.Breakers.Forgo(step.Agent) // the dispatch Allow admitted is not made
-		return stepOutcome{stepID: step.ID, err: err}
+		return stepOutcome{step: i, err: err}
 	}
-	sr, execErr := s.executeAttempts(ctx, step, inputs)
-	return s.replanOrFail(ctx, step, id, inputs, rsv, confirmed, sr, execErr)
+	sr, execErr := s.executeAttempts(ctx, step, id.Inputs)
+	return s.replanOrFail(ctx, i, id, rsv, confirmed, sr, execErr)
 }
 
 // admit reserves the agent's projected cost (from its registry profile) so
@@ -361,11 +351,11 @@ func (s *scheduler) runFresh(ctx context.Context, step planner.Step, id stepIden
 // charged (and recorded as violations) on completion, and the commit-stage
 // violations it already confirmed do not prompt again. Steps of unknown
 // agents (no QoS profile) skip the reservation and fail in executeStep.
-func (s *scheduler) admit(label string, id stepIdentity) (rsv *budget.Reservation, confirmed bool, err error) {
-	if !id.known {
+func (s *scheduler) admit(label string, id optimizer.StepIdentity) (rsv *budget.Reservation, confirmed bool, err error) {
+	if !id.Known {
 		return nil, false, nil
 	}
-	rsv, vs := s.budget.Reserve(label, id.qos.CostPerCall, 0)
+	rsv, vs := s.budget.Reserve(label, id.QoS.CostPerCall, 0)
 	if len(vs) > 0 {
 		if !s.c.confirm(vs) {
 			return nil, false, s.abort(vs[0].String())
@@ -437,33 +427,35 @@ func (s *scheduler) attempt(ctx context.Context, step planner.Step, inputs map[s
 // and resilience.ServeStale tolerates its age under the agent's declared
 // freshness. The serve is charged like a memo hit (zero cost, zero
 // marginal critical-path latency) and marked Degraded with its staleness.
-func (s *scheduler) serveStale(step planner.Step, id stepIdentity) (stepOutcome, bool) {
-	if !id.keyed {
+func (s *scheduler) serveStale(i int, id optimizer.StepIdentity) (stepOutcome, bool) {
+	if !id.Keyed {
 		return stepOutcome{}, false
 	}
-	entry, age, ok := s.c.opts.Memo.GetStale(id.key)
-	if !ok || !resilience.ServeStale(id.qos.Freshness, age) {
+	entry, age, ok := s.c.opts.Memo.GetStale(id.Key)
+	if !ok || !resilience.ServeStale(id.QoS.Freshness, age) {
 		return stepOutcome{}, false
 	}
+	step := s.plan.Steps[i]
 	mStepsStale.Inc()
 	s.event(obs.LevelWarn, "degraded-serve",
 		obs.Attr{Key: "step", Value: step.ID},
 		obs.Attr{Key: "agent", Value: step.Agent},
 		obs.Attr{Key: "stale_for", Value: age.String()})
 	sr := StepResult{StepID: step.ID, Agent: step.Agent, Outputs: entry.Outputs, Cached: true, Degraded: true, StaleFor: age}
-	return s.satisfy(sr, step.ID+":"+step.Agent+":stale", id.qos.Accuracy), true
+	return s.satisfy(i, sr, step.ID+":"+step.Agent+":stale", id.QoS.Accuracy), true
 }
 
 // replanOrFail finishes a step after its execution attempts: on failure it
 // applies the one replan fallback when the coordinator has a planner, then
 // records the result and commits actuals.
-func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, id stepIdentity, inputs map[string]any, rsv *budget.Reservation, confirmed bool, sr StepResult, execErr error) stepOutcome {
+func (s *scheduler) replanOrFail(ctx context.Context, i int, id optimizer.StepIdentity, rsv *budget.Reservation, confirmed bool, sr StepResult, execErr error) stepOutcome {
+	step := s.plan.Steps[i]
 	if execErr != nil && s.c.tp != nil && s.ctx.Err() == nil {
 		if np, rerr := s.c.tp.Replan(s.plan, step.ID); rerr == nil {
 			s.mu.Lock()
 			s.res.Replans++
 			s.mu.Unlock()
-			alt, _ := np.Step(step.ID)
+			alt := np.Steps[i] // a replan keeps every step's position
 			s.event(obs.LevelWarn, "replan",
 				obs.Attr{Key: "step", Value: step.ID},
 				obs.Attr{Key: "from", Value: step.Agent},
@@ -474,20 +466,20 @@ func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, id step
 			// executing it unreserved would reopen the joint-overshoot
 			// window Reserve exists to close.
 			rsv.Release()
-			altID := s.identify(alt.Agent)
+			altID := optimizer.Identify(s.c.reg, alt.Agent)
 			altRsv, again, err := s.admit(step.ID+":"+alt.Agent, altID)
 			if err != nil {
-				s.record(sr) // the original failure
-				return stepOutcome{stepID: step.ID, ran: true, err: err}
+				s.record(i, sr) // the original failure
+				return stepOutcome{step: i, ran: true, err: err}
 			}
 			rsv, confirmed = altRsv, confirmed || again
-			sr, execErr = s.attempt(ctx, alt, inputs)
+			sr, execErr = s.attempt(ctx, alt, id.Inputs)
 			if execErr == nil {
 				step, id = alt, altID
 			}
 		}
 	}
-	s.record(sr)
+	s.record(i, sr)
 	if execErr != nil {
 		rsv.Release()
 		err := fmt.Errorf("%w: %s (%s): %w", ErrStepFailed, step.ID, step.Agent, execErr)
@@ -497,7 +489,7 @@ func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, id step
 		} else {
 			s.fail(err)
 		}
-		return stepOutcome{stepID: step.ID, ran: true, err: err}
+		return stepOutcome{step: i, ran: true, err: err}
 	}
 
 	// Commit actuals (the executed agent may differ from the reserved one
@@ -510,10 +502,10 @@ func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, id step
 	// and the units stay the agents' reported latencies — the same units
 	// the optimizer's critical-path projection uses (essential for the
 	// simulated LLM, whose reported latency is not slept wall time).
-	acc := id.qos.Accuracy // zero for an unregistered agent
+	acc := id.QoS.Accuracy // zero for an unregistered agent
 	s.mu.Lock()
-	finish := s.graph.ReadyAt(step.ID, s.simFinish) + sr.Latency
-	s.simFinish[step.ID] = finish
+	finish := s.graph.ReadyAt(i, s.finish) + sr.Latency
+	s.finish[i] = finish
 	marginal := finish - s.chargedLatency
 	if marginal < 0 {
 		marginal = 0
@@ -528,13 +520,11 @@ func (s *scheduler) replanOrFail(ctx context.Context, step planner.Step, id step
 	}
 	if len(vs) > 0 && !confirmed && !s.c.confirm(vs) {
 		err := s.abort(vs[0].String())
-		return stepOutcome{stepID: step.ID, ran: true, err: err}
+		return stepOutcome{step: i, ran: true, err: err}
 	}
 
-	s.mu.Lock()
-	s.outputs[step.ID] = sr.Outputs
-	s.mu.Unlock()
-	return stepOutcome{stepID: step.ID, ran: true}
+	s.complete(i, sr.Outputs)
+	return stepOutcome{step: i, ran: true}
 }
 
 // event logs a scheduler decision (a retry, a degraded serve, a replan)
@@ -545,10 +535,10 @@ func (s *scheduler) event(lv obs.Level, kind string, attrs ...obs.Attr) {
 		Session: s.session, Trace: obs.AskID(s.ask), Attrs: attrs})
 }
 
-// record stores a step's result for the plan-order assembly in run.
-func (s *scheduler) record(sr StepResult) {
+// record stores step i's result for the plan-order assembly in run.
+func (s *scheduler) record(i int, sr StepResult) {
 	s.mu.Lock()
-	s.results[sr.StepID] = sr
+	s.steps[i].result, s.steps[i].recorded = sr, true
 	s.mu.Unlock()
 }
 

@@ -171,9 +171,10 @@ func (s *Service) spawn(scope string, payload any, ask uint64) {
 			return
 		default:
 		}
-		// The payload stays in the stream's history: the plan run is a copy.
-		p := payload.(*planner.Plan).Clone()
-		_, _ = s.c.execute(session, ask, p, budget.New(s.limits), func(res *Result, err error) {
+		// The payload stays in the stream's history, where it is read while
+		// it runs: a published plan is immutable, and nothing on the run
+		// path writes one (a replan builds a new plan).
+		_, _ = s.c.execute(session, ask, payload.(*planner.Plan), budget.New(s.limits), func(res *Result, err error) {
 			s.finish(session, st, res, err)
 		})
 	})

@@ -2,16 +2,20 @@ package coordinator
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"blueprint/internal/agent"
 	"blueprint/internal/budget"
+	"blueprint/internal/memo"
 	"blueprint/internal/planner"
 	"blueprint/internal/registry"
 	"blueprint/internal/streams"
+	"blueprint/internal/trace"
 )
 
 // coordinatorDisplay returns the Param of every message the coordinator has
@@ -357,5 +361,108 @@ func TestSubScopePlanRunsOnItsSessionsSeat(t *testing.T) {
 	}
 	if _, ok := svc.Seat(sess + ":profile"); ok {
 		t.Fatal("a sub-scope has a seat of its own")
+	}
+}
+
+// A run never writes its plan: the projection, the scheduler and a replan
+// only read it, so the service runs the published payload itself, not a
+// copy. Each plan — a memo-warm one, a fan-out one, and one whose step fails
+// and is replanned to an alternative agent — equals a deep copy taken before
+// its run, after a direct run and after a run through the service while
+// another goroutine renders the PLAN message as the flow views do. Under
+// -race, a write racing that rendering fails the test too.
+func TestPlanRunLeavesPayloadUnchanged(t *testing.T) {
+	fe := newFanEnv(t, 3, time.Millisecond)
+	registerProc(t, fe.store, fe.reg, registry.AgentSpec{
+		Name: "LOOKUP", Description: "look up a job's applicants", Cacheable: true,
+		Inputs:  []registry.ParamSpec{{Name: "JOB_ID", Type: "int"}},
+		Outputs: []registry.ParamSpec{{Name: "APPLICANTS", Type: "text"}},
+		QoS:     registry.QoSProfile{CostPerCall: 0.001, Latency: time.Millisecond, Accuracy: 0.9},
+	}, func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
+		return agent.Outputs{Values: map[string]any{"APPLICANTS": fmt.Sprint("applicants of ", inv.Inputs["JOB_ID"])}}, nil
+	})
+	registerProc(t, fe.store, fe.reg, registry.AgentSpec{
+		Name:        "FLAKY_MATCHER",
+		Description: "match the job seeker profile with available job listings ranking match quality precisely",
+		Inputs:      []registry.ParamSpec{{Name: "JOBSEEKER_DATA", Type: "profile"}},
+		Outputs:     []registry.ParamSpec{{Name: "MATCHES", Type: "rows"}},
+	}, func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
+		return agent.Outputs{}, errors.New("model unavailable")
+	})
+	c := New(fe.store, fe.reg, fe.tp, fe.model, Options{Memo: memo.New(64)})
+
+	warm := &planner.Plan{ID: "warm", Utterance: "summarize job 7", Intent: "summarize",
+		Steps: []planner.Step{{ID: "s1", Agent: "LOOKUP", Task: "summarize applicants for the selected job",
+			Bindings: map[string]planner.Binding{"JOB_ID": {Value: 7}}}},
+		Explanation: []string{"one cacheable step"}}
+	if _, err := c.ExecutePlan(sess, copyPlan(warm), nil); err != nil {
+		t.Fatal(err)
+	}
+	replanned := &planner.Plan{ID: "replanned", Utterance: "match me", Intent: "rank",
+		Steps: []planner.Step{
+			{ID: "s1", Agent: "PROFILER", Task: "collect job seeker profile information from the user",
+				Bindings: map[string]planner.Binding{"CRITERIA": {FromUserText: true}}},
+			{ID: "s2", Agent: "FLAKY_MATCHER", Task: "match the job seeker profile with available job listings",
+				Bindings: map[string]planner.Binding{"JOBSEEKER_DATA": {FromStep: "s1", FromParam: "JOBSEEKER_DATA"}}},
+		}}
+	plans := []*planner.Plan{warm, fanOutPlan(3), replanned}
+	check := func(how string, res *Result, payload, before *planner.Plan) {
+		t.Helper()
+		if res == nil || res.Aborted || len(res.Steps) != len(before.Steps) {
+			t.Fatalf("%s run of %s: %+v", how, before.ID, res)
+		}
+		if before == warm && !res.Steps[0].Cached || before == replanned && res.Replans != 1 {
+			t.Fatalf("%s run of %s is not what it stands for: %+v", how, before.ID, res)
+		}
+		if !reflect.DeepEqual(payload, before) {
+			t.Fatalf("%s run of %s wrote its plan:\n got %+v\nwant %+v", how, before.ID, payload, before)
+		}
+	}
+
+	for _, p := range plans {
+		payload := copyPlan(p)
+		res, err := c.ExecutePlan(sess, payload, budget.New(budget.Limits{MaxCost: 1}))
+		if err != nil {
+			t.Fatalf("%s: %v", p.ID, err)
+		}
+		check("a direct", res, payload, p)
+	}
+
+	svc := c.Serve(budget.Limits{MaxCost: 1})
+	defer svc.Stop()
+	seat, shown := svc.Join(sess), shownResults(t, fe.store, sess)
+	stop, rendered := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				rendered <- n
+				return
+			default:
+			}
+			for _, m := range fe.store.History(sess) {
+				if m.Param == "PLAN" {
+					_ = m.PayloadString()
+					n++
+				}
+			}
+			_ = trace.Flow(fe.store, sess)
+		}
+	}()
+	for i, p := range plans {
+		payload := copyPlan(p)
+		if _, err := fe.store.Publish(streams.Message{
+			Stream: agent.OutputStream(sess, planner.AgentName), Session: sess, Kind: streams.Data,
+			Sender: planner.AgentName, Param: "PLAN", Tags: []string{PlanTag}, Payload: payload,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		awaitShown(t, shown, 1) // each plan's last step has one output
+		check("a service", seat.Results()[i], payload, p)
+	}
+	close(stop)
+	if n := <-rendered; n == 0 {
+		t.Fatal("no PLAN message was rendered during the runs")
 	}
 }

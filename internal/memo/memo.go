@@ -253,8 +253,10 @@ func (s *Store) Get(key Key) (Entry, bool) {
 }
 
 // Peek returns the cached entry without touching recency or counters — the
-// read-only view the optimizer's cache-aware projection uses. Expired
-// entries are invisible. Safe on a nil store.
+// view the optimizer's cache-aware projection uses. Expired entries are
+// invisible. The returned outputs are the stored map itself, not a copy:
+// read-only, as a directive's Outputs are; Get, Do and GetStale hand out
+// copies. Safe on a nil store.
 func (s *Store) Peek(key Key) (Entry, bool) {
 	if s == nil {
 		return Entry{}, false
@@ -269,7 +271,7 @@ func (s *Store) Peek(key Key) (Entry, bool) {
 	if !e.expires.IsZero() && s.clk.Now().After(e.expires) {
 		return Entry{}, false
 	}
-	return cloneEntry(e.val), true
+	return e.val, true
 }
 
 // GetStale returns the resident entry for key regardless of TTL expiry,

@@ -252,12 +252,73 @@ func AssignAgents(p *planner.Plan, reg *registry.AgentRegistry, obj Objectives, 
 	return changed, nil
 }
 
+// StepIdentity is what one plan step is before it runs: its agent's registry
+// entry, read once, and — for a step whose inputs the plan fixes
+// (planner.Step.InputsFixed) — those inputs, with their memo key when the
+// agent is Cacheable and a memo store is configured. The coordinator
+// identifies a plan's steps once per execution (IdentifyPlan), prices the
+// plan with the identities (EstimatePlanWithMemo) and runs each step under
+// its own; a step whose inputs come from upstream or through a transform is
+// resolved and keyed (WithInputs) when the scheduler has them. Only a replan
+// identifies an agent again: the alternative's.
+type StepIdentity struct {
+	Known     bool                // the agent is registered; the fields below are its entry's
+	Name      string              // registry name
+	Version   int                 // registry version, part of the memo key
+	Cacheable bool                // results are a function of inputs and reads
+	Reads     []string            // data assets whose updates invalidate its results
+	QoS       registry.QoSProfile // projected cost, latency and accuracy; freshness
+	Inputs    map[string]any      // the resolved inputs, shared and read-only; nil until they are known
+	Key       memo.Key            // valid when Keyed
+	Keyed     bool                // the step's result lives in the memo store under Key
+}
+
+// Identify reads the agent's registry entry into an identity with no inputs
+// and no key; an unregistered agent is the zero identity.
+func Identify(reg *registry.AgentRegistry, agent string) StepIdentity {
+	spec, err := reg.Get(agent)
+	if err != nil {
+		return StepIdentity{}
+	}
+	return StepIdentity{Known: true, Name: spec.Name, Version: spec.Version,
+		Cacheable: spec.Cacheable, Reads: spec.Reads, QoS: spec.QoS}
+}
+
+// IdentifyPlan identifies every step of p, by position in p.Steps: each
+// agent's entry, and the inputs — keyed in m — of each step whose inputs the
+// plan fixes.
+func IdentifyPlan(p *planner.Plan, reg *registry.AgentRegistry, m *memo.Store) []StepIdentity {
+	ids := make([]StepIdentity, len(p.Steps))
+	for i, s := range p.Steps {
+		ids[i] = Identify(reg, s.Agent)
+		if s.InputsFixed() {
+			inputs, _ := p.Resolve(s, nil, nil) // a fixed step reads no output and runs no transform
+			ids[i] = ids[i].WithInputs(inputs, m)
+		}
+	}
+	return ids
+}
+
+// WithInputs returns the identity with its inputs resolved and, for a
+// Cacheable agent with a memo store m, keyed: the one rule that makes a
+// step's memo key. Inputs that cannot be canonicalized leave it unkeyed.
+func (id StepIdentity) WithInputs(inputs map[string]any, m *memo.Store) StepIdentity {
+	id.Inputs = inputs
+	if id.Cacheable && m != nil {
+		if key, err := memo.ComputeKey(id.Name, id.Version, inputs); err == nil {
+			id.Key, id.Keyed = key, true
+		}
+	}
+	return id
+}
+
 // EstimatePlanWithMemo projects a task plan's cost, latency and accuracy from
 // the registered QoS profiles — the projection the coordinator hands to the
 // budget before execution (§V-H "along with an initial budget and projected
-// costs estimated by the optimizer"). g is the plan's graph (Plan.Graph): the
-// coordinator passes the value its scheduler executes, so the projection and
-// the execution order the same DAG.
+// costs estimated by the optimizer"). g is the plan's graph (Plan.Graph) and
+// ids its steps' identities (IdentifyPlan, with the same m): the coordinator
+// passes the values its scheduler executes, so the projection and the
+// execution order the same DAG and key a step the same way.
 //
 // Cost sums over every step and accuracy multiplies through, but latency is
 // the critical path over the dependency DAG: steps in the same topological
@@ -272,49 +333,50 @@ func AssignAgents(p *planner.Plan, reg *registry.AgentRegistry, obj Objectives, 
 // the cold sum — cache-aware planning. A nil store gives the cold projection.
 //
 // Hit projection chains through the DAG: a step's memo key needs its
-// concrete inputs, so a step is projectable when Plan.Resolve can bind every
-// input without executing anything — literal values, the raw utterance, or
-// the cached outputs of an upstream step that is itself an expected hit.
-// Model-dependent transforms and outputs of steps that must execute stay
-// unpredictable and are conservatively priced as misses.
-func EstimatePlanWithMemo(p *planner.Plan, g planner.Graph, reg *registry.AgentRegistry, m *memo.Store) (cost float64, latency time.Duration, accuracy float64, expectedHits int) {
+// concrete inputs. A step whose inputs the plan fixes comes keyed in ids; any
+// other is projectable when Plan.Resolve can bind every input without
+// executing anything — the cached outputs of upstream steps that are
+// themselves expected hits. Model-dependent transforms and outputs of steps
+// that must execute stay unpredictable and are conservatively priced as
+// misses.
+func EstimatePlanWithMemo(p *planner.Plan, g planner.Graph, ids []StepIdentity, m *memo.Store) (cost float64, latency time.Duration, accuracy float64, expectedHits int) {
 	accuracy = 1.0
-	stepLat := make(map[string]time.Duration, len(p.Steps))
-	// Made here although only a hit writes it: it does not escape, so here it
-	// lives on the stack; made inside the loop, on the first hit, it is a heap
-	// allocation per projection of a warm plan.
-	hitOutputs := make(map[string]map[string]any)
+	var latBuf [8]time.Duration
+	var hitBuf [8]map[string]any
+	stepLat := sized(latBuf[:], len(p.Steps))
+	hitOutputs := sized(hitBuf[:], len(p.Steps)) // an expected hit's outputs, nil for any other step
 	expectedHit := func(step string) (map[string]any, bool) {
-		out, ok := hitOutputs[step]
-		return out, ok
+		out := hitOutputs[p.Index(step)]
+		return out, out != nil
 	}
 
 	// Wave order, so upstream expected-hit outputs are available when
 	// downstream keys are computed.
 	for _, wave := range g.Waves {
-		for _, id := range wave {
-			s, _ := p.Step(id)
-			spec, err := reg.Get(s.Agent)
-			if err != nil {
+		for _, i := range wave {
+			id := ids[i]
+			if !id.Known {
 				continue
 			}
-			if spec.QoS.Accuracy > 0 {
-				accuracy *= spec.QoS.Accuracy
+			if id.QoS.Accuracy > 0 {
+				accuracy *= id.QoS.Accuracy
 			}
-			if m != nil && spec.Cacheable {
-				if inputs, err := p.Resolve(s, expectedHit, nil); err == nil {
-					if key, err := memo.ComputeKey(spec.Name, spec.Version, inputs); err == nil {
-						if e, ok := m.Peek(key); ok {
-							expectedHits++
-							stepLat[s.ID] = 0
-							hitOutputs[s.ID] = e.Outputs
-							continue
-						}
+			if m != nil && id.Cacheable {
+				if id.Inputs == nil {
+					if inputs, err := p.Resolve(p.Steps[i], expectedHit, nil); err == nil {
+						id = id.WithInputs(inputs, m)
+					}
+				}
+				if id.Keyed {
+					if e, ok := m.Peek(id.Key); ok {
+						expectedHits++
+						hitOutputs[i] = e.Outputs
+						continue
 					}
 				}
 			}
-			cost += spec.QoS.CostPerCall
-			stepLat[s.ID] = spec.QoS.Latency
+			cost += id.QoS.CostPerCall
+			stepLat[i] = id.QoS.Latency
 		}
 	}
 	latency = CriticalPath(g, stepLat)
@@ -322,17 +384,28 @@ func EstimatePlanWithMemo(p *planner.Plan, g planner.Graph, reg *registry.AgentR
 }
 
 // CriticalPath computes the longest dependency chain through the plan's
-// graph, weighting each step by stepLat (steps absent from the map weigh
-// zero): every step finishes its own latency after its dependencies have
-// (Graph.ReadyAt), and the plan finishes with its last step.
-func CriticalPath(g planner.Graph, stepLat map[string]time.Duration) time.Duration {
-	finish := make(map[string]time.Duration, len(stepLat))
+// graph, weighting each step by stepLat, indexed by position: every step
+// finishes its own latency after its dependencies have (Graph.ReadyAt), and
+// the plan finishes with its last step.
+func CriticalPath(g planner.Graph, stepLat []time.Duration) time.Duration {
+	var finBuf [8]time.Duration
+	finish := sized(finBuf[:], len(stepLat))
 	var longest time.Duration
 	for _, wave := range g.Waves {
-		for _, id := range wave {
-			finish[id] = g.ReadyAt(id, finish) + stepLat[id]
-			longest = max(longest, finish[id])
+		for _, i := range wave {
+			finish[i] = g.ReadyAt(i, finish) + stepLat[i]
+			longest = max(longest, finish[i])
 		}
 	}
 	return longest
+}
+
+// sized returns n zero values: the first n of buf when they fit — buf is a
+// fresh array of the caller's that does not escape, so a plan of a few steps
+// is walked without a heap allocation — and a new slice otherwise.
+func sized[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
 }

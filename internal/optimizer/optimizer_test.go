@@ -243,7 +243,7 @@ func TestEstimatePlanChain(t *testing.T) {
 				Bindings: map[string]planner.Binding{"IN": {FromStep: "s2", FromParam: "OUT"}}},
 		},
 	}
-	cost, lat, acc, _ := EstimatePlanWithMemo(p, graphOf(t, p), reg, nil)
+	cost, lat, acc, _ := EstimatePlanWithMemo(p, graphOf(t, p), IdentifyPlan(p, reg, nil), nil)
 	if cost < 0.052-1e-9 || cost > 0.052+1e-9 {
 		t.Fatalf("cost = %v", cost)
 	}
@@ -255,12 +255,13 @@ func TestEstimatePlanChain(t *testing.T) {
 		t.Fatalf("accuracy = %v", acc)
 	}
 
-	// Without a memo store the projection allocates no map: the expected-hit
-	// outputs, the step latencies and the finish times do not escape and stay
-	// on the stack. Measured over no steps, so that the registry's own
-	// allocations per lookup stay out of the count.
-	if n := testing.AllocsPerRun(100, func() { EstimatePlanWithMemo(&planner.Plan{}, planner.Graph{}, reg, nil) }); n != 0 {
-		t.Fatalf("cold projection of no steps: %v allocations, want 0", n)
+	// The projection itself allocates nothing: the expected-hit outputs, the
+	// step latencies and the finish times of a plan of a few steps do not
+	// escape and stay on the stack. Measured over identities made beforehand,
+	// so that the registry's own allocations per lookup stay out of the count.
+	g, ids := graphOf(t, p), IdentifyPlan(p, reg, nil)
+	if n := testing.AllocsPerRun(100, func() { EstimatePlanWithMemo(p, g, ids, nil) }); n != 0 {
+		t.Fatalf("cold projection of three steps: %v allocations, want 0", n)
 	}
 }
 
@@ -274,7 +275,7 @@ func TestEstimatePlanCriticalPathOverDAG(t *testing.T) {
 			{ID: "s2", Agent: "MATCHER_BUDGET"},
 		},
 	}
-	cost, lat, _, _ := EstimatePlanWithMemo(p, graphOf(t, p), reg, nil)
+	cost, lat, _, _ := EstimatePlanWithMemo(p, graphOf(t, p), IdentifyPlan(p, reg, nil), nil)
 	if lat != 200*time.Millisecond {
 		t.Fatalf("fan-out latency = %v, want max(200ms, 20ms)", lat)
 	}
@@ -299,7 +300,7 @@ func TestEstimatePlanCriticalPathOverDAG(t *testing.T) {
 			{ID: "s4", Agent: "MATCHER_BUDGET", Bindings: dep("s2", "s3")},
 		},
 	}
-	_, lat, _, _ = EstimatePlanWithMemo(diamond, graphOf(t, diamond), reg, nil)
+	_, lat, _, _ = EstimatePlanWithMemo(diamond, graphOf(t, diamond), IdentifyPlan(diamond, reg, nil), nil)
 	if want := (20 + 200 + 20) * time.Millisecond; lat != want {
 		t.Fatalf("diamond latency = %v, want %v", lat, want)
 	}
@@ -332,7 +333,7 @@ func TestEstimatePlanWithMemoPricesResidualCost(t *testing.T) {
 
 	m := memo.New(16)
 	// Cold store: the cold projection.
-	cost, lat, _, hits := EstimatePlanWithMemo(p, graphOf(t, p), reg, m)
+	cost, lat, _, hits := EstimatePlanWithMemo(p, graphOf(t, p), IdentifyPlan(p, reg, m), m)
 	if hits != 0 || cost != 0.03 || lat != 150*time.Millisecond {
 		t.Fatalf("cold: cost=%v lat=%v hits=%d", cost, lat, hits)
 	}
@@ -344,7 +345,7 @@ func TestEstimatePlanWithMemoPricesResidualCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Put(k1, "FETCH", nil, 0, memo.Entry{Outputs: map[string]any{"OUT": "fetched"}, Cost: 0.01})
-	cost, lat, _, hits = EstimatePlanWithMemo(p, graphOf(t, p), reg, m)
+	cost, lat, _, hits = EstimatePlanWithMemo(p, graphOf(t, p), IdentifyPlan(p, reg, m), m)
 	if hits != 1 || cost != 0.02 || lat != 50*time.Millisecond {
 		t.Fatalf("s1 warm: cost=%v lat=%v hits=%d", cost, lat, hits)
 	}
@@ -353,13 +354,13 @@ func TestEstimatePlanWithMemoPricesResidualCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Put(k2, "DERIVE", nil, 0, memo.Entry{Outputs: map[string]any{"OUT": "derived"}, Cost: 0.02})
-	cost, lat, _, hits = EstimatePlanWithMemo(p, graphOf(t, p), reg, m)
+	cost, lat, _, hits = EstimatePlanWithMemo(p, graphOf(t, p), IdentifyPlan(p, reg, m), m)
 	if hits != 2 || cost != 0 || lat != 0 {
 		t.Fatalf("fully warm: cost=%v lat=%v hits=%d", cost, lat, hits)
 	}
 
 	// Nil store degrades to the cold projection.
-	cost, _, _, hits = EstimatePlanWithMemo(p, graphOf(t, p), reg, nil)
+	cost, _, _, hits = EstimatePlanWithMemo(p, graphOf(t, p), IdentifyPlan(p, reg, nil), nil)
 	if hits != 0 || cost != 0.03 {
 		t.Fatalf("nil store: cost=%v hits=%d", cost, hits)
 	}
@@ -384,7 +385,7 @@ func TestEstimatePlanWithMemoTransformsAreMisses(t *testing.T) {
 	// transform output is model-dependent, so the step prices as a miss.
 	k, _ := memo.ComputeKey("FETCH", 1, map[string]any{"Q": "the ask"})
 	m.Put(k, "FETCH", nil, 0, memo.Entry{})
-	if cost, _, _, hits := EstimatePlanWithMemo(p, graphOf(t, p), reg, m); hits != 0 || cost != 0.01 {
+	if cost, _, _, hits := EstimatePlanWithMemo(p, graphOf(t, p), IdentifyPlan(p, reg, m), m); hits != 0 || cost != 0.01 {
 		t.Fatalf("transform step projected as hit: cost=%v hits=%d", cost, hits)
 	}
 }
@@ -397,7 +398,7 @@ func TestCriticalPathMatchesBruteForce(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		n := 1 + rng.Intn(8)
 		p := &planner.Plan{}
-		lat := map[string]time.Duration{}
+		byID := map[string]time.Duration{}
 		for j := 0; j < n; j++ {
 			s := planner.Step{ID: fmt.Sprintf("s%d", j), Agent: "A", Bindings: map[string]planner.Binding{}}
 			for k := 0; k < 3 && j > 0; k++ {
@@ -407,19 +408,23 @@ func TestCriticalPathMatchesBruteForce(t *testing.T) {
 			}
 			p.Steps = append(p.Steps, s)
 			if rng.Intn(5) > 0 {
-				lat[s.ID] = time.Duration(rng.Intn(500)) * time.Millisecond
+				byID[s.ID] = time.Duration(rng.Intn(500)) * time.Millisecond
 			}
 		}
 		rng.Shuffle(n, func(a, b int) { p.Steps[a], p.Steps[b] = p.Steps[b], p.Steps[a] })
+		lat := make([]time.Duration, n) // by position, as the graph names steps
+		for j, s := range p.Steps {
+			lat[j] = byID[s.ID]
+		}
 
 		var finish func(id string) time.Duration
 		finish = func(id string) time.Duration {
-			s, _ := p.Step(id)
+			s := p.Steps[p.Index(id)]
 			var start time.Duration
 			for _, b := range s.Bindings {
 				start = max(start, finish(b.FromStep))
 			}
-			return start + lat[id]
+			return start + byID[id]
 		}
 		var want time.Duration
 		for _, s := range p.Steps {

@@ -39,16 +39,16 @@ func TestDepsDerivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	deps := g.Deps
-	if _, ok := deps["s1"]; ok {
-		t.Fatalf("s1 has no deps, got %v", deps["s1"])
+	if len(deps[0]) != 0 {
+		t.Fatalf("s1 has no deps, got %v", deps[0])
 	}
-	for _, id := range []string{"s2", "s3", "s4"} {
-		if !reflect.DeepEqual(deps[id], []string{"s1"}) {
-			t.Fatalf("deps[%s] = %v", id, deps[id])
+	for _, i := range []int{1, 2, 3} {
+		if !reflect.DeepEqual(deps[i], []int{0}) {
+			t.Fatalf("deps[%d] = %v", i, deps[i])
 		}
 	}
-	if !reflect.DeepEqual(deps["s5"], []string{"s2", "s3", "s4"}) {
-		t.Fatalf("deps[s5] = %v", deps["s5"])
+	if !reflect.DeepEqual(deps[4], []int{1, 2, 3}) {
+		t.Fatalf("deps[4] = %v", deps[4])
 	}
 }
 
@@ -58,7 +58,7 @@ func TestWavesFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	waves := g.Waves
-	want := [][]string{{"s1"}, {"s2", "s3", "s4"}, {"s5"}}
+	want := [][]int{{0}, {1, 2, 3}, {4}}
 	if !reflect.DeepEqual(waves, want) {
 		t.Fatalf("waves = %v, want %v", waves, want)
 	}
@@ -93,7 +93,7 @@ func TestValidateAllowsForwardReferences(t *testing.T) {
 		t.Fatal(err)
 	}
 	waves := g.Waves
-	want := [][]string{{"s1"}, {"s2"}}
+	want := [][]int{{1}, {0}} // s1, then s2
 	if !reflect.DeepEqual(waves, want) {
 		t.Fatalf("waves = %v, want %v", waves, want)
 	}
@@ -233,9 +233,19 @@ func TestGraphMatchesBruteForce(t *testing.T) {
 			continue
 		}
 		accepted++
+		// The graph names steps by position; the model by ID.
+		ids := func(is []int) []string {
+			var out []string
+			for _, i := range is {
+				out = append(out, p.Steps[i].ID)
+			}
+			return out
+		}
+		deps := func(id string) []string { return slices.Sorted(slices.Values(ids(g.Deps[p.Index(id)]))) }
+		children := func(id string) []string { return ids(g.Children[p.Index(id)]) }
 		placed := map[string]int{}
 		for w, wave := range g.Waves {
-			for _, id := range wave {
+			for _, id := range ids(wave) {
 				if _, twice := placed[id]; twice {
 					t.Fatalf("plan %d: step %s placed twice in %v", i, id, g.Waves)
 				}
@@ -243,7 +253,7 @@ func TestGraphMatchesBruteForce(t *testing.T) {
 				if w != wantDepth[id] {
 					t.Fatalf("plan %d: step %s in wave %d, longest-path depth %d\n%s", i, id, w, wantDepth[id], p)
 				}
-				for _, d := range g.Deps[id] {
+				for _, d := range deps(id) {
 					if dw, ok := placed[d]; !ok || dw >= w {
 						t.Fatalf("plan %d: step %s (wave %d) is ordered before its dependency %s", i, id, w, d)
 					}
@@ -253,17 +263,23 @@ func TestGraphMatchesBruteForce(t *testing.T) {
 		if len(placed) != len(p.Steps) {
 			t.Fatalf("plan %d: %d of %d steps ordered: %v", i, len(placed), len(p.Steps), g.Waves)
 		}
-		if len(g.Deps) != len(wantDeps) {
+		withDeps := 0
+		for _, ds := range g.Deps {
+			if len(ds) > 0 {
+				withDeps++
+			}
+		}
+		if len(g.Deps) != len(p.Steps) || withDeps != len(wantDeps) {
 			t.Fatalf("plan %d: Deps = %v, want %v", i, g.Deps, wantDeps)
 		}
 		edges := 0
 		for id, ds := range wantDeps {
-			if !reflect.DeepEqual(g.Deps[id], ds) {
-				t.Fatalf("plan %d: Deps[%s] = %v, want %v", i, id, g.Deps[id], ds)
+			if !reflect.DeepEqual(deps(id), ds) {
+				t.Fatalf("plan %d: Deps[%s] = %v, want %v", i, id, deps(id), ds)
 			}
 			for _, d := range ds {
-				if !slices.Contains(g.Children[d], id) {
-					t.Fatalf("plan %d: Children[%s] = %v lacks %s", i, d, g.Children[d], id)
+				if !slices.Contains(children(d), id) {
+					t.Fatalf("plan %d: Children[%s] = %v lacks %s", i, d, children(d), id)
 				}
 			}
 			edges += len(ds)
@@ -286,10 +302,10 @@ func TestReadyAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	finish := map[string]time.Duration{"s1": 5, "s2": 9, "s3": 30, "s4": 7}
-	for step, want := range map[string]time.Duration{"s1": 0, "s2": 5, "s5": 30, "nope": 0} {
+	finish := []time.Duration{5, 9, 30, 7, 0} // s1..s4 placed, s5 not yet
+	for step, want := range map[int]time.Duration{0: 0, 1: 5, 4: 30} {
 		if got := g.ReadyAt(step, finish); got != want {
-			t.Fatalf("ReadyAt(%s) = %v, want %v", step, got, want)
+			t.Fatalf("ReadyAt(s%d) = %v, want %v", step+1, got, want)
 		}
 	}
 }

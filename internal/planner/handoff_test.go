@@ -142,34 +142,13 @@ func TestFromJSONTypedEqualsDecoded(t *testing.T) {
 	}
 }
 
-// A plan's Clone shares no mutable state with it: the payload stays in the
-// stream's history, and the coordinator may rewrite the copy it runs
-// (optimizer.AssignAgents reassigns steps in place).
-func TestCloneCopies(t *testing.T) {
-	p := handoffPlan()
-	got := p.Clone()
-	got.Steps[0].Agent = "OTHER"
-	got.Steps[0].Bindings["JOB_ID"] = Binding{Value: 8}
-	got.Steps = append(got.Steps, Step{ID: "s4", Agent: "X"})
-	got.Explanation[0] = "rewritten"
-	if !reflect.DeepEqual(p, handoffPlan()) {
-		t.Fatalf("writing to the clone changed the payload: %+v", p)
-	}
-}
-
 var sinkPlan any
 
 // BenchmarkPlanHandoff is one plan crossing one stream hop, the consumer's
-// side of it: in process (the coordinator's copy) and through a log (encoded,
-// then decoded as recovery decodes it).
+// side of it, through a log: encoded, then decoded as recovery decodes it. In
+// process the coordinator runs the published plan itself, and copies nothing.
 func BenchmarkPlanHandoff(b *testing.B) {
 	p := handoffPlan()
-	b.Run("typed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sinkPlan = p.Clone()
-		}
-	})
 	b.Run("log", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf []byte

@@ -75,14 +75,28 @@ func (p *Plan) Validate() error {
 	return err
 }
 
-// Step returns the step with the given id.
-func (p *Plan) Step(id string) (Step, bool) {
-	for _, s := range p.Steps {
-		if s.ID == id {
-			return s, true
+// Index returns the position in Steps of the step with the given id, -1 when
+// the plan has none: how a step ID becomes the index Graph names steps by.
+func (p *Plan) Index(id string) int {
+	for i := range p.Steps {
+		if p.Steps[i].ID == id {
+			return i
 		}
 	}
-	return Step{}, false
+	return -1
+}
+
+// InputsFixed reports whether the plan alone determines the step's inputs:
+// every binding is a literal or the untransformed utterance, so Resolve needs
+// neither an upstream step's output nor a transform, and gives the same
+// inputs before the plan runs as while it runs.
+func (s Step) InputsFixed() bool {
+	for _, b := range s.Bindings {
+		if b.FromStep != "" || (b.FromUserText && b.Transform != "") {
+			return false
+		}
+	}
+	return true
 }
 
 // String renders the plan DAG.
@@ -107,19 +121,6 @@ func (p *Plan) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Clone returns a copy of the plan that shares no step, binding map or
-// explanation with it. Binding values are copied as they are: a literal is
-// never written through.
-func (p *Plan) Clone() *Plan {
-	cp := *p
-	cp.Steps = slices.Clone(p.Steps)
-	for i := range cp.Steps {
-		cp.Steps[i].Bindings = maps.Clone(cp.Steps[i].Bindings)
-	}
-	cp.Explanation = slices.Clone(p.Explanation)
-	return &cp
 }
 
 func init() { durability.RegisterValue(durability.TagPlan, appendPlan, decodePlan) }
@@ -326,10 +327,11 @@ func (tp *TaskPlanner) wire(step *Step, spec registry.AgentSpec, plan *Plan, st 
 // step's agent is replaced with the registry's next-best candidate (§V-H:
 // the coordinator "could potentially trigger the task planner to replan").
 func (tp *TaskPlanner) Replan(p *Plan, failedStepID string) (*Plan, error) {
-	step, ok := p.Step(failedStepID)
-	if !ok {
+	at := p.Index(failedStepID)
+	if at < 0 {
 		return nil, fmt.Errorf("planner: unknown step %q", failedStepID)
 	}
+	step := p.Steps[at]
 	hits := tp.reg.FindForTask(step.Task, 5)
 	var alt *registry.AgentHit
 	for i := range hits {
@@ -348,12 +350,8 @@ func (tp *TaskPlanner) Replan(p *Plan, failedStepID string) (*Plan, error) {
 		Steps:     make([]Step, len(p.Steps)),
 	}
 	copy(np.Steps, p.Steps)
-	for i := range np.Steps {
-		if np.Steps[i].ID == failedStepID {
-			np.Steps[i].Agent = alt.Spec.Name
-			np.Steps[i].Score = alt.Score
-		}
-	}
+	np.Steps[at].Agent = alt.Spec.Name
+	np.Steps[at].Score = alt.Score
 	np.Explanation = append(append([]string{}, p.Explanation...),
 		fmt.Sprintf("replan: step %s reassigned %s -> %s", failedStepID, step.Agent, alt.Spec.Name))
 	return np, np.Validate()

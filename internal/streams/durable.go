@@ -272,6 +272,10 @@ func (s *Store) applyLocked(r *record, replay bool) {
 		if m.Seq < st.info.Len {
 			return // already present (snapshot covered it)
 		}
+		m.Stream = st.info.ID // as Append stores them: the stream's own strings
+		if m.Session == st.info.Session {
+			m.Session = st.info.Session
+		}
 		m.Seq = st.info.Len
 		st.msgs.Append(m)
 		st.info.Len++

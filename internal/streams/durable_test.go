@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"blueprint/internal/durability"
 )
@@ -818,4 +819,64 @@ func TestDropForgetsScope(t *testing.T) {
 	if n := len(re.List("session:1")); n != 1 {
 		t.Fatalf("recovery holds %d streams of session:1, want the re-created one", n)
 	}
+}
+
+// A stored message names its stream and its session with the stream's own
+// strings, not with the ones its producer built for the call: appended live,
+// replayed from the log and restored from a snapshot alike.
+func TestStoredMessagesShareTheStreamsStrings(t *testing.T) {
+	const stream, session = "session:x:chat", "session:x"
+	check := func(how string, s *Store) {
+		t.Helper()
+		info, err := s.Info(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs, err := s.ReadAll(stream)
+		if err != nil || len(msgs) != 2 {
+			t.Fatalf("%s: %d messages (err %v), want 2", how, len(msgs), err)
+		}
+		for _, m := range msgs {
+			if unsafe.StringData(m.Stream) != unsafe.StringData(info.ID) {
+				t.Fatalf("%s: message %d keeps a stream name of its own", how, m.Seq)
+			}
+			if unsafe.StringData(m.Session) != unsafe.StringData(info.Session) {
+				t.Fatalf("%s: message %d keeps a session name of its own", how, m.Seq)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	s, eng := openDurableStore(t, dir)
+	if _, err := s.CreateStream(stream, StreamInfo{Session: session}); err != nil {
+		t.Fatal(err)
+	}
+	// Built per call, as a producer's agent.OutputStream(session, ...) is; the
+	// second names its session, the first leaves it to the stream.
+	for i, named := range []string{"", strings.Clone(session)} {
+		if _, err := s.Append(Message{Stream: strings.Clone(stream), Session: named, Payload: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("live", s)
+	var snap bytes.Buffer
+	if err := s.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	replayed, eng2 := openDurableStore(t, dir)
+	defer eng2.Close()
+	defer replayed.Close()
+	check("replayed", replayed)
+
+	restored := NewStore()
+	defer restored.Close()
+	if err := restored.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	check("restored", restored)
 }

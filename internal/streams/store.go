@@ -295,7 +295,10 @@ func (s *Store) Append(msg Message) (Message, error) {
 		s.mu.Unlock()
 		return Message{}, fmt.Errorf("%w: %s", ErrStreamClosed, msg.Stream)
 	}
-	if msg.Session == "" {
+	// The stored message names its stream and session with the stream's own
+	// strings, not the producer's per-call ones.
+	msg.Stream = st.info.ID
+	if msg.Session == "" || msg.Session == st.info.Session {
 		msg.Session = st.info.Session
 	}
 	// Seq, TS and ID are claimed only once the record is logged.
