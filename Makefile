@@ -37,7 +37,8 @@ race:
 # and the service runs one read loop however many sessions join it, which
 # Stop ends, and a plan run — memo-warm, fan-out or replanned, direct or
 # through the service while its PLAN message is rendered — never writes the
-# plan it runs;
+# plan it runs, and a memo-warm step run 100 times, a coalesced pair among
+# them, never writes the stored outputs its hits hand out;
 # and a session's membership is one decision per change: of concurrent adds
 # of the same agents exactly one joins, none once Close got there first, and
 # the session stream records each name added once; and over HTTP a click is
@@ -51,7 +52,7 @@ race:
 stress:
 	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession|TestOnePlanIDRunsConcurrently|TestSystemCloseDrainsOpenSessions|TestCloseForgetsUnderLoad|TestAsksPastTheHorizonWhileFlowIsRead' .
 	$(GO) test -race -count=20 -run 'TestGoNeverBlocks|TestPoolIdleAndClose' ./internal/streams
-	$(GO) test -race -count=20 -run 'TestSeatBoundHoldsUpOnlyItsSession|TestLeaveWaitsForItsOwnPlansOnly|TestServiceStartsAndStopsClean|TestPlanRunLeavesPayloadUnchanged' ./internal/coordinator
+	$(GO) test -race -count=20 -run 'TestSeatBoundHoldsUpOnlyItsSession|TestLeaveWaitsForItsOwnPlansOnly|TestServiceStartsAndStopsClean|TestPlanRunLeavesPayloadUnchanged|TestMemoHitsLeaveStoredOutputsUnchanged' ./internal/coordinator
 	$(GO) test -race -count=20 -run 'TestDuplicateAgentRejected|TestConcurrentAddAndClose' ./internal/session
 	$(GO) test -race -count=20 -run 'TestClickIsGoverned|TestShedAndQueuedAsksHaveOneID' ./internal/httpapi
 	$(GO) test -race -count=5 -run 'TestDurableLogKeepsWriteOrder' .
@@ -110,7 +111,8 @@ census:
 # of many sessions at once (BenchmarkFanout*, BenchmarkMultiSessionThroughput)
 # and a memo-warm one-step plan (BenchmarkWarmPlan: its B/op and allocs/op
 # are the coordinator's own cost of a planned ask whose step is a memo hit),
-# one AGENT_DONE report appended, with its outputs and with usage alone
+# a step's memo key and a Do hit (internal/memo, BenchmarkComputeKey: one
+# allocation, the key; BenchmarkDoHit: none), one AGENT_DONE report appended, with its outputs and with usage alone
 # (internal/agent, BenchmarkReport: a typed directive, no map and no boxed
 # number), a histogram observation alone and from every P and 512 sessions'
 # spans recorded round-robin, each ask re-making its session's evicted span ring
@@ -127,21 +129,21 @@ census:
 # degraded_ratio and accepted_p99_ms at 0.5x and 2x the governor's capacity
 # (BenchmarkOverloadPhases).
 bench:
-	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner ./internal/hragents ./internal/workload ./internal/coordinator ./internal/agent ./internal/obs ./internal/vectors ./internal/llm . -run XXX -bench . -benchmem
+	$(GO) test ./internal/relational/ ./internal/streams ./internal/session ./internal/planner ./internal/hragents ./internal/workload ./internal/coordinator ./internal/memo ./internal/agent ./internal/obs ./internal/vectors ./internal/llm . -run XXX -bench . -benchmem
 
 # Twenty iterations of each streams, session, planner, relational, hragents,
-# workload, coordinator, agent, obs, vectors and llm benchmark (the first
+# workload, coordinator, memo, agent, obs, vectors and llm benchmark (the first
 # holds BenchmarkAppend, the durable append, the stream log's recovery and
 # the pool's deep-stack hand-off; agent BenchmarkReport; obs
 # BenchmarkSpanRingChurn; relational,
 # hragents and workload the group-by, the title scan, the SQL executor ->
 # query summarizer hand-off and the range group-by at workload scale; coordinator the fan-out plans and many sessions' plans at
-# once and the memo-warm plan, llm the model heads an ask's agents call) and of the root package's
+# once and the memo-warm plan, memo the key and a hit, llm the model heads an ask's agents call) and of the root package's
 # BenchmarkStartSessionBesideLive and BenchmarkGovernedAskRecording, then one
 # iteration, a whole phase, of each BenchmarkOverloadPhases case: CI runs
 # them so that they keep building and finishing, not to read their numbers.
 bench-streams:
-	$(GO) test ./internal/streams ./internal/session ./internal/planner ./internal/relational ./internal/hragents ./internal/workload ./internal/coordinator ./internal/agent ./internal/obs ./internal/vectors ./internal/llm -run XXX -bench . -benchtime 20x
+	$(GO) test ./internal/streams ./internal/session ./internal/planner ./internal/relational ./internal/hragents ./internal/workload ./internal/coordinator ./internal/memo ./internal/agent ./internal/obs ./internal/vectors ./internal/llm -run XXX -bench . -benchtime 20x
 	$(GO) test . -run XXX -bench 'StartSessionBesideLive|GovernedAskRecording' -benchtime 20x
 	$(GO) test . -run XXX -bench OverloadPhases -benchtime 1x
 

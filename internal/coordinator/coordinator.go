@@ -91,8 +91,9 @@
 // step takes runMemoized and any other runFresh.
 //
 //   - runMemoized asks the store (memo.Store.Do): a hit, or a coalesced share
-//     of an identical in-flight execution, goes to satisfy; on a miss this
-//     goroutine leads, runs runFresh and hands the result to the store.
+//     of an identical in-flight execution, goes to satisfy with the stored
+//     outputs themselves, which the run only reads; on a miss this goroutine
+//     leads, runs runFresh and hands the result to the store.
 //   - runFresh consults the agent's breaker. Open: serveStale answers from a
 //     stale entry under the step's key that the degradation policy tolerates
 //     (satisfy, marked Degraded), else the step goes straight to the replan

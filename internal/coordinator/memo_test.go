@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -315,9 +316,12 @@ func TestMemoReplannedStepNotCached(t *testing.T) {
 // A memo-warm one-step plan runs in place: the plan is identified once —
 // its step's registry entry read, its inputs resolved and keyed — for the
 // projection and the scheduler alike, per-step state sits in slices, and the
-// projection reads the memo entry without copying it. The bound is the count
-// when that was so (30); with a second resolve and key, the scheduler's maps
-// and a copied entry the count was 45.
+// projection reads the memo entry without copying it. Its key is one hash
+// of a canonical encoding with no reflection, the registry lookup folds the
+// name's case in a stack buffer, and the hit folds no name and copies no
+// outputs. The bound is the count when that was so (19); with the JSON key,
+// the lower-cased names and the copied hit it was 30, and with a second
+// resolve and key, the scheduler's maps and a copied entry it was 45.
 func TestWarmPlanAllocations(t *testing.T) {
 	c, p := warmPlan(t)
 	n := testing.AllocsPerRun(200, func() {
@@ -325,7 +329,113 @@ func TestWarmPlanAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if n > 30 {
-		t.Fatalf("a memo-warm one-step plan allocates %v times, want at most 30", n)
+	if n > 19 {
+		t.Fatalf("a memo-warm one-step plan allocates %v times, want at most 19", n)
+	}
+}
+
+// lookupOutputs is what LOOKUP returns for a job: nested values, so that a
+// write anywhere into them shows.
+func lookupOutputs(job any) map[string]any {
+	return map[string]any{
+		"APPLICANTS": []any{"ann", "bob"},
+		"JOB":        map[string]any{"id": job, "city": "Austin"},
+	}
+}
+
+// A memo hit and a coalesced share hand out the stored outputs themselves,
+// not a copy, so nothing on the run path may write them. A memo-warm step
+// runs 100 times on concurrent plans — 98 hits, and a cold pair of which one
+// leads and one coalesces onto its flight — and afterwards each stored entry
+// equals a deep copy of what was put. Every run reads its Final while the
+// others run, so under -race a write into a shared outputs map fails too.
+func TestMemoHitsLeaveStoredOutputsUnchanged(t *testing.T) {
+	e := newMemoEnv(t, 0)
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	var gate atomic.Pointer[chan struct{}] // set while a pair's leader is to be held
+	registerProc(t, e.store, e.reg, registry.AgentSpec{
+		Name: "LOOKUP", Description: "look up a job's applicants", Cacheable: true, Reads: []string{"jobs"},
+		Inputs:  []registry.ParamSpec{{Name: "JOB_ID", Type: "int"}},
+		Outputs: []registry.ParamSpec{{Name: "APPLICANTS", Type: "rows"}, {Name: "JOB", Type: "record"}},
+	}, func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
+		if g := gate.Swap(nil); g != nil {
+			started <- struct{}{}
+			<-*g
+		}
+		return agent.Outputs{Values: lookupOutputs(inv.Inputs["JOB_ID"])}, nil
+	})
+	c := New(e.store, e.reg, nil, nil, Options{Memo: e.m})
+	spec, err := e.reg.Get("LOOKUP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func(job int) *planner.Plan {
+		return &planner.Plan{ID: fmt.Sprint("lookup-", job), Utterance: "summarize the job", Intent: "summarize",
+			Steps: []planner.Step{{ID: "s1", Agent: "LOOKUP", Task: "summarize applicants for the selected job",
+				Bindings: map[string]planner.Binding{"JOB_ID": {Value: job}}}}}
+	}
+	key := func(job int) memo.Key {
+		k, err := memo.ComputeKey(spec.Name, spec.Version, map[string]any{"JOB_ID": job})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	run := func(job int) error {
+		res, err := c.ExecutePlan(sess, plan(job), budget.New(budget.Limits{MaxCost: 1}))
+		switch {
+		case err != nil:
+			return err
+		case !reflect.DeepEqual(res.Final, lookupOutputs(job)):
+			return fmt.Errorf("job %d answered %v", job, res.Final)
+		}
+		return nil
+	}
+	e.m.Put(key(7), spec.Name, spec.Reads, 0, memo.Entry{Outputs: lookupOutputs(7)})
+	stored := map[int]map[string]any{7: lookupOutputs(7)} // deep copies of what was put
+
+	errs := make(chan error, 100)
+	var wg sync.WaitGroup
+	for w := 0; w < 7; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 14; i++ {
+				errs <- run(7)
+			}
+		}()
+	}
+	// The pair: the leader is held in LOOKUP until its partner has had time
+	// to find the flight. A partner that came too late is a hit; then the
+	// pair runs again on another job.
+	for job := 8; e.m.Stats().Coalesced == 0; job++ {
+		if job == 13 {
+			t.Fatal("no pair coalesced in five tries")
+		}
+		gate.Store(&release)
+		var pair sync.WaitGroup
+		pair.Add(2)
+		go func() { defer pair.Done(); errs <- run(job) }()
+		<-started
+		go func() { defer pair.Done(); errs <- run(job) }()
+		time.Sleep(50 * time.Millisecond)
+		release <- struct{}{}
+		pair.Wait()
+		stored[job] = lookupOutputs(job)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.m.Stats(); st.Hits < 98 || st.Coalesced != 1 {
+		t.Fatalf("stats %+v, want 98 hits or more and one coalesced share", st)
+	}
+	for job, want := range stored {
+		if e, ok := e.m.Peek(key(job)); !ok || !reflect.DeepEqual(e.Outputs, want) {
+			t.Fatalf("job %d's stored outputs are %v (resident %v), want %v", job, e.Outputs, ok, want)
+		}
 	}
 }

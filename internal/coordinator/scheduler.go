@@ -279,7 +279,8 @@ func (s *scheduler) runMemoized(ctx context.Context, i int, id optimizer.StepIde
 		ferr := s.firstFailure(fmt.Errorf("%w: %s (%s): %v", ErrStepFailed, step.ID, step.Agent, err))
 		return stepOutcome{step: i, ran: true, err: ferr}
 	}
-	// Hit or coalesced share, handled identically.
+	// Hit or coalesced share, handled identically: the outputs are the
+	// stored entry's, shared with every other hit and never written.
 	sr := StepResult{StepID: step.ID, Agent: step.Agent, Outputs: entry.Outputs, Cached: true}
 	return s.satisfy(i, sr, step.ID+":"+step.Agent, id.QoS.Accuracy)
 }

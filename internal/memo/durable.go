@@ -33,7 +33,10 @@ import (
 // restore as the value that was put; a generic map or slice goes through
 // JSON and restores with JSON's types (numbers become float64). A log
 // whose memo records are JSON, as they were written before the records
-// were binary, does not recover: its first memo record is refused.
+// were binary, does not recover: its first memo record is refused. A put
+// logged while keys were 64 hex characters applies, under a key no lookup
+// computes now: the same inputs miss and execute again, and the old entry
+// ages out through the LRU.
 type DurableConfig struct {
 	// Append logs one record to the shared WAL (asynchronous, group
 	// committed). Nil disables logging.
@@ -63,7 +66,8 @@ func (s *Store) SetDurable(cfg DurableConfig) {
 //	type Key Name
 //
 // with an empty Key and the agent's or source's name for an invalidation,
-// and for a put the producing agent's name, then
+// and for a put Key the 32-byte sum ComputeKey made and the producing
+// agent's name, then
 //
 //	Version Sources Expires Outputs Cost Latency
 //

@@ -2,6 +2,11 @@ package memo
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -219,5 +224,56 @@ func TestJSONMemoRecordIsRefused(t *testing.T) {
 	}
 	if s.Len() != 0 || s.Stats().Restored != 0 {
 		t.Fatalf("a refused record restored %d entries", s.Len())
+	}
+}
+
+// preChangeKey is the key a step had while keys were the hex SHA-256 of the
+// agent, a zero byte, the version, a zero byte and the inputs' JSON form.
+func preChangeKey(t *testing.T, agent string, version int, inputs map[string]any) Key {
+	t.Helper()
+	js, err := json.Marshal(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(append([]byte(agent), 0))
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(version)))
+	h.Write(append([]byte{0}, js...))
+	return Key(hex.EncodeToString(h.Sum(nil)))
+}
+
+// A log written while keys were 64 hex characters still recovers: its put
+// applies, but under a key no lookup computes now, so the same inputs miss
+// and execute again, and the old entry ages out through the LRU.
+func TestPreChangeKeyAppliesAndAgesOut(t *testing.T) {
+	inputs := map[string]any{"JOB_ID": 7}
+	old := preChangeKey(t, "SUMMARIZER", 1, inputs)
+	if len(old) != 64 {
+		t.Fatalf("a pre-change key is %d bytes, want 64", len(old))
+	}
+	sink := &collectSink{}
+	w := New(16)
+	w.SetDurable(DurableConfig{Append: sink.append, AgentVersion: func(string) int { return 1 }})
+	w.Put(old, "SUMMARIZER", []string{"jobs"}, 0, Entry{Outputs: map[string]any{"SUMMARY": "old"}})
+
+	s := New(2)
+	for _, rec := range sink.recs {
+		if err := s.Apply(rec); err != nil {
+			t.Fatalf("a record with a pre-change key is refused: %v", err)
+		}
+	}
+	if _, ok := s.Peek(old); !ok || s.Stats().Restored != 1 {
+		t.Fatal("the pre-change record was not applied")
+	}
+	key := mustKey(t, "SUMMARIZER", 1, inputs)
+	e, oc, err := s.Do(context.Background(), key, "SUMMARIZER", []string{"jobs"}, 0, func() (Entry, error) {
+		return Entry{Outputs: map[string]any{"SUMMARY": "new"}}, nil
+	})
+	if err != nil || oc != Miss || e.Outputs["SUMMARY"] != "new" {
+		t.Fatalf("the same inputs under the new key: %v %v %v, want a miss that executes", e, oc, err)
+	}
+	s.Put(mustKey(t, "SUMMARIZER", 1, map[string]any{"JOB_ID": 8}), "SUMMARIZER", []string{"jobs"}, 0, Entry{})
+	if _, ok := s.Peek(old); ok || s.Stats().Evictions != 1 {
+		t.Fatalf("the pre-change entry did not age out: %+v", s.Stats())
 	}
 }

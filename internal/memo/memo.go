@@ -1,7 +1,9 @@
 // Package memo implements cross-session step-result memoization for the
 // task coordinator: a concurrency-safe, bounded (LRU + optional TTL) cache
-// of agent invocation results keyed by a content hash of (agent name, agent
-// version, canonicalized input bindings).
+// of agent invocation results keyed by the 32-byte SHA-256 sum of (agent
+// name, agent version, input bindings in one canonical encoding). A hit
+// costs that hash and one map lookup: nothing is reflected over, no name is
+// lower-cased and the stored outputs are handed out, not copied.
 //
 // # Architecture
 //
@@ -45,11 +47,6 @@ package memo
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"strings"
 	"sync"
 	"time"
@@ -59,31 +56,6 @@ import (
 
 // DefaultCapacity bounds the store when New is given a non-positive size.
 const DefaultCapacity = 4096
-
-// Key identifies one memoizable step execution: a content hash of the agent
-// name, its registry version, and the canonicalized input bindings.
-type Key string
-
-// ComputeKey hashes (agent, version, inputs) into a Key. Inputs are
-// canonicalized via JSON with sorted object keys (encoding/json sorts map
-// keys recursively), so binding order never matters. Inputs that cannot be
-// marshaled (channels, funcs, NaN...) make the step uncacheable and return
-// an error.
-func ComputeKey(agent string, version int, inputs map[string]any) (Key, error) {
-	canon, err := json.Marshal(inputs)
-	if err != nil {
-		return "", fmt.Errorf("memo: inputs not canonicalizable: %w", err)
-	}
-	h := sha256.New()
-	h.Write([]byte(agent))
-	h.Write([]byte{0})
-	var v [8]byte
-	binary.LittleEndian.PutUint64(v[:], uint64(version))
-	h.Write(v[:])
-	h.Write([]byte{0})
-	h.Write(canon)
-	return Key(hex.EncodeToString(h.Sum(nil))), nil
-}
 
 // Entry is one memoized step result.
 type Entry struct {
@@ -169,7 +141,8 @@ type entry struct {
 // flight is one in-progress execution other requests may coalesce onto.
 type flight struct {
 	done chan struct{} // closed when the leader finishes
-	// Written by the leader before close(done), read-only afterwards.
+	// Written by the leader before close(done), read-only afterwards; val
+	// is the stored entry's, set only when the flight is shared.
 	val    Entry
 	err    error
 	shared bool // false when the flight was poisoned by invalidation
@@ -255,8 +228,8 @@ func (s *Store) Get(key Key) (Entry, bool) {
 // Peek returns the cached entry without touching recency or counters — the
 // view the optimizer's cache-aware projection uses. Expired entries are
 // invisible. The returned outputs are the stored map itself, not a copy:
-// read-only, as a directive's Outputs are; Get, Do and GetStale hand out
-// copies. Safe on a nil store.
+// read-only, as a directive's Outputs are, and as Do's are; Get and GetStale
+// hand out copies. Safe on a nil store.
 func (s *Store) Peek(key Key) (Entry, bool) {
 	if s == nil {
 		return Entry{}, false
@@ -331,7 +304,10 @@ func canonNames(names []string) []string {
 // entry when present (Hit); otherwise, if an identical execution is already
 // in flight, it awaits and shares that result (Coalesced); otherwise the
 // caller becomes the flight leader, exec runs exactly once, and a
-// successful result is cached (Miss).
+// successful result is cached (Miss). A hit and a coalesced share return
+// the stored entry itself: its outputs are read-only, as Peek's are, and no
+// caller may write into them. Only a miss canonicalizes agent and sources,
+// which the entry is stored and invalidated under.
 //
 // Correctness under invalidation: InvalidateAgent/InvalidateSource advance
 // epochs; a flight whose epochs moved while it executed is poisoned — its
@@ -347,7 +323,6 @@ func (s *Store) Do(ctx context.Context, key Key, agent string, sources []string,
 		e, err := exec()
 		return e, Miss, err
 	}
-	agent, sources = canonName(agent), canonNames(sources)
 	for {
 		s.mu.Lock()
 		if e, ok := s.lookupLocked(key); ok {
@@ -355,7 +330,7 @@ func (s *Store) Do(ctx context.Context, key Key, agent string, sources []string,
 			s.stats.SavedCost += e.val.Cost
 			s.stats.SavedLatency += e.val.Latency
 			s.mu.Unlock()
-			return cloneEntry(e.val), Hit, nil
+			return e.val, Hit, nil
 		}
 		if f, ok := s.flights[key]; ok {
 			s.mu.Unlock()
@@ -370,12 +345,13 @@ func (s *Store) Do(ctx context.Context, key Key, agent string, sources []string,
 				s.stats.SavedCost += f.val.Cost
 				s.stats.SavedLatency += f.val.Latency
 				s.mu.Unlock()
-				return cloneEntry(f.val), Coalesced, nil
+				return f.val, Coalesced, nil
 			}
 			// The flight failed or was invalidated mid-execution: loop and
 			// execute fresh (possibly coalescing onto a newer flight).
 			continue
 		}
+		agent, sources := canonName(agent), canonNames(sources)
 		f := &flight{
 			done:        make(chan struct{}),
 			agent:       agent,
@@ -393,10 +369,10 @@ func (s *Store) Do(ctx context.Context, key Key, agent string, sources []string,
 
 		s.mu.Lock()
 		delete(s.flights, key)
-		f.val, f.err = val, err
+		f.err = err
 		f.shared = err == nil && s.epochsCurrentLocked(f)
 		if f.shared {
-			s.putLocked(key, agent, sources, ttl, val)
+			f.val = s.putLocked(key, agent, sources, ttl, val).val
 			s.logPutLocked(key, agent, sources, ttl, val)
 		}
 		s.mu.Unlock()
@@ -499,7 +475,8 @@ func (s *Store) lookupLocked(key Key) (*entry, bool) {
 	return e, true
 }
 
-func (s *Store) putLocked(key Key, agent string, sources []string, ttl time.Duration, val Entry) {
+// putLocked stores a copy of val under key and returns the stored entry.
+func (s *Store) putLocked(key Key, agent string, sources []string, ttl time.Duration, val Entry) *entry {
 	if el, ok := s.entries[key]; ok {
 		// Replace in place (e.g. re-execution after TTL expiry raced a Put).
 		s.detachLocked(el.Value.(*entry))
@@ -529,6 +506,7 @@ func (s *Store) putLocked(key Key, agent string, sources []string, ttl time.Dura
 		s.removeLocked(oldest.Value.(*entry).key)
 		s.stats.Evictions++
 	}
+	return e
 }
 
 func (s *Store) removeLocked(key Key) {
@@ -573,10 +551,10 @@ func (s *Store) epochsCurrentLocked(f *flight) bool {
 	return true
 }
 
-// cloneEntry shallow-copies the outputs map so callers (and the cache)
-// never share one mutable top-level map across plans. Nested values stay
-// shared — the system-wide contract is that step outputs are immutable
-// once produced (agents never mutate their inputs).
+// cloneEntry shallow-copies the outputs map: the cache keeps its own map,
+// not the producer's, and Get and GetStale hand out a map the caller may
+// change. Nested values stay shared — the system-wide contract is that step
+// outputs are immutable once produced (agents never mutate their inputs).
 func cloneEntry(e Entry) Entry {
 	if e.Outputs == nil {
 		return e

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -432,5 +433,31 @@ func TestInvalidationIsCaseInsensitive(t *testing.T) {
 	s.Put(k, "Fetch", []string{"hr"}, 0, Entry{})
 	if n := s.InvalidateAgent("FETCH"); n != 1 {
 		t.Fatalf("case-mismatched agent invalidation dropped %d entries", n)
+	}
+}
+
+// A hit is one lookup: Do folds no name and copies no outputs for it, so it
+// allocates nothing, and it hands out the stored outputs themselves.
+func TestDoHitAllocatesNothing(t *testing.T) {
+	s := New(8)
+	k := mustKey(t, "SUMMARIZER", 1, map[string]any{"JOB_ID": 17})
+	s.Put(k, "SUMMARIZER", []string{"Jobs", "applications"}, 0, Entry{Outputs: map[string]any{"SUMMARY": "2 applicants"}})
+	ctx := context.Background()
+	exec := func() (Entry, error) {
+		t.Fatal("a resident key was executed")
+		return Entry{}, nil
+	}
+	var e Entry
+	if n := testing.AllocsPerRun(200, func() {
+		var oc Outcome
+		var err error
+		if e, oc, err = s.Do(ctx, k, "SUMMARIZER", []string{"Jobs", "applications"}, 0, exec); err != nil || oc != Hit {
+			t.Fatalf("Do = %v, %v", oc, err)
+		}
+	}); n != 0 {
+		t.Fatalf("a Do hit allocates %v times, want 0", n)
+	}
+	if stored, _ := s.Peek(k); reflect.ValueOf(e.Outputs).UnsafePointer() != reflect.ValueOf(stored.Outputs).UnsafePointer() {
+		t.Fatal("a Do hit copied the stored outputs")
 	}
 }

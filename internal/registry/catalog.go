@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"blueprint/internal/vectors"
 )
@@ -150,11 +151,39 @@ func (c *catalog[T, H, M]) getLocked(name string) (key string, e T, err error) {
 	return key, e, nil
 }
 
+// get looks name up case-insensitively without allocating: an ASCII name is
+// folded into a stack buffer that indexes the map directly, and only another
+// name takes getLocked's strings.ToLower.
 func (c *catalog[T, H, M]) get(name string) (T, error) {
+	var room [64]byte
+	folded, ascii := appendFoldASCII(room[:0], name)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	_, e, err := c.getLocked(name)
-	return e, err
+	if !ascii {
+		_, e, err := c.getLocked(name)
+		return e, err
+	}
+	e, ok := c.entries[string(folded)]
+	if !ok {
+		return e, fmt.Errorf("%w: %s", c.errNotFound, name)
+	}
+	return e, nil
+}
+
+// appendFoldASCII appends name with its ASCII letters lower-cased to b, and
+// reports whether name is all ASCII; b is unusable when it is not.
+func appendFoldASCII(b []byte, name string) ([]byte, bool) {
+	for i := 0; i < len(name); i++ {
+		ch := name[i]
+		if ch >= utf8.RuneSelf {
+			return b, false
+		}
+		if 'A' <= ch && ch <= 'Z' {
+			ch += 'a' - 'A'
+		}
+		b = append(b, ch)
+	}
+	return b, true
 }
 
 // list returns the entries keep accepts, in registration order; a nil keep

@@ -80,6 +80,33 @@ func TestAgentRegisterGet(t *testing.T) {
 	}
 }
 
+// A lookup folds the name's case without allocating when it is ASCII, and
+// still finds a non-ASCII name in any case.
+func TestAgentGetFoldsCaseWithoutAllocating(t *testing.T) {
+	r := newAgentReg(t)
+	if err := r.Register(AgentSpec{Name: "SUMMARIZER", Description: "summarize a job's applicants"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Register(AgentSpec{Name: "Rédacteur", Description: "write a cover letter"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := r.Get("SUMMARIZER"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Get(%q) allocates %v times, want 0", "SUMMARIZER", n)
+	}
+	for name, want := range map[string]string{"Summarizer": "SUMMARIZER", "summarizer": "SUMMARIZER", "RÉDACTEUR": "Rédacteur", "rédacteur": "Rédacteur"} {
+		if s, err := r.Get(name); err != nil || s.Name != want {
+			t.Fatalf("Get(%q) = %q, %v; want %q", name, s.Name, err, want)
+		}
+	}
+	if _, err := r.Get("SUMMARIZERS"); !errors.Is(err, ErrAgentNotFound) {
+		t.Fatalf("err = %v", err)
+	}
+}
+
 func TestAgentUpdateBumpsVersion(t *testing.T) {
 	r := newAgentReg(t)
 	s, _ := r.Get("PROFILER")
