@@ -115,6 +115,43 @@ func TestChaosRelationalFaultsDegradeGracefully(t *testing.T) {
 	}
 }
 
+// TestChaosReplanNeverAnswersForAnotherAgent fails a plan step's agent on
+// every attempt: the third to fifth agent invocations of each ask error,
+// which for these asks are the RANKER or SUMMARIZER step and both its
+// retries. The replan may hand the step only to an agent that takes its
+// inputs and returns its outputs. The shipped agents have none, so the ask
+// answers exactly as a fault-free system does or fails; it never answers
+// with another agent's output (a summary for a ranking, or a summary of rows
+// a JOB_ID never produced).
+func TestChaosReplanNeverAnswersForAnotherAgent(t *testing.T) {
+	asks := []string{"Rank the applicants for job 4", "Summarize the applicants for job 4"}
+	_, clean := chaosSession(t, Config{DisableMemo: true})
+	want := make([]string, len(asks))
+	for i, text := range asks {
+		var err error
+		if want[i], err = clean.Ask(text, 10*time.Second); err != nil {
+			t.Fatalf("fault-free %q: %v", text, err)
+		}
+	}
+
+	_, sess := chaosSession(t, Config{DisableMemo: true})
+	defer resilience.Deactivate()
+	for i, text := range asks {
+		inj := resilience.NewInjector(int64(6+i), resilience.Rule{
+			Site: resilience.SiteAgent, Kind: resilience.KindError, After: 2, Limit: 3, Probability: 1,
+		})
+		resilience.Activate(inj)
+		got, err := sess.Ask(text, time.Second)
+		resilience.Deactivate()
+		if st := inj.Stats(); st.Errors != 3 {
+			t.Fatalf("%q: injector fired %d times, want 3", text, st.Errors)
+		}
+		if err == nil && got != want[i] {
+			t.Fatalf("%q answered %q under a failing step, want the fault-free %q or an error", text, got, want[i])
+		}
+	}
+}
+
 // TestChaosTransientHangsFailCleanly injects bounded hangs (300ms, then
 // the invocation fails) into the first three agent invocations. Those land
 // on the tag-triggered front door, which has no retry path by design — the

@@ -101,9 +101,11 @@
 //     abort when it does not fit), executeAttempts runs attempt (executeStep
 //     plus the breaker and SLO records) under the retry policy, and
 //     replanOrFail finishes: after a failure one replan (admit, attempt
-//     once), then record, and either fail — firstFailure for a step cancelled
-//     as collateral — or the commit of actuals against the critical path
-//     (Graph.ReadyAt plus the step's own latency).
+//     once on the same inputs) to a substitute that takes the step's bound
+//     inputs and returns its agent's outputs (planner.Candidates; with none
+//     the step fails), then record, and either fail — firstFailure for a
+//     step cancelled as collateral — or the commit of actuals against the
+//     critical path (Graph.ReadyAt plus the step's own latency).
 //   - executeStep is one execution: an EXECUTE_AGENT directive naming no
 //     reply stream, under an invocation id of its own (a per-Coordinator
 //     count), so runs of one plan id — and a step's retries — never share

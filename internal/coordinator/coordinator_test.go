@@ -304,6 +304,69 @@ func TestRetryOnErrorReplans(t *testing.T) {
 	}
 }
 
+// A failed step is handed only to an agent that returns the failed agent's
+// outputs: a same-task runner-up that takes the step's JOB_ID but answers a
+// SUMMARY instead of the RANKED rows is no substitute, so the step fails
+// naming its own agent and nothing is replanned.
+func TestReplanRefusesAgentWithOtherOutputs(t *testing.T) {
+	e := newEnv(t)
+	const task = "rank applicants for a job"
+	jobID := []registry.ParamSpec{{Name: "JOB_ID", Type: "int"}}
+	ranker := registry.AgentSpec{
+		Name:        "RANKER",
+		Description: "rank and cluster applicants for a job posting using predictive model scores",
+		Inputs:      jobID,
+		Outputs:     []registry.ParamSpec{{Name: "RANKED", Type: "rows"}},
+	}
+	summarizer := registry.AgentSpec{
+		Name:        "SUMMARIZER",
+		Description: "summarize applicants and status for a selected job posting",
+		Inputs:      jobID,
+		Outputs:     []registry.ParamSpec{{Name: "SUMMARY", Type: "text"}},
+	}
+	procs := []agent.Processor{
+		func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
+			return agent.Outputs{}, errors.New("model unavailable")
+		},
+		func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
+			return agent.Outputs{Values: map[string]any{"SUMMARY": "Summary: job 4"}}, nil
+		},
+	}
+	for i, spec := range []registry.AgentSpec{ranker, summarizer} {
+		if err := e.reg.Register(spec); err != nil {
+			t.Fatal(err)
+		}
+		inst, err := agent.Attach(e.store, sess, agent.New(spec, procs[i]), agent.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Stop()
+	}
+	// Were the step new, SUMMARIZER would clear the relevance floor: only
+	// the RANKED output it lacks keeps it from the failed step.
+	var newStep []string
+	for _, h := range planner.Candidates(e.reg, planner.Step{Task: task}, "RANKER") {
+		newStep = append(newStep, h.Spec.Name)
+	}
+	if !slices.Contains(newStep, "SUMMARIZER") {
+		t.Fatalf("premise: SUMMARIZER is no candidate for a new %q step: %v", task, newStep)
+	}
+
+	c := New(e.store, e.reg, e.tp, e.model, Options{})
+	plan := &planner.Plan{
+		ID: "manual-rank", Utterance: "Rank the applicants for job 4", Intent: "rank",
+		Steps: []planner.Step{{ID: "s1", Agent: "RANKER", Task: task,
+			Bindings: map[string]planner.Binding{"JOB_ID": {Value: 4}}}},
+	}
+	res, err := c.ExecutePlan(sess, plan, budget.New(budget.Limits{}))
+	if !errors.Is(err, ErrStepFailed) || !strings.Contains(err.Error(), "s1") || !strings.Contains(err.Error(), "RANKER") {
+		t.Fatalf("err = %v (res=%+v), want the failure of s1 (RANKER)", err, res)
+	}
+	if res.Replans != 0 {
+		t.Fatalf("replans = %d, want 0: no agent returns RANKED", res.Replans)
+	}
+}
+
 // A replan retry must be re-admitted through the budget: when the
 // alternative agent's projected cost no longer fits, the plan aborts before
 // the retry executes instead of overshooting post-hoc.

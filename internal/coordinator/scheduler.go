@@ -447,16 +447,17 @@ func (s *scheduler) serveStale(i int, id optimizer.StepIdentity) (stepOutcome, b
 }
 
 // replanOrFail finishes a step after its execution attempts: on failure it
-// applies the one replan fallback when the coordinator has a planner, then
-// records the result and commits actuals.
+// applies the one replan fallback when the coordinator has a planner — a
+// substitute agent that takes the step's bound inputs and returns its
+// agent's outputs (planner.Candidates), run once on the same inputs; with no
+// such agent the step fails — then records the result and commits actuals.
 func (s *scheduler) replanOrFail(ctx context.Context, i int, id optimizer.StepIdentity, rsv *budget.Reservation, confirmed bool, sr StepResult, execErr error) stepOutcome {
 	step := s.plan.Steps[i]
 	if execErr != nil && s.c.tp != nil && s.ctx.Err() == nil {
-		if np, rerr := s.c.tp.Replan(s.plan, step.ID); rerr == nil {
+		if alt, rerr := s.c.tp.Replan(s.plan, step.ID); rerr == nil {
 			s.mu.Lock()
 			s.res.Replans++
 			s.mu.Unlock()
-			alt := np.Steps[i] // a replan keeps every step's position
 			s.event(obs.LevelWarn, "replan",
 				obs.Attr{Key: "step", Value: step.ID},
 				obs.Attr{Key: "from", Value: step.Agent},

@@ -210,26 +210,19 @@ func ChooseDataPlan(plans []*dataplan.Plan, obj Objectives, limits budget.Limits
 	return chosen.Payload.(*dataplan.Plan), nil
 }
 
-// AssignAgents revisits every step of a task plan and, among the registry's
-// top matches for the step's sub-task, picks the agent optimizing the
-// objectives (the per-step greedy assignment of §IV's task-plan
-// optimization). Steps keep their original agent when it remains the best
-// choice. Returns the number of reassignments.
+// AssignAgents revisits every step of a task plan and, among the agents
+// planner.Candidates admits for the step — close to the best match for its
+// sub-task, taking the step's bound inputs and returning its agent's
+// outputs — picks the one optimizing the objectives (the per-step greedy
+// assignment of §IV's task-plan optimization). Steps keep their original
+// agent when it remains the best choice. Returns the number of
+// reassignments.
 func AssignAgents(p *planner.Plan, reg *registry.AgentRegistry, obj Objectives, limits budget.Limits) (int, error) {
 	changed := 0
 	for i := range p.Steps {
-		hits := reg.FindForTask(p.Steps[i].Task, 5)
-		if len(hits) == 0 {
-			continue
-		}
-		// Relevance gate: only consider candidates close to the best match,
-		// so QoS never trades away capability.
-		top := hits[0].Score
+		hits := planner.Candidates(reg, p.Steps[i])
 		cands := make([]Candidate, 0, len(hits))
 		for _, h := range hits {
-			if h.Score < top*0.8 {
-				continue
-			}
 			cands = append(cands, Candidate{
 				ID:       h.Spec.Name,
 				Cost:     h.Spec.QoS.CostPerCall,

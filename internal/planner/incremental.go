@@ -1,9 +1,6 @@
 package planner
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // IncrementalPlan implements the paper's dynamic planning mode (§V-F: "the
 // plan can also be dynamic and incremental, meaning it evolves step by step
@@ -20,18 +17,13 @@ type IncrementalPlan struct {
 	subtasks  []SubTask
 	pos       int
 	steps     []Step
-	vetoed    map[string]bool
+	vetoed    []string
 }
 
 // PlanIncremental starts a dynamic plan for the utterance: the intent and
 // sub-task template are fixed, agent selection is deferred.
 func (tp *TaskPlanner) PlanIncremental(utterance string) (*IncrementalPlan, error) {
-	intent, _ := tp.model.Classify(utterance, intentLabels(tp))
-	subtasks, ok := tp.templates[intent]
-	if !ok || len(subtasks) == 0 {
-		subtasks = tp.templates["open_query"]
-		intent = "open_query"
-	}
+	intent, subtasks := tp.classify(utterance)
 	if len(subtasks) == 0 {
 		return nil, fmt.Errorf("planner: no template for intent %q", intent)
 	}
@@ -40,28 +32,7 @@ func (tp *TaskPlanner) PlanIncremental(utterance string) (*IncrementalPlan, erro
 		utterance: utterance,
 		intent:    intent,
 		subtasks:  subtasks,
-		vetoed:    map[string]bool{},
 	}, nil
-}
-
-func intentLabels(tp *TaskPlanner) []string {
-	labels := make([]string, 0, len(tp.templates)+1)
-	for k := range tp.templates {
-		if k != "open_query" {
-			labels = append(labels, k)
-		}
-	}
-	// Deterministic order with the catch-all last.
-	sortStrings(labels)
-	return append(labels, "open_query")
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // Intent returns the classified intent.
@@ -76,41 +47,23 @@ func (ip *IncrementalPlan) Done() bool { return ip.pos >= len(ip.subtasks) }
 // Veto excludes an agent from selection for the remaining steps (adaptive
 // feedback, e.g. after a failure or a user thumbs-down).
 func (ip *IncrementalPlan) Veto(agentName string) {
-	ip.vetoed[strings.ToLower(agentName)] = true
+	ip.vetoed = append(ip.vetoed, agentName)
 }
 
-// Next selects the agent for the upcoming sub-task *now* and returns the
-// wired step. It returns false when the plan is complete.
+// Next selects the agent for the upcoming sub-task *now* — the first of its
+// Candidates with the vetoed agents excluded — and returns the wired step.
+// It returns false when the plan is complete.
 func (ip *IncrementalPlan) Next() (Step, bool, error) {
 	if ip.Done() {
 		return Step{}, false, nil
 	}
-	st := ip.subtasks[ip.pos]
-	hits := ip.tp.reg.FindForTask(st.Description, 5)
-	var chosen *Step
-	for _, h := range hits {
-		if ip.vetoed[strings.ToLower(h.Spec.Name)] {
-			continue
-		}
-		s := Step{
-			ID:       fmt.Sprintf("s%d", ip.pos+1),
-			Agent:    h.Spec.Name,
-			Task:     st.Description,
-			Score:    h.Score,
-			Bindings: map[string]Binding{},
-		}
-		partial := &Plan{Utterance: ip.utterance, Intent: ip.intent, Steps: ip.steps}
-		ip.tp.wire(&s, h.Spec, partial, st)
-		chosen = &s
-		break
-	}
-	if chosen == nil {
-		return Step{}, false, fmt.Errorf("planner: no non-vetoed agent for sub-task %q", st.Description)
+	step, err := ip.tp.pick(ip.pos, ip.subtasks[ip.pos], ip.steps, ip.vetoed...)
+	if err != nil {
+		return Step{}, false, err
 	}
 	ip.pos++
-	ip.steps = append(ip.steps, *chosen)
-	_ = ip.tp.reg.RecordUsage(chosen.Agent, st.Description)
-	return *chosen, true, nil
+	ip.steps = append(ip.steps, step)
+	return step, true, nil
 }
 
 // Materialize returns the steps emitted so far as a static Plan (for the

@@ -4,6 +4,13 @@
 // agent registry, and wires agent outputs to downstream inputs, producing a
 // declarative plan DAG that the task coordinator executes.
 //
+// One rule, Candidates, decides which agents may take a step: Plan and
+// IncrementalPlan.Next take its first candidate for a new step, Replan its
+// first for a failed step with the failed agent excluded, and the
+// optimizer's AssignAgents weighs all of them. A step that already has an
+// agent is only ever handed to one that takes the step's bound inputs and
+// returns that agent's outputs.
+//
 // As the paper prescribes, the planner is itself an agent: AsAgent wraps it
 // so it listens to user utterances on streams and publishes its plan as
 // plan-tagged data for the coordinator.
@@ -252,49 +259,122 @@ func New(reg *registry.AgentRegistry, model *llm.Model, templates Templates) *Ta
 
 // Plan interprets the utterance and produces a task plan.
 func (tp *TaskPlanner) Plan(utterance string) (*Plan, error) {
-	intent, _ := tp.model.Classify(utterance, nlq.StandardIntents)
-	subtasks, ok := tp.templates[intent]
-	if !ok || len(subtasks) == 0 {
-		subtasks = tp.templates["open_query"]
-		intent = "open_query"
-	}
+	intent, subtasks := tp.classify(utterance)
 	plan := &Plan{
-		ID:        fmt.Sprintf("plan-%d", tp.nextID.Add(1)),
-		Utterance: utterance,
-		Intent:    intent,
+		ID:          fmt.Sprintf("plan-%d", tp.nextID.Add(1)),
+		Utterance:   utterance,
+		Intent:      intent,
+		Explanation: []string{"intent: " + intent},
 	}
-	plan.Explanation = append(plan.Explanation, "intent: "+intent)
-
 	for i, st := range subtasks {
-		hits := tp.reg.FindForTask(st.Description, 3)
-		if len(hits) == 0 {
-			return nil, fmt.Errorf("planner: no agent found for sub-task %q", st.Description)
+		step, err := tp.pick(i, st, plan.Steps)
+		if err != nil {
+			return nil, err
 		}
-		chosen := hits[0]
-		step := Step{
-			ID:       fmt.Sprintf("s%d", i+1),
-			Agent:    chosen.Spec.Name,
-			Task:     st.Description,
-			Score:    chosen.Score,
-			Bindings: map[string]Binding{},
-		}
-		tp.wire(&step, chosen.Spec, plan, st)
 		plan.Steps = append(plan.Steps, step)
 		plan.Explanation = append(plan.Explanation,
-			fmt.Sprintf("sub-task %q -> agent %s (score %.3f)", st.Description, chosen.Spec.Name, chosen.Score))
-		_ = tp.reg.RecordUsage(chosen.Spec.Name, st.Description)
+			fmt.Sprintf("sub-task %q -> agent %s (score %.3f)", st.Description, step.Agent, step.Score))
 	}
 	return plan, plan.Validate()
+}
+
+// classify picks the utterance's intent among nlq.StandardIntents and returns
+// it with its template's sub-tasks; an intent without a template is
+// open_query.
+func (tp *TaskPlanner) classify(utterance string) (string, []SubTask) {
+	intent, _ := tp.model.Classify(utterance, nlq.StandardIntents)
+	if len(tp.templates[intent]) == 0 {
+		intent = "open_query"
+	}
+	return intent, tp.templates[intent]
+}
+
+// pick makes step i of a plan whose earlier steps are prior: the first of
+// the sub-task's Candidates, bar the excluded agents, wired to prior's
+// outputs and recorded as the agent's usage.
+func (tp *TaskPlanner) pick(i int, st SubTask, prior []Step, exclude ...string) (Step, error) {
+	hits := Candidates(tp.reg, Step{Task: st.Description}, exclude...)
+	if len(hits) == 0 {
+		return Step{}, fmt.Errorf("planner: no agent found for sub-task %q", st.Description)
+	}
+	h := hits[0]
+	step := Step{
+		ID:       fmt.Sprintf("s%d", i+1),
+		Agent:    h.Spec.Name,
+		Task:     st.Description,
+		Score:    h.Score,
+		Bindings: map[string]Binding{},
+	}
+	tp.wire(&step, h.Spec, prior, st)
+	_ = tp.reg.RecordUsage(h.Spec.Name, st.Description)
+	return step, nil
+}
+
+// candidateK is how many registry hits, after the exclusions, any pick of a
+// step's agent weighs.
+const candidateK = 5
+
+// Candidates is the one rule for which agents may take a step, best first.
+// It searches the registry for step.Task and drops the excluded agents
+// first, so the pick acts as if they were not registered. A remaining hit is
+// kept only if it scores at least 0.8 × the best remaining hit — relevance
+// is never traded away — and, when the step already has an agent, only if it
+// takes every input the step binds, leaves none of its required inputs
+// unbound, and returns every output the step's agent declares: such a
+// substitute runs on the step's bindings as they are, and the steps
+// downstream find the outputs they are wired to.
+func Candidates(reg *registry.AgentRegistry, step Step, exclude ...string) []registry.AgentHit {
+	hits := slices.DeleteFunc(reg.FindForTask(step.Task, candidateK+len(exclude)), func(h registry.AgentHit) bool {
+		return slices.ContainsFunc(exclude, func(name string) bool { return strings.EqualFold(name, h.Spec.Name) })
+	})
+	hits = hits[:min(len(hits), candidateK)]
+	if len(hits) == 0 {
+		return nil
+	}
+	floor := min(hits[0].Score, 0.8*hits[0].Score) // the best hit clears it whatever its sign
+	var current registry.AgentSpec
+	if step.Agent != "" {
+		current, _ = reg.Get(step.Agent) // an unregistered agent declares no outputs
+	}
+	return slices.DeleteFunc(hits, func(h registry.AgentHit) bool {
+		return h.Score < floor || step.Agent != "" && !substitutes(h.Spec, step, current)
+	})
+}
+
+// substitutes reports whether spec can take step in place of its agent,
+// current: it takes every bound input, has every required input bound and
+// returns every output current declares.
+func substitutes(spec registry.AgentSpec, step Step, current registry.AgentSpec) bool {
+	for param := range step.Bindings {
+		if !hasParam(spec.Inputs, param) {
+			return false
+		}
+	}
+	for _, in := range spec.Inputs {
+		if _, bound := step.Bindings[in.Name]; !bound && !in.Optional {
+			return false
+		}
+	}
+	for _, out := range current.Outputs {
+		if !hasParam(spec.Outputs, out.Name) {
+			return false
+		}
+	}
+	return true
+}
+
+func hasParam(params []registry.ParamSpec, name string) bool {
+	return slices.ContainsFunc(params, func(p registry.ParamSpec) bool { return p.Name == name })
 }
 
 // wire connects the step's inputs: earlier outputs by parameter name first,
 // then the user utterance for text inputs, leaving optional inputs unbound
 // (Fig. 6 "connecting input and output parameters of agents").
-func (tp *TaskPlanner) wire(step *Step, spec registry.AgentSpec, plan *Plan, st SubTask) {
+func (tp *TaskPlanner) wire(step *Step, spec registry.AgentSpec, prior []Step, st SubTask) {
 	for _, in := range spec.Inputs {
 		bound := false
-		for i := len(plan.Steps) - 1; i >= 0 && !bound; i-- {
-			prev := plan.Steps[i]
+		for i := len(prior) - 1; i >= 0 && !bound; i-- {
+			prev := prior[i]
 			prevSpec, err := tp.reg.Get(prev.Agent)
 			if err != nil {
 				continue
@@ -323,36 +403,22 @@ func (tp *TaskPlanner) wire(step *Step, spec registry.AgentSpec, plan *Plan, st 
 	}
 }
 
-// Replan produces an alternative plan after a step failed: the failed
-// step's agent is replaced with the registry's next-best candidate (§V-H:
-// the coordinator "could potentially trigger the task planner to replan").
-func (tp *TaskPlanner) Replan(p *Plan, failedStepID string) (*Plan, error) {
+// Replan picks a substitute for a step whose agent failed (§V-H: the
+// coordinator "could potentially trigger the task planner to replan"): the
+// first of the step's Candidates with the failed agent excluded, so the
+// substitute takes the step's inputs and returns its outputs. The returned
+// step keeps the failed step's ID, task and bindings; only its agent and
+// score change. With no candidate, Replan fails and so does the step.
+func (tp *TaskPlanner) Replan(p *Plan, failedStepID string) (Step, error) {
 	at := p.Index(failedStepID)
 	if at < 0 {
-		return nil, fmt.Errorf("planner: unknown step %q", failedStepID)
+		return Step{}, fmt.Errorf("planner: unknown step %q", failedStepID)
 	}
 	step := p.Steps[at]
-	hits := tp.reg.FindForTask(step.Task, 5)
-	var alt *registry.AgentHit
-	for i := range hits {
-		if !strings.EqualFold(hits[i].Spec.Name, step.Agent) {
-			alt = &hits[i]
-			break
-		}
+	hits := Candidates(tp.reg, step, step.Agent)
+	if len(hits) == 0 {
+		return Step{}, fmt.Errorf("planner: no alternative agent for step %q (%s)", failedStepID, step.Task)
 	}
-	if alt == nil {
-		return nil, fmt.Errorf("planner: no alternative agent for step %q (%s)", failedStepID, step.Task)
-	}
-	np := &Plan{
-		ID:        fmt.Sprintf("plan-%d", tp.nextID.Add(1)),
-		Utterance: p.Utterance,
-		Intent:    p.Intent,
-		Steps:     make([]Step, len(p.Steps)),
-	}
-	copy(np.Steps, p.Steps)
-	np.Steps[at].Agent = alt.Spec.Name
-	np.Steps[at].Score = alt.Score
-	np.Explanation = append(append([]string{}, p.Explanation...),
-		fmt.Sprintf("replan: step %s reassigned %s -> %s", failedStepID, step.Agent, alt.Spec.Name))
-	return np, np.Validate()
+	step.Agent, step.Score = hits[0].Spec.Name, hits[0].Score
+	return step, nil
 }
