@@ -30,7 +30,9 @@ race:
 # or plan result; a session asked past its horizon of 256 asks, while its
 # flow is read and its display waits resume from released offsets, answers
 # each ask as its first time and reads a flow in order with a released count
-# that only grows; the store's worker pool never blocks a
+# that only grows; an ask whose front-door agent or plan step fails ends at
+# its failure record, which races its answer and its session's drop, within
+# 100 ms of a 10 s timeout; the store's worker pool never blocks a
 # chain of nested hand-offs, and gives its parked workers back at Close; and
 # in the one coordinator service, a session at its plan bound holds up no
 # other session, and a session's Leave waits for its own running plans only,
@@ -50,7 +52,7 @@ race:
 # segment, race writers through Log and through Append, and a close without
 # a snapshot recovers every acknowledged write.
 stress:
-	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession|TestOnePlanIDRunsConcurrently|TestSystemCloseDrainsOpenSessions|TestCloseForgetsUnderLoad|TestAsksPastTheHorizonWhileFlowIsRead' .
+	$(GO) test -race -count=20 -run 'TestAskIdentity|TestConcurrentAsksOneSession|TestOnePlanIDRunsConcurrently|TestSystemCloseDrainsOpenSessions|TestCloseForgetsUnderLoad|TestAsksPastTheHorizonWhileFlowIsRead|TestChaosFailedAskEndsAtItsFailure' .
 	$(GO) test -race -count=20 -run 'TestGoNeverBlocks|TestPoolIdleAndClose' ./internal/streams
 	$(GO) test -race -count=20 -run 'TestSeatBoundHoldsUpOnlyItsSession|TestLeaveWaitsForItsOwnPlansOnly|TestServiceStartsAndStopsClean|TestPlanRunLeavesPayloadUnchanged|TestMemoHitsLeaveStoredOutputsUnchanged' ./internal/coordinator
 	$(GO) test -race -count=20 -run 'TestDuplicateAgentRejected|TestConcurrentAddAndClose' ./internal/session

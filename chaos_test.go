@@ -1,13 +1,17 @@
 package blueprint
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"blueprint/internal/hragents"
+	"blueprint/internal/obs"
 	"blueprint/internal/resilience"
+	"blueprint/internal/session"
 )
 
 // The chaos suite (make chaos, `go test -race -run Chaos ./...`) drives
@@ -152,11 +156,51 @@ func TestChaosReplanNeverAnswersForAnotherAgent(t *testing.T) {
 	}
 }
 
+// TestChaosFailedAskEndsAtItsFailure fails agent invocations under a 10 s
+// ask timeout: an ask ends at its failure record, not at its deadline. A
+// failed front door (the intent classifier, tag-activated, so never retried)
+// and a failed plan step (RANKER on all three attempts, with no substitute)
+// each end their ask within 100 ms, with session.ErrFailed naming the agent
+// and carrying the injected cause, and the outcome failed.
+func TestChaosFailedAskEndsAtItsFailure(t *testing.T) {
+	cases := []struct {
+		text  string
+		rule  resilience.Rule
+		agent string
+	}{
+		{"How many jobs are in San Francisco?", resilience.Rule{Limit: 1}, hragents.IntentClassifier},
+		{"Rank the applicants for job 4", resilience.Rule{After: 2, Limit: 3}, hragents.Ranker},
+	}
+	_, sess := chaosSession(t, Config{DisableMemo: true})
+	defer resilience.Deactivate()
+	for i, c := range cases {
+		c.rule.Site, c.rule.Kind, c.rule.Probability = resilience.SiteAgent, resilience.KindError, 1
+		inj := resilience.NewInjector(int64(10+i), c.rule)
+		resilience.Activate(inj)
+		start := time.Now()
+		ans, err := sess.GovernedAsk(context.Background(), "", c.text, nil, 10*time.Second)
+		took := time.Since(start)
+		resilience.Deactivate()
+		if st := inj.Stats(); st.Errors != c.rule.Limit {
+			t.Fatalf("%q: injector fired %d times, want %d", c.text, st.Errors, c.rule.Limit)
+		}
+		if !errors.Is(err, session.ErrFailed) || !strings.Contains(err.Error(), c.agent) || !strings.Contains(err.Error(), "inject") {
+			t.Fatalf("%q: err = %v, want session.ErrFailed naming %s and the injected fault", c.text, err, c.agent)
+		}
+		if ans.Outcome != obs.OutcomeFailed {
+			t.Fatalf("%q: outcome %q, want %q", c.text, ans.Outcome, obs.OutcomeFailed)
+		}
+		if took > 100*time.Millisecond {
+			t.Fatalf("%q: failed after %s, want within 100 ms of its start", c.text, took)
+		}
+	}
+}
+
 // TestChaosTransientHangsFailCleanly injects bounded hangs (300ms, then
 // the invocation fails) into the first three agent invocations. Those land
 // on the tag-triggered front door, which has no retry path by design — the
-// affected asks must fail cleanly (no wedge past the 300ms hang bound plus
-// the ask timeout), and the first ask after the transient window must
+// affected asks must fail cleanly, each when its hang fails (under 1 s), not
+// at its 2 s timeout, and the first ask after the transient window must
 // answer normally.
 func TestChaosTransientHangsFailCleanly(t *testing.T) {
 	_, sess := chaosSession(t, Config{})
@@ -167,9 +211,16 @@ func TestChaosTransientHangsFailCleanly(t *testing.T) {
 	resilience.Activate(inj)
 	defer resilience.Deactivate()
 
-	// Three asks burn the hang budget; each must return within its
-	// timeout (chaosAsks enforces that) even though it may not answer.
-	chaosAsks(t, sess, 3, 2*time.Second)
+	// Three asks burn the hang budget; each must return (chaosAsks enforces
+	// a clean end) at its failure, well before its timeout, even though it
+	// may not answer.
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		chaosAsks(t, sess, 1, 2*time.Second)
+		if took := time.Since(start); took >= time.Second {
+			t.Fatalf("hang-window ask %d returned after %s, want under 1 s", i+1, took)
+		}
+	}
 	if st := inj.Stats(); st.Hangs == 0 {
 		t.Fatal("hang rule never fired — the chaos run tested nothing")
 	}

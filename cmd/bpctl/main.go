@@ -11,7 +11,7 @@
 //	bpctl discover <text>             # vector search over data assets
 //	bpctl nl2q <question>             # compile NL -> SQL and run it
 //	bpctl plan <utterance>            # show the task plan DAG
-//	bpctl ask <utterance>             # full pipeline, print answer + flow
+//	bpctl ask <utterance>             # full pipeline, print outcome, answer + flow
 //	bpctl memo <utterance>            # run the plan twice: cold vs memo-warm + stats
 //	bpctl sql <statement>             # raw SQL against the enterprise DB: one table a statement; JOIN, aliases, HAVING, BETWEEN are refused by name
 //	bpctl stats                       # statement-cache counters (shape keying)
@@ -32,6 +32,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -150,13 +151,18 @@ func main() {
 			log.Fatal(err)
 		}
 		defer s.Close()
-		answer, err := s.Ask(rest, 15*time.Second)
-		if err != nil {
-			log.Fatal(err)
+		ans, err := s.GovernedAsk(context.Background(), "", rest, nil, 15*time.Second)
+		fmt.Printf("outcome: %s\n", ans.Outcome)
+		if err == nil {
+			fmt.Printf("answer: %s\n", ans.Text)
 		}
-		fmt.Printf("answer: %s\n\nflow (%d earlier messages released):\n%s", answer, s.Released(), trace.Render(s.Flow()))
+		// A failed ask's flow holds its failure record, naming the agent.
+		fmt.Printf("\nflow (%d earlier messages released):\n%s", s.Released(), trace.Render(s.Flow()))
 		if spans := obs.Spans.Session(s.ID); len(spans) > 0 {
 			fmt.Printf("\nspans:\n%s", obs.RenderTree(spans))
+		}
+		if err != nil {
+			log.Fatal(err)
 		}
 	case "memo":
 		s, err := sys.StartSession("")
@@ -304,7 +310,7 @@ func remoteSlow(w io.Writer, addr, arg string) error {
 		}
 		fmt.Fprintf(w, "slow asks: threshold=%.0fms captures=%d retained=%d\n", out.ThresholdMS, out.Captures, len(out.Exemplars))
 		for _, ex := range out.Exemplars {
-			fmt.Fprintf(w, "%4d  %-8s %-12s %-10s %s  %q\n",
+			fmt.Fprintf(w, "%4d  %-9s %-12s %-10s %s  %q\n",
 				ex.ID, ex.Outcome, ex.Dur.Round(time.Millisecond), ex.Tenant, ex.Trace, ex.Text)
 		}
 		if len(out.Exemplars) > 0 {

@@ -45,7 +45,8 @@
 // AGENT_ERROR on its session's control stream, carrying its outcome and cost
 // (Report, ReadReport, AwaitReport), for the caller that awaits it. A tag
 // activation has no caller: its outputs are its result, and it reports only a
-// failure, whose AGENT_ERROR is the record the fault leaves. A deployment
+// failure, whose AGENT_ERROR goes on the session's display stream with the
+// ask's id, the failure record that ends the ask's wait. A deployment
 // counts nothing of its own: invocations and errors go to the process-wide
 // blueprint_agent_invocations_total and blueprint_agent_errors_total.
 package agent
@@ -102,7 +103,8 @@ type Invocation struct {
 	// Deadline), so a plan with little latency budget left cannot have one
 	// step run for the full default timeout.
 	Deadline time.Time
-	// tagged marks a decentralized activation, which reports only a failure.
+	// tagged marks a decentralized activation, which reports only a failure,
+	// on the display stream.
 	tagged bool
 }
 

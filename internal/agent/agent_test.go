@@ -318,29 +318,34 @@ func TestErrorReporting(t *testing.T) {
 		t.Fatalf("error = %v", d.Error)
 	}
 
-	// A tag-activated failure reports too: its AGENT_ERROR is the one record
-	// the fault leaves.
-	reports := store.Subscribe(ReportFilter(testSession), false)
-	defer reports.Cancel()
+	// A tag-activated failure reports too, on the display stream with its
+	// ask's id: its AGENT_ERROR is the one record the fault leaves, the
+	// failure record its ask's wait ends on.
+	display := store.Subscribe(streams.Filter{Streams: []string{DisplayStream(testSession)}}, false)
+	defer display.Cancel()
 	if _, err := store.Publish(streams.Message{
-		Stream: testSession + ":in", Session: testSession, Kind: streams.Data, Sender: "test", Tags: []string{"x"}, Payload: 2,
+		Stream: testSession + ":in", Session: testSession, Kind: streams.Data, Sender: "test", Tags: []string{"x"}, Payload: 2, Ask: 7,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	awaitMessage(t, reports)
+	awaitMessage(t, display)
 	inst.Stop() // so nothing more comes
 	ctrl, err := store.ReadAll(ControlStream(testSession))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tagged []*streams.Directive
 	for _, m := range ctrl {
 		if d := m.Directive; d.Op != streams.OpExecuteAgent && d.Invocation != "inv-err" {
-			tagged = append(tagged, d)
+			t.Fatalf("a failed tag activation left a control message: %+v", d)
 		}
 	}
-	if len(tagged) != 1 || tagged[0].Op != OpAgentError || tagged[0].Error != "boom" {
-		t.Fatalf("a failed tag activation left %d control messages, want one AGENT_ERROR: %+v", len(tagged), tagged)
+	shown, err := store.ReadAll(DisplayStream(testSession))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shown) != 1 || shown[0].Ask != 7 || shown[0].Directive == nil ||
+		shown[0].Directive.Op != OpAgentError || shown[0].Directive.Agent != "FAILER" || shown[0].Directive.Error != "boom" {
+		t.Fatalf("a failed tag activation left %d display messages, want one AGENT_ERROR of FAILER for ask 7: %+v", len(shown), shown)
 	}
 }
 

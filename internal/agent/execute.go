@@ -59,7 +59,10 @@ type Report struct {
 
 // report appends the invocation's report to its seat's control stream:
 // AGENT_ERROR when err is set (and counted), else AGENT_DONE with usage and,
-// unless nil, outputs, which the report keeps without a copy.
+// unless nil, outputs, which the report keeps without a copy. A
+// tag-activated invocation reports only a failure, and to its seat's display
+// stream: no caller awaits it and nothing retries it, so its AGENT_ERROR is
+// the failure record that ends its ask.
 func (in *Instance) report(st *seat, inv Invocation, usage Usage, outputs map[string]any, err error) {
 	name := in.agent.Spec.Name
 	d := &streams.Directive{Op: OpAgentDone, Agent: name, Invocation: inv.InvocationID}
@@ -69,8 +72,12 @@ func (in *Instance) report(st *seat, inv Invocation, usage Usage, outputs map[st
 	} else {
 		d.Outputs, d.Cost, d.Accuracy, d.Latency = outputs, usage.Cost, usage.Accuracy, usage.Latency
 	}
+	stream := st.control
+	if inv.tagged {
+		stream = DisplayStream(st.session)
+	}
 	_, _ = in.store.Append(streams.Message{
-		Stream: st.control, Kind: streams.Control, Sender: name, Ask: inv.Ask,
+		Stream: stream, Kind: streams.Control, Sender: name, Ask: inv.Ask,
 		Directive: d,
 	})
 }

@@ -51,11 +51,15 @@
 // to a worker of the store's pool, which takes one of the session's
 // DefaultMaxConcurrentPlans slots, so plans of one session — and of many —
 // run concurrently, and a session at its bound holds up no other's. A
-// session's Seat keeps its latest 64 results, readable after it has left. The
-// ask a plan message names (streams.Message.Ask) goes down with the plan, to
-// the scheduler: the plan's span joins that ask's tree, and every
-// EXECUTE_AGENT, ABORT and result message the plan writes, and its Result,
-// carry the ask's id. ExecutePlan runs a plan for no ask, ExecuteAsk for one.
+// session's Seat keeps its latest 64 results, readable after it has left. A
+// plan the service runs ends on the session's display stream: its results,
+// or, for a plan it gave up on, one AGENT_ERROR naming the failed step's
+// agent ("coordinator" for a budget abort) — the failure
+// record that ends its ask's wait. The ask a plan message names
+// (streams.Message.Ask) goes down with the plan, to the scheduler: the plan's
+// span joins that ask's tree, and every EXECUTE_AGENT, ABORT, result and
+// failure message the plan writes, and its Result, carry the ask's id.
+// ExecutePlan runs a plan for no ask, ExecuteAsk for one.
 //
 // # Step-result memoization
 //

@@ -26,6 +26,12 @@ const DefaultMaxParallel = 8
 // to the leader but never cached or shared.
 var errReplanned = errors.New("coordinator: step replanned to an alternative agent; result not memoizable under the original key")
 
+// failedAgent is the agent a failed step's error names, wrapped in it so
+// that the plan's failure record can name the agent too.
+type failedAgent string
+
+func (a failedAgent) Error() string { return string(a) }
+
 // errDegraded marks a memoized-step execution that was answered from a stale
 // entry (breaker open): the leader keeps its degraded success, but the stale
 // value must not be re-cached as fresh (that would reset its age), so
@@ -198,7 +204,7 @@ func (s *scheduler) runStep(i int) stepOutcome {
 	if id.Inputs == nil {
 		inputs, err := s.plan.Resolve(step, s.output, s.c.transformer(s.budget))
 		if err != nil {
-			err = fmt.Errorf("%w: %s: %v", ErrStepFailed, step.ID, err)
+			err = fmt.Errorf("%w: %s (%w): %v", ErrStepFailed, step.ID, failedAgent(step.Agent), err)
 			s.fail(err)
 			return stepOutcome{step: i, err: err}
 		}
@@ -484,7 +490,7 @@ func (s *scheduler) replanOrFail(ctx context.Context, i int, id optimizer.StepId
 	s.record(i, sr)
 	if execErr != nil {
 		rsv.Release()
-		err := fmt.Errorf("%w: %s (%s): %w", ErrStepFailed, step.ID, step.Agent, execErr)
+		err := fmt.Errorf("%w: %s (%w): %w", ErrStepFailed, step.ID, failedAgent(step.Agent), execErr)
 		if s.ctx.Err() != nil {
 			// Cancelled by another step's failure: this step is collateral.
 			err = s.firstFailure(err)

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"errors"
 	"maps"
 	"slices"
 	"sort"
@@ -180,10 +181,13 @@ func (s *Service) spawn(scope string, payload any, ask uint64) {
 	})
 }
 
-// finish keeps a plan's result on its seat and, when the plan completed,
-// shows its final outputs on the session's display stream, both before the
-// plan's span ends: an ask that waits for its spans to end finds its result
-// in Results.
+// finish keeps a plan's result on its seat and shows how the plan ended on
+// the session's display stream, both before the plan's span ends: an ask
+// that waits for its spans to end finds its result in Results. A completed
+// plan shows its final outputs; a plan given up on — a step failed with no
+// substitute, or a budget abort — shows one AGENT_ERROR naming the failed
+// step's agent, or "coordinator" for an abort: the failure record that ends
+// the ask's wait.
 func (s *Service) finish(session string, st *Seat, res *Result, err error) {
 	st.mu.Lock()
 	if len(st.results) == resultsKept {
@@ -192,6 +196,13 @@ func (s *Service) finish(session string, st *Seat, res *Result, err error) {
 	st.results = append(st.results, res)
 	st.mu.Unlock()
 	if err != nil {
+		failed := failedAgent("coordinator")
+		errors.As(err, &failed)
+		_, _ = s.c.store.Publish(streams.Message{
+			Stream: agent.DisplayStream(session), Session: session,
+			Kind: streams.Control, Sender: "coordinator", Ask: res.Ask,
+			Directive: &streams.Directive{Op: agent.OpAgentError, Agent: string(failed), Error: err.Error()},
+		})
 		return
 	}
 	for _, param := range s.c.finalOrder(res) {

@@ -188,6 +188,53 @@ func TestServiceDisplaysFinalOutputsInDeclaredOrder(t *testing.T) {
 	}
 }
 
+// A plan the service gives up on shows one failure record for its ask: an
+// AGENT_ERROR on the display stream naming the failed step's agent, after
+// the step's retries and with no substitute, or "coordinator" for a budget
+// abort, with the plan's error.
+func TestServiceShowsAFailedPlansFailureRecord(t *testing.T) {
+	e := newEnv(t)
+	failer := registry.AgentSpec{
+		Name: "FAILER", Inputs: []registry.ParamSpec{{Name: "IN", Type: "text", Optional: true}},
+		Outputs: []registry.ParamSpec{{Name: "OUT", Type: "text"}},
+	}
+	if err := e.reg.Register(failer); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := agent.Attach(e.store, sess, agent.New(failer, func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
+		return agent.Outputs{}, errors.New("boom")
+	}), agent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.insts = append(e.insts, inst)
+	c := New(e.store, e.reg, nil, e.model, Options{}) // no planner: no replan
+	for i, tc := range []struct {
+		limits       budget.Limits
+		plan         *planner.Plan
+		agent, cause string
+	}{
+		{budget.Limits{MaxCost: 1.0}, &planner.Plan{ID: "fails", Steps: []planner.Step{{ID: "s1", Agent: "FAILER"}}}, "FAILER", "boom"},
+		{budget.Limits{MaxCost: 1e-9}, onePlan("over-budget"), "coordinator", ErrAborted.Error()},
+	} {
+		svc := c.Serve(tc.limits)
+		svc.Join(sess)
+		shown := shownResults(t, e.store, sess)
+		ask := uint64(100 + i)
+		if _, err := e.store.Publish(streams.Message{
+			Stream: agent.OutputStream(sess, planner.AgentName), Session: sess, Kind: streams.Data,
+			Sender: planner.AgentName, Param: "PLAN", Tags: []string{PlanTag}, Payload: tc.plan, Ask: ask,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		m := awaitShown(t, shown, 1)[0]
+		svc.Stop()
+		if d := m.Directive; m.Ask != ask || d == nil || d.Op != agent.OpAgentError || d.Agent != tc.agent || !strings.Contains(d.Error, tc.cause) {
+			t.Fatalf("plan %s showed %+v (directive %+v), want one AGENT_ERROR of %s for ask %d carrying %q", tc.plan.ID, m, m.Directive, tc.agent, ask, tc.cause)
+		}
+	}
+}
+
 const other = "session:other"
 
 // gatedAgent deploys GATED into sess and other, with room for every plan

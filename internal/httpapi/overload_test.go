@@ -154,7 +154,7 @@ func TestFlightRecorderExplainsOverload(t *testing.T) {
 		if len(ex.Events) == 0 {
 			t.Errorf("exemplar %d (%s, trace %s) captured no events", ex.ID, ex.Outcome, ex.Trace)
 		}
-		if ex.Outcome == obs.OutcomeSlow && ex.Err == "" {
+		if ex.Outcome == obs.OutcomeAnswered {
 			slow++
 			components := map[string]bool{}
 			for _, sp := range ex.Spans {

@@ -20,7 +20,6 @@ import (
 	"blueprint"
 	"blueprint/internal/obs"
 	"blueprint/internal/resilience"
-	"blueprint/internal/session"
 )
 
 // Options tunes the handler surface.
@@ -36,7 +35,7 @@ type Options struct {
 // Endpoints:
 //
 //	POST /sessions                         -> {"id": "session:1"}
-//	POST /sessions/{id}/ask    {"text":..} -> {"answer": ...} (X-Trace-Id on every response; 429 + Retry-After when shed)
+//	POST /sessions/{id}/ask    {"text":..} -> {"answer": ...} (X-Trace-Id on every response; the status is the ask's outcome: 429 + Retry-After when shed, 502 failed, 410 closed, 504 timed out)
 //	POST /sessions/{id}/click  {event}     -> {"answer": ...} (governed as an ask is: X-Trace-Id, 429 when shed)
 //	GET  /sessions/{id}/flow               -> {"released": n, "steps": [...]}: the flow the session keeps, after the n messages it released
 //	DELETE /sessions/{id}                  -> 204: the session is closed and its streams forgotten (404 when not open)
@@ -184,11 +183,12 @@ func (s *Server) click(w http.ResponseWriter, r *http.Request) {
 
 // answer serves one decoded ask or click (event set) through
 // Session.GovernedAsk, under the request's X-Tenant ("default" when absent)
-// and a wait of timeoutMS, clamped to maxAskTimeout (15 s when 0). Every
-// outcome carries the ask's id as X-Trace-Id and the body's "trace": a shed
-// answers 429 with the governor's advisory Retry-After, a degraded serve 200
-// marked "degraded", an ask whose session was closed under it (a DELETE
-// racing it) 410 Gone, any other failure 504.
+// and a wait of timeoutMS, clamped to maxAskTimeout (15 s when 0). The
+// status is the ask's outcome: answered 200, degraded 200 marked "degraded"
+// with "stale_for_ms", shed 429 with the governor's advisory Retry-After,
+// closed (a DELETE of its session racing it) 410 Gone, failed (an agent or
+// its plan failed; "error" names the agent) 502, timed_out 504. Every
+// outcome carries the ask's id as X-Trace-Id and the body's "trace".
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, sess *blueprint.Session, text string, event map[string]any, timeoutMS int) {
 	timeout := 15 * time.Second
 	if timeoutMS > 0 {
@@ -197,30 +197,33 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, sess *blueprint.
 	tenant := cmp.Or(r.Header.Get("X-Tenant"), "default")
 	ans, err := sess.GovernedAsk(r.Context(), tenant, text, event, timeout)
 	w.Header().Set("X-Trace-Id", ans.TraceID)
-	if err == nil {
-		out := map[string]any{"answer": ans.Text, "trace": ans.TraceID}
-		if ans.Degraded {
+	out := map[string]any{"trace": ans.TraceID}
+	if err != nil {
+		out["error"] = err.Error()
+	}
+	status := http.StatusGatewayTimeout // timed_out
+	switch ans.Outcome {
+	case obs.OutcomeAnswered, obs.OutcomeDegraded:
+		status, out["answer"] = http.StatusOK, ans.Text
+		if ans.Outcome == obs.OutcomeDegraded {
 			out["degraded"] = true
 			out["stale_for_ms"] = ans.StaleFor.Milliseconds()
 		}
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	var ov *resilience.OverloadError
-	if errors.As(err, &ov) {
-		// Retry-After is whole seconds (RFC 9110), rounded up so "1s"
-		// never becomes "0".
-		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(ov.RetryAfter.Seconds()))))
-		writeJSON(w, http.StatusTooManyRequests, map[string]any{
-			"error": err.Error(), "retry_after_ms": ov.RetryAfter.Milliseconds(), "trace": ans.TraceID,
-		})
-		return
-	}
-	status := http.StatusGatewayTimeout
-	if errors.Is(err, session.ErrClosed) {
+	case obs.OutcomeShed:
+		status = http.StatusTooManyRequests
+		var ov *resilience.OverloadError
+		if errors.As(err, &ov) {
+			// Retry-After is whole seconds (RFC 9110), rounded up so "1s"
+			// never becomes "0".
+			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(ov.RetryAfter.Seconds()))))
+			out["retry_after_ms"] = ov.RetryAfter.Milliseconds()
+		}
+	case obs.OutcomeClosed:
 		status = http.StatusGone
+	case obs.OutcomeFailed:
+		status = http.StatusBadGateway
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error(), "trace": ans.TraceID})
+	writeJSON(w, status, out)
 }
 
 func (s *Server) flow(w http.ResponseWriter, r *http.Request) {

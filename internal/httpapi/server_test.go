@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"blueprint"
+	"blueprint/internal/hragents"
 	"blueprint/internal/obs"
 	"blueprint/internal/resilience"
 	"blueprint/internal/session"
@@ -126,7 +127,8 @@ func TestCloseSessionOverHTTP(t *testing.T) {
 // when the answer came first, 410 Gone when the session was closed under it,
 // never 504 as if it had timed out. Each round closes the session once the
 // ask's utterance is on its user stream, so the ask is in flight; at the
-// parent every closed-under ask was a 504.
+// parent every closed-under ask was a 504. A 410 ask is not counted in the
+// tenant's SLO series: its client withdrew it.
 func TestCloseRacingAnAskIsGone(t *testing.T) {
 	s := newTestServer(t)
 	codes := map[int]int{}
@@ -134,30 +136,171 @@ func TestCloseRacingAnAskIsGone(t *testing.T) {
 		_, out := do(t, s, "POST", "/sessions", "")
 		id, _ := out["id"].(string)
 		path := "/sessions/" + strings.TrimPrefix(id, "session:")
+		counted := sloTotal(t, s, "default")
 		done := make(chan *httptest.ResponseRecorder, 1)
 		go func() {
 			rec, _ := do(t, s, "POST", path+"/ask", `{"text": "Summarize the applicants for job 3", "timeout_ms": 5000}`)
 			done <- rec
 		}()
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Microsecond) {
-			if info, err := s.sys.Store.Info(session.UserStream(id)); err == nil && info.Len > 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d: the ask's utterance never reached %s", round, id)
-			}
-		}
-		if rec, _ := do(t, s, "DELETE", path, ""); rec.Code != http.StatusNoContent {
-			t.Fatalf("round %d: DELETE = %d %s", round, rec.Code, rec.Body)
-		}
+		closeInFlight(t, s, id)
 		switch rec := <-done; rec.Code {
 		case http.StatusOK, http.StatusGone:
 			codes[rec.Code]++
+			if now := sloTotal(t, s, "default"); rec.Code == http.StatusGone && now != counted {
+				t.Fatalf("round %d: a 410 ask moved the tenant's SLO total from %v to %v", round, counted, now)
+			}
 		default:
 			t.Fatalf("round %d: the ask a DELETE raced = %d %s, want 200 or 410", round, rec.Code, rec.Body)
 		}
 	}
 	t.Logf("answers: %v", codes)
+}
+
+// closeInFlight DELETEs session id once an ask's utterance is on its user
+// stream, so the ask is in flight.
+func closeInFlight(t *testing.T, s *Server, id string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Microsecond) {
+		if info, err := s.sys.Store.Info(session.UserStream(id)); err == nil && info.Len > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the ask's utterance never reached %s", id)
+		}
+	}
+	if rec, _ := do(t, s, "DELETE", "/sessions/"+strings.TrimPrefix(id, "session:"), ""); rec.Code != http.StatusNoContent {
+		t.Fatalf("DELETE = %d %s", rec.Code, rec.Body)
+	}
+}
+
+// sloTotal is the asks GET /slo counts in tenant's series (0 before its
+// first).
+func sloTotal(t *testing.T, s *Server, tenant string) float64 {
+	t.Helper()
+	_, out := do(t, s, "GET", "/slo", "")
+	series, _ := out["series"].([]any)
+	for _, sr := range series {
+		if m := sr.(map[string]any); m["kind"] == "tenant" && m["name"] == tenant {
+			total, _ := m["total"].(float64)
+			return total
+		}
+	}
+	return 0
+}
+
+// holdSlot takes a governed server's one admission slot with an ask that
+// injected latency slows down, and returns the func that lets it finish.
+func holdSlot(t *testing.T, s *Server, path string) (release func()) {
+	t.Helper()
+	resilience.Activate(resilience.NewInjector(1, resilience.Rule{
+		Site: resilience.SiteAgent, Kind: resilience.KindLatency,
+		Probability: 1, Latency: 300 * time.Millisecond,
+	}))
+	held := make(chan struct{})
+	go func() {
+		defer close(held)
+		do(t, s, "POST", path+"/ask", `{"text": "Summarize the applicants for job 3"}`)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); s.sys.GovernorStats().InFlight == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			resilience.Deactivate()
+			t.Fatal("holder ask never occupied the governor slot")
+		}
+	}
+	return func() {
+		resilience.Deactivate()
+		<-held
+	}
+}
+
+// Each outcome of an ask has one status: answered and degraded 200, shed
+// 429, closed 410, failed 502, timed_out 504. One ask is driven to each, and
+// every answer carries its id as X-Trace-Id and the body's "trace"; every
+// outcome but answered and the sampled shed is captured by the flight
+// recorder under it. A failed ask — its front-door agent fails — answers
+// 502 at once, not at its 10 s timeout_ms, naming the agent in "error" and
+// in its exemplar's Err.
+func TestAskOutcomeStatus(t *testing.T) {
+	plain := blueprint.Config{ModelAccuracy: 1.0}
+	governed := blueprint.Config{ModelAccuracy: 1.0, Governor: resilience.GovernorConfig{MaxConcurrent: 1}}
+	idle := blueprint.Config{ModelAccuracy: 1.0, DisableStandardAgents: true} // no agent answers
+	const count = `{"text": "How many jobs are in San Francisco?", "timeout_ms": 10000}`
+	ask := func(t *testing.T, s *Server, path, body string) *httptest.ResponseRecorder {
+		rec, _ := do(t, s, "POST", path+"/ask", body)
+		return rec
+	}
+	for _, c := range []struct {
+		outcome string
+		status  int
+		cfg     blueprint.Config
+		drive   func(t *testing.T, s *Server, path string) *httptest.ResponseRecorder
+	}{
+		{obs.OutcomeAnswered, http.StatusOK, plain, func(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
+			return ask(t, s, path, count)
+		}},
+		{obs.OutcomeDegraded, http.StatusOK, governed, func(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
+			if rec := ask(t, s, path, count); rec.Code != http.StatusOK {
+				t.Fatalf("baseline ask = %d %s", rec.Code, rec.Body)
+			}
+			defer holdSlot(t, s, path)()
+			return ask(t, s, path, count)
+		}},
+		{obs.OutcomeShed, http.StatusTooManyRequests, governed, func(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
+			defer holdSlot(t, s, path)()
+			return ask(t, s, path, count)
+		}},
+		{obs.OutcomeClosed, http.StatusGone, idle, func(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
+			done := make(chan *httptest.ResponseRecorder, 1)
+			go func() { done <- ask(t, s, path, count) }()
+			closeInFlight(t, s, "session:"+strings.TrimPrefix(path, "/sessions/"))
+			return <-done
+		}},
+		{obs.OutcomeFailed, http.StatusBadGateway, plain, func(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
+			resilience.Activate(resilience.NewInjector(1, resilience.Rule{
+				Site: resilience.SiteAgent, Kind: resilience.KindError, Probability: 1, Limit: 1,
+			}))
+			defer resilience.Deactivate()
+			start := time.Now()
+			rec := ask(t, s, path, count)
+			if took := time.Since(start); took > time.Second {
+				t.Fatalf("failed ask answered after %s, want well under its 10 s timeout_ms", took)
+			}
+			return rec
+		}},
+		{obs.OutcomeTimedOut, http.StatusGatewayTimeout, idle, func(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
+			return ask(t, s, path, `{"text": "How many jobs are in San Francisco?", "timeout_ms": 50}`)
+		}},
+	} {
+		t.Run(c.outcome, func(t *testing.T) {
+			s := newTestServerCfg(t, c.cfg)
+			_, out := do(t, s, "POST", "/sessions", "")
+			rec := c.drive(t, s, "/sessions/"+strings.TrimPrefix(out["id"].(string), "session:"))
+			var body map[string]any
+			_ = json.Unmarshal(rec.Body.Bytes(), &body)
+			tid := rec.Header().Get("X-Trace-Id")
+			if rec.Code != c.status || tid == "" || body["trace"] != tid {
+				t.Fatalf("%s ask = %d, X-Trace-Id %q, body %s; want %d and the id in both", c.outcome, rec.Code, tid, rec.Body, c.status)
+			}
+			if c.outcome == obs.OutcomeFailed && !strings.Contains(body["error"].(string), hragents.IntentClassifier) {
+				t.Fatalf("failed ask's error %q does not name %s", body["error"], hragents.IntentClassifier)
+			}
+			if c.outcome == obs.OutcomeAnswered || c.outcome == obs.OutcomeShed {
+				return
+			}
+			var ex *obs.Exemplar
+			for _, sum := range obs.SlowAsks.Summaries() {
+				if sum.Trace == tid {
+					ex, _ = obs.SlowAsks.Get(sum.ID)
+				}
+			}
+			if ex == nil || ex.Outcome != c.outcome {
+				t.Fatalf("exemplar of the %s ask = %+v, want one with that outcome", c.outcome, ex)
+			}
+			if c.outcome == obs.OutcomeFailed && !strings.Contains(ex.Err, hragents.IntentClassifier) {
+				t.Fatalf("failed ask's exemplar error %q does not name %s", ex.Err, hragents.IntentClassifier)
+			}
+		})
+	}
 }
 
 func TestErrorsOverHTTP(t *testing.T) {

@@ -154,19 +154,19 @@ func TestAskID(t *testing.T) {
 func TestRecorderShouldCapture(t *testing.T) {
 	r := NewRecorder(4)
 	r.SetThreshold(100 * time.Millisecond)
-	if r.ShouldCapture(50*time.Millisecond, "") {
+	if r.ShouldCapture(50*time.Millisecond, OutcomeAnswered) {
 		t.Fatal("fast success captured")
 	}
-	if !r.ShouldCapture(150*time.Millisecond, "") {
+	if !r.ShouldCapture(150*time.Millisecond, OutcomeAnswered) {
 		t.Fatal("slow success not captured")
 	}
-	for _, o := range []string{OutcomeError, OutcomeDegraded, OutcomeShed} {
+	for _, o := range []string{OutcomeFailed, OutcomeDegraded, OutcomeShed} {
 		if !r.ShouldCapture(0, o) {
 			t.Fatalf("outcome %q not captured regardless of duration", o)
 		}
 	}
 	r.SetThreshold(-1)
-	if r.ShouldCapture(time.Hour, OutcomeError) {
+	if r.ShouldCapture(time.Hour, OutcomeFailed) {
 		t.Fatal("negative threshold must disable capture entirely")
 	}
 }

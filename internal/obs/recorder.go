@@ -11,18 +11,21 @@ import (
 // span ring may have wrapped and the events scrolled away. The recorder
 // fixes that by capturing, at ask completion, a self-contained exemplar —
 // the ask's full span tree, the event slice that overlapped it, and the
-// plan's cost breakdown — for every ask that exceeded the latency
-// threshold, errored, or finished degraded/shed. Exemplars live in a
+// plan's cost breakdown — for every answered ask that exceeded the latency
+// threshold and every ask that was not answered. Exemplars live in a
 // bounded ring served by GET /slow and GET /slow/{n} (bpctl slow renders
 // them), so "why was ask X slow" is one artifact instead of a join across
 // three endpoints.
 
-// Ask outcomes as classified by the capture site.
+// Ask outcomes: how an ask ended, decided once where the ask runs and read
+// by the HTTP front door, the tenant SLO series and the flight recorder.
 const (
-	OutcomeSlow     = "slow"
-	OutcomeError    = "error"
-	OutcomeDegraded = "degraded"
-	OutcomeShed     = "shed"
+	OutcomeAnswered = "answered"  // its own answer, in time
+	OutcomeDegraded = "degraded"  // shed, and served a stale memoized answer
+	OutcomeShed     = "shed"      // refused by the overload governor
+	OutcomeFailed   = "failed"    // an agent or its plan failed: the ask's failure record
+	OutcomeClosed   = "closed"    // its session was closed under it
+	OutcomeTimedOut = "timed_out" // no answer before its deadline, or its caller left
 )
 
 // CostBreakdown summarizes where an ask's budget went — filled from the
@@ -120,13 +123,14 @@ func (r *Recorder) SetThreshold(d time.Duration) { r.threshold.Store(int64(d)) }
 func (r *Recorder) Threshold() time.Duration { return time.Duration(r.threshold.Load()) }
 
 // ShouldCapture reports whether an ask with the given duration and outcome
-// ("" for a plain success) belongs in the recorder.
+// belongs in the recorder: any ask not answered, and an answered one as slow
+// as the threshold.
 func (r *Recorder) ShouldCapture(dur time.Duration, outcome string) bool {
 	th := r.threshold.Load()
 	if th < 0 {
 		return false
 	}
-	return outcome != "" || dur >= time.Duration(th)
+	return outcome != OutcomeAnswered || dur >= time.Duration(th)
 }
 
 // Capture stores an exemplar, clamping its evidence to the per-exemplar

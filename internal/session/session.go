@@ -63,6 +63,11 @@ var (
 	// it: the drop of the session's streams ended the wait. It wraps
 	// ErrNoDisplay, as every failed display wait does.
 	ErrClosed = fmt.Errorf("%w: session closed", ErrNoDisplay)
+	// ErrFailed is returned by an ask's wait that found the ask's failure
+	// record: the AGENT_ERROR an agent or the coordinator shows on the
+	// display stream when the ask can no longer be answered. The error
+	// names the failed agent and carries its cause.
+	ErrFailed = errors.New("session: ask failed")
 )
 
 // UserStream is the stream carrying user utterances for a session.
@@ -431,24 +436,28 @@ func (s *Session) DisplayLen() int {
 }
 
 // AwaitAnswer blocks until the display stream carries, at index >= from, a
-// message that ask caused, and returns the first such message's payload: the
-// ask's answer. Display messages of other asks — a plan result that lands
-// after its own ask returned, the answer of an ask running beside this one —
-// are passed over. ErrNoDisplay is returned on timeout or when ctx ends,
-// ErrClosed (which wraps it) when the session is closed first.
+// message that ask caused, and returns on the first such message: the ask's
+// final record. A data message is its answer, whose payload is returned; an
+// AGENT_ERROR directive is its failure, returned as ErrFailed. Display
+// messages of other asks — a plan result that lands after its own ask
+// returned, the answer of an ask running beside this one — are passed over.
+// ErrNoDisplay is returned on timeout or when ctx ends, ErrClosed (which
+// wraps it) when the session is closed first.
 func (s *Session) AwaitAnswer(ctx context.Context, from int, ask uint64, timeout time.Duration) (string, error) {
 	return s.awaitDisplay(ctx, from, ask, "", timeout)
 }
 
 // AwaitDisplay blocks until the display stream carries a message at index
 // >= from whose payload contains substr (empty matches anything), of any
-// ask, returning its payload. ErrNoDisplay is returned on timeout.
+// ask, returning its payload; failure records are passed over. ErrNoDisplay
+// is returned on timeout.
 func (s *Session) AwaitDisplay(from int, substr string, timeout time.Duration) (string, error) {
 	return s.awaitDisplay(context.Background(), from, 0, substr, timeout)
 }
 
 // awaitDisplay is the one display wait: the first message at index >= from
-// of ask (any, for 0) whose payload contains substr. It is event-driven: a
+// of ask (any, for 0) whose payload contains substr, or the failure record of
+// ask when that comes first. It is event-driven: a
 // streams subscription resumed at offset from delivers the display messages
 // already at or past it (so outputs that raced ahead of the call are not
 // missed) and then new ones as they are appended — no polling, no sleeps,
@@ -471,8 +480,11 @@ func (s *Session) awaitDisplay(ctx context.Context, from int, ask uint64, substr
 			if !ok {
 				return "", fmt.Errorf("%w: %s", ErrClosed, s.ID)
 			}
-			if msg.Seq < int64(from) || (ask != 0 && msg.Ask != ask) {
-				continue // live, but from lies further beyond the stream's end; or another ask's
+			if msg.Seq < int64(from) || (ask != 0 && msg.Ask != ask) || (ask == 0 && msg.Directive != nil) {
+				continue // live, but from lies beyond the stream's end; another ask's; or a failure record, no rendering
+			}
+			if d := msg.Directive; d != nil {
+				return "", fmt.Errorf("%w: %s: %s", ErrFailed, d.Agent, d.Error)
 			}
 			if text := msg.PayloadString(); substr == "" || strings.Contains(text, substr) {
 				return text, nil

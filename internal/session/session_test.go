@@ -373,6 +373,36 @@ func TestAwaitDisplayEventDriven(t *testing.T) {
 	}
 }
 
+// An ask's wait ends on the ask's first display message: a failure record
+// of its own ask is ErrFailed naming the agent and its cause, one of another
+// ask is passed over, and a wait for any ask passes every failure record over.
+func TestAwaitAnswerEndsOnItsFailureRecord(t *testing.T) {
+	store, m := newEnv(t)
+	s, _ := m.Create("")
+	defer s.Close()
+	from := s.DisplayLen()
+	for _, msg := range []streams.Message{
+		{Kind: streams.Control, Sender: "RANKER", Ask: 2, Directive: &streams.Directive{Op: agent.OpAgentError, Agent: "RANKER", Error: "other ask's"}},
+		{Kind: streams.Control, Sender: "coordinator", Ask: 1, Directive: &streams.Directive{Op: agent.OpAgentError, Agent: "RANKER", Error: "boom"}},
+		{Kind: streams.Data, Sender: "RANKER", Ask: 3, Payload: "ranked"},
+	} {
+		msg.Stream = agent.DisplayStream(s.ID)
+		if _, err := store.Append(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.AwaitAnswer(t.Context(), from, 1, time.Second); !errors.Is(err, ErrFailed) || errors.Is(err, ErrNoDisplay) ||
+		!strings.Contains(err.Error(), "RANKER: boom") {
+		t.Fatalf("ask 1's wait = %v, want ErrFailed naming RANKER and its cause", err)
+	}
+	if out, err := s.AwaitAnswer(t.Context(), from, 3, time.Second); err != nil || out != "ranked" {
+		t.Fatalf("ask 3's wait = %q, %v, want its answer past the others' failure records", out, err)
+	}
+	if out, err := s.AwaitDisplay(from, "", time.Second); err != nil || out != "ranked" {
+		t.Fatalf("AwaitDisplay = %q, %v, want the first rendering", out, err)
+	}
+}
+
 // AwaitDisplay resumes at an offset rather than replaying and counting: the
 // offset, not the arrival order, decides what is waited for.
 func TestAwaitDisplayFromOffset(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"blueprint/internal/clock"
+	"blueprint/internal/obs"
 	"blueprint/internal/resilience"
 	"blueprint/internal/workload"
 )
@@ -123,7 +124,7 @@ func (r *overloadRig) phase(st *overloadStats, seed int64, rate float64, burst w
 		mu.Lock()
 		defer mu.Unlock()
 		switch {
-		case err == nil && ans.Degraded:
+		case err == nil && ans.Outcome == obs.OutcomeDegraded:
 			st.degraded++
 			st.maxStale = max(st.maxStale, ans.StaleFor)
 			if ans.Text == "" {
@@ -264,7 +265,7 @@ func TestSystemRunsOnItsClock(t *testing.T) {
 	}
 	clk.Advance(time.Second)
 	a := <-got
-	if a.err != nil || !a.ans.Degraded || a.ans.StaleFor != 91*time.Second {
+	if a.err != nil || a.ans.Outcome != obs.OutcomeDegraded || a.ans.StaleFor != 91*time.Second {
 		t.Fatalf("repeat ask = %+v, %v; want a degraded answer 91s old", a.ans, a.err)
 	}
 }

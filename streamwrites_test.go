@@ -47,7 +47,8 @@ var streamWritesKept = map[writeClass]string{
 //   - an EXECUTE_AGENT or ABORT: the agent it addresses is deployed;
 //   - an AGENT_DONE or AGENT_ERROR: an EXECUTE_AGENT of the session named its
 //     invocation, so its caller awaits it;
-//   - a display message: it is the first one of its ask, the ask's answer;
+//   - a display message: it is the first one of its ask, its answer or its
+//     failure;
 //   - a session-stream record: recovery replays it (Members).
 //
 // Any other message fails the test unless its class is in streamWritesKept.

@@ -415,13 +415,18 @@ func (sess *Session) Ask(text string, timeout time.Duration) (string, error) {
 //     admission and the tenant SLO series. A nil governor (Config.Governor
 //     unset) admits everything at once;
 //   - a shed ask is answered from a freshness-valid stale memoized answer
-//     when graceful degradation allows it — marked Degraded — and otherwise
-//     fails with a *resilience.OverloadError carrying the advisory
-//     Retry-After (blueprintd maps it to HTTP 429). Its root ends at once;
-//   - an admitted ask executes;
+//     when graceful degradation allows it — degraded — and is otherwise shed,
+//     failing with a *resilience.OverloadError carrying the advisory
+//     Retry-After. Its root ends at once;
+//   - an admitted ask executes, and ends answered, failed, closed or
+//     timed_out (execute);
 //   - its answer is memoized for later degraded serves (only with a
 //     governor: without one nothing is shed);
 //   - recordAsk records it.
+//
+// Answer.Outcome is how the ask ended, one of the obs.Outcome* set, decided
+// here once: blueprintd's status, the tenant SLO series and the flight
+// recorder each read it.
 func (sess *Session) GovernedAsk(ctx context.Context, tenant, text string, event map[string]any, timeout time.Duration) (Answer, error) {
 	name := "ask"
 	if event != nil {
@@ -434,15 +439,15 @@ func (sess *Session) GovernedAsk(ctx context.Context, tenant, text string, event
 	rec := askRecord{root: root, tenant: tenant, text: text, start: sess.sys.clock.Now(), evStart: obs.Events.Seq()}
 	ctx = obs.ContextWith(ctx, root)
 
+	var err error
 	if tenant != "" {
-		release, err := sess.sys.Governor.Admit(ctx, tenant)
-		if err != nil {
+		var release func()
+		if release, err = sess.sys.Governor.Admit(ctx, tenant); err != nil {
 			root.End()
-			rec.outcome, rec.err = obs.OutcomeShed, err
+			ans.Outcome = obs.OutcomeShed
 			if stale, ok := sess.staleAnswer(text); ok {
-				stale.TraceID = ans.TraceID
-				ans = stale
-				rec.outcome, rec.err = obs.OutcomeDegraded, nil
+				stale.TraceID, stale.Outcome = ans.TraceID, obs.OutcomeDegraded
+				ans, err = stale, nil
 				if obs.Events.On(obs.LevelWarn) {
 					obs.Events.Append(obs.Event{
 						Level: obs.LevelWarn, Component: "session", Kind: "degraded-ask",
@@ -454,18 +459,18 @@ func (sess *Session) GovernedAsk(ctx context.Context, tenant, text string, event
 					})
 				}
 			}
-			sess.recordAsk(rec)
-			return ans, rec.err
+			sess.recordAsk(rec, ans, err)
+			return ans, err
 		}
 		defer release()
 	}
-	ans.Text, rec.err = sess.execute(ctx, root.ID(), text, event, timeout)
+	ans.Text, ans.Outcome, err = sess.execute(ctx, root.ID(), text, event, timeout)
 	root.End()
-	if rec.err == nil {
+	if err == nil {
 		sess.rememberAnswer(text, ans.Text)
 	}
-	sess.recordAsk(rec)
-	return ans, rec.err
+	sess.recordAsk(rec, ans, err)
+	return ans, err
 }
 
 // quiesceWait bounds how long an exemplar capture waits for the ask's
@@ -473,12 +478,17 @@ func (sess *Session) GovernedAsk(ctx context.Context, tenant, text string, event
 const quiesceWait = 50 * time.Millisecond
 
 // execute runs an admitted ask under the ask-level instruments and returns
-// its answer. It posts the ask's input — the utterance, or the UI event when
-// event is set — stamped with the ask's id, and takes as the answer the
-// first display message carrying that id, at or past the display length read
-// before the post. The wait ends with ctx: a caller that has gone away (an
-// HTTP client disconnected) holds nothing until the timeout.
-func (sess *Session) execute(ctx context.Context, ask uint64, text string, event map[string]any, timeout time.Duration) (string, error) {
+// its answer and how it ended. It posts the ask's input — the utterance, or
+// the UI event when event is set — stamped with the ask's id, and waits for
+// the ask's final record: the first display message carrying that id, at or
+// past the display length read before the post. The wait's error is read
+// here and nowhere else: the ask answered, failed (its failure record, which
+// names the agent: session.ErrFailed; or its input was refused), closed
+// (session.ErrClosed: its session was closed under it) or timed out — at its
+// deadline, or when ctx ended, for a caller that has gone away (an HTTP
+// client disconnected) holds nothing until the timeout. A closed or
+// timed-out ask's error wraps ErrNoResponse.
+func (sess *Session) execute(ctx context.Context, ask uint64, text string, event map[string]any, timeout time.Duration) (string, string, error) {
 	mAsks.Inc()
 	clk := sess.sys.clock
 	start := clk.Now()
@@ -492,24 +502,28 @@ func (sess *Session) execute(ctx context.Context, ask uint64, text string, event
 		_, err = sess.PostUserEvent(ask, event)
 	}
 	if err != nil {
-		return "", err
+		return "", obs.OutcomeFailed, err
 	}
 	out, err := sess.AwaitAnswer(ctx, from, ask, timeout)
-	if err != nil {
-		return "", fmt.Errorf("%w: %w", ErrNoResponse, err)
+	switch {
+	case err == nil:
+		return out, obs.OutcomeAnswered, nil
+	case errors.Is(err, session.ErrFailed):
+		return "", obs.OutcomeFailed, err
+	case errors.Is(err, session.ErrClosed):
+		return "", obs.OutcomeClosed, fmt.Errorf("%w: %w", ErrNoResponse, err)
+	default:
+		return "", obs.OutcomeTimedOut, fmt.Errorf("%w: %w", ErrNoResponse, err)
 	}
-	return out, nil
 }
 
-// askRecord carries one finished ask's identity and outcome to recordAsk.
+// askRecord carries one finished ask's identity to recordAsk.
 type askRecord struct {
 	root    *obs.Span // the ask's root span, ended; its id is the ask's (a shed ask's has no children)
 	tenant  string    // "" for an in-process ask (no tenant SLO series)
 	text    string
 	start   time.Time
 	evStart uint64 // event-log cursor at ask start (the exemplar's window)
-	outcome string // "" = classify: error when err != nil, else slow-by-threshold
-	err     error
 }
 
 // shedSampler thins shed-ask exemplar captures: under sustained overload
@@ -517,41 +531,34 @@ type askRecord struct {
 // exemplars (the ones with span evidence) out of the recorder ring.
 var shedSampler = obs.NewSampler(4)
 
-// recordAsk is the last step of every ask: it feeds the tenant's SLO series
-// and captures a flight recorder exemplar when the ask was slow, failed,
-// degraded or shed. The ask's time runs from its start to this call.
-func (sess *Session) recordAsk(rec askRecord) {
+// recordAsk is the last step of every ask: by its outcome, ans.Outcome, it
+// feeds the tenant's SLO series and captures a flight recorder exemplar when
+// the ask was slow or was not answered. The ask's time runs from its start to
+// this call.
+func (sess *Session) recordAsk(rec askRecord, ans Answer, err error) {
 	dur := sess.sys.clock.Since(rec.start)
-	if rec.tenant != "" {
-		// Sheds and degraded (stale) serves burn the tenant's error budget
-		// alongside outright errors: the SLO promises a fresh answer in
-		// time, and none of the three delivered one.
-		bad := rec.err != nil ||
-			rec.outcome == obs.OutcomeShed || rec.outcome == obs.OutcomeDegraded
-		sess.sys.SLO.Record(obs.SLOTenant, rec.tenant, dur, bad)
-	}
-	outcome := rec.outcome
-	if outcome == "" && rec.err != nil {
-		outcome = obs.OutcomeError
+	if rec.tenant != "" && ans.Outcome != obs.OutcomeClosed {
+		// Only an answer burns none of the tenant's error budget: the SLO
+		// promises a fresh answer in time, and a failure, a timeout, a shed
+		// and a degraded (stale) serve each delivered none. A closed ask is
+		// not counted: its client withdrew it.
+		sess.sys.SLO.Record(obs.SLOTenant, rec.tenant, dur, ans.Outcome != obs.OutcomeAnswered)
 	}
 	rcd := obs.SlowAsks
-	if !rcd.ShouldCapture(dur, outcome) {
+	if !rcd.ShouldCapture(dur, ans.Outcome) {
 		return
 	}
-	if outcome == "" {
-		outcome = obs.OutcomeSlow
-	}
-	if outcome == obs.OutcomeShed && !shedSampler.Allow() {
+	if ans.Outcome == obs.OutcomeShed && !shedSampler.Allow() {
 		return
 	}
 	id := obs.AskID(rec.root.ID())
 	ex := obs.Exemplar{
 		Trace: id, Session: sess.ID, Tenant: rec.tenant,
 		Text: obs.Truncate(rec.text, 120), Start: rec.start, Dur: dur,
-		Outcome: outcome,
+		Outcome: ans.Outcome,
 	}
-	if rec.err != nil {
-		ex.Err = rec.err.Error()
+	if err != nil {
+		ex.Err = err.Error()
 	}
 	ex.Spans = quiescedTree(sess.sys.clock, sess.ID, rec.root)
 	ex.Events = filterAskEvents(obs.Events.Since(rec.evStart), sess.ID, id)
@@ -637,10 +644,11 @@ const askFreshness = 30 * time.Second
 type Answer struct {
 	// Text is the display answer.
 	Text string
-	// Degraded reports the answer was served from a stale memoized entry
-	// during overload instead of being executed.
-	Degraded bool
-	// StaleFor is the served entry's age when Degraded.
+	// Outcome is how the ask ended: obs.OutcomeAnswered, OutcomeDegraded,
+	// OutcomeShed, OutcomeFailed, OutcomeClosed or OutcomeTimedOut.
+	Outcome string
+	// StaleFor is the age of the stale memoized entry a degraded answer was
+	// served from during overload instead of being executed.
 	StaleFor time.Duration
 	// TraceID is the ask's id (obs.AskID of its root span's), set on every
 	// outcome: it finds the ask's span tree, events and any flight-recorder
@@ -691,7 +699,7 @@ func (sess *Session) staleAnswer(text string) (Answer, bool) {
 		return Answer{}, false
 	}
 	sys.Governor.CountDegraded()
-	return Answer{Text: out, Degraded: true, StaleFor: age}, true
+	return Answer{Text: out, StaleFor: age}, true
 }
 
 // Click posts a UI event (e.g. selecting a job) and waits for the display
