@@ -33,8 +33,10 @@
 // — the deployment's loops never wait for a worker, so a session at its
 // bound delays no other. An
 // invocation belongs to the joined scope its message was routed under: its
-// output, display and control streams are that session's, while
-// Invocation.Session is the message's own, which may be a sub-scope. It
+// output, display and control streams are that session's, and so is every
+// message on them (the store stamps a message with its stream's session),
+// while Invocation.Session is the triggering message's own, which may be a
+// sub-scope. It
 // serves the ask its triggering message named (Invocation.Ask): its span is
 // charged to that ask, and its outputs, display message and report carry the
 // ask's id. An invocation's outputs go to one place: the stream it names

@@ -329,8 +329,11 @@ func TestSubScopeIsServedOnceByTheInnermostJoin(t *testing.T) {
 	outer := store.Subscribe(streams.Filter{Streams: []string{OutputStream(scope, "ECHO")}}, false)
 	defer outer.Cancel()
 	say("one")
-	if m := awaitMessage(t, outer); m.Payload != "ONE" || m.Session != sub {
-		t.Fatalf("output on the joined scope's stream = %+v, want ONE with the message's session", m)
+	if m := awaitMessage(t, outer); m.Payload != "ONE" || m.Session != scope {
+		t.Fatalf("output on the joined scope's stream = %+v, want ONE with the joined scope's session", m)
+	}
+	if info, err := store.Info(OutputStream(scope, "ECHO")); err != nil || info.Session != scope {
+		t.Fatalf("the joined scope's output stream = %+v (%v), want it in %s", info, err, scope)
 	}
 
 	if err := inst.Join(sub); err != nil {

@@ -535,7 +535,7 @@ func (in *Instance) run(st *seat, inv Invocation) {
 			continue
 		}
 		_, _ = in.store.Publish(streams.Message{
-			Stream: inv.ReplyStream, Session: inv.Session, Kind: streams.Data,
+			Stream: inv.ReplyStream, Session: st.session, Kind: streams.Data,
 			Sender: name, Param: p.Name,
 			Tags:    append([]string{p.Name}, out.Tags...),
 			Payload: v, Ask: inv.Ask,
@@ -543,7 +543,7 @@ func (in *Instance) run(st *seat, inv Invocation) {
 	}
 	if out.Display != "" {
 		_, _ = in.store.Append(streams.Message{
-			Stream: DisplayStream(st.session), Session: inv.Session, Kind: streams.Data,
+			Stream: DisplayStream(st.session), Kind: streams.Data,
 			Sender: name, Payload: out.Display, Tags: []string{"display"}, Ask: inv.Ask,
 		})
 	}

@@ -31,9 +31,12 @@ const PlanTag = "plan"
 // messages tagged PlanTag in every session that has joined it (the task
 // planner agent publishes its PLAN output so, as does any agent that plans)
 // and executes each plan — the "TC listening to any stream with a plan
-// unrolls the plan" behaviour of Fig. 9, and the one way a plan reaches the
-// coordinator. Sessions join and leave it as they join and leave an agent
-// deployment (agent.Instance): one scoped subscription and one watch
+// unrolls the plan" behaviour of Fig. 9: the way an ask's plan reaches the
+// coordinator. It is not the only way in: the root package's
+// Session.ExecuteUtterance calls Coordinator.ExecuteAsk directly, and the
+// benchmark's coordinator probe calls ExecutePlan. Sessions join and leave
+// it as they join and leave an agent deployment (agent.Instance): one
+// scoped subscription and one watch
 // goroutine serve them all, and a session holds only its Seat. A producer's
 // Tags go on all of its outputs, so any value published beside a plan
 // arrives here too; the watch loop drops what mayBePlan refuses.
@@ -187,7 +190,8 @@ func (s *Service) spawn(scope string, payload any, ask uint64) {
 // plan shows its final outputs; a plan given up on — a step failed with no
 // substitute, or a budget abort — shows one AGENT_ERROR naming the failed
 // step's agent, or "coordinator" for an abort: the failure record that ends
-// the ask's wait.
+// the ask's wait. Publish creates the display stream, under the session, on
+// a store where no session made it.
 func (s *Service) finish(session string, st *Seat, res *Result, err error) {
 	st.mu.Lock()
 	if len(st.results) == resultsKept {

@@ -395,7 +395,7 @@ func (s *Session) Agent(name string) (*agent.Instance, error) {
 // message the utterance causes carries.
 func (s *Session) PostUserText(ask uint64, text string) (streams.Message, error) {
 	return s.store.Append(streams.Message{
-		Stream: UserStream(s.ID), Session: s.ID, Kind: streams.Data,
+		Stream: UserStream(s.ID), Kind: streams.Data,
 		Sender: "user", Tags: []string{"user", "utterance"}, Payload: text, Ask: ask,
 	})
 }
@@ -404,7 +404,7 @@ func (s *Session) PostUserText(ask uint64, text string) (streams.Message, error)
 // event stream (Fig. 9 step 1) as input of ask (0 for none).
 func (s *Session) PostUserEvent(ask uint64, event map[string]any) (streams.Message, error) {
 	return s.store.Append(streams.Message{
-		Stream: EventStream(s.ID), Session: s.ID, Kind: streams.Event,
+		Stream: EventStream(s.ID), Kind: streams.Event,
 		Sender: "user", Tags: []string{"ui", "event"}, Payload: event, Ask: ask,
 	})
 }

@@ -288,6 +288,52 @@ func TestExtendScoping(t *testing.T) {
 	_ = store
 }
 
+// A child scope's utterance is answered by its parent's agent, on the
+// parent's output stream; closing the child drops the child's streams and
+// leaves that stream, with the parent's session and every message on it.
+func TestChildCloseKeepsParentStreams(t *testing.T) {
+	store, m := newEnv(t)
+	parent, _ := m.Create("session:p")
+	defer parent.Close()
+	child, err := parent.Extend("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parent.SpawnAgent("GREETER", agent.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	out := agent.OutputStream(parent.ID, "GREETER")
+	sub := store.Subscribe(streams.Filter{Streams: []string{out}}, false)
+	defer sub.Cancel()
+	for _, s := range []*Session{child, parent} { // the child first: its answer creates the stream
+		if _, err := s.PostUserText(0, s.ID); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case msg := <-sub.C():
+			if want := "hi, " + s.ID; msg.Payload != want {
+				t.Fatalf("output %q, want %q", msg.Payload, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no output for %s", s.ID)
+		}
+	}
+	child.Close()
+	if n := len(store.List(child.ID)); n != 0 {
+		t.Fatalf("%d streams of the closed child remain", n)
+	}
+	info, err := store.Info(out)
+	if err != nil || info.Session != parent.ID || info.Len != 2 {
+		t.Fatalf("the parent's output stream after the child's close: %+v (%v), want 2 messages in %s", info, err, parent.ID)
+	}
+	msgs, _ := store.ReadAll(out)
+	for _, msg := range msgs {
+		if msg.Session != parent.ID {
+			t.Fatalf("message %q is in session %q, its stream's is %q", msg.Payload, msg.Session, parent.ID)
+		}
+	}
+}
+
 func TestUserEvent(t *testing.T) {
 	store, m := newEnv(t)
 	s, _ := m.Create("")

@@ -82,6 +82,38 @@ func BenchmarkHistory(b *testing.B) {
 	}
 }
 
+// BenchmarkHistoryBesideLive is one session's History — what a flow reads —
+// beside 399 other live sessions: each of the 400 holds 5 streams of 20
+// messages, appended round-robin across sessions so that their timestamps
+// interleave. The read should cost what the one session holds.
+func BenchmarkHistoryBesideLive(b *testing.B) {
+	const sessions, streamsEach, msgsEach = 400, 5, 20
+	s := NewStore()
+	b.Cleanup(func() { s.Close() })
+	for i := 0; i < sessions; i++ {
+		for j := 0; j < streamsEach; j++ {
+			if _, err := s.CreateStream(fmt.Sprintf("session:%d:s%d", i, j), StreamInfo{Session: fmt.Sprintf("session:%d", i)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for k := 0; k < msgsEach; k++ {
+		for i := 0; i < sessions; i++ {
+			for j := 0; j < streamsEach; j++ {
+				if _, err := s.Append(Message{Stream: fmt.Sprintf("session:%d:s%d", i, j), Payload: k}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if h := s.History("session:7"); len(h) != streamsEach*msgsEach {
+			b.Fatalf("History holds %d messages, want %d", len(h), streamsEach*msgsEach)
+		}
+	}
+}
+
 // BenchmarkAppendManySessions is the shape of many live conversations: 512
 // session scopes, each with the 17 subscriptions that serve a session (11 on
 // the control messages addressed to an agent, 6 on tagged data), and an

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -22,14 +20,21 @@ import (
 // and read with its Dec:
 //
 //	create:  recCreate ID Session Tags Creator CreatedTS
-//	append:  recAppend Seq TS n Session | Stream Kind Tags Sender Param payload directive
+//	message: recMessage Seq TS | Stream Kind Tags Sender Param payload directive
 //	drop:    recDrop Scope
 //	release: recRelease ID Released
 //
-// An append record's header (before the bar) is what the store assigns
-// under its lock — the message id is "m"+n — and is written there; its
-// body is what the producer handed in, and is encoded before the lock is
-// taken. A payload is written by durability's value codec
+// A message record's header (before the bar) is what the store assigns
+// under its lock, and is written there; its body is what the producer
+// handed in, and is encoded before the lock is taken. A message's session
+// is not in it: replay takes the stream's, from its create record, as
+// Append stamps it. A log written before messages lost their ids holds
+// append records instead,
+//
+//	append:  recAppend Seq TS n Session | body
+//
+// which replay as message records: the message number n and the session
+// are read and dropped. A payload is written by durability's value codec
 // (durability.AppendValue): nil, a string, an int, int64, float64 or bool,
 // and a registered type (a *planner.Plan, a *hragents.QueryRows) recover
 // as the Go value that was logged, a string byte for byte; anything else
@@ -47,7 +52,7 @@ import (
 // the same records, each prefixed by its length; Apply and Restore share
 // one decoder, which refuses a record it cannot read whole.
 //
-// Replay is idempotent: append records carry their assigned Seq, so a
+// Replay is idempotent: message records carry their assigned Seq, so a
 // record whose message is already present (because the snapshot covered
 // it) is skipped — which is what lets the store log with a plain
 // asynchronous Append instead of the engine's snapshot-atomic Log path. It
@@ -70,9 +75,10 @@ import (
 // Record types: the first byte of every record.
 const (
 	recCreate  byte = 1
-	recAppend  byte = 2
+	recAppend  byte = 2 // no longer written: a message record with its id and session
 	recDrop    byte = 3
 	recRelease byte = 4 // written only in a snapshot
+	recMessage byte = 5
 )
 
 // dirTyped opens a directive: its typed fields follow, each written in the
@@ -122,16 +128,13 @@ func appendDrop(b []byte, scope string) []byte {
 	return durability.AppendString(append(b, recDrop), scope)
 }
 
-// appendHeader encodes an append record's header.
-func appendHeader(b []byte, seq, ts, n int64, session string) []byte {
-	b = append(b, recAppend)
-	b = durability.AppendUvarint(b, uint64(seq))
-	b = durability.AppendUvarint(b, uint64(ts))
-	b = durability.AppendUvarint(b, uint64(n))
-	return durability.AppendString(b, session)
+// appendHeader encodes a message record's header.
+func appendHeader(b []byte, seq, ts int64) []byte {
+	b = durability.AppendUvarint(append(b, recMessage), uint64(seq))
+	return durability.AppendUvarint(b, uint64(ts))
 }
 
-// appendBody encodes an append record's body. It fails only on a payload,
+// appendBody encodes a message record's body. It fails only on a payload,
 // input or output value the value codec refuses.
 func appendBody(b []byte, m *Message) ([]byte, error) {
 	b = durability.AppendString(b, m.Stream)
@@ -171,24 +174,18 @@ func appendDirective(b []byte, d *Directive) ([]byte, error) {
 	return durability.AppendString(b, d.Reason), nil
 }
 
-// appendMessageRecord encodes a stored message's whole append record.
+// appendMessageRecord encodes a stored message's whole record.
 func appendMessageRecord(b []byte, m *Message) ([]byte, error) {
-	digits, ok := strings.CutPrefix(m.ID, "m")
-	n, err := strconv.ParseInt(digits, 10, 64)
-	if !ok || err != nil {
-		return b, fmt.Errorf("streams: message id %q is not m<n>", m.ID)
-	}
-	return appendBody(appendHeader(b, m.Seq, m.TS, n, m.Session), m)
+	return appendBody(appendHeader(b, m.Seq, m.TS), m)
 }
 
 // record is one decoded log record: a stream creation (info), a message
-// (msg, whose id is "m"+n), a drop (scope) or a release (info.ID,
-// info.Released).
+// (msg, its session left to its stream's; an append record decodes as
+// one), a drop (scope) or a release (info.ID, info.Released).
 type record struct {
 	typ   byte
 	info  StreamInfo
 	msg   Message
-	n     int64
 	scope string
 }
 
@@ -203,13 +200,15 @@ func decodeRecord(rec []byte) (record, error) {
 		r.info.Tags = d.Strings()
 		r.info.Creator = d.String()
 		r.info.CreatedTS = int64(d.Uvarint())
-	case recAppend:
+	case recMessage, recAppend:
 		m := &r.msg
 		m.Seq = int64(d.Uvarint())
 		m.TS = int64(d.Uvarint())
-		r.n = int64(d.Uvarint())
-		m.ID = "m" + strconv.FormatInt(r.n, 10)
-		m.Session = d.String()
+		if r.typ == recAppend {
+			d.Uvarint() // the message number
+			d.Bytes()   // the session: the stream's is taken
+			r.typ = recMessage
+		}
 		m.Stream = d.String()
 		m.Kind = Kind(d.Varint())
 		m.Tags = d.Strings()
@@ -263,7 +262,7 @@ func (s *Store) applyLocked(r *record, replay bool) {
 		if info.CreatedTS > s.lastTS {
 			s.lastTS = info.CreatedTS
 		}
-	case recAppend:
+	case recMessage:
 		m := r.msg
 		st, ok := s.streams[m.Stream]
 		if !ok {
@@ -272,10 +271,7 @@ func (s *Store) applyLocked(r *record, replay bool) {
 		if m.Seq < st.info.Len {
 			return // already present (snapshot covered it)
 		}
-		m.Stream = st.info.ID // as Append stores them: the stream's own strings
-		if m.Session == st.info.Session {
-			m.Session = st.info.Session
-		}
+		m.Stream, m.Session = st.info.ID, st.info.Session // as Append stamps them
 		m.Seq = st.info.Len
 		st.msgs.Append(m)
 		st.info.Len++
@@ -288,9 +284,6 @@ func (s *Store) applyLocked(r *record, replay bool) {
 		s.stats.countMessage(m.Kind)
 		if m.TS > s.lastTS {
 			s.lastTS = m.TS
-		}
-		if r.n > s.nextMsg {
-			s.nextMsg = r.n
 		}
 	case recDrop:
 		s.dropLocked(r.scope)

@@ -119,8 +119,8 @@ func TestEngineReplayRecoversStreams(t *testing.T) {
 	if !info.Closed {
 		t.Fatal("EOS state lost across recovery")
 	}
-	// The logical clock and message ids must continue past the recovered
-	// history — no reused ids.
+	// The logical clock must continue past the recovered history — no
+	// reused TS.
 	m, err := s2.Publish(Message{Stream: "chat", Sender: "tester", Payload: map[string]any{"i": 20}})
 	if err != nil {
 		t.Fatal(err)
@@ -133,12 +133,12 @@ func TestEngineReplayRecoversStreams(t *testing.T) {
 	}
 	holders := 0
 	for _, h := range s2.History("") {
-		if h.ID == m.ID {
+		if h.TS == m.TS {
 			holders++
 		}
 	}
 	if holders != 1 {
-		t.Fatalf("message id %s is held by %d messages after recovery, want 1", m.ID, holders)
+		t.Fatalf("TS %d is held by %d messages after recovery, want 1", m.TS, holders)
 	}
 	if _, err := s2.Append(Message{Stream: "done-stream", Payload: "late"}); !errors.Is(err, ErrStreamClosed) {
 		t.Fatalf("append to a recovered closed stream: err = %v, want ErrStreamClosed", err)
@@ -312,8 +312,8 @@ func TestSinkFailureLeavesStoreUnchanged(t *testing.T) {
 			second.Seq, second.TS, first.TS, created.CreatedTS)
 	}
 	// The subscriber sees the retry first: the failed message was never delivered.
-	if got := recvTimeout(t, sub.C()); got.ID != second.ID {
-		t.Fatalf("subscriber received %q (%s), want the retry %s", got.PayloadString(), got.ID, second.ID)
+	if got := recvTimeout(t, sub.C()); got.TS != second.TS {
+		t.Fatalf("subscriber received %q (TS %d), want the retry at TS %d", got.PayloadString(), got.TS, second.TS)
 	}
 	if logged != 3 {
 		t.Fatalf("sink accepted %d records, want 3 (create, one, two)", logged)
@@ -331,10 +331,10 @@ func TestRecoveryKeepsBytes(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			s, eng := openDurableStore(t, dir)
-			mustCreate(t, s, "s\xff", StreamInfo{Session: "x\xfe", Tags: []string{"t\xff"}, Creator: "c\xfe"})
+			mustCreate(t, s, "s\xff", StreamInfo{Session: "x\xfe:y\xff", Tags: []string{"t\xff"}, Creator: "c\xfe"})
 			mustAppend(t, s, Message{Stream: "s\xff", Sender: "a\xff", Tags: []string{"t\xff", ""}, Param: "q\xfe", Payload: "p\xff", Ask: 7})
 			mustAppend(t, s, Message{Stream: "s\xff", Sender: "a\xff", Payload: ""})
-			mustAppend(t, s, Message{Stream: "s\xff", Kind: Control, Session: "x\xfe:y\xff", Directive: &Directive{Op: "o\xff", Agent: "g\xfe"}, Ask: 1 << 63})
+			mustAppend(t, s, Message{Stream: "s\xff", Kind: Control, Directive: &Directive{Op: "o\xff", Agent: "g\xfe"}, Ask: 1 << 63})
 			wantInfo, wantHist := s.List(""), s.History("")
 			// An ask id is not logged: the recovered messages have Ask 0.
 			if wantHist[0].Ask != 7 || wantHist[2].Ask != 1<<63 {
@@ -448,6 +448,52 @@ func TestDirectivesRecoverExactly(t *testing.T) {
 	}
 }
 
+// legacyAppendRecord builds the append record a log written before messages
+// lost their ids holds: the header the store assigned — Seq, TS, the message
+// number n and the message's session — then body, as appendBody writes it.
+func legacyAppendRecord(seq, ts, n int64, session string, body []byte) []byte {
+	b := durability.AppendUvarint([]byte{recAppend}, uint64(seq))
+	b = durability.AppendUvarint(b, uint64(ts))
+	b = durability.AppendUvarint(b, uint64(n))
+	return append(durability.AppendString(b, session), body...)
+}
+
+// TestOlderAppendRecordReplays: an append record, as logs written before
+// messages lost their ids hold, still replays. Its message number is
+// dropped, and so is its session, which here names another scope than its
+// stream's: the replayed message is its stream's, in History and in Drop.
+func TestOlderAppendRecordReplays(t *testing.T) {
+	s := NewStore()
+	defer s.Close()
+	mustCreate(t, s, "session:1:chat", StreamInfo{Session: "session:1"})
+	body, err := appendBody(nil, &Message{Stream: "session:1:chat", Sender: "user", Tags: []string{"utterance"}, Payload: "hello"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Apply(legacyAppendRecord(0, 2, 41, "session:9", body)); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := s.ReadAll("session:1:chat")
+	if len(got) != 1 || got[0].Session != "session:1" || got[0].Seq != 0 || got[0].TS != 2 || got[0].Payload != "hello" || got[0].Sender != "user" {
+		t.Fatalf("the append record replayed as %+v", got)
+	}
+	if h := s.History("session:9"); len(h) != 0 {
+		t.Fatalf("the record's own session holds %+v", h)
+	}
+	if h := s.History("session:1"); len(h) != 1 {
+		t.Fatalf("the stream's session holds %d messages, want 1", len(h))
+	}
+	if next := mustAppend(t, s, Message{Stream: "session:1:chat", Payload: "again"}); next.Seq != 1 || next.TS != 3 {
+		t.Fatalf("the append after replay took Seq %d TS %d, want 1 and 3", next.Seq, next.TS)
+	}
+	if err := s.Drop("session:1"); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.History("")); n != 0 {
+		t.Fatalf("%d messages outlive the drop of their stream's session", n)
+	}
+}
+
 // TestUntypedDirectiveRecordFailsRecovery: an append record whose directive
 // is Op, Agent and a JSON args map (tag 1), or typed fields behind a mask
 // (tag 2), as logs held them before, is refused by name, not read as the
@@ -460,7 +506,7 @@ func TestUntypedDirectiveRecordFailsRecovery(t *testing.T) {
 		1: durability.AppendString(nil, `{"invocation_id":"p-s1","inputs":{"SQL":"SELECT 1"}}`),
 		2: durability.AppendString([]byte{1}, "p-s1"), // the mask naming the invocation, then it
 	} {
-		rec := appendHeader(nil, 0, 2, 1, "session:1")
+		rec := appendHeader(nil, 0, 2)
 		rec = durability.AppendString(rec, "session:1:control")
 		rec = durability.AppendVarint(rec, int64(Control))
 		rec = durability.AppendStrings(rec, nil)
@@ -565,7 +611,7 @@ func TestHeaderAndBodyBelongToOneMessage(t *testing.T) {
 				}
 				m := shapedMessage(stream, sender, i)
 				if i%5 == 0 {
-					m.Session = "session:1:" + sender // else the stream's, defaulted under the lock
+					m.Session = "session:1:" + sender // not stored: the stream's is stamped
 				}
 				if _, err := s.Append(m); err != nil {
 					errs <- err
@@ -624,7 +670,7 @@ func TestSetDurableMidRunLogsWhatFollows(t *testing.T) {
 	var (
 		attached atomic.Bool
 		appended atomic.Int64
-		mustLog  sync.Map // ids appended after SetDurable returned
+		mustLog  sync.Map // TSs appended after SetDurable returned
 		wg       sync.WaitGroup
 	)
 	for g := 0; g < 4; g++ {
@@ -640,7 +686,7 @@ func TestSetDurableMidRunLogsWhatFollows(t *testing.T) {
 				}
 				appended.Add(1)
 				if after {
-					mustLog.Store(m.ID, true)
+					mustLog.Store(m.TS, true)
 					afterAttach++
 				}
 			}
@@ -654,26 +700,26 @@ func TestSetDurableMidRunLogsWhatFollows(t *testing.T) {
 	attached.Store(true)
 	wg.Wait()
 
-	logged := map[string]bool{}
+	logged := map[int64]bool{}
 	for _, rec := range sink.records() {
 		r, err := decodeRecord(rec)
-		if err != nil || r.typ != recAppend {
+		if err != nil || r.typ != recMessage {
 			t.Fatalf("sink was handed %q (%v)", rec, err)
 		}
-		logged[r.msg.ID] = true
+		logged[r.msg.TS] = true
 	}
-	mustLog.Range(func(id, _ any) bool {
-		if !logged[id.(string)] {
-			t.Errorf("message %s was appended after SetDurable returned and is not in the log", id)
+	mustLog.Range(func(ts, _ any) bool {
+		if !logged[ts.(int64)] {
+			t.Errorf("message at TS %d was appended after SetDurable returned and is not in the log", ts)
 		}
 		return true
 	})
 	hist := s.History("")
 	first := len(hist) - len(logged)
 	for i, m := range hist {
-		if logged[m.ID] != (i >= first) {
-			t.Fatalf("the log holds %d messages, not the last %d of the history: message %d (%s) logged=%v",
-				len(logged), len(logged), i, m.ID, logged[m.ID])
+		if logged[m.TS] != (i >= first) {
+			t.Fatalf("the log holds %d messages, not the last %d of the history: message %d (TS %d) logged=%v",
+				len(logged), len(logged), i, m.TS, logged[m.TS])
 		}
 	}
 }
@@ -716,7 +762,7 @@ func TestParentFormatRecordFailsRecovery(t *testing.T) {
 
 // TestDropForgetsScope: Drop forgets the streams of a scope, sub-scopes
 // included and nothing else, as one log record written first — a refused
-// record drops nothing — and hands out no message id or timestamp again. A
+// record drops nothing — and hands out no timestamp again. A
 // subscription naming only dropped streams ends with the Drop; one that also
 // names a kept stream, or selects by scope, stays. A stream of the scope
 // created anew starts at Seq 0, and it recovers exactly
@@ -792,8 +838,8 @@ func TestDropForgetsScope(t *testing.T) {
 	}
 	publishN(t, s, "session:1:user", 1)
 	live, _ := s.ReadAll("session:1:user")
-	if first := live[0]; first.Seq != 0 || first.TS <= last.TS || first.ID == last.ID {
-		t.Fatalf("the re-created stream's first message is Seq %d TS %d %s, after %s at TS %d", first.Seq, first.TS, first.ID, last.ID, last.TS)
+	if first := live[0]; first.Seq != 0 || first.TS <= last.TS {
+		t.Fatalf("the re-created stream's first message is Seq %d TS %d, after TS %d", first.Seq, first.TS, last.TS)
 	}
 
 	re := NewStore()
@@ -809,7 +855,7 @@ func TestDropForgetsScope(t *testing.T) {
 	got, _ := re.ReadAll("session:1:user")
 	render := func(msgs []Message) (out []string) {
 		for _, m := range msgs {
-			out = append(out, fmt.Sprintf("%s seq=%d ts=%d i=%s", m.ID, m.Seq, m.TS, payloadI(m)))
+			out = append(out, fmt.Sprintf("seq=%d ts=%d i=%s", m.Seq, m.TS, payloadI(m)))
 		}
 		return out
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
-	"strconv"
 	"testing"
 	"time"
 
@@ -18,12 +17,14 @@ import (
 // hold — a count that claims more elements than bytes remain is an error,
 // not a make. The same bytes also build a stream and a message whose
 // records round-trip both ways: decode(encode(m)) == m, but for its Ask,
-// which is not logged and decodes as 0, and encode(decode(b)) == b; and a
-// drop record of the stream's session decodes to that scope.
+// which is not logged and decodes as 0, and encode(decode(b)) == b; the
+// append record an older log holds for m decodes as m too; and a drop
+// record of the stream's session decodes to that scope.
 //
-// Seeds include TypedSeeds: messages holding values of types that packages
-// importing this one register with durability's value codec, which an
-// external test file (typed_seeds_test.go) fills in.
+// Seeds hold both message record types, and TypedSeeds: messages holding
+// values of types that packages importing this one register with
+// durability's value codec, which an external test file
+// (typed_seeds_test.go) fills in.
 func FuzzStreamRecord(f *testing.F) {
 	s := NewStore()
 	if _, err := s.CreateStream("conv", StreamInfo{Session: "session:1", Tags: []string{"conversation"}, Creator: "ui"}); err != nil {
@@ -39,7 +40,8 @@ func FuzzStreamRecord(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		seeds = append(seeds, rec)
+		body := rec[len(appendHeader(nil, m.Seq, m.TS)):]
+		seeds = append(seeds, rec, legacyAppendRecord(m.Seq, m.TS, int64(i+1), "session:1:other", body))
 	}
 	info, _ := s.Info("conv")
 	seeds = append(seeds, durability.AppendUvarint(appendCreateHead(nil, &info), uint64(info.CreatedTS)))
@@ -110,6 +112,7 @@ func FuzzStreamRecord(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		m.Session = "" // not in the record: replay takes the stream's
 		if r, err := decodeRecord(rec); err != nil || !reflect.DeepEqual(r.msg, m) {
 			f.Fatalf("a typed message recovers as\n%#v (%v)\nwant\n%#v", r.msg, err, m)
 		}
@@ -138,12 +141,18 @@ func FuzzStreamRecord(f *testing.F) {
 		r, err := decodeRecord(rec)
 		want := m
 		want.Ask = 0
-		if err != nil || r.typ != recAppend || !reflect.DeepEqual(r.msg, want) {
-			t.Fatalf("append record of\n%+v\ndecodes as\n%+v (%v)", m, r.msg, err)
+		if err != nil || r.typ != recMessage || !reflect.DeepEqual(r.msg, want) {
+			t.Fatalf("message record of\n%+v\ndecodes as\n%+v (%v)", m, r.msg, err)
 		}
 		again, err := appendMessageRecord(nil, &r.msg)
 		if err != nil || !bytes.Equal(again, rec) {
 			t.Fatalf("record %q re-encodes as %q (%v)", rec, again, err)
+		}
+		// The append record an older log holds for it decodes as the same
+		// message, its number and session dropped.
+		old := legacyAppendRecord(m.Seq, m.TS, int64(len(data)), info.Session, rec[len(appendHeader(nil, m.Seq, m.TS)):])
+		if r, err := decodeRecord(old); err != nil || r.typ != recMessage || !reflect.DeepEqual(r.msg, want) {
+			t.Fatalf("append record of\n%+v\ndecodes as\n%+v (%v)", m, r.msg, err)
 		}
 	})
 }
@@ -187,16 +196,14 @@ func fuzzRecordValues(t *testing.T, data []byte) (StreamInfo, Message) {
 	}
 	info := StreamInfo{ID: field(0), Session: field(1), Tags: tags, Creator: field(2), CreatedTS: int64(h >> 1)}
 	m := Message{
-		ID:      "m" + strconv.FormatInt(int64(h>>2), 10),
-		Stream:  field(0),
-		Seq:     int64(h >> 3),
-		TS:      int64(h >> 4),
-		Kind:    Kind(int8(h)),
-		Tags:    tags,
-		Sender:  field(3),
-		Session: field(1),
-		Param:   field(4),
-		Ask:     h | 1,
+		Stream: field(0),
+		Seq:    int64(h >> 3),
+		TS:     int64(h >> 4),
+		Kind:   Kind(int8(h)),
+		Tags:   tags,
+		Sender: field(3),
+		Param:  field(4),
+		Ask:    h | 1,
 	}
 	switch h % 3 {
 	case 1:

@@ -12,6 +12,15 @@
 // shared durability engine (durable.go) and recovered, giving the
 // observability and controllability the paper calls for.
 //
+// A stream belongs to one session scope (StreamInfo.Session), and so does
+// every message on it: the store stamps a stored message's Session with its
+// stream's, as it assigns Seq and TS, whatever the producer handed in. So a
+// scope's streams are its messages — History, List, Drop and a scoped
+// subscription's backlog all select by the stream. A message has no id of
+// its own: its position is (Stream, Seq), its place in the store's total
+// order is TS, which is unique and never handed out twice, Drop and
+// recovery included.
+//
 // Every ask crosses this package a dozen times, so its costs follow what is
 // delivered, not what exists:
 //
@@ -171,14 +180,13 @@ type Directive struct {
 
 // Message is a single entry in a stream.
 type Message struct {
-	// ID uniquely identifies the message across all streams ("m<global seq>").
-	ID string `json:"id"`
 	// Stream is the id of the stream this message belongs to.
 	Stream string `json:"stream"`
 	// Seq is the zero-based offset of the message within its stream.
 	Seq int64 `json:"seq"`
 	// TS is a store-global logical timestamp establishing a total order
-	// across streams (used to reconstruct flows such as Figs. 9 and 10).
+	// across streams (used to reconstruct flows such as Figs. 9 and 10). No
+	// two messages share one.
 	TS int64 `json:"ts"`
 	// Kind is the message class.
 	Kind Kind `json:"kind"`
@@ -187,7 +195,9 @@ type Message struct {
 	Tags []string `json:"tags,omitempty"`
 	// Sender names the producing component.
 	Sender string `json:"sender,omitempty"`
-	// Session scopes the message to a collaborative context (§V-E).
+	// Session scopes the message to a collaborative context (§V-E): its
+	// stream's session, which the store stamps on append. A producer leaves
+	// it empty; Publish reads it only as the scope of a stream it creates.
 	Session string `json:"session,omitempty"`
 	// Param optionally names the agent output parameter that produced the
 	// payload (used by the coordinator to wire DAG edges).

@@ -242,7 +242,7 @@ func TestRetentionRecoversExactly(t *testing.T) {
 	info := StreamInfo{ID: "u", Session: "s", Tags: []string{TagAsks}, CreatedTS: 1}
 	put(durability.AppendUvarint(appendCreateHead(nil, &info), 1))
 	put(durability.AppendUvarint(durability.AppendString([]byte{recRelease}, "u"), 2048))
-	m := Message{ID: "m5000", Stream: "u", Session: "s", Seq: 2048, TS: 5000, Payload: "kept"}
+	m := Message{Stream: "u", Seq: 2048, TS: 5000, Payload: "kept"}
 	rec, err := appendMessageRecord(nil, &m)
 	if err != nil {
 		t.Fatal(err)

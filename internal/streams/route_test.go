@@ -88,7 +88,7 @@ func randomMessage(r *rand.Rand, streams []string) Message {
 		Tags: some(r, routeTags, 2), Payload: r.Int(),
 	}
 	if r.Intn(3) == 0 {
-		m.Session = pick(r, routeSessions) // else inherited from the stream
+		m.Session = pick(r, routeSessions) // not stored: the stream's is stamped
 	}
 	if m.Kind == Control && r.Intn(8) > 0 { // now and then a control message has no directive
 		m.Directive = &Directive{Op: pick(r, routeOps), Agent: pick(r, routeAgents)}
@@ -100,7 +100,7 @@ func randomMessage(r *rand.Rand, streams []string) Message {
 type collector struct {
 	sub   *Subscription
 	mu    sync.Mutex
-	got   []string
+	got   []int64       // the TS of each message received
 	moved chan struct{} // signalled (capacity 1) after every message
 	done  chan struct{}
 }
@@ -111,7 +111,7 @@ func collect(sub *Subscription) *collector {
 		defer close(c.done)
 		for m := range sub.C() {
 			c.mu.Lock()
-			c.got = append(c.got, m.ID)
+			c.got = append(c.got, m.TS)
 			c.mu.Unlock()
 			select {
 			case c.moved <- struct{}{}:
@@ -123,7 +123,7 @@ func collect(sub *Subscription) *collector {
 }
 
 // await waits until n messages arrived and returns everything received.
-func (c *collector) await(t *testing.T, n int) []string {
+func (c *collector) await(t *testing.T, n int) []int64 {
 	t.Helper()
 	timeout := time.After(10 * time.Second)
 	for {
@@ -209,13 +209,15 @@ func TestRoutingMatchesBruteForce(t *testing.T) {
 			s := NewStore()
 			defer s.Close()
 			open := routeStreams[:len(routeStreams)-1] // "ghost" comes later
+			sessionOf := map[string]string{}           // the model: a message is its stream's
 			for _, id := range open {
-				mustCreate(t, s, id, StreamInfo{Session: pick(r, routeSessions)})
+				sessionOf[id] = pick(r, routeSessions)
+				mustCreate(t, s, id, StreamInfo{Session: sessionOf[id]})
 			}
 
 			live := map[*Subscription]bool{}
 			cols := map[*Subscription]*collector{}
-			want := map[*Subscription][]string{}
+			want := map[*Subscription][]int64{}
 			// joined is the model of every scoped subscription's scopes: it
 			// must receive a matching message whose session lies within one.
 			joined := map[*Subscription]map[string]bool{}
@@ -284,21 +286,27 @@ func TestRoutingMatchesBruteForce(t *testing.T) {
 					checkIndex(t, s, live)
 				default:
 					if step == 700 {
-						mustCreate(t, s, "ghost", StreamInfo{Session: "session:1"})
+						sessionOf["ghost"] = "session:1"
+						mustCreate(t, s, "ghost", StreamInfo{Session: sessionOf["ghost"]})
 						open = routeStreams
 					}
 					msg := mustAppend(t, s, randomMessage(r, open))
+					model := msg
+					model.Session = sessionOf[msg.Stream]
+					if msg.Session != model.Session {
+						t.Fatalf("message %+v stored with session %q, its stream's is %q", msg, msg.Session, model.Session)
+					}
 					s.mu.Lock()
 					routed := s.routeLocked(&msg, nil)
 					s.mu.Unlock()
 					matched := 0
 					for sub := range live {
-						if receives(sub, &msg) {
+						if receives(sub, &model) {
 							matched++
 							if joined[sub] != nil {
 								scopedMatched++
 							}
-							want[sub] = append(want[sub], msg.ID)
+							want[sub] = append(want[sub], msg.TS)
 							if !slices.Contains(routed, sub) {
 								t.Fatalf("message %+v not routed to matching filter %+v (joined %v)", msg, sub.filter, joined[sub])
 							}
@@ -382,21 +390,21 @@ func TestSubscribeFromMatchesBruteForce(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		f := randomFilter(r)
 		from := int64(r.Intn(120) - 10)
-		var want []string
+		var want []int64
 		for _, m := range s.History("") {
 			if m.Seq >= from && f.Matches(&m) {
-				want = append(want, m.ID)
+				want = append(want, m.TS)
 			}
 		}
 		sub := s.SubscribeFrom(f, from)
-		var got []string
+		var got []int64
 		for range want {
-			got = append(got, recvTimeout(t, sub.C()).ID)
+			got = append(got, recvTimeout(t, sub.C()).TS)
 		}
 		live := mustAppend(t, s, Message{Stream: "a", Payload: "live"})
 		if f.Matches(&live) {
-			if m := recvTimeout(t, sub.C()); m.ID != live.ID {
-				t.Fatalf("filter %+v from %d: %s delivered where the live message belongs", f, from, m.ID)
+			if m := recvTimeout(t, sub.C()); m.TS != live.TS {
+				t.Fatalf("filter %+v from %d: TS %d delivered where the live message belongs", f, from, m.TS)
 			}
 		}
 		sub.Cancel()
@@ -495,12 +503,12 @@ func TestRoutingConcurrent(t *testing.T) {
 		abort := mustAppend(t, s, Message{Stream: control, Kind: Control, Directive: &Directive{Op: OpAbort}})
 		report := mustAppend(t, s, Message{Stream: control, Kind: Control, Directive: &Directive{Op: opDone}})
 		for _, c := range addressed[3*i : 3*i+3] {
-			want, last := 2*appends+1, abort.ID // an agent: what is addressed to it and the broadcasts
+			want, last := 2*appends+1, abort.TS // an agent: what is addressed to it and the broadcasts
 			if c.sub.filter.Agent == "" {
-				want, last = appends+1, report.ID // the report waiter: the reports
+				want, last = appends+1, report.TS // the report waiter: the reports
 			}
 			if got := c.await(t, want); len(got) != want || got[want-1] != last {
-				t.Fatalf("filter %+v received %d messages ending in %s, want %d ending in %s", c.sub.filter, len(got), got[len(got)-1], want, last)
+				t.Fatalf("filter %+v received %d messages ending in TS %d, want %d ending in TS %d", c.sub.filter, len(got), got[len(got)-1], want, last)
 			}
 		}
 	}

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -76,7 +74,6 @@ type Store struct {
 	order   []*stream            // creation order, for deterministic listing
 	anchors map[string][]*stream // session scope -> its ask streams (TagAsks)
 	lastTS  int64                // logical timestamp of the last mutation; guarded by mu
-	nextMsg int64                // number of the last message id handed out; guarded by mu
 	closed  bool
 
 	// The routing index (route.go): every live subscription is filed under
@@ -265,11 +262,12 @@ func (s *Store) List(session string) []StreamInfo {
 	return out
 }
 
-// Append writes msg to the stream named by msg.Stream, assigning ID, Seq and
-// TS, and delivers it to matching subscribers. The stream must exist and be
-// open. The stored message (with assigned fields) is returned. The message is
-// logged before it is stored: when the durability sink fails, nothing is
-// stored, counted or delivered, and the next Append takes the same Seq.
+// Append writes msg to the stream named by msg.Stream, assigning Seq and TS
+// and stamping the stream's session, and delivers it to matching
+// subscribers. The stream must exist and be open. The stored message (with
+// assigned fields) is returned. The message is logged before it is stored:
+// when the durability sink fails, nothing is stored, counted or delivered,
+// and the next Append takes the same Seq.
 func (s *Store) Append(msg Message) (Message, error) {
 	// What the producer handed in is encoded before the lock; only the
 	// header the store assigns is written under it.
@@ -295,18 +293,12 @@ func (s *Store) Append(msg Message) (Message, error) {
 		s.mu.Unlock()
 		return Message{}, fmt.Errorf("%w: %s", ErrStreamClosed, msg.Stream)
 	}
-	// The stored message names its stream and session with the stream's own
-	// strings, not the producer's per-call ones.
-	msg.Stream = st.info.ID
-	if msg.Session == "" || msg.Session == st.info.Session {
-		msg.Session = st.info.Session
-	}
-	// Seq, TS and ID are claimed only once the record is logged.
+	// The stored message belongs to its stream's scope, and names its stream
+	// and session with the stream's own strings, not the producer's.
+	msg.Stream, msg.Session = st.info.ID, st.info.Session
+	// Seq and TS are claimed only once the record is logged.
 	msg.Seq = st.info.Len
 	msg.TS = s.lastTS + 1
-	n := s.nextMsg + 1
-	var idBuf [20]byte // 'm' + the 19 digits of the largest int64
-	msg.ID = string(strconv.AppendInt(append(idBuf[:0], 'm'), n, 10))
 	if log := s.sink.Load(); log != nil {
 		if sc == nil { // attached since the first look
 			sc = getScratch()
@@ -316,14 +308,13 @@ func (s *Store) Append(msg Message) (Message, error) {
 				return Message{}, err
 			}
 		}
-		sc.rec = append(appendHeader(sc.rec[:0], msg.Seq, msg.TS, n, msg.Session), sc.body...)
+		sc.rec = append(appendHeader(sc.rec[:0], msg.Seq, msg.TS), sc.body...)
 		if err := (*log)(sc.rec); err != nil {
 			s.mu.Unlock()
 			return Message{}, err
 		}
 	}
 	s.lastTS = msg.TS
-	s.nextMsg = n
 	st.msgs.Append(msg)
 	st.info.Len++
 	if msg.IsEOS() {
@@ -342,7 +333,8 @@ func (s *Store) Append(msg Message) (Message, error) {
 }
 
 // Publish is a convenience wrapper creating the stream on demand and
-// appending the message.
+// appending the message. msg.Session is the scope of a stream it creates;
+// the stored message, as any Append's, carries its stream's.
 func (s *Store) Publish(msg Message) (Message, error) {
 	if _, err := s.EnsureStream(msg.Stream, StreamInfo{Session: msg.Session, Creator: msg.Sender}); err != nil {
 		return Message{}, err
@@ -364,13 +356,13 @@ func (s *Store) CloseStream(id, sender string) error {
 // Drop forgets every stream whose session lies within scope, sub-scopes
 // included: its messages leave memory, every later Snapshot and what
 // recovery rebuilds. The drop is one log record, written before it is
-// applied: when the durability sink fails, the store is unchanged. Message
-// ids and the logical clock keep their high-water marks, so the process
-// hands none of a dropped message's out again. A subscription every stream
-// of whose Filter.Streams is dropped ends, as Cancel ends one, for nothing
-// can come to it any more: a wait on a dropped stream returns at once. Any
-// other subscription is left as it is; a stream of the scope created again
-// starts empty.
+// applied: when the durability sink fails, the store is unchanged. The
+// logical clock keeps its high-water mark, so the process hands no dropped
+// message's TS out again. A subscription every stream of whose
+// Filter.Streams is dropped ends, as Cancel ends one, for nothing can come
+// to it any more: a wait on a dropped stream returns at once. Any other
+// subscription is left as it is; a stream of the scope created again starts
+// empty.
 func (s *Store) Drop(scope string) error {
 	ended, err := s.drop(scope)
 	for _, sub := range ended {
@@ -459,25 +451,15 @@ func (s *Store) ReadAll(id string) ([]Message, error) {
 	return s.Read(id, 0, 0)
 }
 
-// History returns every kept message in the store whose session is within
-// the given scope (empty scope = everything), ordered by global timestamp.
-// It is the basis for flow reconstruction (Figs. 9/10) and observability;
+// History returns every kept message of the streams whose session is within
+// the given scope (empty scope = everything), ordered by global timestamp:
+// the backlog a replaying subscription to the scope starts with. It is the
+// basis for flow reconstruction (Figs. 9/10) and observability;
 // StreamInfo.Released counts what each stream no longer holds.
 func (s *Store) History(session string) []Message {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []Message
-	for _, st := range s.order {
-		for c := range st.msgs.Chunks(st.msgs.Start(), st.msgs.Len()) {
-			for i := range c {
-				if m := &c[i]; session == "" || scopeContains(session, m.Session) {
-					out = append(out, m.Clone())
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TS < out[j].TS })
-	return out
+	return s.backlogLocked(&Filter{Session: session}, 0)
 }
 
 // Stats is a snapshot of store counters for observability.

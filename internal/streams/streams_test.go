@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -154,7 +155,7 @@ func TestReadOffsetsAtChunkEdges(t *testing.T) {
 			return false
 		}
 		for i := range a {
-			if a[i].ID != b[i].ID || a[i].Seq != b[i].Seq || a[i].TS != b[i].TS || a[i].PayloadString() != b[i].PayloadString() {
+			if a[i].Stream != b[i].Stream || a[i].Seq != b[i].Seq || a[i].TS != b[i].TS || a[i].PayloadString() != b[i].PayloadString() {
 				return false
 			}
 		}
@@ -231,8 +232,8 @@ func TestReadOffsetsAtChunkEdges(t *testing.T) {
 				t.Fatalf("%d messages: SubscribeFrom(%d) replayed %d, want %d", n, from, len(got), len(want))
 			}
 			sentinel := mustAppend(t, s, Message{Stream: end, Payload: "end"})
-			if m := recvTimeout(t, sub.C()); m.ID != sentinel.ID {
-				t.Fatalf("%d messages: SubscribeFrom(%d) delivered %s (%q) after its replay, want the live %s", n, from, m.ID, m.PayloadString(), sentinel.ID)
+			if m := recvTimeout(t, sub.C()); m.TS != sentinel.TS {
+				t.Fatalf("%d messages: SubscribeFrom(%d) delivered TS %d (%q) after its replay, want the live TS %d", n, from, m.TS, m.PayloadString(), sentinel.TS)
 			}
 			sub.Cancel()
 		}
@@ -568,5 +569,84 @@ func TestPayloadString(t *testing.T) {
 		if got := m.PayloadString(); got != c.want {
 			t.Errorf("PayloadString(%v) = %q, want %q", c.payload, got, c.want)
 		}
+	}
+}
+
+// A message belongs to its stream: appended or published naming another
+// session, an unrelated one or none, it is stored with its stream's session.
+// So History, List and Drop of a scope pick the same streams, for a session
+// and for a sub-scope.
+func TestMessagesBelongToTheirStream(t *testing.T) {
+	created := map[string]string{
+		"session:1:user":         "session:1",
+		"session:1:profile:form": "session:1:profile",
+		"session:10:user":        "session:10",
+		"session:2:user":         "session:2",
+		"bare":                   "",
+	}
+	const published = "session:1:profile:AGENT:out" // made by its first Publish
+	sessionOf := maps.Clone(created)
+	sessionOf[published] = "session:1:profile"
+	named := []string{"", "session:1", "session:1:profile", "session:2", "elsewhere"}
+	for _, scope := range []string{"session:1", "session:1:profile"} {
+		t.Run(scope, func(t *testing.T) {
+			s := NewStore()
+			defer s.Close()
+			for id, session := range created {
+				mustCreate(t, s, id, StreamInfo{Session: session})
+			}
+			if _, err := s.Publish(Message{Stream: published, Session: sessionOf[published]}); err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range slices.Sorted(maps.Keys(sessionOf)) {
+				for j, session := range named {
+					m := Message{Stream: id, Session: session, Payload: j}
+					write := s.Append
+					if j%2 == 1 {
+						write = s.Publish
+					}
+					got, err := write(m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Session != sessionOf[id] {
+						t.Fatalf("a message to %s naming %q was stored with session %q, its stream's is %q", id, session, got.Session, sessionOf[id])
+					}
+				}
+			}
+			for _, m := range s.History("") {
+				if m.Session != sessionOf[m.Stream] {
+					t.Fatalf("History holds a message of %s with session %q, its stream's is %q", m.Stream, m.Session, sessionOf[m.Stream])
+				}
+			}
+
+			listed := map[string]bool{}
+			for _, info := range s.List(scope) {
+				listed[info.ID] = true
+			}
+			history := map[string]bool{}
+			for _, m := range s.History(scope) {
+				history[m.Stream] = true
+			}
+			if !maps.Equal(history, listed) || len(listed) == 0 {
+				t.Fatalf("History(%q) reads streams %v, List(%q) lists %v", scope, history, scope, listed)
+			}
+			before := s.List("")
+			if err := s.Drop(scope); err != nil {
+				t.Fatal(err)
+			}
+			dropped := map[string]bool{}
+			for _, info := range before {
+				if _, err := s.Info(info.ID); err != nil {
+					dropped[info.ID] = true
+				}
+			}
+			if !maps.Equal(dropped, listed) {
+				t.Fatalf("Drop(%q) dropped %v, List(%q) listed %v", scope, dropped, scope, listed)
+			}
+			if n := len(s.History(scope)); n != 0 {
+				t.Fatalf("History(%q) holds %d messages after its drop", scope, n)
+			}
+		})
 	}
 }

@@ -10,7 +10,7 @@ import (
 // the queue — pending is, without bound — it is the slack that lets Append
 // hand a message straight to the consumer without a goroutine in between. It
 // is allocated for every subscription, the many idle ones and the transient
-// ones of each ask alike, so it is kept to a few messages (160 bytes each).
+// ones of each ask alike, so it is kept to a few messages (144 bytes each).
 const subBuffer = 4
 
 // Subscription delivers matching messages to a consumer. Append sends a
@@ -128,8 +128,12 @@ func (s *Store) subscribe(filter Filter, from int64, scopes map[string]struct{})
 // backlogLocked returns copies of the existing messages at offset >= from of
 // their stream that match filter, in global timestamp order; caller holds
 // s.mu. A stream-scoped filter reads only the suffixes of the streams it
-// names; only a filter that names none sweeps the store.
+// names; only a filter that names none sweeps the store. A message's
+// session is its stream's, so the filter's scope picks whole streams and
+// is not tested again on each message.
 func (s *Store) backlogLocked(filter *Filter, from int64) []Message {
+	scope, match := filter.Session, *filter
+	match.Session = ""
 	scan := s.order
 	if names := filter.Streams; len(names) > 0 {
 		var room [4]*stream
@@ -144,13 +148,13 @@ func (s *Store) backlogLocked(filter *Filter, from int64) []Message {
 	scanned := 0
 	for _, st := range scan {
 		lo := max(from, int64(st.msgs.Start())) // a released offset starts at the first kept
-		if lo >= int64(st.msgs.Len()) {
-			continue // nothing at or past from
+		if lo >= int64(st.msgs.Len()) || scope != "" && !scopeContains(scope, st.info.Session) {
+			continue // nothing at or past from, or none of the scope
 		}
 		scanned++
 		for c := range st.msgs.Chunks(int(lo), st.msgs.Len()) {
 			for j := range c {
-				if filter.Matches(&c[j]) {
+				if match.Matches(&c[j]) {
 					backlog = append(backlog, c[j].Clone())
 				}
 			}

@@ -33,7 +33,7 @@ type Step struct {
 	// Tags are the message tags.
 	Tags []string
 	// Payload is a short rendering of the payload; for an AGENT_DONE
-	// report, of the outputs it carries.
+	// report, of the outputs it carries; for an AGENT_ERROR, of its error.
 	Payload string
 }
 
@@ -54,9 +54,13 @@ func Flow(store *streams.Store, session string) []Step {
 		if d := m.Directive; d != nil {
 			s.Op = d.Op
 			s.Agent = d.Agent
-			// An AGENT_DONE report's payload is the outputs it carries.
-			if d.Op == agent.OpAgentDone && d.Outputs != nil {
+			// An AGENT_DONE report's payload is the outputs it carries, an
+			// AGENT_ERROR's its cause.
+			switch {
+			case d.Op == agent.OpAgentDone && d.Outputs != nil:
 				m.Payload = d.Outputs
+			case d.Op == agent.OpAgentError:
+				m.Payload = d.Error
 			}
 		}
 		// Rune-safe: payloads carry user text, and a byte slice at 60

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"context"
+	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 	"unicode/utf8"
 
 	"blueprint/internal/agent"
@@ -129,6 +132,51 @@ func TestFlowRendersReportOutputs(t *testing.T) {
 	}
 	if got := reports[1].Payload; got != "" {
 		t.Errorf("report of published outputs rendered %q, want nothing", got)
+	}
+}
+
+// A failure record renders its error as its payload, as a report carrying
+// outputs renders them: the flow of a failed ask says why it failed.
+func TestFlowRendersFailureCause(t *testing.T) {
+	s := streams.NewStore()
+	t.Cleanup(func() { s.Close() })
+	a := agent.New(registry.AgentSpec{
+		Name:    "FAILER",
+		Inputs:  []registry.ParamSpec{{Name: "N", Type: "number"}},
+		Outputs: []registry.ParamSpec{{Name: "OUT", Type: "text"}},
+	}, func(ctx context.Context, inv agent.Invocation) (agent.Outputs, error) {
+		return agent.Outputs{}, errors.New("no such column \"nope\"")
+	})
+	inst, err := agent.Attach(s, "sess", a, agent.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Stop()
+	reports := s.Subscribe(agent.ReportFilter("sess"), false)
+	defer reports.Cancel()
+	if err := agent.Execute(s, "sess", "FAILER", map[string]any{"N": 1}, "", "inv"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if d, err := agent.AwaitReport(ctx, reports, "inv"); err != nil || d.Op != agent.OpAgentError {
+		t.Fatalf("report = %+v (%v)", d, err)
+	}
+	if _, err := s.Append(streams.Message{
+		Stream: agent.DisplayStream("sess"), Kind: streams.Control, Sender: "coordinator",
+		Directive: &streams.Directive{Op: agent.OpAgentError, Agent: "FAILER", Error: "step q: " + strings.Repeat("x", 80)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, st := range Flow(s, "sess") {
+		if st.Op == agent.OpAgentError {
+			got = append(got, st.Payload)
+		}
+	}
+	want := []string{`no such column "nope"`, "step q: " + strings.Repeat("x", 60-len("step q: ")) + "..."}
+	if !slices.Equal(got, want) {
+		t.Fatalf("failure records rendered %q, want %q", got, want)
 	}
 }
 

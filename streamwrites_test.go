@@ -336,7 +336,7 @@ func afterAnswer(t *testing.T, sys *System, sess *Session, history []streams.Mes
 	for i := range history {
 		m := &history[i]
 		if m.Stream == agent.DisplayStream(sess.ID) && m.Ask == 0 {
-			t.Errorf("display message %s names no ask: another ask's wait could not pass it over", m.ID)
+			t.Errorf("display message at TS %d names no ask: another ask's wait could not pass it over", m.TS)
 		}
 		if d := m.Directive; d != nil && d.Op == streams.OpExecuteAgent {
 			if invocations[d.Invocation]++; invocations[d.Invocation] > 1 {
