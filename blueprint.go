@@ -64,11 +64,11 @@
 // projected cost, while single-flight deduplication collapses N concurrent
 // identical steps into one execution. Registry updates and data-asset
 // version bumps invalidate entries automatically (and poison in-flight
-// executions, so stale results are never cached or shared). Tune with
-// Config.MemoCapacity / Config.DisableMemo, observe through
-// System.MemoStats, blueprintd's GET /memo and `bpctl memo <utterance>`.
-// The repo benchmark times it: coordinator.plan_cold_us and plan_warm_us,
-// and the plan-hot workload.
+// executions, so stale results are never cached or shared). The cache holds
+// memo.DefaultCapacity entries; Config.DisableMemo turns it off. Observe
+// through System.MemoStats, blueprintd's GET /memo and `bpctl memo
+// <utterance>`. The repo benchmark times it: coordinator.plan_cold_us and
+// plan_warm_us, and the plan-hot workload.
 //
 // # Durability and warm restarts
 //
@@ -79,10 +79,10 @@
 // store (cacheable step results, version-checked at restore against the
 // recovered registries), both registries (every mutation a logged record,
 // plus snapshots) and the streams store (every stream creation and message,
-// as JSON record bodies). A restarted System recovers all of it — snapshot
-// restore plus log replay, with a torn final record truncated rather than
-// fatal — so a repeated ask after a restart is a memo hit instead of a cold
-// re-execution.
+// as binary records whose payloads durability's value codec writes). A
+// restarted System recovers all of it — snapshot restore plus log replay,
+// with a torn final record truncated rather than fatal — so a repeated ask
+// after a restart is a memo hit instead of a cold re-execution.
 // The log compacts itself: when a segment seals and the sealed log past the
 // last snapshot is at least as large as that snapshot, the engine takes a
 // new one in the background and truncates the log it covers, so the log on
@@ -146,15 +146,10 @@ type Config struct {
 	// Budget is the per-request QoS limit enforced by the coordinator
 	// (default: MaxCost $1).
 	Budget budget.Limits
-	// MaxParallel bounds how many plan steps the coordinator executes
-	// concurrently (default coordinator.DefaultMaxParallel; 1 = sequential).
-	// blueprintd exposes it as the -parallel flag.
-	MaxParallel int
-	// MemoCapacity bounds the coordinator's cross-session step-result
-	// memoization cache (entries; default memo.DefaultCapacity).
-	MemoCapacity int
 	// DisableMemo turns step-result memoization off: every plan step
-	// executes fresh even for Cacheable agents.
+	// executes fresh even for Cacheable agents. On, the cache holds
+	// memo.DefaultCapacity entries, and the coordinator runs at most
+	// coordinator.DefaultMaxParallel of a plan's steps at once.
 	DisableMemo bool
 	// DisableStandardAgents skips spawning the case-study agents in new
 	// sessions (for applications registering only their own agents).

@@ -6,14 +6,12 @@
 // for the endpoint list); this binary binds it to flags, a listener and a
 // graceful-shutdown lifecycle.
 //
-// Deploy-time tuning: -parallel bounds how many plan steps the coordinator
-// executes concurrently per plan, -memo bounds the step-result memoization
-// cache (entries; -memo 0 uses the default, -no-memo disables reuse), and
-// -data-dir points the shared durability engine at its WAL + snapshot
-// directory — a restarted daemon then recovers tables, registries, warm
-// memo entries and stream history instead of coming back cold. SIGINT and
-// SIGTERM shut down gracefully: in-flight requests drain, a final snapshot
-// is flushed and the log closes cleanly.
+// Deploy-time tuning: -no-memo turns step-result reuse off, and -data-dir
+// points the shared durability engine at its WAL + snapshot directory — a
+// restarted daemon then recovers tables, registries, warm memo entries and
+// stream history instead of coming back cold. SIGINT and SIGTERM shut down
+// gracefully: in-flight requests drain, a final snapshot is flushed and the
+// log closes cleanly.
 //
 // Overload control: -max-concurrent bounds in-flight asks globally (0 =
 // ungoverned); beyond it asks queue (bounded by -max-queue, waiting at most
@@ -50,8 +48,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 42, "deterministic seed")
 	dataDir := flag.String("data-dir", "", "durability directory: shared WAL + snapshots for warm restarts")
-	parallel := flag.Int("parallel", 0, "max concurrently executing steps per plan (0 = default)")
-	memoCap := flag.Int("memo", 0, "step-result memoization cache capacity in entries (0 = default)")
 	noMemo := flag.Bool("no-memo", false, "disable step-result memoization")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof handlers under /debug/pprof/")
 	maxConc := flag.Int("max-concurrent", 0, "max in-flight asks before queueing/shedding (0 = ungoverned)")
@@ -69,7 +65,7 @@ func main() {
 
 	sys, err := blueprint.New(blueprint.Config{
 		Seed: *seed, ModelAccuracy: 1.0, DataDir: *dataDir,
-		MaxParallel: *parallel, MemoCapacity: *memoCap, DisableMemo: *noMemo,
+		DisableMemo: *noMemo,
 		Governor: resilience.GovernorConfig{
 			MaxConcurrent: *maxConc, MaxQueue: *maxQueue,
 			QueueTimeout: *queueTO, TenantShare: *tenantShare,

@@ -153,7 +153,7 @@ func TestSystemCloseDrainsOpenSessions(t *testing.T) {
 		}
 		if _, err := sys.Store.Publish(streams.Message{
 			Stream: agent.OutputStream(sess.ID, hragents.AgenticEmployer), Session: sess.ID, Kind: streams.Data,
-			Sender: hragents.AgenticEmployer, Param: "PLAN", Tags: []string{coordinator.PlanTag},
+			Sender: hragents.AgenticEmployer, Tags: []string{"PLAN", coordinator.PlanTag},
 			Payload: &planner.Plan{ID: "linger", Steps: []planner.Step{
 				{ID: "s1", Agent: linger.Name},
 				{ID: "s2", Agent: linger.Name, Bindings: map[string]planner.Binding{"IN": {FromStep: "s1", FromParam: "OUT"}}},
@@ -284,7 +284,7 @@ func TestTypedPlanIsRecoveredAndExecutes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range msgs {
-			if m.Param == "PLAN" {
+			if m.HasTag("PLAN") {
 				return m
 			}
 		}
@@ -314,7 +314,7 @@ func TestTypedPlanIsRecoveredAndExecutes(t *testing.T) {
 	}
 	if _, err := sys2.Store.Publish(streams.Message{
 		Stream: agent.OutputStream(sess2.ID, hragents.AgenticEmployer), Session: sess2.ID, Kind: streams.Data,
-		Sender: hragents.AgenticEmployer, Param: "PLAN", Tags: []string{coordinator.PlanTag}, Payload: recovered.Payload,
+		Sender: hragents.AgenticEmployer, Tags: []string{"PLAN", coordinator.PlanTag}, Payload: recovered.Payload,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestTypedRowsAreRecoveredAndSummarized(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range msgs {
-			if m.Param == "ROWS" {
+			if m.HasTag(hragents.TagRows) {
 				return m
 			}
 		}
@@ -392,7 +392,7 @@ func TestTypedRowsAreRecoveredAndSummarized(t *testing.T) {
 	before := sess2.DisplayLen()
 	if _, err := sys2.Store.Publish(streams.Message{
 		Stream: agent.OutputStream(sess2.ID, hragents.SQLExecutor), Session: sess2.ID, Kind: streams.Data,
-		Sender: hragents.SQLExecutor, Param: "ROWS", Tags: []string{hragents.TagRows}, Payload: recovered.Payload,
+		Sender: hragents.SQLExecutor, Tags: []string{hragents.TagRows}, Payload: recovered.Payload,
 	}); err != nil {
 		t.Fatal(err)
 	}

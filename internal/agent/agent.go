@@ -39,16 +39,17 @@
 // sub-scope. It
 // serves the ask its triggering message named (Invocation.Ask): its span is
 // charged to that ask, and its outputs, display message and report carry the
-// ask's id. An invocation's outputs go to one place: the stream it names
-// (Invocation.ReplyStream) — for a tag-activated one the agent's output
-// stream in the session (OutputStream), created by its first output there,
-// not before — or, when it names none, its AGENT_DONE report. A report
-// answers an EXECUTE_AGENT: such an invocation ends with an AGENT_DONE or
-// AGENT_ERROR on its session's control stream, carrying its outcome and cost
-// (Report, ReadReport, AwaitReport), for the caller that awaits it. A tag
-// activation has no caller: its outputs are its result, and it reports only a
-// failure, whose AGENT_ERROR goes on the session's display stream with the
-// ask's id, the failure record that ends the ask's wait. A deployment
+// ask's id. An invocation's outputs go to one place, which its activation
+// decides: a tag-activated one publishes them on the agent's output stream in
+// the session (OutputStream), created by its first output there, not before,
+// one message per output tagged first with its parameter's name; an executed
+// one puts them in its AGENT_DONE report. A report answers an EXECUTE_AGENT:
+// such an invocation ends with an AGENT_DONE or AGENT_ERROR on its session's
+// control stream, carrying its outcome and cost (Report, ReadReport,
+// AwaitReport), for the caller that awaits it. A tag activation has no
+// caller: its outputs are its result, and it reports only a failure, whose
+// AGENT_ERROR goes on the session's display stream with the ask's id, the
+// failure record that ends the ask's wait. A deployment
 // counts nothing of its own: invocations and errors go to the process-wide
 // blueprint_agent_invocations_total and blueprint_agent_errors_total.
 package agent
@@ -76,13 +77,6 @@ type Invocation struct {
 	Session string
 	// Inputs binds each input parameter name to its value.
 	Inputs map[string]any
-	// ReplyStream is the stream the outputs are published on: the agent's
-	// OutputStream for a tag-activated invocation, the directive's
-	// ReplyStream for an executed one. Empty, the outputs ride the
-	// invocation's AGENT_DONE report instead (Report.Outputs), as the task
-	// coordinator's are. An executed invocation reports either way; a
-	// tag-activated one only when it fails.
-	ReplyStream string
 	// InvocationID correlates DONE/ERROR reports with requests.
 	InvocationID string
 	// TraceParent is the id of the caller's span (obs.Span.ID), carried in
@@ -105,8 +99,9 @@ type Invocation struct {
 	// Deadline), so a plan with little latency budget left cannot have one
 	// step run for the full default timeout.
 	Deadline time.Time
-	// tagged marks a decentralized activation, which reports only a failure,
-	// on the display stream.
+	// tagged marks a decentralized activation, which publishes its outputs
+	// on the agent's output stream and reports only a failure, on the display
+	// stream; an executed invocation's outputs ride its report.
 	tagged bool
 }
 

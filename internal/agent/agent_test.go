@@ -90,25 +90,43 @@ func TestCentralizedExecution(t *testing.T) {
 	}
 	defer inst.Stop()
 
-	out := store.Subscribe(streams.Filter{Streams: []string{"reply"}}, true)
-	defer out.Cancel()
-
-	if err := Execute(store, testSession, "ECHO", map[string]any{"TEXT": "hello"}, "reply", "inv1"); err != nil {
+	if err := Execute(store, testSession, "ECHO", map[string]any{"TEXT": "hello"}, "", "inv1"); err != nil {
 		t.Fatal(err)
-	}
-	m := awaitMessage(t, out)
-	if m.Payload != "HELLO" || m.Param != "ECHO" || !m.HasTag("ECHO") {
-		t.Fatalf("output = %+v", m)
 	}
 	d := AwaitDone(store, testSession, "inv1")
 	if d == nil || d.Op != OpAgentDone {
 		t.Fatalf("done = %+v", d)
+	}
+	if got := d.Outputs["ECHO"]; got != "HELLO" {
+		t.Fatalf("outputs = %+v", d.Outputs)
 	}
 	if d.Cost != 0.001 {
 		t.Fatalf("cost = %v", d.Cost)
 	}
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("processor ran %d times, want 1", n)
+	}
+}
+
+// An executed invocation's outputs ride its report, so Execute refuses a
+// reply stream and appends nothing.
+func TestExecuteRefusesReplyStream(t *testing.T) {
+	store := newStore(t)
+	inst, err := Attach(store, testSession, echoAgent(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Stop()
+	control := ControlStream(testSession)
+	before, err := store.Info(control)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Execute(store, testSession, "ECHO", map[string]any{"TEXT": "hello"}, "reply", "inv1"); err == nil {
+		t.Fatal("Execute took a reply stream")
+	}
+	if after, _ := store.Info(control); after.Len != before.Len {
+		t.Fatalf("control stream grew %d -> %d", before.Len, after.Len)
 	}
 }
 
@@ -131,7 +149,7 @@ func TestDecentralizedTagTrigger(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := awaitMessage(t, out)
-	if m.Payload != "STREAM TRIGGER" {
+	if m.Payload != "STREAM TRIGGER" || len(m.Tags) == 0 || m.Tags[0] != "ECHO" {
 		t.Fatalf("output = %+v", m)
 	}
 	// Its output is its result: a tag-activated success reports nothing.
@@ -216,7 +234,7 @@ func TestPetriZipPairing(t *testing.T) {
 	pub := func(param, val string) {
 		_, err := store.Publish(streams.Message{
 			Stream: testSession + ":" + param, Session: testSession,
-			Kind: streams.Data, Sender: "producer", Param: param, Payload: val,
+			Kind: streams.Data, Sender: "producer", Tags: []string{param}, Payload: val,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -269,7 +287,7 @@ func TestPetriLatestPairing(t *testing.T) {
 	pub := func(param, val string) {
 		if _, err := store.Publish(streams.Message{
 			Stream: testSession + ":" + param, Session: testSession,
-			Kind: streams.Data, Sender: "producer", Param: param, Payload: val,
+			Kind: streams.Data, Sender: "producer", Tags: []string{param}, Payload: val,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -501,13 +519,11 @@ func TestFactory(t *testing.T) {
 		t.Fatal("built unregistered agent")
 	}
 
-	out := store.Subscribe(streams.Filter{Streams: []string{"r"}}, true)
-	defer out.Cancel()
-	if err := Execute(store, testSession, "ECHO", map[string]any{"TEXT": "via factory"}, "r", "f1"); err != nil {
+	if err := Execute(store, testSession, "ECHO", map[string]any{"TEXT": "via factory"}, "", "f1"); err != nil {
 		t.Fatal(err)
 	}
-	if m := awaitMessage(t, out); m.Payload != "via factory" {
-		t.Fatalf("payload = %v", m.Payload)
+	if d := AwaitDone(store, testSession, "f1"); d == nil || d.Outputs["ECHO"] != "via factory" {
+		t.Fatalf("done = %+v", d)
 	}
 }
 

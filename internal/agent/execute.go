@@ -9,22 +9,26 @@ import (
 
 // Execute publishes an EXECUTE_AGENT directive on the session's control
 // stream — the centralized activation path used by the task coordinator
-// (§V-H). Outputs will appear on replyStream, or, when it is empty, in the
-// "outputs" of the AGENT_DONE report (ReadReport); either way a DONE or ERROR
-// control report follows, carrying invocationID.
+// (§V-H). A DONE or ERROR control report follows, carrying invocationID and,
+// for a DONE, the invocation's outputs (ReadReport). replyStream must be
+// empty: an executed invocation's outputs go nowhere else, and for any other
+// value Execute appends nothing and returns an error.
 func Execute(store *streams.Store, session, agentName string, inputs map[string]any, replyStream, invocationID string) error {
-	return ExecuteInvocation(store, agentName, Invocation{Session: session, Inputs: inputs, ReplyStream: replyStream, InvocationID: invocationID})
+	if replyStream != "" {
+		return errors.New("agent: an executed invocation's outputs ride its report, not a reply stream")
+	}
+	return ExecuteInvocation(store, agentName, Invocation{Session: session, Inputs: inputs, InvocationID: invocationID})
 }
 
 // ExecuteInvocation is Execute for the whole invocation the consuming
-// runtime is to start: its outputs go to inv.ReplyStream, or ride its report
-// when that is empty. The directive carries inv.Inputs as they are, not a
-// copy; inv.TraceParent (the caller's span id, 0 for none) as its Parent,
-// so the runtime can resume the caller's span tree across the stream
-// boundary; and a non-zero inv.Deadline in Unix nanoseconds, by which the
-// runtime bounds the processor at min(its own timeout, time until the
-// deadline) — the scheduler derives it from the plan's remaining latency
-// budget. inv.Ask is the directive message's own Ask.
+// runtime is to start, whose outputs ride its report. The directive carries
+// inv.Inputs as they are, not a copy; inv.TraceParent (the caller's span id,
+// 0 for none) as its Parent, so the runtime can resume the caller's span tree
+// across the stream boundary; and a non-zero inv.Deadline in Unix
+// nanoseconds, by which the runtime bounds the processor at min(its own
+// timeout, time until the deadline) — the scheduler derives it from the
+// plan's remaining latency budget. inv.Ask is the directive message's own
+// Ask.
 func ExecuteInvocation(store *streams.Store, agentName string, inv Invocation) error {
 	control := ControlStream(inv.Session)
 	if _, err := store.EnsureStream(control, streams.StreamInfo{Session: inv.Session}); err != nil {
@@ -32,7 +36,7 @@ func ExecuteInvocation(store *streams.Store, agentName string, inv Invocation) e
 	}
 	d := &streams.Directive{
 		Op: streams.OpExecuteAgent, Agent: agentName, Invocation: inv.InvocationID,
-		Inputs: inv.Inputs, ReplyStream: inv.ReplyStream, Parent: inv.TraceParent,
+		Inputs: inv.Inputs, Parent: inv.TraceParent,
 	}
 	if !inv.Deadline.IsZero() {
 		d.Deadline = inv.Deadline.UnixNano()
@@ -45,15 +49,13 @@ func ExecuteInvocation(store *streams.Store, agentName string, inv Invocation) e
 }
 
 // Report is what an AGENT_DONE report says of its invocation. A report is
-// the directive an invocation ends with on its session's control stream,
-// naming the invocation: an AGENT_DONE carries the usage and, for an
-// invocation that named no reply stream, the outputs; an AGENT_ERROR the
-// error.
+// the directive an executed invocation ends with on its session's control
+// stream, naming the invocation: an AGENT_DONE carries the usage and the
+// outputs; an AGENT_ERROR the error.
 type Report struct {
 	Usage Usage
 	// Outputs binds each declared output the processor produced to its
-	// value, when the invocation named no reply stream; nil otherwise. It is
-	// the stored report's own map: read-only.
+	// value. It is the stored report's own map: read-only.
 	Outputs map[string]any
 }
 

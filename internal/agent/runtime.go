@@ -318,7 +318,6 @@ func (in *Instance) controlLoop() {
 		in.dispatch(st, Invocation{
 			Session:      msg.Session,
 			Inputs:       maps.Clone(d.Inputs), // fillDefaults writes to it
-			ReplyStream:  d.ReplyStream,
 			InvocationID: invID,
 			TraceParent:  d.Parent,
 			Deadline:     deadline,
@@ -362,9 +361,8 @@ func (in *Instance) abort(st *seat, id string, ask uint64) {
 }
 
 // dataLoop implements decentralized activation: each matching message is a
-// token offered to the place named by the message's Param, a tag matching an
-// input name, or — for single-input agents — the sole input. Tokens pair
-// within the joined session the message arrived in.
+// token offered to its place (placeFor). Tokens pair within the joined
+// session the message arrived in.
 func (in *Instance) dataLoop() {
 	for msg := range in.dataSub.C() {
 		place := in.placeFor(msg)
@@ -380,7 +378,6 @@ func (in *Instance) dataLoop() {
 			in.dispatch(st, Invocation{
 				Session:      msg.Session,
 				Inputs:       inputs,
-				ReplyStream:  OutputStream(st.session, in.agent.Spec.Name),
 				InvocationID: in.invocationID(st),
 				Ask:          msg.Ask,
 				tagged:       true,
@@ -402,18 +399,17 @@ func (in *Instance) offer(st *seat, place string, tok any) []map[string]any {
 	return st.petri.offer(place, tok)
 }
 
+// placeFor names the required input a message's token goes to: the first of
+// its tags that names one — an agent's output carries its parameter's name as
+// its first tag — or, for a single-input agent, the sole input. "" drops it.
 func (in *Instance) placeFor(msg streams.Message) string {
-	required := in.params
-	if msg.Param != "" && slices.Contains(required, msg.Param) {
-		return msg.Param
-	}
-	for _, p := range required {
-		if msg.HasTag(p) {
-			return p
+	for _, t := range msg.Tags {
+		if slices.Contains(in.params, t) {
+			return t
 		}
 	}
-	if len(required) == 1 {
-		return required[0]
+	if len(in.params) == 1 {
+		return in.params[0]
 	}
 	return ""
 }
@@ -518,11 +514,15 @@ func (in *Instance) run(st *seat, inv Invocation) {
 		return
 	}
 
-	// Outputs go to the stream the invocation names, one message per output
-	// parameter tagged with its name so downstream agents can listen
-	// selectively; an invocation that names none gets them in its report.
+	// A tag-activated invocation publishes its outputs on the agent's output
+	// stream, one message per output parameter tagged first with its name so
+	// downstream agents can listen selectively; an executed one gets them in
+	// its report.
 	var outputs map[string]any
-	if inv.ReplyStream == "" {
+	var stream string
+	if inv.tagged {
+		stream = OutputStream(st.session, name)
+	} else {
 		outputs = make(map[string]any, len(out.Values))
 	}
 	for _, p := range in.agent.Spec.Outputs {
@@ -535,9 +535,8 @@ func (in *Instance) run(st *seat, inv Invocation) {
 			continue
 		}
 		_, _ = in.store.Publish(streams.Message{
-			Stream: inv.ReplyStream, Session: st.session, Kind: streams.Data,
-			Sender: name, Param: p.Name,
-			Tags:    append([]string{p.Name}, out.Tags...),
+			Stream: stream, Session: st.session, Kind: streams.Data,
+			Sender: name, Tags: append([]string{p.Name}, out.Tags...),
 			Payload: v, Ask: inv.Ask,
 		})
 	}

@@ -54,7 +54,7 @@ func TestCallerDeadlineBoundsProcessor(t *testing.T) {
 
 	start := time.Now()
 	deadline := start.Add(100 * time.Millisecond)
-	if err := ExecuteInvocation(store, "SLOW", Invocation{Session: testSession, Inputs: map[string]any{"IN": "x"}, ReplyStream: "reply", InvocationID: "inv-dl", Deadline: deadline}); err != nil {
+	if err := ExecuteInvocation(store, "SLOW", Invocation{Session: testSession, Inputs: map[string]any{"IN": "x"}, InvocationID: "inv-dl", Deadline: deadline}); err != nil {
 		t.Fatal(err)
 	}
 	msg := awaitError(t, store, "inv-dl")
@@ -76,7 +76,7 @@ func TestExpiredDeadlineShortCircuits(t *testing.T) {
 	defer inst.Stop()
 
 	past := time.Now().Add(-time.Second)
-	if err := ExecuteInvocation(store, "SLOW", Invocation{Session: testSession, Inputs: map[string]any{"IN": "x"}, ReplyStream: "reply", InvocationID: "inv-past", Deadline: past}); err != nil {
+	if err := ExecuteInvocation(store, "SLOW", Invocation{Session: testSession, Inputs: map[string]any{"IN": "x"}, InvocationID: "inv-past", Deadline: past}); err != nil {
 		t.Fatal(err)
 	}
 	awaitError(t, store, "inv-past")
@@ -103,10 +103,10 @@ func TestTargetedAbortCancelsInvocation(t *testing.T) {
 	}
 	defer inst.Stop()
 
-	if err := Execute(store, testSession, "SLOW", map[string]any{"IN": "a"}, "reply", "inv-a"); err != nil {
+	if err := Execute(store, testSession, "SLOW", map[string]any{"IN": "a"}, "", "inv-a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := Execute(store, testSession, "SLOW", map[string]any{"IN": "b"}, "reply", "inv-b"); err != nil {
+	if err := Execute(store, testSession, "SLOW", map[string]any{"IN": "b"}, "", "inv-b"); err != nil {
 		t.Fatal(err)
 	}
 	<-started
@@ -171,7 +171,7 @@ func TestPlanAbortSparesOtherAsks(t *testing.T) {
 		t.Helper()
 		if _, err := store.Append(streams.Message{
 			Stream: ControlStream(testSession), Kind: streams.Control, Sender: "coordinator", Ask: ask,
-			Directive: &streams.Directive{Op: streams.OpAbort, Reason: "budget"},
+			Directive: &streams.Directive{Op: streams.OpAbort, Error: "budget"},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestAgentFaultInjection(t *testing.T) {
 	}
 	defer inst.Stop()
 
-	if err := Execute(store, testSession, "ECHO", map[string]any{"TEXT": "x"}, "reply", "inv-fault"); err != nil {
+	if err := Execute(store, testSession, "ECHO", map[string]any{"TEXT": "x"}, "", "inv-fault"); err != nil {
 		t.Fatal(err)
 	}
 	msg := awaitError(t, store, "inv-fault")

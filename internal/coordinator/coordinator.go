@@ -341,7 +341,7 @@ func (c *Coordinator) confirm(vs []budget.Violation) bool {
 func (c *Coordinator) abort(session string, ask uint64, res *Result, b *budget.Budget, reason string) (*Result, error) {
 	err := markAborted(res, reason)
 	res.Budget = b.Snapshot()
-	c.emitAbort(session, ask, streams.Directive{Reason: reason})
+	c.emitAbort(session, ask, streams.Directive{Error: reason})
 	return res, err
 }
 
@@ -356,7 +356,7 @@ func markAborted(res *Result, reason string) error {
 
 // emitAbort publishes d as an ABORT directive on the session's control
 // stream, carrying the ask the plan runs for: addressed to no agent it
-// announces that the plan stopped, and why (d.Reason), and every agent of
+// announces that the plan stopped, and why (d.Error), and every agent of
 // the session cancels what it runs for the ask; addressed to one it cancels
 // that agent's invocation d.Invocation, so a step that timed out or was
 // cancelled does not keep burning agent work.

@@ -211,11 +211,14 @@ func TestBudgetAbortsMidPlan(t *testing.T) {
 	if calls < 1 {
 		t.Fatal("confirm not consulted")
 	}
-	// ABORT control message observable on the stream.
+	// ABORT control message observable on the stream, with its reason.
 	select {
 	case msg := <-abortSub.C():
 		for msg.Directive == nil || msg.Directive.Op != streams.OpAbort {
 			msg = <-abortSub.C()
+		}
+		if msg.Directive.Error != res.AbortReason {
+			t.Fatalf("ABORT error = %q, want the abort reason %q", msg.Directive.Error, res.AbortReason)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no ABORT message")
@@ -736,7 +739,7 @@ func publishPlan(t testing.TB, store *streams.Store, session string, p *planner.
 	t.Helper()
 	if _, err := store.Publish(streams.Message{
 		Stream: agent.OutputStream(session, planner.AgentName), Session: session, Kind: streams.Data,
-		Sender: planner.AgentName, Param: "PLAN", Tags: []string{PlanTag}, Payload: copyPlan(p),
+		Sender: planner.AgentName, Tags: []string{"PLAN", PlanTag}, Payload: copyPlan(p),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -585,7 +585,7 @@ func (s *scheduler) abort(reason string) error {
 	s.mu.Unlock()
 	s.cancel()
 	if first {
-		s.c.emitAbort(s.session, s.ask, streams.Directive{Reason: reason})
+		s.c.emitAbort(s.session, s.ask, streams.Directive{Error: reason})
 	}
 	return err
 }

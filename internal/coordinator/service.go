@@ -212,7 +212,7 @@ func (s *Service) finish(session string, st *Seat, res *Result, err error) {
 	for _, param := range s.c.finalOrder(res) {
 		_, _ = s.c.store.Publish(streams.Message{
 			Stream: agent.DisplayStream(session), Session: session,
-			Kind: streams.Data, Sender: "coordinator", Param: param,
+			Kind: streams.Data, Sender: "coordinator",
 			Tags: []string{"result"}, Payload: res.Final[param], Ask: res.Ask,
 		})
 	}

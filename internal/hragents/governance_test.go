@@ -19,7 +19,7 @@ func TestJobMatcherRespectsGovernance(t *testing.T) {
 
 	profile := map[string]any{"criteria": "data scientist position in SF bay area"}
 	if err := agent.Execute(a.store, sess, JobMatcher,
-		map[string]any{"JOBSEEKER_DATA": profile}, "reply:gov", "gov1"); err != nil {
+		map[string]any{"JOBSEEKER_DATA": profile}, "", "gov1"); err != nil {
 		t.Fatal(err)
 	}
 	d := agent.AwaitDone(a.store, sess, "gov1")
@@ -35,18 +35,14 @@ func TestJobMatcherRespectsGovernance(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := agent.Execute(a.store, sess, JobMatcher,
-		map[string]any{"JOBSEEKER_DATA": profile}, "reply:gov2", "gov2"); err != nil {
+		map[string]any{"JOBSEEKER_DATA": profile}, "", "gov2"); err != nil {
 		t.Fatal(err)
 	}
 	d = agent.AwaitDone(a.store, sess, "gov2")
 	if d == nil || d.Op != agent.OpAgentDone {
 		t.Fatalf("post-grant execution failed: %+v", d)
 	}
-	msgs, _ := a.store.ReadAll("reply:gov2")
-	if len(msgs) == 0 {
-		t.Fatal("no matches after grant")
-	}
-	matches := msgs[0].Payload.([]any)
+	matches, _ := d.Outputs["MATCHES"].([]any)
 	if len(matches) == 0 {
 		t.Fatal("empty matches after grant")
 	}

@@ -186,33 +186,32 @@ func TestJobMatcherEndToEnd(t *testing.T) {
 	a := newApp(t, 1.0)
 	// Drive PROFILER -> JOBMATCHER -> PRESENTER directly via EXECUTE.
 	if err := agent.Execute(a.store, sess, Profiler,
-		map[string]any{"CRITERIA": "data scientist position in SF bay area"}, "reply:profile", "jm1"); err != nil {
+		map[string]any{"CRITERIA": "data scientist position in SF bay area"}, "", "jm1"); err != nil {
 		t.Fatal(err)
 	}
-	if d := agent.AwaitDone(a.store, sess, "jm1"); d == nil || d.Op != agent.OpAgentDone {
+	d := agent.AwaitDone(a.store, sess, "jm1")
+	if d == nil || d.Op != agent.OpAgentDone {
 		t.Fatalf("profiler failed: %+v", d)
 	}
-	msgs, err := a.store.ReadAll("reply:profile")
-	if err != nil || len(msgs) == 0 {
-		t.Fatalf("no profile output: %v", err)
+	profile, ok := d.Outputs["JOBSEEKER_DATA"].(map[string]any)
+	if !ok {
+		t.Fatalf("no profile output: %+v", d.Outputs)
 	}
-	profile := msgs[0].Payload.(map[string]any)
 	if profile["title"] != "data scientist" || profile["location"] != "sf bay area" {
 		t.Fatalf("profile = %v", profile)
 	}
 
 	if err := agent.Execute(a.store, sess, JobMatcher,
-		map[string]any{"JOBSEEKER_DATA": profile, "LIMIT": 5}, "reply:matches", "jm2"); err != nil {
+		map[string]any{"JOBSEEKER_DATA": profile, "LIMIT": 5}, "", "jm2"); err != nil {
 		t.Fatal(err)
 	}
-	if d := agent.AwaitDone(a.store, sess, "jm2"); d == nil || d.Op != agent.OpAgentDone {
+	if d = agent.AwaitDone(a.store, sess, "jm2"); d == nil || d.Op != agent.OpAgentDone {
 		t.Fatalf("matcher failed: %+v", d)
 	}
-	msgs, _ = a.store.ReadAll("reply:matches")
-	if len(msgs) == 0 {
-		t.Fatal("no matches output")
+	matches, ok := d.Outputs["MATCHES"].([]any)
+	if !ok {
+		t.Fatalf("no matches output: %+v", d.Outputs)
 	}
-	matches := msgs[0].Payload.([]any)
 	if len(matches) == 0 || len(matches) > 5 {
 		t.Fatalf("matches = %d", len(matches))
 	}
@@ -240,14 +239,14 @@ func TestModerator(t *testing.T) {
 	check := func(text string, wantAllowed bool) {
 		t.Helper()
 		id := "mod-" + text[:4]
-		if err := agent.Execute(a.store, sess, Moderator, map[string]any{"TEXT": text}, "reply:"+id, id); err != nil {
+		if err := agent.Execute(a.store, sess, Moderator, map[string]any{"TEXT": text}, "", id); err != nil {
 			t.Fatal(err)
 		}
-		if d := agent.AwaitDone(a.store, sess, id); d == nil || d.Op != agent.OpAgentDone {
+		d := agent.AwaitDone(a.store, sess, id)
+		if d == nil || d.Op != agent.OpAgentDone {
 			t.Fatalf("moderator failed: %+v", d)
 		}
-		msgs, _ := a.store.ReadAll("reply:" + id)
-		verdict := msgs[0].Payload.(map[string]any)
+		verdict := d.Outputs["VERDICT"].(map[string]any)
 		if verdict["allowed"] != wantAllowed {
 			t.Fatalf("verdict for %q = %v", text, verdict)
 		}
@@ -260,14 +259,14 @@ func TestModerator(t *testing.T) {
 func TestAdvisor(t *testing.T) {
 	a := newApp(t, 1.0)
 	if err := agent.Execute(a.store, sess, Advisor,
-		map[string]any{"QUESTION": "what skills do I need to become a data scientist?"}, "reply:adv", "adv1"); err != nil {
+		map[string]any{"QUESTION": "what skills do I need to become a data scientist?"}, "", "adv1"); err != nil {
 		t.Fatal(err)
 	}
-	if d := agent.AwaitDone(a.store, sess, "adv1"); d == nil || d.Op != agent.OpAgentDone {
+	d := agent.AwaitDone(a.store, sess, "adv1")
+	if d == nil || d.Op != agent.OpAgentDone {
 		t.Fatalf("advisor failed: %+v", d)
 	}
-	msgs, _ := a.store.ReadAll("reply:adv")
-	advice := msgs[0].PayloadString()
+	advice, _ := d.Outputs["ADVICE"].(string)
 	if !strings.Contains(advice, "python") {
 		t.Fatalf("advice = %q", advice)
 	}

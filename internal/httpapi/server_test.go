@@ -542,12 +542,10 @@ func TestOverloadShedAndDegradeOverHTTP(t *testing.T) {
 }
 
 func TestDeployTimeTuningConfig(t *testing.T) {
-	// The -parallel / -memo / -no-memo flags plumb straight into these
-	// Config fields; a system built with them must come up (and with memo
-	// off, /memo reports disabled).
-	sys, err := blueprint.New(blueprint.Config{
-		ModelAccuracy: 1.0, MaxParallel: 2, MemoCapacity: 16, DisableMemo: true,
-	})
+	// The -no-memo flag plumbs straight into this Config field; a system
+	// built with it must come up (and with memo off, /memo reports
+	// disabled).
+	sys, err := blueprint.New(blueprint.Config{ModelAccuracy: 1.0, DisableMemo: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,8 +28,10 @@ import (
 // under its lock, and is written there; its body is what the producer
 // handed in, and is encoded before the lock is taken. A message's session
 // is not in it: replay takes the stream's, from its create record, as
-// Append stamps it. A log written before messages lost their ids holds
-// append records instead,
+// Append stamps it. The Param slot is written empty: a message names its
+// parameter by its first tag, and an older record's Param is read and
+// dropped. A log written before messages lost their ids holds append
+// records instead,
 //
 //	append:  recAppend Seq TS n Session | body
 //
@@ -46,11 +48,13 @@ import (
 //
 // with strings and integers as themselves and floats as their bits, so each
 // recovers exactly, and Inputs and Outputs as durability.AppendValues writes
-// them, a nil map and an empty one apart. A directive under the tag 1 (Op,
-// Agent and a JSON args map) or 2 (the typed fields behind a mask of those
-// not zero), as logs held them before, is refused by name. A snapshot is
-// the same records, each prefixed by its length; Apply and Restore share
-// one decoder, which refuses a record it cannot read whole.
+// them, a nil map and an empty one apart. The ReplyStream and Reason slots
+// are written empty: an older record's ReplyStream is read and dropped, and
+// its Reason, an ABORT's, is read into Error. A directive under the tag 1
+// (Op, Agent and a JSON args map) or 2 (the typed fields behind a mask of
+// those not zero), as logs held them before, is refused by name. A
+// snapshot is the same records, each prefixed by its length; Apply and
+// Restore share one decoder, which refuses a record it cannot read whole.
 //
 // Replay is idempotent: message records carry their assigned Seq, so a
 // record whose message is already present (because the snapshot covered
@@ -141,7 +145,7 @@ func appendBody(b []byte, m *Message) ([]byte, error) {
 	b = durability.AppendVarint(b, int64(m.Kind))
 	b = durability.AppendStrings(b, m.Tags)
 	b = durability.AppendString(b, m.Sender)
-	b = durability.AppendString(b, m.Param)
+	b = durability.AppendString(b, "") // Param
 	b, err := durability.AppendValue(b, m.Payload)
 	if err != nil {
 		return b, fmt.Errorf("streams: encode payload: %w", err)
@@ -161,7 +165,7 @@ func appendDirective(b []byte, d *Directive) ([]byte, error) {
 	if err != nil {
 		return b, fmt.Errorf("streams: encode directive inputs: %w", err)
 	}
-	b = durability.AppendString(b, d.ReplyStream)
+	b = durability.AppendString(b, "") // ReplyStream
 	b = durability.AppendUvarint(b, d.Parent)
 	b = durability.AppendVarint(b, d.Deadline)
 	if b, err = durability.AppendValues(b, d.Outputs); err != nil {
@@ -171,7 +175,7 @@ func appendDirective(b []byte, d *Directive) ([]byte, error) {
 	b = durability.AppendFloat(b, d.Accuracy)
 	b = durability.AppendVarint(b, int64(d.Latency))
 	b = durability.AppendString(b, d.Error)
-	return durability.AppendString(b, d.Reason), nil
+	return durability.AppendString(b, ""), nil // Reason
 }
 
 // appendMessageRecord encodes a stored message's whole record.
@@ -213,7 +217,7 @@ func decodeRecord(rec []byte) (record, error) {
 		m.Kind = Kind(d.Varint())
 		m.Tags = d.Strings()
 		m.Sender = d.String()
-		m.Param = d.String()
+		d.Bytes() // Param: the first tag names it
 		m.Payload = d.Value()
 		m.Directive = decodeDirective(d)
 	case recDrop:
@@ -237,11 +241,14 @@ func decodeDirective(d *durability.Dec) *Directive {
 	case 0:
 		return nil
 	case dirTyped:
-		return &Directive{
-			Op: d.String(), Agent: d.String(), Invocation: d.String(), Inputs: d.Values(),
-			ReplyStream: d.String(), Parent: d.Uvarint(), Deadline: d.Varint(), Outputs: d.Values(),
-			Cost: d.Float(), Accuracy: d.Float(), Latency: time.Duration(d.Varint()), Error: d.String(), Reason: d.String(),
+		dir := &Directive{Op: d.String(), Agent: d.String(), Invocation: d.String(), Inputs: d.Values()}
+		d.Bytes() // ReplyStream
+		dir.Parent, dir.Deadline, dir.Outputs = d.Uvarint(), d.Varint(), d.Values()
+		dir.Cost, dir.Accuracy, dir.Latency, dir.Error = d.Float(), d.Float(), time.Duration(d.Varint()), d.String()
+		if reason := d.String(); dir.Error == "" {
+			dir.Error = reason // an older ABORT's Reason
 		}
+		return dir
 	default:
 		d.Failf("streams: unknown directive tag %#x", tag)
 		return nil

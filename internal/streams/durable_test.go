@@ -332,7 +332,7 @@ func TestRecoveryKeepsBytes(t *testing.T) {
 			dir := t.TempDir()
 			s, eng := openDurableStore(t, dir)
 			mustCreate(t, s, "s\xff", StreamInfo{Session: "x\xfe:y\xff", Tags: []string{"t\xff"}, Creator: "c\xfe"})
-			mustAppend(t, s, Message{Stream: "s\xff", Sender: "a\xff", Tags: []string{"t\xff", ""}, Param: "q\xfe", Payload: "p\xff", Ask: 7})
+			mustAppend(t, s, Message{Stream: "s\xff", Sender: "a\xff", Tags: []string{"t\xff", ""}, Payload: "p\xff", Ask: 7})
 			mustAppend(t, s, Message{Stream: "s\xff", Sender: "a\xff", Payload: ""})
 			mustAppend(t, s, Message{Stream: "s\xff", Kind: Control, Directive: &Directive{Op: "o\xff", Agent: "g\xfe"}, Ask: 1 << 63})
 			wantInfo, wantHist := s.List(""), s.History("")
@@ -382,7 +382,7 @@ func TestRecoveryKeepsBytes(t *testing.T) {
 // encoding/json decodes into, as recovery returns them.
 func directiveOfEachOp() []Directive {
 	return []Directive{{
-		Op: OpExecuteAgent, Agent: "SQLEXECUTOR", Invocation: "plan-1-q-7", ReplyStream: "session:1:SQLEXECUTOR:out",
+		Op: OpExecuteAgent, Agent: "SQLEXECUTOR", Invocation: "plan-1-q-7",
 		Inputs: map[string]any{"SQL": "SELECT id FROM jobs WHERE city = 'Zürich'", "LIMIT": 25.0, "OPTS": map[string]any{"cached": true, "hint": nil}},
 		Parent: 1<<63 | 12345, Deadline: 1_790_000_000_123_456_789,
 	}, {
@@ -397,7 +397,7 @@ func directiveOfEachOp() []Directive {
 	}, {
 		Op: OpAbort, Agent: "SQLEXECUTOR", Invocation: "plan-1-q-8",
 	}, {
-		Op: OpAbort, Reason: "budget: cost 0.31 over limit 0.30",
+		Op: OpAbort, Error: "budget: cost 0.31 over limit 0.30",
 	}}
 }
 
@@ -491,6 +491,90 @@ func TestOlderAppendRecordReplays(t *testing.T) {
 	}
 	if n := len(s.History("")); n != 0 {
 		t.Fatalf("%d messages outlive the drop of their stream's session", n)
+	}
+}
+
+// olderMessageRecord builds a message record of m as logs written before a
+// message lost its Param and a directive its ReplyStream and Reason held it:
+// those slots hold param, replyStream and reason.
+func olderMessageRecord(t testing.TB, m *Message, param, replyStream, reason string) []byte {
+	t.Helper()
+	b := appendHeader(nil, m.Seq, m.TS)
+	b = durability.AppendString(b, m.Stream)
+	b = durability.AppendVarint(b, int64(m.Kind))
+	b = durability.AppendStrings(b, m.Tags)
+	b = durability.AppendString(b, m.Sender)
+	b = durability.AppendString(b, param)
+	b, err := durability.AppendValue(b, m.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := m.Directive
+	if d == nil {
+		return append(b, 0)
+	}
+	b = durability.AppendString(append(b, dirTyped), d.Op)
+	b = durability.AppendString(b, d.Agent)
+	b = durability.AppendString(b, d.Invocation)
+	if b, err = durability.AppendValues(b, d.Inputs); err != nil {
+		t.Fatal(err)
+	}
+	b = durability.AppendString(b, replyStream)
+	b = durability.AppendUvarint(b, d.Parent)
+	b = durability.AppendVarint(b, d.Deadline)
+	if b, err = durability.AppendValues(b, d.Outputs); err != nil {
+		t.Fatal(err)
+	}
+	b = durability.AppendFloat(b, d.Cost)
+	b = durability.AppendFloat(b, d.Accuracy)
+	b = durability.AppendVarint(b, int64(d.Latency))
+	b = durability.AppendString(b, d.Error)
+	return durability.AppendString(b, reason)
+}
+
+// TestOlderParamAndReasonReplay: a message record whose Param slot is set,
+// and directives whose ReplyStream and Reason slots are, as logs written
+// before those fields went hold them, still replay. The message keeps its
+// tags, its parameter's name first; the reply stream is dropped; an ABORT's
+// Reason becomes its Error, and a failure's Error stays its own. Each
+// re-encodes with those slots empty.
+func TestOlderParamAndReasonReplay(t *testing.T) {
+	s := NewStore()
+	defer s.Close()
+	mustCreate(t, s, "session:1:SQLEXECUTOR:out", StreamInfo{Session: "session:1"})
+	mustCreate(t, s, "session:1:control", StreamInfo{Session: "session:1"})
+	out := Message{Stream: "session:1:SQLEXECUTOR:out", Seq: 0, TS: 3, Sender: "SQLEXECUTOR", Tags: []string{"ROWS", "rows"}, Payload: "3 rows"}
+	exec := Message{Stream: "session:1:control", Seq: 0, TS: 4, Kind: Control, Sender: "coordinator", Directive: &Directive{
+		Op: OpExecuteAgent, Agent: "SQLEXECUTOR", Invocation: "plan-1-q-7", Inputs: map[string]any{"SQL": "SELECT 1"}, Parent: 9,
+	}}
+	abort := Message{Stream: "session:1:control", Seq: 1, TS: 5, Kind: Control, Sender: "coordinator", Directive: &Directive{Op: OpAbort}}
+	failed := Message{Stream: "session:1:control", Seq: 2, TS: 6, Kind: Control, Sender: "SQLEXECUTOR", Directive: &Directive{
+		Op: "AGENT_ERROR", Agent: "SQLEXECUTOR", Invocation: "plan-1-q-7", Error: "no such column",
+	}}
+	for _, rec := range [][]byte{
+		olderMessageRecord(t, &out, "ROWS", "", ""),
+		olderMessageRecord(t, &exec, "", "session:1:SQLEXECUTOR:out", ""),
+		olderMessageRecord(t, &abort, "", "", "budget: cost 0.31 over limit 0.30"),
+		olderMessageRecord(t, &failed, "", "session:1:reply", "superseded"),
+	} {
+		if err := s.Apply(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	abort.Directive.Error = "budget: cost 0.31 over limit 0.30"
+	got := s.History("session:1")
+	if len(got) != 4 {
+		t.Fatalf("replayed %d messages, want 4", len(got))
+	}
+	for i, want := range []Message{out, exec, abort, failed} {
+		want.Session = "session:1"
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("older record %d replayed as\n%+v\nwant\n%+v", i, got[i], want)
+		}
+		rec, err := appendMessageRecord(nil, &got[i])
+		if err != nil || !bytes.Equal(rec, olderMessageRecord(t, &want, "", "", "")) {
+			t.Fatalf("message %d re-encodes as %q (%v), not with its older slots empty", i, rec, err)
+		}
 	}
 }
 

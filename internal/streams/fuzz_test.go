@@ -118,6 +118,10 @@ func FuzzStreamRecord(f *testing.F) {
 		}
 		seeds = append(seeds, rec)
 	}
+	// A message record and a directive record as logs held them before a
+	// message lost its Param and a directive its ReplyStream and Reason.
+	older := Message{Stream: "ctl", Seq: 9, TS: 40, Kind: Control, Tags: []string{"PLAN", "plan"}, Sender: "coordinator", Directive: &ops[0]}
+	seeds = append(seeds, olderMessageRecord(f, &older, "PLAN", "session:1:SQLEXECUTOR:out", "budget: cost 0.31 over limit 0.30"))
 	for _, seed := range seeds {
 		f.Add(seed)
 	}
@@ -202,7 +206,6 @@ func fuzzRecordValues(t *testing.T, data []byte) (StreamInfo, Message) {
 		Kind:   Kind(int8(h)),
 		Tags:   tags,
 		Sender: field(3),
-		Param:  field(4),
 		Ask:    h | 1,
 	}
 	switch h % 3 {
@@ -231,9 +234,6 @@ func fuzzDirective(t *testing.T, op, agent, text string, h uint64) *Directive {
 	if set(1) {
 		d.Inputs = map[string]any{"TEXT": text, "N": jsonRoundTrip(t, h>>40)}
 	}
-	if set(2) {
-		d.ReplyStream = text
-	}
 	if set(3) {
 		d.Parent = h
 	}
@@ -257,9 +257,6 @@ func fuzzDirective(t *testing.T, op, agent, text string, h uint64) *Directive {
 	}
 	if set(10) {
 		d.Error = text
-	}
-	if set(11) {
-		d.Reason = text
 	}
 	return d
 }

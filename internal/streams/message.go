@@ -6,7 +6,10 @@
 // either data (payloads flowing between agents) or control (instructions such
 // as "execute the SQL agent"). Components subscribe to streams — optionally
 // filtered by tags, kinds, sessions or senders — and receive notifications
-// for every matching message. Streams are first-class data resources: they
+// for every matching message. A message names the parameter it carries by
+// its tags alone (an agent's output is tagged with its parameter's name
+// first), and a directive gives one reason, its Error, whether an invocation
+// failed or a plan was aborted. Streams are first-class data resources: they
 // can be listed, read from any offset, closed, dropped with the session scope
 // they belong to (Drop: a closed session keeps nothing), persisted through the
 // shared durability engine (durable.go) and recovered, giving the
@@ -138,11 +141,12 @@ const (
 // speaks a fixed set of directives, and each keeps its parameters in the
 // typed fields its op uses; the others stay zero:
 //
-//   - EXECUTE_AGENT: Invocation, Inputs, ReplyStream, Parent, Deadline.
+//   - EXECUTE_AGENT: Invocation, Inputs, Parent, Deadline.
 //   - AGENT_DONE: Invocation, Outputs, Cost, Accuracy, Latency.
 //   - AGENT_ERROR: Invocation, Error.
-//   - ABORT: Invocation to cancel one invocation, or none (a Reason at
-//     most) to cancel every invocation of the message's ask.
+//   - ABORT: Invocation to cancel one invocation, or none (an Error saying
+//     why the plan stopped, at most) to cancel every invocation of the
+//     message's ask.
 //
 // Inputs and Outputs are the producer's own maps, stored without a copy:
 // read-only once appended.
@@ -156,26 +160,22 @@ type Directive struct {
 	Invocation string `json:"invocation,omitempty"`
 	// Inputs binds each input parameter the invocation gets to its value.
 	Inputs map[string]any `json:"inputs,omitempty"`
-	// ReplyStream is where the invocation publishes its outputs; empty, they
-	// ride its AGENT_DONE report.
-	ReplyStream string `json:"reply_stream,omitempty"`
 	// Parent is the id of the caller's span (obs.Span.ID), under which the
 	// invocation's span is resumed; 0 is the root of the message's ask.
 	Parent uint64 `json:"parent,omitempty"`
 	// Deadline is the caller's absolute completion deadline in Unix
 	// nanoseconds; 0 is none.
 	Deadline int64 `json:"deadline,omitempty"`
-	// Outputs binds each output an invocation that named no reply stream
-	// produced to its value; nil when it named one.
+	// Outputs binds each output an executed invocation produced to its
+	// value.
 	Outputs map[string]any `json:"outputs,omitempty"`
 	// Cost, Accuracy and Latency are a finished invocation's QoS actuals.
 	Cost     float64       `json:"cost,omitempty"`
 	Accuracy float64       `json:"accuracy,omitempty"`
 	Latency  time.Duration `json:"latency,omitempty"`
-	// Error is a failed invocation's error text.
+	// Error is a failed invocation's error text, or why an ABORT stopped a
+	// plan.
 	Error string `json:"error,omitempty"`
-	// Reason says why an ABORT stopped a plan.
-	Reason string `json:"reason,omitempty"`
 }
 
 // Message is a single entry in a stream.
@@ -191,7 +191,8 @@ type Message struct {
 	// Kind is the message class.
 	Kind Kind `json:"kind"`
 	// Tags enable selective consumption ("a message tagged SQL can trigger
-	// the SQLExecutor agent", §V-B).
+	// the SQLExecutor agent", §V-B). An agent's output carries its
+	// parameter's name as its first tag.
 	Tags []string `json:"tags,omitempty"`
 	// Sender names the producing component.
 	Sender string `json:"sender,omitempty"`
@@ -199,9 +200,6 @@ type Message struct {
 	// stream's session, which the store stamps on append. A producer leaves
 	// it empty; Publish reads it only as the scope of a stream it creates.
 	Session string `json:"session,omitempty"`
-	// Param optionally names the agent output parameter that produced the
-	// payload (used by the coordinator to wire DAG edges).
-	Param string `json:"param,omitempty"`
 	// Payload is the data body. When the store has a durability sink
 	// (SetDurable), the payload is logged by durability's value codec: nil,
 	// a string (byte for byte), an int, int64, float64 or bool, and a

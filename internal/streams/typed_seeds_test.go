@@ -28,7 +28,7 @@ func init() {
 		SQL: "SELECT city, COUNT(*) AS n, AVG(salary) AS avg, open FROM jobs GROUP BY city",
 	}
 	streams.TypedSeeds = append(streams.TypedSeeds,
-		streams.Message{Kind: streams.Data, Sender: "AGENTIC_EMPLOYER", Param: "PLAN", Tags: []string{"plan"}, Payload: plan},
+		streams.Message{Kind: streams.Data, Sender: "AGENTIC_EMPLOYER", Tags: []string{"PLAN", "plan"}, Payload: plan},
 		streams.Message{Kind: streams.Control, Sender: "SQLEXECUTOR", Directive: &streams.Directive{
 			Op: agent.OpAgentDone, Agent: "SQLEXECUTOR", Invocation: "ae-summarize-3-s1-1",
 			Outputs: map[string]any{"ROWS": rows, "N": 2}, Cost: 0.01, Latency: 1500,

@@ -33,7 +33,8 @@ type Step struct {
 	// Tags are the message tags.
 	Tags []string
 	// Payload is a short rendering of the payload; for an AGENT_DONE
-	// report, of the outputs it carries; for an AGENT_ERROR, of its error.
+	// report, of the outputs it carries; for a directive with an Error (an
+	// AGENT_ERROR, an ABORT), of its error.
 	Payload string
 }
 
@@ -54,12 +55,13 @@ func Flow(store *streams.Store, session string) []Step {
 		if d := m.Directive; d != nil {
 			s.Op = d.Op
 			s.Agent = d.Agent
-			// An AGENT_DONE report's payload is the outputs it carries, an
-			// AGENT_ERROR's its cause.
+			// An AGENT_DONE report's payload is the outputs it carries; a
+			// directive that gives a reason, an AGENT_ERROR's cause or why an
+			// ABORT stopped a plan, shows it.
 			switch {
 			case d.Op == agent.OpAgentDone && d.Outputs != nil:
 				m.Payload = d.Outputs
-			case d.Op == agent.OpAgentError:
+			case d.Error != "":
 				m.Payload = d.Error
 			}
 		}

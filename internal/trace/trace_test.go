@@ -84,11 +84,9 @@ func TestFlowTruncationIsRuneSafe(t *testing.T) {
 	}
 }
 
-// An AGENT_DONE report that carries its invocation's outputs renders them as
-// its payload, truncated as a data payload is — the declared ones: EXTRA,
-// which would sort first, is not among them; a report of an invocation
-// that published its outputs, and the directive that started it, render
-// none.
+// An AGENT_DONE report renders its invocation's outputs as its payload,
+// truncated as a data payload is — the declared ones: EXTRA, which would sort
+// first, is not among them; the directive that started it renders none.
 func TestFlowRendersReportOutputs(t *testing.T) {
 	s := streams.NewStore()
 	t.Cleanup(func() { s.Close() })
@@ -104,13 +102,11 @@ func TestFlowRendersReportOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer inst.Stop()
-	for _, reply := range []string{"", "sess:reply"} {
-		if err := agent.Execute(s, "sess", "LONG", map[string]any{"N": 1}, reply, "inv"+reply); err != nil {
-			t.Fatal(err)
-		}
-		if d := agent.AwaitDone(s, "sess", "inv"+reply); d == nil || d.Op != agent.OpAgentDone {
-			t.Fatalf("report = %+v", d)
-		}
+	if err := agent.Execute(s, "sess", "LONG", map[string]any{"N": 1}, "", "inv"); err != nil {
+		t.Fatal(err)
+	}
+	if d := agent.AwaitDone(s, "sess", "inv"); d == nil || d.Op != agent.OpAgentDone {
+		t.Fatalf("report = %+v", d)
 	}
 	var reports []Step
 	for _, st := range Flow(s, "sess") {
@@ -123,20 +119,18 @@ func TestFlowRendersReportOutputs(t *testing.T) {
 			}
 		}
 	}
-	if len(reports) != 2 {
-		t.Fatalf("%d reports in the flow, want 2", len(reports))
+	if len(reports) != 1 {
+		t.Fatalf("%d reports in the flow, want 1", len(reports))
 	}
 	want := `{"OUT":"` + strings.Repeat("y", 60-len(`{"OUT":"`)) + "..."
 	if got := reports[0].Payload; got != want {
 		t.Errorf("report carrying outputs rendered %q, want %q", got, want)
 	}
-	if got := reports[1].Payload; got != "" {
-		t.Errorf("report of published outputs rendered %q, want nothing", got)
-	}
 }
 
 // A failure record renders its error as its payload, as a report carrying
-// outputs renders them: the flow of a failed ask says why it failed.
+// outputs renders them, and so does an ABORT: the flow of a failed ask says
+// why it failed, and that of an aborted plan why it stopped.
 func TestFlowRendersFailureCause(t *testing.T) {
 	s := streams.NewStore()
 	t.Cleanup(func() { s.Close() })
@@ -168,13 +162,19 @@ func TestFlowRendersFailureCause(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := s.Append(streams.Message{
+		Stream: agent.ControlStream("sess"), Kind: streams.Control, Sender: "coordinator",
+		Directive: &streams.Directive{Op: streams.OpAbort, Error: "budget: cost 0.31 over limit 0.30"},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	var got []string
 	for _, st := range Flow(s, "sess") {
-		if st.Op == agent.OpAgentError {
+		if st.Op == agent.OpAgentError || st.Op == streams.OpAbort {
 			got = append(got, st.Payload)
 		}
 	}
-	want := []string{`no such column "nope"`, "step q: " + strings.Repeat("x", 60-len("step q: ")) + "..."}
+	want := []string{`no such column "nope"`, "step q: " + strings.Repeat("x", 60-len("step q: ")) + "...", "budget: cost 0.31 over limit 0.30"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("failure records rendered %q, want %q", got, want)
 	}

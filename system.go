@@ -133,7 +133,7 @@ func newOnClock(cfg Config, clk *clock.Clock) (*System, error) {
 	// version bumps by the sources agents declare in Reads.
 	var memoStore *memo.Store
 	if !cfg.DisableMemo {
-		memoStore = memo.New(cfg.MemoCapacity)
+		memoStore = memo.New(memo.DefaultCapacity)
 		memoStore.SetClock(clk)
 		agentReg.OnChange(func(name string) { memoStore.InvalidateAgent(name) })
 		dataReg.OnChange(func(name string) { memoStore.InvalidateSource(name) })
@@ -218,10 +218,9 @@ func newOnClock(cfg Config, clk *clock.Clock) (*System, error) {
 	breakers := resilience.NewSet(clk)
 	slo := obs.NewSLOTracker(cfg.SLO, clk)
 	coord := coordinator.New(store, agentReg, tp, model, coordinator.Options{
-		MaxParallel: cfg.MaxParallel,
-		Memo:        memoStore,
-		Breakers:    breakers,
-		SLO:         slo,
+		Memo:     memoStore,
+		Breakers: breakers,
+		SLO:      slo,
 	})
 	governor := resilience.NewGovernor(cfg.Governor)
 	governor.SetClock(clk)
